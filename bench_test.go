@@ -5,14 +5,9 @@
 package sfccover_test
 
 import (
-	"bufio"
 	"context"
-	"encoding/base64"
-	"encoding/json"
-	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
 	"runtime"
 	"sync"
@@ -364,6 +359,41 @@ func TestSteadyStateQueryZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state FindCover allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestSteadyStateWireQueryAllocs is the same guard one layer out: a
+// covering query through the pipelined client, over loopback TCP, into a
+// live daemon and back. Client and server run in this process, so the
+// count is both sides together: frames are encoded into pooled buffers,
+// decoded into pooled scratch and answered by the warm engine path. The
+// measured steady state is zero (the reflective JSON framing paid 27.5);
+// the budget of 1 absorbs a pool refill after a GC cycle, not a
+// per-request allocation.
+func TestSteadyStateWireQueryAllocs(t *testing.T) {
+	addr, queries := startBenchDaemon(t)
+	queries = queries[:256]
+	c, err := sfcd.Dial(addr, queries[0].Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	i := 0
+	query := func() {
+		q := queries[i%len(queries)]
+		i++
+		if _, _, err := c.Query(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i < 3*len(queries) { // fill the decomposition cache and the pools
+		query()
+	}
+	if allocs := testing.AllocsPerRun(2000, query); allocs > 1 {
+		t.Errorf("steady-state wire query allocates %.1f allocs/op across client and server, want <= 1", allocs)
+	} else {
+		t.Logf("steady-state wire query: %.2f allocs/op", allocs)
 	}
 }
 
@@ -764,63 +794,24 @@ func BenchmarkBrokerChurnEnginePrefix(b *testing.B) { benchBrokerChurn(b, broker
 // each other's network latency. ns/op is per covering query.
 
 // lockstepClient is the pre-redesign wire discipline: one in-flight
-// request per connection, serialized by a mutex.
+// request per connection, serialized by a mutex around the round trip.
 type lockstepClient struct {
-	mu     sync.Mutex
-	conn   net.Conn
-	sc     *bufio.Scanner
-	w      *bufio.Writer
-	nextID uint64
-}
-
-func dialLockstep(addr string) (*lockstepClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c := &lockstepClient{conn: conn, sc: bufio.NewScanner(conn), w: bufio.NewWriter(conn)}
-	c.sc.Buffer(make([]byte, 64<<10), sfcd.MaxLineBytes)
-	return c, nil
+	mu sync.Mutex
+	c  *sfcd.Client
 }
 
 func (c *lockstepClient) query(s *subscription.Subscription) error {
-	raw, err := s.MarshalBinary()
-	if err != nil {
-		return err
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.nextID++
-	line, err := json.Marshal(&sfcd.Request{
-		ID: c.nextID, Op: "query", Payload: base64.StdEncoding.EncodeToString(raw),
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := c.w.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	if !c.sc.Scan() {
-		return fmt.Errorf("connection closed (%v)", c.sc.Err())
-	}
-	var resp sfcd.Response
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
-		return err
-	}
-	if !resp.OK {
-		return fmt.Errorf("server: %s", resp.Error)
-	}
-	return nil
+	_, _, err := c.c.Query(context.Background(), s)
+	return err
 }
 
 // startBenchDaemon boots a daemon preloaded with a planted-cover
 // population and returns its address. The population is smaller than the
 // engine benchmarks' — the quantity under test is protocol overhead per
 // query, not index scaling, and preloading happens per benchmark run.
-func startBenchDaemon(b *testing.B) (addr string, queries []*subscription.Subscription) {
+func startBenchDaemon(b testing.TB) (addr string, queries []*subscription.Subscription) {
 	b.Helper()
 	schema := subscription.MustSchema(10, "volume", "price")
 	pairs, err := workload.Covers(workload.CoverSpec{
@@ -870,11 +861,12 @@ const daemonBenchGoroutines = 16
 
 func BenchmarkDaemonFindCoverLockstep16(b *testing.B) {
 	addr, queries := startBenchDaemon(b)
-	c, err := dialLockstep(addr)
+	cl, err := sfcd.Dial(addr, queries[0].Schema())
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer c.conn.Close()
+	defer cl.Close()
+	c := &lockstepClient{c: cl}
 	var cursor atomic.Int64
 	par := (daemonBenchGoroutines + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0)
 	b.SetParallelism(par)

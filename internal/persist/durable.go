@@ -289,11 +289,13 @@ func (d *DurableProvider) AddBatch(subs []*subscription.Subscription) []core.Add
 	}
 	var pendings []pending
 	var batch []record
+	// One arena for the batch's payloads; the few slots the wrapped
+	// provider refused are encoded too and simply never logged.
+	payloads, err := subscription.MarshalBatch(subs)
 	for i := range out {
 		if out[i].Err != nil {
 			continue
 		}
-		payload, err := subs[i].MarshalBinary()
 		if err != nil {
 			d.inner.Remove(out[i].ID) //nolint:errcheck // best-effort rollback of our own insert
 			out[i] = core.AddResult{QueryResult: core.QueryResult{Err: err}}
@@ -301,7 +303,7 @@ func (d *DurableProvider) AddBatch(subs []*subscription.Subscription) []core.Add
 		}
 		sid := d.assign(out[i].ID)
 		pendings = append(pendings, pending{slot: i, sid: sid, innerID: out[i].ID})
-		batch = append(batch, record{op: opAdd, link: d.link, sid: sid, payload: payload})
+		batch = append(batch, record{op: opAdd, link: d.link, sid: sid, payload: payloads[i]})
 	}
 	if err := d.store.appendBatch(batch); err != nil {
 		for _, p := range pendings {
@@ -328,13 +330,9 @@ func (d *DurableProvider) InsertBatch(subs []*subscription.Subscription) ([]uint
 	if len(subs) == 0 {
 		return nil, nil
 	}
-	payloads := make([][]byte, len(subs))
-	for i, s := range subs {
-		p, err := s.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		payloads[i] = p
+	payloads, err := subscription.MarshalBatch(subs)
+	if err != nil {
+		return nil, err
 	}
 	var innerIDs []uint64
 	if bi, ok := d.inner.(core.BulkInserter); ok {

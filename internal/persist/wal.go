@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -65,23 +66,29 @@ type record struct {
 	payload []byte
 }
 
-// appendRecord encodes one record onto buf in the segment wire form.
+// appendRecord encodes one record onto buf in the segment wire form. The
+// body length is computed up front so the body is written straight into
+// buf — no per-record temporary.
 func appendRecord(buf []byte, r record) []byte {
-	body := make([]byte, 0, 2+len(r.link)+binary.MaxVarintLen64+len(r.payload)+binary.MaxVarintLen32)
-	body = append(body, r.op)
-	body = binary.AppendUvarint(body, uint64(len(r.link)))
-	body = append(body, r.link...)
-	body = binary.AppendUvarint(body, r.sid)
+	n := 1 + uvarintLen(uint64(len(r.link))) + len(r.link) + uvarintLen(r.sid)
 	if r.op == opAdd {
-		body = binary.AppendUvarint(body, uint64(len(r.payload)))
-		body = append(body, r.payload...)
+		n += uvarintLen(uint64(len(r.payload))) + len(r.payload)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	buf = append(buf, body...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
-	return append(buf, crc[:]...)
+	buf = binary.AppendUvarint(buf, uint64(n))
+	body := len(buf)
+	buf = append(buf, r.op)
+	buf = binary.AppendUvarint(buf, uint64(len(r.link)))
+	buf = append(buf, r.link...)
+	buf = binary.AppendUvarint(buf, r.sid)
+	if r.op == opAdd {
+		buf = binary.AppendUvarint(buf, uint64(len(r.payload)))
+		buf = append(buf, r.payload...)
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[body:]))
 }
+
+// uvarintLen is the encoded size of v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // errTorn marks an incomplete or checksum-broken tail; replaySegment
 // translates it to a clean stop (final segment) or ErrCorrupt (earlier).

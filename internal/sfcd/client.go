@@ -3,13 +3,12 @@ package sfcd
 import (
 	"bufio"
 	"context"
-	"encoding/base64"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -48,14 +47,15 @@ var (
 	ErrNotPrimary = errors.New("sfcd: daemon is a follower, not a primary")
 )
 
-// errUnsent marks a connection failure observed before the request's frame
-// was handed to the socket writer: the server cannot have seen the request,
-// so reissuing it on the next connection is exactly-once safe. do wraps
-// the terminal error with it and, in failover mode, retries instead of
-// surfacing it. A frame the writer did pick up is never marked — the write
-// may have partially reached the server, and a newline-framed request that
-// made it out whole may have been applied with its response lost, so those
-// fail typed with ErrConnectionLost like before.
+// errUnsent marks a connection failure observed before the request was
+// registered on the connection — and therefore before the first byte of
+// its frame was written: the server cannot have seen the request, so
+// reissuing it on the next connection is exactly-once safe. do wraps the
+// terminal error with it and, in failover mode, retries instead of
+// surfacing it. A registered request is never marked — its frame may have
+// partially reached the server, and one that made it out whole may have
+// been applied with its response lost, so those fail typed with
+// ErrConnectionLost.
 var errUnsent = errors.New("request was never written")
 
 // ServerError is an error frame the server answered a request with.
@@ -77,11 +77,6 @@ func (e *ServerError) Error() string {
 // DefaultDialTimeout bounds connection establishment plus the hello
 // exchange when DialConfig leaves DialTimeout zero.
 const DefaultDialTimeout = 10 * time.Second
-
-// writeBacklog buffers the frame queue between callers and the writer
-// goroutine: senders enqueue without a synchronous handoff, and the
-// writer drains whole bursts into one flush.
-const writeBacklog = 256
 
 // DialConfig parameterizes DialContext.
 type DialConfig struct {
@@ -112,51 +107,63 @@ type DialConfig struct {
 	RequestTimeout time.Duration
 }
 
-// clientConn owns one TCP connection's lifetime: the writer and reader
-// goroutines, the pending-request demux map and the terminal error. The
-// Client swaps these wholesale on failover; every request runs against
-// exactly one clientConn from registration to response, so a
-// reconnection can never cross-deliver another connection's frames.
+// clientConn owns one TCP connection's lifetime: the shared frame writer
+// callers send through, the reader goroutine, the pending-request demux
+// map and the terminal error. The Client swaps these wholesale on
+// failover; every request runs against exactly one clientConn from
+// registration to response, so a reconnection can never cross-deliver
+// another connection's frames.
 type clientConn struct {
 	conn net.Conn
 	addr string
 
-	writeCh chan outFrame
-	done    chan struct{} // closed on terminal failure
-	wg      sync.WaitGroup
+	w    frameWriter
+	done chan struct{} // closed on terminal failure
+	wg   sync.WaitGroup
 
 	mu      sync.Mutex
-	pending map[uint64]*pendingReq
+	pending map[uint64]*call
 	nextID  uint64
 	err     error // terminal error, set once
 }
 
-// outFrame is one request's wire bytes queued for the writer goroutine,
-// tagged with the request id so the writer can mark the pending entry
-// handed (see pendingReq.handed) the moment it picks the frame up.
-type outFrame struct {
-	id   uint64
-	line []byte
+// call is one request's state from encode to answer, pooled: the encoded
+// frame tail, the Response the reader decodes into, and the channel that
+// wakes the caller. A call sits in its connection's pending map from the
+// moment its id is assigned — under cc.mu, before the first byte of its
+// frame is written — until the reader claims it for delivery or the
+// caller abandons it. Presence in the map is therefore the "may have
+// reached the server" mark: a request that failed to register provably
+// never left and is safe to reissue; one that registered never is.
+type call struct {
+	ch   chan struct{}
+	tail []byte
+	resp Response
+	err  error // the response frame did not decode
 }
 
-// pendingReq is one in-flight request's demux state. handed flips
-// (under clientConn.mu, via the pending map) when the writer goroutine
-// dequeues the request's frame: from then on bytes may have reached the
-// server, so the request is no longer provably unsent and a connection
-// failure fails it typed instead of retrying it. Entries whose frame died
-// in writeCh — or was never enqueued at all — keep handed false and are
-// safe to reissue.
-type pendingReq struct {
-	ch     chan *Response
-	handed bool
+// callPool recycles calls. One is returned to the pool only once its
+// delivery question is settled — the response was consumed, or abandon
+// proved the reader can never touch it again.
+var callPool = sync.Pool{New: func() any { return &call{ch: make(chan struct{}, 1)} }}
+
+// release recycles the call once the caller has copied what it needs out
+// of the response.
+func (cl *call) release() {
+	cl.resp, cl.err = Response{}, nil
+	if cap(cl.tail) > scratchRetainBytes {
+		cl.tail = nil
+	}
+	callPool.Put(cl)
 }
 
 // Client is a pipelined sfcd protocol client. Any number of goroutines
 // may issue operations concurrently on one Client over one TCP
-// connection: requests carry ids, a writer goroutine streams frames
-// (coalescing bursts into single flushes), and a reader goroutine
-// demultiplexes responses back to their callers — no caller ever waits
-// behind another caller's round trip. Every operation takes a
+// connection: requests carry ids, each caller encodes and writes its own
+// frame (callers that are ready together share one flush),
+// and a reader goroutine demultiplexes responses back to their callers —
+// no caller ever waits behind another caller's round trip. Every
+// operation takes a
 // context.Context; cancellation abandons the call (the response, if it
 // ever arrives, is discarded) without disturbing the connection.
 //
@@ -255,7 +262,7 @@ func DialContext(ctx context.Context, cfg DialConfig) (*Client, error) {
 
 // dialOne establishes and vets one connection: dial, hello, schema
 // check, and — so a failover client never settles on a read-only
-// replica — the role check. On success the connection's loops are
+// replica — the role check. On success the connection's read loop is
 // already running.
 func (c *Client) dialOne(ctx context.Context, addr string) (*clientConn, error) {
 	dialTimeout := c.cfg.DialTimeout
@@ -274,21 +281,22 @@ func (c *Client) dialOne(ctx context.Context, addr string) (*clientConn, error) 
 	cc := &clientConn{
 		conn:    conn,
 		addr:    addr,
-		writeCh: make(chan outFrame, writeBacklog),
 		done:    make(chan struct{}),
-		pending: make(map[uint64]*pendingReq),
+		pending: make(map[uint64]*call),
 	}
-	cc.wg.Add(2)
+	cc.w.bw = bufio.NewWriter(conn)
+	cc.wg.Add(1)
 	go cc.readLoop()
-	go cc.writeLoop()
 
 	hctx, cancel := context.WithDeadline(ctx, deadline)
 	defer cancel()
-	resp, err := c.doConn(hctx, cc, &Request{Op: "hello"})
+	hello, err := c.doConn(hctx, cc, &Request{Op: OpHello})
 	if err != nil {
 		cc.shutdown(ErrClientClosed)
 		return nil, err
 	}
+	defer hello.release()
+	resp := &hello.resp
 	if err := checkSchema(c.schema, resp); err != nil {
 		cc.shutdown(ErrClientClosed)
 		return nil, err
@@ -542,10 +550,16 @@ func (cc *clientConn) terminalErr() error {
 	return cc.err
 }
 
-// register allocates a request id and parks pr to receive its response.
-// Registration against an already-failed connection returns the terminal
-// error; the request was provably never sent, so do may reissue it.
-func (cc *clientConn) register(pr *pendingReq) (uint64, error) {
+// send registers cl under a fresh request id and writes its frame, all
+// from the calling goroutine. Registration against an already-failed
+// connection returns the terminal error wrapped in errUnsent: nothing was
+// written, so do may reissue the request. Past registration the request
+// counts as possibly sent whatever happens — a failed write fails the
+// connection, and the caller learns of it through cc.done like every
+// other in-flight request.
+//
+//sfc:hotpath
+func (cc *clientConn) send(cl *call) (uint64, error) {
 	cc.mu.Lock()
 	if cc.err != nil {
 		err := cc.err
@@ -554,145 +568,101 @@ func (cc *clientConn) register(pr *pendingReq) (uint64, error) {
 	}
 	cc.nextID++
 	id := cc.nextID
-	pr.handed = false
-	cc.pending[id] = pr
+	cc.pending[id] = cl
 	cc.mu.Unlock()
+	if err := cc.w.send(id, cl.tail); err != nil {
+		cc.fail(fmt.Errorf("%w: %v", ErrConnectionLost, err))
+	}
 	return id, nil
 }
 
-// abandon gives up on a pending request (cancellation, connection
-// failure) and settles the ownership of its response channel. Delivery
-// happens under cc.mu while the pending entry exists (see readLoop), so
-// exactly one of two states holds once the lock is taken: the entry is
-// still present — no response was or ever will be delivered, so the
-// entry is removed and the channel recycled — or the entry is gone,
-// meaning the reader completed its send before releasing the lock, and
-// the response is sitting in the (buffered) channel. Both paths leave
-// the channel safely poolable; no third interleaving exists. This is
-// the demux map's answer to the cancel-vs-fail race: the old scheme
-// deleted the entry outside the delivery lock and had to leak the
-// channel rather than risk a late send into a pooled — possibly
-// reissued — channel.
-//
-// It also reports whether the writer ever picked the request's frame up
-// (handed): false means the frame provably never reached the socket and
-// the request is safe to reissue.
-func (cc *clientConn) abandon(id uint64, pr *pendingReq) (resp *Response, handed bool) {
+// abandon gives up on a registered call (cancellation, connection
+// failure) and settles who owns it. The reader claims a call by removing
+// its pending entry under cc.mu and only then decodes into it, so exactly
+// one of two states holds once the lock is taken: the entry is still
+// present — the reader never saw the response and, with the entry
+// removed here, never will touch the call — or the entry is gone, meaning
+// the reader holds the call and its wake-up is on the way (it already has
+// the whole frame, so the wait is a decode long). abandon reports the
+// second case as delivered. Either way the call is safe to recycle
+// afterwards; no third interleaving exists.
+func (cc *clientConn) abandon(id uint64, cl *call) (delivered bool) {
 	cc.mu.Lock()
 	_, mine := cc.pending[id]
 	if mine {
 		delete(cc.pending, id)
 	}
-	handed = pr.handed
 	cc.mu.Unlock()
 	if !mine {
-		resp = <-pr.ch // guaranteed: the delivering send completed under cc.mu
+		<-cl.ch
 	}
-	reqPool.Put(pr)
-	return resp, handed
+	return !mine
 }
 
-// writeLoop streams frames onto the connection. A burst of pipelined
-// requests is coalesced into one flush: after writing a frame it keeps
-// draining queued frames before flushing, so concurrent callers share
-// syscalls instead of paying one write+flush each.
-func (cc *clientConn) writeLoop() {
-	defer cc.wg.Done()
-	w := bufio.NewWriter(cc.conn)
-	for {
-		select {
-		case <-cc.done:
-			return
-		case f := <-cc.writeCh:
-			if _, err := cc.write(w, f); err != nil {
-				cc.fail(fmt.Errorf("%w: %v", ErrConnectionLost, err))
-				return
-			}
-			// One scheduler yield lets concurrently submitting callers
-			// land in this burst instead of each paying their own flush;
-			// without it a loaded single-P process degenerates to one
-			// frame per syscall.
-			runtime.Gosched()
-			coalescing := true
-			for coalescing {
-				select {
-				case more := <-cc.writeCh:
-					if _, err := cc.write(w, more); err != nil {
-						cc.fail(fmt.Errorf("%w: %v", ErrConnectionLost, err))
-						return
-					}
-				default:
-					coalescing = false
-				}
-			}
-			if err := w.Flush(); err != nil {
-				cc.fail(fmt.Errorf("%w: %v", ErrConnectionLost, err))
-				return
-			}
-		}
-	}
-}
-
-// write marks the frame's pending entry handed — from here on its bytes
-// may reach the server, so a failure must not reissue it — and hands the
-// line to the buffered writer. The mark goes through the pending map
-// under cc.mu (never a retained pointer): an abandoned request's entry is
-// already gone, so its pooled pendingReq can never be scribbled on.
-func (cc *clientConn) write(w *bufio.Writer, f outFrame) (int, error) {
-	cc.mu.Lock()
-	if pr, ok := cc.pending[f.id]; ok {
-		pr.handed = true
-	}
-	cc.mu.Unlock()
-	return w.Write(f.line)
-}
-
-// readLoop demultiplexes response lines to their waiting callers by
-// request id. Responses for abandoned requests are dropped; an id-0
-// frame is a connection-level server error and terminates the client.
+// readLoop demultiplexes response frames to their waiting callers by
+// request id. Responses for abandoned requests are dropped undecoded; an
+// id-0 frame is a connection-level server error and terminates the
+// client.
 func (cc *clientConn) readLoop() {
 	defer cc.wg.Done()
-	sc := bufio.NewScanner(cc.conn)
-	sc.Buffer(make([]byte, 64<<10), MaxLineBytes)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
+	br := bufio.NewReaderSize(cc.conn, 64<<10)
+	var frame []byte
+	for {
+		var err error
+		if frame, err = readFrame(br, frame); err != nil {
+			switch {
+			case err == io.EOF:
+				cc.fail(fmt.Errorf("%w: connection closed by server", ErrConnectionLost))
+			case errors.Is(err, errFrameTooLarge) || errors.Is(err, errEmptyFrame):
+				cc.fail(fmt.Errorf("sfcd: malformed response: %w", err))
+			default:
+				cc.fail(fmt.Errorf("%w: %v", ErrConnectionLost, err))
+			}
+			return
+		}
+		id, n := binary.Uvarint(frame)
+		if n <= 0 {
+			cc.fail(fmt.Errorf("sfcd: malformed response: %w", errTruncated))
+			return
+		}
+		if id == 0 {
+			var resp Response
+			if err := decodeResponse(frame, &resp); err != nil {
+				cc.fail(fmt.Errorf("sfcd: malformed response: %w", err))
+			} else {
+				cc.fail(&ServerError{Code: resp.Code, Msg: resp.Error})
+			}
+			return
+		}
+		cc.mu.Lock()
+		cl := cc.pending[id]
+		delete(cc.pending, id)
+		cc.mu.Unlock()
+		if cl == nil {
 			continue
 		}
-		resp := new(Response)
-		if err := json.Unmarshal(sc.Bytes(), resp); err != nil {
+		// The call is ours alone now (see abandon); the send below never
+		// blocks (the channel is buffered and receives exactly one wake-up)
+		// and hands it back, so err is read before it.
+		err = decodeResponse(frame, &cl.resp)
+		cl.err = err
+		cl.ch <- struct{}{}
+		if err != nil {
 			cc.fail(fmt.Errorf("sfcd: malformed response: %w", err))
 			return
 		}
-		if resp.ID == 0 {
-			cc.fail(&ServerError{Code: resp.Code, Msg: resp.Error})
-			return
-		}
-		// Deliver while holding the lock: a channel receives its response
-		// only while its pending entry exists, which is what lets abandon
-		// reason about channel ownership without a race. The send never
-		// blocks (the channel is buffered and receives exactly one frame).
-		cc.mu.Lock()
-		if pr, ok := cc.pending[resp.ID]; ok {
-			delete(cc.pending, resp.ID)
-			pr.ch <- resp
-		}
-		cc.mu.Unlock()
 	}
-	if err := sc.Err(); err != nil {
-		cc.fail(fmt.Errorf("%w: %v", ErrConnectionLost, err))
-		return
-	}
-	cc.fail(fmt.Errorf("%w: connection closed by server", ErrConnectionLost))
 }
 
 // do issues one request and waits for its response. It applies the
 // configured RequestTimeout when ctx carries no deadline, acquires the
 // current connection (waiting for one, in failover mode), and runs the
 // request against it; the caller's wait is independent of every other
-// in-flight request.
+// in-flight request. The returned call holds the (successful) response;
+// the caller releases it once it has copied out what it needs.
 //
 //sfc:hotpath
-func (c *Client) do(ctx context.Context, req *Request) (*Response, error) {
+func (c *Client) do(ctx context.Context, req *Request) (*call, error) {
 	if c.cfg.RequestTimeout > 0 {
 		if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 			var cancel context.CancelFunc
@@ -705,7 +675,7 @@ func (c *Client) do(ctx context.Context, req *Request) (*Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp, err := c.doConn(ctx, cc, req)
+		cl, err := c.doConn(ctx, cc, req)
 		if err != nil && c.failover && errors.Is(err, errUnsent) {
 			// The frame provably never reached the socket: reissuing on the
 			// next connection is exactly-once safe. acquireConn blocks —
@@ -713,219 +683,195 @@ func (c *Client) do(ctx context.Context, req *Request) (*Response, error) {
 			// loop never spins against the same dead connection.
 			continue
 		}
-		return resp, err
+		return cl, err
 	}
 }
 
-// doConn issues one request on one specific connection: registers the
-// request id for demultiplexing and hands the frame to the writer. The
-// request's whole lifetime is pinned to cc — if cc dies the op fails
+// doConn issues one request on one specific connection: the caller
+// encodes the frame, registers the request id for demultiplexing and
+// writes the frame itself — no goroutine sits between it and the socket.
+// The request's whole lifetime is pinned to cc — if cc dies the op fails
 // typed, never silently migrating to a replacement connection.
 //
 //sfc:hotpath
-func (c *Client) doConn(ctx context.Context, cc *clientConn, req *Request) (*Response, error) {
-	pr := reqPool.Get().(*pendingReq)
-	id, err := cc.register(pr)
-	if err != nil {
-		reqPool.Put(pr)
-		return nil, err
+func (c *Client) doConn(ctx context.Context, cc *clientConn, req *Request) (*call, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("sfcd: %s: %w", req.Op, err)
 	}
-	req.ID = id
-	line, err := json.Marshal(req)
-	if err != nil {
-		cc.abandon(id, pr)
-		return nil, fmt.Errorf("sfcd: send: %w", err)
-	}
-	// The server drops the connection on lines beyond MaxLineBytes; fail
+	cl := callPool.Get().(*call)
+	cl.tail = appendRequest(cl.tail[:0], req)
+	// The server drops the connection on frames beyond MaxFrameBytes; fail
 	// the request with an actionable error instead (split the batch).
-	if len(line) >= MaxLineBytes {
-		cc.abandon(id, pr)
-		return nil, fmt.Errorf("sfcd: request line is %d bytes, server cap is %d: split the batch", len(line), MaxLineBytes)
+	if len(cl.tail)+binary.MaxVarintLen64 > MaxFrameBytes {
+		n := len(cl.tail)
+		cl.release()
+		return nil, fmt.Errorf("sfcd: request frame is %d bytes, server cap is %d: split the batch", n, MaxFrameBytes)
 	}
 	//sfc:allowclock one clock pair per request is the round-trip histogram's contract: it times every client op exactly
 	t0 := time.Now()
-	select {
-	case cc.writeCh <- outFrame{id: id, line: append(line, '\n')}:
-	case <-ctx.Done():
-		cc.abandon(id, pr)
-		return nil, fmt.Errorf("sfcd: %s: %w", req.Op, ctx.Err())
-	case <-cc.done:
-		// The frame was never even enqueued: provably unsent.
-		cc.abandon(id, pr)
-		return nil, fmt.Errorf("%w: %w", errUnsent, cc.terminalErr())
+	id, err := cc.send(cl)
+	if err != nil {
+		cl.release()
+		return nil, err
 	}
 	select {
-	case resp := <-pr.ch:
-		//sfc:allowclock pairs with the t0 read above; the histogram itself is pre-resolved, not fetched
-		c.opLat.observe(req.Op, time.Since(t0))
-		reqPool.Put(pr)
-		return checkResponse(resp)
+	case <-cl.ch:
 	case <-ctx.Done():
 		// The response may have raced the cancellation; prefer it.
-		if resp, _ := cc.abandon(id, pr); resp != nil {
-			//sfc:allowclock pairs with the t0 read above; the histogram itself is pre-resolved, not fetched
-			c.opLat.observe(req.Op, time.Since(t0))
-			return checkResponse(resp)
+		if !cc.abandon(id, cl) {
+			cl.release()
+			return nil, fmt.Errorf("sfcd: %s: %w", req.Op, ctx.Err())
 		}
-		return nil, fmt.Errorf("sfcd: %s: %w", req.Op, ctx.Err())
 	case <-cc.done:
 		// The response may have been delivered just before the failure —
-		// prefer it. Failing that, a frame the writer never picked up died
-		// in writeCh: provably unsent, safe to reissue.
-		resp, handed := cc.abandon(id, pr)
-		if resp != nil {
-			//sfc:allowclock pairs with the t0 read above; the histogram itself is pre-resolved, not fetched
-			c.opLat.observe(req.Op, time.Since(t0))
-			return checkResponse(resp)
+		// prefer it. Failing that the request was registered, so it may
+		// have reached the server: it fails typed, never reissued.
+		if !cc.abandon(id, cl) {
+			cl.release()
+			return nil, cc.terminalErr()
 		}
-		if !handed {
-			return nil, fmt.Errorf("%w: %w", errUnsent, cc.terminalErr())
-		}
-		return nil, cc.terminalErr()
 	}
+	//sfc:allowclock pairs with the t0 read above; the histogram itself is pre-resolved, not fetched
+	c.opLat.observe(req.Op, time.Since(t0))
+	if err := cl.err; err != nil {
+		cl.release()
+		return nil, fmt.Errorf("sfcd: malformed response: %w", err)
+	}
+	if !cl.resp.OK {
+		err := &ServerError{Code: cl.resp.Code, Msg: cl.resp.Error}
+		cl.release()
+		return nil, err
+	}
+	return cl, nil
 }
 
-// reqPool recycles the per-request demux state (response channel plus the
-// handed flag). An entry is returned to the pool only once its request's
-// delivery question is settled — the response was received, or abandon
-// proved no send (and no handed-mark: the pending entry is gone) can ever
-// reach it again.
-var reqPool = sync.Pool{New: func() any { return &pendingReq{ch: make(chan *Response, 1)} }}
-
-// checkResponse lifts error frames into *ServerError.
-func checkResponse(resp *Response) (*Response, error) {
-	if !resp.OK {
-		return nil, &ServerError{Code: resp.Code, Msg: resp.Error}
-	}
-	return resp, nil
-}
-
-func (c *Client) encodeSub(s *subscription.Subscription) (string, error) {
-	raw, err := s.MarshalBinary()
+// result issues a single-outcome request and returns its Result.
+func (c *Client) result(ctx context.Context, req *Request) (Result, error) {
+	cl, err := c.do(ctx, req)
 	if err != nil {
-		return "", fmt.Errorf("sfcd: %w", err)
+		return Result{}, err
 	}
-	return base64.StdEncoding.EncodeToString(raw), nil
+	defer cl.release()
+	return cl.resp.Result, nil
 }
 
-func (c *Client) encodeSubs(subs []*subscription.Subscription) ([]string, error) {
-	payloads := make([]string, len(subs))
-	for i, s := range subs {
-		p, err := c.encodeSub(s)
-		if err != nil {
-			return nil, err
-		}
-		payloads[i] = p
+// subOp issues one single-subscription op against a link namespace. The
+// payload is encoded into a stack buffer and copied once, into the frame.
+func (c *Client) subOp(ctx context.Context, op Opcode, link string, s *subscription.Subscription) (Result, error) {
+	var buf [subscription.MaxWireLen]byte
+	payload, err := s.AppendBinary(buf[:0])
+	if err != nil {
+		return Result{}, fmt.Errorf("sfcd: %w", err)
 	}
-	return payloads, nil
+	return c.result(ctx, &Request{Op: op, Link: link, Payload: payload})
+}
+
+// batchOp issues one subscription-batch op against a link namespace and
+// returns the per-item results, aligned with subs. A nil entry (the
+// caller already failed that item) travels as an empty payload so the
+// slots stay aligned.
+func (c *Client) batchOp(ctx context.Context, op Opcode, link string, subs []*subscription.Subscription) ([]Result, error) {
+	payloads, err := subscription.MarshalBatch(subs)
+	if err != nil {
+		return nil, fmt.Errorf("sfcd: %w", err)
+	}
+	return c.results(ctx, &Request{Op: op, Link: link, Payloads: payloads}, len(subs))
+}
+
+// results issues a batch request and checks the response carries one
+// result per item.
+func (c *Client) results(ctx context.Context, req *Request, want int) ([]Result, error) {
+	cl, err := c.do(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	defer cl.release()
+	if len(cl.resp.Results) != want {
+		return nil, fmt.Errorf("sfcd: %d results for %d %s items", len(cl.resp.Results), want, req.Op)
+	}
+	return cl.resp.Results, nil
+}
+
+// bodyOp issues an introspection op against a link namespace and decodes
+// its JSON body into v.
+func (c *Client) bodyOp(ctx context.Context, op Opcode, link string, v any) error {
+	cl, err := c.do(ctx, &Request{Op: op, Link: link})
+	if err != nil {
+		return err
+	}
+	defer cl.release()
+	return decodeBody(&cl.resp, v)
+}
+
+// simpleOp issues a field-less op whose response carries nothing but
+// success.
+func (c *Client) simpleOp(ctx context.Context, op Opcode, link string) error {
+	cl, err := c.do(ctx, &Request{Op: op, Link: link})
+	if err != nil {
+		return err
+	}
+	cl.release()
+	return nil
+}
+
+// subscription resolves a stored id of a link namespace back to its
+// subscription.
+func (c *Client) subscription(ctx context.Context, link string, sid uint64) (*subscription.Subscription, error) {
+	res, err := c.result(ctx, &Request{Op: OpGet, Link: link, SID: sid})
+	if err != nil {
+		return nil, err
+	}
+	sub, err := subscription.UnmarshalSubscription(c.schema, res.Payload)
+	if err != nil {
+		return nil, fmt.Errorf("sfcd: %w", err)
+	}
+	return sub, nil
 }
 
 // Ping checks liveness.
-func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.do(ctx, &Request{Op: "ping"})
-	return err
-}
+func (c *Client) Ping(ctx context.Context) error { return c.simpleOp(ctx, OpPing, "") }
 
 // Subscribe stores s on the server, returning its id and the outcome of
 // the pre-insert covering query.
 func (c *Client) Subscribe(ctx context.Context, s *subscription.Subscription) (sid uint64, covered bool, coveredBy uint64, err error) {
-	payload, err := c.encodeSub(s)
-	if err != nil {
-		return 0, false, 0, err
-	}
-	resp, err := c.do(ctx, &Request{Op: "subscribe", Payload: payload})
-	if err != nil {
-		return 0, false, 0, err
-	}
-	if resp.Result == nil {
-		return 0, false, 0, errors.New("sfcd: response carries no result")
-	}
-	return resp.Result.SID, resp.Result.Covered, resp.Result.CoveredBy, nil
+	res, err := c.subOp(ctx, OpSubscribe, "", s)
+	return res.SID, res.Covered, res.CoveredBy, err
 }
 
 // SubscribeBatch stores a batch in one round trip. The results align with
 // subs; per-item failures are reported in Result.Error.
 func (c *Client) SubscribeBatch(ctx context.Context, subs []*subscription.Subscription) ([]Result, error) {
-	payloads, err := c.encodeSubs(subs)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(ctx, &Request{Op: "subscribe_batch", Payloads: payloads})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(subs) {
-		return nil, fmt.Errorf("sfcd: %d results for %d subscriptions", len(resp.Results), len(subs))
-	}
-	return resp.Results, nil
+	return c.batchOp(ctx, OpSubscribeBatch, "", subs)
 }
 
 // Insert stores s without the pre-insert covering query — the
 // Provider.Insert path — and returns its id.
 func (c *Client) Insert(ctx context.Context, s *subscription.Subscription) (uint64, error) {
-	payload, err := c.encodeSub(s)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.do(ctx, &Request{Op: "insert", Payload: payload})
-	if err != nil {
-		return 0, err
-	}
-	if resp.Result == nil {
-		return 0, errors.New("sfcd: response carries no result")
-	}
-	return resp.Result.SID, nil
+	res, err := c.subOp(ctx, OpInsert, "", s)
+	return res.SID, err
 }
 
 // Unsubscribe removes the subscription with the given id.
 func (c *Client) Unsubscribe(ctx context.Context, sid uint64) error {
-	_, err := c.do(ctx, &Request{Op: "unsubscribe", SID: sid})
+	_, err := c.result(ctx, &Request{Op: OpUnsubscribe, SID: sid})
 	return err
 }
 
 // UnsubscribeBatch removes a batch of ids in one round trip.
 func (c *Client) UnsubscribeBatch(ctx context.Context, sids []uint64) ([]Result, error) {
-	resp, err := c.do(ctx, &Request{Op: "unsubscribe_batch", SIDs: sids})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(sids) {
-		return nil, fmt.Errorf("sfcd: %d results for %d ids", len(resp.Results), len(sids))
-	}
-	return resp.Results, nil
+	return c.results(ctx, &Request{Op: OpUnsubscribeBatch, SIDs: sids}, len(sids))
 }
 
 // Query asks whether any stored subscription covers s, without storing
 // anything.
 func (c *Client) Query(ctx context.Context, s *subscription.Subscription) (covered bool, coveredBy uint64, err error) {
-	payload, err := c.encodeSub(s)
-	if err != nil {
-		return false, 0, err
-	}
-	resp, err := c.do(ctx, &Request{Op: "query", Payload: payload})
-	if err != nil {
-		return false, 0, err
-	}
-	if resp.Result == nil {
-		return false, 0, errors.New("sfcd: response carries no result")
-	}
-	return resp.Result.Covered, resp.Result.CoveredBy, nil
+	res, err := c.subOp(ctx, OpQuery, "", s)
+	return res.Covered, res.CoveredBy, err
 }
 
 // QueryBatch runs a batch of covering queries in one round trip.
 func (c *Client) QueryBatch(ctx context.Context, subs []*subscription.Subscription) ([]Result, error) {
-	payloads, err := c.encodeSubs(subs)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(ctx, &Request{Op: "query_batch", Payloads: payloads})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(subs) {
-		return nil, fmt.Errorf("sfcd: %d results for %d queries", len(resp.Results), len(subs))
-	}
-	return resp.Results, nil
+	return c.batchOp(ctx, OpQueryBatch, "", subs)
 }
 
 // QueryCovered asks the reverse covering question: does the store hold a
@@ -934,77 +880,45 @@ func (c *Client) QueryBatch(ctx context.Context, subs []*subscription.Subscripti
 // (exact mode scans exactly; approximate mode needs TrackCovered and may
 // miss but never misreports).
 func (c *Client) QueryCovered(ctx context.Context, s *subscription.Subscription) (covered bool, coveredID uint64, err error) {
-	payload, err := c.encodeSub(s)
-	if err != nil {
-		return false, 0, err
-	}
-	resp, err := c.do(ctx, &Request{Op: "covered", Payload: payload})
-	if err != nil {
-		return false, 0, err
-	}
-	if resp.Result == nil {
-		return false, 0, errors.New("sfcd: response carries no result")
-	}
-	return resp.Result.Covered, resp.Result.CoveredBy, nil
+	res, err := c.subOp(ctx, OpCovered, "", s)
+	return res.Covered, res.CoveredBy, err
 }
 
 // Subscription resolves a stored id back to its subscription.
 func (c *Client) Subscription(ctx context.Context, sid uint64) (*subscription.Subscription, error) {
-	resp, err := c.do(ctx, &Request{Op: "get", SID: sid})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Result == nil {
-		return nil, errors.New("sfcd: response carries no result")
-	}
-	raw, err := base64.StdEncoding.DecodeString(resp.Result.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("sfcd: malformed get payload: %w", err)
-	}
-	sub, err := subscription.UnmarshalSubscription(c.schema, raw)
-	if err != nil {
-		return nil, fmt.Errorf("sfcd: %w", err)
-	}
-	return sub, nil
+	return c.subscription(ctx, "", sid)
 }
 
 // Metrics fetches the server counters rendered in the Prometheus text
 // exposition format.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	resp, err := c.do(ctx, &Request{Op: "metrics"})
+	cl, err := c.do(ctx, &Request{Op: OpMetrics})
 	if err != nil {
 		return "", err
 	}
-	if resp.Metrics == "" {
+	defer cl.release()
+	if len(cl.resp.Body) == 0 {
 		return "", errors.New("sfcd: response carries no metrics")
 	}
-	return resp.Metrics, nil
+	return string(cl.resp.Body), nil
 }
 
 // Promote asks the daemon to flip from follower to primary (a no-op on
 // a daemon already serving as primary): it stops the follower's stream,
 // hydrates the engine from the durable store and starts serving writes.
-func (c *Client) Promote(ctx context.Context) error {
-	_, err := c.do(ctx, &Request{Op: "promote"})
-	return err
-}
+func (c *Client) Promote(ctx context.Context) error { return c.simpleOp(ctx, OpPromote, "") }
 
 // Match asks whether any stored subscription matches the event — covering
 // applied to the event's degenerate point-subscription, with the usual
 // guarantee (a reported match is genuine; approximate mode may miss).
 func (c *Client) Match(ctx context.Context, e subscription.Event) (matched bool, matchedBy uint64, err error) {
-	raw, err := e.MarshalBinary(c.schema)
+	var buf [subscription.MaxWireLen]byte
+	payload, err := e.AppendBinary(buf[:0], c.schema)
 	if err != nil {
 		return false, 0, fmt.Errorf("sfcd: %w", err)
 	}
-	resp, err := c.do(ctx, &Request{Op: "match", Payload: base64.StdEncoding.EncodeToString(raw)})
-	if err != nil {
-		return false, 0, err
-	}
-	if resp.Result == nil {
-		return false, 0, errors.New("sfcd: response carries no result")
-	}
-	return resp.Result.Covered, resp.Result.CoveredBy, nil
+	res, err := c.result(ctx, &Request{Op: OpMatch, Payload: payload})
+	return res.Covered, res.CoveredBy, err
 }
 
 // Rebalance runs one bounded slice-rebalance pass on the daemon's shared
@@ -1013,29 +927,21 @@ func (c *Client) Match(ctx context.Context, e subscription.Event) (matched bool,
 // boundaries (hash partition, non-SFC strategies) answer with a
 // *ServerError carrying CodeUnsupported.
 func (c *Client) Rebalance(ctx context.Context) (RebalanceInfo, error) {
-	resp, err := c.do(ctx, &Request{Op: "rebalance"})
-	if err != nil {
-		return RebalanceInfo{}, err
-	}
-	if resp.Rebalance == nil {
-		return RebalanceInfo{}, errors.New("sfcd: response carries no rebalance outcome")
-	}
-	return *resp.Rebalance, nil
+	var info RebalanceInfo
+	err := c.bodyOp(ctx, OpRebalance, "", &info)
+	return info, err
 }
 
 // Snapshot forces a point-in-time snapshot of the daemon's durable
 // subscription state (every link namespace — the write-ahead log is
 // shared) and compacts the log behind it. Daemons running without a data
 // dir answer with a *ServerError carrying CodeUnsupported.
-func (c *Client) Snapshot(ctx context.Context) error {
-	_, err := c.do(ctx, &Request{Op: "snapshot"})
-	return err
-}
+func (c *Client) Snapshot(ctx context.Context) error { return c.simpleOp(ctx, OpSnapshot, "") }
 
 // Latency returns a snapshot of the client's round-trip latency
 // histograms, keyed by op ("query", "subscribe_batch", "remove", ...).
-// The measurement spans enqueue to demultiplexed response, so it folds
-// in local queueing, the wire and the server's service time. Use
+// The measurement spans the frame write to the demultiplexed response,
+// so it folds in the wire and the server's service time. Use
 // obs.Snapshot.Quantile for percentiles and obs.Snapshot.Sub for
 // interval deltas.
 func (c *Client) Latency() map[string]obs.Snapshot {
@@ -1047,38 +953,33 @@ func (c *Client) Latency() map[string]obs.Snapshot {
 // timings (decomposition, probe loop, shard fan-out), per-slice probe
 // counts and the query's cost stats.
 func (c *Client) TraceQuery(ctx context.Context, s *subscription.Subscription) (covered bool, coveredBy uint64, trace *Trace, err error) {
-	payload, err := c.encodeSub(s)
+	payload, err := s.MarshalBinary()
+	if err != nil {
+		return false, 0, nil, fmt.Errorf("sfcd: %w", err)
+	}
+	cl, err := c.do(ctx, &Request{Op: OpTrace, Payload: payload})
 	if err != nil {
 		return false, 0, nil, err
 	}
-	resp, err := c.do(ctx, &Request{Op: "trace", Payload: payload})
-	if err != nil {
+	defer cl.release()
+	trace = new(Trace)
+	if err := decodeBody(&cl.resp, trace); err != nil {
 		return false, 0, nil, err
 	}
-	if resp.Result == nil || resp.Trace == nil {
-		return false, 0, nil, errors.New("sfcd: response carries no trace")
-	}
-	return resp.Result.Covered, resp.Result.CoveredBy, resp.Trace, nil
+	return cl.resp.Result.Covered, cl.resp.Result.CoveredBy, trace, nil
 }
 
 // SlowLog fetches the daemon's ring of recent slow-query traces, newest
 // first. A daemon running with telemetry off returns an empty batch.
 func (c *Client) SlowLog(ctx context.Context) ([]Trace, error) {
-	resp, err := c.do(ctx, &Request{Op: "slowlog"})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Traces, nil
+	var traces []Trace
+	err := c.bodyOp(ctx, OpSlowlog, "", &traces)
+	return traces, err
 }
 
 // Stats fetches the server's counter snapshot.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	resp, err := c.do(ctx, &Request{Op: "stats"})
-	if err != nil {
-		return Stats{}, err
-	}
-	if resp.Stats == nil {
-		return Stats{}, errors.New("sfcd: response carries no stats")
-	}
-	return *resp.Stats, nil
+	var st Stats
+	err := c.bodyOp(ctx, OpStats, "", &st)
+	return st, err
 }

@@ -2,9 +2,6 @@ package sfcd
 
 import (
 	"bufio"
-	"encoding/base64"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -24,7 +21,7 @@ import (
 // (after a reconnect) deduplicates by position instead of diverging.
 
 // maxRepFrameRecords bounds one stream frame so a large catch-up batch
-// or reset dump splits across lines instead of hitting MaxLineBytes.
+// or reset dump splits across frames instead of hitting MaxFrameBytes.
 const maxRepFrameRecords = 1024
 
 // followDialTimeout bounds one connection attempt to the primary.
@@ -36,19 +33,23 @@ const followDialTimeout = 5 * time.Second
 // (store closed, follower lagged past the ring, connection gone). It
 // occupies one of the connection's worker slots for as long as the
 // stream lives.
-func (s *Server) serveReplicate(req Request, cs *connState) {
+func (s *Server) serveReplicate(id, pos uint64, cs *connState) {
+	send := func(resp Response) {
+		resp.Op = OpReplicate
+		cs.send(id, appendResponse(nil, &resp))
+	}
 	if s.store == nil {
-		cs.respCh <- connResponse{resp: &Response{ID: req.ID, OK: false, Code: CodeUnsupported, Error: "daemon runs without a data dir"}}
+		send(Response{OK: false, Code: CodeUnsupported, Error: "daemon runs without a data dir"})
 		return
 	}
-	t, err := s.store.Tail(req.Pos)
+	t, err := s.store.Tail(pos)
 	if err != nil {
-		cs.respCh <- connResponse{resp: &Response{ID: req.ID, OK: false, Code: CodeOpFailed, Error: err.Error()}}
+		send(errResponse(err))
 		return
 	}
 	defer t.Close()
 	// The connection now carries an open-ended stream: the follower
-	// sends nothing after its replicate line, which must not read as
+	// sends nothing after its replicate frame, which must not read as
 	// idleness, so lift the read deadline for the connection's lifetime.
 	cs.streaming.Store(true)
 	cs.conn.SetReadDeadline(time.Time{})
@@ -59,11 +60,11 @@ func (s *Server) serveReplicate(req Request, cs *connState) {
 		if err != nil {
 			// Best effort: if the follower is still there, the error frame
 			// tells it to re-request from its applied position.
-			cs.respCh <- connResponse{resp: &Response{ID: req.ID, OK: false, Code: CodeOpFailed, Error: err.Error()}}
+			send(errResponse(err))
 			return
 		}
 		for _, f := range repFrames(b) {
-			cs.respCh <- connResponse{resp: &Response{ID: req.ID, OK: true, Rep: f}}
+			send(Response{OK: true, Rep: f})
 		}
 		s.repStreamed.Add(uint64(len(b.Recs)))
 	}
@@ -71,20 +72,20 @@ func (s *Server) serveReplicate(req Request, cs *connState) {
 
 // repFrames splits one tail batch into wire frames of at most
 // maxRepFrameRecords records each.
-func repFrames(b persist.TailBatch) []*RepFrame {
+func repFrames(b persist.TailBatch) []RepFrame {
 	if len(b.Recs) == 0 {
 		if b.Reset {
 			// An empty store's dump still needs one frame: it carries the
 			// position and tells the follower to clear its own state.
-			return []*RepFrame{{Reset: true, Pos: b.Pos}}
+			return []RepFrame{{Reset: true, Pos: b.Pos}}
 		}
 		return nil
 	}
-	var frames []*RepFrame
+	var frames []RepFrame
 	for off := 0; off < len(b.Recs); off += maxRepFrameRecords {
 		end := min(off+maxRepFrameRecords, len(b.Recs))
 		chunk := b.Recs[off:end]
-		f := &RepFrame{Recs: base64.StdEncoding.EncodeToString(persist.EncodeRecords(chunk))}
+		f := RepFrame{Recs: persist.EncodeRecords(chunk)}
 		if b.Reset {
 			f.Reset = true
 			f.More = end < len(b.Recs)
@@ -170,52 +171,48 @@ func (s *Server) followOnce() error {
 			return false
 		}
 	}
-	enc := json.NewEncoder(conn)
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), MaxLineBytes)
-	readResp := func() (*Response, error) {
-		for {
-			if !sc.Scan() {
-				if err := sc.Err(); err != nil {
-					return nil, err
-				}
-				return nil, errors.New("stream closed")
-			}
-			if len(sc.Bytes()) == 0 {
-				continue
-			}
-			resp := new(Response)
-			if err := json.Unmarshal(sc.Bytes(), resp); err != nil {
-				return nil, fmt.Errorf("malformed stream frame: %w", err)
-			}
-			return resp, nil
+	send := func(req Request) error {
+		_, err := conn.Write(appendFrame(nil, req.ID, appendRequest(nil, &req)))
+		return err
+	}
+	// The session is synchronous — one frame is applied before the next
+	// is read — so one buffer and one Response serve all of it.
+	br := bufio.NewReaderSize(conn, 64<<10)
+	var frame []byte
+	var resp Response
+	recv := func() error {
+		var err error
+		if frame, err = readFrame(br, frame); err != nil {
+			return err
 		}
+		if err := decodeResponse(frame, &resp); err != nil {
+			return fmt.Errorf("malformed stream frame: %w", err)
+		}
+		return nil
 	}
 	// Schema handshake before applying a single record: a primary serving
 	// a different schema must be refused, not replicated.
-	if err := enc.Encode(Request{ID: 1, Op: "hello"}); err != nil {
+	if err := send(Request{ID: 1, Op: OpHello}); err != nil {
 		return err
 	}
-	hello, err := readResp()
-	if err != nil {
+	if err := recv(); err != nil {
 		if stopped() {
 			return nil
 		}
 		return err
 	}
-	if !hello.OK {
-		return fmt.Errorf("primary refused hello: %s", hello.Error)
+	if !resp.OK {
+		return fmt.Errorf("primary refused hello: %s", resp.Error)
 	}
-	if hello.Bits != s.schema.Bits() || !slices.Equal(hello.Attrs, s.schema.Attrs()) {
-		return fmt.Errorf("primary serves a different schema (%d bits, attrs %v)", hello.Bits, hello.Attrs)
+	if resp.Bits != s.schema.Bits() || !slices.Equal(resp.Attrs, s.schema.Attrs()) {
+		return fmt.Errorf("primary serves a different schema (%d bits, attrs %v)", resp.Bits, resp.Attrs)
 	}
-	if err := enc.Encode(Request{ID: 2, Op: "replicate", Pos: s.store.Pos()}); err != nil {
+	if err := send(Request{ID: 2, Op: OpReplicate, Pos: s.store.Pos()}); err != nil {
 		return err
 	}
 	var resetRecs []persist.Record
 	for {
-		resp, err := readResp()
-		if err != nil {
+		if err := recv(); err != nil {
 			if stopped() {
 				return nil
 			}
@@ -224,10 +221,10 @@ func (s *Server) followOnce() error {
 		if !resp.OK {
 			return fmt.Errorf("stream ended: %s (%s)", resp.Error, resp.Code)
 		}
-		if resp.Rep == nil {
-			return fmt.Errorf("stream frame without rep payload (id %d)", resp.ID)
+		if resp.Op != OpReplicate {
+			return fmt.Errorf("stream frame answers %s, not replicate (id %d)", resp.Op, resp.ID)
 		}
-		if err := s.applyFrame(resp.Rep, &resetRecs); err != nil {
+		if err := s.applyFrame(&resp.Rep, &resetRecs); err != nil {
 			return err
 		}
 		if stopped() {
@@ -240,15 +237,9 @@ func (s *Server) followOnce() error {
 // accumulate in resetRecs until the dump's final frame installs them
 // atomically; plain frames apply in place, deduplicated by position.
 func (s *Server) applyFrame(f *RepFrame, resetRecs *[]persist.Record) error {
-	var recs []persist.Record
-	if f.Recs != "" {
-		raw, err := base64.StdEncoding.DecodeString(f.Recs)
-		if err != nil {
-			return fmt.Errorf("stream frame payload is not base64: %w", err)
-		}
-		if recs, err = persist.DecodeRecords(raw); err != nil {
-			return err
-		}
+	recs, err := persist.DecodeRecords(f.Recs)
+	if err != nil {
+		return err
 	}
 	if f.Reset {
 		*resetRecs = append(*resetRecs, recs...)

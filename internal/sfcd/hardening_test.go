@@ -2,9 +2,10 @@ package sfcd
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -99,17 +100,9 @@ func TestReadTimeoutReapsIdleConn(t *testing.T) {
 
 	// A raw connection that stalls after one request is reaped: the next
 	// read returns EOF well before the test deadline.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := fmt.Fprintln(conn, `{"id":1,"op":"ping"}`); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(conn)
-	if !sc.Scan() {
-		t.Fatalf("no ping response: %v", sc.Err())
+	conn := DialRaw(t, addr)
+	if resp := conn.Do(Request{ID: 1, Op: OpPing}); !resp.OK {
+		t.Fatalf("ping response = %+v", resp)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, io.EOF) == false && !isClosedNetErr(err) {
@@ -253,5 +246,95 @@ func TestRefuseSlowLorisDoesNotStallAccept(t *testing.T) {
 
 	if err := c1.Ping(bg); err != nil {
 		t.Fatalf("served connection unhealthy after refusal storm: %v", err)
+	}
+}
+
+// TestHostileFramesRefused drives every way a peer can lie in a frame
+// through a live connection: each is refused with a typed code — on a
+// connection-level frame and a close where the frame cannot be trusted, on
+// the request's own id where only the opcode is foreign — and never with
+// a hang or a crash.
+func TestHostileFramesRefused(t *testing.T) {
+	schema := coretest.Schema()
+	addr := startHardenedServer(t, schema, ServerConfig{})
+	body := func(b ...byte) []byte { return append([]byte{byte(len(b))}, b...) }
+	cases := []struct {
+		name  string
+		wire  []byte
+		code  string
+		fatal bool // answered on id 0, connection closed after
+	}{
+		{"length above MaxFrameBytes", binary.AppendUvarint(nil, MaxFrameBytes+1), CodeBadRequest, true},
+		{"length past 2^28", []byte{0xff, 0xff, 0xff, 0xff, 0x7f}, CodeBadRequest, true},
+		{"zero-length frame", []byte{0}, CodeBadRequest, true},
+		{"batch count larger than the frame", body(7, byte(OpQueryBatch), 0, 0xff, 0xff, 0x03), CodeBadRequest, true},
+		{"sid count larger than the frame", body(7, byte(OpUnsubscribeBatch), 0, 200, 1, 2), CodeBadRequest, true},
+		{"truncated payload", body(7, byte(OpQuery), 0, 40, 0x51, 2), CodeBadRequest, true},
+		{"truncated link", body(7, byte(OpPing), 9, 'x'), CodeBadRequest, true},
+		{"header only", body(7), CodeBadRequest, true},
+		{"trailing bytes", body(7, byte(OpPing), 0, 0), CodeBadRequest, true},
+		{"request id 0", body(0, byte(OpPing), 0), CodeBadRequest, true},
+		{"unknown opcode", body(7, 0xee, 0, 1, 2, 3), CodeUnknownOp, false},
+		{"opcode 0", body(7, byte(OpNone), 0), CodeUnknownOp, false},
+		{"old newline-JSON client", []byte(`{"id":1,"op":"hello"}` + "\n"), CodeBadRequest, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := DialRaw(t, addr)
+			conn.Send(tc.wire)
+			resp, err := conn.Recv()
+			if err != nil {
+				t.Fatalf("no refusal frame: %v", err)
+			}
+			if resp.OK || resp.Code != tc.code {
+				t.Fatalf("refusal = %+v, want code %q", resp, tc.code)
+			}
+			if tc.fatal {
+				if resp.ID != 0 {
+					t.Fatalf("refusal id = %d, want a connection-level frame", resp.ID)
+				}
+				if resp, err := conn.Recv(); err == nil {
+					t.Fatalf("connection still serving after a connection-level refusal: %+v", resp)
+				}
+				return
+			}
+			if resp.ID != 7 {
+				t.Fatalf("refusal id = %d, want the request's 7", resp.ID)
+			}
+			if resp := conn.Do(Request{ID: 8, Op: OpPing}); !resp.OK {
+				t.Fatalf("connection unusable after a per-request refusal: %+v", resp)
+			}
+		})
+	}
+}
+
+// TestHostileLengthsAllocateNothing pins the order of checks: a declared
+// frame length or element count is compared against its bound before it
+// sizes anything, so refusing one costs no allocation at all.
+func TestHostileLengthsAllocateNothing(t *testing.T) {
+	oversize := binary.AppendUvarint(nil, MaxFrameBytes+1)
+	src := bytes.NewReader(oversize)
+	br := bufio.NewReader(src)
+	if allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(oversize)
+		br.Reset(src)
+		if _, err := readFrame(br, nil); !errors.Is(err, errFrameTooLarge) {
+			t.Fatalf("readFrame = %v, want errFrameTooLarge", err)
+		}
+	}); allocs != 0 {
+		t.Errorf("refusing an oversized frame allocates %.1f times", allocs)
+	}
+
+	// 2^21 payloads (or sids) declared, five bytes present.
+	for _, op := range []Opcode{OpQueryBatch, OpUnsubscribeBatch} {
+		frame := []byte{7, byte(op), 0, 0x80, 0x80, 0x80, 0x01, 1}
+		var req Request
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := decodeRequest(frame, &req); err == nil {
+				t.Fatal("decodeRequest accepted a count larger than its frame")
+			}
+		}); allocs != 0 {
+			t.Errorf("refusing a hostile %s count allocates %.1f times", op, allocs)
+		}
 	}
 }

@@ -1,12 +1,14 @@
 package sfcd
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
 	"sfccover/internal/obs"
+	"sfccover/internal/subscription"
 )
 
 // maxLinkLabels bounds the cardinality of the per-link subscription
@@ -16,72 +18,72 @@ import (
 // blow up every scrape.
 const maxLinkLabels = 16
 
-// opMetricName maps a wire op to the label recorded in the daemon's op
-// latency histogram. Most ops keep their wire name; the unsubscribe pair
-// is renamed to the engine's vocabulary so dashboards read
+// metricName is the label an op records under in the latency
+// histograms. Most ops keep their protocol name; the unsubscribe pair is
+// renamed to the engine's vocabulary so dashboards read
 // query/insert/remove consistently across tiers.
-func opMetricName(op string) string {
+func (op Opcode) metricName() string {
 	switch op {
-	case "unsubscribe":
+	case OpUnsubscribe:
 		return "remove"
-	case "unsubscribe_batch":
+	case OpUnsubscribeBatch:
 		return "remove_batch"
 	}
-	return op
-}
-
-// wireOps is the protocol's full op vocabulary, used to pre-resolve
-// every op's latency histogram at construction. Keep it in sync with
-// the serve dispatch switch; an op missing here still gets metered,
-// through the cold registry path.
-var wireOps = []string{
-	"ping", "hello", "unlink", "trace", "slowlog",
-	"subscribe", "insert", "subscribe_batch",
-	"unsubscribe", "unsubscribe_batch",
-	"query", "query_batch", "covered", "get", "match",
-	"stats", "rebalance", "snapshot", "metrics", "promote",
-	// "replicate" is deliberately absent: a stream's lifetime is not a
-	// latency, so the streaming op is never metered per-request.
+	return op.String()
 }
 
 // opHists is the per-request path's view of the op latency histograms:
-// every known wire op's histogram is resolved once, up front, so
-// recording a request costs one read-only map index — never the
-// registry's lock (Registry.Hist takes an RWMutex; sfclint's
-// hotpathclock bans it on the request path). Both the server's and the
-// client's request loops record through one of these.
-type opHists struct {
-	cold  func(op string) *obs.Histogram // registry fallback for unknown ops
-	hists map[string]*obs.Histogram      // raw wire op -> histogram, read-only after construction
-}
+// every op's histogram is resolved once, up front, so recording a request
+// costs one array index by opcode — never the registry's lock
+// (Registry.Hist takes an RWMutex; sfclint's hotpathclock bans it on the
+// request path). Both the server's and the client's request loops record
+// through one of these. OpReplicate has no histogram: a stream's lifetime
+// is not a latency, so the streaming op is never metered per-request.
+type opHists [numOps]*obs.Histogram
 
-// newOpHists resolves every wire op's histogram from the given registry
-// lookup (Observer.Hist or Registry.Hist), keyed by the raw wire op so
-// the hot path skips the opMetricName rename too.
+// newOpHists resolves every op's histogram from the given registry lookup
+// (Observer.Hist or Registry.Hist).
 func newOpHists(hist func(op string) *obs.Histogram) *opHists {
-	h := &opHists{cold: hist, hists: make(map[string]*obs.Histogram, len(wireOps))}
-	for _, op := range wireOps {
-		h.hists[op] = hist(opMetricName(op))
+	var h opHists
+	for op := OpNone + 1; op < numOps; op++ {
+		if op != OpReplicate {
+			h[op] = hist(op.metricName())
+		}
 	}
-	return h
+	return &h
 }
 
-// observe records one request's latency against its op. Nil-safe, so
-// callers with telemetry off hold a nil *opHists and pay one branch.
+// observe records one request's latency against its op. Nil-safe twice
+// over: callers with telemetry off hold a nil *opHists, and an opcode the
+// vocabulary does not know (answered unknown_op) or does not meter
+// indexes a nil histogram, whose Observe is a no-op.
 //
 //sfc:hotpath
-func (h *opHists) observe(op string, d time.Duration) {
-	if h == nil {
+func (h *opHists) observe(op Opcode, d time.Duration) {
+	if h == nil || op >= numOps {
 		return
 	}
-	if hist, ok := h.hists[op]; ok {
-		hist.Observe(d)
-		return
+	h[op].Observe(d)
+}
+
+// bodyResponse wraps an introspection record (Stats, RebalanceInfo,
+// []Trace) as a successful response's opaque JSON body. These bodies are
+// operator-facing and cold; they are the only place the protocol still
+// reaches for reflection.
+func bodyResponse(v any) Response {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return errResponse(err)
 	}
-	// Unknown op (a newer client against this vocabulary): the cold
-	// registry lookup keeps it metered. The indirect call is outside
-	// hotpathclock's reach, but it is also not on any known-op path.
-	h.cold(opMetricName(op)).Observe(d)
+	return Response{OK: true, Body: body}
+}
+
+// decodeBody is bodyResponse's client half.
+func decodeBody(resp *Response, v any) error {
+	if err := json.Unmarshal(resp.Body, v); err != nil {
+		return fmt.Errorf("sfcd: malformed %s body: %w", resp.Op, err)
+	}
+	return nil
 }
 
 // MetricsText renders the daemon's full Prometheus page: the shared
@@ -205,40 +207,36 @@ func traceToWire(tr *obs.QueryTrace) Trace {
 // engine with tracing forced on and return the full trace record
 // alongside the query outcome. Link namespaces are plain detectors
 // without the traced pipeline, so a non-empty link is unsupported.
-func (s *Server) trace(req Request) *Response {
-	if req.Link != "" {
-		return &Response{OK: false, Code: CodeUnsupported, Error: "trace addresses the shared engine only"}
+func (s *Server) trace(sc *reqScratch) Response {
+	if sc.req.Link != "" {
+		return Response{OK: false, Code: CodeUnsupported, Error: "trace addresses the shared engine only"}
 	}
-	sub, err := s.decodeSub(req.Payload)
-	if err != nil {
+	if err := subscription.UnmarshalSubscriptionInto(sc.sub, sc.req.Payload); err != nil {
 		return badRequest(err)
 	}
-	res, tr := s.eng.TraceCover(sub)
+	res, tr := s.eng.TraceCover(sc.sub)
 	if res.Err != nil {
 		return errResponse(res.Err)
 	}
-	wire := traceToWire(tr)
-	return &Response{
-		OK:     true,
-		Result: &Result{Covered: res.Covered, CoveredBy: res.CoveredBy},
-		Trace:  &wire,
-	}
+	resp := bodyResponse(traceToWire(tr))
+	resp.Result = Result{Covered: res.Covered, CoveredBy: res.CoveredBy}
+	return resp
 }
 
 // slowlog serves the slowlog op: the daemon's ring of recent slow-query
 // traces, newest first. With telemetry off the response is an empty
 // (but OK) batch.
-func (s *Server) slowlog(req Request) *Response {
-	if req.Link != "" {
-		return &Response{OK: false, Code: CodeUnsupported, Error: "slowlog addresses the shared engine only"}
+func (s *Server) slowlog(link string) Response {
+	if link != "" {
+		return Response{OK: false, Code: CodeUnsupported, Error: "slowlog addresses the shared engine only"}
 	}
-	if s.obs == nil {
-		return &Response{OK: true}
+	var out []Trace
+	if s.obs != nil {
+		traces := s.obs.SlowLog().Snapshot()
+		out = make([]Trace, len(traces))
+		for i := range traces {
+			out[i] = traceToWire(&traces[i])
+		}
 	}
-	traces := s.obs.SlowLog().Snapshot()
-	out := make([]Trace, len(traces))
-	for i := range traces {
-		out[i] = traceToWire(&traces[i])
-	}
-	return &Response{OK: true, Traces: out}
+	return bodyResponse(out)
 }

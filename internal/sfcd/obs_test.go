@@ -142,21 +142,17 @@ func TestMetricsLinkGaugesEscapedAndCapped(t *testing.T) {
 	defer c.Close()
 
 	sub := subscription.MustParse(schema, "volume in [1,5]")
-	payload, err := c.encodeSub(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// One link with a label-hostile name, plus enough links to overflow
 	// the cap. The hostile link gets 2 subscriptions so it sorts first.
 	weird := "br\"0\\x\n"
 	for i := 0; i < 2; i++ {
-		if _, err := c.do(bg, &Request{Op: "subscribe", Link: weird, Payload: payload}); err != nil {
+		if _, err := c.subOp(bg, OpSubscribe, weird, sub); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < maxLinkLabels+3; i++ {
 		link := "link-" + strconv.Itoa(i)
-		if _, err := c.do(bg, &Request{Op: "subscribe", Link: link, Payload: payload}); err != nil {
+		if _, err := c.subOp(bg, OpSubscribe, link, sub); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +230,7 @@ func TestTraceOp(t *testing.T) {
 	}
 
 	// The trace op addresses the shared engine only.
-	_, err = c.do(bg, &Request{Op: "trace", Link: "x", Payload: "ignored"})
+	_, err = c.do(bg, &Request{Op: OpTrace, Link: "x", Payload: []byte("ignored")})
 	var se *ServerError
 	if !errors.As(err, &se) || se.Code != CodeUnsupported {
 		t.Fatalf("trace on a link = %v, want code %q", err, CodeUnsupported)
@@ -296,7 +292,7 @@ func TestSlowLogOp(t *testing.T) {
 		}
 	}
 
-	_, err = c.do(bg, &Request{Op: "slowlog", Link: "x"})
+	_, err = c.do(bg, &Request{Op: OpSlowlog, Link: "x"})
 	var se *ServerError
 	if !errors.As(err, &se) || se.Code != CodeUnsupported {
 		t.Fatalf("slowlog on a link = %v, want code %q", err, CodeUnsupported)

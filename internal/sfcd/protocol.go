@@ -1,36 +1,72 @@
 // Package sfcd turns the sharded detection engine into a network service:
-// a newline-delimited JSON protocol over TCP, carrying subscriptions and
-// events in their binary wire format (base64-encoded), plus a pipelined
+// a length-prefixed binary frame protocol over TCP, carrying subscriptions
+// and events as raw bytes of their binary wire format, plus a pipelined
 // client and a core.Provider implementation over it. One daemon serves
 // many routers; batch operations map directly onto the engine's
-// AddBatch/RemoveBatch/CoverQueryBatch so a single request line can
+// AddBatch/RemoveBatch/CoverQueryBatch so a single request frame can
 // amortize the round trip over hundreds of covering queries, and the
 // pipelined client overlaps independent requests on one connection so
 // that N concurrent callers never serialize on the wire.
 //
-// Protocol: each line is one JSON request carrying a client-chosen id;
-// the server answers each request with one JSON response line echoing
-// that id. Responses may arrive OUT OF ORDER — the server handles a
-// connection's requests concurrently — so clients demultiplex by id.
-// A response with id 0 that no request asked for is a connection-level
-// error frame (e.g. the connection limit was hit); the connection is
-// closed after it.
+// Protocol: each request is one frame carrying a client-chosen id; the
+// server answers each request with one response frame echoing that id
+// (and the request's opcode, which selects the response layout).
+// Responses may arrive OUT OF ORDER — the server handles a connection's
+// requests concurrently — so clients demultiplex by id. A response with
+// id 0 that no request asked for is a connection-level error frame (the
+// connection limit was hit, a frame could not be parsed); the connection
+// is closed after it. frame.go is the one codec: every byte on the wire
+// is written and read there, by hand — no reflection on any path.
 //
-//	→ {"id":1,"op":"hello"}
-//	← {"id":1,"ok":true,"bits":10,"attrs":["volume","price"],"shards":8,"partition":"hash","mode":"approx"}
-//	→ {"id":2,"op":"subscribe","payload":"<base64 subscription wire>"}
-//	← {"id":2,"ok":true,"result":{"sid":41,"covered":true,"coveredBy":17}}
-//	→ {"id":3,"op":"query_batch","payloads":["...","..."]}
-//	← {"id":3,"ok":true,"results":[{"covered":true,"coveredBy":17},{"covered":false}]}
+// Frame layout (uvarint = encoding/binary unsigned varint; bytes and
+// str = uvarint length, then that many raw bytes):
 //
-// Operations: hello, ping, subscribe, subscribe_batch, insert,
-// unsubscribe, unsubscribe_batch, query, query_batch, covered, get,
-// match, stats, metrics, rebalance, snapshot, unlink, trace, slowlog,
-// replicate, promote.
+//	frame    := uvarint(len(body)) body          1 <= len <= MaxFrameBytes
+//	request  := uvarint(id) opcode str(link) fields
+//	response := uvarint(id) opcode status [str(error) | fields]
+//
+//	opcode                        request fields         response fields (status 0)
+//	ping, unlink, snapshot        -                      -
+//	hello                         -                      uvarint(bits) uvarint(shards) str(partition)
+//	                                                     str(mode) str(role) uvarint(n) n*str(attr)
+//	promote                       -                      str(role)
+//	subscribe, insert, query,     bytes(payload)         result
+//	  covered, match
+//	unsubscribe, get              uvarint(sid)           result
+//	subscribe_batch, query_batch  uvarint(n) n*bytes     uvarint(n) n*result
+//	unsubscribe_batch             uvarint(n) n*uvarint   uvarint(n) n*result
+//	stats, rebalance, slowlog     -                      bytes(JSON body)
+//	metrics                       -                      bytes(Prometheus text)
+//	trace                         bytes(payload)         result bytes(JSON body)
+//	replicate                     uvarint(pos)           flags uvarint(base) uvarint(pos) bytes(recs)
+//
+//	result := flags [uvarint(sid)] [uvarint(coveredBy)] [bytes(payload)] [str(error)]
+//	          flags: 1 covered, 2 sid, 4 coveredBy, 8 payload, 16 error
+//	status := 0 ok | 1 bad_request | 2 unknown_op | 3 conn_limit
+//	          | 4 op_failed | 5 unsupported | 6 not_primary
+//	replicate flags: 1 reset, 2 more
+//
+// A covering query for a two-attribute subscription is ~17 request bytes
+// and ~6 response bytes. The cold introspection bodies (Stats,
+// RebalanceInfo, Trace) stay JSON inside one opaque bytes field: they
+// are operator-facing, change shape often, and sit on no request path
+// that matters.
+//
+// Hostile input is refused before it can drive an allocation: a declared
+// frame length of 0 or above MaxFrameBytes, an id of 0, a field running
+// past the frame, a batch count larger than the bytes that follow and
+// trailing bytes all earn one connection-level bad_request frame and a
+// close; an opcode the server does not know earns a per-request
+// unknown_op (the frame boundary is intact, so the connection lives). A
+// connection whose very first byte is '{' is a newline-JSON client from
+// before this framing: it gets the same bad_request frame instead of a
+// daemon waiting for 123 bytes that never come — which is why a
+// connection's first frame (the client sends hello, 3 bytes) must not be
+// exactly 123 bytes long.
 //
 // "replicate" opens the replication stream: the caller (a follower
 // daemon) sends its applied stream position and the server answers with
-// an unbounded sequence of response lines — each carrying one RepFrame —
+// an unbounded sequence of response frames — each carrying one RepFrame —
 // until the stream ends with an error response. It is the one streaming
 // op in an otherwise request/response protocol; see RepFrame for the
 // catch-up/reset semantics. "promote" flips a read-only follower to
@@ -79,43 +115,95 @@
 // process, one connection and one schema.
 package sfcd
 
-// Request is one protocol request line.
+// Opcode selects a wire operation; it is the one byte after the id in
+// every request and response frame.
+type Opcode uint8
+
+// The protocol's operations. OpNone appears only in connection-level
+// (id 0) response frames, which answer no request.
+const (
+	OpNone Opcode = iota
+	OpPing
+	OpHello
+	OpSubscribe
+	OpInsert
+	OpSubscribeBatch
+	OpUnsubscribe
+	OpUnsubscribeBatch
+	OpQuery
+	OpQueryBatch
+	OpCovered
+	OpGet
+	OpMatch
+	OpStats
+	OpMetrics
+	OpRebalance
+	OpSnapshot
+	OpUnlink
+	OpTrace
+	OpSlowlog
+	OpReplicate
+	OpPromote
+	numOps
+)
+
+var opNames = [numOps]string{
+	OpNone: "none", OpPing: "ping", OpHello: "hello",
+	OpSubscribe: "subscribe", OpInsert: "insert", OpSubscribeBatch: "subscribe_batch",
+	OpUnsubscribe: "unsubscribe", OpUnsubscribeBatch: "unsubscribe_batch",
+	OpQuery: "query", OpQueryBatch: "query_batch", OpCovered: "covered",
+	OpGet: "get", OpMatch: "match", OpStats: "stats", OpMetrics: "metrics",
+	OpRebalance: "rebalance", OpSnapshot: "snapshot", OpUnlink: "unlink",
+	OpTrace: "trace", OpSlowlog: "slowlog", OpReplicate: "replicate", OpPromote: "promote",
+}
+
+// String returns the operation's protocol name.
+func (op Opcode) String() string {
+	if op < numOps {
+		return opNames[op]
+	}
+	return "unknown"
+}
+
+// Request is one decoded request frame.
 type Request struct {
 	// ID is echoed in the response; clients pipeline many requests and
 	// demultiplex responses by it. IDs must be unique among a connection's
 	// in-flight requests and must be non-zero (0 is reserved for
 	// connection-level error frames).
-	ID uint64 `json:"id"`
+	ID uint64
 	// Op selects the operation.
-	Op string `json:"op"`
+	Op Opcode
 	// Link selects the subscription namespace; empty is the shared engine.
-	Link string `json:"link,omitempty"`
-	// Payload carries one base64-encoded binary subscription (subscribe,
-	// insert, query, covered) or event (match).
-	Payload string `json:"payload,omitempty"`
-	// Payloads carries a batch of base64-encoded subscriptions.
-	Payloads []string `json:"payloads,omitempty"`
+	Link string
+	// Payload carries one binary subscription (subscribe, insert, query,
+	// covered, trace) or event (match).
+	Payload []byte
+	// Payloads carries a batch of binary subscriptions.
+	Payloads [][]byte
 	// SID identifies a subscription to unsubscribe or get.
-	SID uint64 `json:"sid,omitempty"`
+	SID uint64
 	// SIDs identifies a batch of subscriptions to unsubscribe.
-	SIDs []uint64 `json:"sids,omitempty"`
+	SIDs []uint64
 	// Pos is the replicate op's resume point: the follower's applied
 	// stream position (0 = from the beginning).
-	Pos uint64 `json:"pos,omitempty"`
+	Pos uint64
 }
 
-// Result is one per-item outcome inside a batch response.
+// Result is one per-item outcome: the whole answer of a single-item op,
+// one slot of a batch response.
 type Result struct {
-	// SID is the id assigned by subscribe/insert operations.
-	SID uint64 `json:"sid,omitempty"`
+	// SID is the id assigned by subscribe/insert operations (echoed by
+	// unsubscribe and get).
+	SID uint64
 	// Covered reports whether a cover (or match) was found; CoveredBy is
 	// the id of the covering subscription.
-	Covered   bool   `json:"covered,omitempty"`
-	CoveredBy uint64 `json:"coveredBy,omitempty"`
-	// Payload is the base64-encoded subscription returned by get.
-	Payload string `json:"payload,omitempty"`
+	Covered   bool
+	CoveredBy uint64
+	// Payload is the binary subscription returned by get.
+	Payload []byte
 	// Error is the per-item failure, empty on success.
-	Error string `json:"error,omitempty"`
+	Error string
 }
 
 // Stats is the counter snapshot returned by the stats operation: the
@@ -171,6 +259,8 @@ type RebalanceInfo struct {
 // parsing the human-readable Error text.
 const (
 	// CodeBadRequest marks a request the server could not parse or decode.
+	// A frame that cannot be parsed at all arrives connection-level (id 0);
+	// a well-framed request with an undecodable payload keeps its id.
 	CodeBadRequest = "bad_request"
 	// CodeUnknownOp marks an unrecognized operation.
 	CodeUnknownOp = "unknown_op"
@@ -197,52 +287,47 @@ const (
 	RoleFollower = "follower"
 )
 
-// Response is one protocol response line.
+// Response is one decoded response frame.
 type Response struct {
 	// ID echoes the request id; 0 marks a connection-level error frame.
-	ID uint64 `json:"id"`
+	ID uint64
+	// Op echoes the request's opcode (OpNone on connection-level frames);
+	// it says which of the fields below a successful response carries.
+	Op Opcode
 	// OK reports whether the request succeeded; on failure Error explains
 	// and Code classifies.
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-	Code  string `json:"code,omitempty"`
+	OK    bool
+	Error string
+	Code  string
 
 	// hello fields.
-	Bits      int      `json:"bits,omitempty"`
-	Attrs     []string `json:"attrs,omitempty"`
-	Shards    int      `json:"shards,omitempty"`
-	Partition string   `json:"partition,omitempty"`
-	Mode      string   `json:"mode,omitempty"`
-	// Role reports "primary" or "follower" in hello (and promote)
-	// responses. Empty on daemons predating replication, which clients
-	// treat as primary.
-	Role string `json:"role,omitempty"`
+	Bits      int
+	Attrs     []string
+	Shards    int
+	Partition string
+	Mode      string
+	// Role reports "primary" or "follower" in hello and promote responses.
+	Role string
 
-	// Single-operation outcome (subscribe, insert, query, covered, get,
-	// match, unsubscribe).
-	Result *Result `json:"result,omitempty"`
-	// Batch outcomes, aligned with the request's payloads/sids.
-	Results []Result `json:"results,omitempty"`
-	// Stats snapshot (stats op).
-	Stats *Stats `json:"stats,omitempty"`
-	// Metrics is the Prometheus text exposition (metrics op).
-	Metrics string `json:"metrics,omitempty"`
-	// Rebalance is the rebalance operation's outcome.
-	Rebalance *RebalanceInfo `json:"rebalance,omitempty"`
-	// Trace is the trace operation's record; Traces is the slowlog
-	// operation's batch (newest first).
-	Trace  *Trace  `json:"trace,omitempty"`
-	Traces []Trace `json:"traces,omitempty"`
+	// Result is the single-operation outcome (subscribe, insert, query,
+	// covered, get, match, unsubscribe, trace).
+	Result Result
+	// Results are the batch outcomes, aligned with the request's
+	// payloads/sids.
+	Results []Result
+	// Body is the opaque payload of the introspection ops: the JSON of a
+	// Stats (stats), RebalanceInfo (rebalance), Trace (trace) or []Trace
+	// (slowlog), or the Prometheus text exposition (metrics).
+	Body []byte
 	// Rep is one replication stream frame (replicate op only). The op is
 	// the protocol's single streaming exception: one request produces
-	// many response lines, all echoing the request id, until an error
+	// many response frames, all echoing the request id, until an error
 	// response ends the stream.
-	Rep *RepFrame `json:"rep,omitempty"`
+	Rep RepFrame
 }
 
 // RepFrame is one hop of a replication stream. Recs carries WAL records
-// in the segment wire encoding (self-delimiting, CRC-protected),
-// base64-encoded like every binary payload on this protocol.
+// in the segment wire encoding (self-delimiting, CRC-protected), raw.
 //
 // When Reset is false the records sit at stream positions Base+1..Pos
 // and the follower applies them in place (idempotent; an overlap with
@@ -253,11 +338,11 @@ type Response struct {
 // but the last; the follower accumulates and installs the dump atomically
 // once More is clear.
 type RepFrame struct {
-	Reset bool   `json:"reset,omitempty"`
-	More  bool   `json:"more,omitempty"`
-	Base  uint64 `json:"base,omitempty"`
-	Pos   uint64 `json:"pos"`
-	Recs  string `json:"recs,omitempty"`
+	Reset bool
+	More  bool
+	Base  uint64
+	Pos   uint64
+	Recs  []byte
 }
 
 // TraceStage is one timed step of a traced query.
@@ -300,6 +385,7 @@ type Trace struct {
 	Cost TraceCost `json:"cost"`
 }
 
-// MaxLineBytes bounds one protocol line (a batch of ~64k subscriptions);
-// longer lines terminate the connection.
-const MaxLineBytes = 8 << 20
+// MaxFrameBytes bounds one frame body (a batch of several hundred
+// thousand subscriptions); a longer declared length terminates the
+// connection before a byte of it is buffered.
+const MaxFrameBytes = 8 << 20

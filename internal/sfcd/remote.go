@@ -70,169 +70,91 @@ func (r *RemoteProvider) checkSchema(s *subscription.Subscription) error {
 	return nil
 }
 
-func (r *RemoteProvider) payload(s *subscription.Subscription) (string, error) {
+// subOp issues one single-subscription op on the provider's namespace.
+func (r *RemoteProvider) subOp(op Opcode, s *subscription.Subscription) (Result, error) {
 	if err := r.checkSchema(s); err != nil {
-		return "", err
+		return Result{}, err
 	}
-	return r.c.encodeSub(s)
+	return r.c.subOp(r.ctx, op, r.link, s)
 }
 
 // Add runs the router arrival path on the daemon: covering query, then
 // insert either way.
 func (r *RemoteProvider) Add(s *subscription.Subscription) (id uint64, covered bool, coveredBy uint64, err error) {
-	payload, err := r.payload(s)
-	if err != nil {
-		return 0, false, 0, err
-	}
-	resp, err := r.c.do(r.ctx, &Request{Op: "subscribe", Link: r.link, Payload: payload})
-	if err != nil {
-		return 0, false, 0, err
-	}
-	if resp.Result == nil {
-		return 0, false, 0, errors.New("sfcd: response carries no result")
-	}
-	return resp.Result.SID, resp.Result.Covered, resp.Result.CoveredBy, nil
+	res, err := r.subOp(OpSubscribe, s)
+	return res.SID, res.Covered, res.CoveredBy, err
 }
 
 // Insert stores s unconditionally and returns its id.
 func (r *RemoteProvider) Insert(s *subscription.Subscription) (uint64, error) {
-	payload, err := r.payload(s)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := r.c.do(r.ctx, &Request{Op: "insert", Link: r.link, Payload: payload})
-	if err != nil {
-		return 0, err
-	}
-	if resp.Result == nil {
-		return 0, errors.New("sfcd: response carries no result")
-	}
-	return resp.Result.SID, nil
+	res, err := r.subOp(OpInsert, s)
+	return res.SID, err
 }
 
 // Remove deletes a previously inserted subscription by id.
 func (r *RemoteProvider) Remove(id uint64) error {
-	_, err := r.c.do(r.ctx, &Request{Op: "unsubscribe", Link: r.link, SID: id})
+	_, err := r.c.result(r.ctx, &Request{Op: OpUnsubscribe, Link: r.link, SID: id})
 	return err
 }
 
 // FindCover searches the namespace for a subscription covering s. The
 // per-call dominance stats are zero (they live server-side; see Stats).
 func (r *RemoteProvider) FindCover(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error) {
-	payload, err := r.payload(s)
-	if err != nil {
-		return 0, false, stats, err
-	}
-	resp, err := r.c.do(r.ctx, &Request{Op: "query", Link: r.link, Payload: payload})
-	if err != nil {
-		return 0, false, stats, err
-	}
-	if resp.Result == nil {
-		return 0, false, stats, errors.New("sfcd: response carries no result")
-	}
-	return resp.Result.CoveredBy, resp.Result.Covered, stats, nil
+	res, err := r.subOp(OpQuery, s)
+	return res.CoveredBy, res.Covered, stats, err
 }
 
 // FindCovered searches the namespace for a subscription that s covers.
 func (r *RemoteProvider) FindCovered(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error) {
-	payload, err := r.payload(s)
-	if err != nil {
-		return 0, false, stats, err
+	res, err := r.subOp(OpCovered, s)
+	return res.CoveredBy, res.Covered, stats, err
+}
+
+// batchOp runs one subscription-batch op on the provider's namespace and
+// hands every item's outcome to set: the item's own validation failure
+// (which poisons only its slot, as with the engine's batch path), the
+// request's failure, the server's per-item error, or the result.
+func (r *RemoteProvider) batchOp(op Opcode, subs []*subscription.Subscription, set func(i int, res Result, err error)) {
+	valid := make([]*subscription.Subscription, len(subs))
+	for i, s := range subs {
+		if r.checkSchema(s) == nil {
+			valid[i] = s
+		}
 	}
-	resp, err := r.c.do(r.ctx, &Request{Op: "covered", Link: r.link, Payload: payload})
-	if err != nil {
-		return 0, false, stats, err
+	results, err := r.c.batchOp(r.ctx, op, r.link, valid)
+	for i, s := range subs {
+		switch {
+		case valid[i] == nil:
+			set(i, Result{}, r.checkSchema(s))
+		case err != nil:
+			set(i, Result{}, err)
+		case results[i].Error != "":
+			set(i, Result{}, &ServerError{Code: CodeOpFailed, Msg: results[i].Error})
+		default:
+			set(i, results[i], nil)
+		}
 	}
-	if resp.Result == nil {
-		return 0, false, stats, errors.New("sfcd: response carries no result")
-	}
-	return resp.Result.CoveredBy, resp.Result.Covered, stats, nil
 }
 
 // CoverQueryBatch implements core.BatchQuerier: the whole batch rides one
-// request line and fans out across the daemon's worker pool.
+// request frame and fans out across the daemon's worker pool.
 func (r *RemoteProvider) CoverQueryBatch(subs []*subscription.Subscription) []core.QueryResult {
 	out := make([]core.QueryResult, len(subs))
-	payloads := make([]string, len(subs))
-	for i, s := range subs {
-		p, err := r.payload(s)
-		if err != nil {
-			// Per-item validation failures poison only their own slot, as
-			// with the engine's batch path.
-			out[i] = core.QueryResult{Err: err}
-			continue
-		}
-		payloads[i] = p
-	}
-	resp, err := r.c.do(r.ctx, &Request{Op: "query_batch", Link: r.link, Payloads: payloads})
-	if err != nil {
-		for i := range out {
-			if out[i].Err == nil {
-				out[i].Err = err
-			}
-		}
-		return out
-	}
-	if len(resp.Results) != len(subs) {
-		err := fmt.Errorf("sfcd: %d results for %d queries", len(resp.Results), len(subs))
-		for i := range out {
-			if out[i].Err == nil {
-				out[i].Err = err
-			}
-		}
-		return out
-	}
-	for i, res := range resp.Results {
-		if out[i].Err != nil {
-			continue
-		}
-		if res.Error != "" {
-			out[i].Err = &ServerError{Code: CodeOpFailed, Msg: res.Error}
-			continue
-		}
-		out[i] = core.QueryResult{Covered: res.Covered, CoveredBy: res.CoveredBy}
-	}
+	r.batchOp(OpQueryBatch, subs, func(i int, res Result, err error) {
+		out[i] = core.QueryResult{Covered: res.Covered, CoveredBy: res.CoveredBy, Err: err}
+	})
 	return out
 }
 
 // AddBatch implements core.BatchWriter: the whole arrival-path batch
 // (covering query + insert per item) rides one subscribe_batch request
-// line instead of one round trip per subscription — the churn-path
+// frame instead of one round trip per subscription — the churn-path
 // amortization the wire op existed for.
 func (r *RemoteProvider) AddBatch(subs []*subscription.Subscription) []core.AddResult {
 	out := make([]core.AddResult, len(subs))
-	payloads := make([]string, len(subs))
-	for i, s := range subs {
-		p, err := r.payload(s)
-		if err != nil {
-			// Per-item validation failures poison only their own slot.
-			out[i].Err = err
-			continue
-		}
-		payloads[i] = p
-	}
-	resp, err := r.c.do(r.ctx, &Request{Op: "subscribe_batch", Link: r.link, Payloads: payloads})
-	if err == nil && len(resp.Results) != len(subs) {
-		err = fmt.Errorf("sfcd: %d results for %d subscriptions", len(resp.Results), len(subs))
-	}
-	if err != nil {
-		for i := range out {
-			if out[i].Err == nil {
-				out[i].Err = err
-			}
-		}
-		return out
-	}
-	for i, res := range resp.Results {
-		if out[i].Err != nil {
-			continue
-		}
-		if res.Error != "" {
-			out[i].Err = &ServerError{Code: CodeOpFailed, Msg: res.Error}
-			continue
-		}
-		out[i] = core.AddResult{ID: res.SID, QueryResult: core.QueryResult{Covered: res.Covered, CoveredBy: res.CoveredBy}}
-	}
+	r.batchOp(OpSubscribeBatch, subs, func(i int, res Result, err error) {
+		out[i] = core.AddResult{ID: res.SID, QueryResult: core.QueryResult{Covered: res.Covered, CoveredBy: res.CoveredBy, Err: err}}
+	})
 	return out
 }
 
@@ -241,22 +163,12 @@ func (r *RemoteProvider) AddBatch(subs []*subscription.Subscription) []core.AddR
 // success.
 func (r *RemoteProvider) RemoveBatch(ids []uint64) []error {
 	out := make([]error, len(ids))
-	fail := func(err error) []error {
-		for i := range out {
+	results, err := r.c.results(r.ctx, &Request{Op: OpUnsubscribeBatch, Link: r.link, SIDs: ids}, len(ids))
+	for i := range out {
+		if err != nil {
 			out[i] = err
-		}
-		return out
-	}
-	resp, err := r.c.do(r.ctx, &Request{Op: "unsubscribe_batch", Link: r.link, SIDs: ids})
-	if err != nil {
-		return fail(err)
-	}
-	if len(resp.Results) != len(ids) {
-		return fail(fmt.Errorf("sfcd: %d results for %d ids", len(resp.Results), len(ids)))
-	}
-	for i, res := range resp.Results {
-		if res.Error != "" {
-			out[i] = &ServerError{Code: CodeOpFailed, Msg: res.Error}
+		} else if results[i].Error != "" {
+			out[i] = &ServerError{Code: CodeOpFailed, Msg: results[i].Error}
 		}
 	}
 	return out
@@ -267,22 +179,19 @@ func (r *RemoteProvider) RemoveBatch(ids []uint64) []error {
 // Namespaces without the capability surface core.ErrRebalanceUnsupported,
 // exactly like a local provider would.
 func (r *RemoteProvider) Rebalance() (core.RebalanceResult, error) {
-	resp, err := r.c.do(r.ctx, &Request{Op: "rebalance", Link: r.link})
-	if err != nil {
+	var info RebalanceInfo
+	if err := r.c.bodyOp(r.ctx, OpRebalance, r.link, &info); err != nil {
 		var se *ServerError
 		if errors.As(err, &se) && se.Code == CodeUnsupported {
 			return core.RebalanceResult{}, fmt.Errorf("%w: %s", core.ErrRebalanceUnsupported, se.Msg)
 		}
 		return core.RebalanceResult{}, err
 	}
-	if resp.Rebalance == nil {
-		return core.RebalanceResult{}, errors.New("sfcd: response carries no rebalance outcome")
-	}
 	return core.RebalanceResult{
-		Moves:      resp.Rebalance.Moves,
-		Migrated:   resp.Rebalance.Migrated,
-		SkewBefore: resp.Rebalance.SkewBefore,
-		SkewAfter:  resp.Rebalance.SkewAfter,
+		Moves:      info.Moves,
+		Migrated:   info.Migrated,
+		SkewBefore: info.SkewBefore,
+		SkewAfter:  info.SkewAfter,
 	}, nil
 }
 
@@ -292,30 +201,20 @@ func (r *RemoteProvider) Rebalance() (core.RebalanceResult, error) {
 // core.ErrSnapshotUnsupported, exactly like a local provider without a
 // store would.
 func (r *RemoteProvider) Snapshot() error {
-	_, err := r.c.do(r.ctx, &Request{Op: "snapshot", Link: r.link})
-	if err != nil {
-		var se *ServerError
-		if errors.As(err, &se) && se.Code == CodeUnsupported {
-			return fmt.Errorf("%w: %s", core.ErrSnapshotUnsupported, se.Msg)
-		}
-		return err
+	err := r.c.simpleOp(r.ctx, OpSnapshot, r.link)
+	var se *ServerError
+	if errors.As(err, &se) && se.Code == CodeUnsupported {
+		return fmt.Errorf("%w: %s", core.ErrSnapshotUnsupported, se.Msg)
 	}
-	return nil
+	return err
 }
 
 // Subscription resolves an id to its held subscription. The Provider
 // signature has no error channel, so connection trouble reads as
 // not-found here and errors on the next operation that can report it.
 func (r *RemoteProvider) Subscription(id uint64) (*subscription.Subscription, bool) {
-	resp, err := r.c.do(r.ctx, &Request{Op: "get", Link: r.link, SID: id})
-	if err != nil || resp.Result == nil {
-		return nil, false
-	}
-	sub, err := decodeSubPayload(r.c.schema, resp.Result.Payload)
-	if err != nil {
-		return nil, false
-	}
-	return sub, true
+	sub, err := r.c.subscription(r.ctx, r.link, id)
+	return sub, err == nil
 }
 
 // Len returns the number of held subscriptions in the namespace (0 when
@@ -331,8 +230,8 @@ func (r *RemoteProvider) Schema() *subscription.Schema { return r.c.schema }
 // Stats returns the namespace's uniform counter snapshot (zero-valued
 // when the daemon cannot be reached).
 func (r *RemoteProvider) Stats() core.ProviderStats {
-	ws, err := r.stats()
-	if err != nil {
+	var ws Stats
+	if err := r.c.bodyOp(r.ctx, OpStats, r.link, &ws); err != nil {
 		return core.ProviderStats{}
 	}
 	ps := core.ProviderStats{
@@ -354,17 +253,6 @@ func (r *RemoteProvider) Stats() core.ProviderStats {
 	return ps
 }
 
-func (r *RemoteProvider) stats() (Stats, error) {
-	resp, err := r.c.do(r.ctx, &Request{Op: "stats", Link: r.link})
-	if err != nil {
-		return Stats{}, err
-	}
-	if resp.Stats == nil {
-		return Stats{}, errors.New("sfcd: response carries no stats")
-	}
-	return *resp.Stats, nil
-}
-
 // Close releases the link namespace on the daemon (best effort — a lost
 // connection makes it a no-op; the daemon reaps namespaces with the
 // process). The shared Client stays open. Close is idempotent: unlink of
@@ -373,5 +261,5 @@ func (r *RemoteProvider) Close() {
 	if r.link == "" {
 		return // the shared engine is not ours to tear down
 	}
-	r.c.do(r.ctx, &Request{Op: "unlink", Link: r.link}) //nolint:errcheck // best effort
+	r.c.simpleOp(r.ctx, OpUnlink, r.link) //nolint:errcheck // best effort
 }

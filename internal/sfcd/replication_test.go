@@ -1,14 +1,9 @@
 package sfcd_test
 
 import (
-	"bufio"
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -379,40 +374,20 @@ func TestReplicateWireStream(t *testing.T) {
 	}
 	target := d.store.Pos()
 
-	conn, err := net.Dial("tcp", d.client.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	sc := bufio.NewScanner(conn)
-	readResp := func() sfcd.Response {
-		t.Helper()
-		if !sc.Scan() {
-			t.Fatalf("stream ended early: %v", sc.Err())
-		}
-		var resp sfcd.Response
-		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-			t.Fatalf("bad frame %q: %v", sc.Text(), err)
-		}
-		return resp
-	}
-
-	if _, err := fmt.Fprintln(conn, `{"id":1,"op":"hello"}`); err != nil {
-		t.Fatal(err)
-	}
-	if resp := readResp(); !resp.OK || resp.Role != sfcd.RolePrimary {
+	conn := sfcd.DialRaw(t, d.client.Addr())
+	if resp := conn.Do(sfcd.Request{ID: 1, Op: sfcd.OpHello}); !resp.OK || resp.Role != sfcd.RolePrimary {
 		t.Fatalf("hello response = %+v", resp)
 	}
-	if _, err := fmt.Fprintln(conn, `{"id":2,"op":"replicate","pos":0}`); err != nil {
-		t.Fatal(err)
-	}
+	conn.Send(sfcd.RequestFrame(sfcd.Request{ID: 2, Op: sfcd.OpReplicate, Pos: 0}))
 
 	var recs []persist.Record
 	next := uint64(0)
 	for next < target {
-		resp := readResp()
-		if !resp.OK || resp.Rep == nil {
+		resp, err := conn.Recv()
+		if err != nil {
+			t.Fatalf("stream ended early: %v", err)
+		}
+		if !resp.OK || resp.ID != 2 || resp.Op != sfcd.OpReplicate {
 			t.Fatalf("stream frame = %+v, want OK with rep", resp)
 		}
 		f := resp.Rep
@@ -422,11 +397,7 @@ func TestReplicateWireStream(t *testing.T) {
 		if f.Base != next {
 			t.Fatalf("frame base = %d, want contiguous %d", f.Base, next)
 		}
-		raw, err := base64.StdEncoding.DecodeString(f.Recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, err := persist.DecodeRecords(raw)
+		batch, err := persist.DecodeRecords(f.Recs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,13 +2,10 @@ package sfcd
 
 import (
 	"bufio"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,20 +24,27 @@ type ServerConfig struct {
 	// A connection beyond the cap receives one connection-level error
 	// frame (code "conn_limit") and is closed.
 	MaxConns int
-	// ReadTimeout bounds the wait for the next request line on a
+	// ReadTimeout bounds the wait for the next request frame on a
 	// connection (0 = none). A connection that stays idle — or stalls
-	// mid-line — past the timeout is reaped, freeing its MaxConns slot.
+	// mid-frame — past the timeout is reaped, freeing its MaxConns slot.
 	ReadTimeout time.Duration
 }
 
 // connInflight bounds how many of one connection's pipelined requests are
-// served concurrently; further lines queue in the read loop. It trades
-// goroutine fan-out against the memory of buffered responses.
+// served concurrently; further frames queue in the read loop.
 const connInflight = 32
+
+// scratchRetainBytes and scratchRetainItems cap what a pooled reqScratch
+// keeps between requests (frame and response buffers; batch slices), so
+// one 8 MiB batch does not pin its memory on every worker.
+const (
+	scratchRetainBytes = 64 << 10
+	scratchRetainItems = 1024
+)
 
 // Server serves the sfcd protocol on top of one Engine. Connections are
 // handled concurrently, and so are the pipelined requests within one
-// connection: each request line is dispatched to its own handler (bounded
+// connection: each request frame is dispatched to its own handler (bounded
 // by connInflight) and responses are written as they complete — out of
 // request order when a slow covering query overlaps a fast ping. Clients
 // match responses to requests by id.
@@ -74,6 +78,10 @@ type Server struct {
 	// opLat holds the pre-resolved per-op histograms the request path
 	// records into (nil when obs is nil).
 	opLat *opHists
+	// scratch pools the per-request decode/encode state (*reqScratch). It
+	// is per server, not per package: the scratch subscriptions are bound
+	// to this server's schema.
+	scratch sync.Pool
 
 	// primary is false while the server is a read-only follower draining
 	// a primary's replication stream; Promote flips it (exactly once) to
@@ -123,6 +131,7 @@ func NewServerWith(eng *engine.Engine, cfg ServerConfig) *Server {
 	if s.obs != nil {
 		s.opLat = newOpHists(s.obs.Hist)
 	}
+	s.scratch.New = func() any { return &reqScratch{sub: subscription.New(s.schema)} }
 	s.primary.Store(true)
 	return s
 }
@@ -334,7 +343,7 @@ func (s *Server) acceptLoop(ln net.Listener) error {
 
 // refuse answers an over-limit connection with one clean connection-level
 // error frame (id 0) and closes it, so clients fail with a diagnosis
-// instead of a dropped connection. It consumes the client's first line
+// instead of a dropped connection. It consumes the client's first frame
 // (the hello) before closing: closing with unread data in the receive
 // buffer provokes a TCP reset that can discard the error frame before
 // the client reads it.
@@ -347,16 +356,11 @@ func refuse(conn net.Conn, limit int) {
 		Code:  CodeConnLimit,
 		Error: fmt.Sprintf("connection limit %d reached", limit),
 	}
-	line, err := json.Marshal(&frame)
-	if err != nil {
-		return
-	}
-	if _, err := conn.Write(append(line, '\n')); err != nil {
+	if _, err := conn.Write(appendFrame(nil, 0, appendResponse(nil, &frame))); err != nil {
 		return
 	}
 	conn.SetReadDeadline(deadline)
-	br := bufio.NewReaderSize(conn, 4<<10)
-	br.ReadString('\n') //nolint:errcheck // drain the hello, best effort
+	readFrame(bufio.NewReaderSize(conn, 4<<10), nil) //nolint:errcheck // drain the hello, best effort
 }
 
 // Close stops the listener, drops every open connection, waits for the
@@ -400,158 +404,175 @@ func (s *Server) dropConn(conn net.Conn) {
 	conn.Close()
 }
 
-// connResponse is one writer-queue entry; closeAfter marks a
-// connection-level (id 0) error frame, after which the connection dies.
-type connResponse struct {
-	resp       *Response
-	closeAfter bool
-}
-
 // connState is the per-connection context handlers work against: the
-// writer queue, plus what the one streaming op (replicate) needs — a
-// signal that the read loop exited (the stream's cancellation) and a
+// shared frame writer, plus what the one streaming op (replicate) needs —
+// a signal that the read loop exited (the stream's cancellation) and a
 // flag exempting the connection from idle reaping while it streams (a
-// follower sends nothing after its replicate line, which is not idleness).
+// follower sends nothing after its replicate frame, which is not idleness).
 type connState struct {
 	conn       net.Conn
-	respCh     chan connResponse
+	w          frameWriter
 	readerGone chan struct{}
 	streaming  atomic.Bool
 }
 
-// handleConn pumps one connection: the read loop dispatches each request
-// line to a pool of handler workers (grown on demand up to connInflight —
-// persistent workers keep warmed-up stacks across requests, while an idle
-// connection holds only what its pipelining depth ever needed), and a
-// writer goroutine serializes the responses back, flushing only when its
-// queue runs dry so bursts of pipelined completions share syscalls.
+// send writes one response frame — id, then the tail appendResponse
+// produced — from the calling handler's own goroutine. A failed write
+// closes the connection, which is what stops the read loop.
+//
+//sfc:hotpath
+func (cs *connState) send(id uint64, tail []byte) {
+	if err := cs.w.send(id, tail); err != nil {
+		cs.conn.Close()
+	}
+}
+
+// refuse sends a connection-level (id 0) bad_request frame and closes
+// the connection under the writer's lock, so the frame is the last thing
+// the peer reads, as the protocol promises.
+func (cs *connState) refuse(msg string) {
+	tail := appendResponse(nil, &Response{OK: false, Code: CodeBadRequest, Error: msg})
+	cs.w.mu.Lock()
+	if writeFrame(cs.w.bw, 0, tail) == nil {
+		cs.w.bw.Flush() //nolint:errcheck // the connection dies either way
+	}
+	cs.conn.Close()
+	cs.w.mu.Unlock()
+}
+
+// reqScratch is everything one request needs between its frame leaving
+// the socket and its response entering it, pooled per server so
+// steady-state traffic allocates nothing: the frame body, the Request
+// decoded from it (whose payload fields alias the body), the Response
+// and its encoding, and decode targets for the subscriptions of ops that
+// do not retain them (queries — an inserted subscription is stored by the
+// provider and must be a fresh allocation).
+type reqScratch struct {
+	frame   []byte
+	req     Request
+	resp    Response
+	out     []byte
+	payload []byte // get's encoded subscription
+	sub     *subscription.Subscription
+	subs    []*subscription.Subscription
+}
+
+// release returns sc to the pool — unless one oversized request grew it
+// past the retention caps, in which case its buffers die with it rather
+// than staying pinned on every worker.
+func (s *Server) release(sc *reqScratch) {
+	if max(cap(sc.frame), cap(sc.out)) > scratchRetainBytes ||
+		max(cap(sc.req.Payloads), cap(sc.req.SIDs), cap(sc.resp.Results), cap(sc.subs)) > scratchRetainItems {
+		return
+	}
+	s.scratch.Put(sc)
+}
+
+// handleConn pumps one connection: the read loop copies each request
+// frame into a pooled scratch and hands it to a pool of handler workers
+// (grown on demand up to connInflight — persistent workers keep warmed-up
+// stacks across requests, while an idle connection holds only what its
+// pipelining depth ever needed). A worker decodes, serves, encodes and
+// writes its own response through the connection's frameWriter; nothing
+// sits between a finished handler and the socket.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.dropConn(conn)
-	cs := &connState{
-		conn:       conn,
-		respCh:     make(chan connResponse, connInflight),
-		readerGone: make(chan struct{}),
-	}
-	respCh := cs.respCh
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		w := bufio.NewWriter(conn)
-		enc := json.NewEncoder(w)
-		broken := false
-		for out := range respCh {
-			if broken {
-				continue // drain so handlers never block on a dead conn
-			}
-			if err := enc.Encode(out.resp); err != nil {
-				broken = true
-				continue
-			}
-			if out.closeAfter {
-				// A connection-level error frame: flush it, then tear the
-				// connection down as the protocol promises.
-				w.Flush() //nolint:errcheck // the connection dies either way
-				conn.Close()
-				broken = true
-				continue
-			}
-			if len(respCh) == 0 {
-				// Give concurrently completing handlers one scheduler pass
-				// to join this flush (see the client's writeLoop).
-				runtime.Gosched()
-			}
-			if len(respCh) == 0 {
-				if err := w.Flush(); err != nil {
-					broken = true
-				}
-			}
-		}
-	}()
+	cs := &connState{conn: conn, readerGone: make(chan struct{})}
+	cs.w.bw = bufio.NewWriter(conn)
+	br := bufio.NewReaderSize(conn, 64<<10)
 
-	lines := make(chan []byte) // unbuffered: a send means a worker has it
+	frames := make(chan *reqScratch) // unbuffered: a send means a worker has it
 	var handlers sync.WaitGroup
 	workers := 0
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 64<<10), MaxLineBytes)
-	for {
+	for first := true; ; first = false {
 		if s.scfg.ReadTimeout > 0 && !cs.streaming.Load() {
 			conn.SetReadDeadline(time.Now().Add(s.scfg.ReadTimeout))
 		}
-		if !scanner.Scan() {
+		if first {
+			// A peer that opens with '{' speaks the newline-JSON framing this
+			// protocol replaced; read as a length it would leave the daemon
+			// waiting for 123 bytes. Tell it what happened instead.
+			if b, err := br.Peek(1); err == nil && b[0] == '{' {
+				cs.refuse("this daemon speaks length-prefixed binary frames, not newline-delimited JSON")
+				break
+			}
+		}
+		sc := s.scratch.Get().(*reqScratch)
+		var err error
+		if sc.frame, err = readFrame(br, sc.frame); err != nil {
+			s.release(sc)
+			if errors.Is(err, errFrameTooLarge) || errors.Is(err, errEmptyFrame) {
+				cs.refuse("malformed frame: " + err.Error())
+			}
 			break
 		}
-		if len(scanner.Bytes()) == 0 {
-			continue
-		}
-		line := append([]byte(nil), scanner.Bytes()...) // Scan reuses its buffer
 		select {
-		case lines <- line: // an idle worker took it
+		case frames <- sc: // an idle worker took it
 		default:
 			if workers < connInflight {
 				workers++
 				handlers.Add(1)
 				go func() {
 					defer handlers.Done()
-					for l := range lines {
-						s.handleLine(l, cs)
+					for sc := range frames {
+						s.handleFrame(sc, cs)
+						s.release(sc)
 					}
 				}()
 			}
-			lines <- line
+			frames <- sc
 		}
 	}
 	close(cs.readerGone) // cancels any replicate stream on this connection
-	close(lines)
+	close(frames)
 	handlers.Wait()
-	close(respCh)
-	<-writerDone
 }
 
-// handleLine parses and serves one request line, queueing the response
-// (or, for the streaming replicate op, every frame of the stream) on the
-// connection's writer. Lines the server cannot parse — and requests
-// carrying the reserved id 0 — get a connection-level error frame: the
-// response cannot be attributed to a request id, and a pipelining client
-// must treat an id-0 frame as fatal (a stray one would otherwise poison
-// response demultiplexing), so the connection is closed after it.
+// handleFrame decodes and serves one request frame and writes the
+// response (or, for the streaming replicate op, every frame of the
+// stream). Frames the server cannot parse — and requests carrying the
+// reserved id 0 — get a connection-level error frame: the response cannot
+// be attributed to a request id, and a pipelining client must treat an
+// id-0 frame as fatal (a stray one would otherwise poison response
+// demultiplexing), so the connection is closed after it. An unknown
+// opcode is different: the frame boundary held and the id was read, so
+// the request is answered and the connection lives.
 //
 //sfc:hotpath
-func (s *Server) handleLine(line []byte, cs *connState) {
-	var req Request
-	if err := json.Unmarshal(line, &req); err != nil {
-		cs.respCh <- connResponse{
-			resp:       &Response{OK: false, Code: CodeBadRequest, Error: fmt.Sprintf("malformed request: %v", err)},
-			closeAfter: true,
-		}
+func (s *Server) handleFrame(sc *reqScratch, cs *connState) {
+	req, resp := &sc.req, &sc.resp
+	switch err := decodeRequest(sc.frame, req); {
+	case err == errUnknownOp:
+		*resp = unknownOp(req.Op)
+	case err != nil:
+		cs.refuse("malformed request: " + err.Error())
 		return
-	}
-	if req.ID == 0 {
-		cs.respCh <- connResponse{
-			resp:       &Response{OK: false, Code: CodeBadRequest, Error: "request id 0 is reserved for connection-level frames"},
-			closeAfter: true,
-		}
-		return
-	}
-	if req.Op == "replicate" {
-		// The one streaming op: many response lines per request, open
+	case req.Op == OpReplicate:
+		// The one streaming op: many response frames per request, open
 		// until the stream ends. It occupies this worker slot for the
 		// connection's lifetime and is not per-op latency metered (a
 		// stream's duration is not a latency).
-		s.serveReplicate(req, cs)
+		s.serveReplicate(req.ID, req.Pos, cs)
 		return
+	default:
+		var t0 time.Time
+		if s.obs != nil {
+			//sfc:allowclock one clock pair per request is the op histogram's contract: it times every daemon op exactly
+			t0 = time.Now()
+		}
+		*resp = s.serve(sc)
+		if s.obs != nil {
+			//sfc:allowclock pairs with the t0 read above; the histogram itself is pre-resolved, not fetched
+			s.opLat.observe(req.Op, time.Since(t0))
+		}
 	}
-	var t0 time.Time
-	if s.obs != nil {
-		//sfc:allowclock one clock pair per request is the op histogram's contract: it times every daemon op exactly
-		t0 = time.Now()
+	resp.Op = req.Op
+	sc.out = appendResponse(sc.out[:0], resp)
+	if len(sc.out) >= MaxFrameBytes {
+		*resp = Response{Op: req.Op, OK: false, Code: CodeOpFailed, Error: fmt.Sprintf("response is %d bytes, frame cap is %d: split the batch", len(sc.out), MaxFrameBytes)}
+		sc.out = appendResponse(sc.out[:0], resp)
 	}
-	resp := s.serve(req)
-	if s.obs != nil {
-		//sfc:allowclock pairs with the t0 read above; the histogram itself is pre-resolved, not fetched
-		s.opLat.observe(req.Op, time.Since(t0))
-	}
-	resp.ID = req.ID
-	cs.respCh <- connResponse{resp: resp}
+	cs.send(req.ID, sc.out)
 }
 
 // linkSeed derives a link namespace's index seed from the engine
@@ -615,9 +636,9 @@ func (s *Server) provider(link string) (core.Provider, error) {
 // release runtime resources without forfeiting durability. (Destroying
 // durable state is persist.DurableProvider.Purge, a store-owner
 // decision, not a wire operation.)
-func (s *Server) unlink(link string) *Response {
+func (s *Server) unlink(link string) Response {
 	if link == "" {
-		return &Response{OK: false, Code: CodeBadRequest, Error: "cannot unlink the shared engine"}
+		return Response{OK: false, Code: CodeBadRequest, Error: "cannot unlink the shared engine"}
 	}
 	s.linkMu.Lock()
 	p, ok := s.links[link]
@@ -626,11 +647,20 @@ func (s *Server) unlink(link string) *Response {
 	if ok {
 		p.Close()
 	}
-	return &Response{OK: true}
+	return Response{OK: true}
 }
 
-// serve dispatches one request.
-func (s *Server) serve(req Request) *Response {
+// serve dispatches the request decoded in sc and returns the answer (the
+// caller stamps the opcode and sends it under the request's id; sc.resp
+// still holds the previous response, whose Results capacity the batch ops
+// reuse). The ops a router issues per
+// subscription — subscribe, insert, unsubscribe, query, covered, match,
+// get and their batch forms — run against sc's pooled buffers; the
+// introspection ops allocate freely.
+//
+//sfc:hotpath
+func (s *Server) serve(sc *reqScratch) Response {
+	req := &sc.req
 	if !s.primary.Load() {
 		// A follower's engine is cold: its state lives only in the store
 		// mirror until promotion hydrates it. Refuse everything that
@@ -639,21 +669,21 @@ func (s *Server) serve(req Request) *Response {
 		// metrics page and — for chained followers — the stream itself,
 		// which reads the store, not the engine.
 		switch req.Op {
-		case "ping", "hello", "promote":
-		case "metrics":
+		case OpPing, OpHello, OpPromote:
+		case OpMetrics:
 			if req.Link != "" {
-				return &Response{OK: false, Code: CodeNotPrimary, Error: "daemon is a follower; link metrics are served by the primary"}
+				return Response{OK: false, Code: CodeNotPrimary, Error: "daemon is a follower; link metrics are served by the primary"}
 			}
-			return &Response{OK: true, Metrics: s.MetricsText()}
+			return Response{OK: true, Body: []byte(s.MetricsText())}
 		default:
-			return &Response{OK: false, Code: CodeNotPrimary, Error: "daemon is a follower; promote it or address the primary"}
+			return Response{OK: false, Code: CodeNotPrimary, Error: "daemon is a follower; promote it or address the primary"}
 		}
 	}
 	switch req.Op {
-	case "ping":
-		return &Response{OK: true}
-	case "hello":
-		return &Response{
+	case OpPing:
+		return Response{OK: true}
+	case OpHello:
+		return Response{
 			OK:        true,
 			Bits:      s.schema.Bits(),
 			Attrs:     s.schema.Attrs(),
@@ -662,127 +692,102 @@ func (s *Server) serve(req Request) *Response {
 			Mode:      s.eng.Mode().String(),
 			Role:      s.Role(),
 		}
-	case "promote":
+	case OpPromote:
 		if s.store == nil {
-			return &Response{OK: false, Code: CodeUnsupported, Error: "daemon runs without a data dir"}
+			return Response{OK: false, Code: CodeUnsupported, Error: "daemon runs without a data dir"}
 		}
 		if err := s.Promote(); err != nil {
 			return errResponse(err)
 		}
-		return &Response{OK: true, Role: s.Role()}
-	case "unlink":
+		return Response{OK: true, Role: s.Role()}
+	case OpUnlink:
 		return s.unlink(req.Link)
-	case "trace":
-		return s.trace(req)
-	case "slowlog":
-		return s.slowlog(req)
+	case OpTrace:
+		return s.trace(sc)
+	case OpSlowlog:
+		return s.slowlog(req.Link)
 	}
 	prov, err := s.provider(req.Link)
 	if err != nil {
 		return errResponse(err)
 	}
 	switch req.Op {
-	case "subscribe":
-		sub, err := s.decodeSub(req.Payload)
+	case OpSubscribe, OpInsert:
+		// The provider keeps the subscription: it cannot be the scratch one.
+		sub, err := subscription.UnmarshalSubscription(s.schema, req.Payload)
 		if err != nil {
 			return badRequest(err)
 		}
-		sid, covered, coveredBy, err := prov.Add(sub)
+		var res Result
+		if req.Op == OpSubscribe {
+			res.SID, res.Covered, res.CoveredBy, err = prov.Add(sub)
+		} else {
+			res.SID, err = prov.Insert(sub)
+		}
 		if err != nil {
 			return errResponse(err)
 		}
-		return &Response{OK: true, Result: &Result{SID: sid, Covered: covered, CoveredBy: coveredBy}}
-	case "insert":
-		sub, err := s.decodeSub(req.Payload)
-		if err != nil {
-			return badRequest(err)
-		}
-		sid, err := prov.Insert(sub)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &Response{OK: true, Result: &Result{SID: sid}}
-	case "subscribe_batch":
-		subs, errs := s.decodeSubs(req.Payloads)
-		return &Response{OK: true, Results: s.addBatch(prov, subs, errs)}
-	case "unsubscribe":
+		return Response{OK: true, Result: res}
+	case OpSubscribeBatch:
+		results := sc.resp.Results[:0]
+		subs, errs := s.decodeSubs(req.Payloads, nil)
+		return Response{OK: true, Results: fillResults(results, errs, core.AddAll(prov, subs),
+			func(r core.AddResult) (Result, error) {
+				return Result{SID: r.ID, Covered: r.Covered, CoveredBy: r.CoveredBy}, r.Err
+			})}
+	case OpUnsubscribe:
 		if err := prov.Remove(req.SID); err != nil {
 			return errResponse(err)
 		}
-		return &Response{OK: true, Result: &Result{SID: req.SID}}
-	case "unsubscribe_batch":
-		results := make([]Result, len(req.SIDs))
-		errs := removeBatch(prov, req.SIDs)
-		for i, err := range errs {
-			results[i] = Result{SID: req.SIDs[i]}
+		return Response{OK: true, Result: Result{SID: req.SID}}
+	case OpUnsubscribeBatch:
+		results := sc.resp.Results[:0]
+		for i, err := range core.RemoveAll(prov, req.SIDs) {
+			results = append(results, Result{SID: req.SIDs[i]})
 			if err != nil {
 				results[i].Error = err.Error()
 			}
 		}
-		return &Response{OK: true, Results: results}
-	case "query":
-		sub, err := s.decodeSub(req.Payload)
+		return Response{OK: true, Results: results}
+	case OpQuery, OpCovered, OpMatch:
+		// Searches do not retain the subscription: decode into the scratch.
+		if req.Op == OpMatch {
+			err = subscription.UnmarshalPointInto(sc.sub, req.Payload)
+		} else {
+			err = subscription.UnmarshalSubscriptionInto(sc.sub, req.Payload)
+		}
 		if err != nil {
 			return badRequest(err)
 		}
-		id, found, _, err := prov.FindCover(sub)
+		var res Result
+		if req.Op == OpCovered {
+			res.CoveredBy, res.Covered, _, err = prov.FindCovered(sc.sub)
+		} else {
+			res.CoveredBy, res.Covered, _, err = prov.FindCover(sc.sub)
+		}
 		if err != nil {
 			return errResponse(err)
 		}
-		return &Response{OK: true, Result: &Result{Covered: found, CoveredBy: id}}
-	case "query_batch":
-		subs, errs := s.decodeSubs(req.Payloads)
-		queried := core.CoverQueries(prov, compact(subs))
-		results := make([]Result, len(subs))
-		j := 0
-		for i := range subs {
-			switch {
-			case errs[i] != nil:
-				results[i] = Result{Error: errs[i].Error()}
-			case queried[j].Err != nil:
-				results[i] = Result{Error: queried[j].Err.Error()}
-				j++
-			default:
-				results[i] = Result{Covered: queried[j].Covered, CoveredBy: queried[j].CoveredBy}
-				j++
-			}
-		}
-		return &Response{OK: true, Results: results}
-	case "covered":
-		sub, err := s.decodeSub(req.Payload)
-		if err != nil {
-			return badRequest(err)
-		}
-		id, found, _, err := prov.FindCovered(sub)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &Response{OK: true, Result: &Result{Covered: found, CoveredBy: id}}
-	case "get":
+		return Response{OK: true, Result: res}
+	case OpQueryBatch:
+		results := sc.resp.Results[:0]
+		subs, errs := s.decodeSubs(req.Payloads, &sc.subs)
+		return Response{OK: true, Results: fillResults(results, errs, core.CoverQueries(prov, subs),
+			func(r core.QueryResult) (Result, error) {
+				return Result{Covered: r.Covered, CoveredBy: r.CoveredBy}, r.Err
+			})}
+	case OpGet:
 		sub, ok := prov.Subscription(req.SID)
 		if !ok {
-			return &Response{OK: false, Code: CodeOpFailed, Error: fmt.Sprintf("no subscription with id %d", req.SID)}
+			return Response{OK: false, Code: CodeOpFailed, Error: fmt.Sprintf("no subscription with id %d", req.SID)}
 		}
-		raw, err := sub.MarshalBinary()
-		if err != nil {
+		if sc.payload, err = sub.AppendBinary(sc.payload[:0]); err != nil {
 			return errResponse(err)
 		}
-		return &Response{OK: true, Result: &Result{
-			SID: req.SID, Payload: base64.StdEncoding.EncodeToString(raw),
-		}}
-	case "match":
-		sub, err := s.decodeEventAsSub(req.Payload)
-		if err != nil {
-			return badRequest(err)
-		}
-		id, found, _, err := prov.FindCover(sub)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &Response{OK: true, Result: &Result{Covered: found, CoveredBy: id}}
-	case "stats":
+		return Response{OK: true, Result: Result{SID: req.SID, Payload: sc.payload}}
+	case OpStats:
 		ps := prov.Stats()
-		return &Response{OK: true, Stats: &Stats{
+		return bodyResponse(Stats{
 			Queries:           ps.Queries,
 			Hits:              ps.Hits,
 			RunsProbed:        ps.RunsProbed,
@@ -801,140 +806,100 @@ func (s *Server) serve(req Request) *Response {
 			Snapshots:         ps.Snapshots,
 			WALRecords:        ps.WALRecords,
 			WALBytes:          ps.WALBytes,
-		}}
-	case "rebalance":
+		})
+	case OpRebalance:
 		rb, ok := prov.(core.Rebalancer)
 		if !ok {
-			return &Response{OK: false, Code: CodeUnsupported, Error: "provider does not support rebalancing"}
+			return Response{OK: false, Code: CodeUnsupported, Error: "provider does not support rebalancing"}
 		}
 		res, err := rb.Rebalance()
 		if err != nil {
 			if errors.Is(err, core.ErrRebalanceUnsupported) {
-				return &Response{OK: false, Code: CodeUnsupported, Error: err.Error()}
+				return Response{OK: false, Code: CodeUnsupported, Error: err.Error()}
 			}
 			return errResponse(err)
 		}
-		return &Response{OK: true, Rebalance: &RebalanceInfo{
+		return bodyResponse(RebalanceInfo{
 			Moves:      res.Moves,
 			Migrated:   res.Migrated,
 			SkewBefore: res.SkewBefore,
 			SkewAfter:  res.SkewAfter,
-		}}
-	case "snapshot":
+		})
+	case OpSnapshot:
 		ps, ok := prov.(core.Persister)
 		if !ok {
-			return &Response{OK: false, Code: CodeUnsupported, Error: "daemon runs without a data dir"}
+			return Response{OK: false, Code: CodeUnsupported, Error: "daemon runs without a data dir"}
 		}
 		if err := ps.Snapshot(); err != nil {
 			return errResponse(err)
 		}
-		return &Response{OK: true}
-	case "metrics":
+		return Response{OK: true}
+	case OpMetrics:
 		if req.Link == "" {
 			// The shared namespace gets the full daemon page: scalar
 			// counters plus latency histograms and per-link gauges.
-			return &Response{OK: true, Metrics: s.MetricsText()}
+			return Response{OK: true, Body: []byte(s.MetricsText())}
 		}
-		return &Response{OK: true, Metrics: RenderPrometheus(prov.Stats())}
-	default:
-		return &Response{OK: false, Code: CodeUnknownOp, Error: fmt.Sprintf("unknown op %q", req.Op)}
+		return Response{OK: true, Body: []byte(RenderPrometheus(prov.Stats()))}
 	}
+	return unknownOp(req.Op) // unreachable: decodeRequest vets the opcode
 }
 
-// addBatch runs the arrival path for a decoded batch against any
-// provider, through the core.BatchWriter capability when the provider has
-// one (the engine's parallel queries and shard-grouped bulk insert) and
-// one Add at a time otherwise. Results align with the request payloads;
-// decode failures occupy their slots.
-func (s *Server) addBatch(prov core.Provider, subs []*subscription.Subscription, errs []error) []Result {
-	results := make([]Result, len(subs))
-	added := core.AddAll(prov, compact(subs))
+// fillResults lays a batch's outcomes into results, aligned with the
+// request payloads: a decode failure occupies its own slot, everything
+// else takes the next provider outcome (the provider saw the batch dense).
+func fillResults[T any](results []Result, errs []error, outcomes []T, conv func(T) (Result, error)) []Result {
 	j := 0
-	for i := range subs {
-		switch {
-		case errs[i] != nil:
-			results[i] = Result{Error: errs[i].Error()}
-		case added[j].Err != nil:
-			results[i] = Result{Error: added[j].Err.Error()}
-			j++
-		default:
-			r := added[j]
-			results[i] = Result{SID: r.ID, Covered: r.Covered, CoveredBy: r.CoveredBy}
-			j++
+	for _, derr := range errs {
+		if derr != nil {
+			results = append(results, Result{Error: derr.Error()})
+			continue
 		}
+		res, err := conv(outcomes[j])
+		j++
+		if err != nil {
+			res = Result{Error: err.Error()}
+		}
+		results = append(results, res)
 	}
 	return results
 }
 
-// removeBatch deletes a batch of ids through the provider's batch
-// capability when available, one at a time otherwise.
-func removeBatch(prov core.Provider, sids []uint64) []error {
-	return core.RemoveAll(prov, sids)
+func unknownOp(op Opcode) Response {
+	return Response{OK: false, Code: CodeUnknownOp, Error: fmt.Sprintf("unknown opcode %d", op)}
 }
 
-func errResponse(err error) *Response {
-	return &Response{OK: false, Code: CodeOpFailed, Error: err.Error()}
+func errResponse(err error) Response {
+	return Response{OK: false, Code: CodeOpFailed, Error: err.Error()}
 }
 
-func badRequest(err error) *Response {
-	return &Response{OK: false, Code: CodeBadRequest, Error: err.Error()}
+func badRequest(err error) Response {
+	return Response{OK: false, Code: CodeBadRequest, Error: err.Error()}
 }
 
-// decodeSubPayload decodes one base64 binary subscription payload against
-// a schema.
-func decodeSubPayload(schema *subscription.Schema, payload string) (*subscription.Subscription, error) {
-	raw, err := base64.StdEncoding.DecodeString(payload)
-	if err != nil {
-		return nil, fmt.Errorf("payload is not base64: %w", err)
-	}
-	return subscription.UnmarshalSubscription(schema, raw)
-}
-
-// decodeSub decodes one payload against the server schema.
-func (s *Server) decodeSub(payload string) (*subscription.Subscription, error) {
-	return decodeSubPayload(s.schema, payload)
-}
-
-// decodeSubs decodes a batch; per-item failures leave a nil subscription
-// and a non-nil error at the same index.
-func (s *Server) decodeSubs(payloads []string) ([]*subscription.Subscription, []error) {
-	subs := make([]*subscription.Subscription, len(payloads))
-	errs := make([]error, len(payloads))
+// decodeSubs decodes a batch against the server schema. subs holds the
+// successfully decoded subscriptions, dense, in request order; errs aligns
+// with payloads and marks the failures. With a nil pool every
+// subscription is freshly allocated (the provider will keep them);
+// otherwise the pool's subscriptions are the decode targets, grown to the
+// batch size and kept for the next request — the non-retaining query path.
+func (s *Server) decodeSubs(payloads [][]byte, pool *[]*subscription.Subscription) (subs []*subscription.Subscription, errs []error) {
+	subs = make([]*subscription.Subscription, 0, len(payloads))
+	errs = make([]error, len(payloads))
 	for i, p := range payloads {
-		subs[i], errs[i] = s.decodeSub(p)
+		var sub *subscription.Subscription
+		if pool == nil {
+			sub, errs[i] = subscription.UnmarshalSubscription(s.schema, p)
+		} else {
+			if i == len(*pool) {
+				*pool = append(*pool, subscription.New(s.schema))
+			}
+			sub = (*pool)[i]
+			errs[i] = subscription.UnmarshalSubscriptionInto(sub, p)
+		}
+		if errs[i] == nil {
+			subs = append(subs, sub)
+		}
 	}
 	return subs, errs
-}
-
-// decodeEventAsSub decodes a binary event and lifts it to the degenerate
-// subscription that constrains every attribute to the event's value; its
-// covers are exactly the subscriptions matching the event.
-func (s *Server) decodeEventAsSub(payload string) (*subscription.Subscription, error) {
-	raw, err := base64.StdEncoding.DecodeString(payload)
-	if err != nil {
-		return nil, fmt.Errorf("payload is not base64: %w", err)
-	}
-	ev, err := subscription.UnmarshalEvent(s.schema, raw)
-	if err != nil {
-		return nil, err
-	}
-	sub := subscription.New(s.schema)
-	for i, attr := range s.schema.Attrs() {
-		if err := sub.SetEq(attr, ev[i]); err != nil {
-			return nil, err
-		}
-	}
-	return sub, nil
-}
-
-// compact copies the non-nil entries (failed decodes leave holes) so
-// batches reach the provider dense.
-func compact(subs []*subscription.Subscription) []*subscription.Subscription {
-	out := make([]*subscription.Subscription, 0, len(subs))
-	for _, s := range subs {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	return out
 }

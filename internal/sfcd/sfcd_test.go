@@ -1,13 +1,8 @@
 package sfcd
 
 import (
-	"bufio"
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"net"
 	"sync"
 	"testing"
 
@@ -275,38 +270,18 @@ func TestDialSchemaMismatch(t *testing.T) {
 func TestProtocolErrors(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	_, addr := startServer(t, schema, core.ModeExact)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
+	conn := DialRaw(t, addr)
 
-	send := func(line string) Response {
-		t.Helper()
-		if _, err := fmt.Fprintln(conn, line); err != nil {
-			t.Fatal(err)
-		}
-		if !sc.Scan() {
-			t.Fatalf("no response to %q (err: %v)", line, sc.Err())
-		}
-		var resp Response
-		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-			t.Fatalf("malformed response %q: %v", sc.Text(), err)
-		}
-		return resp
-	}
-
-	if resp := send(`{"id":1,"op":"warp"}`); resp.OK || resp.Code != CodeUnknownOp {
+	if resp := conn.Do(Request{ID: 1, Op: numOps + 7}); resp.OK || resp.ID != 1 || resp.Code != CodeUnknownOp {
 		t.Errorf("unknown op must fail with %s, got %+v", CodeUnknownOp, resp)
 	}
-	if resp := send(`{"id":2,"op":"subscribe","payload":"!!!"}`); resp.OK || resp.Code != CodeBadRequest {
-		t.Errorf("non-base64 payload must fail with %s, got %+v", CodeBadRequest, resp)
+	if resp := conn.Do(Request{ID: 2, Op: OpSubscribe, Payload: []byte("!!!")}); resp.OK || resp.Code != CodeBadRequest {
+		t.Errorf("undecodable payload must fail with %s, got %+v", CodeBadRequest, resp)
 	}
-	if resp := send(`{"id":3,"op":"subscribe","payload":"AAAA"}`); resp.OK {
+	if resp := conn.Do(Request{ID: 3, Op: OpSubscribe, Payload: []byte{0, 0, 0}}); resp.OK {
 		t.Error("malformed wire payload must fail")
 	}
-	if resp := send(`{"id":4,"op":"unsubscribe","sid":999}`); resp.OK || resp.Code != CodeOpFailed {
+	if resp := conn.Do(Request{ID: 4, Op: OpUnsubscribe, SID: 999}); resp.OK || resp.Code != CodeOpFailed {
 		t.Errorf("unknown sid must fail with %s, got %+v", CodeOpFailed, resp)
 	}
 	// A batch with one bad payload still succeeds per item.
@@ -315,13 +290,7 @@ func TestProtocolErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := json.Marshal(Request{ID: 5, Op: "subscribe_batch", Payloads: []string{
-		"!!!", base64.StdEncoding.EncodeToString(raw),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := send(string(req))
+	resp := conn.Do(Request{ID: 5, Op: OpSubscribeBatch, Payloads: [][]byte{[]byte("!!!"), raw}})
 	if !resp.OK || len(resp.Results) != 2 {
 		t.Fatalf("mixed batch: ok=%v results=%d", resp.OK, len(resp.Results))
 	}
@@ -334,41 +303,32 @@ func TestProtocolErrors(t *testing.T) {
 }
 
 // TestConnectionLevelErrorFramesClose pins the fatal protocol failures:
-// a line the server cannot attribute to a request id — unparseable JSON,
-// or the reserved id 0 — gets one id-0 error frame and the connection is
-// closed, exactly as the protocol documents (a pipelining client must
-// treat stray id-0 frames as fatal, so the server must not keep serving
-// past one).
+// a frame the server cannot attribute to a request id — a body that does
+// not parse, or the reserved id 0 — gets one id-0 error frame and the
+// connection is closed, exactly as the protocol documents (a pipelining
+// client must treat stray id-0 frames as fatal, so the server must not
+// keep serving past one).
 func TestConnectionLevelErrorFramesClose(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	_, addr := startServer(t, schema, core.ModeExact)
-	for name, line := range map[string]string{
-		"malformed json": `not json`,
-		"reserved id 0":  `{"id":0,"op":"ping"}`,
+	for name, frame := range map[string][]byte{
+		// A 5-byte subscribe whose payload claims 50 bytes.
+		"malformed body": {5, 1, byte(OpSubscribe), 0, 50, 'x'},
+		"reserved id 0":  RequestFrame(Request{ID: 0, Op: OpPing}),
 	} {
-		conn, err := net.Dial("tcp", addr)
+		conn := DialRaw(t, addr)
+		conn.Send(frame)
+		resp, err := conn.Recv()
 		if err != nil {
-			t.Fatal(err)
-		}
-		sc := bufio.NewScanner(conn)
-		if _, err := fmt.Fprintln(conn, line); err != nil {
-			t.Fatal(err)
-		}
-		if !sc.Scan() {
-			t.Fatalf("%s: no error frame (err: %v)", name, sc.Err())
-		}
-		var resp Response
-		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-			t.Fatalf("%s: malformed frame %q: %v", name, sc.Text(), err)
+			t.Fatalf("%s: no error frame: %v", name, err)
 		}
 		if resp.OK || resp.ID != 0 || resp.Code != CodeBadRequest {
 			t.Fatalf("%s: frame = %+v, want a connection-level %s frame", name, resp, CodeBadRequest)
 		}
 		// The connection dies after the frame.
-		if sc.Scan() {
-			t.Fatalf("%s: connection still serving after a connection-level error: %q", name, sc.Text())
+		if resp, err := conn.Recv(); err == nil {
+			t.Fatalf("%s: connection still serving after a connection-level error: %+v", name, resp)
 		}
-		conn.Close()
 	}
 }
 

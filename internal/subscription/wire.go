@@ -19,83 +19,160 @@ const (
 	wireVersionEvent = 0x45 // 'E' — event payload
 )
 
+// MaxWireLen bounds the encoded size of any subscription or event: the
+// 3-byte header plus, per attribute (at most 8), two uvarints of a value
+// below 2^16. Encoders that append into a buffer of this capacity never
+// grow it.
+const MaxWireLen = 3 + 2*8*3
+
+// AppendBinary appends the subscription's wire encoding to dst and returns
+// the extended slice, so callers that own a buffer (a frame under
+// construction, a batch arena) pay no per-payload allocation.
+func (s *Subscription) AppendBinary(dst []byte) ([]byte, error) {
+	dst = append(dst, wireVersionSub, byte(len(s.ranges)), byte(s.schema.bits))
+	for _, r := range s.ranges {
+		dst = binary.AppendUvarint(dst, uint64(r.Lo))
+		dst = binary.AppendUvarint(dst, uint64(r.Hi))
+	}
+	return dst, nil
+}
+
 // MarshalBinary implements encoding.BinaryMarshaler for subscriptions.
 func (s *Subscription) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 3+2*len(s.ranges)*binary.MaxVarintLen32)
-	buf = append(buf, wireVersionSub, byte(len(s.ranges)), byte(s.schema.bits))
-	for _, r := range s.ranges {
-		buf = binary.AppendUvarint(buf, uint64(r.Lo))
-		buf = binary.AppendUvarint(buf, uint64(r.Hi))
+	return s.AppendBinary(make([]byte, 0, 3+2*len(s.ranges)*binary.MaxVarintLen32))
+}
+
+// MarshalBatch encodes subs back to back into one arena and returns each
+// subscription's slice of it, so a batch costs three allocations instead
+// of one per payload. A nil entry yields a nil payload in its slot.
+func MarshalBatch(subs []*Subscription) ([][]byte, error) {
+	ends := make([]int, len(subs))
+	arena := make([]byte, 0, 16*len(subs))
+	for i, s := range subs {
+		if s != nil {
+			var err error
+			if arena, err = s.AppendBinary(arena); err != nil {
+				return nil, err
+			}
+		}
+		ends[i] = len(arena)
 	}
-	return buf, nil
+	// Sliced only now: growth may have moved the arena while it filled.
+	payloads := make([][]byte, len(subs))
+	start := 0
+	for i, end := range ends {
+		if end > start {
+			payloads[i] = arena[start:end:end]
+		}
+		start = end
+	}
+	return payloads, nil
 }
 
 // UnmarshalSubscription decodes a subscription payload against the given
 // schema, validating shape and domain.
 func UnmarshalSubscription(schema *Schema, data []byte) (*Subscription, error) {
-	rest, err := checkHeader(schema, data, wireVersionSub)
-	if err != nil {
-		return nil, fmt.Errorf("subscription: decoding subscription: %w", err)
-	}
 	s := New(schema)
-	for i := range s.ranges {
-		lo, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, fmt.Errorf("subscription: truncated range lo on attribute %d", i)
-		}
-		rest = rest[n:]
-		hi, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return nil, fmt.Errorf("subscription: truncated range hi on attribute %d", i)
-		}
-		rest = rest[n:]
-		if lo > hi || hi > uint64(schema.MaxValue()) {
-			return nil, fmt.Errorf("subscription: range [%d,%d] invalid for attribute %d", lo, hi, i)
-		}
-		s.setRangeAt(i, Range{Lo: uint32(lo), Hi: uint32(hi)})
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("subscription: %d trailing bytes", len(rest))
+	if err := UnmarshalSubscriptionInto(s, data); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler for events. The event
-// does not know its schema, so the caller supplies it.
-func (e Event) MarshalBinary(schema *Schema) ([]byte, error) {
-	if len(e) != schema.NumAttrs() {
-		return nil, fmt.Errorf("subscription: event has %d attributes, schema needs %d", len(e), schema.NumAttrs())
+// UnmarshalSubscriptionInto decodes a subscription payload into dst,
+// against dst's schema, overwriting every constraint — the form for
+// callers that keep one scratch subscription per worker and must not
+// allocate per request. On error dst is left partially overwritten.
+func UnmarshalSubscriptionInto(dst *Subscription, data []byte) error {
+	schema := dst.schema
+	rest, err := checkHeader(schema, data, wireVersionSub)
+	if err != nil {
+		return fmt.Errorf("subscription: decoding subscription: %w", err)
 	}
-	buf := make([]byte, 0, 3+len(e)*binary.MaxVarintLen32)
-	buf = append(buf, wireVersionEvent, byte(len(e)), byte(schema.bits))
+	for i := range dst.ranges {
+		lo, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return fmt.Errorf("subscription: truncated range lo on attribute %d", i)
+		}
+		rest = rest[n:]
+		hi, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return fmt.Errorf("subscription: truncated range hi on attribute %d", i)
+		}
+		rest = rest[n:]
+		if lo > hi || hi > uint64(schema.MaxValue()) {
+			return fmt.Errorf("subscription: range [%d,%d] invalid for attribute %d", lo, hi, i)
+		}
+		dst.setRangeAt(i, Range{Lo: uint32(lo), Hi: uint32(hi)})
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("subscription: %d trailing bytes", len(rest))
+	}
+	return nil
+}
+
+// AppendBinary appends the event's wire encoding to dst. The event does
+// not know its schema, so the caller supplies it.
+func (e Event) AppendBinary(dst []byte, schema *Schema) ([]byte, error) {
+	if len(e) != schema.NumAttrs() {
+		return dst, fmt.Errorf("subscription: event has %d attributes, schema needs %d", len(e), schema.NumAttrs())
+	}
+	dst = append(dst, wireVersionEvent, byte(len(e)), byte(schema.bits))
 	for _, v := range e {
-		buf = binary.AppendUvarint(buf, uint64(v))
+		dst = binary.AppendUvarint(dst, uint64(v))
+	}
+	return dst, nil
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler for events.
+func (e Event) MarshalBinary(schema *Schema) ([]byte, error) {
+	buf, err := e.AppendBinary(make([]byte, 0, 3+len(e)*binary.MaxVarintLen32), schema)
+	if err != nil {
+		return nil, err
 	}
 	return buf, nil
 }
 
 // UnmarshalEvent decodes an event payload against the given schema.
 func UnmarshalEvent(schema *Schema, data []byte) (Event, error) {
+	e := make(Event, schema.NumAttrs())
+	if err := decodeEvent(schema, data, func(i int, v uint32) { e[i] = v }); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// UnmarshalPointInto decodes an event payload into dst as the degenerate
+// subscription that constrains every attribute to exactly the event's
+// value — its covers are exactly the subscriptions matching the event.
+// Like UnmarshalSubscriptionInto it allocates nothing and leaves dst
+// partially overwritten on error.
+func UnmarshalPointInto(dst *Subscription, data []byte) error {
+	return decodeEvent(dst.schema, data, func(i int, v uint32) { dst.setRangeAt(i, Range{Lo: v, Hi: v}) })
+}
+
+// decodeEvent validates an event payload against schema and hands each
+// attribute's value to set, in declaration order.
+func decodeEvent(schema *Schema, data []byte, set func(i int, v uint32)) error {
 	rest, err := checkHeader(schema, data, wireVersionEvent)
 	if err != nil {
-		return nil, fmt.Errorf("subscription: decoding event: %w", err)
+		return fmt.Errorf("subscription: decoding event: %w", err)
 	}
-	e := make(Event, schema.NumAttrs())
-	for i := range e {
+	for i := 0; i < schema.NumAttrs(); i++ {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return nil, fmt.Errorf("subscription: truncated value on attribute %d", i)
+			return fmt.Errorf("subscription: truncated value on attribute %d", i)
 		}
 		rest = rest[n:]
 		if v > uint64(schema.MaxValue()) {
-			return nil, fmt.Errorf("subscription: value %d out of domain on attribute %d", v, i)
+			return fmt.Errorf("subscription: value %d out of domain on attribute %d", v, i)
 		}
-		e[i] = uint32(v)
+		set(i, uint32(v))
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("subscription: %d trailing bytes", len(rest))
+		return fmt.Errorf("subscription: %d trailing bytes", len(rest))
 	}
-	return e, nil
+	return nil
 }
 
 func checkHeader(schema *Schema, data []byte, version byte) ([]byte, error) {
