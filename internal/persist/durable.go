@@ -281,6 +281,17 @@ func (d *DurableProvider) CoverQueryBatch(subs []*subscription.Subscription) []c
 // The log write is all-or-nothing: a failure rolls every batch insert
 // back out of the wrapped provider and occupies every slot.
 func (d *DurableProvider) AddBatch(subs []*subscription.Subscription) []core.AddResult {
+	// One arena for the batch's payloads, encoded before the provider is
+	// touched so a failure has nothing to roll back; the few slots the
+	// provider then refuses were encoded for nothing and are never logged.
+	payloads, err := subscription.MarshalBatch(subs)
+	if err != nil {
+		out := make([]core.AddResult, len(subs))
+		for i := range out {
+			out[i].Err = err
+		}
+		return out
+	}
 	out := core.AddAll(d.inner, subs)
 	type pending struct {
 		slot    int
@@ -289,16 +300,8 @@ func (d *DurableProvider) AddBatch(subs []*subscription.Subscription) []core.Add
 	}
 	var pendings []pending
 	var batch []record
-	// One arena for the batch's payloads; the few slots the wrapped
-	// provider refused are encoded too and simply never logged.
-	payloads, err := subscription.MarshalBatch(subs)
 	for i := range out {
 		if out[i].Err != nil {
-			continue
-		}
-		if err != nil {
-			d.inner.Remove(out[i].ID) //nolint:errcheck // best-effort rollback of our own insert
-			out[i] = core.AddResult{QueryResult: core.QueryResult{Err: err}}
 			continue
 		}
 		sid := d.assign(out[i].ID)

@@ -103,7 +103,8 @@ type DialConfig struct {
 	// RequestTimeout is the per-operation deadline applied to every
 	// request whose context carries no deadline of its own (0 = none).
 	// Failover-mode callers want one: it bounds how long an op waits for
-	// a reconnection that may never come.
+	// a reconnection that may never come, and — like any context deadline
+	// — for a peer that stopped reading to take the request's frame.
 	RequestTimeout time.Duration
 }
 
@@ -117,7 +118,7 @@ type clientConn struct {
 	conn net.Conn
 	addr string
 
-	w    frameWriter
+	w    *frameWriter
 	done chan struct{} // closed on terminal failure
 	wg   sync.WaitGroup
 
@@ -163,9 +164,10 @@ func (cl *call) release() {
 // frame (callers that are ready together share one flush),
 // and a reader goroutine demultiplexes responses back to their callers —
 // no caller ever waits behind another caller's round trip. Every
-// operation takes a
-// context.Context; cancellation abandons the call (the response, if it
-// ever arrives, is discarded) without disturbing the connection.
+// operation takes a context.Context; cancellation abandons the call (the
+// response, if it ever arrives, is discarded) without disturbing the
+// connection — unless it catches the call's own frame half-written into
+// a socket the peer stopped draining, which no connection survives.
 //
 // With DialConfig.Addrs set the client adds a failover layer: a lost
 // connection is replaced in the background (jittered backoff, cycling
@@ -281,10 +283,10 @@ func (c *Client) dialOne(ctx context.Context, addr string) (*clientConn, error) 
 	cc := &clientConn{
 		conn:    conn,
 		addr:    addr,
+		w:       newFrameWriter(conn),
 		done:    make(chan struct{}),
 		pending: make(map[uint64]*call),
 	}
-	cc.w.bw = bufio.NewWriter(conn)
 	cc.wg.Add(1)
 	go cc.readLoop()
 
@@ -556,10 +558,13 @@ func (cc *clientConn) terminalErr() error {
 // written, so do may reissue the request. Past registration the request
 // counts as possibly sent whatever happens — a failed write fails the
 // connection, and the caller learns of it through cc.done like every
-// other in-flight request.
+// other in-flight request. ctx bounds the write as it bounds the wait for
+// the response: when it ends, send stops waiting for its turn at the
+// socket, and a write blocked in a socket the peer stopped draining is cut
+// short — which, mid-frame, is a failed write.
 //
 //sfc:hotpath
-func (cc *clientConn) send(cl *call) (uint64, error) {
+func (cc *clientConn) send(ctx context.Context, cl *call) (uint64, error) {
 	cc.mu.Lock()
 	if cc.err != nil {
 		err := cc.err
@@ -570,7 +575,7 @@ func (cc *clientConn) send(cl *call) (uint64, error) {
 	id := cc.nextID
 	cc.pending[id] = cl
 	cc.mu.Unlock()
-	if err := cc.w.send(id, cl.tail); err != nil {
+	if err := cc.w.send(ctx, id, cl.tail); err != nil {
 		cc.fail(fmt.Errorf("%w: %v", ErrConnectionLost, err))
 	}
 	return id, nil
@@ -709,7 +714,7 @@ func (c *Client) doConn(ctx context.Context, cc *clientConn, req *Request) (*cal
 	}
 	//sfc:allowclock one clock pair per request is the round-trip histogram's contract: it times every client op exactly
 	t0 := time.Now()
-	id, err := cc.send(cl)
+	id, err := cc.send(ctx, cl)
 	if err != nil {
 		cl.release()
 		return nil, err
@@ -725,9 +730,15 @@ func (c *Client) doConn(ctx context.Context, cc *clientConn, req *Request) (*cal
 	case <-cc.done:
 		// The response may have been delivered just before the failure —
 		// prefer it. Failing that the request was registered, so it may
-		// have reached the server: it fails typed, never reissued.
+		// have reached the server: it fails typed, never reissued. When ctx
+		// has ended too — it may be this op's own write, cut short, that
+		// failed the connection — the op answers to ctx as it would have a
+		// moment earlier.
 		if !cc.abandon(id, cl) {
 			cl.release()
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("sfcd: %s: %w", req.Op, err)
+			}
 			return nil, cc.terminalErr()
 		}
 	}

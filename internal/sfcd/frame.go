@@ -2,14 +2,16 @@ package sfcd
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/bits"
+	"net"
 	"runtime"
 	"slices"
-	"sync"
+	"time"
 )
 
 // frame.go is the protocol's only codec: every frame the client, the
@@ -166,12 +168,17 @@ func readFrame(br *bufio.Reader, dst []byte) ([]byte, error) {
 // uvarintLen is the encoded size of v.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// appendFrame appends one whole frame — length prefix, id, and the tail
-// an appendRequest/appendResponse call produced.
+// appendFrameHeader appends what precedes a frame's tail: the length
+// prefix and the id.
+func appendFrameHeader(dst []byte, id uint64, tailLen int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(uvarintLen(id)+tailLen))
+	return binary.AppendUvarint(dst, id)
+}
+
+// appendFrame appends one whole frame — header, then the tail an
+// appendRequest/appendResponse call produced.
 func appendFrame(dst []byte, id uint64, tail []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(uvarintLen(id)+len(tail)))
-	dst = binary.AppendUvarint(dst, id)
-	return append(dst, tail...)
+	return append(appendFrameHeader(dst, id, len(tail)), tail...)
 }
 
 // writeFrame is appendFrame into a buffered writer: the header is built
@@ -180,9 +187,7 @@ func appendFrame(dst []byte, id uint64, tail []byte) []byte {
 //
 //sfc:hotpath
 func writeFrame(w *bufio.Writer, id uint64, tail []byte) error {
-	hdr := binary.AppendUvarint(w.AvailableBuffer(), uint64(uvarintLen(id)+len(tail)))
-	hdr = binary.AppendUvarint(hdr, id)
-	if _, err := w.Write(hdr); err != nil {
+	if _, err := w.Write(appendFrameHeader(w.AvailableBuffer(), id, len(tail))); err != nil {
 		return err
 	}
 	_, err := w.Write(tail)
@@ -537,28 +542,127 @@ func decodeResult(c *cursor, r *Result) {
 // coalescing mechanism: any other sender that is runnable right now gets
 // to add its frame first, and whichever of them resumes first flushes for
 // all (the rest find the buffer empty). Without it every frame pays its
-// own write syscall, and syscalls are what a wire request costs (measured
-// on the repo benchmark's wire_mixed: 92k ops/s without the yield, 116k
-// with). A frame waits for senders that are ready now, never for work
-// that is still being served.
+// own write syscall, and syscalls are what a wire request costs; flushing
+// when the last in-flight sender leaves instead, with no yield, was
+// measured and lost on every row, the single-caller ones included
+// (EXPERIMENTS.md "Wire codec and flush policy"). A frame waits for
+// senders that are ready now, never for work that is still being served.
+//
+// The lock is a channel rather than a mutex so that a sender can stop
+// waiting for it when its context ends, and a write that reaches the
+// socket runs with the context armed to cut it short (see arm): a peer
+// that stopped draining the connection holds up no caller past its
+// deadline. Servers send under context.Background(), which arms nothing.
 type frameWriter struct {
-	mu sync.Mutex
-	bw *bufio.Writer
+	sem  chan struct{} // capacity 1: holding the token is holding the lock
+	conn net.Conn
+	bw   *bufio.Writer
+	// disarmed hands the end of an armed write to its watcher (see arm);
+	// cutShort is the watcher's word, read after that hand-over, that it
+	// had set a write deadline in the past by then.
+	disarmed chan struct{}
+	cutShort bool
 }
 
-// send writes one frame and flushes it (and whatever joined it).
+func newFrameWriter(conn net.Conn) *frameWriter {
+	return &frameWriter{
+		sem:      make(chan struct{}, 1),
+		conn:     conn,
+		bw:       bufio.NewWriter(conn),
+		disarmed: make(chan struct{}),
+	}
+}
+
+// lock takes the write lock. It reports false, holding nothing, when ctx
+// ended first.
+func (w *frameWriter) lock(ctx context.Context) bool {
+	select {
+	case w.sem <- struct{}{}:
+		return true
+	default:
+	}
+	select {
+	case w.sem <- struct{}{}:
+		if ctx.Err() != nil { // both were ready; do not start a write only to cut it short
+			w.unlock()
+			return false
+		}
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+func (w *frameWriter) unlock() { <-w.sem }
+
+// arm makes the end of ctx fail the socket write the lock holder is about
+// to do, until disarm: a watcher goroutine waits for whichever comes first.
+// A context that cannot end arms nothing.
+func (w *frameWriter) arm(ctx context.Context) (armed bool) {
+	if ctx.Done() == nil {
+		return false
+	}
+	go w.watch(ctx)
+	return true
+}
+
+func (w *frameWriter) watch(ctx context.Context) {
+	select {
+	case <-ctx.Done():
+		w.conn.SetWriteDeadline(time.Unix(1, 0)) //nolint:errcheck // a closed connection fails its writes by itself
+		w.cutShort = true
+		<-w.disarmed
+	case <-w.disarmed:
+	}
+}
+
+// disarm ends what arm began, and if the watcher had fired lifts the
+// deadline it set: a write it caught has failed and takes the connection
+// with it, a write that had already completed leaves the connection as
+// healthy as it was.
+func (w *frameWriter) disarm(armed bool) {
+	if !armed {
+		return
+	}
+	w.disarmed <- struct{}{} // unbuffered: the watcher is done with conn once this returns
+	if w.cutShort {
+		w.cutShort = false
+		w.conn.SetWriteDeadline(time.Time{}) //nolint:errcheck // see watch
+	}
+}
+
+// send writes one frame and flushes it (and whatever joined it). An error
+// is a failed socket write: the stream may hold part of a frame and the
+// connection is finished. A nil return with ctx ended means send gave up
+// waiting for the lock — nothing of the frame was written, or all of it
+// sits in the buffer for the next sender's flush — and the caller, who is
+// watching ctx, abandons the request as it would while waiting for the
+// response.
 //
 //sfc:hotpath
-func (w *frameWriter) send(id uint64, tail []byte) error {
-	w.mu.Lock()
+func (w *frameWriter) send(ctx context.Context, id uint64, tail []byte) error {
+	if !w.lock(ctx) {
+		return nil
+	}
+	armed := false
+	if len(tail)+2*binary.MaxVarintLen64 > w.bw.Available() {
+		armed = w.arm(ctx) // the copy will spill into the socket
+	}
 	err := writeFrame(w.bw, id, tail)
-	w.mu.Unlock()
+	w.disarm(armed)
+	w.unlock()
 	if err != nil {
 		return err
 	}
 	runtime.Gosched()
-	w.mu.Lock()
-	err = w.bw.Flush() // no syscall when another sender already flushed
-	w.mu.Unlock()
+	if !w.lock(ctx) {
+		return nil
+	}
+	if w.bw.Buffered() > 0 { // else another sender already flushed
+		armed = w.arm(ctx)
+		err = w.bw.Flush()
+		w.disarm(armed)
+	}
+	w.unlock()
 	return err
 }

@@ -3,13 +3,16 @@ package sfcd
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"reflect"
 	"runtime"
 	"testing"
 	"testing/iotest"
+	"time"
 	"unsafe"
 )
 
@@ -262,4 +265,45 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFrameWriterInterruptCaughtNothing pins the precise half of the
+// context-bounded write: a context that ends while a sender is armed but
+// not blocked — the interrupt fires, the write had already gone through —
+// leaves the connection usable. Only a write the interrupt actually caught
+// may cost the connection.
+func TestFrameWriterInterruptCaughtNothing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	w := newFrameWriter(conn)
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	w.lock(context.Background())
+	w.disarm(w.arm(ended)) // fires at once; disarm waits it out and lifts its deadline
+	w.unlock()
+
+	tail := appendRequest(nil, &Request{Op: OpPing})
+	if err := w.send(context.Background(), 7, tail); err != nil {
+		t.Fatalf("send after a spent interrupt = %v, want the connection intact", err)
+	}
+	var req Request
+	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	frame, err := readFrame(bufio.NewReader(peer), nil)
+	if err != nil || decodeRequest(frame, &req) != nil || req.ID != 7 || req.Op != OpPing {
+		t.Fatalf("peer read %+v, %v; want ping 7", req, err)
+	}
 }

@@ -247,6 +247,14 @@ func TestRefuseSlowLorisDoesNotStallAccept(t *testing.T) {
 	if err := c1.Ping(bg); err != nil {
 		t.Fatalf("served connection unhealthy after refusal storm: %v", err)
 	}
+
+	// A mute dialer is still told why, once the wait for its hello runs out.
+	var resp Response
+	mutes[0].SetReadDeadline(time.Now().Add(5 * time.Second))
+	frame, err := readFrame(bufio.NewReader(mutes[0]), nil)
+	if err != nil || decodeResponse(frame, &resp) != nil || resp.ID != 0 || resp.Code != CodeConnLimit {
+		t.Fatalf("mute over-limit dialer read %+v, %v; want a connection-level %s frame", resp, err, CodeConnLimit)
+	}
 }
 
 // TestHostileFramesRefused drives every way a peer can lie in a frame
@@ -336,5 +344,93 @@ func TestHostileLengthsAllocateNothing(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("refusing a hostile %s count allocates %.1f times", op, allocs)
 		}
+	}
+}
+
+// stalledPeer accepts one connection, answers its hello and then never
+// reads again: everything the client writes afterwards piles up in the
+// socket buffers until its writes block.
+func stalledPeer(t *testing.T, schema *subscription.Schema) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		t.Cleanup(func() { conn.Close() })
+		var req Request
+		frame, err := readFrame(bufio.NewReader(conn), nil)
+		if err != nil || decodeRequest(frame, &req) != nil {
+			return
+		}
+		hello := Response{Op: OpHello, OK: true, Bits: schema.Bits(), Attrs: schema.Attrs(), Shards: 1, Role: RolePrimary}
+		conn.Write(appendFrame(nil, req.ID, appendResponse(nil, &hello))) //nolint:errcheck // the client's dial fails the test if this did
+	}()
+	return ln.Addr().String()
+}
+
+// TestStalledPeerCannotOutlastContext pins that a caller's context bounds
+// the whole op, the frame write included: against a peer that stopped
+// draining the connection, callers whose multi-megabyte frames fill the
+// socket buffers and block mid-write still return when their deadline
+// passes or their context is cancelled — typed, and every one of them, the
+// ones queued behind the blocked writer too.
+func TestStalledPeerCannotOutlastContext(t *testing.T) {
+	schema := coretest.Schema()
+	sub := subscription.New(schema)
+	batch := make([]*subscription.Subscription, 400_000) // ~5 MB a frame
+	for i := range batch {
+		batch[i] = sub
+	}
+	cases := []struct {
+		name    string
+		timeout time.Duration // DialConfig.RequestTimeout
+		cancel  bool          // cancel the callers' context after 200ms
+		want    error
+	}{
+		{"request timeout", 300 * time.Millisecond, false, context.DeadlineExceeded},
+		{"cancellation", 0, true, context.Canceled},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := DialContext(bg, DialConfig{Addr: stalledPeer(t, schema), Schema: schema, RequestTimeout: tc.timeout})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ctx, cancel := context.WithCancel(bg)
+			defer cancel()
+			if tc.cancel {
+				time.AfterFunc(200*time.Millisecond, cancel)
+			}
+			const callers = 8 // 40 MB between them: past any loopback buffer
+			errs := make(chan error, callers)
+			for i := 0; i < callers; i++ {
+				go func() {
+					_, err := c.QueryBatch(ctx, batch)
+					errs <- err
+				}()
+			}
+			sawWant := false
+			for i := 0; i < callers; i++ {
+				select {
+				case err := <-errs:
+					if !errors.Is(err, tc.want) && !errors.Is(err, ErrConnectionLost) {
+						t.Fatalf("op against a stalled peer = %v, want %v or ErrConnectionLost", err, tc.want)
+					}
+					sawWant = sawWant || errors.Is(err, tc.want)
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%d of %d ops still blocked 10s after their context ended", callers-i, callers)
+				}
+			}
+			if !sawWant {
+				t.Fatalf("no op reported %v", tc.want)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package sfcd
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -323,11 +324,11 @@ func (s *Server) acceptLoop(ln net.Listener) error {
 			// here can never race a Wait that already observed zero.
 			s.wg.Add(1)
 			s.mu.Unlock()
-			// Off the accept loop: refuse waits (bounded) for the client's
+			// Off the accept loop: the refusal waits (bounded) for the client's
 			// hello, and a dialer that sends nothing must not stall accepts.
 			go func() {
 				defer s.wg.Done()
-				refuse(conn, s.scfg.MaxConns)
+				refuseOverLimit(conn, s.scfg.MaxConns)
 			}()
 			continue
 		}
@@ -341,26 +342,17 @@ func (s *Server) acceptLoop(ln net.Listener) error {
 	}
 }
 
-// refuse answers an over-limit connection with one clean connection-level
-// error frame (id 0) and closes it, so clients fail with a diagnosis
-// instead of a dropped connection. It consumes the client's first frame
-// (the hello) before closing: closing with unread data in the receive
-// buffer provokes a TCP reset that can discard the error frame before
-// the client reads it.
-func refuse(conn net.Conn, limit int) {
-	defer conn.Close()
-	deadline := time.Now().Add(time.Second)
-	conn.SetWriteDeadline(deadline)
-	frame := Response{
-		OK:    false,
-		Code:  CodeConnLimit,
-		Error: fmt.Sprintf("connection limit %d reached", limit),
-	}
-	if _, err := conn.Write(appendFrame(nil, 0, appendResponse(nil, &frame))); err != nil {
-		return
-	}
-	conn.SetReadDeadline(deadline)
+// refuseOverLimit answers an over-limit connection with one clean
+// connection-level conn_limit frame and closes it, so clients fail with a
+// diagnosis instead of a dropped connection. It consumes the client's
+// first frame (the hello) first, for at most a second: closing with unread
+// data in the receive buffer provokes a TCP reset that can discard the
+// error frame before the client reads it.
+func refuseOverLimit(conn net.Conn, limit int) {
+	conn.SetReadDeadline(time.Now().Add(time.Second))
 	readFrame(bufio.NewReaderSize(conn, 4<<10), nil) //nolint:errcheck // drain the hello, best effort
+	conn.SetWriteDeadline(time.Now().Add(time.Second))
+	newFrameWriter(conn).refuse(CodeConnLimit, fmt.Sprintf("connection limit %d reached", limit))
 }
 
 // Close stops the listener, drops every open connection, waits for the
@@ -411,7 +403,7 @@ func (s *Server) dropConn(conn net.Conn) {
 // follower sends nothing after its replicate frame, which is not idleness).
 type connState struct {
 	conn       net.Conn
-	w          frameWriter
+	w          *frameWriter
 	readerGone chan struct{}
 	streaming  atomic.Bool
 }
@@ -422,22 +414,22 @@ type connState struct {
 //
 //sfc:hotpath
 func (cs *connState) send(id uint64, tail []byte) {
-	if err := cs.w.send(id, tail); err != nil {
+	if err := cs.w.send(context.Background(), id, tail); err != nil {
 		cs.conn.Close()
 	}
 }
 
-// refuse sends a connection-level (id 0) bad_request frame and closes
-// the connection under the writer's lock, so the frame is the last thing
-// the peer reads, as the protocol promises.
-func (cs *connState) refuse(msg string) {
-	tail := appendResponse(nil, &Response{OK: false, Code: CodeBadRequest, Error: msg})
-	cs.w.mu.Lock()
-	if writeFrame(cs.w.bw, 0, tail) == nil {
-		cs.w.bw.Flush() //nolint:errcheck // the connection dies either way
+// refuse sends a connection-level (id 0) error frame and closes the
+// connection under the writer's lock, so the frame is the last thing the
+// peer reads, as the protocol promises.
+func (w *frameWriter) refuse(code, msg string) {
+	tail := appendResponse(nil, &Response{OK: false, Code: code, Error: msg})
+	w.lock(context.Background())
+	if writeFrame(w.bw, 0, tail) == nil {
+		w.bw.Flush() //nolint:errcheck // the connection dies either way
 	}
-	cs.conn.Close()
-	cs.w.mu.Unlock()
+	w.conn.Close()
+	w.unlock()
 }
 
 // reqScratch is everything one request needs between its frame leaving
@@ -477,8 +469,7 @@ func (s *Server) release(sc *reqScratch) {
 // sits between a finished handler and the socket.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.dropConn(conn)
-	cs := &connState{conn: conn, readerGone: make(chan struct{})}
-	cs.w.bw = bufio.NewWriter(conn)
+	cs := &connState{conn: conn, w: newFrameWriter(conn), readerGone: make(chan struct{})}
 	br := bufio.NewReaderSize(conn, 64<<10)
 
 	frames := make(chan *reqScratch) // unbuffered: a send means a worker has it
@@ -493,7 +484,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			// protocol replaced; read as a length it would leave the daemon
 			// waiting for 123 bytes. Tell it what happened instead.
 			if b, err := br.Peek(1); err == nil && b[0] == '{' {
-				cs.refuse("this daemon speaks length-prefixed binary frames, not newline-delimited JSON")
+				cs.w.refuse(CodeBadRequest, "this daemon speaks length-prefixed binary frames, not newline-delimited JSON")
 				break
 			}
 		}
@@ -502,7 +493,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if sc.frame, err = readFrame(br, sc.frame); err != nil {
 			s.release(sc)
 			if errors.Is(err, errFrameTooLarge) || errors.Is(err, errEmptyFrame) {
-				cs.refuse("malformed frame: " + err.Error())
+				cs.w.refuse(CodeBadRequest, "malformed frame: "+err.Error())
 			}
 			break
 		}
@@ -545,7 +536,7 @@ func (s *Server) handleFrame(sc *reqScratch, cs *connState) {
 	case err == errUnknownOp:
 		*resp = unknownOp(req.Op)
 	case err != nil:
-		cs.refuse("malformed request: " + err.Error())
+		cs.w.refuse(CodeBadRequest, "malformed request: "+err.Error())
 		return
 	case req.Op == OpReplicate:
 		// The one streaming op: many response frames per request, open
