@@ -561,12 +561,12 @@ func BenchmarkEngineAddBatch(b *testing.B) {
 	e.Close()
 }
 
-// BenchmarkEngineAddBatchCold measures the cold-start bulk-load path:
-// one AddBatch carrying the whole population into a fresh engine, so the
-// shard-grouped insert (one stripe+slice lock round trip per shard
+// BenchmarkEngineAddBatchColdPrefix measures the cold-start bulk-load
+// path: one AddBatch carrying the whole population into a fresh engine, so
+// the shard-grouped insert (one stripe+slice lock round trip per shard
 // instead of one per item) dominates the profile. ns/op is per inserted
 // subscription.
-func benchEngineAddBatchCold(b *testing.B, part engine.Partition) {
+func BenchmarkEngineAddBatchColdPrefix(b *testing.B) {
 	parents, _ := engineBenchWorkload(b)
 	cfg := engineBenchCfg
 	cfg.Schema = parents[0].Schema()
@@ -574,7 +574,7 @@ func benchEngineAddBatchCold(b *testing.B, part engine.Partition) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += len(parents) {
 		b.StopTimer()
-		e := engine.MustNew(engine.Config{Detector: cfg, Shards: 8, Partition: part})
+		e := engine.MustNew(engine.Config{Detector: cfg, Shards: 8})
 		n := min(len(parents), b.N-i)
 		b.StartTimer()
 		for _, r := range e.AddBatch(parents[:n]) {
@@ -586,11 +586,6 @@ func benchEngineAddBatchCold(b *testing.B, part engine.Partition) {
 		e.Close()
 		b.StartTimer()
 	}
-}
-
-func BenchmarkEngineAddBatchColdHash(b *testing.B) { benchEngineAddBatchCold(b, engine.PartitionHash) }
-func BenchmarkEngineAddBatchColdPrefix(b *testing.B) {
-	benchEngineAddBatchCold(b, engine.PartitionPrefix)
 }
 
 // --- Rebalancing benchmarks -------------------------------------------
@@ -724,8 +719,8 @@ func BenchmarkSkewedQueryRebalanceOn(b *testing.B)  { benchSkewedQuery(b, true) 
 // BenchmarkBrokerChurn* measure subscription-churn throughput through the
 // overlay simulation — subscribe, propagate, then unsubscribe (exercising
 // the covered-set resubscription path) — with the per-link detection
-// backend as the variable: single detector versus the two engine
-// backends. ns/op is per churn operation (one subscribe or unsubscribe,
+// backend as the variable: single detector versus the engine backend.
+// ns/op is per churn operation (one subscribe or unsubscribe,
 // drained).
 func benchBrokerChurn(b *testing.B, backend broker.Backend) {
 	schema := subscription.MustSchema(10, "topic", "price")
@@ -780,7 +775,6 @@ func benchBrokerChurn(b *testing.B, backend broker.Backend) {
 }
 
 func BenchmarkBrokerChurnDetector(b *testing.B)     { benchBrokerChurn(b, broker.BackendDetector) }
-func BenchmarkBrokerChurnEngineHash(b *testing.B)   { benchBrokerChurn(b, broker.BackendEngineHash) }
 func BenchmarkBrokerChurnEnginePrefix(b *testing.B) { benchBrokerChurn(b, broker.BackendEnginePrefix) }
 
 // --- Daemon client benchmarks -----------------------------------------

@@ -4,8 +4,8 @@
 // propagated, suppression counts and event traffic.
 //
 // The -backend flag selects the per-link covering provider: a single
-// detector, a hash-sharded engine, or a curve-prefix engine — all running
-// the identical routing protocol.
+// detector, a sharded engine, or namespaces on a shared sfcd daemon — all
+// running the identical routing protocol.
 //
 // Example:
 //
@@ -72,10 +72,10 @@ func main() {
 	flag.Float64Var(&p.width, "width", 0.3, "mean subscription width as a fraction of the domain")
 	flag.StringVar(&p.dist, "dist", "uniform", "value distribution: uniform | zipf | clustered | hotspot")
 	flag.Int64Var(&p.seed, "seed", 1, "workload seed")
-	flag.StringVar(&p.backend, "backend", "detector", "per-link provider: detector | engine-hash | engine-prefix | remote")
+	flag.StringVar(&p.backend, "backend", "detector", "per-link provider: detector | engine-prefix | remote")
 	flag.StringVar(&p.daemon, "daemon", "", "sfcd daemon address for -backend remote; \"local\" spins an in-process daemon so the whole overlay shares one index service; \"local-ha\" spins a replicated primary+follower pair with client-side failover")
 	flag.IntVar(&p.failover, "failover-round", 0, "kill the primary daemon and promote the follower at the start of this churn round (needs -daemon local-ha; 0 = never)")
-	flag.IntVar(&p.shards, "shards", 0, "per-link engine shard count (engine backends; 0 = default)")
+	flag.IntVar(&p.shards, "shards", 0, "per-link engine shard count (engine-prefix backend; 0 = default)")
 	flag.IntVar(&p.batch, "batch", 0, "covered-set re-forward probe batch size (0 = whole set)")
 	flag.Float64Var(&p.churn, "churn", 0.25, "fraction of the remaining subscriptions withdrawn per churn round")
 	flag.IntVar(&p.rounds, "churn-rounds", 1, "churn+publish rounds; each withdraws -churn of the remaining subscriptions, republishes the event batch and reports delivery-latency percentiles")

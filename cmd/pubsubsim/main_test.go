@@ -37,16 +37,14 @@ func TestRunAllModesAndTopologies(t *testing.T) {
 	}
 }
 
-func TestRunEngineBackends(t *testing.T) {
-	for _, backend := range []string{"engine-hash", "engine-prefix"} {
-		p := base()
-		p.brokers, p.nSubs = 5, 30
-		p.mode, p.eps, p.maxCubes = "approx", 0.3, 2000
-		p.backend, p.shards, p.batch = backend, 2, 8
-		p.churn, p.rounds = 0.5, 3
-		if _, err := run(p); err != nil {
-			t.Errorf("backend %s: %v", backend, err)
-		}
+func TestRunEngineBackend(t *testing.T) {
+	p := base()
+	p.brokers, p.nSubs = 5, 30
+	p.mode, p.eps, p.maxCubes = "approx", 0.3, 2000
+	p.backend, p.shards, p.batch = "engine-prefix", 2, 8
+	p.churn, p.rounds = 0.5, 3
+	if _, err := run(p); err != nil {
+		t.Errorf("backend engine-prefix: %v", err)
 	}
 }
 
@@ -69,6 +67,7 @@ func TestRunRejectsBadArguments(t *testing.T) {
 		"epsilon out of range": func(p *params) { p.mode = "approx"; p.eps = 7 },
 		"unknown distribution": func(p *params) { p.dist = "bimodal" },
 		"unknown backend":      func(p *params) { p.backend = "quantum" },
+		"retired hash backend": func(p *params) { p.backend = "engine-hash" },
 		"remote sans daemon":   func(p *params) { p.backend = "remote" },
 		"churn out of range":   func(p *params) { p.churn = 1.5 },
 		"zero churn rounds":    func(p *params) { p.rounds = 0 },

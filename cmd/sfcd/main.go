@@ -1,12 +1,12 @@
 // Command sfcd serves covering detection over the network: a sharded,
-// concurrent detection engine behind the sfcd line protocol
-// (newline-delimited JSON over TCP, subscriptions and events in the binary
-// wire format).
+// concurrent detection engine behind the sfcd protocol (length-prefixed
+// binary frames over TCP, subscriptions and events in the binary wire
+// format).
 //
 // Usage:
 //
 //	sfcd -addr :7421 -attrs volume,price -bits 10 \
-//	     -mode approx -epsilon 0.3 -shards 8 -partition prefix \
+//	     -mode approx -epsilon 0.3 -shards 8 \
 //	     -data-dir /var/lib/sfcd -snapshot-interval 5m
 //
 // With -data-dir the daemon's subscription state (the shared engine and
@@ -22,10 +22,8 @@
 //
 //	sfcd -addr :7422 -data-dir /var/lib/sfcd-b -follow primary:7421
 //
-// A quick session with netcat:
-//
-//	$ echo '{"id":1,"op":"hello"}' | nc localhost 7421
-//	{"id":1,"ok":true,"bits":10,"attrs":["volume","price"],...}
+// Frames are not meant to be typed by hand; drive the daemon through
+// sfcd.Dial (examples/daemon is a complete session).
 package main
 
 import (
@@ -69,7 +67,6 @@ type options struct {
 	decompCache       int
 	adaptiveBudget    bool
 	shards            int
-	partition         string
 	workers           int
 	seed              int64
 	trackCovered      bool
@@ -109,7 +106,6 @@ func buildConfig(o options) (engine.Config, error) {
 			TrackCovered:    o.trackCovered,
 		},
 		Shards:             o.shards,
-		Partition:          engine.Partition(o.partition),
 		Workers:            o.workers,
 		RebalanceThreshold: o.rebalanceThresh,
 		RebalanceInterval:  o.rebalanceInterval,
@@ -196,15 +192,12 @@ func validateServeOptions(so serveOptions) error {
 	return nil
 }
 
-// run is main minus the process: flags parse from args, diagnostics go to
-// stderr, and the exit code is returned instead of os.Exit'd, so tests
-// can drive every flag-validation path. Exit code 2 marks a usage error,
-// 1 a runtime failure.
-func run(args []string, stderr io.Writer) int {
+// newFlagSet registers the daemon's whole flag surface, bound to so and o.
+// TestFlagSurface pins the registered names, so a knob cannot arrive or
+// leave without the diff saying so.
+func newFlagSet(so *serveOptions, o *options, stderr io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet("sfcd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var so serveOptions
-	var o options
 	fs.StringVar(&so.addr, "addr", ":7421", "TCP listen address")
 	fs.StringVar(&so.metricsAddr, "metrics-addr", "", "HTTP listen address for Prometheus /metrics (empty = disabled)")
 	fs.IntVar(&so.maxConns, "max-conns", 0, "max concurrently open client connections (0 = unlimited); excess dials get a clean conn_limit error frame")
@@ -221,24 +214,34 @@ func run(args []string, stderr io.Writer) int {
 	fs.IntVar(&o.bits, "bits", 10, "per-attribute resolution in bits (1..16)")
 	fs.StringVar(&o.mode, "mode", "approx", "detection mode: off, exact or approx")
 	fs.Float64Var(&o.epsilon, "epsilon", 0.3, "approximation parameter (0 < eps < 1, approx mode)")
-	fs.StringVar(&o.strategy, "strategy", "sfc", "search backend: sfc, linear or kdtree")
+	fs.StringVar(&o.strategy, "strategy", "sfc", "search backend: sfc, or linear (exact-mode store scan)")
 	fs.StringVar(&o.curve, "curve", "", "space filling curve: z (default), hilbert, gray or onion")
 	fs.StringVar(&o.array, "array", "", "ordered structure: treap (default) or skiplist")
 	fs.IntVar(&o.maxCubes, "maxcubes", daemonMaxCubes, "per-query probe budget (-1 = unlimited)")
 	fs.IntVar(&o.decompCache, "decomp-cache", 0, "decomposition cache size in entries (0 = default, -1 = disabled); hits replay memoized probe orders bit-identically")
 	fs.BoolVar(&o.adaptiveBudget, "adaptive-budget", false, "derive each query's effective epsilon and cube cap from observed workload statistics (configured values become floor/ceiling)")
 	fs.IntVar(&o.shards, "shards", 0, "shard count (0 = default)")
-	fs.StringVar(&o.partition, "partition", "prefix", "partition strategy: prefix (shared-decomposition plan) or hash")
 	fs.IntVar(&o.workers, "workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	fs.Int64Var(&o.seed, "seed", 1, "index randomization seed")
 	fs.BoolVar(&o.trackCovered, "track-covered", false,
 		"maintain the mirrored index that serves the \"covered\" op in approx mode (exact mode serves it regardless)")
 	fs.Float64Var(&o.rebalanceThresh, "rebalance-threshold", 0,
-		"occupancy skew ratio arming the online slice rebalancer (must exceed 1; 0 = background rebalancing off; prefix partition only)")
+		"occupancy skew ratio arming the online slice rebalancer (must exceed 1; 0 = background rebalancing off)")
 	fs.DurationVar(&o.rebalanceInterval, "rebalance-interval", 0,
 		"background rebalancer poll period (0 = engine default)")
 	fs.IntVar(&o.rebalanceMaxMoves, "rebalance-max-moves", 0,
 		"boundary moves allowed per rebalance pass, the migration-rate cap (0 = 2x shards)")
+	return fs
+}
+
+// run is main minus the process: flags parse from args, diagnostics go to
+// stderr, and the exit code is returned instead of os.Exit'd, so tests
+// can drive every flag-validation path. Exit code 2 marks a usage error,
+// 1 a runtime failure.
+func run(args []string, stderr io.Writer) int {
+	var so serveOptions
+	var o options
+	fs := newFlagSet(&so, &o, stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

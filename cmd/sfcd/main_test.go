@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +21,7 @@ import (
 func defaultOptions() options {
 	return options{
 		attrs: "volume,price", bits: 10, mode: "approx", epsilon: 0.3,
-		strategy: "sfc", partition: "hash", seed: 1,
+		strategy: "sfc", seed: 1,
 	}
 }
 
@@ -221,6 +223,8 @@ func TestRunRejectsBadFlagCombinations(t *testing.T) {
 		{"bad-mode", []string{"-mode", "psychic"}},
 		{"bad-epsilon", []string{"-epsilon", "1.5"}},
 		{"unknown-flag", []string{"-no-such-flag"}},
+		{"retired-partition-flag", []string{"-partition", "hash"}},
+		{"kdtree-strategy", []string{"-mode", "exact", "-strategy", "kdtree"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -232,6 +236,27 @@ func TestRunRejectsBadFlagCombinations(t *testing.T) {
 				t.Fatal("usage error must explain itself on stderr")
 			}
 		})
+	}
+}
+
+// TestFlagSurface pins the daemon's registered flag names against a golden
+// list: a knob cannot be added or retired without editing this slice, so
+// the option surface shows up in review as a diff of its own.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"adaptive-budget", "addr", "array", "attrs", "bits", "curve",
+		"data-dir", "decomp-cache", "epsilon", "follow", "log-level",
+		"max-conns", "maxcubes", "metrics-addr", "mode", "read-timeout",
+		"rebalance-interval", "rebalance-max-moves", "rebalance-threshold",
+		"seed", "shards", "slow-log-size", "slow-query", "snapshot-interval",
+		"strategy", "track-covered", "wal-sync", "wal-sync-interval", "workers",
+	}
+	var got []string
+	newFlagSet(new(serveOptions), new(options), io.Discard).VisitAll(func(f *flag.Flag) {
+		got = append(got, f.Name) // VisitAll walks in lexical order
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("flag surface changed (%d flags, golden has %d):\n got %q\nwant %q", len(got), len(want), got, want)
 	}
 }
 

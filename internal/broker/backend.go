@@ -20,10 +20,8 @@ const (
 	// BackendDetector (the default) backs each link with a single-lock
 	// core.Detector.
 	BackendDetector Backend = "detector"
-	// BackendEngineHash backs each link with a hash-sharded engine.
-	BackendEngineHash Backend = "engine-hash"
-	// BackendEnginePrefix backs each link with a curve-prefix sharded
-	// engine (the shared-decomposition plan under the SFC strategy).
+	// BackendEnginePrefix backs each link with a sharded engine (key
+	// slices of the curve, one shared decomposition per query).
 	BackendEnginePrefix Backend = "engine-prefix"
 	// BackendRemote backs every link with an isolated namespace on one
 	// shared sfcd daemon (Config.DaemonAddr) or a replicated daemon
@@ -61,7 +59,7 @@ type providerSource struct {
 // durable store behind the in-process backends.
 func newProviderSource(cfg Config) (*providerSource, error) {
 	switch cfg.Backend {
-	case "", BackendDetector, BackendEngineHash, BackendEnginePrefix:
+	case "", BackendDetector, BackendEnginePrefix:
 		ps := &providerSource{cfg: cfg}
 		if cfg.DataDir != "" {
 			store, err := persist.Open(cfg.DataDir, cfg.Schema, persist.Options{})
@@ -144,15 +142,10 @@ func (ps *providerSource) forwarded(brokerID, neighborID int, seed int64) (core.
 	case "", BackendDetector:
 		p, err := core.New(dc)
 		return ps.durable(link, p, err)
-	default: // BackendEngineHash, BackendEnginePrefix (validated in newProviderSource)
-		part := engine.PartitionHash
-		if cfg.Backend == BackendEnginePrefix {
-			part = engine.PartitionPrefix
-		}
+	default: // BackendEnginePrefix (validated in newProviderSource)
 		p, err := engine.New(engine.Config{
 			Detector:           dc,
 			Shards:             cfg.Shards,
-			Partition:          part,
 			Workers:            brokerEngineWorkers,
 			RebalanceThreshold: cfg.RebalanceThreshold,
 			RebalanceInterval:  cfg.RebalanceInterval,

@@ -9,7 +9,7 @@ import (
 	"sfccover/internal/subscription"
 )
 
-var allBackends = []Backend{BackendDetector, BackendEngineHash, BackendEnginePrefix}
+var allBackends = []Backend{BackendDetector, BackendEnginePrefix}
 
 func TestBackendValidation(t *testing.T) {
 	cfg := Config{Schema: testSchema(), Mode: core.ModeExact, Backend: "quantum"}
@@ -36,7 +36,7 @@ func eventsEqual(a, b []subscription.Event) bool {
 
 // TestBackendsDeliverIdentically pins the acceptance property: for every
 // topology/mode combination, event deliveries are bit-identical between
-// the single-detector backend and both engine backends — including after
+// the single-detector backend and the engine backend — including after
 // covering-subscription removal, which the workload exercises both via
 // its random unsubscribes and via a planted wide-cover withdrawal.
 func TestBackendsDeliverIdentically(t *testing.T) {
@@ -323,21 +323,17 @@ func TestConcurrentEngineBackend(t *testing.T) {
 	const nClients = 6
 	ops := genWorkload(schema, 11, 80, nClients)
 	want := phasedOracle(ops, nClients)
-	for _, backend := range []Backend{BackendEngineHash, BackendEnginePrefix} {
-		t.Run(string(backend), func(t *testing.T) {
-			got, m := runConcurrentPhased(t, Config{
-				Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 2000,
-				Backend: backend, Shards: 2, BatchSize: 8,
-			}, BalancedTree(7), ops, nClients)
-			if m.ProtocolErrors != 0 {
-				t.Fatalf("protocol errors: %d", m.ProtocolErrors)
-			}
-			for c := range want {
-				if eventMultiset(got[c]) != eventMultiset(want[c]) {
-					t.Fatalf("client %d delivery multiset differs from oracle", c)
-				}
-			}
-		})
+	got, m := runConcurrentPhased(t, Config{
+		Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 2000,
+		Backend: BackendEnginePrefix, Shards: 2, BatchSize: 8,
+	}, BalancedTree(7), ops, nClients)
+	if m.ProtocolErrors != 0 {
+		t.Fatalf("protocol errors: %d", m.ProtocolErrors)
+	}
+	for c := range want {
+		if eventMultiset(got[c]) != eventMultiset(want[c]) {
+			t.Fatalf("client %d delivery multiset differs from oracle", c)
+		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"sfccover/internal/dominance"
-	"sfccover/internal/obs"
 	"sfccover/internal/subscription"
 )
 
@@ -364,13 +363,6 @@ func (d *Detector) Subscription(id uint64) (*subscription.Subscription, bool) {
 // configured mode. The returned stats are zero-valued for non-SFC
 // strategies and for ModeOff.
 func (d *Detector) FindCover(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error) {
-	return d.FindCoverTraced(s, nil)
-}
-
-// FindCoverTraced is FindCover with an optional trace record threaded
-// into the index search, which then appends its stage timings and
-// samples probe latencies. tr may be nil (the hot path).
-func (d *Detector) FindCoverTraced(s *subscription.Subscription, tr *obs.QueryTrace) (id uint64, found bool, stats dominance.Stats, err error) {
 	if s.Schema() != d.cfg.Schema {
 		return 0, false, stats, fmt.Errorf("core: subscription schema differs from detector schema")
 	}
@@ -380,10 +372,10 @@ func (d *Detector) FindCoverTraced(s *subscription.Subscription, tr *obs.QueryTr
 	case ModeOff:
 		return 0, false, stats, nil
 	case ModeApprox:
-		id, found, stats, err = d.sfc.QueryTraced(s.Point(), d.cfg.Epsilon, tr)
+		id, found, stats, err = d.sfc.Query(s.Point(), d.cfg.Epsilon)
 	default: // ModeExact
 		if d.sfc != nil {
-			id, found, stats, err = d.sfc.QueryTraced(s.Point(), 0, tr)
+			id, found, stats, err = d.sfc.Query(s.Point(), 0)
 		} else {
 			id, found = d.exact.QueryDominating(s.Point())
 		}
@@ -408,12 +400,6 @@ func (d *Detector) FindCoverTraced(s *subscription.Subscription, tr *obs.QueryTr
 // guarantee applies: a reported subscription is genuinely covered, misses
 // are possible.
 func (d *Detector) FindCovered(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error) {
-	return d.FindCoveredTraced(s, nil)
-}
-
-// FindCoveredTraced is FindCovered with an optional trace record; see
-// FindCoverTraced. tr may be nil.
-func (d *Detector) FindCoveredTraced(s *subscription.Subscription, tr *obs.QueryTrace) (id uint64, found bool, stats dominance.Stats, err error) {
 	if s.Schema() != d.cfg.Schema {
 		return 0, false, stats, fmt.Errorf("core: subscription schema differs from detector schema")
 	}
@@ -437,7 +423,7 @@ func (d *Detector) FindCoveredTraced(s *subscription.Subscription, tr *obs.Query
 	if d.mirror == nil {
 		return 0, false, stats, fmt.Errorf("core: approximate FindCovered requires Config.TrackCovered")
 	}
-	id, found, stats, err = d.mirror.QueryTraced(d.mirrorPoint(s.Point()), d.cfg.Epsilon, tr)
+	id, found, stats, err = d.mirror.Query(d.mirrorPoint(s.Point()), d.cfg.Epsilon)
 	if err != nil {
 		return 0, false, stats, err
 	}

@@ -26,16 +26,19 @@ func Schema() *subscription.Schema {
 // providers produced by build. Each subtest gets its own fresh provider;
 // build must return an empty provider in core.ModeExact on the given
 // schema (exact mode makes every outcome deterministic, so the same
-// assertions hold for any backing index). Providers are closed by the
-// suite.
+// assertions hold for any backing index). A core.ModeApprox provider with
+// TrackCovered is accepted too: the battery's covering queries have
+// regions small enough that an ε-search finds them, and the one reverse
+// query whose region is not is then held to the approximation contract —
+// it may miss, it may not misreport. Providers are closed by the suite.
 func RunProviderConformance(t *testing.T, schema *subscription.Schema, build func(t *testing.T) core.Provider) {
 	t.Helper()
 	fresh := func(t *testing.T) core.Provider {
 		t.Helper()
 		p := build(t)
 		t.Cleanup(p.Close)
-		if p.Mode() != core.ModeExact {
-			t.Fatalf("conformance providers must run ModeExact, got %v", p.Mode())
+		if p.Mode() == core.ModeOff {
+			t.Fatalf("conformance providers must run ModeExact or ModeApprox, got %v", p.Mode())
 		}
 		if p.Len() != 0 {
 			t.Fatalf("conformance providers must start empty, got Len %d", p.Len())
@@ -136,7 +139,7 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 			t.Fatal(err)
 		}
 		id, found, _, err := p.FindCovered(wide)
-		if err != nil || !found || id != nid {
+		if err != nil || found && id != nid || !found && p.Mode() == core.ModeExact {
 			t.Fatalf("FindCovered(wide) = (%d,%v,%v), want (%d,true,nil)", id, found, err, nid)
 		}
 		if _, found, _, err := p.FindCovered(uncovered); err != nil || found {

@@ -157,8 +157,8 @@ type Enumerator interface {
 // indexed, never what any query returns.
 type Rebalancer interface {
 	// Rebalance runs one bounded rebalance pass and reports what moved.
-	// Providers whose current configuration cannot rebalance (hash
-	// partitions are balanced by construction) return
+	// Wrappers whose inner provider has no movable boundaries (a durable
+	// or remote provider over a single Detector) return
 	// ErrRebalanceUnsupported.
 	Rebalance() (RebalanceResult, error)
 }

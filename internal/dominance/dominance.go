@@ -22,7 +22,6 @@ import (
 	"sort"
 
 	"sfccover/internal/bits"
-	"sfccover/internal/obs"
 	"sfccover/internal/sfc"
 	"sfccover/internal/sfcarray"
 )
@@ -119,9 +118,6 @@ type Index struct {
 	cfg   Config
 	curve sfc.Curve
 	arr   sfcarray.Index
-	// probeHist, when set via SetObserver, receives sampled run-probe
-	// latencies.
-	probeHist *obs.Histogram
 	// rawProbe is the array's range probe bound once at construction:
 	// binding it per query would allocate a method value on every call.
 	rawProbe probeFn
@@ -239,5 +235,33 @@ func (x *Index) QueryDominating(q []uint32) (uint64, bool) {
 	return id, ok
 }
 
-// Query is defined in traced.go: it delegates to QueryTraced with a
-// nil trace record.
+// Query answers a point dominance query at q. eps == 0 requests an
+// exhaustive search (Problem 1); 0 < eps < 1 requests an ε-approximate
+// search (Problem 2) that truncates the query region per Lemma 3.2 and
+// probes cubes largest-first, stopping as soon as a point is found or
+// the searched volume reaches (1−ε) of the query region. A single Index
+// is never traced; tracing lives on ShardedIndex.QueryTraced.
+//
+//sfc:hotpath
+func (x *Index) Query(q []uint32, eps float64) (uint64, bool, Stats, error) {
+	if len(q) != x.cfg.Dims {
+		return 0, false, Stats{}, errDims(len(q), x.cfg.Dims)
+	}
+	if eps < 0 || eps >= 1 {
+		return 0, false, Stats{}, errEps(eps)
+	}
+	sc := &x.scratch
+	sc.stats = Stats{}
+	stats := &sc.stats
+	region := sc.region(q, x.cfg.Bits)
+	stats.AspectRatio = region.AspectRatio()
+	maxCubes := x.cfg.MaxCubes
+	if x.budget != nil {
+		eps, maxCubes = x.budget.adapt(eps, maxCubes, x.cfg.Dims, region)
+	}
+	id, ok, err := dispatchSearch(x.curve, x.cfg.Bits, maxCubes, x.cache, sc, x.rawProbe, region, eps, stats, nil)
+	if x.budget != nil && err == nil {
+		x.budget.record(stats, eps)
+	}
+	return id, ok, sc.stats, err
+}

@@ -18,7 +18,7 @@ type queryScratch struct {
 	enum   cubes.LevelEnum
 	// stats is the query's working Stats: the search closures take its
 	// address, which would force a stack-local Stats to escape and cost
-	// one heap allocation per query. QueryTraced zeroes it, threads
+	// one heap allocation per query. Query zeroes it, threads
 	// &sc.stats through the search, and returns it by value.
 	stats Stats
 }

@@ -77,20 +77,9 @@ type shardSlot struct {
 }
 
 // maxPrefixBits bounds the initial routing prefix; 16 bits ≫ any sane
-// shard count while keeping the prefix arithmetic in a uint64.
+// shard count while keeping the prefix arithmetic in a uint64. A key
+// narrower than the cap routes on the full key.
 const maxPrefixBits = 16
-
-// PrefixBits returns the routing-prefix width for a key of keyLen bits:
-// the full key when it is narrower than the 16-bit cap, the cap otherwise.
-// It is exported so placement layers that mirror the initial uniform
-// slice layout (the engine's curve-prefix fan-out plan) derive the same
-// prefix from the schema instead of hard-coding it.
-func PrefixBits(keyLen int) int {
-	if keyLen < maxPrefixBits {
-		return keyLen
-	}
-	return maxPrefixBits
-}
 
 // NewSharded builds a key-range sharded dominance index with n shards.
 // The initial boundaries split the key space uniformly by prefix; they
@@ -105,7 +94,7 @@ func NewSharded(cfg Config, n int) (*ShardedIndex, error) {
 		return nil, fmt.Errorf("dominance: %w", err)
 	}
 	keyLen := cfg.Dims * cfg.Bits
-	prefixBits := PrefixBits(keyLen)
+	prefixBits := min(keyLen, maxPrefixBits)
 	if n > 1<<uint(prefixBits) {
 		return nil, fmt.Errorf("dominance: %d shards exceed the %d key-prefix slices", n, 1<<uint(prefixBits))
 	}

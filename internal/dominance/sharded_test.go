@@ -138,7 +138,7 @@ func TestShardedInitialBoundaries(t *testing.T) {
 			t.Fatalf("n=%d: %d boundaries", n, got)
 		}
 		keyLen := cfg.Dims * cfg.Bits
-		p := PrefixBits(keyLen)
+		p := min(keyLen, maxPrefixBits)
 		for _, pt := range randomPoints(rng, 300, 3, 6) {
 			top, _ := x.curve.Key(pt).ShrN(keyLen - p).Uint64()
 			want := int(top * uint64(n) >> uint(p))

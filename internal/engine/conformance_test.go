@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,29 +11,30 @@ import (
 )
 
 // TestEngineProviderConformance runs the shared core.Provider battery
-// over both partition plans: through the Provider seam an engine must be
-// indistinguishable from the reference Detector.
+// over every configuration the engine's one plan takes — the index in
+// both modes and the linear store scan — at one shard and at four:
+// through the Provider seam an engine must be indistinguishable from the
+// reference Detector.
 func TestEngineProviderConformance(t *testing.T) {
 	schema := coretest.Schema()
-	for _, part := range []engine.Partition{engine.PartitionHash, engine.PartitionPrefix} {
-		t.Run(string(part), func(t *testing.T) {
-			coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
-				// Default (SFC) strategy: PartitionPrefix then exercises
-				// the routed shared-decomposition plan through the
-				// battery, PartitionHash the fan-out plan.
-				return engine.MustNew(engine.Config{
-					Detector:  core.Config{Schema: schema, Mode: core.ModeExact},
-					Shards:    4,
-					Partition: part,
-					Workers:   4,
+	dets := map[string]core.Config{
+		"sfc-approx":   {Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, TrackCovered: true},
+		"sfc-exact":    {Schema: schema, Mode: core.ModeExact},
+		"linear-exact": {Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
+	}
+	for name, det := range dets {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/%d", name, shards), func(t *testing.T) {
+				coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
+					return engine.MustNew(engine.Config{Detector: det, Shards: shards, Workers: 4})
 				})
 			})
-		})
+		}
 	}
 }
 
-// TestEngineConformanceMidRebalance runs the same battery against a
-// prefix engine whose slice boundaries are being moved the whole time: a
+// TestEngineConformanceMidRebalance runs the same battery against an
+// engine whose slice boundaries are being moved the whole time: a
 // background goroutine hammers Rebalance (and the engine's own trigger is
 // armed at the lowest legal threshold) while every behavioral assertion
 // runs. Provider semantics must be indistinguishable from the quiescent
@@ -43,7 +45,6 @@ func TestEngineConformanceMidRebalance(t *testing.T) {
 		e := engine.MustNew(engine.Config{
 			Detector:           core.Config{Schema: schema, Mode: core.ModeExact},
 			Shards:             4,
-			Partition:          engine.PartitionPrefix,
 			Workers:            4,
 			RebalanceThreshold: 1.01,
 			RebalanceInterval:  time.Millisecond,

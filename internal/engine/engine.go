@@ -1,32 +1,24 @@
 // Package engine scales covering detection past a single Detector by
 // partitioning the subscription set across N shards and serving batched
-// operations from a fixed worker pool. Two partitioning strategies select
-// two different execution plans:
+// operations from a fixed worker pool.
 //
-//   - PartitionHash spreads subscriptions uniformly (FNV-1a over the
-//     transformed point) across N independent core.Detector shards. A
-//     covering query is global — a cover of s may live in any shard — so
-//     each query fans out across the shards (home shard first, stopping at
-//     the first hit). Shard sizes stay balanced under any workload, and
-//     batches parallelize across the per-shard locks.
+// There is one execution plan. The space filling curve's key space is
+// split into N contiguous slices (dominance.ShardedIndex), and a
+// co-partitioned subscription store holds one stripe per slice. Because
+// a standard cube occupies one contiguous key range, a query decomposes
+// its region once — outside any lock — and routes each cube's range to
+// the one or two slices it intersects: the expensive enumeration is never
+// duplicated across shards, and the read path contends only on brief
+// per-probe read locks. Updates lock one store stripe and one index
+// slice.
 //
-//   - PartitionPrefix splits the space filling curve's key space into N
-//     contiguous slices (with the SFC strategy; other strategies fall back
-//     to the fan-out plan with curve-prefix placement). Because a standard
-//     cube occupies one contiguous key range, a query decomposes its
-//     region once — outside any lock — and routes each cube's range to the
-//     one or two slices it intersects: the expensive enumeration is never
-//     duplicated across shards, and the read path contends only on brief
-//     per-probe read locks. This is dominance.ShardedIndex underneath.
-//
-// Either way the per-shard approximation guarantee survives aggregation:
-// every shard reports only genuine covers, hence so does the engine, and
-// in exact mode the engine's answer matches a single detector's.
+// The approximation guarantee survives sharding: the index reports only
+// genuine covers, hence so does the engine, and in exact mode the
+// engine's answer matches a single detector's.
 package engine
 
 import (
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -38,30 +30,30 @@ import (
 	"sfccover/internal/subscription"
 )
 
-// Partition selects how subscriptions are assigned to shards.
+// Partition names how subscriptions are assigned to shards. It is a
+// single-valued enum: the engine has one plan, and the name survives only
+// because configurations and the daemon's hello frame spell it out.
 type Partition string
 
-const (
-	// PartitionHash assigns each subscription by a hash of its transformed
-	// point: uniform shard sizes, whole-query fan-out.
-	PartitionHash Partition = "hash"
-	// PartitionPrefix assigns each subscription by the most significant
-	// bits of its SFC key: curve-adjacent subscriptions share a shard and
-	// (with the SFC strategy) queries share one decomposition across
-	// shards, probing only the slices each cube range intersects.
-	PartitionPrefix Partition = "prefix"
-)
+// PartitionPrefix assigns each subscription by the most significant bits
+// of its SFC key: curve-adjacent subscriptions share a shard and queries
+// share one decomposition across shards, probing only the slices each
+// cube range intersects.
+const PartitionPrefix Partition = "prefix"
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Detector is the per-shard detector template (schema, mode, epsilon,
-	// strategy, curve, ...). Seed is re-derived per shard so shards build
-	// independent index structures. TrackCovered additionally maintains
-	// mirrored indexes so FindCovered works in approximate mode.
+	// Detector is the detector template (schema, mode, epsilon, strategy,
+	// curve, ...). TrackCovered additionally maintains a mirrored index so
+	// FindCovered works in approximate mode. StrategyLinear (exact only)
+	// answers covering queries by scanning the store instead of the
+	// index — the exact reference; StrategyKDTree is a core.Detector
+	// baseline and is rejected here.
 	Detector core.Config
 	// Shards is the number of partitions (default DefaultShards).
 	Shards int
-	// Partition selects the sharding strategy (default PartitionHash).
+	// Partition is PartitionPrefix; empty means the same, anything else
+	// is an error.
 	Partition Partition
 	// Workers sizes the batch worker pool (default GOMAXPROCS).
 	Workers int
@@ -70,8 +62,6 @@ type Config struct {
 	// engine rebalances slice boundaries until skew falls to the
 	// hysteresis target 1 + (threshold-1)/2. Must exceed 1 when set;
 	// 0 disables the background trigger (manual Rebalance always works).
-	// Only the curve-prefix plan has movable boundaries; the setting is
-	// inert on hash partitions, which stay balanced by construction.
 	RebalanceThreshold float64
 	// RebalanceInterval is the background rebalancer's poll period
 	// (default DefaultRebalanceInterval when a threshold is set).
@@ -100,7 +90,7 @@ const DefaultShards = 8
 const DefaultRebalanceInterval = 2 * time.Second
 
 // Totals aggregates engine-level counters: logical engine operations, so
-// a single query that fanned out to four shards adds one to Queries and
+// an exact scan that walked four store stripes adds one to Queries and
 // four to ShardSearches.
 type Totals struct {
 	// Queries is the number of logical cover (and covered) queries served.
@@ -111,18 +101,15 @@ type Totals struct {
 	// cost units.
 	RunsProbed     int
 	CubesGenerated int
-	// ShardSearches is the number of per-shard searches issued; the ratio
-	// ShardSearches/Queries measures fan-out (1.0 = every query resolved
-	// in its home shard; always 1.0 on the prefix+SFC plan, which shares
-	// one search across shards).
+	// ShardSearches is the number of per-shard searches issued. An index
+	// search shares one decomposition across the slices and counts once,
+	// so ShardSearches/Queries is 1.0 for indexed queries; only the exact
+	// store scans count one per stripe walked.
 	ShardSearches int
 }
 
-// QueryResult is one CoverQueryBatch outcome. For queries that fanned out,
-// Stats aggregates the search cost over every shard probed: RunsProbed and
-// CubesGenerated are summed and VolumeFraction is the minimum over probed
-// shards (the conservative per-shard guarantee). It is an alias of the
-// core type so engine batches satisfy core.BatchQuerier directly.
+// QueryResult is one CoverQueryBatch outcome. It is an alias of the core
+// type so engine batches satisfy core.BatchQuerier directly.
 type QueryResult = core.QueryResult
 
 // AddResult is one AddBatch outcome: the id assigned to the inserted
@@ -132,50 +119,20 @@ type QueryResult = core.QueryResult
 // core.BatchWriter directly.
 type AddResult = core.AddResult
 
-// backend is one of the two execution plans behind the Engine API.
-// findCover/findCovered return the result plus the number of per-shard
-// searches issued. insertBatch groups its inserts by destination shard
-// and bulk-loads each shard under one lock acquisition, parallelizing the
-// shard groups through the supplied runner.
-type backend interface {
-	insert(s *subscription.Subscription) (uint64, error)
-	insertBatch(subs []*subscription.Subscription, par func(n int, fn func(i int))) ([]uint64, []error)
-	remove(id uint64) error
-	subscription(id uint64) (*subscription.Subscription, bool)
-	findCover(s *subscription.Subscription, tr *obs.QueryTrace) (QueryResult, int)
-	findCovered(s *subscription.Subscription, tr *obs.QueryTrace) (QueryResult, int)
-	shardFor(p []uint32) int
-	length() int
-	shardSizes() []int
-	// cacheStats sums the decomposition-cache hit/miss counters across
-	// the plan's SFC indexes (zeros when the strategy has none or the
-	// cache is disabled).
-	cacheStats() (hits, misses uint64)
-	// setObserver attaches latency histograms to the plan's search
-	// internals (shard searches, run probes). Called once at
-	// construction, before the engine serves traffic.
-	setObserver(o *obs.Observer)
-}
-
-// rebalancer is the optional backend capability behind Engine.Rebalance:
-// only the routed plan has movable slice boundaries.
-type rebalancer interface {
-	// rebalance moves boundaries until occupancy skew falls to target or
-	// maxMoves boundary moves have run, and reports the pass.
-	rebalance(target float64, maxMoves int) core.RebalanceResult
-	// skew is the trigger signal: the worst occupancy skew across every
-	// index with movable boundaries (primary AND mirror — a balanced
-	// primary must not mask a hot mirror slice).
-	skew() float64
-}
-
 // Engine is a sharded, concurrent covering-detection engine. All methods
 // are safe for concurrent use; batch items are processed in parallel with
 // no ordering guarantee between items of the same batch.
 type Engine struct {
 	cfg    Config
 	schema *subscription.Schema
-	be     backend
+
+	// The plan's state (store.go): the key-range-partitioned index, its
+	// mirror and the co-partitioned subscription store.
+	linear   bool // StrategyLinear: exact covers come from a store scan
+	maxCoord uint32
+	idx      *dominance.ShardedIndex
+	mirror   *dominance.ShardedIndex // non-nil iff TrackCovered
+	stores   []stripe
 
 	tasks     chan func()
 	closeOnce sync.Once
@@ -230,10 +187,10 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: invalid shard count %d", cfg.Shards)
 	}
 	if cfg.Partition == "" {
-		cfg.Partition = PartitionHash
+		cfg.Partition = PartitionPrefix
 	}
-	if cfg.Partition != PartitionHash && cfg.Partition != PartitionPrefix {
-		return nil, fmt.Errorf("engine: unknown partition strategy %q", cfg.Partition)
+	if cfg.Partition != PartitionPrefix {
+		return nil, fmt.Errorf("engine: unknown partition strategy %q (only %q exists)", cfg.Partition, PartitionPrefix)
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -254,27 +211,22 @@ func New(cfg Config) (*Engine, error) {
 		cfg.RebalanceMaxMoves = 2 * cfg.Shards
 	}
 	// One template detector validates the config and resolves its defaults
-	// (strategy, MaxCubes) for both plans.
+	// (strategy; MaxCubes in the dominance convention, 0 = unlimited).
 	template, err := core.New(cfg.Detector)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	norm := template.Config()
+	if norm.Strategy == core.StrategyKDTree {
+		return nil, fmt.Errorf("engine: strategy %q is a single-detector baseline; use core.Detector", norm.Strategy)
+	}
 
 	e := &Engine{
 		cfg:    cfg,
 		schema: cfg.Detector.Schema,
 		tasks:  make(chan func(), cfg.Workers),
 	}
-	if cfg.Partition == PartitionPrefix && norm.Strategy == core.StrategySFC {
-		// norm's MaxCubes uses the dominance convention (0 = unlimited).
-		e.be, err = newRouted(norm, cfg.Shards)
-	} else {
-		// The shard detectors re-normalize the raw config themselves;
-		// passing norm would re-interpret "unlimited" (0) as the default.
-		e.be, err = newFanout(cfg.Detector, cfg.Shards, cfg.Partition)
-	}
-	if err != nil {
+	if err := e.initStore(norm); err != nil {
 		return nil, err
 	}
 	if !cfg.TelemetryOff {
@@ -291,7 +243,11 @@ func New(cfg Config) (*Engine, error) {
 		e.hInsertBatch = e.obs.Hist("engine_insert_batch")
 		e.hQueryBatch = e.obs.Hist("engine_query_batch")
 		e.hRemoveBatch = e.obs.Hist("engine_remove_batch")
-		e.be.setObserver(e.obs)
+		// Traced queries sample their run probes into "run_probe".
+		e.idx.SetObserver(e.obs)
+		if e.mirror != nil {
+			e.mirror.SetObserver(e.obs)
+		}
 	}
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -302,69 +258,12 @@ func New(cfg Config) (*Engine, error) {
 			}
 		}()
 	}
-	if _, ok := e.be.(rebalancer); ok && cfg.RebalanceThreshold > 0 {
+	if cfg.RebalanceThreshold > 0 {
 		e.stopRebalance = make(chan struct{})
 		e.rebalanceWG.Add(1)
 		go e.rebalanceLoop()
 	}
 	return e, nil
-}
-
-// rebalanceLoop is the background trigger: every RebalanceInterval it
-// reads the occupancy skew and, once it crosses RebalanceThreshold, runs
-// one bounded rebalance pass down to the hysteresis target. The
-// threshold/target gap keeps the loop from oscillating around the
-// trigger, and RebalanceMaxMoves bounds the migration each tick may do.
-func (e *Engine) rebalanceLoop() {
-	defer e.rebalanceWG.Done()
-	ticker := time.NewTicker(e.cfg.RebalanceInterval)
-	defer ticker.Stop()
-	rb := e.be.(rebalancer) // vetted before the loop was started
-	for {
-		select {
-		case <-e.stopRebalance:
-			return
-		case <-ticker.C:
-			if rb.skew() >= e.cfg.RebalanceThreshold {
-				e.Rebalance() //nolint:errcheck // the backend was vetted at start
-			}
-		}
-	}
-}
-
-// rebalanceTarget is the hysteresis target a pass rebalances down to.
-func (e *Engine) rebalanceTarget() float64 {
-	if e.cfg.RebalanceThreshold > 1 {
-		return 1 + (e.cfg.RebalanceThreshold-1)/2
-	}
-	// Manual rebalancing with no configured threshold: drive as close to
-	// balanced as the key distribution allows.
-	return 1
-}
-
-// Rebalance runs one bounded rebalance pass: while occupancy skew exceeds
-// the hysteresis target, the most imbalanced adjacent slice pair is
-// equalized, up to Config.RebalanceMaxMoves boundary moves. Cover answers
-// are unaffected — a migration moves where entries are indexed, never
-// what a query returns — and queries keep running during the pass,
-// blocking only on the short per-pair write barriers. Engines on the
-// hash partition (or non-SFC strategies) return
-// core.ErrRebalanceUnsupported: their fan-out plan has no movable
-// boundaries (and hash placement cannot skew by key locality).
-func (e *Engine) Rebalance() (core.RebalanceResult, error) {
-	rb, ok := e.be.(rebalancer)
-	if !ok {
-		return core.RebalanceResult{}, core.ErrRebalanceUnsupported
-	}
-	e.rebalanceMu.Lock()
-	res := rb.rebalance(e.rebalanceTarget(), e.cfg.RebalanceMaxMoves)
-	e.rebalanceMu.Unlock()
-	if res.Moves > 0 {
-		e.rebalances.Add(1)
-		e.boundaryMoves.Add(int64(res.Moves))
-		e.migratedEntries.Add(int64(res.Migrated))
-	}
-	return res, nil
 }
 
 // MustNew is New for known-good configurations.
@@ -425,16 +324,6 @@ func (e *Engine) Mode() core.Mode { return e.cfg.Detector.Mode }
 // Schema returns the engine's attribute schema.
 func (e *Engine) Schema() *subscription.Schema { return e.schema }
 
-// Len returns the total number of held subscriptions.
-func (e *Engine) Len() int { return e.be.length() }
-
-// ShardSizes returns the per-shard subscription counts, for balance
-// diagnostics.
-func (e *Engine) ShardSizes() []int { return e.be.shardSizes() }
-
-// shardFor maps a subscription's transformed point to its home shard.
-func (e *Engine) shardFor(p []uint32) int { return e.be.shardFor(p) }
-
 // record folds one logical query's outcome into the engine counters.
 //
 //sfc:hotpath
@@ -482,7 +371,7 @@ func (e *Engine) findCoverHot(s *subscription.Subscription) QueryResult {
 	if err := e.checkSchema(s); err != nil {
 		return QueryResult{Err: err}
 	}
-	res, searches := e.be.findCover(s, nil)
+	res, searches := e.searchCover(s, nil)
 	if res.Err != nil {
 		return res
 	}
@@ -499,7 +388,7 @@ func (e *Engine) findCoverTraced(s *subscription.Subscription, tr *obs.QueryTrac
 	if e.hQuery != nil || tr != nil {
 		t0 = time.Now()
 	}
-	res, searches := e.be.findCover(s, tr)
+	res, searches := e.searchCover(s, tr)
 	if res.Err != nil {
 		return res
 	}
@@ -556,7 +445,7 @@ func (e *Engine) FindCovered(s *subscription.Subscription) (id uint64, found boo
 	if e.hCovered != nil || tr != nil {
 		t0 = time.Now()
 	}
-	res, searches := e.be.findCovered(s, tr)
+	res, searches := e.searchCovered(s, tr)
 	if res.Err != nil {
 		return 0, false, res.Stats, res.Err
 	}
@@ -586,11 +475,7 @@ func (e *Engine) Add(s *subscription.Subscription) (id uint64, covered bool, cov
 	if res.Err != nil {
 		return 0, false, 0, res.Err
 	}
-	id, err = e.be.insert(s)
-	if err != nil {
-		return 0, false, 0, err
-	}
-	return id, res.Covered, res.CoveredBy, nil
+	return e.insert(s), res.Covered, res.CoveredBy, nil
 }
 
 // Insert stores s unconditionally (no covering query) and returns its id.
@@ -599,18 +484,13 @@ func (e *Engine) Insert(s *subscription.Subscription) (uint64, error) {
 		return 0, err
 	}
 	defer observeSince(e.hInsert, time.Now())
-	return e.be.insert(s)
+	return e.insert(s), nil
 }
 
 // Remove deletes a previously inserted subscription by engine id.
 func (e *Engine) Remove(id uint64) error {
 	defer observeSince(e.hRemove, time.Now())
-	return e.be.remove(id)
-}
-
-// Subscription returns the held subscription with the given engine id.
-func (e *Engine) Subscription(id uint64) (*subscription.Subscription, bool) {
-	return e.be.subscription(id)
+	return e.remove(id)
 }
 
 // Totals returns a snapshot of the engine-level counters.
@@ -639,8 +519,8 @@ func (e *Engine) Stats() core.ProviderStats {
 		BoundaryMoves:   int(e.boundaryMoves.Load()),
 		MigratedEntries: int(e.migratedEntries.Load()),
 	}
-	ps.DecompCacheHits, ps.DecompCacheMisses = e.be.cacheStats()
-	ps.SetShardSizes(e.be.shardSizes())
+	ps.DecompCacheHits, ps.DecompCacheMisses = e.cacheStats()
+	ps.SetShardSizes(e.ShardSizes())
 	return ps
 }
 
@@ -700,12 +580,8 @@ func (e *Engine) AddBatch(subs []*subscription.Subscription) []AddResult {
 				batch = append(batch, subs[i])
 			}
 		}
-		ids, errs := e.be.insertBatch(batch, e.run)
+		ids := e.insertBatch(batch)
 		for k, i := range valid {
-			if errs[k] != nil {
-				out[i].Err = errs[k]
-				continue
-			}
 			out[i].ID = ids[k]
 		}
 	})
@@ -731,14 +607,8 @@ func (e *Engine) InsertBatch(subs []*subscription.Subscription) ([]uint64, error
 		}
 	}
 	var ids []uint64
-	var errs []error
-	if err := e.guarded(func() { ids, errs = e.be.insertBatch(subs, e.run) }); err != nil {
+	if err := e.guarded(func() { ids = e.insertBatch(subs) }); err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return ids, nil
 }
@@ -794,29 +664,4 @@ func encodeID(shards, shard int, local uint64) uint64 {
 func decodeID(shards int, id uint64) (shard int, local uint64) {
 	n := uint64(shards)
 	return int(id % n), id / n
-}
-
-// hashPoint is the PartitionHash placement function.
-func hashPoint(p []uint32, n int) int {
-	h := fnv.New64a()
-	var buf [4]byte
-	for _, v := range p {
-		buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		h.Write(buf[:])
-	}
-	return int(h.Sum64() % uint64(n))
-}
-
-// mergeStats folds one shard's search cost into an aggregate.
-func mergeStats(agg *dominance.Stats, s dominance.Stats, first bool) {
-	agg.RunsProbed += s.RunsProbed
-	agg.CubesGenerated += s.CubesGenerated
-	agg.Found = agg.Found || s.Found
-	if first {
-		agg.M = s.M
-		agg.AspectRatio = s.AspectRatio
-		agg.VolumeFraction = s.VolumeFraction
-	} else if s.VolumeFraction < agg.VolumeFraction {
-		agg.VolumeFraction = s.VolumeFraction
-	}
 }

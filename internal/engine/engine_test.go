@@ -36,6 +36,8 @@ func TestConfigValidation(t *testing.T) {
 		{"negative shards", Config{Detector: core.Config{Schema: schema}, Shards: -1}},
 		{"negative workers", Config{Detector: core.Config{Schema: schema}, Workers: -2}},
 		{"bad partition", Config{Detector: core.Config{Schema: schema}, Partition: "modulo"}},
+		{"retired hash partition", Config{Detector: core.Config{Schema: schema}, Partition: "hash"}},
+		{"kdtree strategy", Config{Detector: core.Config{Schema: schema, Strategy: core.StrategyKDTree}}},
 		{"bad detector", Config{Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 7}}},
 	}
 	for _, tc := range cases {
@@ -57,8 +59,8 @@ func TestDefaults(t *testing.T) {
 }
 
 // TestExactParity: in exact mode the engine's answer must agree with a
-// single exact detector on the existence of a cover, for every partition
-// strategy and several shard counts.
+// single exact detector on the existence of a cover, at several shard
+// counts.
 func TestExactParity(t *testing.T) {
 	schema := testSchema(t)
 	stored := testSubs(t, schema, 500, 1)
@@ -71,45 +73,42 @@ func TestExactParity(t *testing.T) {
 		}
 	}
 
-	for _, part := range []Partition{PartitionHash, PartitionPrefix} {
-		for _, shards := range []int{1, 3, 8} {
-			t.Run(fmt.Sprintf("%s/%d", part, shards), func(t *testing.T) {
-				e := MustNew(Config{
-					Detector:  core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
-					Shards:    shards,
-					Partition: part,
-				})
-				defer e.Close()
-				for _, s := range stored {
-					if _, err := e.Insert(s); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if e.Len() != len(stored) {
-					t.Fatalf("Len = %d, want %d", e.Len(), len(stored))
-				}
-				total := 0
-				for _, n := range e.ShardSizes() {
-					total += n
-				}
-				if total != len(stored) {
-					t.Fatalf("ShardSizes sum = %d, want %d", total, len(stored))
-				}
-				for i, q := range queries {
-					_, want, _, err := ref.FindCover(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					_, got, _, err := e.FindCover(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Errorf("query %d: engine found=%v, reference found=%v", i, got, want)
-					}
-				}
+	for _, shards := range []int{1, 3, 8} {
+		t.Run(fmt.Sprintf("%d", shards), func(t *testing.T) {
+			e := MustNew(Config{
+				Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
+				Shards:   shards,
 			})
-		}
+			defer e.Close()
+			for _, s := range stored {
+				if _, err := e.Insert(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if e.Len() != len(stored) {
+				t.Fatalf("Len = %d, want %d", e.Len(), len(stored))
+			}
+			total := 0
+			for _, n := range e.ShardSizes() {
+				total += n
+			}
+			if total != len(stored) {
+				t.Fatalf("ShardSizes sum = %d, want %d", total, len(stored))
+			}
+			for i, q := range queries {
+				_, want, _, err := ref.FindCover(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, got, _, err := e.FindCover(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("query %d: engine found=%v, reference found=%v", i, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -272,12 +271,12 @@ func TestPrefixPartitionIsStable(t *testing.T) {
 	defer e.Close()
 	for _, s := range testSubs(t, schema, 256, 7) {
 		p := s.Point()
-		first := e.shardFor(p)
+		first := e.idx.ShardFor(p)
 		if first < 0 || first >= e.NumShards() {
 			t.Fatalf("shard %d out of range", first)
 		}
-		if again := e.shardFor(p); again != first {
-			t.Fatalf("shardFor not deterministic: %d then %d", first, again)
+		if again := e.idx.ShardFor(p); again != first {
+			t.Fatalf("ShardFor not deterministic: %d then %d", first, again)
 		}
 	}
 }
@@ -420,7 +419,7 @@ func TestRoutedRemove(t *testing.T) {
 	}
 }
 
-// TestFindCovered exercises the reverse query on both plans.
+// TestFindCovered exercises the reverse query in both modes.
 func TestFindCovered(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	pairs, err := workload.Covers(workload.CoverSpec{
@@ -429,73 +428,69 @@ func TestFindCovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, part := range []Partition{PartitionHash, PartitionPrefix} {
-		t.Run(string(part)+"/exact", func(t *testing.T) {
-			e := MustNew(Config{
-				Detector:  core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
-				Shards:    4,
-				Partition: part,
-			})
-			defer e.Close()
-			childIDs := make(map[uint64]bool)
-			for _, p := range pairs {
-				id, err := e.Insert(p.Child)
-				if err != nil {
-					t.Fatal(err)
-				}
-				childIDs[id] = true
-			}
-			for i, p := range pairs {
-				id, found, _, err := e.FindCovered(p.Parent)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !found {
-					t.Fatalf("pair %d: exact FindCovered must find the planted child", i)
-				}
-				if !childIDs[id] {
-					t.Fatalf("pair %d: FindCovered returned unknown id %d", i, id)
-				}
-			}
+	t.Run("exact", func(t *testing.T) {
+		e := MustNew(Config{
+			Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
+			Shards:   4,
 		})
-		t.Run(string(part)+"/approx", func(t *testing.T) {
-			e := MustNew(Config{
-				Detector: core.Config{
-					Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3,
-					MaxCubes: 10000, TrackCovered: true,
-				},
-				Shards:    4,
-				Partition: part,
-			})
-			defer e.Close()
-			for _, p := range pairs {
-				if _, err := e.Insert(p.Child); err != nil {
-					t.Fatal(err)
-				}
+		defer e.Close()
+		childIDs := make(map[uint64]bool)
+		for _, p := range pairs {
+			id, err := e.Insert(p.Child)
+			if err != nil {
+				t.Fatal(err)
 			}
-			hits := 0
-			for i, p := range pairs {
-				id, found, _, err := e.FindCovered(p.Parent)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !found {
-					continue // approximate misses are allowed
-				}
-				hits++
-				covered, ok := e.Subscription(id)
-				if !ok {
-					t.Fatalf("pair %d: id %d does not resolve", i, id)
-				}
-				if !p.Parent.Covers(covered) {
-					t.Errorf("pair %d: claimed covered subscription is not genuine", i)
-				}
+			childIDs[id] = true
+		}
+		for i, p := range pairs {
+			id, found, _, err := e.FindCovered(p.Parent)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if hits < len(pairs)/2 {
-				t.Errorf("reverse recall too low: %d/%d", hits, len(pairs))
+			if !found {
+				t.Fatalf("pair %d: exact FindCovered must find the planted child", i)
 			}
+			if !childIDs[id] {
+				t.Fatalf("pair %d: FindCovered returned unknown id %d", i, id)
+			}
+		}
+	})
+	t.Run("approx", func(t *testing.T) {
+		e := MustNew(Config{
+			Detector: core.Config{
+				Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3,
+				MaxCubes: 10000, TrackCovered: true,
+			},
+			Shards: 4,
 		})
-	}
+		defer e.Close()
+		for _, p := range pairs {
+			if _, err := e.Insert(p.Child); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hits := 0
+		for i, p := range pairs {
+			id, found, _, err := e.FindCovered(p.Parent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !found {
+				continue // approximate misses are allowed
+			}
+			hits++
+			covered, ok := e.Subscription(id)
+			if !ok {
+				t.Fatalf("pair %d: id %d does not resolve", i, id)
+			}
+			if !p.Parent.Covers(covered) {
+				t.Errorf("pair %d: claimed covered subscription is not genuine", i)
+			}
+		}
+		if hits < len(pairs)/2 {
+			t.Errorf("reverse recall too low: %d/%d", hits, len(pairs))
+		}
+	})
 	// Approximate FindCovered without TrackCovered is an error.
 	e := MustNew(Config{
 		Detector:  core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3},
@@ -525,63 +520,60 @@ func TestAddBatchBulkLoad(t *testing.T) {
 		parents[i] = p.Parent
 		children[i] = p.Child
 	}
-	for _, part := range []Partition{PartitionHash, PartitionPrefix} {
-		t.Run(string(part), func(t *testing.T) {
-			e := MustNew(Config{
-				Detector:  core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
-				Shards:    4,
-				Partition: part,
-			})
-			defer e.Close()
-			first := e.AddBatch(parents)
-			seen := make(map[uint64]bool)
-			for i, r := range first {
-				if r.Err != nil {
-					t.Fatalf("parent %d: %v", i, r.Err)
-				}
-				if r.Covered {
-					t.Fatalf("parent %d: cold-batch query observed a batch-mate", i)
-				}
-				if seen[r.ID] {
-					t.Fatalf("duplicate id %d", r.ID)
-				}
-				seen[r.ID] = true
-				got, ok := e.Subscription(r.ID)
-				if !ok || !got.Equal(parents[i]) {
-					t.Fatalf("parent %d: id %d does not round-trip", i, r.ID)
-				}
-			}
-			if e.Len() != len(parents) {
-				t.Fatalf("Len = %d, want %d", e.Len(), len(parents))
-			}
-			total := 0
-			for _, n := range e.ShardSizes() {
-				total += n
-			}
-			if total != len(parents) {
-				t.Fatalf("ShardSizes sum = %d", total)
-			}
-			// Exact mode: every planted child must see its parent.
-			for i, r := range e.AddBatch(children) {
-				if r.Err != nil {
-					t.Fatalf("child %d: %v", i, r.Err)
-				}
-				if !r.Covered {
-					t.Fatalf("child %d: exact query missed its planted parent", i)
-				}
-			}
-			// Everything must be removable (indexes in sync with stores).
-			ids := make([]uint64, 0, 2*len(pairs))
-			for id := range seen {
-				ids = append(ids, id)
-			}
-			for _, err := range e.RemoveBatch(ids) {
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
+	t.Run("linear-exact", func(t *testing.T) {
+		e := MustNew(Config{
+			Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
+			Shards:   4,
 		})
-	}
+		defer e.Close()
+		first := e.AddBatch(parents)
+		seen := make(map[uint64]bool)
+		for i, r := range first {
+			if r.Err != nil {
+				t.Fatalf("parent %d: %v", i, r.Err)
+			}
+			if r.Covered {
+				t.Fatalf("parent %d: cold-batch query observed a batch-mate", i)
+			}
+			if seen[r.ID] {
+				t.Fatalf("duplicate id %d", r.ID)
+			}
+			seen[r.ID] = true
+			got, ok := e.Subscription(r.ID)
+			if !ok || !got.Equal(parents[i]) {
+				t.Fatalf("parent %d: id %d does not round-trip", i, r.ID)
+			}
+		}
+		if e.Len() != len(parents) {
+			t.Fatalf("Len = %d, want %d", e.Len(), len(parents))
+		}
+		total := 0
+		for _, n := range e.ShardSizes() {
+			total += n
+		}
+		if total != len(parents) {
+			t.Fatalf("ShardSizes sum = %d", total)
+		}
+		// Exact mode: every planted child must see its parent.
+		for i, r := range e.AddBatch(children) {
+			if r.Err != nil {
+				t.Fatalf("child %d: %v", i, r.Err)
+			}
+			if !r.Covered {
+				t.Fatalf("child %d: exact query missed its planted parent", i)
+			}
+		}
+		// Everything must be removable (indexes in sync with stores).
+		ids := make([]uint64, 0, 2*len(pairs))
+		for id := range seen {
+			ids = append(ids, id)
+		}
+		for _, err := range e.RemoveBatch(ids) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestAddBatchBulkLoadMirror checks the bulk path keeps the mirrored

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -196,13 +195,29 @@ func TestRebalanceRemovalAfterMigration(t *testing.T) {
 	}
 }
 
-// TestRebalanceUnsupported: hash partitions have no movable boundaries.
-func TestRebalanceUnsupported(t *testing.T) {
-	schema := testSchema(t)
-	e := MustNew(Config{Detector: core.Config{Schema: schema}, Shards: 4, Partition: PartitionHash, Workers: 2})
+// TestZeroConfigIsRoutedPlan: an engine built from nothing but a detector
+// template gets the one measured plan — slice boundaries it can move, one
+// shared search per approximate query, and the prefix partition by name.
+func TestZeroConfigIsRoutedPlan(t *testing.T) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	e := MustNew(Config{Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 5000}})
 	defer e.Close()
-	if _, err := e.Rebalance(); !errors.Is(err, core.ErrRebalanceUnsupported) {
-		t.Fatalf("Rebalance on hash partition = %v, want ErrRebalanceUnsupported", err)
+	if got := e.PartitionStrategy(); got != PartitionPrefix {
+		t.Errorf("PartitionStrategy() = %q, want %q", got, PartitionPrefix)
+	}
+	if _, err := e.Rebalance(); err != nil {
+		t.Errorf("Rebalance() on a zero-Partition engine = %v, want nil", err)
+	}
+	subs := testSubs(t, schema, 64, 41)
+	for _, s := range subs {
+		if _, _, _, err := e.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.Stats()
+	if st.Queries != len(subs) || st.ShardSearches != st.Queries {
+		t.Errorf("after %d approx queries: Queries = %d, ShardSearches = %d; want one shared search per query",
+			len(subs), st.Queries, st.ShardSearches)
 	}
 }
 

@@ -1,0 +1,252 @@
+package engine
+
+import (
+	"fmt"
+	"sync"
+
+	"sfccover/internal/core"
+	"sfccover/internal/dominance"
+	"sfccover/internal/obs"
+	"sfccover/internal/subscription"
+)
+
+// stripe is one slice of the subscription store, aligned with the index's
+// initial key slices.
+type stripe struct {
+	mu   sync.Mutex
+	subs map[uint64]*subscription.Subscription // keyed by engine id
+	next uint64                                // next local id, starting at 1
+}
+
+// initStore builds the index, its mirror and the store stripes from the
+// normalized detector template (whose MaxCubes already uses the dominance
+// convention: 0 = unlimited).
+func (e *Engine) initStore(det core.Config) error {
+	schema, shards := det.Schema, e.cfg.Shards
+	dcfg := dominance.Config{
+		Dims: schema.Dims(), Bits: schema.Bits(),
+		Curve: det.Curve, Array: det.Array, Seed: det.Seed, MaxCubes: det.MaxCubes,
+		CacheSize: det.DecompCacheSize, Adaptive: det.AdaptiveBudget,
+	}
+	var err error
+	if e.idx, err = dominance.NewSharded(dcfg, shards); err != nil {
+		return fmt.Errorf("engine: %w", err)
+	}
+	if det.TrackCovered {
+		mcfg := dcfg
+		mcfg.Seed++
+		if e.mirror, err = dominance.NewSharded(mcfg, shards); err != nil {
+			return fmt.Errorf("engine: %w", err)
+		}
+	}
+	e.linear = det.Strategy == core.StrategyLinear
+	e.maxCoord = schema.MaxValue()
+	e.stores = make([]stripe, shards)
+	for i := range e.stores {
+		e.stores[i].subs = make(map[uint64]*subscription.Subscription)
+		e.stores[i].next = 1
+	}
+	return nil
+}
+
+// mirrorPoint reflects a transformed point through the universe's center:
+// dominance among mirrored points is reverse covering.
+func (e *Engine) mirrorPoint(p []uint32) []uint32 {
+	out := make([]uint32, len(p))
+	for i, v := range p {
+		out[i] = e.maxCoord - v
+	}
+	return out
+}
+
+// cacheStats sums the decomposition-cache counters across the primary
+// and (when present) the mirror index.
+func (e *Engine) cacheStats() (hits, misses uint64) {
+	hits, misses = e.idx.CacheStats()
+	if e.mirror != nil {
+		h, m := e.mirror.CacheStats()
+		hits += h
+		misses += m
+	}
+	return hits, misses
+}
+
+// Len returns the total number of held subscriptions.
+func (e *Engine) Len() int {
+	n := 0
+	for i := range e.stores {
+		st := &e.stores[i]
+		st.mu.Lock()
+		n += len(st.subs)
+		st.mu.Unlock()
+	}
+	return n
+}
+
+// ShardSizes returns the per-shard subscription counts, for balance
+// diagnostics. These are the INDEX slice occupancies, not the store
+// stripe sizes: the index slices are what queries probe and what
+// rebalancing moves, so they are the layout skew diagnostics must
+// observe. (Store stripes are assigned at insert time and never migrate —
+// an id encodes its stripe — so after a rebalance the two layouts diverge
+// by design.)
+func (e *Engine) ShardSizes() []int { return e.idx.ShardSizes() }
+
+func (e *Engine) insert(s *subscription.Subscription) uint64 {
+	p := s.Point()
+	shard := e.idx.ShardFor(p)
+	st := &e.stores[shard]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	id := encodeID(len(e.stores), shard, st.next)
+	st.next++
+	st.subs[id] = s.Clone()
+	e.idx.Insert(p, id)
+	if e.mirror != nil {
+		e.mirror.Insert(e.mirrorPoint(p), id)
+	}
+	return id
+}
+
+// insertBatch groups the batch by destination key slice and bulk-loads
+// each slice: the stripe mutex and the index slice lock are each taken
+// once per shard group instead of once per item. Groups load in parallel
+// on the worker pool; the lock order within a group (stripe, then slice)
+// matches insert's, so the paths cannot deadlock. The returned ids align
+// with subs.
+func (e *Engine) insertBatch(subs []*subscription.Subscription) []uint64 {
+	ids := make([]uint64, len(subs))
+	points := make([][]uint32, len(subs))
+	groups := make([][]int, len(e.stores))
+	for i, s := range subs {
+		points[i] = s.Point()
+		shard := e.idx.ShardFor(points[i])
+		groups[shard] = append(groups[shard], i)
+	}
+	active := make([]int, 0, len(groups))
+	for shard, g := range groups {
+		if len(g) > 0 {
+			active = append(active, shard)
+		}
+	}
+	e.run(len(active), func(gi int) {
+		shard := active[gi]
+		group := groups[shard]
+		ps := make([][]uint32, len(group))
+		groupIDs := make([]uint64, len(group))
+		st := &e.stores[shard]
+		st.mu.Lock()
+		for k, i := range group {
+			id := encodeID(len(e.stores), shard, st.next)
+			st.next++
+			st.subs[id] = subs[i].Clone()
+			ps[k] = points[i]
+			groupIDs[k] = id
+			ids[i] = id
+		}
+		e.idx.InsertBatch(ps, groupIDs)
+		if e.mirror != nil {
+			for k := range ps {
+				ps[k] = e.mirrorPoint(ps[k])
+			}
+			e.mirror.InsertBatch(ps, groupIDs)
+		}
+		st.mu.Unlock()
+	})
+	return ids
+}
+
+func (e *Engine) remove(id uint64) error {
+	shard, _ := decodeID(len(e.stores), id)
+	st := &e.stores[shard]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	s, ok := st.subs[id]
+	if !ok {
+		return fmt.Errorf("engine: no subscription with id %d", id)
+	}
+	p := s.Point()
+	if !e.idx.Delete(p, id) {
+		return fmt.Errorf("engine: index out of sync for id %d", id)
+	}
+	if e.mirror != nil && !e.mirror.Delete(e.mirrorPoint(p), id) {
+		return fmt.Errorf("engine: mirror index out of sync for id %d", id)
+	}
+	delete(st.subs, id)
+	return nil
+}
+
+// Subscription returns the held subscription with the given engine id.
+func (e *Engine) Subscription(id uint64) (*subscription.Subscription, bool) {
+	shard, _ := decodeID(len(e.stores), id)
+	st := &e.stores[shard]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	s, ok := st.subs[id]
+	if !ok {
+		return nil, false
+	}
+	return s.Clone(), true
+}
+
+// searchCover runs one covering search and returns the result plus the
+// number of per-shard searches issued; the returned ids are engine ids
+// because that is what the index stores. A non-nil trace collects the
+// decomposition/probe stage timings and per-slice probe counts inside
+// the sharded index.
+func (e *Engine) searchCover(s *subscription.Subscription, tr *obs.QueryTrace) (QueryResult, int) {
+	det := &e.cfg.Detector
+	switch {
+	case det.Mode == core.ModeOff:
+		return QueryResult{}, 0
+	case e.linear:
+		return e.scan(s, false)
+	case det.Mode == core.ModeExact:
+		return e.query(e.idx, s.Point(), 0, tr)
+	default: // ModeApprox
+		return e.query(e.idx, s.Point(), det.Epsilon, tr)
+	}
+}
+
+// searchCovered is searchCover for the reverse question. Exact mode scans
+// the store, like a Detector's exact FindCovered: always available, O(n).
+// Approximate mode queries the mirror index.
+func (e *Engine) searchCovered(s *subscription.Subscription, tr *obs.QueryTrace) (QueryResult, int) {
+	switch e.cfg.Detector.Mode {
+	case core.ModeOff:
+		return QueryResult{}, 0
+	case core.ModeExact:
+		return e.scan(s, true)
+	}
+	if e.mirror == nil {
+		return QueryResult{Err: fmt.Errorf("engine: approximate FindCovered requires Config.Detector.TrackCovered")}, 0
+	}
+	return e.query(e.mirror, e.mirrorPoint(s.Point()), e.cfg.Detector.Epsilon, tr)
+}
+
+// scan answers an exact query without the index by walking the store
+// stripes one lock at a time: the first held subscription that covers s,
+// or with covered set the first one s covers. The count is the number of
+// stripes walked.
+func (e *Engine) scan(s *subscription.Subscription, covered bool) (QueryResult, int) {
+	for i := range e.stores {
+		st := &e.stores[i]
+		st.mu.Lock()
+		for id, cand := range st.subs {
+			if covered && s.Covers(cand) || !covered && cand.Covers(s) {
+				st.mu.Unlock()
+				return QueryResult{Covered: true, CoveredBy: id}, i + 1
+			}
+		}
+		st.mu.Unlock()
+	}
+	return QueryResult{}, len(e.stores)
+}
+
+func (e *Engine) query(idx *dominance.ShardedIndex, p []uint32, eps float64, tr *obs.QueryTrace) (QueryResult, int) {
+	id, found, stats, err := idx.QueryTraced(p, eps, tr)
+	if err != nil {
+		return QueryResult{Err: err}, 0
+	}
+	return QueryResult{Covered: found, CoveredBy: id, Stats: stats}, 1
+}

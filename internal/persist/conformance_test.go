@@ -21,10 +21,9 @@ func TestDurableProviderConformance(t *testing.T) {
 		},
 		"engine-prefix": func(t *testing.T) core.Provider {
 			return engine.MustNew(engine.Config{
-				Detector:  core.Config{Schema: schema, Mode: core.ModeExact},
-				Shards:    4,
-				Partition: engine.PartitionPrefix,
-				Workers:   2,
+				Detector: core.Config{Schema: schema, Mode: core.ModeExact},
+				Shards:   4,
+				Workers:  2,
 			})
 		},
 	}
@@ -55,16 +54,10 @@ func TestDurablePersistenceConformance(t *testing.T) {
 		"detector": func(t *testing.T) core.Provider {
 			return core.MustNew(core.Config{Schema: schema, Mode: core.ModeExact})
 		},
-		"engine-hash": func(t *testing.T) core.Provider {
-			return engine.MustNew(engine.Config{
-				Detector: core.Config{Schema: schema, Mode: core.ModeExact},
-				Shards:   4, Partition: engine.PartitionHash, Workers: 2,
-			})
-		},
 		"engine-prefix": func(t *testing.T) core.Provider {
 			return engine.MustNew(engine.Config{
 				Detector: core.Config{Schema: schema, Mode: core.ModeExact},
-				Shards:   4, Partition: engine.PartitionPrefix, Workers: 2,
+				Shards:   4, Workers: 2,
 			})
 		},
 	}

@@ -20,9 +20,9 @@ import (
 // FindCover/FindCovered answers against a never-crashed twin built by
 // replaying exactly the operations whose records survived the cut.
 //
-// The Detector backend runs the full per-byte sweep; the engine backends
-// (hash and curve-prefix) and the remote backend (in internal/sfcd) run
-// the same battery at record granularity plus torn mid-record offsets.
+// The Detector backend runs the full per-byte sweep; the engine backend
+// and the remote backend (in internal/sfcd) run the same battery at
+// record granularity plus torn mid-record offsets.
 
 // op is one journaled workload step.
 type op struct {
@@ -264,7 +264,7 @@ func detectorBackend(schema *subscription.Schema) func() core.Provider {
 	}
 }
 
-func engineBackend(t *testing.T, schema *subscription.Schema, part engine.Partition) func() core.Provider {
+func engineBackend(t *testing.T, schema *subscription.Schema) func() core.Provider {
 	return func() core.Provider {
 		// Exact mode over the SFC index: the anti-chain family's one-sided
 		// constraints keep exhaustive decomposition cheap, and TrackCovered
@@ -274,9 +274,8 @@ func engineBackend(t *testing.T, schema *subscription.Schema, part engine.Partit
 				Schema: schema, Mode: core.ModeExact,
 				TrackCovered: true, Seed: 7,
 			},
-			Shards:    4,
-			Partition: part,
-			Workers:   2,
+			Shards:  4,
+			Workers: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -292,18 +291,11 @@ func TestCrashRecoveryDetectorEveryByte(t *testing.T) {
 	runCrashBattery(t, schema, detectorBackend(schema), true)
 }
 
-// TestCrashRecoveryEngineHash runs the battery at record granularity on
-// the hash-partitioned engine.
-func TestCrashRecoveryEngineHash(t *testing.T) {
-	schema := testSchema()
-	runCrashBattery(t, schema, engineBackend(t, schema, engine.PartitionHash), false)
-}
-
 // TestCrashRecoveryEnginePrefix runs the battery at record granularity on
-// the curve-prefix engine (the shared-decomposition plan).
+// the sharded engine.
 func TestCrashRecoveryEnginePrefix(t *testing.T) {
 	schema := testSchema()
-	runCrashBattery(t, schema, engineBackend(t, schema, engine.PartitionPrefix), false)
+	runCrashBattery(t, schema, engineBackend(t, schema), false)
 }
 
 // TestCrashDuplicatedSegment replays a duplicated final segment: record

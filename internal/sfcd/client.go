@@ -934,9 +934,7 @@ func (c *Client) Match(ctx context.Context, e subscription.Event) (matched bool,
 
 // Rebalance runs one bounded slice-rebalance pass on the daemon's shared
 // engine and reports the boundary moves, migrated entries and
-// before/after occupancy skew. Daemons whose engine has no movable
-// boundaries (hash partition, non-SFC strategies) answer with a
-// *ServerError carrying CodeUnsupported.
+// before/after occupancy skew.
 func (c *Client) Rebalance(ctx context.Context) (RebalanceInfo, error) {
 	var info RebalanceInfo
 	err := c.bodyOp(ctx, OpRebalance, "", &info)

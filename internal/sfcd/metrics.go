@@ -19,7 +19,7 @@ var scalarMetrics = []metricDef{
 	{"sfcd_hits_total", "counter", "Covering queries that found a cover."},
 	{"sfcd_runs_probed_total", "counter", "SFC run probes issued, the paper's unit of query cost."},
 	{"sfcd_cubes_generated_total", "counter", "Standard cubes generated across all searches."},
-	{"sfcd_shard_searches_total", "counter", "Per-shard searches issued (fan-out)."},
+	{"sfcd_shard_searches_total", "counter", "Per-shard searches issued (one per indexed query; one per stripe walked by an exact scan)."},
 	{"sfcd_decomp_cache_hits_total", "counter", "Decomposition cache hits across the provider's SFC indexes."},
 	{"sfcd_decomp_cache_misses_total", "counter", "Decomposition cache misses across the provider's SFC indexes."},
 	{"sfcd_subscriptions", "gauge", "Subscriptions currently held."},

@@ -11,9 +11,8 @@ import (
 	"sfccover/internal/workload"
 )
 
-// startPrefixServer serves an engine on the curve-prefix plan — the one
-// with movable slice boundaries. ModeOff keeps the arrival path to pure
-// placement, which is all skew needs.
+// startPrefixServer serves an eight-shard engine in ModeOff, which keeps
+// the arrival path to pure placement — all skew needs.
 func startPrefixServer(t *testing.T, schema *subscription.Schema) string {
 	t.Helper()
 	eng := engine.MustNew(engine.Config{
@@ -113,29 +112,36 @@ func TestRebalanceOp(t *testing.T) {
 	}
 }
 
-// TestRebalanceOpUnsupported: a hash-partition daemon has no movable
-// boundaries; the op must answer with the unsupported code, and the
-// remote provider must translate it to core.ErrRebalanceUnsupported.
-func TestRebalanceOpUnsupported(t *testing.T) {
+// TestRebalanceOpLinearEngine: every engine has movable slice boundaries,
+// the linear-strategy exact reference included, so the op succeeds on the
+// shared namespace. A link namespace is a plain Detector without them: the
+// op answers with the unsupported code there, and the remote provider
+// translates it to core.ErrRebalanceUnsupported.
+func TestRebalanceOpLinearEngine(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
-	_, addr := startServer(t, schema, core.ModeExact) // PartitionHash underneath
+	_, addr := startServer(t, schema, core.ModeExact) // StrategyLinear underneath
 	c, err := Dial(addr, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	_, err = c.Rebalance(bg)
-	var se *ServerError
-	if !errors.As(err, &se) || se.Code != CodeUnsupported {
-		t.Fatalf("Rebalance on hash daemon = %v, want ServerError[%s]", err, CodeUnsupported)
+	if _, err := c.Rebalance(bg); err != nil {
+		t.Fatalf("Rebalance on a linear-strategy engine = %v, want success", err)
 	}
-	rp, err := c.Provider("")
+	shared, err := c.Provider("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rp.Rebalance(); !errors.Is(err, core.ErrRebalanceUnsupported) {
-		t.Fatalf("RemoteProvider.Rebalance = %v, want ErrRebalanceUnsupported", err)
+	if _, err := shared.Rebalance(); err != nil {
+		t.Fatalf("RemoteProvider.Rebalance on the shared engine = %v, want success", err)
+	}
+	link, err := c.Provider("b0-n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := link.Rebalance(); !errors.Is(err, core.ErrRebalanceUnsupported) {
+		t.Fatalf("RemoteProvider.Rebalance on a link = %v, want ErrRebalanceUnsupported", err)
 	}
 }
 

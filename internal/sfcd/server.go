@@ -583,12 +583,6 @@ func (s *Server) buildLink(link string) (core.Provider, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.obs != nil {
-		// Link detectors share the daemon's observer, so their run probes
-		// land in the same "run_probe" histogram. Safe here: the detector
-		// is not yet published to any other goroutine.
-		p.SetObserver(s.obs)
-	}
 	if s.store == nil {
 		return p, nil
 	}

@@ -21,10 +21,11 @@
 //   - Detector: covering detection over a dynamic subscription set
 //     (off / exact / ε-approximate; SFC, linear-scan or k-d tree backends).
 //   - Engine: a sharded, concurrent detection engine that partitions the
-//     subscription set across N detectors (hash or curve-prefix
-//     partitioning) and serves batched operations from a worker pool.
+//     space-filling curve's key space into N slices — one decomposition
+//     per query, each cube probing only the slices it intersects — and
+//     serves batched operations from a worker pool.
 //   - DaemonServer / DaemonClient / DaemonProvider: the sfcd network
-//     protocol (newline-delimited JSON over TCP, binary wire payloads)
+//     protocol (length-prefixed binary frames over TCP, wire payloads)
 //     that turns an Engine into a standalone service. The client is
 //     pipelined and context-aware — concurrent callers share one
 //     connection without head-of-line blocking — and DaemonProvider
@@ -140,32 +141,29 @@ type QueryStats = dominance.Stats
 // DetectorTotals aggregates query counters over a detector's lifetime.
 type DetectorTotals = core.Totals
 
-// Engine is a sharded, concurrent covering-detection engine: N
-// independently locked Detector shards behind batched Add/Remove/Query
+// Engine is a sharded, concurrent covering-detection engine: one SFC
+// index split into N independently locked key slices, with a
+// co-partitioned subscription store, behind batched Add/Remove/Query
 // operations served by a worker pool. A reported cover is always genuine,
 // exactly as for a single Detector.
 type Engine = engine.Engine
 
-// EngineConfig parameterizes an Engine: the per-shard detector template
-// plus shard count, partition strategy and worker pool size.
+// EngineConfig parameterizes an Engine: the detector template plus shard
+// count and worker pool size.
 type EngineConfig = engine.Config
 
-// EnginePartition selects how subscriptions are assigned to shards.
+// EnginePartition names how subscriptions are assigned to shards; there
+// is one value.
 type EnginePartition = engine.Partition
 
-// Engine partition strategies.
-const (
-	// PartitionHash spreads subscriptions uniformly by hashing their
-	// transformed points.
-	PartitionHash = engine.PartitionHash
-	// PartitionPrefix splits the space-filling curve's key space by its
-	// most significant bits, keeping curve-adjacent subscriptions — the
-	// likely covers — in the same shard.
-	PartitionPrefix = engine.PartitionPrefix
-)
+// PartitionPrefix splits the space-filling curve's key space by its most
+// significant bits, keeping curve-adjacent subscriptions — the likely
+// covers — in the same shard. It is the engine's only partitioning and
+// what an empty EngineConfig.Partition means.
+const PartitionPrefix = engine.PartitionPrefix
 
 // EngineTotals aggregates engine-level counters (logical queries, hits,
-// probe costs and shard fan-out).
+// probe costs and per-shard searches).
 type EngineTotals = engine.Totals
 
 // EngineAddResult is one AddBatch outcome.
@@ -174,7 +172,7 @@ type EngineAddResult = engine.AddResult
 // EngineQueryResult is one CoverQueryBatch outcome.
 type EngineQueryResult = engine.QueryResult
 
-// DaemonServer serves the sfcd line protocol (newline-delimited JSON over
+// DaemonServer serves the sfcd protocol (length-prefixed binary frames over
 // TCP, subscriptions and events in the binary wire format) on top of an
 // Engine. Besides the shared engine it multiplexes isolated per-link
 // subscription namespaces, so one daemon can back every link of a broker
@@ -336,10 +334,7 @@ type NetworkBackend = broker.Backend
 const (
 	// NetworkBackendDetector backs each link with a single Detector.
 	NetworkBackendDetector = broker.BackendDetector
-	// NetworkBackendEngineHash backs each link with a hash-sharded engine.
-	NetworkBackendEngineHash = broker.BackendEngineHash
-	// NetworkBackendEnginePrefix backs each link with a curve-prefix
-	// sharded engine.
+	// NetworkBackendEnginePrefix backs each link with a sharded engine.
 	NetworkBackendEnginePrefix = broker.BackendEnginePrefix
 	// NetworkBackendRemote backs every link with an isolated namespace on
 	// one shared sfcd daemon (NetworkConfig.DaemonAddr), multiplexed over
