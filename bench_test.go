@@ -58,6 +58,7 @@ func BenchmarkE10Array(b *testing.B)       { benchExperiment(b, "E10") }
 func BenchmarkE11Curves(b *testing.B)      { benchExperiment(b, "E11") }
 func BenchmarkE12ProbeOrder(b *testing.B)  { benchExperiment(b, "E12") }
 func BenchmarkE13Churn(b *testing.B)       { benchExperiment(b, "E13") }
+func BenchmarkE14WalkVsCubes(b *testing.B) { benchExperiment(b, "E14") }
 
 // --- Micro-benchmarks -------------------------------------------------
 
@@ -147,10 +148,18 @@ func BenchmarkEnumLevelVisit(b *testing.B) {
 	}
 }
 
-func benchDominanceQuery(b *testing.B, eps float64, miss bool) {
+// benchDominanceQuery times point dominance queries on a 50 000-point
+// index: through Query (memo, walk, cubes on overrun) or, with cubesOnly,
+// through QueryCubes — the paper's search alone — so the two stay
+// comparable in-tree.
+func benchDominanceQuery(b *testing.B, eps float64, miss, cubesOnly bool) {
 	b.Helper()
 	const d, k = 4, 14
 	idx := dominance.MustIndex(dominance.Config{Dims: d, Bits: k, MaxCubes: 50000})
+	query := idx.Query
+	if cubesOnly {
+		query = idx.QueryCubes
+	}
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 50000; i++ {
 		p := make([]uint32, d)
@@ -174,14 +183,15 @@ func benchDominanceQuery(b *testing.B, eps float64, miss bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := idx.Query(qs[i%len(qs)], eps); err != nil {
+		if _, _, _, err := query(qs[i%len(qs)], eps); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkApproxQueryHit(b *testing.B)  { benchDominanceQuery(b, 0.3, false) }
-func BenchmarkApproxQueryMiss(b *testing.B) { benchDominanceQuery(b, 0.3, true) }
+func BenchmarkApproxQueryHit(b *testing.B)       { benchDominanceQuery(b, 0.3, false, false) }
+func BenchmarkApproxQueryMiss(b *testing.B)      { benchDominanceQuery(b, 0.3, true, false) }
+func BenchmarkApproxQueryMissCubes(b *testing.B) { benchDominanceQuery(b, 0.3, true, true) }
 
 func BenchmarkLinearQueryMiss(b *testing.B) {
 	const d, k = 4, 14

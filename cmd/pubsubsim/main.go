@@ -67,7 +67,7 @@ func main() {
 	flag.Float64Var(&p.eps, "eps", 0.2, "approximation parameter for -mode approx")
 	flag.IntVar(&p.maxCubes, "cap", 10000, "per-query probe budget (0 = library default, -1 = unlimited)")
 	flag.StringVar(&p.curve, "curve", "", "space filling curve: z (default) | hilbert | gray | onion")
-	flag.IntVar(&p.cache, "decomp-cache", 0, "decomposition cache size in entries (0 = default, -1 = disabled)")
+	flag.IntVar(&p.cache, "decomp-cache", 0, "hit memo size in entries (0 = default, -1 = disabled)")
 	flag.BoolVar(&p.adaptive, "adaptive-budget", false, "derive per-query budgets from observed workload statistics")
 	flag.Float64Var(&p.width, "width", 0.3, "mean subscription width as a fraction of the domain")
 	flag.StringVar(&p.dist, "dist", "uniform", "value distribution: uniform | zipf | clustered | hotspot")

@@ -217,8 +217,8 @@ func newFlagSet(so *serveOptions, o *options, stderr io.Writer) *flag.FlagSet {
 	fs.StringVar(&o.strategy, "strategy", "sfc", "search backend: sfc, or linear (exact-mode store scan)")
 	fs.StringVar(&o.curve, "curve", "", "space filling curve: z (default), hilbert, gray or onion")
 	fs.StringVar(&o.array, "array", "", "ordered structure: treap (default) or skiplist")
-	fs.IntVar(&o.maxCubes, "maxcubes", daemonMaxCubes, "per-query probe budget (-1 = unlimited)")
-	fs.IntVar(&o.decompCache, "decomp-cache", 0, "decomposition cache size in entries (0 = default, -1 = disabled); hits replay memoized probe orders bit-identically")
+	fs.IntVar(&o.maxCubes, "maxcubes", daemonMaxCubes, "per-query budget: successor-walk steps, then cubes (-1 = unlimited)")
+	fs.IntVar(&o.decompCache, "decomp-cache", 0, "hit memo size in entries (0 = default, -1 = disabled); a shape that found a cover replays the key range that held it with one probe")
 	fs.BoolVar(&o.adaptiveBudget, "adaptive-budget", false, "derive each query's effective epsilon and cube cap from observed workload statistics (configured values become floor/ceiling)")
 	fs.IntVar(&o.shards, "shards", 0, "shard count (0 = default)")
 	fs.IntVar(&o.workers, "workers", 0, "batch worker pool size (0 = GOMAXPROCS)")

@@ -33,6 +33,20 @@ func KeyFromUint64(v uint64) Key {
 	return k
 }
 
+// KeyFromLow returns the Key whose low len(low) words are low — most
+// significant first, like the key itself — and whose higher words are
+// zero. It inverts Low: compact storage for keys of a known width.
+func KeyFromLow(low []uint64) Key {
+	var k Key
+	copy(k.w[KeyWords-len(low):], low)
+	return k
+}
+
+// Low copies the low len(dst) words of k into dst, most significant
+// first. A key of at most 64·len(dst) bits survives the round trip
+// through KeyFromLow.
+func (k Key) Low(dst []uint64) { copy(dst, k.w[KeyWords-len(dst):]) }
+
 // Uint64 returns the numeric value of k if it fits in 64 bits.
 // ok is false when the key has bits set above position 63.
 func (k Key) Uint64() (v uint64, ok bool) {

@@ -94,6 +94,15 @@ func interleaveSlow(coords []uint32, k int) Key {
 // Deinterleave inverts Interleave, recovering d coordinates of k bits each.
 func Deinterleave(key Key, d, k int) []uint32 {
 	coords := make([]uint32, d)
+	DeinterleaveInto(coords, key, k)
+	return coords
+}
+
+// DeinterleaveInto is Deinterleave writing the len(coords) coordinates
+// into the caller's buffer, so query paths decode without allocating.
+func DeinterleaveInto(coords []uint32, key Key, k int) {
+	d := len(coords)
+	clear(coords)
 	pos := d*k - 1
 	for g := 0; g < k; g++ {
 		coordBit := uint(k - 1 - g)
@@ -104,5 +113,4 @@ func Deinterleave(key Key, d, k int) []uint32 {
 			pos--
 		}
 	}
-	return coords
 }

@@ -45,8 +45,8 @@ type Config struct {
 	// Curve selects the space filling curve for SFC searches: "z"
 	// (default), "hilbert", "gray" or "onion".
 	Curve string
-	// DecompCacheSize bounds each link index's decomposition cache
-	// (0 = default, negative disables); see core.Config.DecompCacheSize.
+	// DecompCacheSize bounds each link index's hit memo (0 = default,
+	// negative disables); see core.Config.DecompCacheSize.
 	DecompCacheSize int
 	// AdaptiveBudget derives per-query budgets from observed workload
 	// statistics; see core.Config.AdaptiveBudget.
@@ -488,6 +488,9 @@ func (n *Network) CoverTotals() core.Totals {
 			tot.Hits += ps.Hits
 			tot.RunsProbed += ps.RunsProbed
 			tot.CubesGenerated += ps.CubesGenerated
+			for p, n := range ps.PathQueries {
+				tot.PathQueries[p] += n
+			}
 		}
 	}
 	return tot

@@ -92,8 +92,10 @@ type Config struct {
 	Curve string
 	Array string
 	Seed  int64
-	// MaxCubes caps the probes a single SFC query may issue. Zero selects
-	// DefaultMaxCubes; UnlimitedCubes (-1) removes the cap entirely.
+	// MaxCubes is the work budget of a single SFC query: it bounds the
+	// successor walk's steps and then, if the walk overran, the cubes the
+	// ε-search generates. Zero selects DefaultMaxCubes; UnlimitedCubes
+	// (-1) removes the cap entirely.
 	//
 	// A cap is the pragmatic answer to the paper's aspect-ratio caveat:
 	// subscriptions with equality or one-sided constraints yield query
@@ -103,10 +105,11 @@ type Config struct {
 	// searches — covers can be missed, which only costs redundant
 	// forwarding, never correctness.
 	MaxCubes int
-	// DecompCacheSize bounds the SFC index's decomposition cache in
-	// entries: 0 selects the dominance package's default, negative
-	// disables caching. Hits replay a memoized probe order bit-identical
-	// to the uncached search. Ignored by non-SFC strategies.
+	// DecompCacheSize bounds the SFC index's hit memo in entries: 0
+	// selects the dominance package's default, negative disables it. A
+	// shape that found a cover replays the key range that held it with
+	// one probe; misses are never remembered. Ignored by non-SFC
+	// strategies.
 	DecompCacheSize int
 	// AdaptiveBudget derives each query's effective ε and cube cap from
 	// observed query statistics instead of the fixed Epsilon/MaxCubes;
@@ -139,11 +142,16 @@ type Totals struct {
 	Queries int
 	// Hits is how many of them found a cover.
 	Hits int
-	// RunsProbed sums the SFC range probes across all queries (zero for
+	// RunsProbed sums the ordered-structure descents across all queries —
+	// memo probes, walk seeks and cube range probes in one unit (zero for
 	// linear/kd-tree strategies).
 	RunsProbed int
 	// CubesGenerated sums the standard cubes generated across all queries.
 	CubesGenerated int
+	// PathQueries counts the queries by the cut that ended their search,
+	// indexed by dominance.Path (memo, walk, cubes; index 0 holds the
+	// queries no SFC search answered).
+	PathQueries [dominance.NumPaths]int
 }
 
 // Detector detects covering relationships among a dynamic set of
@@ -389,6 +397,7 @@ func (d *Detector) FindCover(s *subscription.Subscription) (id uint64, found boo
 	}
 	d.totals.RunsProbed += stats.RunsProbed
 	d.totals.CubesGenerated += stats.CubesGenerated
+	d.totals.PathQueries[stats.Path]++
 	return id, found, stats, nil
 }
 
@@ -433,6 +442,7 @@ func (d *Detector) FindCovered(s *subscription.Subscription) (id uint64, found b
 	}
 	d.totals.RunsProbed += stats.RunsProbed
 	d.totals.CubesGenerated += stats.CubesGenerated
+	d.totals.PathQueries[stats.Path]++
 	return id, found, stats, nil
 }
 
@@ -548,5 +558,6 @@ func (d *Detector) CoverDegree(s *subscription.Subscription) (int, error) {
 	}
 	d.totals.RunsProbed += stats.RunsProbed
 	d.totals.CubesGenerated += stats.CubesGenerated
+	d.totals.PathQueries[stats.Path]++
 	return count, nil
 }

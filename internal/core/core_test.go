@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sfccover/internal/dominance"
 	"sfccover/internal/subscription"
 )
 
@@ -268,8 +269,11 @@ func TestTotalsAccounting(t *testing.T) {
 	if tot.Hits != 1 {
 		t.Errorf("Hits=%d, want 1 (second query hits the universal sub)", tot.Hits)
 	}
-	if tot.RunsProbed == 0 || tot.CubesGenerated == 0 {
-		t.Error("cost counters should be positive")
+	if tot.RunsProbed == 0 {
+		t.Error("descent counter should be positive")
+	}
+	if tot.CubesGenerated != 0 || tot.PathQueries[dominance.PathWalk] != 2 {
+		t.Errorf("both queries should be walk-answered without cubes: cubes=%d paths=%v", tot.CubesGenerated, tot.PathQueries)
 	}
 }
 

@@ -109,9 +109,11 @@ func (b *budgetState) adapt(eps float64, maxCubes, d int, region geom.Extremal) 
 	return epsEff, capEff
 }
 
-// record feeds one completed query's stats back into the policy. A
-// query counts as short only when it missed AND stopped below its
-// volume target — early hits are the search working as intended.
+// record feeds one completed cube search's stats back into the policy
+// (queries the memo or the walk answered spend neither ε nor cubes, so
+// they are not observed). A search counts as short only when it missed
+// AND stopped below its volume target — early hits are the search
+// working as intended.
 func (b *budgetState) record(stats *Stats, epsEff float64) {
 	b.queries.Add(1)
 	b.cubes.Add(uint64(stats.CubesGenerated))

@@ -65,6 +65,45 @@ func TestAdaptiveExhaustiveUntouched(t *testing.T) {
 	}
 }
 
+// TestAdaptiveIgnoresWalkAnswers: the policy tunes ε and the cube cap,
+// which only the cube search spends, so queries the walk or the memo
+// answer must leave its counters untouched; one that overruns into the
+// cubes is recorded.
+func TestAdaptiveIgnoresWalkAnswers(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	cfg := Config{Dims: 2, Bits: 7, Seed: 9, Adaptive: true, MaxCubes: 1 << 12}
+	idx := MustIndex(cfg)
+	for i, p := range randomPoints(rng, 500, cfg.Dims, cfg.Bits) {
+		idx.Insert(p, uint64(i))
+	}
+	for _, q := range randomPoints(rng, 100, cfg.Dims, cfg.Bits) {
+		for touch := 0; touch < 3; touch++ {
+			if _, _, st, err := idx.Query(q, 0.2); err != nil || st.Path == PathCubes {
+				t.Fatalf("q=%v: err=%v %+v", q, err, st)
+			}
+		}
+	}
+	if n := idx.budget.queries.Load() + idx.budget.cubes.Load() + idx.budget.alphaSum.Load() + idx.budget.short.Load(); n != 0 {
+		t.Fatalf("walk- and memo-answered queries moved the policy's counters: %+v", idx.budget)
+	}
+
+	tight := cfg
+	tight.MaxCubes = 1
+	idx = MustIndex(tight)
+	for i, p := range randomPoints(rng, 500, cfg.Dims, cfg.Bits) {
+		idx.Insert(p, uint64(i))
+	}
+	cubeSearches := uint64(0)
+	for _, q := range randomPoints(rng, 100, cfg.Dims, cfg.Bits) {
+		if _, _, st, _ := idx.Query(q, 0.2); st.Path == PathCubes {
+			cubeSearches++
+		}
+	}
+	if got := idx.budget.queries.Load(); got != cubeSearches || got == 0 {
+		t.Fatalf("policy observed %d queries, %d reached the cubes", got, cubeSearches)
+	}
+}
+
 // TestAdaptBudgetPolicy unit-tests the policy arithmetic: the derived ε
 // respects the configured floor, the grid, and the adaptiveMaxEps cap;
 // the derived cube budget is a power of two in [adaptiveMinCubes,

@@ -1,29 +1,28 @@
 package dominance
 
 import (
+	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
-	"sfccover/internal/cubes"
 	"sfccover/internal/geom"
 )
 
-// TestCacheBitIdentical is the cache's core contract: a cached index
-// answers every query — id, found, and the full Stats record — bit-
-// identically to an uncached one, on the first-touch pass (uncached
-// fallback behind the admission filter), the build pass (build-then-
-// replay) and the hit pass (pure replay), across curves, ε budgets and
-// cube caps.
+// TestCacheBitIdentical is the memo's core contract on a static
+// population: an index with the memo answers every query — id and found —
+// identically to one without, on the first-touch pass (search, shape
+// noted), the second (search, entry recorded) and the third (pure
+// replay), across curves, ε budgets and step budgets tight enough that
+// some queries overrun the walk and are memoized from the cube search.
 func TestCacheBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	configs := []Config{
 		{Dims: 2, Bits: 6, Curve: "z"},
-		{Dims: 2, Bits: 6, Curve: "hilbert", MaxCubes: 8},
+		{Dims: 2, Bits: 6, Curve: "hilbert", MaxCubes: 2},
 		{Dims: 3, Bits: 5, Curve: "gray", MaxCubes: 64},
 		{Dims: 3, Bits: 5, Curve: "onion"},
-		{Dims: 2, Bits: 8, Curve: "onion", MaxCubes: 16},
+		{Dims: 2, Bits: 8, Curve: "onion", MaxCubes: 2},
 	}
 	epsilons := []float64{0, 0.05, 0.3, 0.6}
 	for _, cfg := range configs {
@@ -37,33 +36,61 @@ func TestCacheBitIdentical(t *testing.T) {
 			plain.Insert(p, uint64(i))
 		}
 		queries := randomPoints(rng, 80, cfg.Dims, cfg.Bits)
+		replays, fromCubes := 0, 0
+		hitsSoFar := map[string]int{} // per shape: approximate queries that found a dominator
 		for pass := 0; pass < 3; pass++ {
 			for qi, q := range queries {
 				eps := epsilons[qi%len(epsilons)]
 				id1, ok1, st1, err1 := cached.Query(q, eps)
 				id2, ok2, st2, err2 := plain.Query(q, eps)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("%s pass %d: error mismatch: %v vs %v", cfg.Curve, pass, err1, err2)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("%s pass %d: errors %v, %v", cfg.Curve, pass, err1, err2)
 				}
 				if id1 != id2 || ok1 != ok2 {
 					t.Fatalf("%s pass %d q=%v eps=%g: answer mismatch: (%d,%v) vs (%d,%v)",
 						cfg.Curve, pass, q, eps, id1, ok1, id2, ok2)
 				}
-				if !reflect.DeepEqual(st1, st2) {
-					t.Fatalf("%s pass %d q=%v eps=%g: stats mismatch:\ncached:   %+v\nuncached: %+v",
-						cfg.Curve, pass, q, eps, st1, st2)
+				if st2.Path == PathMemo {
+					t.Fatalf("%s: an index without a memo reported %+v", cfg.Curve, st2)
+				}
+				shape := fmt.Sprint(q)
+				seen := hitsSoFar[shape]
+				if ok1 && eps > 0 {
+					hitsSoFar[shape]++
+				}
+				if st1.Path != PathMemo {
+					if st1 != st2 {
+						t.Fatalf("%s pass %d q=%v eps=%g: searched stats differ:\ncached:   %+v\nuncached: %+v",
+							cfg.Curve, pass, q, eps, st1, st2)
+					}
+					continue
+				}
+				if seen < 2 || eps == 0 || !ok1 {
+					t.Fatalf("%s pass %d eps=%g found=%v after %d hits: replay before the second touch, of an exact query or of a miss: %+v",
+						cfg.Curve, pass, eps, ok1, seen, st1)
+				}
+				if st1.RunsProbed != 1 || st1.WalkSteps != 0 || st1.CubesGenerated != 0 {
+					t.Fatalf("%s: a replay is one probe: %+v", cfg.Curve, st1)
+				}
+				replays++
+				if st2.Path == PathCubes {
+					fromCubes++
 				}
 			}
 		}
 		hits, misses := cached.CacheStats()
-		if hits == 0 || misses == 0 {
-			t.Errorf("%s: expected both hits and misses, got hits=%d misses=%d", cfg.Curve, hits, misses)
+		if hits == 0 || misses == 0 || int(hits) != replays {
+			t.Errorf("%s: hits=%d misses=%d, counted %d replays", cfg.Curve, hits, misses, replays)
+		}
+		if cfg.MaxCubes == 2 && fromCubes == 0 {
+			t.Errorf("%s: step budget %d produced no replay of a cube-search hit", cfg.Curve, cfg.MaxCubes)
 		}
 	}
 }
 
-// TestCacheAgreesWithOracle cross-checks the cached exhaustive search
-// against the Linear oracle on both the miss and hit pass.
+// TestCacheAgreesWithOracle cross-checks the memoized search against the
+// Linear oracle on all three touches. With no step budget every answer
+// is exact, whatever ε allows.
 func TestCacheAgreesWithOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	cfg := Config{Dims: 2, Bits: 6, Seed: 3}
@@ -75,94 +102,102 @@ func TestCacheAgreesWithOracle(t *testing.T) {
 		oracle.Insert(p, uint64(i))
 	}
 	for _, q := range randomPoints(rng, 200, cfg.Dims, cfg.Bits) {
-		// Three rounds: register with the admission filter, build, hit.
 		for pass := 0; pass < 3; pass++ {
-			_, ok := idx.QueryDominating(q)
+			id, ok, _, err := idx.Query(q, 0.3)
+			if err != nil {
+				t.Fatal(err)
+			}
 			_, want := oracle.QueryDominating(q)
 			if ok != want {
-				t.Fatalf("pass %d q=%v: cached exhaustive=%v oracle=%v", pass, q, ok, want)
+				t.Fatalf("pass %d q=%v: memoized search=%v oracle=%v", pass, q, ok, want)
+			}
+			if ok && !geom.Dominates(pts[id], q) {
+				t.Fatalf("pass %d q=%v: %v does not dominate", pass, q, pts[id])
 			}
 		}
 	}
 }
 
-// TestCacheCounters checks the hit/miss accounting under two-touch
-// admission: the first occurrence registers (miss), the second builds
-// (miss), the third and later replay (hit).
+// TestCacheCounters checks the accounting under two-touch admission: a
+// shape's first hit is noted (miss), its second recorded (miss), the
+// third and later replay (hit); a shape that finds nothing is never
+// remembered; exact queries never consult the memo.
 func TestCacheCounters(t *testing.T) {
 	idx := MustIndex(Config{Dims: 2, Bits: 6})
-	qs := [][]uint32{{1, 2}, {3, 4}, {5, 6}}
-	for _, q := range qs {
-		idx.Query(q, 0.25)
-	}
-	if h, m := idx.CacheStats(); h != 0 || m != 3 {
-		t.Fatalf("after distinct queries: hits=%d misses=%d, want 0/3", h, m)
-	}
-	for _, q := range qs {
-		idx.Query(q, 0.25)
-	}
-	if h, m := idx.CacheStats(); h != 0 || m != 6 {
-		t.Fatalf("after the build pass: hits=%d misses=%d, want 0/6", h, m)
-	}
-	for _, q := range qs {
-		idx.Query(q, 0.25)
-	}
-	if h, m := idx.CacheStats(); h != 3 || m != 6 {
-		t.Fatalf("after repeats: hits=%d misses=%d, want 3/6", h, m)
-	}
-	// A different ε is a different budget, hence a different entry.
-	idx.Query(qs[0], 0.5)
-	if h, m := idx.CacheStats(); h != 3 || m != 7 {
-		t.Fatalf("after new eps: hits=%d misses=%d, want 3/7", h, m)
-	}
-	// Distinct query points with identical region lens share an entry:
-	// the key is the region geometry, not the point.
-	idx2 := MustIndex(Config{Dims: 2, Bits: 6})
-	idx2.Query([]uint32{1, 5}, 0.25)
-	idx2.Query([]uint32{1, 5}, 0.25)
-	idx2.Query([]uint32{1, 5}, 0.25)
-	if h, _ := idx2.CacheStats(); h != 1 {
-		t.Fatalf("identical region should hit on the third touch, hits=%d", h)
-	}
-}
-
-// TestCacheDisabled verifies CacheSize < 0 turns the cache off.
-func TestCacheDisabled(t *testing.T) {
-	idx := MustIndex(Config{Dims: 2, Bits: 6, CacheSize: -1})
-	if idx.cache != nil {
-		t.Fatal("negative CacheSize must disable the cache")
-	}
-	idx.Query([]uint32{1, 2}, 0.25)
-	if h, m := idx.CacheStats(); h != 0 || m != 0 {
-		t.Fatalf("disabled cache reported hits=%d misses=%d", h, m)
-	}
-}
-
-// TestCacheEvictionBound fills the cache well past its configured size
-// and checks the live entry count respects the bound.
-func TestCacheEvictionBound(t *testing.T) {
-	idx := MustIndex(Config{Dims: 2, Bits: 8, CacheSize: 32})
-	rng := rand.New(rand.NewSource(17))
-	// Two passes per query so each shape clears the admission filter and
-	// actually builds an entry.
-	qs := randomPoints(rng, 500, 2, 8)
-	for pass := 0; pass < 2; pass++ {
-		for _, q := range qs {
-			idx.Query(q, 0.25)
+	idx.Insert([]uint32{40, 40}, 1)
+	covered := [][]uint32{{1, 2}, {3, 4}, {5, 6}}
+	wantCounters := func(when string, hits, misses uint64) {
+		t.Helper()
+		if h, m := idx.CacheStats(); h != hits || m != misses {
+			t.Fatalf("%s: hits=%d misses=%d, want %d/%d", when, h, m, hits, misses)
 		}
 	}
-	if n := idx.cache.len(); n > 32 {
-		t.Fatalf("cache holds %d entries, bound is 32", n)
+	for pass, want := range []struct{ hits, misses uint64 }{{0, 3}, {0, 6}, {3, 6}, {6, 6}} {
+		for _, q := range covered {
+			if _, ok, _, _ := idx.Query(q, 0.25); !ok {
+				t.Fatalf("pass %d: %v has a dominator", pass, q)
+			}
+		}
+		wantCounters("covered shapes", want.hits, want.misses)
 	}
-	// And it still answers correctly after heavy eviction.
+	// The entry records the point, not the budget: another ε replays it.
+	idx.Query(covered[0], 0.5)
+	wantCounters("new eps", 7, 6)
+	// A shape with no dominator misses every time and leaves no entry.
+	for i := 0; i < 4; i++ {
+		if _, ok, st, _ := idx.Query([]uint32{50, 50}, 0.25); ok || st.Path != PathWalk {
+			t.Fatalf("uncovered shape: found=%v %+v", ok, st)
+		}
+	}
+	wantCounters("uncovered shape", 7, 10)
+	if n := idx.memo.len(); n != len(covered) {
+		t.Fatalf("memo holds %d entries, want the %d covered shapes", n, len(covered))
+	}
+	idx.QueryDominating(covered[0])
+	wantCounters("exact query", 7, 10)
+}
+
+// TestCacheDisabled verifies CacheSize < 0 turns the memo off.
+func TestCacheDisabled(t *testing.T) {
+	idx := MustIndex(Config{Dims: 2, Bits: 6, CacheSize: -1})
+	if idx.memo != nil {
+		t.Fatal("negative CacheSize must disable the memo")
+	}
+	idx.Insert([]uint32{9, 9}, 1)
+	for i := 0; i < 3; i++ {
+		if _, ok, st, _ := idx.Query([]uint32{1, 2}, 0.25); !ok || st.Path != PathWalk {
+			t.Fatalf("touch %d: found=%v %+v", i, ok, st)
+		}
+	}
+	if h, m := idx.CacheStats(); h != 0 || m != 0 {
+		t.Fatalf("disabled memo reported hits=%d misses=%d", h, m)
+	}
+}
+
+// TestCacheEvictionBound records far more shapes than the configured
+// size and checks the live entry count respects the memo's hard bound,
+// its slot count of twice the size — and that the index still answers
+// exactly afterwards.
+func TestCacheEvictionBound(t *testing.T) {
+	idx := MustIndex(Config{Dims: 2, Bits: 8, CacheSize: 32})
+	idx.Insert([]uint32{255, 255}, 1<<20) // every shape has a dominator
+	rng := rand.New(rand.NewSource(17))
+	qs := randomPoints(rng, 500, 2, 8)
+	for _, q := range qs {
+		idx.Query(q, 0.25) // noted
+		idx.Query(q, 0.25) // recorded, over whatever held the slot
+	}
+	if n := idx.memo.len(); n < 32 || n > 64 {
+		t.Fatalf("memo of size 32 holds %d entries after 500 shapes, want 32..64", n)
+	}
+	idx.Delete([]uint32{255, 255}, 1<<20)
 	oracle := NewLinear()
-	pts := randomPoints(rng, 100, 2, 8)
-	for i, p := range pts {
+	for i, p := range randomPoints(rng, 100, 2, 8) {
 		idx.Insert(p, uint64(i))
 		oracle.Insert(p, uint64(i))
 	}
-	for _, q := range randomPoints(rng, 100, 2, 8) {
-		_, ok := idx.QueryDominating(q)
+	for _, q := range append(randomPoints(rng, 100, 2, 8), qs[:100]...) {
+		_, ok, _, _ := idx.Query(q, 0.25)
 		_, want := oracle.QueryDominating(q)
 		if ok != want {
 			t.Fatalf("post-eviction q=%v: got %v want %v", q, ok, want)
@@ -170,55 +205,76 @@ func TestCacheEvictionBound(t *testing.T) {
 	}
 }
 
-// TestCacheOverflowFallback drives a missing query whose enumeration
-// prefix exceeds the per-entry bound: the recording search must answer
-// exactly like an uncached index and publish only the negative entry,
-// which repeats then answer through — uncached, but without another
-// recording attempt. The indexes stay empty so the search runs the
-// whole region-determined prefix instead of stopping at a hit.
-func TestCacheOverflowFallback(t *testing.T) {
-	const d, k = 3, 8
-	q := []uint32{1, 1, 1}
-	region := geom.QueryRegion(q, k)
-	partition, err := cubes.Decompose(region.Rect(), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(partition) <= cacheBuildMaxCubes {
-		t.Skipf("partition has only %d cubes, need > %d to overflow", len(partition), cacheBuildMaxCubes)
-	}
-	cfg := Config{Dims: d, Bits: k, Seed: 5}
-	cached := MustIndex(cfg)
-	plainCfg := cfg
-	plainCfg.CacheSize = -1
-	plain := MustIndex(plainCfg)
-	// Touch 1 registers the shape, touch 2 records (and overflows into
-	// the negative entry), touch 3 hits the negative entry. Every touch
-	// must agree with the uncached index bit for bit.
-	for touch := 1; touch <= 3; touch++ {
-		id1, ok1, st1, err1 := cached.Query(q, 0.01)
-		id2, ok2, st2, err2 := plain.Query(q, 0.01)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("touch %d errors: %v %v", touch, err1, err2)
-		}
-		if id1 != id2 || ok1 != ok2 || !reflect.DeepEqual(st1, st2) {
-			t.Fatalf("touch %d diverged:\ncached:   (%d,%v) %+v\nuncached: (%d,%v) %+v", touch, id1, ok1, st1, id2, ok2, st2)
-		}
-		wantLen := 1
-		if touch == 1 {
-			wantLen = 0 // admission filter only; nothing published yet
-		}
-		if n := cached.cache.len(); n != wantLen {
-			t.Fatalf("touch %d: %d live entries, want %d (the negative entry only)", touch, n, wantLen)
+// TestCacheHoldsFullWorkingSet cycles through exactly as many recurring
+// shapes as the memo is sized for — a router's churn window — and checks
+// that, once each has been noted and recorded, nearly all of them replay:
+// set overflow may cost a percent, but neither the entries nor the
+// admission filter may thrash on colliding shapes.
+func TestCacheHoldsFullWorkingSet(t *testing.T) {
+	cfg := Config{Dims: 4, Bits: 10}
+	idx := MustIndex(cfg)
+	idx.Insert([]uint32{1023, 1023, 1023, 1023}, 1)
+	shapes := randomPoints(rand.New(rand.NewSource(41)), DefaultCacheSize, cfg.Dims, cfg.Bits)
+	replays := 0
+	for round := 0; round < 4; round++ {
+		replays = 0
+		for _, q := range shapes {
+			if _, _, st, _ := idx.Query(q, 0.3); st.Path == PathMemo {
+				replays++
+			}
 		}
 	}
-	hits, misses := cached.CacheStats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("want 1 hit (the negative-entry repeat) and 2 misses (register, build), have %d/%d", hits, misses)
+	if replays < len(shapes)*98/100 {
+		t.Fatalf("only %d of %d recurring shapes replay in the fourth round", replays, len(shapes))
 	}
 }
 
-// TestCacheShardedConcurrent exercises the shared cache from concurrent
+// TestCacheStaleEntry deletes a memoized dominator: the replay's probe
+// misses, the query falls through to the walk and returns what an index
+// that never had a memo returns — another dominator, whose cell replaces
+// the entry, or none, which drops it.
+func TestCacheStaleEntry(t *testing.T) {
+	q := []uint32{10, 10}
+	for _, curve := range []string{"z", "hilbert"} {
+		idx := MustIndex(Config{Dims: 2, Bits: 6, Curve: curve})
+		plain := MustIndex(Config{Dims: 2, Bits: 6, Curve: curve, CacheSize: -1})
+		pts := [][]uint32{{20, 30}, {40, 12}, {5, 60}}
+		for i, p := range pts {
+			idx.Insert(p, uint64(i))
+			plain.Insert(p, uint64(i))
+		}
+		var first uint64
+		for touch := 0; touch < 3; touch++ {
+			first, _, _, _ = idx.Query(q, 0.3)
+		}
+		if _, _, st, _ := idx.Query(q, 0.3); st.Path != PathMemo {
+			t.Fatalf("%s: fourth touch did not replay: %+v", curve, st)
+		}
+		idx.Delete(pts[first], first)
+		plain.Delete(pts[first], first)
+
+		want, _, _, _ := plain.Query(q, 0.3)
+		got, ok, st, _ := idx.Query(q, 0.3)
+		if !ok || got != want || got == first {
+			t.Fatalf("%s: after deleting the memoized dominator %d: got (%d,%v), the walk says %d", curve, first, got, ok, want)
+		}
+		if st.Path != PathWalk || st.RunsProbed != st.WalkSteps+1 {
+			t.Fatalf("%s: a stale replay costs one probe, then the walk: %+v", curve, st)
+		}
+		if got2, _, st2, _ := idx.Query(q, 0.3); got2 != got || st2.Path != PathMemo {
+			t.Fatalf("%s: the walk's hit should have replaced the stale entry: (%d) %+v", curve, got2, st2)
+		}
+		idx.Delete(pts[got], got)
+		if _, ok, _, _ := idx.Query(q, 0.3); ok {
+			t.Fatalf("%s: no dominator is left", curve)
+		}
+		if n := idx.memo.len(); n != 0 {
+			t.Fatalf("%s: a miss through a stale entry must drop it, %d live", curve, n)
+		}
+	}
+}
+
+// TestCacheShardedConcurrent exercises the shared memo from concurrent
 // queriers on a ShardedIndex (meaningful under -race) and checks every
 // answer against the Linear oracle.
 func TestCacheShardedConcurrent(t *testing.T) {
@@ -246,13 +302,13 @@ func TestCacheShardedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 4; round++ {
 				for i, q := range queries {
-					_, ok, _, qerr := x.Query(q, 0)
+					id, ok, _, qerr := x.Query(q, 0.25)
 					if qerr != nil {
 						t.Errorf("goroutine %d q=%v: %v", g, q, qerr)
 						return
 					}
-					if ok != want[i] {
-						t.Errorf("goroutine %d q=%v: got %v want %v", g, q, ok, want[i])
+					if ok != want[i] || (ok && !geom.Dominates(pts[id], q)) {
+						t.Errorf("goroutine %d q=%v: got (%d,%v) want %v", g, q, id, ok, want[i])
 						return
 					}
 				}
@@ -261,6 +317,6 @@ func TestCacheShardedConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	if h, _ := x.CacheStats(); h == 0 {
-		t.Error("concurrent repeat workload produced no cache hits")
+		t.Error("concurrent repeat workload produced no memo hits")
 	}
 }

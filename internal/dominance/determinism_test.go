@@ -34,15 +34,14 @@ func TestQueryDeterminism(t *testing.T) {
 		if idA != idB || okA != okB {
 			t.Fatalf("results differ: (%d,%v) vs (%d,%v)", idA, okA, idB, okB)
 		}
-		if stA.RunsProbed != stB.RunsProbed || stA.CubesGenerated != stB.CubesGenerated ||
-			stA.VolumeFraction != stB.VolumeFraction || stA.M != stB.M {
+		if stA != stB {
 			t.Fatalf("stats differ: %+v vs %+v", stA, stB)
 		}
 	}
 }
 
 // TestStatsInvariants checks the structural relations the Stats contract
-// promises.
+// promises, for the cube search and for the walk in front of it.
 func TestStatsInvariants(t *testing.T) {
 	idx := MustIndex(Config{Dims: 3, Bits: 8})
 	rng := rand.New(rand.NewSource(44))
@@ -52,9 +51,34 @@ func TestStatsInvariants(t *testing.T) {
 	}
 	for trial := 0; trial < 200; trial++ {
 		q := []uint32{uint32(rng.Intn(256)), uint32(rng.Intn(256)), uint32(rng.Intn(256))}
-		_, found, st, err := idx.Query(q, 0.25)
+		_, wfound, wst, err := idx.Query(q, 0.25)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// No budget is configured, so the walk (or, on a repeat, the memo
+		// it filled) decides every query without generating a cube.
+		if wst.Path == PathCubes || wst.Path == PathNone || wst.CubesGenerated != 0 || wst.M != 0 {
+			t.Fatalf("unbudgeted query reached the cubes: %+v", wst)
+		}
+		if wst.RunsProbed < wst.WalkSteps || wst.RunsProbed > wst.WalkSteps+1 {
+			t.Fatalf("descents %d do not add up from %d walk steps and at most one memo probe", wst.RunsProbed, wst.WalkSteps)
+		}
+		if wfound != wst.Found {
+			t.Fatal("Found flag inconsistent")
+		}
+		if !wfound && (wst.VolumeFraction != 1 || wst.SearchedLevel != 0) {
+			t.Fatalf("a walk miss is exact and searched the whole region: %+v", wst)
+		}
+
+		_, found, st, err := idx.QueryCubes(q, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if found && !wfound {
+			t.Fatal("the ε-search found a dominator the exact walk missed")
+		}
+		if st.Path != PathCubes || st.WalkSteps != 0 {
+			t.Fatalf("QueryCubes must run the cube search alone: %+v", st)
 		}
 		if st.RunsProbed > st.CubesGenerated {
 			t.Fatalf("probed %d > generated %d", st.RunsProbed, st.CubesGenerated)
@@ -72,11 +96,12 @@ func TestStatsInvariants(t *testing.T) {
 			if st.RunsProbed != st.CubesGenerated {
 				t.Fatal("miss must probe every generated cube")
 			}
-			if len(st.SearchedLen) == 0 {
+			searched := searchedLen(st, q, 8)
+			if len(searched) == 0 {
 				t.Fatal("miss must report its searched region")
 			}
 			region := geom.QueryRegion(q, 8)
-			for i, l := range st.SearchedLen {
+			for i, l := range searched {
 				if l > region.Len[i] {
 					t.Fatalf("searched region exceeds query region on dim %d", i)
 				}

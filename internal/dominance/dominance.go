@@ -7,11 +7,26 @@
 //     region covering at least a (1−ε) fraction of its volume and report a
 //     point if the searched part contains one.
 //
-// The SFC-based Index follows Section 5: points live in an SFC array
-// sorted by curve key; a query greedily partitions (a truncation of) the
-// query region into standard cubes, largest first, and probes each cube's
-// key range with one ordered-search until a point is found or the target
-// volume has been covered.
+// The SFC-based Index keeps its points in an SFC array sorted by curve
+// key, as in Section 5, and answers a query in this order:
+//
+//  1. the hit memo — a shape that found a dominator before replays the one
+//     key range that held it with a single probe;
+//  2. the successor walk — seek the next stored key at or after the
+//     region's smallest key, return it if its cell dominates the query,
+//     otherwise jump the cursor to the next key inside the region
+//     (sfc.Curve.NextInExtremal) and seek again. It visits stored keys,
+//     not cubes, so a region with no dominator costs as many seeks as it
+//     has stored points between its runs, and its answer is exact;
+//  3. the paper's search, only if the walk spends its step budget: greedily
+//     partition (a truncation of) the region into standard cubes, largest
+//     first, and probe each cube's key range until a point is found or
+//     the target volume has been covered.
+//
+// So an answer is either exact or carries the paper's (1−ε) guarantee,
+// and ε only ever yields misses. QueryCubes runs step 3 alone — the
+// algorithm the paper analyzes — for the experiments and the cost-model
+// tests.
 //
 // Linear and KDTree are the exact baselines used for correctness oracles
 // and for the scaling experiments.
@@ -39,31 +54,63 @@ type Searcher interface {
 	Len() int
 }
 
-// Stats describes the work one SFC query performed, in the units of the
-// paper's cost model.
+// Path names the cut that ended a search.
+type Path uint8
+
+const (
+	// PathNone: no SFC search ran (baseline strategies, detection off).
+	PathNone Path = iota
+	// PathMemo: the hit memo's single probe answered.
+	PathMemo
+	// PathWalk: the successor walk answered, exactly.
+	PathWalk
+	// PathCubes: the paper's cube search answered (the walk overran its
+	// step budget, or the query came through QueryCubes).
+	PathCubes
+	// NumPaths sizes per-path counter arrays.
+	NumPaths
+)
+
+func (p Path) String() string {
+	return [NumPaths]string{"none", "memo", "walk", "cubes"}[p]
+}
+
+// Stats describes the work one SFC query performed. The cube counters
+// are in the units of the paper's cost model; RunsProbed counts every
+// ordered-structure descent, whichever cut issued it.
 type Stats struct {
-	// M is the truncation parameter used (0 for exhaustive queries).
+	// Path is the cut that ended the search.
+	Path Path
+	// M is the truncation parameter used (0 unless the ε-search ran).
 	M int
-	// CubesGenerated is how many standard cubes the decomposition emitted.
+	// CubesGenerated is how many standard cubes the decomposition emitted
+	// (0 when the memo or the walk answered).
 	CubesGenerated int
-	// RunsProbed is the number of ordered-structure range probes issued —
-	// the paper's unit of query cost.
+	// RunsProbed is the number of ordered-structure descents issued: the
+	// memo's probe, the walk's seeks and the cube search's range probes —
+	// the paper's unit of query cost — added in one unit.
 	RunsProbed int
-	// VolumeFraction is the fraction of the query region's volume that the
-	// generated cubes cover (>= 1-ε for approximate queries that ran to
-	// their target).
+	// WalkSteps is how many of those descents were seeks of the successor
+	// walk.
+	WalkSteps int
+	// VolumeFraction is the fraction of the query region's volume that
+	// was searched without finding a point: 1 for an exact (walk) miss,
+	// the volume of the generated cubes for the cube search (>= 1-ε when
+	// it ran to its target). Memo and walk hits do not measure volume and
+	// leave it 0.
 	VolumeFraction float64
 	// AspectRatio is α = b(ℓ_max) − b(ℓ_min) of the query region.
 	AspectRatio int
 	// Found reports whether a dominating point was returned.
 	Found bool
-	// SearchedLen gives the side lengths of the extremal rectangle that was
-	// fully searched before the search ended: every indexed point inside
-	// R(SearchedLen) is guaranteed to have been considered. It is nil when
-	// the search ended mid-level (success, or the MaxCubes cap) before
-	// completing its first level. For exhaustive queries that find nothing
-	// it is the whole query region.
-	SearchedLen []uint64
+	// SearchedLevel identifies the extremal rectangle that was fully
+	// searched before the search ended: every indexed point inside
+	// R(S_level(t(ℓ, M))) was considered (t only when M > 0). It is -1
+	// when the search ended (success, or the MaxCubes cap) before
+	// completing its first level, and 0 with M = 0 — the whole query
+	// region — for exact misses. Storing the level, not the rectangle,
+	// keeps a per-query slice off the query path.
+	SearchedLevel int
 }
 
 // Config parameterizes an SFC dominance index.
@@ -79,15 +126,16 @@ type Config struct {
 	Array string
 	// Seed drives the ordered structure's internal randomness.
 	Seed int64
-	// MaxCubes caps the cubes generated per query (0 = unlimited). When
-	// the cap fires the search still probes the largest-volume prefix of
-	// the partition, so it degrades to a coarser approximation; Stats
-	// reports the volume actually covered.
+	// MaxCubes is the per-query work budget (0 = unlimited): it bounds
+	// the successor walk's steps and then, if the walk overran, the cubes
+	// the ε-search generates. When the cube cap fires the search has
+	// still probed the largest-volume prefix of the partition, so it
+	// degrades to a coarser approximation; Stats reports the volume
+	// actually covered. Exact queries (ε = 0) walk without a budget.
 	MaxCubes int
-	// CacheSize bounds the decomposition cache in entries: 0 selects
-	// DefaultCacheSize, negative disables the cache. Cache hits replay a
-	// memoized probe order bit-identical to the uncached search, skipping
-	// decomposition and run-merging.
+	// CacheSize bounds the hit memo in entries: 0 selects
+	// DefaultCacheSize, negative disables it. A memo hit answers with one
+	// probe of the key range that held the shape's dominator last time.
 	CacheSize int
 	// Adaptive derives each query's effective ε and cube cap from
 	// observed query statistics (aspect ratio, volume fraction, cube
@@ -115,49 +163,55 @@ func (c Config) withDefaults() Config {
 // queries are single-goroutine too. Wrap an Index in a lock (as
 // core.Detector does) or use ShardedIndex for concurrent querying.
 type Index struct {
-	cfg   Config
-	curve sfc.Curve
-	arr   sfcarray.Index
-	// rawProbe is the array's range probe bound once at construction:
-	// binding it per query would allocate a method value on every call.
-	rawProbe probeFn
+	dispatch
+	arr sfcarray.Index
 	// scratch holds the query path's reusable buffers.
 	scratch queryScratch
-	// cache memoizes decompositions (nil when disabled).
-	cache *decompCache
+}
+
+// dispatch is everything of a query's path but the array it searches:
+// the configuration, the curve and the state queries share. Index and
+// ShardedIndex embed it, so both answer through the one search.
+type dispatch struct {
+	cfg   Config
+	curve sfc.Curve
+	// memo remembers which key range answered a shape (nil when disabled).
+	memo *hitMemo
 	// budget drives adaptive per-query budgets (nil unless enabled).
 	budget *budgetState
 }
 
-// NewIndex builds an SFC dominance index.
-func NewIndex(cfg Config) (*Index, error) {
+func newDispatch(cfg Config) (dispatch, error) {
 	cfg = cfg.withDefaults()
 	curve, err := sfc.New(cfg.Curve, sfc.Config{Dims: cfg.Dims, Bits: cfg.Bits})
 	if err != nil {
-		return nil, fmt.Errorf("dominance: %w", err)
+		return dispatch{}, fmt.Errorf("dominance: %w", err)
 	}
-	arr, err := sfcarray.New(cfg.Array, cfg.Seed)
+	d := dispatch{cfg: cfg, curve: curve}
+	if cfg.CacheSize >= 0 {
+		d.memo = newHitMemo(cfg.CacheSize, cfg)
+	}
+	if cfg.Adaptive {
+		d.budget = &budgetState{}
+	}
+	return d, nil
+}
+
+// CacheStats reports the hit memo's counters (zeros when it is
+// disabled): queries it answered, and queries that went on to search.
+func (d *dispatch) CacheStats() (hits, misses uint64) { return d.memo.stats() }
+
+// NewIndex builds an SFC dominance index.
+func NewIndex(cfg Config) (*Index, error) {
+	d, err := newDispatch(cfg)
+	if err != nil {
+		return nil, err
+	}
+	arr, err := sfcarray.New(d.cfg.Array, d.cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("dominance: %w", err)
 	}
-	x := &Index{cfg: cfg, curve: curve, arr: arr}
-	x.rawProbe = x.arr.FirstInRange
-	if cfg.CacheSize >= 0 {
-		x.cache = newDecompCache(cfg.CacheSize)
-	}
-	if cfg.Adaptive {
-		x.budget = &budgetState{}
-	}
-	return x, nil
-}
-
-// CacheStats reports the decomposition cache's hit and miss counts
-// (zeros when the cache is disabled).
-func (x *Index) CacheStats() (hits, misses uint64) {
-	if x.cache == nil {
-		return 0, 0
-	}
-	return x.cache.hits.Load(), x.cache.misses.Load()
+	return &Index{dispatch: d, arr: arr}, nil
 }
 
 // MustIndex is NewIndex for known-good configurations.
@@ -235,33 +289,49 @@ func (x *Index) QueryDominating(q []uint32) (uint64, bool) {
 	return id, ok
 }
 
-// Query answers a point dominance query at q. eps == 0 requests an
-// exhaustive search (Problem 1); 0 < eps < 1 requests an ε-approximate
-// search (Problem 2) that truncates the query region per Lemma 3.2 and
-// probes cubes largest-first, stopping as soon as a point is found or
-// the searched volume reaches (1−ε) of the query region. A single Index
-// is never traced; tracing lives on ShardedIndex.QueryTraced.
+// Query answers a point dominance query at q: memo, then walk, then —
+// on budget overrun only — the cube search. eps == 0 requests an exact
+// answer (Problem 1): the walk runs without a budget and returns the
+// dominating entry with the smallest key, then the smallest id, exactly
+// what the exhaustive cube search returns. 0 < eps < 1 allows an
+// ε-approximate answer (Problem 2): the walk still answers exactly
+// within Config.MaxCubes steps, and past them the paper's search
+// truncates the region per Lemma 3.2 and probes cubes largest-first
+// until a point is found or the searched volume reaches (1−ε) of the
+// region. A single Index is never traced; tracing lives on
+// ShardedIndex.QueryTraced.
 //
 //sfc:hotpath
 func (x *Index) Query(q []uint32, eps float64) (uint64, bool, Stats, error) {
-	if len(q) != x.cfg.Dims {
-		return 0, false, Stats{}, errDims(len(q), x.cfg.Dims)
-	}
-	if eps < 0 || eps >= 1 {
-		return 0, false, Stats{}, errEps(eps)
+	if err := x.checkQuery(q, eps); err != nil {
+		return 0, false, Stats{}, err
 	}
 	sc := &x.scratch
-	sc.stats = Stats{}
-	stats := &sc.stats
-	region := sc.region(q, x.cfg.Bits)
-	stats.AspectRatio = region.AspectRatio()
-	maxCubes := x.cfg.MaxCubes
-	if x.budget != nil {
-		eps, maxCubes = x.budget.adapt(eps, maxCubes, x.cfg.Dims, region)
-	}
-	id, ok, err := dispatchSearch(x.curve, x.cfg.Bits, maxCubes, x.cache, sc, x.rawProbe, region, eps, stats, nil)
-	if x.budget != nil && err == nil {
-		x.budget.record(stats, eps)
-	}
+	id, ok, err := x.search(sc, x.arr, q, eps, nil)
 	return id, ok, sc.stats, err
+}
+
+// QueryCubes answers q with the paper's search alone — exhaustive
+// decomposition and run probes for eps == 0, the Section 5 ε-search
+// otherwise — bypassing the memo, the walk and the adaptive budget. It
+// is the reference the experiments and the cost-model tests measure, and
+// what Query falls back to when the walk overruns.
+func (x *Index) QueryCubes(q []uint32, eps float64) (uint64, bool, Stats, error) {
+	if err := x.checkQuery(q, eps); err != nil {
+		return 0, false, Stats{}, err
+	}
+	sc := &x.scratch
+	region := sc.begin(q, x.cfg.Bits)
+	id, ok, err := searchCubes(x.curve, x.cfg.Bits, x.cfg.MaxCubes, sc, x.arr, region, eps, nil)
+	return id, ok, sc.stats, err
+}
+
+func (d *dispatch) checkQuery(q []uint32, eps float64) error {
+	if len(q) != d.cfg.Dims {
+		return errDims(len(q), d.cfg.Dims)
+	}
+	if eps < 0 || eps >= 1 {
+		return errEps(eps)
+	}
+	return nil
 }

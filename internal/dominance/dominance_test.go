@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"sfccover/internal/bits"
 	"sfccover/internal/cubes"
 	"sfccover/internal/geom"
 )
@@ -98,23 +99,28 @@ func TestApproximateNeverFalsePositive(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		q := randomPoints(rng, 1, 3, 8)[0]
 		for _, eps := range []float64{0.3, 0.05} {
-			id, found, stats, err := idx.Query(q, eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if found && !geom.Dominates(pts[id], q) {
-				t.Fatalf("eps=%v q=%v: false positive %v", eps, q, pts[id])
-			}
-			if found != stats.Found {
-				t.Fatal("stats.Found disagrees with result")
+			for name, query := range map[string]func([]uint32, float64) (uint64, bool, Stats, error){
+				"Query": idx.Query, "QueryCubes": idx.QueryCubes,
+			} {
+				id, found, stats, err := query(q, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if found && !geom.Dominates(pts[id], q) {
+					t.Fatalf("%s eps=%v q=%v: false positive %v", name, eps, q, pts[id])
+				}
+				if found != stats.Found {
+					t.Fatalf("%s: stats.Found disagrees with result", name)
+				}
 			}
 		}
 	}
 }
 
 func TestApproximateCompleteWithinSearchedRegion(t *testing.T) {
-	// Completeness contract: every indexed point inside R(SearchedLen) must
-	// be found, and the searched region must meet the (1−ε) volume bound.
+	// Completeness contract of the paper's search: every indexed point
+	// inside R(SearchedLen) must be found, and the searched region must
+	// meet the (1−ε) volume bound.
 	rng := rand.New(rand.NewSource(83))
 	const d, k = 3, 6
 	idx := MustIndex(Config{Dims: d, Bits: k})
@@ -125,7 +131,7 @@ func TestApproximateCompleteWithinSearchedRegion(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		q := randomPoints(rng, 1, d, k)[0]
 		for _, eps := range []float64{0.4, 0.15, 0.05} {
-			_, found, stats, err := idx.Query(q, eps)
+			_, found, stats, err := idx.QueryCubes(q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,11 +142,11 @@ func TestApproximateCompleteWithinSearchedRegion(t *testing.T) {
 				t.Fatalf("eps=%v: unsuccessful search covered only %v < %v",
 					eps, stats.VolumeFraction, 1-eps)
 			}
-			searched := geom.MustExtremal(stats.SearchedLen, k).Rect()
+			searched := geom.MustExtremal(searchedLen(stats, q, k), k).Rect()
 			for _, p := range pts {
 				if searched.Contains(p) {
 					t.Fatalf("eps=%v q=%v: point %v inside searched region %v was missed",
-						eps, q, p, stats.SearchedLen)
+						eps, q, p, searchedLen(stats, q, k))
 				}
 			}
 		}
@@ -159,7 +165,7 @@ func TestSearchedRegionMatchesTruncationWhenComplete(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		q := randomPoints(rng, 1, d, k)[0]
 		eps := []float64{0.3, 0.1, 0.03}[trial%3]
-		_, _, stats, err := idx.Query(q, eps)
+		_, _, stats, err := idx.QueryCubes(q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,12 +174,12 @@ func TestSearchedRegionMatchesTruncationWhenComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		searched := geom.MustExtremal(stats.SearchedLen, k)
+		searched := geom.MustExtremal(searchedLen(stats, q, k), k)
 		if !tr.Rect().ContainsRect(searched.Rect()) {
-			t.Fatalf("searched region %v escapes truncated region %v", stats.SearchedLen, tr.Len)
+			t.Fatalf("searched region %v escapes truncated region %v", searched.Len, tr.Len)
 		}
 		if searched.Volume()/region.Volume() < 1-eps {
-			t.Fatalf("searched volume below contract: %v", stats.SearchedLen)
+			t.Fatalf("searched volume below contract: %v", searched.Len)
 		}
 		maxCorner := []uint32{1<<k - 1, 1<<k - 1}
 		if !searched.Rect().Contains(maxCorner) {
@@ -188,7 +194,7 @@ func TestApproximateVolumeGuarantee(t *testing.T) {
 	idx := MustIndex(Config{Dims: 2, Bits: 10})
 	q := []uint32{100, 333}
 	for _, eps := range []float64{0.5, 0.25, 0.1, 0.05, 0.01} {
-		_, found, stats, err := idx.Query(q, eps)
+		_, found, stats, err := idx.QueryCubes(q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +227,7 @@ func TestApproxCostIndependentOfSideLength(t *testing.T) {
 	for _, exp := range []uint{8, 10, 12, 14} {
 		l := uint64(1)<<exp + 1<<(exp-1) + 1 // e.g. 110...01: messy boundary
 		q := []uint32{uint32(1<<16 - l), uint32(1<<16 - l)}
-		_, _, stats, err := idx.Query(q, eps)
+		_, _, stats, err := idx.QueryCubes(q, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +244,7 @@ func TestMaxCubesCap(t *testing.T) {
 	idx := MustIndex(Config{Dims: 2, Bits: 12, MaxCubes: 5})
 	// A query region needing many cubes.
 	q := []uint32{uint32(1<<12 - 257), uint32(1<<12 - 257)}
-	_, _, stats, err := idx.Query(q, 0.0001)
+	_, _, stats, err := idx.QueryCubes(q, 0.0001)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +253,19 @@ func TestMaxCubesCap(t *testing.T) {
 	}
 	if stats.VolumeFraction <= 0 || stats.VolumeFraction > 1 {
 		t.Fatalf("volume fraction %v out of range", stats.VolumeFraction)
+	}
+	// Through Query the cap bounds the walk's steps and then the cubes.
+	// Each of these points lies one cell below the region with a region
+	// cell right after it on the curve, so each costs the walk a step.
+	for v := uint32(0); v < 64; v++ {
+		idx.Insert([]uint32{q[0] + 1 + v, q[1] - 1}, uint64(v))
+	}
+	_, found, stats, err := idx.Query(q, 0.0001)
+	if err != nil || found {
+		t.Fatalf("no point dominates q: found=%v err=%v", found, err)
+	}
+	if stats.Path != PathCubes || stats.WalkSteps != 5 || stats.CubesGenerated > 5 || stats.RunsProbed > 10 {
+		t.Fatalf("budget of 5 not honoured by walk then cubes: %+v", stats)
 	}
 }
 
@@ -360,4 +379,22 @@ func TestLinearDeleteRequiresMatchingPoint(t *testing.T) {
 	if !lin.Delete([]uint32{1, 2}, 5) {
 		t.Fatal("delete with right point should succeed")
 	}
+}
+
+// searchedLen derives the side lengths of the extremal rectangle a search
+// of q fully covered from its Stats — R(S_level(t(ℓ, M))) — or nil when
+// no level was completed.
+func searchedLen(s Stats, q []uint32, k int) []uint64 {
+	if s.SearchedLevel < 0 {
+		return nil
+	}
+	lens := make([]uint64, len(q))
+	for i, x := range q {
+		lens[i] = uint64(1)<<uint(k) - uint64(x)
+		if s.M > 0 {
+			lens[i] = bits.T(lens[i], s.M)
+		}
+		lens[i] = bits.S(lens[i], s.SearchedLevel)
+	}
+	return lens
 }

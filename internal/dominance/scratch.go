@@ -1,8 +1,12 @@
 package dominance
 
 import (
+	"slices"
+
+	"sfccover/internal/bits"
 	"sfccover/internal/cubes"
 	"sfccover/internal/geom"
+	"sfccover/internal/sfc"
 )
 
 // queryScratch is the per-worker reusable state of one query: the region
@@ -18,14 +22,29 @@ type queryScratch struct {
 	enum   cubes.LevelEnum
 	// stats is the query's working Stats: the search closures take its
 	// address, which would force a stack-local Stats to escape and cost
-	// one heap allocation per query. Query zeroes it, threads
-	// &sc.stats through the search, and returns it by value.
+	// one heap allocation per query. begin resets it, the search works
+	// on it in place, and the query returns it by value.
 	stats Stats
+	// hitLo..hitHi is the key range that held the point a search found,
+	// for the memo: the cube the ε-search hit, or [k,k] for the key a
+	// walk stopped at.
+	hitLo, hitHi bits.Key
+	// routed is the sharded index's view of its slices as one ordered
+	// array; it lives here so handing it to the search as an interface
+	// does not allocate.
+	routed routed
+}
+
+// begin resets the scratch for one query and returns its region.
+func (sc *queryScratch) begin(q []uint32, k int) geom.Extremal {
+	region := sc.region(q, k)
+	sc.stats = Stats{AspectRatio: region.AspectRatio(), SearchedLevel: -1}
+	return region
 }
 
 // region builds the extremal query region over the scratch lens buffer.
 // The returned region aliases the scratch: anything retained beyond the
-// query (cache entries, Stats) must copy.
+// query must copy.
 func (sc *queryScratch) region(q []uint32, k int) geom.Extremal {
 	d := len(q)
 	if cap(sc.lens) < d {
@@ -39,15 +58,31 @@ func (sc *queryScratch) region(q []uint32, k int) geom.Extremal {
 	return geom.Extremal{Len: sc.lens, K: k}
 }
 
-// rect materializes the region as a rectangle over the scratch corner
-// buffers (the allocation-free form of Extremal.Rect).
-func (sc *queryScratch) rect(region geom.Extremal) geom.Rect {
-	d := len(region.Len)
+// corners returns the two d-coordinate scratch buffers.
+func (sc *queryScratch) corners(d int) (lo, hi []uint32) {
 	if cap(sc.rectLo) < d {
 		sc.rectLo = make([]uint32, d)
 		sc.rectHi = make([]uint32, d)
 	}
-	lo, hi := sc.rectLo[:d], sc.rectHi[:d]
+	return sc.rectLo[:d], sc.rectHi[:d]
+}
+
+// topCube returns the key range of the largest standard cube at the max
+// corner of the region begin built: side 2^⌊log2 min ℓ⌋, so it lies
+// inside the region whatever its aspect ratio.
+func (sc *queryScratch) topCube(curve sfc.Curve) sfc.KeyRange {
+	side := uint64(1) << uint(bits.B(slices.Min(sc.lens))-1)
+	corner, _ := sc.corners(len(sc.lens))
+	for i := range corner {
+		corner[i] = uint32(uint64(1)<<uint(curve.Bits()) - side)
+	}
+	return sfc.CubeRange(curve, corner, side)
+}
+
+// rect materializes the region as a rectangle over the scratch corner
+// buffers (the allocation-free form of Extremal.Rect).
+func (sc *queryScratch) rect(region geom.Extremal) geom.Rect {
+	lo, hi := sc.corners(len(region.Len))
 	max := uint64(1) << uint(region.K)
 	for i, l := range region.Len {
 		lo[i] = uint32(max - l)

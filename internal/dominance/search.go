@@ -10,12 +10,156 @@ import (
 	"sfccover/internal/sfc"
 )
 
-// probeFn answers one run probe: is there an indexed point with a curve
-// key in [lo, hi], and if so, which? The single-array index answers with
-// one ordered search; the sharded index routes the range to the key-slice
-// shards it intersects. Each call is one unit of the paper's query cost
-// per array actually probed.
-type probeFn func(lo, hi bits.Key) (id uint64, ok bool)
+// ordered is what a search needs of the SFC array: the entry with the
+// smallest key at or after a cursor, and the first entry of a key range.
+// The single-array index passes its array; the sharded index passes a
+// view that routes each call to the key slices it concerns. Each call is
+// one ordered-structure descent per array actually searched — the unit
+// Stats.RunsProbed counts.
+type ordered interface {
+	Seek(lo bits.Key) (key bits.Key, id uint64, ok bool)
+	FirstInRange(lo, hi bits.Key) (id uint64, ok bool)
+}
+
+// search answers one query in the index's one dispatch order: hit memo,
+// successor walk, and the cube search only when the walk overran its
+// step budget. Exact queries (eps == 0) skip the memo — the walk's
+// answer is the dominator with the smallest key, a memoized one need not
+// be — and walk without a budget, so they never reach the cubes. The
+// query's Stats are left in sc.stats.
+//
+//sfc:hotpath
+func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64, tr *obs.QueryTrace) (uint64, bool, error) {
+	region := sc.begin(q, d.cfg.Bits)
+	stats := &sc.stats
+	if eps == 0 {
+		id, found, _ := walk(d.curve, arr, q, 0, false, sc, tr)
+		return id, found, nil
+	}
+	maxCubes := d.cfg.MaxCubes
+	if d.budget != nil {
+		eps, maxCubes = d.budget.adapt(eps, maxCubes, d.cfg.Dims, region)
+	}
+	var h uint64
+	stale := false
+	if d.memo != nil {
+		h = shapeHash(q)
+		var t0 time.Time
+		if tr != nil {
+			t0 = time.Now()
+		}
+		id, found, had := d.memo.replay(arr, h, q, stats)
+		if tr != nil {
+			tr.AddStage("cache_replay", time.Since(t0), stats.RunsProbed)
+		}
+		if found {
+			return id, true, nil
+		}
+		stale = had
+	}
+	id, found, done := walk(d.curve, arr, q, maxCubes, true, sc, tr)
+	if !done {
+		var err error
+		if id, found, err = searchCubes(d.curve, d.cfg.Bits, maxCubes, sc, arr, region, eps, tr); err != nil {
+			return 0, false, err
+		}
+		if d.budget != nil {
+			// The policy tunes ε and the cube cap, so it learns from cube
+			// searches only.
+			d.budget.record(stats, eps)
+		}
+	}
+	if d.memo != nil {
+		d.memo.learn(h, q, sc.hitLo, sc.hitHi, found, stale)
+	}
+	return id, found, nil
+}
+
+// walk is the exact search in front of the paper's: a cursor runs over
+// the keys of the region in curve order, but only ever stops at stored
+// ones. Seek the first stored key at or after the cursor; if its cell
+// dominates q it is the answer — the dominator with the smallest key —
+// and if not, NextInExtremal moves the cursor past every key outside
+// the region in one jump. The walk ends at a hit, at the end of the
+// array or of the region (an exact miss: the whole region was searched),
+// or when budget seeks are spent (budget 0 = unlimited); only the last
+// leaves the query undecided (done == false). Its step count is bounded
+// by the region's runs and by the stored keys lying between them,
+// whichever is smaller, never by the cubes of its partition.
+//
+// With topFirst the walk spends its first step on the region's thickest
+// run, the largest standard cube at its max corner: the paper's point
+// that the largest cube holds the most volume per probe, taken once. Up
+// from the query's own corner the region's runs start thin, and a
+// population with generous covers — any router's — pays several steps
+// there for a dominator that one probe at the top finds. Exact queries
+// promise the dominator with the smallest key and walk from the bottom
+// only. A non-nil tr collects the "walk" stage.
+//
+//sfc:hotpath
+func walk(curve sfc.Curve, arr ordered, q []uint32, budget int, topFirst bool, sc *queryScratch, tr *obs.QueryTrace) (id uint64, found, done bool) {
+	stats := &sc.stats
+	var t0 time.Time
+	if tr != nil {
+		t0 = time.Now()
+	}
+	done = true
+	if topFirst {
+		top := sc.topCube(curve)
+		stats.WalkSteps++
+		if id, found = arr.FirstInRange(top.Lo, top.Hi); found {
+			sc.hitLo, sc.hitHi = top.Lo, top.Hi
+		}
+	}
+	var cursor bits.Key
+	inRegion := !found
+	if inRegion {
+		cursor, inRegion = curve.NextInExtremal(q, bits.Key{})
+	}
+	for inRegion {
+		if budget > 0 && stats.WalkSteps == budget {
+			done = false
+			break
+		}
+		stats.WalkSteps++
+		key, kid, ok := arr.Seek(cursor)
+		if !ok {
+			break
+		}
+		if key != cursor {
+			if cursor, inRegion = curve.NextInExtremal(q, key); !inRegion || cursor != key {
+				continue
+			}
+		}
+		id, found, sc.hitLo, sc.hitHi = kid, true, key, key
+		break
+	}
+	stats.RunsProbed += stats.WalkSteps
+	if tr != nil {
+		tr.AddStage("walk", time.Since(t0), stats.WalkSteps)
+	}
+	if done {
+		stats.Path = PathWalk
+		stats.Found = found
+		if !found {
+			stats.VolumeFraction = 1
+			stats.SearchedLevel = 0
+		}
+	}
+	return id, found, done
+}
+
+// searchCubes is the paper's search: the exhaustive decomposition for
+// eps == 0, the Section 5 ε-search otherwise.
+//
+//sfc:hotpath
+func searchCubes(curve sfc.Curve, k, maxCubes int, sc *queryScratch, arr ordered, region geom.Extremal, eps float64, tr *obs.QueryTrace) (uint64, bool, error) {
+	sc.stats.Path = PathCubes
+	if eps == 0 {
+		return searchExhaustive(curve, k, sc, arr, region, tr)
+	}
+	return searchApprox(curve, k, maxCubes, sc, arr, region, eps, tr)
+}
 
 // searchExhaustive decomposes the whole query region, merges the
 // partition into maximal runs — the probe count is runs(R(ℓ)), the paper's
@@ -24,7 +168,8 @@ type probeFn func(lo, hi bits.Key) (id uint64, ok bool)
 // run merge, "probes" the probe loop.
 //
 //sfc:hotpath
-func searchExhaustive(curve sfc.Curve, k int, sc *queryScratch, probe probeFn, region geom.Extremal, stats *Stats, tr *obs.QueryTrace) (uint64, bool, error) {
+func searchExhaustive(curve sfc.Curve, k int, sc *queryScratch, arr ordered, region geom.Extremal, tr *obs.QueryTrace) (uint64, bool, error) {
+	stats := &sc.stats
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
@@ -36,15 +181,15 @@ func searchExhaustive(curve sfc.Curve, k int, sc *queryScratch, probe probeFn, r
 	runs := sc.dec.Runs(curve, partition)
 	if tr != nil {
 		tr.AddStage("decompose", time.Since(t0), len(partition))
-		pt := time.Now()
-		defer func() { tr.AddStage("probes", time.Since(pt), stats.RunsProbed) }()
+		pt, before := time.Now(), stats.RunsProbed
+		defer func() { tr.AddStage("probes", time.Since(pt), stats.RunsProbed-before) }()
 	}
 	stats.CubesGenerated = len(partition)
 	stats.VolumeFraction = 1
-	stats.SearchedLen = append([]uint64(nil), region.Len...)
+	stats.SearchedLevel = 0
 	for _, r := range runs {
 		stats.RunsProbed++
-		if id, ok := probe(r.Lo, r.Hi); ok {
+		if id, ok := arr.FirstInRange(r.Lo, r.Hi); ok {
 			stats.Found = true
 			return id, true, nil
 		}
@@ -55,14 +200,16 @@ func searchExhaustive(curve sfc.Curve, k int, sc *queryScratch, probe probeFn, r
 // searchApprox is the Section 5 algorithm: truncate the region per
 // Lemma 3.2, then enumerate the greedy partition level by level (largest
 // cubes first) with the Appendix-A algorithm, probing each cube's key
-// range as it is produced. The search ends at the first hit, at the level
-// boundary where the searched volume reaches (1−ε) of the query region, or
-// at the maxCubes cap. A non-nil tr collects stage timings: "truncate"
-// covers the Lemma 3.2 truncation, "enumerate_probes" the interleaved
-// cube enumeration and probe loop.
+// range as it is produced. The search ends at the first hit (the key
+// range that held it is left in sc.hitLo..hitHi for the memo), at the
+// level boundary where the searched volume reaches (1−ε) of the query
+// region, or at the maxCubes cap. A non-nil tr collects stage timings:
+// "truncate" covers the Lemma 3.2 truncation, "enumerate_probes" the
+// interleaved cube enumeration and probe loop.
 //
 //sfc:hotpath
-func searchApprox(curve sfc.Curve, k, maxCubes int, sc *queryScratch, probe probeFn, region geom.Extremal, eps float64, stats *Stats, tr *obs.QueryTrace) (uint64, bool, error) {
+func searchApprox(curve sfc.Curve, k, maxCubes int, sc *queryScratch, arr ordered, region geom.Extremal, eps float64, tr *obs.QueryTrace) (uint64, bool, error) {
+	stats := &sc.stats
 	fullVol := region.Volume()
 	var t0 time.Time
 	if tr != nil {
@@ -74,8 +221,8 @@ func searchApprox(curve sfc.Curve, k, maxCubes int, sc *queryScratch, probe prob
 	}
 	if tr != nil {
 		tr.AddStage("truncate", time.Since(t0), m)
-		pt := time.Now()
-		defer func() { tr.AddStage("enumerate_probes", time.Since(pt), stats.RunsProbed) }()
+		pt, before := time.Now(), stats.RunsProbed
+		defer func() { tr.AddStage("enumerate_probes", time.Since(pt), stats.RunsProbed-before) }()
 	}
 	stats.M = m
 	targetVol := (1 - eps) * fullVol
@@ -95,9 +242,10 @@ func searchApprox(curve sfc.Curve, k, maxCubes int, sc *queryScratch, probe prob
 			}
 			searched += cubeVol
 			r := sfc.CubeRange(curve, corner, side)
-			if id, ok := probe(r.Lo, r.Hi); ok {
+			if id, ok := arr.FirstInRange(r.Lo, r.Hi); ok {
 				foundID = id
 				stats.Found = true
+				sc.hitLo, sc.hitHi = r.Lo, r.Hi
 				return false
 			}
 			if maxCubes > 0 && stats.CubesGenerated >= maxCubes {
@@ -115,18 +263,17 @@ func searchApprox(curve sfc.Curve, k, maxCubes int, sc *queryScratch, probe prob
 		}
 		if capped {
 			if level < k {
-				stats.SearchedLen = bits.SVec(target.Len, level+1)
+				stats.SearchedLevel = level + 1
 			}
 			return 0, false, nil
 		}
 		// Level complete: the searched prefix tiles R(S_level(ℓ'))
 		// (Lemma 3.4). Stop at the boundary once the volume target is met.
-		stats.SearchedLen = bits.SVec(target.Len, level)
+		stats.SearchedLevel = level
 		if searched >= targetVol {
 			return 0, false, nil
 		}
 	}
 	// Ran through every level: the whole truncated region was searched.
-	stats.SearchedLen = append([]uint64(nil), target.Len...)
 	return 0, false, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"sfccover/internal/bits"
 	"sfccover/internal/obs"
-	"sfccover/internal/sfc"
 	"sfccover/internal/sfcarray"
 )
 
@@ -16,14 +15,15 @@ import (
 // i owns a contiguous slice of the curve's key space, each slice backed by
 // its own SFC array behind its own read-write lock.
 //
-// The layout exploits the same structural fact as the search itself: a
-// standard cube occupies one contiguous key range (Fact 2.1), so a query
-// decomposes its region ONCE — outside any lock — and routes each cube's
-// range only to the shard slices it intersects (usually exactly one; a
-// range can straddle a slice boundary). Compared to running one full
-// search per shard, the expensive part of a query — cube enumeration — is
+// The layout exploits the same structural fact as the search itself: the
+// searches only ever ask the array for the first entry at or after a key,
+// so a query computes its cursors and cube ranges ONCE — outside any
+// lock — and routes each seek or probe only to the slices it concerns
+// (usually exactly one; a range can straddle a slice boundary, and a seek
+// runs on into the next slice when its own holds nothing further).
+// Compared to running one full search per shard, the key arithmetic is
 // never duplicated, and concurrent queries serialize only on the brief
-// per-probe read locks of the shards they actually touch. Updates lock a
+// per-descent read locks of the shards they actually touch. Updates lock a
 // single shard for one ordered-structure operation.
 //
 // Slice boundaries are MOVABLE at runtime: routing goes through an
@@ -34,30 +34,21 @@ import (
 // detects the stale table and retries against the fresh one, so answers
 // are always consistent with some table the index actually published.
 //
-// Because a sharded query probes the same cube sequence as a single-array
-// query over the same point set, its hit/miss outcome (and approximation
-// guarantee) is identical to an unsharded Index — only the lock footprint
-// and per-probe tree sizes change. Boundary moves relocate entries between
-// slices without ever dropping or duplicating one, so the equivalence
-// holds before, during and after a rebalance.
+// Because a sharded query issues the same seeks and probes as a
+// single-array query over the same point set, its answer (and
+// approximation guarantee) is identical to an unsharded Index — only the
+// lock footprint and per-descent tree sizes change. Boundary moves
+// relocate entries between slices without ever dropping or duplicating
+// one, so the equivalence holds before, during and after a rebalance.
 type ShardedIndex struct {
-	cfg    Config
-	curve  sfc.Curve
-	keyLen int // curve key width, Dims*Bits
-	shards []shardSlot
-	// probeHist, when set via SetObserver, receives sampled run-probe
+	dispatch     // the memo is shared by concurrent queries under its stripe locks
+	keyLen   int // curve key width, Dims*Bits
+	shards   []shardSlot
+	// probeHist, when set via SetObserver, receives sampled descent
 	// latencies.
 	probeHist *obs.Histogram
-	// rawProbe is the routed probe bound once at construction; binding
-	// the method value per query would allocate.
-	rawProbe probeFn
 	// scratchPool hands each concurrent query its own reusable buffers.
 	scratchPool sync.Pool
-	// cache memoizes decompositions (nil when disabled); entries are
-	// immutable, so concurrent queries share them freely.
-	cache *decompCache
-	// budget drives adaptive per-query budgets (nil unless enabled).
-	budget *budgetState
 
 	// table points at the current boundary table: table[i] is the first
 	// key slice i owns, table[0] is the zero key, and slice i ends where
@@ -85,33 +76,25 @@ const maxPrefixBits = 16
 // The initial boundaries split the key space uniformly by prefix; they
 // move when EqualizePair migrates load between neighbors.
 func NewSharded(cfg Config, n int) (*ShardedIndex, error) {
-	cfg = cfg.withDefaults()
 	if n < 1 {
 		return nil, fmt.Errorf("dominance: invalid shard count %d", n)
 	}
-	curve, err := sfc.New(cfg.Curve, sfc.Config{Dims: cfg.Dims, Bits: cfg.Bits})
+	d, err := newDispatch(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("dominance: %w", err)
+		return nil, err
 	}
+	cfg = d.cfg
 	keyLen := cfg.Dims * cfg.Bits
 	prefixBits := min(keyLen, maxPrefixBits)
 	if n > 1<<uint(prefixBits) {
 		return nil, fmt.Errorf("dominance: %d shards exceed the %d key-prefix slices", n, 1<<uint(prefixBits))
 	}
 	x := &ShardedIndex{
-		cfg:    cfg,
-		curve:  curve,
-		keyLen: keyLen,
-		shards: make([]shardSlot, n),
+		dispatch: d,
+		keyLen:   keyLen,
+		shards:   make([]shardSlot, n),
 	}
-	x.rawProbe = x.probe
 	x.scratchPool.New = func() any { return new(queryScratch) }
-	if cfg.CacheSize >= 0 {
-		x.cache = newDecompCache(cfg.CacheSize)
-	}
-	if cfg.Adaptive {
-		x.budget = &budgetState{}
-	}
 	for i := range x.shards {
 		x.shards[i].seed = cfg.Seed + int64(i)
 		arr, err := sfcarray.New(cfg.Array, x.shards[i].seed)
@@ -282,16 +265,18 @@ func (x *ShardedIndex) Delete(p []uint32, id uint64) bool {
 // migrated entries, and even a genuine hit could be non-minimal (a
 // migration can move the range's smallest entry into a slice this probe
 // had already passed), which would break the bit-identical-answers
-// guarantee the sharded index gives against the single-array one.
+// guarantee the sharded index gives against the single-array one. Every
+// slice visited is counted against tr (nil-safe).
 //
 //sfc:hotpath
-func (x *ShardedIndex) probe(lo, hi bits.Key) (uint64, bool) {
+func (x *ShardedIndex) probe(lo, hi bits.Key, tr *obs.QueryTrace) (uint64, bool) {
 	for {
 		tabPtr := x.table.Load()
 		first, last := routeKey(*tabPtr, lo), routeKey(*tabPtr, hi)
 		var id uint64
 		ok := false
 		for i := first; i <= last && !ok; i++ {
+			tr.TouchSlice(i)
 			s := &x.shards[i]
 			s.mu.RLock()
 			id, ok = s.arr.FirstInRange(lo, hi)
@@ -299,6 +284,36 @@ func (x *ShardedIndex) probe(lo, hi bits.Key) (uint64, bool) {
 		}
 		if x.table.Load() == tabPtr {
 			return id, ok
+		}
+	}
+}
+
+// seek answers one step of the successor walk: the entry with the
+// smallest key >= lo across the slices, starting in the slice that owns
+// lo and running on through the later ones until one holds such an
+// entry. It follows probe's protocol exactly — an answer stands only if
+// the boundary table it was routed by is still the published one — so a
+// seek that crosses a swapped table retries and never skips an entry a
+// migration moved behind it.
+//
+//sfc:hotpath
+func (x *ShardedIndex) seek(lo bits.Key, tr *obs.QueryTrace) (bits.Key, uint64, bool) {
+	for {
+		tabPtr := x.table.Load()
+		var (
+			key bits.Key
+			id  uint64
+			ok  bool
+		)
+		for i := routeKey(*tabPtr, lo); i < len(x.shards) && !ok; i++ {
+			tr.TouchSlice(i)
+			s := &x.shards[i]
+			s.mu.RLock()
+			key, id, ok = s.arr.Seek(lo)
+			s.mu.RUnlock()
+		}
+		if x.table.Load() == tabPtr {
+			return key, id, ok
 		}
 	}
 }
@@ -448,21 +463,10 @@ func abs(v int) int {
 	return v
 }
 
-// Query answers a point dominance query at q with the same semantics and
-// Stats as (*Index).Query: eps == 0 is the exhaustive search, 0 < eps < 1
-// the ε-approximate search. The decomposition runs unlocked and is shared
-// across all shards; RunsProbed counts logical run probes (a run
-// straddling a slice boundary costs one probe per shard touched but is
-// counted once).
+// Query answers a point dominance query at q with the same semantics,
+// answers and Stats as (*Index).Query. Cursors and cube ranges are
+// computed unlocked and routed to the slices; RunsProbed counts logical
+// descents (one that visits several slices is counted once).
 func (x *ShardedIndex) Query(q []uint32, eps float64) (uint64, bool, Stats, error) {
 	return x.QueryTraced(q, eps, nil)
-}
-
-// CacheStats reports the decomposition cache's hit and miss counts
-// (zeros when the cache is disabled).
-func (x *ShardedIndex) CacheStats() (hits, misses uint64) {
-	if x.cache == nil {
-		return 0, 0
-	}
-	return x.cache.hits.Load(), x.cache.misses.Load()
 }

@@ -20,15 +20,11 @@ import (
 // In the pub/sub application this enumerates (a sample of) all covering
 // subscriptions — the covering degree — rather than just one witness.
 func (x *Index) VisitDominating(q []uint32, eps float64, visit func(id uint64) bool) (Stats, error) {
-	var stats Stats
-	if len(q) != x.cfg.Dims {
-		return stats, errDims(len(q), x.cfg.Dims)
-	}
-	if eps < 0 || eps >= 1 {
-		return stats, errEps(eps)
+	if err := x.checkQuery(q, eps); err != nil {
+		return Stats{}, err
 	}
 	region := geom.QueryRegion(q, x.cfg.Bits)
-	stats.AspectRatio = region.AspectRatio()
+	stats := Stats{Path: PathCubes, AspectRatio: region.AspectRatio(), SearchedLevel: -1}
 	fullVol := region.Volume()
 
 	target := region
@@ -62,7 +58,7 @@ func (x *Index) VisitDominating(q []uint32, eps float64, visit func(id uint64) b
 		}
 		stats.CubesGenerated = len(partition)
 		stats.VolumeFraction = 1
-		stats.SearchedLen = append([]uint64(nil), region.Len...)
+		stats.SearchedLevel = 0
 		for _, r := range cubes.Runs(x.curve, partition) {
 			if stopped {
 				break
@@ -100,12 +96,11 @@ func (x *Index) VisitDominating(q []uint32, eps float64, visit func(id uint64) b
 		if stopped || capped {
 			return stats, nil
 		}
-		stats.SearchedLen = bits.SVec(target.Len, level)
+		stats.SearchedLevel = level
 		if searched >= targetVol {
 			return stats, nil
 		}
 	}
-	stats.SearchedLen = append([]uint64(nil), target.Len...)
 	return stats, nil
 }
 

@@ -1,0 +1,326 @@
+package dominance
+
+import (
+	"math/rand"
+	"sync"
+	"testing"
+
+	"sfccover/internal/geom"
+	"sfccover/internal/sfc"
+)
+
+// TestWalkMatchesLinearUnderChurn: with no step budget every answer is
+// the walk's (or a replay of one), so found must equal the brute-force
+// scan's on every curve while points come and go — including the memo's
+// stale entries, which deletes keep producing.
+func TestWalkMatchesLinearUnderChurn(t *testing.T) {
+	for _, curve := range sfc.Names() {
+		rng := rand.New(rand.NewSource(211))
+		cfg := Config{Dims: 3, Bits: 5, Curve: curve, Seed: 5}
+		idx := MustIndex(cfg)
+		lin := NewLinear()
+		type entry struct {
+			p  []uint32
+			id uint64
+		}
+		var live []entry
+		byID := map[uint64][]uint32{}
+		queries := randomPoints(rng, 40, cfg.Dims, cfg.Bits) // recurring, so the memo fills
+		for op := 0; op < 3000; op++ {
+			switch r := rng.Intn(10); {
+			case r < 3 || len(live) < 20:
+				e := entry{randomPoints(rng, 1, cfg.Dims, cfg.Bits)[0], uint64(op)}
+				idx.Insert(e.p, e.id)
+				lin.Insert(e.p, e.id)
+				live = append(live, e)
+				byID[e.id] = e.p
+			case r < 6:
+				i := rng.Intn(len(live))
+				e := live[i]
+				if !idx.Delete(e.p, e.id) || !lin.Delete(e.p, e.id) {
+					t.Fatalf("%s op %d: delete of live entry %d failed", curve, op, e.id)
+				}
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+				delete(byID, e.id)
+			default:
+				q := queries[rng.Intn(len(queries))]
+				eps := []float64{0, 0.3}[rng.Intn(2)]
+				id, ok, st, err := idx.Query(q, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, want := lin.QueryDominating(q); ok != want {
+					t.Fatalf("%s op %d q=%v eps=%g: found=%v, linear scan says %v (%+v)", curve, op, q, eps, ok, want, st)
+				}
+				if ok && (byID[id] == nil || !geom.Dominates(byID[id], q)) {
+					t.Fatalf("%s op %d q=%v: id %d (%v) is not a live dominator", curve, op, q, id, byID[id])
+				}
+				if st.Path == PathCubes {
+					t.Fatalf("%s: an unbudgeted walk overran: %+v", curve, st)
+				}
+			}
+		}
+		if h, _ := idx.CacheStats(); h == 0 {
+			t.Errorf("%s: recurring shapes produced no replay", curve)
+		}
+	}
+}
+
+// TestExactQueryMatchesExhaustiveCubes: under ε = 0 the walk returns the
+// dominating entry with the smallest key, then the smallest id — the
+// very entry the exhaustive cube search (runs probed in key order)
+// returns — on a single index and across 1, 4 and 16 slices, with
+// several ids sharing cells.
+func TestExactQueryMatchesExhaustiveCubes(t *testing.T) {
+	for _, curve := range sfc.Names() {
+		rng := rand.New(rand.NewSource(223))
+		cfg := Config{Dims: 2, Bits: 6, Curve: curve}
+		ref := MustIndex(cfg)
+		indexes := []interface {
+			Insert([]uint32, uint64)
+			Query([]uint32, float64) (uint64, bool, Stats, error)
+		}{MustIndex(cfg)}
+		for _, n := range []int{1, 4, 16} {
+			x, err := NewSharded(cfg, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			indexes = append(indexes, x)
+		}
+		pts := randomPoints(rng, 150, cfg.Dims, cfg.Bits)
+		ids := rng.Perm(3 * len(pts)) // ids in no relation to insertion or key order
+		for i, id := range ids {
+			p := pts[i%len(pts)] // every cell holds three ids
+			ref.Insert(p, uint64(id))
+			for _, x := range indexes {
+				x.Insert(p, uint64(id))
+			}
+		}
+		for _, q := range randomPoints(rng, 300, cfg.Dims, cfg.Bits) {
+			wantID, want, _, err := ref.QueryCubes(q, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range indexes {
+				id, ok, st, err := x.Query(q, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok != want || id != wantID {
+					t.Fatalf("%s index %d q=%v: walk (%d,%v), exhaustive cube search (%d,%v)", curve, i, q, id, ok, wantID, want)
+				}
+				if st.Path != PathWalk {
+					t.Fatalf("%s: exact queries are the walk's alone: %+v", curve, st)
+				}
+			}
+		}
+	}
+}
+
+// TestWalkProbesTopCubeFirst: an approximate query spends its first step
+// on the largest cube at the region's max corner, so a broad dominator up
+// there costs one descent however many stored keys lie between the thin
+// runs next to the query point; an exact query walks up from the bottom
+// and returns the dominator with the smallest key instead.
+func TestWalkProbesTopCubeFirst(t *testing.T) {
+	for _, curve := range sfc.Names() {
+		idx := MustIndex(Config{Dims: 2, Bits: 8, Curve: curve, CacheSize: -1})
+		q := []uint32{101, 77}
+		for v := uint32(0); v < 100; v++ { // one cell outside the region, all along its lower faces
+			idx.Insert([]uint32{q[0] + v, q[1] - 1}, uint64(v))
+			idx.Insert([]uint32{q[0] - 1, q[1] + v}, uint64(1000+v))
+		}
+		idx.Insert([]uint32{250, 250}, 5000) // inside the top cube [128,255]²
+		idx.Insert([]uint32{102, 78}, 6000)  // next to the query point
+		id, ok, st, err := idx.Query(q, 0.3)
+		if err != nil || !ok || id != 5000 || st.Path != PathWalk || st.WalkSteps != 1 || st.RunsProbed != 1 {
+			t.Fatalf("%s approximate: (%d,%v,%v) %+v, want the top cube's point in one step", curve, id, ok, err, st)
+		}
+		wantID, _, _, _ := idx.QueryCubes(q, 0)
+		id, ok, st, err = idx.Query(q, 0)
+		if err != nil || !ok || id != wantID || st.Path != PathWalk {
+			t.Fatalf("%s exact: (%d,%v,%v) %+v, want the exhaustive search's %d", curve, id, ok, err, st, wantID)
+		}
+	}
+}
+
+// TestWalkOverrunFallsBackToCubes forces the step budget to one: every
+// query the walk cannot decide in a single seek must return exactly what
+// QueryCubes returns under the same cube cap.
+func TestWalkOverrunFallsBackToCubes(t *testing.T) {
+	rng := rand.New(rand.NewSource(227))
+	for _, maxCubes := range []int{1, 7} {
+		cfg := Config{Dims: 3, Bits: 6, MaxCubes: maxCubes, CacheSize: -1}
+		idx := MustIndex(cfg)
+		for i, p := range randomPoints(rng, 400, cfg.Dims, cfg.Bits) {
+			idx.Insert(p, uint64(i))
+		}
+		overruns := 0
+		for _, q := range randomPoints(rng, 300, cfg.Dims, cfg.Bits) {
+			id, ok, st, err := idx.Query(q, 0.2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Path != PathCubes {
+				if st.WalkSteps > maxCubes {
+					t.Fatalf("walk took %d steps on a budget of %d", st.WalkSteps, maxCubes)
+				}
+				continue
+			}
+			overruns++
+			wantID, want, wantSt, err := idx.QueryCubes(q, 0.2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id != wantID || ok != want {
+				t.Fatalf("budget %d q=%v: fallback (%d,%v), QueryCubes (%d,%v)", maxCubes, q, id, ok, wantID, want)
+			}
+			if st.WalkSteps != maxCubes || st.CubesGenerated != wantSt.CubesGenerated ||
+				st.RunsProbed != maxCubes+wantSt.RunsProbed || st.VolumeFraction != wantSt.VolumeFraction ||
+				st.M != wantSt.M || st.SearchedLevel != wantSt.SearchedLevel {
+				t.Fatalf("budget %d q=%v: fallback stats %+v are not the walk's %d steps plus QueryCubes' %+v", maxCubes, q, st, maxCubes, wantSt)
+			}
+		}
+		if overruns == 0 {
+			t.Fatalf("budget %d: no query overran", maxCubes)
+		}
+	}
+}
+
+// TestWalkDuringEqualizePair walks a planted population while a churner
+// piles entries onto one side of the key space and a mover keeps
+// equalizing the slices, so boundaries (and the planted entries with
+// them) migrate throughout. A seek that crosses a swapped table must
+// retry, never skip a migrated entry: the churned points lie on the
+// universe's lower faces and dominate no query, so every exact answer
+// has to stay the one computed before the moves began. Meaningful under
+// -race.
+func TestWalkDuringEqualizePair(t *testing.T) {
+	rng := rand.New(rand.NewSource(229))
+	cfg := Config{Dims: 2, Bits: 8, CacheSize: -1}
+	x, err := NewSharded(cfg, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		x.Insert(randomPoints(rng, 1, cfg.Dims, cfg.Bits)[0], uint64(i))
+	}
+	queries := make([][]uint32, 200)
+	for i := range queries {
+		queries[i] = []uint32{1 + uint32(rng.Intn(255)), 1 + uint32(rng.Intn(255))}
+	}
+	type answer struct {
+		id uint64
+		ok bool
+	}
+	want := make([]answer, len(queries))
+	for i, q := range queries {
+		want[i].id, want[i].ok, _, _ = x.Query(q, 0)
+	}
+	stop := make(chan struct{})
+	var background sync.WaitGroup
+	migrated := 0
+	background.Add(2)
+	go func() { // boundary mover
+		defer background.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				migrated += x.EqualizePair(i % (x.NumShards() - 1))
+			}
+		}
+	}()
+	go func() { // churner: bursts on the faces x = 0 and y = 0
+		defer background.Done()
+		crng := rand.New(rand.NewSource(233))
+		for burst := 0; ; burst++ {
+			face := make([][]uint32, 300)
+			for i := range face {
+				face[i] = []uint32{0, 0}
+				face[i][burst%2] = uint32(crng.Intn(256))
+				x.Insert(face[i], 1<<32+uint64(i))
+			}
+			for i, p := range face {
+				if !x.Delete(p, 1<<32+uint64(i)) {
+					t.Errorf("burst %d: churned entry %d lost", burst, i)
+					return
+				}
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	var walkers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		walkers.Add(1)
+		go func() {
+			defer walkers.Done()
+			for round := 0; round < 20; round++ {
+				for i, q := range queries {
+					id, ok, _, err := x.Query(q, 0)
+					if err != nil || ok != want[i].ok || id != want[i].id {
+						t.Errorf("q=%v during migration: (%d,%v,%v), want (%d,%v)", q, id, ok, err, want[i].id, want[i].ok)
+						return
+					}
+				}
+			}
+		}()
+	}
+	walkers.Wait()
+	close(stop)
+	background.Wait()
+	if migrated == 0 {
+		t.Fatal("no entry migrated while the walkers ran")
+	}
+	t.Logf("%d entries migrated under the walkers", migrated)
+}
+
+// TestQueryPathsAllocateNothing pins the steady-state query path: a walk
+// hit, a walk miss and a memo replay allocate nothing, on the single
+// index and on the sharded one.
+func TestQueryPathsAllocateNothing(t *testing.T) {
+	cfg := Config{Dims: 4, Bits: 10, MaxCubes: 50000}
+	rng := rand.New(rand.NewSource(239))
+	pts := randomPoints(rng, 2000, cfg.Dims, cfg.Bits)
+	single := MustIndex(cfg)
+	sharded, err := NewSharded(cfg, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		single.Insert(p, uint64(i))
+		sharded.Insert(p, uint64(i))
+	}
+	hit, miss, replay := []uint32{10, 10, 10, 10}, []uint32{1000, 1000, 1000, 1000}, []uint32{20, 20, 20, 20}
+	for name, query := range map[string]func([]uint32, float64) (uint64, bool, Stats, error){
+		"Index": single.Query, "ShardedIndex": sharded.Query,
+	} {
+		for i := 0; i < 3; i++ {
+			query(replay, 0.3) // note, record, replay
+		}
+		for _, tc := range []struct {
+			name  string
+			q     []uint32
+			eps   float64
+			found bool
+			path  Path
+		}{
+			{"walk hit", hit, 0, true, PathWalk},
+			{"walk miss", miss, 0.3, false, PathWalk},
+			{"memo replay", replay, 0.3, true, PathMemo},
+		} {
+			if _, ok, st, err := query(tc.q, tc.eps); err != nil || ok != tc.found || st.Path != tc.path {
+				t.Fatalf("%s %s: found=%v err=%v %+v", name, tc.name, ok, err, st)
+			}
+			if allocs := testing.AllocsPerRun(200, func() { query(tc.q, tc.eps) }); allocs != 0 {
+				t.Errorf("%s %s: %v allocs per query, want 0", name, tc.name, allocs)
+			}
+		}
+	}
+}

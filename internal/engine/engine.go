@@ -101,6 +101,9 @@ type Totals struct {
 	// cost units.
 	RunsProbed     int
 	CubesGenerated int
+	// PathQueries counts the queries by the cut that ended their search,
+	// indexed by dominance.Path.
+	PathQueries [dominance.NumPaths]int
 	// ShardSearches is the number of per-shard searches issued. An index
 	// search shares one decomposition across the slices and counts once,
 	// so ShardSearches/Queries is 1.0 for indexed queries; only the exact
@@ -155,6 +158,7 @@ type Engine struct {
 	hits          atomic.Int64
 	runsProbed    atomic.Int64
 	cubes         atomic.Int64
+	paths         [dominance.NumPaths]atomic.Int64
 	shardSearches atomic.Int64
 
 	rebalances      atomic.Int64
@@ -334,6 +338,7 @@ func (e *Engine) record(res QueryResult, searches int) {
 	}
 	e.runsProbed.Add(int64(res.Stats.RunsProbed))
 	e.cubes.Add(int64(res.Stats.CubesGenerated))
+	e.paths[res.Stats.Path].Add(1)
 	e.shardSearches.Add(int64(searches))
 }
 
@@ -495,13 +500,17 @@ func (e *Engine) Remove(id uint64) error {
 
 // Totals returns a snapshot of the engine-level counters.
 func (e *Engine) Totals() Totals {
-	return Totals{
+	tot := Totals{
 		Queries:        int(e.queries.Load()),
 		Hits:           int(e.hits.Load()),
 		RunsProbed:     int(e.runsProbed.Load()),
 		CubesGenerated: int(e.cubes.Load()),
 		ShardSearches:  int(e.shardSearches.Load()),
 	}
+	for p := range tot.PathQueries {
+		tot.PathQueries[p] = int(e.paths[p].Load())
+	}
+	return tot
 }
 
 // Stats implements core.Provider: the engine totals plus the per-shard
@@ -514,6 +523,7 @@ func (e *Engine) Stats() core.ProviderStats {
 		Hits:            tot.Hits,
 		RunsProbed:      tot.RunsProbed,
 		CubesGenerated:  tot.CubesGenerated,
+		PathQueries:     tot.PathQueries,
 		ShardSearches:   tot.ShardSearches,
 		Rebalances:      int(e.rebalances.Load()),
 		BoundaryMoves:   int(e.boundaryMoves.Load()),

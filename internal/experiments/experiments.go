@@ -14,7 +14,7 @@ import (
 
 // Experiment is one reproducible table/figure generator.
 type Experiment struct {
-	// ID is the experiment identifier (E1..E11).
+	// ID is the experiment identifier (E1..E14).
 	ID string
 	// Title summarizes what is reproduced.
 	Title string
@@ -105,6 +105,12 @@ func All() []Experiment {
 			Title: "Broker network under sustained subscription churn",
 			Paper: "covering remains a pure optimization under dynamic subscriptions (Section 1)",
 			Run:   runE13,
+		},
+		{
+			ID:    "E14",
+			Title: "The search the system runs vs the paper's: walk steps, cube probes and recall on E7's planted covers",
+			Paper: "the ε-search trades recall for a bounded cube count (Section 5); an exact key-ordered walk in front of it pays per stored key instead",
+			Run:   runE14,
 		},
 	}
 	sort.Slice(exps, func(i, j int) bool { return idOrder(exps[i].ID) < idOrder(exps[j].ID) })

@@ -18,10 +18,54 @@ import (
 	"sfccover/internal/workload"
 )
 
+// e7Scenarios are the planted-cover populations E7 and E14 share: one
+// attribute searched without a cap, two attributes under a cube budget.
+var e7Scenarios = []struct {
+	name  string
+	attrs []string
+	bits  int
+	eps   []float64
+	cap   int
+}{
+	{"beta=1 (d=2)", []string{"price"}, 12, []float64{0.3, 0.1, 0.05, 0.01}, 0},
+	{"beta=2 (d=4)", []string{"price", "volume"}, 10, []float64{0.4, 0.2, 0.1}, 30000},
+}
+
+var e7Slacks = []struct {
+	name string
+	frac float64
+}{{"tight 1%", 0.01}, {"medium 5%", 0.05}, {"wide 15%", 0.15}}
+
+// plantedCovers indexes the parents of n planted cover pairs at the given
+// slack and returns the index with the children's dominance points: the
+// index of a core.Detector over the same subscriptions, built directly so
+// the experiments can reach QueryCubes.
+func plantedCovers(schema *subscription.Schema, n int, slack float64, maxCubes int) (*dominance.Index, [][]uint32, error) {
+	pairs, err := workload.Covers(workload.CoverSpec{Schema: schema, N: n, SlackFrac: slack, Seed: 71})
+	if err != nil {
+		return nil, nil, err
+	}
+	idx, err := dominance.NewIndex(dominance.Config{
+		Dims: len(pairs[0].Parent.Point()), Bits: schema.Bits(), MaxCubes: maxCubes,
+		CacheSize: -1, // every query a first touch, whichever ε repeats its shape
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	children := make([][]uint32, len(pairs))
+	for i, p := range pairs {
+		idx.Insert(p.Parent.Point(), uint64(i))
+		children[i] = p.Child.Point()
+	}
+	return idx, children, nil
+}
+
 // runE7 measures covering-detection recall against cover tightness and
 // epsilon — the system-level consequence of the truncated corner: the
 // approximate search skips the part of the dominance region adjacent to
-// the query point, which is exactly where barely-wider covers live.
+// the query point, which is exactly where barely-wider covers live. It
+// runs the paper's search alone (QueryCubes); E14 sets the system's
+// dispatch order beside it on the same covers.
 func runE7(w io.Writer, quick bool) error {
 	e, _ := ByID("E7")
 	header(w, e)
@@ -29,48 +73,20 @@ func runE7(w io.Writer, quick bool) error {
 	if quick {
 		pairsN = 120
 	}
-	for _, sc := range []struct {
-		name  string
-		attrs []string
-		bits  int
-		eps   []float64
-		cap   int
-	}{
-		{"beta=1 (d=2)", []string{"price"}, 12, []float64{0.3, 0.1, 0.05, 0.01}, core.UnlimitedCubes},
-		{"beta=2 (d=4)", []string{"price", "volume"}, 10, []float64{0.4, 0.2, 0.1}, 30000},
-	} {
+	for _, sc := range e7Scenarios {
 		schema := subscription.MustSchema(sc.bits, sc.attrs...)
-		n := pairsN
-		if len(sc.attrs) == 2 {
-			n = pairsN / 2
-		}
+		n := pairsN / len(sc.attrs)
 		tb := stats.NewTable("slack", "eps", "recall", "mean probes/query", "mean volume frac")
-		for _, slack := range []struct {
-			name string
-			frac float64
-		}{{"tight 1%", 0.01}, {"medium 5%", 0.05}, {"wide 15%", 0.15}} {
-			pairs, err := workload.Covers(workload.CoverSpec{
-				Schema: schema, N: n, SlackFrac: slack.frac, Seed: 71,
-			})
+		for _, slack := range e7Slacks {
+			idx, children, err := plantedCovers(schema, n, slack.frac, sc.cap)
 			if err != nil {
 				return err
 			}
 			for _, eps := range sc.eps {
-				det, err := core.New(core.Config{
-					Schema: schema, Mode: core.ModeApprox, Epsilon: eps, MaxCubes: sc.cap,
-				})
-				if err != nil {
-					return err
-				}
-				for _, p := range pairs {
-					if _, err := det.Insert(p.Parent); err != nil {
-						return err
-					}
-				}
 				found := 0
 				var probes, volFrac float64
-				for _, p := range pairs {
-					_, ok, st, err := det.FindCover(p.Child)
+				for _, q := range children {
+					_, ok, st, err := idx.QueryCubes(q, eps)
 					if err != nil {
 						return err
 					}
@@ -78,18 +94,74 @@ func runE7(w io.Writer, quick bool) error {
 						found++
 					}
 					probes += float64(st.RunsProbed)
-					volFrac += float64(st.VolumeFraction)
+					volFrac += st.VolumeFraction
 				}
 				tb.AddRow(slack.name, eps,
-					float64(found)/float64(len(pairs)),
-					probes/float64(len(pairs)),
-					volFrac/float64(len(pairs)))
+					float64(found)/float64(len(children)),
+					probes/float64(len(children)),
+					volFrac/float64(len(children)))
 			}
 		}
 		fmt.Fprintf(w, "%s, %d planted covers:\n%s\n", sc.name, n, tb)
 	}
 	fmt.Fprintln(w, "paper: recall is high for well-distributed (generous) covers; tight covers sit in the")
 	fmt.Fprintln(w, "       skipped corner near the query point — the cost of the (1-eps) volume guarantee")
+	return nil
+}
+
+// runE14 puts the search the system runs beside the one the paper
+// analyzes, on E7's two-attribute planted covers: Query walks the stored
+// keys first and reaches the cubes only past its step budget, QueryCubes
+// is the ε-search alone.
+func runE14(w io.Writer, quick bool) error {
+	e, _ := ByID("E14")
+	header(w, e)
+	sc := e7Scenarios[1]
+	schema := subscription.MustSchema(sc.bits, sc.attrs...)
+	n := 200
+	if quick {
+		n = 60
+	}
+	tb := stats.NewTable("slack", "eps", "cubes recall", "cube probes/query",
+		"walk recall", "walk steps/query", "answered by walk")
+	for _, slack := range e7Slacks {
+		idx, children, err := plantedCovers(schema, n, slack.frac, sc.cap)
+		if err != nil {
+			return err
+		}
+		for _, eps := range sc.eps {
+			var cubeFound, walkFound, byWalk int
+			var probes, steps float64
+			for _, q := range children {
+				_, ok, st, err := idx.QueryCubes(q, eps)
+				if err != nil {
+					return err
+				}
+				if ok {
+					cubeFound++
+				}
+				probes += float64(st.RunsProbed)
+				_, ok, st, err = idx.Query(q, eps)
+				if err != nil {
+					return err
+				}
+				if ok {
+					walkFound++
+				}
+				if st.Path == dominance.PathWalk {
+					byWalk++
+				}
+				steps += float64(st.WalkSteps)
+			}
+			m := float64(len(children))
+			tb.AddRow(slack.name, eps, float64(cubeFound)/m, probes/m,
+				float64(walkFound)/m, steps/m, float64(byWalk)/m)
+		}
+	}
+	fmt.Fprintf(w, "%s, %d planted covers, budget %d (walk steps, then cubes):\n%s\n", sc.name, n, sc.cap, tb)
+	fmt.Fprintln(w, "paper: the ε-search pays one probe per cube and gives up the corner next to the query;")
+	fmt.Fprintln(w, "       the walk pays one seek per stored key between the region's runs and is exact, so")
+	fmt.Fprintln(w, "       ε only matters for the queries whose walk overruns the budget (last column < 1)")
 	return nil
 }
 
@@ -273,13 +345,13 @@ func runE9(w io.Writer, quick bool) error {
 			return float64(time.Since(start).Microseconds()) / float64(len(qs))
 		}
 		approxHit := timeQueries(func(q []uint32) {
-			if _, ok, _, err := approx.Query(q, 0.3); err == nil && ok {
+			if _, ok, _, err := approx.QueryCubes(q, 0.3); err == nil && ok {
 				approxFound++
 			}
 		}, hitQs)
 		linHit := timeQueries(func(q []uint32) { lin.QueryDominating(q) }, hitQs)
 		kdHit := timeQueries(func(q []uint32) { kd.QueryDominating(q) }, hitQs)
-		approxMiss := timeQueries(func(q []uint32) { approx.Query(q, 0.3) }, missQs)
+		approxMiss := timeQueries(func(q []uint32) { approx.QueryCubes(q, 0.3) }, missQs)
 		linMiss := timeQueries(func(q []uint32) { lin.QueryDominating(q) }, missQs)
 		kdMiss := timeQueries(func(q []uint32) { kd.QueryDominating(q) }, missQs)
 
@@ -310,7 +382,7 @@ func runE9(w io.Writer, quick bool) error {
 		for j := range q {
 			q[j] = uint32(rng2.Int63n(1 << 6))
 		}
-		_, _, st, err := ex.Query(q, 0)
+		_, _, st, err := ex.QueryCubes(q, 0)
 		if err != nil {
 			return err
 		}
@@ -474,7 +546,7 @@ func runE11(w io.Writer, quick bool) error {
 		var probes int
 		start := time.Now()
 		for _, q := range qs {
-			_, _, st, err := idx.Query(q, eps)
+			_, _, st, err := idx.QueryCubes(q, eps)
 			if err != nil {
 				return err
 			}

@@ -139,7 +139,7 @@ func runE3(w io.Writer, quick bool) error {
 			for i := range q {
 				q[i] = uint32(uint64(1)<<k - l)
 			}
-			_, _, st, err := idx.Query(q, eps)
+			_, _, st, err := idx.QueryCubes(q, eps)
 			if err != nil {
 				return err
 			}
@@ -216,7 +216,7 @@ func runE4(w io.Writer, quick bool) error {
 			for i := range q {
 				q[i] = uint32(uint64(1)<<k - ext.Len[i])
 			}
-			_, _, st, err := idx.Query(q, 0.2)
+			_, _, st, err := idx.QueryCubes(q, 0.2)
 			if err != nil {
 				return err
 			}
@@ -264,7 +264,7 @@ func runE5(w io.Writer, quick bool) error {
 			for i := range q {
 				q[i] = uint32(uint64(1)<<k - ext.Len[i])
 			}
-			_, _, st, err := idx.Query(q, eps)
+			_, _, st, err := idx.QueryCubes(q, eps)
 			if err != nil {
 				return err
 			}
@@ -306,7 +306,7 @@ func runE6(w io.Writer, quick bool) error {
 		for i := range q {
 			q[i] = uint32(uint64(1)<<k - l)
 		}
-		_, _, st, err := idx.Query(q, eps)
+		_, _, st, err := idx.QueryCubes(q, eps)
 		if err != nil {
 			return err
 		}

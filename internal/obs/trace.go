@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// Stage is one timed step inside a query trace: cube decomposition,
-// extremal truncation, a shard fan-out, the probe loop. Count carries
-// the step's unit count where one exists (cubes generated, shards
-// searched, probes timed).
+// Stage is one timed step inside a query trace: the memo replay, the
+// successor walk, extremal truncation, cube decomposition, the probe
+// loop. Count carries the step's unit count where one exists (walk
+// steps, cubes generated, probes timed).
 type Stage struct {
 	Name  string
 	Dur   time.Duration
@@ -16,13 +16,17 @@ type Stage struct {
 }
 
 // QueryCost mirrors the per-query cost counters the dominance layer
-// reports (the paper's cost model: runs probed per standard cube). obs
-// cannot import dominance — the dependency points the other way — so
-// the engine copies the fields across when it finishes a trace.
+// reports: which cut ended the search (Path: "memo", "walk" or "cubes"),
+// the ordered-structure descents it took (RunsProbed, of which WalkSteps
+// were successor-walk seeks) and the paper's cost model for the cube
+// search. obs cannot import dominance — the dependency points the other
+// way — so the engine copies the fields across when it finishes a trace.
 type QueryCost struct {
+	Path           string
 	M              int
 	CubesGenerated int
 	RunsProbed     int
+	WalkSteps      int
 	VolumeFraction float64
 	AspectRatio    int
 	Found          bool

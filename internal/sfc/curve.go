@@ -30,6 +30,16 @@ type Curve interface {
 	Key(cell []uint32) bits.Key
 	// Cell inverts Key.
 	Cell(key bits.Key) []uint32
+	// CellInto is Cell writing the Dims coordinates into dst, so query
+	// paths decode without allocating.
+	CellInto(key bits.Key, dst []uint32)
+	// NextInExtremal returns the smallest key >= from whose cell lies in
+	// the extremal region of q, [q_1, 2^k−1] × ... × [q_d, 2^k−1]; ok is
+	// false when the region holds no key at or after from. It is the
+	// jump of the successor walk: a cursor that lands on a cell outside
+	// the region moves straight to the next key inside it, however many
+	// cells (or cubes of the region's partition) lie between.
+	NextInExtremal(q []uint32, from bits.Key) (next bits.Key, ok bool)
 }
 
 // Config carries the two parameters every curve needs.

@@ -49,4 +49,14 @@ func (g *GrayCurve) Cell(key bits.Key) []uint32 {
 	return bits.Deinterleave(key.Gray(), g.cfg.Dims, g.cfg.Bits)
 }
 
+// CellInto implements Curve.
+func (g *GrayCurve) CellInto(key bits.Key, dst []uint32) {
+	bits.DeinterleaveInto(dst, key.Gray(), g.cfg.Bits)
+}
+
+// NextInExtremal implements Curve by the shared block descent.
+func (g *GrayCurve) NextInExtremal(q []uint32, from bits.Key) (bits.Key, bool) {
+	return nextInExtremalByBlocks(g, q, from)
+}
+
 var _ Curve = (*GrayCurve)(nil)

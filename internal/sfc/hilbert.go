@@ -51,9 +51,20 @@ func (h *HilbertCurve) Key(cell []uint32) bits.Key {
 
 // Cell implements Curve, inverting Key.
 func (h *HilbertCurve) Cell(key bits.Key) []uint32 {
-	x := bits.Deinterleave(key, h.cfg.Dims, h.cfg.Bits)
-	transposeToAxes(x, h.cfg.Bits)
+	x := make([]uint32, h.cfg.Dims)
+	h.CellInto(key, x)
 	return x
+}
+
+// CellInto implements Curve.
+func (h *HilbertCurve) CellInto(key bits.Key, dst []uint32) {
+	bits.DeinterleaveInto(dst, key, h.cfg.Bits)
+	transposeToAxes(dst, h.cfg.Bits)
+}
+
+// NextInExtremal implements Curve by the shared block descent.
+func (h *HilbertCurve) NextInExtremal(q []uint32, from bits.Key) (bits.Key, bool) {
+	return nextInExtremalByBlocks(h, q, from)
 }
 
 // axesToTranspose converts cell coordinates into the "transposed" Hilbert

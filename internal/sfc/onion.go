@@ -123,8 +123,20 @@ func (o *OnionCurve) Key(cell []uint32) bits.Key {
 // Cell implements Curve by inverting the digit substitution level by
 // level.
 func (o *OnionCurve) Cell(key bits.Key) []uint32 {
+	cell := make([]uint32, o.cfg.Dims)
+	o.CellInto(key, cell)
+	return cell
+}
+
+// NextInExtremal implements Curve by the shared block descent.
+func (o *OnionCurve) NextInExtremal(q []uint32, from bits.Key) (bits.Key, bool) {
+	return nextInExtremalByBlocks(o, q, from)
+}
+
+// CellInto implements Curve.
+func (o *OnionCurve) CellInto(key bits.Key, cell []uint32) {
 	d, kb := o.cfg.Dims, o.cfg.Bits
-	cell := make([]uint32, d)
+	clear(cell)
 	mask := bits.LowMask(d)
 	for y := 0; y < kb; y++ {
 		dig, _ := key.And(mask).Uint64()
@@ -134,7 +146,6 @@ func (o *OnionCurve) Cell(key bits.Key) []uint32 {
 		}
 		key = key.ShrN(d)
 	}
-	return cell
 }
 
 var _ Curve = (*OnionCurve)(nil)

@@ -26,10 +26,15 @@ type Index interface {
 	// Delete removes one entry matching (key, id) exactly, reporting
 	// whether one was found.
 	Delete(k bits.Key, id uint64) bool
+	// Seek returns the entry with the smallest key >= lo (ties broken by
+	// smallest id). ok is false when no stored key reaches lo. One ordered
+	// descent: the unit of cost of both searches.
+	Seek(lo bits.Key) (key bits.Key, id uint64, ok bool)
 	// FirstInRange returns the id of the entry with the smallest key in
-	// [lo, hi] (ties broken by smallest id). ok is false when the range is
-	// empty. This single probe is the unit of cost in the paper's analysis:
-	// one run access.
+	// [lo, hi] (ties broken by smallest id): Seek(lo), accepted when the
+	// key does not pass hi. ok is false when the range is empty. This
+	// single probe is the unit of cost in the paper's analysis: one run
+	// access.
 	FirstInRange(lo, hi bits.Key) (id uint64, ok bool)
 	// VisitRange calls visit for every entry with key in [lo, hi] in
 	// ascending (key, id) order, stopping early if visit returns false.

@@ -390,3 +390,116 @@ func TestWideKeysBeyond64Bits(t *testing.T) {
 		})
 	}
 }
+
+// TestSeekConformance drives Seek on both backends through the states the
+// successor walk meets: an empty structure, a cursor past the last key,
+// duplicate keys (smallest id first), a cursor equal to a stored key, a
+// bulk-loaded structure and one with entries deleted. FirstInRange must
+// agree with Seek in every state, since it is defined through it.
+func TestSeekConformance(t *testing.T) {
+	k := bits.KeyFromUint64
+	wide := bits.KeyFromUint64(5).ShlN(200) // beyond 64 bits
+	type entry struct {
+		key bits.Key
+		id  uint64
+	}
+	type want struct {
+		lo  bits.Key
+		key bits.Key
+		id  uint64
+		ok  bool
+	}
+	cases := []struct {
+		name   string
+		insert []entry // one Insert each
+		sorted []entry // one InsertSorted batch, ascending (key, id)
+		delete []entry
+		wants  []want
+	}{
+		{
+			name:  "empty",
+			wants: []want{{lo: k(0)}, {lo: k(7)}, {lo: wide}},
+		},
+		{
+			name:   "past the last key",
+			insert: []entry{{k(10), 1}, {k(20), 2}},
+			wants:  []want{{lo: k(21)}, {lo: wide}, {lo: k(20), key: k(20), id: 2, ok: true}},
+		},
+		{
+			name:   "duplicates return the smallest id",
+			insert: []entry{{k(42), 7}, {k(42), 3}, {k(42), 9}, {k(50), 1}},
+			wants: []want{
+				{lo: k(0), key: k(42), id: 3, ok: true},
+				{lo: k(42), key: k(42), id: 3, ok: true},
+				{lo: k(43), key: k(50), id: 1, ok: true},
+			},
+		},
+		{
+			name:   "cursor equal to a stored key",
+			insert: []entry{{k(5), 5}, {k(6), 6}, {wide, 8}},
+			wants: []want{
+				{lo: k(5), key: k(5), id: 5, ok: true},
+				{lo: k(6), key: k(6), id: 6, ok: true},
+				{lo: k(7), key: wide, id: 8, ok: true},
+				{lo: wide, key: wide, id: 8, ok: true},
+			},
+		},
+		{
+			name:   "after InsertSorted",
+			insert: []entry{{k(15), 15}},
+			sorted: []entry{{k(10), 2}, {k(10), 4}, {k(20), 1}, {k(30), 3}},
+			wants: []want{
+				{lo: k(0), key: k(10), id: 2, ok: true},
+				{lo: k(11), key: k(15), id: 15, ok: true},
+				{lo: k(16), key: k(20), id: 1, ok: true},
+				{lo: k(31)},
+			},
+		},
+		{
+			name:   "after deletes",
+			insert: []entry{{k(10), 1}, {k(10), 2}, {k(20), 3}, {k(30), 4}},
+			delete: []entry{{k(10), 1}, {k(20), 3}},
+			wants: []want{
+				{lo: k(0), key: k(10), id: 2, ok: true},
+				{lo: k(11), key: k(30), id: 4, ok: true},
+				{lo: k(30), key: k(30), id: 4, ok: true},
+			},
+		},
+	}
+	for _, tc := range cases {
+		for name, idx := range implementations(t) {
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
+				for _, e := range tc.insert {
+					idx.Insert(e.key, e.id)
+				}
+				keys, ids := make([]bits.Key, len(tc.sorted)), make([]uint64, len(tc.sorted))
+				for i, e := range tc.sorted {
+					keys[i], ids[i] = e.key, e.id
+				}
+				idx.InsertSorted(keys, ids)
+				for _, e := range tc.delete {
+					if !idx.Delete(e.key, e.id) {
+						t.Fatalf("delete (%v,%d) failed", e.key, e.id)
+					}
+				}
+				full := bits.LowMask(bits.KeyBits)
+				for _, w := range tc.wants {
+					key, id, ok := idx.Seek(w.lo)
+					if ok != w.ok || (ok && (!key.Equal(w.key) || id != w.id)) {
+						t.Fatalf("Seek(%v) = (%v,%d,%v), want (%v,%d,%v)", w.lo, key, id, ok, w.key, w.id, w.ok)
+					}
+					if fid, fok := idx.FirstInRange(w.lo, full); fok != ok || (ok && fid != id) {
+						t.Fatalf("FirstInRange(%v,max) = (%d,%v), Seek says (%d,%v)", w.lo, fid, fok, id, ok)
+					}
+					if ok {
+						if prev, borrow := key.Dec(); borrow && prev.Cmp(w.lo) >= 0 {
+							if _, fok := idx.FirstInRange(w.lo, prev); fok {
+								t.Fatalf("FirstInRange(%v,%v) found an entry below Seek's key %v", w.lo, prev, key)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}

@@ -148,7 +148,10 @@ func (s *SkipList) Delete(k bits.Key, id uint64) bool {
 	return true
 }
 
-// seek returns the first node with key >= lo.
+// seek is the one descent every lookup shares: the first node with
+// key >= lo, nil when there is none.
+//
+//sfc:hotpath
 func (s *SkipList) seek(lo bits.Key) *slNode {
 	x := s.head
 	for i := s.level - 1; i >= 0; i-- {
@@ -157,6 +160,17 @@ func (s *SkipList) seek(lo bits.Key) *slNode {
 		}
 	}
 	return x.next[0]
+}
+
+// Seek implements Index.
+//
+//sfc:hotpath
+func (s *SkipList) Seek(lo bits.Key) (bits.Key, uint64, bool) {
+	n := s.seek(lo)
+	if n == nil {
+		return bits.Key{}, 0, false
+	}
+	return n.key, n.id, true
 }
 
 // FirstInRange implements Index.

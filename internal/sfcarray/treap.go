@@ -180,10 +180,11 @@ func (t *Treap) delete(n *treapNode, k bits.Key, id uint64) (*treapNode, bool) {
 	return n, deleted
 }
 
-// FirstInRange implements Index with a single root-to-leaf descent.
+// seek is the one root-to-leaf descent every lookup shares: the node
+// holding the smallest (key, id) with key >= lo, nil when there is none.
 //
 //sfc:hotpath
-func (t *Treap) FirstInRange(lo, hi bits.Key) (uint64, bool) {
+func (t *Treap) seek(lo bits.Key) *treapNode {
 	var best *treapNode
 	for n := t.root; n != nil; {
 		if n.key.Cmp(lo) >= 0 {
@@ -193,10 +194,29 @@ func (t *Treap) FirstInRange(lo, hi bits.Key) (uint64, bool) {
 			n = n.right
 		}
 	}
-	if best == nil || best.key.Cmp(hi) > 0 {
+	return best
+}
+
+// Seek implements Index.
+//
+//sfc:hotpath
+func (t *Treap) Seek(lo bits.Key) (bits.Key, uint64, bool) {
+	n := t.seek(lo)
+	if n == nil {
+		return bits.Key{}, 0, false
+	}
+	return n.key, n.id, true
+}
+
+// FirstInRange implements Index.
+//
+//sfc:hotpath
+func (t *Treap) FirstInRange(lo, hi bits.Key) (uint64, bool) {
+	n := t.seek(lo)
+	if n == nil || n.key.Cmp(hi) > 0 {
 		return 0, false
 	}
-	return best.id, true
+	return n.id, true
 }
 
 // VisitRange implements Index by in-order traversal with subtree pruning.

@@ -50,7 +50,7 @@ var promComment = regexp.MustCompile(`^# (HELP [a-zA-Z_:][a-zA-Z0-9_:]* .+|TYPE 
 
 func TestMetricsOpRendersParsableExposition(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
-	_, addr := startServer(t, schema, core.ModeExact)
+	_, addr := startServer(t, schema, core.ModeApprox) // SFC strategy: the per-path counters move
 	c, err := Dial(addr, schema)
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +78,7 @@ func TestMetricsOpRendersParsableExposition(t *testing.T) {
 		t.Fatal("exposition must end in a newline")
 	}
 	samples := make(map[string]float64)
+	byPath := make(map[string]float64) // sfcd_queries_by_path_total, by label
 	helped := make(map[string]bool)
 	typed := make(map[string]bool)
 	for i, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
@@ -102,6 +103,9 @@ func TestMetricsOpRendersParsableExposition(t *testing.T) {
 			t.Fatalf("line %d value: %v", i+1, err)
 		}
 		samples[name] = v // per-shard samples collapse; fine for this check
+		if name == "sfcd_queries_by_path_total" {
+			byPath[line[strings.Index(line, "{"):strings.Index(line, "}")+1]] = v
+		}
 		// Histogram samples carry the _bucket/_sum/_count suffixes; their
 		// HELP/TYPE comments name the base metric, per the exposition spec.
 		base := name
@@ -120,6 +124,11 @@ func TestMetricsOpRendersParsableExposition(t *testing.T) {
 	}
 	if got := samples["sfcd_queries_total"]; got < 3 {
 		t.Fatalf("sfcd_queries_total = %v, want >= 3", got)
+	}
+	// One counter per cut, and together they account for every query.
+	if len(byPath) != 3 || byPath[`{path="walk"}`] < 3 ||
+		byPath[`{path="memo"}`]+byPath[`{path="walk"}`]+byPath[`{path="cubes"}`] != samples["sfcd_queries_total"] {
+		t.Fatalf("sfcd_queries_by_path_total = %v against %v queries", byPath, samples["sfcd_queries_total"])
 	}
 	if got := samples["sfcd_shards"]; got != 4 {
 		t.Fatalf("sfcd_shards = %v, want 4", got)

@@ -189,9 +189,11 @@ func traceToWire(tr *obs.QueryTrace) Trace {
 		TotalNS:     int64(tr.Total),
 		Slices:      append([]int(nil), tr.Slices...),
 		Cost: TraceCost{
+			Path:           tr.Cost.Path,
 			M:              tr.Cost.M,
 			CubesGenerated: tr.Cost.CubesGenerated,
 			RunsProbed:     tr.Cost.RunsProbed,
+			WalkSteps:      tr.Cost.WalkSteps,
 			VolumeFraction: tr.Cost.VolumeFraction,
 			AspectRatio:    tr.Cost.AspectRatio,
 			Found:          tr.Cost.Found,

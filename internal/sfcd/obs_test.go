@@ -225,6 +225,18 @@ func TestTraceOp(t *testing.T) {
 	if trace.Cost.RunsProbed <= 0 {
 		t.Fatalf("trace.Cost.RunsProbed = %d, want > 0", trace.Cost.RunsProbed)
 	}
+	// A first touch is answered by the successor walk: the trace names the
+	// cut, counts its steps and times it as a stage of its own.
+	if trace.Cost.Path != "walk" || trace.Cost.WalkSteps <= 0 || trace.Cost.CubesGenerated != 0 {
+		t.Fatalf("trace.Cost = %+v, want a walk-answered query without cubes", trace.Cost)
+	}
+	walked := false
+	for _, st := range trace.Stages {
+		walked = walked || (st.Name == "walk" && st.Count == trace.Cost.WalkSteps)
+	}
+	if !walked {
+		t.Fatalf("no walk stage carrying the %d steps in %+v", trace.Cost.WalkSteps, trace.Stages)
+	}
 	if len(trace.Slices) == 0 {
 		t.Fatal("trace carries no per-slice probe counts")
 	}
@@ -280,10 +292,18 @@ func TestSlowLogOp(t *testing.T) {
 	if len(traces) == 0 {
 		t.Fatal("slow log is empty with SlowThreshold -1 and TraceSample 1")
 	}
+	paths := map[string]int{}
 	for _, tr := range traces {
 		if tr.Op == "" || tr.TotalNS <= 0 {
 			t.Fatalf("malformed slow-log trace %+v", tr)
 		}
+		paths[tr.Cost.Path]++
+	}
+	// Every line says which cut ended its search: the subscribe's own
+	// covering query and the shape's first two touches walk (a miss, then
+	// note and record), the rest replay the memo.
+	if paths["walk"] != 3 || paths["memo"] != 3 || len(paths) != 2 {
+		t.Fatalf("slow-log paths = %v, want 3 walk + 3 memo", paths)
 	}
 	// Newest first: start times must not increase.
 	for i := 1; i < len(traces); i++ {

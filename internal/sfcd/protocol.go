@@ -115,6 +115,8 @@
 // process, one connection and one schema.
 package sfcd
 
+import "sfccover/internal/dominance"
+
 // Opcode selects a wire operation; it is the one byte after the id in
 // every request and response frame.
 type Opcode uint8
@@ -214,9 +216,12 @@ type Stats struct {
 	RunsProbed     int `json:"runsProbed"`
 	CubesGenerated int `json:"cubesGenerated"`
 	ShardSearches  int `json:"shardSearches"`
-	// DecompCacheHits/DecompCacheMisses are the decomposition cache's
-	// lifetime counters across the provider's SFC indexes (always zero
-	// when the cache is disabled or the strategy has no SFC index).
+	// PathQueries counts the queries by the cut that ended the search,
+	// indexed by dominance.Path: none, memo, walk, cubes.
+	PathQueries [dominance.NumPaths]int `json:"pathQueries"`
+	// DecompCacheHits/DecompCacheMisses are the hit memo's lifetime
+	// counters across the provider's SFC indexes (always zero when the
+	// memo is disabled or the strategy has no SFC index).
 	DecompCacheHits   uint64 `json:"decompCacheHits,omitempty"`
 	DecompCacheMisses uint64 `json:"decompCacheMisses,omitempty"`
 	// Subscriptions is the number of currently held subscriptions.
@@ -347,8 +352,8 @@ type RepFrame struct {
 
 // TraceStage is one timed step of a traced query.
 type TraceStage struct {
-	// Name identifies the step ("decompose", "truncate", "probes",
-	// "enumerate_probes", "shard_search").
+	// Name identifies the step ("cache_replay", "walk", "truncate",
+	// "enumerate_probes").
 	Name string `json:"name"`
 	// DurNS is the stage's wall time in nanoseconds.
 	DurNS int64 `json:"durNs"`
@@ -358,11 +363,15 @@ type TraceStage struct {
 }
 
 // TraceCost is the wire mirror of the query's cost stats (the engine's
-// QueryStats): the paper's cost model for one search.
+// QueryStats): which cut ended the search ("memo", "walk" or "cubes"),
+// the ordered-structure descents it took and the paper's cost model for
+// the cube search.
 type TraceCost struct {
+	Path           string  `json:"path"`
 	M              int     `json:"m,omitempty"`
 	CubesGenerated int     `json:"cubesGenerated"`
 	RunsProbed     int     `json:"runsProbed"`
+	WalkSteps      int     `json:"walkSteps,omitempty"`
 	VolumeFraction float64 `json:"volumeFraction"`
 	AspectRatio    int     `json:"aspectRatio"`
 	Found          bool    `json:"found"`

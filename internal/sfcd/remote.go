@@ -239,6 +239,7 @@ func (r *RemoteProvider) Stats() core.ProviderStats {
 		Hits:              ws.Hits,
 		RunsProbed:        ws.RunsProbed,
 		CubesGenerated:    ws.CubesGenerated,
+		PathQueries:       ws.PathQueries,
 		ShardSearches:     ws.ShardSearches,
 		DecompCacheHits:   ws.DecompCacheHits,
 		DecompCacheMisses: ws.DecompCacheMisses,

@@ -777,6 +777,7 @@ func (s *Server) serve(sc *reqScratch) Response {
 			Hits:              ps.Hits,
 			RunsProbed:        ps.RunsProbed,
 			CubesGenerated:    ps.CubesGenerated,
+			PathQueries:       ps.PathQueries,
 			ShardSearches:     ps.ShardSearches,
 			DecompCacheHits:   ps.DecompCacheHits,
 			DecompCacheMisses: ps.DecompCacheMisses,
