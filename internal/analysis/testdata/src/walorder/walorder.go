@@ -80,19 +80,10 @@ func (d *durable) replay(subs []*subscription.Subscription) error {
 }
 
 // lineSuppressed documents the call-level escape hatch.
-func (d *durable) lineSuppressed(sub *subscription.Subscription) ([]core.Drained, error) {
-	if dr, ok := d.inner.(core.CoveredDrainer); ok {
-		//sfc:walok fixture: the drained set is unknowable before draining
-		out, err := dr.DrainCovered(sub)
-		if err != nil {
-			return nil, err
-		}
-		for _, it := range out {
-			if err := d.st.appendRemove(it.ID); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
+func (d *durable) lineSuppressed(sid uint64) error {
+	//sfc:walok fixture: this removal's record is already on disk
+	if err := d.inner.Remove(sid); err != nil {
+		return err
 	}
-	return nil, nil
+	return d.st.appendRemove(sid)
 }

@@ -10,11 +10,10 @@ import (
 // sound (PR 5): in any package that owns WAL append primitives
 // (appendAdd / appendRemove / appendBatch methods), a function that
 // mutates a wrapped core provider must also append to the WAL, and
-// destructive mutations (Remove / RemoveBatch / RemoveAll /
-// DrainCovered) must not precede the first WAL append on the
-// straight-line path — memory must never run ahead of disk. A mutation
-// inside an `err != nil` guard is exempt: that is the rollback arm of a
-// failed append. Suppress with //sfc:walok <reason> on the call line or
+// destructive mutations (Remove / RemoveBatch / RemoveAll) must not
+// precede the first WAL append on the straight-line path — memory must
+// never run ahead of disk. A mutation inside an `err != nil` guard is
+// exempt: that is the rollback arm of a failed append. Suppress with //sfc:walok <reason> on the call line or
 // the function's doc comment (e.g. recovery replay, which re-applies
 // records already on disk).
 var WALOrder = &Analyzer{
@@ -34,15 +33,14 @@ var walPrimitives = map[string]bool{
 // destructiveMutations lose state that a crash before the append could
 // never recover, so they are order-checked, not just presence-checked.
 var destructiveMutations = map[string]bool{
-	"Remove":       true,
-	"RemoveBatch":  true,
-	"RemoveAll":    true,
-	"DrainCovered": true,
+	"Remove":      true,
+	"RemoveBatch": true,
+	"RemoveAll":   true,
 }
 
 // mutationIfaces are the internal/core types whose method calls count
 // as provider state mutation.
-var mutationIfaces = []string{"Provider", "BatchWriter", "BulkInserter", "CoveredDrainer"}
+var mutationIfaces = []string{"Provider", "BatchWriter", "BulkInserter"}
 
 func runWALOrder(pass *Pass) error {
 	logFuncs := collectLogFuncs(pass)
@@ -219,7 +217,7 @@ func isProviderMutation(pass *Pass, call *ast.CallExpr, callee *types.Func) bool
 		return true
 	}
 	switch callee.Name() {
-	case "Add", "Insert", "AddBatch", "InsertBatch", "Remove", "RemoveBatch", "DrainCovered":
+	case "Add", "Insert", "AddBatch", "InsertBatch", "Remove", "RemoveBatch":
 	default:
 		return false
 	}

@@ -105,11 +105,8 @@ func (ps *providerSource) Close() {
 }
 
 // durable wraps a freshly built link provider with logging and recovery
-// under the given store link name; without a store it is the identity.
-func (ps *providerSource) durable(link string, p core.Provider, err error) (core.Provider, error) {
-	if err != nil || ps.store == nil {
-		return p, err
-	}
+// under the given store link name.
+func (ps *providerSource) durable(link string, p core.Provider) (*persist.DurableProvider, error) {
 	d, err := ps.store.Durable(link, p)
 	if err != nil {
 		p.Close()
@@ -137,21 +134,24 @@ func (ps *providerSource) forwarded(brokerID, neighborID int, seed int64) (core.
 		AdaptiveBudget:  cfg.AdaptiveBudget,
 		Seed:            seed,
 	}
-	link := fmt.Sprintf("fwd-b%d-n%d", brokerID, neighborID)
+	var p core.Provider
+	var err error
 	switch cfg.Backend {
 	case "", BackendDetector:
-		p, err := core.New(dc)
-		return ps.durable(link, p, err)
+		p, err = core.New(dc)
 	default: // BackendEnginePrefix (validated in newProviderSource)
-		p, err := engine.New(engine.Config{
+		p, err = engine.New(engine.Config{
 			Detector:           dc,
 			Shards:             cfg.Shards,
 			Workers:            brokerEngineWorkers,
 			RebalanceThreshold: cfg.RebalanceThreshold,
 			RebalanceInterval:  cfg.RebalanceInterval,
 		})
-		return ps.durable(link, p, err)
 	}
+	if err != nil || ps.store == nil {
+		return p, err
+	}
+	return ps.durable(fmt.Sprintf("fwd-b%d-n%d", brokerID, neighborID), p)
 }
 
 // suppressed builds the suppressed-set provider for the link
@@ -159,13 +159,13 @@ func (ps *providerSource) forwarded(brokerID, neighborID int, seed int64) (core.
 // regardless of Config.Backend — even BackendRemote. The covered set
 // computed at unsubscription time must be exact — a missed member would
 // never be re-forwarded and events would be lost, unlike covering misses,
-// which only cost redundant traffic. Exact FindCovered (and the one-scan
-// DrainCovered the unsubscription path prefers) is a plain scan, so an
-// engine's worker pool, a sharded index, or a network round trip would
-// only add cost for identical answers. With Config.DataDir the suppressed
+// which only cost redundant traffic. The exact one-scan ListCovered the
+// unsubscription path runs is a plain scan, so an engine's worker pool, a
+// sharded index, or a network round trip would only add cost for
+// identical answers. With Config.DataDir the suppressed
 // set is durable too: losing it across a restart would strand every
 // suppressed subscription when its cover is later retracted.
-func (ps *providerSource) suppressed(brokerID, neighborID int, seed int64) (core.Provider, error) {
+func (ps *providerSource) suppressed(brokerID, neighborID int, seed int64) (suppressedSet, error) {
 	cfg := ps.cfg
 	p, err := core.New(core.Config{
 		Schema:   cfg.Schema,
@@ -174,5 +174,8 @@ func (ps *providerSource) suppressed(brokerID, neighborID int, seed int64) (core
 		MaxCubes: cfg.MaxCubes,
 		Seed:     seed,
 	})
-	return ps.durable(fmt.Sprintf("supp-b%d-n%d", brokerID, neighborID), p, err)
+	if err != nil || ps.store == nil {
+		return p, err
+	}
+	return ps.durable(fmt.Sprintf("supp-b%d-n%d", brokerID, neighborID), p)
 }

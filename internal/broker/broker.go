@@ -6,9 +6,9 @@
 // ones it already forwarded — using a core.Provider (a single Detector or
 // a sharded engine, per Config.Backend) in any of the paper's modes
 // (off / exact / ε-approximate). At unsubscription time the suppressed
-// set is queried with FindCovered for exactly the subscriptions the
-// retracted cover was holding back, which are then re-screened and
-// re-forwarded where needed.
+// set lists exactly the subscriptions the retracted cover was holding
+// back (core.CoveredLister), which are then re-screened and re-forwarded
+// where needed; the ones another cover still holds back never leave it.
 //
 // The simulation is deterministic: messages are processed from a single
 // FIFO queue, and all iteration orders are fixed. The safety property the
@@ -19,9 +19,7 @@ package broker
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"time"
 
 	"sfccover/internal/core"
@@ -144,14 +142,11 @@ type iface struct {
 	id   int
 }
 
-func (i iface) key() string {
-	if i.kind == ifNeighbor {
-		return "n" + strconv.Itoa(i.id)
-	}
-	return "c" + strconv.Itoa(i.id)
-}
-
-// message is a queued simulation step.
+// message is a queued simulation step. Payloads are shared read-only
+// between hops — no handler mutates or retains one (rows keep the
+// rectangle, providers their own copy): a subscription is copied once at
+// Subscribe/Unsubscribe, an event once at Publish and once more into each
+// receiving Client, never per link.
 type message struct {
 	to    int // destination broker
 	from  iface
@@ -244,19 +239,129 @@ type Broker struct {
 	id        int
 	env       environment
 	neighbors []int // sorted
-	table     map[string]*tableRow
-	out       map[int]*neighborState // per neighbor
-	clients   []int                  // sorted attachment order
-	batch     int                    // covered-set re-probe chunk size (0 = all)
-	lat       *linkLatency           // overlay-shared latency histograms
+	// table is the routing table, one group of rows per interface:
+	// neighbors in id order, then clients in attachment order. Events walk
+	// it in that order, so forwarding order is fixed.
+	table []ifaceRows
+	// sources counts, per rectangle, the interfaces holding a row for it.
+	sources map[rectKey]int
+	out     map[int]*neighborState // per neighbor
+	batch   int                    // covered-set re-probe chunk size (0 = all)
+	lat     *linkLatency           // overlay-shared latency histograms
 }
 
-// tableRow is one routing-table entry: a subscription together with the
-// interface it arrived from.
+// rectKey is a subscription's constraint rectangle as a comparable value:
+// attribute i's bounds packed lo<<MaxBits | hi (a schema admits at most
+// MaxAttrs attributes of at most MaxBits bits, so nothing is lost); slots
+// past the schema's attributes stay zero.
+type rectKey [subscription.MaxAttrs]uint32
+
+func keyOf(s *subscription.Subscription) rectKey {
+	var k rectKey
+	for i := 0; i < s.Schema().NumAttrs(); i++ {
+		r := s.Range(i)
+		k[i] = r.Lo<<subscription.MaxBits | r.Hi
+	}
+	return k
+}
+
+// matches reports whether the event lies in the rectangle; it is
+// Subscription.Matches on the packed bounds.
+func (k rectKey) matches(e subscription.Event) bool {
+	for i, v := range e {
+		if v < k[i]>>subscription.MaxBits || v > k[i]&(1<<subscription.MaxBits-1) {
+			return false
+		}
+	}
+	return true
+}
+
+// tableRow is one routing-table entry: a rectangle some subscription from
+// the group's interface constrains to.
 type tableRow struct {
-	sub   *subscription.Subscription
-	from  iface
+	key   rectKey
 	count int // reference count for repeated identical subscribes
+}
+
+// ifaceRows holds the routing-table rows that arrived from one interface.
+// An event only asks a group whether any of its rows matches, so the rows
+// are unordered and a removal swaps the last row into the hole.
+type ifaceRows struct {
+	from iface
+	rows []tableRow
+	at   map[rectKey]int // rectangle -> position in rows
+}
+
+// matches reports whether any row of the group matches the event.
+func (g *ifaceRows) matches(e subscription.Event) bool {
+	for i := range g.rows {
+		if g.rows[i].key.matches(e) {
+			return true
+		}
+	}
+	return false
+}
+
+// rowsFrom returns the group of the given interface. Groups exist from
+// the moment the interface does (NewNetwork, AttachClient).
+func (b *Broker) rowsFrom(from iface) *ifaceRows {
+	for i := range b.table {
+		if b.table[i].from == from {
+			return &b.table[i]
+		}
+	}
+	return nil
+}
+
+func (b *Broker) addIface(from iface) {
+	b.table = append(b.table, ifaceRows{from: from, at: make(map[rectKey]int)})
+}
+
+// addRow takes one reference on the row (key, from) and reports whether
+// that created it.
+func (b *Broker) addRow(from iface, key rectKey) bool {
+	g := b.rowsFrom(from)
+	if i, ok := g.at[key]; ok {
+		g.rows[i].count++
+		return false
+	}
+	g.at[key] = len(g.rows)
+	g.rows = append(g.rows, tableRow{key: key, count: 1})
+	b.sources[key]++
+	return true
+}
+
+// dropRow releases one reference on the row (key, from) and reports
+// whether that removed it; found is false when there is no such row.
+func (b *Broker) dropRow(from iface, key rectKey) (removed, found bool) {
+	g := b.rowsFrom(from)
+	i, found := g.at[key]
+	if !found {
+		return false, false
+	}
+	if g.rows[i].count--; g.rows[i].count > 0 {
+		return false, true
+	}
+	last := len(g.rows) - 1
+	g.rows[i] = g.rows[last]
+	g.at[g.rows[i].key] = i
+	g.rows = g.rows[:last]
+	delete(g.at, key)
+	if b.sources[key]--; b.sources[key] == 0 {
+		delete(b.sources, key)
+	}
+	return true, true
+}
+
+// suppressedSet is what a link calls on its suppressed-set provider; both
+// things providerSource.suppressed builds — a core.Detector, optionally
+// under the durable wrapper — have it.
+type suppressedSet interface {
+	core.CoveredLister
+	Insert(s *subscription.Subscription) (uint64, error)
+	Remove(id uint64) error
+	Len() int
+	Close()
 }
 
 // neighborState tracks the link state toward one neighbor through two
@@ -264,15 +369,15 @@ type tableRow struct {
 // that suppress redundant forwards run against it, in the configured mode.
 // supp holds the suppressed set — every subscription withheld from this
 // link because a forwarded one covered it. supp always runs ModeExact:
-// at unsubscription time FindCovered against it yields the *exact* set of
+// at unsubscription time ListCovered against it yields the *exact* set of
 // subscriptions the retracted cover had been suppressing, which is the
 // set that must be re-screened for forwarding (a miss there would lose
 // events, unlike covering misses, which only cost redundant traffic).
 type neighborState struct {
 	fwd  core.Provider
-	ids  map[string]uint64 // subKey -> fwd provider id
-	supp core.Provider
-	sups map[string]uint64 // subKey -> supp provider id
+	ids  map[rectKey]uint64 // rectangle -> fwd provider id
+	supp suppressedSet
+	sups map[rectKey]uint64 // rectangle -> supp provider id
 	// degraded marks a link whose forwarded-set provider may have
 	// diverged from the wire — a Remove failed, so the provider (a remote
 	// daemon, typically) may still hold a cover whose retraction was
@@ -302,11 +407,11 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 	n.brokers = make([]*Broker, topo.N)
 	for i := range n.brokers {
 		n.brokers[i] = &Broker{
-			id:    i,
-			env:   n,
-			lat:   n.lat,
-			table: make(map[string]*tableRow),
-			out:   make(map[int]*neighborState),
+			id:      i,
+			env:     n,
+			lat:     n.lat,
+			sources: make(map[rectKey]int),
+			out:     make(map[int]*neighborState),
 		}
 	}
 	for _, e := range topo.Edges {
@@ -315,8 +420,9 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 	}
 	for _, b := range n.brokers {
 		b.batch = cfg.BatchSize
-		sort.Ints(b.neighbors)
+		slices.Sort(b.neighbors)
 		for _, j := range b.neighbors {
+			b.addIface(iface{kind: ifNeighbor, id: j})
 			seed := cfg.Seed + int64(b.id)<<16 + int64(j)
 			fwd, err := src.forwarded(b.id, j, seed)
 			if err != nil {
@@ -330,8 +436,8 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 				return nil, fmt.Errorf("broker: building suppressed-set provider %d->%d: %w", b.id, j, err)
 			}
 			st := &neighborState{
-				fwd: fwd, ids: make(map[string]uint64),
-				supp: supp, sups: make(map[string]uint64),
+				fwd: fwd, ids: make(map[rectKey]uint64),
+				supp: supp, sups: make(map[rectKey]uint64),
 			}
 			st.restoreIDMaps()
 			b.out[j] = st
@@ -357,9 +463,9 @@ func (n *Network) restoreTables() {
 			from := iface{kind: ifNeighbor, id: b.id}
 			peer := n.brokers[j]
 			for _, it := range en.Subscriptions() {
-				rowKey := subKey(it.Sub) + "@" + from.key()
-				if _, exists := peer.table[rowKey]; !exists {
-					peer.table[rowKey] = &tableRow{sub: it.Sub, from: from, count: 1}
+				key := keyOf(it.Sub)
+				if _, exists := peer.rowsFrom(from).at[key]; !exists {
+					peer.addRow(from, key)
 				}
 			}
 		}
@@ -376,12 +482,18 @@ func (n *Network) restoreTables() {
 func (st *neighborState) restoreIDMaps() {
 	if en, ok := st.fwd.(core.Enumerator); ok {
 		for _, it := range en.Subscriptions() {
-			st.ids[subKey(it.Sub)] = it.ID
+			st.ids[keyOf(it.Sub)] = it.ID
 		}
 	}
 	if en, ok := st.supp.(core.Enumerator); ok {
 		for _, it := range en.Subscriptions() {
-			st.sups[subKey(it.Sub)] = it.ID
+			key := keyOf(it.Sub)
+			// A crash between forward's two writes left the rectangle in
+			// both sets; forwarding wins here as it does there.
+			if _, forwarded := st.ids[key]; forwarded && st.supp.Remove(it.ID) == nil {
+				continue
+			}
+			st.sups[key] = it.ID
 		}
 	}
 }
@@ -447,7 +559,9 @@ func (n *Network) Metrics() Metrics { return n.metrics }
 func (n *Network) TableRows() int {
 	total := 0
 	for _, b := range n.brokers {
-		total += len(b.table)
+		for i := range b.table {
+			total += len(b.table[i].rows)
+		}
 	}
 	return total
 }
@@ -504,7 +618,7 @@ func (n *Network) AttachClient(brokerID int) (*Client, error) {
 	c := &Client{ID: n.nextCli, Broker: brokerID}
 	n.nextCli++
 	n.clients[c.ID] = c
-	n.brokers[brokerID].clients = append(n.brokers[brokerID].clients, c.ID)
+	n.brokers[brokerID].addIface(iface{kind: ifClient, id: c.ID})
 	return c, nil
 }
 
@@ -564,11 +678,10 @@ func (n *Network) Publish(clientID int, e subscription.Event) error {
 // Drain processes queued messages until the network is quiescent,
 // returning the number of messages processed.
 func (n *Network) Drain() int {
-	processed := 0
-	for len(n.queue) > 0 {
-		m := n.queue[0]
-		n.queue = n.queue[1:]
-		processed++
+	// Handlers append while the loop runs; consuming by index and resetting
+	// at quiescence keeps one backing array for the network's lifetime.
+	for i := 0; i < len(n.queue); i++ {
+		m := n.queue[i]
 		b := n.brokers[m.to]
 		switch m.kind {
 		case msgSubscribe:
@@ -579,36 +692,22 @@ func (n *Network) Drain() int {
 			b.handleEvent(m.from, m.event, m.at)
 		}
 	}
+	processed := len(n.queue)
+	clear(n.queue) // drop the payload references
+	n.queue = n.queue[:0]
 	return processed
 }
 
-// subKey canonicalizes a subscription's constraint rectangle.
-func subKey(s *subscription.Subscription) string {
-	var sb strings.Builder
-	for i := 0; i < s.Schema().NumAttrs(); i++ {
-		r := s.Range(i)
-		if i > 0 {
-			sb.WriteByte('|')
-		}
-		sb.WriteString(strconv.FormatUint(uint64(r.Lo), 10))
-		sb.WriteByte('-')
-		sb.WriteString(strconv.FormatUint(uint64(r.Hi), 10))
-	}
-	return sb.String()
-}
-
 func (b *Broker) handleSubscribe(from iface, s *subscription.Subscription) {
-	rowKey := subKey(s) + "@" + from.key()
-	if row, ok := b.table[rowKey]; ok {
-		row.count++
+	key := keyOf(s)
+	if !b.addRow(from, key) {
 		return // forwarding state already reflects this subscription
 	}
-	b.table[rowKey] = &tableRow{sub: s, from: from, count: 1}
 	for _, j := range b.neighbors {
 		if from.kind == ifNeighbor && from.id == j {
 			continue
 		}
-		b.forwardIfUncovered(j, s)
+		b.forwardIfUncovered(j, key, s)
 	}
 }
 
@@ -617,9 +716,8 @@ func (b *Broker) handleSubscribe(from iface, s *subscription.Subscription) {
 // it (or the identical subscription is already forwarded). Suppressed
 // subscriptions are recorded in the link's suppressed-set provider so
 // unsubscription can later compute the exact covered set to re-forward.
-func (b *Broker) forwardIfUncovered(j int, s *subscription.Subscription) {
+func (b *Broker) forwardIfUncovered(j int, key rectKey, s *subscription.Subscription) {
 	st := b.out[j]
-	key := subKey(s)
 	if _, dup := st.ids[key]; dup {
 		b.env.bump(metricDuplicate)
 		return
@@ -649,33 +747,36 @@ func (b *Broker) forwardIfUncovered(j int, s *subscription.Subscription) {
 }
 
 // forward inserts s into the link's forwarded set and sends it. Any
-// suppressed-set entry for the rectangle is retired first: in approximate
+// suppressed-set entry for the rectangle is retired with it: in approximate
 // mode a later probe can miss the cover that suppressed an earlier
 // identical row, and forwarding must win over suppression or a future
-// cover removal would re-forward an already-forwarded rectangle.
+// cover removal would re-forward an already-forwarded rectangle. Insert
+// first, retire second: a crash between the two writes then leaves the
+// rectangle in both durable sets (restoreIDMaps lets forwarding win again)
+// and never in neither.
 //
 // The subscribe message goes on the wire even if the forwarded-set
 // insert fails (again: a remote provider's daemon may be down). The
 // failure costs link-state bookkeeping — the eventual unsubscribe will
 // find no forwarded id and leave a stale row at the neighbor, harmless
 // extra traffic — but never a lost delivery.
-func (b *Broker) forward(j int, st *neighborState, key string, s *subscription.Subscription) {
-	b.dropSuppressed(st, key)
+func (b *Broker) forward(j int, st *neighborState, key rectKey, s *subscription.Subscription) {
 	id, err := st.fwd.Insert(s)
 	if err != nil {
 		b.env.bump(metricProtocolError)
 	} else {
 		st.ids[key] = id
 	}
+	b.dropSuppressed(st, key)
 	b.env.bump(metricSubscribeMsgs)
 	b.env.enqueue(message{
-		to: j, from: iface{kind: ifNeighbor, id: b.id}, sub: s.Clone(), kind: msgSubscribe,
+		to: j, from: iface{kind: ifNeighbor, id: b.id}, sub: s, kind: msgSubscribe,
 	})
 }
 
 // suppress records s in the link's suppressed set (once per rectangle:
 // identical rows from different interfaces share the entry).
-func (b *Broker) suppress(st *neighborState, key string, s *subscription.Subscription) {
+func (b *Broker) suppress(st *neighborState, key rectKey, s *subscription.Subscription) {
 	if _, ok := st.sups[key]; ok {
 		return
 	}
@@ -688,7 +789,7 @@ func (b *Broker) suppress(st *neighborState, key string, s *subscription.Subscri
 }
 
 // dropSuppressed retires the suppressed-set entry for key, if present.
-func (b *Broker) dropSuppressed(st *neighborState, key string) {
+func (b *Broker) dropSuppressed(st *neighborState, key rectKey) {
 	sid, ok := st.sups[key]
 	if !ok {
 		return
@@ -701,18 +802,14 @@ func (b *Broker) dropSuppressed(st *neighborState, key string) {
 }
 
 func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
-	rowKey := subKey(s) + "@" + from.key()
-	row, ok := b.table[rowKey]
-	if !ok {
+	key := keyOf(s)
+	removed, found := b.dropRow(from, key)
+	if !found {
 		b.env.bump(metricProtocolError)
+	}
+	if !removed {
 		return
 	}
-	row.count--
-	if row.count > 0 {
-		return
-	}
-	delete(b.table, rowKey)
-	key := subKey(s)
 	for _, j := range b.neighbors {
 		if from.kind == ifNeighbor && from.id == j {
 			continue
@@ -746,7 +843,7 @@ func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
 		delete(st.ids, key)
 		b.env.bump(metricUnsubscribeMsgs)
 		b.env.enqueue(message{
-			to: j, from: iface{kind: ifNeighbor, id: b.id}, sub: s.Clone(), kind: msgUnsubscribe,
+			to: j, from: iface{kind: ifNeighbor, id: b.id}, sub: s, kind: msgUnsubscribe,
 		})
 		b.resubscribeCovered(j, st, s)
 	}
@@ -754,30 +851,50 @@ func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
 
 // resubscribeCovered implements the paper's unsubscription protocol: the
 // retracted subscription's covered set — exactly the suppressed
-// subscriptions it covers, popped from the suppressed-set provider via
-// FindCovered — is re-screened against the remaining forwarded set and
-// re-forwarded wherever no other cover remains. The probes go through
-// core.CoverQueries in BatchSize chunks, so engine backends answer them
-// on their batch path.
+// subscriptions it covers, listed by the suppressed-set provider — is
+// re-screened against the remaining forwarded set and re-forwarded
+// wherever no other cover remains. The members some other cover still
+// holds back stay in the suppressed set untouched: only a re-forward
+// writes (forward retires the suppressed entry), so a crash anywhere in
+// the pass leaves every not-yet-re-forwarded member on record. The probes
+// go through core.CoverQueries in BatchSize chunks, so engine backends
+// answer them on their batch path.
+//
+// ListCovered answers in provider-internal order; the re-screen runs in
+// rectangle order — numeric on (lo, hi) attribute by attribute, rectKey's
+// word order — a total order on rectangles, so the re-forward sequence is
+// deterministic across runs and backends.
 func (b *Broker) resubscribeCovered(j int, st *neighborState, removed *subscription.Subscription) {
-	uncovered := b.popCovered(st, removed)
-	if len(uncovered) == 0 {
+	listed, err := st.supp.ListCovered(removed)
+	if err != nil {
+		b.env.bump(metricProtocolError)
 		return
 	}
-	// FindCovered pops in provider-internal order; sort by rectangle so
-	// the re-forward sequence is deterministic across runs and backends.
-	sort.Slice(uncovered, func(x, y int) bool {
-		return subKey(uncovered[x]) < subKey(uncovered[y])
-	})
+	if len(listed) == 0 {
+		return
+	}
+	type keyed struct {
+		key rectKey
+		sub *subscription.Subscription
+	}
+	covered := make([]keyed, len(listed))
+	for i, it := range listed {
+		covered[i] = keyed{keyOf(it.Sub), it.Sub}
+	}
+	slices.SortFunc(covered, func(x, y keyed) int { return slices.Compare(x.key[:], y.key[:]) })
 	// A degraded link cannot trust the forwarded set's covering answers
 	// (a stale cover — possibly the very one being retracted — would
 	// re-suppress subscriptions the neighbor no longer covers): flood the
 	// whole covered set instead of re-screening it.
 	if st.degraded {
-		for _, sub := range uncovered {
-			b.forward(j, st, subKey(sub), sub)
+		for _, c := range covered {
+			b.forward(j, st, c.key, c.sub)
 		}
 		return
+	}
+	uncovered := make([]*subscription.Subscription, len(covered))
+	for i, c := range covered {
+		uncovered[i] = c.sub
 	}
 	batch := b.batch
 	if batch <= 0 {
@@ -803,11 +920,10 @@ func (b *Broker) resubscribeCovered(j int, st *neighborState, removed *subscript
 		}
 		chunk := uncovered[lo:hi]
 		for i, res := range core.CoverQueries(st.fwd, chunk) {
-			sub := chunk[i]
-			key := subKey(sub)
+			sub, key := chunk[i], covered[lo+i].key
 			if res.Err != nil {
-				// The subscription is already popped from the suppressed
-				// set; dropping it here would lose its events forever.
+				// The subscription just lost a cover; leaving it suppressed
+				// on an unanswered probe could lose its events forever.
 				// With covering state unavailable, forward it — the
 				// flooding fallback is always safe.
 				b.env.bump(metricProtocolError)
@@ -816,8 +932,7 @@ func (b *Broker) resubscribeCovered(j int, st *neighborState, removed *subscript
 				continue
 			}
 			if res.Covered || coveredByReforwarded(sub) {
-				b.env.bump(metricSuppressed)
-				b.suppress(st, key, sub)
+				b.env.bump(metricSuppressed) // still suppressed: its entry never left
 				continue
 			}
 			b.forward(j, st, key, sub)
@@ -826,116 +941,38 @@ func (b *Broker) resubscribeCovered(j int, st *neighborState, removed *subscript
 	}
 }
 
-// popCovered drains from the link's suppressed set every subscription the
-// removed one covers. The suppressed-set provider runs ModeExact, so the
-// result is the exact covered set — the invariant "every suppressed
-// subscription is covered by some forwarded one" guarantees no suppressed
-// subscription outside it lost its cover.
-//
-// Providers with the drain capability (the Detector, which is what
-// suppressed sets run on) collect the whole covered set in one scan;
-// the FindCovered/Subscription/Remove pop loop below costs one full scan
-// per covered member and remains only as the fallback for providers
-// without it.
-func (b *Broker) popCovered(st *neighborState, removed *subscription.Subscription) []*subscription.Subscription {
-	if dr, ok := st.supp.(core.CoveredDrainer); ok {
-		drained, err := dr.DrainCovered(removed)
-		if err != nil {
-			b.env.bump(metricProtocolError)
-			return nil
-		}
-		out := make([]*subscription.Subscription, len(drained))
-		for i, it := range drained {
-			delete(st.sups, subKey(it.Sub))
-			out[i] = it.Sub
-		}
-		return out
-	}
-	var out []*subscription.Subscription
-	for {
-		sid, found, _, err := st.supp.FindCovered(removed)
-		if err != nil {
-			b.env.bump(metricProtocolError)
-			return out
-		}
-		if !found {
-			return out
-		}
-		sub, ok := st.supp.Subscription(sid)
-		if !ok {
-			b.env.bump(metricProtocolError)
-			return out
-		}
-		if err := st.supp.Remove(sid); err != nil {
-			b.env.bump(metricProtocolError)
-			return out
-		}
-		delete(st.sups, subKey(sub))
-		out = append(out, sub)
-	}
-}
-
 // hasOtherSource reports whether some other live table row carries the same
-// subscription rectangle toward neighbor j.
-func (b *Broker) hasOtherSource(key string, j int) bool {
-	for _, r := range b.table {
-		if r.from.kind == ifNeighbor && r.from.id == j {
-			continue
-		}
-		if subKey(r.sub) == key {
-			return true
-		}
+// subscription rectangle toward neighbor j: any interface but j itself.
+func (b *Broker) hasOtherSource(key rectKey, j int) bool {
+	n := b.sources[key]
+	if _, own := b.rowsFrom(iface{kind: ifNeighbor, id: j}).at[key]; own {
+		n--
 	}
-	return false
+	return n > 0
 }
 
-// sortedRows returns table rows in a deterministic order.
-func (b *Broker) sortedRows() []*tableRow {
-	keys := make([]string, 0, len(b.table))
-	for k := range b.table {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	rows := make([]*tableRow, len(keys))
-	for i, k := range keys {
-		rows[i] = b.table[k]
-	}
-	return rows
-}
-
+// handleEvent routes an event: every interface with a matching row gets it
+// once — the first match per group settles it — except the neighbor it
+// came from.
 func (b *Broker) handleEvent(from iface, e subscription.Event, at time.Time) {
-	delivered := make(map[int]bool)
-	forward := make(map[int]bool)
-	for _, r := range b.sortedRows() {
-		if !r.sub.Matches(e) {
+	for gi := range b.table {
+		g := &b.table[gi]
+		if g.from == from && from.kind == ifNeighbor {
 			continue
 		}
-		switch r.from.kind {
-		case ifClient:
-			if !delivered[r.from.id] {
-				delivered[r.from.id] = true
-				if !at.IsZero() {
-					b.lat.delivery.Observe(time.Since(at))
-				}
-				b.env.deliver(r.from.id, e)
-			}
-		case ifNeighbor:
-			if !(from.kind == ifNeighbor && from.id == r.from.id) {
-				forward[r.from.id] = true
-			}
+		if !g.matches(e) {
+			continue
 		}
-	}
-	targets := make([]int, 0, len(forward))
-	for j := range forward {
-		targets = append(targets, j)
-	}
-	sort.Ints(targets)
-	for _, j := range targets {
+		if g.from.kind == ifClient {
+			if !at.IsZero() {
+				b.lat.delivery.Observe(time.Since(at))
+			}
+			b.env.deliver(g.from.id, e)
+			continue
+		}
 		b.env.bump(metricEventMsgs)
 		b.env.enqueue(message{
-			to: j, from: iface{kind: ifNeighbor, id: b.id},
-			event: append(subscription.Event(nil), e...), kind: msgEvent,
-			at: at,
+			to: g.from.id, from: iface{kind: ifNeighbor, id: b.id}, event: e, kind: msgEvent, at: at,
 		})
 	}
 }
@@ -956,7 +993,7 @@ func (n *Network) enqueue(m message) { n.queue = append(n.queue, m) }
 // deliver implements environment for the sequential Network.
 func (n *Network) deliver(clientID int, e subscription.Event) {
 	c := n.clients[clientID]
-	c.Received = append(c.Received, append(subscription.Event(nil), e...))
+	c.Received = append(c.Received, append(subscription.Event(nil), e...)) // the client's own copy
 	n.metrics.Deliveries++
 }
 

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"errors"
 	"testing"
 
 	"sfccover/internal/core"
@@ -127,5 +128,184 @@ func TestNetworkDataDirSurvivesRestart(t *testing.T) {
 	}
 	if metrics.ProtocolErrors != 0 {
 		t.Fatalf("recovered network hit %d protocol errors", metrics.ProtocolErrors)
+	}
+}
+
+// crashPoint simulates the store dying under one link: the first budget
+// writes reach the durable providers, every later one fails as a log write
+// would after a crash, so the disk keeps the state of that instant while
+// the in-memory run stumbles on.
+type crashPoint struct {
+	budget  int
+	crashed bool
+}
+
+var errCrashed = errors.New("injected persist write failure")
+
+func (c *crashPoint) spend() bool {
+	if c.budget == 0 {
+		c.crashed = true
+		return false
+	}
+	c.budget--
+	return true
+}
+
+type crashingFwd struct {
+	core.Provider
+	at *crashPoint
+}
+
+func (p crashingFwd) Insert(s *subscription.Subscription) (uint64, error) {
+	if !p.at.spend() {
+		return 0, errCrashed
+	}
+	return p.Provider.Insert(s)
+}
+
+func (p crashingFwd) Remove(id uint64) error {
+	if !p.at.spend() {
+		return errCrashed
+	}
+	return p.Provider.Remove(id)
+}
+
+type crashingSupp struct {
+	suppressedSet
+	at *crashPoint
+}
+
+func (p crashingSupp) Insert(s *subscription.Subscription) (uint64, error) {
+	if !p.at.spend() {
+		return 0, errCrashed
+	}
+	return p.suppressedSet.Insert(s)
+}
+
+func (p crashingSupp) Remove(id uint64) error {
+	if !p.at.spend() {
+		return errCrashed
+	}
+	return p.suppressedSet.Remove(id)
+}
+
+// TestCrashMidRescreenKeepsSuppressedSet pins the durability of the
+// unsubscription re-screen: whichever write between the covered-set
+// listing and the last re-forward is the store's last, every covered
+// member comes back either forwarded or still suppressed — never in
+// neither set, which is where a re-screen that first drains the
+// suppressed set leaves the members it had not yet re-inserted — and the
+// recovered overlay, once its clients are back, delivers exactly what a
+// never-crashed one does.
+func TestCrashMidRescreenKeepsSuppressedSet(t *testing.T) {
+	schema := subscription.MustSchema(8, "stock", "price")
+	topo := Line(3)
+	baseCfg := Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear, Seed: 9}
+	wide := subscription.MustParse(schema, "stock <= 200")
+	members := []*subscription.Subscription{
+		subscription.MustParse(schema, "stock <= 100 && price >= 3"),         // re-forwarded
+		subscription.MustParse(schema, "stock in [20,60] && price >= 10"),    // covered by the first: stays suppressed
+		subscription.MustParse(schema, "stock in [120,180] && price <= 90"),  // re-forwarded
+		subscription.MustParse(schema, "stock in [130,170] && price <= 200"), // re-forwarded
+	}
+	events := []subscription.Event{{50, 10}, {30, 2}, {150, 50}, {160, 150}, {190, 1}, {250, 7}}
+
+	attach := func(n *Network) (sub, pub *Client) {
+		sub, err := n.AttachClient(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pub, err = n.AttachClient(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub, pub
+	}
+	subscribeAll := func(n *Network, c *Client, subs ...*subscription.Subscription) {
+		for _, s := range subs {
+			if err := n.Subscribe(c.ID, s); err != nil {
+				t.Fatal(err)
+			}
+			n.Drain()
+		}
+	}
+	publishAll := func(n *Network, sub, pub *Client) []subscription.Event {
+		for _, e := range events {
+			if err := n.Publish(pub.ID, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.Drain()
+		return sub.Received
+	}
+
+	clean := MustNetwork(topo, baseCfg)
+	sub, pub := attach(clean)
+	subscribeAll(clean, sub, append([]*subscription.Subscription{wide}, members...)...)
+	if err := clean.Unsubscribe(sub.ID, wide); err != nil {
+		t.Fatal(err)
+	}
+	clean.Drain()
+	want := publishAll(clean, sub, pub)
+	clean.Close()
+	if len(want) != 3 {
+		t.Fatalf("clean run delivered %d events, want 3", len(want))
+	}
+
+	crashes := 0
+	for budget := 1; ; budget++ {
+		cfg := baseCfg
+		cfg.DataDir = t.TempDir()
+		n1 := MustNetwork(topo, cfg)
+		sub, _ := attach(n1)
+		subscribeAll(n1, sub, append([]*subscription.Subscription{wide}, members...)...)
+		if got := n1.SuppressedEntries(); got != len(members) {
+			t.Fatalf("%d members suppressed before the retraction, want %d", got, len(members))
+		}
+		// The retraction's own removal is write one; the budget runs out
+		// somewhere in the re-screen behind it.
+		at := &crashPoint{budget: budget}
+		link := n1.brokers[0].out[1]
+		link.fwd = crashingFwd{link.fwd, at}
+		link.supp = crashingSupp{link.supp, at}
+		if err := n1.Unsubscribe(sub.ID, wide); err != nil {
+			t.Fatal(err)
+		}
+		n1.Drain()
+		n1.Close()
+		if !at.crashed {
+			break // the whole re-screen fit the budget: every crash point is covered
+		}
+		crashes++
+
+		n2, err := NewNetwork(topo, cfg)
+		if err != nil {
+			t.Fatalf("budget %d: recovering: %v", budget, err)
+		}
+		link = n2.brokers[0].out[1]
+		if _, held := link.ids[keyOf(wide)]; held {
+			t.Fatalf("budget %d: the retracted cover came back forwarded", budget)
+		}
+		for i, m := range members {
+			_, forwarded := link.ids[keyOf(m)]
+			_, suppressed := link.sups[keyOf(m)]
+			if forwarded == suppressed {
+				t.Fatalf("budget %d: member %d recovered forwarded=%v suppressed=%v, want exactly one",
+					budget, i, forwarded, suppressed)
+			}
+		}
+		sub, pub := attach(n2)
+		subscribeAll(n2, sub, members...)
+		if got := publishAll(n2, sub, pub); !eventsEqual(got, want) {
+			t.Fatalf("budget %d: recovered overlay delivered %v, never-crashed one %v", budget, got, want)
+		}
+		if errs := n2.Metrics().ProtocolErrors; errs != 0 {
+			t.Fatalf("budget %d: recovered overlay hit %d protocol errors", budget, errs)
+		}
+		n2.Close()
+	}
+	// Three re-forwards, two writes each, behind the retraction's removal.
+	if crashes != 6 {
+		t.Fatalf("exercised %d crash points, want 6", crashes)
 	}
 }

@@ -1,0 +1,235 @@
+package broker
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"sfccover/internal/core"
+	"sfccover/internal/subscription"
+)
+
+// tableCounts is what TestRoutingTableMatchesModel pins per topology and
+// mode once its schedule has run.
+type tableCounts struct {
+	m               Metrics
+	rows, fwd, supp int
+}
+
+// tableGoldens were captured on the commit before the routing table became
+// a data structure (string-keyed map, sort per event, draining re-screen):
+// the rewrite must reproduce every count. Seven rows are that commit's
+// verbatim. The covered-set re-screen now runs in numeric rectangle order
+// where that commit sorted the decimal strings of the bounds, and when
+// members of one covered set cover each other the order decides who is
+// re-forwarded: tree7/exact and tree7/approx are that commit's counts with
+// only its sort comparator swapped for the numeric one (its own order
+// re-forwarded 3 and 2 subscriptions more: 118 and 154 subscribe messages).
+var tableGoldens = map[string]tableCounts{
+	"line5/off":    {Metrics{SubscribeMsgs: 713, UnsubscribeMsgs: 337, EventMsgs: 768, Deliveries: 1382, SuppressedForwards: 0, DuplicateForwards: 83}, 485, 376, 0},
+	"line5/exact":  {Metrics{SubscribeMsgs: 100, UnsubscribeMsgs: 74, EventMsgs: 768, Deliveries: 1382, SuppressedForwards: 358, DuplicateForwards: 28}, 135, 26, 162},
+	"line5/approx": {Metrics{SubscribeMsgs: 139, UnsubscribeMsgs: 104, EventMsgs: 768, Deliveries: 1382, SuppressedForwards: 333, DuplicateForwards: 35}, 144, 35, 160},
+	"star6/off":    {Metrics{SubscribeMsgs: 920, UnsubscribeMsgs: 456, EventMsgs: 676, Deliveries: 1104, SuppressedForwards: 0, DuplicateForwards: 284}, 575, 464, 0},
+	"star6/exact":  {Metrics{SubscribeMsgs: 137, UnsubscribeMsgs: 92, EventMsgs: 676, Deliveries: 1104, SuppressedForwards: 711, DuplicateForwards: 44}, 156, 45, 261},
+	"star6/approx": {Metrics{SubscribeMsgs: 208, UnsubscribeMsgs: 124, EventMsgs: 676, Deliveries: 1104, SuppressedForwards: 835, DuplicateForwards: 55}, 195, 84, 331},
+	"tree7/off":    {Metrics{SubscribeMsgs: 1059, UnsubscribeMsgs: 538, EventMsgs: 898, Deliveries: 1303, SuppressedForwards: 0, DuplicateForwards: 178}, 629, 521, 0},
+	"tree7/exact":  {Metrics{SubscribeMsgs: 115, UnsubscribeMsgs: 77, EventMsgs: 898, Deliveries: 1303, SuppressedForwards: 559, DuplicateForwards: 41}, 146, 38, 222},
+	"tree7/approx": {Metrics{SubscribeMsgs: 152, UnsubscribeMsgs: 103, EventMsgs: 898, Deliveries: 1303, SuppressedForwards: 559, DuplicateForwards: 44}, 157, 49, 231},
+}
+
+// TestRoutingTableMatchesModel drives seeded random schedules of subscribe,
+// duplicate subscribe (a live rectangle again, from any client on any
+// broker, so row refcounts and the per-rectangle source counts carry
+// weight), unsubscribe and publish through the sequential Network, checks
+// every publish's delivered set against a brute-force match over the live
+// subscriptions, and pins the traffic and table counts to the goldens.
+// Retiring everything at the end must leave every table and link set empty.
+func TestRoutingTableMatchesModel(t *testing.T) {
+	schema := testSchema()
+	topos := []struct {
+		name string
+		topo Topology
+	}{{"line5", Line(5)}, {"star6", Star(6)}, {"tree7", BalancedTree(7)}}
+	modes := []struct {
+		name string
+		cfg  Config
+	}{
+		{"off", Config{Schema: schema, Mode: core.ModeOff}},
+		{"exact", Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear}},
+		{"approx", Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 1}},
+	}
+	for ti, tp := range topos {
+		for _, md := range modes {
+			t.Run(tp.name+"/"+md.name, func(t *testing.T) {
+				got := runTableSchedule(t, tp.topo, md.cfg, int64(41+ti))
+				want, ok := tableGoldens[tp.name+"/"+md.name]
+				if !ok || got != want {
+					t.Errorf("counts = %+v, golden %+v", got, want)
+				}
+			})
+		}
+	}
+}
+
+func runTableSchedule(t *testing.T, topo Topology, cfg Config, seed int64) tableCounts {
+	t.Helper()
+	schema := cfg.Schema
+	n := MustNetwork(topo, cfg)
+	defer n.Close()
+	clients := make([]*Client, topo.N+3)
+	for i := range clients {
+		c, err := n.AttachClient(i % topo.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+	}
+	type held struct {
+		client int
+		sub    *subscription.Subscription
+	}
+	var live []held
+	rng := rand.New(rand.NewSource(seed))
+	maxV := int(schema.MaxValue())
+	within := func(lo, hi int) (uint32, uint32) {
+		a := lo + rng.Intn(hi-lo+1)
+		return uint32(a), uint32(a + rng.Intn(hi-a+1))
+	}
+	randSub := func() *subscription.Subscription {
+		s := subscription.New(schema)
+		// Four in ten new rectangles nest inside a live one, so covers,
+		// suppression and cover removal are the common case.
+		var parent *subscription.Subscription
+		if len(live) > 0 && rng.Float64() < 0.4 {
+			parent = live[rng.Intn(len(live))].sub
+		}
+		for i, attr := range schema.Attrs() {
+			lo, hi := 0, maxV
+			if parent != nil {
+				lo, hi = int(parent.Range(i).Lo), int(parent.Range(i).Hi)
+			}
+			if rng.Float64() < 0.3 {
+				if err := s.SetRange(attr, uint32(lo), uint32(hi)); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			a, b := within(lo, hi)
+			if err := s.SetRange(attr, a, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	subscribe := func(c int, s *subscription.Subscription) {
+		if err := n.Subscribe(clients[c].ID, s); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, held{c, s})
+	}
+	unsubscribe := func(i int) {
+		h := live[i]
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+		if err := n.Unsubscribe(clients[h.client].ID, h.sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for op := 0; op < 600; op++ {
+		switch p := rng.Float64(); {
+		case p < 0.30:
+			subscribe(rng.Intn(len(clients)), randSub())
+		case p < 0.42 && len(live) > 0:
+			subscribe(rng.Intn(len(clients)), live[rng.Intn(len(live))].sub)
+		case p < 0.65 && len(live) > 0:
+			unsubscribe(rng.Intn(len(live)))
+		default:
+			e := make(subscription.Event, schema.NumAttrs())
+			for a := range e {
+				e[a] = uint32(rng.Intn(maxV + 1))
+			}
+			if len(live) > 0 && rng.Float64() < 0.5 {
+				in := live[rng.Intn(len(live))].sub
+				for a := range e {
+					e[a], _ = within(int(in.Range(a).Lo), int(in.Range(a).Hi))
+				}
+			}
+			if err := n.Publish(clients[rng.Intn(len(clients))].ID, e); err != nil {
+				t.Fatal(err)
+			}
+			n.Drain()
+			want := make([]bool, len(clients))
+			for _, h := range live {
+				if h.sub.Matches(e) {
+					want[h.client] = true
+				}
+			}
+			for c, cl := range clients {
+				switch {
+				case want[c] && (len(cl.Received) != 1 || !eventsEqual(cl.Received, []subscription.Event{e})):
+					t.Fatalf("op %d: client %d received %v, want exactly %v", op, c, cl.Received, e)
+				case !want[c] && len(cl.Received) != 0:
+					t.Fatalf("op %d: client %d received %v, holds no match for %v", op, c, cl.Received, e)
+				}
+				cl.Received = cl.Received[:0]
+			}
+			continue
+		}
+		n.Drain()
+	}
+	got := tableCounts{m: n.Metrics(), rows: n.TableRows(), fwd: n.ForwardedEntries(), supp: n.SuppressedEntries()}
+	if got.m.ProtocolErrors != 0 {
+		t.Fatalf("protocol errors: %d", got.m.ProtocolErrors)
+	}
+	for len(live) > 0 {
+		unsubscribe(len(live) - 1)
+		n.Drain()
+	}
+	if rows, fwd, supp := n.TableRows(), n.ForwardedEntries(), n.SuppressedEntries(); rows+fwd+supp != 0 {
+		t.Fatalf("after retiring everything: %d table rows, %d forwarded, %d suppressed entries remain", rows, fwd, supp)
+	}
+	return got
+}
+
+// TestPublishDrainAllocs guards the event path's allocation budget: routing
+// one event through a 15-broker tree to a subscriber on every broker costs
+// the copy Publish takes and the copy each receiving Client keeps —
+// nothing per hop, per row or per link.
+func TestPublishDrainAllocs(t *testing.T) {
+	schema := testSchema()
+	n := MustNetwork(BalancedTree(15), Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear})
+	defer n.Close()
+	clients := make([]*Client, n.NumBrokers())
+	for i := range clients {
+		c, err := n.AttachClient(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+		for _, expr := range []string{"price <= 100", fmt.Sprintf("topic == %d", i), "price in [40,60]"} {
+			if err := n.Subscribe(c.ID, subscription.MustParse(schema, expr)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	n.Drain()
+	e := subscription.Event{200, 50}
+	publish := func() {
+		if err := n.Publish(clients[7].ID, e); err != nil {
+			t.Fatal(err)
+		}
+		if got := n.Drain(); got != len(clients) {
+			t.Fatalf("drained %d messages, want one per broker", got)
+		}
+		for _, c := range clients {
+			if len(c.Received) != 1 {
+				t.Fatalf("client %d received %d events, want 1", c.ID, len(c.Received))
+			}
+			c.Received = c.Received[:0]
+		}
+	}
+	publish() // size the queue and the Received slices
+	if allocs, budget := testing.AllocsPerRun(100, publish), float64(1+len(clients)); allocs > budget {
+		t.Fatalf("publish+drain allocates %.0f times, want at most %.0f (one event copy per publish and per delivery)", allocs, budget)
+	}
+}

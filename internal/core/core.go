@@ -446,40 +446,29 @@ func (d *Detector) FindCovered(s *subscription.Subscription) (id uint64, found b
 	return id, found, stats, nil
 }
 
-// DrainCovered removes and returns every held subscription that s covers,
-// in one scan under one lock acquisition. It is the batch form of the
-// FindCovered/Subscription/Remove pop loop routers run at unsubscription
-// time: popping k covered subscriptions out of m held ones costs O(k·m)
-// scans through repeated FindCovered calls, while DrainCovered collects
-// the whole covered set in a single O(m) pass. It requires ModeExact —
-// the covered set must be exact where it feeds resubscription, since a
-// missed member would never be re-forwarded and events would be lost.
+// ListCovered returns every held subscription that s covers, in one scan
+// under one lock acquisition, removing nothing. Routers run it at
+// unsubscription time: the covered set of a retracted cover is what must
+// be re-screened, and the members that stay covered simply stay. It
+// requires ModeExact — the covered set must be exact where it feeds
+// resubscription, since a missed member would never be re-forwarded and
+// events would be lost.
 //
-// The returned subscriptions are the detector's own (now orphaned) copies;
-// callers may keep them without cloning.
-func (d *Detector) DrainCovered(s *subscription.Subscription) ([]Drained, error) {
+// The returned subscriptions are the detector's own copies; callers must
+// not mutate them.
+func (d *Detector) ListCovered(s *subscription.Subscription) ([]Held, error) {
 	if s.Schema() != d.cfg.Schema {
 		return nil, fmt.Errorf("core: subscription schema differs from detector schema")
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.cfg.Mode != ModeExact {
-		return nil, fmt.Errorf("core: DrainCovered requires ModeExact, detector runs %v", d.cfg.Mode)
+		return nil, fmt.Errorf("core: ListCovered requires ModeExact, detector runs %v", d.cfg.Mode)
 	}
-	var out []Drained
+	var out []Held
 	for id, cand := range d.subs {
 		if s.Covers(cand) {
-			out = append(out, Drained{ID: id, Sub: cand})
-		}
-	}
-	for _, it := range out {
-		delete(d.subs, it.ID)
-		p := it.Sub.Point()
-		if !d.exact.Delete(p, it.ID) {
-			return nil, fmt.Errorf("core: index out of sync for id %d", it.ID)
-		}
-		if d.mirror != nil && !d.mirror.Delete(d.mirrorPoint(p), it.ID) {
-			return nil, fmt.Errorf("core: mirror index out of sync for id %d", it.ID)
+			out = append(out, Held{ID: id, Sub: cand})
 		}
 	}
 	d.totals.Queries++

@@ -119,10 +119,10 @@ func TestFindCoveredAgreesWithOracle(t *testing.T) {
 	}
 }
 
-// TestDrainCovered pins the one-scan drain against the pop loop it
-// replaces: both must remove exactly the covered set, and the drained
-// subscriptions must round-trip (they feed resubscription).
-func TestDrainCovered(t *testing.T) {
+// TestListCovered pins the one-scan covered-set listing routers re-screen
+// at unsubscription time: exactly the covered set, the detector's own
+// subscriptions under their ids, and nothing removed.
+func TestListCovered(t *testing.T) {
 	schema := testSchema(t)
 	build := func(track bool) *Detector {
 		d := MustNew(Config{Schema: schema, Mode: ModeExact, TrackCovered: track})
@@ -140,43 +140,42 @@ func TestDrainCovered(t *testing.T) {
 	wide := subscription.MustParse(schema, "x <= 100 && y <= 100")
 	for _, track := range []bool{false, true} {
 		d := build(track)
-		drained, err := d.DrainCovered(wide)
+		listed, err := d.ListCovered(wide)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(drained) != 2 {
-			t.Fatalf("track=%v: drained %d, want 2", track, len(drained))
+		if len(listed) != 2 {
+			t.Fatalf("track=%v: listed %d, want 2", track, len(listed))
 		}
-		for _, it := range drained {
+		for _, it := range listed {
 			if !wide.Covers(it.Sub) {
-				t.Fatalf("track=%v: drained uncovered subscription %v", track, it.Sub)
+				t.Fatalf("track=%v: listed uncovered subscription %v", track, it.Sub)
 			}
-			if _, ok := d.Subscription(it.ID); ok {
-				t.Fatalf("track=%v: drained id %d still held", track, it.ID)
+			if held, ok := d.Subscription(it.ID); !ok || !held.Equal(it.Sub) {
+				t.Fatalf("track=%v: listed id %d is not held as %v", track, it.ID, it.Sub)
 			}
 		}
-		if d.Len() != 1 {
-			t.Fatalf("track=%v: Len = %d after drain, want 1", track, d.Len())
+		if d.Len() != 3 {
+			t.Fatalf("track=%v: Len = %d after listing, want 3", track, d.Len())
 		}
-		// The survivor's indexes are intact: it is still findable/removable.
-		if _, found, _, err := d.FindCover(subscription.MustParse(schema, "x in [212,215] && y in [12,15]")); err != nil || !found {
-			t.Fatalf("track=%v: survivor not findable (found=%v err=%v)", track, found, err)
+		// Listing is repeatable, and removing a member takes it off the list.
+		if err := d.Remove(listed[0].ID); err != nil {
+			t.Fatal(err)
 		}
-		// A second drain finds nothing.
-		if again, err := d.DrainCovered(wide); err != nil || len(again) != 0 {
-			t.Fatalf("track=%v: second drain = (%d items, %v)", track, len(again), err)
+		if again, err := d.ListCovered(wide); err != nil || len(again) != 1 || again[0].ID != listed[1].ID {
+			t.Fatalf("track=%v: list after one removal = (%v, %v)", track, again, err)
 		}
 	}
 	// Non-exact modes refuse: the covered set feeding resubscription must
 	// be exact.
 	approx := MustNew(Config{Schema: schema, Mode: ModeApprox, Epsilon: 0.3, TrackCovered: true})
-	if _, err := approx.DrainCovered(wide); err == nil {
-		t.Fatal("approximate DrainCovered must fail")
+	if _, err := approx.ListCovered(wide); err == nil {
+		t.Fatal("approximate ListCovered must fail")
 	}
 	// Foreign schema is rejected.
 	d := build(false)
 	other := subscription.MustSchema(schema.Bits(), schema.Attrs()...)
-	if _, err := d.DrainCovered(subscription.New(other)); err == nil {
+	if _, err := d.ListCovered(subscription.New(other)); err == nil {
 		t.Fatal("foreign schema must fail")
 	}
 }

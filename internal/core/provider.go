@@ -146,7 +146,7 @@ var ErrProviderClosed = errors.New("core: provider is closed")
 type Enumerator interface {
 	// Subscriptions returns every held subscription with its id, sorted by
 	// id ascending.
-	Subscriptions() []Drained
+	Subscriptions() []Held
 }
 
 // Rebalancer is the optional load-rebalancing capability of a Provider:
@@ -180,20 +180,24 @@ type RebalanceResult struct {
 	SkewBefore, SkewAfter float64
 }
 
-// CoveredDrainer is the optional batch-drain capability of a Provider:
-// backends that can collect and remove the full covered set of a
-// subscription in one pass expose it. Routers prefer it at unsubscription
-// time over the FindCovered/Subscription/Remove pop loop, which costs one
-// full scan per covered member.
-type CoveredDrainer interface {
-	// DrainCovered removes and returns every held subscription covered by
-	// s. The result order is unspecified.
-	DrainCovered(s *subscription.Subscription) ([]Drained, error)
+// CoveredLister is the optional covered-set capability of a Provider:
+// backends that can collect the full covered set of a subscription in one
+// pass expose it. Routers use it at unsubscription time to re-screen what
+// a retracted cover was suppressing; nothing is removed, so members that
+// stay suppressed cost no write.
+type CoveredLister interface {
+	// ListCovered returns every held subscription covered by s, in
+	// unspecified order. The subscriptions are the provider's own: callers
+	// treat them as read-only.
+	ListCovered(s *subscription.Subscription) ([]Held, error)
 }
 
-// Drained is one subscription removed by a DrainCovered call, with the id
-// it was held under.
-type Drained struct {
+// ErrListCoveredUnsupported reports a wrapper whose inner provider cannot
+// list covered sets (an engine under the durable wrapper).
+var ErrListCoveredUnsupported = errors.New("core: provider does not support covered-set listing")
+
+// Held is one subscription a provider holds, with the id it is held under.
+type Held struct {
 	ID  uint64
 	Sub *subscription.Subscription
 }
@@ -325,7 +329,7 @@ func SkewOf(sizes []int) float64 {
 }
 
 var _ Provider = (*Detector)(nil)
-var _ CoveredDrainer = (*Detector)(nil)
+var _ CoveredLister = (*Detector)(nil)
 var _ BulkInserter = (*Detector)(nil)
 
 // Stats implements Provider for the single detector: one shard holding

@@ -39,7 +39,7 @@ var _ core.Provider = (*DurableProvider)(nil)
 var _ core.BatchQuerier = (*DurableProvider)(nil)
 var _ core.BatchWriter = (*DurableProvider)(nil)
 var _ core.Rebalancer = (*DurableProvider)(nil)
-var _ core.CoveredDrainer = (*DurableProvider)(nil)
+var _ core.CoveredLister = (*DurableProvider)(nil)
 var _ core.Persister = (*DurableProvider)(nil)
 var _ core.Enumerator = (*DurableProvider)(nil)
 var _ core.BulkInserter = (*DurableProvider)(nil)
@@ -413,66 +413,26 @@ func (d *DurableProvider) RemoveBatch(sids []uint64) []error {
 	return out
 }
 
-// DrainCovered implements core.CoveredDrainer: the wrapped provider's
-// one-pass drain when it has the capability, the FindCovered pop loop
-// otherwise — either way every drained subscription is logged removed,
-// the whole drain through one log write. A failed log write re-inserts
-// the drained subscriptions into the wrapped provider (under fresh inner
-// ids, remapped to their original sids) so memory never runs ahead of
-// durable state.
-func (d *DurableProvider) DrainCovered(s *subscription.Subscription) ([]core.Drained, error) {
-	if dr, ok := d.inner.(core.CoveredDrainer); ok {
-		//sfc:walok the drained set is unknowable before draining; a failed log write re-inserts it below, so memory never outruns disk
-		drained, err := dr.DrainCovered(s)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]core.Drained, 0, len(drained))
-		batch := make([]record, 0, len(drained))
-		for _, it := range drained {
-			sid, ok := d.outer(it.ID, true)
-			if !ok {
-				continue // raced a concurrent removal; nothing to log
-			}
-			batch = append(batch, record{op: opRem, link: d.link, sid: sid})
-			out = append(out, core.Drained{ID: sid, Sub: it.Sub})
-		}
-		if err := d.store.appendBatch(batch); err != nil {
-			for _, it := range out {
-				innerID, insErr := d.inner.Insert(it.Sub)
-				if insErr != nil {
-					return nil, fmt.Errorf("%v (and restoring drained id %d failed: %v)", err, it.ID, insErr)
-				}
-				d.mu.Lock()
-				d.toInner[it.ID] = innerID
-				d.toOuter[innerID] = it.ID
-				d.mu.Unlock()
-			}
-			return nil, err
-		}
-		for _, it := range out {
-			d.unmap(it.ID)
-		}
-		return out, nil
+// ListCovered implements core.CoveredLister when the wrapped provider
+// does, translating inner ids to durable sids. A listing changes nothing,
+// so nothing is logged; the removals a router derives from it arrive
+// through Remove, one record each.
+func (d *DurableProvider) ListCovered(s *subscription.Subscription) ([]core.Held, error) {
+	cl, ok := d.inner.(core.CoveredLister)
+	if !ok {
+		return nil, core.ErrListCoveredUnsupported
 	}
-	var out []core.Drained
-	for {
-		sid, found, _, err := d.FindCovered(s)
-		if err != nil {
-			return out, err
-		}
-		if !found {
-			return out, nil
-		}
-		sub, ok := d.Subscription(sid)
-		if !ok {
-			return out, fmt.Errorf("persist: id %d vanished mid-drain", sid)
-		}
-		if err := d.Remove(sid); err != nil {
-			return out, err
-		}
-		out = append(out, core.Drained{ID: sid, Sub: sub})
+	listed, err := cl.ListCovered(s)
+	if err != nil {
+		return nil, err
 	}
+	out := listed[:0]
+	for _, it := range listed {
+		if sid, ok := d.outer(it.ID, true); ok { // a miss raced a concurrent removal
+			out = append(out, core.Held{ID: sid, Sub: it.Sub})
+		}
+	}
+	return out, nil
 }
 
 // Rebalance implements core.Rebalancer when the wrapped provider does;
@@ -492,15 +452,15 @@ func (d *DurableProvider) Snapshot() error { return d.store.Snapshot() }
 
 // Subscriptions implements core.Enumerator from the store's mirror,
 // sorted by sid.
-func (d *DurableProvider) Subscriptions() []core.Drained {
+func (d *DurableProvider) Subscriptions() []core.Held {
 	entries := d.store.Entries(d.link)
-	out := make([]core.Drained, 0, len(entries))
+	out := make([]core.Held, 0, len(entries))
 	for _, e := range entries { // Entries is already sid-sorted
 		s, err := subscription.UnmarshalSubscription(d.inner.Schema(), e.Payload)
 		if err != nil {
 			continue // the payload decoded at load time; cannot happen
 		}
-		out = append(out, core.Drained{ID: e.SID, Sub: s})
+		out = append(out, core.Held{ID: e.SID, Sub: s})
 	}
 	return out
 }

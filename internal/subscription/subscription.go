@@ -25,18 +25,25 @@ type Schema struct {
 	bits  int
 }
 
+// MaxBits and MaxAttrs bound a schema, so the 2β-dimensional transform
+// fits a 32-dim key — and an attribute's two bounds fit one 32-bit word,
+// a whole rectangle one small fixed-size array.
+const (
+	MaxBits  = 16
+	MaxAttrs = 8
+)
+
 // NewSchema builds a schema with the given per-attribute resolution
-// (1..16 bits, so the 2β-dimensional transform fits a 32-dim key) and
-// attribute names.
+// (1..MaxBits bits) and attribute names (at most MaxAttrs).
 func NewSchema(bits int, attrs ...string) (*Schema, error) {
-	if bits < 1 || bits > 16 {
-		return nil, fmt.Errorf("subscription: bits %d out of range [1,16]", bits)
+	if bits < 1 || bits > MaxBits {
+		return nil, fmt.Errorf("subscription: bits %d out of range [1,%d]", bits, MaxBits)
 	}
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("subscription: schema needs at least one attribute")
 	}
-	if len(attrs) > 8 {
-		return nil, fmt.Errorf("subscription: %d attributes exceed the supported maximum of 8", len(attrs))
+	if len(attrs) > MaxAttrs {
+		return nil, fmt.Errorf("subscription: %d attributes exceed the supported maximum of %d", len(attrs), MaxAttrs)
 	}
 	s := &Schema{
 		names: append([]string(nil), attrs...),
