@@ -62,7 +62,6 @@ type options struct {
 	epsilon           float64
 	strategy          string
 	curve             string
-	array             string
 	maxCubes          int
 	decompCache       int
 	adaptiveBudget    bool
@@ -98,8 +97,6 @@ func buildConfig(o options) (engine.Config, error) {
 			Epsilon:         o.epsilon,
 			Strategy:        core.Strategy(o.strategy),
 			Curve:           o.curve,
-			Array:           o.array,
-			Seed:            o.seed,
 			MaxCubes:        o.maxCubes,
 			DecompCacheSize: o.decompCache,
 			AdaptiveBudget:  o.adaptiveBudget,
@@ -216,13 +213,12 @@ func newFlagSet(so *serveOptions, o *options, stderr io.Writer) *flag.FlagSet {
 	fs.Float64Var(&o.epsilon, "epsilon", 0.3, "approximation parameter (0 < eps < 1, approx mode)")
 	fs.StringVar(&o.strategy, "strategy", "sfc", "search backend: sfc, or linear (exact-mode store scan)")
 	fs.StringVar(&o.curve, "curve", "", "space filling curve: z (default), hilbert, gray or onion")
-	fs.StringVar(&o.array, "array", "", "ordered structure: treap (default) or skiplist")
 	fs.IntVar(&o.maxCubes, "maxcubes", daemonMaxCubes, "per-query budget: successor-walk steps, then cubes (-1 = unlimited)")
 	fs.IntVar(&o.decompCache, "decomp-cache", 0, "hit memo size in entries (0 = default, -1 = disabled); a shape that found a cover replays the key range that held it with one probe")
 	fs.BoolVar(&o.adaptiveBudget, "adaptive-budget", false, "derive each query's effective epsilon and cube cap from observed workload statistics (configured values become floor/ceiling)")
 	fs.IntVar(&o.shards, "shards", 0, "shard count (0 = default)")
 	fs.IntVar(&o.workers, "workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	fs.Int64Var(&o.seed, "seed", 1, "index randomization seed")
+	fs.Int64Var(&o.seed, "seed", 1, "ignored: the index has no randomness left to seed (kept so existing command lines parse)")
 	fs.BoolVar(&o.trackCovered, "track-covered", false,
 		"maintain the mirrored index that serves the \"covered\" op in approx mode (exact mode serves it regardless)")
 	fs.Float64Var(&o.rebalanceThresh, "rebalance-threshold", 0,

@@ -244,9 +244,9 @@ func TestRunRejectsBadFlagCombinations(t *testing.T) {
 // the option surface shows up in review as a diff of its own.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"adaptive-budget", "addr", "array", "attrs", "bits", "curve",
-		"data-dir", "decomp-cache", "epsilon", "follow", "log-level",
-		"max-conns", "maxcubes", "metrics-addr", "mode", "read-timeout",
+		"adaptive-budget", "addr", "attrs", "bits", "curve", "data-dir",
+		"decomp-cache", "epsilon", "follow", "log-level", "max-conns",
+		"maxcubes", "metrics-addr", "mode", "read-timeout",
 		"rebalance-interval", "rebalance-max-moves", "rebalance-threshold",
 		"seed", "shards", "slow-log-size", "slow-query", "snapshot-interval",
 		"strategy", "track-covered", "wal-sync", "wal-sync-interval", "workers",

@@ -39,10 +39,6 @@ const (
 // per link would only multiply idle goroutines across the overlay.
 const brokerEngineWorkers = 2
 
-// suppSeedOffset separates the suppressed-set provider's index randomness
-// from the forwarded-set provider's on the same link.
-const suppSeedOffset = int64(1) << 32
-
 // providerSource builds the per-link providers of one network. For the
 // in-process backends it is stateless unless Config.DataDir makes the
 // links durable, in which case it owns the persist.Store every link logs
@@ -116,7 +112,7 @@ func (ps *providerSource) durable(link string, p core.Provider) (*persist.Durabl
 }
 
 // forwarded builds the forwarded-set provider for the link broker->neighbor.
-func (ps *providerSource) forwarded(brokerID, neighborID int, seed int64) (core.Provider, error) {
+func (ps *providerSource) forwarded(brokerID, neighborID int) (core.Provider, error) {
 	if ps.client != nil {
 		// One namespace per directed link on the shared daemon; LinkPrefix
 		// keeps networks sharing a daemon out of each other's namespaces.
@@ -132,7 +128,6 @@ func (ps *providerSource) forwarded(brokerID, neighborID int, seed int64) (core.
 		MaxCubes:        cfg.MaxCubes,
 		DecompCacheSize: cfg.DecompCacheSize,
 		AdaptiveBudget:  cfg.AdaptiveBudget,
-		Seed:            seed,
 	}
 	var p core.Provider
 	var err error
@@ -165,14 +160,13 @@ func (ps *providerSource) forwarded(brokerID, neighborID int, seed int64) (core.
 // identical answers. With Config.DataDir the suppressed
 // set is durable too: losing it across a restart would strand every
 // suppressed subscription when its cover is later retracted.
-func (ps *providerSource) suppressed(brokerID, neighborID int, seed int64) (suppressedSet, error) {
+func (ps *providerSource) suppressed(brokerID, neighborID int) (suppressedSet, error) {
 	cfg := ps.cfg
 	p, err := core.New(core.Config{
 		Schema:   cfg.Schema,
 		Mode:     core.ModeExact,
 		Strategy: cfg.Strategy,
 		MaxCubes: cfg.MaxCubes,
-		Seed:     seed,
 	})
 	if err != nil || ps.store == nil {
 		return p, err

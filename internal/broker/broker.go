@@ -49,7 +49,8 @@ type Config struct {
 	// AdaptiveBudget derives per-query budgets from observed workload
 	// statistics; see core.Config.AdaptiveBudget.
 	AdaptiveBudget bool
-	// Seed derives the deterministic randomness of the SFC arrays.
+	// Seed is ignored: the SFC arrays it seeded are no longer randomized.
+	// Callers that predate that still set it.
 	Seed int64
 	// Backend selects the per-link covering provider: a single Detector
 	// (default), a hash-sharded engine, a curve-prefix engine, or link
@@ -423,13 +424,12 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 		slices.Sort(b.neighbors)
 		for _, j := range b.neighbors {
 			b.addIface(iface{kind: ifNeighbor, id: j})
-			seed := cfg.Seed + int64(b.id)<<16 + int64(j)
-			fwd, err := src.forwarded(b.id, j, seed)
+			fwd, err := src.forwarded(b.id, j)
 			if err != nil {
 				n.Close()
 				return nil, fmt.Errorf("broker: building provider %d->%d: %w", b.id, j, err)
 			}
-			supp, err := src.suppressed(b.id, j, seed+suppSeedOffset)
+			supp, err := src.suppressed(b.id, j)
 			if err != nil {
 				fwd.Close()
 				n.Close()

@@ -88,10 +88,11 @@ type Config struct {
 	Epsilon float64
 	// Strategy defaults to StrategySFC. ModeApprox requires StrategySFC.
 	Strategy Strategy
-	// Curve, Array and Seed configure the SFC index; see dominance.Config.
+	// Curve selects the SFC index's curve; see dominance.Config.
 	Curve string
-	Array string
-	Seed  int64
+	// Seed is ignored: the SFC array it seeded is no longer randomized.
+	// Callers that predate that still set it.
+	Seed int64
 	// MaxCubes is the work budget of a single SFC query: it bounds the
 	// successor walk's steps and then, if the walk overran, the cubes the
 	// ε-search generates. Zero selects DefaultMaxCubes; UnlimitedCubes
@@ -204,7 +205,7 @@ func New(cfg Config) (*Detector, error) {
 	case StrategySFC:
 		idx, err := dominance.NewIndex(dominance.Config{
 			Dims: dims, Bits: bits,
-			Curve: cfg.Curve, Array: cfg.Array, Seed: cfg.Seed, MaxCubes: cfg.MaxCubes,
+			Curve: cfg.Curve, MaxCubes: cfg.MaxCubes,
 			CacheSize: cfg.DecompCacheSize, Adaptive: cfg.AdaptiveBudget,
 		})
 		if err != nil {
@@ -225,7 +226,7 @@ func New(cfg Config) (*Detector, error) {
 		}
 		idx, err := dominance.NewIndex(dominance.Config{
 			Dims: dims, Bits: bits,
-			Curve: cfg.Curve, Array: cfg.Array, Seed: cfg.Seed + 1, MaxCubes: cfg.MaxCubes,
+			Curve: cfg.Curve, MaxCubes: cfg.MaxCubes,
 			CacheSize: cfg.DecompCacheSize, Adaptive: cfg.AdaptiveBudget,
 		})
 		if err != nil {

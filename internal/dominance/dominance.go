@@ -122,9 +122,8 @@ type Config struct {
 	// Curve selects the space filling curve: "z" (default), "hilbert",
 	// "gray" or "onion".
 	Curve string
-	// Array selects the ordered structure: "treap" (default) or "skiplist".
-	Array string
-	// Seed drives the ordered structure's internal randomness.
+	// Seed is ignored: it seeded the randomized ordered structures the
+	// blocked SFC array replaced. Callers that predate it still set it.
 	Seed int64
 	// MaxCubes is the per-query work budget (0 = unlimited): it bounds
 	// the successor walk's steps and then, if the walk overran, the cubes
@@ -150,17 +149,14 @@ func (c Config) withDefaults() Config {
 	if c.Curve == "" {
 		c.Curve = "z"
 	}
-	if c.Array == "" {
-		c.Array = "treap"
-	}
 	return c
 }
 
 // Index is the SFC-based dominance index of Section 5.
 //
-// Writes were never safe for concurrent use (the ordered structures are
-// single-writer); queries now share per-index scratch buffers, so
-// queries are single-goroutine too. Wrap an Index in a lock (as
+// Writes were never safe for concurrent use (the SFC array is
+// single-writer); queries share per-index scratch buffers, so queries
+// are single-goroutine too. Wrap an Index in a lock (as
 // core.Detector does) or use ShardedIndex for concurrent querying.
 type Index struct {
 	dispatch
@@ -207,11 +203,7 @@ func NewIndex(cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	arr, err := sfcarray.New(d.cfg.Array, d.cfg.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("dominance: %w", err)
-	}
-	return &Index{dispatch: d, arr: arr}, nil
+	return &Index{dispatch: d}, nil
 }
 
 // MustIndex is NewIndex for known-good configurations.
@@ -307,7 +299,7 @@ func (x *Index) Query(q []uint32, eps float64) (uint64, bool, Stats, error) {
 		return 0, false, Stats{}, err
 	}
 	sc := &x.scratch
-	id, ok, err := x.search(sc, x.arr, q, eps, nil)
+	id, ok, err := x.search(sc, &x.arr, q, eps, nil)
 	return id, ok, sc.stats, err
 }
 
@@ -322,7 +314,7 @@ func (x *Index) QueryCubes(q []uint32, eps float64) (uint64, bool, Stats, error)
 	}
 	sc := &x.scratch
 	region := sc.begin(q, x.cfg.Bits)
-	id, ok, err := searchCubes(x.curve, x.cfg.Bits, x.cfg.MaxCubes, sc, x.arr, region, eps, nil)
+	id, ok, err := searchCubes(x.curve, x.cfg.Bits, x.cfg.MaxCubes, sc, &x.arr, region, eps, nil)
 	return id, ok, sc.stats, err
 }
 

@@ -31,9 +31,6 @@ func TestNewIndexValidation(t *testing.T) {
 	if _, err := NewIndex(Config{Dims: 2, Bits: 8, Curve: "peano"}); err == nil {
 		t.Error("unknown curve must fail")
 	}
-	if _, err := NewIndex(Config{Dims: 2, Bits: 8, Array: "btree"}); err == nil {
-		t.Error("unknown array must fail")
-	}
 	if _, err := NewIndex(Config{Dims: 4, Bits: 16}); err != nil {
 		t.Errorf("defaults should work: %v", err)
 	}
@@ -54,14 +51,14 @@ func TestQueryArgValidation(t *testing.T) {
 
 func TestExhaustiveAgreesWithBaselines(t *testing.T) {
 	// The exhaustive SFC query, the linear scan and the k-d tree must give
-	// identical found/not-found answers, for every curve and array.
+	// identical found/not-found answers, for every curve.
 	rng := rand.New(rand.NewSource(61))
 	configs := []Config{
-		{Dims: 2, Bits: 6, Curve: "z", Array: "treap"},
-		{Dims: 2, Bits: 6, Curve: "hilbert", Array: "skiplist"},
-		{Dims: 2, Bits: 6, Curve: "gray", Array: "treap"},
-		{Dims: 3, Bits: 4, Curve: "z", Array: "skiplist"},
-		{Dims: 4, Bits: 3, Curve: "hilbert", Array: "treap"},
+		{Dims: 2, Bits: 6, Curve: "z"},
+		{Dims: 2, Bits: 6, Curve: "hilbert"},
+		{Dims: 2, Bits: 6, Curve: "gray"},
+		{Dims: 3, Bits: 4, Curve: "z"},
+		{Dims: 4, Bits: 3, Curve: "hilbert"},
 	}
 	for _, cfg := range configs {
 		idx := MustIndex(cfg)
@@ -79,10 +76,10 @@ func TestExhaustiveAgreesWithBaselines(t *testing.T) {
 			_, okLin := lin.QueryDominating(q)
 			_, okKD := kd.QueryDominating(q)
 			if okSFC != okLin || okLin != okKD {
-				t.Fatalf("%s/%s q=%v: sfc=%v lin=%v kd=%v", cfg.Curve, cfg.Array, q, okSFC, okLin, okKD)
+				t.Fatalf("%s q=%v: sfc=%v lin=%v kd=%v", cfg.Curve, q, okSFC, okLin, okKD)
 			}
 			if okSFC && !geom.Dominates(pts[idSFC], q) {
-				t.Fatalf("%s/%s: returned point %v does not dominate %v", cfg.Curve, cfg.Array, pts[idSFC], q)
+				t.Fatalf("%s: returned point %v does not dominate %v", cfg.Curve, pts[idSFC], q)
 			}
 		}
 	}

@@ -29,6 +29,9 @@ type queryScratch struct {
 	// for the memo: the cube the ε-search hit, or [k,k] for the key a
 	// walk stopped at.
 	hitLo, hitHi bits.Key
+	// succ is the walk's NextInExtremal bound to the query corner: the
+	// curve encodes q once per query, not once per step.
+	succ sfc.Successor
 	// routed is the sharded index's view of its slices as one ordered
 	// array; it lives here so handing it to the search as an interface
 	// does not allocate.

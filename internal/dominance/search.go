@@ -79,8 +79,8 @@ func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64
 // the keys of the region in curve order, but only ever stops at stored
 // ones. Seek the first stored key at or after the cursor; if its cell
 // dominates q it is the answer — the dominator with the smallest key —
-// and if not, NextInExtremal moves the cursor past every key outside
-// the region in one jump. The walk ends at a hit, at the end of the
+// and if not, NextInExtremal (bound to q once, as sc.succ) moves the
+// cursor past every key outside the region in one jump. The walk ends at a hit, at the end of the
 // array or of the region (an exact miss: the whole region was searched),
 // or when budget seeks are spent (budget 0 = unlimited); only the last
 // leaves the query undecided (done == false). Its step count is bounded
@@ -114,7 +114,8 @@ func walk(curve sfc.Curve, arr ordered, q []uint32, budget int, topFirst bool, s
 	var cursor bits.Key
 	inRegion := !found
 	if inRegion {
-		cursor, inRegion = curve.NextInExtremal(q, bits.Key{})
+		sc.succ.Bind(curve, q)
+		cursor, inRegion = sc.succ.Next(bits.Key{})
 	}
 	for inRegion {
 		if budget > 0 && stats.WalkSteps == budget {
@@ -127,7 +128,7 @@ func walk(curve sfc.Curve, arr ordered, q []uint32, budget int, topFirst bool, s
 			break
 		}
 		if key != cursor {
-			if cursor, inRegion = curve.NextInExtremal(q, key); !inRegion || cursor != key {
+			if cursor, inRegion = sc.succ.Next(key); !inRegion || cursor != key {
 				continue
 			}
 		}

@@ -2,7 +2,6 @@ package dominance
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -62,9 +61,8 @@ type ShardedIndex struct {
 }
 
 type shardSlot struct {
-	mu   sync.RWMutex
-	arr  sfcarray.Index
-	seed int64 // the slot's array seed, reused when a migration rebuilds it
+	mu  sync.RWMutex
+	arr sfcarray.Index
 }
 
 // maxPrefixBits bounds the initial routing prefix; 16 bits ≫ any sane
@@ -95,14 +93,6 @@ func NewSharded(cfg Config, n int) (*ShardedIndex, error) {
 		shards:   make([]shardSlot, n),
 	}
 	x.scratchPool.New = func() any { return new(queryScratch) }
-	for i := range x.shards {
-		x.shards[i].seed = cfg.Seed + int64(i)
-		arr, err := sfcarray.New(cfg.Array, x.shards[i].seed)
-		if err != nil {
-			return nil, fmt.Errorf("dominance: %w", err)
-		}
-		x.shards[i].arr = arr
-	}
 	// Slice i's first key is the smallest whose top prefixBits place it in
 	// slice i under the uniform arithmetic top*n >> prefixBits == i, i.e.
 	// ceil(i*2^p / n) shifted back up to key width.
@@ -127,8 +117,14 @@ func (x *ShardedIndex) Boundaries() []bits.Key {
 
 // routeKey maps a curve key to the slice owning it under the given table:
 // the last slice whose start is <= k.
+//
+//sfc:hotpath
 func routeKey(tab []bits.Key, k bits.Key) int {
-	return sort.Search(len(tab), func(i int) bool { return k.Less(tab[i]) }) - 1
+	i := len(tab) - 1
+	for i > 0 && k.Less(tab[i]) {
+		i--
+	}
+	return i
 }
 
 // ShardFor maps a point to its home shard under the current boundaries.
@@ -364,15 +360,15 @@ func (x *ShardedIndex) EqualizePair(i int) (migrated int) {
 	keys := make([]bits.Key, 0, total)
 	ids := make([]uint64, 0, total)
 	full := bits.LowMask(bits.KeyBits)
-	gather := func(arr sfcarray.Index) {
+	gather := func(arr *sfcarray.Index) {
 		arr.VisitRange(bits.Key{}, full, func(k bits.Key, id uint64) bool {
 			keys = append(keys, k)
 			ids = append(ids, id)
 			return true
 		})
 	}
-	gather(a.arr)
-	gather(b.arr)
+	gather(&a.arr)
+	gather(&b.arr)
 
 	split := splitPoint(keys, na)
 	if split < 0 || split == na {
@@ -414,12 +410,8 @@ func (x *ShardedIndex) shrinkSlice(slot *shardSlot, keys []bits.Key, ids []uint6
 		}
 		return
 	}
-	newArr, err := sfcarray.New(x.cfg.Array, slot.seed)
-	if err != nil {
-		panic(fmt.Sprintf("dominance: rebuilding slice: %v", err)) // cfg.Array was validated at construction
-	}
-	newArr.InsertSorted(keys[keptLo:keptHi], ids[keptLo:keptHi])
-	slot.arr = newArr
+	slot.arr = sfcarray.Index{}
+	slot.arr.InsertSorted(keys[keptLo:keptHi], ids[keptLo:keptHi])
 }
 
 // splitPoint picks the split index nearest total/2 that does not divide a

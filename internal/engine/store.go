@@ -25,7 +25,7 @@ func (e *Engine) initStore(det core.Config) error {
 	schema, shards := det.Schema, e.cfg.Shards
 	dcfg := dominance.Config{
 		Dims: schema.Dims(), Bits: schema.Bits(),
-		Curve: det.Curve, Array: det.Array, Seed: det.Seed, MaxCubes: det.MaxCubes,
+		Curve: det.Curve, MaxCubes: det.MaxCubes,
 		CacheSize: det.DecompCacheSize, Adaptive: det.AdaptiveBudget,
 	}
 	var err error
@@ -33,9 +33,7 @@ func (e *Engine) initStore(det core.Config) error {
 		return fmt.Errorf("engine: %w", err)
 	}
 	if det.TrackCovered {
-		mcfg := dcfg
-		mcfg.Seed++
-		if e.mirror, err = dominance.NewSharded(mcfg, shards); err != nil {
+		if e.mirror, err = dominance.NewSharded(dcfg, shards); err != nil {
 			return fmt.Errorf("engine: %w", err)
 		}
 	}

@@ -43,10 +43,9 @@ func runE12(w io.Writer, quick bool) error {
 		if err != nil {
 			return err
 		}
-		// Index the parents once per order (fresh array each time so the
-		// treap shape is identical).
+		// Index the parents once per order, a fresh array each time.
 		for _, order := range []string{"descending (paper)", "ascending"} {
-			arr := sfcarray.NewTreap(9)
+			var arr sfcarray.Index
 			for i, p := range pairs {
 				arr.Insert(curve.Key(p.Parent.Point()), uint64(i))
 			}

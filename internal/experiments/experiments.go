@@ -84,7 +84,7 @@ func All() []Experiment {
 		},
 		{
 			ID:    "E10",
-			Title: "Ablation: SFC-array implementation (treap vs skip list)",
+			Title: "Ablation: SFC-array implementation (blocked array vs treap)",
 			Paper: "the SFC array can be any dynamic ordered structure (Section 2)",
 			Run:   runE10,
 		},

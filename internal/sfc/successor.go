@@ -6,6 +6,37 @@ import "sfccover/internal/bits"
 // stack; wider universes fall back to one allocation per call.
 const stackDims = 16
 
+// Successor is Curve.NextInExtremal bound to one query corner: what the
+// successor walk steps with. Binding does once whatever a curve can hoist
+// out of the step — the Z curve on one-word keys encodes q and then steps
+// on key words alone; the other curves step through the Curve method. The
+// zero value is unbound; q is retained, not copied.
+type Successor struct {
+	curve Curve
+	q     []uint32
+	z     *ZCurve // non-nil when the word form applies
+	qKey  uint64
+}
+
+// Bind points s at the extremal region of q on curve c.
+func (s *Successor) Bind(c Curve, q []uint32) {
+	*s = Successor{curve: c, q: q}
+	if z, ok := c.(*ZCurve); ok && z.dimMask != nil {
+		s.z = z
+		s.qKey, _ = z.Key(q).Uint64()
+	}
+}
+
+// Next is c.NextInExtremal(q, from) for the bound c and q.
+//
+//sfc:hotpath
+func (s *Successor) Next(from bits.Key) (bits.Key, bool) {
+	if s.z != nil {
+		return s.z.nextWord(s.qKey, from)
+	}
+	return s.curve.NextInExtremal(s.q, from)
+}
+
 func cellBuf(buf *[stackDims]uint32, d int) []uint32 {
 	if d <= stackDims {
 		return buf[:d]

@@ -2,6 +2,7 @@ package sfc
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"sfccover/internal/bits"
@@ -45,19 +46,65 @@ func TestNextInExtremalMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestNextInExtremalWordBoundary sets the Z curve's three forms of one
+// step side by side at the edge of the word form: d·k = 64, where key
+// bit 63 is in play, takes the step on the key word; d·k = 65 must fall
+// to the coordinate form. Word form, coordinate form, the bound Successor
+// and (where d allows it) the block descent agree on every pair.
+func TestNextInExtremalWordBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for _, cfg := range []Config{{2, 32}, {4, 16}, {8, 8}, {16, 4}, {4, 10}, {5, 13}, {13, 5}} {
+		z := MustZ(cfg.Dims, cfg.Bits)
+		if word := cfg.Dims*cfg.Bits <= 64; (z.dimMask != nil) != word {
+			t.Fatalf("d=%d k=%d: word form armed = %v, want %v", cfg.Dims, cfg.Bits, z.dimMask != nil, word)
+		}
+		q, start := make([]uint32, cfg.Dims), make([]uint32, cfg.Dims)
+		for trial := 0; trial < 20000; trial++ {
+			for i := range q {
+				// Mostly-high starts keep bit 63 busy; shifts vary the level
+				// at which a coordinate first drops below q.
+				q[i] = rng.Uint32() >> uint(32-cfg.Bits) >> uint(rng.Intn(cfg.Bits))
+				start[i] = rng.Uint32() >> uint(32-cfg.Bits) >> uint(rng.Intn(2)*rng.Intn(cfg.Bits))
+			}
+			from := z.Key(start)
+			next, ok := z.NextInExtremal(q, from)
+			if ref, refOK := z.nextCoords(q, from); ref != next || refOK != ok {
+				t.Fatalf("d=%d k=%d q=%v from=%v: NextInExtremal (%v,%v), coordinate form (%v,%v)", cfg.Dims, cfg.Bits, q, from, next, ok, ref, refOK)
+			}
+			var s Successor
+			s.Bind(z, q)
+			if got, gotOK := s.Next(from); got != next || gotOK != ok {
+				t.Fatalf("d=%d k=%d q=%v from=%v: Successor (%v,%v), NextInExtremal (%v,%v)", cfg.Dims, cfg.Bits, q, from, got, gotOK, next, ok)
+			}
+			if cfg.Dims <= 5 && trial < 2000 {
+				if ref, refOK := nextInExtremalByBlocks(z, q, from); ref != next || refOK != ok {
+					t.Fatalf("d=%d k=%d q=%v from=%v: NextInExtremal (%v,%v), block descent (%v,%v)", cfg.Dims, cfg.Bits, q, from, next, ok, ref, refOK)
+				}
+			}
+		}
+		past, _ := bits.LowMask(cfg.Dims * cfg.Bits).Inc()
+		if _, ok := z.NextInExtremal(q, past); ok {
+			t.Fatalf("d=%d k=%d: a key past the universe has a successor", cfg.Dims, cfg.Bits)
+		}
+	}
+}
+
 // FuzzNextInExtremal drives the successor routines at key widths no
 // brute force reaches (d·k up to the full 512 bits). What it can check
 // without enumerating: the answer is at or after from, its cell is in
 // the region, from itself is returned when it already is, the key just
-// before the answer is outside the region, and — two independent
-// implementations of one function — the Z curve's closed form agrees
-// with the shared block descent.
+// before the answer is outside the region, and — independent
+// implementations of one function — the Z curve's word form (d·k <= 64),
+// its coordinate form, the bound Successor and the shared block descent
+// all agree.
 func FuzzNextInExtremal(f *testing.F) {
 	f.Add(uint8(0), uint8(4), uint8(10), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21})
 	f.Add(uint8(1), uint8(3), uint8(7), []byte{0xff, 0xfe, 0x10, 0x00, 0x7f, 0x33, 0x21, 0x09, 0xaa})
 	f.Add(uint8(2), uint8(2), uint8(32), []byte{0x80, 0, 0, 0, 0x80, 0, 0, 1, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4})
 	f.Add(uint8(3), uint8(5), uint8(6), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4})
 	f.Add(uint8(0), uint8(16), uint8(32), []byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(uint8(0), uint8(1), uint8(31), []byte{0x80, 0, 0, 1, 0x7f, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xfe, 0xff, 0xff, 0xff, 0xff}) // d·k = 64: bit 63
+	f.Add(uint8(0), uint8(4), uint8(12), []byte{0x1f, 0xff, 0, 0, 0, 1, 0x10, 0, 0x0f, 0xff, 0x1f, 0xfe})                               // d·k = 65: coordinate form
 	f.Fuzz(func(t *testing.T, curve, dims, kbits uint8, data []byte) {
 		names := Names()
 		name := names[int(curve)%len(names)]
@@ -103,9 +150,19 @@ func FuzzNextInExtremal(f *testing.F) {
 		} else if last := bits.LowMask(d * k); geom.Dominates(c.Cell(last), q) {
 			t.Fatalf("%s d=%d k=%d q=%v from=%v: no successor, yet the last key is in the region", name, d, k, q, from)
 		}
-		if name == "z" && d <= 6 {
-			if ref, refOK := nextInExtremalByBlocks(c, q, from); refOK != ok || ref != next {
-				t.Fatalf("z d=%d k=%d q=%v from=%v: closed form (%v,%v), block descent (%v,%v)", d, k, q, from, next, ok, ref, refOK)
+		var bound Successor
+		bound.Bind(c, q)
+		if got, gotOK := bound.Next(from); gotOK != ok || got != next {
+			t.Fatalf("%s d=%d k=%d q=%v from=%v: Successor (%v,%v), NextInExtremal (%v,%v)", name, d, k, q, from, got, gotOK, next, ok)
+		}
+		if z, isZ := c.(*ZCurve); isZ {
+			if ref, refOK := z.nextCoords(q, from); refOK != ok || ref != next {
+				t.Fatalf("z d=%d k=%d q=%v from=%v: NextInExtremal (%v,%v), coordinate form (%v,%v)", d, k, q, from, next, ok, ref, refOK)
+			}
+			if d <= 6 {
+				if ref, refOK := nextInExtremalByBlocks(c, q, from); refOK != ok || ref != next {
+					t.Fatalf("z d=%d k=%d q=%v from=%v: closed form (%v,%v), block descent (%v,%v)", d, k, q, from, next, ok, ref, refOK)
+				}
 			}
 		}
 	})

@@ -13,6 +13,12 @@ import (
 // fixes the convention.
 type ZCurve struct {
 	cfg Config
+	// dimMask[i] selects the key bits of dimension i — positions
+	// j·d + (d−1−i) for j < k — when the whole key fits one word
+	// (d·k <= 64); nil otherwise. Masking preserves order within a
+	// dimension, so the successor step compares and combines coordinates
+	// in place in the key, never decoding them.
+	dimMask []uint64
 }
 
 // NewZ builds a Z curve for the given universe.
@@ -20,7 +26,16 @@ func NewZ(cfg Config) (*ZCurve, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &ZCurve{cfg: cfg}, nil
+	z := &ZCurve{cfg: cfg}
+	if d := cfg.Dims; d*cfg.Bits <= 64 {
+		z.dimMask = make([]uint64, d)
+		for i := range z.dimMask {
+			for j := 0; j < cfg.Bits; j++ {
+				z.dimMask[i] |= 1 << uint(j*d+d-1-i)
+			}
+		}
+	}
+	return z, nil
 }
 
 // MustZ is NewZ for known-good configurations (tests, examples).
@@ -63,13 +78,58 @@ func (z *ZCurve) CellInto(key bits.Key, dst []uint32) {
 // where q has a 1, and the answer raises exactly that bit and completes
 // the key below it with the smallest coordinates still >= q. In
 // coordinates: with p the highest key position at which some x_i first
-// drops below q_i, each dimension keeps its bits above p and takes
+// drops below q_i, each dimension keeps its bits at and above p and takes
 // max(q_i, those bits) — q_i itself where it was still level with q.
 // The region always contains the universe's last key, so ok is true for
 // every from inside the universe.
 //
+// A key that fits one word takes the step on the word (nextWord); wider
+// universes decode, step and re-encode (nextCoords). A caller stepping
+// many times for one q binds a Successor, which encodes q once.
+//
 //sfc:hotpath
 func (z *ZCurve) NextInExtremal(q []uint32, from bits.Key) (bits.Key, bool) {
+	if z.dimMask == nil {
+		return z.nextCoords(q, from)
+	}
+	qk, _ := z.Key(q).Uint64()
+	return z.nextWord(qk, from)
+}
+
+// nextWord is the step on one-word keys, qk the key of q. Dimension i
+// is below q exactly when from&dimMask[i] < qk&dimMask[i], and the two
+// first differ at the top set bit of their XOR — already a key position —
+// so p is the top bit of the OR of those XORs over the dimensions that
+// dropped. Clearing from below p and taking the per-dimension maximum
+// with qk, again under the masks, assembles the answer in place.
+//
+//sfc:hotpath
+func (z *ZCurve) nextWord(qk uint64, from bits.Key) (bits.Key, bool) {
+	f, ok := from.Uint64()
+	if n := uint(z.cfg.Dims * z.cfg.Bits); !ok || n < 64 && f>>n != 0 {
+		return bits.Key{}, false // past the universe's last key
+	}
+	var dropped uint64
+	for _, m := range z.dimMask {
+		if fi, qi := f&m, qk&m; fi < qi {
+			dropped |= fi ^ qi
+		}
+	}
+	if dropped == 0 {
+		return from, true
+	}
+	f &= ^uint64(0) << uint(mbits.Len64(dropped)-1)
+	var next uint64
+	for _, m := range z.dimMask {
+		next |= max(f&m, qk&m)
+	}
+	return bits.KeyFromUint64(next), true
+}
+
+// nextCoords is the step in coordinates, for keys wider than one word.
+//
+//sfc:hotpath
+func (z *ZCurve) nextCoords(q []uint32, from bits.Key) (bits.Key, bool) {
 	d := z.cfg.Dims
 	if from.Len() > d*z.cfg.Bits {
 		return bits.Key{}, false // past the universe's last key

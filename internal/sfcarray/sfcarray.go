@@ -1,65 +1,69 @@
 // Package sfcarray implements the paper's "SFC array": the dynamic ordered
-// data structure that stores indexed points sorted by their space-filling-
-// curve keys (Section 2). The paper notes it "could be implemented using
-// any dynamic unidimensional data structure such as a binary tree or a skip
-// list"; both are provided — a randomized treap and a skip list — behind a
-// common interface, so the choice can be benchmarked (experiment E10).
+// structure that stores indexed points sorted by their space-filling-curve
+// keys (Section 2), which "could be implemented using any dynamic
+// unidimensional data structure". This one is a blocked sorted array, the
+// leaf level of a B+-tree under one level of separators.
 //
-// Entries are (key, id) pairs; several ids may share one key (distinct
-// subscriptions can map to the same cell). Every operation the dominance
-// search needs — insert, delete and "is there anything in this key range,
-// and if so give me one" — costs O(log n) expected time, which is why a
-// run probe is cheap regardless of the run's length.
+// Entries are (key, id) pairs in ascending (key, id) order; several ids may
+// share one key (distinct subscriptions can map to the same cell). They
+// live in leaves of up to leafCap entries, each leaf one contiguous run of
+// key words beside its ids, and the first key of every leaf is repeated in
+// one contiguous separator array. A lookup is two binary searches over
+// contiguous words — separators, then one leaf — and an update is a copy
+// inside one leaf, plus a leaf split or merge when it fills or drains.
+//
+// Keys are stored at a stride: as many 64-bit words as the widest key the
+// array has been given needs, one word for any universe with d·k <= 64.
+// A wider key arriving later re-strides the array once. Probe keys wider
+// than the stride sort above every stored key by construction.
+//
+// The separator level is flat, so a split or merge moves O(n/leafCap)
+// leaf headers; amortized over the leafCap/2 updates between two splits
+// of a leaf that is below the leaf copy itself up to ~10^7 entries.
 package sfcarray
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"sfccover/internal/bits"
 )
 
-// Index is a dynamic ordered multiset of (key, id) entries.
-type Index interface {
-	// Insert adds an entry. Duplicate (key, id) pairs are allowed and
-	// stored separately.
-	Insert(k bits.Key, id uint64)
-	// Delete removes one entry matching (key, id) exactly, reporting
-	// whether one was found.
-	Delete(k bits.Key, id uint64) bool
-	// Seek returns the entry with the smallest key >= lo (ties broken by
-	// smallest id). ok is false when no stored key reaches lo. One ordered
-	// descent: the unit of cost of both searches.
-	Seek(lo bits.Key) (key bits.Key, id uint64, ok bool)
-	// FirstInRange returns the id of the entry with the smallest key in
-	// [lo, hi] (ties broken by smallest id): Seek(lo), accepted when the
-	// key does not pass hi. ok is false when the range is empty. This
-	// single probe is the unit of cost in the paper's analysis: one run
-	// access.
-	FirstInRange(lo, hi bits.Key) (id uint64, ok bool)
-	// VisitRange calls visit for every entry with key in [lo, hi] in
-	// ascending (key, id) order, stopping early if visit returns false.
-	VisitRange(lo, hi bits.Key, visit func(k bits.Key, id uint64) bool)
-	// InsertSorted adds a batch of entries that the caller has already
-	// sorted in ascending (key, id) order, exploiting the order to beat
-	// len(keys) independent Inserts: a cold structure is built bottom-up
-	// and a warm one is merged in a single pass instead of one descent per
-	// entry. Passing an unsorted batch corrupts the structure. ids aligns
-	// with keys.
-	InsertSorted(keys []bits.Key, ids []uint64)
-	// Len returns the number of entries stored.
-	Len() int
+const (
+	// leafCap is how many entries a leaf holds before it splits.
+	leafCap = 64
+	// leafFill is how full InsertSorted builds leaves: room is left so
+	// the inserts that follow a bulk load do not split every leaf.
+	leafFill = leafCap * 3 / 4
+)
+
+// Index is the SFC array: a dynamic ordered multiset of (key, id) entries.
+// The zero value is an empty array; it must not be copied after first use.
+// Answers are deterministic: the smallest key, then the smallest id.
+type Index struct {
+	w      int      // key stride in words; 0 until the first key arrives
+	n      int      // entries stored
+	seps   []uint64 // first key of every leaf, w words each
+	leaves []leaf   // in key order, none empty
 }
 
-// New constructs an index implementation by name: "treap" or "skiplist".
-// The seed makes the structure's internal randomness reproducible.
-func New(impl string, seed int64) (Index, error) {
-	switch impl {
-	case "treap":
-		return NewTreap(seed), nil
-	case "skiplist":
-		return NewSkipList(seed), nil
+// leaf is one sorted block: keys holds w words per entry, ids aligns with
+// it. Both slices share one allocation of leafCap entries.
+type leaf struct {
+	keys []uint64
+	ids  []uint64
+}
+
+// New returns an empty array. There is one layout; "", "treap" and
+// "skiplist" — the structures it replaced, still spelled by callers that
+// predate it — all name it, and seed is ignored (nothing here is random).
+func New(layout string, seed int64) (Index, error) {
+	switch layout {
+	case "", "treap", "skiplist":
+		return Index{}, nil
 	default:
-		return nil, fmt.Errorf("sfcarray: unknown implementation %q", impl)
+		return Index{}, fmt.Errorf("sfcarray: unknown implementation %q", layout)
 	}
 }
 
@@ -74,4 +78,380 @@ func EntryLess(k1 bits.Key, id1 uint64, k2 bits.Key, id2 uint64) bool {
 	default:
 		return id1 < id2
 	}
+}
+
+// Len returns the number of entries stored.
+func (x *Index) Len() int { return x.n }
+
+// keyWords is the stride k needs: its significant words, at least one.
+func keyWords(k bits.Key) int { return max(1, (k.Len()+63)/64) }
+
+// narrow writes k at the array's stride into buf. ok is false when k has
+// bits above the stride, which puts it above every stored key.
+func (x *Index) narrow(k bits.Key, buf *[bits.KeyWords]uint64) (p []uint64, ok bool) {
+	if k.Len() > 64*x.w {
+		return nil, false
+	}
+	p = buf[:x.w]
+	k.Low(p)
+	return p, true
+}
+
+func cmpWords(a, b []uint64) int {
+	for i, v := range a {
+		if v != b[i] {
+			if v < b[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// lowerBound counts the keys of ks (w words each, ascending) below p.
+//
+//sfc:hotpath
+func lowerBound(ks []uint64, w int, p []uint64) int {
+	if w == 1 {
+		v := p[0]
+		i, j := 0, len(ks)
+		for i < j {
+			m := int(uint(i+j) >> 1)
+			if ks[m] < v {
+				i = m + 1
+			} else {
+				j = m
+			}
+		}
+		return i
+	}
+	i, j := 0, len(ks)/w
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if cmpWords(ks[m*w:m*w+w], p) < 0 {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	return i
+}
+
+func (lf *leaf) key(s, w int) []uint64 { return lf.keys[s*w : s*w+w] }
+
+// seek returns the leaf and slot of the first entry with key >= p; the
+// leaf index is len(x.leaves) when there is none. Only the last leaf whose
+// separator is below p can hold smaller keys beside such an entry, so the
+// answer is in it or is the first entry of the next one.
+//
+//sfc:hotpath
+func (x *Index) seek(p []uint64) (j, s int) {
+	if x.n == 0 {
+		return 0, 0
+	}
+	j = max(lowerBound(x.seps, x.w, p)-1, 0)
+	if s = lowerBound(x.leaves[j].keys, x.w, p); s == len(x.leaves[j].ids) {
+		return j + 1, 0
+	}
+	return j, s
+}
+
+// Seek returns the entry with the smallest key >= lo (ties broken by
+// smallest id). ok is false when no stored key reaches lo. One ordered
+// descent: the unit of cost of both searches.
+//
+//sfc:hotpath
+func (x *Index) Seek(lo bits.Key) (key bits.Key, id uint64, ok bool) {
+	var buf [bits.KeyWords]uint64
+	p, fits := x.narrow(lo, &buf)
+	if !fits {
+		return bits.Key{}, 0, false
+	}
+	j, s := x.seek(p)
+	if j == len(x.leaves) {
+		return bits.Key{}, 0, false
+	}
+	lf := &x.leaves[j]
+	return bits.KeyFromLow(lf.key(s, x.w)), lf.ids[s], true
+}
+
+// FirstInRange returns the id of the entry with the smallest key in
+// [lo, hi] (ties broken by smallest id): Seek(lo), accepted when the key
+// does not pass hi. ok is false when the range is empty. This single probe
+// is the unit of cost in the paper's analysis: one run access.
+//
+//sfc:hotpath
+func (x *Index) FirstInRange(lo, hi bits.Key) (id uint64, ok bool) {
+	var buf [bits.KeyWords]uint64
+	p, fits := x.narrow(lo, &buf)
+	if !fits {
+		return 0, false
+	}
+	j, s := x.seek(p)
+	if j == len(x.leaves) {
+		return 0, false
+	}
+	lf := &x.leaves[j]
+	if q, bounded := x.narrow(hi, &buf); bounded && cmpWords(lf.key(s, x.w), q) > 0 {
+		return 0, false
+	}
+	return lf.ids[s], true
+}
+
+// VisitRange calls visit for every entry with key in [lo, hi] in ascending
+// (key, id) order, stopping early if visit returns false. visit must not
+// modify the array.
+func (x *Index) VisitRange(lo, hi bits.Key, visit func(k bits.Key, id uint64) bool) {
+	var lobuf, hibuf [bits.KeyWords]uint64
+	p, fits := x.narrow(lo, &lobuf)
+	if !fits {
+		return
+	}
+	q, bounded := x.narrow(hi, &hibuf)
+	for j, s := x.seek(p); j < len(x.leaves); j, s = j+1, 0 {
+		lf := &x.leaves[j]
+		for ; s < len(lf.ids); s++ {
+			k := lf.key(s, x.w)
+			if bounded && cmpWords(k, q) > 0 {
+				return
+			}
+			if !visit(bits.KeyFromLow(k), lf.ids[s]) {
+				return
+			}
+		}
+	}
+}
+
+// locate returns the leaf and slot at which (p, id) is stored or belongs:
+// the first entry >= (p, id) of the leaf seek would search, the slot one
+// past its end when every entry there is smaller. One key with many ids
+// can fill whole leaves, so the position moves on while the next leaf
+// still starts below the entry. The array must not be empty.
+func (x *Index) locate(p []uint64, id uint64) (j, s int) {
+	w := x.w
+	for j = max(lowerBound(x.seps, w, p)-1, 0); ; j++ {
+		lf := &x.leaves[j]
+		s = lowerBound(lf.keys, w, p)
+		for s < len(lf.ids) && lf.ids[s] < id && cmpWords(lf.key(s, w), p) == 0 {
+			s++
+		}
+		if s < len(lf.ids) || j+1 == len(x.leaves) {
+			return j, s
+		}
+		if next := &x.leaves[j+1]; next.ids[0] >= id || cmpWords(next.key(0, w), p) != 0 {
+			return j, s
+		}
+	}
+}
+
+// Insert adds an entry. Duplicate (key, id) pairs are allowed and stored
+// separately.
+func (x *Index) Insert(k bits.Key, id uint64) {
+	x.widen(keyWords(k))
+	w := x.w
+	var buf [bits.KeyWords]uint64
+	p := buf[:w]
+	k.Low(p)
+	if x.n == 0 {
+		x.leaves = append(x.leaves[:0], x.newLeaf())
+		x.seps = append(x.seps[:0], p...)
+	}
+	j, s := x.locate(p, id)
+	if len(x.leaves[j].ids) == leafCap {
+		x.split(j)
+		if s > leafCap/2 {
+			j, s = j+1, s-leafCap/2
+		}
+	}
+	lf := &x.leaves[j]
+	lf.keys = lf.keys[:len(lf.keys)+w]
+	copy(lf.keys[(s+1)*w:], lf.keys[s*w:])
+	copy(lf.keys[s*w:], p)
+	lf.ids = slices.Insert(lf.ids, s, id)
+	if s == 0 {
+		copy(x.seps[j*w:], p)
+	}
+	x.n++
+}
+
+// Delete removes one entry matching (key, id) exactly, reporting whether
+// one was found. A leaf that drains, or that fits into a neighbor with
+// half a leaf to spare, is merged away.
+func (x *Index) Delete(k bits.Key, id uint64) bool {
+	var buf [bits.KeyWords]uint64
+	p, fits := x.narrow(k, &buf)
+	if !fits || x.n == 0 {
+		return false
+	}
+	w := x.w
+	j, s := x.locate(p, id)
+	if s == len(x.leaves[j].ids) {
+		if j, s = j+1, 0; j == len(x.leaves) {
+			return false
+		}
+	}
+	lf := &x.leaves[j]
+	if lf.ids[s] != id || cmpWords(lf.key(s, w), p) != 0 {
+		return false
+	}
+	lf.keys = slices.Delete(lf.keys, s*w, s*w+w)
+	lf.ids = slices.Delete(lf.ids, s, s+1)
+	x.n--
+	spare := func(a, b int) bool { return len(x.leaves[a].ids)+len(x.leaves[b].ids) <= leafCap/2 }
+	switch {
+	case len(lf.ids) == 0:
+		x.removeLeaf(j)
+	case j+1 < len(x.leaves) && spare(j, j+1):
+		x.merge(j)
+	case j > 0 && spare(j-1, j):
+		x.merge(j - 1)
+	}
+	if s == 0 && j < len(x.leaves) {
+		copy(x.seps[j*w:j*w+w], x.leaves[j].keys)
+	}
+	return true
+}
+
+// InsertSorted adds a batch of entries that the caller has already sorted
+// in ascending (key, id) order; ids aligns with keys. Passing an unsorted
+// batch corrupts the structure. One pass over the leaves merges each run
+// of the batch into the leaf it belongs to and rebuilds only those leaves,
+// filled to leafFill: a cold array is built bottom-up, a batch that lies
+// before or after the stored keys touches one leaf. A batch with fewer
+// entries than there are leaves costs less as one descent per entry.
+func (x *Index) InsertSorted(keys []bits.Key, ids []uint64) {
+	if len(keys) < len(x.leaves) {
+		for i, k := range keys {
+			x.Insert(k, ids[i])
+		}
+		return
+	}
+	if len(keys) == 0 {
+		return
+	}
+	need := x.w
+	for _, k := range keys {
+		need = max(need, keyWords(k))
+	}
+	x.widen(need)
+	w, old := x.w, x.leaves
+	if x.n == 0 {
+		old = []leaf{{}}
+	}
+	out := make([]leaf, 0, len(old)+len(keys)/leafFill+1)
+	b := 0
+	for j, lf := range old {
+		// The batch entries sorting before the next leaf's first entry
+		// belong to this leaf; the last leaf takes the rest.
+		e := len(keys)
+		if j+1 < len(old) {
+			nk, nid := bits.KeyFromLow(old[j+1].key(0, w)), old[j+1].ids[0]
+			e = b + sort.Search(len(keys)-b, func(i int) bool { return !EntryLess(keys[b+i], ids[b+i], nk, nid) })
+		}
+		if e == b {
+			out = append(out, lf)
+			continue
+		}
+		out = x.mergeLeaf(out, lf, keys[b:e], ids[b:e])
+		b = e
+	}
+	x.leaves = out
+	x.n += len(keys)
+	x.seps = x.seps[:0]
+	for i := range out {
+		x.seps = append(x.seps, out[i].key(0, w)...)
+	}
+}
+
+// mergeLeaf merges one leaf with a sorted run of batch entries into fresh
+// leaves of even fill, at most leafFill each, appended to out.
+func (x *Index) mergeLeaf(out []leaf, lf leaf, keys []bits.Key, ids []uint64) []leaf {
+	w := x.w
+	total := len(lf.ids) + len(keys)
+	nl := (total + leafFill - 1) / leafFill
+	per := (total + nl - 1) / nl
+	var buf [bits.KeyWords]uint64
+	p := buf[:w]
+	i, b := 0, 0
+	for n := 0; n < total; n++ {
+		if n%per == 0 {
+			out = append(out, x.newLeaf())
+		}
+		cur := &out[len(out)-1]
+		fromBatch := i == len(lf.ids)
+		if b < len(keys) {
+			keys[b].Low(p)
+			if !fromBatch {
+				c := cmpWords(p, lf.key(i, w))
+				fromBatch = c < 0 || c == 0 && ids[b] < lf.ids[i]
+			}
+		}
+		if fromBatch {
+			cur.keys, cur.ids = append(cur.keys, p...), append(cur.ids, ids[b])
+			b++
+		} else {
+			cur.keys, cur.ids = append(cur.keys, lf.key(i, w)...), append(cur.ids, lf.ids[i])
+			i++
+		}
+	}
+	return out
+}
+
+// newLeaf allocates an empty leaf: keys and ids share one buffer.
+func (x *Index) newLeaf() leaf {
+	buf := make([]uint64, leafCap*(x.w+1))
+	return leaf{keys: buf[: 0 : leafCap*x.w], ids: buf[leafCap*x.w : leafCap*x.w]}
+}
+
+// split moves the upper half of full leaf j into a new leaf after it.
+func (x *Index) split(j int) {
+	w := x.w
+	x.leaves = slices.Insert(x.leaves, j+1, x.newLeaf())
+	l, r := &x.leaves[j], &x.leaves[j+1]
+	h := len(l.ids) / 2
+	r.keys, r.ids = append(r.keys, l.keys[h*w:]...), append(r.ids, l.ids[h:]...)
+	l.keys, l.ids = l.keys[:h*w], l.ids[:h]
+	x.seps = slices.Insert(x.seps, (j+1)*w, r.key(0, w)...)
+}
+
+// merge appends leaf j+1 to leaf j and removes it.
+func (x *Index) merge(j int) {
+	l, r := &x.leaves[j], &x.leaves[j+1]
+	l.keys, l.ids = append(l.keys, r.keys...), append(l.ids, r.ids...)
+	x.removeLeaf(j + 1)
+}
+
+func (x *Index) removeLeaf(j int) {
+	x.leaves = slices.Delete(x.leaves, j, j+1)
+	x.seps = slices.Delete(x.seps, j*x.w, j*x.w+x.w)
+}
+
+// widen raises the key stride to w words, re-striding every stored key
+// (new high words are zero). A no-op unless a key wider than any before
+// has arrived, which happens at most KeyWords-1 times in an array's life.
+func (x *Index) widen(w int) {
+	old := x.w
+	if w <= old {
+		return
+	}
+	x.w = w
+	restride := func(dst, src []uint64) []uint64 {
+		for ; len(src) > 0; src = src[old:] {
+			for i := old; i < w; i++ {
+				dst = append(dst, 0)
+			}
+			dst = append(dst, src[:old]...)
+		}
+		return dst
+	}
+	if x.n == 0 {
+		return
+	}
+	for i := range x.leaves {
+		nl := x.newLeaf()
+		nl.keys, nl.ids = restride(nl.keys, x.leaves[i].keys), append(nl.ids, x.leaves[i].ids...)
+		x.leaves[i] = nl
+	}
+	x.seps = restride(nil, x.seps)
 }

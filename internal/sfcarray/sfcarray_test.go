@@ -9,7 +9,7 @@ import (
 )
 
 // refModel is a trivially correct reference implementation used to validate
-// both real implementations under random operation sequences.
+// the blocked array under random operation sequences.
 type refModel struct {
 	entries []refEntry
 }
@@ -60,17 +60,31 @@ func (m *refModel) VisitRange(lo, hi bits.Key, visit func(bits.Key, uint64) bool
 
 func (m *refModel) Len() int { return len(m.entries) }
 
-func implementations(t *testing.T) map[string]Index {
+// newArray builds an empty array under one of the two names the
+// conformance tests have always iterated: the names of the structures the
+// blocked array replaced, which New still accepts. So that the second pass
+// over every test is not a repeat of the first, "skiplist" starts at the
+// full KeyWords stride (a wide key inserted and deleted again) where
+// "treap" starts at the stride its keys need.
+func newArray(t *testing.T, name string) *Index {
 	t.Helper()
-	treap, err := New("treap", 1)
+	idx, err := New(name, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl, err := New("skiplist", 1)
-	if err != nil {
-		t.Fatal(err)
+	if name == "skiplist" {
+		wide := bits.LowMask(bits.KeyBits)
+		idx.Insert(wide, 0)
+		if !idx.Delete(wide, 0) || idx.Len() != 0 || idx.w != bits.KeyWords {
+			t.Fatalf("widening to %d words left Len %d, stride %d", bits.KeyWords, idx.Len(), idx.w)
+		}
 	}
-	return map[string]Index{"treap": treap, "skiplist": sl}
+	return &idx
+}
+
+func implementations(t *testing.T) map[string]*Index {
+	t.Helper()
+	return map[string]*Index{"treap": newArray(t, "treap"), "skiplist": newArray(t, "skiplist")}
 }
 
 func TestNewUnknownImpl(t *testing.T) {
@@ -137,10 +151,7 @@ func TestDuplicateKeysDistinctIDs(t *testing.T) {
 func TestRandomOpsAgainstReference(t *testing.T) {
 	for name := range implementations(t) {
 		t.Run(name, func(t *testing.T) {
-			idx, err := New(name, 99)
-			if err != nil {
-				t.Fatal(err)
-			}
+			idx := newArray(t, name)
 			ref := &refModel{}
 			rng := rand.New(rand.NewSource(123))
 			var live []refEntry
@@ -198,7 +209,7 @@ func TestRandomOpsAgainstReference(t *testing.T) {
 }
 
 // dump collects the full (key, id) sequence of an index in visit order.
-func dump(idx Index) []refEntry {
+func dump(idx *Index) []refEntry {
 	var out []refEntry
 	idx.VisitRange(bits.Key{}, bits.LowMask(bits.KeyBits), func(k bits.Key, id uint64) bool {
 		out = append(out, refEntry{k, id})
@@ -210,10 +221,7 @@ func dump(idx Index) []refEntry {
 func TestInsertSortedMatchesReference(t *testing.T) {
 	for name := range implementations(t) {
 		t.Run(name, func(t *testing.T) {
-			idx, err := New(name, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
+			idx := newArray(t, name)
 			ref := &refModel{}
 			rng := rand.New(rand.NewSource(5))
 			// Warm structure: random item-by-item inserts first, so the
@@ -267,10 +275,7 @@ func TestInsertSortedMatchesReference(t *testing.T) {
 func TestInsertSortedColdBuild(t *testing.T) {
 	for name := range implementations(t) {
 		t.Run(name, func(t *testing.T) {
-			idx, err := New(name, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
+			idx := newArray(t, name)
 			idx.InsertSorted(nil, nil) // empty batch is a no-op
 			n := 5000
 			keys := make([]bits.Key, n)
@@ -391,7 +396,7 @@ func TestWideKeysBeyond64Bits(t *testing.T) {
 	}
 }
 
-// TestSeekConformance drives Seek on both backends through the states the
+// TestSeekConformance drives Seek through the states the
 // successor walk meets: an empty structure, a cursor past the last key,
 // duplicate keys (smallest id first), a cursor equal to a stored key, a
 // bulk-loaded structure and one with entries deleted. FirstInRange must
