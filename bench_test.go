@@ -84,12 +84,8 @@ func BenchmarkKeyEncodeZ(b *testing.B)       { benchCurveKey(b, "z") }
 func BenchmarkKeyEncodeHilbert(b *testing.B) { benchCurveKey(b, "hilbert") }
 func BenchmarkKeyEncodeGray(b *testing.B)    { benchCurveKey(b, "gray") }
 
-func benchArrayInsert(b *testing.B, impl string) {
-	b.Helper()
-	arr, err := sfcarray.New(impl, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+func BenchmarkArrayInsert(b *testing.B) {
+	var arr sfcarray.Index
 	rng := rand.New(rand.NewSource(2))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -98,19 +94,18 @@ func benchArrayInsert(b *testing.B, impl string) {
 	}
 }
 
-func BenchmarkArrayInsertTreap(b *testing.B)    { benchArrayInsert(b, "treap") }
-func BenchmarkArrayInsertSkipList(b *testing.B) { benchArrayInsert(b, "skiplist") }
-
-func benchArrayProbe(b *testing.B, impl string) {
-	b.Helper()
-	arr, err := sfcarray.New(impl, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
+// loadedArray holds 100 000 random one-word keys.
+func loadedArray(rng *rand.Rand) *sfcarray.Index {
+	arr := new(sfcarray.Index)
 	for i := 0; i < 100000; i++ {
 		arr.Insert(bits.KeyFromUint64(rng.Uint64()), uint64(i))
 	}
+	return arr
+}
+
+func BenchmarkArrayProbe(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	arr := loadedArray(rng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -119,8 +114,28 @@ func benchArrayProbe(b *testing.B, impl string) {
 	}
 }
 
-func BenchmarkArrayProbeTreap(b *testing.B)    { benchArrayProbe(b, "treap") }
-func BenchmarkArrayProbeSkipList(b *testing.B) { benchArrayProbe(b, "skiplist") }
+// BenchmarkArraySeek is the successor walk's unit: a chain of seeks whose
+// cursor only ascends, each a short jump past the key the last one
+// stopped at, restarted from a random key every 16 steps.
+func BenchmarkArraySeek(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	arr := loadedArray(rng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cursor uint64
+	for i := 0; i < b.N; i++ {
+		if i%16 == 0 {
+			cursor = rng.Uint64()
+		}
+		key, _, ok := arr.Seek(bits.KeyFromUint64(cursor))
+		if !ok {
+			cursor = 0
+			continue
+		}
+		kv, _ := key.Uint64()
+		cursor = kv + 1<<45
+	}
+}
 
 func BenchmarkDecomposeExtremal(b *testing.B) {
 	e := geom.MustExtremal([]uint64{257, 257}, 10)
