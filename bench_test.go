@@ -492,14 +492,17 @@ func BenchmarkCoverQueryTelemetryOn(b *testing.B)  { benchEngineCoverQueryBatch(
 func BenchmarkCoverQueryTelemetryOff(b *testing.B) { benchEngineCoverQueryBatch(b, 4, true) }
 
 // TestTelemetryOverheadSmoke pins always-on telemetry's cost on the hot
-// covering-query path — CoverQueryBatch, the router's steady state — via
-// a fixed-iteration min-of-3 comparison between a default engine and one
+// covering-query path — single-op FindCover, where the per-call clock
+// pair used to sit; batch items run the same function — via a
+// fixed-iteration min-of-5 comparison between a default engine and one
 // built with TelemetryOff. Timing comparisons are inherently noisy on
 // shared workers, so the test only runs when SFCCOVER_TELEMETRY_SMOKE=1
-// (CI sets it) and the bound is deliberately loose: it exists to catch a
-// recording path accidentally growing a lock, a per-query clock read or
-// an allocation, not to measure the steady-state overhead
-// (EXPERIMENTS.md records that).
+// (CI sets it). Only trace-elected queries (1 in obs.DefaultTraceSample)
+// read the clock, and the benchmark's obs.telemetry_overhead_ratio reads
+// ~1.03 on a host whose clock costs 70 ns a read (EXPERIMENTS.md "Walk
+// step"); 1.2x leaves room for a shared runner and still fails on one
+// unconditional clock pair (the parent's read 1.26-1.48 here), a lock or
+// an allocation on the per-query path.
 func TestTelemetryOverheadSmoke(t *testing.T) {
 	if os.Getenv("SFCCOVER_TELEMETRY_SMOKE") == "" {
 		t.Skip("set SFCCOVER_TELEMETRY_SMOKE=1 to run the timing comparison")
@@ -507,46 +510,45 @@ func TestTelemetryOverheadSmoke(t *testing.T) {
 	parents, queries := engineBenchWorkload(t)
 	cfg := engineBenchCfg
 	cfg.Schema = parents[0].Schema()
-	run := func(telemetryOff bool) time.Duration {
+	build := func(telemetryOff bool) *engine.Engine {
 		e := engine.MustNew(engine.Config{
 			Detector:     cfg,
 			Shards:       4,
 			Partition:    engine.PartitionPrefix,
 			TelemetryOff: telemetryOff,
 		})
-		defer e.Close()
+		t.Cleanup(e.Close)
 		for _, p := range parents {
 			if _, err := e.Insert(p); err != nil {
 				t.Fatal(err)
 			}
 		}
-		const iters = 20000
-		best := time.Duration(1<<63 - 1)
-		for round := 0; round < 3; round++ {
-			t0 := time.Now()
-			for i := 0; i < iters; i += engineBenchBatch {
-				n := min(engineBenchBatch, iters-i)
-				batch := make([]*subscription.Subscription, n)
-				for j := range batch {
-					batch[j] = queries[(i+j)%len(queries)]
-				}
-				for _, r := range e.CoverQueryBatch(batch) {
-					if r.Err != nil {
-						t.Fatal(r.Err)
-					}
-				}
-			}
-			if d := time.Since(t0); d < best {
-				best = d
+		return e
+	}
+	round := func(e *engine.Engine) time.Duration {
+		const iters = 100000
+		t0 := time.Now()
+		for i := 0; i < iters; i++ {
+			if _, _, _, err := e.FindCover(queries[i%len(queries)]); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return best
+		return time.Since(t0)
 	}
-	on, off := run(false), run(true)
+	// Rounds alternate between the two engines so drift in the box's
+	// speed hits both; the first pair warms the hit memo and is dropped.
+	engOn, engOff := build(false), build(true)
+	on, off := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for r := 0; r < 6; r++ {
+		dOn, dOff := round(engOn), round(engOff)
+		if r > 0 {
+			on, off = min(on, dOn), min(off, dOff)
+		}
+	}
 	ratio := float64(on) / float64(off)
 	t.Logf("telemetry on %v, off %v (%.3fx)", on, off, ratio)
-	if ratio > 1.5 {
-		t.Errorf("telemetry overhead %.2fx exceeds the 1.5x smoke bound (on %v, off %v)", ratio, on, off)
+	if ratio > 1.2 {
+		t.Errorf("telemetry overhead %.2fx exceeds the 1.2x smoke bound (on %v, off %v)", ratio, on, off)
 	}
 }
 

@@ -349,62 +349,39 @@ func (e *Engine) checkSchema(s *subscription.Subscription) error {
 	return nil
 }
 
-// findCover runs one logical covering query and records it: counters
-// always, latency when telemetry is on, and a full trace record for the
-// 1-in-TraceSample queries the observer elects (slow ones land in the
-// slow-query log).
+// findCover runs one logical covering query — a single op or a batch
+// item alike — and records it: counters always, and for the
+// 1-in-TraceSample queries the observer elects, latency and a full trace
+// record (slow ones land in the slow-query log). On machines without a
+// fast clock path a time.Now pair is a measurable slice of a hot covering
+// query, so only elected queries read the clock: the engine_query
+// histogram holds a uniform 1-in-TraceSample sample of all traffic —
+// its distribution is unbiased, its count is the query count divided by
+// TraceSample — while the exact count is the queries counter and the
+// batch-level histogram still times every batch call.
 //
 //sfc:hotpath
 func (e *Engine) findCover(s *subscription.Subscription) QueryResult {
 	return e.findCoverTraced(s, e.obs.SampleTrace("query"))
 }
 
-// findCoverHot is findCover for batch items. On machines without a fast
-// clock path a time.Now pair costs a measurable slice of a hot covering
-// query, so batch items skip per-item timing unless the observer elects
-// them for tracing: the engine_query histogram then holds every
-// single-op call exactly plus a 1-in-TraceSample sample of batch
-// traffic (unbiased, only the count is scaled), while the batch-level
-// histogram still times every batch call.
+// findCoverTraced is findCover with an explicit (possibly nil) trace.
 //
 //sfc:hotpath
-func (e *Engine) findCoverHot(s *subscription.Subscription) QueryResult {
-	tr := e.obs.SampleTrace("query")
-	if tr != nil {
-		return e.findCoverTraced(s, tr)
-	}
-	if err := e.checkSchema(s); err != nil {
-		return QueryResult{Err: err}
-	}
-	res, searches := e.searchCover(s, nil)
-	if res.Err != nil {
-		return res
-	}
-	e.record(res, searches)
-	return res
-}
-
-// findCoverTraced is findCover with an explicit (possibly nil) trace.
 func (e *Engine) findCoverTraced(s *subscription.Subscription, tr *obs.QueryTrace) QueryResult {
 	if err := e.checkSchema(s); err != nil {
 		return QueryResult{Err: err}
-	}
-	var t0 time.Time
-	if e.hQuery != nil || tr != nil {
-		t0 = time.Now()
 	}
 	res, searches := e.searchCover(s, tr)
 	if res.Err != nil {
 		return res
 	}
 	e.record(res, searches)
-	if e.hQuery != nil || tr != nil {
-		d := time.Since(t0)
+	if tr != nil {
+		d := time.Since(tr.Start)
 		e.hQuery.Observe(d)
-		if tr != nil {
-			tr.Cost = dominance.CostOf(res.Stats)
-			e.obs.FinishTrace(tr, d)
-		}
+		tr.Cost = dominance.CostOf(res.Stats)
+		e.obs.FinishTrace(tr, d)
 	}
 	return res
 }
@@ -446,22 +423,16 @@ func (e *Engine) FindCovered(s *subscription.Subscription) (id uint64, found boo
 		return 0, false, stats, err
 	}
 	tr := e.obs.SampleTrace("covered")
-	var t0 time.Time
-	if e.hCovered != nil || tr != nil {
-		t0 = time.Now()
-	}
 	res, searches := e.searchCovered(s, tr)
 	if res.Err != nil {
 		return 0, false, res.Stats, res.Err
 	}
 	e.record(res, searches)
-	if e.hCovered != nil || tr != nil {
-		d := time.Since(t0)
+	if tr != nil {
+		d := time.Since(tr.Start)
 		e.hCovered.Observe(d)
-		if tr != nil {
-			tr.Cost = dominance.CostOf(res.Stats)
-			e.obs.FinishTrace(tr, d)
-		}
+		tr.Cost = dominance.CostOf(res.Stats)
+		e.obs.FinishTrace(tr, d)
 	}
 	return res.CoveredBy, res.Covered, res.Stats, nil
 }
@@ -581,7 +552,7 @@ func (e *Engine) AddBatch(subs []*subscription.Subscription) []AddResult {
 	defer observeSince(e.hAddBatch, time.Now())
 	out := make([]AddResult, len(subs))
 	err := e.guarded(func() {
-		e.run(len(subs), func(i int) { out[i].QueryResult = e.findCoverHot(subs[i]) })
+		e.run(len(subs), func(i int) { out[i].QueryResult = e.findCover(subs[i]) })
 		valid := make([]int, 0, len(subs))
 		batch := make([]*subscription.Subscription, 0, len(subs))
 		for i := range out {
@@ -629,7 +600,7 @@ func (e *Engine) CoverQueryBatch(subs []*subscription.Subscription) []QueryResul
 	defer observeSince(e.hQueryBatch, time.Now())
 	out := make([]QueryResult, len(subs))
 	err := e.guarded(func() {
-		e.run(len(subs), func(i int) { out[i] = e.findCoverHot(subs[i]) })
+		e.run(len(subs), func(i int) { out[i] = e.findCover(subs[i]) })
 	})
 	if err != nil {
 		for i := range out {

@@ -73,8 +73,8 @@ func (t *QueryTrace) TouchSlice(i int) {
 	if t == nil || i < 0 {
 		return
 	}
-	for len(t.Slices) <= i {
-		t.Slices = append(t.Slices, 0)
+	if n := i + 1 - len(t.Slices); n > 0 {
+		t.Slices = append(t.Slices, make([]int, n)...)
 	}
 	t.Slices[i]++
 }

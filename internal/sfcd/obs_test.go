@@ -89,6 +89,14 @@ func TestMetricsIncludesOpLatencyHistograms(t *testing.T) {
 	}
 	defer c.Close()
 	exerciseOps(t, c, schema)
+	// engine_query is a 1-in-TraceSample sample of the engine's queries:
+	// enough of them that one is elected.
+	narrow := subscription.MustParse(schema, "volume in [200,300] && price in [50,60]")
+	for i := 0; i < obs.DefaultTraceSample; i++ {
+		if _, _, err := c.Query(bg, narrow); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	text, err := c.Metrics(bg)
 	if err != nil {
