@@ -36,7 +36,7 @@ import (
 // Because a sharded query issues the same seeks and probes as a
 // single-array query over the same point set, its answer (and
 // approximation guarantee) is identical to an unsharded Index — only the
-// lock footprint and per-descent tree sizes change. Boundary moves
+// lock footprint and per-descent array sizes change. Boundary moves
 // relocate entries between slices without ever dropping or duplicating
 // one, so the equivalence holds before, during and after a rebalance.
 type ShardedIndex struct {

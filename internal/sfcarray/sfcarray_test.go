@@ -2,6 +2,7 @@ package sfcarray
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -20,10 +21,8 @@ type refEntry struct {
 }
 
 func (m *refModel) Insert(k bits.Key, id uint64) {
-	m.entries = append(m.entries, refEntry{k, id})
-	sort.Slice(m.entries, func(i, j int) bool {
-		return EntryLess(m.entries[i].key, m.entries[i].id, m.entries[j].key, m.entries[j].id)
-	})
+	i := sort.Search(len(m.entries), func(i int) bool { return EntryLess(k, id, m.entries[i].key, m.entries[i].id) })
+	m.entries = slices.Insert(m.entries, i, refEntry{k, id})
 }
 
 func (m *refModel) Delete(k bits.Key, id uint64) bool {
