@@ -80,12 +80,13 @@ func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64
 // ones. Seek the first stored key at or after the cursor; if its cell
 // dominates q it is the answer — the dominator with the smallest key —
 // and if not, NextInExtremal (bound to q once, as sc.succ) moves the
-// cursor past every key outside the region in one jump. The walk ends at a hit, at the end of the
-// array or of the region (an exact miss: the whole region was searched),
-// or when budget seeks are spent (budget 0 = unlimited); only the last
-// leaves the query undecided (done == false). Its step count is bounded
-// by the region's runs and by the stored keys lying between them,
-// whichever is smaller, never by the cubes of its partition.
+// cursor past every key outside the region in one jump. The walk ends
+// at a hit, at the end of the array or of the region (an exact miss: the
+// whole region was searched), or when budget seeks are spent (budget 0 =
+// unlimited); only the last leaves the query undecided (done == false).
+// Its step count is bounded by the region's runs and by the stored keys
+// lying between them, whichever is smaller, never by the cubes of its
+// partition.
 //
 // With topFirst the walk spends its first step on the region's thickest
 // run, the largest standard cube at its max corner: the paper's point

@@ -157,19 +157,28 @@ func (x *Index) seek(p []uint64) (j, s int) {
 	return j, s
 }
 
+// first is seek on a caller's key: the leaf and slot of the first entry
+// with key >= lo, ok false when there is none.
+//
+//sfc:hotpath
+func (x *Index) first(lo bits.Key) (j, s int, ok bool) {
+	var buf [bits.KeyWords]uint64
+	p, fits := x.narrow(lo, &buf)
+	if !fits {
+		return 0, 0, false
+	}
+	j, s = x.seek(p)
+	return j, s, j < len(x.leaves)
+}
+
 // Seek returns the entry with the smallest key >= lo (ties broken by
 // smallest id). ok is false when no stored key reaches lo. One ordered
 // descent: the unit of cost of both searches.
 //
 //sfc:hotpath
 func (x *Index) Seek(lo bits.Key) (key bits.Key, id uint64, ok bool) {
-	var buf [bits.KeyWords]uint64
-	p, fits := x.narrow(lo, &buf)
-	if !fits {
-		return bits.Key{}, 0, false
-	}
-	j, s := x.seek(p)
-	if j == len(x.leaves) {
+	j, s, ok := x.first(lo)
+	if !ok {
 		return bits.Key{}, 0, false
 	}
 	lf := &x.leaves[j]
@@ -183,16 +192,12 @@ func (x *Index) Seek(lo bits.Key) (key bits.Key, id uint64, ok bool) {
 //
 //sfc:hotpath
 func (x *Index) FirstInRange(lo, hi bits.Key) (id uint64, ok bool) {
-	var buf [bits.KeyWords]uint64
-	p, fits := x.narrow(lo, &buf)
-	if !fits {
-		return 0, false
-	}
-	j, s := x.seek(p)
-	if j == len(x.leaves) {
+	j, s, ok := x.first(lo)
+	if !ok {
 		return 0, false
 	}
 	lf := &x.leaves[j]
+	var buf [bits.KeyWords]uint64
 	if q, bounded := x.narrow(hi, &buf); bounded && cmpWords(lf.key(s, x.w), q) > 0 {
 		return 0, false
 	}
@@ -203,13 +208,13 @@ func (x *Index) FirstInRange(lo, hi bits.Key) (id uint64, ok bool) {
 // (key, id) order, stopping early if visit returns false. visit must not
 // modify the array.
 func (x *Index) VisitRange(lo, hi bits.Key, visit func(k bits.Key, id uint64) bool) {
-	var lobuf, hibuf [bits.KeyWords]uint64
-	p, fits := x.narrow(lo, &lobuf)
-	if !fits {
+	j, s, ok := x.first(lo)
+	if !ok {
 		return
 	}
-	q, bounded := x.narrow(hi, &hibuf)
-	for j, s := x.seek(p); j < len(x.leaves); j, s = j+1, 0 {
+	var buf [bits.KeyWords]uint64
+	q, bounded := x.narrow(hi, &buf)
+	for ; j < len(x.leaves); j, s = j+1, 0 {
 		lf := &x.leaves[j]
 		for ; s < len(lf.ids); s++ {
 			k := lf.key(s, x.w)
