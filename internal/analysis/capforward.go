@@ -13,8 +13,8 @@ import (
 // forward every optional capability interface or declare why not with
 // //sfc:nocap <Iface> <reason> on the type's doc comment. Without the
 // forward, a wrapped engine silently degrades: batch queries fall back
-// to loops, rebalancing goes dark, covered-set listings stop reaching the
-// inner store.
+// to loops, rebalancing goes dark, snapshots stop reaching the inner
+// store.
 var CapForward = &Analyzer{
 	Name: "capforward",
 	Doc:  "provider wrappers must forward every optional capability interface or carry //sfc:nocap <Iface> <reason>",
@@ -28,7 +28,6 @@ var capabilities = []string{
 	"BatchWriter",
 	"Rebalancer",
 	"Persister",
-	"CoveredLister",
 	"Enumerator",
 	"BulkInserter",
 }

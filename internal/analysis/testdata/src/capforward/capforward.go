@@ -11,8 +11,8 @@ import (
 
 // passthrough implements core.Provider around an inner one but forwards
 // none of the optional capabilities: every wrapped engine behind it
-// silently loses batching, rebalancing, durability and covered-set listing.
-type passthrough struct { // want "BatchQuerier" "BatchWriter" "Rebalancer" "Persister" "CoveredLister" "Enumerator" "BulkInserter"
+// silently loses batching, rebalancing, durability and enumeration.
+type passthrough struct { // want "BatchQuerier" "BatchWriter" "Rebalancer" "Persister" "Enumerator" "BulkInserter"
 	inner core.Provider
 }
 
@@ -44,7 +44,6 @@ func (p *passthrough) Close()                       { p.inner.Close() }
 //sfc:nocap BatchWriter fixture: the wrapped batch path is intentionally absent here
 //sfc:nocap Rebalancer fixture: wrapping freezes the partition
 //sfc:nocap Persister fixture: nothing durable behind this wrapper
-//sfc:nocap CoveredLister fixture: covered sets are listed around this wrapper
 //sfc:nocap Enumerator fixture: enumeration stays on the inner provider
 //sfc:nocap BulkInserter fixture: bulk loads bypass this wrapper
 type forwarding struct {

@@ -150,16 +150,13 @@ func (ps *providerSource) forwarded(brokerID, neighborID int) (core.Provider, er
 }
 
 // suppressed builds the suppressed-set provider for the link
-// broker->neighbor: always a local, single, exact-mode Detector,
-// regardless of Config.Backend — even BackendRemote. The covered set
-// computed at unsubscription time must be exact — a missed member would
-// never be re-forwarded and events would be lost, unlike covering misses,
-// which only cost redundant traffic. The exact one-scan ListCovered the
-// unsubscription path runs is a plain scan, so an engine's worker pool, a
-// sharded index, or a network round trip would only add cost for
-// identical answers. With Config.DataDir the suppressed
-// set is durable too: losing it across a restart would strand every
-// suppressed subscription when its cover is later retracted.
+// broker->neighbor: always a local, single Detector, regardless of
+// Config.Backend — even BackendRemote. The link only stores into it (which
+// forwarded subscription covers an entry is the link's own record), so an
+// engine's worker pool, a sharded index or a network round trip would add
+// cost for nothing. With Config.DataDir the suppressed set is durable too:
+// losing it across a restart would strand every suppressed subscription
+// when its cover is later retracted.
 func (ps *providerSource) suppressed(brokerID, neighborID int) (suppressedSet, error) {
 	cfg := ps.cfg
 	p, err := core.New(core.Config{

@@ -260,7 +260,10 @@ func TestUnsubscribeSuppressedSubscription(t *testing.T) {
 
 // TestEngineBackendTableParity: in exact mode the covering decisions are
 // mode-determined, so routing-table footprints must agree exactly across
-// backends, not just deliveries.
+// backends, not just deliveries. One counter is left out: when several
+// forwarded subscriptions cover a member, which one a backend names decides
+// whose retraction re-screens it, and SuppressedForwards counts re-screens
+// (the engine's striped scan names 60 or 61 here, run to run).
 func TestEngineBackendTableParity(t *testing.T) {
 	schema := testSchema()
 	const nClients = 6
@@ -305,6 +308,7 @@ func TestEngineBackendTableParity(t *testing.T) {
 		if fp.metrics.ProtocolErrors != 0 {
 			t.Fatalf("backend %s: protocol errors %d", backend, fp.metrics.ProtocolErrors)
 		}
+		fp.metrics.SuppressedForwards = 0
 		if ref == nil {
 			ref = &fp
 			continue

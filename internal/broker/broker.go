@@ -5,10 +5,10 @@
 // broker suppresses the forwarding of subscriptions that are covered by
 // ones it already forwarded — using a core.Provider (a single Detector or
 // a sharded engine, per Config.Backend) in any of the paper's modes
-// (off / exact / ε-approximate). At unsubscription time the suppressed
-// set lists exactly the subscriptions the retracted cover was holding
-// back (core.CoveredLister), which are then re-screened and re-forwarded
-// where needed; the ones another cover still holds back never leave it.
+// (off / exact / ε-approximate). Every suppressed subscription remembers
+// the forwarded id that covers it, so an unsubscription re-screens exactly
+// what the retracted cover was holding back and re-forwards where no
+// other cover remains; what another cover holds back is never looked at.
 //
 // The simulation is deterministic: messages are processed from a single
 // FIFO queue, and all iteration orders are fixed. The safety property the
@@ -117,8 +117,12 @@ type Metrics struct {
 	EventMsgs int
 	// Deliveries counts events handed to clients.
 	Deliveries int
-	// SuppressedForwards counts subscription forwards avoided thanks to a
-	// detected cover.
+	// SuppressedForwards counts covering decisions that kept a subscription
+	// off a link: every subscribe-path suppression and every member an
+	// unsubscription re-screened that stayed suppressed. A member recorded
+	// under another cover is not re-screened, so not counted again; which
+	// cover a provider names when several qualify is the backend's choice,
+	// so the counter compares runs of one backend, not backends.
 	SuppressedForwards int
 	// DuplicateForwards counts forwards avoided because the identical
 	// subscription was already forwarded on that link.
@@ -144,10 +148,10 @@ type iface struct {
 }
 
 // message is a queued simulation step. Payloads are shared read-only
-// between hops — no handler mutates or retains one (rows keep the
-// rectangle, providers their own copy): a subscription is copied once at
-// Subscribe/Unsubscribe, an event once at Publish and once more into each
-// receiving Client, never per link.
+// between hops — no handler mutates one (rows keep the rectangle,
+// providers their own copy, suppressed entries the shared pointer): a
+// subscription is copied once at Subscribe/Unsubscribe, an event once at
+// Publish and once more into each receiving Client, never per link.
 type message struct {
 	to    int // destination broker
 	from  iface
@@ -358,27 +362,89 @@ func (b *Broker) dropRow(from iface, key rectKey) (removed, found bool) {
 // things providerSource.suppressed builds — a core.Detector, optionally
 // under the durable wrapper — have it.
 type suppressedSet interface {
-	core.CoveredLister
 	Insert(s *subscription.Subscription) (uint64, error)
 	Remove(id uint64) error
 	Len() int
 	Close()
 }
 
-// neighborState tracks the link state toward one neighbor through two
-// covering providers. fwd holds the forwarded set — the covering queries
-// that suppress redundant forwards run against it, in the configured mode.
-// supp holds the suppressed set — every subscription withheld from this
-// link because a forwarded one covered it. supp always runs ModeExact:
-// at unsubscription time ListCovered against it yields the *exact* set of
-// subscriptions the retracted cover had been suppressing, which is the
-// set that must be re-screened for forwarding (a miss there would lose
-// events, unlike covering misses, which only cost redundant traffic).
+// suppressedEntry is one subscription withheld from a link.
+type suppressedEntry struct {
+	key rectKey
+	sub *subscription.Subscription
+	sid uint64 // supp provider id
+	by  uint64 // the forwarded id recorded as its cover
+	pos int    // position in heldBy[by]
+}
+
+// suppressedTable is a link's suppressed entries and, per forwarded id,
+// the entries recorded under it. Both are unordered: a removal swaps the
+// last element into the hole.
+type suppressedTable struct {
+	rows   []suppressedEntry
+	at     map[rectKey]int  // rectangle -> position in rows
+	heldBy map[uint64][]int // forwarded id -> positions in rows
+}
+
+// add appends an entry recorded under by.
+func (t *suppressedTable) add(key rectKey, s *subscription.Subscription, sid, by uint64) {
+	t.at[key] = len(t.rows)
+	t.rows = append(t.rows, suppressedEntry{key: key, sub: s, sid: sid})
+	t.hold(len(t.rows)-1, by)
+}
+
+// hold puts entry i on by's list.
+func (t *suppressedTable) hold(i int, by uint64) {
+	list := t.heldBy[by]
+	t.rows[i].by, t.rows[i].pos = by, len(list)
+	t.heldBy[by] = append(list, i)
+}
+
+// release takes entry i off its coverer's list.
+func (t *suppressedTable) release(i int) {
+	e := &t.rows[i]
+	list := t.heldBy[e.by]
+	last := len(list) - 1
+	list[e.pos] = list[last]
+	t.rows[list[e.pos]].pos = e.pos
+	if last == 0 {
+		delete(t.heldBy, e.by)
+		return
+	}
+	t.heldBy[e.by] = list[:last]
+}
+
+// remove deletes entry i.
+func (t *suppressedTable) remove(i int) {
+	t.release(i)
+	delete(t.at, t.rows[i].key)
+	last := len(t.rows) - 1
+	if i != last {
+		m := t.rows[last]
+		t.rows[i] = m
+		t.at[m.key] = i
+		t.heldBy[m.by][m.pos] = i
+	}
+	t.rows[last] = suppressedEntry{} // drop the subscription reference
+	t.rows = t.rows[:last]
+}
+
+// neighborState tracks the link state toward one neighbor. fwd holds the
+// forwarded set — the covering queries that suppress redundant forwards
+// run against it, in the configured mode. supp holds the suppressed set —
+// every subscription withheld from this link because a forwarded one
+// covered it — and sups says which: every suppressed entry's recorded
+// coverer is a live forwarded-set id whose subscription covers it. A
+// claimed cover is genuine in every mode, so the record is exact even when
+// the search is approximate, and an unsubscription re-screens exactly the
+// entries recorded under the id it retracts (a miss there would lose
+// events; a covering miss only costs traffic). The coverer is not
+// persisted: restoreLink derives it.
 type neighborState struct {
 	fwd  core.Provider
 	ids  map[rectKey]uint64 // rectangle -> fwd provider id
 	supp suppressedSet
-	sups map[rectKey]uint64 // rectangle -> supp provider id
+	sups suppressedTable
 	// degraded marks a link whose forwarded-set provider may have
 	// diverged from the wire — a Remove failed, so the provider (a remote
 	// daemon, typically) may still hold a cover whose retraction was
@@ -436,14 +502,15 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 				return nil, fmt.Errorf("broker: building suppressed-set provider %d->%d: %w", b.id, j, err)
 			}
 			st := &neighborState{
-				fwd: fwd, ids: make(map[rectKey]uint64),
-				supp: supp, sups: make(map[rectKey]uint64),
+				fwd: fwd, ids: make(map[rectKey]uint64), supp: supp,
+				sups: suppressedTable{at: make(map[rectKey]int), heldBy: make(map[uint64][]int)},
 			}
-			st.restoreIDMaps()
 			b.out[j] = st
+			b.restoreLink(j, st)
 		}
 	}
 	n.restoreTables()
+	n.Drain() // the subscriptions restoreLink found uncovered
 	return n, nil
 }
 
@@ -472,28 +539,40 @@ func (n *Network) restoreTables() {
 	}
 }
 
-// restoreIDMaps rebuilds the link's derived id maps from recovered
-// durable providers (the Enumerator capability): after a restart the
-// forwarded and suppressed sets come back populated, and the broker must
-// know which rectangle maps to which provider id — otherwise re-arriving
-// subscriptions would be re-forwarded (duplicate traffic) and retractions
-// could not find their entries. Providers without the capability (fresh
-// in-memory ones, remote namespaces) leave the maps empty, as before.
-func (st *neighborState) restoreIDMaps() {
+// restoreLink rebuilds the link's derived state from recovered durable
+// providers (the Enumerator capability): which rectangle maps to which
+// provider id — otherwise re-arriving subscriptions would be re-forwarded
+// (duplicate traffic) and retractions could not find their entries — and
+// which forwarded id covers each suppressed entry, one query each against
+// the recovered forwarded set. An entry nothing covers was caught by a
+// crash between its cover's retraction and its own re-forward, and is
+// forwarded now (the message waits in the queue until NewNetwork has
+// restored the tables). Providers without the capability (fresh in-memory
+// ones, remote namespaces) leave the link empty.
+func (b *Broker) restoreLink(j int, st *neighborState) {
 	if en, ok := st.fwd.(core.Enumerator); ok {
 		for _, it := range en.Subscriptions() {
 			st.ids[keyOf(it.Sub)] = it.ID
 		}
 	}
-	if en, ok := st.supp.(core.Enumerator); ok {
-		for _, it := range en.Subscriptions() {
-			key := keyOf(it.Sub)
-			// A crash between forward's two writes left the rectangle in
-			// both sets; forwarding wins here as it does there.
-			if _, forwarded := st.ids[key]; forwarded && st.supp.Remove(it.ID) == nil {
-				continue
-			}
-			st.sups[key] = it.ID
+	en, ok := st.supp.(core.Enumerator)
+	if !ok {
+		return
+	}
+	for _, it := range en.Subscriptions() {
+		key := keyOf(it.Sub)
+		// A crash between forward's two writes left the rectangle in
+		// both sets; forwarding wins here as it does there.
+		if _, forwarded := st.ids[key]; forwarded && st.supp.Remove(it.ID) == nil {
+			continue
+		}
+		if by, covered, _, err := st.fwd.FindCover(it.Sub); err == nil && covered {
+			st.sups.add(key, it.Sub, it.ID, by)
+			continue
+		}
+		b.forward(j, st, key, it.Sub)
+		if err := st.supp.Remove(it.ID); err != nil {
+			b.env.bump(metricProtocolError)
 		}
 	}
 }
@@ -713,9 +792,9 @@ func (b *Broker) handleSubscribe(from iface, s *subscription.Subscription) {
 
 // forwardIfUncovered implements the covering optimization on one link: the
 // subscription is forwarded unless an already-forwarded subscription covers
-// it (or the identical subscription is already forwarded). Suppressed
-// subscriptions are recorded in the link's suppressed-set provider so
-// unsubscription can later compute the exact covered set to re-forward.
+// it (or the identical subscription is already forwarded). A suppressed
+// subscription is recorded under the cover the query named, so that
+// cover's unsubscription finds it again.
 func (b *Broker) forwardIfUncovered(j int, key rectKey, s *subscription.Subscription) {
 	st := b.out[j]
 	if _, dup := st.ids[key]; dup {
@@ -727,7 +806,7 @@ func (b *Broker) forwardIfUncovered(j int, key rectKey, s *subscription.Subscrip
 		return
 	}
 	t0 := time.Now()
-	_, covered, _, err := st.fwd.FindCover(s)
+	by, covered, _, err := st.fwd.FindCover(s)
 	b.lat.forward.Observe(time.Since(t0))
 	if err != nil {
 		// Covering detection is unavailable (a remote provider's daemon
@@ -740,7 +819,7 @@ func (b *Broker) forwardIfUncovered(j int, key rectKey, s *subscription.Subscrip
 	}
 	if covered {
 		b.env.bump(metricSuppressed)
-		b.suppress(st, key, s)
+		b.suppress(st, key, s, by)
 		return
 	}
 	b.forward(j, st, key, s)
@@ -752,7 +831,7 @@ func (b *Broker) forwardIfUncovered(j int, key rectKey, s *subscription.Subscrip
 // identical row, and forwarding must win over suppression or a future
 // cover removal would re-forward an already-forwarded rectangle. Insert
 // first, retire second: a crash between the two writes then leaves the
-// rectangle in both durable sets (restoreIDMaps lets forwarding win again)
+// rectangle in both durable sets (restoreLink lets forwarding win again)
 // and never in neither.
 //
 // The subscribe message goes on the wire even if the forwarded-set
@@ -774,10 +853,11 @@ func (b *Broker) forward(j int, st *neighborState, key rectKey, s *subscription.
 	})
 }
 
-// suppress records s in the link's suppressed set (once per rectangle:
-// identical rows from different interfaces share the entry).
-func (b *Broker) suppress(st *neighborState, key rectKey, s *subscription.Subscription) {
-	if _, ok := st.sups[key]; ok {
+// suppress records s in the link's suppressed set under by, the forwarded
+// id covering it (once per rectangle: identical rows from different
+// interfaces share the entry and its first coverer, which is still live).
+func (b *Broker) suppress(st *neighborState, key rectKey, s *subscription.Subscription, by uint64) {
+	if _, ok := st.sups.at[key]; ok {
 		return
 	}
 	sid, err := st.supp.Insert(s)
@@ -785,20 +865,20 @@ func (b *Broker) suppress(st *neighborState, key rectKey, s *subscription.Subscr
 		b.env.bump(metricProtocolError)
 		return
 	}
-	st.sups[key] = sid
+	st.sups.add(key, s, sid, by)
 }
 
 // dropSuppressed retires the suppressed-set entry for key, if present.
 func (b *Broker) dropSuppressed(st *neighborState, key rectKey) {
-	sid, ok := st.sups[key]
+	i, ok := st.sups.at[key]
 	if !ok {
 		return
 	}
-	if err := st.supp.Remove(sid); err != nil {
+	if err := st.supp.Remove(st.sups.rows[i].sid); err != nil {
 		b.env.bump(metricProtocolError)
 		return
 	}
-	delete(st.sups, key)
+	st.sups.remove(i)
 }
 
 func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
@@ -845,98 +925,89 @@ func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
 		b.env.enqueue(message{
 			to: j, from: iface{kind: ifNeighbor, id: b.id}, sub: s, kind: msgUnsubscribe,
 		})
-		b.resubscribeCovered(j, st, s)
+		b.resubscribeCovered(j, st, id)
 	}
 }
 
 // resubscribeCovered implements the paper's unsubscription protocol: the
-// retracted subscription's covered set — exactly the suppressed
-// subscriptions it covers, listed by the suppressed-set provider — is
+// suppressed subscriptions recorded under the retracted forwarded id are
 // re-screened against the remaining forwarded set and re-forwarded
-// wherever no other cover remains. The members some other cover still
-// holds back stay in the suppressed set untouched: only a re-forward
-// writes (forward retires the suppressed entry), so a crash anywhere in
-// the pass leaves every not-yet-re-forwarded member on record. The probes
-// go through core.CoverQueries in BatchSize chunks, so engine backends
-// answer them on their batch path.
+// wherever no other cover remains; one that stays suppressed moves to its
+// new cover's list. Only a re-forward writes (forward retires the
+// suppressed entry), so a crash anywhere in the pass leaves every
+// not-yet-re-forwarded member on record. The probes go through
+// core.CoverQueries in BatchSize chunks, so engine backends answer them on
+// their batch path.
 //
-// ListCovered answers in provider-internal order; the re-screen runs in
-// rectangle order — numeric on (lo, hi) attribute by attribute, rectKey's
-// word order — a total order on rectangles, so the re-forward sequence is
-// deterministic across runs and backends.
-func (b *Broker) resubscribeCovered(j int, st *neighborState, removed *subscription.Subscription) {
-	listed, err := st.supp.ListCovered(removed)
-	if err != nil {
-		b.env.bump(metricProtocolError)
+// The lists are unordered; the re-screen runs in rectangle order — numeric
+// on (lo, hi) attribute by attribute, rectKey's word order — a total order
+// on rectangles, so the re-forward sequence is deterministic across runs
+// and backends.
+func (b *Broker) resubscribeCovered(j int, st *neighborState, retracted uint64) {
+	held := st.sups.heldBy[retracted]
+	if len(held) == 0 {
 		return
 	}
-	if len(listed) == 0 {
-		return
+	keys := make([]rectKey, len(held))
+	for i, at := range held {
+		keys[i] = st.sups.rows[at].key
 	}
-	type keyed struct {
-		key rectKey
-		sub *subscription.Subscription
+	slices.SortFunc(keys, func(x, y rectKey) int { return slices.Compare(x[:], y[:]) })
+	members := make([]*subscription.Subscription, len(keys))
+	for i, key := range keys {
+		members[i] = st.sups.rows[st.sups.at[key]].sub
 	}
-	covered := make([]keyed, len(listed))
-	for i, it := range listed {
-		covered[i] = keyed{keyOf(it.Sub), it.Sub}
-	}
-	slices.SortFunc(covered, func(x, y keyed) int { return slices.Compare(x.key[:], y.key[:]) })
 	// A degraded link cannot trust the forwarded set's covering answers
 	// (a stale cover — possibly the very one being retracted — would
 	// re-suppress subscriptions the neighbor no longer covers): flood the
-	// whole covered set instead of re-screening it.
+	// members instead of re-screening them.
 	if st.degraded {
-		for _, c := range covered {
-			b.forward(j, st, c.key, c.sub)
+		for i, key := range keys {
+			b.forward(j, st, key, members[i])
 		}
 		return
 	}
-	uncovered := make([]*subscription.Subscription, len(covered))
-	for i, c := range covered {
-		uncovered[i] = c.sub
-	}
 	batch := b.batch
 	if batch <= 0 {
-		batch = len(uncovered)
+		batch = len(members)
 	}
 	// Subscriptions re-forwarded earlier in this pass can themselves cover
 	// later ones; batch probes cannot see them (they are screened against
 	// the forwarded set as of the chunk's start), so re-check directly —
-	// exactly, which keeps the suppression justified.
-	var reforwarded []*subscription.Subscription
-	coveredByReforwarded := func(s *subscription.Subscription) bool {
-		for _, f := range reforwarded {
-			if f.Covers(s) {
-				return true
-			}
+	// exactly, which keeps the suppression justified. A re-forward whose
+	// insert failed has no id to record a member under and covers nothing.
+	var reforwarded []core.Held
+	reforward := func(key rectKey, sub *subscription.Subscription) {
+		b.forward(j, st, key, sub)
+		if id, ok := st.ids[key]; ok {
+			reforwarded = append(reforwarded, core.Held{ID: id, Sub: sub})
 		}
-		return false
 	}
-	for lo := 0; lo < len(uncovered); lo += batch {
-		hi := lo + batch
-		if hi > len(uncovered) {
-			hi = len(uncovered)
-		}
-		chunk := uncovered[lo:hi]
+	for lo := 0; lo < len(members); lo += batch {
+		chunk := members[lo:min(lo+batch, len(members))]
 		for i, res := range core.CoverQueries(st.fwd, chunk) {
-			sub, key := chunk[i], covered[lo+i].key
+			sub, key := chunk[i], keys[lo+i]
 			if res.Err != nil {
 				// The subscription just lost a cover; leaving it suppressed
 				// on an unanswered probe could lose its events forever.
 				// With covering state unavailable, forward it — the
 				// flooding fallback is always safe.
 				b.env.bump(metricProtocolError)
-				b.forward(j, st, key, sub)
-				reforwarded = append(reforwarded, sub)
+				reforward(key, sub)
 				continue
 			}
-			if res.Covered || coveredByReforwarded(sub) {
-				b.env.bump(metricSuppressed) // still suppressed: its entry never left
+			by, covered := res.CoveredBy, res.Covered
+			for k := 0; !covered && k < len(reforwarded); k++ {
+				by, covered = reforwarded[k].ID, reforwarded[k].Sub.Covers(sub)
+			}
+			if !covered {
+				reforward(key, sub)
 				continue
 			}
-			b.forward(j, st, key, sub)
-			reforwarded = append(reforwarded, sub)
+			b.env.bump(metricSuppressed) // still suppressed, under its new cover
+			at := st.sups.at[key]
+			st.sups.release(at)
+			st.sups.hold(at, by)
 		}
 	}
 }

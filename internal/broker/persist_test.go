@@ -288,7 +288,7 @@ func TestCrashMidRescreenKeepsSuppressedSet(t *testing.T) {
 		}
 		for i, m := range members {
 			_, forwarded := link.ids[keyOf(m)]
-			_, suppressed := link.sups[keyOf(m)]
+			_, suppressed := link.sups.at[keyOf(m)]
 			if forwarded == suppressed {
 				t.Fatalf("budget %d: member %d recovered forwarded=%v suppressed=%v, want exactly one",
 					budget, i, forwarded, suppressed)
@@ -297,6 +297,131 @@ func TestCrashMidRescreenKeepsSuppressedSet(t *testing.T) {
 		sub, pub := attach(n2)
 		subscribeAll(n2, sub, members...)
 		if got := publishAll(n2, sub, pub); !eventsEqual(got, want) {
+			t.Fatalf("budget %d: recovered overlay delivered %v, never-crashed one %v", budget, got, want)
+		}
+		if errs := n2.Metrics().ProtocolErrors; errs != 0 {
+			t.Fatalf("budget %d: recovered overlay hit %d protocol errors", budget, errs)
+		}
+		n2.Close()
+	}
+	// Three re-forwards, two writes each, behind the retraction's removal.
+	if crashes != 6 {
+		t.Fatalf("exercised %d crash points, want 6", crashes)
+	}
+}
+
+// TestRestartReforwardsInterruptedRescreen is the crash the battery above
+// cannot see, because there the members' own client re-subscribes after
+// the restart and that re-screens them by accident. Here the members reach
+// broker 1 over the link from broker 0 — rows restoreTables rebuilds and
+// nobody re-sends — and sit suppressed toward broker 2 under a cover held
+// by a client of broker 1. The store dies in the re-screen behind that
+// cover's retraction: on disk the cover is gone and some members are
+// suppressed with nothing left that covers them. Reopening must forward
+// them — every recovered suppressed entry has a live recorded coverer or
+// is forwarded — and deliver what a never-crashed overlay does.
+func TestRestartReforwardsInterruptedRescreen(t *testing.T) {
+	schema := subscription.MustSchema(8, "stock", "price")
+	topo := Line(3)
+	baseCfg := Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear}
+	wide := subscription.MustParse(schema, "stock <= 200")
+	members := []*subscription.Subscription{
+		subscription.MustParse(schema, "stock <= 100 && price >= 3"),
+		subscription.MustParse(schema, "stock in [120,180] && price <= 90"),
+		subscription.MustParse(schema, "stock in [130,170] && price <= 200"),
+	}
+	events := []subscription.Event{{50, 10}, {30, 2}, {150, 50}, {160, 150}, {190, 1}, {250, 7}}
+
+	// run subscribes the cover at broker 1 and the members at broker 0
+	// (the cover was never sent toward 0, so they all cross link 0->1),
+	// then retracts the cover — with link 1->2's store dying after budget
+	// writes when budget >= 0.
+	run := func(cfg Config, budget int) (n *Network, at *crashPoint) {
+		n = MustNetwork(topo, cfg)
+		holder, _ := n.AttachClient(0)
+		coverer, _ := n.AttachClient(1)
+		for _, s := range append([]*subscription.Subscription{wide}, members...) {
+			c := holder
+			if s == wide {
+				c = coverer
+			}
+			if err := n.Subscribe(c.ID, s); err != nil {
+				t.Fatal(err)
+			}
+			n.Drain()
+		}
+		link := n.brokers[1].out[2]
+		if got := len(link.sups.heldBy[link.ids[keyOf(wide)]]); got != len(members) {
+			t.Fatalf("%d members recorded under the cover on link 1->2, want %d", got, len(members))
+		}
+		at = &crashPoint{budget: budget}
+		if budget >= 0 {
+			link.fwd = crashingFwd{link.fwd, at}
+			link.supp = crashingSupp{link.supp, at}
+		}
+		if err := n.Unsubscribe(coverer.ID, wide); err != nil {
+			t.Fatal(err)
+		}
+		n.Drain()
+		return n, at
+	}
+	publishAll := func(n *Network, holder *Client) []subscription.Event {
+		pub, _ := n.AttachClient(2)
+		for _, e := range events {
+			if err := n.Publish(pub.ID, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.Drain()
+		return holder.Received
+	}
+
+	clean, _ := run(baseCfg, -1)
+	want := publishAll(clean, clean.clients[0])
+	clean.Close()
+	if len(want) != 3 {
+		t.Fatalf("clean run delivered %d events, want 3", len(want))
+	}
+
+	crashes := 0
+	for budget := 1; ; budget++ {
+		cfg := baseCfg
+		cfg.DataDir = t.TempDir()
+		n1, at := run(cfg, budget)
+		n1.Close()
+		if !at.crashed {
+			break
+		}
+		crashes++
+
+		n2, err := NewNetwork(topo, cfg)
+		if err != nil {
+			t.Fatalf("budget %d: recovering: %v", budget, err)
+		}
+		link := n2.brokers[1].out[2]
+		for i, m := range members {
+			_, forwarded := link.ids[keyOf(m)]
+			at, suppressed := link.sups.at[keyOf(m)]
+			if forwarded == suppressed {
+				t.Fatalf("budget %d: member %d recovered forwarded=%v suppressed=%v, want exactly one", budget, i, forwarded, suppressed)
+			}
+			if !suppressed {
+				continue
+			}
+			if cover, ok := link.fwd.Subscription(link.sups.rows[at].by); !ok || !cover.Covers(m) {
+				t.Fatalf("budget %d: member %d recovered suppressed under %v, which does not cover it", budget, i, cover)
+			}
+		}
+		// The members' client comes back; its re-subscriptions stop at
+		// broker 0 as duplicates and never reach the link that crashed.
+		holder, _ := n2.AttachClient(0)
+		for _, s := range members {
+			if err := n2.Subscribe(holder.ID, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n2.Drain()
+		if got := publishAll(n2, holder); !eventsEqual(got, want) {
 			t.Fatalf("budget %d: recovered overlay delivered %v, never-crashed one %v", budget, got, want)
 		}
 		if errs := n2.Metrics().ProtocolErrors; errs != 0 {

@@ -25,16 +25,20 @@ type tableCounts struct {
 // re-forwarded: tree7/exact and tree7/approx are that commit's counts with
 // only its sort comparator swapped for the numeric one (its own order
 // re-forwarded 3 and 2 subscriptions more: 118 and 154 subscribe messages).
+// SuppressedForwards alone was recaptured when the re-screen stopped
+// listing covered sets: members recorded under another cover are no longer
+// re-screened, so no longer counted (that commit's six non-zero values:
+// 358, 333, 711, 835, 559, 559); every other count repeats.
 var tableGoldens = map[string]tableCounts{
 	"line5/off":    {Metrics{SubscribeMsgs: 713, UnsubscribeMsgs: 337, EventMsgs: 768, Deliveries: 1382, SuppressedForwards: 0, DuplicateForwards: 83}, 485, 376, 0},
-	"line5/exact":  {Metrics{SubscribeMsgs: 100, UnsubscribeMsgs: 74, EventMsgs: 768, Deliveries: 1382, SuppressedForwards: 358, DuplicateForwards: 28}, 135, 26, 162},
-	"line5/approx": {Metrics{SubscribeMsgs: 139, UnsubscribeMsgs: 104, EventMsgs: 768, Deliveries: 1382, SuppressedForwards: 333, DuplicateForwards: 35}, 144, 35, 160},
+	"line5/exact":  {Metrics{SubscribeMsgs: 100, UnsubscribeMsgs: 74, EventMsgs: 768, Deliveries: 1382, SuppressedForwards: 340, DuplicateForwards: 28}, 135, 26, 162},
+	"line5/approx": {Metrics{SubscribeMsgs: 139, UnsubscribeMsgs: 104, EventMsgs: 768, Deliveries: 1382, SuppressedForwards: 300, DuplicateForwards: 35}, 144, 35, 160},
 	"star6/off":    {Metrics{SubscribeMsgs: 920, UnsubscribeMsgs: 456, EventMsgs: 676, Deliveries: 1104, SuppressedForwards: 0, DuplicateForwards: 284}, 575, 464, 0},
-	"star6/exact":  {Metrics{SubscribeMsgs: 137, UnsubscribeMsgs: 92, EventMsgs: 676, Deliveries: 1104, SuppressedForwards: 711, DuplicateForwards: 44}, 156, 45, 261},
-	"star6/approx": {Metrics{SubscribeMsgs: 208, UnsubscribeMsgs: 124, EventMsgs: 676, Deliveries: 1104, SuppressedForwards: 835, DuplicateForwards: 55}, 195, 84, 331},
+	"star6/exact":  {Metrics{SubscribeMsgs: 137, UnsubscribeMsgs: 92, EventMsgs: 676, Deliveries: 1104, SuppressedForwards: 695, DuplicateForwards: 44}, 156, 45, 261},
+	"star6/approx": {Metrics{SubscribeMsgs: 208, UnsubscribeMsgs: 124, EventMsgs: 676, Deliveries: 1104, SuppressedForwards: 813, DuplicateForwards: 55}, 195, 84, 331},
 	"tree7/off":    {Metrics{SubscribeMsgs: 1059, UnsubscribeMsgs: 538, EventMsgs: 898, Deliveries: 1303, SuppressedForwards: 0, DuplicateForwards: 178}, 629, 521, 0},
-	"tree7/exact":  {Metrics{SubscribeMsgs: 115, UnsubscribeMsgs: 77, EventMsgs: 898, Deliveries: 1303, SuppressedForwards: 559, DuplicateForwards: 41}, 146, 38, 222},
-	"tree7/approx": {Metrics{SubscribeMsgs: 152, UnsubscribeMsgs: 103, EventMsgs: 898, Deliveries: 1303, SuppressedForwards: 559, DuplicateForwards: 44}, 157, 49, 231},
+	"tree7/exact":  {Metrics{SubscribeMsgs: 115, UnsubscribeMsgs: 77, EventMsgs: 898, Deliveries: 1303, SuppressedForwards: 552, DuplicateForwards: 41}, 146, 38, 222},
+	"tree7/approx": {Metrics{SubscribeMsgs: 152, UnsubscribeMsgs: 103, EventMsgs: 898, Deliveries: 1303, SuppressedForwards: 531, DuplicateForwards: 44}, 157, 49, 231},
 }
 
 // TestRoutingTableMatchesModel drives seeded random schedules of subscribe,
@@ -42,8 +46,9 @@ var tableGoldens = map[string]tableCounts{
 // broker, so row refcounts and the per-rectangle source counts carry
 // weight), unsubscribe and publish through the sequential Network, checks
 // every publish's delivered set against a brute-force match over the live
-// subscriptions, and pins the traffic and table counts to the goldens.
-// Retiring everything at the end must leave every table and link set empty.
+// subscriptions, checks every link's recorded coverers after every op, and
+// pins the traffic and table counts to the goldens. Retiring everything at
+// the end must leave every table, link set and coverer record empty.
 func TestRoutingTableMatchesModel(t *testing.T) {
 	schema := testSchema()
 	topos := []struct {
@@ -173,9 +178,11 @@ func runTableSchedule(t *testing.T, topo Topology, cfg Config, seed int64) table
 				}
 				cl.Received = cl.Received[:0]
 			}
+			checkRecordedCoverers(t, n, op)
 			continue
 		}
 		n.Drain()
+		checkRecordedCoverers(t, n, op)
 	}
 	got := tableCounts{m: n.Metrics(), rows: n.TableRows(), fwd: n.ForwardedEntries(), supp: n.SuppressedEntries()}
 	if got.m.ProtocolErrors != 0 {
@@ -188,7 +195,59 @@ func runTableSchedule(t *testing.T, topo Topology, cfg Config, seed int64) table
 	if rows, fwd, supp := n.TableRows(), n.ForwardedEntries(), n.SuppressedEntries(); rows+fwd+supp != 0 {
 		t.Fatalf("after retiring everything: %d table rows, %d forwarded, %d suppressed entries remain", rows, fwd, supp)
 	}
+	for _, b := range n.brokers {
+		for j, st := range b.out {
+			if len(st.sups.rows)+len(st.sups.at)+len(st.sups.heldBy) != 0 {
+				t.Fatalf("after retiring everything: link %d->%d keeps %d entries, %d positions, %d coverer lists",
+					b.id, j, len(st.sups.rows), len(st.sups.at), len(st.sups.heldBy))
+			}
+		}
+	}
 	return got
+}
+
+// checkRecordedCoverers checks the link invariant on every link: each
+// suppressed entry's recorded coverer is a live forwarded id whose
+// subscription covers it, and the per-coverer lists hold exactly the live
+// entries — each once, none stale, no empty list kept.
+func checkRecordedCoverers(t *testing.T, n *Network, op int) {
+	t.Helper()
+	for _, b := range n.brokers {
+		for _, j := range b.neighbors {
+			st := b.out[j]
+			forwarded := make(map[uint64]bool, len(st.ids))
+			for _, id := range st.ids {
+				forwarded[id] = true
+			}
+			for i, e := range st.sups.rows {
+				if at, ok := st.sups.at[e.key]; !ok || at != i {
+					t.Fatalf("op %d link %d->%d: entry %d indexed at (%d, %v)", op, b.id, j, i, at, ok)
+				}
+				if !forwarded[e.by] {
+					t.Fatalf("op %d link %d->%d: %v recorded under %d, not a forwarded id", op, b.id, j, e.sub, e.by)
+				}
+				if cover, ok := st.fwd.Subscription(e.by); !ok || !cover.Covers(e.sub) {
+					t.Fatalf("op %d link %d->%d: recorded coverer %v does not cover %v", op, b.id, j, cover, e.sub)
+				}
+				if list := st.sups.heldBy[e.by]; e.pos >= len(list) || list[e.pos] != i {
+					t.Fatalf("op %d link %d->%d: entry %d missing from coverer %d's list %v at %d", op, b.id, j, i, e.by, list, e.pos)
+				}
+			}
+			// Every entry sits at its own slot of its coverer's list, so
+			// equal totals leave no room for a stale or duplicate element.
+			listed := 0
+			for by, list := range st.sups.heldBy {
+				if len(list) == 0 {
+					t.Fatalf("op %d link %d->%d: empty list kept for coverer %d", op, b.id, j, by)
+				}
+				listed += len(list)
+			}
+			if rows := len(st.sups.rows); listed != rows || len(st.sups.at) != rows || st.supp.Len() != rows {
+				t.Fatalf("op %d link %d->%d: %d entries, %d listed, %d indexed, %d in the suppressed set",
+					op, b.id, j, rows, listed, len(st.sups.at), st.supp.Len())
+			}
+		}
+	}
 }
 
 // TestPublishDrainAllocs guards the event path's allocation budget: routing

@@ -1,6 +1,8 @@
 package broker
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"sfccover/internal/core"
@@ -124,5 +126,106 @@ func TestApproxUncoverSafety(t *testing.T) {
 		if len(got[c]) != len(want[c]) {
 			t.Fatalf("client %d: %d events vs oracle %d", c, len(got[c]), len(want[c]))
 		}
+	}
+}
+
+// TestUnsubscribeQueriesOnlyRecordedMembers pins what an unsubscription
+// re-screens: on one link a broad cover X spans forty suppressed members
+// recorded under two tighter covers and four recorded under X itself;
+// retracting X issues exactly four covering queries, re-forwards exactly
+// the two that no forwarded subscription covers any more, moves the other
+// two to their new covers' lists, and leaves the forty alone. Deliveries
+// match a brute-force match over the live subscriptions throughout.
+func TestUnsubscribeQueriesOnlyRecordedMembers(t *testing.T) {
+	schema := testSchema()
+	n := MustNetwork(Line(2), Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear})
+	defer n.Close()
+	c, _ := n.AttachClient(0)
+	pub, _ := n.AttachClient(1)
+	var live []*subscription.Subscription
+	subscribe := func(expr string) *subscription.Subscription {
+		s := subscription.MustParse(schema, expr)
+		if err := n.Subscribe(c.ID, s); err != nil {
+			t.Fatal(err)
+		}
+		n.Drain()
+		live = append(live, s)
+		return s
+	}
+	unsubscribe := func(s *subscription.Subscription) (queries, forwards int) {
+		q0, m0 := n.CoverTotals().Queries, n.Metrics()
+		if err := n.Unsubscribe(c.ID, s); err != nil {
+			t.Fatal(err)
+		}
+		n.Drain()
+		live = slices.DeleteFunc(live, func(h *subscription.Subscription) bool { return h == s })
+		if got := n.Metrics().UnsubscribeMsgs - m0.UnsubscribeMsgs; got != 1 {
+			t.Fatalf("retracting %v sent %d unsubscribe messages, want 1", s, got)
+		}
+		return n.CoverTotals().Queries - q0, n.Metrics().SubscribeMsgs - m0.SubscribeMsgs
+	}
+	checkDeliveries := func(stage string) {
+		t.Helper()
+		var want []subscription.Event
+		for topic := uint32(2); topic < 256; topic += 11 {
+			for price := uint32(3); price < 256; price += 13 {
+				e := subscription.Event{topic, price}
+				if err := n.Publish(pub.ID, e); err != nil {
+					t.Fatal(err)
+				}
+				if slices.ContainsFunc(live, func(s *subscription.Subscription) bool { return s.Matches(e) }) {
+					want = append(want, e)
+				}
+			}
+		}
+		n.Drain()
+		if !eventsEqual(c.Received, want) {
+			t.Fatalf("%s: delivered %d events, brute force %d", stage, len(c.Received), len(want))
+		}
+		c.Received = c.Received[:0]
+	}
+
+	t1 := subscribe("topic in [0,50] && price in [0,100]")
+	t2 := subscribe("topic in [60,110] && price in [0,100]")
+	for i := 1; i <= 20; i++ {
+		subscribe(fmt.Sprintf("topic in [%d,%d] && price in [%d,%d]", i, i+10, i, i+20))
+		subscribe(fmt.Sprintf("topic in [%d,%d] && price in [%d,%d]", 60+i, 70+i, i, i+20))
+	}
+	x := subscribe("topic in [0,200] && price in [0,200]")
+	a := subscribe("topic in [120,180] && price in [10,90]")  // uncovered once X goes
+	b := subscribe("topic in [130,150] && price in [20,50]")  // then covered by a, re-forwarded earlier in the pass
+	cc := subscribe("topic in [10,40] && price in [120,180]") // then covered by y
+	subscribe("topic in [150,190] && price in [150,190]")     // uncovered once X goes
+	y := subscribe("topic in [5,45] && price in [110,250]")   // reaches past X: forwarded
+	st := n.brokers[0].out[1]
+	held := func(s *subscription.Subscription) int { return len(st.sups.heldBy[st.ids[keyOf(s)]]) }
+	if held(t1) != 20 || held(t2) != 20 || held(x) != 4 || held(y) != 0 || len(st.ids) != 4 {
+		t.Fatalf("before: %d+%d members under the tight covers, %d under X, %d under y, %d forwarded; want 20+20, 4, 0, 4",
+			held(t1), held(t2), held(x), held(y), len(st.ids))
+	}
+	checkDeliveries("before")
+
+	if queries, forwards := unsubscribe(x); queries != 4 || forwards != 2 {
+		t.Fatalf("retracting X: %d covering queries, %d re-forwards; want 4 and 2", queries, forwards)
+	}
+	if held(t1) != 20 || held(t2) != 20 || held(a) != 1 || held(y) != 1 || n.SuppressedEntries() != 42 {
+		t.Fatalf("after X: %d+%d under the tight covers, %d under a, %d under y, %d suppressed; want 20+20, 1, 1, 42",
+			held(t1), held(t2), held(a), held(y), n.SuppressedEntries())
+	}
+	if at := st.sups.at[keyOf(cc)]; st.sups.rows[at].by != st.ids[keyOf(y)] {
+		t.Fatalf("the member y covers is recorded under %d, want y's id %d", st.sups.rows[at].by, st.ids[keyOf(y)])
+	}
+	checkDeliveries("after X")
+
+	// A member that moved lists is found again by its new cover's retraction.
+	if queries, forwards := unsubscribe(a); queries != 1 || forwards != 1 {
+		t.Fatalf("retracting a: %d covering queries, %d re-forwards; want 1 and 1", queries, forwards)
+	}
+	if _, forwarded := st.ids[keyOf(b)]; !forwarded {
+		t.Fatal("the member a was holding back is not forwarded")
+	}
+	checkDeliveries("after a")
+	if m := n.Metrics(); m.ProtocolErrors != 0 {
+		t.Fatalf("protocol errors: %d", m.ProtocolErrors)
 	}
 }

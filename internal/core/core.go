@@ -447,38 +447,6 @@ func (d *Detector) FindCovered(s *subscription.Subscription) (id uint64, found b
 	return id, found, stats, nil
 }
 
-// ListCovered returns every held subscription that s covers, in one scan
-// under one lock acquisition, removing nothing. Routers run it at
-// unsubscription time: the covered set of a retracted cover is what must
-// be re-screened, and the members that stay covered simply stay. It
-// requires ModeExact — the covered set must be exact where it feeds
-// resubscription, since a missed member would never be re-forwarded and
-// events would be lost.
-//
-// The returned subscriptions are the detector's own copies; callers must
-// not mutate them.
-func (d *Detector) ListCovered(s *subscription.Subscription) ([]Held, error) {
-	if s.Schema() != d.cfg.Schema {
-		return nil, fmt.Errorf("core: subscription schema differs from detector schema")
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.cfg.Mode != ModeExact {
-		return nil, fmt.Errorf("core: ListCovered requires ModeExact, detector runs %v", d.cfg.Mode)
-	}
-	var out []Held
-	for id, cand := range d.subs {
-		if s.Covers(cand) {
-			out = append(out, Held{ID: id, Sub: cand})
-		}
-	}
-	d.totals.Queries++
-	if len(out) > 0 {
-		d.totals.Hits++
-	}
-	return out, nil
-}
-
 // Add is the router's arrival path: search for a cover of s and insert s
 // either way. covered reports whether a cover was found, coveredBy its id.
 func (d *Detector) Add(s *subscription.Subscription) (id uint64, covered bool, coveredBy uint64, err error) {

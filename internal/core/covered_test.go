@@ -119,67 +119,6 @@ func TestFindCoveredAgreesWithOracle(t *testing.T) {
 	}
 }
 
-// TestListCovered pins the one-scan covered-set listing routers re-screen
-// at unsubscription time: exactly the covered set, the detector's own
-// subscriptions under their ids, and nothing removed.
-func TestListCovered(t *testing.T) {
-	schema := testSchema(t)
-	build := func(track bool) *Detector {
-		d := MustNew(Config{Schema: schema, Mode: ModeExact, TrackCovered: track})
-		for _, expr := range []string{
-			"x in [10,20] && y in [10,20]",
-			"x in [30,40] && y in [30,40]",
-			"x in [210,220] && y in [10,20]", // outside the wide cover
-		} {
-			if _, err := d.Insert(subscription.MustParse(schema, expr)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return d
-	}
-	wide := subscription.MustParse(schema, "x <= 100 && y <= 100")
-	for _, track := range []bool{false, true} {
-		d := build(track)
-		listed, err := d.ListCovered(wide)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(listed) != 2 {
-			t.Fatalf("track=%v: listed %d, want 2", track, len(listed))
-		}
-		for _, it := range listed {
-			if !wide.Covers(it.Sub) {
-				t.Fatalf("track=%v: listed uncovered subscription %v", track, it.Sub)
-			}
-			if held, ok := d.Subscription(it.ID); !ok || !held.Equal(it.Sub) {
-				t.Fatalf("track=%v: listed id %d is not held as %v", track, it.ID, it.Sub)
-			}
-		}
-		if d.Len() != 3 {
-			t.Fatalf("track=%v: Len = %d after listing, want 3", track, d.Len())
-		}
-		// Listing is repeatable, and removing a member takes it off the list.
-		if err := d.Remove(listed[0].ID); err != nil {
-			t.Fatal(err)
-		}
-		if again, err := d.ListCovered(wide); err != nil || len(again) != 1 || again[0].ID != listed[1].ID {
-			t.Fatalf("track=%v: list after one removal = (%v, %v)", track, again, err)
-		}
-	}
-	// Non-exact modes refuse: the covered set feeding resubscription must
-	// be exact.
-	approx := MustNew(Config{Schema: schema, Mode: ModeApprox, Epsilon: 0.3, TrackCovered: true})
-	if _, err := approx.ListCovered(wide); err == nil {
-		t.Fatal("approximate ListCovered must fail")
-	}
-	// Foreign schema is rejected.
-	d := build(false)
-	other := subscription.MustSchema(schema.Bits(), schema.Attrs()...)
-	if _, err := d.ListCovered(subscription.New(other)); err == nil {
-		t.Fatal("foreign schema must fail")
-	}
-}
-
 func TestFindCoveredModeOff(t *testing.T) {
 	schema := testSchema(t)
 	d := MustNew(Config{Schema: schema, Mode: ModeOff, TrackCovered: true})

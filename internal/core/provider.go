@@ -180,22 +180,6 @@ type RebalanceResult struct {
 	SkewBefore, SkewAfter float64
 }
 
-// CoveredLister is the optional covered-set capability of a Provider:
-// backends that can collect the full covered set of a subscription in one
-// pass expose it. Routers use it at unsubscription time to re-screen what
-// a retracted cover was suppressing; nothing is removed, so members that
-// stay suppressed cost no write.
-type CoveredLister interface {
-	// ListCovered returns every held subscription covered by s, in
-	// unspecified order. The subscriptions are the provider's own: callers
-	// treat them as read-only.
-	ListCovered(s *subscription.Subscription) ([]Held, error)
-}
-
-// ErrListCoveredUnsupported reports a wrapper whose inner provider cannot
-// list covered sets (an engine under the durable wrapper).
-var ErrListCoveredUnsupported = errors.New("core: provider does not support covered-set listing")
-
 // Held is one subscription a provider holds, with the id it is held under.
 type Held struct {
 	ID  uint64
@@ -329,7 +313,6 @@ func SkewOf(sizes []int) float64 {
 }
 
 var _ Provider = (*Detector)(nil)
-var _ CoveredLister = (*Detector)(nil)
 var _ BulkInserter = (*Detector)(nil)
 
 // Stats implements Provider for the single detector: one shard holding

@@ -19,7 +19,7 @@ import (
 // sids the pre-crash one did.
 //
 // A DurableProvider forwards the wrapped provider's optional capabilities
-// (batch queries and writes, rebalancing, covered-set drains) with id
+// (batch queries and writes, rebalancing) with id
 // translation at the boundary, and adds core.Persister (Snapshot) and
 // core.Enumerator (the recovered dump) of its own. Close closes the
 // wrapped provider and releases the link for re-wrapping; the Store is
@@ -39,7 +39,6 @@ var _ core.Provider = (*DurableProvider)(nil)
 var _ core.BatchQuerier = (*DurableProvider)(nil)
 var _ core.BatchWriter = (*DurableProvider)(nil)
 var _ core.Rebalancer = (*DurableProvider)(nil)
-var _ core.CoveredLister = (*DurableProvider)(nil)
 var _ core.Persister = (*DurableProvider)(nil)
 var _ core.Enumerator = (*DurableProvider)(nil)
 var _ core.BulkInserter = (*DurableProvider)(nil)
@@ -411,28 +410,6 @@ func (d *DurableProvider) RemoveBatch(sids []uint64) []error {
 		}
 	}
 	return out
-}
-
-// ListCovered implements core.CoveredLister when the wrapped provider
-// does, translating inner ids to durable sids. A listing changes nothing,
-// so nothing is logged; the removals a router derives from it arrive
-// through Remove, one record each.
-func (d *DurableProvider) ListCovered(s *subscription.Subscription) ([]core.Held, error) {
-	cl, ok := d.inner.(core.CoveredLister)
-	if !ok {
-		return nil, core.ErrListCoveredUnsupported
-	}
-	listed, err := cl.ListCovered(s)
-	if err != nil {
-		return nil, err
-	}
-	out := listed[:0]
-	for _, it := range listed {
-		if sid, ok := d.outer(it.ID, true); ok { // a miss raced a concurrent removal
-			out = append(out, core.Held{ID: sid, Sub: it.Sub})
-		}
-	}
-	return out, nil
 }
 
 // Rebalance implements core.Rebalancer when the wrapped provider does;

@@ -56,7 +56,8 @@ type Options struct {
 	// before it reaches the file: the crash battery uses it to fail
 	// appends after a chosen byte. A vetoed write behaves like a crash at
 	// that byte: the record never lands and the append reports the hook's
-	// error. Production code leaves it nil.
+	// error; p is the writer's buffer, valid only during the call.
+	// Production code leaves it nil.
 	WriteHook func(segment string, offset int64, p []byte) error
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"sfccover/internal/core"
-	"sfccover/internal/engine"
 	"sfccover/internal/subscription"
 )
 
@@ -717,78 +716,5 @@ func TestDurableInsertBatch(t *testing.T) {
 	}
 	if d3.Len() != 0 {
 		t.Fatalf("wrapped provider holds %d subscriptions after a failed batch log, want 0", d3.Len())
-	}
-}
-
-// TestDurableListCovered pins the read-only covered-set capability on the
-// durable wrapper: durable sids (not inner ids) that keep working as
-// handles, no log record for a listing, and a typed refusal over an inner
-// provider without the capability.
-func TestDurableListCovered(t *testing.T) {
-	schema := testSchema()
-	st, err := Open(t.TempDir(), schema, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	d, err := st.Durable("supp", core.MustNew(core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	// Burn an sid so durable and inner ids part ways.
-	sid, err := d.Insert(rect(t, schema, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Remove(sid); err != nil {
-		t.Fatal(err)
-	}
-	want := map[uint64]*subscription.Subscription{}
-	for _, i := range []int{3, 4, 9} {
-		sid, err := d.Insert(rect(t, schema, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i != 9 {
-			want[sid] = rect(t, schema, i)
-		}
-	}
-	// x >= 5 && y >= 23 covers rect(3) and rect(4), not rect(9).
-	cover := subscription.MustParse(schema, "x >= 5 && y >= 23")
-	before := st.Stats().WALRecords
-	listed, err := d.ListCovered(cover)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Stats().WALRecords; got != before {
-		t.Fatalf("a listing logged %d records", got-before)
-	}
-	if len(listed) != len(want) || d.Len() != 3 {
-		t.Fatalf("listed %d of %d held, want %d of 3", len(listed), d.Len(), len(want))
-	}
-	for _, it := range listed {
-		if w := want[it.ID]; w == nil || !w.Equal(it.Sub) {
-			t.Fatalf("listed (%d, %v), not a covered member under its durable sid", it.ID, it.Sub)
-		}
-		if err := d.Remove(it.ID); err != nil {
-			t.Fatalf("Remove(listed sid %d): %v", it.ID, err)
-		}
-	}
-	if again, err := d.ListCovered(cover); err != nil || len(again) != 0 {
-		t.Fatalf("listing after removing the covered set = (%v, %v)", again, err)
-	}
-
-	eng, err := engine.New(engine.Config{Detector: core.Config{Schema: schema, Mode: core.ModeExact}, Shards: 2, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	de, err := st.Durable("fwd", eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer de.Close()
-	if _, err := de.ListCovered(cover); !errors.Is(err, core.ErrListCoveredUnsupported) {
-		t.Fatalf("ListCovered over an engine = %v, want ErrListCoveredUnsupported", err)
 	}
 }

@@ -198,7 +198,9 @@ type walWriter struct {
 	opts    Options
 	f       *os.File
 	seq     uint64
+	name    string // segmentName(seq), formatted once per segment
 	written int64
+	buf     []byte // append's encode buffer, reused under the store's lock
 	// dirty marks bytes written to the current segment since its last
 	// fsync — the group-commit tick syncs only when set, so an idle
 	// daemon's interval timer costs nothing.
@@ -248,7 +250,7 @@ func (w *walWriter) openSegment(seq uint64) error {
 	if err != nil {
 		return err
 	}
-	w.f, w.seq, w.written = f, seq, int64(len(walMagic))
+	w.f, w.seq, w.name, w.written = f, seq, segmentName(seq), int64(len(walMagic))
 	w.dirty = true // header written, not yet fsynced
 	return nil
 }
@@ -270,7 +272,8 @@ func (w *walWriter) write(f *os.File, name string, off int64, p []byte) error {
 // append encodes r onto the current segment, rotating first when the
 // segment is full. The new segment's seq is current+1.
 func (w *walWriter) append(r record) (int, error) {
-	return w.appendBytes(appendRecord(nil, r))
+	w.buf = appendRecord(w.buf[:0], r)
+	return w.appendBytes(w.buf)
 }
 
 // appendBatch encodes a whole batch into one buffer and lands it with a
@@ -292,7 +295,7 @@ func (w *walWriter) appendBytes(buf []byte) (int, error) {
 			return 0, err
 		}
 	}
-	if err := w.write(w.f, segmentName(w.seq), w.written, buf); err != nil {
+	if err := w.write(w.f, w.name, w.written, buf); err != nil {
 		w.snip(err)
 		return 0, err
 	}
@@ -356,7 +359,7 @@ func (w *walWriter) rotate() error {
 		return err
 	}
 	old := w.f
-	w.f, w.seq, w.written = f, w.seq+1, int64(len(walMagic))
+	w.f, w.seq, w.name, w.written = f, w.seq+1, segmentName(w.seq+1), int64(len(walMagic))
 	w.dirty = true // the fresh segment's header is not fsynced yet
 	if old != nil {
 		if err := old.Sync(); err != nil {

@@ -30,7 +30,6 @@ import (
 // itself when all providers on it are done.
 //
 //sfc:wrapper
-//sfc:nocap CoveredLister the wire protocol has no covered-set listing op (`covered` answers one member); suppressed sets, the one caller, are always local detectors
 //sfc:nocap Enumerator a full subscription dump has no wire op and would be an unbounded response frame; enumerate server-side
 //sfc:nocap BulkInserter the wire batch op is subscribe_batch (AddBatch), which covering daemons need; a log-free bulk insert op does not exist remotely
 type RemoteProvider struct {
