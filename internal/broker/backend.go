@@ -29,8 +29,8 @@ const (
 	// overlay's forwarded sets live in a single remote process, reached
 	// over one pipelined connection. Covering detection then runs in the
 	// daemon's configured mode — the daemon is the authority, Config.Mode
-	// applies only to the local exact suppressed sets. Networks with this
-	// backend own the connection; call Close when done.
+	// is not consulted. Networks with this backend own the connection;
+	// call Close when done.
 	BackendRemote Backend = "remote"
 )
 
@@ -149,24 +149,18 @@ func (ps *providerSource) forwarded(brokerID, neighborID int) (core.Provider, er
 	return ps.durable(fmt.Sprintf("fwd-b%d-n%d", brokerID, neighborID), p)
 }
 
-// suppressed builds the suppressed-set provider for the link
-// broker->neighbor: always a local, single Detector, regardless of
-// Config.Backend — even BackendRemote. The link only stores into it (which
-// forwarded subscription covers an entry is the link's own record), so an
-// engine's worker pool, a sharded index or a network round trip would add
-// cost for nothing. With Config.DataDir the suppressed set is durable too:
-// losing it across a restart would strand every suppressed subscription
-// when its cover is later retracted.
+// suppressed builds the durable log behind the suppressed set of the link
+// broker->neighbor, or nil without Config.DataDir. The link only stores
+// into the set (which forwarded subscription covers an entry is the link's
+// own record), so the store's recovery target is the plainest provider
+// there is: a local linear Detector, whatever Config.Backend says.
 func (ps *providerSource) suppressed(brokerID, neighborID int) (suppressedSet, error) {
-	cfg := ps.cfg
-	p, err := core.New(core.Config{
-		Schema:   cfg.Schema,
-		Mode:     core.ModeExact,
-		Strategy: cfg.Strategy,
-		MaxCubes: cfg.MaxCubes,
-	})
-	if err != nil || ps.store == nil {
-		return p, err
+	if ps.store == nil {
+		return nil, nil
+	}
+	p, err := core.New(core.Config{Schema: ps.cfg.Schema, Mode: core.ModeExact, Strategy: core.StrategyLinear})
+	if err != nil {
+		return nil, err
 	}
 	return ps.durable(fmt.Sprintf("supp-b%d-n%d", brokerID, neighborID), p)
 }

@@ -358,13 +358,11 @@ func (b *Broker) dropRow(from iface, key rectKey) (removed, found bool) {
 	return true, true
 }
 
-// suppressedSet is what a link calls on its suppressed-set provider; both
-// things providerSource.suppressed builds — a core.Detector, optionally
-// under the durable wrapper — have it.
+// suppressedSet is the durable log behind a link's suppressed table
+// (providerSource.suppressed); the crash tests wrap it.
 type suppressedSet interface {
 	Insert(s *subscription.Subscription) (uint64, error)
 	Remove(id uint64) error
-	Len() int
 	Close()
 }
 
@@ -372,7 +370,7 @@ type suppressedSet interface {
 type suppressedEntry struct {
 	key rectKey
 	sub *subscription.Subscription
-	sid uint64 // supp provider id
+	sid uint64 // id in the durable log, if there is one
 	by  uint64 // the forwarded id recorded as its cover
 	pos int    // position in heldBy[by]
 }
@@ -431,15 +429,18 @@ func (t *suppressedTable) remove(i int) {
 
 // neighborState tracks the link state toward one neighbor. fwd holds the
 // forwarded set — the covering queries that suppress redundant forwards
-// run against it, in the configured mode. supp holds the suppressed set —
+// run against it, in the configured mode. sups holds the suppressed set —
 // every subscription withheld from this link because a forwarded one
-// covered it — and sups says which: every suppressed entry's recorded
-// coverer is a live forwarded-set id whose subscription covers it. A
-// claimed cover is genuine in every mode, so the record is exact even when
-// the search is approximate, and an unsubscription re-screens exactly the
-// entries recorded under the id it retracts (a miss there would lose
-// events; a covering miss only costs traffic). The coverer is not
-// persisted: restoreLink derives it.
+// covered it — and says which: every suppressed entry's recorded coverer is
+// a live forwarded-set id whose subscription covers it. A claimed cover is
+// genuine in every mode, so the record is exact even when the search is
+// approximate, and an unsubscription re-screens exactly the entries
+// recorded under the id it retracts (a miss there would lose events; a
+// covering miss only costs traffic). Nothing queries the suppressed set,
+// so it has no provider: supp is its durable log, nil without
+// Config.DataDir — losing the set across a restart would strand every
+// suppressed subscription when its cover is later retracted. The coverer
+// is not persisted: restoreLinks derives it.
 type neighborState struct {
 	fwd  core.Provider
 	ids  map[rectKey]uint64 // rectangle -> fwd provider id
@@ -506,75 +507,65 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 				sups: suppressedTable{at: make(map[rectKey]int), heldBy: make(map[uint64][]int)},
 			}
 			b.out[j] = st
-			b.restoreLink(j, st)
 		}
 	}
-	n.restoreTables()
-	n.Drain() // the subscriptions restoreLink found uncovered
+	n.restoreLinks()
 	return n, nil
 }
 
-// restoreTables rebuilds neighbor routing-table rows from recovered link
-// state: the rows broker j holds for neighbor b are, by construction,
-// exactly the forwarded set of the link b->j — every subscribe message b
-// ever sent j that was not retracted. Client rows are not restored;
-// clients re-attach and re-subscribe after a restart, and the recovered
-// id maps absorb those re-subscriptions without new forwards.
-func (n *Network) restoreTables() {
+// restoreLinks rebuilds what a link derives from its recovered durable
+// sets (the Enumerator capability; fresh in-memory providers and remote
+// namespaces leave the link empty). From the forwarded set: which
+// rectangle maps to which provider id — otherwise re-arriving
+// subscriptions would be re-forwarded (duplicate traffic) and retractions
+// could not find their entries — and the rows broker j holds for neighbor
+// b, which are, by construction, exactly the forwarded set of the link
+// b->j: every subscribe message b ever sent j that was not retracted.
+// Client rows are not restored; clients re-attach and re-subscribe after a
+// restart, and the recovered id maps absorb those re-subscriptions without
+// new forwards. From the suppressed log: which forwarded id covers each
+// entry, one query each against the recovered forwarded set. An entry
+// nothing covers was caught by a crash between its cover's retraction and
+// its own re-forward and is forwarded now — after the link's rows were
+// derived, so the neighbor meets the subscribe message as a new row and
+// screens it onward — and the messages are drained once every link is
+// back.
+func (n *Network) restoreLinks() {
 	for _, b := range n.brokers {
 		for _, j := range b.neighbors {
-			en, ok := b.out[j].fwd.(core.Enumerator)
+			st := b.out[j]
+			if en, ok := st.fwd.(core.Enumerator); ok {
+				from := iface{kind: ifNeighbor, id: b.id}
+				for _, it := range en.Subscriptions() {
+					key := keyOf(it.Sub)
+					st.ids[key] = it.ID
+					if _, exists := n.brokers[j].rowsFrom(from).at[key]; !exists {
+						n.brokers[j].addRow(from, key)
+					}
+				}
+			}
+			en, ok := st.supp.(core.Enumerator)
 			if !ok {
 				continue
 			}
-			from := iface{kind: ifNeighbor, id: b.id}
-			peer := n.brokers[j]
 			for _, it := range en.Subscriptions() {
 				key := keyOf(it.Sub)
-				if _, exists := peer.rowsFrom(from).at[key]; !exists {
-					peer.addRow(from, key)
+				// A crash between forward's two writes left the rectangle in
+				// both sets; forwarding wins here as it does there.
+				if _, forwarded := st.ids[key]; !forwarded {
+					if by, covered, _, err := st.fwd.FindCover(it.Sub); err == nil && covered {
+						st.sups.add(key, it.Sub, it.ID, by)
+						continue
+					}
+					b.forward(j, st, key, it.Sub)
+				}
+				if err := st.supp.Remove(it.ID); err != nil {
+					n.bump(metricProtocolError)
 				}
 			}
 		}
 	}
-}
-
-// restoreLink rebuilds the link's derived state from recovered durable
-// providers (the Enumerator capability): which rectangle maps to which
-// provider id — otherwise re-arriving subscriptions would be re-forwarded
-// (duplicate traffic) and retractions could not find their entries — and
-// which forwarded id covers each suppressed entry, one query each against
-// the recovered forwarded set. An entry nothing covers was caught by a
-// crash between its cover's retraction and its own re-forward, and is
-// forwarded now (the message waits in the queue until NewNetwork has
-// restored the tables). Providers without the capability (fresh in-memory
-// ones, remote namespaces) leave the link empty.
-func (b *Broker) restoreLink(j int, st *neighborState) {
-	if en, ok := st.fwd.(core.Enumerator); ok {
-		for _, it := range en.Subscriptions() {
-			st.ids[keyOf(it.Sub)] = it.ID
-		}
-	}
-	en, ok := st.supp.(core.Enumerator)
-	if !ok {
-		return
-	}
-	for _, it := range en.Subscriptions() {
-		key := keyOf(it.Sub)
-		// A crash between forward's two writes left the rectangle in
-		// both sets; forwarding wins here as it does there.
-		if _, forwarded := st.ids[key]; forwarded && st.supp.Remove(it.ID) == nil {
-			continue
-		}
-		if by, covered, _, err := st.fwd.FindCover(it.Sub); err == nil && covered {
-			st.sups.add(key, it.Sub, it.ID, by)
-			continue
-		}
-		b.forward(j, st, key, it.Sub)
-		if err := st.supp.Remove(it.ID); err != nil {
-			b.env.bump(metricProtocolError)
-		}
-	}
+	n.Drain()
 }
 
 // Snapshot writes a point-in-time snapshot of the network's durable link
@@ -610,7 +601,9 @@ func (n *Network) Close() {
 	for _, b := range n.brokers {
 		for _, st := range b.out {
 			st.fwd.Close()
-			st.supp.Close()
+			if st.supp != nil {
+				st.supp.Close()
+			}
 		}
 	}
 	if n.src != nil {
@@ -663,7 +656,7 @@ func (n *Network) SuppressedEntries() int {
 	total := 0
 	for _, b := range n.brokers {
 		for _, st := range b.out {
-			total += st.supp.Len()
+			total += len(st.sups.rows)
 		}
 	}
 	return total
@@ -831,7 +824,7 @@ func (b *Broker) forwardIfUncovered(j int, key rectKey, s *subscription.Subscrip
 // identical row, and forwarding must win over suppression or a future
 // cover removal would re-forward an already-forwarded rectangle. Insert
 // first, retire second: a crash between the two writes then leaves the
-// rectangle in both durable sets (restoreLink lets forwarding win again)
+// rectangle in both durable sets (restoreLinks lets forwarding win again)
 // and never in neither.
 //
 // The subscribe message goes on the wire even if the forwarded-set
@@ -860,23 +853,28 @@ func (b *Broker) suppress(st *neighborState, key rectKey, s *subscription.Subscr
 	if _, ok := st.sups.at[key]; ok {
 		return
 	}
-	sid, err := st.supp.Insert(s)
-	if err != nil {
-		b.env.bump(metricProtocolError)
-		return
+	var sid uint64
+	if st.supp != nil {
+		var err error
+		if sid, err = st.supp.Insert(s); err != nil {
+			b.env.bump(metricProtocolError)
+			return
+		}
 	}
 	st.sups.add(key, s, sid, by)
 }
 
-// dropSuppressed retires the suppressed-set entry for key, if present.
+// dropSuppressed retires the suppressed-set entry for key, if present. The
+// entry goes even when the log write fails — kept, it would sit under a
+// coverer that may be dead by now, where no retraction finds it; the log's
+// leftover is restoreLinks' to reconcile.
 func (b *Broker) dropSuppressed(st *neighborState, key rectKey) {
 	i, ok := st.sups.at[key]
 	if !ok {
 		return
 	}
-	if err := st.supp.Remove(st.sups.rows[i].sid); err != nil {
+	if st.supp != nil && st.supp.Remove(st.sups.rows[i].sid) != nil {
 		b.env.bump(metricProtocolError)
-		return
 	}
 	st.sups.remove(i)
 }

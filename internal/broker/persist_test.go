@@ -272,6 +272,13 @@ func TestCrashMidRescreenKeepsSuppressedSet(t *testing.T) {
 			t.Fatal(err)
 		}
 		n1.Drain()
+		// The run that stumbles on keeps its own invariant: a member whose
+		// retirement failed is not left recorded under the retracted cover.
+		for by, held := range link.sups.heldBy {
+			if _, live := link.fwd.Subscription(by); !live {
+				t.Fatalf("budget %d: %d entries still recorded under %d, which is no longer forwarded", budget, len(held), by)
+			}
+		}
 		n1.Close()
 		if !at.crashed {
 			break // the whole re-screen fit the budget: every crash point is covered
@@ -313,16 +320,18 @@ func TestCrashMidRescreenKeepsSuppressedSet(t *testing.T) {
 // TestRestartReforwardsInterruptedRescreen is the crash the battery above
 // cannot see, because there the members' own client re-subscribes after
 // the restart and that re-screens them by accident. Here the members reach
-// broker 1 over the link from broker 0 — rows restoreTables rebuilds and
+// broker 1 over the link from broker 0 — rows restoreLinks rebuilds and
 // nobody re-sends — and sit suppressed toward broker 2 under a cover held
 // by a client of broker 1. The store dies in the re-screen behind that
 // cover's retraction: on disk the cover is gone and some members are
 // suppressed with nothing left that covers them. Reopening must forward
 // them — every recovered suppressed entry has a live recorded coverer or
-// is forwarded — and deliver what a never-crashed overlay does.
+// is forwarded — as one new row each at broker 2, which screens them on
+// toward broker 3, and deliver what a never-crashed overlay does; retiring
+// the members afterwards must leave no row and no link state anywhere.
 func TestRestartReforwardsInterruptedRescreen(t *testing.T) {
 	schema := subscription.MustSchema(8, "stock", "price")
-	topo := Line(3)
+	topo := Line(4)
 	baseCfg := Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear}
 	wide := subscription.MustParse(schema, "stock <= 200")
 	members := []*subscription.Subscription{
@@ -366,7 +375,7 @@ func TestRestartReforwardsInterruptedRescreen(t *testing.T) {
 		return n, at
 	}
 	publishAll := func(n *Network, holder *Client) []subscription.Event {
-		pub, _ := n.AttachClient(2)
+		pub, _ := n.AttachClient(3)
 		for _, e := range events {
 			if err := n.Publish(pub.ID, e); err != nil {
 				t.Fatal(err)
@@ -405,11 +414,21 @@ func TestRestartReforwardsInterruptedRescreen(t *testing.T) {
 			if forwarded == suppressed {
 				t.Fatalf("budget %d: member %d recovered forwarded=%v suppressed=%v, want exactly one", budget, i, forwarded, suppressed)
 			}
-			if !suppressed {
+			if suppressed {
+				if cover, ok := link.fwd.Subscription(link.sups.rows[at].by); !ok || !cover.Covers(m) {
+					t.Fatalf("budget %d: member %d recovered suppressed under %v, which does not cover it", budget, i, cover)
+				}
 				continue
 			}
-			if cover, ok := link.fwd.Subscription(link.sups.rows[at].by); !ok || !cover.Covers(m) {
-				t.Fatalf("budget %d: member %d recovered suppressed under %v, which does not cover it", budget, i, cover)
+			// One forward, one reference at the peer, screened onward.
+			rows := n2.brokers[2].rowsFrom(iface{kind: ifNeighbor, id: 1})
+			if at, ok := rows.at[keyOf(m)]; !ok || rows.rows[at].count != 1 {
+				t.Fatalf("budget %d: member %d forwarded on 1->2, broker 2 holds row=%v, want one reference", budget, i, ok)
+			}
+			onward := n2.brokers[2].out[3]
+			_, forwarded = onward.ids[keyOf(m)]
+			if _, suppressed = onward.sups.at[keyOf(m)]; forwarded == suppressed {
+				t.Fatalf("budget %d: member %d on 2->3 forwarded=%v suppressed=%v, want exactly one", budget, i, forwarded, suppressed)
 			}
 		}
 		// The members' client comes back; its re-subscriptions stop at
@@ -423,6 +442,15 @@ func TestRestartReforwardsInterruptedRescreen(t *testing.T) {
 		n2.Drain()
 		if got := publishAll(n2, holder); !eventsEqual(got, want) {
 			t.Fatalf("budget %d: recovered overlay delivered %v, never-crashed one %v", budget, got, want)
+		}
+		for _, s := range members {
+			if err := n2.Unsubscribe(holder.ID, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n2.Drain()
+		if rows, fwd, supp := n2.TableRows(), n2.ForwardedEntries(), n2.SuppressedEntries(); rows != 0 || fwd != 0 || supp != 0 {
+			t.Fatalf("budget %d: retiring the members left %d rows, %d forwarded, %d suppressed", budget, rows, fwd, supp)
 		}
 		if errs := n2.Metrics().ProtocolErrors; errs != 0 {
 			t.Fatalf("budget %d: recovered overlay hit %d protocol errors", budget, errs)
