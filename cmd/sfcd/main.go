@@ -67,7 +67,6 @@ type options struct {
 	adaptiveBudget    bool
 	shards            int
 	workers           int
-	seed              int64
 	trackCovered      bool
 	rebalanceThresh   float64
 	rebalanceInterval time.Duration
@@ -218,7 +217,6 @@ func newFlagSet(so *serveOptions, o *options, stderr io.Writer) *flag.FlagSet {
 	fs.BoolVar(&o.adaptiveBudget, "adaptive-budget", false, "derive each query's effective epsilon and cube cap from observed workload statistics (configured values become floor/ceiling)")
 	fs.IntVar(&o.shards, "shards", 0, "shard count (0 = default)")
 	fs.IntVar(&o.workers, "workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	fs.Int64Var(&o.seed, "seed", 1, "ignored: the index has no randomness left to seed (kept so existing command lines parse)")
 	fs.BoolVar(&o.trackCovered, "track-covered", false,
 		"maintain the mirrored index that serves the \"covered\" op in approx mode (exact mode serves it regardless)")
 	fs.Float64Var(&o.rebalanceThresh, "rebalance-threshold", 0,

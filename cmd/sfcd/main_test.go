@@ -21,7 +21,7 @@ import (
 func defaultOptions() options {
 	return options{
 		attrs: "volume,price", bits: 10, mode: "approx", epsilon: 0.3,
-		strategy: "sfc", seed: 1,
+		strategy: "sfc",
 	}
 }
 
@@ -248,8 +248,8 @@ func TestFlagSurface(t *testing.T) {
 		"decomp-cache", "epsilon", "follow", "log-level", "max-conns",
 		"maxcubes", "metrics-addr", "mode", "read-timeout",
 		"rebalance-interval", "rebalance-max-moves", "rebalance-threshold",
-		"seed", "shards", "slow-log-size", "slow-query", "snapshot-interval",
-		"strategy", "track-covered", "wal-sync", "wal-sync-interval", "workers",
+		"shards", "slow-log-size", "slow-query", "snapshot-interval", "strategy",
+		"track-covered", "wal-sync", "wal-sync-interval", "workers",
 	}
 	var got []string
 	newFlagSet(new(serveOptions), new(options), io.Discard).VisitAll(func(f *flag.Flag) {

@@ -157,7 +157,7 @@ func TestProviderFacade(t *testing.T) {
 		if _, covered, _, err := p.Add(narrow); err != nil || !covered {
 			t.Fatalf("narrow: covered=%v err=%v", covered, err)
 		}
-		res := sfccover.CoverQueries(p, []*sfccover.Subscription{narrow, wide})
+		res := p.CoverQueryBatch([]*sfccover.Subscription{narrow, wide})
 		if !res[0].Covered {
 			t.Fatal("batch query must find the cover of narrow")
 		}
@@ -320,8 +320,7 @@ func TestDurableProviderFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ps sfccover.Persister = d
-	if err := ps.Snapshot(); err != nil {
+	if err := p.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	p.Close()

@@ -1,10 +1,9 @@
-// Package analysis is the project's static-analysis suite: five
+// Package analysis is the project's static-analysis suite: four
 // analyzers that mechanically enforce the invariants the system's
 // correctness and performance claims rest on — the claim→log→apply
 // ordering of the persist path, the zero-measured-cost telemetry budget
 // of the hot query path, the atomic/alignment discipline of the
-// lock-free structures, capability forwarding across provider wrappers,
-// and typed wire refusals in the daemon.
+// lock-free structures, and typed wire refusals in the daemon.
 //
 // The framework mirrors golang.org/x/tools/go/analysis in miniature —
 // an Analyzer runs over one type-checked package and reports position
@@ -21,8 +20,6 @@
 //	//sfc:allowclock <reason>          (suppress a hotpathclock finding)
 //	//sfc:walok <reason>               (suppress a walorder finding)
 //	//sfc:noatomicguard <reason>       (suppress an atomicalign finding)
-//	//sfc:wrapper                      (on a type: opt into capforward)
-//	//sfc:nocap <Iface> <reason>       (suppress one capforward capability)
 //	//sfc:rawerr <reason>              (suppress a wireerrs finding)
 //
 // DESIGN.md's "Invariant catalog" section lists each enforced invariant
@@ -144,23 +141,6 @@ func DocDirective(name string, docs ...*ast.CommentGroup) (Directive, bool) {
 	return Directive{}, false
 }
 
-// DocDirectives collects every directive with the given name from the
-// doc comment groups (for repeatable annotations like //sfc:nocap).
-func DocDirectives(name string, docs ...*ast.CommentGroup) []Directive {
-	var out []Directive
-	for _, doc := range docs {
-		if doc == nil {
-			continue
-		}
-		for _, c := range doc.List {
-			if d, ok := ParseDirective(c.Text); ok && d.Name == name {
-				out = append(out, d)
-			}
-		}
-	}
-	return out
-}
-
 // Suppressed reports whether pos is covered by a named suppression
 // directive with a non-empty reason: the directive must sit on the same
 // line as pos or on the line directly above it. Reasons are mandatory —
@@ -178,23 +158,6 @@ func (p *Pass) Suppressed(pos token.Pos, name string) bool {
 		}
 	}
 	return false
-}
-
-// ImportWithSuffix finds a (directly) imported package whose path ends
-// with the given suffix, e.g. "internal/core". Analyzers use it to
-// locate the project packages whose types they key on, which keeps them
-// working against testdata fixtures living under a different module
-// prefix.
-func ImportWithSuffix(pkg *types.Package, suffix string) *types.Package {
-	if strings.HasSuffix(pkg.Path(), suffix) {
-		return pkg
-	}
-	for _, imp := range pkg.Imports() {
-		if strings.HasSuffix(imp.Path(), suffix) {
-			return imp
-		}
-	}
-	return nil
 }
 
 // namedOrPointee unwraps one level of pointer and reports the named
@@ -231,13 +194,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// funcIsFrom reports whether fn is the named function or method of a
-// package whose path ends in pkgSuffix.
-func funcIsFrom(fn *types.Func, pkgSuffix, name string) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	return fn.Name() == name && strings.HasSuffix(fn.Pkg().Path(), pkgSuffix)
 }

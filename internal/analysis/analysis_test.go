@@ -19,17 +19,13 @@ func TestAtomicAlign(t *testing.T) {
 	analysistest.Run(t, analysis.AtomicAlign, "atomicalign")
 }
 
-func TestCapForward(t *testing.T) {
-	analysistest.Run(t, analysis.CapForward, "capforward")
-}
-
 func TestWireErrs(t *testing.T) {
 	analysistest.Run(t, analysis.WireErrs, "wireerrs")
 }
 
 func TestDirectiveParsing(t *testing.T) {
-	d, ok := analysis.ParseDirective("//sfc:nocap Enumerator dumps are unbounded")
-	if !ok || d.Name != "nocap" || d.Args != "Enumerator dumps are unbounded" {
+	d, ok := analysis.ParseDirective("//sfc:walok replay applies records already on disk")
+	if !ok || d.Name != "walok" || d.Args != "replay applies records already on disk" {
 		t.Fatalf("ParseDirective = %+v, %v", d, ok)
 	}
 	if _, ok := analysis.ParseDirective("// ordinary comment"); ok {

@@ -4,7 +4,6 @@ package analysis
 func All() []*Analyzer {
 	return []*Analyzer{
 		AtomicAlign,
-		CapForward,
 		HotPathClock,
 		WALOrder,
 		WireErrs,

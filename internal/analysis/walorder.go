@@ -10,7 +10,7 @@ import (
 // sound (PR 5): in any package that owns WAL append primitives
 // (appendAdd / appendRemove / appendBatch methods), a function that
 // mutates a wrapped core provider must also append to the WAL, and
-// destructive mutations (Remove / RemoveBatch / RemoveAll) must not
+// destructive mutations (Remove / RemoveBatch) must not
 // precede the first WAL append on the straight-line path — memory must
 // never run ahead of disk. A mutation inside an `err != nil` guard is
 // exempt: that is the rollback arm of a failed append. Suppress with //sfc:walok <reason> on the call line or
@@ -35,12 +35,7 @@ var walPrimitives = map[string]bool{
 var destructiveMutations = map[string]bool{
 	"Remove":      true,
 	"RemoveBatch": true,
-	"RemoveAll":   true,
 }
-
-// mutationIfaces are the internal/core types whose method calls count
-// as provider state mutation.
-var mutationIfaces = []string{"Provider", "BatchWriter", "BulkInserter"}
 
 func runWALOrder(pass *Pass) error {
 	logFuncs := collectLogFuncs(pass)
@@ -209,13 +204,8 @@ func isErrNilCheck(cond ast.Expr) bool {
 }
 
 // isProviderMutation reports whether the call mutates provider state:
-// a mutation-named method invoked on a value typed as one of the
-// internal/core capability interfaces, or the core.AddAll /
-// core.RemoveAll package helpers.
+// a mutation-named method invoked on a value typed core.Provider.
 func isProviderMutation(pass *Pass, call *ast.CallExpr, callee *types.Func) bool {
-	if funcIsFrom(callee, "internal/core", "AddAll") || funcIsFrom(callee, "internal/core", "RemoveAll") {
-		return true
-	}
 	switch callee.Name() {
 	case "Add", "Insert", "AddBatch", "InsertBatch", "Remove", "RemoveBatch":
 	default:
@@ -226,13 +216,5 @@ func isProviderMutation(pass *Pass, call *ast.CallExpr, callee *types.Func) bool
 		return false
 	}
 	recv := pass.Info.TypeOf(sel.X)
-	if recv == nil {
-		return false
-	}
-	for _, iface := range mutationIfaces {
-		if isPkgType(recv, "internal/core", iface) {
-			return true
-		}
-	}
-	return false
+	return recv != nil && isPkgType(recv, "internal/core", "Provider")
 }

@@ -18,6 +18,7 @@
 package broker
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -363,6 +364,7 @@ func (b *Broker) dropRow(from iface, key rectKey) (removed, found bool) {
 type suppressedSet interface {
 	Insert(s *subscription.Subscription) (uint64, error)
 	Remove(id uint64) error
+	Enumerate() ([]core.Held, error)
 	Close()
 }
 
@@ -514,9 +516,9 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 }
 
 // restoreLinks rebuilds what a link derives from its recovered durable
-// sets (the Enumerator capability; fresh in-memory providers and remote
-// namespaces leave the link empty). From the forwarded set: which
-// rectangle maps to which provider id — otherwise re-arriving
+// sets (fresh in-memory providers enumerate empty and remote namespaces
+// cannot enumerate, so both leave the link empty). From the forwarded
+// set: which rectangle maps to which provider id — otherwise re-arriving
 // subscriptions would be re-forwarded (duplicate traffic) and retractions
 // could not find their entries — and the rows broker j holds for neighbor
 // b, which are, by construction, exactly the forwarded set of the link
@@ -531,24 +533,30 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 // screens it onward — and the messages are drained once every link is
 // back.
 func (n *Network) restoreLinks() {
+	// held lists a recovered set, forwarded or suppressed; a set that
+	// cannot enumerate lists nothing.
+	held := func(set suppressedSet) []core.Held {
+		out, err := set.Enumerate()
+		if err != nil && !errors.Is(err, core.ErrUnsupported) {
+			n.bump(metricProtocolError)
+		}
+		return out
+	}
 	for _, b := range n.brokers {
 		for _, j := range b.neighbors {
 			st := b.out[j]
-			if en, ok := st.fwd.(core.Enumerator); ok {
-				from := iface{kind: ifNeighbor, id: b.id}
-				for _, it := range en.Subscriptions() {
-					key := keyOf(it.Sub)
-					st.ids[key] = it.ID
-					if _, exists := n.brokers[j].rowsFrom(from).at[key]; !exists {
-						n.brokers[j].addRow(from, key)
-					}
+			from := iface{kind: ifNeighbor, id: b.id}
+			for _, it := range held(st.fwd) {
+				key := keyOf(it.Sub)
+				st.ids[key] = it.ID
+				if _, exists := n.brokers[j].rowsFrom(from).at[key]; !exists {
+					n.brokers[j].addRow(from, key)
 				}
 			}
-			en, ok := st.supp.(core.Enumerator)
-			if !ok {
+			if st.supp == nil {
 				continue
 			}
-			for _, it := range en.Subscriptions() {
+			for _, it := range held(st.supp) {
 				key := keyOf(it.Sub)
 				// A crash between forward's two writes left the rectangle in
 				// both sets; forwarding wins here as it does there.
@@ -934,7 +942,7 @@ func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
 // new cover's list. Only a re-forward writes (forward retires the
 // suppressed entry), so a crash anywhere in the pass leaves every
 // not-yet-re-forwarded member on record. The probes go through
-// core.CoverQueries in BatchSize chunks, so engine backends answer them on
+// CoverQueryBatch in BatchSize chunks, so engine backends answer them on
 // their batch path.
 //
 // The lists are unordered; the re-screen runs in rectangle order — numeric
@@ -983,7 +991,7 @@ func (b *Broker) resubscribeCovered(j int, st *neighborState, retracted uint64) 
 	}
 	for lo := 0; lo < len(members); lo += batch {
 		chunk := members[lo:min(lo+batch, len(members))]
-		for i, res := range core.CoverQueries(st.fwd, chunk) {
+		for i, res := range st.fwd.CoverQueryBatch(chunk) {
 			sub, key := chunk[i], keys[lo+i]
 			if res.Err != nil {
 				// The subscription just lost a cover; leaving it suppressed

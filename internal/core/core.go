@@ -392,6 +392,14 @@ func (d *Detector) FindCover(s *subscription.Subscription) (id uint64, found boo
 	if err != nil {
 		return 0, false, stats, err
 	}
+	d.tally(found, stats)
+	return id, found, stats, nil
+}
+
+// tally folds one answered query into the lifetime totals (zero stats —
+// a scan, a baseline strategy — count under dominance.PathNone, so the
+// per-path counts always sum to Queries). The caller holds d.mu.
+func (d *Detector) tally(found bool, stats dominance.Stats) {
 	d.totals.Queries++
 	if found {
 		d.totals.Hits++
@@ -399,7 +407,6 @@ func (d *Detector) FindCover(s *subscription.Subscription) (id uint64, found boo
 	d.totals.RunsProbed += stats.RunsProbed
 	d.totals.CubesGenerated += stats.CubesGenerated
 	d.totals.PathQueries[stats.Path]++
-	return id, found, stats, nil
 }
 
 // FindCovered searches the held set for a subscription that s covers — the
@@ -421,13 +428,12 @@ func (d *Detector) FindCovered(s *subscription.Subscription) (id uint64, found b
 	case ModeExact:
 		for candID, cand := range d.subs {
 			if s.Covers(cand) {
-				d.totals.Queries++
-				d.totals.Hits++
-				return candID, true, stats, nil
+				id, found = candID, true
+				break
 			}
 		}
-		d.totals.Queries++
-		return 0, false, stats, nil
+		d.tally(found, stats)
+		return id, found, stats, nil
 	}
 	// ModeApprox.
 	if d.mirror == nil {
@@ -437,13 +443,7 @@ func (d *Detector) FindCovered(s *subscription.Subscription) (id uint64, found b
 	if err != nil {
 		return 0, false, stats, err
 	}
-	d.totals.Queries++
-	if found {
-		d.totals.Hits++
-	}
-	d.totals.RunsProbed += stats.RunsProbed
-	d.totals.CubesGenerated += stats.CubesGenerated
-	d.totals.PathQueries[stats.Path]++
+	d.tally(found, stats)
 	return id, found, stats, nil
 }
 
@@ -510,12 +510,6 @@ func (d *Detector) CoverDegree(s *subscription.Subscription) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	d.totals.Queries++
-	if count > 0 {
-		d.totals.Hits++
-	}
-	d.totals.RunsProbed += stats.RunsProbed
-	d.totals.CubesGenerated += stats.CubesGenerated
-	d.totals.PathQueries[stats.Path]++
+	d.tally(count > 0, stats)
 	return count, nil
 }

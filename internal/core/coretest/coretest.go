@@ -1,10 +1,10 @@
 // Package coretest holds the core.Provider conformance suite: one battery
 // of behavioral checks that every provider implementation — the single
-// Detector, the sharded Engine, the sfcd RemoteProvider — must pass
-// identically, so that brokers and services can swap backends without
-// re-auditing semantics. Implementation packages call RunProviderConformance
-// from their own tests with a factory for a fresh, empty, exact-mode
-// provider.
+// Detector, the sharded Engine, the persist DurableProvider, the sfcd
+// RemoteProvider — must pass identically, so that brokers and services
+// can swap backends without re-auditing semantics. Implementation packages
+// call RunProviderConformance from their own tests with a factory for a
+// fresh, empty, exact-mode provider.
 package coretest
 
 import (
@@ -169,15 +169,18 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 
 	t.Run("batch-queries", func(t *testing.T) {
 		p := fresh(t)
-		if _, err := p.Insert(wide); err != nil {
+		wid, err := p.Insert(wide)
+		if err != nil {
 			t.Fatal(err)
 		}
-		res := core.CoverQueries(p, []*subscription.Subscription{narrow, uncovered})
+		// Every provider, a Detector looping item by item included, answers
+		// aligned with the input.
+		res := p.CoverQueryBatch([]*subscription.Subscription{narrow, uncovered})
 		if len(res) != 2 {
 			t.Fatalf("got %d results for 2 queries", len(res))
 		}
-		if res[0].Err != nil || !res[0].Covered {
-			t.Errorf("batch query 0 = %+v, want covered", res[0])
+		if res[0].Err != nil || !res[0].Covered || res[0].CoveredBy != wid {
+			t.Errorf("batch query 0 = %+v, want covered by %d", res[0], wid)
 		}
 		if res[1].Err != nil || res[1].Covered {
 			t.Errorf("batch query 1 = %+v, want uncovered", res[1])
@@ -193,6 +196,9 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 			t.Fatal(err)
 		}
 		if _, _, _, err := p.FindCover(uncovered); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := p.FindCovered(uncovered); err != nil {
 			t.Fatal(err)
 		}
 		ps := p.Stats()
@@ -212,21 +218,25 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 		if total != ps.Subscriptions {
 			t.Errorf("ShardSizes sum %d != Subscriptions %d", total, ps.Subscriptions)
 		}
+		// Every counted query ended on exactly one path, scans included.
+		paths := 0
+		for _, n := range ps.PathQueries {
+			paths += n
+		}
+		if paths != ps.Queries {
+			t.Errorf("PathQueries %v sum to %d, Queries = %d", ps.PathQueries, paths, ps.Queries)
+		}
 	})
 
 	t.Run("batch-writer", func(t *testing.T) {
 		p := fresh(t)
-		bw, ok := p.(core.BatchWriter)
-		if !ok {
-			t.Skip("provider has no BatchWriter capability")
-		}
-		first := bw.AddBatch([]*subscription.Subscription{wide})
+		first := p.AddBatch([]*subscription.Subscription{wide})
 		if len(first) != 1 || first[0].Err != nil || first[0].ID == 0 {
 			t.Fatalf("AddBatch([wide]) = %+v", first)
 		}
 		// Batch items are mutually unordered, so the cover must come from
 		// an EARLIER batch to be asserted.
-		res := bw.AddBatch([]*subscription.Subscription{narrow, uncovered})
+		res := p.AddBatch([]*subscription.Subscription{narrow, uncovered})
 		if len(res) != 2 {
 			t.Fatalf("got %d results for 2 adds", len(res))
 		}
@@ -246,36 +256,31 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 		// Batch items are mutually unordered, so the failing id must be one
 		// that can never succeed (a duplicate of a valid id would race it).
 		bogus := first[0].ID + res[0].ID + res[1].ID + 1000
-		errs := bw.RemoveBatch([]uint64{res[0].ID, bogus})
+		errs := p.RemoveBatch([]uint64{res[0].ID, bogus})
 		if len(errs) != 2 || errs[0] != nil || errs[1] == nil {
 			t.Fatalf("RemoveBatch = %v, want [nil, error]", errs)
 		}
 		if p.Len() != 2 {
 			t.Fatalf("Len = %d after batch remove, want 2", p.Len())
 		}
-		// The helpers must route through the capability transparently.
-		if out := core.AddAll(p, nil); len(out) != 0 {
-			t.Fatalf("AddAll(nil) = %v", out)
+		if out := p.AddBatch(nil); len(out) != 0 {
+			t.Fatalf("AddBatch(nil) = %v", out)
 		}
-		if out := core.RemoveAll(p, []uint64{first[0].ID}); len(out) != 1 || out[0] != nil {
-			t.Fatalf("RemoveAll = %v", out)
+		if out := p.RemoveBatch([]uint64{first[0].ID}); len(out) != 1 || out[0] != nil {
+			t.Fatalf("RemoveBatch = %v", out)
 		}
 	})
 
 	t.Run("rebalancer", func(t *testing.T) {
 		p := fresh(t)
-		rb, ok := p.(core.Rebalancer)
-		if !ok {
-			t.Skip("provider has no Rebalancer capability")
-		}
 		wid, err := p.Insert(wide)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Whether this configuration can rebalance or not, answers must be
 		// identical afterwards; unsupported configurations must say so.
-		res, err := rb.Rebalance()
-		if err != nil && !errors.Is(err, core.ErrRebalanceUnsupported) {
+		res, err := p.Rebalance()
+		if err != nil && !errors.Is(err, core.ErrUnsupported) {
 			t.Fatalf("Rebalance: %v", err)
 		}
 		if err == nil && res.SkewAfter > res.SkewBefore {
@@ -292,27 +297,76 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 
 	t.Run("persister-snapshot", func(t *testing.T) {
 		p := fresh(t)
-		ps, ok := p.(core.Persister)
-		if !ok {
-			t.Skip("provider has no Persister capability")
-		}
 		wid, err := p.Insert(wide)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ps.Snapshot(); err != nil {
-			if errors.Is(err, core.ErrSnapshotUnsupported) {
-				t.Skip("provider's backend runs without a durable store")
-			}
-			t.Fatalf("Snapshot: %v", err)
+		// A snapshot is pure bookkeeping, and so is refusing one (no durable
+		// store behind the provider): answers must be identical after.
+		snapErr := p.Snapshot()
+		if snapErr != nil && !errors.Is(snapErr, core.ErrUnsupported) {
+			t.Fatalf("Snapshot: %v", snapErr)
 		}
-		// A snapshot is pure bookkeeping: answers must be identical after.
 		id, found, _, err := p.FindCover(narrow)
 		if err != nil || !found || id != wid {
 			t.Fatalf("FindCover after snapshot = (%d,%v,%v), want (%d,true,nil)", id, found, err, wid)
 		}
-		if st := p.Stats(); st.Snapshots < 1 {
+		if st := p.Stats(); snapErr == nil && st.Snapshots < 1 {
 			t.Errorf("Stats.Snapshots = %d after an explicit snapshot", st.Snapshots)
+		}
+	})
+
+	// Every provider serves the whole interface; what one cannot do it
+	// refuses with core.ErrUnsupported, and a refusal changes nothing.
+	t.Run("unsupported-is-uniform", func(t *testing.T) {
+		p := fresh(t)
+		wid, err := p.Insert(wide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := 1
+		ops := []struct {
+			name string
+			call func() error
+		}{
+			{"Rebalance", func() error { _, err := p.Rebalance(); return err }},
+			{"Snapshot", p.Snapshot},
+			{"Enumerate", func() error { _, err := p.Enumerate(); return err }},
+			{"InsertBatch", func() error {
+				// Nothing the probe below could mistake for its cover.
+				ids, err := p.InsertBatch([]*subscription.Subscription{uncovered, uncovered})
+				if err == nil && len(ids) != 2 {
+					t.Errorf("InsertBatch returned %d ids for 2 subscriptions", len(ids))
+				}
+				held += len(ids)
+				return err
+			}},
+		}
+		for _, op := range ops {
+			if err := op.call(); err != nil && !errors.Is(err, core.ErrUnsupported) {
+				t.Fatalf("%s = %v, want success or core.ErrUnsupported", op.name, err)
+			}
+			if n, st := p.Len(), p.Stats().Subscriptions; n != held || st != held {
+				t.Fatalf("after %s: Len = %d, Stats.Subscriptions = %d, want %d", op.name, n, st, held)
+			}
+			if id, found, _, err := p.FindCover(narrow); err != nil || !found || id != wid {
+				t.Fatalf("FindCover after %s = (%d,%v,%v), want (%d,true,nil)", op.name, id, found, err, wid)
+			}
+		}
+		all, err := p.Enumerate()
+		if err != nil {
+			return // refused above, with the right error
+		}
+		if len(all) != p.Len() {
+			t.Fatalf("Enumerate lists %d subscriptions, Len = %d", len(all), p.Len())
+		}
+		for i, h := range all {
+			if i > 0 && all[i-1].ID >= h.ID {
+				t.Fatalf("Enumerate is not id-sorted: %d before %d", all[i-1].ID, h.ID)
+			}
+			if got, ok := p.Subscription(h.ID); !ok || !got.Equal(h.Sub) {
+				t.Fatalf("Enumerate entry %d disagrees with Subscription(%d)", i, h.ID)
+			}
 		}
 	})
 
@@ -324,7 +378,7 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 }
 
 // RunPersistenceConformance exercises the durability contract shared by
-// every provider that advertises core.Persister: open must return a
+// every provider with a durable store behind it: open must return a
 // provider backed by the same durable state each call (a fixed data dir,
 // a daemon with a fixed -data-dir). The suite opens a provider,
 // populates it, snapshots mid-stream, keeps writing, closes it, reopens
@@ -350,10 +404,6 @@ func RunPersistenceConformance(t *testing.T, schema *subscription.Schema, open f
 	midProbe := subscription.MustParse(schema, "volume in [4,1001] && price in [4,1001]")
 
 	p := open(t)
-	ps, ok := p.(core.Persister)
-	if !ok {
-		t.Fatal("persistence conformance needs a provider with the Persister capability")
-	}
 	if p.Mode() != core.ModeExact {
 		t.Fatalf("persistence conformance providers must run ModeExact, got %v", p.Mode())
 	}
@@ -365,7 +415,7 @@ func RunPersistenceConformance(t *testing.T, schema *subscription.Schema, open f
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ps.Snapshot(); err != nil {
+	if err := p.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	// Post-snapshot mutations land in the WAL and must replay on top.

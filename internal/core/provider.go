@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"sort"
 
 	"sfccover/internal/dominance"
 	"sfccover/internal/subscription"
@@ -16,6 +18,10 @@ import (
 //
 // Every implementation preserves the paper's asymmetry: a reported cover
 // (or covered subscription) is always genuine; approximate modes may miss.
+//
+// The interface is the whole surface: an implementation that cannot serve
+// InsertBatch, Snapshot, Enumerate or Rebalance returns an error wrapping
+// ErrUnsupported from it.
 type Provider interface {
 	// Add is the router arrival path: search for a cover of s, then insert
 	// s either way. covered reports whether a cover was found, coveredBy
@@ -40,34 +46,10 @@ type Provider interface {
 	Schema() *subscription.Schema
 	// Stats returns a uniform snapshot of counters and occupancy.
 	Stats() ProviderStats
-	// Close releases resources (worker pools, goroutines). A closed
-	// provider must not be used; Close is idempotent.
-	Close()
-}
-
-// BatchQuerier is the optional batch capability of a Provider: backends
-// that can amortize per-query dispatch (the engine's worker pool) expose
-// it; CoverQueries uses it when present.
-type BatchQuerier interface {
 	// CoverQueryBatch runs FindCover for every subscription, returning
-	// results aligned with the input slice.
+	// results aligned with the input slice. Backends that can amortize
+	// per-query dispatch (the engine's worker pool, one wire frame) do.
 	CoverQueryBatch(subs []*subscription.Subscription) []QueryResult
-}
-
-// AddResult is one BatchWriter.AddBatch outcome: the id assigned to the
-// inserted subscription plus the result of the pre-insert covering query.
-type AddResult struct {
-	// ID is the id assigned to the inserted subscription (0 if the insert
-	// failed).
-	ID uint64
-	QueryResult
-}
-
-// BatchWriter is the optional batch write capability of a Provider:
-// backends that can amortize per-item costs — the engine's shard-grouped
-// bulk loads, the remote provider's single-round-trip wire batches —
-// expose it; AddAll/RemoveAll use it when present.
-type BatchWriter interface {
 	// AddBatch runs the arrival path (covering query + insert) for every
 	// subscription. Results align with the input slice; per-item failures
 	// occupy their slots. Batch items are mutually unordered: no item's
@@ -76,96 +58,49 @@ type BatchWriter interface {
 	// RemoveBatch deletes the given ids. The returned slice aligns with
 	// the input; entries are nil on success.
 	RemoveBatch(ids []uint64) []error
-}
-
-// AddAll runs the arrival path for every subscription against p, through
-// the batch capability when p has one and one Add at a time otherwise.
-func AddAll(p Provider, subs []*subscription.Subscription) []AddResult {
-	if bw, ok := p.(BatchWriter); ok {
-		return bw.AddBatch(subs)
-	}
-	out := make([]AddResult, len(subs))
-	for i, s := range subs {
-		id, covered, coveredBy, err := p.Add(s)
-		out[i] = AddResult{ID: id, QueryResult: QueryResult{Covered: covered, CoveredBy: coveredBy, Err: err}}
-	}
-	return out
-}
-
-// RemoveAll deletes every id against p, through the batch capability when
-// p has one and one Remove at a time otherwise.
-func RemoveAll(p Provider, ids []uint64) []error {
-	if bw, ok := p.(BatchWriter); ok {
-		return bw.RemoveBatch(ids)
-	}
-	out := make([]error, len(ids))
-	for i, id := range ids {
-		out[i] = p.Remove(id)
-	}
-	return out
-}
-
-// BulkInserter is the optional bulk-load capability of a Provider:
-// Insert without the pre-insert covering query, batched under one lock
-// acquisition (the Detector) or one lock per destination shard (the
-// Engine). Recovery paths use it to rebuild an index from a persisted
-// subscription dump without paying one covering query per entry.
-type BulkInserter interface {
-	// InsertBatch stores every subscription unconditionally and returns
-	// the assigned ids, aligned with the input.
+	// InsertBatch stores every subscription unconditionally — no covering
+	// queries, one lock acquisition per destination shard — and returns
+	// the assigned ids, aligned with the input. Recovery paths use it to
+	// rebuild an index from a persisted dump.
 	InsertBatch(subs []*subscription.Subscription) ([]uint64, error)
-}
-
-// Persister is the optional durability capability of a Provider: backends
-// whose subscription set survives a process restart (persist.DurableProvider
-// locally, a remote daemon running with a data dir) expose it. The
-// persisted form is the subscription set itself, not the derived index —
-// recovery rebuilds the index from the dump via the bulk-load path.
-type Persister interface {
 	// Snapshot forces a point-in-time snapshot of the durable subscription
-	// state and compacts the write-ahead log behind it. Answers are
-	// unaffected; concurrent writes keep logging into fresh segments.
+	// state and compacts the write-ahead log behind it. The persisted form
+	// is the subscription set, not the derived index; answers are
+	// unaffected and concurrent writes keep logging into fresh segments.
 	Snapshot() error
+	// Enumerate returns every held subscription with its id, sorted by id
+	// ascending. Routers use it after a restart to rebuild derived link
+	// state from recovered providers.
+	Enumerate() ([]Held, error)
+	// Rebalance runs one bounded pass shifting partition boundaries toward
+	// balance and reports what moved. It may move where subscriptions are
+	// indexed, never what any query returns.
+	Rebalance() (RebalanceResult, error)
+	// Close releases resources (worker pools, goroutines). A closed
+	// provider must not be used; Close is idempotent.
+	Close()
 }
 
-// ErrSnapshotUnsupported reports a Snapshot call on a provider (or
-// provider configuration) with no durable store behind it — a remote
-// provider whose daemon runs without a data dir, typically.
-var ErrSnapshotUnsupported = errors.New("core: provider has no durable store")
+// AddResult is one AddBatch outcome: the id assigned to the inserted
+// subscription plus the result of the pre-insert covering query.
+type AddResult struct {
+	// ID is the id assigned to the inserted subscription (0 if the insert
+	// failed).
+	ID uint64
+	QueryResult
+}
+
+// ErrUnsupported reports an operation this provider (or provider
+// configuration) cannot serve: Rebalance with no movable partition
+// boundaries, Snapshot with no durable store, Enumerate or InsertBatch
+// across a wire with no such op. Implementers wrap it with the reason; a
+// refusal changes nothing.
+var ErrUnsupported = errors.New("core: operation not supported by this provider")
 
 // ErrProviderClosed reports an operation issued after Close. Close itself
 // stays idempotent; the typed error is how the batch paths reject use of a
 // torn-down worker pool instead of panicking on a closed channel.
 var ErrProviderClosed = errors.New("core: provider is closed")
-
-// Enumerator is the optional enumeration capability of a Provider:
-// backends that can list their held (id, subscription) pairs cheaply —
-// the durable wrapper keeps a compact mirror for its snapshots — expose
-// it. Routers use it after a restart to rebuild derived link state
-// (forwarded-set id maps) from recovered providers.
-type Enumerator interface {
-	// Subscriptions returns every held subscription with its id, sorted by
-	// id ascending.
-	Subscriptions() []Held
-}
-
-// Rebalancer is the optional load-rebalancing capability of a Provider:
-// backends whose partition can skew under clustered workloads (the
-// engine's curve-prefix slices) expose it to shift slice boundaries
-// toward balance at runtime. Implementations must preserve answer
-// semantics exactly: a rebalance may move where subscriptions are
-// indexed, never what any query returns.
-type Rebalancer interface {
-	// Rebalance runs one bounded rebalance pass and reports what moved.
-	// Wrappers whose inner provider has no movable boundaries (a durable
-	// or remote provider over a single Detector) return
-	// ErrRebalanceUnsupported.
-	Rebalance() (RebalanceResult, error)
-}
-
-// ErrRebalanceUnsupported reports a provider (or provider configuration)
-// with no movable partition boundaries.
-var ErrRebalanceUnsupported = errors.New("core: provider does not support rebalancing")
 
 // RebalanceResult describes one rebalance pass.
 type RebalanceResult struct {
@@ -187,7 +122,7 @@ type Held struct {
 }
 
 // QueryResult is one covering-query outcome, the per-item currency of the
-// batch interfaces.
+// batch methods.
 type QueryResult struct {
 	// Covered reports whether a stored subscription covers the query.
 	Covered bool
@@ -197,21 +132,6 @@ type QueryResult struct {
 	Stats dominance.Stats
 	// Err is the per-item failure, nil on success.
 	Err error
-}
-
-// CoverQueries runs FindCover for every subscription against p, through
-// the batch capability when p has one and one query at a time otherwise.
-// Results align with the input slice.
-func CoverQueries(p Provider, subs []*subscription.Subscription) []QueryResult {
-	if bq, ok := p.(BatchQuerier); ok {
-		return bq.CoverQueryBatch(subs)
-	}
-	out := make([]QueryResult, len(subs))
-	for i, s := range subs {
-		id, found, stats, err := p.FindCover(s)
-		out[i] = QueryResult{Covered: found, CoveredBy: id, Stats: stats, Err: err}
-	}
-	return out
 }
 
 // ProviderStats is the uniform counter-and-occupancy snapshot every
@@ -255,14 +175,14 @@ type ProviderStats struct {
 	// Rebalances counts rebalance passes that moved at least one
 	// boundary; BoundaryMoves and MigratedEntries sum the per-pass moves
 	// and migrated index entries. All three stay zero on providers
-	// without the Rebalancer capability.
+	// that cannot rebalance.
 	Rebalances      int
 	BoundaryMoves   int
 	MigratedEntries int
 	// Snapshots counts point-in-time snapshots taken; WALRecords and
 	// WALBytes sum the write-ahead-log records and bytes appended over the
 	// provider's lifetime (compaction never decrements them). All three
-	// stay zero on providers without the Persister capability.
+	// stay zero on providers with no durable store.
 	Snapshots  int
 	WALRecords int
 	WALBytes   int64
@@ -313,7 +233,6 @@ func SkewOf(sizes []int) float64 {
 }
 
 var _ Provider = (*Detector)(nil)
-var _ BulkInserter = (*Detector)(nil)
 
 // Stats implements Provider for the single detector: one shard holding
 // everything, so the occupancy fields are trivial and ShardSearches
@@ -332,6 +251,59 @@ func (d *Detector) Stats() ProviderStats {
 	ps.DecompCacheHits, ps.DecompCacheMisses = d.CacheStats()
 	ps.SetShardSizes([]int{len(d.subs)})
 	return ps
+}
+
+// CoverQueryBatch implements Provider one FindCover at a time: a Detector
+// has no dispatch to amortize.
+func (d *Detector) CoverQueryBatch(subs []*subscription.Subscription) []QueryResult {
+	out := make([]QueryResult, len(subs))
+	for i, s := range subs {
+		id, found, stats, err := d.FindCover(s)
+		out[i] = QueryResult{Covered: found, CoveredBy: id, Stats: stats, Err: err}
+	}
+	return out
+}
+
+// AddBatch implements Provider one Add at a time.
+func (d *Detector) AddBatch(subs []*subscription.Subscription) []AddResult {
+	out := make([]AddResult, len(subs))
+	for i, s := range subs {
+		id, covered, coveredBy, err := d.Add(s)
+		out[i] = AddResult{ID: id, QueryResult: QueryResult{Covered: covered, CoveredBy: coveredBy, Err: err}}
+	}
+	return out
+}
+
+// RemoveBatch implements Provider one Remove at a time.
+func (d *Detector) RemoveBatch(ids []uint64) []error {
+	out := make([]error, len(ids))
+	for i, id := range ids {
+		out[i] = d.Remove(id)
+	}
+	return out
+}
+
+// Enumerate implements Provider: a copy of the held set, sorted by id.
+func (d *Detector) Enumerate() ([]Held, error) {
+	d.mu.Lock()
+	out := make([]Held, 0, len(d.subs))
+	for id, s := range d.subs {
+		out = append(out, Held{ID: id, Sub: s.Clone()})
+	}
+	d.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out, nil
+}
+
+// Snapshot implements Provider: a Detector has no durable store.
+func (d *Detector) Snapshot() error {
+	return fmt.Errorf("%w: detector has no durable store", ErrUnsupported)
+}
+
+// Rebalance implements Provider: a single index has no partition
+// boundaries to move.
+func (d *Detector) Rebalance() (RebalanceResult, error) {
+	return RebalanceResult{}, fmt.Errorf("%w: detector has no partition boundaries", ErrUnsupported)
 }
 
 // Close implements Provider. A Detector holds no goroutines or external

@@ -98,30 +98,6 @@ func TestDetectorStats(t *testing.T) {
 	}
 }
 
-func TestCoverQueriesFallback(t *testing.T) {
-	// A Detector has no batch capability, so CoverQueries must fall back
-	// to per-item FindCover with identical outcomes.
-	schema := subscription.MustSchema(8, "a", "b")
-	d := MustNew(Config{Schema: schema, Mode: ModeExact, Strategy: StrategyLinear})
-	if _, err := d.Insert(subscription.MustParse(schema, "a <= 100 && b <= 100")); err != nil {
-		t.Fatal(err)
-	}
-	queries := []*subscription.Subscription{
-		subscription.MustParse(schema, "a in [5,10] && b in [5,10]"), // covered
-		subscription.MustParse(schema, "a >= 200"),                   // not covered
-	}
-	res := CoverQueries(d, queries)
-	if len(res) != 2 {
-		t.Fatalf("got %d results", len(res))
-	}
-	if res[0].Err != nil || !res[0].Covered {
-		t.Fatalf("query 0 = %+v, want covered", res[0])
-	}
-	if res[1].Err != nil || res[1].Covered {
-		t.Fatalf("query 1 = %+v, want uncovered", res[1])
-	}
-}
-
 func TestDetectorInsertBatch(t *testing.T) {
 	schema := subscription.MustSchema(8, "a", "b")
 	build := func(track bool) *Detector {

@@ -111,15 +111,14 @@ type Totals struct {
 	ShardSearches int
 }
 
-// QueryResult is one CoverQueryBatch outcome. It is an alias of the core
-// type so engine batches satisfy core.BatchQuerier directly.
+// QueryResult is one CoverQueryBatch outcome, an alias of the core type
+// core.Provider's batch methods return.
 type QueryResult = core.QueryResult
 
 // AddResult is one AddBatch outcome: the id assigned to the inserted
 // subscription plus the result of the pre-insert covering query. (The
-// single-item Add returns plain values instead, matching core.Provider.)
-// It is an alias of the core type so engine batches satisfy
-// core.BatchWriter directly.
+// single-item Add returns plain values instead.) An alias of the core
+// type, like QueryResult.
 type AddResult = core.AddResult
 
 // Engine is a sharded, concurrent covering-detection engine. All methods
@@ -506,10 +505,6 @@ func (e *Engine) Stats() core.ProviderStats {
 }
 
 var _ core.Provider = (*Engine)(nil)
-var _ core.BatchQuerier = (*Engine)(nil)
-var _ core.BatchWriter = (*Engine)(nil)
-var _ core.Rebalancer = (*Engine)(nil)
-var _ core.BulkInserter = (*Engine)(nil)
 
 // run executes fn(0..n-1) on the worker pool, in contiguous chunks to
 // amortize dispatch, and waits for completion.
@@ -577,9 +572,9 @@ func (e *Engine) AddBatch(subs []*subscription.Subscription) []AddResult {
 // InsertBatch stores every subscription unconditionally — no pre-insert
 // covering queries — grouped by destination shard and bulk-loaded one
 // shard at a time, and returns the assigned ids aligned with the input.
-// This is the core.BulkInserter recovery path: rebuilding an engine from a
-// persisted subscription dump pays the sorted bulk-load cost, not one
-// covering query per entry.
+// This is the recovery path: rebuilding an engine from a persisted
+// subscription dump pays the sorted bulk-load cost, not one covering query
+// per entry.
 func (e *Engine) InsertBatch(subs []*subscription.Subscription) ([]uint64, error) {
 	defer observeSince(e.hInsertBatch, time.Now())
 	for _, s := range subs {

@@ -23,7 +23,7 @@ func (e *Engine) rebalanceLoop() {
 			return
 		case <-ticker.C:
 			if e.skew() >= e.cfg.RebalanceThreshold {
-				e.Rebalance() //nolint:errcheck // always nil; the error is core.Rebalancer's
+				e.Rebalance() //nolint:errcheck // always nil; the error is core.Provider's
 			}
 		}
 	}
@@ -48,7 +48,7 @@ func (e *Engine) rebalanceTarget() float64 {
 // moves where entries are indexed, never what a query returns — and
 // queries keep running during the pass, blocking only on the short
 // per-pair write barriers. The error is always nil; it is there for
-// core.Rebalancer, whose other implementers can lack the capability.
+// core.Provider, whose other implementers can have nothing to move.
 func (e *Engine) Rebalance() (core.RebalanceResult, error) {
 	e.rebalanceMu.Lock()
 	res := core.RebalanceResult{SkewBefore: e.skew()}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"sfccover/internal/core"
@@ -79,6 +80,28 @@ func (e *Engine) Len() int {
 		st.mu.Unlock()
 	}
 	return n
+}
+
+// Enumerate implements core.Provider: a copy of every stripe's held set,
+// one stripe lock at a time, sorted by engine id.
+func (e *Engine) Enumerate() ([]core.Held, error) {
+	var out []core.Held
+	for i := range e.stores {
+		st := &e.stores[i]
+		st.mu.Lock()
+		for id, s := range st.subs {
+			out = append(out, core.Held{ID: id, Sub: s.Clone()})
+		}
+		st.mu.Unlock()
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out, nil
+}
+
+// Snapshot implements core.Provider: an engine has no durable store (wrap
+// it in a persist.DurableProvider for one).
+func (e *Engine) Snapshot() error {
+	return fmt.Errorf("%w: engine has no durable store", core.ErrUnsupported)
 }
 
 // ShardSizes returns the per-shard subscription counts, for balance

@@ -162,7 +162,7 @@ func BenchmarkDurableAddBatch(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				for _, r := range core.AddAll(p, subs) {
+				for _, r := range p.AddBatch(subs) {
 					if r.Err != nil {
 						b.Fatal(r.Err)
 					}

@@ -12,7 +12,7 @@ import (
 // TestDurableProviderConformance runs the shared core.Provider battery
 // against the durable wrapper over both in-process backends: wrapping
 // must change nothing about Provider semantics (and the battery's
-// persister-snapshot subtest exercises the capability the wrapper adds).
+// persister-snapshot subtest exercises the Snapshot the wrapper serves).
 func TestDurableProviderConformance(t *testing.T) {
 	schema := coretest.Schema()
 	backends := map[string]func(t *testing.T) core.Provider{

@@ -18,12 +18,11 @@ import (
 // so a recovered provider answers FindCover/FindCovered with the same
 // sids the pre-crash one did.
 //
-// A DurableProvider forwards the wrapped provider's optional capabilities
-// (batch queries and writes, rebalancing) with id
-// translation at the boundary, and adds core.Persister (Snapshot) and
-// core.Enumerator (the recovered dump) of its own. Close closes the
-// wrapped provider and releases the link for re-wrapping; the Store is
-// closed separately by its owner.
+// A DurableProvider forwards the wrapped provider's batch queries and
+// writes and its Rebalance with id translation at the boundary, and
+// answers Snapshot and Enumerate (the recovered dump) from the store.
+// Close closes the wrapped provider and releases the link for
+// re-wrapping; the Store is closed separately by its owner.
 type DurableProvider struct {
 	inner core.Provider
 	store *Store
@@ -36,12 +35,6 @@ type DurableProvider struct {
 }
 
 var _ core.Provider = (*DurableProvider)(nil)
-var _ core.BatchQuerier = (*DurableProvider)(nil)
-var _ core.BatchWriter = (*DurableProvider)(nil)
-var _ core.Rebalancer = (*DurableProvider)(nil)
-var _ core.Persister = (*DurableProvider)(nil)
-var _ core.Enumerator = (*DurableProvider)(nil)
-var _ core.BulkInserter = (*DurableProvider)(nil)
 
 // Durable wraps inner with durability for one link namespace, bulk-loading
 // the link's recovered subscriptions into it first. inner must be empty
@@ -82,7 +75,7 @@ func (st *Store) Durable(link string, inner core.Provider) (*DurableProvider, er
 
 // load rebuilds inner from the link's recovered entries: payloads decode
 // against the schema, the sorted dump feeds the provider's bulk-load
-// capability when it has one, and the sid maps are seeded.
+// path, and the sid maps are seeded.
 //
 //sfc:walok recovery replays records already on disk; appending them again would double the log every boot
 func (d *DurableProvider) load() error {
@@ -104,21 +97,9 @@ func (d *DurableProvider) load() error {
 		}
 		subs[i] = s
 	}
-	var ids []uint64
-	if bi, ok := d.inner.(core.BulkInserter); ok {
-		var err error
-		if ids, err = bi.InsertBatch(subs); err != nil {
-			return fmt.Errorf("persist: bulk-loading link %q: %w", d.link, err)
-		}
-	} else {
-		ids = make([]uint64, len(subs))
-		for i, s := range subs {
-			id, err := d.inner.Insert(s)
-			if err != nil {
-				return fmt.Errorf("persist: loading link %q: %w", d.link, err)
-			}
-			ids[i] = id
-		}
+	ids, err := d.inner.InsertBatch(subs)
+	if err != nil {
+		return fmt.Errorf("persist: bulk-loading link %q: %w", d.link, err)
 	}
 	for i, e := range entries {
 		d.toInner[e.SID] = ids[i]
@@ -260,10 +241,9 @@ func (d *DurableProvider) FindCovered(s *subscription.Subscription) (id uint64, 
 	return sid, ok, stats, nil
 }
 
-// CoverQueryBatch implements core.BatchQuerier through the wrapped
-// provider's batch capability (or per-item queries), translating ids.
+// CoverQueryBatch runs the batch on the wrapped provider, translating ids.
 func (d *DurableProvider) CoverQueryBatch(subs []*subscription.Subscription) []core.QueryResult {
-	out := core.CoverQueries(d.inner, subs)
+	out := d.inner.CoverQueryBatch(subs)
 	for i := range out {
 		if out[i].Err != nil {
 			continue
@@ -273,8 +253,8 @@ func (d *DurableProvider) CoverQueryBatch(subs []*subscription.Subscription) []c
 	return out
 }
 
-// AddBatch implements core.BatchWriter: the arrival path runs on the
-// wrapped provider's batch capability, then the whole batch's add records
+// AddBatch runs the arrival path as one batch on the wrapped provider,
+// then the whole batch's add records
 // land through one log write (one lock acquisition, one syscall — the
 // same amortization the engine's shard-grouped insert buys in memory).
 // The log write is all-or-nothing: a failure rolls every batch insert
@@ -291,7 +271,7 @@ func (d *DurableProvider) AddBatch(subs []*subscription.Subscription) []core.Add
 		}
 		return out
 	}
-	out := core.AddAll(d.inner, subs)
+	out := d.inner.AddBatch(subs)
 	type pending struct {
 		slot    int
 		sid     uint64
@@ -322,12 +302,10 @@ func (d *DurableProvider) AddBatch(subs []*subscription.Subscription) []core.Add
 	return out
 }
 
-// InsertBatch implements core.BulkInserter over durable sids: the whole
-// batch lands in the wrapped provider — through its own bulk capability
-// when it has one — and then through one log write, the same
-// amortization AddBatch buys. All-or-nothing: a marshal, insert, or log
-// failure rolls every insert of this batch back out of the wrapped
-// provider.
+// InsertBatch is the bulk load over durable sids: the whole batch lands
+// in the wrapped provider through its own InsertBatch and then through
+// one log write, the same amortization AddBatch buys. All-or-nothing: a
+// marshal, insert, or log failure leaves the wrapped provider as it was.
 func (d *DurableProvider) InsertBatch(subs []*subscription.Subscription) ([]uint64, error) {
 	if len(subs) == 0 {
 		return nil, nil
@@ -336,24 +314,9 @@ func (d *DurableProvider) InsertBatch(subs []*subscription.Subscription) ([]uint
 	if err != nil {
 		return nil, err
 	}
-	var innerIDs []uint64
-	if bi, ok := d.inner.(core.BulkInserter); ok {
-		ids, err := bi.InsertBatch(subs)
-		if err != nil {
-			return nil, err
-		}
-		innerIDs = ids
-	} else {
-		for _, s := range subs {
-			id, err := d.inner.Insert(s)
-			if err != nil {
-				for _, prev := range innerIDs {
-					d.inner.Remove(prev) //nolint:errcheck // best-effort rollback of our own insert
-				}
-				return nil, err
-			}
-			innerIDs = append(innerIDs, id)
-		}
+	innerIDs, err := d.inner.InsertBatch(subs)
+	if err != nil {
+		return nil, err
 	}
 	sids := make([]uint64, len(subs))
 	batch := make([]record, len(subs))
@@ -371,7 +334,7 @@ func (d *DurableProvider) InsertBatch(subs []*subscription.Subscription) ([]uint
 	return sids, nil
 }
 
-// RemoveBatch implements core.BatchWriter over durable sids, with the
+// RemoveBatch deletes a batch of durable sids with the
 // same claim → log → apply ordering as Remove: the batch's remove
 // records land through one log write before the wrapped provider drops
 // anything, and a failed log write restores every claim.
@@ -403,7 +366,7 @@ func (d *DurableProvider) RemoveBatch(sids []uint64) []error {
 		d.mu.Unlock()
 		return out
 	}
-	errs := core.RemoveAll(d.inner, innerIDs)
+	errs := d.inner.RemoveBatch(innerIDs)
 	for k, i := range slots {
 		if errs[k] != nil {
 			out[i] = errs[k]
@@ -412,23 +375,20 @@ func (d *DurableProvider) RemoveBatch(sids []uint64) []error {
 	return out
 }
 
-// Rebalance implements core.Rebalancer when the wrapped provider does;
-// otherwise it reports core.ErrRebalanceUnsupported. Rebalancing moves
-// where entries are indexed, never what is persisted, so the log is
-// untouched.
-func (d *DurableProvider) Rebalance() (core.RebalanceResult, error) {
-	if rb, ok := d.inner.(core.Rebalancer); ok {
-		return rb.Rebalance()
-	}
-	return core.RebalanceResult{}, core.ErrRebalanceUnsupported
-}
+// Rebalance is the wrapped provider's answer. Rebalancing moves where
+// entries are indexed, never what is persisted, so the log is untouched.
+func (d *DurableProvider) Rebalance() (core.RebalanceResult, error) { return d.inner.Rebalance() }
 
-// Snapshot implements core.Persister: a snapshot of the whole store (all
-// links — the log is shared, so compaction is all-or-nothing).
+// Snapshot snapshots the whole store (all links — the log is shared, so
+// compaction is all-or-nothing).
 func (d *DurableProvider) Snapshot() error { return d.store.Snapshot() }
 
-// Subscriptions implements core.Enumerator from the store's mirror,
-// sorted by sid.
+// Enumerate implements core.Provider with Subscriptions.
+func (d *DurableProvider) Enumerate() ([]core.Held, error) { return d.Subscriptions(), nil }
+
+// Subscriptions lists the link's durable set from the store's mirror,
+// sorted by sid — Enumerate without the error, which a store-backed dump
+// cannot produce.
 func (d *DurableProvider) Subscriptions() []core.Held {
 	entries := d.store.Entries(d.link)
 	out := make([]core.Held, 0, len(entries))

@@ -364,7 +364,7 @@ func TestDurableDetectorRecovery(t *testing.T) {
 			t.Fatalf("recovered provider reused sid %d", newID)
 		}
 	}
-	// Enumerator serves the recovered dump, sorted.
+	// Subscriptions serves the recovered dump, sorted.
 	subs := d2.Subscriptions()
 	if len(subs) != 6 {
 		t.Fatalf("Subscriptions() = %d entries, want 6", len(subs))
@@ -619,8 +619,7 @@ func TestFailedAppendLeavesNoTornBytes(t *testing.T) {
 	}
 }
 
-// TestDurableInsertBatch pins the bulk-insert capability added to the
-// durable wrapper: one batch, durable sids out, a single log write that
+// TestDurableInsertBatch pins the durable wrapper's bulk insert: one batch, durable sids out, a single log write that
 // replays under the same sids after a restart — and all-or-nothing
 // rollback out of the wrapped provider when that log write fails.
 func TestDurableInsertBatch(t *testing.T) {
@@ -638,8 +637,6 @@ func TestDurableInsertBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var _ core.BulkInserter = d // the capability capforward demanded
-
 	subs := make([]*subscription.Subscription, 4)
 	for i := range subs {
 		subs[i] = rect(t, schema, i)

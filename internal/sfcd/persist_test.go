@@ -305,7 +305,7 @@ func TestSnapshotUnsupportedWithoutDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Snapshot(); !errors.Is(err, core.ErrSnapshotUnsupported) {
-		t.Fatalf("RemoteProvider.Snapshot = %v, want core.ErrSnapshotUnsupported", err)
+	if err := p.Snapshot(); !errors.Is(err, core.ErrUnsupported) {
+		t.Fatalf("RemoteProvider.Snapshot = %v, want core.ErrUnsupported", err)
 	}
 }

@@ -235,8 +235,8 @@ type Stats struct {
 	MinShardSize int     `json:"minShardSize"`
 	SkewRatio    float64 `json:"skewRatio"`
 	// Rebalances/BoundaryMoves/MigratedEntries count what the online
-	// rebalancer has done so far (always zero on providers without the
-	// capability).
+	// rebalancer has done so far (always zero on providers that cannot
+	// rebalance).
 	Rebalances      int `json:"rebalances,omitempty"`
 	BoundaryMoves   int `json:"boundaryMoves,omitempty"`
 	MigratedEntries int `json:"migratedEntries,omitempty"`
@@ -276,9 +276,9 @@ const (
 	// CodeOpFailed marks an operation the provider rejected (unknown sid,
 	// schema trouble, mode restrictions).
 	CodeOpFailed = "op_failed"
-	// CodeUnsupported marks an operation the addressed provider has no
-	// capability for (rebalance on a non-prefix or detector-backed
-	// namespace).
+	// CodeUnsupported marks an operation the addressed provider refuses
+	// with core.ErrUnsupported (rebalance on a detector-backed namespace,
+	// snapshot without a data dir).
 	CodeUnsupported = "unsupported"
 	// CodeNotPrimary marks an operation refused because the daemon is a
 	// read-only follower still draining a primary's replication stream;

@@ -116,7 +116,7 @@ func TestRebalanceOp(t *testing.T) {
 // the linear-strategy exact reference included, so the op succeeds on the
 // shared namespace. A link namespace is a plain Detector without them: the
 // op answers with the unsupported code there, and the remote provider
-// translates it to core.ErrRebalanceUnsupported.
+// translates it to core.ErrUnsupported.
 func TestRebalanceOpLinearEngine(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	_, addr := startServer(t, schema, core.ModeExact) // StrategyLinear underneath
@@ -140,8 +140,12 @@ func TestRebalanceOpLinearEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := link.Rebalance(); !errors.Is(err, core.ErrRebalanceUnsupported) {
-		t.Fatalf("RemoteProvider.Rebalance on a link = %v, want ErrRebalanceUnsupported", err)
+	var se *ServerError
+	if err := c.bodyOp(bg, OpRebalance, "b0-n1", new(RebalanceInfo)); !errors.As(err, &se) || se.Code != CodeUnsupported {
+		t.Fatalf("Rebalance on a link = %v, want a CodeUnsupported server error", err)
+	}
+	if _, err := link.Rebalance(); !errors.Is(err, core.ErrUnsupported) {
+		t.Fatalf("RemoteProvider.Rebalance on a link = %v, want core.ErrUnsupported", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"sfccover/internal/core"
 	"sfccover/internal/dominance"
@@ -28,10 +29,6 @@ import (
 // Closing a RemoteProvider releases its link namespace on the daemon
 // (best effort); it never closes the shared Client. Close the Client
 // itself when all providers on it are done.
-//
-//sfc:wrapper
-//sfc:nocap Enumerator a full subscription dump has no wire op and would be an unbounded response frame; enumerate server-side
-//sfc:nocap BulkInserter the wire batch op is subscribe_batch (AddBatch), which covering daemons need; a log-free bulk insert op does not exist remotely
 type RemoteProvider struct {
 	c    *Client
 	link string
@@ -40,10 +37,6 @@ type RemoteProvider struct {
 }
 
 var _ core.Provider = (*RemoteProvider)(nil)
-var _ core.BatchQuerier = (*RemoteProvider)(nil)
-var _ core.BatchWriter = (*RemoteProvider)(nil)
-var _ core.Rebalancer = (*RemoteProvider)(nil)
-var _ core.Persister = (*RemoteProvider)(nil)
 
 // Provider returns a core.Provider over the given link namespace of the
 // daemon. The empty link is the daemon's shared engine; any other link
@@ -135,8 +128,8 @@ func (r *RemoteProvider) batchOp(op Opcode, subs []*subscription.Subscription, s
 	}
 }
 
-// CoverQueryBatch implements core.BatchQuerier: the whole batch rides one
-// request frame and fans out across the daemon's worker pool.
+// CoverQueryBatch rides one request frame and fans out across the
+// daemon's worker pool.
 func (r *RemoteProvider) CoverQueryBatch(subs []*subscription.Subscription) []core.QueryResult {
 	out := make([]core.QueryResult, len(subs))
 	r.batchOp(OpQueryBatch, subs, func(i int, res Result, err error) {
@@ -145,10 +138,9 @@ func (r *RemoteProvider) CoverQueryBatch(subs []*subscription.Subscription) []co
 	return out
 }
 
-// AddBatch implements core.BatchWriter: the whole arrival-path batch
-// (covering query + insert per item) rides one subscribe_batch request
-// frame instead of one round trip per subscription — the churn-path
-// amortization the wire op existed for.
+// AddBatch rides one subscribe_batch request frame (covering query +
+// insert per item) instead of one round trip per subscription — the
+// churn-path amortization the wire op existed for.
 func (r *RemoteProvider) AddBatch(subs []*subscription.Subscription) []core.AddResult {
 	out := make([]core.AddResult, len(subs))
 	r.batchOp(OpSubscribeBatch, subs, func(i int, res Result, err error) {
@@ -157,9 +149,8 @@ func (r *RemoteProvider) AddBatch(subs []*subscription.Subscription) []core.AddR
 	return out
 }
 
-// RemoveBatch implements core.BatchWriter over one unsubscribe_batch
-// round trip. The returned slice aligns with ids; entries are nil on
-// success.
+// RemoveBatch is one unsubscribe_batch round trip. The returned slice
+// aligns with ids; entries are nil on success.
 func (r *RemoteProvider) RemoveBatch(ids []uint64) []error {
 	out := make([]error, len(ids))
 	results, err := r.c.results(r.ctx, &Request{Op: OpUnsubscribeBatch, Link: r.link, SIDs: ids}, len(ids))
@@ -173,18 +164,25 @@ func (r *RemoteProvider) RemoveBatch(ids []uint64) []error {
 	return out
 }
 
-// Rebalance implements core.Rebalancer by forwarding to the daemon: the
-// addressed namespace rebalances server-side and reports the pass.
-// Namespaces without the capability surface core.ErrRebalanceUnsupported,
-// exactly like a local provider would.
+// unsupported maps the daemon's CodeUnsupported refusal back to
+// core.ErrUnsupported, so a remote namespace refuses exactly like a local
+// provider would.
+func unsupported(err error) error {
+	var se *ServerError
+	if errors.As(err, &se) && se.Code == CodeUnsupported {
+		// The daemon's message is the provider's error, sentinel text first.
+		return fmt.Errorf("%w: %s", core.ErrUnsupported, strings.TrimPrefix(se.Msg, core.ErrUnsupported.Error()+": "))
+	}
+	return err
+}
+
+// Rebalance forwards to the daemon: the addressed namespace rebalances
+// server-side and reports the pass (a link namespace, a plain Detector
+// there, refuses with core.ErrUnsupported).
 func (r *RemoteProvider) Rebalance() (core.RebalanceResult, error) {
 	var info RebalanceInfo
 	if err := r.c.bodyOp(r.ctx, OpRebalance, r.link, &info); err != nil {
-		var se *ServerError
-		if errors.As(err, &se) && se.Code == CodeUnsupported {
-			return core.RebalanceResult{}, fmt.Errorf("%w: %s", core.ErrRebalanceUnsupported, se.Msg)
-		}
-		return core.RebalanceResult{}, err
+		return core.RebalanceResult{}, unsupported(err)
 	}
 	return core.RebalanceResult{
 		Moves:      info.Moves,
@@ -194,18 +192,24 @@ func (r *RemoteProvider) Rebalance() (core.RebalanceResult, error) {
 	}, nil
 }
 
-// Snapshot implements core.Persister by forwarding to the daemon: its
-// whole durable store (all links — the log is shared) snapshots and
-// compacts. Daemons running without a data dir surface
-// core.ErrSnapshotUnsupported, exactly like a local provider without a
-// store would.
+// Snapshot forwards to the daemon: its whole durable store (all links —
+// the log is shared) snapshots and compacts. A daemon running without a
+// data dir refuses with core.ErrUnsupported.
 func (r *RemoteProvider) Snapshot() error {
-	err := r.c.simpleOp(r.ctx, OpSnapshot, r.link)
-	var se *ServerError
-	if errors.As(err, &se) && se.Code == CodeUnsupported {
-		return fmt.Errorf("%w: %s", core.ErrSnapshotUnsupported, se.Msg)
-	}
-	return err
+	return unsupported(r.c.simpleOp(r.ctx, OpSnapshot, r.link))
+}
+
+// Enumerate is unsupported: a full subscription dump has no wire op and
+// would be an unbounded response frame; enumerate server-side.
+func (r *RemoteProvider) Enumerate() ([]core.Held, error) {
+	return nil, fmt.Errorf("%w: no wire op dumps a namespace", core.ErrUnsupported)
+}
+
+// InsertBatch is unsupported: the wire batch op is subscribe_batch
+// (AddBatch), which covering daemons need; a log-free bulk insert op does
+// not exist remotely.
+func (r *RemoteProvider) InsertBatch([]*subscription.Subscription) ([]uint64, error) {
+	return nil, fmt.Errorf("%w: no wire op bulk-inserts", core.ErrUnsupported)
 }
 
 // Subscription resolves an id to its held subscription. The Provider

@@ -59,6 +59,22 @@ func TestRemoteProviderConformance(t *testing.T) {
 	})
 }
 
+// TestRemoteSharedProviderConformance runs the battery against the shared
+// namespace — the daemon's engine, which can rebalance where a link's
+// Detector refuses — with one fresh daemon per factory call, since the
+// shared namespace cannot be reset.
+func TestRemoteSharedProviderConformance(t *testing.T) {
+	schema := coretest.Schema()
+	coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
+		_, c := startExactServer(t, schema)
+		p, err := c.Provider("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	})
+}
+
 // TestLinkNamespaceIsolation pins the multiplexing semantics: namespaces
 // on one daemon are fully isolated subscription sets, and unlink resets a
 // namespace without touching its neighbors or the shared engine.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -566,20 +565,10 @@ func (s *Server) handleFrame(sc *reqScratch, cs *connState) {
 	cs.send(req.ID, sc.out)
 }
 
-// linkSeed derives a link namespace's index seed from the engine
-// template's, so distinct links build independent index randomness.
-func linkSeed(base int64, link string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(link)) //nolint:errcheck // fnv never fails
-	return base ^ int64(h.Sum64())
-}
-
 // buildLink constructs one named link namespace from the engine's
 // detector template, durably wrapped when the server runs with a store.
 func (s *Server) buildLink(link string) (core.Provider, error) {
-	dc := s.eng.Config().Detector
-	dc.Seed = linkSeed(dc.Seed, link)
-	p, err := core.New(dc)
+	p, err := core.New(s.eng.Config().Detector)
 	if err != nil {
 		return nil, err
 	}
@@ -716,7 +705,7 @@ func (s *Server) serve(sc *reqScratch) Response {
 	case OpSubscribeBatch:
 		results := sc.resp.Results[:0]
 		subs, errs := s.decodeSubs(req.Payloads, nil)
-		return Response{OK: true, Results: fillResults(results, errs, core.AddAll(prov, subs),
+		return Response{OK: true, Results: fillResults(results, errs, prov.AddBatch(subs),
 			func(r core.AddResult) (Result, error) {
 				return Result{SID: r.ID, Covered: r.Covered, CoveredBy: r.CoveredBy}, r.Err
 			})}
@@ -727,7 +716,7 @@ func (s *Server) serve(sc *reqScratch) Response {
 		return Response{OK: true, Result: Result{SID: req.SID}}
 	case OpUnsubscribeBatch:
 		results := sc.resp.Results[:0]
-		for i, err := range core.RemoveAll(prov, req.SIDs) {
+		for i, err := range prov.RemoveBatch(req.SIDs) {
 			results = append(results, Result{SID: req.SIDs[i]})
 			if err != nil {
 				results[i].Error = err.Error()
@@ -757,7 +746,7 @@ func (s *Server) serve(sc *reqScratch) Response {
 	case OpQueryBatch:
 		results := sc.resp.Results[:0]
 		subs, errs := s.decodeSubs(req.Payloads, &sc.subs)
-		return Response{OK: true, Results: fillResults(results, errs, core.CoverQueries(prov, subs),
+		return Response{OK: true, Results: fillResults(results, errs, prov.CoverQueryBatch(subs),
 			func(r core.QueryResult) (Result, error) {
 				return Result{Covered: r.Covered, CoveredBy: r.CoveredBy}, r.Err
 			})}
@@ -794,15 +783,8 @@ func (s *Server) serve(sc *reqScratch) Response {
 			WALBytes:          ps.WALBytes,
 		})
 	case OpRebalance:
-		rb, ok := prov.(core.Rebalancer)
-		if !ok {
-			return Response{OK: false, Code: CodeUnsupported, Error: "provider does not support rebalancing"}
-		}
-		res, err := rb.Rebalance()
+		res, err := prov.Rebalance()
 		if err != nil {
-			if errors.Is(err, core.ErrRebalanceUnsupported) {
-				return Response{OK: false, Code: CodeUnsupported, Error: err.Error()}
-			}
 			return errResponse(err)
 		}
 		return bodyResponse(RebalanceInfo{
@@ -812,11 +794,7 @@ func (s *Server) serve(sc *reqScratch) Response {
 			SkewAfter:  res.SkewAfter,
 		})
 	case OpSnapshot:
-		ps, ok := prov.(core.Persister)
-		if !ok {
-			return Response{OK: false, Code: CodeUnsupported, Error: "daemon runs without a data dir"}
-		}
-		if err := ps.Snapshot(); err != nil {
+		if err := prov.Snapshot(); err != nil {
 			return errResponse(err)
 		}
 		return Response{OK: true}
@@ -855,8 +833,15 @@ func unknownOp(op Opcode) Response {
 	return Response{OK: false, Code: CodeUnknownOp, Error: fmt.Sprintf("unknown opcode %d", op)}
 }
 
+// errResponse refuses with op_failed, or with unsupported when the
+// provider said it cannot serve the op at all (rebalance on a link
+// namespace, snapshot without a data dir).
 func errResponse(err error) Response {
-	return Response{OK: false, Code: CodeOpFailed, Error: err.Error()}
+	code := CodeOpFailed
+	if errors.Is(err, core.ErrUnsupported) {
+		code = CodeUnsupported
+	}
+	return Response{OK: false, Code: code, Error: err.Error()}
 }
 
 func badRequest(err error) Response {

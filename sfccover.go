@@ -83,23 +83,18 @@ type Range = subscription.Range
 // Quantizer maps a continuous attribute domain onto the discrete grid.
 type Quantizer = subscription.Quantizer
 
-// Provider is the covering-detection abstraction implemented by both
-// Detector and Engine: Add/Insert/Remove, the forward (FindCover) and
-// reverse (FindCovered) covering queries, and a uniform Stats snapshot.
-// Brokers and services program against it so the backing index is a
-// configuration knob.
+// Provider is the covering-detection abstraction implemented by
+// Detector, Engine, DurableProvider and DaemonProvider: Add/Insert/Remove
+// and their batch forms, the forward (FindCover) and reverse (FindCovered)
+// covering queries, Snapshot, Enumerate, Rebalance and a uniform Stats
+// snapshot. An implementation that cannot serve an operation refuses it
+// with ErrUnsupported. Brokers and services program against it so the
+// backing index is a configuration knob.
 type Provider = core.Provider
 
 // ProviderStats is the uniform counter-and-occupancy snapshot every
 // Provider serves, including the max/min shard-occupancy skew ratio.
 type ProviderStats = core.ProviderStats
-
-// CoverQueries runs FindCover for a batch of subscriptions against any
-// Provider, using its batch capability when present (the Engine's worker
-// pool) and falling back to per-item queries otherwise.
-func CoverQueries(p Provider, subs []*Subscription) []EngineQueryResult {
-	return core.CoverQueries(p, subs)
-}
 
 // Detector detects covering relationships among subscriptions.
 type Detector = core.Detector
@@ -271,12 +266,6 @@ type DaemonTraceStage = sfcd.TraceStage
 // DaemonTraceCost is the cost-model summary a DaemonTrace carries.
 type DaemonTraceCost = sfcd.TraceCost
 
-// Persister is the optional durability capability of a Provider: backends
-// whose subscription set survives a restart (a DurableProvider, a daemon
-// running with -data-dir) expose Snapshot, which compacts the write-ahead
-// log behind a point-in-time snapshot.
-type Persister = core.Persister
-
 // PersistStore is the durable home of subscription state under one data
 // dir: a write-ahead log of add/remove records (binary wire payloads,
 // length-prefixed + CRC32, segment-rotated) plus point-in-time snapshots
@@ -293,7 +282,8 @@ type PersistOptions = persist.Options
 // assigned.
 type DurableProvider = persist.DurableProvider
 
-// Typed errors of the persistence layer, for errors.Is branching.
+// Typed errors of the provider and persistence layers, for errors.Is
+// branching.
 var (
 	// ErrPersistCorrupt: durable state damaged in a way a crash cannot
 	// explain; recovery refuses to guess.
@@ -301,9 +291,10 @@ var (
 	// ErrPersistSchemaMismatch: the data dir was written under a
 	// different schema.
 	ErrPersistSchemaMismatch = persist.ErrSchemaMismatch
-	// ErrSnapshotUnsupported: Snapshot on a provider with no durable
-	// store behind it.
-	ErrSnapshotUnsupported = core.ErrSnapshotUnsupported
+	// ErrUnsupported: an operation this Provider cannot serve — Snapshot
+	// with no durable store behind it, Rebalance with no partition,
+	// Enumerate or InsertBatch on a DaemonProvider.
+	ErrUnsupported = core.ErrUnsupported
 	// ErrProviderClosed: a batch operation issued after Close.
 	ErrProviderClosed = core.ErrProviderClosed
 )
