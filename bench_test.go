@@ -387,6 +387,52 @@ func TestSteadyStateQueryZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestMissPathWalkZeroAlloc is the guard's miss-path case: a query with
+// no cover that the walk decides in ten steps or more — seeks routed
+// through the engine's slices, successor jumps between them — allocates
+// nothing either. Telemetry is off so that no query is trace-elected.
+func TestMissPathWalkZeroAlloc(t *testing.T) {
+	parents, _ := engineBenchWorkload(t)
+	cfg := engineBenchCfg
+	cfg.Schema = parents[0].Schema()
+	eng, err := engine.New(engine.Config{Detector: cfg, TelemetryOff: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.InsertBatch(parents); err != nil {
+		t.Fatal(err)
+	}
+	shapes, err := workload.Subscriptions(workload.SubSpec{Schema: cfg.Schema, N: 256, WidthFrac: 0.1, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var misses []*subscription.Subscription
+	for _, s := range shapes {
+		_, found, st, err := eng.FindCover(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !found && st.Path == dominance.PathWalk && st.WalkSteps >= 10 {
+			misses = append(misses, s)
+		}
+	}
+	if len(misses) == 0 {
+		t.Fatal("no uniform shape is a walk miss of ten steps or more")
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		s := misses[i%len(misses)]
+		i++
+		if _, found, _, err := eng.FindCover(s); err != nil || found {
+			t.Fatal(found, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a walk miss through the engine allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // TestSteadyStateWireQueryAllocs is the same guard one layer out: a
 // covering query through the pipelined client, over loopback TCP, into a
 // live daemon and back. Client and server run in this process, so the
@@ -952,5 +998,52 @@ func BenchmarkEOTransform(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = sub.Point()
+	}
+}
+
+// nearMissIndex loads 16 384 workload.NearMiss points into a single-array
+// index at the benchmark's universe (d = 4, k = 10, the daemon's step
+// budget).
+func nearMissIndex(tb testing.TB) (*dominance.Index, []uint32) {
+	tb.Helper()
+	pts, q, err := workload.NearMiss(4, 10, 16384, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	idx := dominance.MustIndex(dominance.Config{Dims: 4, Bits: 10, MaxCubes: 50000})
+	ids := make([]uint64, len(pts))
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	idx.InsertBatch(pts, ids)
+	return idx, q
+}
+
+// TestNearMissWalkSteps pins the walk's worst case where a cheaper step
+// shows most: at n = 16 384 near-miss points the one query is an exact
+// miss that the walk decides alone, inside the step budget, in a step
+// count that depends on the population and the curve only. A change to
+// the number means the walk visits different keys, not that it got
+// slower; BenchmarkNearMissQuery times it.
+func TestNearMissWalkSteps(t *testing.T) {
+	idx, q := nearMissIndex(t)
+	_, found, st, err := idx.Query(q, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantSteps = 7215
+	if found || st.Path != dominance.PathWalk || st.WalkSteps != wantSteps || st.RunsProbed != wantSteps {
+		t.Fatalf("near-miss query: found=%v %+v, want an exact walk miss in %d steps", found, st, wantSteps)
+	}
+}
+
+func BenchmarkNearMissQuery(b *testing.B) {
+	idx, q := nearMissIndex(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, found, _, err := idx.Query(q, 0.3); err != nil || found {
+			b.Fatal(found, err)
+		}
 	}
 }

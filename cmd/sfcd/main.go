@@ -73,6 +73,26 @@ type options struct {
 	rebalanceMaxMoves int
 }
 
+// maxSlowCurveDims is the widest universe the daemon serves on a curve
+// other than Z. Only the Z curve has a successor step of its own; the
+// others take the walk's step by a block descent over up to 2^d children
+// a level — 110 µs a query at d = 4, milliseconds at d = 6, 717 ms at
+// d = 16 (ROADMAP.md, "Curves under the walk") — so past two
+// attributes any client's query is a stall for every other.
+const maxSlowCurveDims = 4
+
+// curveDimsError refuses -curve hilbert|gray|onion on a schema wider than
+// maxSlowCurveDims dimensions.
+type curveDimsError struct {
+	curve string
+	dims  int
+}
+
+func (e *curveDimsError) Error() string {
+	return fmt.Sprintf("-curve %s is limited to %d dimensions (two attributes) and the schema has %d: its walk step costs 2^d per level; use -curve z",
+		e.curve, maxSlowCurveDims, e.dims)
+}
+
 // buildConfig translates the flag values into an engine configuration.
 func buildConfig(o options) (engine.Config, error) {
 	var attrs []string
@@ -84,6 +104,9 @@ func buildConfig(o options) (engine.Config, error) {
 	schema, err := subscription.NewSchema(o.bits, attrs...)
 	if err != nil {
 		return engine.Config{}, err
+	}
+	if c := o.curve; c != "" && c != "z" && c != "morton" && schema.Dims() > maxSlowCurveDims {
+		return engine.Config{}, &curveDimsError{curve: c, dims: schema.Dims()}
 	}
 	mode, err := core.ParseMode(o.mode)
 	if err != nil {

@@ -58,6 +58,10 @@ func (k Key) Uint64() (v uint64, ok bool) {
 	return k.w[KeyWords-1], true
 }
 
+// LowWord returns the least significant word of k: its numeric value when
+// the key is known to fit 64 bits, without Uint64's check.
+func (k Key) LowWord() uint64 { return k.w[KeyWords-1] }
+
 // Cmp compares two keys numerically, returning -1, 0 or +1.
 func (k Key) Cmp(o Key) int {
 	for i := 0; i < KeyWords; i++ {

@@ -167,18 +167,25 @@ next:
 //
 //sfc:hotpath
 func (m *hitMemo) replay(arr ordered, h uint64, q []uint32, stats *Stats) (id uint64, found, had bool) {
-	var lo, hi bits.Key
+	w := m.keyWords
+	var buf [2 * bits.KeyWords]uint64
+	span := buf[:2*w]
 	s, base := m.set(h)
 	s.mu.Lock()
 	if slot := m.find(s, base, q); slot >= 0 {
 		m.shape(s, slot)[m.dims] = slotUsed
-		span := m.span(s, slot)
-		lo, hi, had = bits.KeyFromLow(span[:m.keyWords]), bits.KeyFromLow(span[m.keyWords:]), true
+		copy(span, m.span(s, slot))
+		had = true
 	}
 	s.mu.Unlock()
 	if had {
 		stats.RunsProbed++
-		id, found = arr.FirstInRange(lo, hi)
+		// Spans are stored as words: a one-word key never becomes a Key.
+		if w == 1 {
+			id, found = arr.FirstInRangeWord(span[0], span[1])
+		} else {
+			id, found = arr.FirstInRange(bits.KeyFromLow(span[:w]), bits.KeyFromLow(span[w:]))
+		}
 	}
 	if !found {
 		m.misses.Add(1)
@@ -190,8 +197,9 @@ func (m *hitMemo) replay(arr ordered, h uint64, q []uint32, stats *Stats) (id ui
 	return id, true, true
 }
 
-// learn folds a searched query's outcome into the memo: a hit in
-// [lo, hi] is noted on its shape's first touch and recorded on the
+// learn folds a searched query's outcome into the memo: a hit in the key
+// range hit (queryScratch.hit's form: the low words of its first key,
+// then of its last) is noted on its shape's first touch and recorded on the
 // second (or at once, over a stale entry — the shape has already proven
 // it recurs); a miss drops the stale entry it fell through. In a full
 // set the newcomer's hash picks the victim, and a victim that has
@@ -200,7 +208,7 @@ func (m *hitMemo) replay(arr ordered, h uint64, q []uint32, stats *Stats) (id ui
 // out one by one, while entries nobody asks for any more are replaced.
 //
 //sfc:hotpath
-func (m *hitMemo) learn(h uint64, q []uint32, lo, hi bits.Key, found, stale bool) {
+func (m *hitMemo) learn(h uint64, q []uint32, hit []uint64, found, stale bool) {
 	if !found && !stale {
 		return
 	}
@@ -247,11 +255,10 @@ func (m *hitMemo) learn(h uint64, q []uint32, lo, hi bits.Key, found, stale bool
 		}
 		seen[noted] = 0
 	}
-	shape, span := m.shape(s, slot), m.span(s, slot)
+	shape := m.shape(s, slot)
 	copy(shape, q)
 	shape[m.dims] = slotLive
-	lo.Low(span[:m.keyWords])
-	hi.Low(span[m.keyWords:])
+	copy(m.span(s, slot), hit)
 }
 
 // len reports the live entry count (for tests).

@@ -25,10 +25,12 @@ type queryScratch struct {
 	// one heap allocation per query. begin resets it, the search works
 	// on it in place, and the query returns it by value.
 	stats Stats
-	// hitLo..hitHi is the key range that held the point a search found,
-	// for the memo: the cube the ε-search hit, or [k,k] for the key a
-	// walk stopped at.
-	hitLo, hitHi bits.Key
+	// hit is the key range that held the point a search found, in the
+	// memo's storage form — the low keyWords words of its first key, then
+	// of its last: the cube the ε-search hit, or [k,k] for the key a walk
+	// stopped at.
+	hit      [2 * bits.KeyWords]uint64
+	keyWords int // 64-bit words of a curve key, set by begin
 	// succ is the walk's NextInExtremal bound to the query corner: the
 	// curve encodes q once per query, not once per step.
 	succ sfc.Successor
@@ -41,8 +43,15 @@ type queryScratch struct {
 // begin resets the scratch for one query and returns its region.
 func (sc *queryScratch) begin(q []uint32, k int) geom.Extremal {
 	region := sc.region(q, k)
+	sc.keyWords = (len(q)*k + 63) / 64
 	sc.stats = Stats{AspectRatio: region.AspectRatio(), SearchedLevel: -1}
 	return region
+}
+
+// setHit records [lo, hi] as the range that answered.
+func (sc *queryScratch) setHit(lo, hi bits.Key) {
+	lo.Low(sc.hit[:sc.keyWords])
+	hi.Low(sc.hit[sc.keyWords : 2*sc.keyWords])
 }
 
 // region builds the extremal query region over the scratch lens buffer.
@@ -70,16 +79,16 @@ func (sc *queryScratch) corners(d int) (lo, hi []uint32) {
 	return sc.rectLo[:d], sc.rectHi[:d]
 }
 
-// topCube returns the key range of the largest standard cube at the max
-// corner of the region begin built: side 2^⌊log2 min ℓ⌋, so it lies
-// inside the region whatever its aspect ratio.
-func (sc *queryScratch) topCube(curve sfc.Curve) sfc.KeyRange {
-	side := uint64(1) << uint(bits.B(slices.Min(sc.lens))-1)
-	corner, _ := sc.corners(len(sc.lens))
+// topCube returns the largest standard cube at the max corner of the
+// region begin built: side 2^⌊log2 min ℓ⌋, so it lies inside the region
+// whatever its aspect ratio.
+func (sc *queryScratch) topCube(k int) (corner []uint32, side uint64) {
+	side = uint64(1) << uint(bits.B(slices.Min(sc.lens))-1)
+	corner, _ = sc.corners(len(sc.lens))
 	for i := range corner {
-		corner[i] = uint32(uint64(1)<<uint(curve.Bits()) - side)
+		corner[i] = uint32(uint64(1)<<uint(k) - side)
 	}
-	return sfc.CubeRange(curve, corner, side)
+	return corner, side
 }
 
 // rect materializes the region as a rectangle over the scratch corner

@@ -11,14 +11,17 @@ import (
 )
 
 // ordered is what a search needs of the SFC array: the entry with the
-// smallest key at or after a cursor, and the first entry of a key range.
-// The single-array index passes its array; the sharded index passes a
-// view that routes each call to the key slices it concerns. Each call is
-// one ordered-structure descent per array actually searched — the unit
-// Stats.RunsProbed counts.
+// smallest key at or after a cursor, and the first entry of a key range,
+// each in both key forms (see keyForm) — the Word pair only ever called
+// when the curve's keys fit one word. The single-array index passes its
+// array; the sharded index passes a view that routes each call to the key
+// slices it concerns. Each call is one ordered-structure descent per
+// array actually searched — the unit Stats.RunsProbed counts.
 type ordered interface {
 	Seek(lo bits.Key) (key bits.Key, id uint64, ok bool)
 	FirstInRange(lo, hi bits.Key) (id uint64, ok bool)
+	SeekWord(lo uint64) (key, id uint64, ok bool)
+	FirstInRangeWord(lo, hi uint64) (id uint64, ok bool)
 }
 
 // search answers one query in the index's one dispatch order: hit memo,
@@ -33,7 +36,7 @@ func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64
 	region := sc.begin(q, d.cfg.Bits)
 	stats := &sc.stats
 	if eps == 0 {
-		id, found, _ := walk(d.curve, arr, q, 0, false, sc, tr)
+		id, found, _ := d.walk(arr, q, 0, false, sc, tr)
 		return id, found, nil
 	}
 	maxCubes := d.cfg.MaxCubes
@@ -57,7 +60,7 @@ func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64
 		}
 		stale = had
 	}
-	id, found, done := walk(d.curve, arr, q, maxCubes, true, sc, tr)
+	id, found, done := d.walk(arr, q, maxCubes, true, sc, tr)
 	if !done {
 		var err error
 		if id, found, err = searchCubes(d.curve, d.cfg.Bits, maxCubes, sc, arr, region, eps, tr); err != nil {
@@ -70,9 +73,20 @@ func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64
 		}
 	}
 	if d.memo != nil {
-		d.memo.learn(h, q, sc.hitLo, sc.hitHi, found, stale)
+		d.memo.learn(h, q, sc.hit[:2*sc.keyWords], found, stale)
 	}
 	return id, found, nil
+}
+
+// walk runs the successor walk in the form the curve's keys take: on
+// words when they fit one, on bits.Key otherwise.
+//
+//sfc:hotpath
+func (d *dispatch) walk(arr ordered, q []uint32, budget int, topFirst bool, sc *queryScratch, tr *obs.QueryTrace) (id uint64, found, done bool) {
+	if d.cfg.wordKeys() {
+		return walk[uint64, wordForm](d.curve, arr, q, budget, topFirst, sc, tr)
+	}
+	return walk[bits.Key, wideForm](d.curve, arr, q, budget, topFirst, sc, tr)
 }
 
 // walk is the exact search in front of the paper's: a cursor runs over
@@ -95,10 +109,12 @@ func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64
 // population with generous covers — any router's — pays several steps
 // there for a dominator that one probe at the top finds. Exact queries
 // promise the dominator with the smallest key and walk from the bottom
-// only. A non-nil tr collects the "walk" stage.
+// only. A non-nil tr collects the "walk" stage. The body is written once
+// over the cursor's type K; F names where the two forms differ.
 //
 //sfc:hotpath
-func walk(curve sfc.Curve, arr ordered, q []uint32, budget int, topFirst bool, sc *queryScratch, tr *obs.QueryTrace) (id uint64, found, done bool) {
+func walk[K comparable, F keyForm[K]](curve sfc.Curve, arr ordered, q []uint32, budget int, topFirst bool, sc *queryScratch, tr *obs.QueryTrace) (id uint64, found, done bool) {
+	var f F
 	stats := &sc.stats
 	var t0 time.Time
 	if tr != nil {
@@ -106,17 +122,18 @@ func walk(curve sfc.Curve, arr ordered, q []uint32, budget int, topFirst bool, s
 	}
 	done = true
 	if topFirst {
-		top := sc.topCube(curve)
+		corner, side := sc.topCube(curve.Bits())
+		lo, hi := f.cubeRange(curve, corner, side)
 		stats.WalkSteps++
-		if id, found = arr.FirstInRange(top.Lo, top.Hi); found {
-			sc.hitLo, sc.hitHi = top.Lo, top.Hi
+		if id, found = f.firstInRange(arr, lo, hi); found {
+			f.hit(sc, lo, hi)
 		}
 	}
-	var cursor bits.Key
+	var cursor K
 	inRegion := !found
 	if inRegion {
 		sc.succ.Bind(curve, q)
-		cursor, inRegion = sc.succ.Next(bits.Key{})
+		cursor, inRegion = f.next(&sc.succ, cursor)
 	}
 	for inRegion {
 		if budget > 0 && stats.WalkSteps == budget {
@@ -124,16 +141,17 @@ func walk(curve sfc.Curve, arr ordered, q []uint32, budget int, topFirst bool, s
 			break
 		}
 		stats.WalkSteps++
-		key, kid, ok := arr.Seek(cursor)
+		key, kid, ok := f.seek(arr, cursor)
 		if !ok {
 			break
 		}
 		if key != cursor {
-			if cursor, inRegion = sc.succ.Next(key); !inRegion || cursor != key {
+			if cursor, inRegion = f.next(&sc.succ, key); !inRegion || cursor != key {
 				continue
 			}
 		}
-		id, found, sc.hitLo, sc.hitHi = kid, true, key, key
+		id, found = kid, true
+		f.hit(sc, key, key)
 		break
 	}
 	stats.RunsProbed += stats.WalkSteps
@@ -203,7 +221,7 @@ func searchExhaustive(curve sfc.Curve, k int, sc *queryScratch, arr ordered, reg
 // Lemma 3.2, then enumerate the greedy partition level by level (largest
 // cubes first) with the Appendix-A algorithm, probing each cube's key
 // range as it is produced. The search ends at the first hit (the key
-// range that held it is left in sc.hitLo..hitHi for the memo), at the
+// range that held it is left in sc.hit for the memo), at the
 // level boundary where the searched volume reaches (1−ε) of the query
 // region, or at the maxCubes cap. A non-nil tr collects stage timings:
 // "truncate" covers the Lemma 3.2 truncation, "enumerate_probes" the
@@ -247,7 +265,7 @@ func searchApprox(curve sfc.Curve, k, maxCubes int, sc *queryScratch, arr ordere
 			if id, ok := arr.FirstInRange(r.Lo, r.Hi); ok {
 				foundID = id
 				stats.Found = true
-				sc.hitLo, sc.hitHi = r.Lo, r.Hi
+				sc.setHit(r.Lo, r.Hi)
 				return false
 			}
 			if maxCubes > 0 && stats.CubesGenerated >= maxCubes {

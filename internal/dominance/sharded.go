@@ -262,20 +262,22 @@ func (x *ShardedIndex) Delete(p []uint32, id uint64) bool {
 // migration can move the range's smallest entry into a slice this probe
 // had already passed), which would break the bit-identical-answers
 // guarantee the sharded index gives against the single-array one. Every
-// slice visited is counted against tr (nil-safe).
+// slice visited is counted against tr (nil-safe). Written once over the
+// key form (see keyForm), like seek below.
 //
 //sfc:hotpath
-func (x *ShardedIndex) probe(lo, hi bits.Key, tr *obs.QueryTrace) (uint64, bool) {
+func probe[K comparable, F keyForm[K]](x *ShardedIndex, lo, hi K, tr *obs.QueryTrace) (uint64, bool) {
+	var f F
 	for {
 		tabPtr := x.table.Load()
-		first, last := routeKey(*tabPtr, lo), routeKey(*tabPtr, hi)
+		first, last := f.route(*tabPtr, lo), f.route(*tabPtr, hi)
 		var id uint64
 		ok := false
 		for i := first; i <= last && !ok; i++ {
 			tr.TouchSlice(i)
 			s := &x.shards[i]
 			s.mu.RLock()
-			id, ok = s.arr.FirstInRange(lo, hi)
+			id, ok = f.firstInRange(&s.arr, lo, hi)
 			s.mu.RUnlock()
 		}
 		if x.table.Load() == tabPtr {
@@ -293,19 +295,20 @@ func (x *ShardedIndex) probe(lo, hi bits.Key, tr *obs.QueryTrace) (uint64, bool)
 // migration moved behind it.
 //
 //sfc:hotpath
-func (x *ShardedIndex) seek(lo bits.Key, tr *obs.QueryTrace) (bits.Key, uint64, bool) {
+func seek[K comparable, F keyForm[K]](x *ShardedIndex, lo K, tr *obs.QueryTrace) (K, uint64, bool) {
+	var f F
 	for {
 		tabPtr := x.table.Load()
 		var (
-			key bits.Key
+			key K
 			id  uint64
 			ok  bool
 		)
-		for i := routeKey(*tabPtr, lo); i < len(x.shards) && !ok; i++ {
+		for i := f.route(*tabPtr, lo); i < len(x.shards) && !ok; i++ {
 			tr.TouchSlice(i)
 			s := &x.shards[i]
 			s.mu.RLock()
-			key, id, ok = s.arr.Seek(lo)
+			key, id, ok = f.seek(&s.arr, lo)
 			s.mu.RUnlock()
 		}
 		if x.table.Load() == tabPtr {

@@ -58,24 +58,47 @@ func (r *routed) sampled() bool {
 
 //sfc:hotpath
 func (r *routed) FirstInRange(lo, hi bits.Key) (uint64, bool) {
-	if r.tr != nil && r.sampled() {
-		t0 := time.Now()
-		id, ok := r.x.probe(lo, hi, r.tr)
-		r.x.probeHist.Observe(time.Since(t0))
-		return id, ok
-	}
-	return r.x.probe(lo, hi, r.tr)
+	return routedProbe[bits.Key, wideForm](r, lo, hi)
+}
+
+//sfc:hotpath
+func (r *routed) FirstInRangeWord(lo, hi uint64) (uint64, bool) {
+	return routedProbe[uint64, wordForm](r, lo, hi)
 }
 
 //sfc:hotpath
 func (r *routed) Seek(lo bits.Key) (bits.Key, uint64, bool) {
+	return routedSeek[bits.Key, wideForm](r, lo)
+}
+
+//sfc:hotpath
+func (r *routed) SeekWord(lo uint64) (uint64, uint64, bool) {
+	return routedSeek[uint64, wordForm](r, lo)
+}
+
+// routedProbe and routedSeek are the four methods' one body each: the
+// sampling decision around probe and seek, whatever the key form.
+//
+//sfc:hotpath
+func routedProbe[K comparable, F keyForm[K]](r *routed, lo, hi K) (uint64, bool) {
 	if r.tr != nil && r.sampled() {
 		t0 := time.Now()
-		key, id, ok := r.x.seek(lo, r.tr)
+		id, ok := probe[K, F](r.x, lo, hi, r.tr)
+		r.x.probeHist.Observe(time.Since(t0))
+		return id, ok
+	}
+	return probe[K, F](r.x, lo, hi, r.tr)
+}
+
+//sfc:hotpath
+func routedSeek[K comparable, F keyForm[K]](r *routed, lo K) (K, uint64, bool) {
+	if r.tr != nil && r.sampled() {
+		t0 := time.Now()
+		key, id, ok := seek[K, F](r.x, lo, r.tr)
 		r.x.probeHist.Observe(time.Since(t0))
 		return key, id, ok
 	}
-	return r.x.seek(lo, r.tr)
+	return seek[K, F](r.x, lo, r.tr)
 }
 
 // CostOf copies a Stats into the dependency-free trace cost record.

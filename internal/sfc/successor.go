@@ -23,7 +23,7 @@ func (s *Successor) Bind(c Curve, q []uint32) {
 	*s = Successor{curve: c, q: q}
 	if z, ok := c.(*ZCurve); ok && z.dimMask != nil {
 		s.z = z
-		s.qKey, _ = z.Key(q).Uint64()
+		s.qKey = z.Key(q).LowWord()
 	}
 }
 
@@ -32,9 +32,22 @@ func (s *Successor) Bind(c Curve, q []uint32) {
 //sfc:hotpath
 func (s *Successor) Next(from bits.Key) (bits.Key, bool) {
 	if s.z != nil {
-		return s.z.nextWord(s.qKey, from)
+		return s.z.nextKey(s.qKey, from)
 	}
 	return s.curve.NextInExtremal(s.q, from)
+}
+
+// NextWord is Next on a curve whose keys fit one word (d·k <= 64), keys
+// passed as their numeric values: the Z curve never leaves the word, the
+// other curves step through the Curve method.
+//
+//sfc:hotpath
+func (s *Successor) NextWord(from uint64) (uint64, bool) {
+	if s.z != nil {
+		return s.z.nextWord(s.qKey, from)
+	}
+	next, ok := s.curve.NextInExtremal(s.q, bits.KeyFromUint64(from))
+	return next.LowWord(), ok
 }
 
 func cellBuf(buf *[stackDims]uint32, d int) []uint32 {

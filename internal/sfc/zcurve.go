@@ -92,22 +92,33 @@ func (z *ZCurve) NextInExtremal(q []uint32, from bits.Key) (bits.Key, bool) {
 	if z.dimMask == nil {
 		return z.nextCoords(q, from)
 	}
-	qk, _ := z.Key(q).Uint64()
-	return z.nextWord(qk, from)
+	return z.nextKey(z.Key(q).LowWord(), from)
 }
 
-// nextWord is the step on one-word keys, qk the key of q. Dimension i
-// is below q exactly when from&dimMask[i] < qk&dimMask[i], and the two
-// first differ at the top set bit of their XOR — already a key position —
-// so p is the top bit of the OR of those XORs over the dimensions that
-// dropped. Clearing from below p and taking the per-dimension maximum
-// with qk, again under the masks, assembles the answer in place.
+// nextKey is nextWord for a caller holding from as a Key.
 //
 //sfc:hotpath
-func (z *ZCurve) nextWord(qk uint64, from bits.Key) (bits.Key, bool) {
+func (z *ZCurve) nextKey(qk uint64, from bits.Key) (bits.Key, bool) {
 	f, ok := from.Uint64()
-	if n := uint(z.cfg.Dims * z.cfg.Bits); !ok || n < 64 && f>>n != 0 {
+	if !ok {
 		return bits.Key{}, false // past the universe's last key
+	}
+	next, ok := z.nextWord(qk, f)
+	return bits.KeyFromUint64(next), ok
+}
+
+// nextWord is the step on one-word keys, qk the key of q and f the key to
+// step from. Dimension i is below q exactly when f&dimMask[i] <
+// qk&dimMask[i], and the two first differ at the top set bit of their
+// XOR — already a key position — so p is the top bit of the OR of those
+// XORs over the dimensions that dropped. Clearing f below p and taking
+// the per-dimension maximum with qk, again under the masks, assembles
+// the answer in place.
+//
+//sfc:hotpath
+func (z *ZCurve) nextWord(qk, f uint64) (uint64, bool) {
+	if n := uint(z.cfg.Dims * z.cfg.Bits); n < 64 && f>>n != 0 {
+		return 0, false // past the universe's last key
 	}
 	var dropped uint64
 	for _, m := range z.dimMask {
@@ -116,14 +127,14 @@ func (z *ZCurve) nextWord(qk uint64, from bits.Key) (bits.Key, bool) {
 		}
 	}
 	if dropped == 0 {
-		return from, true
+		return f, true
 	}
 	f &= ^uint64(0) << uint(mbits.Len64(dropped)-1)
 	var next uint64
 	for _, m := range z.dimMask {
 		next |= max(f&m, qk&m)
 	}
-	return bits.KeyFromUint64(next), true
+	return next, true
 }
 
 // nextCoords is the step in coordinates, for keys wider than one word.

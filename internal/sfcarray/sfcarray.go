@@ -204,6 +204,40 @@ func (x *Index) FirstInRange(lo, hi bits.Key) (id uint64, ok bool) {
 	return lf.ids[s], true
 }
 
+// SeekWord is Seek with one-word keys passed as their numeric values, for
+// a universe whose keys all fit one (d·k <= 64): no Key is built on the
+// way in or out. It sees the one-word keys only — they sort below every
+// wider one, so in an array that a wider key has re-strided ok is false
+// where Seek would return such a key.
+//
+//sfc:hotpath
+func (x *Index) SeekWord(lo uint64) (key, id uint64, ok bool) {
+	if x.w != 1 {
+		k, id, ok := x.Seek(bits.KeyFromUint64(lo))
+		if key, fits := k.Uint64(); ok && fits {
+			return key, id, true
+		}
+		return 0, 0, false
+	}
+	p := [1]uint64{lo}
+	j, s := x.seek(p[:])
+	if j == len(x.leaves) {
+		return 0, 0, false
+	}
+	lf := &x.leaves[j]
+	return lf.keys[s], lf.ids[s], true
+}
+
+// FirstInRangeWord is FirstInRange in SeekWord's key form.
+//
+//sfc:hotpath
+func (x *Index) FirstInRangeWord(lo, hi uint64) (id uint64, ok bool) {
+	if key, id, ok := x.SeekWord(lo); ok && key <= hi {
+		return id, true
+	}
+	return 0, false
+}
+
 // VisitRange calls visit for every entry with key in [lo, hi] in ascending
 // (key, id) order, stopping early if visit returns false. visit must not
 // modify the array.

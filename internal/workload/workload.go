@@ -1,9 +1,9 @@
 // Package workload generates the synthetic inputs for every experiment:
 // subscription populations with controlled value distributions (uniform,
 // Zipf-skewed, clustered) and cover structure (planted parent/child pairs
-// with tunable slack), event streams, and the adversarial extremal
-// rectangles of Theorem 4.1. All generators are deterministic for a given
-// seed.
+// with tunable slack), event streams, the adversarial extremal
+// rectangles of Theorem 4.1, and the successor walk's near-miss worst
+// case. All generators are deterministic for a given seed.
 package workload
 
 import (
@@ -325,4 +325,35 @@ func RandomExtremal(rng *rand.Rand, d, k, alpha int) (geom.Extremal, error) {
 	lens[0] = randLen(bmax)
 	lens[d-1] = randLen(bmin)
 	return geom.NewExtremal(lens, k)
+}
+
+// NearMiss builds the successor walk's worst case: n points of the
+// universe [0, 2^k−1]^d that each fail to dominate query by exactly one
+// coordinate. With mid = (2^k−1)/2 the query is (mid, …, mid); every
+// point is uniform in [mid, 2^k−1] in all coordinates but one chosen
+// uniformly, which lies in [mid − mid/4, mid − 1]. The query has no
+// dominator, and the stored keys lie scattered between the runs of its
+// region, so the walk stops at a large share of them: a query that is
+// all steps. It is the shape of subscriptions sharing a popular bound on
+// one attribute and a newcomer slightly wider on it.
+func NearMiss(d, k, n int, seed int64) (points [][]uint32, query []uint32, err error) {
+	if d < 1 || k < 4 || k > 32 {
+		return nil, nil, fmt.Errorf("workload: NearMiss needs d >= 1 and 4 <= k <= 32, got d=%d k=%d", d, k)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	mid := int64(1)<<uint(k)/2 - 1
+	query = make([]uint32, d)
+	for i := range query {
+		query[i] = uint32(mid)
+	}
+	points = make([][]uint32, n)
+	for i := range points {
+		p := make([]uint32, d)
+		for j := range p {
+			p[j] = uint32(mid + rng.Int63n(mid+2)) // [mid, 2^k−1]
+		}
+		p[rng.Intn(d)] = uint32(mid - 1 - rng.Int63n(mid/4)) // [mid − mid/4, mid − 1]
+		points[i] = p
+	}
+	return points, query, nil
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sfccover/internal/subscription"
@@ -229,5 +230,50 @@ func TestRandomExtremalAspectRatio(t *testing.T) {
 	}
 	if _, err := RandomExtremal(rng, 2, 8, 8); err == nil {
 		t.Error("alpha >= k must fail")
+	}
+}
+
+// TestNearMissFailsByOneCoordinate: every point misses the query in
+// exactly one coordinate, by at most mid/4, and the population is a
+// function of the seed.
+func TestNearMissFailsByOneCoordinate(t *testing.T) {
+	if _, _, err := NearMiss(4, 3, 10, 1); err == nil {
+		t.Error("k < 4 leaves no room below mid and must fail")
+	}
+	for _, k := range []int{4, 10, 32} {
+		pts, q, err := NearMiss(4, k, 500, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid := uint32(1)<<uint(k-1) - 1
+		failing := make([]int, len(q))
+		for _, p := range pts {
+			below := 0
+			for j, v := range p {
+				if q[j] != mid {
+					t.Fatalf("k=%d: query %v, want all %d", k, q, mid)
+				}
+				if v < mid {
+					below++
+					failing[j]++
+					if v < mid-mid/4 {
+						t.Fatalf("k=%d: point %v misses by more than mid/4", k, p)
+					}
+				}
+			}
+			if below != 1 {
+				t.Fatalf("k=%d: point %v is below the query in %d coordinates, want 1", k, p, below)
+			}
+		}
+		for j, n := range failing {
+			if n == 0 {
+				t.Errorf("k=%d: no point fails in coordinate %d", k, j)
+			}
+		}
+		again, _, _ := NearMiss(4, k, 500, 7)
+		other, _, _ := NearMiss(4, k, 500, 8)
+		if !reflect.DeepEqual(pts, again) || reflect.DeepEqual(pts, other) {
+			t.Errorf("k=%d: population must depend on the seed and on nothing else", k)
+		}
 	}
 }
