@@ -251,9 +251,10 @@ func BenchmarkDetectorAdd(b *testing.B) {
 //
 // BenchmarkCoverQuery* measure covering-query throughput on a hit-heavy
 // population (planted parent/child covers): the single-threaded Detector
-// baseline versus the sharded engine's CoverQueryBatch at 1/4/16 shards,
-// driven by at least 8 goroutines. ns/op is per covering query in every
-// variant, so the numbers compare directly.
+// baseline and the engine's CoverQueryBatch driven by at least 8
+// goroutines. ns/op is per covering query in every variant, so the
+// numbers compare directly. What the slices buy under contention is
+// BenchmarkEngineContention's question (contention_test.go).
 
 const (
 	engineBenchPairs = 16384
@@ -468,13 +469,12 @@ func TestSteadyStateWireQueryAllocs(t *testing.T) {
 	}
 }
 
-func benchEngineCoverQueryBatch(b *testing.B, shards int, telemetryOff bool) {
+func benchEngineCoverQueryBatch(b *testing.B, telemetryOff bool) {
 	parents, queries := engineBenchWorkload(b)
 	cfg := engineBenchCfg
 	cfg.Schema = parents[0].Schema()
 	e := engine.MustNew(engine.Config{
 		Detector:     cfg,
-		Shards:       shards,
 		Partition:    engine.PartitionPrefix,
 		Workers:      max(8, runtime.GOMAXPROCS(0)),
 		TelemetryOff: telemetryOff,
@@ -522,20 +522,16 @@ func benchEngineCoverQueryBatch(b *testing.B, shards int, telemetryOff bool) {
 	})
 }
 
-func BenchmarkCoverQueryEngine1Shard(b *testing.B)   { benchEngineCoverQueryBatch(b, 1, false) }
-func BenchmarkCoverQueryEngine4Shards(b *testing.B)  { benchEngineCoverQueryBatch(b, 4, false) }
-func BenchmarkCoverQueryEngine16Shards(b *testing.B) { benchEngineCoverQueryBatch(b, 16, false) }
-
 // --- Telemetry overhead -----------------------------------------------
 //
-// BenchmarkCoverQueryTelemetry{On,Off} rerun the hit-heavy 4-shard batch
+// BenchmarkCoverQueryTelemetry{On,Off} run the hit-heavy batch
 // benchmark with histogram recording and trace sampling enabled (the
 // default) versus disabled (EngineConfig.TelemetryOff), so benchstat puts
 // a number on what always-on telemetry costs the hot path. EXPERIMENTS.md
 // records the measured delta.
 
-func BenchmarkCoverQueryTelemetryOn(b *testing.B)  { benchEngineCoverQueryBatch(b, 4, false) }
-func BenchmarkCoverQueryTelemetryOff(b *testing.B) { benchEngineCoverQueryBatch(b, 4, true) }
+func BenchmarkCoverQueryTelemetryOn(b *testing.B)  { benchEngineCoverQueryBatch(b, false) }
+func BenchmarkCoverQueryTelemetryOff(b *testing.B) { benchEngineCoverQueryBatch(b, true) }
 
 // TestTelemetryOverheadSmoke pins always-on telemetry's cost on the hot
 // covering-query path — single-op FindCover, where the per-call clock
@@ -661,132 +657,6 @@ func BenchmarkEngineAddBatchColdPrefix(b *testing.B) {
 	}
 }
 
-// --- Rebalancing benchmarks -------------------------------------------
-//
-// BenchmarkSkewed* measure the curve-prefix plan under the adversarial
-// hotspot workload (~90% of the population in one tiny box, which the
-// curve maps to one key slice — occupancy skew ~18000:1). Population and
-// probe sets are split off the SAME generated batch, so probes genuinely
-// target the hot region (a fresh workload seed would draw a different
-// hotspot box). rebalance=on runs the online rebalancer to convergence
-// off the clock; answers are bit-identical between the variants — only
-// the slice layout differs, and it is reported as the "skew" metric.
-//
-// Two workload shapes bracket the trade-off the rebalancer makes:
-// sustained churn (the router's subscription arrival/withdrawal path)
-// gains from equalized slices — hot-key updates descend trees ~16x
-// smaller and spread across 16 locks instead of funnelling through one —
-// while miss-heavy approximate covering queries can regress
-// single-threaded, because ~490 of their probes per query land in the
-// sparse regions whose trees equalization deepens. EXPERIMENTS.md
-// records both numbers.
-
-// benchSkewedEngine builds the hotspot engine and optionally rebalances
-// it to convergence, returning the held-out probe slice.
-func benchSkewedEngine(b *testing.B, rebalance bool, maxCubes int) (*engine.Engine, []*subscription.Subscription) {
-	b.Helper()
-	schema := subscription.MustSchema(10, "volume", "price")
-	subs, err := workload.Subscriptions(workload.SubSpec{
-		Schema: schema, N: 22048, Dist: workload.DistHotspot,
-		WidthFrac: 0.02, HotspotFrac: 0.9, HotspotWidthFrac: 0.04, Seed: 31,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pop, probes := subs[:20000], subs[20000:]
-	e := engine.MustNew(engine.Config{
-		Detector:  core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: maxCubes},
-		Shards:    16,
-		Partition: engine.PartitionPrefix,
-	})
-	for i, s := range pop {
-		if _, err := e.Insert(s); err != nil {
-			b.Fatalf("insert %d: %v", i, err)
-		}
-	}
-	if rebalance {
-		for {
-			res, err := e.Rebalance()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Moves == 0 {
-				break
-			}
-		}
-	}
-	runtime.GC() // don't bill the rebalance allocation debt to the measured loop
-	return e, probes
-}
-
-func benchSkewedChurn(b *testing.B, rebalance bool) {
-	e, fresh := benchSkewedEngine(b, rebalance, 2000)
-	defer e.Close()
-	var cursor atomic.Int64
-	b.SetParallelism(8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			s := fresh[int(cursor.Add(1)-1)%len(fresh)]
-			id, err := e.Insert(s)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if err := e.Remove(id); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(e.Stats().SkewRatio, "skew")
-}
-
-func BenchmarkSkewedChurnRebalanceOff(b *testing.B) { benchSkewedChurn(b, false) }
-func BenchmarkSkewedChurnRebalanceOn(b *testing.B)  { benchSkewedChurn(b, true) }
-
-func benchSkewedQuery(b *testing.B, rebalance bool) {
-	e, queries := benchSkewedEngine(b, rebalance, 500)
-	defer e.Close()
-	var cursor atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		batch := make([]*subscription.Subscription, 0, engineBenchBatch)
-		flush := func() error {
-			for _, r := range e.CoverQueryBatch(batch) {
-				if r.Err != nil {
-					return r.Err
-				}
-			}
-			batch = batch[:0]
-			return nil
-		}
-		for pb.Next() {
-			i := int(cursor.Add(1)-1) % len(queries)
-			batch = append(batch, queries[i])
-			if len(batch) == engineBenchBatch {
-				if err := flush(); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}
-		if len(batch) > 0 {
-			if err := flush(); err != nil {
-				b.Error(err)
-			}
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(e.Stats().SkewRatio, "skew")
-}
-
-func BenchmarkSkewedQueryRebalanceOff(b *testing.B) { benchSkewedQuery(b, false) }
-func BenchmarkSkewedQueryRebalanceOn(b *testing.B)  { benchSkewedQuery(b, true) }
-
 // --- Broker churn benchmarks ------------------------------------------
 //
 // BenchmarkBrokerChurn* measure subscription-churn throughput through the
@@ -805,7 +675,7 @@ func benchBrokerChurn(b *testing.B, backend broker.Backend) {
 	}
 	n := broker.MustNetwork(broker.BalancedTree(7), broker.Config{
 		Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 5000,
-		Backend: backend, Shards: 4, BatchSize: 32,
+		Backend: backend, BatchSize: 32,
 	})
 	defer n.Close()
 	clients := make([]*broker.Client, 8)

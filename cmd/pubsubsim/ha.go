@@ -31,9 +31,8 @@ type haCluster struct {
 }
 
 // newDaemonEngine builds a daemon-side engine mirroring the overlay's
-// covering configuration, the same translation the plain "local" daemon
-// mode performs.
-func newDaemonEngine(schema *subscription.Schema, cfg broker.Config, shards int) (*engine.Engine, error) {
+// covering configuration, for the "local" and "local-ha" daemon modes.
+func newDaemonEngine(schema *subscription.Schema, cfg broker.Config) (*engine.Engine, error) {
 	return engine.New(engine.Config{
 		Detector: core.Config{
 			Schema:          schema,
@@ -46,13 +45,12 @@ func newDaemonEngine(schema *subscription.Schema, cfg broker.Config, shards int)
 			AdaptiveBudget:  cfg.AdaptiveBudget,
 			Seed:            cfg.Seed,
 		},
-		Shards: shards,
 	})
 }
 
 // startHACluster boots the primary+follower pair under dir. On error
 // everything already started is torn down.
-func startHACluster(schema *subscription.Schema, cfg broker.Config, shards int, dir string) (*haCluster, error) {
+func startHACluster(schema *subscription.Schema, cfg broker.Config, dir string) (*haCluster, error) {
 	c := &haCluster{}
 	ok := false
 	defer func() {
@@ -62,7 +60,7 @@ func startHACluster(schema *subscription.Schema, cfg broker.Config, shards int, 
 	}()
 
 	var err error
-	if c.primaryEng, err = newDaemonEngine(schema, cfg, shards); err != nil {
+	if c.primaryEng, err = newDaemonEngine(schema, cfg); err != nil {
 		return nil, err
 	}
 	if c.primaryStore, err = persist.Open(filepath.Join(dir, "primary"), schema, persist.Options{}); err != nil {
@@ -77,7 +75,7 @@ func startHACluster(schema *subscription.Schema, cfg broker.Config, shards int, 
 	}
 	c.primaryAddr = addr.String()
 
-	if c.followerEng, err = newDaemonEngine(schema, cfg, shards); err != nil {
+	if c.followerEng, err = newDaemonEngine(schema, cfg); err != nil {
 		return nil, err
 	}
 	if c.followerStore, err = persist.Open(filepath.Join(dir, "follower"), schema, persist.Options{}); err != nil {

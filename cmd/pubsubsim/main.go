@@ -10,7 +10,7 @@
 // Example:
 //
 //	pubsubsim -brokers 31 -topology tree -subs 300 -mode approx -eps 0.2 \
-//	          -backend engine-prefix -shards 4
+//	          -backend engine-prefix
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 
 	"sfccover/internal/broker"
 	"sfccover/internal/core"
-	"sfccover/internal/engine"
 	"sfccover/internal/sfcd"
 	"sfccover/internal/stats"
 	"sfccover/internal/subscription"
@@ -39,21 +38,16 @@ type params struct {
 	eps      float64
 	maxCubes int
 	curve    string
-	cache    int
 	adaptive bool
 	width    float64
 	dist     string
 	seed     int64
 	backend  string
-	shards   int
 	batch    int
 	churn    float64
 	rounds   int
 	daemon   string
 	failover int
-
-	rebalThreshold float64
-	rebalInterval  time.Duration
 }
 
 func main() {
@@ -67,7 +61,6 @@ func main() {
 	flag.Float64Var(&p.eps, "eps", 0.2, "approximation parameter for -mode approx")
 	flag.IntVar(&p.maxCubes, "cap", 10000, "per-query probe budget (0 = library default, -1 = unlimited)")
 	flag.StringVar(&p.curve, "curve", "", "space filling curve: z (default) | hilbert | gray | onion")
-	flag.IntVar(&p.cache, "decomp-cache", 0, "hit memo size in entries (0 = default, -1 = disabled)")
 	flag.BoolVar(&p.adaptive, "adaptive-budget", false, "derive per-query budgets from observed workload statistics")
 	flag.Float64Var(&p.width, "width", 0.3, "mean subscription width as a fraction of the domain")
 	flag.StringVar(&p.dist, "dist", "uniform", "value distribution: uniform | zipf | clustered | hotspot")
@@ -75,14 +68,9 @@ func main() {
 	flag.StringVar(&p.backend, "backend", "detector", "per-link provider: detector | engine-prefix | remote")
 	flag.StringVar(&p.daemon, "daemon", "", "sfcd daemon address for -backend remote; \"local\" spins an in-process daemon so the whole overlay shares one index service; \"local-ha\" spins a replicated primary+follower pair with client-side failover")
 	flag.IntVar(&p.failover, "failover-round", 0, "kill the primary daemon and promote the follower at the start of this churn round (needs -daemon local-ha; 0 = never)")
-	flag.IntVar(&p.shards, "shards", 0, "per-link engine shard count (engine-prefix backend; 0 = default)")
 	flag.IntVar(&p.batch, "batch", 0, "covered-set re-forward probe batch size (0 = whole set)")
 	flag.Float64Var(&p.churn, "churn", 0.25, "fraction of the remaining subscriptions withdrawn per churn round")
 	flag.IntVar(&p.rounds, "churn-rounds", 1, "churn+publish rounds; each withdraws -churn of the remaining subscriptions, republishes the event batch and reports delivery-latency percentiles")
-	flag.Float64Var(&p.rebalThreshold, "rebalance-threshold", 0,
-		"occupancy skew ratio arming each engine-prefix link's online slice rebalancer (must exceed 1; 0 = off)")
-	flag.DurationVar(&p.rebalInterval, "rebalance-interval", 0,
-		"background rebalancer poll period (0 = engine default)")
 	flag.Parse()
 	if _, err := run(p); err != nil {
 		fmt.Fprintf(os.Stderr, "pubsubsim: %v\n", err)
@@ -119,17 +107,13 @@ func run(p params) (simResult, error) {
 		return res, fmt.Errorf("unknown topology %q", p.topology)
 	}
 	cfg := broker.Config{
-		Schema:             schema,
-		MaxCubes:           p.maxCubes,
-		Curve:              p.curve,
-		DecompCacheSize:    p.cache,
-		AdaptiveBudget:     p.adaptive,
-		Seed:               p.seed,
-		Backend:            broker.Backend(p.backend),
-		Shards:             p.shards,
-		BatchSize:          p.batch,
-		RebalanceThreshold: p.rebalThreshold,
-		RebalanceInterval:  p.rebalInterval,
+		Schema:         schema,
+		MaxCubes:       p.maxCubes,
+		Curve:          p.curve,
+		AdaptiveBudget: p.adaptive,
+		Seed:           p.seed,
+		Backend:        broker.Backend(p.backend),
+		BatchSize:      p.batch,
 	}
 	switch p.mode {
 	case "off":
@@ -169,7 +153,7 @@ func run(p params) (simResult, error) {
 				return res, err
 			}
 			defer os.RemoveAll(dir)
-			if cluster, err = startHACluster(schema, cfg, p.shards, dir); err != nil {
+			if cluster, err = startHACluster(schema, cfg, dir); err != nil {
 				return res, err
 			}
 			defer cluster.Close()
@@ -179,20 +163,7 @@ func run(p params) (simResult, error) {
 			// One in-process daemon backing every broker link — the
 			// shared-daemon deployment the remote backend exists for, in a
 			// self-contained process.
-			eng, err := engine.New(engine.Config{
-				Detector: core.Config{
-					Schema:          schema,
-					Mode:            cfg.Mode,
-					Epsilon:         cfg.Epsilon,
-					Strategy:        cfg.Strategy,
-					Curve:           cfg.Curve,
-					MaxCubes:        cfg.MaxCubes,
-					DecompCacheSize: cfg.DecompCacheSize,
-					AdaptiveBudget:  cfg.AdaptiveBudget,
-					Seed:            cfg.Seed,
-				},
-				Shards: p.shards,
-			})
+			eng, err := newDaemonEngine(schema, cfg)
 			if err != nil {
 				return res, err
 			}

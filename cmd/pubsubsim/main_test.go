@@ -41,7 +41,7 @@ func TestRunEngineBackend(t *testing.T) {
 	p := base()
 	p.brokers, p.nSubs = 5, 30
 	p.mode, p.eps, p.maxCubes = "approx", 0.3, 2000
-	p.backend, p.shards, p.batch = "engine-prefix", 2, 8
+	p.backend, p.batch = "engine-prefix", 8
 	p.churn, p.rounds = 0.5, 3
 	if _, err := run(p); err != nil {
 		t.Errorf("backend engine-prefix: %v", err)
@@ -53,7 +53,7 @@ func TestRunRemoteBackend(t *testing.T) {
 	// points every broker link at it over one pipelined connection.
 	p := base()
 	p.brokers, p.nSubs = 5, 30
-	p.backend, p.daemon, p.shards = "remote", "local", 2
+	p.backend, p.daemon = "remote", "local"
 	p.churn = 0.5
 	if _, err := run(p); err != nil {
 		t.Errorf("remote backend: %v", err)
@@ -90,7 +90,7 @@ func TestRunRejectsBadArguments(t *testing.T) {
 func TestFailoverMatchesCleanRun(t *testing.T) {
 	ha := base()
 	ha.brokers, ha.nSubs, ha.nClients = 5, 40, 4
-	ha.backend, ha.daemon, ha.shards = "remote", "local-ha", 2
+	ha.backend, ha.daemon = "remote", "local-ha"
 	ha.churn, ha.rounds = 0.3, 3
 
 	clean, err := run(ha)

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	sfcd -addr :7421 -attrs volume,price -bits 10 \
-//	     -mode approx -epsilon 0.3 -shards 8 \
+//	     -mode approx -epsilon 0.3 \
 //	     -data-dir /var/lib/sfcd -snapshot-interval 5m
 //
 // With -data-dir the daemon's subscription state (the shared engine and
@@ -56,21 +56,15 @@ const daemonMaxCubes = 50000
 // options mirrors the flag set; kept separate so tests can build engine
 // configurations without touching the global flag state.
 type options struct {
-	attrs             string
-	bits              int
-	mode              string
-	epsilon           float64
-	strategy          string
-	curve             string
-	maxCubes          int
-	decompCache       int
-	adaptiveBudget    bool
-	shards            int
-	workers           int
-	trackCovered      bool
-	rebalanceThresh   float64
-	rebalanceInterval time.Duration
-	rebalanceMaxMoves int
+	attrs          string
+	bits           int
+	mode           string
+	epsilon        float64
+	strategy       string
+	curve          string
+	maxCubes       int
+	adaptiveBudget bool
+	trackCovered   bool
 }
 
 // maxSlowCurveDims is the widest universe the daemon serves on a curve
@@ -114,21 +108,15 @@ func buildConfig(o options) (engine.Config, error) {
 	}
 	return engine.Config{
 		Detector: core.Config{
-			Schema:          schema,
-			Mode:            mode,
-			Epsilon:         o.epsilon,
-			Strategy:        core.Strategy(o.strategy),
-			Curve:           o.curve,
-			MaxCubes:        o.maxCubes,
-			DecompCacheSize: o.decompCache,
-			AdaptiveBudget:  o.adaptiveBudget,
-			TrackCovered:    o.trackCovered,
+			Schema:         schema,
+			Mode:           mode,
+			Epsilon:        o.epsilon,
+			Strategy:       core.Strategy(o.strategy),
+			Curve:          o.curve,
+			MaxCubes:       o.maxCubes,
+			AdaptiveBudget: o.adaptiveBudget,
+			TrackCovered:   o.trackCovered,
 		},
-		Shards:             o.shards,
-		Workers:            o.workers,
-		RebalanceThreshold: o.rebalanceThresh,
-		RebalanceInterval:  o.rebalanceInterval,
-		RebalanceMaxMoves:  o.rebalanceMaxMoves,
 	}, nil
 }
 
@@ -236,18 +224,9 @@ func newFlagSet(so *serveOptions, o *options, stderr io.Writer) *flag.FlagSet {
 	fs.StringVar(&o.strategy, "strategy", "sfc", "search backend: sfc, or linear (exact-mode store scan)")
 	fs.StringVar(&o.curve, "curve", "", "space filling curve: z (default), hilbert, gray or onion")
 	fs.IntVar(&o.maxCubes, "maxcubes", daemonMaxCubes, "per-query budget: successor-walk steps, then cubes (-1 = unlimited)")
-	fs.IntVar(&o.decompCache, "decomp-cache", 0, "hit memo size in entries (0 = default, -1 = disabled); a shape that found a cover replays the key range that held it with one probe")
 	fs.BoolVar(&o.adaptiveBudget, "adaptive-budget", false, "derive each query's effective epsilon and cube cap from observed workload statistics (configured values become floor/ceiling)")
-	fs.IntVar(&o.shards, "shards", 0, "shard count (0 = default)")
-	fs.IntVar(&o.workers, "workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.trackCovered, "track-covered", false,
 		"maintain the mirrored index that serves the \"covered\" op in approx mode (exact mode serves it regardless)")
-	fs.Float64Var(&o.rebalanceThresh, "rebalance-threshold", 0,
-		"occupancy skew ratio arming the online slice rebalancer (must exceed 1; 0 = background rebalancing off)")
-	fs.DurationVar(&o.rebalanceInterval, "rebalance-interval", 0,
-		"background rebalancer poll period (0 = engine default)")
-	fs.IntVar(&o.rebalanceMaxMoves, "rebalance-max-moves", 0,
-		"boundary moves allowed per rebalance pass, the migration-rate cap (0 = 2x shards)")
 	return fs
 }
 

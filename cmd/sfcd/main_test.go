@@ -274,11 +274,10 @@ func TestRunRejectsBadFlagCombinations(t *testing.T) {
 func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"adaptive-budget", "addr", "attrs", "bits", "curve", "data-dir",
-		"decomp-cache", "epsilon", "follow", "log-level", "max-conns",
+		"epsilon", "follow", "log-level", "max-conns",
 		"maxcubes", "metrics-addr", "mode", "read-timeout",
-		"rebalance-interval", "rebalance-max-moves", "rebalance-threshold",
-		"shards", "slow-log-size", "slow-query", "snapshot-interval", "strategy",
-		"track-covered", "wal-sync", "wal-sync-interval", "workers",
+		"slow-log-size", "slow-query", "snapshot-interval", "strategy",
+		"track-covered", "wal-sync", "wal-sync-interval",
 	}
 	var got []string
 	newFlagSet(new(serveOptions), new(options), io.Discard).VisitAll(func(f *flag.Flag) {

@@ -20,15 +20,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A 4-shard engine, curve-prefix partitioned: subscriptions that are
-	// close on the space filling curve — the likely covers — share a shard.
+	// The default engine: key-range partitioned, so subscriptions that are
+	// close on the space filling curve — the likely covers — share a shard,
+	// with the shard boundaries placed by the engine from what it holds.
 	eng, err := sfccover.NewEngine(sfccover.EngineConfig{
 		Detector: sfccover.DetectorConfig{
 			Schema:  schema,
 			Mode:    sfccover.ModeApprox,
 			Epsilon: 0.3,
 		},
-		Shards:    4,
 		Partition: sfccover.PartitionPrefix,
 	})
 	if err != nil {

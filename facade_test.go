@@ -181,7 +181,6 @@ func TestEngineBackedNetworkFacade(t *testing.T) {
 		Mode:    sfccover.ModeApprox,
 		Epsilon: 0.2,
 		Backend: sfccover.NetworkBackendEnginePrefix,
-		Shards:  4,
 	})
 	if err != nil {
 		t.Fatal(err)

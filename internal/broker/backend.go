@@ -135,13 +135,7 @@ func (ps *providerSource) forwarded(brokerID, neighborID int) (core.Provider, er
 	case "", BackendDetector:
 		p, err = core.New(dc)
 	default: // BackendEnginePrefix (validated in newProviderSource)
-		p, err = engine.New(engine.Config{
-			Detector:           dc,
-			Shards:             cfg.Shards,
-			Workers:            brokerEngineWorkers,
-			RebalanceThreshold: cfg.RebalanceThreshold,
-			RebalanceInterval:  cfg.RebalanceInterval,
-		})
+		p, err = engine.New(engine.Config{Detector: dc, Workers: brokerEngineWorkers})
 	}
 	if err != nil || ps.store == nil {
 		return p, err

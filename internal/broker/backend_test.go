@@ -3,9 +3,9 @@ package broker
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"sfccover/internal/core"
+	"sfccover/internal/engine"
 	"sfccover/internal/subscription"
 )
 
@@ -77,7 +77,6 @@ func TestBackendsDeliverIdentically(t *testing.T) {
 				for _, backend := range allBackends {
 					cfg := base
 					cfg.Backend = backend
-					cfg.Shards = 2
 					cfg.BatchSize = 4
 					got := runWorkload(t, cfg, topo, ops, nClients)
 					if ref == nil {
@@ -97,10 +96,11 @@ func TestBackendsDeliverIdentically(t *testing.T) {
 }
 
 // TestRebalancingBackendDeliversIdentically pins the acceptance property
-// for online rebalancing: an engine-prefix network whose per-link
-// background rebalancers are armed at the most aggressive legal settings
-// (so boundaries move while the workload runs) must deliver bit-identically
-// to the single-detector reference, in every mode.
+// for online rebalancing: an engine-prefix network whose every link engine
+// is having passes forced on it the whole time (a link's few dozen
+// subscriptions are under the population its own write path would act on,
+// so a goroutine moves the boundaries while the workload runs) must
+// deliver bit-identically to the single-detector reference, in every mode.
 func TestRebalancingBackendDeliversIdentically(t *testing.T) {
 	schema := testSchema()
 	const nClients = 6
@@ -117,11 +117,32 @@ func TestRebalancingBackendDeliversIdentically(t *testing.T) {
 
 			cfg := base
 			cfg.Backend = BackendEnginePrefix
-			cfg.Shards = 4
 			cfg.BatchSize = 4
-			cfg.RebalanceThreshold = 1.01
-			cfg.RebalanceInterval = time.Millisecond
-			got := runWorkload(t, cfg, BalancedTree(7), ops, nClients)
+			n := MustNetwork(BalancedTree(7), cfg)
+			defer n.Close()
+			var engines []*engine.Engine
+			for _, b := range n.brokers {
+				for _, st := range b.out {
+					engines = append(engines, st.fwd.(*engine.Engine))
+				}
+			}
+			stop, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					for _, e := range engines {
+						e.Rebalance()
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+			}()
+			got := runWorkloadOn(t, n, ops, nClients)
+			close(stop)
+			<-done
 			for c := range want {
 				if !eventsEqual(got[c], want[c]) {
 					t.Fatalf("client %d deliveries differ under rebalancing (%d vs %d events)",
@@ -145,7 +166,7 @@ func TestApproxCoverRemovalResubscribes(t *testing.T) {
 		t.Run(string(backend), func(t *testing.T) {
 			n := MustNetwork(Line(4), Config{
 				Schema: schema, Mode: core.ModeApprox, Epsilon: 0.2, MaxCubes: 5000,
-				Backend: backend, Shards: 2,
+				Backend: backend,
 			})
 			defer n.Close()
 			wideClient, _ := n.AttachClient(0)
@@ -208,7 +229,7 @@ func TestUnsubscribeSuppressedSubscription(t *testing.T) {
 	for _, backend := range allBackends {
 		t.Run(string(backend), func(t *testing.T) {
 			n := MustNetwork(Line(3), Config{
-				Schema: schema, Mode: core.ModeExact, Backend: backend, Shards: 2,
+				Schema: schema, Mode: core.ModeExact, Backend: backend,
 			})
 			defer n.Close()
 			c, _ := n.AttachClient(0)
@@ -275,7 +296,7 @@ func TestEngineBackendTableParity(t *testing.T) {
 	var ref *footprint
 	for _, backend := range allBackends {
 		n := MustNetwork(BalancedTree(7), Config{
-			Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear, Backend: backend, Shards: 3,
+			Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear, Backend: backend,
 		})
 		clients := make([]*Client, nClients)
 		for i := range clients {
@@ -329,7 +350,7 @@ func TestConcurrentEngineBackend(t *testing.T) {
 	want := phasedOracle(ops, nClients)
 	got, m := runConcurrentPhased(t, Config{
 		Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 2000,
-		Backend: BackendEnginePrefix, Shards: 2, BatchSize: 8,
+		Backend: BackendEnginePrefix, BatchSize: 8,
 	}, BalancedTree(7), ops, nClients)
 	if m.ProtocolErrors != 0 {
 		t.Fatalf("protocol errors: %d", m.ProtocolErrors)
@@ -351,7 +372,7 @@ func TestBatchSizeInsensitivity(t *testing.T) {
 	for _, batch := range []int{0, 1, 3, 64} {
 		cfg := Config{
 			Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear,
-			Backend: BackendEnginePrefix, Shards: 2, BatchSize: batch,
+			Backend: BackendEnginePrefix, BatchSize: batch,
 		}
 		got := runWorkload(t, cfg, Star(5), ops, nClients)
 		if ref == nil {
@@ -373,7 +394,6 @@ func ExampleConfig_backend() {
 		Mode:    core.ModeApprox,
 		Epsilon: 0.2,
 		Backend: BackendEnginePrefix,
-		Shards:  4,
 	})
 	defer n.Close()
 	sub, _ := n.AttachClient(0)

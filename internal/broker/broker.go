@@ -59,9 +59,6 @@ type Config struct {
 	// own worker pools and remote-backed networks own a daemon
 	// connection; call Close when done.
 	Backend Backend
-	// Shards is the per-link shard count for the engine backends
-	// (0 = the engine default).
-	Shards int
 	// DaemonAddr is the shared sfcd daemon's TCP address (required for
 	// BackendRemote unless DaemonAddrs is set, ignored otherwise). All
 	// links of all brokers multiplex one pipelined connection to it.
@@ -87,15 +84,6 @@ type Config struct {
 	// unsubscription time through the provider's batch interface
 	// (0 = the whole covered set in one batch).
 	BatchSize int
-	// RebalanceThreshold arms each engine-backed link's background slice
-	// rebalancer: when a link's curve-prefix occupancy skew reaches it,
-	// the engine moves slice boundaries back toward balance (must exceed
-	// 1 when set; 0 disables; inert on non-prefix backends, whose
-	// placement cannot skew by key locality).
-	RebalanceThreshold float64
-	// RebalanceInterval is the background rebalancer's poll period
-	// (0 = the engine default).
-	RebalanceInterval time.Duration
 	// DataDir makes every in-process link provider durable: forwarded and
 	// suppressed sets ride one persist.Store (WAL + snapshots) under this
 	// directory, and a network rebuilt over the same dir recovers them —

@@ -274,6 +274,12 @@ func runWorkload(t *testing.T, cfg Config, topo Topology, ops []workloadOp, nCli
 	t.Helper()
 	n := MustNetwork(topo, cfg)
 	defer n.Close()
+	return runWorkloadOn(t, n, ops, nClients)
+}
+
+// runWorkloadOn is runWorkload on a network the caller built and closes.
+func runWorkloadOn(t *testing.T, n *Network, ops []workloadOp, nClients int) [][]subscription.Event {
+	t.Helper()
 	clients := make([]*Client, nClients)
 	for i := range clients {
 		c, err := n.AttachClient(i % n.NumBrokers())
@@ -298,7 +304,7 @@ func runWorkload(t *testing.T, cfg Config, topo Topology, ops []workloadOp, nCli
 		n.Drain()
 	}
 	if m := n.Metrics(); m.ProtocolErrors != 0 {
-		t.Fatalf("mode %v: protocol errors: %d", cfg.Mode, m.ProtocolErrors)
+		t.Fatalf("mode %v: protocol errors: %d", n.cfg.Mode, m.ProtocolErrors)
 	}
 	out := make([][]subscription.Event, nClients)
 	for i, c := range clients {

@@ -20,7 +20,7 @@ import (
 // (or covered subscription) is always genuine; approximate modes may miss.
 //
 // The interface is the whole surface: an implementation that cannot serve
-// InsertBatch, Snapshot, Enumerate or Rebalance returns an error wrapping
+// InsertBatch, Snapshot or Enumerate returns an error wrapping
 // ErrUnsupported from it.
 type Provider interface {
 	// Add is the router arrival path: search for a cover of s, then insert
@@ -72,10 +72,6 @@ type Provider interface {
 	// ascending. Routers use it after a restart to rebuild derived link
 	// state from recovered providers.
 	Enumerate() ([]Held, error)
-	// Rebalance runs one bounded pass shifting partition boundaries toward
-	// balance and reports what moved. It may move where subscriptions are
-	// indexed, never what any query returns.
-	Rebalance() (RebalanceResult, error)
 	// Close releases resources (worker pools, goroutines). A closed
 	// provider must not be used; Close is idempotent.
 	Close()
@@ -91,29 +87,15 @@ type AddResult struct {
 }
 
 // ErrUnsupported reports an operation this provider (or provider
-// configuration) cannot serve: Rebalance with no movable partition
-// boundaries, Snapshot with no durable store, Enumerate or InsertBatch
-// across a wire with no such op. Implementers wrap it with the reason; a
-// refusal changes nothing.
+// configuration) cannot serve: Snapshot with no durable store, Enumerate
+// or InsertBatch across a wire with no such op. Implementers wrap it with
+// the reason; a refusal changes nothing.
 var ErrUnsupported = errors.New("core: operation not supported by this provider")
 
 // ErrProviderClosed reports an operation issued after Close. Close itself
 // stays idempotent; the typed error is how the batch paths reject use of a
 // torn-down worker pool instead of panicking on a closed channel.
 var ErrProviderClosed = errors.New("core: provider is closed")
-
-// RebalanceResult describes one rebalance pass.
-type RebalanceResult struct {
-	// Moves is the number of boundary moves performed.
-	Moves int
-	// Migrated is the number of index entries that crossed a boundary.
-	Migrated int
-	// SkewBefore and SkewAfter bracket the pass with the worst slice-
-	// occupancy ratio across the provider's rebalanceable indexes
-	// (primary and, when present, the mirror; min clamped to 1, like
-	// ProviderStats.SkewRatio).
-	SkewBefore, SkewAfter float64
-}
 
 // Held is one subscription a provider holds, with the id it is held under.
 type Held struct {
@@ -136,8 +118,8 @@ type QueryResult struct {
 
 // ProviderStats is the uniform counter-and-occupancy snapshot every
 // Provider serves: lifetime query totals plus the shard layout, including
-// the max/min slice-occupancy ratio that makes curve-prefix skew
-// observable before any rebalancing kicks in.
+// the max/min slice-occupancy ratio a sliced provider rebalances itself
+// on.
 type ProviderStats struct {
 	// Subscriptions is the number of currently held subscriptions.
 	Subscriptions int
@@ -174,8 +156,8 @@ type ProviderStats struct {
 	SkewRatio float64
 	// Rebalances counts rebalance passes that moved at least one
 	// boundary; BoundaryMoves and MigratedEntries sum the per-pass moves
-	// and migrated index entries. All three stay zero on providers
-	// that cannot rebalance.
+	// and migrated index entries — how a sliced provider's own passes
+	// are observed. All three stay zero on providers with one slice.
 	Rebalances      int
 	BoundaryMoves   int
 	MigratedEntries int
@@ -298,12 +280,6 @@ func (d *Detector) Enumerate() ([]Held, error) {
 // Snapshot implements Provider: a Detector has no durable store.
 func (d *Detector) Snapshot() error {
 	return fmt.Errorf("%w: detector has no durable store", ErrUnsupported)
-}
-
-// Rebalance implements Provider: a single index has no partition
-// boundaries to move.
-func (d *Detector) Rebalance() (RebalanceResult, error) {
-	return RebalanceResult{}, fmt.Errorf("%w: detector has no partition boundaries", ErrUnsupported)
 }
 
 // Close implements Provider. A Detector holds no goroutines or external

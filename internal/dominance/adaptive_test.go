@@ -182,6 +182,7 @@ func TestAdaptiveShardedConcurrent(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(37))
 	pts := randomPoints(rng, 300, 2, 6)
+	x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
 	for i, p := range pts {
 		x.Insert(p, uint64(i))
 	}

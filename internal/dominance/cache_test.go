@@ -286,6 +286,7 @@ func TestCacheShardedConcurrent(t *testing.T) {
 	oracle := NewLinear()
 	rng := rand.New(rand.NewSource(23))
 	pts := randomPoints(rng, 400, 2, 6)
+	x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
 	for i, p := range pts {
 		x.Insert(p, uint64(i))
 		oracle.Insert(p, uint64(i))

@@ -2,6 +2,7 @@ package dominance
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,8 +41,7 @@ import (
 // relocate entries between slices without ever dropping or duplicating
 // one, so the equivalence holds before, during and after a rebalance.
 type ShardedIndex struct {
-	dispatch     // the memo is shared by concurrent queries under its stripe locks
-	keyLen   int // curve key width, Dims*Bits
+	dispatch // the memo is shared by concurrent queries under its stripe locks
 	shards   []shardSlot
 	// probeHist, when set via SetObserver, receives sampled descent
 	// latencies.
@@ -51,9 +51,10 @@ type ShardedIndex struct {
 
 	// table points at the current boundary table: table[i] is the first
 	// key slice i owns, table[0] is the zero key, and slice i ends where
-	// slice i+1 begins (the last slice is unbounded above). Swapped
-	// atomically — never mutated in place — so lock-free readers always
-	// observe a complete table.
+	// slice i+1 begins (the last slice is unbounded above); of a run of
+	// slices with equal starts the last owns the keys and the others own
+	// none. Swapped atomically — never mutated in place — so lock-free
+	// readers always observe a complete table.
 	table atomic.Pointer[[]bits.Key]
 	// moveMu serializes boundary movers: concurrent EqualizePair calls on
 	// disjoint pairs would otherwise lose each other's table swap.
@@ -65,14 +66,12 @@ type shardSlot struct {
 	arr sfcarray.Index
 }
 
-// maxPrefixBits bounds the initial routing prefix; 16 bits ≫ any sane
-// shard count while keeping the prefix arithmetic in a uint64. A key
-// narrower than the cap routes on the full key.
-const maxPrefixBits = 16
-
 // NewSharded builds a key-range sharded dominance index with n shards.
-// The initial boundaries split the key space uniformly by prefix; they
-// move when EqualizePair migrates load between neighbors.
+// An index is born with every boundary at the zero key — the last slice
+// owns the whole key space — because where the boundaries belong is a
+// property of the keys present, not of the key space: ChooseBoundaries
+// places them when a bulk load arrives, and EqualizePair moves them as the
+// population drifts.
 func NewSharded(cfg Config, n int) (*ShardedIndex, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("dominance: invalid shard count %d", n)
@@ -81,28 +80,60 @@ func NewSharded(cfg Config, n int) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg = d.cfg
-	keyLen := cfg.Dims * cfg.Bits
-	prefixBits := min(keyLen, maxPrefixBits)
-	if n > 1<<uint(prefixBits) {
-		return nil, fmt.Errorf("dominance: %d shards exceed the %d key-prefix slices", n, 1<<uint(prefixBits))
-	}
 	x := &ShardedIndex{
 		dispatch: d,
-		keyLen:   keyLen,
 		shards:   make([]shardSlot, n),
 	}
 	x.scratchPool.New = func() any { return new(queryScratch) }
-	// Slice i's first key is the smallest whose top prefixBits place it in
-	// slice i under the uniform arithmetic top*n >> prefixBits == i, i.e.
-	// ceil(i*2^p / n) shifted back up to key width.
 	starts := make([]bits.Key, n)
-	for i := 1; i < n; i++ {
-		top := (uint64(i)<<uint(prefixBits) + uint64(n) - 1) / uint64(n)
-		starts[i] = bits.KeyFromUint64(top).ShlN(keyLen - prefixBits)
-	}
 	x.table.Store(&starts)
 	return x, nil
+}
+
+// sampleKeysPerSlice sizes the sample ChooseBoundaries takes: a slice's
+// share of the load is then off by about 1/sqrt(128), 9 %, whatever the
+// slice count.
+const sampleKeysPerSlice = 128
+
+// ChooseBoundaries places the slice boundaries of an EMPTY index at the
+// quantiles of the n points about to be loaded into it (point(i) is the
+// i-th), so the load lands evenly; on an index that holds anything it
+// does nothing. The quantiles are read off a stride sample of at most
+// sampleKeysPerSlice keys a slice — sorting the sample, not the batch —
+// and the stride is a function of n alone, so two loads of the same
+// sequence choose the same table. Equal quantiles (a hot key, a batch
+// smaller than the slice count) leave slices that own no key, which
+// routing permits. The swap follows EqualizePair's protocol with every
+// slice's write lock held, so it is safe beside any other operation.
+func (x *ShardedIndex) ChooseBoundaries(n int, point func(i int) []uint32) {
+	if len(x.shards) < 2 || n == 0 || x.Len() > 0 {
+		return
+	}
+	most := sampleKeysPerSlice * len(x.shards)
+	stride := (n + most - 1) / most
+	sample := make([]bits.Key, 0, (n+stride-1)/stride)
+	for i := 0; i < n; i += stride {
+		sample = append(sample, x.curve.Key(point(i)))
+	}
+	slices.SortFunc(sample, bits.Key.Cmp)
+	starts := make([]bits.Key, len(x.shards))
+	for i := 1; i < len(starts); i++ {
+		starts[i] = sample[i*len(sample)/len(starts)]
+	}
+
+	x.moveMu.Lock()
+	defer x.moveMu.Unlock()
+	for i := range x.shards {
+		s := &x.shards[i]
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	for i := range x.shards {
+		if x.shards[i].arr.Len() > 0 {
+			return // an insert won the race; its slice keeps its keys
+		}
+	}
+	x.table.Store(&starts)
 }
 
 // NumShards returns the shard count.

@@ -3,6 +3,7 @@ package dominance
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -16,8 +17,8 @@ func TestNewShardedValidation(t *testing.T) {
 	if _, err := NewSharded(Config{Dims: 0, Bits: 6}, 4); err == nil {
 		t.Error("dims=0 must fail")
 	}
-	if _, err := NewSharded(Config{Dims: 1, Bits: 2}, 8); err == nil {
-		t.Error("more shards than key-prefix slices must fail")
+	if _, err := NewSharded(Config{Dims: 1, Bits: 2}, 8); err != nil {
+		t.Errorf("more shards than keys is legal (a slice may own no key): %v", err)
 	}
 	if _, err := NewSharded(Config{Dims: 2, Bits: 6}, 4); err != nil {
 		t.Errorf("defaults should work: %v", err)
@@ -33,15 +34,16 @@ func TestShardedParity(t *testing.T) {
 	for _, curve := range []string{"z", "hilbert", "gray"} {
 		cfg := Config{Dims: 3, Bits: 6, Curve: curve, MaxCubes: 5000}
 		single := MustIndex(cfg)
+		pts := randomPoints(rng, 2000, 3, 6)
 		sharded := make([]*ShardedIndex, 0, 3)
 		for _, n := range []int{1, 4, 16} {
 			x, err := NewSharded(cfg, n)
 			if err != nil {
 				t.Fatal(err)
 			}
+			x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
 			sharded = append(sharded, x)
 		}
-		pts := randomPoints(rng, 2000, 3, 6)
 		for i, p := range pts {
 			single.Insert(p, uint64(i))
 			for _, x := range sharded {
@@ -84,6 +86,7 @@ func TestShardedInsertDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := randomPoints(rng, 500, 4, 8)
+	x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
 	for i, p := range pts {
 		x.Insert(p, uint64(i))
 	}
@@ -123,28 +126,71 @@ func TestShardedQueryValidation(t *testing.T) {
 	}
 }
 
-// TestShardedInitialBoundaries pins the initial layout: routing through
-// the boundary table must match the historical uniform prefix arithmetic
-// top*n >> prefixBits, so seeds and co-partitioned stores stay stable.
+// TestShardedInitialBoundaries pins where an index's boundaries come
+// from: none at birth (the last slice owns every key), then the quantiles
+// of the first batch to enter it empty — the same table for the same
+// batch, whatever the batch's distribution — and never from a batch that
+// finds entries already there.
 func TestShardedInitialBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
+	cfg := Config{Dims: 3, Bits: 6}
+	// Clustered low in every coordinate: a uniform split of the key space
+	// would put all of it in the first slice.
+	pts := make([][]uint32, 4000)
+	for i := range pts {
+		pts[i] = []uint32{uint32(rng.Intn(8)), uint32(rng.Intn(8)), uint32(rng.Intn(8))}
+	}
+	at := func(i int) []uint32 { return pts[i] }
+	ids := make([]uint64, len(pts))
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
 	for _, n := range []int{1, 3, 4, 16} {
-		cfg := Config{Dims: 3, Bits: 6}
 		x, err := NewSharded(cfg, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(x.Boundaries()); got != n {
-			t.Fatalf("n=%d: %d boundaries", n, got)
+		tab := x.Boundaries()
+		if len(tab) != n {
+			t.Fatalf("n=%d: %d boundaries", n, len(tab))
 		}
-		keyLen := cfg.Dims * cfg.Bits
-		p := min(keyLen, maxPrefixBits)
-		for _, pt := range randomPoints(rng, 300, 3, 6) {
-			top, _ := x.curve.Key(pt).ShrN(keyLen - p).Uint64()
-			want := int(top * uint64(n) >> uint(p))
-			if got := x.ShardFor(pt); got != want {
-				t.Fatalf("n=%d: ShardFor = %d, want prefix-arithmetic %d", n, got, want)
+		for i, k := range tab {
+			if !k.IsZero() {
+				t.Fatalf("n=%d: boundary %d of an empty index = %v, want the zero key", n, i, k)
 			}
+		}
+		if got := x.ShardFor(pts[0]); got != n-1 {
+			t.Fatalf("n=%d: an unplaced index routes to slice %d, want the last", n, got)
+		}
+
+		x.ChooseBoundaries(len(pts), at)
+		tab = x.Boundaries()
+		for i := 1; i < n; i++ {
+			if tab[i].Less(tab[i-1]) {
+				t.Fatalf("n=%d: boundaries out of order: %v", n, tab)
+			}
+		}
+		x.InsertBatch(pts, ids)
+		sizes := x.ShardSizes()
+		lo, hi := sizes[0], sizes[0]
+		for _, s := range sizes {
+			lo, hi = min(lo, s), max(hi, s)
+		}
+		// Only 512 distinct keys exist, each ~8 entries deep, and a key
+		// never splits across slices: allow that granularity.
+		if n > 1 && hi > 2*lo {
+			t.Fatalf("n=%d: quantile boundaries loaded %v", n, sizes)
+		}
+
+		twin, _ := NewSharded(cfg, n)
+		twin.ChooseBoundaries(len(pts), at)
+		if got := twin.Boundaries(); !slices.Equal(got, tab) {
+			t.Fatalf("n=%d: two loads of one batch chose %v and %v", n, tab, got)
+		}
+
+		x.ChooseBoundaries(len(pts), func(i int) []uint32 { return []uint32{63, 63, 63} })
+		if got := x.Boundaries(); !slices.Equal(got, tab) {
+			t.Fatalf("n=%d: a batch moved the boundaries of a loaded index: %v -> %v", n, tab, got)
 		}
 	}
 }
@@ -161,7 +207,8 @@ func TestEqualizePairMigration(t *testing.T) {
 	}
 	oracle := MustIndex(cfg)
 	rng := rand.New(rand.NewSource(72))
-	// A tight cluster near the origin lands in one curve-prefix slice.
+	// One insert at a time, nothing has placed the boundaries: every
+	// entry lands in the last slice.
 	pts := make([][]uint32, 0, 1200)
 	for i := 0; i < 1000; i++ {
 		pts = append(pts, []uint32{uint32(rng.Intn(16)), uint32(rng.Intn(16))})
@@ -392,5 +439,60 @@ func TestShardedConcurrent(t *testing.T) {
 	wg.Wait()
 	if x.Len() != 0 {
 		t.Fatalf("Len after concurrent churn = %d", x.Len())
+	}
+}
+
+// TestChooseBoundariesConcurrent races batches into an empty index, each
+// asking for boundaries placed for itself first, beside single inserts;
+// meaningful under -race. Whoever wins, the table swap must strand
+// nothing: every entry stays findable and deletable by its key.
+func TestChooseBoundariesConcurrent(t *testing.T) {
+	cfg := Config{Dims: 2, Bits: 8, MaxCubes: 2000}
+	for round := 0; round < 10; round++ {
+		x, err := NewSharded(cfg, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(100*round + g)))
+				// Each batch crowds its own corner, so each would choose a
+				// different table.
+				pts := randomPoints(rng, 300, 2, 6)
+				for _, p := range pts {
+					p[0] += uint32(g%2) << 7
+					p[1] += uint32(g/2) << 7
+				}
+				ids := make([]uint64, len(pts))
+				for i := range ids {
+					ids[i] = uint64(g*1000 + i)
+				}
+				if g == 3 {
+					for i, p := range pts {
+						x.Insert(p, ids[i])
+					}
+				} else {
+					x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
+					x.InsertBatch(pts, ids)
+				}
+				for i, p := range pts {
+					if _, ok, _, err := x.Query(p, 0); err != nil || !ok {
+						t.Errorf("goroutine %d: a stored point is not found at its own position (%v, %v)", g, ok, err)
+						return
+					}
+					if !x.Delete(p, ids[i]) {
+						t.Errorf("goroutine %d: entry %d lost", g, i)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if x.Len() != 0 {
+			t.Fatalf("round %d: Len = %d after deleting everything", round, x.Len())
+		}
 	}
 }

@@ -81,14 +81,15 @@ func TestExactQueryMatchesExhaustiveCubes(t *testing.T) {
 			Insert([]uint32, uint64)
 			Query([]uint32, float64) (uint64, bool, Stats, error)
 		}{MustIndex(cfg)}
+		pts := randomPoints(rng, 150, cfg.Dims, cfg.Bits)
 		for _, n := range []int{1, 4, 16} {
 			x, err := NewSharded(cfg, n)
 			if err != nil {
 				t.Fatal(err)
 			}
+			x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
 			indexes = append(indexes, x)
 		}
-		pts := randomPoints(rng, 150, cfg.Dims, cfg.Bits)
 		ids := rng.Perm(3 * len(pts)) // ids in no relation to insertion or key order
 		for i, id := range ids {
 			p := pts[i%len(pts)] // every cell holds three ids
@@ -342,6 +343,7 @@ func TestQueryPathsAllocateNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sharded.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
 	for i, p := range pts {
 		single.Insert(p, uint64(i))
 		sharded.Insert(p, uint64(i))

@@ -3,7 +3,6 @@ package engine_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"sfccover/internal/core"
 	"sfccover/internal/core/coretest"
@@ -35,19 +34,17 @@ func TestEngineProviderConformance(t *testing.T) {
 
 // TestEngineConformanceMidRebalance runs the same battery against an
 // engine whose slice boundaries are being moved the whole time: a
-// background goroutine hammers Rebalance (and the engine's own trigger is
-// armed at the lowest legal threshold) while every behavioral assertion
+// goroutine hammers forced passes (which, unlike the write path's own,
+// take any population and any skew) while every behavioral assertion
 // runs. Provider semantics must be indistinguishable from the quiescent
 // engine's.
 func TestEngineConformanceMidRebalance(t *testing.T) {
 	schema := coretest.Schema()
 	coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
 		e := engine.MustNew(engine.Config{
-			Detector:           core.Config{Schema: schema, Mode: core.ModeExact},
-			Shards:             4,
-			Workers:            4,
-			RebalanceThreshold: 1.01,
-			RebalanceInterval:  time.Millisecond,
+			Detector: core.Config{Schema: schema, Mode: core.ModeExact},
+			Shards:   4,
+			Workers:  4,
 		})
 		stop := make(chan struct{})
 		done := make(chan struct{})
@@ -58,10 +55,7 @@ func TestEngineConformanceMidRebalance(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					if _, err := e.Rebalance(); err != nil {
-						t.Error(err)
-						return
-					}
+					e.Rebalance()
 				}
 			}
 		}()

@@ -35,10 +35,12 @@ import (
 // because configurations and the daemon's hello frame spell it out.
 type Partition string
 
-// PartitionPrefix assigns each subscription by the most significant bits
-// of its SFC key: curve-adjacent subscriptions share a shard and queries
-// share one decomposition across shards, probing only the slices each
-// cube range intersects.
+// PartitionPrefix assigns each subscription by the key range its SFC key
+// falls in: curve-adjacent subscriptions share a shard and queries share
+// one decomposition across shards, probing only the slices each cube
+// range intersects. The range boundaries are the engine's own decision —
+// quantiles of the first bulk load, moved by the write path's rebalancer
+// as the population drifts (rebalance.go).
 const PartitionPrefix Partition = "prefix"
 
 // Config parameterizes an Engine.
@@ -57,19 +59,6 @@ type Config struct {
 	Partition Partition
 	// Workers sizes the batch worker pool (default GOMAXPROCS).
 	Workers int
-	// RebalanceThreshold arms the background rebalancer: when the
-	// occupancy skew ratio (ProviderStats.SkewRatio) reaches it, the
-	// engine rebalances slice boundaries until skew falls to the
-	// hysteresis target 1 + (threshold-1)/2. Must exceed 1 when set;
-	// 0 disables the background trigger (manual Rebalance always works).
-	RebalanceThreshold float64
-	// RebalanceInterval is the background rebalancer's poll period
-	// (default DefaultRebalanceInterval when a threshold is set).
-	RebalanceInterval time.Duration
-	// RebalanceMaxMoves caps boundary moves per rebalance pass — the
-	// migration-rate cap bounding how much index churn one pass (or one
-	// background tick) may cause (default 2×Shards).
-	RebalanceMaxMoves int
 	// Obs is the engine's observer: latency histograms at every tier,
 	// sampled query traces and the slow-query log. Leave nil to have the
 	// engine build one with default settings; telemetry is on by default
@@ -84,10 +73,6 @@ type Config struct {
 
 // DefaultShards is the shard count used when Config leaves Shards zero.
 const DefaultShards = 8
-
-// DefaultRebalanceInterval is the background rebalancer's poll period
-// when Config sets a threshold but no interval.
-const DefaultRebalanceInterval = 2 * time.Second
 
 // Totals aggregates engine-level counters: logical engine operations, so
 // an exact scan that walked four store stripes adds one to Queries and
@@ -147,11 +132,11 @@ type Engine struct {
 	closeMu sync.RWMutex
 	closed  bool
 
-	stopRebalance chan struct{}
-	rebalanceWG   sync.WaitGroup
-	// rebalanceMu serializes whole passes (manual calls racing the
-	// background loop), so per-pass counters and results stay coherent.
+	// rebalanceMu serializes whole passes (a forced Rebalance racing the
+	// write path's), so per-pass counters and results stay coherent.
 	rebalanceMu sync.Mutex
+	// sinceCheck counts inserts since the write path last read the skew.
+	sinceCheck atomic.Int64
 
 	queries       atomic.Int64
 	hits          atomic.Int64
@@ -201,18 +186,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("engine: invalid worker count %d", cfg.Workers)
 	}
-	if cfg.RebalanceThreshold != 0 && cfg.RebalanceThreshold <= 1 {
-		return nil, fmt.Errorf("engine: rebalance threshold %v must exceed 1 (a skew ratio)", cfg.RebalanceThreshold)
-	}
-	if cfg.RebalanceThreshold != 0 && cfg.RebalanceInterval == 0 {
-		cfg.RebalanceInterval = DefaultRebalanceInterval
-	}
-	if cfg.RebalanceMaxMoves < 0 {
-		return nil, fmt.Errorf("engine: invalid rebalance move cap %d", cfg.RebalanceMaxMoves)
-	}
-	if cfg.RebalanceMaxMoves == 0 {
-		cfg.RebalanceMaxMoves = 2 * cfg.Shards
-	}
 	// One template detector validates the config and resolves its defaults
 	// (strategy; MaxCubes in the dominance convention, 0 = unlimited).
 	template, err := core.New(cfg.Detector)
@@ -261,11 +234,6 @@ func New(cfg Config) (*Engine, error) {
 			}
 		}()
 	}
-	if cfg.RebalanceThreshold > 0 {
-		e.stopRebalance = make(chan struct{})
-		e.rebalanceWG.Add(1)
-		go e.rebalanceLoop()
-	}
 	return e, nil
 }
 
@@ -278,16 +246,12 @@ func MustNew(cfg Config) *Engine {
 	return e
 }
 
-// Close stops the worker pool and the background rebalancer, waiting for
-// in-flight batches to drain first. Close is idempotent — a second call is
+// Close stops the worker pool, waiting for in-flight batches to drain
+// first. Close is idempotent — a second call is
 // a specified no-op — and batch operations issued after it fail with
 // core.ErrProviderClosed instead of panicking on the torn-down pool.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
-		if e.stopRebalance != nil {
-			close(e.stopRebalance)
-			e.rebalanceWG.Wait()
-		}
 		e.closeMu.Lock()
 		e.closed = true
 		e.closeMu.Unlock()
@@ -484,8 +448,8 @@ func (e *Engine) Totals() Totals {
 }
 
 // Stats implements core.Provider: the engine totals plus the per-shard
-// occupancy layout, including the max/min slice ratio that makes
-// curve-prefix skew observable before rebalancing.
+// occupancy layout, including the max/min slice ratio the rebalancer acts
+// on and the counts of what it has moved.
 func (e *Engine) Stats() core.ProviderStats {
 	tot := e.Totals()
 	ps := core.ProviderStats{

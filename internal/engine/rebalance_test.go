@@ -3,7 +3,6 @@ package engine
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"sfccover/internal/core"
 	"sfccover/internal/subscription"
@@ -53,44 +52,61 @@ func prefixEngine(t testing.TB, schema *subscription.Schema, cfg Config) *Engine
 	return e
 }
 
+// loadSkewed bulk-loads subs and then removes every subscription the
+// primary index routes to the lower half of its slices. A bulk load lands
+// evenly (its quantiles place the boundaries) and the write path
+// rebalances on inserts, so a lopsided drain — unsubscriptions
+// concentrated in one key range, which never trip the trigger — is how a
+// test gets a skewed engine that nothing has touched yet. It returns the
+// survivors and their ids, aligned.
+func loadSkewed(t testing.TB, e *Engine, subs []*subscription.Subscription) ([]*subscription.Subscription, []uint64) {
+	t.Helper()
+	var kept []*subscription.Subscription
+	var ids []uint64
+	for i, r := range e.AddBatch(subs) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		if e.idx.ShardFor(subs[i].Point()) < e.NumShards()/2 {
+			if err := e.Remove(r.ID); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		kept = append(kept, subs[i])
+		ids = append(ids, r.ID)
+	}
+	return kept, ids
+}
+
 // TestSkewDetectionOnPrefixPlan is the regression pinning that the
-// SkewRatio metric actually detects a clustered workload on the prefix
-// plan — the trigger signal the rebalancer is driven by.
+// SkewRatio metric actually detects a lopsided layout — the trigger
+// signal the rebalancer is driven by.
 func TestSkewDetectionOnPrefixPlan(t *testing.T) {
 	schema := testSchema(t)
 	// ModeOff: only placement matters for skew detection, so skip the
 	// covering queries entirely.
 	e := prefixEngine(t, schema, Config{Detector: core.Config{Schema: schema, Mode: core.ModeOff}, Workers: 4})
-	subs := hotspotSubs(t, schema, 2000, 11)
-	for _, r := range e.AddBatch(subs) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
+	loadSkewed(t, e, hotspotSubs(t, schema, 2000, 11))
 	ps := e.Stats()
 	if ps.SkewRatio < 4 {
-		t.Fatalf("hotspot workload must skew the prefix slices: SkewRatio = %.2f, sizes %v", ps.SkewRatio, ps.ShardSizes)
+		t.Fatalf("a drained key range must skew the slices: SkewRatio = %.2f, sizes %v", ps.SkewRatio, ps.ShardSizes)
 	}
 	if ps.Rebalances != 0 || ps.BoundaryMoves != 0 || ps.MigratedEntries != 0 {
 		t.Fatalf("no rebalance ran, counters must be zero: %+v", ps)
 	}
 }
 
-// TestRebalanceConvergesAndPreservesAnswers: after manual rebalancing the
-// skew converges toward 1.0 and every cover answer is bit-identical to
-// the pre-rebalance answers (exact mode makes them deterministic).
+// TestRebalanceConvergesAndPreservesAnswers: forced passes drive the skew
+// down to the target and every cover answer is bit-identical to the
+// pre-rebalance answers.
 func TestRebalanceConvergesAndPreservesAnswers(t *testing.T) {
 	schema := testSchema(t)
 	e := prefixEngine(t, schema, Config{
 		Detector: approxDetector(schema, true),
 		Workers:  4,
 	})
-	subs := hotspotSubs(t, schema, 2000, 12)
-	for _, r := range e.AddBatch(subs) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
+	subs, _ := loadSkewed(t, e, hotspotSubs(t, schema, 4000, 12))
 	probes := hotspotSubs(t, schema, 300, 13)
 	type answer struct {
 		id    uint64
@@ -112,13 +128,10 @@ func TestRebalanceConvergesAndPreservesAnswers(t *testing.T) {
 	}
 
 	skewBefore := e.Stats().SkewRatio
-	var last core.RebalanceResult
+	var last RebalanceResult
 	totalMoves := 0
 	for pass := 0; pass < 20; pass++ {
-		res, err := e.Rebalance()
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := e.Rebalance()
 		totalMoves += res.Moves
 		last = res
 		if res.Moves == 0 {
@@ -133,7 +146,7 @@ func TestRebalanceConvergesAndPreservesAnswers(t *testing.T) {
 		t.Fatalf("SkewRatio %.2f did not improve on %.2f", ps.SkewRatio, skewBefore)
 	}
 	if ps.SkewRatio > 2 {
-		t.Fatalf("SkewRatio should converge toward 1.0, still %.2f (sizes %v)", ps.SkewRatio, ps.ShardSizes)
+		t.Fatalf("SkewRatio should converge under the threshold, still %.2f (sizes %v)", ps.SkewRatio, ps.ShardSizes)
 	}
 	if last.SkewAfter > last.SkewBefore {
 		t.Fatalf("pass reported worsening skew: %+v", last)
@@ -168,26 +181,24 @@ func TestRebalanceConvergesAndPreservesAnswers(t *testing.T) {
 func TestRebalanceRemovalAfterMigration(t *testing.T) {
 	schema := testSchema(t)
 	e := prefixEngine(t, schema, Config{Detector: approxDetector(schema, false), Workers: 4})
-	subs := hotspotSubs(t, schema, 1200, 14)
-	res := e.AddBatch(subs)
+	subs, ids := loadSkewed(t, e, hotspotSubs(t, schema, 2400, 14))
+	migrated := 0
 	for pass := 0; pass < 20; pass++ {
-		r, err := e.Rebalance()
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := e.Rebalance()
+		migrated += r.Migrated
 		if r.Moves == 0 {
 			break
 		}
 	}
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatal(r.Err)
+	if migrated == 0 {
+		t.Fatal("rebalance migrated nothing on a skewed engine")
+	}
+	for i, id := range ids {
+		if got, ok := e.Subscription(id); !ok || !got.Equal(subs[i]) {
+			t.Fatalf("id %d no longer resolves after rebalance", id)
 		}
-		if got, ok := e.Subscription(r.ID); !ok || !got.Equal(subs[i]) {
-			t.Fatalf("id %d no longer resolves after rebalance", r.ID)
-		}
-		if err := e.Remove(r.ID); err != nil {
-			t.Fatalf("Remove(%d) after rebalance: %v", r.ID, err)
+		if err := e.Remove(id); err != nil {
+			t.Fatalf("Remove(%d) after rebalance: %v", id, err)
 		}
 	}
 	if e.Len() != 0 {
@@ -205,9 +216,6 @@ func TestZeroConfigIsRoutedPlan(t *testing.T) {
 	if got := e.PartitionStrategy(); got != PartitionPrefix {
 		t.Errorf("PartitionStrategy() = %q, want %q", got, PartitionPrefix)
 	}
-	if _, err := e.Rebalance(); err != nil {
-		t.Errorf("Rebalance() on a zero-Partition engine = %v, want nil", err)
-	}
 	subs := testSubs(t, schema, 64, 41)
 	for _, s := range subs {
 		if _, _, _, err := e.Add(s); err != nil {
@@ -221,48 +229,37 @@ func TestZeroConfigIsRoutedPlan(t *testing.T) {
 	}
 }
 
-func TestRebalanceConfigValidation(t *testing.T) {
+// TestWritePathRebalanceTrigger: nobody arms or calls the rebalancer. An
+// engine filled one subscription at a time from empty — where there is
+// no batch to read boundaries from — moves them by itself and ends under
+// the threshold; an engine too small for skew to mean anything is left
+// alone.
+func TestWritePathRebalanceTrigger(t *testing.T) {
 	schema := testSchema(t)
-	if _, err := New(Config{Detector: core.Config{Schema: schema}, RebalanceThreshold: 0.5}); err == nil {
-		t.Fatal("threshold <= 1 must fail")
+	e := prefixEngine(t, schema, Config{Detector: approxDetector(schema, true), Workers: 4})
+	subs := hotspotSubs(t, schema, 3000, 15)
+	for _, s := range subs {
+		if _, err := e.Insert(s); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := New(Config{Detector: core.Config{Schema: schema}, RebalanceMaxMoves: -1}); err == nil {
-		t.Fatal("negative move cap must fail")
+	ps := e.Stats()
+	if ps.Rebalances == 0 || ps.SkewRatio >= rebalanceThreshold {
+		t.Fatalf("write path left skew %.2f after %d passes (sizes %v)", ps.SkewRatio, ps.Rebalances, ps.ShardSizes)
 	}
-}
+	if s := e.skew(); s >= rebalanceThreshold {
+		t.Fatalf("mirror left at skew %.2f (sizes %v)", s, e.mirror.ShardSizes())
+	}
 
-// TestBackgroundRebalanceTrigger: with a threshold and a short interval,
-// a skewed engine must rebalance itself without a manual call.
-func TestBackgroundRebalanceTrigger(t *testing.T) {
-	schema := testSchema(t)
-	e := prefixEngine(t, schema, Config{
-		Detector:           approxDetector(schema, false),
-		Workers:            4,
-		RebalanceThreshold: 2,
-		RebalanceInterval:  20 * time.Millisecond,
-	})
-	subs := hotspotSubs(t, schema, 1500, 15)
-	for _, r := range e.AddBatch(subs) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
+	small := prefixEngine(t, schema, Config{Detector: approxDetector(schema, false), Workers: 4})
+	for _, s := range subs[:20] {
+		if _, err := small.Insert(s); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// The trigger is armed from construction, so under a slow load (-race)
-	// it may fire mid-load; either the skew is still visible or the
-	// background pass has already started fixing it — both prove the
-	// workload skewed.
-	if ps := e.Stats(); ps.SkewRatio < 2 && ps.Rebalances == 0 {
-		t.Fatalf("precondition: workload not skewed (%.2f) and no rebalance ran", ps.SkewRatio)
+	if ps := small.Stats(); ps.BoundaryMoves != 0 {
+		t.Fatalf("a 20-entry engine moved %d boundaries (sizes %v)", ps.BoundaryMoves, ps.ShardSizes)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		ps := e.Stats()
-		if ps.Rebalances > 0 && ps.SkewRatio < 2 {
-			return // triggered and converged below the threshold
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("background rebalancer never converged: %+v", e.Stats())
 }
 
 // TestConcurrentQueriesDuringRebalance hammers batch queries while
@@ -279,13 +276,9 @@ func TestConcurrentQueriesDuringRebalance(t *testing.T) {
 		return prefixEngine(t, schema, Config{Detector: det, Workers: 4})
 	}
 	subject, control := mk(), mk()
-	subs := hotspotSubs(t, schema, 800, 16)
+	subs := hotspotSubs(t, schema, 1600, 16)
 	for _, e := range []*Engine{subject, control} {
-		for _, r := range e.AddBatch(subs) {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-		}
+		loadSkewed(t, e, subs)
 	}
 	probes := hotspotSubs(t, schema, 60, 17)
 	want := control.CoverQueryBatch(probes)
@@ -299,10 +292,7 @@ func TestConcurrentQueriesDuringRebalance(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if _, err := subject.Rebalance(); err != nil {
-					t.Error(err)
-					return
-				}
+				subject.Rebalance()
 			}
 		}
 	}()

@@ -11,8 +11,8 @@ import (
 	"sfccover/internal/subscription"
 )
 
-// stripe is one slice of the subscription store, aligned with the index's
-// initial key slices.
+// stripe is one slice of the subscription store: a subscription goes to
+// the stripe of the index slice that owns its key when it arrives.
 type stripe struct {
 	mu   sync.Mutex
 	subs map[uint64]*subscription.Subscription // keyed by engine id
@@ -118,7 +118,6 @@ func (e *Engine) insert(s *subscription.Subscription) uint64 {
 	shard := e.idx.ShardFor(p)
 	st := &e.stores[shard]
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	id := encodeID(len(e.stores), shard, st.next)
 	st.next++
 	st.subs[id] = s.Clone()
@@ -126,6 +125,8 @@ func (e *Engine) insert(s *subscription.Subscription) uint64 {
 	if e.mirror != nil {
 		e.mirror.Insert(e.mirrorPoint(p), id)
 	}
+	st.mu.Unlock()
+	e.inserted(1)
 	return id
 }
 
@@ -135,12 +136,24 @@ func (e *Engine) insert(s *subscription.Subscription) uint64 {
 // on the worker pool; the lock order within a group (stripe, then slice)
 // matches insert's, so the paths cannot deadlock. The returned ids align
 // with subs.
+//
+// A batch entering an empty engine is what decides the slice layout: the
+// primary and the mirror each place their boundaries at the quantiles of
+// their own points before anything is grouped, so the groups — and every
+// later insert — find an even table. This is the one seam boot recovery,
+// snapshot install, promotion, InsertBatch and AddBatch all pass through.
 func (e *Engine) insertBatch(subs []*subscription.Subscription) []uint64 {
 	ids := make([]uint64, len(subs))
 	points := make([][]uint32, len(subs))
-	groups := make([][]int, len(e.stores))
 	for i, s := range subs {
 		points[i] = s.Point()
+	}
+	e.idx.ChooseBoundaries(len(points), func(i int) []uint32 { return points[i] })
+	if e.mirror != nil {
+		e.mirror.ChooseBoundaries(len(points), func(i int) []uint32 { return e.mirrorPoint(points[i]) })
+	}
+	groups := make([][]int, len(e.stores))
+	for i := range subs {
 		shard := e.idx.ShardFor(points[i])
 		groups[shard] = append(groups[shard], i)
 	}
@@ -174,6 +187,7 @@ func (e *Engine) insertBatch(subs []*subscription.Subscription) []uint64 {
 		}
 		st.mu.Unlock()
 	})
+	e.inserted(len(subs))
 	return ids
 }
 

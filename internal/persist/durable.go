@@ -19,10 +19,10 @@ import (
 // sids the pre-crash one did.
 //
 // A DurableProvider forwards the wrapped provider's batch queries and
-// writes and its Rebalance with id translation at the boundary, and
-// answers Snapshot and Enumerate (the recovered dump) from the store.
-// Close closes the wrapped provider and releases the link for
-// re-wrapping; the Store is closed separately by its owner.
+// writes with id translation at the boundary, and answers Snapshot and
+// Enumerate (the recovered dump) from the store. Close closes the wrapped
+// provider and releases the link for re-wrapping; the Store is closed
+// separately by its owner.
 type DurableProvider struct {
 	inner core.Provider
 	store *Store
@@ -374,10 +374,6 @@ func (d *DurableProvider) RemoveBatch(sids []uint64) []error {
 	}
 	return out
 }
-
-// Rebalance is the wrapped provider's answer. Rebalancing moves where
-// entries are indexed, never what is persisted, so the log is untouched.
-func (d *DurableProvider) Rebalance() (core.RebalanceResult, error) { return d.inner.Rebalance() }
 
 // Snapshot snapshots the whole store (all links — the log is shared, so
 // compaction is all-or-nothing).

@@ -13,14 +13,14 @@ import (
 )
 
 // TestSnapshotMidRebalanceRecovery pins the rebalancing × persistence
-// interaction: a snapshot races an in-flight Rebalance on a curve-prefix
-// engine, and recovery from that data dir must be indistinguishable from
-// a clean rebuild of the same subscription set — identical
-// FindCover/FindCovered answers, identical occupancy skew, and zero
-// rebalance counters (persistence stores the subscription set, never the
-// slice layout, so a recovered engine starts from the clean-build
-// boundaries no matter what the rebalancer was doing when the snapshot
-// was cut).
+// interaction: a snapshot races an in-flight rebalance pass on an engine
+// a hotspot has skewed, and recovery from that data dir must be
+// indistinguishable from a clean rebuild of the same subscription set —
+// identical FindCover/FindCovered answers, identical occupancy skew, and
+// zero rebalance counters (persistence stores the subscription set, never
+// the slice layout, so a recovered engine chooses its boundaries from the
+// recovered set like any bulk load, no matter what the rebalancer was
+// doing when the snapshot was cut).
 func TestSnapshotMidRebalanceRecovery(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	mkEngine := func() *engine.Engine {
@@ -73,32 +73,45 @@ func TestSnapshotMidRebalanceRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := st.Durable("", mkEngine())
+	eng := mkEngine()
+	d, err := st.Durable("", eng)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A uniform base load places the boundaries; the hotspot arriving
+	// behind it is the drift that skews them. (Durable sids are the dump's
+	// order, so the clean rebuild below loads the same sequence.)
+	base, err := workload.Subscriptions(workload.SubSpec{Schema: schema, N: 600, WidthFrac: 0.02, Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs = append(base, subs...)
 	var sids []uint64
-	for _, r := range d.AddBatch(subs) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
+	for _, batch := range [][]*subscription.Subscription{subs[:len(base)], subs[len(base):]} {
+		for _, r := range d.AddBatch(batch) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			sids = append(sids, r.ID)
 		}
-		sids = append(sids, r.ID)
 	}
 	// Race the snapshot against a rebalance pass of the skewed engine:
 	// the snapshot must cut a consistent subscription image regardless of
 	// which entries are mid-migration.
 	var wg sync.WaitGroup
 	wg.Add(1)
+	moved := 0
 	go func() {
 		defer wg.Done()
-		if _, err := d.Rebalance(); err != nil {
-			t.Error(err)
-		}
+		moved = eng.Rebalance().Moves
 	}()
 	if err := d.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
+	if moved == 0 {
+		t.Fatal("precondition: the pass moved no boundary, nothing raced the snapshot")
+	}
 	d.Close()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

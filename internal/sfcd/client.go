@@ -932,15 +932,6 @@ func (c *Client) Match(ctx context.Context, e subscription.Event) (matched bool,
 	return res.Covered, res.CoveredBy, err
 }
 
-// Rebalance runs one bounded slice-rebalance pass on the daemon's shared
-// engine and reports the boundary moves, migrated entries and
-// before/after occupancy skew.
-func (c *Client) Rebalance(ctx context.Context) (RebalanceInfo, error) {
-	var info RebalanceInfo
-	err := c.bodyOp(ctx, OpRebalance, "", &info)
-	return info, err
-}
-
 // Snapshot forces a point-in-time snapshot of the daemon's durable
 // subscription state (every link namespace — the write-ahead log is
 // shared) and compacts the log behind it. Daemons running without a data

@@ -63,7 +63,6 @@ var opLayouts = [numOps]struct {
 	OpMatch:            {reqPayload, respResult},
 	OpStats:            {reqNone, respBody},
 	OpMetrics:          {reqNone, respBody},
-	OpRebalance:        {reqNone, respBody},
 	OpSnapshot:         {reqNone, respNone},
 	OpUnlink:           {reqNone, respNone},
 	OpTrace:            {reqPayload, respTrace},
@@ -419,7 +418,7 @@ func decodeRequest(body []byte, r *Request) error {
 	if r.ID == 0 {
 		return errReservedID
 	}
-	if r.Op == OpNone || r.Op >= numOps {
+	if r.Op == OpNone || r.Op == opRetired || r.Op >= numOps {
 		return errUnknownOp
 	}
 	if link := c.bytes(); string(link) != r.Link {

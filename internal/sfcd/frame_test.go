@@ -36,7 +36,6 @@ func frameCorpus() (reqs []Request, resps []Response) {
 		{ID: 13, Op: OpMatch, Payload: []byte{0x45, 2, 10, 9, 9}},
 		{ID: 14, Op: OpStats, Link: "x"},
 		{ID: 15, Op: OpMetrics},
-		{ID: 16, Op: OpRebalance},
 		{ID: 17, Op: OpSnapshot},
 		{ID: 18, Op: OpUnlink, Link: "gone"},
 		{ID: 19, Op: OpTrace, Payload: sub},
@@ -61,7 +60,6 @@ func frameCorpus() (reqs []Request, resps []Response) {
 		{ID: 13, Op: OpMatch, OK: true, Result: Result{Covered: true, CoveredBy: 41}},
 		{ID: 14, Op: OpStats, OK: true, Body: []byte(`{"queries":3,"shardSizes":[1,2]}`)},
 		{ID: 15, Op: OpMetrics, OK: true, Body: []byte("# HELP sfcd_primary\nsfcd_primary 1\n")},
-		{ID: 16, Op: OpRebalance, OK: true, Body: []byte(`{"moves":1}`)},
 		{ID: 17, Op: OpSnapshot, OK: true},
 		{ID: 18, Op: OpUnlink, OK: true},
 		{ID: 19, Op: OpTrace, OK: true, Result: Result{Covered: true, CoveredBy: 5}, Body: []byte(`{"op":"query"}`)},
@@ -76,7 +74,7 @@ func frameCorpus() (reqs []Request, resps []Response) {
 		{ID: 24, Op: numOps + 9, Code: CodeUnknownOp, Error: "unknown opcode 30"},
 		{ID: 0, Op: OpNone, Code: CodeConnLimit, Error: "connection limit 1 reached"},
 		{ID: 25, Op: OpUnsubscribe, Code: CodeOpFailed, Error: "no subscription with id 999"},
-		{ID: 26, Op: OpRebalance, Code: CodeUnsupported},
+		{ID: 26, Op: OpSnapshot, Code: CodeUnsupported},
 		{ID: 27, Op: OpSubscribe, Code: CodeNotPrimary, Error: "daemon is a follower"},
 	}
 	return reqs, resps
@@ -228,6 +226,8 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Add(appendResponse(binary.AppendUvarint(nil, resps[i].ID), &resps[i]))
 	}
 	f.Add([]byte{})
+	f.Add([]byte{7, byte(opRetired), 0})    // a request on the retired number: unknown_op
+	f.Add([]byte{7, byte(opRetired), 0, 0}) // and an OK response to one
 	f.Add([]byte{7, byte(OpQueryBatch), 0, 0xff, 0xff, 0x03})
 	f.Add([]byte{7, byte(OpQueryBatch), 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	const perByte = int(unsafe.Sizeof(Result{})) + 8

@@ -1,6 +1,7 @@
 package sfcd
 
 import (
+	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
@@ -162,5 +163,42 @@ func TestStatsIncludesSkew(t *testing.T) {
 	// One sub across 4 shards: min 0, clamped denominator -> skew = max.
 	if st.SkewRatio != 1 {
 		t.Fatalf("SkewRatio = %v, want 1 (max 1 / clamped min 1)", st.SkewRatio)
+	}
+	if st.Rebalances != 0 || st.BoundaryMoves != 0 {
+		t.Fatalf("counters must start zero: %+v", st)
+	}
+
+	// Nothing on the wire starts a rebalance pass; the daemon's write path
+	// does, and stats and metrics are where an operator sees that it did.
+	// A cluster subscribed one at a time lands in one slice until the
+	// engine moves its boundaries.
+	const cluster = 400
+	for i := 0; i < cluster; i++ {
+		v, p := 400+i%20, 600+i/20
+		s := subscription.MustParse(schema, fmt.Sprintf("volume in [%d,%d] && price in [%d,%d]", v, v+3, p, p+3))
+		if _, err := c.Insert(bg, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, err = c.Stats(bg); err != nil {
+		t.Fatal(err)
+	}
+	if st.Subscriptions != cluster+1 {
+		t.Fatalf("rebalancing changed the population: %d, want %d", st.Subscriptions, cluster+1)
+	}
+	if st.Rebalances < 1 || st.BoundaryMoves < st.Rebalances || st.MigratedEntries < st.BoundaryMoves {
+		t.Fatalf("the write path never rebalanced: %+v", st)
+	}
+	if st.SkewRatio >= float64(cluster)/2 {
+		t.Fatalf("SkewRatio %.2f: the cluster still sits in one slice (sizes %v)", st.SkewRatio, st.ShardSizes)
+	}
+	metrics, err := c.Metrics(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"sfcd_rebalances_total", "sfcd_boundary_moves_total", "sfcd_migrated_entries_total"} {
+		if !strings.Contains(metrics, name) || strings.Contains(metrics, name+" 0\n") {
+			t.Errorf("metrics exposition lacks a non-zero %s", name)
+		}
 	}
 }

@@ -46,7 +46,7 @@ type opHists [numOps]*obs.Histogram
 func newOpHists(hist func(op string) *obs.Histogram) *opHists {
 	var h opHists
 	for op := OpNone + 1; op < numOps; op++ {
-		if op != OpReplicate {
+		if op != OpReplicate && op != opRetired {
 			h[op] = hist(op.metricName())
 		}
 	}
@@ -66,8 +66,7 @@ func (h *opHists) observe(op Opcode, d time.Duration) {
 	h[op].Observe(d)
 }
 
-// bodyResponse wraps an introspection record (Stats, RebalanceInfo,
-// []Trace) as a successful response's opaque JSON body. These bodies are
+// bodyResponse wraps an introspection record (Stats, Trace, []Trace) as a successful response's opaque JSON body. These bodies are
 // operator-facing and cold; they are the only place the protocol still
 // reaches for reflection.
 func bodyResponse(v any) Response {

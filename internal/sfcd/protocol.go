@@ -35,7 +35,7 @@
 //	unsubscribe, get              uvarint(sid)           result
 //	subscribe_batch, query_batch  uvarint(n) n*bytes     uvarint(n) n*result
 //	unsubscribe_batch             uvarint(n) n*uvarint   uvarint(n) n*result
-//	stats, rebalance, slowlog     -                      bytes(JSON body)
+//	stats, slowlog                -                      bytes(JSON body)
 //	metrics                       -                      bytes(Prometheus text)
 //	trace                         bytes(payload)         result bytes(JSON body)
 //	replicate                     uvarint(pos)           flags uvarint(base) uvarint(pos) bytes(recs)
@@ -47,16 +47,16 @@
 //	replicate flags: 1 reset, 2 more
 //
 // A covering query for a two-attribute subscription is ~17 request bytes
-// and ~6 response bytes. The cold introspection bodies (Stats,
-// RebalanceInfo, Trace) stay JSON inside one opaque bytes field: they
-// are operator-facing, change shape often, and sit on no request path
-// that matters.
+// and ~6 response bytes. The cold introspection bodies (Stats, Trace)
+// stay JSON inside one opaque bytes field: they are operator-facing,
+// change shape often, and sit on no request path that matters.
 //
 // Hostile input is refused before it can drive an allocation: a declared
 // frame length of 0 or above MaxFrameBytes, an id of 0, a field running
 // past the frame, a batch count larger than the bytes that follow and
 // trailing bytes all earn one connection-level bad_request frame and a
-// close; an opcode the server does not know earns a per-request
+// close; an opcode the server does not know — opcode 15 among them, once
+// "rebalance", retired and never reassigned — earns a per-request
 // unknown_op (the frame boundary is intact, so the connection lives). A
 // connection whose very first byte is '{' is a newline-JSON client from
 // before this framing: it gets the same bad_request frame instead of a
@@ -86,11 +86,6 @@
 // subscription state (all link namespaces — the write-ahead log is
 // shared) and compacts the log behind it. Daemons running without a data
 // dir answer with code "unsupported".
-//
-// "rebalance" runs one bounded slice-rebalance pass on the addressed
-// provider (engine curve-prefix plans only; other configurations answer
-// with code "unsupported") and reports the boundary moves, migrated
-// entries and before/after occupancy skew.
 //
 // "insert" stores a subscription without the pre-insert covering query
 // (the Provider.Insert path); "get" resolves a sid back to its stored
@@ -139,7 +134,10 @@ const (
 	OpMatch
 	OpStats
 	OpMetrics
-	OpRebalance
+	// opRetired was "rebalance" until the engine took to rebalancing
+	// itself. The number stays unassigned and is refused as unknown_op, so
+	// a peer built before that cannot have its snapshot read as an unlink.
+	opRetired
 	OpSnapshot
 	OpUnlink
 	OpTrace
@@ -155,7 +153,7 @@ var opNames = [numOps]string{
 	OpUnsubscribe: "unsubscribe", OpUnsubscribeBatch: "unsubscribe_batch",
 	OpQuery: "query", OpQueryBatch: "query_batch", OpCovered: "covered",
 	OpGet: "get", OpMatch: "match", OpStats: "stats", OpMetrics: "metrics",
-	OpRebalance: "rebalance", OpSnapshot: "snapshot", OpUnlink: "unlink",
+	OpSnapshot: "snapshot", OpUnlink: "unlink",
 	OpTrace: "trace", OpSlowlog: "slowlog", OpReplicate: "replicate", OpPromote: "promote",
 }
 
@@ -229,14 +227,13 @@ type Stats struct {
 	// ShardSizes is the per-shard subscription count.
 	ShardSizes []int `json:"shardSizes"`
 	// MaxShardSize/MinShardSize/SkewRatio summarize slice-occupancy
-	// balance; SkewRatio is max/min with the denominator clamped to 1, so
-	// curve-prefix skew is observable before rebalancing.
+	// balance; SkewRatio is max/min with the denominator clamped to 1.
 	MaxShardSize int     `json:"maxShardSize"`
 	MinShardSize int     `json:"minShardSize"`
 	SkewRatio    float64 `json:"skewRatio"`
-	// Rebalances/BoundaryMoves/MigratedEntries count what the online
-	// rebalancer has done so far (always zero on providers that cannot
-	// rebalance).
+	// Rebalances/BoundaryMoves/MigratedEntries count what the engine's
+	// rebalancer has done so far (always zero on providers with no slices
+	// to move).
 	Rebalances      int `json:"rebalances,omitempty"`
 	BoundaryMoves   int `json:"boundaryMoves,omitempty"`
 	MigratedEntries int `json:"migratedEntries,omitempty"`
@@ -246,17 +243,6 @@ type Stats struct {
 	Snapshots  int   `json:"snapshots,omitempty"`
 	WALRecords int   `json:"walRecords,omitempty"`
 	WALBytes   int64 `json:"walBytes,omitempty"`
-}
-
-// RebalanceInfo is the outcome of a rebalance operation.
-type RebalanceInfo struct {
-	// Moves is the number of boundary moves the pass performed; Migrated
-	// the number of index entries that crossed a boundary.
-	Moves    int `json:"moves"`
-	Migrated int `json:"migrated"`
-	// SkewBefore/SkewAfter bracket the pass with the occupancy skew ratio.
-	SkewBefore float64 `json:"skewBefore"`
-	SkewAfter  float64 `json:"skewAfter"`
 }
 
 // Error codes carried by error frames (Response.Code). The code
@@ -277,8 +263,7 @@ const (
 	// schema trouble, mode restrictions).
 	CodeOpFailed = "op_failed"
 	// CodeUnsupported marks an operation the addressed provider refuses
-	// with core.ErrUnsupported (rebalance on a detector-backed namespace,
-	// snapshot without a data dir).
+	// with core.ErrUnsupported (snapshot without a data dir).
 	CodeUnsupported = "unsupported"
 	// CodeNotPrimary marks an operation refused because the daemon is a
 	// read-only follower still draining a primary's replication stream;
@@ -321,8 +306,7 @@ type Response struct {
 	// payloads/sids.
 	Results []Result
 	// Body is the opaque payload of the introspection ops: the JSON of a
-	// Stats (stats), RebalanceInfo (rebalance), Trace (trace) or []Trace
-	// (slowlog), or the Prometheus text exposition (metrics).
+	// Stats (stats), Trace (trace) or []Trace (slowlog), or the Prometheus text exposition (metrics).
 	Body []byte
 	// Rep is one replication stream frame (replicate op only). The op is
 	// the protocol's single streaming exception: one request produces

@@ -176,22 +176,6 @@ func unsupported(err error) error {
 	return err
 }
 
-// Rebalance forwards to the daemon: the addressed namespace rebalances
-// server-side and reports the pass (a link namespace, a plain Detector
-// there, refuses with core.ErrUnsupported).
-func (r *RemoteProvider) Rebalance() (core.RebalanceResult, error) {
-	var info RebalanceInfo
-	if err := r.c.bodyOp(r.ctx, OpRebalance, r.link, &info); err != nil {
-		return core.RebalanceResult{}, unsupported(err)
-	}
-	return core.RebalanceResult{
-		Moves:      info.Moves,
-		Migrated:   info.Migrated,
-		SkewBefore: info.SkewBefore,
-		SkewAfter:  info.SkewAfter,
-	}, nil
-}
-
 // Snapshot forwards to the daemon: its whole durable store (all links —
 // the log is shared) snapshots and compacts. A daemon running without a
 // data dir refuses with core.ErrUnsupported.

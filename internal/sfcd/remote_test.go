@@ -60,9 +60,9 @@ func TestRemoteProviderConformance(t *testing.T) {
 }
 
 // TestRemoteSharedProviderConformance runs the battery against the shared
-// namespace — the daemon's engine, which can rebalance where a link's
-// Detector refuses — with one fresh daemon per factory call, since the
-// shared namespace cannot be reset.
+// namespace — the daemon's engine, which has slices to rebalance where a
+// link's Detector has none — with one fresh daemon per factory call, since
+// the shared namespace cannot be reset.
 func TestRemoteSharedProviderConformance(t *testing.T) {
 	schema := coretest.Schema()
 	coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
@@ -272,5 +272,49 @@ func TestRequestContextCancellation(t *testing.T) {
 	// The client is undisturbed: the next call succeeds.
 	if err := c.Ping(bg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRemoteBatchWritePlumbing pins that AddBatch/RemoveBatch genuinely
+// ride the batch wire ops in one round trip each and keep slot alignment
+// through per-item failures.
+func TestRemoteBatchWritePlumbing(t *testing.T) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	_, addr := startServer(t, schema, core.ModeExact)
+	c, err := Dial(addr, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rp, err := c.Provider("batch-link")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+
+	wide := subscription.MustParse(schema, "volume <= 1020 && price <= 1020")
+	narrow := subscription.MustParse(schema, "volume in [5,1000] && price in [5,1000]")
+	foreign := subscription.New(subscription.MustSchema(8, "volume", "price"))
+
+	first := rp.AddBatch([]*subscription.Subscription{wide})
+	if first[0].Err != nil || first[0].ID == 0 {
+		t.Fatalf("AddBatch([wide]) = %+v", first[0])
+	}
+	res := rp.AddBatch([]*subscription.Subscription{narrow, foreign})
+	if res[0].Err != nil || !res[0].Covered || res[0].CoveredBy != first[0].ID {
+		t.Fatalf("AddBatch narrow = %+v, want covered by %d", res[0], first[0].ID)
+	}
+	if res[1].Err == nil {
+		t.Fatal("foreign-schema slot must fail without poisoning the batch")
+	}
+	if rp.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", rp.Len())
+	}
+	errs := rp.RemoveBatch([]uint64{first[0].ID, 9999})
+	if errs[0] != nil || errs[1] == nil {
+		t.Fatalf("RemoveBatch = %v, want [nil, error]", errs)
+	}
+	if rp.Len() != 1 {
+		t.Fatalf("Len = %d after batch remove, want 1", rp.Len())
 	}
 }

@@ -782,17 +782,6 @@ func (s *Server) serve(sc *reqScratch) Response {
 			WALRecords:        ps.WALRecords,
 			WALBytes:          ps.WALBytes,
 		})
-	case OpRebalance:
-		res, err := prov.Rebalance()
-		if err != nil {
-			return errResponse(err)
-		}
-		return bodyResponse(RebalanceInfo{
-			Moves:      res.Moves,
-			Migrated:   res.Migrated,
-			SkewBefore: res.SkewBefore,
-			SkewAfter:  res.SkewAfter,
-		})
 	case OpSnapshot:
 		if err := prov.Snapshot(); err != nil {
 			return errResponse(err)
@@ -834,8 +823,8 @@ func unknownOp(op Opcode) Response {
 }
 
 // errResponse refuses with op_failed, or with unsupported when the
-// provider said it cannot serve the op at all (rebalance on a link
-// namespace, snapshot without a data dir).
+// provider said it cannot serve the op at all (snapshot without a data
+// dir).
 func errResponse(err error) Response {
 	code := CodeOpFailed
 	if errors.Is(err, core.ErrUnsupported) {

@@ -86,10 +86,10 @@ type Quantizer = subscription.Quantizer
 // Provider is the covering-detection abstraction implemented by
 // Detector, Engine, DurableProvider and DaemonProvider: Add/Insert/Remove
 // and their batch forms, the forward (FindCover) and reverse (FindCovered)
-// covering queries, Snapshot, Enumerate, Rebalance and a uniform Stats
-// snapshot. An implementation that cannot serve an operation refuses it
-// with ErrUnsupported. Brokers and services program against it so the
-// backing index is a configuration knob.
+// covering queries, Snapshot, Enumerate and a uniform Stats snapshot. An
+// implementation that cannot serve an operation refuses it with
+// ErrUnsupported. Brokers and services program against it so the backing
+// index is a configuration knob.
 type Provider = core.Provider
 
 // ProviderStats is the uniform counter-and-occupancy snapshot every
@@ -151,10 +151,11 @@ type EngineConfig = engine.Config
 // is one value.
 type EnginePartition = engine.Partition
 
-// PartitionPrefix splits the space-filling curve's key space by its most
-// significant bits, keeping curve-adjacent subscriptions — the likely
-// covers — in the same shard. It is the engine's only partitioning and
-// what an empty EngineConfig.Partition means.
+// PartitionPrefix splits the space-filling curve's key space into
+// contiguous key ranges, keeping curve-adjacent subscriptions — the likely
+// covers — in the same shard; the engine places the range boundaries from
+// the keys it holds. It is the engine's only partitioning and what an
+// empty EngineConfig.Partition means.
 const PartitionPrefix = engine.PartitionPrefix
 
 // EngineTotals aggregates engine-level counters (logical queries, hits,
@@ -292,8 +293,8 @@ var (
 	// different schema.
 	ErrPersistSchemaMismatch = persist.ErrSchemaMismatch
 	// ErrUnsupported: an operation this Provider cannot serve — Snapshot
-	// with no durable store behind it, Rebalance with no partition,
-	// Enumerate or InsertBatch on a DaemonProvider.
+	// with no durable store behind it, Enumerate or InsertBatch on a
+	// DaemonProvider.
 	ErrUnsupported = core.ErrUnsupported
 	// ErrProviderClosed: a batch operation issued after Close.
 	ErrProviderClosed = core.ErrProviderClosed
