@@ -66,17 +66,32 @@ func (d *durable) goodTransitive(sid uint64) error {
 
 func (d *durable) logRemove(sid uint64) error { return d.st.appendRemove(sid) }
 
-// replay re-applies records already on disk; the annotation waives the
-// rule for the whole function.
-//
-//sfc:walok fixture: recovery replay applies records already on disk
-func (d *durable) replay(subs []*subscription.Subscription) error {
-	for _, s := range subs {
-		if _, err := d.inner.Insert(s); err != nil {
-			return err
+// goodStoreClaimedRemove keeps no id map of its own: the store's append
+// refuses the ids the durable set does not hold and logs the rest, then
+// the provider drops what was logged.
+func (d *durable) goodStoreClaimedRemove(sids []uint64) []error {
+	out := make([]error, len(sids))
+	var logged []uint64
+	for i, sid := range sids {
+		if out[i] = d.st.appendRemove(sid); out[i] == nil {
+			logged = append(logged, sid)
 		}
 	}
-	return nil
+	d.inner.RemoveBatch(logged)
+	return out
+}
+
+// badRestore loads a provider under given ids with no log behind them.
+func (d *durable) badRestore(held []core.Held) error {
+	return d.inner.Restore(held) // want `mutates provider state but badRestore never appends to the WAL`
+}
+
+// replay restores a provider from records already on disk; the
+// annotation waives the rule for the whole function.
+//
+//sfc:walok fixture: recovery restores from records already on disk
+func (d *durable) replay(held []core.Held) error {
+	return d.inner.Restore(held)
 }
 
 // lineSuppressed documents the call-level escape hatch.

@@ -12,10 +12,13 @@ import (
 // mutates a wrapped core provider must also append to the WAL, and
 // destructive mutations (Remove / RemoveBatch) must not
 // precede the first WAL append on the straight-line path — memory must
-// never run ahead of disk. A mutation inside an `err != nil` guard is
+// never run ahead of disk. (The claim is the store's: its remove
+// primitives refuse an id the durable set does not hold in the critical
+// section that logs it, so the caller's half is "log, then apply".)
+// A mutation inside an `err != nil` guard is
 // exempt: that is the rollback arm of a failed append. Suppress with //sfc:walok <reason> on the call line or
-// the function's doc comment (e.g. recovery replay, which re-applies
-// records already on disk).
+// the function's doc comment (e.g. recovery, which Restores a provider
+// from records already on disk).
 var WALOrder = &Analyzer{
 	Name: "walorder",
 	Doc:  "provider state mutation must not precede the corresponding WAL append (claim→log→apply)",
@@ -207,7 +210,7 @@ func isErrNilCheck(cond ast.Expr) bool {
 // a mutation-named method invoked on a value typed core.Provider.
 func isProviderMutation(pass *Pass, call *ast.CallExpr, callee *types.Func) bool {
 	switch callee.Name() {
-	case "Add", "Insert", "AddBatch", "InsertBatch", "Remove", "RemoveBatch":
+	case "Add", "Insert", "AddBatch", "InsertBatch", "Restore", "Remove", "RemoveBatch":
 	default:
 		return false
 	}

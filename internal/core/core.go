@@ -295,6 +295,13 @@ func (d *Detector) Insert(s *subscription.Subscription) (uint64, error) {
 // the bulk-load path sharding layers use to avoid one mutex round trip per
 // item — and returns the assigned ids, aligned with the input.
 func (d *Detector) InsertBatch(subs []*subscription.Subscription) ([]uint64, error) {
+	return d.load(subs, nil)
+}
+
+// load is the bulk load behind InsertBatch and Restore: given nil mints
+// the ids; otherwise the detector must be empty and holds subs under
+// given, minting from past the largest of them afterwards.
+func (d *Detector) load(subs []*subscription.Subscription, given []uint64) ([]uint64, error) {
 	// Validate and transform outside the lock; Point() is pure.
 	points := make([][]uint32, len(subs))
 	var mirrors [][]uint32
@@ -312,12 +319,20 @@ func (d *Detector) InsertBatch(subs []*subscription.Subscription) ([]uint64, err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ids := make([]uint64, len(subs))
+	ids := given
+	if given == nil {
+		ids = make([]uint64, len(subs))
+		for i := range ids {
+			ids[i] = d.nextID + uint64(i)
+		}
+	} else if len(d.subs) != 0 {
+		return nil, fmt.Errorf("core: Restore needs an empty provider, got %d held subscriptions", len(d.subs))
+	}
 	for i, s := range subs {
-		id := d.nextID
-		d.nextID++
-		d.subs[id] = s.Clone()
-		ids[i] = id
+		d.subs[ids[i]] = s.Clone()
+		if ids[i] >= d.nextID {
+			d.nextID = ids[i] + 1
+		}
 	}
 	insertAll(d.exact, points, ids)
 	if d.mirror != nil {

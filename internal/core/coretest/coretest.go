@@ -355,6 +355,18 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 				held += len(ids)
 				return err
 			}},
+			{"Restore", func() error {
+				// p holds wide, so a provider that can restore refuses for
+				// that reason instead; either way nothing may change.
+				err := p.Restore([]core.Held{{ID: wid + 1000, Sub: uncovered}})
+				if err == nil {
+					t.Error("Restore into a non-empty provider must fail")
+				}
+				if !errors.Is(err, core.ErrUnsupported) {
+					err = nil
+				}
+				return err
+			}},
 		}
 		for _, op := range ops {
 			if err := op.call(); err != nil && !errors.Is(err, core.ErrUnsupported) {
@@ -381,6 +393,72 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 			if got, ok := p.Subscription(h.ID); !ok || !got.Equal(h.Sub) {
 				t.Fatalf("Enumerate entry %d disagrees with Subscription(%d)", i, h.ID)
 			}
+		}
+	})
+
+	// Restore is Enumerate's inverse: the provider holds what it is given
+	// under the ids it is given — ids no provider mints in this pattern —
+	// and mints around them afterwards.
+	t.Run("restore", func(t *testing.T) {
+		p, q := fresh(t), fresh(t)
+		h := []core.Held{{ID: 3, Sub: wide}, {ID: 40, Sub: uncovered}, {ID: 1000003, Sub: uncovered}}
+		if err := p.Restore(h); errors.Is(err, core.ErrUnsupported) && p.Len() == 0 {
+			return // refused, and left alone
+		} else if err != nil {
+			t.Fatalf("Restore = %v with Len %d, want success or an untouched core.ErrUnsupported", err, p.Len())
+		}
+		// A provider that holds anything, an id named twice and a foreign
+		// schema each refuse the whole call.
+		foreign := subscription.New(subscription.MustSchema(8, "volume", "price"))
+		for _, bad := range []struct {
+			why  string
+			p    core.Provider
+			held []core.Held
+		}{
+			{"a non-empty provider", p, []core.Held{{ID: 9, Sub: narrow}}},
+			{"an id named twice", q, []core.Held{{ID: 5, Sub: wide}, {ID: 6, Sub: uncovered}, {ID: 5, Sub: narrow}}},
+			{"a foreign schema", q, []core.Held{{ID: 5, Sub: wide}, {ID: 6, Sub: foreign}}},
+		} {
+			if err := bad.p.Restore(bad.held); err == nil || q.Len() != 0 {
+				t.Fatalf("Restore with %s = %v, leaving %d held in a provider that was empty", bad.why, err, q.Len())
+			}
+		}
+		got, err := p.Enumerate()
+		if err != nil || len(got) != len(h) {
+			t.Fatalf("Enumerate = %d entries, %v; want the %d restored", len(got), err, len(h))
+		}
+		taken := map[uint64]bool{}
+		for i, e := range h {
+			s, ok := p.Subscription(e.ID)
+			if got[i].ID != e.ID || !got[i].Sub.Equal(e.Sub) || !ok || !s.Equal(e.Sub) {
+				t.Fatalf("restored id %d: Enumerate[%d] is id %d, Subscription resolves %v", e.ID, i, got[i].ID, ok)
+			}
+			taken[e.ID] = true
+		}
+		if id, found, _, err := p.FindCover(narrow); err != nil || !found || id != h[0].ID {
+			t.Fatalf("FindCover(narrow) = (%d,%v,%v), want the restored id %d", id, found, err, h[0].ID)
+		}
+		// No id minted afterwards, by any write path, is one already held.
+		mint := func(path string, id uint64, err error) {
+			t.Helper()
+			if err != nil || taken[id] {
+				t.Fatalf("%s after Restore = id %d, %v; want a fresh id", path, id, err)
+			}
+			taken[id] = true
+		}
+		id, _, _, err := p.Add(narrow)
+		mint("Add", id, err)
+		id, err = p.Insert(narrow)
+		mint("Insert", id, err)
+		for _, r := range p.AddBatch([]*subscription.Subscription{narrow, narrow, narrow}) {
+			mint("AddBatch", r.ID, r.Err)
+		}
+		ids, err := p.InsertBatch([]*subscription.Subscription{narrow, narrow, narrow})
+		for _, id := range ids {
+			mint("InsertBatch", id, err)
+		}
+		if p.Len() != len(h)+8 || len(taken) != len(h)+8 {
+			t.Fatalf("Len = %d with %d distinct ids after Restore and 8 mints", p.Len(), len(taken))
 		}
 	})
 

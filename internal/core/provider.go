@@ -13,14 +13,15 @@ import (
 // single-lock Detector and the sharded engine (and, through them, anything
 // else that can answer covering questions about a dynamic subscription
 // set). Routers, brokers and services program against it so the choice of
-// backing index — one detector, hash-sharded detectors, a curve-prefix
-// sharded index — is a configuration knob, not a code path.
+// backing index — one detector, the key-range-sliced engine, a daemon
+// across a wire, any of them behind a write-ahead log — is which
+// constructor ran, not a code path.
 //
 // Every implementation preserves the paper's asymmetry: a reported cover
 // (or covered subscription) is always genuine; approximate modes may miss.
 //
 // The interface is the whole surface: an implementation that cannot serve
-// InsertBatch, Snapshot or Enumerate returns an error wrapping
+// InsertBatch, Restore, Snapshot or Enumerate returns an error wrapping
 // ErrUnsupported from it.
 type Provider interface {
 	// Add is the router arrival path: search for a cover of s, then insert
@@ -60,9 +61,15 @@ type Provider interface {
 	RemoveBatch(ids []uint64) []error
 	// InsertBatch stores every subscription unconditionally — no covering
 	// queries, one lock acquisition per destination shard — and returns
-	// the assigned ids, aligned with the input. Recovery paths use it to
-	// rebuild an index from a persisted dump.
+	// the ids it minted, aligned with the input.
 	InsertBatch(subs []*subscription.Subscription) ([]uint64, error)
+	// Restore is the inverse of Enumerate: it bulk-loads an EMPTY provider
+	// with every subscription under the id it is given — ids this provider
+	// would never mint included — and no id minted later collides with one
+	// of them. All-or-nothing: a provider that holds anything, a foreign
+	// schema or an id named twice refuses the call and changes nothing.
+	// Recovery paths use it to rebuild an index from a persisted dump.
+	Restore(held []Held) error
 	// Snapshot forces a point-in-time snapshot of the durable subscription
 	// state and compacts the write-ahead log behind it. The persisted form
 	// is the subscription set, not the derived index; answers are
@@ -88,8 +95,8 @@ type AddResult struct {
 
 // ErrUnsupported reports an operation this provider (or provider
 // configuration) cannot serve: Snapshot with no durable store, Enumerate
-// or InsertBatch across a wire with no such op. Implementers wrap it with
-// the reason; a refusal changes nothing.
+// or InsertBatch across a wire with no such op, Restore under a write-ahead
+// log. Implementers wrap it with the reason; a refusal changes nothing.
 var ErrUnsupported = errors.New("core: operation not supported by this provider")
 
 // ErrProviderClosed reports an operation issued after Close. Close itself
@@ -101,6 +108,25 @@ var ErrProviderClosed = errors.New("core: provider is closed")
 type Held struct {
 	ID  uint64
 	Sub *subscription.Subscription
+}
+
+// SplitHeld checks a Restore argument — every subscription on schema, no
+// id twice — and splits it into the aligned slices the bulk-load seams
+// take.
+func SplitHeld(schema *subscription.Schema, held []Held) ([]*subscription.Subscription, []uint64, error) {
+	subs, ids := make([]*subscription.Subscription, len(held)), make([]uint64, len(held))
+	seen := make(map[uint64]struct{}, len(held))
+	for i, h := range held {
+		if h.Sub.Schema() != schema {
+			return nil, nil, fmt.Errorf("core: restored subscription %d's schema differs from the provider's", h.ID)
+		}
+		if _, dup := seen[h.ID]; dup {
+			return nil, nil, fmt.Errorf("core: restore names id %d twice", h.ID)
+		}
+		seen[h.ID] = struct{}{}
+		subs[i], ids[i] = h.Sub, h.ID
+	}
+	return subs, ids, nil
 }
 
 // QueryResult is one covering-query outcome, the per-item currency of the
@@ -275,6 +301,17 @@ func (d *Detector) Enumerate() ([]Held, error) {
 	d.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
+}
+
+// Restore implements Provider through InsertBatch's load, under the given
+// ids.
+func (d *Detector) Restore(held []Held) error {
+	subs, ids, err := SplitHeld(d.cfg.Schema, held)
+	if err != nil {
+		return err
+	}
+	_, err = d.load(subs, ids)
+	return err
 }
 
 // Snapshot implements Provider: a Detector has no durable store.

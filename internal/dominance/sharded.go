@@ -100,7 +100,7 @@ const sampleKeysPerSlice = 128
 // i-th), so the load lands evenly; on an index that holds anything it
 // does nothing. The quantiles are read off a stride sample of at most
 // sampleKeysPerSlice keys a slice — sorting the sample, not the batch —
-// and the stride is a function of n alone, so two loads of the same
+// and the picks are a function of n alone, so two loads of the same
 // sequence choose the same table. Equal quantiles (a hot key, a batch
 // smaller than the slice count) leave slices that own no key, which
 // routing permits. The swap follows EqualizePair's protocol with every
@@ -113,7 +113,12 @@ func (x *ShardedIndex) ChooseBoundaries(n int, point func(i int) []uint32) {
 	stride := (n + most - 1) / most
 	sample := make([]bits.Key, 0, (n+stride-1)/stride)
 	for i := 0; i < n; i += stride {
-		sample = append(sample, x.curve.Key(point(i)))
+		// One pick a stride window, at an offset hashed from the window's
+		// start: picking the start itself aliases with any periodic order
+		// (an engine's id-sorted dump cycles through its stripes, which
+		// were key slices once) and samples a few phases of it only.
+		j := i + int(uint32(i)*2654435761>>8)%stride
+		sample = append(sample, x.curve.Key(point(min(j, n-1))))
 	}
 	slices.SortFunc(sample, bits.Key.Cmp)
 	starts := make([]bits.Key, len(x.shards))

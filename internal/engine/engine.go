@@ -128,7 +128,8 @@ type Engine struct {
 	// read side for their whole run, Close takes the write side before
 	// tearing the pool down, and closed flips under it — so a batch op
 	// either completes on a live pool or observes closed and reports
-	// core.ErrProviderClosed, never a send on a closed channel.
+	// core.ErrProviderClosed, never a send on a closed channel. Restore
+	// takes the write side too, to have the pool to itself.
 	closeMu sync.RWMutex
 	closed  bool
 
@@ -520,7 +521,7 @@ func (e *Engine) AddBatch(subs []*subscription.Subscription) []AddResult {
 				batch = append(batch, subs[i])
 			}
 		}
-		ids := e.insertBatch(batch)
+		ids := e.insertBatch(batch, nil)
 		for k, i := range valid {
 			out[i].ID = ids[k]
 		}
@@ -535,10 +536,10 @@ func (e *Engine) AddBatch(subs []*subscription.Subscription) []AddResult {
 
 // InsertBatch stores every subscription unconditionally — no pre-insert
 // covering queries — grouped by destination shard and bulk-loaded one
-// shard at a time, and returns the assigned ids aligned with the input.
-// This is the recovery path: rebuilding an engine from a persisted
-// subscription dump pays the sorted bulk-load cost, not one covering query
-// per entry.
+// shard at a time, and returns the assigned ids aligned with the input:
+// a bulk load pays the sorted bulk-load cost, not one covering query per
+// entry. (Recovery loads through the same seam under the ids it recovered;
+// see Restore.)
 func (e *Engine) InsertBatch(subs []*subscription.Subscription) ([]uint64, error) {
 	defer observeSince(e.hInsertBatch, time.Now())
 	for _, s := range subs {
@@ -547,7 +548,7 @@ func (e *Engine) InsertBatch(subs []*subscription.Subscription) ([]uint64, error
 		}
 	}
 	var ids []uint64
-	if err := e.guarded(func() { ids = e.insertBatch(subs) }); err != nil {
+	if err := e.guarded(func() { ids = e.insertBatch(subs, nil) }); err != nil {
 		return nil, err
 	}
 	return ids, nil
@@ -596,7 +597,9 @@ func observeSince(h *obs.Histogram, t0 time.Time) {
 }
 
 // encodeID folds a shard index into a shard-local id; decodeID inverts
-// it. Local ids start at 1, so engine ids are always >= the shard count.
+// it. Local ids start at 1, so the ids an engine mints are always >= the
+// shard count; a restored id may be anything, and decodes to a stripe all
+// the same.
 func encodeID(shards, shard int, local uint64) uint64 {
 	return local*uint64(shards) + uint64(shard)
 }

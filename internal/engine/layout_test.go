@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"sfccover/internal/core"
@@ -168,5 +169,151 @@ func TestDefaultEngineAcceptsEverySchema(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRestoreSharesTheBulkLoadSeam: Restore decides the slice layout the
+// way InsertBatch does — same table from the same sequence, no pass run —
+// though it holds the dump under ids no engine mints (a detector's 1, 2,
+// 3 …, whose stripes have nothing to do with where the keys fall), and
+// every stripe mints from past the largest local id it was given.
+func TestRestoreSharesTheBulkLoadSeam(t *testing.T) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	subs := hotspotSubs(t, schema, 8000, 31)
+	det := core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 50000, TrackCovered: true}
+	held := make([]core.Held, len(subs))
+	for i, s := range subs {
+		held[i] = core.Held{ID: uint64(i + 1), Sub: s}
+	}
+	e, twin := MustNew(Config{Detector: det}), MustNew(Config{Detector: det})
+	defer e.Close()
+	defer twin.Close()
+	if err := e.Restore(held); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.InsertBatch(subs); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(e.idx.Boundaries(), twin.idx.Boundaries()) || !slices.Equal(e.mirror.Boundaries(), twin.mirror.Boundaries()) {
+		t.Fatalf("Restore placed %v, InsertBatch of the same sequence %v", e.idx.Boundaries(), twin.idx.Boundaries())
+	}
+	if st := e.Stats(); st.SkewRatio > 1.5 || st.Rebalances != 0 || st.Subscriptions != len(subs) {
+		t.Fatalf("restored engine: skew %.2f, %d passes, %d held; want a balanced, never-rebalanced %d", st.SkewRatio, st.Rebalances, st.Subscriptions, len(subs))
+	}
+	for i := range e.stores {
+		// The largest id <= len(subs) that decodes to stripe i.
+		_, local := decodeID(len(e.stores), uint64(len(subs)-(len(subs)-i)%len(e.stores)))
+		if e.stores[i].next != local+1 {
+			t.Fatalf("stripe %d mints from local id %d, want %d (one past the largest restored)", i, e.stores[i].next, local+1)
+		}
+	}
+	for _, h := range held[:64] {
+		if got, ok := e.Subscription(h.ID); !ok || !got.Equal(h.Sub) {
+			t.Fatalf("restored id %d does not resolve to its subscription", h.ID)
+		}
+		if err := e.Remove(h.ID); err != nil {
+			t.Fatalf("removing restored id %d: %v", h.ID, err)
+		}
+	}
+	// An engine's own dump is the periodic order: sorted by id it cycles
+	// through the stripes, which were the key slices when the ids were
+	// minted. A boundary sample that strode it by position (8 000 entries:
+	// every 8th) would see one slice's keys only.
+	dump, err := twin.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := MustNew(Config{Detector: det})
+	defer again.Close()
+	if err := again.Restore(dump); err != nil {
+		t.Fatal(err)
+	}
+	if st := again.Stats(); st.SkewRatio > 1.5 || st.Rebalances != 0 {
+		t.Fatalf("engine restored from an engine's dump: skew %.2f after %d passes, slices %v; want a balanced load and no pass", st.SkewRatio, st.Rebalances, st.ShardSizes)
+	}
+}
+
+// TestRestoreRacesWrites: a Restore racing every write path either finds
+// the engine empty and loads whole, with the racing writes minting around
+// it, or finds it occupied and loads nothing. No id is ever held twice,
+// and nobody waits forever (batch writes share the pool Restore loads on).
+func TestRestoreRacesWrites(t *testing.T) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	subs := hotspotSubs(t, schema, 600, 7)
+	held := make([]core.Held, 400)
+	for i := range held {
+		held[i] = core.Held{ID: uint64(i + 1), Sub: subs[i]}
+	}
+	loaded := 0
+	defer func() { t.Logf("Restore found the engine empty in %d of 20 rounds", loaded) }()
+	for round := 0; round < 20; round++ {
+		e := MustNew(Config{Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear}, Shards: 4, Workers: 2})
+		var wg sync.WaitGroup
+		var restoreErr error
+		minted := make([][]uint64, 3)
+		wg.Add(4)
+		go func() {
+			defer wg.Done()
+			restoreErr = e.Restore(held)
+		}()
+		go func() {
+			defer wg.Done()
+			for _, s := range subs[400:450] {
+				id, err := e.Insert(s)
+				if err != nil {
+					t.Error(err)
+				}
+				minted[0] = append(minted[0], id)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for _, r := range e.AddBatch(subs[450:550]) {
+				if r.Err != nil {
+					t.Error(r.Err)
+				}
+				minted[1] = append(minted[1], r.ID)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			ids, err := e.InsertBatch(subs[550:])
+			if err != nil {
+				t.Error(err)
+			}
+			minted[2] = ids
+			for _, err := range e.RemoveBatch(ids[:10]) {
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		wg.Wait()
+		want := 190
+		if restoreErr == nil {
+			want += len(held)
+			loaded++
+		}
+		all, _ := e.Enumerate()
+		if len(all) != want || e.Len() != want || e.idx.Len() != want {
+			t.Fatalf("round %d (Restore = %v): %d enumerated, Len %d, %d indexed, want %d", round, restoreErr, len(all), e.Len(), e.idx.Len(), want)
+		}
+		seen := map[uint64]bool{}
+		for _, ids := range minted {
+			for _, id := range ids {
+				if seen[id] || restoreErr == nil && id <= uint64(len(held)) {
+					t.Fatalf("round %d: id %d minted twice, or over a restored one", round, id)
+				}
+				seen[id] = true
+			}
+		}
+		if restoreErr == nil {
+			for _, h := range held {
+				if got, ok := e.Subscription(h.ID); !ok || !got.Equal(h.Sub) {
+					t.Fatalf("round %d: restored id %d lost its subscription to a racing write", round, h.ID)
+				}
+			}
+		}
+		e.Close()
 	}
 }

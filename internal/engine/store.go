@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"sfccover/internal/core"
 	"sfccover/internal/dominance"
@@ -137,13 +138,21 @@ func (e *Engine) insert(s *subscription.Subscription) uint64 {
 // matches insert's, so the paths cannot deadlock. The returned ids align
 // with subs.
 //
+// given nil mints the ids and stores subs under them. Restore passes the
+// ids it has already stored subs under, with every stripe lock held, and
+// only the index load is left: a given id's stripe is the one it decodes
+// to, whatever slice owns its key (the index routes by key).
+//
 // A batch entering an empty engine is what decides the slice layout: the
 // primary and the mirror each place their boundaries at the quantiles of
 // their own points before anything is grouped, so the groups — and every
 // later insert — find an even table. This is the one seam boot recovery,
 // snapshot install, promotion, InsertBatch and AddBatch all pass through.
-func (e *Engine) insertBatch(subs []*subscription.Subscription) []uint64 {
-	ids := make([]uint64, len(subs))
+func (e *Engine) insertBatch(subs []*subscription.Subscription, given []uint64) []uint64 {
+	ids := given
+	if given == nil {
+		ids = make([]uint64, len(subs))
+	}
 	points := make([][]uint32, len(subs))
 	for i, s := range subs {
 		points[i] = s.Point()
@@ -169,14 +178,18 @@ func (e *Engine) insertBatch(subs []*subscription.Subscription) []uint64 {
 		ps := make([][]uint32, len(group))
 		groupIDs := make([]uint64, len(group))
 		st := &e.stores[shard]
-		st.mu.Lock()
+		if given == nil {
+			st.mu.Lock()
+			defer st.mu.Unlock()
+		}
 		for k, i := range group {
-			id := encodeID(len(e.stores), shard, st.next)
-			st.next++
-			st.subs[id] = subs[i].Clone()
+			if given == nil {
+				ids[i] = encodeID(len(e.stores), shard, st.next)
+				st.next++
+				st.subs[ids[i]] = subs[i].Clone()
+			}
 			ps[k] = points[i]
-			groupIDs[k] = id
-			ids[i] = id
+			groupIDs[k] = ids[i]
 		}
 		e.idx.InsertBatch(ps, groupIDs)
 		if e.mirror != nil {
@@ -185,10 +198,46 @@ func (e *Engine) insertBatch(subs []*subscription.Subscription) []uint64 {
 			}
 			e.mirror.InsertBatch(ps, groupIDs)
 		}
-		st.mu.Unlock()
 	})
 	e.inserted(len(subs))
 	return ids
+}
+
+// Restore implements core.Provider through insertBatch. Nothing else
+// writes while it runs, so no id minted beside it collides with a given
+// one: the write side of closeMu keeps the batch operations out (their
+// pool tasks would wait on the stripe locks held here and starve the load
+// of workers), and every stripe lock, held from the emptiness check to the
+// last insert, keeps the single-item writes out.
+func (e *Engine) Restore(held []core.Held) error {
+	defer observeSince(e.hInsertBatch, time.Now())
+	subs, ids, err := core.SplitHeld(e.schema, held)
+	if err != nil {
+		return err
+	}
+	e.closeMu.Lock()
+	defer e.closeMu.Unlock()
+	if e.closed {
+		return core.ErrProviderClosed
+	}
+	for i := range e.stores {
+		st := &e.stores[i]
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if len(st.subs) != 0 {
+			return fmt.Errorf("engine: Restore needs an empty provider, stripe %d holds %d subscriptions", i, len(st.subs))
+		}
+	}
+	for i, id := range ids {
+		stripe, local := decodeID(len(e.stores), id)
+		st := &e.stores[stripe]
+		st.subs[id] = subs[i].Clone()
+		if local >= st.next {
+			st.next = local + 1 // mint from past the largest id given
+		}
+	}
+	e.insertBatch(subs, ids)
+	return nil
 }
 
 func (e *Engine) remove(id uint64) error {

@@ -242,22 +242,7 @@ func (st *Store) recover() (uint64, error) {
 		err := replaySegment(filepath.Join(st.dir, segmentName(seq)), final, func(r record) {
 			st.dirtyRecords++
 			st.pos++
-			switch r.op {
-			case opAdd:
-				link := st.state[r.link]
-				if link == nil {
-					link = make(map[uint64][]byte)
-					st.state[r.link] = link
-				}
-				link[r.sid] = r.payload
-			case opRem:
-				if link := st.state[r.link]; link != nil {
-					delete(link, r.sid)
-					if len(link) == 0 {
-						delete(st.state, r.link)
-					}
-				}
-			}
+			st.mirror(r)
 		})
 		if err != nil {
 			return 0, err
@@ -323,26 +308,49 @@ func (st *Store) Stats() StoreStats {
 // updated only when the record landed, so the snapshot state never runs
 // ahead of the log.
 func (st *Store) appendAdd(link string, sid uint64, payload []byte) error {
-	return st.append(record{op: opAdd, link: link, sid: sid, payload: payload})
+	return st.appendBatch([]record{{op: opAdd, link: link, sid: sid, payload: payload}})
 }
 
-// appendRemove logs one subscription removal and mirrors it.
+// appendRemove is the claim and the log of claim → log → apply in one
+// critical section: an sid the link does not hold is refused with nothing
+// written, so of two racing removals exactly one logs a record (and goes on
+// to apply it); a failed write claims nothing.
 func (st *Store) appendRemove(link string, sid uint64) error {
-	return st.append(record{op: opRem, link: link, sid: sid})
-}
-
-func (st *Store) append(r record) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
+	if _, held := st.state[link][sid]; !held {
+		return fmt.Errorf("persist: no subscription with id %d", sid)
 	}
-	n, err := st.w.append(r)
-	if err != nil {
-		return err
+	return st.appendLocked(record{op: opRem, link: link, sid: sid})
+}
+
+// appendRemoves is appendRemove for a batch, errors aligned with sids:
+// every sid the link holds is claimed — once, however often the batch
+// names it — and the claimed removals land through one log write,
+// all-or-nothing.
+func (st *Store) appendRemoves(link string, sids []uint64) []error {
+	errs := make([]error, len(sids))
+	rs := make([]record, 0, len(sids))
+	claimed := make(map[uint64]struct{}, len(sids))
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for i, sid := range sids {
+		_, held := st.state[link][sid]
+		if _, dup := claimed[sid]; !held || dup {
+			errs[i] = fmt.Errorf("persist: no subscription with id %d", sid)
+			continue
+		}
+		claimed[sid] = struct{}{}
+		rs = append(rs, record{op: opRem, link: link, sid: sid})
 	}
-	st.committed([]record{r}, n)
-	return nil
+	if err := st.appendLocked(rs...); err != nil {
+		for i := range errs {
+			if errs[i] == nil {
+				errs[i] = err
+			}
+		}
+	}
+	return errs
 }
 
 // appendBatch logs a whole batch of records under one lock acquisition
@@ -350,11 +358,17 @@ func (st *Store) append(r record) error {
 // syscall per batch, not per record). All-or-nothing: either every
 // record lands or none does.
 func (st *Store) appendBatch(rs []record) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.appendLocked(rs...)
+}
+
+// appendLocked lands rs through one segment write and folds them into the
+// in-memory views. Called with st.mu held.
+func (st *Store) appendLocked(rs ...record) error {
 	if len(rs) == 0 {
 		return nil
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if st.closed {
 		return ErrClosed
 	}
@@ -384,8 +398,10 @@ func (st *Store) committed(rs []record, n int) {
 	st.notifyTailers(rs, base)
 }
 
-// mirror folds one landed record into the in-memory state. Called with
-// st.mu held, after the record is on disk.
+// mirror folds one landed record into the in-memory state, the table
+// appendRemove's claim reads; it is that table's one writer. Called with
+// st.mu held (or by recover, before the store is shared), after the
+// record is on disk.
 func (st *Store) mirror(r record) {
 	switch r.op {
 	case opAdd:

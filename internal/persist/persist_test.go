@@ -422,38 +422,6 @@ func TestDurableDoubleWrapRefused(t *testing.T) {
 	d2.Close()
 }
 
-func TestDurablePurge(t *testing.T) {
-	schema := testSchema()
-	dir := t.TempDir()
-	st, err := Open(dir, schema, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func() core.Provider {
-		return core.MustNew(core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear})
-	}
-	d, err := st.Durable("gone", mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Insert(rect(t, schema, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Purge(); err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
-	st.Close()
-	st2, err := Open(dir, schema, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if links := st2.Links(); len(links) != 0 {
-		t.Fatalf("purged link resurrected: %v", links)
-	}
-}
-
 // TestStoreSingleOpener pins the data-dir lock: a second live store over
 // the same dir must be refused (two daemons on one -data-dir would
 // silently diverge), and the lock dies with Close.

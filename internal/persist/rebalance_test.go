@@ -2,6 +2,7 @@ package persist_test
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -79,8 +80,7 @@ func TestSnapshotMidRebalanceRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A uniform base load places the boundaries; the hotspot arriving
-	// behind it is the drift that skews them. (Durable sids are the dump's
-	// order, so the clean rebuild below loads the same sequence.)
+	// behind it is the drift that skews them.
 	base, err := workload.Subscriptions(workload.SubSpec{Schema: schema, N: 600, WidthFrac: 0.02, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -118,10 +118,21 @@ func TestSnapshotMidRebalanceRecovery(t *testing.T) {
 	}
 
 	// Clean rebuild: the same subscriptions bulk-loaded into a fresh
-	// engine of the same configuration, never rebalanced, never crashed.
+	// engine of the same configuration, never rebalanced, never crashed —
+	// in the dump's order, which is by id (the engine's ids are not arrival
+	// order), because the boundary sample strides the batch by position.
+	order := make([]int, len(subs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return sids[order[a]] < sids[order[b]] })
+	dump := make([]*subscription.Subscription, len(subs))
+	for k, i := range order {
+		dump[k] = subs[i]
+	}
 	clean := mkEngine()
 	defer clean.Close()
-	if _, err := clean.InsertBatch(subs); err != nil {
+	if _, err := clean.InsertBatch(dump); err != nil {
 		t.Fatal(err)
 	}
 	cleanStats := clean.Stats()

@@ -200,7 +200,7 @@ type walWriter struct {
 	seq     uint64
 	name    string // segmentName(seq), formatted once per segment
 	written int64
-	buf     []byte // append's encode buffer, reused under the store's lock
+	buf     []byte // appendBatch's encode buffer, reused under the store's lock
 	// dirty marks bytes written to the current segment since its last
 	// fsync — the group-commit tick syncs only when set, so an idle
 	// daemon's interval timer costs nothing.
@@ -269,19 +269,21 @@ func (w *walWriter) write(f *os.File, name string, off int64, p []byte) error {
 	return nil
 }
 
-// append encodes r onto the current segment, rotating first when the
-// segment is full. The new segment's seq is current+1.
-func (w *walWriter) append(r record) (int, error) {
-	w.buf = appendRecord(w.buf[:0], r)
-	return w.appendBytes(w.buf)
-}
+// keepBufBytes is the largest encode buffer the writer keeps between
+// appends: single records and small batches reuse it, a bulk load's arena
+// is dropped instead of pinned.
+const keepBufBytes = 4 << 10
 
 // appendBatch encodes a whole batch into one buffer and lands it with a
-// single write (and, with Sync, a single fsync).
+// single write (and, with Sync, a single fsync), rotating first when the
+// segment is full. The new segment's seq is current+1.
 func (w *walWriter) appendBatch(rs []record) (int, error) {
-	var buf []byte
+	buf := w.buf[:0]
 	for _, r := range rs {
 		buf = appendRecord(buf, r)
+	}
+	if cap(buf) <= keepBufBytes {
+		w.buf = buf
 	}
 	return w.appendBytes(buf)
 }

@@ -196,6 +196,12 @@ func (r *RemoteProvider) InsertBatch([]*subscription.Subscription) ([]uint64, er
 	return nil, fmt.Errorf("%w: no wire op bulk-inserts", core.ErrUnsupported)
 }
 
+// Restore is unsupported: ids are the daemon's to mint, and a daemon with
+// a data dir restores itself from it at boot.
+func (r *RemoteProvider) Restore([]core.Held) error {
+	return fmt.Errorf("%w: no wire op loads a namespace under given ids", core.ErrUnsupported)
+}
+
 // Subscription resolves an id to its held subscription. The Provider
 // signature has no error channel, so connection trouble reads as
 // not-found here and errors on the next operation that can report it.

@@ -123,6 +123,10 @@ func TestFollowerStreamsAndServesAfterPromotion(t *testing.T) {
 		"":  remoteFingerprint(t, schema, shared),
 		"L": remoteFingerprint(t, schema, linked),
 	}
+	wantHeld, err := primary.eng.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	fol.awaitPos(t, primary.store.Pos())
 
@@ -168,6 +172,17 @@ func TestFollowerStreamsAndServesAfterPromotion(t *testing.T) {
 	}
 	if got := remoteFingerprint(t, schema, flinked); got != want["L"] {
 		t.Fatalf("link fingerprint diverged after promotion\n got %s\nwant %s", got, want["L"])
+	}
+	// One id space, below the wire too: the promoted engine itself holds
+	// what the primary's engine held, id for id.
+	gotHeld, err := fol.eng.Enumerate()
+	if err != nil || len(gotHeld) != len(wantHeld) {
+		t.Fatalf("promoted engine enumerates %d subscriptions (%v), the primary's held %d", len(gotHeld), err, len(wantHeld))
+	}
+	for i, h := range wantHeld {
+		if gotHeld[i].ID != h.ID || !gotHeld[i].Sub.Equal(h.Sub) {
+			t.Fatalf("promoted engine entry %d is id %d, the primary's engine held id %d there", i, gotHeld[i].ID, h.ID)
+		}
 	}
 
 	// SID continuity: an ID the primary allocated addresses the same

@@ -607,9 +607,7 @@ func (s *Server) provider(link string) (core.Provider, error) {
 // On a persistent server unlink releases only the in-memory index: the
 // namespace's durable state survives and the link rematerializes from it
 // — subscriptions included — on its next use, which is what lets clients
-// release runtime resources without forfeiting durability. (Destroying
-// durable state is persist.DurableProvider.Purge, a store-owner
-// decision, not a wire operation.)
+// release runtime resources without forfeiting durability.
 func (s *Server) unlink(link string) Response {
 	if link == "" {
 		return Response{OK: false, Code: CodeBadRequest, Error: "cannot unlink the shared engine"}

@@ -86,7 +86,7 @@ type Quantizer = subscription.Quantizer
 // Provider is the covering-detection abstraction implemented by
 // Detector, Engine, DurableProvider and DaemonProvider: Add/Insert/Remove
 // and their batch forms, the forward (FindCover) and reverse (FindCovered)
-// covering queries, Snapshot, Enumerate and a uniform Stats snapshot. An
+// covering queries, Snapshot, Enumerate, Restore and a uniform Stats snapshot. An
 // implementation that cannot serve an operation refuses it with
 // ErrUnsupported. Brokers and services program against it so the backing
 // index is a configuration knob.
@@ -278,9 +278,9 @@ type PersistStore = persist.Store
 type PersistOptions = persist.Options
 
 // DurableProvider wraps any Provider with write-ahead logging and
-// recovery for one link namespace of a PersistStore. Its ids are durable:
-// a recovered provider answers with the same sids the pre-crash one
-// assigned.
+// recovery for one link namespace of a PersistStore. Its ids are the
+// wrapped provider's and they are durable: a recovered provider holds, and
+// answers with, the ids the pre-crash one minted.
 type DurableProvider = persist.DurableProvider
 
 // Typed errors of the provider and persistence layers, for errors.Is
