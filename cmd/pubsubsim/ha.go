@@ -42,7 +42,6 @@ func newDaemonEngine(schema *subscription.Schema, cfg broker.Config) (*engine.En
 			Curve:           cfg.Curve,
 			MaxCubes:        cfg.MaxCubes,
 			DecompCacheSize: cfg.DecompCacheSize,
-			AdaptiveBudget:  cfg.AdaptiveBudget,
 			Seed:            cfg.Seed,
 		},
 	})

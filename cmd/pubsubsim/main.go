@@ -38,7 +38,6 @@ type params struct {
 	eps      float64
 	maxCubes int
 	curve    string
-	adaptive bool
 	width    float64
 	dist     string
 	seed     int64
@@ -61,7 +60,6 @@ func main() {
 	flag.Float64Var(&p.eps, "eps", 0.2, "approximation parameter for -mode approx")
 	flag.IntVar(&p.maxCubes, "cap", 10000, "per-query probe budget (0 = library default, -1 = unlimited)")
 	flag.StringVar(&p.curve, "curve", "", "space filling curve: z (default) | hilbert | gray | onion")
-	flag.BoolVar(&p.adaptive, "adaptive-budget", false, "derive per-query budgets from observed workload statistics")
 	flag.Float64Var(&p.width, "width", 0.3, "mean subscription width as a fraction of the domain")
 	flag.StringVar(&p.dist, "dist", "uniform", "value distribution: uniform | zipf | clustered | hotspot")
 	flag.Int64Var(&p.seed, "seed", 1, "workload seed")
@@ -107,13 +105,12 @@ func run(p params) (simResult, error) {
 		return res, fmt.Errorf("unknown topology %q", p.topology)
 	}
 	cfg := broker.Config{
-		Schema:         schema,
-		MaxCubes:       p.maxCubes,
-		Curve:          p.curve,
-		AdaptiveBudget: p.adaptive,
-		Seed:           p.seed,
-		Backend:        broker.Backend(p.backend),
-		BatchSize:      p.batch,
+		Schema:    schema,
+		MaxCubes:  p.maxCubes,
+		Curve:     p.curve,
+		Seed:      p.seed,
+		Backend:   broker.Backend(p.backend),
+		BatchSize: p.batch,
 	}
 	switch p.mode {
 	case "off":

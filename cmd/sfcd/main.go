@@ -56,15 +56,14 @@ const daemonMaxCubes = 50000
 // options mirrors the flag set; kept separate so tests can build engine
 // configurations without touching the global flag state.
 type options struct {
-	attrs          string
-	bits           int
-	mode           string
-	epsilon        float64
-	strategy       string
-	curve          string
-	maxCubes       int
-	adaptiveBudget bool
-	trackCovered   bool
+	attrs        string
+	bits         int
+	mode         string
+	epsilon      float64
+	strategy     string
+	curve        string
+	maxCubes     int
+	trackCovered bool
 }
 
 // maxSlowCurveDims is the widest universe the daemon serves on a curve
@@ -108,14 +107,13 @@ func buildConfig(o options) (engine.Config, error) {
 	}
 	return engine.Config{
 		Detector: core.Config{
-			Schema:         schema,
-			Mode:           mode,
-			Epsilon:        o.epsilon,
-			Strategy:       core.Strategy(o.strategy),
-			Curve:          o.curve,
-			MaxCubes:       o.maxCubes,
-			AdaptiveBudget: o.adaptiveBudget,
-			TrackCovered:   o.trackCovered,
+			Schema:       schema,
+			Mode:         mode,
+			Epsilon:      o.epsilon,
+			Strategy:     core.Strategy(o.strategy),
+			Curve:        o.curve,
+			MaxCubes:     o.maxCubes,
+			TrackCovered: o.trackCovered,
 		},
 	}, nil
 }
@@ -224,7 +222,6 @@ func newFlagSet(so *serveOptions, o *options, stderr io.Writer) *flag.FlagSet {
 	fs.StringVar(&o.strategy, "strategy", "sfc", "search backend: sfc, or linear (exact-mode store scan)")
 	fs.StringVar(&o.curve, "curve", "", "space filling curve: z (default), hilbert, gray or onion")
 	fs.IntVar(&o.maxCubes, "maxcubes", daemonMaxCubes, "per-query budget: successor-walk steps, then cubes (-1 = unlimited)")
-	fs.BoolVar(&o.adaptiveBudget, "adaptive-budget", false, "derive each query's effective epsilon and cube cap from observed workload statistics (configured values become floor/ceiling)")
 	fs.BoolVar(&o.trackCovered, "track-covered", false,
 		"maintain the mirrored index that serves the \"covered\" op in approx mode (exact mode serves it regardless)")
 	return fs

@@ -273,7 +273,7 @@ func TestRunRejectsBadFlagCombinations(t *testing.T) {
 // the option surface shows up in review as a diff of its own.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"adaptive-budget", "addr", "attrs", "bits", "curve", "data-dir",
+		"addr", "attrs", "bits", "curve", "data-dir",
 		"epsilon", "follow", "log-level", "max-conns",
 		"maxcubes", "metrics-addr", "mode", "read-timeout",
 		"slow-log-size", "slow-query", "snapshot-interval", "strategy",

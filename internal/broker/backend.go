@@ -127,7 +127,6 @@ func (ps *providerSource) forwarded(brokerID, neighborID int) (core.Provider, er
 		Curve:           cfg.Curve,
 		MaxCubes:        cfg.MaxCubes,
 		DecompCacheSize: cfg.DecompCacheSize,
-		AdaptiveBudget:  cfg.AdaptiveBudget,
 	}
 	var p core.Provider
 	var err error

@@ -47,9 +47,6 @@ type Config struct {
 	// DecompCacheSize bounds each link index's hit memo (0 = default,
 	// negative disables); see core.Config.DecompCacheSize.
 	DecompCacheSize int
-	// AdaptiveBudget derives per-query budgets from observed workload
-	// statistics; see core.Config.AdaptiveBudget.
-	AdaptiveBudget bool
 	// Seed is ignored: the SFC arrays it seeded are no longer randomized.
 	// Callers that predate that still set it.
 	Seed int64

@@ -36,19 +36,13 @@ func TestDetectorConformancePerCurve(t *testing.T) {
 	}
 }
 
-// TestDetectorConformanceCacheVariants re-runs the battery with the
-// decomposition cache disabled and with adaptive budgets on, so the two
-// knobs cannot drift from the Provider contract.
+// TestDetectorConformanceCacheVariants re-runs the battery with the hit
+// memo disabled, so the knob cannot drift from the Provider contract.
 func TestDetectorConformanceCacheVariants(t *testing.T) {
 	schema := coretest.Schema()
 	t.Run("cache-off", func(t *testing.T) {
 		coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
 			return core.MustNew(core.Config{Schema: schema, Mode: core.ModeExact, DecompCacheSize: -1})
-		})
-	})
-	t.Run("adaptive", func(t *testing.T) {
-		coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
-			return core.MustNew(core.Config{Schema: schema, Mode: core.ModeExact, AdaptiveBudget: true})
 		})
 	})
 }

@@ -112,11 +112,6 @@ type Config struct {
 	// one probe; misses are never remembered. Ignored by non-SFC
 	// strategies.
 	DecompCacheSize int
-	// AdaptiveBudget derives each query's effective ε and cube cap from
-	// observed query statistics instead of the fixed Epsilon/MaxCubes;
-	// the configured values become the floor (ε) and ceiling (cap). See
-	// dominance.Config.Adaptive. Ignored by non-SFC strategies.
-	AdaptiveBudget bool
 	// TrackCovered additionally maintains a mirrored index enabling
 	// FindCovered — the reverse question "which stored subscription does s
 	// cover?" — at the cost of a second index insert/delete per
@@ -206,7 +201,7 @@ func New(cfg Config) (*Detector, error) {
 		idx, err := dominance.NewIndex(dominance.Config{
 			Dims: dims, Bits: bits,
 			Curve: cfg.Curve, MaxCubes: cfg.MaxCubes,
-			CacheSize: cfg.DecompCacheSize, Adaptive: cfg.AdaptiveBudget,
+			CacheSize: cfg.DecompCacheSize,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -227,7 +222,7 @@ func New(cfg Config) (*Detector, error) {
 		idx, err := dominance.NewIndex(dominance.Config{
 			Dims: dims, Bits: bits,
 			Curve: cfg.Curve, MaxCubes: cfg.MaxCubes,
-			CacheSize: cfg.DecompCacheSize, Adaptive: cfg.AdaptiveBudget,
+			CacheSize: cfg.DecompCacheSize,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)

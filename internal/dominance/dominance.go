@@ -136,13 +136,6 @@ type Config struct {
 	// DefaultCacheSize, negative disables it. A memo hit answers with one
 	// probe of the key range that held the shape's dominator last time.
 	CacheSize int
-	// Adaptive derives each query's effective ε and cube cap from
-	// observed query statistics (aspect ratio, volume fraction, cube
-	// counts) instead of the fixed Epsilon/MaxCubes; the configured
-	// values become the floor (ε) and ceiling (cube cap). Soundness is
-	// unaffected — only the searched volume fraction varies, and Stats
-	// reports it.
-	Adaptive bool
 }
 
 func (c Config) withDefaults() Config {
@@ -173,8 +166,6 @@ type dispatch struct {
 	curve sfc.Curve
 	// memo remembers which key range answered a shape (nil when disabled).
 	memo *hitMemo
-	// budget drives adaptive per-query budgets (nil unless enabled).
-	budget *budgetState
 }
 
 func newDispatch(cfg Config) (dispatch, error) {
@@ -187,10 +178,18 @@ func newDispatch(cfg Config) (dispatch, error) {
 	if cfg.CacheSize >= 0 {
 		d.memo = newHitMemo(cfg.CacheSize, cfg)
 	}
-	if cfg.Adaptive {
-		d.budget = &budgetState{}
-	}
 	return d, nil
+}
+
+// newArray is the one constructor of the index's SFC arrays: empty, keeping
+// summaries under the Z curve's dimension masks where its keys fit a word
+// (DimMasks is nil otherwise, and other curves have none). A zero
+// sfcarray.Index would answer the same but prune nothing.
+func (d *dispatch) newArray() sfcarray.Index {
+	if z, ok := d.curve.(*sfc.ZCurve); ok {
+		return sfcarray.WithMasks(z.DimMasks())
+	}
+	return sfcarray.Index{}
 }
 
 // CacheStats reports the hit memo's counters (zeros when it is
@@ -203,7 +202,7 @@ func NewIndex(cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{dispatch: d}, nil
+	return &Index{dispatch: d, arr: d.newArray()}, nil
 }
 
 // MustIndex is NewIndex for known-good configurations.
@@ -305,9 +304,9 @@ func (x *Index) Query(q []uint32, eps float64) (uint64, bool, Stats, error) {
 
 // QueryCubes answers q with the paper's search alone — exhaustive
 // decomposition and run probes for eps == 0, the Section 5 ε-search
-// otherwise — bypassing the memo, the walk and the adaptive budget. It
-// is the reference the experiments and the cost-model tests measure, and
-// what Query falls back to when the walk overruns.
+// otherwise — bypassing the memo and the walk. It is the reference the
+// experiments and the cost-model tests measure, and what Query falls back
+// to when the walk overruns.
 func (x *Index) QueryCubes(q []uint32, eps float64) (uint64, bool, Stats, error) {
 	if err := x.checkQuery(q, eps); err != nil {
 		return 0, false, Stats{}, err

@@ -252,10 +252,18 @@ func TestMaxCubesCap(t *testing.T) {
 		t.Fatalf("volume fraction %v out of range", stats.VolumeFraction)
 	}
 	// Through Query the cap bounds the walk's steps and then the cubes.
-	// Each of these points lies one cell below the region with a region
-	// cell right after it on the curve, so each costs the walk a step.
+	// These points each fail the query by one cell, half of them in each
+	// coordinate, and with q odd the two faces agree on every key bit above
+	// the lowest few, so they interleave along the curve: every leaf holds
+	// both kinds, no summary rules a leaf out, and an unbudgeted walk needs
+	// 96 steps to prove the miss.
+	q = []uint32{3841, 3841}
 	for v := uint32(0); v < 64; v++ {
-		idx.Insert([]uint32{q[0] + 1 + v, q[1] - 1}, uint64(v))
+		idx.Insert([]uint32{q[0] + v, q[1] - 1}, uint64(v))
+		idx.Insert([]uint32{q[0] - 1, q[1] + v}, uint64(64+v))
+	}
+	if _, found, st, _ := idx.Query(q, 0); found || st.WalkSteps <= 5 {
+		t.Fatalf("the population must cost an unbudgeted walk more than 5 steps to miss: found=%v %+v", found, st)
 	}
 	_, found, stats, err := idx.Query(q, 0.0001)
 	if err != nil || found {

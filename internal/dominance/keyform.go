@@ -13,8 +13,9 @@ import (
 // once over K; the methods are the places where the forms differ, each a
 // single call into the form's own function.
 type keyForm[K comparable] interface {
-	// seek and firstInRange are the array's descents in the form's spelling.
-	seek(arr ordered, lo K) (key K, id uint64, ok bool)
+	// seek and firstInRange are the array's descents in the form's spelling;
+	// seek prunes by the query key qk where the array keeps summaries.
+	seek(arr ordered, lo K, qk uint64) (key K, id uint64, ok bool)
 	firstInRange(arr ordered, lo, hi K) (id uint64, ok bool)
 	// next is the successor step.
 	next(s *sfc.Successor, from K) (K, bool)
@@ -33,7 +34,7 @@ func (c Config) wordKeys() bool { return c.Dims*c.Bits <= 64 }
 type wordForm struct{}
 
 //sfc:hotpath
-func (wordForm) seek(arr ordered, lo uint64) (uint64, uint64, bool) { return arr.SeekWord(lo) }
+func (wordForm) seek(arr ordered, lo, qk uint64) (uint64, uint64, bool) { return arr.SeekWord(lo, qk) }
 
 //sfc:hotpath
 func (wordForm) firstInRange(arr ordered, lo, hi uint64) (uint64, bool) {
@@ -65,7 +66,10 @@ func (wordForm) hit(sc *queryScratch, lo, hi uint64) { sc.hit[0], sc.hit[1] = lo
 
 type wideForm struct{}
 
-func (wideForm) seek(arr ordered, lo bits.Key) (bits.Key, uint64, bool) { return arr.Seek(lo) }
+// seek ignores qk: no array keeps summaries of keys wider than a word.
+func (wideForm) seek(arr ordered, lo bits.Key, _ uint64) (bits.Key, uint64, bool) {
+	return arr.Seek(lo)
+}
 
 func (wideForm) firstInRange(arr ordered, lo, hi bits.Key) (uint64, bool) {
 	return arr.FirstInRange(lo, hi)

@@ -62,10 +62,14 @@ func modelWalk(curve sfc.Curve, entries []modelEntry, q []uint32, topFirst bool)
 // TestWalkMatchesModelWalk holds the walk's two key forms to one
 // function: on the single array and across 1 and 16 slices, before and
 // after every pair of slices has been equalized, each query returns the
-// model walk's id in the model walk's number of steps — at key widths on
-// both sides of the word (40, 63 and 64 bits run on words, 64 being where
-// the past-the-universe shift must be skipped; 65, 80 and 128 on Keys)
-// and on a curve that steps through the Curve method in word form.
+// model walk's id and found by the model walk's cut, in at most the model
+// walk's number of steps — at key widths on both sides of the word (40,
+// 63 and 64 bits run on words, 64 being where the past-the-universe shift
+// must be skipped; 65, 80 and 128 on Keys) and on a curve that steps
+// through the Curve method in word form. The model seeks every stored key;
+// the arrays pass leaves whose summaries rule out a dominator, which only
+// Z keys of one word keep, so there the walk must take fewer steps in all
+// and elsewhere exactly as many.
 func TestWalkMatchesModelWalk(t *testing.T) {
 	for _, tc := range []struct {
 		dims, bits int
@@ -122,9 +126,11 @@ func TestWalkMatchesModelWalk(t *testing.T) {
 					}
 				}
 			}
+			pruned := tc.curve == "z" && cfg.wordKeys()
 			hits, misses, longest := 0, 0, 0
 			check := func(name string, query func([]uint32, float64) (uint64, bool, Stats, error)) {
 				t.Helper()
+				steps, modelSteps := 0, 0
 				for _, q := range queries {
 					for _, eps := range []float64{0, 0.3} {
 						wantID, want, wantSteps := modelWalk(single.curve, entries, q, eps > 0)
@@ -132,7 +138,7 @@ func TestWalkMatchesModelWalk(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if ok != want || id != wantID || st.WalkSteps != wantSteps || st.RunsProbed != wantSteps || st.Path != PathWalk || st.Found != want {
+						if ok != want || id != wantID || st.WalkSteps > wantSteps || st.RunsProbed != st.WalkSteps || st.Path != PathWalk || st.Found != want {
 							t.Fatalf("%s q=%v eps=%g: (%d,%v) %+v, model walk (%d,%v) in %d steps", name, q, eps, id, ok, st, wantID, want, wantSteps)
 						}
 						if ok {
@@ -141,7 +147,11 @@ func TestWalkMatchesModelWalk(t *testing.T) {
 							misses++
 						}
 						longest = max(longest, wantSteps)
+						steps, modelSteps = steps+st.WalkSteps, modelSteps+wantSteps
 					}
+				}
+				if pruned && steps >= modelSteps || !pruned && steps != modelSteps {
+					t.Fatalf("%s: %d steps in all, the model walk %d; summaries on: %v", name, steps, modelSteps, pruned)
 				}
 			}
 			check("Index", single.Query)

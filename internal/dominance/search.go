@@ -13,14 +13,16 @@ import (
 // ordered is what a search needs of the SFC array: the entry with the
 // smallest key at or after a cursor, and the first entry of a key range,
 // each in both key forms (see keyForm) — the Word pair only ever called
-// when the curve's keys fit one word. The single-array index passes its
-// array; the sharded index passes a view that routes each call to the key
-// slices it concerns. Each call is one ordered-structure descent per
-// array actually searched — the unit Stats.RunsProbed counts.
+// when the curve's keys fit one word, SeekWord passing the leaves whose
+// summaries rule out a dominator of the query key qk (sfcarray.Index).
+// The single-array index passes its array; the sharded index passes a
+// view that routes each call to the key slices it concerns. Each call is
+// one ordered-structure descent per array actually searched — the unit
+// Stats.RunsProbed counts.
 type ordered interface {
 	Seek(lo bits.Key) (key bits.Key, id uint64, ok bool)
 	FirstInRange(lo, hi bits.Key) (id uint64, ok bool)
-	SeekWord(lo uint64) (key, id uint64, ok bool)
+	SeekWord(lo, qk uint64) (key, id uint64, ok bool)
 	FirstInRangeWord(lo, hi uint64) (id uint64, ok bool)
 }
 
@@ -39,10 +41,6 @@ func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64
 		id, found, _ := d.walk(arr, q, 0, false, sc, tr)
 		return id, found, nil
 	}
-	maxCubes := d.cfg.MaxCubes
-	if d.budget != nil {
-		eps, maxCubes = d.budget.adapt(eps, maxCubes, d.cfg.Dims, region)
-	}
 	var h uint64
 	stale := false
 	if d.memo != nil {
@@ -60,16 +58,11 @@ func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64
 		}
 		stale = had
 	}
-	id, found, done := d.walk(arr, q, maxCubes, true, sc, tr)
+	id, found, done := d.walk(arr, q, d.cfg.MaxCubes, true, sc, tr)
 	if !done {
 		var err error
-		if id, found, err = searchCubes(d.curve, d.cfg.Bits, maxCubes, sc, arr, region, eps, tr); err != nil {
+		if id, found, err = searchCubes(d.curve, d.cfg.Bits, d.cfg.MaxCubes, sc, arr, region, eps, tr); err != nil {
 			return 0, false, err
-		}
-		if d.budget != nil {
-			// The policy tunes ε and the cube cap, so it learns from cube
-			// searches only.
-			d.budget.record(stats, eps)
 		}
 	}
 	if d.memo != nil {
@@ -94,7 +87,12 @@ func (d *dispatch) walk(arr ordered, q []uint32, budget int, topFirst bool, sc *
 // ones. Seek the first stored key at or after the cursor; if its cell
 // dominates q it is the answer — the dominator with the smallest key —
 // and if not, NextInExtremal (bound to q once, as sc.succ) moves the
-// cursor past every key outside the region in one jump. The walk ends
+// cursor past every key outside the region in one jump. Where the array
+// keeps summaries a seek also passes every leaf, and every block of
+// leaves, that holds no dominator of q (the query key qk rides along), so
+// it lands on a later key than an unpruned seek would, never past the
+// smallest dominator: the answer is the same, the steps fewer, and their
+// number depends on the leaf layout as well as the key set. The walk ends
 // at a hit, at the end of the array or of the region (an exact miss: the
 // whole region was searched), or when budget seeks are spent (budget 0 =
 // unlimited); only the last leaves the query undecided (done == false).
@@ -130,9 +128,11 @@ func walk[K comparable, F keyForm[K]](curve sfc.Curve, arr ordered, q []uint32, 
 		}
 	}
 	var cursor K
+	var qk uint64
 	inRegion := !found
 	if inRegion {
 		sc.succ.Bind(curve, q)
+		qk = sc.succ.QueryKey()
 		cursor, inRegion = f.next(&sc.succ, cursor)
 	}
 	for inRegion {
@@ -141,7 +141,7 @@ func walk[K comparable, F keyForm[K]](curve sfc.Curve, arr ordered, q []uint32, 
 			break
 		}
 		stats.WalkSteps++
-		key, kid, ok := f.seek(arr, cursor)
+		key, kid, ok := f.seek(arr, cursor, qk)
 		if !ok {
 			break
 		}

@@ -34,12 +34,15 @@ import (
 // detects the stale table and retries against the fresh one, so answers
 // are always consistent with some table the index actually published.
 //
-// Because a sharded query issues the same seeks and probes as a
-// single-array query over the same point set, its answer (and
-// approximation guarantee) is identical to an unsharded Index — only the
-// lock footprint and per-descent array sizes change. Boundary moves
-// relocate entries between slices without ever dropping or duplicating
-// one, so the equivalence holds before, during and after a rebalance.
+// A sharded query computes the same cursors and cube ranges as a
+// single-array query over the same point set, and its answer (and
+// approximation guarantee) is identical to an unsharded Index. Its walk's
+// step count need not be: a seek passes the leaves whose summaries rule
+// out a dominator, and the slices' leaves are not the single array's, so
+// the two may skip different stretches of keys on the way to the same
+// answer. Boundary moves relocate entries between slices without ever
+// dropping or duplicating one, so the equivalence holds before, during
+// and after a rebalance.
 type ShardedIndex struct {
 	dispatch // the memo is shared by concurrent queries under its stripe locks
 	shards   []shardSlot
@@ -83,6 +86,9 @@ func NewSharded(cfg Config, n int) (*ShardedIndex, error) {
 	x := &ShardedIndex{
 		dispatch: d,
 		shards:   make([]shardSlot, n),
+	}
+	for i := range x.shards {
+		x.shards[i].arr = d.newArray()
 	}
 	x.scratchPool.New = func() any { return new(queryScratch) }
 	starts := make([]bits.Key, n)
@@ -323,15 +329,16 @@ func probe[K comparable, F keyForm[K]](x *ShardedIndex, lo, hi K, tr *obs.QueryT
 }
 
 // seek answers one step of the successor walk: the entry with the
-// smallest key >= lo across the slices, starting in the slice that owns
-// lo and running on through the later ones until one holds such an
-// entry. It follows probe's protocol exactly — an answer stands only if
+// smallest key >= lo across the slices — past the leaves whose summaries
+// rule out a dominator of qk — starting in the slice that owns lo and
+// running on through the later ones until one holds such an entry. It
+// follows probe's protocol exactly — an answer stands only if
 // the boundary table it was routed by is still the published one — so a
 // seek that crosses a swapped table retries and never skips an entry a
 // migration moved behind it.
 //
 //sfc:hotpath
-func seek[K comparable, F keyForm[K]](x *ShardedIndex, lo K, tr *obs.QueryTrace) (K, uint64, bool) {
+func seek[K comparable, F keyForm[K]](x *ShardedIndex, lo K, qk uint64, tr *obs.QueryTrace) (K, uint64, bool) {
 	var f F
 	for {
 		tabPtr := x.table.Load()
@@ -344,7 +351,7 @@ func seek[K comparable, F keyForm[K]](x *ShardedIndex, lo K, tr *obs.QueryTrace)
 			tr.TouchSlice(i)
 			s := &x.shards[i]
 			s.mu.RLock()
-			key, id, ok = f.seek(&s.arr, lo)
+			key, id, ok = f.seek(&s.arr, lo, qk)
 			s.mu.RUnlock()
 		}
 		if x.table.Load() == tabPtr {
@@ -449,7 +456,7 @@ func (x *ShardedIndex) shrinkSlice(slot *shardSlot, keys []bits.Key, ids []uint6
 		}
 		return
 	}
-	slot.arr = sfcarray.Index{}
+	slot.arr = x.newArray()
 	slot.arr.InsertSorted(keys[keptLo:keptHi], ids[keptLo:keptHi])
 }
 

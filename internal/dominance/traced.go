@@ -68,12 +68,12 @@ func (r *routed) FirstInRangeWord(lo, hi uint64) (uint64, bool) {
 
 //sfc:hotpath
 func (r *routed) Seek(lo bits.Key) (bits.Key, uint64, bool) {
-	return routedSeek[bits.Key, wideForm](r, lo)
+	return routedSeek[bits.Key, wideForm](r, lo, 0)
 }
 
 //sfc:hotpath
-func (r *routed) SeekWord(lo uint64) (uint64, uint64, bool) {
-	return routedSeek[uint64, wordForm](r, lo)
+func (r *routed) SeekWord(lo, qk uint64) (uint64, uint64, bool) {
+	return routedSeek[uint64, wordForm](r, lo, qk)
 }
 
 // routedProbe and routedSeek are the four methods' one body each: the
@@ -91,14 +91,14 @@ func routedProbe[K comparable, F keyForm[K]](r *routed, lo, hi K) (uint64, bool)
 }
 
 //sfc:hotpath
-func routedSeek[K comparable, F keyForm[K]](r *routed, lo K) (K, uint64, bool) {
+func routedSeek[K comparable, F keyForm[K]](r *routed, lo K, qk uint64) (K, uint64, bool) {
 	if r.tr != nil && r.sampled() {
 		t0 := time.Now()
-		key, id, ok := seek[K, F](r.x, lo, r.tr)
+		key, id, ok := seek[K, F](r.x, lo, qk, r.tr)
 		r.x.probeHist.Observe(time.Since(t0))
 		return key, id, ok
 	}
-	return seek[K, F](r.x, lo, r.tr)
+	return seek[K, F](r.x, lo, qk, r.tr)
 }
 
 // CostOf copies a Stats into the dependency-free trace cost record.

@@ -7,6 +7,7 @@ import (
 
 	"sfccover/internal/geom"
 	"sfccover/internal/sfc"
+	"sfccover/internal/workload"
 )
 
 // TestWalkMatchesLinearUnderChurn: with no step budget every answer is
@@ -315,6 +316,55 @@ func walkDuringEqualizePair(t *testing.T, cfg Config, epsilons []float64) {
 		t.Fatal("no entry migrated while the walkers ran")
 	}
 	t.Logf("%d entries migrated under the walkers", migrated)
+}
+
+// TestWalkAfterRebuildKeepsSummaries: every SFC array a ShardedIndex holds
+// keeps the curve's summaries — those a bulk load behind ChooseBoundaries
+// fills, and the one a large EqualizePair move rebuilds cold. A slice that
+// lost them would still answer every query right, only walk as if it had
+// none, so the test reads steps: on the near-miss population, where the
+// summaries cut the walk by an order of magnitude, the sharded walk stays
+// within twice the single index's.
+func TestWalkAfterRebuildKeepsSummaries(t *testing.T) {
+	cfg := Config{Dims: 4, Bits: 10, CacheSize: -1}
+	pts, q, err := workload.NearMiss(cfg.Dims, cfg.Bits, 16384, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint64, len(pts))
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	single := MustIndex(cfg)
+	single.InsertBatch(pts, ids)
+	_, found, want, err := single.Query(q, 0)
+	if err != nil || found {
+		t.Fatalf("near-miss query on one array: found=%v err=%v", found, err)
+	}
+	within := func(name string, x *ShardedIndex) {
+		t.Helper()
+		if _, found, st, err := x.Query(q, 0); err != nil || found || st.WalkSteps > 2*want.WalkSteps {
+			t.Fatalf("%s: found=%v err=%v in %d steps; one array misses in %d", name, found, err, st.WalkSteps, want.WalkSteps)
+		}
+	}
+	bulk, err := NewSharded(cfg, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bulk.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
+	bulk.InsertBatch(pts, ids)
+	within("bulk load", bulk)
+	// An unplaced table routes every point to the last slice; equalizing
+	// the last pair moves half of them, which rebuilds that slice cold.
+	cold, err := NewSharded(cfg, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.InsertBatch(pts, ids)
+	if moved := cold.EqualizePair(6); moved*4 <= len(pts)-moved {
+		t.Fatalf("moved %d of %d entries: not a cold rebuild", moved, len(pts))
+	}
+	within("cold rebuild", cold)
 }
 
 // poolDiscards reports whether sync.Pool is throwing Puts away at random,

@@ -28,7 +28,7 @@ func (e *Engine) initStore(det core.Config) error {
 	dcfg := dominance.Config{
 		Dims: schema.Dims(), Bits: schema.Bits(),
 		Curve: det.Curve, MaxCubes: det.MaxCubes,
-		CacheSize: det.DecompCacheSize, Adaptive: det.AdaptiveBudget,
+		CacheSize: det.DecompCacheSize,
 	}
 	var err error
 	if e.idx, err = dominance.NewSharded(dcfg, shards); err != nil {

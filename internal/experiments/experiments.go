@@ -14,7 +14,7 @@ import (
 
 // Experiment is one reproducible table/figure generator.
 type Experiment struct {
-	// ID is the experiment identifier (E1..E14).
+	// ID is the experiment identifier (E1..E15).
 	ID string
 	// Title summarizes what is reproduced.
 	Title string
@@ -111,6 +111,12 @@ func All() []Experiment {
 			Title: "The search the system runs vs the paper's: walk steps, cube probes and recall on E7's planted covers",
 			Paper: "the ε-search trades recall for a bounded cube count (Section 5); an exact key-ordered walk in front of it pays per stored key instead",
 			Run:   runE14,
+		},
+		{
+			ID:    "E15",
+			Title: "Regime map: walk steps, the cut that answers, cost and recall against d, n and alignment, walk vs the ε-search",
+			Paper: "the ε-search bounds cost by (ε, α) independent of n (Theorem 3.1); the exact walk pays per stored key it cannot rule out",
+			Run:   runE15,
 		},
 	}
 	sort.Slice(exps, func(i, j int) bool { return idOrder(exps[i].ID) < idOrder(exps[j].ID) })

@@ -8,8 +8,8 @@ import (
 
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 14 {
-		t.Fatalf("expected 14 experiments, got %d", len(all))
+	if len(all) != 15 {
+		t.Fatalf("expected 15 experiments, got %d", len(all))
 	}
 	for i, e := range all {
 		if e.ID == "" || e.Title == "" || e.Paper == "" || e.Run == nil {

@@ -1,0 +1,206 @@
+package experiments
+
+import (
+	"fmt"
+	"io"
+	"math/rand"
+	"time"
+
+	"sfccover/internal/dominance"
+	"sfccover/internal/stats"
+	"sfccover/internal/workload"
+)
+
+// e15Budget and e15Eps are the daemon's step budget and the benchmark's ε.
+const (
+	e15Budget = 50000
+	e15Eps    = 0.3
+)
+
+// e15Row is one population of the regime map: workload.NearMiss (mid one
+// below a power of two, or shifted onto it when aligned), or uniform
+// points under uniform queries from the upper half of every coordinate.
+type e15Row struct {
+	uniform bool
+	d, k, n int
+	aligned bool
+}
+
+func (r e15Row) name() string {
+	switch {
+	case r.uniform:
+		return "uniform"
+	case r.aligned:
+		return "near-miss aligned"
+	}
+	return "near-miss"
+}
+
+// e15Rows lists the map: near-miss at d 4, 6, 8 (d·k 40, 60, 64) in both
+// alignments, uniform controls, and one universe past the word (d 8 × k
+// 10, d·k 80), which keeps no summaries by design. quick keeps n 16 384.
+func e15Rows(quick bool) []e15Row {
+	sizes := []int{16384, 131072}
+	if quick {
+		sizes = sizes[:1]
+	}
+	var rows []e15Row
+	for _, dk := range [][2]int{{4, 10}, {6, 10}, {8, 8}} {
+		for _, n := range sizes {
+			for _, aligned := range []bool{false, true} {
+				rows = append(rows, e15Row{d: dk[0], k: dk[1], n: n, aligned: aligned})
+			}
+			rows = append(rows, e15Row{uniform: true, d: dk[0], k: dk[1], n: n})
+		}
+	}
+	return append(rows, e15Row{d: 8, k: 10, n: sizes[len(sizes)-1]})
+}
+
+// population builds a row's points and queries. A near-miss row has one
+// query, the exact miss (mid, …, mid); its aligned form adds one to every
+// coordinate (clamped at the top), which keeps every point failing by one
+// coordinate and puts mid on a power of two.
+func (r e15Row) population() (pts, queries [][]uint32, err error) {
+	top := uint32(1)<<uint(r.k) - 1
+	if !r.uniform {
+		pts, q, err := workload.NearMiss(r.d, r.k, r.n, 1)
+		if err != nil || !r.aligned {
+			return pts, [][]uint32{q}, err
+		}
+		for _, p := range append(pts, q) {
+			for i := range p {
+				p[i] = min(p[i]+1, top)
+			}
+		}
+		return pts, [][]uint32{q}, nil
+	}
+	rng := rand.New(rand.NewSource(151))
+	point := func(lo uint32) []uint32 {
+		p := make([]uint32, r.d)
+		for i := range p {
+			p[i] = lo + uint32(rng.Int63n(int64(top-lo)+1))
+		}
+		return p
+	}
+	for range r.n {
+		pts = append(pts, point(0))
+	}
+	for range 64 {
+		queries = append(queries, point(top/2))
+	}
+	return pts, queries, nil
+}
+
+// e15Side is what one search did over a row's queries, per query.
+type e15Side struct {
+	steps  float64 // walk steps
+	probes float64 // every descent: walk steps, then cube probes
+	byWalk float64 // share the walk decided (no overrun)
+	us     float64
+	found  float64 // share answered with a dominator
+}
+
+func (s e15Side) path() string {
+	switch s.byWalk {
+	case 1:
+		return "walk"
+	case 0:
+		return "cubes"
+	}
+	return fmt.Sprintf("walk %.0f%%", 100*s.byWalk)
+}
+
+// measure runs the queries reps times through one search and averages.
+func measure(queries [][]uint32, reps int, search func([]uint32, float64) (uint64, bool, dominance.Stats, error)) (e15Side, error) {
+	var s e15Side
+	start := time.Now()
+	for range reps {
+		for _, q := range queries {
+			_, found, st, err := search(q, e15Eps)
+			if err != nil {
+				return s, err
+			}
+			s.steps += float64(st.WalkSteps)
+			s.probes += float64(st.RunsProbed)
+			if st.Path == dominance.PathWalk {
+				s.byWalk++
+			}
+			if found {
+				s.found++
+			}
+		}
+	}
+	m := float64(reps * len(queries))
+	s.us = float64(time.Since(start).Nanoseconds()) / 1e3 / m
+	s.steps, s.probes, s.byWalk, s.found = s.steps/m, s.probes/m, s.byWalk/m, s.found/m
+	return s, nil
+}
+
+// e15Measure loads a row into a single Index and an 8-slice ShardedIndex
+// (boundaries from the load, as the engine places them) and measures
+// Query on each beside QueryCubes on the single one. The memo is off, so
+// every repetition walks.
+func e15Measure(r e15Row, reps int) (single, sharded, cubes e15Side, err error) {
+	pts, queries, err := r.population()
+	if err != nil {
+		return
+	}
+	ids := make([]uint64, len(pts))
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	cfg := dominance.Config{Dims: r.d, Bits: r.k, MaxCubes: e15Budget, CacheSize: -1}
+	idx, err := dominance.NewIndex(cfg)
+	if err != nil {
+		return
+	}
+	idx.InsertBatch(pts, ids)
+	sh, err := dominance.NewSharded(cfg, 8)
+	if err != nil {
+		return
+	}
+	sh.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
+	sh.InsertBatch(pts, ids)
+	if single, err = measure(queries, reps, idx.Query); err != nil {
+		return
+	}
+	if sharded, err = measure(queries, reps, sh.Query); err != nil {
+		return
+	}
+	cubes, err = measure(queries, reps, idx.QueryCubes)
+	return
+}
+
+// runE15 maps where the walk wins and where the ε-search takes over: walk
+// steps, the cut that answered, cost and answers against the cube search
+// alone, over the walk's worst-case population and controls.
+func runE15(w io.Writer, quick bool) error {
+	e, _ := ByID("E15")
+	header(w, e)
+	reps := 20
+	if quick {
+		reps = 2
+	}
+	tb := stats.NewTable("population", "d", "k", "n",
+		"Index steps", "path", "us/query",
+		"8-slice steps", "path", "us/query",
+		"cube probes", "cubes us", "found", "cubes found")
+	for _, r := range e15Rows(quick) {
+		n := reps
+		if r.uniform {
+			n = 1 // 64 distinct queries
+		}
+		single, sharded, cubes, err := e15Measure(r, n)
+		if err != nil {
+			return err
+		}
+		tb.AddRow(r.name(), r.d, r.k, r.n,
+			single.steps, single.path(), single.us,
+			sharded.steps, sharded.path(), sharded.us,
+			cubes.probes, cubes.us, single.found, cubes.found)
+	}
+	fmt.Fprintf(w, "budget %d steps then cubes, eps %g, memo off; steps and probes are per query:\n%s\n", e15Budget, e15Eps, tb)
+	fmt.Fprintln(w, "found is the share of queries answered with a dominator: the walk is exact when it")
+	fmt.Fprintln(w, "decides (path walk), so found >= cubes found there; a near-miss query has none")
+	return nil
+}

@@ -37,6 +37,10 @@ func (s *Successor) Next(from bits.Key) (bits.Key, bool) {
 	return s.curve.NextInExtremal(s.q, from)
 }
 
+// QueryKey is the bound corner's one-word key on a Z curve whose keys fit a
+// word, 0 otherwise: the key an SFC array's summaries prune seeks by.
+func (s *Successor) QueryKey() uint64 { return s.qKey }
+
 // NextWord is Next on a curve whose keys fit one word (d·k <= 64), keys
 // passed as their numeric values: the Z curve never leaves the word, the
 // other curves step through the Curve method.

@@ -47,6 +47,11 @@ func MustZ(d, k int) *ZCurve {
 	return c
 }
 
+// DimMasks returns the per-dimension key masks the one-word step uses, nil
+// when keys are wider than a word. key&m for dimension i's mask orders
+// keys as coordinate i orders cells. Shared, not copied.
+func (z *ZCurve) DimMasks() []uint64 { return z.dimMask }
+
 // Name implements Curve.
 func (z *ZCurve) Name() string { return "z" }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sfccover/internal/bits"
+	"sfccover/internal/sfc"
 )
 
 // checkInvariants verifies the blocked layout itself: leaves within
@@ -43,7 +44,45 @@ func checkInvariants(t *testing.T, x *Index) {
 	if n != x.n {
 		t.Fatalf("leaves hold %d entries, Len says %d", n, x.n)
 	}
+	checkSummaries(t, x)
 }
+
+// checkSummaries verifies the dominance summaries of an array built with
+// masks: kept at stride one only, one block per blockLeaves leaves, and no
+// leaf's or block's summary below the true maximum of key&m over its
+// entries for any mask m.
+func checkSummaries(t *testing.T, x *Index) {
+	t.Helper()
+	d := len(x.masks)
+	if d == 0 {
+		return
+	}
+	if x.w > 1 {
+		t.Fatalf("summaries kept at stride %d", x.w)
+	}
+	if want := (len(x.leaves) + blockLeaves - 1) / blockLeaves * d; len(x.blocks) != want {
+		t.Fatalf("%d block summary words for %d leaves, want %d", len(x.blocks), len(x.leaves), want)
+	}
+	for j := range x.leaves {
+		lf := &x.leaves[j]
+		for i, m := range x.masks {
+			var top uint64
+			for _, k := range lf.keys {
+				top = max(top, k&m)
+			}
+			if lf.sum[i] < top {
+				t.Fatalf("leaf %d mask %#x: summary %#x below the true maximum %#x", j, m, lf.sum[i], top)
+			}
+			if blk := x.blocks[j/blockLeaves*d+i]; blk < top {
+				t.Fatalf("block %d mask %#x: summary %#x below leaf %d's maximum %#x", j/blockLeaves, m, blk, j, top)
+			}
+		}
+	}
+}
+
+// opMasks are the dimension masks of a 3-d Z curve at 2 bits a coordinate:
+// six bits, enough for the one-word pool of opStream's keys (0..47).
+var opMasks = sfc.MustZ(3, 2).DimMasks()
 
 // checkAgainst compares every read the array offers with the oracle.
 func checkAgainst(t *testing.T, x *Index, ref *refModel, probes []bits.Key) {
@@ -108,9 +147,11 @@ func (s *opStream) key() bits.Key {
 }
 
 // runOps applies the stream to a fresh array and the oracle side by side.
+// The array keeps summaries until a key past one word re-strides it.
 func runOps(t *testing.T, data []byte) {
 	s := &opStream{data: data}
-	x, ref := new(Index), new(refModel)
+	arr, ref := WithMasks(opMasks), new(refModel)
+	x := &arr
 	var probes []bits.Key
 	for step := 0; !s.done(); step++ {
 		switch op := s.byte() % 16; {
@@ -196,15 +237,21 @@ func runOps(t *testing.T, data []byte) {
 // TestBlockedArrayModel runs seeded random operation streams against the
 // sorted-slice oracle.
 func TestBlockedArrayModel(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
+	for seed := int64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 6000)
 		rng.Read(data)
-		if seed%3 == 0 {
+		narrow := 0
+		switch {
+		case seed > 12:
+			// Narrow keys only: the summaries live the whole stream.
+			narrow = len(data)
+		case seed%3 == 0:
 			// Narrow keys only for the first half: the array widens mid-life.
-			for i := 0; i < len(data)/2; i++ {
-				data[i] %= 200
-			}
+			narrow = len(data) / 2
+		}
+		for i := 0; i < narrow; i++ {
+			data[i] %= 200
 		}
 		runOps(t, data)
 	}
@@ -228,11 +275,13 @@ func FuzzBlockedArray(f *testing.F) {
 
 // TestLeafSplitMergeBoundaries walks one array through every fill level
 // around the split and merge thresholds — ascending, descending and
-// middle-out inserts up past three full leaves, then deletes from the
-// front, the back and the middle down to empty — checking layout and
-// answers after every single operation.
+// middle-out inserts up past a block of full leaves (so splits and merges
+// cross block boundaries), then deletes from the front, the back and the
+// middle down to empty — checking layout, summaries (one-word keys keep
+// them) and answers after every single operation.
 func TestLeafSplitMergeBoundaries(t *testing.T) {
-	const n = 3*leafCap + 2
+	masks := sfc.MustZ(2, 32).DimMasks()
+	const n = (blockLeaves+1)*leafCap + 2
 	orders := map[string]func(i int) int{
 		"ascending":  func(i int) int { return i },
 		"descending": func(i int) int { return n - 1 - i },
@@ -247,7 +296,8 @@ func TestLeafSplitMergeBoundaries(t *testing.T) {
 		key := func(v int) bits.Key { return bits.KeyFromUint64(uint64(v) + 1).ShlN(width) }
 		for insName, ins := range orders {
 			for delName, del := range orders {
-				x, ref := new(Index), new(refModel)
+				arr, ref := WithMasks(masks), new(refModel)
+				x := &arr
 				for i := 0; i < n; i++ {
 					v := ins(i)
 					x.Insert(key(v), uint64(v))

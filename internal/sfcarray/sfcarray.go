@@ -20,6 +20,15 @@
 // The separator level is flat, so a split or merge moves O(n/leafCap)
 // leaf headers; amortized over the leafCap/2 updates between two splits
 // of a leaf that is below the leaf copy itself up to ~10^7 entries.
+//
+// An array built WithMasks keeps dominance summaries: for each mask m, the
+// maximum of key&m over the entries of every leaf and of every block of
+// blockLeaves leaves. A summary is never below the true maximum — an
+// insert raises it, every leaf and block rebuild recomputes it, a delete
+// leaves it — so a leaf or block whose summary falls short of a query key
+// under some mask holds no entry reaching the key under every mask, and
+// SeekWord passes it. The masks only mean something on one-word keys; an
+// array re-strided past one word drops them.
 package sfcarray
 
 import (
@@ -36,24 +45,37 @@ const (
 	// leafFill is how full InsertSorted builds leaves: room is left so
 	// the inserts that follow a bulk load do not split every leaf.
 	leafFill = leafCap * 3 / 4
+	// blockLeaves is how many consecutive leaves share a block summary.
+	blockLeaves = 8
 )
 
 // Index is the SFC array: a dynamic ordered multiset of (key, id) entries.
-// The zero value is an empty array; it must not be copied after first use.
-// Answers are deterministic: the smallest key, then the smallest id.
+// The zero value is an empty array without summaries; it must not be
+// copied after first use. Answers are deterministic: the smallest key,
+// then the smallest id.
 type Index struct {
 	w      int      // key stride in words; 0 until the first key arrives
 	n      int      // entries stored
 	seps   []uint64 // first key of every leaf, w words each
 	leaves []leaf   // in key order, none empty
+	// masks are the summaries' key masks (nil: no summaries); blocks holds
+	// len(masks) maxima per block of blockLeaves leaves.
+	masks  []uint64
+	blocks []uint64
 }
 
 // leaf is one sorted block: keys holds w words per entry, ids aligns with
-// it. Both slices share one allocation of leafCap entries.
+// it, sum holds the leaf's maximum of key&m for each mask. All three share
+// one allocation of leafCap entries.
 type leaf struct {
 	keys []uint64
 	ids  []uint64
+	sum  []uint64
 }
+
+// WithMasks returns an empty array that keeps a dominance summary for each
+// of masks (retained, not copied): the summaries SeekWord prunes by.
+func WithMasks(masks []uint64) Index { return Index{masks: masks} }
 
 // New returns an empty array. There is one layout; "", "treap" and
 // "skiplist" — the structures it replaced, still spelled by callers that
@@ -210,8 +232,14 @@ func (x *Index) FirstInRange(lo, hi bits.Key) (id uint64, ok bool) {
 // wider one, so in an array that a wider key has re-strided ok is false
 // where Seek would return such a key.
 //
+// qk prunes by the summaries: the answer is the first entry at or after lo
+// in the first leaf whose summary admits qk (every mask's maximum reaches
+// qk&m), passing a block that does not admit it in one test. Every entry
+// passed over fails qk under some mask, so none dominates qk; with qk 0,
+// or on an array without masks, SeekWord is Seek.
+//
 //sfc:hotpath
-func (x *Index) SeekWord(lo uint64) (key, id uint64, ok bool) {
+func (x *Index) SeekWord(lo, qk uint64) (key, id uint64, ok bool) {
 	if x.w != 1 {
 		k, id, ok := x.Seek(bits.KeyFromUint64(lo))
 		if key, fits := k.Uint64(); ok && fits {
@@ -221,6 +249,9 @@ func (x *Index) SeekWord(lo uint64) (key, id uint64, ok bool) {
 	}
 	p := [1]uint64{lo}
 	j, s := x.seek(p[:])
+	if qk != 0 && x.masks != nil {
+		j, s = x.admit(j, s, qk)
+	}
 	if j == len(x.leaves) {
 		return 0, 0, false
 	}
@@ -228,11 +259,40 @@ func (x *Index) SeekWord(lo uint64) (key, id uint64, ok bool) {
 	return lf.keys[s], lf.ids[s], true
 }
 
+// admit moves slot s of leaf j on to the first leaf from j whose summary
+// admits qk, at its first slot; j is len(x.leaves) when none does. A leaf
+// whose block does not admit qk is passed with the rest of its block.
+//
+//sfc:hotpath
+func (x *Index) admit(j, s int, qk uint64) (int, int) {
+	d := len(x.masks)
+	for ; j < len(x.leaves); j, s = j+1, 0 {
+		if b := j / blockLeaves; !x.admits(x.blocks[b*d:b*d+d], qk) {
+			j = (b+1)*blockLeaves - 1
+		} else if x.admits(x.leaves[j].sum, qk) {
+			return j, s
+		}
+	}
+	return len(x.leaves), 0
+}
+
+// admits reports whether a summary reaches qk under every mask.
+//
+//sfc:hotpath
+func (x *Index) admits(sum []uint64, qk uint64) bool {
+	for i, m := range x.masks {
+		if sum[i] < qk&m {
+			return false
+		}
+	}
+	return true
+}
+
 // FirstInRangeWord is FirstInRange in SeekWord's key form.
 //
 //sfc:hotpath
 func (x *Index) FirstInRangeWord(lo, hi uint64) (id uint64, ok bool) {
-	if key, id, ok := x.SeekWord(lo); ok && key <= hi {
+	if key, id, ok := x.SeekWord(lo, 0); ok && key <= hi {
 		return id, true
 	}
 	return 0, false
@@ -295,6 +355,7 @@ func (x *Index) Insert(k bits.Key, id uint64) {
 	if x.n == 0 {
 		x.leaves = append(x.leaves[:0], x.newLeaf())
 		x.seps = append(x.seps[:0], p...)
+		x.rebuildBlocks(0)
 	}
 	j, s := x.locate(p, id)
 	if len(x.leaves[j].ids) == leafCap {
@@ -312,6 +373,12 @@ func (x *Index) Insert(k bits.Key, id uint64) {
 		copy(x.seps[j*w:], p)
 	}
 	x.n++
+	// Raise leaf j's summary and its block's to the new key.
+	blk := x.blocks[j/blockLeaves*len(x.masks):]
+	for i, m := range x.masks {
+		lf.sum[i] = max(lf.sum[i], p[0]&m)
+		blk[i] = max(blk[i], p[0]&m)
+	}
 }
 
 // Delete removes one entry matching (key, id) exactly, reporting whether
@@ -401,12 +468,14 @@ func (x *Index) InsertSorted(keys []bits.Key, ids []uint64) {
 	for i := range out {
 		x.seps = append(x.seps, out[i].key(0, w)...)
 	}
+	x.rebuildBlocks(0)
 }
 
 // mergeLeaf merges one leaf with a sorted run of batch entries into fresh
 // leaves of even fill, at most leafFill each, appended to out.
 func (x *Index) mergeLeaf(out []leaf, lf leaf, keys []bits.Key, ids []uint64) []leaf {
 	w := x.w
+	first := len(out)
 	total := len(lf.ids) + len(keys)
 	nl := (total + leafFill - 1) / leafFill
 	per := (total + nl - 1) / nl
@@ -434,13 +503,50 @@ func (x *Index) mergeLeaf(out []leaf, lf leaf, keys []bits.Key, ids []uint64) []
 			i++
 		}
 	}
+	for i := first; i < len(out); i++ {
+		x.summarize(&out[i])
+	}
 	return out
 }
 
-// newLeaf allocates an empty leaf: keys and ids share one buffer.
+// newLeaf allocates an empty leaf: keys, ids and the summary share one
+// buffer.
 func (x *Index) newLeaf() leaf {
-	buf := make([]uint64, leafCap*(x.w+1))
-	return leaf{keys: buf[: 0 : leafCap*x.w], ids: buf[leafCap*x.w : leafCap*x.w]}
+	n := leafCap * (x.w + 1)
+	buf := make([]uint64, n+len(x.masks))
+	return leaf{keys: buf[: 0 : leafCap*x.w], ids: buf[leafCap*x.w : leafCap*x.w : n], sum: buf[n:]}
+}
+
+// summarize sets a leaf's summary to the exact maxima of its keys (one
+// word each: an array with masks has a stride of one).
+func (x *Index) summarize(lf *leaf) {
+	for i, m := range x.masks {
+		lf.sum[i] = 0
+		for _, k := range lf.keys {
+			lf.sum[i] = max(lf.sum[i], k&m)
+		}
+	}
+}
+
+// rebuildBlocks recomputes the block summaries from the one holding leaf
+// from onward, after the leaves there have moved or been rebuilt.
+func (x *Index) rebuildBlocks(from int) {
+	d := len(x.masks)
+	if d == 0 {
+		return
+	}
+	n := (len(x.leaves) + blockLeaves - 1) / blockLeaves * d
+	x.blocks = slices.Grow(x.blocks, max(n-len(x.blocks), 0))[:n]
+	for j := max(from, 0) / blockLeaves * blockLeaves; j < len(x.leaves); j++ {
+		blk := x.blocks[j/blockLeaves*d:][:d]
+		if j%blockLeaves == 0 {
+			copy(blk, x.leaves[j].sum)
+			continue
+		}
+		for i, v := range x.leaves[j].sum {
+			blk[i] = max(blk[i], v)
+		}
+	}
 }
 
 // split moves the upper half of full leaf j into a new leaf after it.
@@ -452,29 +558,40 @@ func (x *Index) split(j int) {
 	r.keys, r.ids = append(r.keys, l.keys[h*w:]...), append(r.ids, l.ids[h:]...)
 	l.keys, l.ids = l.keys[:h*w], l.ids[:h]
 	x.seps = slices.Insert(x.seps, (j+1)*w, r.key(0, w)...)
+	x.summarize(l)
+	x.summarize(r)
+	x.rebuildBlocks(j)
 }
 
 // merge appends leaf j+1 to leaf j and removes it.
 func (x *Index) merge(j int) {
 	l, r := &x.leaves[j], &x.leaves[j+1]
 	l.keys, l.ids = append(l.keys, r.keys...), append(l.ids, r.ids...)
+	x.summarize(l)
 	x.removeLeaf(j + 1)
 }
 
+// removeLeaf drops leaf j and rebuilds the blocks from leaf j-1's, which a
+// merge may just have refilled.
 func (x *Index) removeLeaf(j int) {
 	x.leaves = slices.Delete(x.leaves, j, j+1)
 	x.seps = slices.Delete(x.seps, j*x.w, j*x.w+x.w)
+	x.rebuildBlocks(j - 1)
 }
 
 // widen raises the key stride to w words, re-striding every stored key
 // (new high words are zero). A no-op unless a key wider than any before
 // has arrived, which happens at most KeyWords-1 times in an array's life.
+// Past one word the summaries are dropped.
 func (x *Index) widen(w int) {
 	old := x.w
 	if w <= old {
 		return
 	}
 	x.w = w
+	if w > 1 {
+		x.masks, x.blocks = nil, nil
+	}
 	restride := func(dst, src []uint64) []uint64 {
 		for ; len(src) > 0; src = src[old:] {
 			for i := old; i < w; i++ {

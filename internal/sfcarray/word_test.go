@@ -4,9 +4,12 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"sfccover/internal/bits"
+	"sfccover/internal/sfc"
 )
 
 // checkWordForms holds the two key forms to one function: for every
@@ -19,7 +22,7 @@ func checkWordForms(t *testing.T, x *Index, probes []uint64) {
 		k, id, ok := x.Seek(bits.KeyFromUint64(lo))
 		want, fits := k.Uint64()
 		ok = ok && fits
-		if key, gotID, gotOK := x.SeekWord(lo); gotOK != ok || ok && (key != want || gotID != id) || !ok && (key != 0 || gotID != 0) {
+		if key, gotID, gotOK := x.SeekWord(lo, 0); gotOK != ok || ok && (key != want || gotID != id) || !ok && (key != 0 || gotID != 0) {
 			t.Fatalf("stride %d: SeekWord(%#x) = (%#x,%d,%v), Seek says (%#x,%d,%v)", x.w, lo, key, gotID, gotOK, want, id, ok)
 		}
 		for _, hi := range probes {
@@ -117,5 +120,149 @@ func FuzzSeekWordMatchesSeek(f *testing.F) {
 			t.Skip("stream longer than its quadratic probing is worth")
 		}
 		runWordOps(t, data)
+	})
+}
+
+// contractMasks are a 3-d Z curve's dimension masks at 4 bits a
+// coordinate, over keys of twelve bits; contractTop is the last of them,
+// which no other key dominates.
+var contractMasks = sfc.MustZ(3, 4).DimMasks()
+
+const contractTop = 1<<12 - 1
+
+// wordEntry is one live (key, id) of the contract oracle, in (key, id)
+// order.
+type wordEntry struct{ key, id uint64 }
+
+func wordLess(a, b wordEntry) bool { return a.key < b.key || a.key == b.key && a.id < b.id }
+
+// dominatesKey reports whether key reaches qk under every mask.
+func dominatesKey(key, qk uint64) bool {
+	for _, m := range contractMasks {
+		if key&m < qk&m {
+			return false
+		}
+	}
+	return true
+}
+
+// checkSeekContract holds SeekWord(lo, qk) to its contract by brute force
+// over the sorted live entries: the answer is a live entry at or after lo,
+// at or before the first entry at or after lo that dominates qk — so no
+// entry in [lo, answer) dominates qk — and there is no answer only when no
+// such dominator exists. With qk 0 the answer is Seek's.
+func checkSeekContract(t *testing.T, x *Index, live []wordEntry, lo, qk uint64) {
+	t.Helper()
+	key, id, ok := x.SeekWord(lo, qk)
+	at := sort.Search(len(live), func(i int) bool { return live[i].key >= lo })
+	dom := at
+	for dom < len(live) && !dominatesKey(live[dom].key, qk) {
+		dom++
+	}
+	if !ok {
+		if dom < len(live) {
+			t.Fatalf("SeekWord(%#x, %#x) found nothing; %v at or after lo dominates", lo, qk, live[dom])
+		}
+		return
+	}
+	got := slices.Index(live[at:], wordEntry{key, id})
+	if got < 0 {
+		t.Fatalf("SeekWord(%#x, %#x) = (%#x, %d): no such live entry at or after lo", lo, qk, key, id)
+	}
+	if got += at; got > dom || qk == 0 && got != at {
+		t.Fatalf("SeekWord(%#x, %#x) = entry %d of %d (%#x, %d); first at or after lo %d, first dominator %d", lo, qk, got, len(live), key, id, at, dom)
+	}
+}
+
+// runSeekContract turns bytes into inserts, runs of one key long enough to
+// span leaves, sorted batches through the leaf merge pass and deletes on a
+// summarized array, probing the contract after every operation at the
+// key just touched and its neighbors, under qk 0, the key itself, one
+// nothing else dominates and one drawn from the stream.
+func runSeekContract(t *testing.T, data []byte) {
+	s := &opStream{data: data}
+	word := func() uint64 { return (uint64(s.byte())<<4 | uint64(s.byte())) & contractTop }
+	arr := WithMasks(contractMasks)
+	x := &arr
+	var live []wordEntry
+	insert := func(e wordEntry) {
+		i := sort.Search(len(live), func(i int) bool { return wordLess(e, live[i]) })
+		live = slices.Insert(live, i, e)
+	}
+	checkSeekContract(t, x, live, 0, 0) // the empty array
+	for !s.done() {
+		var touched uint64
+		switch op := s.byte() % 8; {
+		case op < 3:
+			e := wordEntry{word(), uint64(s.byte() % 8)}
+			x.Insert(bits.KeyFromUint64(e.key), e.id)
+			insert(e)
+			touched = e.key
+		case op < 4: // one key under enough ids to fill leaves
+			touched = word()
+			for id, n := uint64(0), uint64(s.byte()); id < n; id++ {
+				x.Insert(bits.KeyFromUint64(touched), id)
+				insert(wordEntry{touched, id})
+			}
+		case op < 5: // a sorted batch: the merge pass rebuilds leaves
+			batch := make([]wordEntry, s.byte()%128)
+			for i := range batch {
+				batch[i] = wordEntry{word(), uint64(s.byte() % 8)}
+			}
+			sort.Slice(batch, func(i, j int) bool { return wordLess(batch[i], batch[j]) })
+			keys, ids := make([]bits.Key, len(batch)), make([]uint64, len(batch))
+			for i, e := range batch {
+				keys[i], ids[i] = bits.KeyFromUint64(e.key), e.id
+				insert(e)
+				touched = e.key
+			}
+			x.InsertSorted(keys, ids)
+		case op < 7 && len(live) > 0:
+			i := int(s.byte()) * len(live) / 256
+			if !x.Delete(bits.KeyFromUint64(live[i].key), live[i].id) {
+				t.Fatalf("Delete(%#x,%d) of a live entry failed", live[i].key, live[i].id)
+			}
+			touched = live[i].key
+			live = slices.Delete(live, i, i+1)
+		default:
+			touched = word()
+		}
+		drawn := word()
+		for _, lo := range []uint64{0, touched - 1, touched, touched + 1} {
+			for _, qk := range []uint64{0, touched, contractTop, drawn} {
+				checkSeekContract(t, x, live, lo, qk)
+			}
+		}
+	}
+	checkInvariants(t, x)
+}
+
+// TestSeekWordContract runs seeded streams against the brute-force oracle.
+func TestSeekWordContract(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 3000)
+		rng.Read(data)
+		runSeekContract(t, data)
+	}
+}
+
+// FuzzSeekWordContract lets the fuzzer write the stream. The seeds are the
+// cases by name: the empty array, one key spanning leaves beside a
+// neighbor, and a full array probed under qk 0 and under the top key,
+// which nothing stored dominates (every stream probes both).
+func FuzzSeekWordContract(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 40, 2, 200, 0, 40, 3, 1, 7})
+	f.Add([]byte{4, 127, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 5, 0, 0})
+	rng := rand.New(rand.NewSource(103))
+	seed := make([]byte, 1024)
+	rng.Read(seed)
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<12 {
+			t.Skip("stream longer than its quadratic probing is worth")
+		}
+		runSeekContract(t, data)
 	})
 }
