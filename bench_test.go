@@ -62,12 +62,8 @@ func BenchmarkE14WalkVsCubes(b *testing.B) { benchExperiment(b, "E14") }
 
 // --- Micro-benchmarks -------------------------------------------------
 
-func benchCurveKey(b *testing.B, name string) {
-	b.Helper()
-	c, err := sfc.New(name, sfc.Config{Dims: 4, Bits: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
+func BenchmarkKeyEncodeZ(b *testing.B) {
+	c := sfc.MustZ(4, 16)
 	rng := rand.New(rand.NewSource(1))
 	cell := []uint32{
 		uint32(rng.Intn(1 << 16)), uint32(rng.Intn(1 << 16)),
@@ -79,10 +75,6 @@ func benchCurveKey(b *testing.B, name string) {
 		_ = c.Key(cell)
 	}
 }
-
-func BenchmarkKeyEncodeZ(b *testing.B)       { benchCurveKey(b, "z") }
-func BenchmarkKeyEncodeHilbert(b *testing.B) { benchCurveKey(b, "hilbert") }
-func BenchmarkKeyEncodeGray(b *testing.B)    { benchCurveKey(b, "gray") }
 
 func BenchmarkArrayInsert(b *testing.B) {
 	var arr sfcarray.Index

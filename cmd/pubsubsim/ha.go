@@ -39,7 +39,6 @@ func newDaemonEngine(schema *subscription.Schema, cfg broker.Config) (*engine.En
 			Mode:            cfg.Mode,
 			Epsilon:         cfg.Epsilon,
 			Strategy:        cfg.Strategy,
-			Curve:           cfg.Curve,
 			MaxCubes:        cfg.MaxCubes,
 			DecompCacheSize: cfg.DecompCacheSize,
 			Seed:            cfg.Seed,

@@ -37,7 +37,6 @@ type params struct {
 	mode     string
 	eps      float64
 	maxCubes int
-	curve    string
 	width    float64
 	dist     string
 	seed     int64
@@ -59,7 +58,6 @@ func main() {
 	flag.StringVar(&p.mode, "mode", "approx", "covering mode: off | exact | approx")
 	flag.Float64Var(&p.eps, "eps", 0.2, "approximation parameter for -mode approx")
 	flag.IntVar(&p.maxCubes, "cap", 10000, "per-query probe budget (0 = library default, -1 = unlimited)")
-	flag.StringVar(&p.curve, "curve", "", "space filling curve: z (default) | hilbert | gray | onion")
 	flag.Float64Var(&p.width, "width", 0.3, "mean subscription width as a fraction of the domain")
 	flag.StringVar(&p.dist, "dist", "uniform", "value distribution: uniform | zipf | clustered | hotspot")
 	flag.Int64Var(&p.seed, "seed", 1, "workload seed")
@@ -107,7 +105,6 @@ func run(p params) (simResult, error) {
 	cfg := broker.Config{
 		Schema:    schema,
 		MaxCubes:  p.maxCubes,
-		Curve:     p.curve,
 		Seed:      p.seed,
 		Backend:   broker.Backend(p.backend),
 		BatchSize: p.batch,

@@ -61,29 +61,8 @@ type options struct {
 	mode         string
 	epsilon      float64
 	strategy     string
-	curve        string
 	maxCubes     int
 	trackCovered bool
-}
-
-// maxSlowCurveDims is the widest universe the daemon serves on a curve
-// other than Z. Only the Z curve has a successor step of its own; the
-// others take the walk's step by a block descent over up to 2^d children
-// a level — 110 µs a query at d = 4, milliseconds at d = 6, 717 ms at
-// d = 16 (ROADMAP.md, "Curves under the walk") — so past two
-// attributes any client's query is a stall for every other.
-const maxSlowCurveDims = 4
-
-// curveDimsError refuses -curve hilbert|gray|onion on a schema wider than
-// maxSlowCurveDims dimensions.
-type curveDimsError struct {
-	curve string
-	dims  int
-}
-
-func (e *curveDimsError) Error() string {
-	return fmt.Sprintf("-curve %s is limited to %d dimensions (two attributes) and the schema has %d: its walk step costs 2^d per level; use -curve z",
-		e.curve, maxSlowCurveDims, e.dims)
 }
 
 // buildConfig translates the flag values into an engine configuration.
@@ -98,9 +77,6 @@ func buildConfig(o options) (engine.Config, error) {
 	if err != nil {
 		return engine.Config{}, err
 	}
-	if c := o.curve; c != "" && c != "z" && c != "morton" && schema.Dims() > maxSlowCurveDims {
-		return engine.Config{}, &curveDimsError{curve: c, dims: schema.Dims()}
-	}
 	mode, err := core.ParseMode(o.mode)
 	if err != nil {
 		return engine.Config{}, err
@@ -111,7 +87,6 @@ func buildConfig(o options) (engine.Config, error) {
 			Mode:         mode,
 			Epsilon:      o.epsilon,
 			Strategy:     core.Strategy(o.strategy),
-			Curve:        o.curve,
 			MaxCubes:     o.maxCubes,
 			TrackCovered: o.trackCovered,
 		},
@@ -220,7 +195,6 @@ func newFlagSet(so *serveOptions, o *options, stderr io.Writer) *flag.FlagSet {
 	fs.StringVar(&o.mode, "mode", "approx", "detection mode: off, exact or approx")
 	fs.Float64Var(&o.epsilon, "epsilon", 0.3, "approximation parameter (0 < eps < 1, approx mode)")
 	fs.StringVar(&o.strategy, "strategy", "sfc", "search backend: sfc, or linear (exact-mode store scan)")
-	fs.StringVar(&o.curve, "curve", "", "space filling curve: z (default), hilbert, gray or onion")
 	fs.IntVar(&o.maxCubes, "maxcubes", daemonMaxCubes, "per-query budget: successor-walk steps, then cubes (-1 = unlimited)")
 	fs.BoolVar(&o.trackCovered, "track-covered", false,
 		"maintain the mirrored index that serves the \"covered\" op in approx mode (exact mode serves it regardless)")

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"io"
 	"net/http"
@@ -83,33 +82,6 @@ func TestBuildConfigRejectsBadInput(t *testing.T) {
 
 // TestMetricsHandler scrapes the HTTP endpoint the -metrics-addr flag
 // mounts and checks the exposition content type and payload.
-// TestBuildConfigRefusesSlowCurvesAboveFourDims: the curves without a
-// successor step of their own are served up to two attributes (d = 4)
-// only; a third attribute is refused with the typed error, and the Z
-// curve is served at any width.
-func TestBuildConfigRefusesSlowCurvesAboveFourDims(t *testing.T) {
-	for _, curve := range []string{"hilbert", "gray", "onion"} {
-		o := defaultOptions()
-		o.curve = curve
-		if _, err := buildConfig(o); err != nil {
-			t.Errorf("-curve %s with two attributes: %v", curve, err)
-		}
-		o.attrs = "stock,volume,price"
-		_, err := buildConfig(o)
-		var refused *curveDimsError
-		if !errors.As(err, &refused) || refused.curve != curve || refused.dims != 6 {
-			t.Errorf("-curve %s with three attributes: err = %v, want a curveDimsError for 6 dimensions", curve, err)
-		}
-	}
-	for _, curve := range []string{"", "z", "morton"} {
-		o := defaultOptions()
-		o.curve, o.attrs = curve, "a,b,c,d,e,f"
-		if _, err := buildConfig(o); err != nil {
-			t.Errorf("-curve %q with six attributes: %v", curve, err)
-		}
-	}
-}
-
 func TestMetricsHandler(t *testing.T) {
 	cfg, err := buildConfig(defaultOptions())
 	if err != nil {
@@ -253,7 +225,6 @@ func TestRunRejectsBadFlagCombinations(t *testing.T) {
 		{"unknown-flag", []string{"-no-such-flag"}},
 		{"retired-partition-flag", []string{"-partition", "hash"}},
 		{"kdtree-strategy", []string{"-mode", "exact", "-strategy", "kdtree"}},
-		{"hilbert-three-attrs", []string{"-curve", "hilbert", "-attrs", "stock,volume,price"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -273,7 +244,7 @@ func TestRunRejectsBadFlagCombinations(t *testing.T) {
 // the option surface shows up in review as a diff of its own.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"addr", "attrs", "bits", "curve", "data-dir",
+		"addr", "attrs", "bits", "data-dir",
 		"epsilon", "follow", "log-level", "max-conns",
 		"maxcubes", "metrics-addr", "mode", "read-timeout",
 		"slow-log-size", "slow-query", "snapshot-interval", "strategy",

@@ -1,10 +1,14 @@
 // Command sfcviz draws ASCII pictures of the space filling curves and of
 // run decompositions, reproducing the paper's Figures 1 and 2 visually.
+// Besides the Z curve the index runs on it draws the curves the
+// experiments compare it with (internal/experiments.NewCurve): hilbert,
+// gray and onion.
 //
-//	sfcviz -curve z -k 3                 # visit order of the 8x8 Z curve
-//	sfcviz -curve hilbert -k 3           # visit order of the Hilbert curve
-//	sfcviz -rect 0,0,1,4 -k 4            # runs of a rectangle (Figure 1)
-//	sfcviz -figure2                      # run counts of the Figure 2 queries
+//	sfcviz -curve z -k 3                    # visit order of the 8x8 Z curve
+//	sfcviz -curve hilbert -k 3              # visit order of the Hilbert curve
+//	sfcviz -rect 0,0,1,4 -k 4               # runs of a rectangle (Figure 1)
+//	sfcviz -curve onion -rect 0,0,1,4 -k 4  # the same runs on the onion curve
+//	sfcviz -figure2                         # run counts of the Figure 2 queries
 package main
 
 import (
@@ -16,13 +20,14 @@ import (
 
 	"sfccover/internal/bits"
 	"sfccover/internal/cubes"
+	"sfccover/internal/experiments"
 	"sfccover/internal/geom"
 	"sfccover/internal/sfc"
 )
 
 func main() {
 	var (
-		curveName = flag.String("curve", "z", "curve: z | hilbert | gray")
+		curveName = flag.String("curve", "z", "curve: z | hilbert | gray | onion")
 		k         = flag.Int("k", 3, "universe resolution (2^k cells per side, k <= 5 for drawing)")
 		rect      = flag.String("rect", "", "draw run decomposition of x0,y0,x1,y1 instead of visit order")
 		figure2   = flag.Bool("figure2", false, "print the Figure 2 run counts (256x256 vs 257x257)")
@@ -41,7 +46,7 @@ func run(curveName string, k int, rect string, figure2 bool) error {
 	if k < 1 || k > 5 {
 		return fmt.Errorf("drawing needs 1 <= k <= 5, got %d", k)
 	}
-	c, err := sfc.New(curveName, sfc.Config{Dims: 2, Bits: k})
+	c, err := experiments.NewCurve(curveName, 2, k)
 	if err != nil {
 		return err
 	}

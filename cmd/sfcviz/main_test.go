@@ -6,7 +6,7 @@ func TestRunModes(t *testing.T) {
 	if err := run("z", 3, "", true); err != nil {
 		t.Errorf("figure2: %v", err)
 	}
-	for _, curve := range []string{"z", "hilbert", "gray"} {
+	for _, curve := range []string{"z", "hilbert", "gray", "onion"} {
 		if err := run(curve, 3, "", false); err != nil {
 			t.Errorf("order %s: %v", curve, err)
 		}

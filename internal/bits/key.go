@@ -225,20 +225,6 @@ func (k Key) String() string {
 	return s
 }
 
-// GrayInv returns the binary number whose standard reflected Gray code is k,
-// i.e. the inverse of g(x) = x XOR (x >> 1), computed over all KeyBits bits.
-func (k Key) GrayInv() Key {
-	// Prefix-XOR scan: shift-and-fold doubling over the full key width.
-	out := k
-	for shift := 1; shift < KeyBits; shift *= 2 {
-		out = out.Xor(out.ShrN(shift))
-	}
-	return out
-}
-
-// Gray returns the standard reflected Gray code of k: k XOR (k >> 1).
-func (k Key) Gray() Key { return k.Xor(k.Shr1()) }
-
 // ShlN returns k logically shifted left by n bits; bits shifted past
 // position KeyBits-1 are discarded.
 func (k Key) ShlN(n int) Key {

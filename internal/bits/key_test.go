@@ -1,7 +1,6 @@
 package bits
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -219,54 +218,6 @@ func TestKeyLen(t *testing.T) {
 	k = k.SetBit(300, 1)
 	if got := k.Len(); got != 301 {
 		t.Fatalf("Len(bit 300) = %d, want 301", got)
-	}
-}
-
-func TestGrayRoundTrip64(t *testing.T) {
-	f := func(v uint64) bool {
-		k := KeyFromUint64(v)
-		g := k.Gray()
-		want := v ^ v>>1
-		if got, _ := g.Uint64(); got != want {
-			return false
-		}
-		return g.GrayInv() == k
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGrayRoundTripWide(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		var k Key
-		for i := range k.w {
-			k.w[i] = rng.Uint64()
-		}
-		if got := k.Gray().GrayInv(); got != k {
-			t.Fatalf("GrayInv(Gray(k)) != k for %v", k)
-		}
-		if got := k.GrayInv().Gray(); got != k {
-			t.Fatalf("Gray(GrayInv(k)) != k for %v", k)
-		}
-	}
-}
-
-func TestGrayAdjacencyProperty(t *testing.T) {
-	// Consecutive integers must have Gray codes differing in exactly one bit.
-	prev := KeyFromUint64(0).Gray()
-	for v := uint64(1); v < 4096; v++ {
-		cur := KeyFromUint64(v).Gray()
-		diff := cur.Xor(prev)
-		ones := 0
-		for p := 0; p < 16; p++ {
-			ones += int(diff.Bit(p))
-		}
-		if ones != 1 {
-			t.Fatalf("gray(%d) and gray(%d) differ in %d bits", v-1, v, ones)
-		}
-		prev = cur
 	}
 }
 

@@ -124,7 +124,6 @@ func (ps *providerSource) forwarded(brokerID, neighborID int) (core.Provider, er
 		Mode:            cfg.Mode,
 		Epsilon:         cfg.Epsilon,
 		Strategy:        cfg.Strategy,
-		Curve:           cfg.Curve,
 		MaxCubes:        cfg.MaxCubes,
 		DecompCacheSize: cfg.DecompCacheSize,
 	}

@@ -41,9 +41,6 @@ type Config struct {
 	Strategy core.Strategy
 	// MaxCubes caps per-query work in SFC searches (0 = unlimited).
 	MaxCubes int
-	// Curve selects the space filling curve for SFC searches: "z"
-	// (default), "hilbert", "gray" or "onion".
-	Curve string
 	// DecompCacheSize bounds each link index's hit memo (0 = default,
 	// negative disables); see core.Config.DecompCacheSize.
 	DecompCacheSize int

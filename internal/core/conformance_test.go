@@ -22,18 +22,15 @@ func TestDetectorProviderConformance(t *testing.T) {
 	}
 }
 
-// TestDetectorConformancePerCurve runs the same battery once per curve
-// family, so every curve backend — not just the default Z — answers the
-// full Provider contract with the decomposition cache enabled.
+// TestDetectorConformancePerCurve runs the battery on the one curve the
+// index has, Z, with the hit memo enabled.
 func TestDetectorConformancePerCurve(t *testing.T) {
 	schema := coretest.Schema()
-	for _, curve := range []string{"z", "hilbert", "gray", "onion"} {
-		t.Run(curve, func(t *testing.T) {
-			coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
-				return core.MustNew(core.Config{Schema: schema, Mode: core.ModeExact, Curve: curve})
-			})
+	t.Run("z", func(t *testing.T) {
+		coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
+			return core.MustNew(core.Config{Schema: schema, Mode: core.ModeExact})
 		})
-	}
+	})
 }
 
 // TestDetectorConformanceCacheVariants re-runs the battery with the hit

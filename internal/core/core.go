@@ -88,8 +88,6 @@ type Config struct {
 	Epsilon float64
 	// Strategy defaults to StrategySFC. ModeApprox requires StrategySFC.
 	Strategy Strategy
-	// Curve selects the SFC index's curve; see dominance.Config.
-	Curve string
 	// Seed is ignored: the SFC array it seeded is no longer randomized.
 	// Callers that predate that still set it.
 	Seed int64
@@ -199,8 +197,7 @@ func New(cfg Config) (*Detector, error) {
 	switch cfg.Strategy {
 	case StrategySFC:
 		idx, err := dominance.NewIndex(dominance.Config{
-			Dims: dims, Bits: bits,
-			Curve: cfg.Curve, MaxCubes: cfg.MaxCubes,
+			Dims: dims, Bits: bits, MaxCubes: cfg.MaxCubes,
 			CacheSize: cfg.DecompCacheSize,
 		})
 		if err != nil {
@@ -220,8 +217,7 @@ func New(cfg Config) (*Detector, error) {
 			return nil, fmt.Errorf("core: TrackCovered requires the SFC strategy, got %q", cfg.Strategy)
 		}
 		idx, err := dominance.NewIndex(dominance.Config{
-			Dims: dims, Bits: bits,
-			Curve: cfg.Curve, MaxCubes: cfg.MaxCubes,
+			Dims: dims, Bits: bits, MaxCubes: cfg.MaxCubes,
 			CacheSize: cfg.DecompCacheSize,
 		})
 		if err != nil {

@@ -13,20 +13,21 @@ import (
 // population: an index with the memo answers every query — id and found —
 // identically to one without, on the first-touch pass (search, shape
 // noted), the second (search, entry recorded) and the third (pure
-// replay), across curves, ε budgets and step budgets tight enough that
+// replay), across universes, ε budgets and step budgets tight enough that
 // some queries overrun the walk and are memoized from the cube search.
 func TestCacheBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	configs := []Config{
-		{Dims: 2, Bits: 6, Curve: "z"},
-		{Dims: 2, Bits: 6, Curve: "hilbert", MaxCubes: 2},
-		{Dims: 3, Bits: 5, Curve: "gray", MaxCubes: 64},
-		{Dims: 3, Bits: 5, Curve: "onion"},
-		{Dims: 2, Bits: 8, Curve: "onion", MaxCubes: 2},
+		{Dims: 2, Bits: 6},
+		{Dims: 2, Bits: 6, MaxCubes: 2},
+		{Dims: 3, Bits: 5, MaxCubes: 64},
+		{Dims: 3, Bits: 5},
+		{Dims: 2, Bits: 8, MaxCubes: 2},
 	}
 	epsilons := []float64{0, 0.05, 0.3, 0.6}
 	for _, cfg := range configs {
 		cfg.Seed = 7
+		name := fmt.Sprintf("%dx%d budget %d", cfg.Dims, cfg.Bits, cfg.MaxCubes)
 		cached := MustIndex(cfg)
 		plainCfg := cfg
 		plainCfg.CacheSize = -1
@@ -44,14 +45,14 @@ func TestCacheBitIdentical(t *testing.T) {
 				id1, ok1, st1, err1 := cached.Query(q, eps)
 				id2, ok2, st2, err2 := plain.Query(q, eps)
 				if err1 != nil || err2 != nil {
-					t.Fatalf("%s pass %d: errors %v, %v", cfg.Curve, pass, err1, err2)
+					t.Fatalf("%s pass %d: errors %v, %v", name, pass, err1, err2)
 				}
 				if id1 != id2 || ok1 != ok2 {
 					t.Fatalf("%s pass %d q=%v eps=%g: answer mismatch: (%d,%v) vs (%d,%v)",
-						cfg.Curve, pass, q, eps, id1, ok1, id2, ok2)
+						name, pass, q, eps, id1, ok1, id2, ok2)
 				}
 				if st2.Path == PathMemo {
-					t.Fatalf("%s: an index without a memo reported %+v", cfg.Curve, st2)
+					t.Fatalf("%s: an index without a memo reported %+v", name, st2)
 				}
 				shape := fmt.Sprint(q)
 				seen := hitsSoFar[shape]
@@ -61,16 +62,16 @@ func TestCacheBitIdentical(t *testing.T) {
 				if st1.Path != PathMemo {
 					if st1 != st2 {
 						t.Fatalf("%s pass %d q=%v eps=%g: searched stats differ:\ncached:   %+v\nuncached: %+v",
-							cfg.Curve, pass, q, eps, st1, st2)
+							name, pass, q, eps, st1, st2)
 					}
 					continue
 				}
 				if seen < 2 || eps == 0 || !ok1 {
 					t.Fatalf("%s pass %d eps=%g found=%v after %d hits: replay before the second touch, of an exact query or of a miss: %+v",
-						cfg.Curve, pass, eps, ok1, seen, st1)
+						name, pass, eps, ok1, seen, st1)
 				}
 				if st1.RunsProbed != 1 || st1.WalkSteps != 0 || st1.CubesGenerated != 0 {
-					t.Fatalf("%s: a replay is one probe: %+v", cfg.Curve, st1)
+					t.Fatalf("%s: a replay is one probe: %+v", name, st1)
 				}
 				replays++
 				if st2.Path == PathCubes {
@@ -80,10 +81,10 @@ func TestCacheBitIdentical(t *testing.T) {
 		}
 		hits, misses := cached.CacheStats()
 		if hits == 0 || misses == 0 || int(hits) != replays {
-			t.Errorf("%s: hits=%d misses=%d, counted %d replays", cfg.Curve, hits, misses, replays)
+			t.Errorf("%s: hits=%d misses=%d, counted %d replays", name, hits, misses, replays)
 		}
 		if cfg.MaxCubes == 2 && fromCubes == 0 {
-			t.Errorf("%s: step budget %d produced no replay of a cube-search hit", cfg.Curve, cfg.MaxCubes)
+			t.Errorf("%s: step budget %d produced no replay of a cube-search hit", name, cfg.MaxCubes)
 		}
 	}
 }
@@ -235,42 +236,40 @@ func TestCacheHoldsFullWorkingSet(t *testing.T) {
 // the entry, or none, which drops it.
 func TestCacheStaleEntry(t *testing.T) {
 	q := []uint32{10, 10}
-	for _, curve := range []string{"z", "hilbert"} {
-		idx := MustIndex(Config{Dims: 2, Bits: 6, Curve: curve})
-		plain := MustIndex(Config{Dims: 2, Bits: 6, Curve: curve, CacheSize: -1})
-		pts := [][]uint32{{20, 30}, {40, 12}, {5, 60}}
-		for i, p := range pts {
-			idx.Insert(p, uint64(i))
-			plain.Insert(p, uint64(i))
-		}
-		var first uint64
-		for touch := 0; touch < 3; touch++ {
-			first, _, _, _ = idx.Query(q, 0.3)
-		}
-		if _, _, st, _ := idx.Query(q, 0.3); st.Path != PathMemo {
-			t.Fatalf("%s: fourth touch did not replay: %+v", curve, st)
-		}
-		idx.Delete(pts[first], first)
-		plain.Delete(pts[first], first)
+	idx := MustIndex(Config{Dims: 2, Bits: 6})
+	plain := MustIndex(Config{Dims: 2, Bits: 6, CacheSize: -1})
+	pts := [][]uint32{{20, 30}, {40, 12}, {5, 60}}
+	for i, p := range pts {
+		idx.Insert(p, uint64(i))
+		plain.Insert(p, uint64(i))
+	}
+	var first uint64
+	for touch := 0; touch < 3; touch++ {
+		first, _, _, _ = idx.Query(q, 0.3)
+	}
+	if _, _, st, _ := idx.Query(q, 0.3); st.Path != PathMemo {
+		t.Fatalf("fourth touch did not replay: %+v", st)
+	}
+	idx.Delete(pts[first], first)
+	plain.Delete(pts[first], first)
 
-		want, _, _, _ := plain.Query(q, 0.3)
-		got, ok, st, _ := idx.Query(q, 0.3)
-		if !ok || got != want || got == first {
-			t.Fatalf("%s: after deleting the memoized dominator %d: got (%d,%v), the walk says %d", curve, first, got, ok, want)
-		}
-		if st.Path != PathWalk || st.RunsProbed != st.WalkSteps+1 {
-			t.Fatalf("%s: a stale replay costs one probe, then the walk: %+v", curve, st)
-		}
-		if got2, _, st2, _ := idx.Query(q, 0.3); got2 != got || st2.Path != PathMemo {
-			t.Fatalf("%s: the walk's hit should have replaced the stale entry: (%d) %+v", curve, got2, st2)
-		}
-		idx.Delete(pts[got], got)
-		if _, ok, _, _ := idx.Query(q, 0.3); ok {
-			t.Fatalf("%s: no dominator is left", curve)
-		}
-		if n := idx.memo.len(); n != 0 {
-			t.Fatalf("%s: a miss through a stale entry must drop it, %d live", curve, n)
-		}
+	want, _, _, _ := plain.Query(q, 0.3)
+	got, ok, st, _ := idx.Query(q, 0.3)
+	if !ok || got != want || got == first {
+		t.Fatalf("after deleting the memoized dominator %d: got (%d,%v), the walk says %d", first, got, ok, want)
+	}
+	if st.Path != PathWalk || st.RunsProbed != st.WalkSteps+1 {
+		t.Fatalf("a stale replay costs one probe, then the walk: %+v", st)
+	}
+	if got2, _, st2, _ := idx.Query(q, 0.3); got2 != got || st2.Path != PathMemo {
+		t.Fatalf("the walk's hit should have replaced the stale entry: (%d) %+v", got2, st2)
+	}
+	idx.Delete(pts[got], got)
+	if _, ok, _, _ := idx.Query(q, 0.3); ok {
+		t.Fatal("no dominator is left")
+	}
+	if n := idx.memo.len(); n != 0 {
+		t.Fatalf("a miss through a stale entry must drop it, %d live", n)
 	}
 }
 

@@ -15,7 +15,7 @@
 //  2. the successor walk — seek the next stored key at or after the
 //     region's smallest key, return it if its cell dominates the query,
 //     otherwise jump the cursor to the next key inside the region
-//     (sfc.Curve.NextInExtremal) and seek again. It visits stored keys,
+//     (sfc.ZCurve.NextInExtremal) and seek again. It visits stored keys,
 //     not cubes, so a region with no dominator costs as many seeks as it
 //     has stored points between its runs, and its answer is exact;
 //  3. the paper's search, only if the walk spends its step budget: greedily
@@ -119,9 +119,6 @@ type Config struct {
 	Dims int
 	// Bits is k; coordinates range over [0, 2^k−1].
 	Bits int
-	// Curve selects the space filling curve: "z" (default), "hilbert",
-	// "gray" or "onion".
-	Curve string
 	// Seed is ignored: it seeded the randomized ordered structures the
 	// blocked SFC array replaced. Callers that predate it still set it.
 	Seed int64
@@ -138,13 +135,6 @@ type Config struct {
 	CacheSize int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Curve == "" {
-		c.Curve = "z"
-	}
-	return c
-}
-
 // Index is the SFC-based dominance index of Section 5.
 //
 // Writes were never safe for concurrent use (the SFC array is
@@ -159,18 +149,17 @@ type Index struct {
 }
 
 // dispatch is everything of a query's path but the array it searches:
-// the configuration, the curve and the state queries share. Index and
+// the configuration, the Z curve and the state queries share. Index and
 // ShardedIndex embed it, so both answer through the one search.
 type dispatch struct {
 	cfg   Config
-	curve sfc.Curve
+	curve *sfc.ZCurve
 	// memo remembers which key range answered a shape (nil when disabled).
 	memo *hitMemo
 }
 
 func newDispatch(cfg Config) (dispatch, error) {
-	cfg = cfg.withDefaults()
-	curve, err := sfc.New(cfg.Curve, sfc.Config{Dims: cfg.Dims, Bits: cfg.Bits})
+	curve, err := sfc.NewZ(sfc.Config{Dims: cfg.Dims, Bits: cfg.Bits})
 	if err != nil {
 		return dispatch{}, fmt.Errorf("dominance: %w", err)
 	}
@@ -182,14 +171,11 @@ func newDispatch(cfg Config) (dispatch, error) {
 }
 
 // newArray is the one constructor of the index's SFC arrays: empty, keeping
-// summaries under the Z curve's dimension masks where its keys fit a word
-// (DimMasks is nil otherwise, and other curves have none). A zero
-// sfcarray.Index would answer the same but prune nothing.
+// summaries under the curve's dimension masks where its keys fit a word
+// (DimMasks is nil otherwise). A zero sfcarray.Index would answer the same
+// but prune nothing.
 func (d *dispatch) newArray() sfcarray.Index {
-	if z, ok := d.curve.(*sfc.ZCurve); ok {
-		return sfcarray.WithMasks(z.DimMasks())
-	}
-	return sfcarray.Index{}
+	return sfcarray.WithMasks(d.curve.DimMasks())
 }
 
 // CacheStats reports the hit memo's counters (zeros when it is

@@ -28,9 +28,6 @@ func TestNewIndexValidation(t *testing.T) {
 	if _, err := NewIndex(Config{Dims: 2, Bits: 40}); err == nil {
 		t.Error("bits=40 must fail")
 	}
-	if _, err := NewIndex(Config{Dims: 2, Bits: 8, Curve: "peano"}); err == nil {
-		t.Error("unknown curve must fail")
-	}
 	if _, err := NewIndex(Config{Dims: 4, Bits: 16}); err != nil {
 		t.Errorf("defaults should work: %v", err)
 	}
@@ -51,15 +48,9 @@ func TestQueryArgValidation(t *testing.T) {
 
 func TestExhaustiveAgreesWithBaselines(t *testing.T) {
 	// The exhaustive SFC query, the linear scan and the k-d tree must give
-	// identical found/not-found answers, for every curve.
+	// identical found/not-found answers.
 	rng := rand.New(rand.NewSource(61))
-	configs := []Config{
-		{Dims: 2, Bits: 6, Curve: "z"},
-		{Dims: 2, Bits: 6, Curve: "hilbert"},
-		{Dims: 2, Bits: 6, Curve: "gray"},
-		{Dims: 3, Bits: 4, Curve: "z"},
-		{Dims: 4, Bits: 3, Curve: "hilbert"},
-	}
+	configs := []Config{{Dims: 2, Bits: 6}, {Dims: 3, Bits: 4}, {Dims: 4, Bits: 3}}
 	for _, cfg := range configs {
 		idx := MustIndex(cfg)
 		lin := NewLinear()
@@ -76,10 +67,10 @@ func TestExhaustiveAgreesWithBaselines(t *testing.T) {
 			_, okLin := lin.QueryDominating(q)
 			_, okKD := kd.QueryDominating(q)
 			if okSFC != okLin || okLin != okKD {
-				t.Fatalf("%s q=%v: sfc=%v lin=%v kd=%v", cfg.Curve, q, okSFC, okLin, okKD)
+				t.Fatalf("d=%d q=%v: sfc=%v lin=%v kd=%v", cfg.Dims, q, okSFC, okLin, okKD)
 			}
 			if okSFC && !geom.Dominates(pts[idSFC], q) {
-				t.Fatalf("%s: returned point %v does not dominate %v", cfg.Curve, pts[idSFC], q)
+				t.Fatalf("d=%d: returned point %v does not dominate %v", cfg.Dims, pts[idSFC], q)
 			}
 		}
 	}

@@ -22,7 +22,7 @@ type keyForm[K comparable] interface {
 	// route is routeKey: the last slice of tab whose start is <= k.
 	route(tab []bits.Key, k K) int
 	// cubeRange is sfc.CubeRange, for the top cube.
-	cubeRange(c sfc.Curve, corner []uint32, side uint64) (lo, hi K)
+	cubeRange(c *sfc.ZCurve, corner []uint32, side uint64) (lo, hi K)
 	// hit records the key range that answered, for the memo.
 	hit(sc *queryScratch, lo, hi K)
 }
@@ -57,7 +57,7 @@ func (wordForm) route(tab []bits.Key, k uint64) int {
 }
 
 //sfc:hotpath
-func (wordForm) cubeRange(c sfc.Curve, corner []uint32, side uint64) (lo, hi uint64) {
+func (wordForm) cubeRange(c *sfc.ZCurve, corner []uint32, side uint64) (lo, hi uint64) {
 	return sfc.CubeRangeWord(c, corner, side)
 }
 
@@ -79,7 +79,7 @@ func (wideForm) next(s *sfc.Successor, from bits.Key) (bits.Key, bool) { return 
 
 func (wideForm) route(tab []bits.Key, k bits.Key) int { return routeKey(tab, k) }
 
-func (wideForm) cubeRange(c sfc.Curve, corner []uint32, side uint64) (lo, hi bits.Key) {
+func (wideForm) cubeRange(c *sfc.ZCurve, corner []uint32, side uint64) (lo, hi bits.Key) {
 	r := sfc.CubeRange(c, corner, side)
 	return r.Lo, r.Hi
 }

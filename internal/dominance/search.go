@@ -111,7 +111,7 @@ func (d *dispatch) walk(arr ordered, q []uint32, budget int, topFirst bool, sc *
 // over the cursor's type K; F names where the two forms differ.
 //
 //sfc:hotpath
-func walk[K comparable, F keyForm[K]](curve sfc.Curve, arr ordered, q []uint32, budget int, topFirst bool, sc *queryScratch, tr *obs.QueryTrace) (id uint64, found, done bool) {
+func walk[K comparable, F keyForm[K]](curve *sfc.ZCurve, arr ordered, q []uint32, budget int, topFirst bool, sc *queryScratch, tr *obs.QueryTrace) (id uint64, found, done bool) {
 	var f F
 	stats := &sc.stats
 	var t0 time.Time
@@ -173,7 +173,7 @@ func walk[K comparable, F keyForm[K]](curve sfc.Curve, arr ordered, q []uint32, 
 // eps == 0, the Section 5 ε-search otherwise.
 //
 //sfc:hotpath
-func searchCubes(curve sfc.Curve, k, maxCubes int, sc *queryScratch, arr ordered, region geom.Extremal, eps float64, tr *obs.QueryTrace) (uint64, bool, error) {
+func searchCubes(curve *sfc.ZCurve, k, maxCubes int, sc *queryScratch, arr ordered, region geom.Extremal, eps float64, tr *obs.QueryTrace) (uint64, bool, error) {
 	sc.stats.Path = PathCubes
 	if eps == 0 {
 		return searchExhaustive(curve, k, sc, arr, region, tr)
@@ -188,7 +188,7 @@ func searchCubes(curve sfc.Curve, k, maxCubes int, sc *queryScratch, arr ordered
 // run merge, "probes" the probe loop.
 //
 //sfc:hotpath
-func searchExhaustive(curve sfc.Curve, k int, sc *queryScratch, arr ordered, region geom.Extremal, tr *obs.QueryTrace) (uint64, bool, error) {
+func searchExhaustive(curve *sfc.ZCurve, k int, sc *queryScratch, arr ordered, region geom.Extremal, tr *obs.QueryTrace) (uint64, bool, error) {
 	stats := &sc.stats
 	var t0 time.Time
 	if tr != nil {
@@ -228,7 +228,7 @@ func searchExhaustive(curve sfc.Curve, k int, sc *queryScratch, arr ordered, reg
 // interleaved cube enumeration and probe loop.
 //
 //sfc:hotpath
-func searchApprox(curve sfc.Curve, k, maxCubes int, sc *queryScratch, arr ordered, region geom.Extremal, eps float64, tr *obs.QueryTrace) (uint64, bool, error) {
+func searchApprox(curve *sfc.ZCurve, k, maxCubes int, sc *queryScratch, arr ordered, region geom.Extremal, eps float64, tr *obs.QueryTrace) (uint64, bool, error) {
 	stats := &sc.stats
 	fullVol := region.Volume()
 	var t0 time.Time

@@ -27,52 +27,50 @@ func TestNewShardedValidation(t *testing.T) {
 
 // TestShardedParity: over the same point set, the sharded index answers
 // as the single-array index does — the same id, found/not-found and cube
-// count — exhaustive and approximate, at every shard count, on every
-// curve. Walk steps may differ: the slices' leaves are not the single
-// array's, and the summaries skip by leaf.
+// count — exhaustive and approximate, at every shard count. Walk steps may
+// differ: the slices' leaves are not the single array's, and the
+// summaries skip by leaf.
 func TestShardedParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
-	for _, curve := range []string{"z", "hilbert", "gray"} {
-		cfg := Config{Dims: 3, Bits: 6, Curve: curve, MaxCubes: 5000}
-		single := MustIndex(cfg)
-		pts := randomPoints(rng, 2000, 3, 6)
-		sharded := make([]*ShardedIndex, 0, 3)
-		for _, n := range []int{1, 4, 16} {
-			x, err := NewSharded(cfg, n)
+	cfg := Config{Dims: 3, Bits: 6, MaxCubes: 5000}
+	single := MustIndex(cfg)
+	pts := randomPoints(rng, 2000, 3, 6)
+	sharded := make([]*ShardedIndex, 0, 3)
+	for _, n := range []int{1, 4, 16} {
+		x, err := NewSharded(cfg, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
+		sharded = append(sharded, x)
+	}
+	for i, p := range pts {
+		single.Insert(p, uint64(i))
+		for _, x := range sharded {
+			x.Insert(p, uint64(i))
+		}
+	}
+	for _, eps := range []float64{0, 0.3} {
+		for qi := 0; qi < 200; qi++ {
+			q := randomPoints(rng, 1, 3, 6)[0]
+			wantID, wantOK, wantStats, err := single.Query(q, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
-			sharded = append(sharded, x)
-		}
-		for i, p := range pts {
-			single.Insert(p, uint64(i))
 			for _, x := range sharded {
-				x.Insert(p, uint64(i))
-			}
-		}
-		for _, eps := range []float64{0, 0.3} {
-			for qi := 0; qi < 200; qi++ {
-				q := randomPoints(rng, 1, 3, 6)[0]
-				wantID, wantOK, wantStats, err := single.Query(q, eps)
+				gotID, gotOK, gotStats, err := x.Query(q, eps)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, x := range sharded {
-					gotID, gotOK, gotStats, err := x.Query(q, eps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if gotOK != wantOK || gotID != wantID {
-						t.Fatalf("curve %s eps %v shards %d query %d: (%d,%v), single index (%d,%v)",
-							curve, eps, x.NumShards(), qi, gotID, gotOK, wantID, wantOK)
-					}
-					if gotStats.CubesGenerated != wantStats.CubesGenerated || gotStats.Path != wantStats.Path {
-						t.Fatalf("curve %s eps %v shards %d query %d: stats (%d cubes, %v) != single (%d cubes, %v)",
-							curve, eps, x.NumShards(), qi,
-							gotStats.CubesGenerated, gotStats.Path,
-							wantStats.CubesGenerated, wantStats.Path)
-					}
+				if gotOK != wantOK || gotID != wantID {
+					t.Fatalf("eps %v shards %d query %d: (%d,%v), single index (%d,%v)",
+						eps, x.NumShards(), qi, gotID, gotOK, wantID, wantOK)
+				}
+				if gotStats.CubesGenerated != wantStats.CubesGenerated || gotStats.Path != wantStats.Path {
+					t.Fatalf("eps %v shards %d query %d: stats (%d cubes, %v) != single (%d cubes, %v)",
+						eps, x.NumShards(), qi,
+						gotStats.CubesGenerated, gotStats.Path,
+						wantStats.CubesGenerated, wantStats.Path)
 				}
 			}
 		}

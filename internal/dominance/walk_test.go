@@ -6,65 +6,62 @@ import (
 	"testing"
 
 	"sfccover/internal/geom"
-	"sfccover/internal/sfc"
 	"sfccover/internal/workload"
 )
 
 // TestWalkMatchesLinearUnderChurn: with no step budget every answer is
 // the walk's (or a replay of one), so found must equal the brute-force
-// scan's on every curve while points come and go — including the memo's
-// stale entries, which deletes keep producing.
+// scan's while points come and go — including the memo's stale entries,
+// which deletes keep producing.
 func TestWalkMatchesLinearUnderChurn(t *testing.T) {
-	for _, curve := range sfc.Names() {
-		rng := rand.New(rand.NewSource(211))
-		cfg := Config{Dims: 3, Bits: 5, Curve: curve, Seed: 5}
-		idx := MustIndex(cfg)
-		lin := NewLinear()
-		type entry struct {
-			p  []uint32
-			id uint64
-		}
-		var live []entry
-		byID := map[uint64][]uint32{}
-		queries := randomPoints(rng, 40, cfg.Dims, cfg.Bits) // recurring, so the memo fills
-		for op := 0; op < 3000; op++ {
-			switch r := rng.Intn(10); {
-			case r < 3 || len(live) < 20:
-				e := entry{randomPoints(rng, 1, cfg.Dims, cfg.Bits)[0], uint64(op)}
-				idx.Insert(e.p, e.id)
-				lin.Insert(e.p, e.id)
-				live = append(live, e)
-				byID[e.id] = e.p
-			case r < 6:
-				i := rng.Intn(len(live))
-				e := live[i]
-				if !idx.Delete(e.p, e.id) || !lin.Delete(e.p, e.id) {
-					t.Fatalf("%s op %d: delete of live entry %d failed", curve, op, e.id)
-				}
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-				delete(byID, e.id)
-			default:
-				q := queries[rng.Intn(len(queries))]
-				eps := []float64{0, 0.3}[rng.Intn(2)]
-				id, ok, st, err := idx.Query(q, eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, want := lin.QueryDominating(q); ok != want {
-					t.Fatalf("%s op %d q=%v eps=%g: found=%v, linear scan says %v (%+v)", curve, op, q, eps, ok, want, st)
-				}
-				if ok && (byID[id] == nil || !geom.Dominates(byID[id], q)) {
-					t.Fatalf("%s op %d q=%v: id %d (%v) is not a live dominator", curve, op, q, id, byID[id])
-				}
-				if st.Path == PathCubes {
-					t.Fatalf("%s: an unbudgeted walk overran: %+v", curve, st)
-				}
+	rng := rand.New(rand.NewSource(211))
+	cfg := Config{Dims: 3, Bits: 5, Seed: 5}
+	idx := MustIndex(cfg)
+	lin := NewLinear()
+	type entry struct {
+		p  []uint32
+		id uint64
+	}
+	var live []entry
+	byID := map[uint64][]uint32{}
+	queries := randomPoints(rng, 40, cfg.Dims, cfg.Bits) // recurring, so the memo fills
+	for op := 0; op < 3000; op++ {
+		switch r := rng.Intn(10); {
+		case r < 3 || len(live) < 20:
+			e := entry{randomPoints(rng, 1, cfg.Dims, cfg.Bits)[0], uint64(op)}
+			idx.Insert(e.p, e.id)
+			lin.Insert(e.p, e.id)
+			live = append(live, e)
+			byID[e.id] = e.p
+		case r < 6:
+			i := rng.Intn(len(live))
+			e := live[i]
+			if !idx.Delete(e.p, e.id) || !lin.Delete(e.p, e.id) {
+				t.Fatalf("op %d: delete of live entry %d failed", op, e.id)
+			}
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			delete(byID, e.id)
+		default:
+			q := queries[rng.Intn(len(queries))]
+			eps := []float64{0, 0.3}[rng.Intn(2)]
+			id, ok, st, err := idx.Query(q, eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, want := lin.QueryDominating(q); ok != want {
+				t.Fatalf("op %d q=%v eps=%g: found=%v, linear scan says %v (%+v)", op, q, eps, ok, want, st)
+			}
+			if ok && (byID[id] == nil || !geom.Dominates(byID[id], q)) {
+				t.Fatalf("op %d q=%v: id %d (%v) is not a live dominator", op, q, id, byID[id])
+			}
+			if st.Path == PathCubes {
+				t.Fatalf("an unbudgeted walk overran: %+v", st)
 			}
 		}
-		if h, _ := idx.CacheStats(); h == 0 {
-			t.Errorf("%s: recurring shapes produced no replay", curve)
-		}
+	}
+	if h, _ := idx.CacheStats(); h == 0 {
+		t.Error("recurring shapes produced no replay")
 	}
 }
 
@@ -74,47 +71,45 @@ func TestWalkMatchesLinearUnderChurn(t *testing.T) {
 // returns — on a single index and across 1, 4 and 16 slices, with
 // several ids sharing cells.
 func TestExactQueryMatchesExhaustiveCubes(t *testing.T) {
-	for _, curve := range sfc.Names() {
-		rng := rand.New(rand.NewSource(223))
-		cfg := Config{Dims: 2, Bits: 6, Curve: curve}
-		ref := MustIndex(cfg)
-		indexes := []interface {
-			Insert([]uint32, uint64)
-			Query([]uint32, float64) (uint64, bool, Stats, error)
-		}{MustIndex(cfg)}
-		pts := randomPoints(rng, 150, cfg.Dims, cfg.Bits)
-		for _, n := range []int{1, 4, 16} {
-			x, err := NewSharded(cfg, n)
+	rng := rand.New(rand.NewSource(223))
+	cfg := Config{Dims: 2, Bits: 6}
+	ref := MustIndex(cfg)
+	indexes := []interface {
+		Insert([]uint32, uint64)
+		Query([]uint32, float64) (uint64, bool, Stats, error)
+	}{MustIndex(cfg)}
+	pts := randomPoints(rng, 150, cfg.Dims, cfg.Bits)
+	for _, n := range []int{1, 4, 16} {
+		x, err := NewSharded(cfg, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
+		indexes = append(indexes, x)
+	}
+	ids := rng.Perm(3 * len(pts)) // ids in no relation to insertion or key order
+	for i, id := range ids {
+		p := pts[i%len(pts)] // every cell holds three ids
+		ref.Insert(p, uint64(id))
+		for _, x := range indexes {
+			x.Insert(p, uint64(id))
+		}
+	}
+	for _, q := range randomPoints(rng, 300, cfg.Dims, cfg.Bits) {
+		wantID, want, _, err := ref.QueryCubes(q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range indexes {
+			id, ok, st, err := x.Query(q, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
-			indexes = append(indexes, x)
-		}
-		ids := rng.Perm(3 * len(pts)) // ids in no relation to insertion or key order
-		for i, id := range ids {
-			p := pts[i%len(pts)] // every cell holds three ids
-			ref.Insert(p, uint64(id))
-			for _, x := range indexes {
-				x.Insert(p, uint64(id))
+			if ok != want || id != wantID {
+				t.Fatalf("index %d q=%v: walk (%d,%v), exhaustive cube search (%d,%v)", i, q, id, ok, wantID, want)
 			}
-		}
-		for _, q := range randomPoints(rng, 300, cfg.Dims, cfg.Bits) {
-			wantID, want, _, err := ref.QueryCubes(q, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, x := range indexes {
-				id, ok, st, err := x.Query(q, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ok != want || id != wantID {
-					t.Fatalf("%s index %d q=%v: walk (%d,%v), exhaustive cube search (%d,%v)", curve, i, q, id, ok, wantID, want)
-				}
-				if st.Path != PathWalk {
-					t.Fatalf("%s: exact queries are the walk's alone: %+v", curve, st)
-				}
+			if st.Path != PathWalk {
+				t.Fatalf("exact queries are the walk's alone: %+v", st)
 			}
 		}
 	}
@@ -126,24 +121,22 @@ func TestExactQueryMatchesExhaustiveCubes(t *testing.T) {
 // runs next to the query point; an exact query walks up from the bottom
 // and returns the dominator with the smallest key instead.
 func TestWalkProbesTopCubeFirst(t *testing.T) {
-	for _, curve := range sfc.Names() {
-		idx := MustIndex(Config{Dims: 2, Bits: 8, Curve: curve, CacheSize: -1})
-		q := []uint32{101, 77}
-		for v := uint32(0); v < 100; v++ { // one cell outside the region, all along its lower faces
-			idx.Insert([]uint32{q[0] + v, q[1] - 1}, uint64(v))
-			idx.Insert([]uint32{q[0] - 1, q[1] + v}, uint64(1000+v))
-		}
-		idx.Insert([]uint32{250, 250}, 5000) // inside the top cube [128,255]²
-		idx.Insert([]uint32{102, 78}, 6000)  // next to the query point
-		id, ok, st, err := idx.Query(q, 0.3)
-		if err != nil || !ok || id != 5000 || st.Path != PathWalk || st.WalkSteps != 1 || st.RunsProbed != 1 {
-			t.Fatalf("%s approximate: (%d,%v,%v) %+v, want the top cube's point in one step", curve, id, ok, err, st)
-		}
-		wantID, _, _, _ := idx.QueryCubes(q, 0)
-		id, ok, st, err = idx.Query(q, 0)
-		if err != nil || !ok || id != wantID || st.Path != PathWalk {
-			t.Fatalf("%s exact: (%d,%v,%v) %+v, want the exhaustive search's %d", curve, id, ok, err, st, wantID)
-		}
+	idx := MustIndex(Config{Dims: 2, Bits: 8, CacheSize: -1})
+	q := []uint32{101, 77}
+	for v := uint32(0); v < 100; v++ { // one cell outside the region, all along its lower faces
+		idx.Insert([]uint32{q[0] + v, q[1] - 1}, uint64(v))
+		idx.Insert([]uint32{q[0] - 1, q[1] + v}, uint64(1000+v))
+	}
+	idx.Insert([]uint32{250, 250}, 5000) // inside the top cube [128,255]²
+	idx.Insert([]uint32{102, 78}, 6000)  // next to the query point
+	id, ok, st, err := idx.Query(q, 0.3)
+	if err != nil || !ok || id != 5000 || st.Path != PathWalk || st.WalkSteps != 1 || st.RunsProbed != 1 {
+		t.Fatalf("approximate: (%d,%v,%v) %+v, want the top cube's point in one step", id, ok, err, st)
+	}
+	wantID, _, _, _ := idx.QueryCubes(q, 0)
+	id, ok, st, err = idx.Query(q, 0)
+	if err != nil || !ok || id != wantID || st.Path != PathWalk {
+		t.Fatalf("exact: (%d,%v,%v) %+v, want the exhaustive search's %d", id, ok, err, st, wantID)
 	}
 }
 

@@ -26,8 +26,7 @@ type stripe struct {
 func (e *Engine) initStore(det core.Config) error {
 	schema, shards := det.Schema, e.cfg.Shards
 	dcfg := dominance.Config{
-		Dims: schema.Dims(), Bits: schema.Bits(),
-		Curve: det.Curve, MaxCubes: det.MaxCubes,
+		Dims: schema.Dims(), Bits: schema.Bits(), MaxCubes: det.MaxCubes,
 		CacheSize: det.DecompCacheSize,
 	}
 	var err error

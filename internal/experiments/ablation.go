@@ -61,54 +61,16 @@ func runE12(w io.Writer, quick bool) error {
 				missQs[i] = s.Point()
 			}
 
-			var hitProbes, missProbes, hits, misses float64
-			search := func(q []uint32) (bool, int) {
-				region := geom.QueryRegion(q, k)
-				target, _, err := cubes.TruncateExtremal(region, eps)
-				if err != nil {
-					panic(err)
-				}
-				probes := 0
-				found := false
-				levels := make([]int, 0, k+1)
-				for lvl := k; lvl >= 0; lvl-- {
-					levels = append(levels, lvl)
-				}
-				if order == "ascending" {
-					for i, j := 0, len(levels)-1; i < j; i, j = i+1, j-1 {
-						levels[i], levels[j] = levels[j], levels[i]
-					}
-				}
-				for _, lvl := range levels {
-					if found {
-						break
-					}
-					if err := cubes.EnumLevelVisit(target, lvl, func(corner []uint32, side uint64) bool {
-						probes++
-						r := sfc.CubeRange(curve, corner, side)
-						if _, ok := arr.FirstInRange(r.Lo, r.Hi); ok {
-							found = true
-							return false
-						}
-						return true
-					}); err != nil {
-						panic(err)
-					}
-				}
-				return found, probes
-			}
+			queries := make([][]uint32, 0, len(pairs)+len(missQs))
 			for _, p := range pairs {
-				found, probes := search(p.Child.Point())
-				if found {
-					hits++
-					hitProbes += float64(probes)
-				} else {
-					misses++
-					missProbes += float64(probes)
-				}
+				queries = append(queries, p.Child.Point())
 			}
-			for _, q := range missQs {
-				found, probes := search(q)
+			var hitProbes, missProbes, hits, misses float64
+			for _, q := range append(queries, missQs...) {
+				found, probes, err := searchCubes(curve, &arr, q, eps, order == "ascending", false)
+				if err != nil {
+					return err
+				}
 				if found {
 					hits++
 					hitProbes += float64(probes)
@@ -132,4 +94,47 @@ func runE12(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "paper: probing largest cubes first maximizes volume per probe; ascending order")
 	fmt.Fprintln(w, "       burns probes on slivers before reaching the bulk (same cubes, same recall)")
 	return nil
+}
+
+// searchCubes is the Section 5 ε-search outside the index, on any curve:
+// truncate q's extremal region per Lemma 3.2, then probe the standard cubes
+// of its greedy partition level by level — largest first, or smallest
+// first when ascending — each cube one FirstInRange of its key range on
+// arr, until one holds a point. With stopAtTarget the search also ends at
+// the first level boundary where the probed volume reaches (1−ε) of the
+// region, the rule dominance.Index.QueryCubes follows; without it the
+// whole truncated partition is probed. It reports whether a point was
+// found and how many cubes were probed.
+func searchCubes(c sfc.Curve, arr *sfcarray.Index, q []uint32, eps float64, ascending, stopAtTarget bool) (found bool, probes int, err error) {
+	k := c.Bits()
+	region := geom.QueryRegion(q, k)
+	target, _, err := cubes.TruncateExtremal(region, eps)
+	if err != nil {
+		return false, 0, err
+	}
+	targetVol := (1 - eps) * region.Volume()
+	searched := 0.0
+	for i := 0; i <= k && !found; i++ {
+		level := k - i
+		if ascending {
+			level = i
+		}
+		if err := cubes.EnumLevelVisit(target, level, func(corner []uint32, side uint64) bool {
+			probes++
+			cubeVol := 1.0
+			for range corner {
+				cubeVol *= float64(side)
+			}
+			searched += cubeVol
+			r := sfc.CubeRange(c, corner, side)
+			_, found = arr.FirstInRange(r.Lo, r.Hi)
+			return !found
+		}); err != nil {
+			return false, probes, err
+		}
+		if stopAtTarget && searched >= targetVol {
+			break
+		}
+	}
+	return found, probes, nil
 }

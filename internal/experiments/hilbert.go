@@ -1,6 +1,11 @@
-package sfc
+package experiments
 
-import "sfccover/internal/bits"
+import (
+	"fmt"
+
+	"sfccover/internal/bits"
+	"sfccover/internal/sfc"
+)
 
 // HilbertCurve is the d-dimensional Hilbert curve [Hil91], implemented with
 // Skilling's transpose algorithm ("Programming the Hilbert curve", 2004).
@@ -8,63 +13,66 @@ import "sfccover/internal/bits"
 // the whole run machinery apply unchanged; the paper notes its query
 // performance is within a constant factor of the Z curve's [MJFS01].
 type HilbertCurve struct {
-	cfg Config
+	cfg sfc.Config
 }
 
-// NewHilbert builds a Hilbert curve for the given universe.
-func NewHilbert(cfg Config) (*HilbertCurve, error) {
+// HilbertMaxDims caps the dimensionality of the Hilbert curve: Key
+// transposes a copy of the cell on the stack, in a buffer this wide.
+const HilbertMaxDims = 16
+
+// NewHilbert builds a Hilbert curve for the given universe. The curve
+// supports at most HilbertMaxDims dimensions.
+func NewHilbert(cfg sfc.Config) (*HilbertCurve, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Dims > HilbertMaxDims {
+		return nil, fmt.Errorf("experiments: hilbert curve supports at most %d dimensions, got %d", HilbertMaxDims, cfg.Dims)
 	}
 	return &HilbertCurve{cfg: cfg}, nil
 }
 
 // MustHilbert is NewHilbert for known-good configurations.
 func MustHilbert(d, k int) *HilbertCurve {
-	c, err := NewHilbert(Config{Dims: d, Bits: k})
+	c, err := NewHilbert(sfc.Config{Dims: d, Bits: k})
 	if err != nil {
 		panic(err)
 	}
 	return c
 }
 
-// Name implements Curve.
+// Name implements sfc.Curve.
 func (h *HilbertCurve) Name() string { return "hilbert" }
 
-// Dims implements Curve.
+// Dims implements sfc.Curve.
 func (h *HilbertCurve) Dims() int { return h.cfg.Dims }
 
-// Bits implements Curve.
+// Bits implements sfc.Curve.
 func (h *HilbertCurve) Bits() int { return h.cfg.Bits }
 
-// Key implements Curve: coordinates -> transposed Hilbert index ->
+// Key implements sfc.Curve: coordinates -> transposed Hilbert index ->
 // interleaved key (dimension 0 holds the most significant bit of each
 // group in Skilling's representation, matching bits.Interleave). The
-// transpose works on a stack copy: dims are capped at 16 by Config.
+// transpose works on a stack copy: dims are capped at HilbertMaxDims.
 func (h *HilbertCurve) Key(cell []uint32) bits.Key {
-	var buf [16]uint32
+	var buf [HilbertMaxDims]uint32
 	x := buf[:len(cell)]
 	copy(x, cell)
 	axesToTranspose(x, h.cfg.Bits)
 	return bits.Interleave(x, h.cfg.Bits)
 }
 
-// Cell implements Curve, inverting Key.
+// Cell implements sfc.Curve, inverting Key.
 func (h *HilbertCurve) Cell(key bits.Key) []uint32 {
 	x := make([]uint32, h.cfg.Dims)
 	h.CellInto(key, x)
 	return x
 }
 
-// CellInto implements Curve.
+// CellInto is Cell writing the coordinates into dst.
 func (h *HilbertCurve) CellInto(key bits.Key, dst []uint32) {
 	bits.DeinterleaveInto(dst, key, h.cfg.Bits)
 	transposeToAxes(dst, h.cfg.Bits)
-}
-
-// NextInExtremal implements Curve by the shared block descent.
-func (h *HilbertCurve) NextInExtremal(q []uint32, from bits.Key) (bits.Key, bool) {
-	return nextInExtremalByBlocks(h, q, from)
 }
 
 // axesToTranspose converts cell coordinates into the "transposed" Hilbert
@@ -131,4 +139,4 @@ func transposeToAxes(x []uint32, b int) {
 	}
 }
 
-var _ Curve = (*HilbertCurve)(nil)
+var _ sfc.Curve = (*HilbertCurve)(nil)

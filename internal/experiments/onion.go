@@ -1,4 +1,4 @@
-package sfc
+package experiments
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"sfccover/internal/bits"
+	"sfccover/internal/sfc"
 )
 
 // OnionMaxDims caps the dimensionality of the onion curve: the digit
@@ -19,7 +20,7 @@ const OnionMaxDims = 16
 // concentric shells. The true Onion curve is not recursive in the
 // paper's sense — its shells cut across standard cubes — and Fact 2.1
 // (every standard cube is one contiguous, block-aligned key range) is
-// load-bearing for this package's CubeRange, so we keep the recursive
+// load-bearing for sfc.CubeRange, so we keep the recursive
 // skeleton of the Z curve and apply the onion idea per bisection level
 // instead: at every level the 2^d child octants are visited shell by
 // shell, ordered by the Hamming weight of the child mask, so the
@@ -35,7 +36,7 @@ const OnionMaxDims = 16
 // through a per-level rank table (shell order), so Key and Cell cost the
 // same as the Z curve plus one table lookup per level.
 type OnionCurve struct {
-	cfg Config
+	cfg sfc.Config
 	tab *onionTables
 }
 
@@ -75,35 +76,35 @@ func onionTablesFor(d int) *onionTables {
 
 // NewOnion builds an onion curve for the given universe. The curve
 // supports at most OnionMaxDims dimensions.
-func NewOnion(cfg Config) (*OnionCurve, error) {
+func NewOnion(cfg sfc.Config) (*OnionCurve, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Dims > OnionMaxDims {
-		return nil, fmt.Errorf("sfc: onion curve supports at most %d dimensions, got %d", OnionMaxDims, cfg.Dims)
+		return nil, fmt.Errorf("experiments: onion curve supports at most %d dimensions, got %d", OnionMaxDims, cfg.Dims)
 	}
 	return &OnionCurve{cfg: cfg, tab: onionTablesFor(cfg.Dims)}, nil
 }
 
 // MustOnion is NewOnion for known-good configurations.
 func MustOnion(d, k int) *OnionCurve {
-	c, err := NewOnion(Config{Dims: d, Bits: k})
+	c, err := NewOnion(sfc.Config{Dims: d, Bits: k})
 	if err != nil {
 		panic(err)
 	}
 	return c
 }
 
-// Name implements Curve.
+// Name implements sfc.Curve.
 func (o *OnionCurve) Name() string { return "onion" }
 
-// Dims implements Curve.
+// Dims implements sfc.Curve.
 func (o *OnionCurve) Dims() int { return o.cfg.Dims }
 
-// Bits implements Curve.
+// Bits implements sfc.Curve.
 func (o *OnionCurve) Bits() int { return o.cfg.Bits }
 
-// Key implements Curve: per level (most significant first) the child
+// Key implements sfc.Curve: per level (most significant first) the child
 // octant mask is gathered — dimension 1 in the most significant slot,
 // the package's interleaving convention — and substituted through the
 // shell-order rank table.
@@ -120,7 +121,7 @@ func (o *OnionCurve) Key(cell []uint32) bits.Key {
 	return key
 }
 
-// Cell implements Curve by inverting the digit substitution level by
+// Cell implements sfc.Curve by inverting the digit substitution level by
 // level.
 func (o *OnionCurve) Cell(key bits.Key) []uint32 {
 	cell := make([]uint32, o.cfg.Dims)
@@ -128,12 +129,7 @@ func (o *OnionCurve) Cell(key bits.Key) []uint32 {
 	return cell
 }
 
-// NextInExtremal implements Curve by the shared block descent.
-func (o *OnionCurve) NextInExtremal(q []uint32, from bits.Key) (bits.Key, bool) {
-	return nextInExtremalByBlocks(o, q, from)
-}
-
-// CellInto implements Curve.
+// CellInto is Cell writing the coordinates into cell.
 func (o *OnionCurve) CellInto(key bits.Key, cell []uint32) {
 	d, kb := o.cfg.Dims, o.cfg.Bits
 	clear(cell)
@@ -148,4 +144,4 @@ func (o *OnionCurve) CellInto(key bits.Key, cell []uint32) {
 	}
 }
 
-var _ Curve = (*OnionCurve)(nil)
+var _ sfc.Curve = (*OnionCurve)(nil)

@@ -1,8 +1,10 @@
-package sfc
+package experiments
 
 import (
 	mbits "math/bits"
 	"testing"
+
+	"sfccover/internal/sfc"
 )
 
 // TestOnionShellOrder verifies the defining property of the onion
@@ -58,12 +60,13 @@ func TestOnionShellOrder(t *testing.T) {
 	}
 }
 
-// TestOnionDimsCap checks the table-size cap and that New routes "onion".
+// TestOnionDimsCap checks the table-size cap and that NewCurve routes
+// "onion".
 func TestOnionDimsCap(t *testing.T) {
-	if _, err := New("onion", Config{Dims: OnionMaxDims + 1, Bits: 2}); err == nil {
+	if _, err := NewOnion(sfc.Config{Dims: OnionMaxDims + 1, Bits: 2}); err == nil {
 		t.Fatal("onion with d > OnionMaxDims should fail")
 	}
-	c, err := New("onion", Config{Dims: OnionMaxDims, Bits: 2})
+	c, err := NewCurve("onion", OnionMaxDims, 2)
 	if err != nil {
 		t.Fatalf("onion at the dims cap: %v", err)
 	}
@@ -78,26 +81,5 @@ func TestOnionSharesTables(t *testing.T) {
 	a, b := MustOnion(6, 4), MustOnion(6, 8)
 	if a.tab != b.tab {
 		t.Fatal("onion tables should be shared per dimensionality")
-	}
-}
-
-func TestMergeRangesInPlaceMatchesMergeRanges(t *testing.T) {
-	c := MustZ(2, 4)
-	var ranges []KeyRange
-	for x := uint32(0); x < 16; x += 2 {
-		for y := uint32(0); y < 16; y += 4 {
-			ranges = append(ranges, CubeRange(c, []uint32{x, y}, 1))
-		}
-	}
-	want := MergeRanges(ranges)
-	scratch := append([]KeyRange(nil), ranges...)
-	got := MergeRangesInPlace(scratch)
-	if len(got) != len(want) {
-		t.Fatalf("run count mismatch: %d vs %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("run %d mismatch: %v vs %v", i, got[i], want[i])
-		}
 	}
 }

@@ -492,11 +492,9 @@ func runE11(w io.Writer, quick bool) error {
 		trials = 60
 	}
 	rng := rand.New(rand.NewSource(3))
-	curves2 := map[string]sfc.Curve{
-		"z":       sfc.MustZ(2, k2),
-		"hilbert": sfc.MustHilbert(2, k2),
-		"gray":    sfc.MustGray(2, k2),
-		"onion":   sfc.MustOnion(2, k2),
+	curves2, err := e11Curves(2, k2)
+	if err != nil {
+		return err
 	}
 	runSums := map[string]float64{}
 	var cubeSum float64
@@ -524,11 +522,9 @@ func runE11(w io.Writer, quick bool) error {
 
 	// Part 1b: d=3, where the onion reordering actually differs from Z.
 	const k3 = 7
-	curves3 := map[string]sfc.Curve{
-		"z":       sfc.MustZ(3, k3),
-		"hilbert": sfc.MustHilbert(3, k3),
-		"gray":    sfc.MustGray(3, k3),
-		"onion":   sfc.MustOnion(3, k3),
+	curves3, err := e11Curves(3, k3)
+	if err != nil {
+		return err
 	}
 	runSums3 := map[string]float64{}
 	var cubeSum3 float64
@@ -569,17 +565,21 @@ func runE11(w io.Writer, quick bool) error {
 		}
 		qs[i] = q
 	}
+	curves4, err := e11Curves(d, k)
+	if err != nil {
+		return err
+	}
 	tb2 := stats.NewTable("curve", "probes/query", "us/query (empty index)", "ns/probe")
-	for _, curve := range []string{"z", "hilbert", "gray", "onion"} {
-		idx := dominance.MustIndex(dominance.Config{Dims: d, Bits: k, Curve: curve})
+	for _, curve := range e11Names {
+		var empty sfcarray.Index
 		var probes int
 		start := time.Now()
 		for _, q := range qs {
-			_, _, st, err := idx.QueryCubes(q, eps)
+			_, n, err := searchCubes(curves4[curve], &empty, q, eps, false, true)
 			if err != nil {
 				return err
 			}
-			probes += st.RunsProbed
+			probes += n
 		}
 		elapsed := time.Since(start)
 		tb2.AddRow(curve,
@@ -593,6 +593,23 @@ func runE11(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "       the recursive onion approximation merges barely better than Z on extremal regions")
 	fmt.Fprintln(w, "       yet pays the most per key — Hilbert remains the merge-quality choice")
 	return nil
+}
+
+// e11Names is the order E11 measures the curves in.
+var e11Names = []string{"z", "hilbert", "gray", "onion"}
+
+// e11Curves builds the curves E11 compares, by name, over d dimensions of
+// k bits.
+func e11Curves(d, k int) (map[string]sfc.Curve, error) {
+	curves := map[string]sfc.Curve{}
+	for _, name := range e11Names {
+		c, err := NewCurve(name, d, k)
+		if err != nil {
+			return nil, err
+		}
+		curves[name] = c
+	}
+	return curves, nil
 }
 
 func keyOf(v uint64) bits.Key { return bits.KeyFromUint64(v) }

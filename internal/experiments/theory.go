@@ -48,8 +48,8 @@ func runE2(w io.Writer, quick bool) error {
 	header(w, e)
 	const k = 4
 	z := sfc.MustZ(2, k)
-	h := sfc.MustHilbert(2, k)
-	g := sfc.MustGray(2, k)
+	h := MustHilbert(2, k)
+	g := MustGray(2, k)
 
 	// Find the first rectangle (row-major) with Hilbert=2 and Z=3 runs.
 	found := false

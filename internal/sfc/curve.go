@@ -1,9 +1,12 @@
-// Package sfc implements the space filling curves the paper analyzes — the
-// Z (Morton) curve, the Hilbert curve and the Gray-code curve — as
-// bijections between cells of the discrete universe [0,2^k−1]^d and d*k-bit
-// keys, together with the key-range machinery (standard-cube ranges and run
-// merging) on which both the exhaustive and the ε-approximate point
-// dominance searches are built.
+// Package sfc implements the Z (Morton) curve the paper builds its index
+// on, as a bijection between cells of the discrete universe [0,2^k−1]^d
+// and d*k-bit keys, with its successor step (the walk's jump to the next
+// key inside an extremal region) and the key-range machinery
+// (standard-cube ranges and run merging) on which both the exhaustive and
+// the ε-approximate point dominance searches are built. The Curve
+// interface is what that machinery needs of a curve; the Hilbert,
+// Gray-code and onion curves the experiments compare against implement it
+// in internal/experiments.
 package sfc
 
 import (
@@ -15,11 +18,11 @@ import (
 
 // Curve is a proximity-preserving bijection between the cells of a
 // d-dimensional universe with 2^k cells per dimension and the integers
-// [0, 2^(d*k)). All curves here are recursive in the paper's sense, so
+// [0, 2^(d*k)). A curve must be recursive in the paper's sense, so that
 // every standard cube occupies one contiguous, block-aligned key range
 // (Fact 2.1), which CubeRange exploits.
 type Curve interface {
-	// Name identifies the curve ("z", "hilbert", "gray", "onion").
+	// Name identifies the curve ("z" for the Z curve).
 	Name() string
 	// Dims returns d, the number of dimensions.
 	Dims() int
@@ -30,16 +33,6 @@ type Curve interface {
 	Key(cell []uint32) bits.Key
 	// Cell inverts Key.
 	Cell(key bits.Key) []uint32
-	// CellInto is Cell writing the Dims coordinates into dst, so query
-	// paths decode without allocating.
-	CellInto(key bits.Key, dst []uint32)
-	// NextInExtremal returns the smallest key >= from whose cell lies in
-	// the extremal region of q, [q_1, 2^k−1] × ... × [q_d, 2^k−1]; ok is
-	// false when the region holds no key at or after from. It is the
-	// jump of the successor walk: a cursor that lands on a cell outside
-	// the region moves straight to the next key inside it, however many
-	// cells (or cubes of the region's partition) lie between.
-	NextInExtremal(q []uint32, from bits.Key) (next bits.Key, ok bool)
 }
 
 // Config carries the two parameters every curve needs.
@@ -62,27 +55,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// New constructs a curve by name: "z", "hilbert", "gray" or "onion".
-func New(name string, cfg Config) (Curve, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	switch name {
-	case "z", "morton":
-		return NewZ(cfg)
-	case "hilbert":
-		return NewHilbert(cfg)
-	case "gray":
-		return NewGray(cfg)
-	case "onion":
-		return NewOnion(cfg)
-	default:
+// New constructs the curve named "z" (or "morton"); any other name is an
+// error.
+func New(name string, cfg Config) (*ZCurve, error) {
+	if name != "z" && name != "morton" {
 		return nil, fmt.Errorf("sfc: unknown curve %q", name)
 	}
+	return NewZ(cfg)
 }
-
-// Names lists the curve families New accepts, in their canonical order.
-func Names() []string { return []string{"z", "hilbert", "gray", "onion"} }
 
 // KeyRange is a closed interval [Lo, Hi] of curve keys. A run in the
 // paper's terminology is a maximal KeyRange whose cells all belong to the

@@ -7,24 +7,6 @@ import (
 	"sfccover/internal/bits"
 )
 
-// allCurves builds one of each curve for a universe, failing the test on error.
-func allCurves(t *testing.T, d, k int) []Curve {
-	t.Helper()
-	cfg := Config{Dims: d, Bits: k}
-	out := make([]Curve, 0, 4)
-	for _, name := range Names() {
-		if name == "onion" && d > OnionMaxDims {
-			continue
-		}
-		c, err := New(name, cfg)
-		if err != nil {
-			t.Fatalf("New(%q,%v): %v", name, cfg, err)
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Dims: 0, Bits: 4},
@@ -45,9 +27,14 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestNewUnknownCurve: the index runs on Z alone, so every other name —
+// the curves kept in internal/experiments for comparison included — is
+// an error.
 func TestNewUnknownCurve(t *testing.T) {
-	if _, err := New("peano", Config{Dims: 2, Bits: 4}); err == nil {
-		t.Fatal("unknown curve name must fail")
+	for _, name := range []string{"peano", "hilbert", "gray", "onion", ""} {
+		if _, err := New(name, Config{Dims: 2, Bits: 4}); err == nil {
+			t.Errorf("New(%q) must fail", name)
+		}
 	}
 }
 
@@ -78,25 +65,24 @@ func enumerateCells(d, k int) [][]uint32 {
 func TestCurvesAreBijections(t *testing.T) {
 	shapes := []struct{ d, k int }{{1, 5}, {2, 4}, {3, 3}, {4, 2}}
 	for _, sh := range shapes {
-		for _, c := range allCurves(t, sh.d, sh.k) {
-			seen := make(map[bits.Key][]uint32)
-			for _, cell := range enumerateCells(sh.d, sh.k) {
-				key := c.Key(cell)
-				if prev, dup := seen[key]; dup {
-					t.Fatalf("%s d=%d k=%d: key collision %v for %v and %v",
-						c.Name(), sh.d, sh.k, key, prev, cell)
+		c := MustZ(sh.d, sh.k)
+		seen := make(map[bits.Key][]uint32)
+		for _, cell := range enumerateCells(sh.d, sh.k) {
+			key := c.Key(cell)
+			if prev, dup := seen[key]; dup {
+				t.Fatalf("%s d=%d k=%d: key collision %v for %v and %v",
+					c.Name(), sh.d, sh.k, key, prev, cell)
+			}
+			seen[key] = cell
+			back := c.Cell(key)
+			for i := range cell {
+				if back[i] != cell[i] {
+					t.Fatalf("%s d=%d k=%d: roundtrip %v -> %v", c.Name(), sh.d, sh.k, cell, back)
 				}
-				seen[key] = cell
-				back := c.Cell(key)
-				for i := range cell {
-					if back[i] != cell[i] {
-						t.Fatalf("%s d=%d k=%d: roundtrip %v -> %v", c.Name(), sh.d, sh.k, cell, back)
-					}
-				}
-				// Key must be < 2^(d*k).
-				if key.Len() > sh.d*sh.k {
-					t.Fatalf("%s: key %v wider than %d bits", c.Name(), key, sh.d*sh.k)
-				}
+			}
+			// Key must be < 2^(d*k).
+			if key.Len() > sh.d*sh.k {
+				t.Fatalf("%s: key %v wider than %d bits", c.Name(), key, sh.d*sh.k)
 			}
 		}
 	}
@@ -106,70 +92,19 @@ func TestCurveRoundTripRandomLargeUniverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	shapes := []struct{ d, k int }{{4, 16}, {8, 20}, {16, 32}, {6, 10}}
 	for _, sh := range shapes {
-		for _, c := range allCurvesB(t, sh.d, sh.k) {
-			for trial := 0; trial < 100; trial++ {
-				cell := make([]uint32, sh.d)
-				for i := range cell {
-					cell[i] = uint32(rng.Int63()) & (1<<uint(sh.k) - 1)
-				}
-				back := c.Cell(c.Key(cell))
-				for i := range cell {
-					if back[i] != cell[i] {
-						t.Fatalf("%s d=%d k=%d roundtrip failed: %v -> %v", c.Name(), sh.d, sh.k, cell, back)
-					}
+		c := MustZ(sh.d, sh.k)
+		for trial := 0; trial < 100; trial++ {
+			cell := make([]uint32, sh.d)
+			for i := range cell {
+				cell[i] = uint32(rng.Int63()) & (1<<uint(sh.k) - 1)
+			}
+			back := c.Cell(c.Key(cell))
+			for i := range cell {
+				if back[i] != cell[i] {
+					t.Fatalf("%s d=%d k=%d roundtrip failed: %v -> %v", c.Name(), sh.d, sh.k, cell, back)
 				}
 			}
 		}
-	}
-}
-
-// allCurvesB is allCurves with a *testing.T-free signature mismatch avoided.
-func allCurvesB(t *testing.T, d, k int) []Curve { return allCurves(t, d, k) }
-
-func TestHilbertAdjacency(t *testing.T) {
-	// Defining property of the Hilbert curve: consecutive keys map to cells
-	// at L1 distance exactly 1.
-	shapes := []struct{ d, k int }{{2, 4}, {3, 3}, {4, 2}}
-	for _, sh := range shapes {
-		h := MustHilbert(sh.d, sh.k)
-		total := 1 << uint(sh.d*sh.k)
-		prev := h.Cell(bits.KeyFromUint64(0))
-		for v := 1; v < total; v++ {
-			cur := h.Cell(bits.KeyFromUint64(uint64(v)))
-			dist := 0
-			for i := range cur {
-				di := int(cur[i]) - int(prev[i])
-				if di < 0 {
-					di = -di
-				}
-				dist += di
-			}
-			if dist != 1 {
-				t.Fatalf("hilbert d=%d k=%d: keys %d,%d map to cells %v,%v at L1 distance %d",
-					sh.d, sh.k, v-1, v, prev, cur, dist)
-			}
-			prev = cur
-		}
-	}
-}
-
-func TestGrayCurveAdjacencyInterleavedBits(t *testing.T) {
-	// Defining property of the Gray-code curve: consecutive keys map to
-	// cells whose *interleaved* coordinates differ in exactly one bit.
-	g := MustGray(2, 4)
-	total := 1 << 8
-	prev := bits.Interleave(g.Cell(bits.KeyFromUint64(0)), 4)
-	for v := 1; v < total; v++ {
-		cur := bits.Interleave(g.Cell(bits.KeyFromUint64(uint64(v))), 4)
-		diff := cur.Xor(prev)
-		ones := 0
-		for p := 0; p < 8; p++ {
-			ones += int(diff.Bit(p))
-		}
-		if ones != 1 {
-			t.Fatalf("gray: keys %d,%d differ in %d interleaved bits", v-1, v, ones)
-		}
-		prev = cur
 	}
 }
 
@@ -182,58 +117,57 @@ func TestZCurveKeyMatchesInterleaving(t *testing.T) {
 }
 
 func TestCubeRangeCoversExactlyCubeCells(t *testing.T) {
-	// Fact 2.1: a standard cube is a single run. For every curve and every
-	// standard cube of a small universe, the key range must contain exactly
-	// the cube's cells.
+	// Fact 2.1: a standard cube is a single run. For every standard cube of
+	// a small universe, the key range must contain exactly the cube's
+	// cells.
 	shapes := []struct{ d, k int }{{2, 3}, {3, 2}}
 	for _, sh := range shapes {
-		for _, c := range allCurves(t, sh.d, sh.k) {
-			n := 1 << uint(sh.k)
-			for lvl := 0; lvl <= sh.k; lvl++ {
-				side := uint32(1) << uint(sh.k-lvl)
-				// Iterate over all cube corners at this level.
-				var corners [][]uint32
-				corner := make([]uint32, sh.d)
-				var rec func(dim int)
-				rec = func(dim int) {
-					if dim == sh.d {
-						corners = append(corners, append([]uint32(nil), corner...))
-						return
+		c := MustZ(sh.d, sh.k)
+		n := 1 << uint(sh.k)
+		for lvl := 0; lvl <= sh.k; lvl++ {
+			side := uint32(1) << uint(sh.k-lvl)
+			// Iterate over all cube corners at this level.
+			var corners [][]uint32
+			corner := make([]uint32, sh.d)
+			var rec func(dim int)
+			rec = func(dim int) {
+				if dim == sh.d {
+					corners = append(corners, append([]uint32(nil), corner...))
+					return
+				}
+				for v := uint32(0); v < uint32(n); v += side {
+					corner[dim] = v
+					rec(dim + 1)
+				}
+			}
+			rec(0)
+			for _, cr := range corners {
+				rng := CubeRange(c, cr, uint64(side))
+				want := 1
+				for i := 0; i < sh.d; i++ {
+					want *= int(side)
+				}
+				got := 0
+				for _, cell := range enumerateCells(sh.d, sh.k) {
+					inCube := true
+					for i := range cell {
+						if cell[i] < cr[i] || cell[i] >= cr[i]+side {
+							inCube = false
+							break
+						}
 					}
-					for v := uint32(0); v < uint32(n); v += side {
-						corner[dim] = v
-						rec(dim + 1)
+					inRange := rng.Contains(c.Key(cell))
+					if inCube != inRange {
+						t.Fatalf("%s d=%d k=%d cube corner=%v side=%d: cell %v inCube=%v inRange=%v",
+							c.Name(), sh.d, sh.k, cr, side, cell, inCube, inRange)
+					}
+					if inRange {
+						got++
 					}
 				}
-				rec(0)
-				for _, cr := range corners {
-					rng := CubeRange(c, cr, uint64(side))
-					want := 1
-					for i := 0; i < sh.d; i++ {
-						want *= int(side)
-					}
-					got := 0
-					for _, cell := range enumerateCells(sh.d, sh.k) {
-						inCube := true
-						for i := range cell {
-							if cell[i] < cr[i] || cell[i] >= cr[i]+side {
-								inCube = false
-								break
-							}
-						}
-						inRange := rng.Contains(c.Key(cell))
-						if inCube != inRange {
-							t.Fatalf("%s d=%d k=%d cube corner=%v side=%d: cell %v inCube=%v inRange=%v",
-								c.Name(), sh.d, sh.k, cr, side, cell, inCube, inRange)
-						}
-						if inRange {
-							got++
-						}
-					}
-					if got != want {
-						t.Fatalf("%s: cube %v side %d contains %d cells in range, want %d",
-							c.Name(), cr, side, got, want)
-					}
+				if got != want {
+					t.Fatalf("%s: cube %v side %d contains %d cells in range, want %d",
+						c.Name(), cr, side, got, want)
 				}
 			}
 		}
@@ -286,13 +220,35 @@ func TestMergeRangesDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestCurveNames(t *testing.T) {
-	for _, c := range allCurves(t, 2, 4) {
-		if c.Dims() != 2 || c.Bits() != 4 {
-			t.Errorf("%s: wrong dims/bits", c.Name())
+func TestMergeRangesInPlaceMatchesMergeRanges(t *testing.T) {
+	c := MustZ(2, 4)
+	var ranges []KeyRange
+	for x := uint32(0); x < 16; x += 2 {
+		for y := uint32(0); y < 16; y += 4 {
+			ranges = append(ranges, CubeRange(c, []uint32{x, y}, 1))
 		}
 	}
-	if MustZ(2, 2).Name() != "z" || MustHilbert(2, 2).Name() != "hilbert" || MustGray(2, 2).Name() != "gray" {
-		t.Error("curve names wrong")
+	want := MergeRanges(ranges)
+	scratch := append([]KeyRange(nil), ranges...)
+	got := MergeRangesInPlace(scratch)
+	if len(got) != len(want) {
+		t.Fatalf("run count mismatch: %d vs %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("run %d mismatch: %v vs %v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestCurveNames(t *testing.T) {
+	for _, name := range []string{"z", "morton"} {
+		c, err := New(name, Config{Dims: 2, Bits: 4})
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
+		if c.Name() != "z" || c.Dims() != 2 || c.Bits() != 4 {
+			t.Errorf("New(%q) = %s over %d dims of %d bits", name, c.Name(), c.Dims(), c.Bits())
+		}
 	}
 }

@@ -9,38 +9,33 @@ import (
 	"sfccover/internal/geom"
 )
 
-// TestNextInExtremalMatchesBruteForce checks every curve's successor
-// routine against an exhaustive scan of the whole universe: for every
-// query corner q and every starting key, the answer is the smallest key
-// at or after it whose cell dominates q, or none.
+// TestNextInExtremalMatchesBruteForce checks the successor routine
+// against an exhaustive scan of the whole universe: for every query corner
+// q and every starting key, the answer is the smallest key at or after it
+// whose cell dominates q, or none.
 func TestNextInExtremalMatchesBruteForce(t *testing.T) {
 	universes := []Config{{Dims: 1, Bits: 6}, {Dims: 2, Bits: 4}, {Dims: 3, Bits: 3}, {Dims: 4, Bits: 2}, {Dims: 2, Bits: 1}}
-	for _, name := range Names() {
-		for _, cfg := range universes {
-			c, err := New(name, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cells := 1 << uint(cfg.Dims*cfg.Bits)
-			decoded := make([][]uint32, cells)
-			for key := range decoded {
-				decoded[key] = c.Cell(bits.KeyFromUint64(uint64(key)))
-			}
-			for _, q := range decoded { // every cell is a query corner
-				next, has := 0, false // smallest in-region key >= key, scanning down
-				for key := cells - 1; key >= 0; key-- {
-					if geom.Dominates(decoded[key], q) {
-						next, has = key, true
-					}
-					got, ok := c.NextInExtremal(q, bits.KeyFromUint64(uint64(key)))
-					if ok != has || (ok && got != bits.KeyFromUint64(uint64(next))) {
-						t.Fatalf("%s d=%d k=%d q=%v from=%d: got (%v,%v), want (%d,%v)",
-							name, cfg.Dims, cfg.Bits, q, key, got, ok, next, has)
-					}
+	for _, cfg := range universes {
+		c := MustZ(cfg.Dims, cfg.Bits)
+		cells := 1 << uint(cfg.Dims*cfg.Bits)
+		decoded := make([][]uint32, cells)
+		for key := range decoded {
+			decoded[key] = c.Cell(bits.KeyFromUint64(uint64(key)))
+		}
+		for _, q := range decoded { // every cell is a query corner
+			next, has := 0, false // smallest in-region key >= key, scanning down
+			for key := cells - 1; key >= 0; key-- {
+				if geom.Dominates(decoded[key], q) {
+					next, has = key, true
 				}
-				if _, ok := c.NextInExtremal(q, bits.KeyFromUint64(uint64(cells))); ok {
-					t.Fatalf("%s d=%d k=%d q=%v: a key past the universe has a successor", name, cfg.Dims, cfg.Bits, q)
+				got, ok := c.NextInExtremal(q, bits.KeyFromUint64(uint64(key)))
+				if ok != has || (ok && got != bits.KeyFromUint64(uint64(next))) {
+					t.Fatalf("d=%d k=%d q=%v from=%d: got (%v,%v), want (%d,%v)",
+						cfg.Dims, cfg.Bits, q, key, got, ok, next, has)
 				}
+			}
+			if _, ok := c.NextInExtremal(q, bits.KeyFromUint64(uint64(cells))); ok {
+				t.Fatalf("d=%d k=%d q=%v: a key past the universe has a successor", cfg.Dims, cfg.Bits, q)
 			}
 		}
 	}
@@ -91,31 +86,23 @@ func TestNextInExtremalWordBoundary(t *testing.T) {
 
 // FuzzNextInExtremal drives the successor routines at key widths no
 // brute force reaches (d·k up to the full 512 bits). What it can check
-// without enumerating: the answer is at or after from, its cell is in
-// the region, from itself is returned when it already is, the key just
-// before the answer is outside the region, and — independent
-// implementations of one function — the Z curve's word form (d·k <= 64),
-// its coordinate form, the bound Successor and the shared block descent
-// all agree.
+// without enumerating: a successor exists (the region holds the last key),
+// it is at or after from, its cell is in the region, from itself is
+// returned when it already is, the key just before the answer is outside
+// the region, and — independent implementations of one function — the
+// word form (d·k <= 64), the coordinate form, the bound Successor and the
+// block descent all agree.
 func FuzzNextInExtremal(f *testing.F) {
-	f.Add(uint8(0), uint8(4), uint8(10), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21})
-	f.Add(uint8(1), uint8(3), uint8(7), []byte{0xff, 0xfe, 0x10, 0x00, 0x7f, 0x33, 0x21, 0x09, 0xaa})
-	f.Add(uint8(2), uint8(2), uint8(32), []byte{0x80, 0, 0, 0, 0x80, 0, 0, 1, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4})
-	f.Add(uint8(3), uint8(5), uint8(6), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4})
-	f.Add(uint8(0), uint8(16), uint8(32), []byte{0xff, 0xff, 0xff, 0xff})
-	f.Add(uint8(0), uint8(1), uint8(31), []byte{0x80, 0, 0, 1, 0x7f, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xfe, 0xff, 0xff, 0xff, 0xff}) // d·k = 64: bit 63
-	f.Add(uint8(0), uint8(4), uint8(12), []byte{0x1f, 0xff, 0, 0, 0, 1, 0x10, 0, 0x0f, 0xff, 0x1f, 0xfe})                               // d·k = 65: coordinate form
-	f.Fuzz(func(t *testing.T, curve, dims, kbits uint8, data []byte) {
-		names := Names()
-		name := names[int(curve)%len(names)]
+	f.Add(uint8(4), uint8(10), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21})
+	f.Add(uint8(3), uint8(7), []byte{0xff, 0xfe, 0x10, 0x00, 0x7f, 0x33, 0x21, 0x09, 0xaa})
+	f.Add(uint8(2), uint8(32), []byte{0x80, 0, 0, 0, 0x80, 0, 0, 1, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4})
+	f.Add(uint8(5), uint8(6), []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4})
+	f.Add(uint8(16), uint8(32), []byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(uint8(1), uint8(31), []byte{0x80, 0, 0, 1, 0x7f, 0xff, 0xff, 0xff, 0x7f, 0xff, 0xff, 0xfe, 0xff, 0xff, 0xff, 0xff}) // d·k = 64: bit 63
+	f.Add(uint8(4), uint8(12), []byte{0x1f, 0xff, 0, 0, 0, 1, 0x10, 0, 0x0f, 0xff, 0x1f, 0xfe})                               // d·k = 65: coordinate form
+	f.Fuzz(func(t *testing.T, dims, kbits uint8, data []byte) {
 		d, k := 1+int(dims)%16, 1+int(kbits)%32
-		if name != "z" && d > 6 {
-			d = 1 + d%6 // the block descent is exponential in d
-		}
-		c, err := New(name, Config{Dims: d, Bits: k})
-		if err != nil {
-			t.Skip(err)
-		}
+		c := MustZ(d, k)
 		word := func(i int) uint32 {
 			var b [4]byte
 			if 4*i < len(data) {
@@ -131,39 +118,113 @@ func FuzzNextInExtremal(f *testing.F) {
 		from := c.Key(start)
 
 		next, ok := c.NextInExtremal(q, from)
-		if name == "z" && !ok {
-			t.Fatalf("z d=%d k=%d q=%v from=%v: the region holds the last key, a successor must exist", d, k, q, from)
+		if !ok {
+			t.Fatalf("d=%d k=%d q=%v from=%v: the region holds the last key, a successor must exist", d, k, q, from)
 		}
-		if geom.Dominates(start, q) && (!ok || next != from) {
-			t.Fatalf("%s d=%d k=%d q=%v: from=%v is in the region, got (%v,%v)", name, d, k, q, from, next, ok)
+		if geom.Dominates(start, q) && next != from {
+			t.Fatalf("d=%d k=%d q=%v: from=%v is in the region, got %v", d, k, q, from, next)
 		}
-		if ok {
-			if next.Less(from) {
-				t.Fatalf("%s d=%d k=%d q=%v from=%v: successor %v is before from", name, d, k, q, from, next)
-			}
-			if cell := c.Cell(next); !geom.Dominates(cell, q) {
-				t.Fatalf("%s d=%d k=%d q=%v from=%v: successor cell %v outside the region", name, d, k, q, from, cell)
-			}
-			if prev, borrow := next.Dec(); borrow && !prev.Less(from) && geom.Dominates(c.Cell(prev), q) {
-				t.Fatalf("%s d=%d k=%d q=%v from=%v: %v is in the region and before the successor %v", name, d, k, q, from, prev, next)
-			}
-		} else if last := bits.LowMask(d * k); geom.Dominates(c.Cell(last), q) {
-			t.Fatalf("%s d=%d k=%d q=%v from=%v: no successor, yet the last key is in the region", name, d, k, q, from)
+		if next.Less(from) {
+			t.Fatalf("d=%d k=%d q=%v from=%v: successor %v is before from", d, k, q, from, next)
+		}
+		if cell := c.Cell(next); !geom.Dominates(cell, q) {
+			t.Fatalf("d=%d k=%d q=%v from=%v: successor cell %v outside the region", d, k, q, from, cell)
+		}
+		if prev, borrow := next.Dec(); borrow && !prev.Less(from) && geom.Dominates(c.Cell(prev), q) {
+			t.Fatalf("d=%d k=%d q=%v from=%v: %v is in the region and before the successor %v", d, k, q, from, prev, next)
 		}
 		var bound Successor
 		bound.Bind(c, q)
 		if got, gotOK := bound.Next(from); gotOK != ok || got != next {
-			t.Fatalf("%s d=%d k=%d q=%v from=%v: Successor (%v,%v), NextInExtremal (%v,%v)", name, d, k, q, from, got, gotOK, next, ok)
+			t.Fatalf("d=%d k=%d q=%v from=%v: Successor (%v,%v), NextInExtremal (%v,%v)", d, k, q, from, got, gotOK, next, ok)
 		}
-		if z, isZ := c.(*ZCurve); isZ {
-			if ref, refOK := z.nextCoords(q, from); refOK != ok || ref != next {
-				t.Fatalf("z d=%d k=%d q=%v from=%v: NextInExtremal (%v,%v), coordinate form (%v,%v)", d, k, q, from, next, ok, ref, refOK)
-			}
-			if d <= 6 {
-				if ref, refOK := nextInExtremalByBlocks(c, q, from); refOK != ok || ref != next {
-					t.Fatalf("z d=%d k=%d q=%v from=%v: closed form (%v,%v), block descent (%v,%v)", d, k, q, from, next, ok, ref, refOK)
-				}
+		if ref, refOK := c.nextCoords(q, from); refOK != ok || ref != next {
+			t.Fatalf("d=%d k=%d q=%v from=%v: NextInExtremal (%v,%v), coordinate form (%v,%v)", d, k, q, from, next, ok, ref, refOK)
+		}
+		if d <= 6 { // the block descent is exponential in d
+			if ref, refOK := nextInExtremalByBlocks(c, q, from); refOK != ok || ref != next {
+				t.Fatalf("d=%d k=%d q=%v from=%v: closed form (%v,%v), block descent (%v,%v)", d, k, q, from, next, ok, ref, refOK)
 			}
 		}
 	})
+}
+
+// nextInExtremalByBlocks is NextInExtremal for any recursive curve, from
+// Fact 2.1 alone: the level-L block holding a key is the key with its low
+// L·d bits cleared, its cells share their coordinates above bit L, and so
+// Cell of its first key says whether the block meets the region. The
+// search climbs from the cell of from: at each level it tries the later
+// siblings of from's block in key order, and the first one that meets
+// the region is descended — first child that meets it, level by level —
+// to the smallest key inside. Every block it descends into holds an
+// answer, so the cost is at most 2·k·2^d cell decodes and usually a
+// handful; exponential in d. It shares nothing with the closed form but
+// Fact 2.1, which makes it the reference the closed form is checked by.
+func nextInExtremalByBlocks(c *ZCurve, q []uint32, from bits.Key) (bits.Key, bool) {
+	d, k := c.Dims(), c.Bits()
+	if from.Len() > d*k {
+		return bits.Key{}, false // past the universe's last key
+	}
+	var buf [stackDims]uint32
+	cell := cellBuf(&buf, d)
+	if _, inside := blockRelation(c, cell, q, from, 0); inside {
+		return from, true
+	}
+	for level := 0; level < k; level++ {
+		low := level * d
+		parent := from.ShrN(low + d)
+		blk, ok := from.ShrN(low).Inc()
+		for ; ok && blk.ShrN(d) == parent; blk, ok = blk.Inc() {
+			first := blk.ShlN(low)
+			meets, inside := blockRelation(c, cell, q, first, level)
+			if inside {
+				return first, true
+			}
+			if meets {
+				return firstInBlock(c, cell, q, first, level), true
+			}
+		}
+	}
+	return bits.Key{}, false
+}
+
+// firstInBlock returns the smallest key of the region inside the block
+// (first, level), which must meet the region without lying inside it.
+func firstInBlock(c *ZCurve, cell, q []uint32, first bits.Key, level int) bits.Key {
+	d := c.Dims()
+	for level > 0 {
+		level--
+		low := level * d
+		// One of the 2^d children meets the region, since their parent does.
+		for child := first.ShrN(low); ; child, _ = child.Inc() {
+			sub := child.ShlN(low)
+			meets, inside := blockRelation(c, cell, q, sub, level)
+			if inside {
+				return sub
+			}
+			if meets {
+				first = sub
+				break
+			}
+		}
+	}
+	return first
+}
+
+// blockRelation classifies the level-L block whose first key is given
+// against the extremal region of q: meets reports a shared cell, inside
+// that the whole block lies in the region. cell is decode scratch.
+func blockRelation(c *ZCurve, cell, q []uint32, first bits.Key, level int) (meets, inside bool) {
+	bits.DeinterleaveInto(cell, first, c.Bits())
+	mask := uint32(1)<<uint(level) - 1
+	inside = true
+	for i, x := range cell {
+		if x|mask < q[i] {
+			return false, false
+		}
+		if x&^mask < q[i] {
+			inside = false
+		}
+	}
+	return true, inside
 }

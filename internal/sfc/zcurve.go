@@ -71,14 +71,16 @@ func (z *ZCurve) Cell(key bits.Key) []uint32 {
 	return bits.Deinterleave(key, z.cfg.Dims, z.cfg.Bits)
 }
 
-// CellInto implements Curve.
-func (z *ZCurve) CellInto(key bits.Key, dst []uint32) {
-	bits.DeinterleaveInto(dst, key, z.cfg.Bits)
-}
-
-// NextInExtremal implements Curve with the bit scan of Tropf and Herzog's
-// BIGMIN, which an extremal region reduces to one step: the region has no
-// upper bounds, so scanning from's key from the top the first bit that
+// NextInExtremal returns the smallest key >= from whose cell lies in the
+// extremal region of q, [q_1, 2^k−1] × ... × [q_d, 2^k−1]; ok is false
+// when the region holds no key at or after from. It is the jump of the
+// successor walk: a cursor that lands on a cell outside the region moves
+// straight to the next key inside it, however many cells (or cubes of the
+// region's partition) lie between.
+//
+// The step is the bit scan of Tropf and Herzog's BIGMIN, which an
+// extremal region reduces to one step: the region has no upper bounds, so
+// scanning from's key from the top the first bit that
 // leaves the region is always a coordinate falling below q, it is a 0
 // where q has a 1, and the answer raises exactly that bit and completes
 // the key below it with the smallest coordinates still >= q. In
