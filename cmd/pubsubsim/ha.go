@@ -35,13 +35,12 @@ type haCluster struct {
 func newDaemonEngine(schema *subscription.Schema, cfg broker.Config) (*engine.Engine, error) {
 	return engine.New(engine.Config{
 		Detector: core.Config{
-			Schema:          schema,
-			Mode:            cfg.Mode,
-			Epsilon:         cfg.Epsilon,
-			Strategy:        cfg.Strategy,
-			MaxCubes:        cfg.MaxCubes,
-			DecompCacheSize: cfg.DecompCacheSize,
-			Seed:            cfg.Seed,
+			Schema:   schema,
+			Mode:     cfg.Mode,
+			Epsilon:  cfg.Epsilon,
+			Strategy: cfg.Strategy,
+			MaxCubes: cfg.MaxCubes,
+			Seed:     cfg.Seed,
 		},
 	})
 }

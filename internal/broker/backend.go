@@ -120,12 +120,11 @@ func (ps *providerSource) forwarded(brokerID, neighborID int) (core.Provider, er
 	}
 	cfg := ps.cfg
 	dc := core.Config{
-		Schema:          cfg.Schema,
-		Mode:            cfg.Mode,
-		Epsilon:         cfg.Epsilon,
-		Strategy:        cfg.Strategy,
-		MaxCubes:        cfg.MaxCubes,
-		DecompCacheSize: cfg.DecompCacheSize,
+		Schema:   cfg.Schema,
+		Mode:     cfg.Mode,
+		Epsilon:  cfg.Epsilon,
+		Strategy: cfg.Strategy,
+		MaxCubes: cfg.MaxCubes,
 	}
 	var p core.Provider
 	var err error

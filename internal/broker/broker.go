@@ -41,9 +41,6 @@ type Config struct {
 	Strategy core.Strategy
 	// MaxCubes caps per-query work in SFC searches (0 = unlimited).
 	MaxCubes int
-	// DecompCacheSize bounds each link index's hit memo (0 = default,
-	// negative disables); see core.Config.DecompCacheSize.
-	DecompCacheSize int
 	// Seed is ignored: the SFC arrays it seeded are no longer randomized.
 	// Callers that predate that still set it.
 	Seed int64

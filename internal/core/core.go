@@ -104,8 +104,10 @@ type Config struct {
 	// searches — covers can be missed, which only costs redundant
 	// forwarding, never correctness.
 	MaxCubes int
-	// DecompCacheSize bounds the SFC index's hit memo in entries: 0
-	// selects the dominance package's default, negative disables it. A
+	// DecompCacheSize is the ceiling of the SFC index's hit memo in
+	// entries: 0 selects the dominance package's default, negative
+	// disables it. The memo grows with the index it fronts — about two
+	// slots an indexed subscription — up to twice this many slots. A
 	// shape that found a cover replays the key range that held it with
 	// one probe; misses are never remembered. Ignored by non-SFC
 	// strategies.

@@ -206,15 +206,22 @@ func TestCacheEvictionBound(t *testing.T) {
 	}
 }
 
-// TestCacheHoldsFullWorkingSet cycles through exactly as many recurring
-// shapes as the memo is sized for — a router's churn window — and checks
-// that, once each has been noted and recorded, nearly all of them replay:
-// set overflow may cost a percent, but neither the entries nor the
-// admission filter may thrash on colliding shapes.
-func TestCacheHoldsFullWorkingSet(t *testing.T) {
+// TestCacheHoldsFullWorkingSetAtCeiling cycles through exactly as many
+// recurring shapes as the memo's ceiling — a router's churn window —
+// against an array of as many entries, which has grown the memo to that
+// ceiling, and checks that, once each shape has been noted and recorded,
+// nearly all of them replay: set overflow may cost a percent, but neither
+// the entries nor the admission filter may thrash on colliding shapes.
+func TestCacheHoldsFullWorkingSetAtCeiling(t *testing.T) {
 	cfg := Config{Dims: 4, Bits: 10}
 	idx := MustIndex(cfg)
-	idx.Insert([]uint32{1023, 1023, 1023, 1023}, 1)
+	idx.Insert([]uint32{1023, 1023, 1023, 1023}, 0) // every shape has a dominator
+	for i, p := range randomPoints(rand.New(rand.NewSource(43)), DefaultCacheSize-1, cfg.Dims, cfg.Bits) {
+		idx.Insert(p, uint64(i+1))
+	}
+	if got, want := idx.memo.slots(), 2*DefaultCacheSize; got != want {
+		t.Fatalf("an array of %d entries sized the memo at %d slots, want the ceiling %d", idx.Len(), got, want)
+	}
 	shapes := randomPoints(rand.New(rand.NewSource(41)), DefaultCacheSize, cfg.Dims, cfg.Bits)
 	replays := 0
 	for round := 0; round < 4; round++ {

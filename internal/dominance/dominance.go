@@ -129,9 +129,11 @@ type Config struct {
 	// degrades to a coarser approximation; Stats reports the volume
 	// actually covered. Exact queries (ε = 0) walk without a budget.
 	MaxCubes int
-	// CacheSize bounds the hit memo in entries: 0 selects
-	// DefaultCacheSize, negative disables it. A memo hit answers with one
-	// probe of the key range that held the shape's dominator last time.
+	// CacheSize is the hit memo's ceiling in entries: 0 selects
+	// DefaultCacheSize, negative disables it. Below the ceiling the memo
+	// grows with the array it fronts, at two slots an entry. A memo hit
+	// answers with one probe of the key range that held the shape's
+	// dominator last time.
 	CacheSize int
 }
 
@@ -208,6 +210,7 @@ func (x *Index) Len() int { return x.arr.Len() }
 // Insert implements Searcher.
 func (x *Index) Insert(p []uint32, id uint64) {
 	x.arr.Insert(x.curve.Key(p), id)
+	x.memo.fit(x.arr.Len())
 }
 
 // Delete implements Searcher.
@@ -238,6 +241,7 @@ func (x *Index) InsertBatch(ps [][]uint32, ids []uint64) {
 		order[i] = i
 	}
 	x.arr.InsertSorted(sortedEntries(keys, ids, order))
+	x.memo.fit(x.arr.Len())
 }
 
 // sortedEntries selects the (key, id) pairs named by order and returns

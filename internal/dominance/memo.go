@@ -9,7 +9,7 @@ import (
 )
 
 const (
-	// DefaultCacheSize is the hit memo's bound, in entries, selected by
+	// DefaultCacheSize is the hit memo's ceiling, in entries, selected by
 	// Config.CacheSize == 0.
 	DefaultCacheSize = 4096
 	// memoStripes splits the memo's table so concurrent queries on a
@@ -20,6 +20,9 @@ const (
 	// working set of the configured size loses ~1% of its shapes to set
 	// overflow; direct-mapped at the configured size lost over a third.
 	memoWays = 8
+	// memoSlotsPerEntry is the sizing rule: the memo targets this many
+	// slots per entry of the array it fronts.
+	memoSlotsPerEntry = 2
 )
 
 // hitMemo remembers, per query shape, the one key range that held a
@@ -45,14 +48,25 @@ const (
 // and every replacement is decided by the shape's hash, so which entry
 // survives is a function of the query sequence, not of map iteration
 // order: two replicas fed the same operations answer identically.
+//
+// The memo is sized by the array it fronts: at least two slots an entry,
+// in a power-of-two number of sets per stripe, from one set per stripe
+// (128 slots at 8 ways) up to the ceiling of twice Config.CacheSize
+// slots. A replay only pays off where the walk is expensive, and a small
+// array's walk is cheap, so a link index of a few dozen entries carries
+// a few KiB of memo rather than the ceiling's 0.35 MiB. It never shrinks:
+// a delete leaves it as large as the array was.
 type hitMemo struct {
 	dims     int
 	keyWords int // 64-bit words of a curve key
-	sets     int // sets per stripe
 	ways     int // slots per set
-	stripes  [memoStripes]memoStripe
-	hits     atomic.Uint64
-	misses   atomic.Uint64
+	maxSets  int // sets per stripe at the ceiling
+	// target is the sets per stripe the array's population asks for:
+	// fit only raises it, and learn brings a stripe up to it.
+	target  atomic.Int32
+	stripes [memoStripes]memoStripe
+	hits    atomic.Uint64
+	misses  atomic.Uint64
 }
 
 // The states of a memo slot.
@@ -64,9 +78,12 @@ const (
 
 // memoStripe is one lock domain of the memo; its tables are allocated on
 // the first note, so an index that never repeats a hit never pays for
-// them. Slot (set, way) is index set·ways + way of each table.
+// them, and reallocated on the first note after the target outgrew them.
+// Slot (set, way) is index set·ways + way of each table.
 type memoStripe struct {
 	mu sync.Mutex
+	// sets is the tables' set count: 0 until the first note.
+	sets int
 	// seen is the admission filter: per set, the hashes of up to ways
 	// shapes noted there and not yet recorded (0 marks a free place).
 	seen []uint64
@@ -79,21 +96,48 @@ type memoStripe struct {
 	spans []uint64
 }
 
-// newHitMemo sizes the memo for size entries (DefaultCacheSize when 0)
-// at twice as many slots — its hard bound — so that size recurring
-// shapes fit despite uneven sets.
+// newHitMemo builds an empty memo whose ceiling is size entries
+// (DefaultCacheSize when 0) at twice as many slots — its hard bound — so
+// that size recurring shapes fit despite uneven sets. It starts at one
+// set per stripe; fit grows it.
 func newHitMemo(size int, cfg Config) *hitMemo {
 	if size == 0 {
 		size = DefaultCacheSize
 	}
 	perStripe := max(2*size/memoStripes, 1)
 	ways := min(memoWays, perStripe)
-	return &hitMemo{
+	m := &hitMemo{
 		dims:     cfg.Dims,
 		keyWords: (cfg.Dims*cfg.Bits + 63) / 64,
-		sets:     perStripe / ways,
 		ways:     ways,
+		maxSets:  perStripe / ways,
 	}
+	m.target.Store(1)
+	return m
+}
+
+// fit raises the memo's target to the sets per stripe an array of n
+// entries asks for: the smallest power of two giving memoSlotsPerEntry
+// slots an entry, capped at the ceiling. Writers call it after each
+// insert; the stripes follow on their next note.
+func (m *hitMemo) fit(n int) {
+	if m == nil {
+		return
+	}
+	cur := m.target.Load()
+	want := cur
+	for int(want) < m.maxSets && int(want)*m.ways*memoStripes < memoSlotsPerEntry*n {
+		want *= 2
+	}
+	want = min(want, int32(m.maxSets))
+	for want > cur && !m.target.CompareAndSwap(cur, want) {
+		cur = m.target.Load()
+	}
+}
+
+// slots reports the slot count the memo is sized to (for tests).
+func (m *hitMemo) slots() int {
+	return int(m.target.Load()) * m.ways * memoStripes
 }
 
 // stats reports queries answered by replay and queries that went on to
@@ -122,9 +166,15 @@ func shapeHash(q []uint32) uint64 {
 	return h
 }
 
-// set returns the lock domain of h and the first slot of h's set in it.
-func (m *hitMemo) set(h uint64) (*memoStripe, int) {
-	return &m.stripes[h%memoStripes], int(h/memoStripes%uint64(m.sets)) * m.ways
+// stripe returns the lock domain of h.
+func (m *hitMemo) stripe(h uint64) *memoStripe {
+	return &m.stripes[h%memoStripes]
+}
+
+// base returns the first slot of h's set in s; the caller holds the
+// stripe's lock, and the stripe has tables.
+func (m *hitMemo) base(s *memoStripe, h uint64) int {
+	return int(h/memoStripes%uint64(s.sets)) * m.ways
 }
 
 // shape returns a slot's query point and live flag; the caller holds
@@ -142,9 +192,6 @@ func (m *hitMemo) span(s *memoStripe, slot int) []uint64 {
 // find returns the live slot of q in the set starting at base, or -1;
 // the caller holds the stripe's lock.
 func (m *hitMemo) find(s *memoStripe, base int, q []uint32) int {
-	if s.shapes == nil {
-		return -1
-	}
 next:
 	for slot := base; slot < base+m.ways; slot++ {
 		shape := m.shape(s, slot)
@@ -170,12 +217,14 @@ func (m *hitMemo) replay(arr ordered, h uint64, q []uint32, stats *Stats) (id ui
 	w := m.keyWords
 	var buf [2 * bits.KeyWords]uint64
 	span := buf[:2*w]
-	s, base := m.set(h)
+	s := m.stripe(h)
 	s.mu.Lock()
-	if slot := m.find(s, base, q); slot >= 0 {
-		m.shape(s, slot)[m.dims] = slotUsed
-		copy(span, m.span(s, slot))
-		had = true
+	if s.sets > 0 {
+		if slot := m.find(s, m.base(s, h), q); slot >= 0 {
+			m.shape(s, slot)[m.dims] = slotUsed
+			copy(span, m.span(s, slot))
+			had = true
+		}
 	}
 	s.mu.Unlock()
 	if had {
@@ -207,20 +256,27 @@ func (m *hitMemo) replay(arr ordered, h uint64, q []uint32, stats *Stats) (id ui
 // shapes that overflow a set stay out instead of rotating the residents
 // out one by one, while entries nobody asks for any more are replaced.
 //
+// A stripe whose tables are smaller than the target restarts cold at the
+// target size, as at construction: its entries and notes are dropped,
+// not rehashed. That happens at most once per doubling, and — like every
+// other decision here — only as a function of the operation sequence.
+//
 //sfc:hotpath
 func (m *hitMemo) learn(h uint64, q []uint32, hit []uint64, found, stale bool) {
 	if !found && !stale {
 		return
 	}
-	s, base := m.set(h)
+	s := m.stripe(h)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.shapes == nil {
-		slots := m.sets * m.ways
+	if sets := int(m.target.Load()); s.sets < sets {
+		slots := sets * m.ways
+		s.sets = sets
 		s.seen = make([]uint64, slots)
 		s.shapes = make([]uint32, slots*(m.dims+1))
 		s.spans = make([]uint64, slots*2*m.keyWords)
 	}
+	base := m.base(s, h)
 	slot := m.find(s, base, q)
 	if !found {
 		if slot >= 0 {

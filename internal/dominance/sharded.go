@@ -207,6 +207,9 @@ func (x *ShardedIndex) ShardSizes() []int {
 // The route is validated after the lock is held: while a slice's write
 // lock is held its boundaries cannot move, so a route that still matches
 // is stable, and one invalidated by a concurrent boundary move retries.
+// The memo is fitted to the slice's length times the slice count, read
+// under the lock already held: an estimate of the population that costs
+// no other slice's lock.
 func (x *ShardedIndex) Insert(p []uint32, id uint64) {
 	k := x.curve.Key(p)
 	for {
@@ -215,6 +218,7 @@ func (x *ShardedIndex) Insert(p []uint32, id uint64) {
 		slot.mu.Lock()
 		if routeKey(*x.table.Load(), k) == s {
 			slot.arr.Insert(k, id)
+			x.memo.fit(slot.arr.Len() * len(x.shards))
 			slot.mu.Unlock()
 			return
 		}
@@ -229,6 +233,7 @@ func (x *ShardedIndex) Insert(p []uint32, id uint64) {
 // path — under a single write-lock acquisition. Only one slice lock is
 // held at a time, so concurrent batches cannot deadlock; items whose
 // route a concurrent boundary move invalidates are regrouped and retried.
+// Each loaded slice fits the memo as Insert does.
 func (x *ShardedIndex) InsertBatch(ps [][]uint32, ids []uint64) {
 	keys := make([]bits.Key, len(ps))
 	for i, p := range ps {
@@ -271,6 +276,7 @@ func (x *ShardedIndex) InsertBatch(ps [][]uint32, ids []uint64) {
 				gk, gi = gk[:w], gi[:w]
 			}
 			slot.arr.InsertSorted(gk, gi)
+			x.memo.fit(slot.arr.Len() * len(x.shards))
 			slot.mu.Unlock()
 		}
 	}

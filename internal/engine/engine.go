@@ -139,12 +139,14 @@ type Engine struct {
 	// sinceCheck counts inserts since the write path last read the skew.
 	sinceCheck atomic.Int64
 
-	queries       atomic.Int64
+	// Query counters. A query is counted once, in paths; extraSearches
+	// holds the searches beyond each query's first (Totals adds one a
+	// query back), so a warm indexed query does three adds.
 	hits          atomic.Int64
 	runsProbed    atomic.Int64
 	cubes         atomic.Int64
 	paths         [dominance.NumPaths]atomic.Int64
-	shardSearches atomic.Int64
+	extraSearches atomic.Int64
 
 	rebalances      atomic.Int64
 	boundaryMoves   atomic.Int64
@@ -296,14 +298,18 @@ func (e *Engine) Schema() *subscription.Schema { return e.schema }
 //
 //sfc:hotpath
 func (e *Engine) record(res QueryResult, searches int) {
-	e.queries.Add(1)
 	if res.Covered {
 		e.hits.Add(1)
 	}
 	e.runsProbed.Add(int64(res.Stats.RunsProbed))
-	e.cubes.Add(int64(res.Stats.CubesGenerated))
+	if res.Stats.CubesGenerated != 0 {
+		e.cubes.Add(int64(res.Stats.CubesGenerated))
+	}
 	e.paths[res.Stats.Path].Add(1)
-	e.shardSearches.Add(int64(searches))
+	// An indexed search is one; a mode-off query searched nothing (-1).
+	if searches != 1 {
+		e.extraSearches.Add(int64(searches - 1))
+	}
 }
 
 func (e *Engine) checkSchema(s *subscription.Subscription) error {
@@ -321,7 +327,7 @@ func (e *Engine) checkSchema(s *subscription.Subscription) error {
 // query, so only elected queries read the clock: the engine_query
 // histogram holds a uniform 1-in-TraceSample sample of all traffic —
 // its distribution is unbiased, its count is the query count divided by
-// TraceSample — while the exact count is the queries counter and the
+// TraceSample — while the exact count is Totals.Queries and the
 // batch-level histogram still times every batch call.
 //
 //sfc:hotpath
@@ -436,15 +442,15 @@ func (e *Engine) Remove(id uint64) error {
 // Totals returns a snapshot of the engine-level counters.
 func (e *Engine) Totals() Totals {
 	tot := Totals{
-		Queries:        int(e.queries.Load()),
 		Hits:           int(e.hits.Load()),
 		RunsProbed:     int(e.runsProbed.Load()),
 		CubesGenerated: int(e.cubes.Load()),
-		ShardSearches:  int(e.shardSearches.Load()),
 	}
 	for p := range tot.PathQueries {
 		tot.PathQueries[p] = int(e.paths[p].Load())
+		tot.Queries += tot.PathQueries[p]
 	}
+	tot.ShardSearches = tot.Queries + int(e.extraSearches.Load())
 	return tot
 }
 

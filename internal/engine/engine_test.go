@@ -643,3 +643,121 @@ func TestEmptyBatches(t *testing.T) {
 		t.Errorf("RemoveBatch(nil) returned %d results", len(got))
 	}
 }
+
+// TestTotalsCountIssuedCalls holds the engine counters to the calls
+// actually issued: Queries counts every single op, batch item and
+// FindCovered once, Hits the ones that found something, and
+// ShardSearches one a query on the index, the stripes walked on a
+// linear scan, and none when detection is off. A call rejected before it
+// searched counts nowhere.
+func TestTotalsCountIssuedCalls(t *testing.T) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	pairs, err := workload.Covers(workload.CoverSpec{Schema: schema, N: 40, SlackFrac: 0.2, Seed: 37})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parents := make([]*subscription.Subscription, len(pairs))
+	children := make([]*subscription.Subscription, len(pairs))
+	for i, p := range pairs {
+		parents[i], children[i] = p.Parent, p.Child
+	}
+	other := subscription.MustSchema(10, "volume", "price")
+
+	type want struct{ queries, hits, searches int }
+	// issue runs every kind of counted call against e, with parents[:20]
+	// held, and tallies what it issued; searches(id, found) is what one
+	// query should add to ShardSearches.
+	issue := func(t *testing.T, e *Engine, searches func(id uint64, found bool) int) want {
+		var w want
+		count := func(id uint64, found bool) {
+			w.queries++
+			if found {
+				w.hits++
+			}
+			w.searches += searches(id, found)
+		}
+		if _, err := e.InsertBatch(parents[:10]); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range parents[10:20] {
+			_, covered, by, err := e.Add(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count(by, covered)
+		}
+		for _, c := range children[:10] {
+			id, found, _, err := e.FindCover(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count(id, found)
+		}
+		for _, r := range e.CoverQueryBatch(children[10:30]) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			count(r.CoveredBy, r.Covered)
+		}
+		for _, r := range e.AddBatch(children[30:40]) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			count(r.CoveredBy, r.Covered)
+		}
+		for _, p := range parents[:10] {
+			id, found, _, err := e.FindCovered(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count(id, found)
+		}
+		// A subscription of another schema is refused before any search.
+		if _, _, _, err := e.FindCover(subscription.New(other)); err == nil {
+			t.Fatal("a foreign schema must be refused")
+		}
+		return w
+	}
+	check := func(t *testing.T, e *Engine, w want) {
+		t.Helper()
+		tot := e.Totals()
+		if tot.Queries != w.queries || tot.Hits != w.hits || tot.ShardSearches != w.searches {
+			t.Fatalf("Totals queries/hits/searches = %d/%d/%d, issued %d/%d/%d",
+				tot.Queries, tot.Hits, tot.ShardSearches, w.queries, w.hits, w.searches)
+		}
+		if w.hits == 0 && e.Mode() != core.ModeOff {
+			t.Fatal("no call found anything: the hit count is untested")
+		}
+	}
+
+	t.Run("index", func(t *testing.T) {
+		e := MustNew(Config{
+			Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, TrackCovered: true},
+			Shards:   4,
+		})
+		defer e.Close()
+		check(t, e, issue(t, e, func(uint64, bool) int { return 1 }))
+	})
+	t.Run("linear-scan", func(t *testing.T) {
+		const shards = 4
+		e := MustNew(Config{
+			Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
+			Shards:   shards,
+		})
+		defer e.Close()
+		// The scan walks the stripes in order and stops in the one holding
+		// what it found.
+		check(t, e, issue(t, e, func(id uint64, found bool) int {
+			if !found {
+				return shards
+			}
+			stripe, _ := decodeID(shards, id)
+			return stripe + 1
+		}))
+	})
+	t.Run("off", func(t *testing.T) {
+		e := MustNew(Config{Detector: core.Config{Schema: schema, Mode: core.ModeOff}, Shards: 4})
+		defer e.Close()
+		check(t, e, issue(t, e, func(uint64, bool) int { return 0 }))
+	})
+}
