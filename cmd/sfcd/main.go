@@ -56,13 +56,12 @@ const daemonMaxCubes = 50000
 // options mirrors the flag set; kept separate so tests can build engine
 // configurations without touching the global flag state.
 type options struct {
-	attrs        string
-	bits         int
-	mode         string
-	epsilon      float64
-	strategy     string
-	maxCubes     int
-	trackCovered bool
+	attrs    string
+	bits     int
+	mode     string
+	epsilon  float64
+	strategy string
+	maxCubes int
 }
 
 // buildConfig translates the flag values into an engine configuration.
@@ -83,12 +82,11 @@ func buildConfig(o options) (engine.Config, error) {
 	}
 	return engine.Config{
 		Detector: core.Config{
-			Schema:       schema,
-			Mode:         mode,
-			Epsilon:      o.epsilon,
-			Strategy:     core.Strategy(o.strategy),
-			MaxCubes:     o.maxCubes,
-			TrackCovered: o.trackCovered,
+			Schema:   schema,
+			Mode:     mode,
+			Epsilon:  o.epsilon,
+			Strategy: core.Strategy(o.strategy),
+			MaxCubes: o.maxCubes,
 		},
 	}, nil
 }
@@ -196,8 +194,6 @@ func newFlagSet(so *serveOptions, o *options, stderr io.Writer) *flag.FlagSet {
 	fs.Float64Var(&o.epsilon, "epsilon", 0.3, "approximation parameter (0 < eps < 1, approx mode)")
 	fs.StringVar(&o.strategy, "strategy", "sfc", "search backend: sfc, or linear (exact-mode store scan)")
 	fs.IntVar(&o.maxCubes, "maxcubes", daemonMaxCubes, "per-query budget: successor-walk steps, then cubes (-1 = unlimited)")
-	fs.BoolVar(&o.trackCovered, "track-covered", false,
-		"maintain the mirrored index that serves the \"covered\" op in approx mode (exact mode serves it regardless)")
 	return fs
 }
 

@@ -248,7 +248,7 @@ func TestFlagSurface(t *testing.T) {
 		"epsilon", "follow", "log-level", "max-conns",
 		"maxcubes", "metrics-addr", "mode", "read-timeout",
 		"slow-log-size", "slow-query", "snapshot-interval", "strategy",
-		"track-covered", "wal-sync", "wal-sync-interval",
+		"wal-sync", "wal-sync-interval",
 	}
 	var got []string
 	newFlagSet(new(serveOptions), new(options), io.Discard).VisitAll(func(f *flag.Flag) {

@@ -281,10 +281,12 @@ func TestUnsubscribeSuppressedSubscription(t *testing.T) {
 
 // TestEngineBackendTableParity: in exact mode the covering decisions are
 // mode-determined, so routing-table footprints must agree exactly across
-// backends, not just deliveries. One counter is left out: when several
-// forwarded subscriptions cover a member, which one a backend names decides
-// whose retraction re-screens it, and SuppressedForwards counts re-screens
-// (the engine's striped scan names 60 or 61 here, run to run).
+// backends, not just deliveries. One counter is left out of that
+// comparison: when several forwarded subscriptions cover a member, which
+// one a backend names decides whose retraction re-screens it, and
+// SuppressedForwards counts re-screens. The detector's scan names the first
+// cover in its slice, the engine's the smallest id. Within one backend the
+// choice is fixed, so the engine's counter must be identical run to run.
 func TestEngineBackendTableParity(t *testing.T) {
 	schema := testSchema()
 	const nClients = 6
@@ -293,8 +295,7 @@ func TestEngineBackendTableParity(t *testing.T) {
 		rows, fwd, supp int
 		metrics         Metrics
 	}
-	var ref *footprint
-	for _, backend := range allBackends {
+	run := func(backend Backend) footprint {
 		n := MustNetwork(BalancedTree(7), Config{
 			Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear, Backend: backend,
 		})
@@ -329,36 +330,18 @@ func TestEngineBackendTableParity(t *testing.T) {
 		if fp.metrics.ProtocolErrors != 0 {
 			t.Fatalf("backend %s: protocol errors %d", backend, fp.metrics.ProtocolErrors)
 		}
-		fp.metrics.SuppressedForwards = 0
-		if ref == nil {
-			ref = &fp
-			continue
-		}
-		if fp != *ref {
-			t.Fatalf("backend %s footprint %+v differs from detector backend %+v", backend, fp, *ref)
+		return fp
+	}
+	ref := run(BackendDetector)
+	eng := run(BackendEnginePrefix)
+	for i := 1; i < 5; i++ {
+		if again := run(BackendEnginePrefix); again.metrics.SuppressedForwards != eng.metrics.SuppressedForwards {
+			t.Fatalf("engine run %d: SuppressedForwards %d, first run %d", i, again.metrics.SuppressedForwards, eng.metrics.SuppressedForwards)
 		}
 	}
-}
-
-// TestConcurrentEngineBackend runs the goroutine-per-broker runtime over
-// engine-backed links; under -race this validates the locking story of
-// brokers driving engines.
-func TestConcurrentEngineBackend(t *testing.T) {
-	schema := testSchema()
-	const nClients = 6
-	ops := genWorkload(schema, 11, 80, nClients)
-	want := phasedOracle(ops, nClients)
-	got, m := runConcurrentPhased(t, Config{
-		Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 2000,
-		Backend: BackendEnginePrefix, BatchSize: 8,
-	}, BalancedTree(7), ops, nClients)
-	if m.ProtocolErrors != 0 {
-		t.Fatalf("protocol errors: %d", m.ProtocolErrors)
-	}
-	for c := range want {
-		if eventMultiset(got[c]) != eventMultiset(want[c]) {
-			t.Fatalf("client %d delivery multiset differs from oracle", c)
-		}
+	ref.metrics.SuppressedForwards, eng.metrics.SuppressedForwards = 0, 0
+	if eng != ref {
+		t.Fatalf("engine backend footprint %+v differs from detector backend %+v", eng, ref)
 	}
 }
 

@@ -187,42 +187,19 @@ type Network struct {
 }
 
 // linkLatency holds the overlay's latency histograms, shared by every
-// broker (and by both runtimes — the Concurrent wrapper reuses the
-// Network's). delivery measures publish to client hand-off, end to end
-// across hops; forward measures the covering query a subscription
-// forward waits on (the paper's per-link detection cost, as latency).
+// broker. delivery measures publish to client hand-off, end to end across
+// hops; forward measures the covering query a subscription forward waits
+// on (the paper's per-link detection cost, as latency).
 type linkLatency struct {
 	delivery *obs.Histogram
 	forward  *obs.Histogram
 }
 
-// environment is the world a broker's state machine acts on: it sends
-// messages, delivers events to clients and bumps metrics. The sequential
-// Network implements it directly; the Concurrent runtime implements it
-// with channels and atomics, reusing the identical state machine.
-type environment interface {
-	enqueue(m message)
-	deliver(clientID int, e subscription.Event)
-	bump(counter metricID)
-}
-
-// metricID names a Metrics counter for environment.bump.
-type metricID int
-
-const (
-	metricSubscribeMsgs metricID = iota
-	metricUnsubscribeMsgs
-	metricEventMsgs
-	metricDeliveries
-	metricSuppressed
-	metricDuplicate
-	metricProtocolError
-)
-
-// Broker is one routing node.
+// Broker is one routing node. Its state machine acts on the network it
+// belongs to: it queues messages, delivers events and counts metrics there.
 type Broker struct {
 	id        int
-	env       environment
+	net       *Network
 	neighbors []int // sorted
 	// table is the routing table, one group of rows per interface:
 	// neighbors in id order, then clients in attachment order. Events walk
@@ -231,8 +208,6 @@ type Broker struct {
 	// sources counts, per rectangle, the interfaces holding a row for it.
 	sources map[rectKey]int
 	out     map[int]*neighborState // per neighbor
-	batch   int                    // covered-set re-probe chunk size (0 = all)
-	lat     *linkLatency           // overlay-shared latency histograms
 }
 
 // rectKey is a subscription's constraint rectangle as a comparable value:
@@ -457,8 +432,7 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 	for i := range n.brokers {
 		n.brokers[i] = &Broker{
 			id:      i,
-			env:     n,
-			lat:     n.lat,
+			net:     n,
 			sources: make(map[rectKey]int),
 			out:     make(map[int]*neighborState),
 		}
@@ -468,7 +442,6 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 		n.brokers[e[1]].neighbors = append(n.brokers[e[1]].neighbors, e[0])
 	}
 	for _, b := range n.brokers {
-		b.batch = cfg.BatchSize
 		slices.Sort(b.neighbors)
 		for _, j := range b.neighbors {
 			b.addIface(iface{kind: ifNeighbor, id: j})
@@ -517,7 +490,7 @@ func (n *Network) restoreLinks() {
 	held := func(set suppressedSet) []core.Held {
 		out, err := set.Enumerate()
 		if err != nil && !errors.Is(err, core.ErrUnsupported) {
-			n.bump(metricProtocolError)
+			n.metrics.ProtocolErrors++
 		}
 		return out
 	}
@@ -547,7 +520,7 @@ func (n *Network) restoreLinks() {
 					b.forward(j, st, key, it.Sub)
 				}
 				if err := st.supp.Remove(it.ID); err != nil {
-					n.bump(metricProtocolError)
+					n.metrics.ProtocolErrors++
 				}
 			}
 		}
@@ -778,7 +751,7 @@ func (b *Broker) handleSubscribe(from iface, s *subscription.Subscription) {
 func (b *Broker) forwardIfUncovered(j int, key rectKey, s *subscription.Subscription) {
 	st := b.out[j]
 	if _, dup := st.ids[key]; dup {
-		b.env.bump(metricDuplicate)
+		b.net.metrics.DuplicateForwards++
 		return
 	}
 	if st.degraded {
@@ -787,18 +760,18 @@ func (b *Broker) forwardIfUncovered(j int, key rectKey, s *subscription.Subscrip
 	}
 	t0 := time.Now()
 	by, covered, _, err := st.fwd.FindCover(s)
-	b.lat.forward.Observe(time.Since(t0))
+	b.net.lat.forward.Observe(time.Since(t0))
 	if err != nil {
 		// Covering detection is unavailable (a remote provider's daemon
 		// may be unreachable): degrade to flooding. Forwarding costs only
 		// redundant traffic; a subscription that is neither forwarded nor
 		// suppressed would silently lose events.
-		b.env.bump(metricProtocolError)
+		b.net.metrics.ProtocolErrors++
 		b.forward(j, st, key, s)
 		return
 	}
 	if covered {
-		b.env.bump(metricSuppressed)
+		b.net.metrics.SuppressedForwards++
 		b.suppress(st, key, s, by)
 		return
 	}
@@ -822,13 +795,13 @@ func (b *Broker) forwardIfUncovered(j int, key rectKey, s *subscription.Subscrip
 func (b *Broker) forward(j int, st *neighborState, key rectKey, s *subscription.Subscription) {
 	id, err := st.fwd.Insert(s)
 	if err != nil {
-		b.env.bump(metricProtocolError)
+		b.net.metrics.ProtocolErrors++
 	} else {
 		st.ids[key] = id
 	}
 	b.dropSuppressed(st, key)
-	b.env.bump(metricSubscribeMsgs)
-	b.env.enqueue(message{
+	b.net.metrics.SubscribeMsgs++
+	b.net.enqueue(message{
 		to: j, from: iface{kind: ifNeighbor, id: b.id}, sub: s, kind: msgSubscribe,
 	})
 }
@@ -844,7 +817,7 @@ func (b *Broker) suppress(st *neighborState, key rectKey, s *subscription.Subscr
 	if st.supp != nil {
 		var err error
 		if sid, err = st.supp.Insert(s); err != nil {
-			b.env.bump(metricProtocolError)
+			b.net.metrics.ProtocolErrors++
 			return
 		}
 	}
@@ -861,7 +834,7 @@ func (b *Broker) dropSuppressed(st *neighborState, key rectKey) {
 		return
 	}
 	if st.supp != nil && st.supp.Remove(st.sups.rows[i].sid) != nil {
-		b.env.bump(metricProtocolError)
+		b.net.metrics.ProtocolErrors++
 	}
 	st.sups.remove(i)
 }
@@ -870,7 +843,7 @@ func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
 	key := keyOf(s)
 	removed, found := b.dropRow(from, key)
 	if !found {
-		b.env.bump(metricProtocolError)
+		b.net.metrics.ProtocolErrors++
 	}
 	if !removed {
 		return
@@ -902,12 +875,12 @@ func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
 			// provider may now hold state the wire has retracted, so its
 			// covering answers can no longer justify suppression on this
 			// link: degrade it to flooding.
-			b.env.bump(metricProtocolError)
+			b.net.metrics.ProtocolErrors++
 			st.degraded = true
 		}
 		delete(st.ids, key)
-		b.env.bump(metricUnsubscribeMsgs)
-		b.env.enqueue(message{
+		b.net.metrics.UnsubscribeMsgs++
+		b.net.enqueue(message{
 			to: j, from: iface{kind: ifNeighbor, id: b.id}, sub: s, kind: msgUnsubscribe,
 		})
 		b.resubscribeCovered(j, st, id)
@@ -952,7 +925,7 @@ func (b *Broker) resubscribeCovered(j int, st *neighborState, retracted uint64) 
 		}
 		return
 	}
-	batch := b.batch
+	batch := b.net.cfg.BatchSize
 	if batch <= 0 {
 		batch = len(members)
 	}
@@ -977,7 +950,7 @@ func (b *Broker) resubscribeCovered(j int, st *neighborState, retracted uint64) 
 				// on an unanswered probe could lose its events forever.
 				// With covering state unavailable, forward it — the
 				// flooding fallback is always safe.
-				b.env.bump(metricProtocolError)
+				b.net.metrics.ProtocolErrors++
 				reforward(key, sub)
 				continue
 			}
@@ -989,7 +962,7 @@ func (b *Broker) resubscribeCovered(j int, st *neighborState, retracted uint64) 
 				reforward(key, sub)
 				continue
 			}
-			b.env.bump(metricSuppressed) // still suppressed, under its new cover
+			b.net.metrics.SuppressedForwards++ // still suppressed, under its new cover
 			at := st.sups.at[key]
 			st.sups.release(at)
 			st.sups.hold(at, by)
@@ -1021,13 +994,13 @@ func (b *Broker) handleEvent(from iface, e subscription.Event, at time.Time) {
 		}
 		if g.from.kind == ifClient {
 			if !at.IsZero() {
-				b.lat.delivery.Observe(time.Since(at))
+				b.net.lat.delivery.Observe(time.Since(at))
 			}
-			b.env.deliver(g.from.id, e)
+			b.net.deliver(g.from.id, e)
 			continue
 		}
-		b.env.bump(metricEventMsgs)
-		b.env.enqueue(message{
+		b.net.metrics.EventMsgs++
+		b.net.enqueue(message{
 			to: g.from.id, from: iface{kind: ifNeighbor, id: b.id}, event: e, kind: msgEvent, at: at,
 		})
 	}
@@ -1043,32 +1016,12 @@ func (n *Network) DeliveryLatency() obs.Snapshot { return n.lat.delivery.Snapsho
 // FindCover against the link's forwarded set.
 func (n *Network) ForwardLatency() obs.Snapshot { return n.lat.forward.Snapshot() }
 
-// enqueue implements environment for the sequential Network.
+// enqueue queues a message for Drain.
 func (n *Network) enqueue(m message) { n.queue = append(n.queue, m) }
 
-// deliver implements environment for the sequential Network.
+// deliver hands an event to a client.
 func (n *Network) deliver(clientID int, e subscription.Event) {
 	c := n.clients[clientID]
 	c.Received = append(c.Received, append(subscription.Event(nil), e...)) // the client's own copy
 	n.metrics.Deliveries++
-}
-
-// bump implements environment for the sequential Network.
-func (n *Network) bump(id metricID) {
-	switch id {
-	case metricSubscribeMsgs:
-		n.metrics.SubscribeMsgs++
-	case metricUnsubscribeMsgs:
-		n.metrics.UnsubscribeMsgs++
-	case metricEventMsgs:
-		n.metrics.EventMsgs++
-	case metricDeliveries:
-		n.metrics.Deliveries++
-	case metricSuppressed:
-		n.metrics.SuppressedForwards++
-	case metricDuplicate:
-		n.metrics.DuplicateForwards++
-	case metricProtocolError:
-		n.metrics.ProtocolErrors++
-	}
 }

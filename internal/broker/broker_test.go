@@ -361,7 +361,6 @@ func TestDeliverySafetyAcrossModes(t *testing.T) {
 	configs := map[string]Config{
 		"off":          {Schema: schema, Mode: core.ModeOff},
 		"exact-linear": {Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
-		"exact-kd":     {Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyKDTree},
 		"approx":       {Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 3000},
 		"approx-tight": {Schema: schema, Mode: core.ModeApprox, Epsilon: 0.05, MaxCubes: 500},
 	}

@@ -8,15 +8,20 @@ import (
 )
 
 // TestDetectorProviderConformance anchors the shared core.Provider
-// battery on the reference implementation. Engine and the sfcd
-// RemoteProvider run the identical suite from their own packages, which
-// is what licenses brokers to treat the backend as a configuration knob.
+// battery on the reference implementation, in both modes on the index and
+// on the linear scan. Engine and the sfcd RemoteProvider run the identical
+// suite from their own packages, which is what licenses brokers to treat
+// the backend as a configuration knob.
 func TestDetectorProviderConformance(t *testing.T) {
 	schema := coretest.Schema()
-	for _, strat := range []core.Strategy{core.StrategySFC, core.StrategyLinear} {
-		t.Run(string(strat), func(t *testing.T) {
+	for name, cfg := range map[string]core.Config{
+		"sfc":        {Schema: schema, Mode: core.ModeExact},
+		"linear":     {Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
+		"sfc-approx": {Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3},
+	} {
+		t.Run(name, func(t *testing.T) {
 			coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
-				return core.MustNew(core.Config{Schema: schema, Mode: core.ModeExact, Strategy: strat})
+				return core.MustNew(cfg)
 			})
 		})
 	}

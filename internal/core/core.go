@@ -74,8 +74,6 @@ const (
 	StrategySFC Strategy = "sfc"
 	// StrategyLinear scans all subscriptions (exact only).
 	StrategyLinear Strategy = "linear"
-	// StrategyKDTree uses a k-d tree with pruning (exact only).
-	StrategyKDTree Strategy = "kdtree"
 )
 
 // Config parameterizes a Detector.
@@ -112,14 +110,6 @@ type Config struct {
 	// one probe; misses are never remembered. Ignored by non-SFC
 	// strategies.
 	DecompCacheSize int
-	// TrackCovered additionally maintains a mirrored index enabling
-	// FindCovered — the reverse question "which stored subscription does s
-	// cover?" — at the cost of a second index insert/delete per
-	// subscription. Dominance in mirrored coordinates (max − x per axis)
-	// is exactly reverse covering, so the same ε-approximate machinery
-	// answers it. Routers use this at unsubscription time to find
-	// subscriptions that the removed one had been covering.
-	TrackCovered bool
 }
 
 const (
@@ -140,7 +130,7 @@ type Totals struct {
 	Hits int
 	// RunsProbed sums the ordered-structure descents across all queries —
 	// memo probes, walk seeks and cube range probes in one unit (zero for
-	// linear/kd-tree strategies).
+	// the linear strategy).
 	RunsProbed int
 	// CubesGenerated sums the standard cubes generated across all queries.
 	CubesGenerated int
@@ -155,14 +145,12 @@ type Totals struct {
 type Detector struct {
 	cfg Config
 
-	mu       sync.Mutex
-	sfc      *dominance.Index   // non-nil iff Strategy == StrategySFC
-	mirror   *dominance.Index   // non-nil iff TrackCovered (mirrored points)
-	exact    dominance.Searcher // backend for exact queries
-	subs     map[uint64]*subscription.Subscription
-	nextID   uint64
-	totals   Totals
-	maxCoord uint32
+	mu     sync.Mutex
+	sfc    *dominance.Index   // non-nil iff Strategy == StrategySFC
+	exact  dominance.Searcher // backend for exact queries
+	subs   map[uint64]*subscription.Subscription
+	nextID uint64
+	totals Totals
 }
 
 // New builds a Detector.
@@ -190,16 +178,14 @@ func New(cfg Config) (*Detector, error) {
 		return nil, fmt.Errorf("core: invalid MaxCubes %d", cfg.MaxCubes)
 	}
 	d := &Detector{
-		cfg:      cfg,
-		subs:     make(map[uint64]*subscription.Subscription),
-		nextID:   1,
-		maxCoord: cfg.Schema.MaxValue(),
+		cfg:    cfg,
+		subs:   make(map[uint64]*subscription.Subscription),
+		nextID: 1,
 	}
-	dims, bits := cfg.Schema.Dims(), cfg.Schema.Bits()
 	switch cfg.Strategy {
 	case StrategySFC:
 		idx, err := dominance.NewIndex(dominance.Config{
-			Dims: dims, Bits: bits, MaxCubes: cfg.MaxCubes,
+			Dims: cfg.Schema.Dims(), Bits: cfg.Schema.Bits(), MaxCubes: cfg.MaxCubes,
 			CacheSize: cfg.DecompCacheSize,
 		})
 		if err != nil {
@@ -209,35 +195,10 @@ func New(cfg Config) (*Detector, error) {
 		d.exact = idx
 	case StrategyLinear:
 		d.exact = dominance.NewLinear()
-	case StrategyKDTree:
-		d.exact = dominance.NewKDTree(dims)
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %q", cfg.Strategy)
 	}
-	if cfg.TrackCovered {
-		if cfg.Strategy != StrategySFC {
-			return nil, fmt.Errorf("core: TrackCovered requires the SFC strategy, got %q", cfg.Strategy)
-		}
-		idx, err := dominance.NewIndex(dominance.Config{
-			Dims: dims, Bits: bits, MaxCubes: cfg.MaxCubes,
-			CacheSize: cfg.DecompCacheSize,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		d.mirror = idx
-	}
 	return d, nil
-}
-
-// mirrorPoint reflects a transformed subscription point through the
-// universe's center: dominance among mirrored points is reverse covering.
-func (d *Detector) mirrorPoint(p []uint32) []uint32 {
-	out := make([]uint32, len(p))
-	for i, v := range p {
-		out[i] = d.maxCoord - v
-	}
-	return out
 }
 
 // MustNew is New for known-good configurations.
@@ -278,9 +239,6 @@ func (d *Detector) Insert(s *subscription.Subscription) (uint64, error) {
 	d.nextID++
 	d.subs[id] = s.Clone()
 	d.exact.Insert(s.Point(), id)
-	if d.mirror != nil {
-		d.mirror.Insert(d.mirrorPoint(s.Point()), id)
-	}
 	return id, nil
 }
 
@@ -297,18 +255,11 @@ func (d *Detector) InsertBatch(subs []*subscription.Subscription) ([]uint64, err
 func (d *Detector) load(subs []*subscription.Subscription, given []uint64) ([]uint64, error) {
 	// Validate and transform outside the lock; Point() is pure.
 	points := make([][]uint32, len(subs))
-	var mirrors [][]uint32
 	for i, s := range subs {
 		if s.Schema() != d.cfg.Schema {
 			return nil, fmt.Errorf("core: subscription schema differs from detector schema")
 		}
 		points[i] = s.Point()
-	}
-	if d.mirror != nil {
-		mirrors = make([][]uint32, len(subs))
-		for i, p := range points {
-			mirrors[i] = d.mirrorPoint(p)
-		}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -327,24 +278,16 @@ func (d *Detector) load(subs []*subscription.Subscription, given []uint64) ([]ui
 			d.nextID = ids[i] + 1
 		}
 	}
-	insertAll(d.exact, points, ids)
-	if d.mirror != nil {
-		insertAll(d.mirror, mirrors, ids)
+	// The SFC index has a sorted bulk-build path; the linear scan takes the
+	// points one by one.
+	if d.sfc != nil {
+		d.sfc.InsertBatch(points, ids)
+	} else {
+		for i, p := range points {
+			d.exact.Insert(p, ids[i])
+		}
 	}
 	return ids, nil
-}
-
-// insertAll bulk-loads a point batch through the searcher's sorted
-// bulk-build path when it has one (the SFC index), falling back to
-// item-by-item inserts for the baselines.
-func insertAll(s dominance.Searcher, ps [][]uint32, ids []uint64) {
-	if bi, ok := s.(dominance.BatchInserter); ok {
-		bi.InsertBatch(ps, ids)
-		return
-	}
-	for i, p := range ps {
-		s.Insert(p, ids[i])
-	}
 }
 
 // Remove deletes a previously inserted subscription by id.
@@ -358,9 +301,6 @@ func (d *Detector) Remove(id uint64) error {
 	delete(d.subs, id)
 	if !d.exact.Delete(s.Point(), id) {
 		return fmt.Errorf("core: index out of sync for id %d", id)
-	}
-	if d.mirror != nil && !d.mirror.Delete(d.mirrorPoint(s.Point()), id) {
-		return fmt.Errorf("core: mirror index out of sync for id %d", id)
 	}
 	return nil
 }
@@ -418,38 +358,22 @@ func (d *Detector) tally(found bool, stats dominance.Stats) {
 }
 
 // FindCovered searches the held set for a subscription that s covers — the
-// reverse of FindCover. In ModeExact it scans the held set directly (exact,
-// O(n), always available). In ModeApprox it runs the ε-approximate search
-// on a mirrored SFC index — dominance among center-reflected points is
-// reverse covering — which requires Config.TrackCovered; the usual
-// guarantee applies: a reported subscription is genuinely covered, misses
-// are possible.
+// reverse of FindCover — by scanning it: O(n), exact in every mode but
+// ModeOff, which never finds anything. The answer is the smallest such id,
+// so repeating a query on an unchanged detector repeats its answer.
 func (d *Detector) FindCovered(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error) {
 	if s.Schema() != d.cfg.Schema {
 		return 0, false, stats, fmt.Errorf("core: subscription schema differs from detector schema")
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	switch d.cfg.Mode {
-	case ModeOff:
+	if d.cfg.Mode == ModeOff {
 		return 0, false, stats, nil
-	case ModeExact:
-		for candID, cand := range d.subs {
-			if s.Covers(cand) {
-				id, found = candID, true
-				break
-			}
+	}
+	for candID, cand := range d.subs {
+		if (!found || candID < id) && s.Covers(cand) {
+			id, found = candID, true
 		}
-		d.tally(found, stats)
-		return id, found, stats, nil
-	}
-	// ModeApprox.
-	if d.mirror == nil {
-		return 0, false, stats, fmt.Errorf("core: approximate FindCovered requires Config.TrackCovered")
-	}
-	id, found, stats, err = d.mirror.Query(d.mirrorPoint(s.Point()), d.cfg.Epsilon)
-	if err != nil {
-		return 0, false, stats, err
 	}
 	d.tally(found, stats)
 	return id, found, stats, nil
@@ -469,20 +393,14 @@ func (d *Detector) Add(s *subscription.Subscription) (id uint64, covered bool, c
 	return id, covered, coveredBy, nil
 }
 
-// CacheStats sums the decomposition-cache hit and miss counters across
-// the detector's SFC indexes (primary and, when present, the mirror).
-// Zeros for non-SFC strategies and disabled caches. The counters are
-// atomics, so no detector lock is taken.
+// CacheStats reports the SFC index's hit-memo counters: zeros for the
+// linear strategy and disabled caches. The counters are atomics, so no
+// detector lock is taken.
 func (d *Detector) CacheStats() (hits, misses uint64) {
-	if d.sfc != nil {
-		hits, misses = d.sfc.CacheStats()
+	if d.sfc == nil {
+		return 0, 0
 	}
-	if d.mirror != nil {
-		h, m := d.mirror.CacheStats()
-		hits += h
-		misses += m
-	}
-	return hits, misses
+	return d.sfc.CacheStats()
 }
 
 // Totals returns a snapshot of the aggregate query counters.
@@ -490,34 +408,4 @@ func (d *Detector) Totals() Totals {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.totals
-}
-
-// CoverDegree counts the stored subscriptions that cover s. ModeExact
-// counts exactly (a direct scan); ModeApprox enumerates the searched
-// (1−ε)-volume region of the SFC index, so the result is a guaranteed
-// undercount with no false members; ModeOff reports zero.
-func (d *Detector) CoverDegree(s *subscription.Subscription) (int, error) {
-	if s.Schema() != d.cfg.Schema {
-		return 0, fmt.Errorf("core: subscription schema differs from detector schema")
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	switch d.cfg.Mode {
-	case ModeOff:
-		return 0, nil
-	case ModeExact:
-		count := 0
-		for _, cand := range d.subs {
-			if cand.Covers(s) {
-				count++
-			}
-		}
-		return count, nil
-	}
-	count, stats, err := d.sfc.CountDominating(s.Point(), d.cfg.Epsilon)
-	if err != nil {
-		return 0, err
-	}
-	d.tally(count > 0, stats)
-	return count, nil
 }

@@ -30,7 +30,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Schema: schema, Strategy: "quadtree"}); err == nil {
 		t.Error("unknown strategy must fail")
 	}
-	for _, strat := range []Strategy{StrategySFC, StrategyLinear, StrategyKDTree} {
+	if _, err := New(Config{Schema: schema, Strategy: "kdtree"}); err == nil {
+		t.Error("the k-d tree is an experiment baseline, not a strategy")
+	}
+	for _, strat := range []Strategy{StrategySFC, StrategyLinear} {
 		if _, err := New(Config{Schema: schema, Strategy: strat}); err != nil {
 			t.Errorf("strategy %q: %v", strat, err)
 		}
@@ -48,7 +51,7 @@ func TestModeString(t *testing.T) {
 
 func TestExactDetectsCovering(t *testing.T) {
 	schema := testSchema(t)
-	for _, strat := range []Strategy{StrategySFC, StrategyLinear, StrategyKDTree} {
+	for _, strat := range []Strategy{StrategySFC, StrategyLinear} {
 		d := MustNew(Config{Schema: schema, Mode: ModeExact, Strategy: strat})
 		wide := subscription.MustParse(schema, "x in [10,200] && y in [20,220]")
 		wideID, covered, _, err := d.Add(wide)

@@ -27,11 +27,10 @@ func Schema() *subscription.Schema {
 // providers produced by build. Each subtest gets its own fresh provider;
 // build must return an empty provider in core.ModeExact on the given
 // schema (exact mode makes every outcome deterministic, so the same
-// assertions hold for any backing index). A core.ModeApprox provider with
-// TrackCovered is accepted too: the battery's covering queries have
-// regions small enough that an ε-search finds them, and the one reverse
-// query whose region is not is then held to the approximation contract —
-// it may miss, it may not misreport. Providers are closed by the suite.
+// assertions hold for any backing index). A core.ModeApprox provider is
+// accepted too: the battery's covering queries have regions small enough
+// that an ε-search finds them, and the reverse query scans in every mode.
+// Providers are closed by the suite.
 func RunProviderConformance(t *testing.T, schema *subscription.Schema, build func(t *testing.T) core.Provider) {
 	t.Helper()
 	fresh := func(t *testing.T) core.Provider {
@@ -145,6 +144,37 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 		}
 		if _, found, _, err := p.FindCovered(uncovered); err != nil || found {
 			t.Fatalf("FindCovered(uncovered) = (%v,%v), want a clean miss", found, err)
+		}
+	})
+
+	// The reverse query is a scan: in every mode but off it names the
+	// smallest held id that s covers, every time it is asked, or misses
+	// cleanly when s covers nothing held; in mode off it misses.
+	t.Run("covered-is-exact", func(t *testing.T) {
+		p := fresh(t)
+		held := map[uint64]*subscription.Subscription{}
+		for _, s := range []*subscription.Subscription{uncovered, narrow, wide, narrow, uncovered, narrow} {
+			id, err := p.Insert(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held[id] = s
+		}
+		tiny := subscription.MustParse(schema, "volume in [500,501] && price in [500,501]")
+		for _, q := range []*subscription.Subscription{wide, narrow, uncovered, tiny} {
+			var want uint64
+			found := false
+			for id, s := range held {
+				if p.Mode() != core.ModeOff && q.Covers(s) && (!found || id < want) {
+					want, found = id, true
+				}
+			}
+			for i := 0; i < 5; i++ {
+				id, ok, _, err := p.FindCovered(q)
+				if err != nil || ok != found || ok && id != want {
+					t.Fatalf("FindCovered(%v) = (%d,%v,%v), want (%d,%v,nil)", q, id, ok, err, want, found)
+				}
+			}
 		}
 	})
 

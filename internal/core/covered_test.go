@@ -1,32 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"sfccover/internal/subscription"
 )
 
-func TestTrackCoveredValidation(t *testing.T) {
-	schema := testSchema(t)
-	if _, err := New(Config{Schema: schema, TrackCovered: true, Strategy: StrategyLinear}); err == nil {
-		t.Error("TrackCovered with linear strategy must fail")
-	}
-	// Approximate FindCovered needs the mirror index.
-	d := MustNew(Config{Schema: schema, Mode: ModeApprox, Epsilon: 0.3}) // not tracking
-	if _, _, _, err := d.FindCovered(subscription.New(schema)); err == nil {
-		t.Error("approximate FindCovered without TrackCovered must fail")
-	}
-	// Exact FindCovered works without it (direct scan).
-	ex := MustNew(Config{Schema: schema, Mode: ModeExact})
-	if _, _, _, err := ex.FindCovered(subscription.New(schema)); err != nil {
-		t.Errorf("exact FindCovered should not need TrackCovered: %v", err)
-	}
-}
-
 func TestFindCoveredExact(t *testing.T) {
 	schema := testSchema(t)
-	d := MustNew(Config{Schema: schema, Mode: ModeExact, TrackCovered: true})
+	d := MustNew(Config{Schema: schema, Mode: ModeExact})
 	narrow := subscription.MustParse(schema, "x in [50,60] && y in [50,60]")
 	narrowID, err := d.Insert(narrow)
 	if err != nil {
@@ -50,7 +34,7 @@ func TestFindCoveredExact(t *testing.T) {
 	if _, found, _, _ := d.FindCovered(disjoint); found {
 		t.Fatal("disjoint subscription covers nothing")
 	}
-	// Removal updates the mirror index too.
+	// A removed subscription leaves the scan.
 	if err := d.Remove(narrowID); err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +44,12 @@ func TestFindCoveredExact(t *testing.T) {
 }
 
 func TestFindCoveredAgreesWithOracle(t *testing.T) {
-	// Exact FindCovered must agree with a brute-force scan; approximate
-	// FindCovered must never report a subscription that is not genuinely
-	// covered.
+	// FindCovered scans in both modes, so both must agree with a
+	// brute-force scan, and what they name must be genuinely covered.
 	schema := testSchema(t)
 	rng := rand.New(rand.NewSource(41))
-	exact := MustNew(Config{Schema: schema, Mode: ModeExact, TrackCovered: true})
-	approx := MustNew(Config{Schema: schema, Mode: ModeApprox, Epsilon: 0.3, TrackCovered: true, MaxCubes: 20000})
+	exact := MustNew(Config{Schema: schema, Mode: ModeExact})
+	approx := MustNew(Config{Schema: schema, Mode: ModeApprox, Epsilon: 0.3, MaxCubes: 20000})
 
 	var stored []*subscription.Subscription
 	randSub := func() *subscription.Subscription {
@@ -110,6 +93,9 @@ func TestFindCoveredAgreesWithOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if approxFound != oracle {
+			t.Fatalf("approx FindCovered=%v, oracle=%v for %v", approxFound, oracle, q)
+		}
 		if approxFound {
 			covered, ok := approx.Subscription(id)
 			if !ok || !q.Covers(covered) {
@@ -121,7 +107,7 @@ func TestFindCoveredAgreesWithOracle(t *testing.T) {
 
 func TestFindCoveredModeOff(t *testing.T) {
 	schema := testSchema(t)
-	d := MustNew(Config{Schema: schema, Mode: ModeOff, TrackCovered: true})
+	d := MustNew(Config{Schema: schema, Mode: ModeOff})
 	if _, err := d.Insert(subscription.MustParse(schema, "x == 5")); err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +116,42 @@ func TestFindCoveredModeOff(t *testing.T) {
 	}
 }
 
+// TestFindCoveredRepeatsSmallestID: with several held subscriptions
+// covered by one query, every one of 50 repeats names the smallest id —
+// an answer taken from map order would wander between them.
+func TestFindCoveredRepeatsSmallestID(t *testing.T) {
+	schema := testSchema(t)
+	wide := subscription.MustParse(schema, "x in [10,200] && y in [10,200]")
+	for _, cfg := range []Config{
+		{Schema: schema, Mode: ModeExact},
+		{Schema: schema, Mode: ModeApprox, Epsilon: 0.3},
+	} {
+		d := MustNew(cfg)
+		if _, err := d.Insert(subscription.MustParse(schema, "x in [0,5]")); err != nil {
+			t.Fatal(err) // not covered by wide, and the smallest id
+		}
+		var smallest uint64
+		for i := uint32(0); i < 12; i++ {
+			id, err := d.Insert(subscription.MustParse(schema, fmt.Sprintf("x in [%d,%d] && y in [50,60]", 20+i, 30+i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if smallest == 0 {
+				smallest = id
+			}
+		}
+		for i := 0; i < 50; i++ {
+			if id, found, _, err := d.FindCovered(wide); err != nil || !found || id != smallest {
+				t.Fatalf("%v call %d: FindCovered = (%d,%v,%v), want (%d,true,nil)", cfg.Mode, i, id, found, err, smallest)
+			}
+		}
+	}
+}
+
 func TestConcurrentDetectorAccess(t *testing.T) {
 	// The detector promises goroutine safety; exercise it under -race.
 	schema := testSchema(t)
-	d := MustNew(Config{Schema: schema, Mode: ModeApprox, Epsilon: 0.3, MaxCubes: 2000, TrackCovered: true})
+	d := MustNew(Config{Schema: schema, Mode: ModeApprox, Epsilon: 0.3, MaxCubes: 2000})
 	done := make(chan error, 4)
 	worker := func(seed int64) {
 		rng := rand.New(rand.NewSource(seed))

@@ -15,7 +15,7 @@ func TestDetectorProviderStrategies(t *testing.T) {
 	// small (the dominance region's sides are (lo, max−hi) per axis).
 	wide := subscription.MustParse(schema, "volume <= 1020 && price <= 1020")
 	narrow := subscription.MustParse(schema, "volume in [5,1000] && price in [5,1000]")
-	for _, strat := range []Strategy{StrategySFC, StrategyLinear, StrategyKDTree} {
+	for _, strat := range []Strategy{StrategySFC, StrategyLinear} {
 		t.Run(string(strat), func(t *testing.T) {
 			var p Provider = MustNew(Config{Schema: schema, Mode: ModeExact, Strategy: strat})
 			defer p.Close()
@@ -100,41 +100,36 @@ func TestDetectorStats(t *testing.T) {
 
 func TestDetectorInsertBatch(t *testing.T) {
 	schema := subscription.MustSchema(8, "a", "b")
-	build := func(track bool) *Detector {
-		return MustNew(Config{
-			Schema: schema, Mode: ModeApprox, Epsilon: 0.3, MaxCubes: 2000,
-			TrackCovered: track,
-		})
+	build := func() *Detector {
+		return MustNew(Config{Schema: schema, Mode: ModeApprox, Epsilon: 0.3, MaxCubes: 2000})
 	}
 	subs := []*subscription.Subscription{
 		subscription.MustParse(schema, "a <= 100 && b <= 100"),
 		subscription.MustParse(schema, "a in [5,10]"),
 		subscription.MustParse(schema, "b >= 50"),
 	}
-	for _, track := range []bool{false, true} {
-		d := build(track)
-		ids, err := d.InsertBatch(subs)
-		if err != nil {
-			t.Fatal(err)
+	d := build()
+	ids, err := d.InsertBatch(subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != len(subs) || d.Len() != len(subs) {
+		t.Fatalf("%d ids, Len %d", len(ids), d.Len())
+	}
+	for i, id := range ids {
+		got, ok := d.Subscription(id)
+		if !ok || !got.Equal(subs[i]) {
+			t.Fatalf("id %d does not round-trip", id)
 		}
-		if len(ids) != len(subs) || d.Len() != len(subs) {
-			t.Fatalf("track=%v: %d ids, Len %d", track, len(ids), d.Len())
-		}
-		for i, id := range ids {
-			got, ok := d.Subscription(id)
-			if !ok || !got.Equal(subs[i]) {
-				t.Fatalf("track=%v: id %d does not round-trip", track, id)
-			}
-		}
-		// The batch must land in the indexes: remove everything cleanly.
-		for _, id := range ids {
-			if err := d.Remove(id); err != nil {
-				t.Fatalf("track=%v: remove: %v", track, err)
-			}
+	}
+	// The batch must land in the index: remove everything cleanly.
+	for _, id := range ids {
+		if err := d.Remove(id); err != nil {
+			t.Fatalf("remove: %v", err)
 		}
 	}
 	// Schema mismatch anywhere in the batch fails it atomically.
-	d := build(false)
+	d = build()
 	other := subscription.MustSchema(8, "a", "b")
 	if _, err := d.InsertBatch([]*subscription.Subscription{subscription.New(other)}); err == nil {
 		t.Fatal("foreign schema must fail")

@@ -28,8 +28,8 @@
 // algorithm the paper analyzes — for the experiments and the cost-model
 // tests.
 //
-// Linear and KDTree are the exact baselines used for correctness oracles
-// and for the scaling experiments.
+// Linear is the exact baseline used as the correctness oracle and in the
+// scaling experiments.
 package dominance
 
 import (
@@ -41,7 +41,8 @@ import (
 	"sfccover/internal/sfcarray"
 )
 
-// Searcher is the interface shared by the SFC index and the baselines.
+// Searcher is the interface shared by the SFC index and the linear
+// baseline.
 type Searcher interface {
 	// Insert indexes point p under the given id.
 	Insert(p []uint32, id uint64)
@@ -218,19 +219,11 @@ func (x *Index) Delete(p []uint32, id uint64) bool {
 	return x.arr.Delete(x.curve.Key(p), id)
 }
 
-// BatchInserter is the optional bulk-load capability of a Searcher:
-// implementations that can beat len(ps) independent Inserts (the SFC
-// array's sorted-batch path) expose it, and batch write paths type-assert
-// for it.
-type BatchInserter interface {
-	// InsertBatch indexes a group of points, aligned with ids.
-	InsertBatch(ps [][]uint32, ids []uint64)
-}
-
-// InsertBatch implements BatchInserter: keys are computed and sorted once,
-// then the whole batch enters the SFC array through its sorted bulk-load
-// path — a bottom-up build on a cold array, a single merge pass on a warm
-// one — instead of one O(log n) descent per point.
+// InsertBatch indexes a group of points, aligned with ids: keys are
+// computed and sorted once, then the whole batch enters the SFC array
+// through its sorted bulk-load path — a bottom-up build on a cold array, a
+// single merge pass on a warm one — instead of one O(log n) descent per
+// point.
 func (x *Index) InsertBatch(ps [][]uint32, ids []uint64) {
 	keys := make([]bits.Key, len(ps))
 	for i, p := range ps {
@@ -315,4 +308,12 @@ func (d *dispatch) checkQuery(q []uint32, eps float64) error {
 		return errEps(eps)
 	}
 	return nil
+}
+
+func errDims(got, want int) error {
+	return fmt.Errorf("dominance: query has %d dims, index has %d", got, want)
+}
+
+func errEps(eps float64) error {
+	return fmt.Errorf("dominance: epsilon %v out of range [0,1)", eps)
 }

@@ -47,27 +47,24 @@ func TestQueryArgValidation(t *testing.T) {
 }
 
 func TestExhaustiveAgreesWithBaselines(t *testing.T) {
-	// The exhaustive SFC query, the linear scan and the k-d tree must give
-	// identical found/not-found answers.
+	// The exhaustive SFC query and the linear scan must give identical
+	// found/not-found answers.
 	rng := rand.New(rand.NewSource(61))
 	configs := []Config{{Dims: 2, Bits: 6}, {Dims: 3, Bits: 4}, {Dims: 4, Bits: 3}}
 	for _, cfg := range configs {
 		idx := MustIndex(cfg)
 		lin := NewLinear()
-		kd := NewKDTree(cfg.Dims)
 		pts := randomPoints(rng, 80, cfg.Dims, cfg.Bits)
 		for i, p := range pts {
 			idx.Insert(p, uint64(i))
 			lin.Insert(p, uint64(i))
-			kd.Insert(p, uint64(i))
 		}
 		for trial := 0; trial < 150; trial++ {
 			q := randomPoints(rng, 1, cfg.Dims, cfg.Bits)[0]
 			idSFC, okSFC := idx.QueryDominating(q)
 			_, okLin := lin.QueryDominating(q)
-			_, okKD := kd.QueryDominating(q)
-			if okSFC != okLin || okLin != okKD {
-				t.Fatalf("d=%d q=%v: sfc=%v lin=%v kd=%v", cfg.Dims, q, okSFC, okLin, okKD)
+			if okSFC != okLin {
+				t.Fatalf("d=%d q=%v: sfc=%v lin=%v", cfg.Dims, q, okSFC, okLin)
 			}
 			if okSFC && !geom.Dominates(pts[idSFC], q) {
 				t.Fatalf("d=%d: returned point %v does not dominate %v", cfg.Dims, pts[idSFC], q)
@@ -270,7 +267,6 @@ func TestInsertDeleteAcrossSearchers(t *testing.T) {
 	searchers := map[string]Searcher{
 		"sfc":    MustIndex(Config{Dims: 2, Bits: 8}),
 		"linear": NewLinear(),
-		"kdtree": NewKDTree(2),
 	}
 	pts := randomPoints(rng, 60, 2, 8)
 	for name, s := range searchers {
@@ -298,9 +294,8 @@ func TestInsertDeleteAcrossSearchers(t *testing.T) {
 		q := randomPoints(rng, 1, 2, 8)[0]
 		_, okSFC := searchers["sfc"].QueryDominating(q)
 		_, okLin := searchers["linear"].QueryDominating(q)
-		_, okKD := searchers["kdtree"].QueryDominating(q)
-		if okSFC != okLin || okLin != okKD {
-			t.Fatalf("post-delete disagreement at %v: sfc=%v lin=%v kd=%v", q, okSFC, okLin, okKD)
+		if okSFC != okLin {
+			t.Fatalf("post-delete disagreement at %v: sfc=%v lin=%v", q, okSFC, okLin)
 		}
 	}
 }
@@ -310,7 +305,6 @@ func TestDominatingPointAtQueryItself(t *testing.T) {
 	for _, mk := range []func() Searcher{
 		func() Searcher { return MustIndex(Config{Dims: 3, Bits: 5}) },
 		func() Searcher { return NewLinear() },
-		func() Searcher { return NewKDTree(3) },
 	} {
 		s := mk()
 		p := []uint32{7, 3, 31}
@@ -336,32 +330,6 @@ func TestMaxCornerAlwaysDominates(t *testing.T) {
 		// anchored there), so even approximate queries must find it.
 		if _, ok, _, _ := idx.Query(q, 0.3); !ok {
 			t.Fatalf("approximate query missed the max corner for q=%v", q)
-		}
-	}
-}
-
-func TestKDTreeDeepDeleteThenQuery(t *testing.T) {
-	kd := NewKDTree(2)
-	lin := NewLinear()
-	rng := rand.New(rand.NewSource(13))
-	pts := randomPoints(rng, 100, 2, 6)
-	for i, p := range pts {
-		kd.Insert(p, uint64(i))
-		lin.Insert(p, uint64(i))
-	}
-	// Delete a random 80%.
-	perm := rng.Perm(100)
-	for _, i := range perm[:80] {
-		if !kd.Delete(pts[i], uint64(i)) || !lin.Delete(pts[i], uint64(i)) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
-	for trial := 0; trial < 300; trial++ {
-		q := randomPoints(rng, 1, 2, 6)[0]
-		_, okKD := kd.QueryDominating(q)
-		_, okLin := lin.QueryDominating(q)
-		if okKD != okLin {
-			t.Fatalf("kd/linear disagree at %v: %v vs %v", q, okKD, okLin)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 func TestEngineProviderConformance(t *testing.T) {
 	schema := coretest.Schema()
 	dets := map[string]core.Config{
-		"sfc-approx":   {Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, TrackCovered: true},
+		"sfc-approx":   {Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3},
 		"sfc-exact":    {Schema: schema, Mode: core.ModeExact},
 		"linear-exact": {Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
 	}

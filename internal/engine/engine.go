@@ -4,17 +4,22 @@
 //
 // There is one execution plan. The space filling curve's key space is
 // split into N contiguous slices (dominance.ShardedIndex), and a
-// co-partitioned subscription store holds one stripe per slice. Because
-// a standard cube occupies one contiguous key range, a query decomposes
-// its region once — outside any lock — and routes each cube's range to
-// the one or two slices it intersects: the expensive enumeration is never
-// duplicated across shards, and the read path contends only on brief
-// per-probe read locks. Updates lock one store stripe and one index
-// slice.
+// subscription store holds one stripe per slice, chosen when the
+// subscription arrives. A covering query runs one search over the whole
+// index, in the index's one order: the hit memo's replay, the successor
+// walk, and only past the walk's step budget the paper's cube search. Its
+// cursors and key ranges are computed outside any lock, and each seek or
+// probe takes the read lock of the slice it lands in, running on into the
+// next slice when its own holds nothing further. So no search is repeated
+// per shard, and readers contend only on brief per-descent read locks.
+// Updates lock one store stripe and one index slice. Where the slice
+// boundaries lie is the engine's own decision: the first bulk load places
+// them, and the write path moves them (rebalance.go).
 //
 // The approximation guarantee survives sharding: the index reports only
-// genuine covers, hence so does the engine, and in exact mode the
-// engine's answer matches a single detector's.
+// genuine covers, hence so does the engine, and in exact mode it finds a
+// cover exactly when a single detector does. The reverse query,
+// FindCovered, scans the store.
 package engine
 
 import (
@@ -46,11 +51,9 @@ const PartitionPrefix Partition = "prefix"
 // Config parameterizes an Engine.
 type Config struct {
 	// Detector is the detector template (schema, mode, epsilon, strategy,
-	// curve, ...). TrackCovered additionally maintains a mirrored index so
-	// FindCovered works in approximate mode. StrategyLinear (exact only)
-	// answers covering queries by scanning the store instead of the
-	// index — the exact reference; StrategyKDTree is a core.Detector
-	// baseline and is rejected here.
+	// budget, memo ceiling). StrategyLinear (exact only) answers covering
+	// queries by scanning the store instead of the index — the exact
+	// reference.
 	Detector core.Config
 	// Shards is the number of partitions (default DefaultShards).
 	Shards int
@@ -113,13 +116,11 @@ type Engine struct {
 	cfg    Config
 	schema *subscription.Schema
 
-	// The plan's state (store.go): the key-range-partitioned index, its
-	// mirror and the co-partitioned subscription store.
-	linear   bool // StrategyLinear: exact covers come from a store scan
-	maxCoord uint32
-	idx      *dominance.ShardedIndex
-	mirror   *dominance.ShardedIndex // non-nil iff TrackCovered
-	stores   []stripe
+	// The plan's state (store.go): the key-range-partitioned index and the
+	// striped subscription store.
+	linear bool // StrategyLinear: exact covers come from a store scan
+	idx    *dominance.ShardedIndex
+	stores []stripe
 
 	tasks     chan func()
 	closeOnce sync.Once
@@ -195,17 +196,13 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	norm := template.Config()
-	if norm.Strategy == core.StrategyKDTree {
-		return nil, fmt.Errorf("engine: strategy %q is a single-detector baseline; use core.Detector", norm.Strategy)
-	}
 
 	e := &Engine{
 		cfg:    cfg,
 		schema: cfg.Detector.Schema,
 		tasks:  make(chan func(), cfg.Workers),
 	}
-	if err := e.initStore(norm); err != nil {
+	if err := e.initStore(template.Config()); err != nil {
 		return nil, err
 	}
 	if !cfg.TelemetryOff {
@@ -224,9 +221,6 @@ func New(cfg Config) (*Engine, error) {
 		e.hRemoveBatch = e.obs.Hist("engine_remove_batch")
 		// Traced queries sample their run probes into "run_probe".
 		e.idx.SetObserver(e.obs)
-		if e.mirror != nil {
-			e.mirror.SetObserver(e.obs)
-		}
 	}
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -385,17 +379,17 @@ func (e *Engine) FindCover(s *subscription.Subscription) (id uint64, found bool,
 }
 
 // FindCovered searches for a subscription that s covers — the reverse
-// question, used at unsubscription time. Exact mode scans directly;
-// approximate mode requires Config.Detector.TrackCovered (mirrored
-// indexes) and may miss, but never misreports.
+// question — by scanning the store: exact in every mode but ModeOff, which
+// never finds anything, and always the smallest such id.
 func (e *Engine) FindCovered(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error) {
 	if err := e.checkSchema(s); err != nil {
 		return 0, false, stats, err
 	}
 	tr := e.obs.SampleTrace("covered")
-	res, searches := e.searchCovered(s, tr)
-	if res.Err != nil {
-		return 0, false, res.Stats, res.Err
+	var res QueryResult
+	searches := 0
+	if e.cfg.Detector.Mode != core.ModeOff {
+		res, searches = e.scan(s, true)
 	}
 	e.record(res, searches)
 	if tr != nil {
@@ -470,7 +464,7 @@ func (e *Engine) Stats() core.ProviderStats {
 		BoundaryMoves:   int(e.boundaryMoves.Load()),
 		MigratedEntries: int(e.migratedEntries.Load()),
 	}
-	ps.DecompCacheHits, ps.DecompCacheMisses = e.cacheStats()
+	ps.DecompCacheHits, ps.DecompCacheMisses = e.idx.CacheStats()
 	ps.SetShardSizes(e.ShardSizes())
 	return ps
 }

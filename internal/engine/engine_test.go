@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"sfccover/internal/core"
+	"sfccover/internal/dominance"
 	"sfccover/internal/subscription"
 	"sfccover/internal/workload"
 )
@@ -37,7 +39,7 @@ func TestConfigValidation(t *testing.T) {
 		{"negative workers", Config{Detector: core.Config{Schema: schema}, Workers: -2}},
 		{"bad partition", Config{Detector: core.Config{Schema: schema}, Partition: "modulo"}},
 		{"retired hash partition", Config{Detector: core.Config{Schema: schema}, Partition: "hash"}},
-		{"kdtree strategy", Config{Detector: core.Config{Schema: schema, Strategy: core.StrategyKDTree}}},
+		{"kdtree strategy", Config{Detector: core.Config{Schema: schema, Strategy: "kdtree"}}},
 		{"bad detector", Config{Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 7}}},
 	}
 	for _, tc := range cases {
@@ -419,7 +421,8 @@ func TestRoutedRemove(t *testing.T) {
 	}
 }
 
-// TestFindCovered exercises the reverse query in both modes.
+// TestFindCovered exercises the reverse query in both modes; it scans the
+// store in each, so each finds every planted child.
 func TestFindCovered(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	pairs, err := workload.Covers(workload.CoverSpec{
@@ -457,11 +460,8 @@ func TestFindCovered(t *testing.T) {
 	})
 	t.Run("approx", func(t *testing.T) {
 		e := MustNew(Config{
-			Detector: core.Config{
-				Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3,
-				MaxCubes: 10000, TrackCovered: true,
-			},
-			Shards: 4,
+			Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 10000},
+			Shards:   4,
 		})
 		defer e.Close()
 		for _, p := range pairs {
@@ -469,16 +469,14 @@ func TestFindCovered(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		hits := 0
 		for i, p := range pairs {
 			id, found, _, err := e.FindCovered(p.Parent)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !found {
-				continue // approximate misses are allowed
+				t.Fatalf("pair %d: approximate FindCovered scans, so it must find the planted child", i)
 			}
-			hits++
 			covered, ok := e.Subscription(id)
 			if !ok {
 				t.Fatalf("pair %d: id %d does not resolve", i, id)
@@ -487,18 +485,51 @@ func TestFindCovered(t *testing.T) {
 				t.Errorf("pair %d: claimed covered subscription is not genuine", i)
 			}
 		}
-		if hits < len(pairs)/2 {
-			t.Errorf("reverse recall too low: %d/%d", hits, len(pairs))
+	})
+}
+
+// TestScansRepeatSmallestID: with several held subscriptions qualifying,
+// 50 repeats of a store scan — FindCovered in both modes, FindCover on
+// the linear strategy — all name the smallest id, where an answer taken
+// from map order would wander between them.
+func TestScansRepeatSmallestID(t *testing.T) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	wide := subscription.MustParse(schema, "volume in [100,900] && price in [100,900]")
+	narrow := subscription.MustParse(schema, "volume in [400,410] && price in [400,410]")
+	for name, det := range map[string]core.Config{
+		"exact":  {Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
+		"approx": {Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3},
+	} {
+		e := MustNew(Config{Detector: det, Shards: 4})
+		defer e.Close()
+		// Even positions cover narrow, odd ones do not; wide covers all.
+		// A bulk load spreads them over the stripes.
+		var subs []*subscription.Subscription
+		for lo := 300; lo < 360; lo += 5 {
+			for _, side := range []int{200, 20} {
+				subs = append(subs, subscription.MustParse(schema, fmt.Sprintf("volume in [%d,%d] && price in [%d,%d]", lo, lo+side, lo, lo+side)))
+			}
 		}
-	})
-	// Approximate FindCovered without TrackCovered is an error.
-	e := MustNew(Config{
-		Detector:  core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3},
-		Partition: PartitionPrefix,
-	})
-	defer e.Close()
-	if _, _, _, err := e.FindCovered(pairs[0].Parent); err == nil {
-		t.Error("approximate FindCovered without TrackCovered should fail")
+		ids, err := e.InsertBatch(subs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var covers []uint64
+		for i := 0; i < len(ids); i += 2 {
+			covers = append(covers, ids[i])
+		}
+		check := func(what string, query func() (uint64, bool, dominance.Stats, error), qualifying []uint64) {
+			want := slices.Min(qualifying)
+			for i := 0; i < 50; i++ {
+				if id, found, _, err := query(); err != nil || !found || id != want {
+					t.Fatalf("%s: %s call %d = (%d,%v,%v), want (%d,true,nil)", name, what, i, id, found, err, want)
+				}
+			}
+		}
+		check("FindCovered", func() (uint64, bool, dominance.Stats, error) { return e.FindCovered(wide) }, ids)
+		if det.Strategy == core.StrategyLinear {
+			check("FindCover", func() (uint64, bool, dominance.Stats, error) { return e.FindCover(narrow) }, covers)
+		}
 	}
 }
 
@@ -576,8 +607,8 @@ func TestAddBatchBulkLoad(t *testing.T) {
 	})
 }
 
-// TestAddBatchBulkLoadMirror checks the bulk path keeps the mirrored
-// (TrackCovered) index in sync on the routed plan.
+// TestAddBatchBulkLoadMirror checks that an approximate engine's bulk path
+// keeps the store the reverse query scans in sync with the index.
 func TestAddBatchBulkLoadMirror(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	pairs, err := workload.Covers(workload.CoverSpec{
@@ -588,8 +619,7 @@ func TestAddBatchBulkLoadMirror(t *testing.T) {
 	}
 	e := MustNew(Config{
 		Detector: core.Config{
-			Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3,
-			MaxCubes: 10000, TrackCovered: true,
+			Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 10000,
 		},
 		Shards:    4,
 		Partition: PartitionPrefix,
@@ -617,9 +647,9 @@ func TestAddBatchBulkLoadMirror(t *testing.T) {
 		}
 	}
 	if hits < len(pairs)/2 {
-		t.Fatalf("mirror recall after bulk load too low: %d/%d", hits, len(pairs))
+		t.Fatalf("reverse recall after bulk load too low: %d/%d", hits, len(pairs))
 	}
-	// Removal goes through both indexes; any desync fails here.
+	// Removal goes through the store and the index; any desync fails here.
 	for _, err := range e.RemoveBatch(ids) {
 		if err != nil {
 			t.Fatal(err)
@@ -647,9 +677,10 @@ func TestEmptyBatches(t *testing.T) {
 // TestTotalsCountIssuedCalls holds the engine counters to the calls
 // actually issued: Queries counts every single op, batch item and
 // FindCovered once, Hits the ones that found something, and
-// ShardSearches one a query on the index, the stripes walked on a
-// linear scan, and none when detection is off. A call rejected before it
-// searched counts nowhere.
+// ShardSearches one a query on the index, every stripe on a store scan
+// (the linear strategy's covers, and FindCovered in every mode), and none
+// when detection is off. A call rejected before it searched counts
+// nowhere.
 func TestTotalsCountIssuedCalls(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	pairs, err := workload.Covers(workload.CoverSpec{Schema: schema, N: 40, SlackFrac: 0.2, Seed: 37})
@@ -665,52 +696,52 @@ func TestTotalsCountIssuedCalls(t *testing.T) {
 
 	type want struct{ queries, hits, searches int }
 	// issue runs every kind of counted call against e, with parents[:20]
-	// held, and tallies what it issued; searches(id, found) is what one
-	// query should add to ShardSearches.
-	issue := func(t *testing.T, e *Engine, searches func(id uint64, found bool) int) want {
+	// held, and tallies what it issued; cover and covered are what one
+	// FindCover-kind query and one FindCovered should add to ShardSearches.
+	issue := func(t *testing.T, e *Engine, cover, covered int) want {
 		var w want
-		count := func(id uint64, found bool) {
+		count := func(found bool, searches int) {
 			w.queries++
 			if found {
 				w.hits++
 			}
-			w.searches += searches(id, found)
+			w.searches += searches
 		}
 		if _, err := e.InsertBatch(parents[:10]); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range parents[10:20] {
-			_, covered, by, err := e.Add(p)
+			_, found, _, err := e.Add(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			count(by, covered)
+			count(found, cover)
 		}
 		for _, c := range children[:10] {
-			id, found, _, err := e.FindCover(c)
+			_, found, _, err := e.FindCover(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			count(id, found)
+			count(found, cover)
 		}
 		for _, r := range e.CoverQueryBatch(children[10:30]) {
 			if r.Err != nil {
 				t.Fatal(r.Err)
 			}
-			count(r.CoveredBy, r.Covered)
+			count(r.Covered, cover)
 		}
 		for _, r := range e.AddBatch(children[30:40]) {
 			if r.Err != nil {
 				t.Fatal(r.Err)
 			}
-			count(r.CoveredBy, r.Covered)
+			count(r.Covered, cover)
 		}
 		for _, p := range parents[:10] {
-			id, found, _, err := e.FindCovered(p)
+			_, found, _, err := e.FindCovered(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			count(id, found)
+			count(found, covered)
 		}
 		// A subscription of another schema is refused before any search.
 		if _, _, _, err := e.FindCover(subscription.New(other)); err == nil {
@@ -730,34 +761,26 @@ func TestTotalsCountIssuedCalls(t *testing.T) {
 		}
 	}
 
+	const shards = 4
 	t.Run("index", func(t *testing.T) {
 		e := MustNew(Config{
-			Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, TrackCovered: true},
-			Shards:   4,
+			Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3},
+			Shards:   shards,
 		})
 		defer e.Close()
-		check(t, e, issue(t, e, func(uint64, bool) int { return 1 }))
+		check(t, e, issue(t, e, 1, shards))
 	})
 	t.Run("linear-scan", func(t *testing.T) {
-		const shards = 4
 		e := MustNew(Config{
 			Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
 			Shards:   shards,
 		})
 		defer e.Close()
-		// The scan walks the stripes in order and stops in the one holding
-		// what it found.
-		check(t, e, issue(t, e, func(id uint64, found bool) int {
-			if !found {
-				return shards
-			}
-			stripe, _ := decodeID(shards, id)
-			return stripe + 1
-		}))
+		check(t, e, issue(t, e, shards, shards))
 	})
 	t.Run("off", func(t *testing.T) {
-		e := MustNew(Config{Detector: core.Config{Schema: schema, Mode: core.ModeOff}, Shards: 4})
+		e := MustNew(Config{Detector: core.Config{Schema: schema, Mode: core.ModeOff}, Shards: shards})
 		defer e.Close()
-		check(t, e, issue(t, e, func(uint64, bool) int { return 0 }))
+		check(t, e, issue(t, e, 0, 0))
 	})
 }

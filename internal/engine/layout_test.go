@@ -48,7 +48,7 @@ func TestBulkLoadBalancesSlices(t *testing.T) {
 		{"hotspot", hotspotSubs(t, schema, 8000, 31), append(hotspotSubs(t, schema, 512, 32), uniform[:512]...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			det := core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 50000, TrackCovered: true}
+			det := core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 50000}
 			build := func(shards int) *Engine {
 				e := MustNew(Config{Detector: det, Shards: shards})
 				t.Cleanup(e.Close)
@@ -59,16 +59,13 @@ func TestBulkLoadBalancesSlices(t *testing.T) {
 			}
 			e, twin, one := build(0), build(0), build(1)
 			if skew := e.skew(); skew > 1.5 {
-				t.Fatalf("bulk load left skew %.2f: primary %v, mirror %v", skew, e.idx.ShardSizes(), e.mirror.ShardSizes())
+				t.Fatalf("bulk load left skew %.2f: %v", skew, e.idx.ShardSizes())
 			}
 			if ps := e.Stats(); ps.BoundaryMoves != 0 {
 				t.Fatalf("the load needed %d boundary moves on top of its own table", ps.BoundaryMoves)
 			}
 			if a, b := e.idx.Boundaries(), twin.idx.Boundaries(); !slices.Equal(a, b) {
 				t.Fatalf("two loads of one set chose different tables:\n%v\n%v", a, b)
-			}
-			if a, b := e.mirror.Boundaries(), twin.mirror.Boundaries(); !slices.Equal(a, b) {
-				t.Fatalf("two loads of one set chose different mirror tables:\n%v\n%v", a, b)
 			}
 
 			type answer struct {
@@ -180,7 +177,7 @@ func TestDefaultEngineAcceptsEverySchema(t *testing.T) {
 func TestRestoreSharesTheBulkLoadSeam(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	subs := hotspotSubs(t, schema, 8000, 31)
-	det := core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 50000, TrackCovered: true}
+	det := core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 50000}
 	held := make([]core.Held, len(subs))
 	for i, s := range subs {
 		held[i] = core.Held{ID: uint64(i + 1), Sub: s}
@@ -194,7 +191,7 @@ func TestRestoreSharesTheBulkLoadSeam(t *testing.T) {
 	if _, err := twin.InsertBatch(subs); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(e.idx.Boundaries(), twin.idx.Boundaries()) || !slices.Equal(e.mirror.Boundaries(), twin.mirror.Boundaries()) {
+	if !slices.Equal(e.idx.Boundaries(), twin.idx.Boundaries()) {
 		t.Fatalf("Restore placed %v, InsertBatch of the same sequence %v", e.idx.Boundaries(), twin.idx.Boundaries())
 	}
 	if st := e.Stats(); st.SkewRatio > 1.5 || st.Rebalances != 0 || st.Subscriptions != len(subs) {

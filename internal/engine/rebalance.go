@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"sfccover/internal/core"
-	"sfccover/internal/dominance"
 )
 
 // The rebalancer's policy. It is always armed and has no options: the
@@ -39,8 +38,8 @@ type RebalanceResult struct {
 	Moves int
 	// Migrated is the number of index entries that crossed a boundary.
 	Migrated int
-	// SkewBefore and SkewAfter bracket the pass with the worse occupancy
-	// skew of the primary and (when present) the mirror index.
+	// SkewBefore and SkewAfter bracket the pass with the index's occupancy
+	// skew.
 	SkewBefore, SkewAfter float64
 }
 
@@ -73,23 +72,12 @@ func (e *Engine) Rebalance() RebalanceResult {
 }
 
 // pass runs one bounded rebalance pass; the caller holds rebalanceMu.
-// While occupancy skew exceeds rebalanceTarget, the most imbalanced
-// adjacent slice pair is equalized, up to two boundary moves a slice
-// across the primary and (when present) the mirror index.
-// The mirror indexes reflected points, so its skew is independent and it
-// is rebalanced against its own occupancy. Cover answers are unaffected —
-// a migration moves where entries are indexed, never what a query
-// returns — and queries keep running during the pass, blocking only on
-// the short per-pair write barriers.
+// Cover answers are unaffected — a migration moves where entries are
+// indexed, never what a query returns — and queries keep running during
+// the pass, blocking only on the short per-pair write barriers.
 func (e *Engine) pass() RebalanceResult {
 	res := RebalanceResult{SkewBefore: e.skew()}
-	budget := 2 * len(e.stores)
-	rebalanceIndex(e.idx, &budget, &res)
-	if e.mirror != nil {
-		rebalanceIndex(e.mirror, &budget, &res)
-	}
-	// Like the trigger signal, the reported skews take the worst index:
-	// a pass driven by a hot mirror must not read as a no-op.
+	e.equalize(&res)
 	res.SkewAfter = e.skew()
 	if res.Moves > 0 {
 		e.rebalances.Add(1)
@@ -99,28 +87,19 @@ func (e *Engine) pass() RebalanceResult {
 	return res
 }
 
-// skew reports the worst occupancy skew across the primary and (when
-// present) the mirror index — the trigger's signal, so a balanced primary
-// cannot mask a hot mirror slice.
-func (e *Engine) skew() float64 {
-	s := core.SkewOf(e.idx.ShardSizes())
-	if e.mirror != nil {
-		if m := core.SkewOf(e.mirror.ShardSizes()); m > s {
-			s = m
-		}
-	}
-	return s
-}
+// skew reports the index's occupancy skew, the trigger's signal.
+func (e *Engine) skew() float64 { return core.SkewOf(e.idx.ShardSizes()) }
 
-// rebalanceIndex drives one index toward rebalanceTarget, decrementing
-// budget per boundary move and folding the moves into res.
-func rebalanceIndex(idx *dominance.ShardedIndex, budget *int, res *RebalanceResult) {
-	n := idx.NumShards()
+// equalize drives the index toward rebalanceTarget: while the skew exceeds
+// it, the most imbalanced adjacent slice pair is equalized, up to two
+// boundary moves a slice, and the moves are folded into res.
+func (e *Engine) equalize(res *RebalanceResult) {
+	n := e.idx.NumShards()
 	if n < 2 {
 		return
 	}
-	for *budget > 0 {
-		sizes := idx.ShardSizes()
+	for budget := 2 * n; budget > 0; budget-- {
+		sizes := e.idx.ShardSizes()
 		if core.SkewOf(sizes) <= rebalanceTarget {
 			return
 		}
@@ -139,7 +118,7 @@ func rebalanceIndex(idx *dominance.ShardedIndex, budget *int, res *RebalanceResu
 			if pairDiff(sizes, i) <= 1 {
 				break
 			}
-			if m := idx.EqualizePair(i); m > 0 {
+			if m := e.idx.EqualizePair(i); m > 0 {
 				moved = m
 				break
 			}
@@ -149,7 +128,6 @@ func rebalanceIndex(idx *dominance.ShardedIndex, budget *int, res *RebalanceResu
 		}
 		res.Moves++
 		res.Migrated += moved
-		*budget--
 	}
 }
 

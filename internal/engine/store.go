@@ -20,54 +20,26 @@ type stripe struct {
 	next uint64                                // next local id, starting at 1
 }
 
-// initStore builds the index, its mirror and the store stripes from the
-// normalized detector template (whose MaxCubes already uses the dominance
-// convention: 0 = unlimited).
+// initStore builds the index and the store stripes from the normalized
+// detector template (whose MaxCubes already uses the dominance convention:
+// 0 = unlimited).
 func (e *Engine) initStore(det core.Config) error {
 	schema, shards := det.Schema, e.cfg.Shards
-	dcfg := dominance.Config{
+	var err error
+	e.idx, err = dominance.NewSharded(dominance.Config{
 		Dims: schema.Dims(), Bits: schema.Bits(), MaxCubes: det.MaxCubes,
 		CacheSize: det.DecompCacheSize,
-	}
-	var err error
-	if e.idx, err = dominance.NewSharded(dcfg, shards); err != nil {
+	}, shards)
+	if err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	if det.TrackCovered {
-		if e.mirror, err = dominance.NewSharded(dcfg, shards); err != nil {
-			return fmt.Errorf("engine: %w", err)
-		}
-	}
 	e.linear = det.Strategy == core.StrategyLinear
-	e.maxCoord = schema.MaxValue()
 	e.stores = make([]stripe, shards)
 	for i := range e.stores {
 		e.stores[i].subs = make(map[uint64]*subscription.Subscription)
 		e.stores[i].next = 1
 	}
 	return nil
-}
-
-// mirrorPoint reflects a transformed point through the universe's center:
-// dominance among mirrored points is reverse covering.
-func (e *Engine) mirrorPoint(p []uint32) []uint32 {
-	out := make([]uint32, len(p))
-	for i, v := range p {
-		out[i] = e.maxCoord - v
-	}
-	return out
-}
-
-// cacheStats sums the decomposition-cache counters across the primary
-// and (when present) the mirror index.
-func (e *Engine) cacheStats() (hits, misses uint64) {
-	hits, misses = e.idx.CacheStats()
-	if e.mirror != nil {
-		h, m := e.mirror.CacheStats()
-		hits += h
-		misses += m
-	}
-	return hits, misses
 }
 
 // Len returns the total number of held subscriptions.
@@ -122,9 +94,6 @@ func (e *Engine) insert(s *subscription.Subscription) uint64 {
 	st.next++
 	st.subs[id] = s.Clone()
 	e.idx.Insert(p, id)
-	if e.mirror != nil {
-		e.mirror.Insert(e.mirrorPoint(p), id)
-	}
 	st.mu.Unlock()
 	e.inserted(1)
 	return id
@@ -143,10 +112,10 @@ func (e *Engine) insert(s *subscription.Subscription) uint64 {
 // to, whatever slice owns its key (the index routes by key).
 //
 // A batch entering an empty engine is what decides the slice layout: the
-// primary and the mirror each place their boundaries at the quantiles of
-// their own points before anything is grouped, so the groups — and every
-// later insert — find an even table. This is the one seam boot recovery,
-// snapshot install, promotion, InsertBatch and AddBatch all pass through.
+// index places its boundaries at the quantiles of the batch's points before
+// anything is grouped, so the groups — and every later insert — find an
+// even table. This is the one seam boot recovery, snapshot install,
+// promotion, InsertBatch and AddBatch all pass through.
 func (e *Engine) insertBatch(subs []*subscription.Subscription, given []uint64) []uint64 {
 	ids := given
 	if given == nil {
@@ -157,9 +126,6 @@ func (e *Engine) insertBatch(subs []*subscription.Subscription, given []uint64) 
 		points[i] = s.Point()
 	}
 	e.idx.ChooseBoundaries(len(points), func(i int) []uint32 { return points[i] })
-	if e.mirror != nil {
-		e.mirror.ChooseBoundaries(len(points), func(i int) []uint32 { return e.mirrorPoint(points[i]) })
-	}
 	groups := make([][]int, len(e.stores))
 	for i := range subs {
 		shard := e.idx.ShardFor(points[i])
@@ -191,12 +157,6 @@ func (e *Engine) insertBatch(subs []*subscription.Subscription, given []uint64) 
 			groupIDs[k] = ids[i]
 		}
 		e.idx.InsertBatch(ps, groupIDs)
-		if e.mirror != nil {
-			for k := range ps {
-				ps[k] = e.mirrorPoint(ps[k])
-			}
-			e.mirror.InsertBatch(ps, groupIDs)
-		}
 	})
 	e.inserted(len(subs))
 	return ids
@@ -248,12 +208,8 @@ func (e *Engine) remove(id uint64) error {
 	if !ok {
 		return fmt.Errorf("engine: no subscription with id %d", id)
 	}
-	p := s.Point()
-	if !e.idx.Delete(p, id) {
+	if !e.idx.Delete(s.Point(), id) {
 		return fmt.Errorf("engine: index out of sync for id %d", id)
-	}
-	if e.mirror != nil && !e.mirror.Delete(e.mirrorPoint(p), id) {
-		return fmt.Errorf("engine: mirror index out of sync for id %d", id)
 	}
 	delete(st.subs, id)
 	return nil
@@ -285,49 +241,33 @@ func (e *Engine) searchCover(s *subscription.Subscription, tr *obs.QueryTrace) (
 	case e.linear:
 		return e.scan(s, false)
 	case det.Mode == core.ModeExact:
-		return e.query(e.idx, s.Point(), 0, tr)
+		return e.query(s.Point(), 0, tr)
 	default: // ModeApprox
-		return e.query(e.idx, s.Point(), det.Epsilon, tr)
+		return e.query(s.Point(), det.Epsilon, tr)
 	}
-}
-
-// searchCovered is searchCover for the reverse question. Exact mode scans
-// the store, like a Detector's exact FindCovered: always available, O(n).
-// Approximate mode queries the mirror index.
-func (e *Engine) searchCovered(s *subscription.Subscription, tr *obs.QueryTrace) (QueryResult, int) {
-	switch e.cfg.Detector.Mode {
-	case core.ModeOff:
-		return QueryResult{}, 0
-	case core.ModeExact:
-		return e.scan(s, true)
-	}
-	if e.mirror == nil {
-		return QueryResult{Err: fmt.Errorf("engine: approximate FindCovered requires Config.Detector.TrackCovered")}, 0
-	}
-	return e.query(e.mirror, e.mirrorPoint(s.Point()), e.cfg.Detector.Epsilon, tr)
 }
 
 // scan answers an exact query without the index by walking the store
-// stripes one lock at a time: the first held subscription that covers s,
-// or with covered set the first one s covers. The count is the number of
-// stripes walked.
+// stripes one lock at a time: the smallest id of a held subscription that
+// covers s, or with covered set the smallest one s covers. Ids interleave
+// across the stripes, so every stripe is walked and counted.
 func (e *Engine) scan(s *subscription.Subscription, covered bool) (QueryResult, int) {
+	var res QueryResult
 	for i := range e.stores {
 		st := &e.stores[i]
 		st.mu.Lock()
 		for id, cand := range st.subs {
-			if covered && s.Covers(cand) || !covered && cand.Covers(s) {
-				st.mu.Unlock()
-				return QueryResult{Covered: true, CoveredBy: id}, i + 1
+			if (!res.Covered || id < res.CoveredBy) && (covered && s.Covers(cand) || !covered && cand.Covers(s)) {
+				res = QueryResult{Covered: true, CoveredBy: id}
 			}
 		}
 		st.mu.Unlock()
 	}
-	return QueryResult{}, len(e.stores)
+	return res, len(e.stores)
 }
 
-func (e *Engine) query(idx *dominance.ShardedIndex, p []uint32, eps float64, tr *obs.QueryTrace) (QueryResult, int) {
-	id, found, stats, err := idx.QueryTraced(p, eps, tr)
+func (e *Engine) query(p []uint32, eps float64, tr *obs.QueryTrace) (QueryResult, int) {
+	id, found, stats, err := e.idx.QueryTraced(p, eps, tr)
 	if err != nil {
 		return QueryResult{Err: err}, 0
 	}

@@ -1,13 +1,18 @@
-package dominance
+package experiments
 
-import "sfccover/internal/geom"
+import (
+	"slices"
 
-// KDTree is an exact dominance baseline: a k-d tree with axis-cycling
+	"sfccover/internal/dominance"
+	"sfccover/internal/geom"
+)
+
+// kdTree is E9's exact dominance baseline: a k-d tree with axis-cycling
 // splits and subtree pruning. It represents the practical exact indexes
 // the related work uses, standing in for the impractical Willard–Lueker
 // structure (see DESIGN.md). Deletion is by tombstone, which suits the
 // pub/sub workload where unsubscriptions are rare relative to queries.
-type KDTree struct {
+type kdTree struct {
 	root *kdNode
 	dims int
 	size int
@@ -24,16 +29,16 @@ type kdNode struct {
 	liveCount int
 }
 
-// NewKDTree returns an empty tree for points with the given dimensionality.
-func NewKDTree(dims int) *KDTree { return &KDTree{dims: dims} }
+// newKDTree returns an empty tree for points with the given dimensionality.
+func newKDTree(dims int) *kdTree { return &kdTree{dims: dims} }
 
-var _ Searcher = (*KDTree)(nil)
+var _ dominance.Searcher = (*kdTree)(nil)
 
-// Len implements Searcher.
-func (t *KDTree) Len() int { return t.size }
+// Len implements dominance.Searcher.
+func (t *kdTree) Len() int { return t.size }
 
-// Insert implements Searcher.
-func (t *KDTree) Insert(p []uint32, id uint64) {
+// Insert implements dominance.Searcher.
+func (t *kdTree) Insert(p []uint32, id uint64) {
 	n := &kdNode{point: append([]uint32(nil), p...), id: id, liveCount: 1}
 	if t.root == nil {
 		t.root = n
@@ -61,14 +66,14 @@ func (t *KDTree) Insert(p []uint32, id uint64) {
 	t.size++
 }
 
-// Delete implements Searcher (tombstone).
-func (t *KDTree) Delete(p []uint32, id uint64) bool {
+// Delete implements dominance.Searcher (tombstone).
+func (t *kdTree) Delete(p []uint32, id uint64) bool {
 	// Walk the insert path; equal coordinates always went right.
 	var path []*kdNode
 	cur := t.root
 	for cur != nil {
 		path = append(path, cur)
-		if !cur.deleted && cur.id == id && equalPoint(cur.point, p) {
+		if !cur.deleted && cur.id == id && slices.Equal(cur.point, p) {
 			cur.deleted = true
 			t.size--
 			for _, n := range path {
@@ -85,14 +90,14 @@ func (t *KDTree) Delete(p []uint32, id uint64) bool {
 	return false
 }
 
-// QueryDominating implements Searcher: depth-first search of the extremal
-// region [q, max]^d, pruning left subtrees whose split already fails the
-// query's lower bound and subtrees with no live nodes.
-func (t *KDTree) QueryDominating(q []uint32) (uint64, bool) {
+// QueryDominating implements dominance.Searcher: depth-first search of the
+// extremal region [q, max]^d, pruning left subtrees whose split already
+// fails the query's lower bound and subtrees with no live nodes.
+func (t *kdTree) QueryDominating(q []uint32) (uint64, bool) {
 	return t.query(t.root, q)
 }
 
-func (t *KDTree) query(n *kdNode, q []uint32) (uint64, bool) {
+func (t *kdTree) query(n *kdNode, q []uint32) (uint64, bool) {
 	if n == nil || n.liveCount == 0 {
 		return 0, false
 	}

@@ -312,7 +312,7 @@ func runE9(w io.Writer, quick bool) error {
 	for _, n := range sizes {
 		approx := dominance.MustIndex(dominance.Config{Dims: d, Bits: k, MaxCubes: 50000})
 		lin := dominance.NewLinear()
-		kd := dominance.NewKDTree(d)
+		kd := newKDTree(d)
 		for i := 0; i < n; i++ {
 			p := genPoint()
 			approx.Insert(p, uint64(i))

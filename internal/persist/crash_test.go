@@ -267,12 +267,10 @@ func detectorBackend(schema *subscription.Schema) func() core.Provider {
 func engineBackend(t *testing.T, schema *subscription.Schema) func() core.Provider {
 	return func() core.Provider {
 		// Exact mode over the SFC index: the anti-chain family's one-sided
-		// constraints keep exhaustive decomposition cheap, and TrackCovered
-		// makes recovery rebuild the mirrored index too.
+		// constraints keep exhaustive decomposition cheap.
 		e, err := engine.New(engine.Config{
 			Detector: core.Config{
-				Schema: schema, Mode: core.ModeExact,
-				TrackCovered: true, Seed: 7,
+				Schema: schema, Mode: core.ModeExact, Seed: 7,
 			},
 			Shards:  4,
 			Workers: 2,

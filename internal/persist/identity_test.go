@@ -15,7 +15,7 @@ import (
 
 func newTestEngine(schema *subscription.Schema, shards int) *engine.Engine {
 	return engine.MustNew(engine.Config{
-		Detector: core.Config{Schema: schema, Mode: core.ModeExact, TrackCovered: true},
+		Detector: core.Config{Schema: schema, Mode: core.ModeExact},
 		Shards:   shards,
 		Workers:  2,
 	})

@@ -28,7 +28,7 @@ func TestSnapshotMidRebalanceRecovery(t *testing.T) {
 		return engine.MustNew(engine.Config{
 			Detector: core.Config{
 				Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3,
-				MaxCubes: 5000, TrackCovered: true, Seed: 3,
+				MaxCubes: 5000, Seed: 3,
 			},
 			Shards:    8,
 			Partition: engine.PartitionPrefix,

@@ -886,10 +886,9 @@ func (c *Client) QueryBatch(ctx context.Context, subs []*subscription.Subscripti
 }
 
 // QueryCovered asks the reverse covering question: does the store hold a
-// subscription that s covers? Routers use it at unsubscription time. The
-// server answers through the provider's FindCovered, with its guarantees
-// (exact mode scans exactly; approximate mode needs TrackCovered and may
-// miss but never misreports).
+// subscription that s covers? The server answers through the provider's
+// FindCovered, a scan: exact whenever detection is on, naming the smallest
+// such sid.
 func (c *Client) QueryCovered(ctx context.Context, s *subscription.Subscription) (covered bool, coveredID uint64, err error) {
 	res, err := c.subOp(ctx, OpCovered, "", s)
 	return res.Covered, res.CoveredBy, err

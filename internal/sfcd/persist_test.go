@@ -31,7 +31,7 @@ type daemon struct {
 func startDaemon(t *testing.T, schema *subscription.Schema, dir string) *daemon {
 	t.Helper()
 	eng, err := engine.New(engine.Config{
-		Detector:  core.Config{Schema: schema, Mode: core.ModeExact, TrackCovered: true, Seed: 5},
+		Detector:  core.Config{Schema: schema, Mode: core.ModeExact, Seed: 5},
 		Shards:    4,
 		Partition: engine.PartitionPrefix,
 		Workers:   2,

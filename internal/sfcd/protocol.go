@@ -89,11 +89,11 @@
 //
 // "insert" stores a subscription without the pre-insert covering query
 // (the Provider.Insert path); "get" resolves a sid back to its stored
-// subscription payload. "covered" is the reverse covering query (engine
-// FindCovered): does the store hold a subscription that the payload
-// covers? Routers call it at unsubscription time to decide which
-// suppressed subscriptions must be re-forwarded. "metrics" renders the
-// stats counters in the Prometheus text exposition format.
+// subscription payload. "covered" is the reverse covering query (the
+// provider's FindCovered): does the store hold a subscription that the
+// payload covers? It scans, so it answers exactly whenever detection is
+// on, with the smallest such sid. "metrics" renders the stats counters in the
+// Prometheus text exposition format.
 //
 // "match" answers event delivery: an event e is a degenerate subscription
 // constraining every attribute to exactly its value, so "does any stored

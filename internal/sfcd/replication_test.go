@@ -31,7 +31,7 @@ type follower struct {
 func startFollower(t *testing.T, schema *subscription.Schema, dir, primaryAddr string) *follower {
 	t.Helper()
 	eng, err := engine.New(engine.Config{
-		Detector:  core.Config{Schema: schema, Mode: core.ModeExact, TrackCovered: true, Seed: 5},
+		Detector:  core.Config{Schema: schema, Mode: core.ModeExact, Seed: 5},
 		Shards:    4,
 		Partition: engine.PartitionPrefix,
 		Workers:   2,

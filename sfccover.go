@@ -19,7 +19,7 @@
 //   - Provider: the covering-detection interface implemented by Detector
 //     and Engine alike — one protocol, many backing indexes.
 //   - Detector: covering detection over a dynamic subscription set
-//     (off / exact / ε-approximate; SFC, linear-scan or k-d tree backends).
+//     (off / exact / ε-approximate; SFC or linear-scan backends).
 //   - Engine: a sharded, concurrent detection engine that partitions the
 //     space-filling curve's key space into N slices — one decomposition
 //     per query, each cube probing only the slices it intersects — and
@@ -124,8 +124,6 @@ const (
 	StrategySFC = core.StrategySFC
 	// StrategyLinear scans all subscriptions.
 	StrategyLinear = core.StrategyLinear
-	// StrategyKDTree prunes with a k-d tree.
-	StrategyKDTree = core.StrategyKDTree
 )
 
 // QueryStats describes the work one covering query performed, in the cost
@@ -310,11 +308,6 @@ func OpenPersistStore(dir string, schema *Schema, opts PersistOptions) (*Persist
 // propagation.
 type Network = broker.Network
 
-// ConcurrentNetwork runs the same broker state machines as Network with
-// one goroutine per broker, channel links and quiescence detection; safe
-// for concurrent Subscribe/Publish after Start.
-type ConcurrentNetwork = broker.Concurrent
-
 // NetworkConfig parameterizes a Network's brokers, including the per-link
 // provider backend (NetworkBackend*) and its engine knobs.
 type NetworkConfig = broker.Config
@@ -461,13 +454,6 @@ func DialDaemonContext(ctx context.Context, cfg DaemonDialConfig) (*DaemonClient
 // NewNetwork builds a broker overlay simulation.
 func NewNetwork(topo Topology, cfg NetworkConfig) (*Network, error) {
 	return broker.NewNetwork(topo, cfg)
-}
-
-// NewConcurrentNetwork builds a concurrent broker overlay: attach clients,
-// Start, then drive it from any number of goroutines; Flush waits for
-// quiescence and Close shuts it down.
-func NewConcurrentNetwork(topo Topology, cfg NetworkConfig) (*ConcurrentNetwork, error) {
-	return broker.NewConcurrent(topo, cfg)
 }
 
 // LineTopology returns a path of n brokers.
