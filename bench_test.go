@@ -304,29 +304,60 @@ func BenchmarkCoverQueryDetectorSingleThread(b *testing.B) {
 // filter, the second builds and publishes the entry.
 func steadyStateDetector(tb testing.TB, cacheSize int) (*core.Detector, []*subscription.Subscription) {
 	tb.Helper()
-	parents, children := engineBenchWorkload(tb)
-	cfg := engineBenchCfg
-	cfg.Schema = parents[0].Schema()
-	cfg.DecompCacheSize = cacheSize
-	// A budget under the per-entry cache bound keeps every decomposition
-	// cacheable, so the steady state is the replay path — not the
-	// negative-entry fallback — and stays cheap on this hit-heavy set.
-	cfg.MaxCubes = 1000
+	cfg, parents, queries := steadyStateWorkload(tb, cacheSize)
 	det := core.MustNew(cfg)
 	for _, p := range parents {
 		if _, err := det.Insert(p); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	queries := children[:64]
+	warmShapes(tb, det.FindCover, queries)
+	return det, queries
+}
+
+// steadyStateEngine is steadyStateDetector's population and shapes behind
+// a default engine (eight slices, telemetry on), bulk-loaded as a daemon
+// boots; each query has run twice off the clock here too.
+func steadyStateEngine(tb testing.TB) (*engine.Engine, []*subscription.Subscription) {
+	tb.Helper()
+	cfg, parents, queries := steadyStateWorkload(tb, 0)
+	eng, err := engine.New(engine.Config{Detector: cfg})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(eng.Close)
+	if _, err := eng.InsertBatch(parents); err != nil {
+		tb.Fatal(err)
+	}
+	warmShapes(tb, eng.FindCover, queries)
+	return eng, queries
+}
+
+// steadyStateWorkload is the warm path's configuration, planted-cover
+// population and 64 recurring query shapes.
+func steadyStateWorkload(tb testing.TB, cacheSize int) (cfg core.Config, parents, queries []*subscription.Subscription) {
+	tb.Helper()
+	parents, children := engineBenchWorkload(tb)
+	cfg = engineBenchCfg
+	cfg.Schema = parents[0].Schema()
+	cfg.DecompCacheSize = cacheSize
+	// A budget under the per-entry cache bound keeps every decomposition
+	// cacheable, so the steady state is the replay path — not the
+	// negative-entry fallback — and stays cheap on this hit-heavy set.
+	cfg.MaxCubes = 1000
+	return cfg, parents, children[:64]
+}
+
+// warmShapes runs every query twice through find.
+func warmShapes(tb testing.TB, find func(*subscription.Subscription) (uint64, bool, dominance.Stats, error), queries []*subscription.Subscription) {
+	tb.Helper()
 	for pass := 0; pass < 2; pass++ {
 		for _, q := range queries {
-			if _, _, _, err := det.FindCover(q); err != nil {
+			if _, _, _, err := find(q); err != nil {
 				tb.Fatal(err)
 			}
 		}
 	}
-	return det, queries
 }
 
 // BenchmarkCoverQuery measures the steady-state covering-query hot path:
@@ -340,6 +371,21 @@ func BenchmarkCoverQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := det.FindCover(queries[i%len(queries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCoverQueryEngine is BenchmarkCoverQuery's population and shapes
+// through a default engine instead of a Detector: the same memo replays,
+// so the difference between the two lines is the engine's fixed cost per
+// query over the Detector's (trace election, slice routing, counters).
+func BenchmarkCoverQueryEngine(b *testing.B) {
+	eng, queries := steadyStateEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := eng.FindCover(queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -377,6 +423,27 @@ func TestSteadyStateQueryZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state FindCover allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestEngineWarmQueryZeroAlloc is the guard on the engine's warm path with
+// telemetry on, as the engine is built by default: recurring shapes, every
+// one a memo hit, average 0 allocs/op over 1 280 queries. The trace
+// sampler elects ten of them (1 in 128), each allocating its record a few
+// times; AllocsPerRun's integer mean keeps those under one, while one
+// allocation on every query reads 1.
+func TestEngineWarmQueryZeroAlloc(t *testing.T) {
+	eng, queries := steadyStateEngine(t)
+	i := 0
+	allocs := testing.AllocsPerRun(1280, func() {
+		q := queries[i%len(queries)]
+		i++
+		if _, found, st, err := eng.FindCover(q); err != nil || !found || st.Path != dominance.PathMemo {
+			t.Fatalf("warm query %d = (found %v, path %v, %v), want a memo hit", i, found, st.Path, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a warm engine query allocates %.1f allocs/op with telemetry on, want 0", allocs)
 	}
 }
 

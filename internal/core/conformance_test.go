@@ -27,6 +27,15 @@ func TestDetectorProviderConformance(t *testing.T) {
 	}
 }
 
+// TestTotalsMatchQueryStats holds a Detector's lifetime counters to the
+// sums of the per-call Stats over memo, walk and cube answers, scans, and
+// exact and off modes; mode off searches nothing and counts nothing.
+func TestTotalsMatchQueryStats(t *testing.T) {
+	coretest.RunTotalsMatchQueryStats(t, func(t *testing.T, cfg core.Config) core.Provider {
+		return core.MustNew(cfg)
+	}, false)
+}
+
 // TestDetectorConformancePerCurve runs the battery on the one curve the
 // index has, Z, with the hit memo enabled.
 func TestDetectorConformancePerCurve(t *testing.T) {

@@ -4,7 +4,8 @@
 // RemoteProvider — must pass identically, so that brokers and services
 // can swap backends without re-auditing semantics. Implementation packages
 // call RunProviderConformance from their own tests with a factory for a
-// fresh, empty, exact-mode provider.
+// fresh, empty, exact-mode provider, and RunTotalsMatchQueryStats with one
+// that takes the detector configuration.
 package coretest
 
 import (
@@ -13,7 +14,9 @@ import (
 	"testing"
 
 	"sfccover/internal/core"
+	"sfccover/internal/dominance"
 	"sfccover/internal/subscription"
+	"sfccover/internal/workload"
 )
 
 // Schema returns a fresh schema of the shape the conformance suite
@@ -236,8 +239,9 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 		if ps.Subscriptions != 1 {
 			t.Errorf("Stats.Subscriptions = %d, want 1", ps.Subscriptions)
 		}
-		if ps.Queries < 2 || ps.Hits < 1 {
-			t.Errorf("Stats totals = %d queries / %d hits, want >= 2 / >= 1", ps.Queries, ps.Hits)
+		// Three calls issued; only the first finds a cover.
+		if ps.Queries != 3 || ps.Hits != 1 {
+			t.Errorf("Stats totals = %d queries / %d hits, want 3 / 1", ps.Queries, ps.Hits)
 		}
 		if ps.Shards < 1 || len(ps.ShardSizes) != ps.Shards {
 			t.Errorf("Stats layout = %d shards, %d sizes", ps.Shards, len(ps.ShardSizes))
@@ -588,5 +592,110 @@ func RunPersistenceConformance(t *testing.T, schema *subscription.Schema, open f
 	}
 	if _, found, _, _ := r.FindCover(edgeProbe); found {
 		t.Fatal("removed recovered cover still answers")
+	}
+}
+
+// RunTotalsMatchQueryStats holds a provider's lifetime counters to the
+// calls issued against it. build returns a fresh, empty provider for the
+// given detector configuration; the suite closes it. Per mode — approximate
+// under a small step budget, exact, off — one provider is bulk-loaded with
+// planted covers and asked a mixed sequence: recurring shapes (the memo
+// replays them from their third touch on), one-shot planted children and
+// uniform shapes in a batch (walk hits and misses, and walks that overrun
+// the budget into the cube search) and reverse queries (store scans).
+// Stats must then read Queries as the calls issued, Hits as those that
+// found a cover, and RunsProbed, CubesGenerated and every PathQueries cell
+// as the sums of the Stats the calls returned. offCounted says whether a
+// mode-off call counts as a query: an engine counts it under
+// dominance.PathNone, a Detector counts searches, and mode off issues
+// none.
+func RunTotalsMatchQueryStats(t *testing.T, build func(t *testing.T, cfg core.Config) core.Provider, offCounted bool) {
+	t.Helper()
+	schema := Schema()
+	pairs, err := workload.Covers(workload.CoverSpec{Schema: schema, N: 400, SlackFrac: 0.2, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform, err := workload.Subscriptions(workload.SubSpec{Schema: schema, N: 200, WidthFrac: 0.1, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parents := make([]*subscription.Subscription, len(pairs))
+	children := make([]*subscription.Subscription, len(pairs))
+	for i, pr := range pairs {
+		parents[i], children[i] = pr.Parent, pr.Child
+	}
+	const recurring = 32
+	oneShot := append(append([]*subscription.Subscription{}, children[recurring:]...), uniform...)
+
+	type tally struct {
+		queries, hits, runs, cubes int
+		paths                      [dominance.NumPaths]int
+	}
+	for _, mode := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"approx", core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 8}},
+		{"exact", core.Config{Schema: schema, Mode: core.ModeExact}},
+		{"off", core.Config{Schema: schema, Mode: core.ModeOff}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			p := build(t, mode.cfg)
+			t.Cleanup(p.Close)
+			if _, err := p.InsertBatch(parents); err != nil {
+				t.Fatal(err)
+			}
+			var w tally
+			count := func(found bool, st dominance.Stats, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mode.cfg.Mode == core.ModeOff && !offCounted {
+					return
+				}
+				w.queries++
+				if found {
+					w.hits++
+				}
+				w.runs += st.RunsProbed
+				w.cubes += st.CubesGenerated
+				w.paths[st.Path]++
+			}
+			for pass := 0; pass < 4; pass++ {
+				for _, c := range children[:recurring] {
+					_, found, st, err := p.FindCover(c)
+					count(found, st, err)
+				}
+			}
+			for _, r := range p.CoverQueryBatch(oneShot) {
+				count(r.Covered, r.Stats, r.Err)
+			}
+			for _, s := range parents[:recurring] {
+				_, found, st, err := p.FindCovered(s)
+				count(found, st, err)
+			}
+
+			ps := p.Stats()
+			got := tally{ps.Queries, ps.Hits, ps.RunsProbed, ps.CubesGenerated, ps.PathQueries}
+			if got != w {
+				t.Fatalf("Stats read %+v, the calls issued sum to %+v", got, w)
+			}
+			// The sequence reaches every cut it claims to.
+			switch mode.cfg.Mode {
+			case core.ModeApprox:
+				if w.paths[dominance.PathMemo] == 0 || w.paths[dominance.PathWalk] == 0 || w.paths[dominance.PathCubes] == 0 {
+					t.Fatalf("paths %v: the approximate sequence must end on the memo, the walk and the cubes", w.paths)
+				}
+			case core.ModeExact:
+				if w.paths[dominance.PathWalk] == 0 {
+					t.Fatalf("paths %v: no exact query walked", w.paths)
+				}
+			}
+			if mode.cfg.Mode != core.ModeOff && (w.hits == 0 || w.hits == w.queries) {
+				t.Fatalf("%d hits of %d queries: the sequence must both find and miss", w.hits, w.queries)
+			}
+		})
 	}
 }

@@ -210,7 +210,9 @@ next:
 
 // replay answers q from its entry, if it has one, with one probe of the
 // memoized range. had reports that an entry existed; had without found
-// is a stale entry.
+// is a stale entry. A query that ends on PathMemo has therefore probed
+// exactly once (begin zeroed its Stats), which the engine's counters rely
+// on.
 //
 //sfc:hotpath
 func (m *hitMemo) replay(arr ordered, h uint64, q []uint32, stats *Stats) (id uint64, found, had bool) {

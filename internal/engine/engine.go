@@ -140,13 +140,16 @@ type Engine struct {
 	// sinceCheck counts inserts since the write path last read the skew.
 	sinceCheck atomic.Int64
 
-	// Query counters. A query is counted once, in paths; extraSearches
-	// holds the searches beyond each query's first (Totals adds one a
-	// query back), so a warm indexed query does three adds.
-	hits          atomic.Int64
+	// Query counters. A query is counted once, in counts, by the cut that
+	// ended it and by whether it found a cover. runsProbed holds the
+	// descents of the queries the memo did not answer (a memo answer is
+	// one probe, and Totals adds one a memo query back), and extraSearches
+	// the searches beyond each query's first (Totals adds one a query
+	// back); cubes and extraSearches are added to only when non-zero. So a
+	// memo hit does one add and a warm walk query two.
+	counts        [dominance.NumPaths][2]atomic.Int64
 	runsProbed    atomic.Int64
 	cubes         atomic.Int64
-	paths         [dominance.NumPaths]atomic.Int64
 	extraSearches atomic.Int64
 
 	rebalances      atomic.Int64
@@ -288,18 +291,26 @@ func (e *Engine) Mode() core.Mode { return e.cfg.Detector.Mode }
 // Schema returns the engine's attribute schema.
 func (e *Engine) Schema() *subscription.Schema { return e.schema }
 
-// record folds one logical query's outcome into the engine counters.
+// record folds one logical query's outcome into the engine counters: one
+// add to its path-and-found cell, and the probe, cube and search counts
+// only where Totals cannot derive them. A memo answer is exactly one
+// probe (the replay counts it on a zeroed Stats before it can end on
+// PathMemo), so its probes are not added here; Totals adds them back.
 //
 //sfc:hotpath
-func (e *Engine) record(res QueryResult, searches int) {
+func (e *Engine) record(res *QueryResult, searches int) {
+	found := 0
 	if res.Covered {
-		e.hits.Add(1)
+		found = 1
 	}
-	e.runsProbed.Add(int64(res.Stats.RunsProbed))
+	path := res.Stats.Path
+	e.counts[path][found].Add(1)
+	if path != dominance.PathMemo {
+		e.runsProbed.Add(int64(res.Stats.RunsProbed))
+	}
 	if res.Stats.CubesGenerated != 0 {
 		e.cubes.Add(int64(res.Stats.CubesGenerated))
 	}
-	e.paths[res.Stats.Path].Add(1)
 	// An indexed search is one; a mode-off query searched nothing (-1).
 	if searches != 1 {
 		e.extraSearches.Add(int64(searches - 1))
@@ -324,21 +335,26 @@ func (e *Engine) checkSchema(s *subscription.Subscription) error {
 // TraceSample — while the exact count is Totals.Queries and the
 // batch-level histogram still times every batch call.
 //
+// The outcome is written into res, which the caller owns and hands over
+// zeroed: a single op's local or a batch's slot, so no result is copied
+// between the query's frames.
+//
 //sfc:hotpath
-func (e *Engine) findCover(s *subscription.Subscription) QueryResult {
-	return e.findCoverTraced(s, e.obs.SampleTrace("query"))
+func (e *Engine) findCover(s *subscription.Subscription, res *QueryResult) {
+	e.findCoverTraced(s, e.obs.SampleTrace("query"), res)
 }
 
 // findCoverTraced is findCover with an explicit (possibly nil) trace.
 //
 //sfc:hotpath
-func (e *Engine) findCoverTraced(s *subscription.Subscription, tr *obs.QueryTrace) QueryResult {
+func (e *Engine) findCoverTraced(s *subscription.Subscription, tr *obs.QueryTrace, res *QueryResult) {
 	if err := e.checkSchema(s); err != nil {
-		return QueryResult{Err: err}
+		res.Err = err
+		return
 	}
-	res, searches := e.searchCover(s, tr)
+	searches := e.searchCover(s, tr, res)
 	if res.Err != nil {
-		return res
+		return
 	}
 	e.record(res, searches)
 	if tr != nil {
@@ -347,7 +363,6 @@ func (e *Engine) findCoverTraced(s *subscription.Subscription, tr *obs.QueryTrac
 		tr.Cost = dominance.CostOf(res.Stats)
 		e.obs.FinishTrace(tr, d)
 	}
-	return res
 }
 
 // TraceCover runs one covering query with tracing forced on and returns
@@ -363,7 +378,8 @@ func (e *Engine) TraceCover(s *subscription.Subscription) (QueryResult, *obs.Que
 		// asked for it explicitly.
 		tr = &obs.QueryTrace{Op: "query", Start: time.Now()}
 	}
-	res := e.findCoverTraced(s, tr)
+	var res QueryResult
+	e.findCoverTraced(s, tr, &res)
 	if tr.Total == 0 && res.Err == nil {
 		tr.Total = time.Since(tr.Start)
 	}
@@ -374,7 +390,8 @@ func (e *Engine) TraceCover(s *subscription.Subscription) (QueryResult, *obs.Que
 // approximate-mode guarantee is preserved: a reported cover is always
 // genuine.
 func (e *Engine) FindCover(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error) {
-	res := e.findCover(s)
+	var res QueryResult
+	e.findCover(s, &res)
 	return res.CoveredBy, res.Covered, res.Stats, res.Err
 }
 
@@ -389,9 +406,9 @@ func (e *Engine) FindCovered(s *subscription.Subscription) (id uint64, found boo
 	var res QueryResult
 	searches := 0
 	if e.cfg.Detector.Mode != core.ModeOff {
-		res, searches = e.scan(s, true)
+		searches = e.scan(s, true, &res)
 	}
-	e.record(res, searches)
+	e.record(&res, searches)
 	if tr != nil {
 		d := time.Since(tr.Start)
 		e.hCovered.Observe(d)
@@ -411,7 +428,8 @@ func (e *Engine) Observer() *obs.Observer { return e.obs }
 // its home shard either way. The signature matches core.Provider (and the
 // single Detector), so routers can swap backends freely.
 func (e *Engine) Add(s *subscription.Subscription) (id uint64, covered bool, coveredBy uint64, err error) {
-	res := e.findCover(s)
+	var res QueryResult
+	e.findCover(s, &res)
 	if res.Err != nil {
 		return 0, false, 0, res.Err
 	}
@@ -436,14 +454,16 @@ func (e *Engine) Remove(id uint64) error {
 // Totals returns a snapshot of the engine-level counters.
 func (e *Engine) Totals() Totals {
 	tot := Totals{
-		Hits:           int(e.hits.Load()),
 		RunsProbed:     int(e.runsProbed.Load()),
 		CubesGenerated: int(e.cubes.Load()),
 	}
-	for p := range tot.PathQueries {
-		tot.PathQueries[p] = int(e.paths[p].Load())
-		tot.Queries += tot.PathQueries[p]
+	for p := range e.counts {
+		miss, hit := int(e.counts[p][0].Load()), int(e.counts[p][1].Load())
+		tot.PathQueries[p] = miss + hit
+		tot.Queries += miss + hit
+		tot.Hits += hit
 	}
+	tot.RunsProbed += tot.PathQueries[dominance.PathMemo] // one probe each, see record
 	tot.ShardSearches = tot.Queries + int(e.extraSearches.Load())
 	return tot
 }
@@ -512,7 +532,7 @@ func (e *Engine) AddBatch(subs []*subscription.Subscription) []AddResult {
 	defer observeSince(e.hAddBatch, time.Now())
 	out := make([]AddResult, len(subs))
 	err := e.guarded(func() {
-		e.run(len(subs), func(i int) { out[i].QueryResult = e.findCover(subs[i]) })
+		e.run(len(subs), func(i int) { e.findCover(subs[i], &out[i].QueryResult) })
 		valid := make([]int, 0, len(subs))
 		batch := make([]*subscription.Subscription, 0, len(subs))
 		for i := range out {
@@ -560,7 +580,7 @@ func (e *Engine) CoverQueryBatch(subs []*subscription.Subscription) []QueryResul
 	defer observeSince(e.hQueryBatch, time.Now())
 	out := make([]QueryResult, len(subs))
 	err := e.guarded(func() {
-		e.run(len(subs), func(i int) { out[i] = e.findCover(subs[i]) })
+		e.run(len(subs), func(i int) { e.findCover(subs[i], &out[i]) })
 	})
 	if err != nil {
 		for i := range out {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sfccover/internal/core"
+	"sfccover/internal/core/coretest"
 	"sfccover/internal/dominance"
 	"sfccover/internal/subscription"
 	"sfccover/internal/workload"
@@ -671,6 +672,20 @@ func TestEmptyBatches(t *testing.T) {
 	}
 	if got := e.RemoveBatch(nil); len(got) != 0 {
 		t.Errorf("RemoveBatch(nil) returned %d results", len(got))
+	}
+}
+
+// TestTotalsMatchQueryStats holds the engine counters, which fold a memo
+// answer's probe and a query's found bit into one add, to the sums of the
+// per-call Stats, on one slice and on eight; a mode-off call counts under
+// dominance.PathNone.
+func TestTotalsMatchQueryStats(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			coretest.RunTotalsMatchQueryStats(t, func(t *testing.T, cfg core.Config) core.Provider {
+				return MustNew(Config{Detector: cfg, Shards: shards})
+			}, true)
+		})
 	}
 }
 

@@ -228,22 +228,24 @@ func (e *Engine) Subscription(id uint64) (*subscription.Subscription, bool) {
 	return s.Clone(), true
 }
 
-// searchCover runs one covering search and returns the result plus the
-// number of per-shard searches issued; the returned ids are engine ids
-// because that is what the index stores. A non-nil trace collects the
-// decomposition/probe stage timings and per-slice probe counts inside
-// the sharded index.
-func (e *Engine) searchCover(s *subscription.Subscription, tr *obs.QueryTrace) (QueryResult, int) {
+// searchCover runs one covering search into res, which the caller hands
+// over zeroed, and returns the number of per-shard searches issued; the
+// ids it writes are engine ids because that is what the index stores. A
+// non-nil trace collects the decomposition/probe stage timings and
+// per-slice probe counts inside the sharded index.
+//
+//sfc:hotpath
+func (e *Engine) searchCover(s *subscription.Subscription, tr *obs.QueryTrace, res *QueryResult) int {
 	det := &e.cfg.Detector
 	switch {
 	case det.Mode == core.ModeOff:
-		return QueryResult{}, 0
+		return 0
 	case e.linear:
-		return e.scan(s, false)
+		return e.scan(s, false, res)
 	case det.Mode == core.ModeExact:
-		return e.query(s.Point(), 0, tr)
+		return e.query(s.Point(), 0, tr, res)
 	default: // ModeApprox
-		return e.query(s.Point(), det.Epsilon, tr)
+		return e.query(s.Point(), det.Epsilon, tr, res)
 	}
 }
 
@@ -251,25 +253,27 @@ func (e *Engine) searchCover(s *subscription.Subscription, tr *obs.QueryTrace) (
 // stripes one lock at a time: the smallest id of a held subscription that
 // covers s, or with covered set the smallest one s covers. Ids interleave
 // across the stripes, so every stripe is walked and counted.
-func (e *Engine) scan(s *subscription.Subscription, covered bool) (QueryResult, int) {
-	var res QueryResult
+func (e *Engine) scan(s *subscription.Subscription, covered bool, res *QueryResult) int {
 	for i := range e.stores {
 		st := &e.stores[i]
 		st.mu.Lock()
 		for id, cand := range st.subs {
 			if (!res.Covered || id < res.CoveredBy) && (covered && s.Covers(cand) || !covered && cand.Covers(s)) {
-				res = QueryResult{Covered: true, CoveredBy: id}
+				res.Covered, res.CoveredBy = true, id
 			}
 		}
 		st.mu.Unlock()
 	}
-	return res, len(e.stores)
+	return len(e.stores)
 }
 
-func (e *Engine) query(p []uint32, eps float64, tr *obs.QueryTrace) (QueryResult, int) {
-	id, found, stats, err := e.idx.QueryTraced(p, eps, tr)
-	if err != nil {
-		return QueryResult{Err: err}, 0
+// query runs the index search, copying its Stats once, into res.
+//
+//sfc:hotpath
+func (e *Engine) query(p []uint32, eps float64, tr *obs.QueryTrace, res *QueryResult) int {
+	res.CoveredBy, res.Covered, res.Stats, res.Err = e.idx.QueryTraced(p, eps, tr)
+	if res.Err != nil {
+		return 0
 	}
-	return QueryResult{Covered: found, CoveredBy: id, Stats: stats}, 1
+	return 1
 }

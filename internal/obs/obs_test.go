@@ -216,6 +216,21 @@ func TestObserverSampling(t *testing.T) {
 	}
 }
 
+// TestObserverSamplingRoundsUp: a rate that is not a power of two is
+// rounded up to one, so 1-in-100 elects the 128th, 256th, … call.
+func TestObserverSamplingRoundsUp(t *testing.T) {
+	o := New(Config{TraceSample: 100})
+	var elected []int
+	for i := 1; i <= 3*128; i++ {
+		if o.SampleTrace("query") != nil {
+			elected = append(elected, i)
+		}
+	}
+	if len(elected) != 3 || elected[0] != 128 || elected[1] != 256 || elected[2] != 384 {
+		t.Fatalf("TraceSample 100 elected calls %v, want [128 256 384]", elected)
+	}
+}
+
 func TestObserverThreshold(t *testing.T) {
 	o := New(Config{TraceSample: 1, SlowThreshold: time.Millisecond})
 	fast := o.StartTrace("query")

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -14,7 +15,8 @@ const DefaultSlowThreshold = 10 * time.Millisecond
 // cache-warm covering queries' worth — so the hot path amortizes that
 // cost while the slow log still sees a steady stream of candidates. At
 // 128 telemetry costs a cache-warm query ~3 % (EXPERIMENTS.md "Walk
-// step", telemetry rows: 16 read 1.16, 64 read 1.065).
+// step", telemetry rows: 16 read 1.16, 64 read 1.065). It is a power of
+// two, as New makes every rate.
 const DefaultTraceSample = 128
 
 // Config tunes an Observer. The zero value selects the defaults, which
@@ -28,7 +30,9 @@ type Config struct {
 	// SlowLogSize caps the slow-query ring (DefaultSlowLogSize when 0).
 	SlowLogSize int
 	// TraceSample traces one query in TraceSample
-	// (DefaultTraceSample when 0; 1 traces every query).
+	// (DefaultTraceSample when 0; 1 traces every query). New rounds it up
+	// to a power of two, so the election is a mask, not a division: 100
+	// traces one query in 128.
 	TraceSample int
 	// MaxOps caps distinct histogram labels (DefaultMaxOps when 0).
 	MaxOps int
@@ -40,6 +44,7 @@ type Config struct {
 // telemetry-off state and costs one branch per call site.
 type Observer struct {
 	cfg  Config
+	mask uint64 // the trace rate rounded up to a power of two, minus one
 	reg  *Registry
 	slow *SlowLog
 	tick atomic.Uint64
@@ -55,6 +60,7 @@ func New(cfg Config) *Observer {
 	}
 	return &Observer{
 		cfg:  cfg,
+		mask: 1<<bits.Len64(uint64(cfg.TraceSample-1)) - 1,
 		reg:  NewRegistry(cfg.MaxOps),
 		slow: NewSlowLog(cfg.SlowLogSize),
 	}
@@ -85,16 +91,17 @@ func (o *Observer) SlowLog() *SlowLog {
 }
 
 // SampleTrace returns a fresh trace record for one in cfg.TraceSample
-// calls (nil otherwise, and always nil on a nil Observer). The counter
-// is a single shared atomic: one uncontended add per query, which is
-// noise next to the probe loop it meters.
+// calls, rounded up to a power of two (nil otherwise, and always nil on a
+// nil Observer). The counter is a single shared atomic: one uncontended
+// add and a mask per query, which is noise next to the probe loop it
+// meters.
 //
 //sfc:hotpath
 func (o *Observer) SampleTrace(op string) *QueryTrace {
 	if o == nil {
 		return nil
 	}
-	if o.tick.Add(1)%uint64(o.cfg.TraceSample) != 0 {
+	if o.tick.Add(1)&o.mask != 0 {
 		return nil
 	}
 	return o.StartTrace(op)

@@ -230,7 +230,9 @@ type ObserverConfig = obs.Config
 const (
 	// DefaultSlowThreshold: queries slower than this enter the slow log.
 	DefaultSlowThreshold = obs.DefaultSlowThreshold
-	// DefaultTraceSample: one query in this many carries a trace.
+	// DefaultTraceSample: one query in this many carries a trace. Like
+	// any ObserverConfig.TraceSample it is a power of two; NewObserver
+	// rounds other rates up to one (100 traces one query in 128).
 	DefaultTraceSample = obs.DefaultTraceSample
 	// DefaultSlowLogSize: slow-log ring capacity.
 	DefaultSlowLogSize = obs.DefaultSlowLogSize
