@@ -779,6 +779,59 @@ func benchBrokerChurn(b *testing.B, backend broker.Backend) {
 func BenchmarkBrokerChurnDetector(b *testing.B)     { benchBrokerChurn(b, broker.BackendDetector) }
 func BenchmarkBrokerChurnEnginePrefix(b *testing.B) { benchBrokerChurn(b, broker.BackendEnginePrefix) }
 
+// BenchmarkOverlayPublish measures the overlay's event path in the shape
+// of the benchmark's overlay_pubsub workload: a 15-broker tree, 30
+// clients, 1 000 planted-pair subscriptions (parent, child, parent, …) of
+// width 0.3 on detector links at ε 0.2 and a 1 000-cube cap. ns/op is one
+// publish drained to quiescence — row matching on every broker it
+// reaches, forwards and deliveries — with no subscription churn.
+func BenchmarkOverlayPublish(b *testing.B) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	pairs, err := workload.Covers(workload.CoverSpec{Schema: schema, N: 500, SlackFrac: 0.2, WidthFrac: 0.3, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	events, err := workload.Events(workload.EventSpec{Schema: schema, N: 4096, Seed: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := broker.MustNetwork(broker.BalancedTree(15), broker.Config{
+		Schema: schema, Mode: core.ModeApprox, Epsilon: 0.2, MaxCubes: 1000,
+	})
+	defer n.Close()
+	clients := make([]*broker.Client, 30)
+	for i := range clients {
+		c, err := n.AttachClient(i % n.NumBrokers())
+		if err != nil {
+			b.Fatal(err)
+		}
+		clients[i] = c
+	}
+	for i, p := range pairs {
+		for k, s := range []*subscription.Subscription{p.Parent, p.Child} {
+			if err := n.Subscribe(clients[(2*i+k)%len(clients)].ID, s); err != nil {
+				b.Fatal(err)
+			}
+			n.Drain()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := n.Publish(clients[i%len(clients)].ID, events[i%len(events)]); err != nil {
+			b.Fatal(err)
+		}
+		n.Drain()
+		for _, c := range clients {
+			c.Received = c.Received[:0]
+		}
+	}
+	b.StopTimer()
+	if n.Metrics().ProtocolErrors != 0 {
+		b.Fatalf("protocol errors: %d", n.Metrics().ProtocolErrors)
+	}
+}
+
 // --- Daemon client benchmarks -----------------------------------------
 //
 // BenchmarkDaemonFindCover* quantify the pipelining redesign: 16

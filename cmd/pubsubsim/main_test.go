@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"bufio"
+	"strconv"
+	"strings"
+	"testing"
+)
 
 // base returns a small, fast parameter set; tests mutate what they need.
 func base() params {
@@ -107,5 +112,50 @@ func TestFailoverMatchesCleanRun(t *testing.T) {
 	}
 	if killed != clean {
 		t.Fatalf("failover run diverged from clean run\n got %+v\nwant %+v", killed, clean)
+	}
+}
+
+// TestRoundDeliveriesColumnIsTheCounter checks the per-round "deliveries"
+// column against the Deliveries counter: the simulation is deterministic,
+// so an r-round run ends with the deliveries of the first r rounds of a
+// longer one, and the 3-round report's column must read the differences.
+// (The latency histogram it used to read is a 1-in-16 sample.)
+func TestRoundDeliveriesColumnIsTheCounter(t *testing.T) {
+	p := base()
+	p.churn, p.rounds = 0.3, 3
+	var report strings.Builder
+	p.out = &report
+	if _, err := run(p); err != nil {
+		t.Fatal(err)
+	}
+	var column []int
+	inTable := false
+	sc := bufio.NewScanner(strings.NewReader(report.String()))
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		switch {
+		case len(f) > 2 && f[0] == "round" && f[2] == "deliveries":
+			inTable = true
+		case inTable && len(f) == 6:
+			if v, err := strconv.Atoi(f[2]); err == nil {
+				column = append(column, v)
+			}
+		}
+	}
+	if len(column) != p.rounds {
+		t.Fatalf("report has %d round rows, want %d:\n%s", len(column), p.rounds, report.String())
+	}
+	prev := 0
+	for r := 1; r <= p.rounds; r++ {
+		q := p
+		q.rounds, q.out = r, &strings.Builder{}
+		res, err := run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := res.Metrics.Deliveries - prev; column[r-1] != want || want == 0 {
+			t.Errorf("round %d: deliveries column reads %d, the counter moved by %d", r, column[r-1], want)
+		}
+		prev = res.Metrics.Deliveries
 	}
 }

@@ -45,10 +45,10 @@ type Config struct {
 	// Callers that predate that still set it.
 	Seed int64
 	// Backend selects the per-link covering provider: a single Detector
-	// (default), a hash-sharded engine, a curve-prefix engine, or link
-	// namespaces on a shared sfcd daemon. Networks with engine backends
-	// own worker pools and remote-backed networks own a daemon
-	// connection; call Close when done.
+	// (default), a curve-prefix engine, or link namespaces on a shared
+	// sfcd daemon. Networks with engine backends own worker pools and
+	// remote-backed networks own a daemon connection; call Close when
+	// done.
 	Backend Backend
 	// DaemonAddr is the shared sfcd daemon's TCP address (required for
 	// BackendRemote unless DaemonAddrs is set, ignored otherwise). All
@@ -128,7 +128,7 @@ type iface struct {
 }
 
 // message is a queued simulation step. Payloads are shared read-only
-// between hops — no handler mutates one (rows keep the rectangle,
+// between hops — no handler mutates one (rows keep packed bounds,
 // providers their own copy, suppressed entries the shared pointer): a
 // subscription is copied once at Subscribe/Unsubscribe, an event once at
 // Publish and once more into each receiving Client, never per link.
@@ -138,10 +138,11 @@ type message struct {
 	sub   *subscription.Subscription // subscribe/unsubscribe payload
 	event subscription.Event         // event payload
 	kind  msgKind
-	// at is the event's origin timestamp, stamped at Publish and
-	// propagated unchanged through every forwarding hop, so delivery
-	// latency measures publish-to-client end to end. Zero on
-	// subscribe/unsubscribe messages.
+	// at is the event's origin timestamp, stamped at Publish on one
+	// publish in latencySample and propagated unchanged through every
+	// forwarding hop, so delivery latency measures publish-to-client end
+	// to end. Zero on every other event and on subscribe/unsubscribe
+	// messages.
 	at time.Time
 }
 
@@ -189,10 +190,28 @@ type Network struct {
 // linkLatency holds the overlay's latency histograms, shared by every
 // broker. delivery measures publish to client hand-off, end to end across
 // hops; forward measures the covering query a subscription forward waits
-// on (the paper's per-link detection cost, as latency).
+// on (the paper's per-link detection cost, as latency). Both are samples,
+// one in latencySample, elected by the network's own tick counts.
 type linkLatency struct {
 	delivery *obs.Histogram
 	forward  *obs.Histogram
+	// published and queried count publishes and forward-path cover
+	// queries; a count that is a multiple of latencySample elects.
+	published, queried uint64
+}
+
+// latencySample is the latency histograms' sampling rate: publish 16, 32,
+// … is stamped, so only its deliveries read the clock, and forward-path
+// cover query 16, 32, … is timed. A power of two, so election is a mask.
+// Routing ignores latency, so the histograms are unbiased samples; the
+// Metrics counters stay exact.
+const latencySample = 16
+
+// elect advances a tick count and reports whether the new count is
+// sampled.
+func elect(tick *uint64) bool {
+	*tick++
+	return *tick&(latencySample-1) == 0
 }
 
 // Broker is one routing node. Its state machine acts on the network it
@@ -225,41 +244,132 @@ func keyOf(s *subscription.Subscription) rectKey {
 	return k
 }
 
-// matches reports whether the event lies in the rectangle; it is
-// Subscription.Matches on the packed bounds.
-func (k rectKey) matches(e subscription.Event) bool {
-	for i, v := range e {
-		if v < k[i]>>subscription.MaxBits || v > k[i]&(1<<subscription.MaxBits-1) {
-			return false
-		}
-	}
-	return true
+// A group's rows keep their bounds packed three attributes to a uint64,
+// one 21-bit lane each: lane bits 0–15 hold a value (at most MaxBits
+// bits) and bit 20 is the lane's guard, clear in stored words. Attribute
+// a sits in word a/3, lane a%3; lanes past the schema's attributes hold
+// zero on both sides, which every event matches.
+//
+// An event E is packed the same way with every guard bit set. Per lane,
+// x = E − lo keeps its guard bit iff v ≥ lo, leaving v − lo below it; and
+// span|G − x&^G keeps its guard bit iff v − lo ≤ span = hi − lo. Neither
+// subtraction borrows across a lane (a guard outweighs any 16-bit value),
+// so one word tests three attributes with no branch per attribute:
+//
+//	x := E - lo; x & (span|G - x&^G) & G == G
+const (
+	laneBits     = 21
+	lanesPerWord = 3
+	laneValue    = 1<<subscription.MaxBits - 1 // a stored bound
+	laneClamp    = 1<<(laneBits-1) - 1         // the largest event value a lane holds below its guard
+	guards       = 1<<(laneBits-1) | 1<<(2*laneBits-1) | 1<<(3*laneBits-1)
+	maxWords     = (subscription.MaxAttrs + lanesPerWord - 1) / lanesPerWord
+)
+
+// packedEvent is an event in the rows' lane layout, guard bits set.
+type packedEvent [maxWords]uint64
+
+// lane returns the word and bit offset holding attribute a.
+func lane(a int) (word int, shift uint) {
+	return a / lanesPerWord, uint(a%lanesPerWord) * laneBits
 }
 
-// tableRow is one routing-table entry: a rectangle some subscription from
-// the group's interface constrains to.
-type tableRow struct {
-	key   rectKey
-	count int // reference count for repeated identical subscribes
+// packEvent lays the event out in lanes. A value wider than MaxBits
+// matches no row; clamped below the guard, it cannot spill into the next
+// lane and still fails every row's span.
+//
+//sfc:hotpath
+func packEvent(e subscription.Event) packedEvent {
+	var p packedEvent
+	for w := range p {
+		p[w] = guards
+	}
+	for a, v := range e {
+		w, sh := lane(a)
+		p[w] |= uint64(min(v, laneClamp)) << sh
+	}
+	return p
 }
 
 // ifaceRows holds the routing-table rows that arrived from one interface.
 // An event only asks a group whether any of its rows matches, so the rows
-// are unordered and a removal swaps the last row into the hole.
+// are unordered and a removal swaps the last row into the hole. Row i's
+// packed bounds are lo[i*words:][:words] and span[i*words:][:words]; the
+// rectangle itself is not stored again, keyAt decodes it.
 type ifaceRows struct {
-	from iface
-	rows []tableRow
-	at   map[rectKey]int // rectangle -> position in rows
+	from   iface
+	client *Client // the receiving client of a client group; nil for a neighbor
+	words  int     // packed words a row: ⌈attributes/3⌉
+	refs   []int   // per row, references by repeated identical subscribes
+	lo     []uint64
+	span   []uint64
+	at     map[rectKey]int // rectangle -> row position
 }
 
-// matches reports whether any row of the group matches the event.
-func (g *ifaceRows) matches(e subscription.Event) bool {
-	for i := range g.rows {
-		if g.rows[i].key.matches(e) {
-			return true
+// matches reports whether any row of the group holds the packed event.
+// Schemas of up to three attributes test a row in one word.
+//
+//sfc:hotpath
+func (g *ifaceRows) matches(ev *packedEvent) bool {
+	span := g.span[:len(g.lo)]
+	if g.words == 1 {
+		e := ev[0]
+		for i, lo := range g.lo {
+			if x := e - lo; x&(span[i]|guards-x&^guards)&guards == guards {
+				return true
+			}
 		}
+		return false
+	}
+rows:
+	for r := 0; r < len(g.lo); r += g.words {
+		for w, e := range ev[:g.words] {
+			if x := e - g.lo[r+w]; x&(span[r+w]|guards-x&^guards)&guards != guards {
+				continue rows
+			}
+		}
+		return true
 	}
 	return false
+}
+
+// push appends the row for key.
+func (g *ifaceRows) push(key rectKey) {
+	n := len(g.lo)
+	for range g.words {
+		g.lo, g.span = append(g.lo, 0), append(g.span, 0)
+	}
+	for a := range min(g.words*lanesPerWord, len(key)) {
+		w, sh := lane(a)
+		lo, hi := uint64(key[a]>>subscription.MaxBits), uint64(key[a]&laneValue)
+		g.lo[n+w] |= lo << sh
+		g.span[n+w] |= (hi - lo) << sh
+	}
+	g.refs = append(g.refs, 1)
+}
+
+// keyAt decodes row i's rectangle from its packed bounds.
+func (g *ifaceRows) keyAt(i int) rectKey {
+	var k rectKey
+	for a := range min(g.words*lanesPerWord, len(k)) {
+		w, sh := lane(a)
+		lo := uint32(g.lo[i*g.words+w]>>sh) & laneValue
+		hi := lo + uint32(g.span[i*g.words+w]>>sh)&laneValue
+		k[a] = lo<<subscription.MaxBits | hi
+	}
+	return k
+}
+
+// swapRemove deletes row i, moving the last row into its place.
+func (g *ifaceRows) swapRemove(i int) {
+	last, w := len(g.refs)-1, g.words
+	if i != last {
+		g.refs[i] = g.refs[last]
+		copy(g.lo[i*w:(i+1)*w], g.lo[last*w:])
+		copy(g.span[i*w:(i+1)*w], g.span[last*w:])
+		g.at[g.keyAt(i)] = i
+	}
+	g.refs, g.lo, g.span = g.refs[:last], g.lo[:last*w], g.span[:last*w]
 }
 
 // rowsFrom returns the group of the given interface. Groups exist from
@@ -273,8 +383,10 @@ func (b *Broker) rowsFrom(from iface) *ifaceRows {
 	return nil
 }
 
-func (b *Broker) addIface(from iface) {
-	b.table = append(b.table, ifaceRows{from: from, at: make(map[rectKey]int)})
+// addIface opens the group of a neighbor (c nil) or of client c.
+func (b *Broker) addIface(from iface, c *Client) {
+	words := (b.net.cfg.Schema.NumAttrs() + lanesPerWord - 1) / lanesPerWord
+	b.table = append(b.table, ifaceRows{from: from, client: c, words: words, at: make(map[rectKey]int)})
 }
 
 // addRow takes one reference on the row (key, from) and reports whether
@@ -282,11 +394,11 @@ func (b *Broker) addIface(from iface) {
 func (b *Broker) addRow(from iface, key rectKey) bool {
 	g := b.rowsFrom(from)
 	if i, ok := g.at[key]; ok {
-		g.rows[i].count++
+		g.refs[i]++
 		return false
 	}
-	g.at[key] = len(g.rows)
-	g.rows = append(g.rows, tableRow{key: key, count: 1})
+	g.at[key] = len(g.refs)
+	g.push(key)
 	b.sources[key]++
 	return true
 }
@@ -299,14 +411,11 @@ func (b *Broker) dropRow(from iface, key rectKey) (removed, found bool) {
 	if !found {
 		return false, false
 	}
-	if g.rows[i].count--; g.rows[i].count > 0 {
+	if g.refs[i]--; g.refs[i] > 0 {
 		return false, true
 	}
-	last := len(g.rows) - 1
-	g.rows[i] = g.rows[last]
-	g.at[g.rows[i].key] = i
-	g.rows = g.rows[:last]
 	delete(g.at, key)
+	g.swapRemove(i)
 	if b.sources[key]--; b.sources[key] == 0 {
 		delete(b.sources, key)
 	}
@@ -444,7 +553,7 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 	for _, b := range n.brokers {
 		slices.Sort(b.neighbors)
 		for _, j := range b.neighbors {
-			b.addIface(iface{kind: ifNeighbor, id: j})
+			b.addIface(iface{kind: ifNeighbor, id: j}, nil)
 			fwd, err := src.forwarded(b.id, j)
 			if err != nil {
 				n.Close()
@@ -592,7 +701,7 @@ func (n *Network) TableRows() int {
 	total := 0
 	for _, b := range n.brokers {
 		for i := range b.table {
-			total += len(b.table[i].rows)
+			total += len(b.table[i].refs)
 		}
 	}
 	return total
@@ -650,7 +759,7 @@ func (n *Network) AttachClient(brokerID int) (*Client, error) {
 	c := &Client{ID: n.nextCli, Broker: brokerID}
 	n.nextCli++
 	n.clients[c.ID] = c
-	n.brokers[brokerID].addIface(iface{kind: ifClient, id: c.ID})
+	n.brokers[brokerID].addIface(iface{kind: ifClient, id: c.ID}, c)
 	return c, nil
 }
 
@@ -699,11 +808,14 @@ func (n *Network) Publish(clientID int, e subscription.Event) error {
 	if len(e) != n.cfg.Schema.NumAttrs() {
 		return fmt.Errorf("broker: event has %d attributes, schema needs %d", len(e), n.cfg.Schema.NumAttrs())
 	}
-	n.queue = append(n.queue, message{
+	m := message{
 		to: c.Broker, from: iface{kind: ifClient, id: clientID},
 		event: append(subscription.Event(nil), e...), kind: msgEvent,
-		at: time.Now(),
-	})
+	}
+	if elect(&n.lat.published) {
+		m.at = time.Now()
+	}
+	n.queue = append(n.queue, m)
 	return nil
 }
 
@@ -758,9 +870,15 @@ func (b *Broker) forwardIfUncovered(j int, key rectKey, s *subscription.Subscrip
 		b.forward(j, st, key, s)
 		return
 	}
-	t0 := time.Now()
+	var t0 time.Time
+	timed := elect(&b.net.lat.queried)
+	if timed {
+		t0 = time.Now()
+	}
 	by, covered, _, err := st.fwd.FindCover(s)
-	b.net.lat.forward.Observe(time.Since(t0))
+	if timed {
+		b.net.lat.forward.Observe(time.Since(t0))
+	}
 	if err != nil {
 		// Covering detection is unavailable (a remote provider's daemon
 		// may be unreachable): degrade to flooding. Forwarding costs only
@@ -982,21 +1100,25 @@ func (b *Broker) hasOtherSource(key rectKey, j int) bool {
 
 // handleEvent routes an event: every interface with a matching row gets it
 // once — the first match per group settles it — except the neighbor it
-// came from.
+// came from. The event is packed once, for every group.
+//
+//sfc:hotpath
 func (b *Broker) handleEvent(from iface, e subscription.Event, at time.Time) {
+	ev := packEvent(e)
 	for gi := range b.table {
 		g := &b.table[gi]
 		if g.from == from && from.kind == ifNeighbor {
 			continue
 		}
-		if !g.matches(e) {
+		if !g.matches(&ev) {
 			continue
 		}
-		if g.from.kind == ifClient {
+		if g.client != nil {
 			if !at.IsZero() {
+				//sfc:allowclock at is stamped on 1 publish in 16 (latencySample): the other deliveries read no clock
 				b.net.lat.delivery.Observe(time.Since(at))
 			}
-			b.net.deliver(g.from.id, e)
+			b.net.deliver(g.client, e)
 			continue
 		}
 		b.net.metrics.EventMsgs++
@@ -1008,20 +1130,22 @@ func (b *Broker) handleEvent(from iface, e subscription.Event, at time.Time) {
 
 // DeliveryLatency returns a snapshot of the overlay's end-to-end event
 // delivery latency histogram (publish to client hand-off, across hops).
+// It is a sample: only the deliveries of one publish in 16 are observed,
+// so its Count is not the delivery count (read Metrics().Deliveries).
 // Use obs.Snapshot.Quantile for percentiles and Sub for interval deltas.
 func (n *Network) DeliveryLatency() obs.Snapshot { return n.lat.delivery.Snapshot() }
 
 // ForwardLatency returns a snapshot of the per-link covering-query
 // latency histogram: the time subscription forwards spend waiting on
-// FindCover against the link's forwarded set.
+// FindCover against the link's forwarded set. It is a sample of one
+// forward-path query in 16.
 func (n *Network) ForwardLatency() obs.Snapshot { return n.lat.forward.Snapshot() }
 
 // enqueue queues a message for Drain.
 func (n *Network) enqueue(m message) { n.queue = append(n.queue, m) }
 
 // deliver hands an event to a client.
-func (n *Network) deliver(clientID int, e subscription.Event) {
-	c := n.clients[clientID]
+func (n *Network) deliver(c *Client, e subscription.Event) {
 	c.Received = append(c.Received, append(subscription.Event(nil), e...)) // the client's own copy
 	n.metrics.Deliveries++
 }

@@ -503,3 +503,83 @@ func TestCoverTotalsAccounting(t *testing.T) {
 		t.Fatal("expected forwarded entries")
 	}
 }
+
+// TestLatencyHistogramsSampleOneIn16 pins the latency histograms' sample:
+// only publishes 16, 32, … are stamped, so the delivery histogram holds
+// exactly their deliveries, and one forward-path cover query in 16 is
+// timed. The Deliveries counter still counts every delivery.
+func TestLatencyHistogramsSampleOneIn16(t *testing.T) {
+	schema := testSchema()
+	n := MustNetwork(BalancedTree(7), Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear})
+	defer n.Close()
+	clients := make([]*Client, 10)
+	for i := range clients {
+		c, err := n.AttachClient(i % n.NumBrokers())
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+	}
+	rng := rand.New(rand.NewSource(16))
+	maxV := int(schema.MaxValue())
+	held := make([][]*subscription.Subscription, len(clients))
+	publishes, deliveries, stamped := 0, 0, 0
+	for op := 0; op < 300; op++ {
+		if op%3 == 0 {
+			c := rng.Intn(len(clients))
+			s := subscription.New(schema)
+			for _, attr := range schema.Attrs() {
+				lo := rng.Intn(maxV / 2)
+				if err := s.SetRange(attr, uint32(lo), uint32(lo+maxV/4+rng.Intn(maxV/4))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := n.Subscribe(clients[c].ID, s); err != nil {
+				t.Fatal(err)
+			}
+			held[c] = append(held[c], s)
+			n.Drain()
+			continue
+		}
+		e := subscription.Event{uint32(rng.Intn(maxV + 1)), uint32(rng.Intn(maxV + 1))}
+		if err := n.Publish(clients[rng.Intn(len(clients))].ID, e); err != nil {
+			t.Fatal(err)
+		}
+		n.Drain()
+		publishes++
+		want := 0
+		for c, subs := range held {
+			for _, s := range subs {
+				if s.Matches(e) {
+					want++
+					break
+				}
+			}
+			if got := len(clients[c].Received); got > 1 {
+				t.Fatalf("publish %d: client %d received %d copies", publishes, c, got)
+			}
+			clients[c].Received = clients[c].Received[:0]
+		}
+		deliveries += want
+		if publishes%16 == 0 {
+			stamped += want
+		}
+	}
+	if stamped == 0 {
+		t.Fatal("no stamped publish was delivered; the schedule tests nothing")
+	}
+	if got := n.Metrics().Deliveries; got != deliveries {
+		t.Errorf("Metrics().Deliveries = %d, want every delivery: %d", got, deliveries)
+	}
+	if got := n.DeliveryLatency().Count; got != uint64(stamped) {
+		t.Errorf("DeliveryLatency().Count = %d, want the %d deliveries of publishes 16, 32, … (of %d)", got, stamped, deliveries)
+	}
+	// Only subscribes ran, so every cover query was a forward-path one.
+	queries := n.CoverTotals().Queries
+	if queries < 2*latencySample {
+		t.Fatalf("%d cover queries; the schedule tests nothing", queries)
+	}
+	if got, want := n.ForwardLatency().Count, uint64(queries/latencySample); got != want {
+		t.Errorf("ForwardLatency().Count = %d, want ⌊%d forward-path queries / 16⌋ = %d", got, queries, want)
+	}
+}

@@ -422,7 +422,7 @@ func TestRestartReforwardsInterruptedRescreen(t *testing.T) {
 			}
 			// One forward, one reference at the peer, screened onward.
 			rows := n2.brokers[2].rowsFrom(iface{kind: ifNeighbor, id: 1})
-			if at, ok := rows.at[keyOf(m)]; !ok || rows.rows[at].count != 1 {
+			if at, ok := rows.at[keyOf(m)]; !ok || rows.refs[at] != 1 {
 				t.Fatalf("budget %d: member %d forwarded on 1->2, broker 2 holds row=%v, want one reference", budget, i, ok)
 			}
 			onward := n2.brokers[2].out[3]

@@ -209,10 +209,16 @@ func runTableSchedule(t *testing.T, topo Topology, cfg Config, seed int64) table
 // checkRecordedCoverers checks the link invariant on every link: each
 // suppressed entry's recorded coverer is a live forwarded id whose
 // subscription covers it, and the per-coverer lists hold exactly the live
-// entries — each once, none stale, no empty list kept.
+// entries — each once, none stale, no empty list kept. It also checks that
+// every routing-table group's packed words decode back to its rows.
 func checkRecordedCoverers(t *testing.T, n *Network, op int) {
 	t.Helper()
 	for _, b := range n.brokers {
+		for gi := range b.table {
+			if err := checkPackedRows(&b.table[gi]); err != nil {
+				t.Fatalf("op %d broker %d group %v: %v", op, b.id, b.table[gi].from, err)
+			}
+		}
 		for _, j := range b.neighbors {
 			st := b.out[j]
 			forwarded := make(map[uint64]bool, len(st.ids))
@@ -289,5 +295,158 @@ func TestPublishDrainAllocs(t *testing.T) {
 	publish() // size the queue and the Received slices
 	if allocs, budget := testing.AllocsPerRun(100, publish), float64(1+len(clients)); allocs > budget {
 		t.Fatalf("publish+drain allocates %.0f times, want at most %.0f (one event copy per publish and per delivery)", allocs, budget)
+	}
+}
+
+// checkPackedRows checks a group's layout: one reference count and words
+// packed words of each bound per row, every count positive, and every
+// indexed rectangle decoding back from the packed words at its position.
+func checkPackedRows(g *ifaceRows) error {
+	if n := len(g.refs); len(g.lo) != n*g.words || len(g.span) != n*g.words || len(g.at) != n {
+		return fmt.Errorf("%d rows, %d lo words, %d span words, %d indexed (%d words a row)", n, len(g.lo), len(g.span), len(g.at), g.words)
+	}
+	for key, i := range g.at {
+		if i < 0 || i >= len(g.refs) || g.refs[i] < 1 {
+			return fmt.Errorf("rectangle %v indexed at %d of %d rows", key, i, len(g.refs))
+		}
+		if got := g.keyAt(i); got != key {
+			return fmt.Errorf("row %d decodes to %v, indexed as %v", i, got, key)
+		}
+	}
+	return nil
+}
+
+// TestPackedRowsMatchSubscriptions holds a group's packed-word match to
+// Subscription.Matches over its live rows, on every schema width from one
+// attribute (the one-word loop) to MaxAttrs (three words), at bit widths
+// up to MaxBits. Rows include full-domain bounds, lo = 0, hi = 2^k−1 and
+// zero-width ranges; events sit at each row's lo, hi, lo−1 and hi+1 on
+// every attribute — below 0 and past the domain included, and past the
+// 16 bits a lane holds — and adds
+// interleave with swap-removes, with the answer checked after each.
+func TestPackedRowsMatchSubscriptions(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	if len(names) != subscription.MaxAttrs {
+		t.Fatalf("test names %d attributes, MaxAttrs is %d", len(names), subscription.MaxAttrs)
+	}
+	for d := 1; d <= subscription.MaxAttrs; d++ {
+		for _, bits := range []int{1, 7, subscription.MaxBits} {
+			t.Run(fmt.Sprintf("d%d/k%d", d, bits), func(t *testing.T) {
+				checkPackedGroup(t, subscription.MustSchema(bits, names[:d]...), int64(100*d+bits))
+			})
+		}
+	}
+}
+
+func checkPackedGroup(t *testing.T, schema *subscription.Schema, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	maxV := schema.MaxValue()
+	b := &Broker{net: &Network{cfg: Config{Schema: schema}}, sources: make(map[rectKey]int)}
+	from := iface{kind: ifClient, id: 0}
+	b.addIface(from, nil)
+	g := b.rowsFrom(from)
+	if want := (schema.NumAttrs() + 2) / 3; g.words != want {
+		t.Fatalf("%d attributes pack into %d words a row, want %d", schema.NumAttrs(), g.words, want)
+	}
+
+	bound := func() uint32 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return maxV
+		}
+		return uint32(rng.Int63n(int64(maxV) + 1))
+	}
+	randSub := func() *subscription.Subscription {
+		s := subscription.New(schema)
+		for a, name := range schema.Attrs() {
+			lo, hi := bound(), bound()
+			switch {
+			case rng.Intn(5) == 0:
+				hi = lo // zero width
+			case rng.Intn(5) == 0 && a > 0:
+				continue // unconstrained: [0, 2^k−1]
+			}
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			if err := s.SetRange(name, lo, hi); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	inside := func(s *subscription.Subscription) subscription.Event {
+		e := make(subscription.Event, schema.NumAttrs())
+		for a := range e {
+			r := s.Range(a)
+			e[a] = r.Lo + uint32(rng.Int63n(int64(r.Hi-r.Lo)+1))
+		}
+		return e
+	}
+
+	live := map[rectKey]*subscription.Subscription{}
+	var keys []rectKey // live rectangles, for picking one
+	check := func(op int, e subscription.Event) {
+		t.Helper()
+		want := false
+		for _, s := range live {
+			if s.Matches(e) {
+				want = true
+				break
+			}
+		}
+		ev := packEvent(e)
+		if got := g.matches(&ev); got != want {
+			t.Fatalf("op %d: %d live rows answer %v for %v, Subscription.Matches says %v", op, len(live), got, e, want)
+		}
+	}
+	// probe asks about the edges of s on every attribute, the other
+	// attributes inside s, plus one point anywhere.
+	probe := func(op int, s *subscription.Subscription) {
+		t.Helper()
+		for a := 0; a < schema.NumAttrs(); a++ {
+			r := s.Range(a)
+			// r.Lo | 1<<22 is out of the domain but for bits a lane
+			// cannot hold: unclamped, they would spill past it.
+			for _, v := range []uint32{r.Lo, r.Hi, r.Lo - 1, r.Hi + 1, r.Lo | 1<<22} {
+				e := inside(s)
+				e[a] = v
+				check(op, e)
+			}
+		}
+		check(op, inside(subscription.New(schema)))
+	}
+
+	for op := 0; op < 300; op++ {
+		if len(keys) == 0 || rng.Intn(3) > 0 {
+			s := randSub()
+			if k := keyOf(s); live[k] == nil {
+				live[k] = s
+				keys = append(keys, k)
+			}
+			b.addRow(from, keyOf(s))
+			probe(op, s)
+		} else {
+			i := rng.Intn(len(keys))
+			k := keys[i]
+			s := live[k]
+			if removed, found := b.dropRow(from, k); !found {
+				t.Fatalf("op %d: live row %v not found", op, s)
+			} else if removed {
+				delete(live, k)
+				keys[i] = keys[len(keys)-1]
+				keys = keys[:len(keys)-1]
+			}
+			probe(op, s)
+		}
+		if len(keys) > 0 {
+			probe(op, live[keys[rng.Intn(len(keys))]])
+		}
+		if err := checkPackedRows(g); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
 	}
 }
