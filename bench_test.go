@@ -832,6 +832,69 @@ func BenchmarkOverlayPublish(b *testing.B) {
 	}
 }
 
+// BenchmarkOverlaySubscribe measures the overlay's subscription path in
+// BenchmarkOverlayPublish's shape (a 15-broker tree, 30 clients, planted
+// pairs of width 0.3, ε 0.2, a 1 000-cube cap) with overlay_pubsub's churn:
+// 2 000 subscriptions cycled through a live window of 1 000. ns/op is one
+// churn op drained to quiescence — alternately an unsubscribe of the
+// oldest live subscription (retractions, re-screens and re-forwards on
+// every hop it reached) and a subscribe of the next one (a covering query
+// per link it reaches) — with no events.
+func BenchmarkOverlaySubscribe(b *testing.B) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	pairs, err := workload.Covers(workload.CoverSpec{Schema: schema, N: 1000, SlackFrac: 0.2, WidthFrac: 0.3, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	subs := make([]*subscription.Subscription, 0, 2*len(pairs))
+	for _, p := range pairs {
+		subs = append(subs, p.Parent, p.Child)
+	}
+	n := broker.MustNetwork(broker.BalancedTree(15), broker.Config{
+		Schema: schema, Mode: core.ModeApprox, Epsilon: 0.2, MaxCubes: 1000,
+	})
+	defer n.Close()
+	clients := make([]*broker.Client, 30)
+	for i := range clients {
+		c, err := n.AttachClient(i % n.NumBrokers())
+		if err != nil {
+			b.Fatal(err)
+		}
+		clients[i] = c
+	}
+	// Subscription i (unwrapped) belongs to client i mod 30 and is
+	// subs[i mod 2000].
+	const window = 1000
+	subscribe := func(i int) {
+		if err := n.Subscribe(clients[i%len(clients)].ID, subs[i%len(subs)]); err != nil {
+			b.Fatal(err)
+		}
+		n.Drain()
+	}
+	for i := range window {
+		subscribe(i)
+	}
+	oldest, next := 0, window
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			if err := n.Unsubscribe(clients[oldest%len(clients)].ID, subs[oldest%len(subs)]); err != nil {
+				b.Fatal(err)
+			}
+			n.Drain()
+			oldest++
+		} else {
+			subscribe(next)
+			next++
+		}
+	}
+	b.StopTimer()
+	if n.Metrics().ProtocolErrors != 0 {
+		b.Fatalf("protocol errors: %d", n.Metrics().ProtocolErrors)
+	}
+}
+
 // --- Daemon client benchmarks -----------------------------------------
 //
 // BenchmarkDaemonFindCover* quantify the pipelining redesign: 16

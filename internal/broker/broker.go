@@ -78,7 +78,7 @@ type Config struct {
 	// DataDir makes every in-process link provider durable: forwarded and
 	// suppressed sets ride one persist.Store (WAL + snapshots) under this
 	// directory, and a network rebuilt over the same dir recovers them —
-	// including the per-link id maps, restored from the recovered
+	// including the per-link forwarded ids, restored from the recovered
 	// providers — so a broker restart does not re-flood the overlay.
 	// In-process backends only; with BackendRemote the daemon's own
 	// -data-dir is the durability seam, and combining the two is refused.
@@ -130,8 +130,10 @@ type iface struct {
 // message is a queued simulation step. Payloads are shared read-only
 // between hops — no handler mutates one (rows keep packed bounds,
 // providers their own copy, suppressed entries the shared pointer): a
-// subscription is copied once at Subscribe/Unsubscribe, an event once at
-// Publish and once more into each receiving Client, never per link.
+// subscription is copied once, at Subscribe, and that copy is both the
+// client's record and every hop's payload (Unsubscribe sends the record
+// it removes); an event is copied once at Publish and once more into each
+// receiving Client, never per link.
 type message struct {
 	to    int // destination broker
 	from  iface
@@ -221,12 +223,85 @@ type Broker struct {
 	net       *Network
 	neighbors []int // sorted
 	// table is the routing table, one group of rows per interface:
-	// neighbors in id order, then clients in attachment order. Events walk
-	// it in that order, so forwarding order is fixed.
+	// neighbors in id order (group k is neighbors[k]'s), then clients in
+	// attachment order. Events walk it in that order, so forwarding order
+	// is fixed.
 	table []ifaceRows
-	// sources counts, per rectangle, the interfaces holding a row for it.
-	sources map[rectKey]int
-	out     map[int]*neighborState // per neighbor
+	rects rectTable
+	out   []*neighborState // per neighbor, aligned with neighbors
+}
+
+// handle names one of a broker's interned rectangles.
+type handle int32
+
+// rectTable interns a broker's rectangles. A subscribe or unsubscribe
+// message hashes its rectangle once, here; every per-rectangle fact the
+// broker keeps then hangs off the handle — the rows below, and each link's
+// forwarded id and suppressed entry (neighborState.ids, suppressedTable.at,
+// slices indexed by handle). A handle lives while some group holds a row
+// for its rectangle or some link holds state for it; a freed handle goes on
+// the free list and is reused first, so handle values depend only on the
+// op sequence.
+type rectTable struct {
+	handle map[rectKey]handle
+	keys   []rectKey // per handle, its rectangle
+	// rows lists, per handle, where each group holding a row for the
+	// rectangle keeps it: its length is the rectangle's source count, and
+	// the lists together take memory in rows, not in handles × groups.
+	rows [][]rowRef
+	free []handle
+}
+
+// rowRef places a rectangle's row: table[group], row position row.
+type rowRef struct{ group, row int32 }
+
+// intern returns key's handle, minting one — the most recently freed
+// first — when the broker holds nothing for the rectangle.
+func (b *Broker) intern(key rectKey) handle {
+	t := &b.rects
+	if h, ok := t.handle[key]; ok {
+		return h
+	}
+	var h handle
+	if n := len(t.free); n > 0 {
+		h, t.free = t.free[n-1], t.free[:n-1]
+		t.keys[h] = key
+	} else {
+		h = handle(len(t.keys))
+		t.keys, t.rows = append(t.keys, key), append(t.rows, nil)
+		for _, st := range b.out {
+			st.ids, st.sups.at = append(st.ids, forwardedID{}), append(st.sups.at, 0)
+		}
+	}
+	t.handle[key] = h
+	return h
+}
+
+// release frees h once nothing refers to it: no group holds a row for its
+// rectangle and no link holds state for it.
+func (b *Broker) release(h handle) {
+	t := &b.rects
+	if len(t.rows[h]) > 0 {
+		return
+	}
+	for _, st := range b.out {
+		if st.ids[h].ok || st.sups.at[h] != 0 {
+			return
+		}
+	}
+	delete(t.handle, t.keys[h])
+	t.free = append(t.free, h)
+}
+
+// placement returns the index in rows[h] of h's row in group gi, or -1
+// when the group holds none.
+func (t *rectTable) placement(h handle, gi int) int {
+	for k, r := range t.rows[h] {
+		if int(r.group) == gi {
+			return k
+		}
+	}
+	return -1
 }
 
 // rectKey is a subscription's constraint rectangle as a comparable value:
@@ -295,15 +370,15 @@ func packEvent(e subscription.Event) packedEvent {
 // An event only asks a group whether any of its rows matches, so the rows
 // are unordered and a removal swaps the last row into the hole. Row i's
 // packed bounds are lo[i*words:][:words] and span[i*words:][:words]; the
-// rectangle itself is not stored again, keyAt decodes it.
+// rectangle itself is the broker's, under the row's handle.
 type ifaceRows struct {
-	from   iface
-	client *Client // the receiving client of a client group; nil for a neighbor
-	words  int     // packed words a row: ⌈attributes/3⌉
-	refs   []int   // per row, references by repeated identical subscribes
-	lo     []uint64
-	span   []uint64
-	at     map[rectKey]int // rectangle -> row position
+	from    iface
+	client  *Client  // the receiving client of a client group; nil for a neighbor
+	words   int      // packed words a row: ⌈attributes/3⌉
+	refs    []int    // per row, references by repeated identical subscribes
+	handles []handle // per row, its rectangle
+	lo      []uint64
+	span    []uint64
 }
 
 // matches reports whether any row of the group holds the packed event.
@@ -333,8 +408,8 @@ rows:
 	return false
 }
 
-// push appends the row for key.
-func (g *ifaceRows) push(key rectKey) {
+// push appends the row for rectangle key, handle h.
+func (g *ifaceRows) push(key rectKey, h handle) {
 	n := len(g.lo)
 	for range g.words {
 		g.lo, g.span = append(g.lo, 0), append(g.span, 0)
@@ -345,79 +420,70 @@ func (g *ifaceRows) push(key rectKey) {
 		g.lo[n+w] |= lo << sh
 		g.span[n+w] |= (hi - lo) << sh
 	}
-	g.refs = append(g.refs, 1)
-}
-
-// keyAt decodes row i's rectangle from its packed bounds.
-func (g *ifaceRows) keyAt(i int) rectKey {
-	var k rectKey
-	for a := range min(g.words*lanesPerWord, len(k)) {
-		w, sh := lane(a)
-		lo := uint32(g.lo[i*g.words+w]>>sh) & laneValue
-		hi := lo + uint32(g.span[i*g.words+w]>>sh)&laneValue
-		k[a] = lo<<subscription.MaxBits | hi
-	}
-	return k
+	g.refs, g.handles = append(g.refs, 1), append(g.handles, h)
 }
 
 // swapRemove deletes row i, moving the last row into its place.
 func (g *ifaceRows) swapRemove(i int) {
 	last, w := len(g.refs)-1, g.words
 	if i != last {
-		g.refs[i] = g.refs[last]
+		g.refs[i], g.handles[i] = g.refs[last], g.handles[last]
 		copy(g.lo[i*w:(i+1)*w], g.lo[last*w:])
 		copy(g.span[i*w:(i+1)*w], g.span[last*w:])
-		g.at[g.keyAt(i)] = i
 	}
-	g.refs, g.lo, g.span = g.refs[:last], g.lo[:last*w], g.span[:last*w]
+	g.refs, g.handles = g.refs[:last], g.handles[:last]
+	g.lo, g.span = g.lo[:last*w], g.span[:last*w]
 }
 
-// rowsFrom returns the group of the given interface. Groups exist from
-// the moment the interface does (NewNetwork, AttachClient).
-func (b *Broker) rowsFrom(from iface) *ifaceRows {
+// group returns the index of the given interface's group. Groups exist
+// from the moment the interface does (NewNetwork, AttachClient).
+func (b *Broker) group(from iface) int {
 	for i := range b.table {
 		if b.table[i].from == from {
-			return &b.table[i]
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // addIface opens the group of a neighbor (c nil) or of client c.
 func (b *Broker) addIface(from iface, c *Client) {
 	words := (b.net.cfg.Schema.NumAttrs() + lanesPerWord - 1) / lanesPerWord
-	b.table = append(b.table, ifaceRows{from: from, client: c, words: words, at: make(map[rectKey]int)})
+	b.table = append(b.table, ifaceRows{from: from, client: c, words: words})
 }
 
-// addRow takes one reference on the row (key, from) and reports whether
+// addRow takes one reference on h's row in group gi and reports whether
 // that created it.
-func (b *Broker) addRow(from iface, key rectKey) bool {
-	g := b.rowsFrom(from)
-	if i, ok := g.at[key]; ok {
-		g.refs[i]++
+func (b *Broker) addRow(gi int, h handle) bool {
+	t, g := &b.rects, &b.table[gi]
+	if k := t.placement(h, gi); k >= 0 {
+		g.refs[t.rows[h][k].row]++
 		return false
 	}
-	g.at[key] = len(g.refs)
-	g.push(key)
-	b.sources[key]++
+	t.rows[h] = append(t.rows[h], rowRef{group: int32(gi), row: int32(len(g.refs))})
+	g.push(t.keys[h], h)
 	return true
 }
 
-// dropRow releases one reference on the row (key, from) and reports
+// dropRow releases one reference on h's row in group gi and reports
 // whether that removed it; found is false when there is no such row.
-func (b *Broker) dropRow(from iface, key rectKey) (removed, found bool) {
-	g := b.rowsFrom(from)
-	i, found := g.at[key]
-	if !found {
+func (b *Broker) dropRow(gi int, h handle) (removed, found bool) {
+	t, g := &b.rects, &b.table[gi]
+	k := t.placement(h, gi)
+	if k < 0 {
 		return false, false
 	}
+	refs := t.rows[h]
+	i := int(refs[k].row)
 	if g.refs[i]--; g.refs[i] > 0 {
 		return false, true
 	}
-	delete(g.at, key)
+	refs[k] = refs[len(refs)-1]
+	t.rows[h] = refs[:len(refs)-1]
 	g.swapRemove(i)
-	if b.sources[key]--; b.sources[key] == 0 {
-		delete(b.sources, key)
+	if i < len(g.handles) { // the last row moved into i
+		m := g.handles[i]
+		t.rows[m][t.placement(m, gi)].row = int32(i)
 	}
 	return true, true
 }
@@ -433,60 +499,79 @@ type suppressedSet interface {
 
 // suppressedEntry is one subscription withheld from a link.
 type suppressedEntry struct {
-	key rectKey
-	sub *subscription.Subscription
-	sid uint64 // id in the durable log, if there is one
-	by  uint64 // the forwarded id recorded as its cover
-	pos int    // position in heldBy[by]
+	sub        *subscription.Subscription
+	sid        uint64 // id in the durable log, if there is one
+	by         uint64 // the forwarded id recorded as its cover
+	h          handle
+	prev, next int32 // neighbors on by's list; -1 past either end
 }
 
 // suppressedTable is a link's suppressed entries and, per forwarded id,
-// the entries recorded under it. Both are unordered: a removal swaps the
-// last element into the hole.
+// the list of entries recorded under it, threaded through the entries
+// from the head heldBy keeps. Entries are unordered: a removal swaps the
+// last entry into the hole. Moving an entry between lists touches its
+// neighbors and at most one head, and allocates nothing.
 type suppressedTable struct {
 	rows   []suppressedEntry
-	at     map[rectKey]int  // rectangle -> position in rows
-	heldBy map[uint64][]int // forwarded id -> positions in rows
+	at     []int32          // per rectangle handle, position in rows plus one; 0 = none
+	heldBy map[uint64]int32 // forwarded id -> first entry recorded under it
+}
+
+// find returns the position of h's entry, if it has one.
+func (t *suppressedTable) find(h handle) (int, bool) {
+	return int(t.at[h]) - 1, t.at[h] != 0
 }
 
 // add appends an entry recorded under by.
-func (t *suppressedTable) add(key rectKey, s *subscription.Subscription, sid, by uint64) {
-	t.at[key] = len(t.rows)
-	t.rows = append(t.rows, suppressedEntry{key: key, sub: s, sid: sid})
+func (t *suppressedTable) add(h handle, s *subscription.Subscription, sid, by uint64) {
+	t.rows = append(t.rows, suppressedEntry{h: h, sub: s, sid: sid})
+	t.at[h] = int32(len(t.rows))
 	t.hold(len(t.rows)-1, by)
 }
 
-// hold puts entry i on by's list.
+// hold puts entry i at the head of by's list.
 func (t *suppressedTable) hold(i int, by uint64) {
-	list := t.heldBy[by]
-	t.rows[i].by, t.rows[i].pos = by, len(list)
-	t.heldBy[by] = append(list, i)
+	e := &t.rows[i]
+	e.by, e.prev, e.next = by, -1, -1
+	if head, ok := t.heldBy[by]; ok {
+		e.next, t.rows[head].prev = head, int32(i)
+	}
+	t.heldBy[by] = int32(i)
 }
 
 // release takes entry i off its coverer's list.
 func (t *suppressedTable) release(i int) {
 	e := &t.rows[i]
-	list := t.heldBy[e.by]
-	last := len(list) - 1
-	list[e.pos] = list[last]
-	t.rows[list[e.pos]].pos = e.pos
-	if last == 0 {
+	switch {
+	case e.prev >= 0:
+		t.rows[e.prev].next = e.next
+	case e.next >= 0:
+		t.heldBy[e.by] = e.next
+	default:
 		delete(t.heldBy, e.by)
-		return
 	}
-	t.heldBy[e.by] = list[:last]
+	if e.next >= 0 {
+		t.rows[e.next].prev = e.prev
+	}
 }
 
 // remove deletes entry i.
 func (t *suppressedTable) remove(i int) {
 	t.release(i)
-	delete(t.at, t.rows[i].key)
+	t.at[t.rows[i].h] = 0
 	last := len(t.rows) - 1
 	if i != last {
 		m := t.rows[last]
 		t.rows[i] = m
-		t.at[m.key] = i
-		t.heldBy[m.by][m.pos] = i
+		t.at[m.h] = int32(i + 1)
+		if m.prev >= 0 {
+			t.rows[m.prev].next = int32(i)
+		} else {
+			t.heldBy[m.by] = int32(i)
+		}
+		if m.next >= 0 {
+			t.rows[m.next].prev = int32(i)
+		}
 	}
 	t.rows[last] = suppressedEntry{} // drop the subscription reference
 	t.rows = t.rows[:last]
@@ -508,9 +593,13 @@ func (t *suppressedTable) remove(i int) {
 // is not persisted: restoreLinks derives it.
 type neighborState struct {
 	fwd  core.Provider
-	ids  map[rectKey]uint64 // rectangle -> fwd provider id
+	ids  []forwardedID // per rectangle handle, its fwd provider id
 	supp suppressedSet
 	sups suppressedTable
+	// order and members are resubscribeCovered's scratch: the retracted
+	// cover's members, in rectangle order.
+	order   []handle
+	members []*subscription.Subscription
 	// degraded marks a link whose forwarded-set provider may have
 	// diverged from the wire — a Remove failed, so the provider (a remote
 	// daemon, typically) may still hold a cover whose retraction was
@@ -519,6 +608,13 @@ type neighborState struct {
 	// the neighbor no longer covers — silent event loss), so a degraded
 	// link floods: every subscription is forwarded unconditionally.
 	degraded bool
+}
+
+// forwardedID is a link's forwarded-set id for one rectangle; ok is false
+// while the rectangle is not forwarded on the link.
+type forwardedID struct {
+	id uint64
+	ok bool
 }
 
 // NewNetwork builds the overlay and its per-link covering detectors.
@@ -539,12 +635,7 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 	}
 	n.brokers = make([]*Broker, topo.N)
 	for i := range n.brokers {
-		n.brokers[i] = &Broker{
-			id:      i,
-			net:     n,
-			sources: make(map[rectKey]int),
-			out:     make(map[int]*neighborState),
-		}
+		n.brokers[i] = &Broker{id: i, net: n, rects: rectTable{handle: make(map[rectKey]handle)}}
 	}
 	for _, e := range topo.Edges {
 		n.brokers[e[0]].neighbors = append(n.brokers[e[0]].neighbors, e[1])
@@ -565,11 +656,9 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 				n.Close()
 				return nil, fmt.Errorf("broker: building suppressed-set provider %d->%d: %w", b.id, j, err)
 			}
-			st := &neighborState{
-				fwd: fwd, ids: make(map[rectKey]uint64), supp: supp,
-				sups: suppressedTable{at: make(map[rectKey]int), heldBy: make(map[uint64][]int)},
-			}
-			b.out[j] = st
+			b.out = append(b.out, &neighborState{
+				fwd: fwd, supp: supp, sups: suppressedTable{heldBy: make(map[uint64]int32)},
+			})
 		}
 	}
 	n.restoreLinks()
@@ -585,9 +674,10 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 // b, which are, by construction, exactly the forwarded set of the link
 // b->j: every subscribe message b ever sent j that was not retracted.
 // Client rows are not restored; clients re-attach and re-subscribe after a
-// restart, and the recovered id maps absorb those re-subscriptions without
-// new forwards. From the suppressed log: which forwarded id covers each
-// entry, one query each against the recovered forwarded set. An entry
+// restart, and the recovered forwarded ids absorb those re-subscriptions
+// without new forwards — so a rectangle's handle can hold link state and
+// no row until they do. From the suppressed log: which forwarded id covers
+// each entry, one query each against the recovered forwarded set. An entry
 // nothing covers was caught by a crash between its cover's retraction and
 // its own re-forward and is forwarded now — after the link's rows were
 // derived, so the neighbor meets the subscribe message as a new row and
@@ -604,29 +694,30 @@ func (n *Network) restoreLinks() {
 		return out
 	}
 	for _, b := range n.brokers {
-		for _, j := range b.neighbors {
-			st := b.out[j]
-			from := iface{kind: ifNeighbor, id: b.id}
+		for k, j := range b.neighbors {
+			st := b.out[k]
+			peer := n.brokers[j]
+			gi := peer.group(iface{kind: ifNeighbor, id: b.id})
 			for _, it := range held(st.fwd) {
 				key := keyOf(it.Sub)
-				st.ids[key] = it.ID
-				if _, exists := n.brokers[j].rowsFrom(from).at[key]; !exists {
-					n.brokers[j].addRow(from, key)
+				st.ids[b.intern(key)] = forwardedID{id: it.ID, ok: true}
+				if h := peer.intern(key); peer.rects.placement(h, gi) < 0 {
+					peer.addRow(gi, h)
 				}
 			}
 			if st.supp == nil {
 				continue
 			}
 			for _, it := range held(st.supp) {
-				key := keyOf(it.Sub)
+				h := b.intern(keyOf(it.Sub))
 				// A crash between forward's two writes left the rectangle in
 				// both sets; forwarding wins here as it does there.
-				if _, forwarded := st.ids[key]; !forwarded {
+				if !st.ids[h].ok {
 					if by, covered, _, err := st.fwd.FindCover(it.Sub); err == nil && covered {
-						st.sups.add(key, it.Sub, it.ID, by)
+						st.sups.add(h, it.Sub, it.ID, by)
 						continue
 					}
-					b.forward(j, st, key, it.Sub)
+					b.forward(k, st, h, it.Sub)
 				}
 				if err := st.supp.Remove(it.ID); err != nil {
 					n.metrics.ProtocolErrors++
@@ -732,13 +823,13 @@ func (n *Network) SuppressedEntries() int {
 }
 
 // CoverTotals sums query counters across every per-link forwarded-set
-// provider (the suppressed-set providers' exact bookkeeping queries are
-// not included).
+// provider — every covering query the overlay asks: the suppressed set is
+// a table and, with Config.DataDir, a log, and nothing queries it.
 func (n *Network) CoverTotals() core.Totals {
 	var tot core.Totals
 	for _, b := range n.brokers {
-		for _, j := range b.neighbors {
-			ps := b.out[j].fwd.Stats()
+		for _, st := range b.out {
+			ps := st.fwd.Stats()
 			tot.Queries += ps.Queries
 			tot.Hits += ps.Hits
 			tot.RunsProbed += ps.RunsProbed
@@ -773,9 +864,10 @@ func (n *Network) Subscribe(clientID int, s *subscription.Subscription) error {
 	if s.Schema() != n.cfg.Schema {
 		return fmt.Errorf("broker: subscription schema differs from network schema")
 	}
-	c.subs = append(c.subs, s.Clone())
+	s = s.Clone() // the client's record and the payload: read-only from here
+	c.subs = append(c.subs, s)
 	n.queue = append(n.queue, message{
-		to: c.Broker, from: iface{kind: ifClient, id: clientID}, sub: s.Clone(), kind: msgSubscribe,
+		to: c.Broker, from: iface{kind: ifClient, id: clientID}, sub: s, kind: msgSubscribe,
 	})
 	return nil
 }
@@ -788,9 +880,9 @@ func (n *Network) Unsubscribe(clientID int, s *subscription.Subscription) error 
 	}
 	for i, held := range c.subs {
 		if held.Equal(s) {
-			c.subs = append(c.subs[:i], c.subs[i+1:]...)
+			c.subs = slices.Delete(c.subs, i, i+1)
 			n.queue = append(n.queue, message{
-				to: c.Broker, from: iface{kind: ifClient, id: clientID}, sub: s.Clone(), kind: msgUnsubscribe,
+				to: c.Broker, from: iface{kind: ifClient, id: clientID}, sub: held, kind: msgUnsubscribe,
 			})
 			return nil
 		}
@@ -842,16 +934,19 @@ func (n *Network) Drain() int {
 	return processed
 }
 
+// handleSubscribe and handleUnsubscribe hash the message's rectangle once,
+// into the broker's handle; everything after works on the handle. A
+// neighbor's group index is its link's index, so "every link but the one
+// it came from" is every k but gi.
 func (b *Broker) handleSubscribe(from iface, s *subscription.Subscription) {
-	key := keyOf(s)
-	if !b.addRow(from, key) {
+	h, gi := b.intern(keyOf(s)), b.group(from)
+	if !b.addRow(gi, h) {
 		return // forwarding state already reflects this subscription
 	}
-	for _, j := range b.neighbors {
-		if from.kind == ifNeighbor && from.id == j {
-			continue
+	for k := range b.out {
+		if k != gi {
+			b.forwardIfUncovered(k, h, s)
 		}
-		b.forwardIfUncovered(j, key, s)
 	}
 }
 
@@ -860,14 +955,14 @@ func (b *Broker) handleSubscribe(from iface, s *subscription.Subscription) {
 // it (or the identical subscription is already forwarded). A suppressed
 // subscription is recorded under the cover the query named, so that
 // cover's unsubscription finds it again.
-func (b *Broker) forwardIfUncovered(j int, key rectKey, s *subscription.Subscription) {
-	st := b.out[j]
-	if _, dup := st.ids[key]; dup {
+func (b *Broker) forwardIfUncovered(k int, h handle, s *subscription.Subscription) {
+	st := b.out[k]
+	if st.ids[h].ok {
 		b.net.metrics.DuplicateForwards++
 		return
 	}
 	if st.degraded {
-		b.forward(j, st, key, s)
+		b.forward(k, st, h, s)
 		return
 	}
 	var t0 time.Time
@@ -885,15 +980,15 @@ func (b *Broker) forwardIfUncovered(j int, key rectKey, s *subscription.Subscrip
 		// redundant traffic; a subscription that is neither forwarded nor
 		// suppressed would silently lose events.
 		b.net.metrics.ProtocolErrors++
-		b.forward(j, st, key, s)
+		b.forward(k, st, h, s)
 		return
 	}
 	if covered {
 		b.net.metrics.SuppressedForwards++
-		b.suppress(st, key, s, by)
+		b.suppress(st, h, s, by)
 		return
 	}
-	b.forward(j, st, key, s)
+	b.forward(k, st, h, s)
 }
 
 // forward inserts s into the link's forwarded set and sends it. Any
@@ -909,26 +1004,31 @@ func (b *Broker) forwardIfUncovered(j int, key rectKey, s *subscription.Subscrip
 // insert fails (again: a remote provider's daemon may be down). The
 // failure costs link-state bookkeeping — the eventual unsubscribe will
 // find no forwarded id and leave a stale row at the neighbor, harmless
-// extra traffic — but never a lost delivery.
-func (b *Broker) forward(j int, st *neighborState, key rectKey, s *subscription.Subscription) {
+// extra traffic — but never a lost delivery. A re-forward with no table
+// row behind it (a re-screened member restored without its client) then
+// holds nothing at this broker, and its handle is freed.
+func (b *Broker) forward(k int, st *neighborState, h handle, s *subscription.Subscription) {
 	id, err := st.fwd.Insert(s)
 	if err != nil {
 		b.net.metrics.ProtocolErrors++
 	} else {
-		st.ids[key] = id
+		st.ids[h] = forwardedID{id: id, ok: true}
 	}
-	b.dropSuppressed(st, key)
+	b.dropSuppressed(st, h)
+	if err != nil {
+		b.release(h)
+	}
 	b.net.metrics.SubscribeMsgs++
 	b.net.enqueue(message{
-		to: j, from: iface{kind: ifNeighbor, id: b.id}, sub: s, kind: msgSubscribe,
+		to: b.neighbors[k], from: iface{kind: ifNeighbor, id: b.id}, sub: s, kind: msgSubscribe,
 	})
 }
 
 // suppress records s in the link's suppressed set under by, the forwarded
 // id covering it (once per rectangle: identical rows from different
 // interfaces share the entry and its first coverer, which is still live).
-func (b *Broker) suppress(st *neighborState, key rectKey, s *subscription.Subscription, by uint64) {
-	if _, ok := st.sups.at[key]; ok {
+func (b *Broker) suppress(st *neighborState, h handle, s *subscription.Subscription, by uint64) {
+	if st.sups.at[h] != 0 {
 		return
 	}
 	var sid uint64
@@ -939,15 +1039,15 @@ func (b *Broker) suppress(st *neighborState, key rectKey, s *subscription.Subscr
 			return
 		}
 	}
-	st.sups.add(key, s, sid, by)
+	st.sups.add(h, s, sid, by)
 }
 
-// dropSuppressed retires the suppressed-set entry for key, if present. The
+// dropSuppressed retires the suppressed-set entry for h, if present. The
 // entry goes even when the log write fails — kept, it would sit under a
 // coverer that may be dead by now, where no retraction finds it; the log's
 // leftover is restoreLinks' to reconcile.
-func (b *Broker) dropSuppressed(st *neighborState, key rectKey) {
-	i, ok := st.sups.at[key]
+func (b *Broker) dropSuppressed(st *neighborState, h handle) {
+	i, ok := st.sups.find(h)
 	if !ok {
 		return
 	}
@@ -958,33 +1058,34 @@ func (b *Broker) dropSuppressed(st *neighborState, key rectKey) {
 }
 
 func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
-	key := keyOf(s)
-	removed, found := b.dropRow(from, key)
+	h, held := b.rects.handle[keyOf(s)]
+	if !held {
+		b.net.metrics.ProtocolErrors++
+		return
+	}
+	gi := b.group(from)
+	removed, found := b.dropRow(gi, h)
 	if !found {
 		b.net.metrics.ProtocolErrors++
 	}
 	if !removed {
 		return
 	}
-	for _, j := range b.neighbors {
-		if from.kind == ifNeighbor && from.id == j {
+	for k, st := range b.out {
+		// Some other live table row carrying the same rectangle toward
+		// this link keeps its state — forwarded or suppressed — justified.
+		if k == gi || b.hasOtherSource(h, k) {
 			continue
 		}
-		// Some other live table row carrying the same rectangle toward j
-		// keeps the link state — forwarded or suppressed — justified.
-		if b.hasOtherSource(key, j) {
-			continue
-		}
-		st := b.out[j]
-		id, forwarded := st.ids[key]
-		if !forwarded {
+		fwd := st.ids[h]
+		if !fwd.ok {
 			// The subscription was suppressed on this link: nothing to
 			// retract on the wire, but its suppressed-set entry dies with
 			// the last table row.
-			b.dropSuppressed(st, key)
+			b.dropSuppressed(st, h)
 			continue
 		}
-		if err := st.fwd.Remove(id); err != nil {
+		if err := st.fwd.Remove(fwd.id); err != nil {
 			// The forwarded-set entry may be unreachable (a remote
 			// provider's daemon down) or the removal may have been lost
 			// in flight; the retraction and the covered-set resubscription
@@ -996,13 +1097,14 @@ func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
 			b.net.metrics.ProtocolErrors++
 			st.degraded = true
 		}
-		delete(st.ids, key)
+		st.ids[h] = forwardedID{}
 		b.net.metrics.UnsubscribeMsgs++
 		b.net.enqueue(message{
-			to: j, from: iface{kind: ifNeighbor, id: b.id}, sub: s, kind: msgUnsubscribe,
+			to: b.neighbors[k], from: iface{kind: ifNeighbor, id: b.id}, sub: s, kind: msgUnsubscribe,
 		})
-		b.resubscribeCovered(j, st, id)
+		b.resubscribeCovered(k, st, fwd.id)
 	}
+	b.release(h)
 }
 
 // resubscribeCovered implements the paper's unsubscription protocol: the
@@ -1019,27 +1121,29 @@ func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
 // on (lo, hi) attribute by attribute, rectKey's word order — a total order
 // on rectangles, so the re-forward sequence is deterministic across runs
 // and backends.
-func (b *Broker) resubscribeCovered(j int, st *neighborState, retracted uint64) {
-	held := st.sups.heldBy[retracted]
-	if len(held) == 0 {
+func (b *Broker) resubscribeCovered(k int, st *neighborState, retracted uint64) {
+	head, ok := st.sups.heldBy[retracted]
+	if !ok {
 		return
 	}
-	keys := make([]rectKey, len(held))
-	for i, at := range held {
-		keys[i] = st.sups.rows[at].key
+	order, members, keys := st.order[:0], st.members[:0], b.rects.keys
+	for at := head; at >= 0; at = st.sups.rows[at].next {
+		order = append(order, st.sups.rows[at].h)
 	}
-	slices.SortFunc(keys, func(x, y rectKey) int { return slices.Compare(x[:], y[:]) })
-	members := make([]*subscription.Subscription, len(keys))
-	for i, key := range keys {
-		members[i] = st.sups.rows[st.sups.at[key]].sub
+	slices.SortFunc(order, func(x, y handle) int { return slices.Compare(keys[x][:], keys[y][:]) })
+	for _, h := range order {
+		at, _ := st.sups.find(h)
+		members = append(members, st.sups.rows[at].sub)
 	}
+	st.order, st.members = order, members
+	defer clear(members) // the scratch keeps no subscription alive
 	// A degraded link cannot trust the forwarded set's covering answers
 	// (a stale cover — possibly the very one being retracted — would
 	// re-suppress subscriptions the neighbor no longer covers): flood the
 	// members instead of re-screening them.
 	if st.degraded {
-		for i, key := range keys {
-			b.forward(j, st, key, members[i])
+		for i, h := range order {
+			b.forward(k, st, h, members[i])
 		}
 		return
 	}
@@ -1053,46 +1157,46 @@ func (b *Broker) resubscribeCovered(j int, st *neighborState, retracted uint64) 
 	// exactly, which keeps the suppression justified. A re-forward whose
 	// insert failed has no id to record a member under and covers nothing.
 	var reforwarded []core.Held
-	reforward := func(key rectKey, sub *subscription.Subscription) {
-		b.forward(j, st, key, sub)
-		if id, ok := st.ids[key]; ok {
-			reforwarded = append(reforwarded, core.Held{ID: id, Sub: sub})
+	reforward := func(h handle, sub *subscription.Subscription) {
+		b.forward(k, st, h, sub)
+		if fwd := st.ids[h]; fwd.ok {
+			reforwarded = append(reforwarded, core.Held{ID: fwd.id, Sub: sub})
 		}
 	}
 	for lo := 0; lo < len(members); lo += batch {
 		chunk := members[lo:min(lo+batch, len(members))]
 		for i, res := range st.fwd.CoverQueryBatch(chunk) {
-			sub, key := chunk[i], keys[lo+i]
+			sub, h := chunk[i], order[lo+i]
 			if res.Err != nil {
 				// The subscription just lost a cover; leaving it suppressed
 				// on an unanswered probe could lose its events forever.
 				// With covering state unavailable, forward it — the
 				// flooding fallback is always safe.
 				b.net.metrics.ProtocolErrors++
-				reforward(key, sub)
+				reforward(h, sub)
 				continue
 			}
 			by, covered := res.CoveredBy, res.Covered
-			for k := 0; !covered && k < len(reforwarded); k++ {
-				by, covered = reforwarded[k].ID, reforwarded[k].Sub.Covers(sub)
+			for r := 0; !covered && r < len(reforwarded); r++ {
+				by, covered = reforwarded[r].ID, reforwarded[r].Sub.Covers(sub)
 			}
 			if !covered {
-				reforward(key, sub)
+				reforward(h, sub)
 				continue
 			}
 			b.net.metrics.SuppressedForwards++ // still suppressed, under its new cover
-			at := st.sups.at[key]
+			at, _ := st.sups.find(h)
 			st.sups.release(at)
 			st.sups.hold(at, by)
 		}
 	}
 }
 
-// hasOtherSource reports whether some other live table row carries the same
-// subscription rectangle toward neighbor j: any interface but j itself.
-func (b *Broker) hasOtherSource(key rectKey, j int) bool {
-	n := b.sources[key]
-	if _, own := b.rowsFrom(iface{kind: ifNeighbor, id: j}).at[key]; own {
+// hasOtherSource reports whether some other live table row carries the
+// rectangle toward link k: any group but k's own.
+func (b *Broker) hasOtherSource(h handle, k int) bool {
+	n := len(b.rects.rows[h])
+	if b.rects.placement(h, k) >= 0 {
 		n--
 	}
 	return n > 0

@@ -265,7 +265,7 @@ func TestCrashMidRescreenKeepsSuppressedSet(t *testing.T) {
 		// The retraction's own removal is write one; the budget runs out
 		// somewhere in the re-screen behind it.
 		at := &crashPoint{budget: budget}
-		link := n1.brokers[0].out[1]
+		link := n1.brokers[0].link(1)
 		link.fwd = crashingFwd{link.fwd, at}
 		link.supp = crashingSupp{link.supp, at}
 		if err := n1.Unsubscribe(sub.ID, wide); err != nil {
@@ -274,7 +274,8 @@ func TestCrashMidRescreenKeepsSuppressedSet(t *testing.T) {
 		n1.Drain()
 		// The run that stumbles on keeps its own invariant: a member whose
 		// retirement failed is not left recorded under the retracted cover.
-		for by, held := range link.sups.heldBy {
+		for by := range link.sups.heldBy {
+			held := link.sups.list(by)
 			if _, live := link.fwd.Subscription(by); !live {
 				t.Fatalf("budget %d: %d entries still recorded under %d, which is no longer forwarded", budget, len(held), by)
 			}
@@ -289,13 +290,13 @@ func TestCrashMidRescreenKeepsSuppressedSet(t *testing.T) {
 		if err != nil {
 			t.Fatalf("budget %d: recovering: %v", budget, err)
 		}
-		link = n2.brokers[0].out[1]
-		if _, held := link.ids[keyOf(wide)]; held {
+		b0 := n2.brokers[0]
+		if _, held := b0.forwardedID(1, wide); held {
 			t.Fatalf("budget %d: the retracted cover came back forwarded", budget)
 		}
 		for i, m := range members {
-			_, forwarded := link.ids[keyOf(m)]
-			_, suppressed := link.sups.at[keyOf(m)]
+			_, forwarded := b0.forwardedID(1, m)
+			_, suppressed := b0.suppressedBy(1, m)
 			if forwarded == suppressed {
 				t.Fatalf("budget %d: member %d recovered forwarded=%v suppressed=%v, want exactly one",
 					budget, i, forwarded, suppressed)
@@ -359,8 +360,9 @@ func TestRestartReforwardsInterruptedRescreen(t *testing.T) {
 			}
 			n.Drain()
 		}
-		link := n.brokers[1].out[2]
-		if got := len(link.sups.heldBy[link.ids[keyOf(wide)]]); got != len(members) {
+		link := n.brokers[1].link(2)
+		id, _ := n.brokers[1].forwardedID(2, wide)
+		if got := len(link.sups.list(id)); got != len(members) {
 			t.Fatalf("%d members recorded under the cover on link 1->2, want %d", got, len(members))
 		}
 		at = &crashPoint{budget: budget}
@@ -407,27 +409,25 @@ func TestRestartReforwardsInterruptedRescreen(t *testing.T) {
 		if err != nil {
 			t.Fatalf("budget %d: recovering: %v", budget, err)
 		}
-		link := n2.brokers[1].out[2]
+		b1, link := n2.brokers[1], n2.brokers[1].link(2)
 		for i, m := range members {
-			_, forwarded := link.ids[keyOf(m)]
-			at, suppressed := link.sups.at[keyOf(m)]
+			_, forwarded := b1.forwardedID(2, m)
+			by, suppressed := b1.suppressedBy(2, m)
 			if forwarded == suppressed {
 				t.Fatalf("budget %d: member %d recovered forwarded=%v suppressed=%v, want exactly one", budget, i, forwarded, suppressed)
 			}
 			if suppressed {
-				if cover, ok := link.fwd.Subscription(link.sups.rows[at].by); !ok || !cover.Covers(m) {
+				if cover, ok := link.fwd.Subscription(by); !ok || !cover.Covers(m) {
 					t.Fatalf("budget %d: member %d recovered suppressed under %v, which does not cover it", budget, i, cover)
 				}
 				continue
 			}
 			// One forward, one reference at the peer, screened onward.
-			rows := n2.brokers[2].rowsFrom(iface{kind: ifNeighbor, id: 1})
-			if at, ok := rows.at[keyOf(m)]; !ok || rows.refs[at] != 1 {
+			if refs, ok := n2.brokers[2].rowRefs(iface{kind: ifNeighbor, id: 1}, m); !ok || refs != 1 {
 				t.Fatalf("budget %d: member %d forwarded on 1->2, broker 2 holds row=%v, want one reference", budget, i, ok)
 			}
-			onward := n2.brokers[2].out[3]
-			_, forwarded = onward.ids[keyOf(m)]
-			if _, suppressed = onward.sups.at[keyOf(m)]; forwarded == suppressed {
+			_, forwarded = n2.brokers[2].forwardedID(3, m)
+			if _, suppressed = n2.brokers[2].suppressedBy(3, m); forwarded == suppressed {
 				t.Fatalf("budget %d: member %d on 2->3 forwarded=%v suppressed=%v, want exactly one", budget, i, forwarded, suppressed)
 			}
 		}
@@ -460,5 +460,71 @@ func TestRestartReforwardsInterruptedRescreen(t *testing.T) {
 	// Three re-forwards, two writes each, behind the retraction's removal.
 	if crashes != 6 {
 		t.Fatalf("exercised %d crash points, want 6", crashes)
+	}
+}
+
+// TestRestoredLinkStateKeepsItsHandle covers the one way a rectangle's
+// handle outlives its table rows: a restart restores link state without
+// the client rows behind it. Broker 1's client held w and the narrow n
+// (suppressed under w on both links); after the restart broker 1 holds
+// that state with no row. n then arrives from broker 0 and is retracted:
+// the retraction clears the state toward broker 2, but the entry toward
+// broker 0 — the link it came from — stays, and so must n's handle. Once
+// the client is back and retires both, every handle is free.
+func TestRestoredLinkStateKeepsItsHandle(t *testing.T) {
+	schema := subscription.MustSchema(8, "stock", "price")
+	cfg := Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear, DataDir: t.TempDir()}
+	w := subscription.MustParse(schema, "stock <= 200")
+	narrow := subscription.MustParse(schema, "stock <= 100 && price >= 3")
+	step := func(n *Network, op func(int, *subscription.Subscription) error, c *Client, subs ...*subscription.Subscription) {
+		t.Helper()
+		for _, s := range subs {
+			if err := op(c.ID, s); err != nil {
+				t.Fatal(err)
+			}
+			n.Drain()
+		}
+		for _, b := range n.brokers {
+			if err := checkRectTable(b); err != nil {
+				t.Fatalf("broker %d: %v", b.id, err)
+			}
+		}
+	}
+	n1 := MustNetwork(Line(3), cfg)
+	c1, _ := n1.AttachClient(1)
+	step(n1, n1.Subscribe, c1, w, narrow)
+	n1.Close()
+
+	n2, err := NewNetwork(Line(3), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n2.Close()
+	b1 := n2.brokers[1]
+	for _, j := range []int{0, 2} {
+		if _, ok := b1.suppressedBy(j, narrow); !ok {
+			t.Fatalf("link 1->%d restored no entry for the narrow subscription", j)
+		}
+	}
+	c0, _ := n2.AttachClient(0)
+	step(n2, n2.Subscribe, c0, narrow)
+	step(n2, n2.Unsubscribe, c0, narrow)
+	if _, ok := b1.suppressedBy(0, narrow); !ok {
+		t.Fatal("retracting the row from broker 0 dropped the restored entry toward broker 0")
+	}
+
+	c1, _ = n2.AttachClient(1)
+	step(n2, n2.Subscribe, c1, w, narrow)
+	step(n2, n2.Unsubscribe, c1, narrow, w)
+	if rows, fwd, supp := n2.TableRows(), n2.ForwardedEntries(), n2.SuppressedEntries(); rows+fwd+supp != 0 {
+		t.Fatalf("after retiring everything: %d table rows, %d forwarded, %d suppressed entries remain", rows, fwd, supp)
+	}
+	for _, b := range n2.brokers {
+		if live := len(b.rects.keys) - len(b.rects.free); live != 0 {
+			t.Fatalf("after retiring everything: broker %d keeps %d live handles", b.id, live)
+		}
+	}
+	if errs := n2.Metrics().ProtocolErrors; errs != 0 {
+		t.Fatalf("protocol errors: %d", errs)
 	}
 }

@@ -3,6 +3,8 @@ package broker
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"sfccover/internal/core"
@@ -196,11 +198,14 @@ func runTableSchedule(t *testing.T, topo Topology, cfg Config, seed int64) table
 		t.Fatalf("after retiring everything: %d table rows, %d forwarded, %d suppressed entries remain", rows, fwd, supp)
 	}
 	for _, b := range n.brokers {
-		for j, st := range b.out {
-			if len(st.sups.rows)+len(st.sups.at)+len(st.sups.heldBy) != 0 {
+		for k, st := range b.out {
+			if len(st.sups.rows)+st.sups.indexed()+len(st.sups.heldBy) != 0 {
 				t.Fatalf("after retiring everything: link %d->%d keeps %d entries, %d positions, %d coverer lists",
-					b.id, j, len(st.sups.rows), len(st.sups.at), len(st.sups.heldBy))
+					b.id, b.neighbors[k], len(st.sups.rows), st.sups.indexed(), len(st.sups.heldBy))
 			}
+		}
+		if live := len(b.rects.keys) - len(b.rects.free); live != 0 || len(b.rects.handle) != 0 {
+			t.Fatalf("after retiring everything: broker %d keeps %d live handles, %d mapped rectangles", b.id, live, len(b.rects.handle))
 		}
 	}
 	return got
@@ -210,23 +215,29 @@ func runTableSchedule(t *testing.T, topo Topology, cfg Config, seed int64) table
 // suppressed entry's recorded coverer is a live forwarded id whose
 // subscription covers it, and the per-coverer lists hold exactly the live
 // entries — each once, none stale, no empty list kept. It also checks that
-// every routing-table group's packed words decode back to its rows.
+// every routing-table group's packed words decode back to its rows, and
+// each broker's rectangle table (checkRectTable).
 func checkRecordedCoverers(t *testing.T, n *Network, op int) {
 	t.Helper()
 	for _, b := range n.brokers {
 		for gi := range b.table {
-			if err := checkPackedRows(&b.table[gi]); err != nil {
+			if err := checkPackedRows(b, gi); err != nil {
 				t.Fatalf("op %d broker %d group %v: %v", op, b.id, b.table[gi].from, err)
 			}
 		}
-		for _, j := range b.neighbors {
-			st := b.out[j]
-			forwarded := make(map[uint64]bool, len(st.ids))
-			for _, id := range st.ids {
-				forwarded[id] = true
+		if err := checkRectTable(b); err != nil {
+			t.Fatalf("op %d broker %d: %v", op, b.id, err)
+		}
+		for k, j := range b.neighbors {
+			st := b.out[k]
+			forwarded := make(map[uint64]bool, st.forwarded())
+			for _, fwd := range st.ids {
+				if fwd.ok {
+					forwarded[fwd.id] = true
+				}
 			}
 			for i, e := range st.sups.rows {
-				if at, ok := st.sups.at[e.key]; !ok || at != i {
+				if at, ok := st.sups.find(e.h); !ok || at != i {
 					t.Fatalf("op %d link %d->%d: entry %d indexed at (%d, %v)", op, b.id, j, i, at, ok)
 				}
 				if !forwarded[e.by] {
@@ -235,21 +246,28 @@ func checkRecordedCoverers(t *testing.T, n *Network, op int) {
 				if cover, ok := st.fwd.Subscription(e.by); !ok || !cover.Covers(e.sub) {
 					t.Fatalf("op %d link %d->%d: recorded coverer %v does not cover %v", op, b.id, j, cover, e.sub)
 				}
-				if list := st.sups.heldBy[e.by]; e.pos >= len(list) || list[e.pos] != i {
-					t.Fatalf("op %d link %d->%d: entry %d missing from coverer %d's list %v at %d", op, b.id, j, i, e.by, list, e.pos)
+				if list := st.sups.list(e.by); !slices.Contains(list, i) {
+					t.Fatalf("op %d link %d->%d: entry %d missing from coverer %d's list %v", op, b.id, j, i, e.by, list)
 				}
 			}
-			// Every entry sits at its own slot of its coverer's list, so
-			// equal totals leave no room for a stale or duplicate element.
+			// Every entry sits on its own coverer's list, so equal totals
+			// leave no room for a stale or duplicate element. Each list is
+			// linked both ways: an entry's prev is the one before it.
 			listed := 0
-			for by, list := range st.sups.heldBy {
+			for by := range st.sups.heldBy {
+				list := st.sups.list(by)
 				if len(list) == 0 {
 					t.Fatalf("op %d link %d->%d: empty list kept for coverer %d", op, b.id, j, by)
 				}
+				for pos, at := range list {
+					if prev := st.sups.rows[at].prev; pos == 0 && prev != -1 || pos > 0 && int(prev) != list[pos-1] {
+						t.Fatalf("op %d link %d->%d: coverer %d's list %v: entry %d links back to %d", op, b.id, j, by, list, at, prev)
+					}
+				}
 				listed += len(list)
 			}
-			if rows := len(st.sups.rows); listed != rows || len(st.sups.at) != rows {
-				t.Fatalf("op %d link %d->%d: %d entries, %d listed, %d indexed", op, b.id, j, rows, listed, len(st.sups.at))
+			if rows := len(st.sups.rows); listed != rows || st.sups.indexed() != rows {
+				t.Fatalf("op %d link %d->%d: %d entries, %d listed, %d indexed", op, b.id, j, rows, listed, st.sups.indexed())
 			}
 		}
 	}
@@ -298,19 +316,79 @@ func TestPublishDrainAllocs(t *testing.T) {
 	}
 }
 
-// checkPackedRows checks a group's layout: one reference count and words
-// packed words of each bound per row, every count positive, and every
-// indexed rectangle decoding back from the packed words at its position.
-func checkPackedRows(g *ifaceRows) error {
-	if n := len(g.refs); len(g.lo) != n*g.words || len(g.span) != n*g.words || len(g.at) != n {
-		return fmt.Errorf("%d rows, %d lo words, %d span words, %d indexed (%d words a row)", n, len(g.lo), len(g.span), len(g.at), g.words)
+// checkPackedRows checks group gi's layout: one reference count, one
+// handle and words packed words of each bound per row, every count
+// positive, and every row decoding back from its packed words to its
+// handle's rectangle. checkRectTable checks that the handle places the row
+// where it is.
+func checkPackedRows(b *Broker, gi int) error {
+	g := &b.table[gi]
+	if n := len(g.refs); len(g.lo) != n*g.words || len(g.span) != n*g.words || len(g.handles) != n {
+		return fmt.Errorf("%d rows, %d lo words, %d span words, %d indexed (%d words a row)", n, len(g.lo), len(g.span), len(g.handles), g.words)
 	}
-	for key, i := range g.at {
-		if i < 0 || i >= len(g.refs) || g.refs[i] < 1 {
-			return fmt.Errorf("rectangle %v indexed at %d of %d rows", key, i, len(g.refs))
+	for i, h := range g.handles {
+		if h < 0 || int(h) >= len(b.rects.keys) || g.refs[i] < 1 {
+			return fmt.Errorf("row %d holds handle %d of %d with %d references", i, h, len(b.rects.keys), g.refs[i])
 		}
-		if got := g.keyAt(i); got != key {
+		if got, key := g.keyAt(i), b.rects.keys[h]; got != key {
 			return fmt.Errorf("row %d decodes to %v, indexed as %v", i, got, key)
+		}
+	}
+	return nil
+}
+
+// checkRectTable checks a broker's rectangle table: the rectKey → handle
+// map and the handle table are inverses; every free handle is listed once
+// and holds no source count, row or link state; every live handle's source
+// count equals the groups holding a row for it, each row placed where its
+// group keeps it, and something — a row or some link's state — still
+// refers to it; and every link's per-handle slices span the table.
+func checkRectTable(b *Broker) error {
+	t := &b.rects
+	free := make(map[handle]bool, len(t.free))
+	for _, h := range t.free {
+		if h < 0 || int(h) >= len(t.keys) || free[h] {
+			return fmt.Errorf("free list %v: handle %d out of range or listed twice", t.free, h)
+		}
+		free[h] = true
+	}
+	if len(t.handle)+len(free) != len(t.keys) {
+		return fmt.Errorf("%d rectangles mapped and %d handles free, of %d", len(t.handle), len(free), len(t.keys))
+	}
+	for key, h := range t.handle {
+		if h < 0 || int(h) >= len(t.keys) || free[h] || t.keys[h] != key {
+			return fmt.Errorf("rectangle %v maps to handle %d (free %v) of %d", key, h, free[h], len(t.keys))
+		}
+	}
+	if len(t.rows) != len(t.keys) {
+		return fmt.Errorf("%d row lists for %d handles", len(t.rows), len(t.keys))
+	}
+	for k, st := range b.out {
+		if len(st.ids) != len(t.keys) || len(st.sups.at) != len(t.keys) {
+			return fmt.Errorf("link to %d: %d ids and %d positions for %d handles", b.neighbors[k], len(st.ids), len(st.sups.at), len(t.keys))
+		}
+	}
+	held := make([]int, len(t.keys))
+	for gi := range b.table {
+		for i, h := range b.table[gi].handles {
+			if k := t.placement(h, gi); k < 0 || int(t.rows[h][k].row) != i {
+				return fmt.Errorf("group %d row %d holds handle %d, which places it at %v", gi, i, h, t.rows[h])
+			}
+			held[h]++
+		}
+	}
+	for h := range t.keys {
+		linked := false
+		for _, st := range b.out {
+			linked = linked || st.ids[h].ok || st.sups.at[h] != 0
+		}
+		switch sources := len(t.rows[h]); {
+		case free[handle(h)] && (sources != 0 || linked):
+			return fmt.Errorf("free handle %d: source count %d, link state %v", h, sources, linked)
+		case !free[handle(h)] && sources != held[h]:
+			return fmt.Errorf("handle %d: source count %d, %d groups hold a row", h, sources, held[h])
+		case !free[handle(h)] && sources == 0 && !linked:
+			return fmt.Errorf("handle %d (%v) is live with nothing referring to it", h, t.keys[h])
 		}
 	}
 	return nil
@@ -342,10 +420,9 @@ func checkPackedGroup(t *testing.T, schema *subscription.Schema, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	maxV := schema.MaxValue()
-	b := &Broker{net: &Network{cfg: Config{Schema: schema}}, sources: make(map[rectKey]int)}
-	from := iface{kind: ifClient, id: 0}
-	b.addIface(from, nil)
-	g := b.rowsFrom(from)
+	b := &Broker{net: &Network{cfg: Config{Schema: schema}}, rects: rectTable{handle: make(map[rectKey]handle)}}
+	b.addIface(iface{kind: ifClient, id: 0}, nil)
+	g := &b.table[0]
 	if want := (schema.NumAttrs() + 2) / 3; g.words != want {
 		t.Fatalf("%d attributes pack into %d words a row, want %d", schema.NumAttrs(), g.words, want)
 	}
@@ -427,15 +504,17 @@ func checkPackedGroup(t *testing.T, schema *subscription.Schema, seed int64) {
 				live[k] = s
 				keys = append(keys, k)
 			}
-			b.addRow(from, keyOf(s))
+			b.addRow(0, b.intern(keyOf(s)))
 			probe(op, s)
 		} else {
 			i := rng.Intn(len(keys))
 			k := keys[i]
 			s := live[k]
-			if removed, found := b.dropRow(from, k); !found {
+			h, mapped := b.rects.handle[k]
+			if removed, found := b.dropRow(0, h); !mapped || !found {
 				t.Fatalf("op %d: live row %v not found", op, s)
 			} else if removed {
+				b.release(h)
 				delete(live, k)
 				keys[i] = keys[len(keys)-1]
 				keys = keys[:len(keys)-1]
@@ -445,8 +524,182 @@ func checkPackedGroup(t *testing.T, schema *subscription.Schema, seed int64) {
 		if len(keys) > 0 {
 			probe(op, live[keys[rng.Intn(len(keys))]])
 		}
-		if err := checkPackedRows(g); err != nil {
+		if err := checkPackedRows(b, 0); err != nil {
+			t.Fatalf("op %d: %v", op, err)
+		}
+		if err := checkRectTable(b); err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
 	}
+}
+
+// TestRescreenAllocs guards the retraction path's allocation budget: on a
+// warm network, retracting a cover whose twenty recorded members all stay
+// suppressed under a second cover re-screens them and moves them to the
+// second cover's list. The rectangle handles, the re-screen's scratch and
+// the coverer lists are reused from the earlier rounds, so the only
+// allocation left is CoverQueryBatch's result slice — one per retraction.
+func TestRescreenAllocs(t *testing.T) {
+	schema := testSchema()
+	n := MustNetwork(Line(2), Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear})
+	defer n.Close()
+	c, _ := n.AttachClient(0)
+	subscribe := func(s *subscription.Subscription) {
+		if err := n.Subscribe(c.ID, s); err != nil {
+			t.Fatal(err)
+		}
+		n.Drain()
+	}
+	// Neither cover covers the other; both cover every member.
+	covers := []*subscription.Subscription{
+		subscription.MustParse(schema, "topic in [0,100] && price in [0,200]"),
+		subscription.MustParse(schema, "topic in [0,50] && price in [0,255]"),
+	}
+	for _, s := range covers {
+		subscribe(s)
+	}
+	const members = 20
+	for i := 1; i <= members; i++ {
+		subscribe(subscription.MustParse(schema, fmt.Sprintf("topic in [%d,%d] && price in [%d,%d]", i, i+10, i, i+20)))
+	}
+	b0 := n.brokers[0]
+	st := b0.link(1)
+	// retract withdraws the cover the members are recorded under, measuring
+	// the allocations of the Unsubscribe and its Drain alone, and
+	// re-subscribes it unmeasured.
+	var before, after runtime.MemStats
+	retract := func() uint64 {
+		t.Helper()
+		var holder *subscription.Subscription
+		for _, s := range covers {
+			if id, _ := b0.forwardedID(1, s); len(st.sups.list(id)) == members {
+				holder = s
+			}
+		}
+		if holder == nil {
+			t.Fatal("no cover holds every member")
+		}
+		sent := n.Metrics().SubscribeMsgs
+		runtime.ReadMemStats(&before)
+		if err := n.Unsubscribe(c.ID, holder); err != nil {
+			t.Fatal(err)
+		}
+		n.Drain()
+		runtime.ReadMemStats(&after)
+		if got := n.Metrics().SubscribeMsgs - sent; got != 0 || n.SuppressedEntries() != members {
+			t.Fatalf("retraction re-forwarded %d members and left %d suppressed, want 0 and %d", got, n.SuppressedEntries(), members)
+		}
+		subscribe(holder)
+		return after.Mallocs - before.Mallocs
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for range 4 { // grow the queue, the scratch and both coverer lists
+		retract()
+	}
+	const rounds, budget = 50, 1 // CoverQueryBatch's result slice
+	var allocs uint64
+	for range rounds {
+		allocs += retract()
+	}
+	if got := float64(allocs) / rounds; got > budget {
+		t.Fatalf("a retraction that re-screens %d members allocates %.2f times, want at most %d (CoverQueryBatch's result slice)", members, got, budget)
+	}
+	if m := n.Metrics(); m.ProtocolErrors != 0 {
+		t.Fatalf("protocol errors: %d", m.ProtocolErrors)
+	}
+}
+
+// The accessors below read a broker's link state by neighbor and
+// subscription, for tests.
+
+// link returns the broker's state toward neighbor j.
+func (b *Broker) link(j int) *neighborState { return b.out[slices.Index(b.neighbors, j)] }
+
+// forwardedID returns the forwarded-set id the link toward j holds for
+// s's rectangle.
+func (b *Broker) forwardedID(j int, s *subscription.Subscription) (uint64, bool) {
+	h, ok := b.rects.handle[keyOf(s)]
+	if !ok {
+		return 0, false
+	}
+	fwd := b.link(j).ids[h]
+	return fwd.id, fwd.ok
+}
+
+// suppressedBy returns the coverer recorded for s's rectangle in the
+// suppressed table of the link toward j.
+func (b *Broker) suppressedBy(j int, s *subscription.Subscription) (uint64, bool) {
+	h, ok := b.rects.handle[keyOf(s)]
+	if !ok {
+		return 0, false
+	}
+	sups := &b.link(j).sups
+	at, ok := sups.find(h)
+	if !ok {
+		return 0, false
+	}
+	return sups.rows[at].by, true
+}
+
+// rowRefs returns the references on the row for s's rectangle in the
+// group of interface from.
+func (b *Broker) rowRefs(from iface, s *subscription.Subscription) (int, bool) {
+	h, ok := b.rects.handle[keyOf(s)]
+	if !ok {
+		return 0, false
+	}
+	gi := b.group(from)
+	k := b.rects.placement(h, gi)
+	if k < 0 {
+		return 0, false
+	}
+	return b.table[gi].refs[b.rects.rows[h][k].row], true
+}
+
+// forwarded counts the rectangles forwarded on the link.
+func (st *neighborState) forwarded() int {
+	n := 0
+	for _, fwd := range st.ids {
+		if fwd.ok {
+			n++
+		}
+	}
+	return n
+}
+
+// list returns the positions on by's list, head first. A walk that leaves
+// the table, or outlasts it (a cycle), stops there.
+func (t *suppressedTable) list(by uint64) []int {
+	head, ok := t.heldBy[by]
+	if !ok {
+		return nil
+	}
+	var out []int
+	for at := int(head); at >= 0 && at < len(t.rows) && len(out) <= len(t.rows); at = int(t.rows[at].next) {
+		out = append(out, at)
+	}
+	return out
+}
+
+// indexed counts the rectangles holding a suppressed-entry position.
+func (t *suppressedTable) indexed() int {
+	n := 0
+	for _, p := range t.at {
+		if p != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// keyAt decodes row i's rectangle from its packed bounds.
+func (g *ifaceRows) keyAt(i int) rectKey {
+	var k rectKey
+	for a := range min(g.words*lanesPerWord, len(k)) {
+		w, sh := lane(a)
+		lo := uint32(g.lo[i*g.words+w]>>sh) & laneValue
+		hi := lo + uint32(g.span[i*g.words+w]>>sh)&laneValue
+		k[a] = lo<<subscription.MaxBits | hi
+	}
+	return k
 }

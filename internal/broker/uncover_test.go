@@ -197,11 +197,13 @@ func TestUnsubscribeQueriesOnlyRecordedMembers(t *testing.T) {
 	cc := subscribe("topic in [10,40] && price in [120,180]") // then covered by y
 	subscribe("topic in [150,190] && price in [150,190]")     // uncovered once X goes
 	y := subscribe("topic in [5,45] && price in [110,250]")   // reaches past X: forwarded
-	st := n.brokers[0].out[1]
-	held := func(s *subscription.Subscription) int { return len(st.sups.heldBy[st.ids[keyOf(s)]]) }
-	if held(t1) != 20 || held(t2) != 20 || held(x) != 4 || held(y) != 0 || len(st.ids) != 4 {
+	b0 := n.brokers[0]
+	st := b0.link(1)
+	id := func(s *subscription.Subscription) uint64 { id, _ := b0.forwardedID(1, s); return id }
+	held := func(s *subscription.Subscription) int { return len(st.sups.list(id(s))) }
+	if held(t1) != 20 || held(t2) != 20 || held(x) != 4 || held(y) != 0 || st.forwarded() != 4 {
 		t.Fatalf("before: %d+%d members under the tight covers, %d under X, %d under y, %d forwarded; want 20+20, 4, 0, 4",
-			held(t1), held(t2), held(x), held(y), len(st.ids))
+			held(t1), held(t2), held(x), held(y), st.forwarded())
 	}
 	checkDeliveries("before")
 
@@ -212,8 +214,8 @@ func TestUnsubscribeQueriesOnlyRecordedMembers(t *testing.T) {
 		t.Fatalf("after X: %d+%d under the tight covers, %d under a, %d under y, %d suppressed; want 20+20, 1, 1, 42",
 			held(t1), held(t2), held(a), held(y), n.SuppressedEntries())
 	}
-	if at := st.sups.at[keyOf(cc)]; st.sups.rows[at].by != st.ids[keyOf(y)] {
-		t.Fatalf("the member y covers is recorded under %d, want y's id %d", st.sups.rows[at].by, st.ids[keyOf(y)])
+	if by, _ := b0.suppressedBy(1, cc); by != id(y) {
+		t.Fatalf("the member y covers is recorded under %d, want y's id %d", by, id(y))
 	}
 	checkDeliveries("after X")
 
@@ -221,7 +223,7 @@ func TestUnsubscribeQueriesOnlyRecordedMembers(t *testing.T) {
 	if queries, forwards := unsubscribe(a); queries != 1 || forwards != 1 {
 		t.Fatalf("retracting a: %d covering queries, %d re-forwards; want 1 and 1", queries, forwards)
 	}
-	if _, forwarded := st.ids[keyOf(b)]; !forwarded {
+	if _, forwarded := b0.forwardedID(1, b); !forwarded {
 		t.Fatal("the member a was holding back is not forwarded")
 	}
 	checkDeliveries("after a")
