@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -1018,6 +1020,87 @@ func BenchmarkDaemonFindCoverPipelined16(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWireMixed is wire_mixed's shape against the same daemon: two
+// callers share one pipelined client, and per ten ops each issues eight
+// covering queries, one subscribe and one unsubscribe of its own previous
+// subscription. Client and server share this process, so /proc/self/io
+// counts the read and write syscalls of both ends of the loopback; they
+// are reported per op where that file is readable.
+func BenchmarkWireMixed(b *testing.B) {
+	addr, queries := startBenchDaemon(b)
+	c, err := sfcd.Dial(addr, queries[0].Schema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	const callers = 2
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	reads0, writes0, ioOK := procSyscalls()
+	b.ResetTimer()
+	for g := 0; g < callers; g++ {
+		n := b.N / callers
+		if g == 0 {
+			n += b.N % callers
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sid uint64
+			for i := 0; i < n; i++ {
+				q := queries[(i*callers+g)%len(queries)]
+				var err error
+				switch i % 10 {
+				case 0:
+					sid, _, _, err = c.Subscribe(ctx, q)
+				case 5:
+					err = c.Unsubscribe(ctx, sid)
+				default:
+					_, _, err = c.Query(ctx, q)
+				}
+				if err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	if reads1, writes1, ok := procSyscalls(); ok && ioOK {
+		b.ReportMetric(float64(reads1-reads0)/float64(b.N), "reads/op")
+		b.ReportMetric(float64(writes1-writes0)/float64(b.N), "writes/op")
+	}
+}
+
+// procSyscalls reads the process's read and write syscall counts (syscr
+// and syscw in /proc/self/io); ok is false where the file is unreadable.
+func procSyscalls() (reads, writes uint64, ok bool) {
+	data, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, 0, false
+	}
+	found := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		key, val, _ := strings.Cut(line, ": ")
+		var dst *uint64
+		switch key {
+		case "syscr":
+			dst = &reads
+		case "syscw":
+			dst = &writes
+		default:
+			continue
+		}
+		if *dst, err = strconv.ParseUint(val, 10, 64); err != nil {
+			return 0, 0, false
+		}
+		found++
+	}
+	return reads, writes, found == 2
 }
 
 func BenchmarkSubscriptionMatch(b *testing.B) {

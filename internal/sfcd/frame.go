@@ -180,19 +180,6 @@ func appendFrame(dst []byte, id uint64, tail []byte) []byte {
 	return append(appendFrameHeader(dst, id, len(tail)), tail...)
 }
 
-// writeFrame is appendFrame into a buffered writer: the header is built
-// in the writer's own spare buffer, so nothing is allocated or copied
-// twice.
-//
-//sfc:hotpath
-func writeFrame(w *bufio.Writer, id uint64, tail []byte) error {
-	if _, err := w.Write(appendFrameHeader(w.AvailableBuffer(), id, len(tail))); err != nil {
-		return err
-	}
-	_, err := w.Write(tail)
-	return err
-}
-
 func appendBytes(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
@@ -546,6 +533,8 @@ func decodeResult(c *cursor, r *Result) {
 // measured and lost on every row, the single-caller ones included
 // (EXPERIMENTS.md "Wire codec and flush policy"). A frame waits for
 // senders that are ready now, never for work that is still being served.
+// A frame too large to share a flush (past flushBytes with what is
+// buffered) is written at once, without the yield.
 //
 // The lock is a channel rather than a mutex so that a sender can stop
 // waiting for it when its context ends, and a write that reaches the
@@ -555,7 +544,10 @@ func decodeResult(c *cursor, r *Result) {
 type frameWriter struct {
 	sem  chan struct{} // capacity 1: holding the token is holding the lock
 	conn net.Conn
-	bw   *bufio.Writer
+	// buf holds whole frames not yet written; err is the write that left
+	// part of one on the wire, after which nothing more may follow.
+	buf []byte
+	err error
 	// disarmed hands the end of an armed write to its watcher (see arm);
 	// cutShort is the watcher's word, read after that hand-over, that it
 	// had set a write deadline in the past by then.
@@ -563,11 +555,15 @@ type frameWriter struct {
 	cutShort bool
 }
 
+// flushBytes is the buffered size past which a sender writes at once
+// instead of yielding for company: a frame that large amortizes its own
+// syscall.
+const flushBytes = 4 << 10
+
 func newFrameWriter(conn net.Conn) *frameWriter {
 	return &frameWriter{
 		sem:      make(chan struct{}, 1),
 		conn:     conn,
-		bw:       bufio.NewWriter(conn),
 		disarmed: make(chan struct{}),
 	}
 }
@@ -616,52 +612,74 @@ func (w *frameWriter) watch(ctx context.Context) {
 }
 
 // disarm ends what arm began, and if the watcher had fired lifts the
-// deadline it set: a write it caught has failed and takes the connection
-// with it, a write that had already completed leaves the connection as
-// healthy as it was.
-func (w *frameWriter) disarm(armed bool) {
+// deadline it set and reports that it did: a write it caught has failed,
+// a write that had already completed leaves the connection as healthy as
+// it was.
+func (w *frameWriter) disarm(armed bool) (fired bool) {
 	if !armed {
-		return
+		return false
 	}
 	w.disarmed <- struct{}{} // unbuffered: the watcher is done with conn once this returns
-	if w.cutShort {
-		w.cutShort = false
+	fired, w.cutShort = w.cutShort, false
+	if fired {
 		w.conn.SetWriteDeadline(time.Time{}) //nolint:errcheck // see watch
 	}
+	return fired
 }
 
 // send writes one frame and flushes it (and whatever joined it). An error
 // is a failed socket write: the stream may hold part of a frame and the
-// connection is finished. A nil return with ctx ended means send gave up
-// waiting for the lock — nothing of the frame was written, or all of it
-// sits in the buffer for the next sender's flush — and the caller, who is
-// watching ctx, abandons the request as it would while waiting for the
-// response.
+// connection is finished. A nil return with ctx ended means the frame
+// never reached the socket — send gave up waiting for the lock, or ctx
+// cut its flush short before the first byte — and sits whole in the
+// buffer for the next sender's flush (or was never added); the caller,
+// who is watching ctx, abandons the request as it would while waiting for
+// the response.
 //
 //sfc:hotpath
 func (w *frameWriter) send(ctx context.Context, id uint64, tail []byte) error {
 	if !w.lock(ctx) {
 		return nil
 	}
-	armed := false
-	if len(tail)+2*binary.MaxVarintLen64 > w.bw.Available() {
-		armed = w.arm(ctx) // the copy will spill into the socket
-	}
-	err := writeFrame(w.bw, id, tail)
-	w.disarm(armed)
-	w.unlock()
-	if err != nil {
+	w.buf = appendFrame(w.buf, id, tail)
+	if len(w.buf) > flushBytes {
+		err := w.flush(ctx)
+		w.unlock()
 		return err
 	}
+	w.unlock()
 	runtime.Gosched()
 	if !w.lock(ctx) {
 		return nil
 	}
-	if w.bw.Buffered() > 0 { // else another sender already flushed
-		armed = w.arm(ctx)
-		err = w.bw.Flush()
-		w.disarm(armed)
-	}
+	err := w.flush(ctx) // a no-op when another sender already flushed
 	w.unlock()
 	return err
+}
+
+// flush writes the buffered frames; the caller holds the lock. A write
+// that ctx cut short before its first byte leaves the buffer whole for
+// the next flusher and the connection as it was. Any other failed write
+// may have left part of a frame on the wire: it is the writer's last.
+//
+//sfc:hotpath
+func (w *frameWriter) flush(ctx context.Context) error {
+	if w.err != nil || len(w.buf) == 0 {
+		return w.err
+	}
+	armed := w.arm(ctx)
+	n, err := w.conn.Write(w.buf)
+	if w.disarm(armed) && n == 0 {
+		return nil
+	}
+	if err != nil {
+		w.err = err
+		return err
+	}
+	if cap(w.buf) > scratchRetainBytes {
+		w.buf = nil // one oversized frame does not pin its memory on the connection
+	} else {
+		w.buf = w.buf[:0]
+	}
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -108,15 +109,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("after the last frame: %v, want io.EOF", err)
 	}
 
-	var out bytes.Buffer
-	w := bufio.NewWriter(&out)
+	var out []byte
 	for i := range resps {
-		if err := writeFrame(w, resps[i].ID, appendResponse(nil, &resps[i])); err != nil {
-			t.Fatal(err)
-		}
+		out = appendFrame(out, resps[i].ID, appendResponse(nil, &resps[i]))
 	}
-	w.Flush()
-	br.Reset(iotest.OneByteReader(&out))
+	br.Reset(iotest.OneByteReader(bytes.NewReader(out)))
 	for i, want := range resps {
 		var err error
 		if frame, err = readFrame(br, frame); err != nil {
@@ -273,22 +270,7 @@ func FuzzFrameDecode(f *testing.F) {
 // leaves the connection usable. Only a write the interrupt actually caught
 // may cost the connection.
 func TestFrameWriterInterruptCaughtNothing(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	peer, err := ln.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
-
+	conn, peer := tcpPair(t)
 	w := newFrameWriter(conn)
 	ended, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -300,10 +282,82 @@ func TestFrameWriterInterruptCaughtNothing(t *testing.T) {
 	if err := w.send(context.Background(), 7, tail); err != nil {
 		t.Fatalf("send after a spent interrupt = %v, want the connection intact", err)
 	}
-	var req Request
+	expectPings(t, peer, 7)
+}
+
+// TestFrameWriterCutBeforeFirstByte pins the other half: when the
+// interrupt wins the race to the socket — the past deadline is set before
+// the flush's write starts, so the write fails having sent nothing — the
+// frame stays buffered, the sender reports no failure (its caller answers
+// to its ended context), and the next sender's flush delivers both frames
+// on a connection as healthy as before.
+func TestFrameWriterCutBeforeFirstByte(t *testing.T) {
+	conn, peer := tcpPair(t)
+	w := newFrameWriter(&deadlineFirstConn{Conn: conn, set: make(chan struct{})})
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	tail := appendRequest(nil, &Request{Op: OpPing})
+	if err := w.send(ended, 7, tail); err != nil {
+		t.Fatalf("send cut before its first byte = %v, want nil (nothing reached the wire)", err)
+	}
+	if err := w.send(context.Background(), 8, tail); err != nil {
+		t.Fatalf("send after a cut that wrote nothing = %v, want the connection intact", err)
+	}
+	expectPings(t, peer, 7, 8)
+}
+
+// deadlineFirstConn makes a write deadline win the race against the first
+// write: that write waits until a deadline has been set, so it starts with
+// the deadline already in the past.
+type deadlineFirstConn struct {
+	net.Conn
+	once sync.Once
+	set  chan struct{}
+}
+
+func (c *deadlineFirstConn) SetWriteDeadline(t time.Time) error {
+	err := c.Conn.SetWriteDeadline(t)
+	if !t.IsZero() {
+		c.once.Do(func() { close(c.set) })
+	}
+	return err
+}
+
+func (c *deadlineFirstConn) Write(p []byte) (int, error) {
+	<-c.set
+	return c.Conn.Write(p)
+}
+
+// tcpPair is a loopback TCP connection and its accepted peer, both closed
+// with the test.
+func tcpPair(t *testing.T) (conn, peer net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if conn, err = net.Dial("tcp", ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if peer, err = ln.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	return conn, peer
+}
+
+// expectPings reads one ping request frame per id from peer, in order.
+func expectPings(t *testing.T, peer net.Conn, ids ...uint64) {
+	t.Helper()
 	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
-	frame, err := readFrame(bufio.NewReader(peer), nil)
-	if err != nil || decodeRequest(frame, &req) != nil || req.ID != 7 || req.Op != OpPing {
-		t.Fatalf("peer read %+v, %v; want ping 7", req, err)
+	br := bufio.NewReader(peer)
+	for _, id := range ids {
+		var req Request
+		frame, err := readFrame(br, nil)
+		if err != nil || decodeRequest(frame, &req) != nil || req.ID != id || req.Op != OpPing {
+			t.Fatalf("peer read %+v, %v; want ping %d", req, err, id)
+		}
 	}
 }

@@ -11,8 +11,10 @@
 // Protocol: each request is one frame carrying a client-chosen id; the
 // server answers each request with one response frame echoing that id
 // (and the request's opcode, which selects the response layout).
-// Responses may arrive OUT OF ORDER — the server handles a connection's
-// requests concurrently — so clients demultiplex by id. A response with
+// Responses may arrive OUT OF ORDER — the server hands a connection's
+// requests to concurrent handlers, and answers a cheap read that has
+// nothing queued behind it on the connection's read loop — so clients
+// demultiplex by id. A response with
 // id 0 that no request asked for is a connection-level error frame (the
 // connection limit was hit, a frame could not be parsed); the connection
 // is closed after it. frame.go is the one codec: every byte on the wire

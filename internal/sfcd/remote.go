@@ -17,8 +17,9 @@ import (
 // routers can point any provider seam at a shared daemon exactly as they
 // would at an in-process Detector or Engine. Any number of providers —
 // one per broker link, say — share a single Client and therefore a
-// single TCP connection; their requests interleave without head-of-line
-// blocking.
+// single TCP connection; their requests interleave, and one waits behind
+// another only while the daemon's read loop answers a cheap read it read
+// first — for at most that read's walk budget.
 //
 // Divergences forced by the interface: the per-query dominance.Stats are
 // server-side aggregates (visible through Stats), so FindCover/FindCovered

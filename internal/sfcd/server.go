@@ -44,10 +44,12 @@ const (
 
 // Server serves the sfcd protocol on top of one Engine. Connections are
 // handled concurrently, and so are the pipelined requests within one
-// connection: each request frame is dispatched to its own handler (bounded
-// by connInflight) and responses are written as they complete — out of
-// request order when a slow covering query overlaps a fast ping. Clients
-// match responses to requests by id.
+// connection: a request frame goes to a handler worker (bounded by
+// connInflight) unless nothing is queued behind it and it is a cheap read
+// (ping, query, match, get on an existing namespace), which the
+// connection's read loop answers itself. Responses are written as they
+// complete — out of request order when a slow covering query overlaps a
+// fast ping. Clients match responses to requests by id.
 //
 // Besides the engine — the shared namespace — the server lazily maintains
 // one isolated provider per named link (see the package comment on link
@@ -69,6 +71,13 @@ type Server struct {
 
 	linkMu sync.Mutex
 	links  map[string]core.Provider
+
+	// boundedSearch is whether a covering search on this server's
+	// namespaces (all built from the engine's detector template) stops
+	// within the walk budget: not in exact mode, whose walk has none, nor
+	// with the budget lifted. Only then may the read loop serve query and
+	// match itself.
+	boundedSearch bool
 
 	// obs is adopted from the engine (nil when the engine runs with
 	// TelemetryOff): wire-op dispatch latencies are recorded into it, so
@@ -119,6 +128,7 @@ func NewServer(eng *engine.Engine) *Server {
 // NewServerWith wraps an engine in a protocol server with the given
 // hardening configuration.
 func NewServerWith(eng *engine.Engine, cfg ServerConfig) *Server {
+	det := eng.Config().Detector
 	s := &Server{
 		eng:    eng,
 		schema: eng.Schema(),
@@ -127,6 +137,8 @@ func NewServerWith(eng *engine.Engine, cfg ServerConfig) *Server {
 		conns:  make(map[net.Conn]struct{}),
 		links:  make(map[string]core.Provider),
 		obs:    eng.Observer(),
+
+		boundedSearch: det.Mode != core.ModeExact && det.MaxCubes != core.UnlimitedCubes,
 	}
 	if s.obs != nil {
 		s.opLat = newOpHists(s.obs.Hist)
@@ -424,9 +436,8 @@ func (cs *connState) send(id uint64, tail []byte) {
 func (w *frameWriter) refuse(code, msg string) {
 	tail := appendResponse(nil, &Response{OK: false, Code: code, Error: msg})
 	w.lock(context.Background())
-	if writeFrame(w.bw, 0, tail) == nil {
-		w.bw.Flush() //nolint:errcheck // the connection dies either way
-	}
+	w.buf = appendFrame(w.buf, 0, tail)
+	w.flush(context.Background()) //nolint:errcheck // the connection dies either way
 	w.conn.Close()
 	w.unlock()
 }
@@ -441,6 +452,7 @@ func (w *frameWriter) refuse(code, msg string) {
 type reqScratch struct {
 	frame   []byte
 	req     Request
+	decErr  error // decodeRequest's verdict on frame, read by handleFrame
 	resp    Response
 	out     []byte
 	payload []byte // get's encoded subscription
@@ -460,12 +472,16 @@ func (s *Server) release(sc *reqScratch) {
 }
 
 // handleConn pumps one connection: the read loop copies each request
-// frame into a pooled scratch and hands it to a pool of handler workers
-// (grown on demand up to connInflight — persistent workers keep warmed-up
-// stacks across requests, while an idle connection holds only what its
-// pipelining depth ever needed). A worker decodes, serves, encodes and
-// writes its own response through the connection's frameWriter; nothing
-// sits between a finished handler and the socket.
+// frame into a pooled scratch and decodes it. A frame with nothing
+// buffered behind it whose op the read loop may serve itself (see inline)
+// is served right there; every other frame goes to a pool of handler
+// workers (grown on demand up to connInflight — persistent workers keep
+// warmed-up stacks across requests, while an idle connection holds only
+// what its pipelining depth ever needed). Either way one handleFrame
+// serves, encodes and writes the response through the connection's
+// frameWriter; nothing sits between a finished handler and the socket.
+// An inline op saves the hand-off to a worker, and a frame that arrives
+// behind it waits in the socket for at most that op's walk budget.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.dropConn(conn)
 	cs := &connState{conn: conn, w: newFrameWriter(conn), readerGone: make(chan struct{})}
@@ -496,6 +512,12 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			break
 		}
+		sc.decErr = decodeRequest(sc.frame, &sc.req)
+		if br.Buffered() == 0 && s.inline(sc) {
+			s.handleFrame(sc, cs)
+			s.release(sc)
+			continue
+		}
 		select {
 		case frames <- sc: // an idle worker took it
 		default:
@@ -518,9 +540,40 @@ func (s *Server) handleConn(conn net.Conn) {
 	handlers.Wait()
 }
 
-// handleFrame decodes and serves one request frame and writes the
-// response (or, for the streaming replicate op, every frame of the
-// stream). Frames the server cannot parse — and requests carrying the
+// inline reports whether the read loop may serve a decoded request
+// itself: a read-only single-item op whose cost the walk budget bounds —
+// ping, query, match, get — addressed to a namespace that already exists.
+// Everything else can take longer than a frame queued behind it should
+// wait: a write may wait on a WAL write or fsync, covered and the batch
+// ops scan, building a link reads the store, and a search is unbounded
+// on an exact-mode engine or with the budget lifted.
+func (s *Server) inline(sc *reqScratch) bool {
+	if sc.decErr != nil {
+		return false
+	}
+	switch sc.req.Op {
+	case OpPing:
+		return true
+	case OpQuery, OpMatch:
+		if !s.boundedSearch {
+			return false
+		}
+	case OpGet:
+	default:
+		return false
+	}
+	if sc.req.Link == "" {
+		return true
+	}
+	s.linkMu.Lock()
+	_, ok := s.links[sc.req.Link]
+	s.linkMu.Unlock()
+	return ok
+}
+
+// handleFrame serves one decoded request frame and writes the response
+// (or, for the streaming replicate op, every frame of the stream). Frames
+// the server cannot parse — and requests carrying the
 // reserved id 0 — get a connection-level error frame: the response cannot
 // be attributed to a request id, and a pipelining client must treat an
 // id-0 frame as fatal (a stray one would otherwise poison response
@@ -531,7 +584,7 @@ func (s *Server) handleConn(conn net.Conn) {
 //sfc:hotpath
 func (s *Server) handleFrame(sc *reqScratch, cs *connState) {
 	req, resp := &sc.req, &sc.resp
-	switch err := decodeRequest(sc.frame, req); {
+	switch err := sc.decErr; {
 	case err == errUnknownOp:
 		*resp = unknownOp(req.Op)
 	case err != nil:

@@ -28,7 +28,7 @@
 //     protocol (length-prefixed binary frames over TCP, wire payloads)
 //     that turns an Engine into a standalone service. The client is
 //     pipelined and context-aware — concurrent callers share one
-//     connection without head-of-line blocking — and DaemonProvider
+//     connection, and none waits for another's round trip — and DaemonProvider
 //     serves the whole Provider interface over it, with isolated link
 //     namespaces so one daemon can back many routers.
 //   - Network: a deterministic simulation of a broker overlay that uses
