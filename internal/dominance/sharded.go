@@ -203,27 +203,60 @@ func (x *ShardedIndex) ShardSizes() []int {
 	return sizes
 }
 
-// Insert indexes point p under the given id, locking only its home slice.
-// The route is validated after the lock is held: while a slice's write
-// lock is held its boundaries cannot move, so a route that still matches
-// is stable, and one invalidated by a concurrent boundary move retries.
-// The memo is fitted to the slice's length times the slice count, read
-// under the lock already held: an estimate of the population that costs
-// no other slice's lock.
-func (x *ShardedIndex) Insert(p []uint32, id uint64) {
+// Location is a point's curve key routed to the slice that owns it under
+// one boundary table: what Locate computes once and InsertAt consumes, so
+// a caller that co-partitions its own state by slice (the engine's store
+// stripes) encodes and routes the key once for both.
+type Location struct {
+	Key   bits.Key
+	Slice int
+	tab   *[]bits.Key // the table Slice was routed by
+}
+
+// Locate encodes p's curve key and routes it under the current table.
+func (x *ShardedIndex) Locate(p []uint32) Location {
 	k := x.curve.Key(p)
+	tab := x.table.Load()
+	return Location{Key: k, Slice: routeKey(*tab, k), tab: tab}
+}
+
+// lock write-locks the slice owning loc's key and returns it. The route is
+// validated once the lock is held, first by table identity — the check
+// probe uses: tables are never reused, and a move publishes only while
+// holding the write locks of the slices it touches, so while this slice is
+// locked an unchanged table still routes the key here — and only when the
+// table changed by routing again. A route a concurrent boundary move
+// invalidated retries under the fresh table.
+func (x *ShardedIndex) lock(loc Location) *shardSlot {
 	for {
-		s := routeKey(*x.table.Load(), k)
-		slot := &x.shards[s]
+		slot := &x.shards[loc.Slice]
 		slot.mu.Lock()
-		if routeKey(*x.table.Load(), k) == s {
-			slot.arr.Insert(k, id)
-			x.memo.fit(slot.arr.Len() * len(x.shards))
-			slot.mu.Unlock()
-			return
+		cur := x.table.Load()
+		if cur == loc.tab {
+			return slot
+		}
+		s := routeKey(*cur, loc.Key)
+		if s == loc.Slice {
+			return slot
 		}
 		slot.mu.Unlock()
+		loc.tab, loc.Slice = cur, s
 	}
+}
+
+// Insert indexes point p under the given id, locking only its home slice.
+func (x *ShardedIndex) Insert(p []uint32, id uint64) { x.InsertAt(x.Locate(p), id) }
+
+// InsertAt indexes id under a key Locate routed, locking only the slice
+// that owns it (which a boundary move since Locate may have changed). The
+// memo is fitted to the slice's length times the slice count, read under
+// the lock already held: an estimate of the population that costs no
+// other slice's lock.
+func (x *ShardedIndex) InsertAt(loc Location, id uint64) {
+	slot := x.lock(loc)
+	slot.arr.Insert(loc.Key, id)
+	x.memo.fit(slot.arr.Len() * len(x.shards))
+	slot.mu.Unlock()
 }
 
 // InsertBatch indexes a group of points, aligned with ids, taking each
@@ -283,20 +316,13 @@ func (x *ShardedIndex) InsertBatch(ps [][]uint32, ids []uint64) {
 }
 
 // Delete removes one (p, id) entry, reporting whether it existed. Routing
-// is validated under the slice lock exactly like Insert's.
+// is validated under the slice lock exactly like InsertAt's.
 func (x *ShardedIndex) Delete(p []uint32, id uint64) bool {
-	k := x.curve.Key(p)
-	for {
-		s := routeKey(*x.table.Load(), k)
-		slot := &x.shards[s]
-		slot.mu.Lock()
-		if routeKey(*x.table.Load(), k) == s {
-			ok := slot.arr.Delete(k, id)
-			slot.mu.Unlock()
-			return ok
-		}
-		slot.mu.Unlock()
-	}
+	loc := x.Locate(p)
+	slot := x.lock(loc)
+	ok := slot.arr.Delete(loc.Key, id)
+	slot.mu.Unlock()
+	return ok
 }
 
 // probe answers one run probe by visiting only the shards whose key

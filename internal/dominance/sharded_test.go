@@ -494,3 +494,107 @@ func TestChooseBoundariesConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// checkOwnership fails unless every entry of every slice sits in the slice
+// the current table routes its key to, and returns the entry count.
+func checkOwnership(t *testing.T, x *ShardedIndex) int {
+	t.Helper()
+	tab := x.Boundaries()
+	n := 0
+	for i := range x.shards {
+		x.shards[i].arr.VisitRange(bits.Key{}, bits.LowMask(bits.KeyBits), func(k bits.Key, id uint64) bool {
+			if s := routeKey(tab, k); s != i {
+				t.Errorf("entry %d sits in slice %d, the table routes its key to %d", id, i, s)
+			}
+			n++
+			return true
+		})
+	}
+	return n
+}
+
+// TestStaleLocationLandsInOwningSlice: a Location routed before a boundary
+// move must not insert into the slice it names once the key moved out.
+func TestStaleLocationLandsInOwningSlice(t *testing.T) {
+	x, err := NewSharded(Config{Dims: 2, Bits: 8}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Everything lands in the last slice until a move places a boundary.
+	for i := 0; i < 64; i++ {
+		x.Insert([]uint32{uint32(i), uint32(i)}, uint64(i))
+	}
+	p := []uint32{1, 0}
+	loc := x.Locate(p)
+	if loc.Slice != 1 {
+		t.Fatalf("before any move the key routes to slice %d, want the last", loc.Slice)
+	}
+	if x.EqualizePair(0) == 0 {
+		t.Fatal("the pair did not move")
+	}
+	if fresh := x.Locate(p); fresh.Slice != 0 {
+		t.Fatalf("after the move the key routes to slice %d, want 0", fresh.Slice)
+	}
+	x.InsertAt(loc, 1000)
+	if got := checkOwnership(t, x); got != 65 {
+		t.Fatalf("%d entries, want 65", got)
+	}
+	if !x.Delete(p, 1000) {
+		t.Fatal("the stale-routed entry is not deletable by its key")
+	}
+}
+
+// TestRoutedWritesRaceEqualizePair races Insert, InsertAt and Delete
+// against a boundary mover; meaningful under -race. Every write must land
+// in — and every delete find its entry in — the slice owning its key.
+func TestRoutedWritesRaceEqualizePair(t *testing.T) {
+	x, err := NewSharded(Config{Dims: 2, Bits: 8}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	moverDone := make(chan struct{})
+	go func() {
+		defer close(moverDone)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				x.EqualizePair(i % (x.NumShards() - 1))
+			}
+		}
+	}()
+	const perWriter = 600
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(200 + g)))
+			base := uint64(10_000 * (g + 1))
+			for i := 0; i < perWriter; i++ {
+				p := []uint32{uint32(rng.Intn(256)), uint32(rng.Intn(256))}
+				id := base + uint64(i)
+				if i%2 == 0 {
+					x.Insert(p, id)
+				} else {
+					x.InsertAt(x.Locate(p), id)
+				}
+				// Every third entry leaves again; the rest stay for the
+				// ownership check.
+				if i%3 == 0 && !x.Delete(p, id) {
+					t.Errorf("writer %d: delete of entry %d failed", g, id)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-moverDone
+	want := 4 * (perWriter - (perWriter+2)/3)
+	if got := checkOwnership(t, x); got != want || x.Len() != want {
+		t.Fatalf("%d entries visited, Len %d, want %d", got, x.Len(), want)
+	}
+}

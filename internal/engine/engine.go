@@ -139,6 +139,10 @@ type Engine struct {
 	rebalanceMu sync.Mutex
 	// sinceCheck counts inserts since the write path last read the skew.
 	sinceCheck atomic.Int64
+	// insertTicks and removeTicks count single-item Insert and Remove
+	// calls; a count that is 1 modulo writeSample elects the call to be
+	// timed (see writeSample).
+	insertTicks, removeTicks atomic.Uint64
 
 	// Query counters. A query is counted once, in counts, by the cut that
 	// ended it and by whether it found a cover. runsProbed holds the
@@ -436,19 +440,44 @@ func (e *Engine) Add(s *subscription.Subscription) (id uint64, covered bool, cov
 	return e.insert(s), res.Covered, res.CoveredBy, nil
 }
 
+// writeSample is the single-item writes' latency sampling rate: Insert
+// and Remove each time their 1st, 17th, 33rd … call into engine_insert
+// and engine_remove, so the first write of a fresh engine already shows,
+// and the others read no clock — a time.Now pair is a measurable slice of
+// an insert. Latency does not steer the write, so the histograms are
+// unbiased samples; counts are Len and the WAL counters, never theirs. A
+// power of two, so election is a mask.
+const writeSample = 16
+
+// elect advances a write-op tick count and reports whether this call is
+// timed: never with telemetry off (h nil).
+func elect(h *obs.Histogram, ticks *atomic.Uint64) bool {
+	return h != nil && ticks.Add(1)&(writeSample-1) == 1
+}
+
 // Insert stores s unconditionally (no covering query) and returns its id.
 func (e *Engine) Insert(s *subscription.Subscription) (uint64, error) {
 	if err := e.checkSchema(s); err != nil {
 		return 0, err
 	}
-	defer observeSince(e.hInsert, time.Now())
-	return e.insert(s), nil
+	if !elect(e.hInsert, &e.insertTicks) {
+		return e.insert(s), nil
+	}
+	t0 := time.Now()
+	id := e.insert(s)
+	e.hInsert.Observe(time.Since(t0))
+	return id, nil
 }
 
 // Remove deletes a previously inserted subscription by engine id.
 func (e *Engine) Remove(id uint64) error {
-	defer observeSince(e.hRemove, time.Now())
-	return e.remove(id)
+	if !elect(e.hRemove, &e.removeTicks) {
+		return e.remove(id)
+	}
+	t0 := time.Now()
+	err := e.remove(id)
+	e.hRemove.Observe(time.Since(t0))
+	return err
 }
 
 // Totals returns a snapshot of the engine-level counters.

@@ -799,3 +799,36 @@ func TestTotalsCountIssuedCalls(t *testing.T) {
 		check(t, e, issue(t, e, 0, 0))
 	})
 }
+
+// TestWriteLatencySampleOneIn16 pins the single-item writes' latency
+// sample: engine_insert and engine_remove each time their first call and
+// every writeSample-th after it, on their own counts, so a workload that
+// alternates the two still samples both.
+func TestWriteLatencySampleOneIn16(t *testing.T) {
+	schema := testSchema(t)
+	e := MustNew(Config{Detector: core.Config{Schema: schema}})
+	defer e.Close()
+	count := func(op string) uint64 { return e.Observer().Hist(op).Snapshot().Count }
+	const n = 2*writeSample + 1
+	for i, s := range testSubs(t, schema, n, 11) {
+		id, err := e.Insert(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && (count("engine_insert") != 1 || count("engine_remove") != 1) {
+			t.Fatalf("the first write of a fresh engine is not timed: insert %d, remove %d", count("engine_insert"), count("engine_remove"))
+		}
+	}
+	if got, want := count("engine_insert"), uint64(3); got != want {
+		t.Errorf("engine_insert count = %d after %d inserts, want %d", got, n, want)
+	}
+	if got, want := count("engine_remove"), uint64(3); got != want {
+		t.Errorf("engine_remove count = %d after %d removes, want %d", got, n, want)
+	}
+	if e.Len() != 0 {
+		t.Fatalf("Len = %d after removing every insert", e.Len())
+	}
+}

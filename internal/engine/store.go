@@ -85,15 +85,16 @@ func (e *Engine) Snapshot() error {
 // by design.)
 func (e *Engine) ShardSizes() []int { return e.idx.ShardSizes() }
 
+// insert stores s in the stripe of the slice its key routes to and indexes
+// it under the same key, encoded and routed once for both.
 func (e *Engine) insert(s *subscription.Subscription) uint64 {
-	p := s.Point()
-	shard := e.idx.ShardFor(p)
-	st := &e.stores[shard]
+	loc := e.idx.Locate(s.Point())
+	st := &e.stores[loc.Slice]
 	st.mu.Lock()
-	id := encodeID(len(e.stores), shard, st.next)
+	id := encodeID(len(e.stores), loc.Slice, st.next)
 	st.next++
 	st.subs[id] = s.Clone()
-	e.idx.Insert(p, id)
+	e.idx.InsertAt(loc, id)
 	st.mu.Unlock()
 	e.inserted(1)
 	return id

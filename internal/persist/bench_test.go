@@ -2,6 +2,9 @@ package persist_test
 
 import (
 	"fmt"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -181,7 +184,7 @@ func BenchmarkDurableAddBatch(b *testing.B) {
 // BenchmarkDurableInsertSync compares the three WAL durability settings
 // on the per-append path group commit exists for: a stream of single
 // inserts. "sync" pays one fsync per append, "group" (SyncEvery) returns
-// after the buffered write and lets the store's sync loop fold the whole
+// after the copy into the segment's mapping and lets the store's sync loop fold the whole
 // window into one fsync, "nosync" leaves flushing to the OS entirely.
 // Run with -bench InsertSync; the margin is recorded in EXPERIMENTS.md.
 func BenchmarkDurableInsertSync(b *testing.B) {
@@ -264,4 +267,77 @@ func BenchmarkDurableAddBatchSync(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDurableChurn is churn_durable's write path on its own: a
+// default engine behind a DurableProvider with group commit, alternating
+// Add (a covering query plus an insert) and Remove of the oldest entry at
+// a constant population of churnWindow. It reports the process's write
+// syscalls per op (syscw in /proc/self/io, where that file is readable):
+// an append copies into the segment's shared mapping, so only the
+// group-commit tick's fsync and the rare rotation or mapping growth reach
+// the kernel.
+func BenchmarkDurableChurn(b *testing.B) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	subs := benchSubs(b, schema, 4096)
+	const churnWindow = 1024
+	st, err := persist.Open(b.TempDir(), schema, persist.Options{SyncEvery: 100 * time.Millisecond})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := st.Durable("", engine.MustNew(engine.Config{Detector: core.Config{Schema: schema}}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids, err := d.InsertBatch(subs[:churnWindow])
+	if err != nil {
+		b.Fatal(err)
+	}
+	// live is a FIFO of the held ids: an Add pushes at head, a Remove pops
+	// at tail, and the population alternates churnWindow+1 and churnWindow.
+	live := make([]uint64, churnWindow+1)
+	copy(live, ids)
+	head, tail := churnWindow, 0
+	b.ReportAllocs()
+	writes0, ioOK := procWrites()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			id, _, _, err := d.Add(subs[(churnWindow+i/2)%len(subs)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			live[head] = id
+			head = (head + 1) % len(live)
+			continue
+		}
+		if err := d.Remove(live[tail]); err != nil {
+			b.Fatal(err)
+		}
+		tail = (tail + 1) % len(live)
+	}
+	b.StopTimer()
+	if writes1, ok := procWrites(); ok && ioOK {
+		b.ReportMetric(float64(writes1-writes0)/float64(b.N), "writes/op")
+	}
+	d.Close()
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// procWrites reads the process's write syscall count (syscw in
+// /proc/self/io); ok is false where the file is unreadable.
+func procWrites() (uint64, bool) {
+	data, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if val, found := strings.CutPrefix(line, "syscw: "); found {
+			n, err := strconv.ParseUint(val, 10, 64)
+			return n, err == nil
+		}
+	}
+	return 0, false
 }

@@ -1,11 +1,17 @@
 package persist
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"sfccover/internal/core"
 	"sfccover/internal/engine"
@@ -60,11 +66,7 @@ func crashWorkload(t *testing.T, st *Store, mk func() core.Provider) []op {
 			t.Fatalf("locating final segment: %v (%d segs)", err, len(segs))
 		}
 		seq := segs[len(segs)-1]
-		fi, err := os.Stat(filepath.Join(st.dir, segmentName(seq)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return seq, fi.Size()
+		return seq, recordsEnd(t, filepath.Join(st.dir, segmentName(seq)))
 	}
 	add := func(link string, i int) {
 		t.Helper()
@@ -127,7 +129,8 @@ func cloneDir(t *testing.T, src string) string {
 	return dst
 }
 
-// finalSegment returns the newest segment's seq and size.
+// finalSegment returns the newest segment's seq and where its last
+// record ends.
 func finalSegment(t *testing.T, dir string) (uint64, int64) {
 	t.Helper()
 	segs, err := listSeqs(dir, "wal-", ".log")
@@ -135,11 +138,31 @@ func finalSegment(t *testing.T, dir string) (uint64, int64) {
 		t.Fatalf("no segments in %s", dir)
 	}
 	seq := segs[len(segs)-1]
-	fi, err := os.Stat(filepath.Join(dir, segmentName(seq)))
+	return seq, recordsEnd(t, filepath.Join(dir, segmentName(seq)))
+}
+
+// recordsEnd returns the offset where the last whole record of the segment
+// at path ends: its size once the segment is closed, and the start of its
+// zero padding while a writer still holds it open (the file is then as
+// long as the writer's reservation, not its records).
+func recordsEnd(t testing.TB, path string) int64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return seq, fi.Size()
+	if len(data) < len(walMagic) {
+		return int64(len(data))
+	}
+	rest := data[len(walMagic):]
+	for len(rest) > 0 && rest[0] != 0 {
+		_, next, err := decodeRecord(rest)
+		if err != nil {
+			break
+		}
+		rest = next
+	}
+	return int64(len(data) - len(rest))
 }
 
 // twinFor builds the never-crashed twin of a crash point: a fresh durable
@@ -199,12 +222,20 @@ func runCrashBattery(t *testing.T, schema *subscription.Schema, mk func() core.P
 	journal := crashWorkload(t, st, mk)
 	// Abandon st without Close: the on-disk state is the crash image.
 	finalSeq, finalSize := finalSegment(t, live)
+	fi, err := os.Stat(filepath.Join(live, segmentName(finalSeq)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The open segment runs on past its records as zero padding up to the
+	// writer's reservation: a crash image ends anywhere in there.
+	padded := fi.Size()
 
 	var points []int64
 	if byteGranular {
 		for n := int64(0); n <= finalSize; n++ {
 			points = append(points, n)
 		}
+		points = append(points, finalSize+1, (finalSize+padded)/2, padded)
 	} else {
 		// Record boundaries plus one torn offset: the byte-granular sweep
 		// already exercises every torn position on the Detector backend.
@@ -219,11 +250,11 @@ func runCrashBattery(t *testing.T, schema *subscription.Schema, mk func() core.P
 				points = append(points, o.offset)
 			}
 		}
-		points = append(points, finalSize)
+		points = append(points, finalSize, padded)
 	}
 
 	for _, n := range points {
-		if n < 0 || n > finalSize {
+		if n < 0 || n > padded {
 			continue
 		}
 		n := n
@@ -376,5 +407,215 @@ func TestCrashMidCompactionLeftovers(t *testing.T) {
 		if got != want {
 			t.Fatalf("stale segment leaked into recovery on link %q:\n got %s\nwant %s", link, got, want)
 		}
+	}
+}
+
+// TestCrashImagePaddedTail: a store abandoned without Close leaves its
+// open segment as long as the writer's reservation, the records followed
+// by zeros. Recovery reads the zeros as the end of the log and gets back
+// every acked record.
+func TestCrashImagePaddedTail(t *testing.T) {
+	schema := testSchema()
+	dir := t.TempDir()
+	st, err := Open(dir, schema, Options{SyncEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := st.appendAdd("", uint64(i+1), payload(t, rect(t, schema, i%familyK))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.appendRemove("", 7); err != nil {
+		t.Fatal(err)
+	}
+	seq, end := finalSegment(t, dir)
+	fi, err := os.Stat(filepath.Join(dir, segmentName(seq)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() <= end {
+		t.Fatalf("open segment is %d bytes with records ending at %d: no padded tail to recover through", fi.Size(), end)
+	}
+	// Dying in-process: drop the dir lock, as the process's death would.
+	st.lock.Close()
+	rst, err := Open(dir, schema, Options{})
+	if err != nil {
+		t.Fatalf("recovery over a padded tail: %v", err)
+	}
+	defer rst.Close()
+	if got := len(rst.Entries("")); got != n-1 {
+		t.Fatalf("recovered %d entries, want the %d acked", got, n-1)
+	}
+	if rst.Pos() != n+1 {
+		t.Fatalf("recovered Pos = %d, want %d", rst.Pos(), n+1)
+	}
+}
+
+// TestCrashMidRotationPaddedSegment: a crash after rotation created the
+// next segment but before it truncated the retired one leaves a padded
+// segment that is not the final one. Its padding ends its records
+// cleanly; a non-zero byte after the padding starts cannot come from a
+// crash there and is ErrCorrupt.
+func TestCrashMidRotationPaddedSegment(t *testing.T) {
+	schema := testSchema()
+	live := t.TempDir()
+	st, err := Open(live, schema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 12
+	for i := 0; i < n; i++ {
+		if err := st.appendAdd("", uint64(i+1), payload(t, rect(t, schema, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq, end := finalSegment(t, live)
+	// The image rotation leaves between its two steps: the next segment
+	// holds its header, the retired one still its reserve.
+	image := func(t *testing.T) string {
+		dir := cloneDir(t, live)
+		if err := os.WriteFile(filepath.Join(dir, segmentName(seq+1)), []byte(walMagic), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	t.Run("padded", func(t *testing.T) {
+		rst, err := Open(image(t), schema, Options{})
+		if err != nil {
+			t.Fatalf("recovery over a padded non-final segment: %v", err)
+		}
+		defer rst.Close()
+		if got := len(rst.Entries("")); got != n {
+			t.Fatalf("recovered %d entries, want %d", got, n)
+		}
+	})
+	for _, at := range []string{"first", "last"} {
+		t.Run("garbage-after-padding-"+at, func(t *testing.T) {
+			dir := image(t)
+			path := filepath.Join(dir, segmentName(seq))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := end + 1
+			if at == "last" {
+				off = int64(len(data)) - 1
+			}
+			data[off] = 0x5A
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(dir, schema, Options{}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Open over non-zero bytes in a non-final segment's padding = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// killChildEnv carries the data dir to the re-executed test binary that
+// TestKilledProcessKeepsAckedRecords kills.
+const killChildEnv = "SFCCOVER_PERSIST_KILL_CHILD_DIR"
+
+// TestKilledProcessKeepsAckedRecords pins the process-crash promise of
+// the mapped WAL. A child process (this test binary, re-executed) appends
+// records under group commit with an interval it never reaches, so no
+// fsync runs; it reports each ack on stdout and SIGKILLs itself. Every
+// acked record was copied into the shared mapping, and so into the page
+// cache, before its ack: recovery must find each one.
+func TestKilledProcessKeepsAckedRecords(t *testing.T) {
+	schema := testSchema()
+	if dir := os.Getenv(killChildEnv); dir != "" {
+		killedChild(t, schema, dir)
+		return
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestKilledProcessKeepsAckedRecords$", "-test.count=1")
+	cmd.Env = append(os.Environ(), killChildEnv+"="+dir)
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) {
+		t.Fatalf("child exited with %v, want a SIGKILL; output:\n%s", err, out)
+	}
+	if ws, ok := exit.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
+		t.Fatalf("child ended with %v, want SIGKILL; output:\n%s", exit, out)
+	}
+	var acked []uint64
+	for _, line := range strings.Split(string(out), "\n") {
+		if v, ok := strings.CutPrefix(line, "ack "); ok {
+			sid, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("bad ack line %q", line)
+			}
+			acked = append(acked, sid)
+		}
+	}
+	if len(acked) != killChildRecords {
+		t.Fatalf("child acked %d records, want %d", len(acked), killChildRecords)
+	}
+	seq, _ := finalSegment(t, dir)
+	if fi, err := os.Stat(filepath.Join(dir, segmentName(seq))); err != nil || fi.Size() <= walMapInitial {
+		t.Fatalf("the child's segment never outgrew its first mapping (%v, %v)", fi, err)
+	}
+	st, err := Open(dir, schema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	held := map[uint64][]byte{}
+	for _, e := range st.Entries("") {
+		held[e.SID] = e.Payload
+	}
+	for _, sid := range acked {
+		want := payload(t, rect(t, schema, int(sid)%familyK))
+		if !bytes.Equal(held[sid], want) {
+			t.Fatalf("acked sid %d is missing or changed after the kill", sid)
+		}
+	}
+}
+
+// killChildRecords is how many records the killed child appends: enough
+// to outgrow the first 64 KiB mapping, so the grown one is covered too.
+const killChildRecords = 6000
+
+// killedChild is the child half of TestKilledProcessKeepsAckedRecords.
+func killedChild(t *testing.T, schema *subscription.Schema, dir string) {
+	st, err := Open(dir, schema, Options{SyncEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sid := uint64(1); sid <= killChildRecords; sid++ {
+		if err := st.appendAdd("", sid, payload(t, rect(t, schema, int(sid)%familyK))); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Printf("ack %d\n", sid) // unbuffered: on the pipe before the next append
+	}
+	syscall.Kill(os.Getpid(), syscall.SIGKILL) //nolint:errcheck // the process ends here
+	select {}
+}
+
+// TestWriteZerosReserve drives the reserve's fallback for filesystems
+// without fallocate: the file grows to the reservation with zeros, in
+// chunks, and its header is left alone.
+func TestWriteZerosReserve(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write([]byte(walMagic)); err != nil {
+		t.Fatal(err)
+	}
+	const size = 3*walMapInitial + 5
+	if err := writeZeros(f, int64(len(walMagic)), size); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != size || string(data[:len(walMagic)]) != walMagic || !allZero(data[len(walMagic):]) {
+		t.Fatalf("reserve is %d bytes (want %d), header %q, zeros %v", len(data), size, data[:len(walMagic)], allZero(data[len(walMagic):]))
 	}
 }

@@ -140,7 +140,7 @@ func (d *DurableProvider) CoverQueryBatch(subs []*subscription.Subscription) []c
 
 // AddBatch runs the arrival path as one batch on the wrapped provider,
 // then the whole batch's add records
-// land through one log write (one lock acquisition, one syscall — the
+// land through one log write (one lock acquisition, one copy — the
 // same amortization the engine's shard-grouped insert buys in memory).
 // The log write is all-or-nothing: a failure rolls every batch insert
 // back out of the wrapped provider and occupies every slot.

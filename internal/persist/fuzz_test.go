@@ -40,6 +40,15 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte(walMagic))
 	f.Add([]byte{})
 	f.Add(append([]byte(walMagic), 0x05, 'A', 0x00, 0x01, 0xDE, 0xAD, 0xBE, 0xEF))
+	// An open segment's image: records, then the zero-filled reserve —
+	// clean, torn into the padding, and with a stray byte past it.
+	padded := append(append([]byte(nil), seg...), make([]byte, 64)...)
+	f.Add(padded)
+	f.Add(append([]byte(walMagic), make([]byte, 32)...))
+	f.Add(append(append([]byte(nil), seg[:len(seg)-3]...), make([]byte, 32)...))
+	stray := append([]byte(nil), padded...)
+	stray[len(stray)-1] = 0x41
+	f.Add(stray)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var strict []record
 		strictErr := replayBytes(data, "fuzz", false, func(r record) { strict = append(strict, r) })

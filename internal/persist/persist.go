@@ -8,9 +8,12 @@
 //
 // A Store owns one data dir and every link namespace inside it; a
 // DurableProvider wraps any core.Provider with logging and recovery for
-// one link. Crash tolerance is the package's contract: appends are
-// sequential, so a crash leaves at most a torn tail record in the newest
-// segment, which replay drops silently; any damage a crash cannot explain
+// one link. An append copies its records into the open segment's shared
+// mapping (reserved ahead with fallocate), so it makes no syscall; rotation
+// and Close cut the unwritten reserve off again. Crash tolerance is the
+// package's contract: appends are sequential, so a crash leaves at most a
+// torn tail record in the newest segment, followed by the zeros of the
+// reserve, which replay drops silently; any damage a crash cannot explain
 // (broken records mid-stream, checksum-failing snapshots) is refused with
 // ErrCorrupt instead of silently dropping subscriptions. Snapshots land
 // via temp-file + fsync + atomic rename, and old segments are deleted only
@@ -39,25 +42,29 @@ type Options struct {
 	// SegmentBytes rotates the WAL to a fresh segment once the current one
 	// crosses this size (0 = DefaultSegmentBytes).
 	SegmentBytes int64
-	// Sync fsyncs the segment after every append. Off by default: the
-	// process-crash guarantee (torn-tail tolerance) holds either way, Sync
-	// additionally bounds loss on power failure at a heavy throughput
-	// cost. Snapshots are always fsynced regardless.
+	// Sync fsyncs the segment after every append, which writes the
+	// mapped pages the append copied into back to the device. Off by
+	// default: the process-crash guarantee (torn-tail tolerance; an acked
+	// record is in the page cache) holds either way, Sync additionally
+	// bounds loss on power failure at a heavy throughput cost. Snapshots
+	// are always fsynced regardless.
 	Sync bool
-	// SyncEvery enables group commit: appends return after the write
-	// lands in the file (no per-append fsync) and a store-owned ticker
-	// fsyncs the segment at most once per interval, coalescing every
-	// append in the window into one Sync. The process-crash guarantee is
-	// identical to Sync (the OS holds the written bytes); power-failure
-	// loss is bounded by the interval instead of zero. Mutually exclusive
-	// with Sync. Rotation, snapshots and Close still fsync immediately.
+	// SyncEvery enables group commit: appends return after the copy into
+	// the segment's shared mapping (no per-append fsync) and a store-owned
+	// ticker fsyncs the segment at most once per interval, coalescing
+	// every append in the window into one Sync. The process-crash
+	// guarantee is identical to Sync (the page cache holds the copied
+	// bytes); power-failure loss is bounded by the interval instead of
+	// zero. Mutually exclusive with Sync. Rotation, snapshots and Close
+	// still fsync immediately.
 	SyncEvery time.Duration
 	// WriteHook, when non-nil, observes — and may veto — every WAL write
-	// before it reaches the file: the crash battery uses it to fail
-	// appends after a chosen byte. A vetoed write behaves like a crash at
-	// that byte: the record never lands and the append reports the hook's
-	// error; p is the writer's buffer, valid only during the call.
-	// Production code leaves it nil.
+	// (a segment's header, then each append's copy into the mapping)
+	// before it lands: the crash battery uses it to fail appends after a
+	// chosen byte. A vetoed write behaves like a crash at that byte: the
+	// record never lands and the append reports the hook's error; p is the
+	// writer's buffer, valid only during the call. Production code leaves
+	// it nil.
 	WriteHook func(segment string, offset int64, p []byte) error
 }
 
@@ -172,8 +179,8 @@ func Open(dir string, schema *subscription.Schema, opts Options) (*Store, error)
 		return nil, err
 	}
 	st.ring.reset(st.pos)
-	st.w = &walWriter{dir: dir, opts: opts}
-	if err := st.w.openSegment(maxSeq + 1); err != nil {
+	st.w = &walWriter{dir: dir, opts: opts, seq: maxSeq}
+	if err := st.w.rotate(); err != nil {
 		lock.Close()
 		return nil, err
 	}
@@ -354,8 +361,8 @@ func (st *Store) appendRemoves(link string, sids []uint64) []error {
 }
 
 // appendBatch logs a whole batch of records under one lock acquisition
-// and one segment write — the batch write paths' amortization (one
-// syscall per batch, not per record). All-or-nothing: either every
+// and one append — the batch write paths' amortization (one lock and one
+// copy per batch, not per record). All-or-nothing: either every
 // record lands or none does.
 func (st *Store) appendBatch(rs []record) error {
 	st.mu.Lock()
@@ -363,7 +370,7 @@ func (st *Store) appendBatch(rs []record) error {
 	return st.appendLocked(rs...)
 }
 
-// appendLocked lands rs through one segment write and folds them into the
+// appendLocked lands rs through one append and folds them into the
 // in-memory views. Called with st.mu held.
 func (st *Store) appendLocked(rs ...record) error {
 	if len(rs) == 0 {

@@ -95,36 +95,50 @@ func DecodeRecords(data []byte) ([]Record, error) {
 // absorb a follower's reconnect backoff without forcing a reset.
 const replRingMax = 16384
 
-// replRing is the recent-records buffer. recs[i] holds the record at
-// stream position base+1+i; push keeps the window at most replRingMax
-// records wide, trimming with hysteresis so steady-state appends don't
-// copy the slice every time.
+// replRing is the recent-records buffer: the last replRingMax records
+// (fewer until that many were ever pushed) in a circular slice that grows
+// to replRingMax once and is then overwritten in place, so a push copies
+// each record once and never the window. The record at stream position
+// base+1+i sits at recs[(head+i) % len(recs)].
 type replRing struct {
 	base uint64
+	head int
 	recs []record
 }
 
 func (g *replRing) reset(pos uint64) {
-	g.base, g.recs = pos, nil
+	g.base, g.head, g.recs = pos, 0, nil
 }
 
 func (g *replRing) push(rs []record) {
-	g.recs = append(g.recs, rs...)
-	if len(g.recs) > replRingMax+replRingMax/2 {
-		drop := len(g.recs) - replRingMax
-		g.base += uint64(drop)
-		g.recs = append([]record(nil), g.recs[drop:]...)
+	if room := replRingMax - len(g.recs); room > 0 {
+		n := min(room, len(rs))
+		g.recs = append(g.recs, rs[:n]...)
+		rs = rs[n:]
+	}
+	for _, r := range rs {
+		g.recs[g.head] = r
+		g.head++
+		if g.head == len(g.recs) {
+			g.head = 0
+		}
+		g.base++
 	}
 }
 
-// from returns the records after stream position pos, or ok=false when
-// pos is outside the window (trimmed away below, or beyond the head —
-// a divergent history).
-func (g *replRing) from(pos uint64) ([]record, bool) {
+// from copies out the records after stream position pos, or reports
+// ok=false when pos is outside the window (overwritten below, or beyond
+// the head — a divergent history). Only a starting tailer asks.
+func (g *replRing) from(pos uint64) ([]Record, bool) {
 	if pos < g.base || pos > g.base+uint64(len(g.recs)) {
 		return nil, false
 	}
-	return g.recs[pos-g.base:], true
+	skip := int(pos - g.base)
+	out := make([]Record, len(g.recs)-skip)
+	for i := range out {
+		out[i] = exportRecord(g.recs[(g.head+skip+i)%len(g.recs)])
+	}
+	return out, true
 }
 
 // TailBatch is one hop of a replication stream. When Reset is false,
@@ -169,11 +183,7 @@ func (st *Store) Tail(from uint64) (*Tailer, error) {
 	t := &Tailer{st: st, ch: make(chan TailBatch, tailerBuf)}
 	if recs, ok := st.ring.from(from); ok {
 		if len(recs) > 0 {
-			batch := TailBatch{Base: from, Recs: make([]Record, len(recs)), Pos: st.pos}
-			for i, r := range recs {
-				batch.Recs[i] = exportRecord(r)
-			}
-			t.initial = []TailBatch{batch}
+			t.initial = []TailBatch{{Base: from, Recs: recs, Pos: st.pos}}
 		}
 	} else {
 		// Too far behind the ring window — or ahead of us entirely, which

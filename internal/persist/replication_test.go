@@ -311,7 +311,7 @@ func TestGroupCommitTornTailBattery(t *testing.T) {
 		link    string
 		sid     uint64
 		rectIdx int
-		offset  int64 // segment size after the record landed
+		offset  int64 // where the record ends in the segment
 	}
 	steps := []step{
 		{link: "a", sid: 1, rectIdx: 0},
@@ -335,11 +335,7 @@ func TestGroupCommitTornTailBattery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fi, err := os.Stat(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.offset = fi.Size()
+		s.offset = recordsEnd(t, seg)
 	}
 
 	// wantState replays the first n steps into the expected mirror.
@@ -415,5 +411,145 @@ func TestSyncOptionsValidation(t *testing.T) {
 	}
 	if _, err := Open(t.TempDir(), schema, Options{SyncEvery: -time.Second}); err == nil {
 		t.Fatal("negative SyncEvery must be refused")
+	}
+}
+
+// sliceRing is the replication ring as an append-and-trim slice: it keeps
+// between replRingMax and 1.5·replRingMax records and re-copies the window
+// at every trim. TestReplicationRingWraps holds the circular ring to it.
+type sliceRing struct {
+	base uint64
+	recs []record
+}
+
+func (g *sliceRing) push(rs []record) {
+	g.recs = append(g.recs, rs...)
+	if len(g.recs) > replRingMax+replRingMax/2 {
+		drop := len(g.recs) - replRingMax
+		g.base += uint64(drop)
+		g.recs = append([]record(nil), g.recs[drop:]...)
+	}
+}
+
+// TestReplicationRingWraps: a tailer's catch-up out of the circular ring
+// is the batch the slice ring gives — from positions before the window,
+// at both of its edges, across the physical wrap, at and past the head,
+// after pushes smaller and larger than the ring, and after InstallState's
+// reset. The circular ring keeps exactly the last replRingMax records,
+// the least the slice ring ever keeps, so a position it no longer holds
+// gets a Reset dump.
+func TestReplicationRingWraps(t *testing.T) {
+	schema := testSchema()
+	st, err := Open(t.TempDir(), schema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	pays := make([][]byte, familyK)
+	for i := range pays {
+		pays[i] = payload(t, rect(t, schema, i))
+	}
+	ref := sliceRing{}
+	pushed := 0
+	push := func(n int) {
+		t.Helper()
+		rs := make([]record, n)
+		for i := range rs {
+			k := pushed + i
+			rs[i] = record{op: opAdd, link: "", sid: uint64(k%700 + 1), payload: pays[k%familyK]}
+			if k%5 == 4 {
+				rs[i] = record{op: opRem, link: "", sid: uint64((k-1)%700 + 1)}
+			}
+		}
+		if err := st.appendBatch(rs); err != nil {
+			t.Fatal(err)
+		}
+		ref.push(rs)
+		pushed += n
+	}
+	// check opens a tailer at from and holds its catch-up to the slice
+	// ring's window.
+	check := func(stage string, from uint64) {
+		t.Helper()
+		pos := st.Pos()
+		tl, err := st.Tail(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tl.Close()
+		held := pos - st.ring.base // records the circular ring holds
+		switch {
+		case from == pos:
+			if len(tl.initial) != 0 {
+				t.Fatalf("%s: Tail(%d) at the head replays %+v, want nothing", stage, from, tl.initial[0])
+			}
+		case from < pos && pos-from <= held:
+			if held > replRingMax || from < ref.base {
+				t.Fatalf("%s: the circular ring holds positions %d..%d, the slice ring only from %d", stage, st.ring.base+1, pos, ref.base+1)
+			}
+			b := tl.initial[0]
+			if b.Reset || b.Base != from || b.Pos != pos {
+				t.Fatalf("%s: Tail(%d) = reset %v base %d pos %d, want a replay of %d..%d", stage, from, b.Reset, b.Base, b.Pos, from+1, pos)
+			}
+			want := ref.recs[from-ref.base:]
+			if len(b.Recs) != len(want) {
+				t.Fatalf("%s: Tail(%d) replays %d records, the slice ring %d", stage, from, len(b.Recs), len(want))
+			}
+			for i, r := range want {
+				if got := b.Recs[i]; got.Remove != (r.op == opRem) || got.Link != r.link || got.SID != r.sid || !bytes.Equal(got.Payload, r.payload) {
+					t.Fatalf("%s: Tail(%d) record %d = %+v, the slice ring's is %+v", stage, from, i, got, r)
+				}
+			}
+		default:
+			b := tl.initial[0]
+			if !b.Reset || b.Pos != pos || len(b.Recs) != st.Stats().Entries {
+				t.Fatalf("%s: Tail(%d) = reset %v pos %d with %d records, want a reset dump of %d entries at %d", stage, from, b.Reset, b.Pos, len(b.Recs), st.Stats().Entries, pos)
+			}
+			if held < uint64(min(replRingMax, pushed)) && from >= ref.base && from <= pos {
+				t.Fatalf("%s: Tail(%d) resets while the ring holds only %d records", stage, from, held)
+			}
+		}
+	}
+	probe := func(stage string) {
+		t.Helper()
+		pos := st.Pos()
+		froms := []uint64{0, pos - 1, pos, pos + 1, st.ring.base, st.ring.base + 1}
+		if st.ring.base > 0 {
+			froms = append(froms, st.ring.base-1)
+		}
+		if pos > replRingMax {
+			froms = append(froms, pos-replRingMax-1, pos-replRingMax, pos-replRingMax+1)
+		}
+		if h := st.ring.head; h > 0 {
+			// The window's last physical slot, then the wrap to slot 0.
+			froms = append(froms, st.ring.base+uint64(len(st.ring.recs)-h)-1)
+		}
+		for _, from := range froms {
+			if from <= pos+1 {
+				check(stage, from)
+			}
+		}
+	}
+	for _, n := range []int{5000, 3, 9000, 1, 20000, 7777, 16384} {
+		push(n)
+		probe(fmt.Sprintf("after %d records", pushed))
+	}
+	if st.ring.head == 0 && len(st.ring.recs) == replRingMax && pushed%replRingMax == 0 {
+		t.Fatal("the pushes never left the ring wrapped mid-slice")
+	}
+
+	// A follower's reset: the ring restarts empty at the installed
+	// position, and the history before it is gone from both rings.
+	resetPos := st.Pos() + 50
+	if err := st.InstallState([]Record{addRec(t, "", 1, 0), addRec(t, "x", 2, 1)}, resetPos); err != nil {
+		t.Fatal(err)
+	}
+	ref = sliceRing{base: resetPos}
+	probe("after InstallState")
+	check("after InstallState", resetPos-1)
+	for _, n := range []int{100, 20000} {
+		push(n)
+		probe(fmt.Sprintf("after InstallState and %d more records", st.Pos()-resetPos))
+		check("after InstallState", resetPos)
 	}
 }

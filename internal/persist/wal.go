@@ -30,9 +30,19 @@ import (
 // brokers exchange — so the persisted form is schema-checked on decode and
 // stays compact (the subscription set, never the derived index).
 //
+// While a segment is open its file is longer than its records: the writer
+// reserves space ahead of them (fallocate, 64 KiB first, doubling on
+// demand) and maps the file shared, so an append is a copy into the page
+// cache and no syscall. The reserve reads as zeros, and a record is never
+// 0 bytes long, so a zero byte where a record length belongs, followed
+// only by zeros to the end of the file, is padding: replay stops there
+// cleanly in any segment. Rotation and Close truncate a segment to its
+// last record, so a cleanly closed segment is records only.
+//
 // Crash tolerance: appends are strictly sequential, so a crash leaves at
-// most a torn record at the tail of the newest segment. Replay accepts a
-// clean prefix: a truncated or CRC-broken tail record in the FINAL segment
+// most a torn record at the tail of the newest segment, followed by
+// padding. Replay accepts a clean prefix: a truncated or CRC-broken tail
+// record in the FINAL segment — or non-zero bytes after a zero length —
 // ends replay silently (the record never committed); the same damage in an
 // earlier segment — which a crash cannot produce — is reported as
 // ErrCorrupt. Records are idempotent under re-replay (an add overwrites,
@@ -176,7 +186,14 @@ func replayBytes(data []byte, name string, final bool, apply func(record)) error
 	for len(rest) > 0 {
 		var r record
 		var err error
-		r, rest, err = decodeRecord(rest)
+		if rest[0] == 0 {
+			if allZero(rest) {
+				return nil // the open segment's unwritten reserve
+			}
+			err = errTorn
+		} else {
+			r, rest, err = decodeRecord(rest)
+		}
 		if errors.Is(err, errTorn) {
 			if final {
 				return nil
@@ -191,26 +208,44 @@ func replayBytes(data []byte, name string, final bool, apply func(record)) error
 	return nil
 }
 
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // walWriter appends records to the current segment, rotating to a fresh
-// file once SegmentBytes is crossed.
+// file once SegmentBytes is crossed. The segment is mapped shared: an
+// append is a copy into m, and the copied bytes are in the page cache —
+// where a process crash cannot take them, exactly like written ones — the
+// moment the copy ends. An fsync of the file writes the mapped pages back.
 type walWriter struct {
 	dir     string
 	opts    Options
 	f       *os.File
+	m       []byte // f mapped shared; len(m) is the segment's reserved size
 	seq     uint64
 	name    string // segmentName(seq), formatted once per segment
-	written int64
+	written int64  // where the last record ends; padding lies beyond
 	buf     []byte // appendBatch's encode buffer, reused under the store's lock
-	// dirty marks bytes written to the current segment since its last
+	// dirty marks bytes copied into the current segment since its last
 	// fsync — the group-commit tick syncs only when set, so an idle
 	// daemon's interval timer costs nothing.
 	dirty bool
-	// err wedges the writer: set when a failed append could not be
-	// snipped back to the last record boundary, so continuing would put
-	// acked records after torn bytes that replay silently drops. Every
+	// err wedges the writer: set when a group-commit sync failed, so
+	// records acked in the window may not survive a power failure. Every
 	// later append reports it.
 	err error
 }
+
+// walMapInitial is a fresh segment's first reservation. The mapping
+// doubles from there as records need it, so opening a store, or a small
+// one, reserves 64 KiB rather than SegmentBytes.
+const walMapInitial = 64 << 10
 
 func segmentName(seq uint64) string  { return fmt.Sprintf("wal-%016x.log", seq) }
 func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%016x.snap", seq) }
@@ -224,48 +259,105 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return seq, err == nil
 }
 
-// createSegment creates the segment file for seq and writes its header,
-// without touching the writer's current segment.
-func (w *walWriter) createSegment(seq uint64) (*os.File, error) {
-	f, err := os.OpenFile(filepath.Join(w.dir, segmentName(seq)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+// createSegment creates the segment file for seq, writes its header and
+// maps its first reservation, without touching the writer's current
+// segment. A file that fails half way is removed: it holds no record, and
+// left behind it would fail the next attempt's exclusive create.
+func (w *walWriter) createSegment(seq uint64) (*os.File, []byte, error) {
+	name := segmentName(seq)
+	path := filepath.Join(w.dir, name)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("persist: creating segment: %w", err)
+		return nil, nil, fmt.Errorf("persist: creating segment: %w", err)
 	}
-	if err := w.write(f, segmentName(seq), 0, []byte(walMagic)); err != nil {
+	m, err := w.initSegment(f, name)
+	if err != nil {
 		f.Close()
+		os.Remove(path)
+		return nil, nil, err
+	}
+	return f, m, nil
+}
+
+// initSegment writes a fresh file's header, through the crash-injection
+// hook — with a write, so a crash before the reservation leaves the
+// header-only (or empty) file replay has always accepted — then reserves
+// and maps the file and makes its directory entry durable.
+func (w *walWriter) initSegment(f *os.File, name string) ([]byte, error) {
+	if err := w.hook(name, 0, []byte(walMagic)); err != nil {
+		return nil, err
+	}
+	if _, err := f.Write([]byte(walMagic)); err != nil {
+		return nil, fmt.Errorf("persist: writing segment: %w", err)
+	}
+	m, err := mapSegment(f, int64(len(walMagic)), walMapInitial)
+	if err != nil {
 		return nil, err
 	}
 	// The segment's directory entry must survive a crash too, or a synced
 	// record could sit in a file recovery never lists.
 	if err := syncDir(w.dir); err != nil {
-		f.Close()
+		syscall.Munmap(m) //nolint:errcheck // the mapping is abandoned either way
 		return nil, err
 	}
-	return f, nil
+	return m, nil
 }
 
-// openSegment makes seq the writer's current segment.
-func (w *walWriter) openSegment(seq uint64) error {
-	f, err := w.createSegment(seq)
-	if err != nil {
-		return err
+// hook passes a write to the crash-injection hook, when one is installed.
+func (w *walWriter) hook(name string, off int64, p []byte) error {
+	if w.opts.WriteHook == nil {
+		return nil
 	}
-	w.f, w.seq, w.name, w.written = f, seq, segmentName(seq), int64(len(walMagic))
-	w.dirty = true // header written, not yet fsynced
-	return nil
+	return w.opts.WriteHook(name, off, p)
 }
 
-// write puts p at the segment's current offset, through the crash-
-// injection hook when one is installed.
-func (w *walWriter) write(f *os.File, name string, off int64, p []byte) error {
-	if w.opts.WriteHook != nil {
-		if err := w.opts.WriteHook(name, off, p); err != nil {
+// mapSegment extends the file from its end at from to size bytes of
+// reserve and maps all of it shared. fallocate makes a full disk an error
+// here instead of a SIGBUS at the page fault of a later copy; where the
+// filesystem does not support it the reserve is written as zeros.
+func mapSegment(f *os.File, from, size int64) ([]byte, error) {
+	err := fallocate(f, from, size)
+	if errors.Is(err, syscall.EOPNOTSUPP) {
+		err = writeZeros(f, from, size)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("persist: reserving segment space: %w", err)
+	}
+	if int64(int(size)) != size {
+		return nil, fmt.Errorf("persist: a %d-byte segment does not fit the address space", size)
+	}
+	m, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		return nil, fmt.Errorf("persist: mapping segment: %w", err)
+	}
+	return m, nil
+}
+
+// writeZeros fills [from, to) of f with zeros, a chunk at a time.
+func writeZeros(f *os.File, from, to int64) error {
+	zeros := make([]byte, min(to-from, walMapInitial))
+	for off := from; off < to; off += int64(len(zeros)) {
+		if _, err := f.WriteAt(zeros[:min(to-off, int64(len(zeros)))], off); err != nil {
 			return err
 		}
 	}
-	if _, err := f.Write(p); err != nil {
-		return fmt.Errorf("persist: writing segment: %w", err)
+	return nil
+}
+
+// grow doubles the mapping until it holds end bytes. The larger mapping
+// is reserved and mapped before the old one is unmapped, so a failed grow
+// (a full disk) leaves the writer on its old mapping, still appendable.
+func (w *walWriter) grow(end int64) error {
+	size := int64(len(w.m))
+	for size < end {
+		size *= 2
 	}
+	m, err := mapSegment(w.f, int64(len(w.m)), size)
+	if err != nil {
+		return err
+	}
+	syscall.Munmap(w.m) //nolint:errcheck // the new mapping already serves every byte
+	w.m = m
 	return nil
 }
 
@@ -275,7 +367,7 @@ func (w *walWriter) write(f *os.File, name string, off int64, p []byte) error {
 const keepBufBytes = 4 << 10
 
 // appendBatch encodes a whole batch into one buffer and lands it with a
-// single write (and, with Sync, a single fsync), rotating first when the
+// single copy (and, with Sync, a single fsync), rotating first when the
 // segment is full. The new segment's seq is current+1.
 func (w *walWriter) appendBatch(rs []record) (int, error) {
 	buf := w.buf[:0]
@@ -297,8 +389,7 @@ func (w *walWriter) appendBytes(buf []byte) (int, error) {
 			return 0, err
 		}
 	}
-	if err := w.write(w.f, w.name, w.written, buf); err != nil {
-		w.snip(err)
+	if err := w.put(buf); err != nil {
 		return 0, err
 	}
 	w.dirty = true
@@ -306,14 +397,30 @@ func (w *walWriter) appendBytes(buf []byte) (int, error) {
 		if err := w.f.Sync(); err != nil {
 			// The record is reported failed (callers roll their state
 			// back), so it must not survive on disk to resurrect at
-			// recovery: snip it.
-			w.snip(err)
+			// recovery: turn it back into padding.
+			clear(w.m[w.written : w.written+int64(len(buf))])
 			return 0, fmt.Errorf("persist: syncing segment: %w", err)
 		}
 		w.dirty = false
 	}
 	w.written += int64(len(buf))
 	return len(buf), nil
+}
+
+// put lands p after the last record: the crash-injection hook, then a copy
+// into the mapping, grown first when p runs past it. A vetoed or failed
+// put copies nothing, so the segment still ends at its last record.
+func (w *walWriter) put(p []byte) error {
+	if err := w.hook(w.name, w.written, p); err != nil {
+		return err
+	}
+	if end := w.written + int64(len(p)); end > int64(len(w.m)) {
+		if err := w.grow(end); err != nil {
+			return err
+		}
+	}
+	copy(w.m[w.written:], p)
+	return nil
 }
 
 // sync is the group-commit tick: one fsync covers every append since the
@@ -336,40 +443,23 @@ func (w *walWriter) sync() error {
 	return nil
 }
 
-// snip restores the segment to its last record boundary after a failed
-// append — a partial write would otherwise sit as torn bytes mid-file,
-// and replay drops everything after a torn record. If the boundary
-// cannot be restored, the writer wedges: all later appends report the
-// failure instead of acking records recovery would silently lose.
-func (w *walWriter) snip(cause error) {
-	if err := w.f.Truncate(w.written); err != nil {
-		w.err = fmt.Errorf("persist: wal writer failed: %v (and truncating to the last record boundary failed: %v)", cause, err)
-		return
-	}
-	if _, err := w.f.Seek(w.written, 0); err != nil {
-		w.err = fmt.Errorf("persist: wal writer failed: %v (and seeking to the last record boundary failed: %v)", cause, err)
-	}
-}
-
-// rotate opens the next segment, then retires the current one. The new
-// segment is created FIRST: if creation fails (disk full), the writer
-// keeps its current segment and stays append-able — a failed rotation
-// must not wedge the store.
+// rotate opens the next segment, then retires the current one (if any:
+// Open rotates a fresh writer onto its first segment). The new segment is
+// created FIRST: if creation fails (disk full), the writer keeps its
+// current segment and stays append-able — a failed rotation must not
+// wedge the store. A crash between the two steps leaves the retired
+// segment padded, which replay reads as the end of its records.
 func (w *walWriter) rotate() error {
-	f, err := w.createSegment(w.seq + 1)
+	f, m, err := w.createSegment(w.seq + 1)
 	if err != nil {
 		return err
 	}
-	old := w.f
-	w.f, w.seq, w.name, w.written = f, w.seq+1, segmentName(w.seq+1), int64(len(walMagic))
+	old, oldMap, oldEnd := w.f, w.m, w.written
+	w.f, w.m, w.seq, w.name, w.written = f, m, w.seq+1, segmentName(w.seq+1), int64(len(walMagic))
 	w.dirty = true // the fresh segment's header is not fsynced yet
 	if old != nil {
-		if err := old.Sync(); err != nil {
-			old.Close()
-			return fmt.Errorf("persist: syncing retired segment: %w", err)
-		}
-		if err := old.Close(); err != nil {
-			return fmt.Errorf("persist: closing retired segment: %w", err)
+		if err := closeSegment(old, oldMap, oldEnd); err != nil {
+			return fmt.Errorf("persist: retiring segment: %w", err)
 		}
 	}
 	return nil
@@ -379,11 +469,25 @@ func (w *walWriter) close() error {
 	if w.f == nil {
 		return nil
 	}
-	err := w.f.Sync()
-	if cerr := w.f.Close(); err == nil {
+	err := closeSegment(w.f, w.m, w.written)
+	w.f, w.m = nil, nil
+	return err
+}
+
+// closeSegment retires a segment: unmap it, cut the reserve off at end,
+// where its last record ends, fsync and close. What stays on disk is
+// byte for byte what a writer without a reserve would have left.
+func closeSegment(f *os.File, m []byte, end int64) error {
+	err := syscall.Munmap(m)
+	if terr := f.Truncate(end); err == nil {
+		err = terr
+	}
+	if serr := f.Sync(); err == nil {
+		err = serr
+	}
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	w.f = nil
 	return err
 }
 

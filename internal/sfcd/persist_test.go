@@ -2,6 +2,7 @@ package sfcd_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -106,8 +107,12 @@ func remoteFingerprint(t *testing.T, schema *subscription.Schema, p core.Provide
 	return out
 }
 
-// finalWALSegment globs the data dir for its newest WAL segment.
-func finalWALSegment(t *testing.T, dir string) (path string, size int64) {
+// finalWALSegment globs the data dir for its newest WAL segment and
+// returns where its last record ends. While the store holds the segment
+// open the file runs on as zero padding up to the writer's reservation,
+// so the end is found by walking the records (uvarint body length, body,
+// 4-byte CRC) from the header to the first zero length byte.
+func finalWALSegment(t *testing.T, dir string) (path string, end int64) {
 	t.Helper()
 	matches, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil || len(matches) == 0 {
@@ -115,11 +120,19 @@ func finalWALSegment(t *testing.T, dir string) (path string, size int64) {
 	}
 	sort.Strings(matches) // zero-padded hex seqs sort lexicographically
 	path = matches[len(matches)-1]
-	fi, err := os.Stat(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return path, fi.Size()
+	off := uint64(len("SFCW1\n"))
+	for off < uint64(len(data)) && data[off] != 0 {
+		bodyLen, n := binary.Uvarint(data[off:])
+		if n <= 0 || off+uint64(n)+bodyLen+4 > uint64(len(data)) {
+			break
+		}
+		off += uint64(n) + bodyLen + 4
+	}
+	return path, int64(min(off, uint64(len(data))))
 }
 
 func cloneDir(t *testing.T, src string) string {
@@ -184,7 +197,7 @@ func TestRemoteCrashRecoveryBattery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Post-snapshot phase: after every op, record the final segment size
+	// Post-snapshot phase: after every op, record the final segment's end
 	// and the live fingerprints — the never-crashed truth for a crash
 	// right after that op's record.
 	type checkpoint struct {
