@@ -67,3 +67,30 @@ func interleaveFast(coords []uint32, k int) Key {
 	}
 	return key
 }
+
+// InterleaveWord is Interleave for a universe whose keys fit one word
+// (len(coords)·k <= 64), the key returned as its numeric value: the spread
+// bytes are ORed into a uint64, never into a Key. Past maxSpreadDim it
+// takes Interleave's low word.
+//
+//sfc:hotpath
+func InterleaveWord(coords []uint32, k int) uint64 {
+	d := len(coords)
+	if d < 1 || d > maxSpreadDim {
+		return Interleave(coords, k).LowWord()
+	}
+	spreadOnce.Do(initSpreadTables)
+	table := &spreadTables[d]
+	var key uint64
+	for j, x := range coords {
+		if k < 32 {
+			x &= 1<<uint(k) - 1
+		}
+		// Byte t of a coordinate below bit k lands below bit d·k <= 64.
+		for shift := d - 1 - j; x != 0; shift += 8 * d {
+			key |= table[byte(x)] << uint(shift)
+			x >>= 8
+		}
+	}
+	return key
+}

@@ -21,8 +21,9 @@ type keyForm[K comparable] interface {
 	next(s *sfc.Successor, from K) (K, bool)
 	// route is routeKey: the last slice of tab whose start is <= k.
 	route(tab []bits.Key, k K) int
-	// cubeRange is sfc.CubeRange, for the top cube.
-	cubeRange(c *sfc.ZCurve, corner []uint32, side uint64) (lo, hi K)
+	// topCube is the key range of the region's top cube (see
+	// queryScratch.topCube).
+	topCube(c *sfc.ZCurve, sc *queryScratch) (lo, hi K)
 	// hit records the key range that answered, for the memo.
 	hit(sc *queryScratch, lo, hi K)
 }
@@ -56,9 +57,12 @@ func (wordForm) route(tab []bits.Key, k uint64) int {
 	return i
 }
 
+// topCube needs only the cube's side: its corner is the universe's max
+// corner less the side, whose range is closed form on words.
+//
 //sfc:hotpath
-func (wordForm) cubeRange(c *sfc.ZCurve, corner []uint32, side uint64) (lo, hi uint64) {
-	return sfc.CubeRangeWord(c, corner, side)
+func (wordForm) topCube(c *sfc.ZCurve, sc *queryScratch) (lo, hi uint64) {
+	return c.TopCubeRangeWord(sc.topSide())
 }
 
 //sfc:hotpath
@@ -79,7 +83,8 @@ func (wideForm) next(s *sfc.Successor, from bits.Key) (bits.Key, bool) { return 
 
 func (wideForm) route(tab []bits.Key, k bits.Key) int { return routeKey(tab, k) }
 
-func (wideForm) cubeRange(c *sfc.ZCurve, corner []uint32, side uint64) (lo, hi bits.Key) {
+func (wideForm) topCube(c *sfc.ZCurve, sc *queryScratch) (lo, hi bits.Key) {
+	corner, side := sc.topCube(c.Bits())
 	r := sfc.CubeRange(c, corner, side)
 	return r.Lo, r.Hi
 }

@@ -80,15 +80,22 @@ func (sc *queryScratch) corners(d int) (lo, hi []uint32) {
 }
 
 // topCube returns the largest standard cube at the max corner of the
-// region begin built: side 2^⌊log2 min ℓ⌋, so it lies inside the region
-// whatever its aspect ratio.
+// region begin built: side 2^⌊log2 min ℓ⌋ (topSide), so it lies inside the
+// region whatever its aspect ratio.
 func (sc *queryScratch) topCube(k int) (corner []uint32, side uint64) {
-	side = uint64(1) << uint(bits.B(slices.Min(sc.lens))-1)
+	side = sc.topSide()
 	corner, _ = sc.corners(len(sc.lens))
 	for i := range corner {
 		corner[i] = uint32(uint64(1)<<uint(k) - side)
 	}
 	return corner, side
+}
+
+// topSide is the side of topCube's cube.
+//
+//sfc:hotpath
+func (sc *queryScratch) topSide() uint64 {
+	return uint64(1) << uint(bits.B(slices.Min(sc.lens))-1)
 }
 
 // rect materializes the region as a rectangle over the scratch corner

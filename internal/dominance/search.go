@@ -120,8 +120,7 @@ func walk[K comparable, F keyForm[K]](curve *sfc.ZCurve, arr ordered, q []uint32
 	}
 	done = true
 	if topFirst {
-		corner, side := sc.topCube(curve.Bits())
-		lo, hi := f.cubeRange(curve, corner, side)
+		lo, hi := f.topCube(curve, sc)
 		stats.WalkSteps++
 		if id, found = f.firstInRange(arr, lo, hi); found {
 			f.hit(sc, lo, hi)

@@ -22,9 +22,12 @@ import (
 // (usually exactly one; a range can straddle a slice boundary, and a seek
 // runs on into the next slice when its own holds nothing further).
 // Compared to running one full search per shard, the key arithmetic is
-// never duplicated, and concurrent queries serialize only on the brief
-// per-descent read locks of the shards they actually touch. Updates lock a
-// single shard for one ordered-structure operation.
+// never duplicated, and concurrent queries share only the brief
+// per-descent read locks of the shards they actually search. A walk's seek
+// that runs on past its own slice first reads each later slice's
+// dominance summary, mirrored in atomics outside the lock, and passes a
+// slice that cannot hold a dominator of the query without locking it.
+// Updates lock a single shard for one ordered-structure operation.
 //
 // Slice boundaries are MOVABLE at runtime: routing goes through an
 // atomically swapped boundary table, and EqualizePair migrates a key
@@ -67,6 +70,42 @@ type ShardedIndex struct {
 type shardSlot struct {
 	mu  sync.RWMutex
 	arr sfcarray.Index
+	// sum mirrors arr.Summary(), one word per curve mask (none when the
+	// keys are wider than a word; on one-word keys an array is never
+	// re-strided, so it keeps its summary), for seeks that read it without
+	// mu. It is stored under the write lock after every change to arr, and
+	// never falls below arr's summary while the slice holds the entries it
+	// bounds: see publish. An empty array's summary is zero, as is a new
+	// mirror.
+	sum []atomic.Uint64
+}
+
+// publish mirrors the slice's array summary into sum, storing only the
+// words that changed. The slot's write lock is held. A slice that sheds
+// entries to a neighbor publishes only after the new boundary table is:
+// until then a seek routed by the old table may still look for the moved
+// entries here, and a lowered mirror would let it pass them while the
+// table it checks still vouches for its answer.
+func (s *shardSlot) publish() {
+	top := s.arr.Summary()
+	for i := range s.sum {
+		if v := top[i]; s.sum[i].Load() != v {
+			s.sum[i].Store(v)
+		}
+	}
+}
+
+// admits reports whether the slice's mirrored summary reaches qk under
+// every mask: whether it may hold a dominator of qk.
+//
+//sfc:hotpath
+func (s *shardSlot) admits(masks []uint64, qk uint64) bool {
+	for i := range s.sum {
+		if s.sum[i].Load() < qk&masks[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // NewSharded builds a key-range sharded dominance index with n shards.
@@ -87,8 +126,12 @@ func NewSharded(cfg Config, n int) (*ShardedIndex, error) {
 		dispatch: d,
 		shards:   make([]shardSlot, n),
 	}
+	masks := d.curve.DimMasks()
 	for i := range x.shards {
 		x.shards[i].arr = d.newArray()
+		// Whole cache lines of words, so that no two slots' mirrors share
+		// one.
+		x.shards[i].sum = make([]atomic.Uint64, len(masks), (len(masks)+7)&^7)
 	}
 	x.scratchPool.New = func() any { return new(queryScratch) }
 	starts := make([]bits.Key, n)
@@ -255,6 +298,7 @@ func (x *ShardedIndex) Insert(p []uint32, id uint64) { x.InsertAt(x.Locate(p), i
 func (x *ShardedIndex) InsertAt(loc Location, id uint64) {
 	slot := x.lock(loc)
 	slot.arr.Insert(loc.Key, id)
+	slot.publish()
 	x.memo.fit(slot.arr.Len() * len(x.shards))
 	slot.mu.Unlock()
 }
@@ -309,6 +353,7 @@ func (x *ShardedIndex) InsertBatch(ps [][]uint32, ids []uint64) {
 				gk, gi = gk[:w], gi[:w]
 			}
 			slot.arr.InsertSorted(gk, gi)
+			slot.publish()
 			x.memo.fit(slot.arr.Len() * len(x.shards))
 			slot.mu.Unlock()
 		}
@@ -321,6 +366,7 @@ func (x *ShardedIndex) Delete(p []uint32, id uint64) bool {
 	loc := x.Locate(p)
 	slot := x.lock(loc)
 	ok := slot.arr.Delete(loc.Key, id)
+	slot.publish()
 	slot.mu.Unlock()
 	return ok
 }
@@ -363,11 +409,13 @@ func probe[K comparable, F keyForm[K]](x *ShardedIndex, lo, hi K, tr *obs.QueryT
 // seek answers one step of the successor walk: the entry with the
 // smallest key >= lo across the slices — past the leaves whose summaries
 // rule out a dominator of qk — starting in the slice that owns lo and
-// running on through the later ones until one holds such an entry. It
-// follows probe's protocol exactly — an answer stands only if
-// the boundary table it was routed by is still the published one — so a
-// seek that crosses a swapped table retries and never skips an entry a
-// migration moved behind it.
+// running on through the later ones until one holds such an entry. A
+// slice whose mirrored summary rules out a dominator of qk is passed
+// unlocked and untraced. It follows probe's protocol exactly — an answer
+// stands only if the boundary table it was routed by is still the
+// published one — so a seek that crosses a swapped table retries and never
+// skips an entry a migration moved behind it: a mirror lowered by a
+// migration is stored after the table that moved its entries.
 //
 //sfc:hotpath
 func seek[K comparable, F keyForm[K]](x *ShardedIndex, lo K, qk uint64, tr *obs.QueryTrace) (K, uint64, bool) {
@@ -380,8 +428,11 @@ func seek[K comparable, F keyForm[K]](x *ShardedIndex, lo K, qk uint64, tr *obs.
 			ok  bool
 		)
 		for i := f.route(*tabPtr, lo); i < len(x.shards) && !ok; i++ {
-			tr.TouchSlice(i)
 			s := &x.shards[i]
+			if qk != 0 && !s.admits(x.curve.DimMasks(), qk) {
+				continue
+			}
+			tr.TouchSlice(i)
 			s.mu.RLock()
 			key, id, ok = f.seek(&s.arr, lo, qk)
 			s.mu.RUnlock()
@@ -400,7 +451,8 @@ func seek[K comparable, F keyForm[K]](x *ShardedIndex, lo K, qk uint64, tr *obs.
 // is bulk-loaded into the neighbor with the sorted-batch path, the
 // shrinking slice sheds it either by deleting the moved entries (small
 // nudges) or by a cold rebuild from its kept entries (large moves), and
-// the new boundary table is published before the barrier lifts. Entries
+// the new boundary table is published before the barrier lifts: between
+// the receiving slice's summary mirror and the shedding slice's. Entries
 // sharing
 // one key never split across a boundary (deletes route by key), so a
 // pair whose merged population is a single key cannot move.
@@ -452,6 +504,7 @@ func (x *ShardedIndex) EqualizePair(i int) (migrated int) {
 	if split < 0 || split == na {
 		return 0
 	}
+	shed, gain := a, b
 	if split < na {
 		// Slice i sheds its top subrange [keys[split], ...) rightward.
 		migrated = na - split
@@ -460,13 +513,16 @@ func (x *ShardedIndex) EqualizePair(i int) (migrated int) {
 	} else {
 		// Slice i+1 sheds its bottom subrange leftward.
 		migrated = split - na
+		shed, gain = b, a
 		x.shrinkSlice(b, keys, ids, split, total, na, split)
 		a.arr.InsertSorted(keys[na:split], ids[na:split])
 	}
+	gain.publish()
 	old := *x.table.Load()
 	starts := append([]bits.Key(nil), old...)
 	starts[i+1] = keys[split]
 	x.table.Store(&starts)
+	shed.publish()
 	return migrated
 }
 

@@ -598,3 +598,85 @@ func TestRoutedWritesRaceEqualizePair(t *testing.T) {
 		t.Fatalf("%d entries visited, Len %d, want %d", got, x.Len(), want)
 	}
 }
+
+// TestSliceSummaryMirrorsArray: every write a slice takes — Insert, Delete,
+// InsertBatch, both sides of an EqualizePair, the shedding side's delete
+// drain and its cold rebuild — leaves the slot's lock-free mirror equal to
+// its array's summary, word for word, so no seek passes a slice on a stale
+// low bound. On keys wider than a word there is no summary to mirror.
+func TestSliceSummaryMirrorsArray(t *testing.T) {
+	for _, cfg := range []Config{{Dims: 4, Bits: 10}, {Dims: 2, Bits: 6}, {Dims: 5, Bits: 13}} {
+		t.Run(fmt.Sprintf("%dx%d", cfg.Dims, cfg.Bits), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(251))
+			x, err := NewSharded(cfg, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(op string) {
+				t.Helper()
+				for i := range x.shards {
+					s := &x.shards[i]
+					top := s.arr.Summary()
+					if len(s.sum) != len(top) || len(top) != len(x.curve.DimMasks()) {
+						t.Fatalf("after %s: slice %d mirrors %d words of a %d-word summary (%d masks)", op, i, len(s.sum), len(top), len(x.curve.DimMasks()))
+					}
+					for w := range top {
+						if got := s.sum[w].Load(); got != top[w] {
+							t.Fatalf("after %s: slice %d word %d mirrors %#x, array summary %#x", op, i, w, got, top[w])
+						}
+					}
+				}
+			}
+			type entry struct {
+				p  []uint32
+				id uint64
+			}
+			var live []entry
+			next := uint64(0)
+			migrated := 0
+			check("NewSharded")
+			for op := 0; op < 3000; op++ {
+				// The second half drains the index: leaves merge and drain
+				// away, and the summaries fall with them.
+				grow := op < 1500
+				ins := 2
+				if grow {
+					ins = 9
+				}
+				switch r := rng.Intn(20); {
+				case r < ins:
+					p := randomPoints(rng, 1, cfg.Dims, cfg.Bits)[0]
+					x.Insert(p, next)
+					live = append(live, entry{p, next})
+					next++
+					check("Insert")
+				case r < 16 && len(live) > 0:
+					i := rng.Intn(len(live))
+					if !x.Delete(live[i].p, live[i].id) {
+						t.Fatalf("Delete of live entry %d failed", live[i].id)
+					}
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
+					check("Delete")
+				case r < 18 && grow:
+					n := 1 + rng.Intn(20)
+					ps := randomPoints(rng, n, cfg.Dims, cfg.Bits)
+					ids := make([]uint64, n)
+					for i := range ids {
+						ids[i] = next
+						live = append(live, entry{ps[i], next})
+						next++
+					}
+					x.InsertBatch(ps, ids)
+					check("InsertBatch")
+				default:
+					migrated += x.EqualizePair(rng.Intn(x.NumShards() - 1))
+					check("EqualizePair")
+				}
+			}
+			if migrated == 0 || x.Len() != len(live) {
+				t.Fatalf("%d entries migrated; index holds %d of %d live", migrated, x.Len(), len(live))
+			}
+		})
+	}
+}

@@ -204,22 +204,30 @@ func TestWalkDuringEqualizePair(t *testing.T) {
 		{"words-4x10-memo", Config{Dims: 4, Bits: 10}, []float64{0, 0.3}},
 		{"keys-5x13-memo", Config{Dims: 5, Bits: 13}, []float64{0, 0.3}},
 	} {
-		t.Run(tc.name, func(t *testing.T) { walkDuringEqualizePair(t, tc.cfg, tc.eps) })
+		t.Run(tc.name, func(t *testing.T) {
+			pts, queries := uniformWalkPopulation(tc.cfg)
+			walkDuringEqualizePair(t, tc.cfg, tc.eps, pts, queries)
+		})
 	}
+	// The near-miss population: most seeks run on past their own slice,
+	// and the slices they pass unlocked, by the mirrored summaries, are
+	// the ones the mover is re-bounding.
+	t.Run("nearmiss-4x10", func(t *testing.T) {
+		cfg := Config{Dims: 4, Bits: 10}
+		pts, queries := nearMissWalkPopulation(t, cfg)
+		walkDuringEqualizePair(t, cfg, []float64{0, 0.3}, pts, queries)
+	})
 }
 
-func walkDuringEqualizePair(t *testing.T, cfg Config, epsilons []float64) {
+// uniformWalkPopulation is 2 000 uniform points and 200 queries with
+// every coordinate at least 1: shrunken toward the origin for hits and
+// pushed toward the max corner for misses, however many dimensions.
+func uniformWalkPopulation(cfg Config) (pts, queries [][]uint32) {
 	rng := rand.New(rand.NewSource(229))
-	x, err := NewSharded(cfg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 2000; i++ {
-		x.Insert(randomPoints(rng, 1, cfg.Dims, cfg.Bits)[0], uint64(i))
+		pts = append(pts, randomPoints(rng, 1, cfg.Dims, cfg.Bits)[0])
 	}
-	// Every coordinate at least 1; shrunken toward the origin for hits and
-	// pushed toward the max corner for misses, however many dimensions.
-	queries := randomPoints(rng, 200, cfg.Dims, cfg.Bits)
+	queries = randomPoints(rng, 200, cfg.Dims, cfg.Bits)
 	for i, q := range queries {
 		for j := range q {
 			if q[j] >>= uint(i % 4); i%2 == 1 {
@@ -227,6 +235,41 @@ func walkDuringEqualizePair(t *testing.T, cfg Config, epsilons []float64) {
 			}
 			q[j] = max(q[j], 1)
 		}
+	}
+	return pts, queries
+}
+
+// nearMissWalkPopulation is workload.NearMiss's 2 000 points and 200
+// queries around its query q: q itself, which every point misses by one
+// coordinate, and q with one coordinate lowered into the band the points
+// miss it by (a hit for the points failing there that reach it) or
+// raised (a miss with a smaller region).
+func nearMissWalkPopulation(t *testing.T, cfg Config) (pts, queries [][]uint32) {
+	pts, q, err := workload.NearMiss(cfg.Dims, cfg.Bits, 2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(239))
+	for i := 0; i < 200; i++ {
+		v := append([]uint32(nil), q...)
+		switch j := i % cfg.Dims; i % 3 {
+		case 1:
+			v[j] -= uint32(rng.Intn(int(q[j]/4) + 1))
+		case 2:
+			v[j] += uint32(rng.Intn(int(q[j]) / 2))
+		}
+		queries = append(queries, v)
+	}
+	return pts, queries
+}
+
+func walkDuringEqualizePair(t *testing.T, cfg Config, epsilons []float64, pts, queries [][]uint32) {
+	x, err := NewSharded(cfg, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pts {
+		x.Insert(p, uint64(i))
 	}
 	type answer struct {
 		id uint64

@@ -314,3 +314,75 @@ func TestRestoreRacesWrites(t *testing.T) {
 		e.Close()
 	}
 }
+
+// TestMissWalkSkipsSlices pins the lock-free slice pass: a walk's seek that
+// finds nothing in its own slice reads each later slice's mirrored
+// dominance summary and locks only those that may hold a cover. On the
+// benchmark's population (16 384 planted parents, the benchmark's engine)
+// 4 096 distinct uniform shapes are asked with tracing on, and the slices
+// each locked are read off its trace (QueryTrace.Slices: the top-cube
+// probe's slice and every slice a seek searched). The misses among them,
+// about seven in ten, must lock at most two slices a query on average:
+// locking every slice a seek runs past reads 9.05, the pass 1.05 — the top
+// cube's probe and next to nothing more. A hit's walk locks the slice of
+// every key it stops at, so hits do not go below their steps. A slot whose
+// mirror was never published (zero) is passed for good and answers wrong,
+// one published at "admit all" runs the count up: either fails here, for
+// every answer must be a one-slice engine's.
+func TestMissWalkSkipsSlices(t *testing.T) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	planted, err := workload.Covers(workload.CoverSpec{Schema: schema, N: 16384, SlackFrac: 0.2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parents := make([]*subscription.Subscription, len(planted))
+	for i, p := range planted {
+		parents[i] = p.Parent
+	}
+	queries, err := workload.Subscriptions(workload.SubSpec{Schema: schema, N: 4096, WidthFrac: 0.1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 50000}
+	build := func(shards int) *Engine {
+		e := MustNew(Config{Detector: det, Shards: shards})
+		t.Cleanup(e.Close)
+		if _, err := e.InsertBatch(parents); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e, one := build(0), build(1)
+	var locked, asked [2]int // by outcome: [miss, hit]
+	for i, q := range queries {
+		res, tr := e.TraceCover(q)
+		id, found, _, err := one.FindCover(q)
+		if res.Err != nil || err != nil {
+			t.Fatalf("query %d: %v / %v", i, res.Err, err)
+		}
+		if res.Covered != found {
+			t.Fatalf("query %d (%v): %d slices found=%v, one slice %v", i, q, e.NumShards(), res.Covered, found)
+		}
+		hit := 0
+		if found {
+			hit = 1
+			a, _ := e.Subscription(res.CoveredBy)
+			b, _ := one.Subscription(id)
+			if a.String() != b.String() {
+				t.Fatalf("query %d (%v): %d slices answer %v, one slice %v", i, q, e.NumShards(), a, b)
+			}
+		}
+		asked[hit]++
+		for _, n := range tr.Slices {
+			locked[hit] += n
+		}
+	}
+	if asked[0] == 0 || asked[1] == 0 {
+		t.Fatalf("%d misses, %d hits: both outcomes are needed", asked[0], asked[1])
+	}
+	miss := float64(locked[0]) / float64(asked[0])
+	t.Logf("%d misses lock %.2f slices a query, %d hits %.2f", asked[0], miss, asked[1], float64(locked[1])/float64(asked[1]))
+	if miss > 2 {
+		t.Fatalf("a miss locks %.2f slices a query, want at most 2", miss)
+	}
+}

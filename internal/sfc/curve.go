@@ -87,19 +87,6 @@ func CubeRange(c Curve, corner []uint32, side uint64) KeyRange {
 	return KeyRange{Lo: k.ClearLow(low), Hi: k.SetLow(low)}
 }
 
-// CubeRangeWord is CubeRange on a curve whose keys fit one word
-// (d·k <= 64), the range's ends returned as their numeric values.
-//
-//sfc:hotpath
-func CubeRangeWord(c Curve, corner []uint32, side uint64) (lo, hi uint64) {
-	k := c.Key(corner).LowWord()
-	mask := ^uint64(0)
-	if low := trailingBits(c.Dims(), side); low < 64 {
-		mask = 1<<uint(low) - 1
-	}
-	return k &^ mask, k | mask
-}
-
 func trailingBits(d int, side uint64) int {
 	lvl := 0
 	for s := side; s > 1; s >>= 1 {

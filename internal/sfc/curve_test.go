@@ -252,3 +252,49 @@ func TestCurveNames(t *testing.T) {
 		}
 	}
 }
+
+// TestWordSetupMatchesKeyForm holds the walk's one-word set-up to the Key
+// form, brute force over every universe whose keys fit a word (d <= 16,
+// d·k <= 64): the query key KeyWord encodes equals Interleave's low word
+// — on random cells, on the corners and on coordinates with bits above k,
+// which both ignore — and the top cube's closed-form range equals
+// CubeRange of the cube at the max corner, for every side.
+func TestWordSetupMatchesKeyForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for d := 1; d <= 16; d++ {
+		for k := 1; k <= 32 && d*k <= 64; k++ {
+			z := MustZ(d, k)
+			top := uint32(1)<<uint(k) - 1
+			cells := [][]uint32{make([]uint32, d), make([]uint32, d)}
+			for i := range cells[1] {
+				cells[1][i] = top
+			}
+			for n := 0; n < 64; n++ {
+				c := make([]uint32, d)
+				for i := range c {
+					if c[i] = rng.Uint32(); n%2 == 0 {
+						c[i] &= top
+					}
+				}
+				cells = append(cells, c)
+			}
+			for _, c := range cells {
+				if got, want := z.KeyWord(c), bits.Interleave(c, k).LowWord(); got != want {
+					t.Fatalf("d=%d k=%d cell %v: KeyWord %#x, Interleave %#x", d, k, c, got, want)
+				}
+			}
+			corner := make([]uint32, d)
+			for s := 0; s <= k; s++ {
+				side := uint64(1) << uint(s)
+				for i := range corner {
+					corner[i] = uint32(uint64(1)<<uint(k) - side)
+				}
+				r := CubeRange(z, corner, side)
+				if lo, hi := z.TopCubeRangeWord(side); lo != r.Lo.LowWord() || hi != r.Hi.LowWord() {
+					t.Fatalf("d=%d k=%d side %d: TopCubeRangeWord [%#x,%#x], CubeRange [%#x,%#x]",
+						d, k, side, lo, hi, r.Lo.LowWord(), r.Hi.LowWord())
+				}
+			}
+		}
+	}
+}

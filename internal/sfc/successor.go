@@ -20,7 +20,7 @@ type Successor struct {
 func (s *Successor) Bind(z *ZCurve, q []uint32) {
 	*s = Successor{z: z, q: q}
 	if z.dimMask != nil {
-		s.qKey = z.Key(q).LowWord()
+		s.qKey = z.KeyWord(q)
 	}
 }
 

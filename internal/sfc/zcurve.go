@@ -66,6 +66,35 @@ func (z *ZCurve) Key(cell []uint32) bits.Key {
 	return bits.Interleave(cell, z.cfg.Bits)
 }
 
+// KeyWord is Key on a curve whose keys fit one word (d·k <= 64), the key
+// returned as its numeric value.
+//
+//sfc:hotpath
+func (z *ZCurve) KeyWord(cell []uint32) uint64 {
+	return bits.InterleaveWord(cell, z.cfg.Bits)
+}
+
+// TopCubeRangeWord is CubeRange on a curve whose keys fit one word
+// (d·k <= 64), for the standard cube of the given side at the universe's
+// max corner, the range's ends returned as their numeric values. Every
+// coordinate of that corner is 2^k − side, so on the Z curve the cube's
+// cells are the keys whose top d·(k − log2 side) bits are all set: the
+// range is closed form, no key is interleaved.
+//
+//sfc:hotpath
+func (z *ZCurve) TopCubeRangeWord(side uint64) (lo, hi uint64) {
+	hi = lowBits(z.cfg.Dims * z.cfg.Bits)
+	return hi &^ lowBits(trailingBits(z.cfg.Dims, side)), hi
+}
+
+// lowBits is the word with its n lowest bits set, n <= 64.
+func lowBits(n int) uint64 {
+	if n >= 64 {
+		return ^uint64(0)
+	}
+	return 1<<uint(n) - 1
+}
+
 // Cell implements Curve by de-interleaving.
 func (z *ZCurve) Cell(key bits.Key) []uint32 {
 	return bits.Deinterleave(key, z.cfg.Dims, z.cfg.Bits)

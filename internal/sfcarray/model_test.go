@@ -48,17 +48,42 @@ func checkInvariants(t *testing.T, x *Index) {
 }
 
 // checkSummaries verifies the dominance summaries of an array built with
-// masks: kept at stride one only, one block per blockLeaves leaves, and no
-// leaf's or block's summary below the true maximum of key&m over its
-// entries for any mask m.
+// masks: kept at stride one only (an array without masks, or widened past
+// one word, has no array-wide summary either), one block per blockLeaves
+// leaves, no leaf's, block's or the array's summary below the true maximum
+// of key&m over its entries for any mask m, and the array's summary equal
+// to the maximum of the block summaries — which every rebuild recomputes
+// it from and every insert raises alongside them.
 func checkSummaries(t *testing.T, x *Index) {
 	t.Helper()
 	d := len(x.masks)
 	if d == 0 {
+		if x.top != nil || x.blocks != nil {
+			t.Fatalf("array without masks (stride %d) keeps summaries: top %v, %d block words", x.w, x.top, len(x.blocks))
+		}
 		return
 	}
 	if x.w > 1 {
 		t.Fatalf("summaries kept at stride %d", x.w)
+	}
+	if len(x.top) != d {
+		t.Fatalf("array summary of %d words for %d masks", len(x.top), d)
+	}
+	for i, m := range x.masks {
+		var blocks uint64
+		for b := i; b < len(x.blocks); b += d {
+			blocks = max(blocks, x.blocks[b])
+		}
+		if x.top[i] != blocks {
+			t.Fatalf("mask %#x: array summary %#x, block summaries' maximum %#x", m, x.top[i], blocks)
+		}
+		for j := range x.leaves {
+			for _, k := range x.leaves[j].keys {
+				if x.top[i] < k&m {
+					t.Fatalf("mask %#x: array summary %#x below leaf %d's key %#x", m, x.top[i], j, k)
+				}
+			}
+		}
 	}
 	if want := (len(x.leaves) + blockLeaves - 1) / blockLeaves * d; len(x.blocks) != want {
 		t.Fatalf("%d block summary words for %d leaves, want %d", len(x.blocks), len(x.leaves), want)

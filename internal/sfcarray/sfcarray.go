@@ -22,13 +22,14 @@
 // of a leaf that is below the leaf copy itself up to ~10^7 entries.
 //
 // An array built WithMasks keeps dominance summaries: for each mask m, the
-// maximum of key&m over the entries of every leaf and of every block of
-// blockLeaves leaves. A summary is never below the true maximum — an
-// insert raises it, every leaf and block rebuild recomputes it, a delete
-// leaves it — so a leaf or block whose summary falls short of a query key
-// under some mask holds no entry reaching the key under every mask, and
-// SeekWord passes it. The masks only mean something on one-word keys; an
-// array re-strided past one word drops them.
+// maximum of key&m over the entries of every leaf, of every block of
+// blockLeaves leaves and of the whole array. A summary is never below the
+// true maximum — an insert raises it, every leaf and block rebuild
+// recomputes it, a delete leaves it — so a leaf, block or array whose
+// summary falls short of a query key under some mask holds no entry
+// reaching the key under every mask, and SeekWord passes it. The masks
+// only mean something on one-word keys; an array re-strided past one word
+// drops them.
 package sfcarray
 
 import (
@@ -59,9 +60,10 @@ type Index struct {
 	seps   []uint64 // first key of every leaf, w words each
 	leaves []leaf   // in key order, none empty
 	// masks are the summaries' key masks (nil: no summaries); blocks holds
-	// len(masks) maxima per block of blockLeaves leaves.
+	// len(masks) maxima per block of blockLeaves leaves, top the array's.
 	masks  []uint64
 	blocks []uint64
+	top    []uint64
 }
 
 // leaf is one sorted block: keys holds w words per entry, ids aligns with
@@ -75,7 +77,12 @@ type leaf struct {
 
 // WithMasks returns an empty array that keeps a dominance summary for each
 // of masks (retained, not copied): the summaries SeekWord prunes by.
-func WithMasks(masks []uint64) Index { return Index{masks: masks} }
+func WithMasks(masks []uint64) Index {
+	if len(masks) == 0 {
+		return Index{}
+	}
+	return Index{masks: masks, top: make([]uint64, len(masks))}
+}
 
 // New returns an empty array. There is one layout; "", "treap" and
 // "skiplist" — the structures it replaced, still spelled by callers that
@@ -104,6 +111,12 @@ func EntryLess(k1 bits.Key, id1 uint64, k2 bits.Key, id2 uint64) bool {
 
 // Len returns the number of entries stored.
 func (x *Index) Len() int { return x.n }
+
+// Summary returns the array-wide dominance summary: for each mask, a bound
+// never below the maximum of key&m over the entries (zeros when empty).
+// It is nil on an array without masks or re-strided past one word. The
+// slice is the array's own, valid until its next write.
+func (x *Index) Summary() []uint64 { return x.top }
 
 // keyWords is the stride k needs: its significant words, at least one.
 func keyWords(k bits.Key) int { return max(1, (k.Len()+63)/64) }
@@ -234,7 +247,8 @@ func (x *Index) FirstInRange(lo, hi bits.Key) (id uint64, ok bool) {
 //
 // qk prunes by the summaries: the answer is the first entry at or after lo
 // in the first leaf whose summary admits qk (every mask's maximum reaches
-// qk&m), passing a block that does not admit it in one test. Every entry
+// qk&m), passing a block that does not admit it in one test, and none at
+// all, without a descent, when the array's summary does not. Every entry
 // passed over fails qk under some mask, so none dominates qk; with qk 0,
 // or on an array without masks, SeekWord is Seek.
 //
@@ -247,9 +261,13 @@ func (x *Index) SeekWord(lo, qk uint64) (key, id uint64, ok bool) {
 		}
 		return 0, 0, false
 	}
+	prune := qk != 0 && x.masks != nil
+	if prune && !x.admits(x.top, qk) {
+		return 0, 0, false
+	}
 	p := [1]uint64{lo}
 	j, s := x.seek(p[:])
-	if qk != 0 && x.masks != nil {
+	if prune {
 		j, s = x.admit(j, s, qk)
 	}
 	if j == len(x.leaves) {
@@ -373,11 +391,12 @@ func (x *Index) Insert(k bits.Key, id uint64) {
 		copy(x.seps[j*w:], p)
 	}
 	x.n++
-	// Raise leaf j's summary and its block's to the new key.
+	// Raise leaf j's summary, its block's and the array's to the new key.
 	blk := x.blocks[j/blockLeaves*len(x.masks):]
 	for i, m := range x.masks {
 		lf.sum[i] = max(lf.sum[i], p[0]&m)
 		blk[i] = max(blk[i], p[0]&m)
+		x.top[i] = max(x.top[i], p[0]&m)
 	}
 }
 
@@ -529,7 +548,8 @@ func (x *Index) summarize(lf *leaf) {
 }
 
 // rebuildBlocks recomputes the block summaries from the one holding leaf
-// from onward, after the leaves there have moved or been rebuilt.
+// from onward, after the leaves there have moved or been rebuilt, and the
+// array's summary from all of them.
 func (x *Index) rebuildBlocks(from int) {
 	d := len(x.masks)
 	if d == 0 {
@@ -545,6 +565,12 @@ func (x *Index) rebuildBlocks(from int) {
 		}
 		for i, v := range x.leaves[j].sum {
 			blk[i] = max(blk[i], v)
+		}
+	}
+	clear(x.top)
+	for b := 0; b < n; b += d {
+		for i, v := range x.blocks[b : b+d] {
+			x.top[i] = max(x.top[i], v)
 		}
 	}
 }
@@ -590,7 +616,7 @@ func (x *Index) widen(w int) {
 	}
 	x.w = w
 	if w > 1 {
-		x.masks, x.blocks = nil, nil
+		x.masks, x.blocks, x.top = nil, nil, nil
 	}
 	restride := func(dst, src []uint64) []uint64 {
 		for ; len(src) > 0; src = src[old:] {
