@@ -452,21 +452,23 @@ func TestEngineWarmQueryZeroAlloc(t *testing.T) {
 // TestMissPathWalkZeroAlloc is the guard's miss-path case: a query with
 // no cover that the walk decides in ten steps or more — seeks routed
 // through the engine's slices, successor jumps between them — allocates
-// nothing either. Telemetry is off so that no query is trace-elected.
+// nothing either. A seek checks every entry of the leaf it lands in, so
+// uniform shapes over engineBenchWorkload's parents end their walks within
+// a few steps; the shapes are nearMissSubscriptions' at four attributes of
+// eight bits, the near-miss query and copies of it moved in one
+// coordinate, and the guard cycles through every one of them that misses
+// after ten steps or more. Telemetry is off so that no query is
+// trace-elected.
 func TestMissPathWalkZeroAlloc(t *testing.T) {
-	parents, _ := engineBenchWorkload(t)
+	subs, shapes := nearMissSubscriptions(t, 4, 8)
 	cfg := engineBenchCfg
-	cfg.Schema = parents[0].Schema()
+	cfg.Schema = subs[0].Schema()
 	eng, err := engine.New(engine.Config{Detector: cfg, TelemetryOff: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if _, err := eng.InsertBatch(parents); err != nil {
-		t.Fatal(err)
-	}
-	shapes, err := workload.Subscriptions(workload.SubSpec{Schema: cfg.Schema, N: 256, WidthFrac: 0.1, Seed: 43})
-	if err != nil {
+	if _, err := eng.InsertBatch(subs); err != nil {
 		t.Fatal(err)
 	}
 	var misses []*subscription.Subscription
@@ -479,8 +481,8 @@ func TestMissPathWalkZeroAlloc(t *testing.T) {
 			misses = append(misses, s)
 		}
 	}
-	if len(misses) == 0 {
-		t.Fatal("no uniform shape is a walk miss of ten steps or more")
+	if len(misses) < 2 {
+		t.Fatalf("%d near-miss shapes are walk misses of ten steps or more, want several", len(misses))
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
@@ -493,6 +495,55 @@ func TestMissPathWalkZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("a walk miss through the engine allocates %.1f allocs/op, want 0", allocs)
 	}
+}
+
+// nearMissSubscriptions is workload.NearMiss as 16 384 subscriptions of
+// attrs attributes of k bits, with 64 query shapes: the points and query
+// of a (2·attrs) × (k−1) universe, each coordinate raised by 2^(k−1) into
+// the upper half of the k-bit one. Dominance is unchanged by the shift,
+// and there every point decodes to a range with ℓ ≤ r. The shapes are the
+// query and copies of it with one coordinate moved, as the dominance
+// walk tests draw them: every third one lowered by up to a quarter (it
+// may gain a cover), every third one raised by up to a half (it stays a
+// miss).
+func nearMissSubscriptions(tb testing.TB, attrs, k int) (subs, shapes []*subscription.Subscription) {
+	tb.Helper()
+	pts, q, err := workload.NearMiss(2*attrs, k-1, 16384, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	names := make([]string, attrs)
+	for i := range names {
+		names[i] = "a" + strconv.Itoa(i)
+	}
+	schema := subscription.MustSchema(k, names...)
+	top := uint32(1)<<(k-1) - 1
+	sub := func(p []uint32) *subscription.Subscription {
+		for i := range p {
+			p[i] = min(p[i], top) + 1<<(k-1)
+		}
+		s, err := subscription.FromPoint(schema, p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return s
+	}
+	subs = make([]*subscription.Subscription, len(pts))
+	for i, p := range pts {
+		subs[i] = sub(p)
+	}
+	rng := rand.New(rand.NewSource(239))
+	for i := 0; i < 64; i++ {
+		v := append([]uint32(nil), q...)
+		switch j := i % len(q); i % 3 {
+		case 1:
+			v[j] -= uint32(rng.Intn(int(q[j]/4) + 1))
+		case 2:
+			v[j] += uint32(rng.Intn(int(q[j])/2 + 1))
+		}
+		shapes = append(shapes, sub(v))
+	}
+	return subs, shapes
 }
 
 // TestSteadyStateWireQueryAllocs is the same guard one layer out: a
@@ -1151,9 +1202,10 @@ func nearMissIndex(tb testing.TB) (*dominance.Index, []uint32) {
 // near-miss points the one query is an exact miss that the walk decides
 // alone, inside the step budget. Its step count depends on the population,
 // the curve and — since seeks pass the leaves whose summaries rule out a
-// dominator — on the leaf layout the bulk load builds (leafFill entries a
-// leaf): 7 215 steps when every stored key between the region's runs cost
-// one, 161 with the summaries. A change to the number means the walk
+// dominator and check the entries of the leaf they land in — on the leaf
+// layout the bulk load builds (leafFill entries a leaf): 7 215 steps when
+// every stored key between the region's runs cost one, 161 with the
+// summaries, 6 with the leaf check. A change to the number means the walk
 // visits different keys or leaves, not that it got slower;
 // BenchmarkNearMissQuery times it.
 func TestNearMissWalkSteps(t *testing.T) {
@@ -1162,7 +1214,7 @@ func TestNearMissWalkSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantSteps = 161
+	const wantSteps = 6
 	if found || st.Path != dominance.PathWalk || st.WalkSteps != wantSteps || st.RunsProbed != wantSteps {
 		t.Fatalf("near-miss query: found=%v %+v, want an exact walk miss in %d steps", found, st, wantSteps)
 	}

@@ -602,7 +602,11 @@ func RunPersistenceConformance(t *testing.T, schema *subscription.Schema, open f
 // planted covers and asked a mixed sequence: recurring shapes (the memo
 // replays them from their third touch on), one-shot planted children and
 // uniform shapes in a batch (walk hits and misses, and walks that overrun
-// the budget into the cube search) and reverse queries (store scans).
+// the budget into the cube search) and reverse queries (store scans). A
+// seek checks the leaf it lands in, so a uniform walk rarely takes more
+// than a few steps: it takes 8 192 planted pairs and 4 000 uniform shapes
+// for a handful of walks to overrun the budget of 8, on one array and on
+// eight slices alike.
 // Stats must then read Queries as the calls issued, Hits as those that
 // found a cover, and RunsProbed, CubesGenerated and every PathQueries cell
 // as the sums of the Stats the calls returned. offCounted says whether a
@@ -612,11 +616,11 @@ func RunPersistenceConformance(t *testing.T, schema *subscription.Schema, open f
 func RunTotalsMatchQueryStats(t *testing.T, build func(t *testing.T, cfg core.Config) core.Provider, offCounted bool) {
 	t.Helper()
 	schema := Schema()
-	pairs, err := workload.Covers(workload.CoverSpec{Schema: schema, N: 400, SlackFrac: 0.2, Seed: 41})
+	pairs, err := workload.Covers(workload.CoverSpec{Schema: schema, N: 8192, SlackFrac: 0.2, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
-	uniform, err := workload.Subscriptions(workload.SubSpec{Schema: schema, N: 200, WidthFrac: 0.1, Seed: 42})
+	uniform, err := workload.Subscriptions(workload.SubSpec{Schema: schema, N: 4000, WidthFrac: 0.1, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,10 @@ import (
 // identically to one without, on the first-touch pass (search, shape
 // noted), the second (search, entry recorded) and the third (pure
 // replay), across universes, ε budgets and step budgets tight enough that
-// some queries overrun the walk and are memoized from the cube search.
+// some queries overrun the walk and are memoized from the cube search. A
+// seek checks the leaf it lands in, so few uniform walks take three steps:
+// 400 points and 640 query shapes leave a few overruns that the cube search
+// answers under each budget of 2 (200 and 80 did, before the check).
 func TestCacheBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	configs := []Config{
@@ -32,11 +35,11 @@ func TestCacheBitIdentical(t *testing.T) {
 		plainCfg := cfg
 		plainCfg.CacheSize = -1
 		plain := MustIndex(plainCfg)
-		for i, p := range randomPoints(rng, 200, cfg.Dims, cfg.Bits) {
+		for i, p := range randomPoints(rng, 400, cfg.Dims, cfg.Bits) {
 			cached.Insert(p, uint64(i))
 			plain.Insert(p, uint64(i))
 		}
-		queries := randomPoints(rng, 80, cfg.Dims, cfg.Bits)
+		queries := randomPoints(rng, 640, cfg.Dims, cfg.Bits)
 		replays, fromCubes := 0, 0
 		hitsSoFar := map[string]int{} // per shape: approximate queries that found a dominator
 		for pass := 0; pass < 3; pass++ {

@@ -16,8 +16,13 @@
 //     region's smallest key, return it if its cell dominates the query,
 //     otherwise jump the cursor to the next key inside the region
 //     (sfc.ZCurve.NextInExtremal) and seek again. It visits stored keys,
-//     not cubes, so a region with no dominator costs as many seeks as it
-//     has stored points between its runs, and its answer is exact;
+//     not cubes, and its answer is exact. On one-word keys a seek passes
+//     the leaves and blocks whose summaries rule out a dominator and
+//     checks every entry of the leaf it lands in, so a step is one
+//     descent plus at most one leaf check, and a region with no dominator
+//     costs about as many steps as the array has leaves that admit the
+//     query, not as many as it has stored points between the region's
+//     runs;
 //  3. the paper's search, only if the walk spends its step budget: greedily
 //     partition (a truncation of) the region into standard cubes, largest
 //     first, and probe each cube's key range until a point is found or

@@ -241,14 +241,17 @@ func TestMaxCubesCap(t *testing.T) {
 	}
 	// Through Query the cap bounds the walk's steps and then the cubes.
 	// These points each fail the query by one cell, half of them in each
-	// coordinate, and with q odd the two faces agree on every key bit above
-	// the lowest few, so they interleave along the curve: every leaf holds
-	// both kinds, no summary rules a leaf out, and an unbudgeted walk needs
-	// 96 steps to prove the miss.
-	q = []uint32{3841, 3841}
-	for v := uint32(0); v < 64; v++ {
+	// coordinate, and with q odd the two faces agree on the key bits above
+	// the lowest few wherever v is small, so they interleave along the
+	// curve: the leaves there hold both kinds and no summary rules them
+	// out. A seek checks every entry of the leaf it lands in, so the walk
+	// pays about one step a leaf, not one a key: 2 048 points cost an
+	// unbudgeted walk 12 steps to prove the miss (the 128 this test used to
+	// plant cost 96 steps one key at a time, and 3 a leaf at a time).
+	q = []uint32{2049, 2049}
+	for v := uint32(0); v < 1024; v++ {
 		idx.Insert([]uint32{q[0] + v, q[1] - 1}, uint64(v))
-		idx.Insert([]uint32{q[0] - 1, q[1] + v}, uint64(64+v))
+		idx.Insert([]uint32{q[0] - 1, q[1] + v}, uint64(1024+v))
 	}
 	if _, found, st, _ := idx.Query(q, 0); found || st.WalkSteps <= 5 {
 		t.Fatalf("the population must cost an unbudgeted walk more than 5 steps to miss: found=%v %+v", found, st)

@@ -89,16 +89,20 @@ func (d *dispatch) walk(arr ordered, q []uint32, budget int, topFirst bool, sc *
 // and if not, NextInExtremal (bound to q once, as sc.succ) moves the
 // cursor past every key outside the region in one jump. Where the array
 // keeps summaries a seek also passes every leaf, and every block of
-// leaves, that holds no dominator of q (the query key qk rides along), so
-// it lands on a later key than an unpruned seek would, never past the
-// smallest dominator: the answer is the same, the steps fewer, and their
-// number depends on the leaf layout as well as the key set. The walk ends
-// at a hit, at the end of the array or of the region (an exact miss: the
-// whole region was searched), or when budget seeks are spent (budget 0 =
-// unlimited); only the last leaves the query undecided (done == false).
-// Its step count is bounded by the region's runs and by the stored keys
-// lying between them, whichever is smaller, never by the cubes of its
-// partition.
+// leaves, that holds no dominator of q (the query key qk rides along), and
+// checks the entries of the leaf it lands in against qk: it returns the
+// first dominator there — in the region, so the step is the hit — or else
+// the first entry of the next leaf that admits qk. It never lands past the
+// smallest dominator, so the answer is an unpruned walk's, the steps
+// fewer, and their number depends on the leaf layout as well as the key
+// set. The walk ends at a hit, at the end of the array or of the region
+// (an exact miss: the whole region was searched), or when budget seeks
+// are spent (budget 0 = unlimited); only the last leaves the query
+// undecided (done == false). A step is one descent plus at most one leaf
+// check. The step count is bounded by the region's runs and — with
+// summaries, by the leaves that admit q; without them, by the stored keys
+// lying between the runs — whichever is smaller, never by the cubes of
+// its partition.
 //
 // With topFirst the walk spends its first step on the region's thickest
 // run, the largest standard cube at its max corner: the paper's point

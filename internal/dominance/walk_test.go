@@ -140,19 +140,23 @@ func TestWalkProbesTopCubeFirst(t *testing.T) {
 	}
 }
 
-// TestWalkOverrunFallsBackToCubes forces the step budget to one: every
-// query the walk cannot decide in a single seek must return exactly what
-// QueryCubes returns under the same cube cap.
+// TestWalkOverrunFallsBackToCubes forces the step budget to one and to
+// seven: every query the walk cannot decide within it must return exactly
+// what QueryCubes returns under the same cube cap. A seek checks the leaf
+// it lands in, so uniform walks in this universe end within a few steps;
+// the population is the near-miss one, 4 000 points and the 200 queries
+// around its query, where a walk still visits more than seven leaves that
+// admit the query without holding its dominator.
 func TestWalkOverrunFallsBackToCubes(t *testing.T) {
-	rng := rand.New(rand.NewSource(227))
 	for _, maxCubes := range []int{1, 7} {
 		cfg := Config{Dims: 3, Bits: 6, MaxCubes: maxCubes, CacheSize: -1}
 		idx := MustIndex(cfg)
-		for i, p := range randomPoints(rng, 400, cfg.Dims, cfg.Bits) {
+		pts, queries := nearMissWalkPopulation(t, cfg, 4000)
+		for i, p := range pts {
 			idx.Insert(p, uint64(i))
 		}
 		overruns := 0
-		for _, q := range randomPoints(rng, 300, cfg.Dims, cfg.Bits) {
+		for _, q := range queries {
 			id, ok, st, err := idx.Query(q, 0.2)
 			if err != nil {
 				t.Fatal(err)
@@ -214,7 +218,7 @@ func TestWalkDuringEqualizePair(t *testing.T) {
 	// the ones the mover is re-bounding.
 	t.Run("nearmiss-4x10", func(t *testing.T) {
 		cfg := Config{Dims: 4, Bits: 10}
-		pts, queries := nearMissWalkPopulation(t, cfg)
+		pts, queries := nearMissWalkPopulation(t, cfg, 2000)
 		walkDuringEqualizePair(t, cfg, []float64{0, 0.3}, pts, queries)
 	})
 }
@@ -239,13 +243,13 @@ func uniformWalkPopulation(cfg Config) (pts, queries [][]uint32) {
 	return pts, queries
 }
 
-// nearMissWalkPopulation is workload.NearMiss's 2 000 points and 200
-// queries around its query q: q itself, which every point misses by one
+// nearMissWalkPopulation is workload.NearMiss's n points and 200 queries
+// around its query q: q itself, which every point misses by one
 // coordinate, and q with one coordinate lowered into the band the points
 // miss it by (a hit for the points failing there that reach it) or
 // raised (a miss with a smaller region).
-func nearMissWalkPopulation(t *testing.T, cfg Config) (pts, queries [][]uint32) {
-	pts, q, err := workload.NearMiss(cfg.Dims, cfg.Bits, 2000, 1)
+func nearMissWalkPopulation(t *testing.T, cfg Config, n int) (pts, queries [][]uint32) {
+	pts, q, err := workload.NearMiss(cfg.Dims, cfg.Bits, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,6 +356,32 @@ func walkDuringEqualizePair(t *testing.T, cfg Config, epsilons []float64, pts, q
 		t.Fatal("no entry migrated while the walkers ran")
 	}
 	t.Logf("%d entries migrated under the walkers", migrated)
+}
+
+// TestNearMissLeafCheckSteps pins the walk on the widest one-word
+// near-miss universe, d 8 × k 8 (d·k 64) at n 16 384 with no step budget:
+// the query is an exact miss, and a step is one descent plus at most one
+// leaf check, so the count is bounded by the leaves that admit the query,
+// not by the stored keys between its runs. It reads 26 steps; when a seek
+// stopped at the landing slot of the first admitting leaf it read 1 201.
+// A change to the number means the walk visits different leaves, not that
+// it got slower.
+func TestNearMissLeafCheckSteps(t *testing.T) {
+	cfg := Config{Dims: 8, Bits: 8}
+	pts, q, err := workload.NearMiss(cfg.Dims, cfg.Bits, 16384, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint64, len(pts))
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	idx := MustIndex(cfg)
+	idx.InsertBatch(pts, ids)
+	const wantSteps = 26
+	if _, found, st, err := idx.Query(q, 0.3); err != nil || found || st.Path != PathWalk || st.WalkSteps != wantSteps {
+		t.Fatalf("near-miss query: found=%v err=%v %+v, want an exact walk miss in %d steps", found, err, st, wantSteps)
+	}
 }
 
 // TestWalkAfterRebuildKeepsSummaries: every SFC array a ShardedIndex holds

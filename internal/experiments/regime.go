@@ -59,20 +59,31 @@ func e15Rows(quick bool) []e15Row {
 // population builds a row's points and queries. A near-miss row has one
 // query, the exact miss (mid, …, mid); its aligned form adds one to every
 // coordinate (clamped at the top), which keeps every point failing by one
-// coordinate and puts mid on a power of two.
-func (r e15Row) population() (pts, queries [][]uint32, err error) {
+// coordinate and puts mid on a power of two. A churned row also returns
+// n more points of its population, the churn phase's replacements (the
+// generator draws points in order, so the first n are the row's own).
+func (r e15Row) population() (pts, queries, churn [][]uint32, err error) {
 	top := uint32(1)<<uint(r.k) - 1
 	if !r.uniform {
-		pts, q, err := workload.NearMiss(r.d, r.k, r.n, 1)
-		if err != nil || !r.aligned {
-			return pts, [][]uint32{q}, err
+		n := r.n
+		if r.churned() {
+			n *= 2
 		}
-		for _, p := range append(pts, q) {
-			for i := range p {
-				p[i] = min(p[i]+1, top)
+		pts, q, err := workload.NearMiss(r.d, r.k, n, 1)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if r.aligned {
+			for _, p := range append(pts, q) {
+				for i := range p {
+					p[i] = min(p[i]+1, top)
+				}
 			}
 		}
-		return pts, [][]uint32{q}, nil
+		if r.churned() {
+			churn = pts[r.n:]
+		}
+		return pts[:r.n], [][]uint32{q}, churn, nil
 	}
 	rng := rand.New(rand.NewSource(151))
 	point := func(lo uint32) []uint32 {
@@ -88,8 +99,13 @@ func (r e15Row) population() (pts, queries [][]uint32, err error) {
 	for range 64 {
 		queries = append(queries, point(top/2))
 	}
-	return pts, queries, nil
+	return pts, queries, nil, nil
 }
+
+// churned reports whether a row runs the churn phase: near-miss rows whose
+// keys fit one word, where the arrays keep the summaries a churn leaves
+// stale.
+func (r e15Row) churned() bool { return !r.uniform && r.d*r.k <= 64 }
 
 // e15Side is what one search did over a row's queries, per query.
 type e15Side struct {
@@ -136,12 +152,24 @@ func measure(queries [][]uint32, reps int, search func([]uint32, float64) (uint6
 	return s, nil
 }
 
+// e15Result is one row's measurements: Query on a single Index and on an
+// 8-slice ShardedIndex, QueryCubes on the single one, and — on a churned
+// row — Query on both again after the churn phase.
+type e15Result struct {
+	single, sharded, cubes    e15Side
+	churnSingle, churnSharded e15Side
+}
+
 // e15Measure loads a row into a single Index and an 8-slice ShardedIndex
 // (boundaries from the load, as the engine places them) and measures
 // Query on each beside QueryCubes on the single one. The memo is off, so
-// every repetition walks.
-func e15Measure(r e15Row, reps int) (single, sharded, cubes e15Side, err error) {
-	pts, queries, err := r.population()
+// every repetition walks. On a churned row it then replaces every entry
+// one at a time, in a seeded order — delete entry i, insert the row's
+// i-th replacement point — and measures Query on both again: the
+// population keeps its size and its shape, while a summary that never
+// tightens on delete still holds the maxima of the keys it lost.
+func e15Measure(r e15Row, reps int) (res e15Result, err error) {
+	pts, queries, churn, err := r.population()
 	if err != nil {
 		return
 	}
@@ -161,13 +189,26 @@ func e15Measure(r e15Row, reps int) (single, sharded, cubes e15Side, err error) 
 	}
 	sh.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
 	sh.InsertBatch(pts, ids)
-	if single, err = measure(queries, reps, idx.Query); err != nil {
+	if res.single, err = measure(queries, reps, idx.Query); err != nil {
 		return
 	}
-	if sharded, err = measure(queries, reps, sh.Query); err != nil {
+	if res.sharded, err = measure(queries, reps, sh.Query); err != nil {
 		return
 	}
-	cubes, err = measure(queries, reps, idx.QueryCubes)
+	if res.cubes, err = measure(queries, reps, idx.QueryCubes); err != nil || !r.churned() {
+		return
+	}
+	for _, i := range rand.New(rand.NewSource(157)).Perm(len(pts)) {
+		if !idx.Delete(pts[i], ids[i]) || !sh.Delete(pts[i], ids[i]) {
+			return res, fmt.Errorf("E15 churn: entry %d not found", i)
+		}
+		idx.Insert(churn[i], uint64(len(pts)+i))
+		sh.Insert(churn[i], uint64(len(pts)+i))
+	}
+	if res.churnSingle, err = measure(queries, reps, idx.Query); err != nil {
+		return
+	}
+	res.churnSharded, err = measure(queries, reps, sh.Query)
 	return
 }
 
@@ -185,22 +226,35 @@ func runE15(w io.Writer, quick bool) error {
 		"Index steps", "path", "us/query",
 		"8-slice steps", "path", "us/query",
 		"cube probes", "cubes us", "found", "cubes found")
+	ch := stats.NewTable("population", "d", "k", "n",
+		"Index steps", "churned", "us/query", "churned",
+		"8-slice steps", "churned", "us/query", "churned",
+		"found", "churned")
 	for _, r := range e15Rows(quick) {
 		n := reps
 		if r.uniform {
 			n = 1 // 64 distinct queries
 		}
-		single, sharded, cubes, err := e15Measure(r, n)
+		res, err := e15Measure(r, n)
 		if err != nil {
 			return err
 		}
+		single, sharded, cubes := res.single, res.sharded, res.cubes
 		tb.AddRow(r.name(), r.d, r.k, r.n,
 			single.steps, single.path(), single.us,
 			sharded.steps, sharded.path(), sharded.us,
 			cubes.probes, cubes.us, single.found, cubes.found)
+		if r.churned() {
+			cs, csh := res.churnSingle, res.churnSharded
+			ch.AddRow(r.name(), r.d, r.k, r.n,
+				single.steps, cs.steps, single.us, cs.us,
+				sharded.steps, csh.steps, sharded.us, csh.us,
+				single.found, cs.found)
+		}
 	}
 	fmt.Fprintf(w, "budget %d steps then cubes, eps %g, memo off; steps and probes are per query:\n%s\n", e15Budget, e15Eps, tb)
 	fmt.Fprintln(w, "found is the share of queries answered with a dominator: the walk is exact when it")
 	fmt.Fprintln(w, "decides (path walk), so found >= cubes found there; a near-miss query has none")
+	fmt.Fprintf(w, "\nchurn: every entry deleted and replaced by a fresh point of the same population, one\nat a time in a seeded order, then the near-miss query again (summaries never tighten\non delete):\n%s\n", ch)
 	return nil
 }

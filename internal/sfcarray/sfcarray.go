@@ -27,9 +27,14 @@
 // true maximum — an insert raises it, every leaf and block rebuild
 // recomputes it, a delete leaves it — so a leaf, block or array whose
 // summary falls short of a query key under some mask holds no entry
-// reaching the key under every mask, and SeekWord passes it. The masks
-// only mean something on one-word keys; an array re-strided past one word
-// drops them.
+// reaching the key under every mask, and SeekWord passes it. The first
+// leaf that does admit the key is where SeekWord lands, and it checks that
+// leaf's entries against the key (key&m >= qk&m for every mask) from the
+// landing slot on: it answers with the first entry that dominates, or else
+// with the first entry of the next admitting leaf, unchecked. One seek
+// therefore checks the entries of at most one leaf, and a search pays per
+// admitting leaf, not per stored key. The masks only mean something on
+// one-word keys; an array re-strided past one word drops them.
 package sfcarray
 
 import (
@@ -76,10 +81,22 @@ type leaf struct {
 }
 
 // WithMasks returns an empty array that keeps a dominance summary for each
-// of masks (retained, not copied): the summaries SeekWord prunes by.
+// of masks (retained, not copied): the summaries SeekWord prunes by. The
+// masks are a Z curve's dimension masks (sfc.ZCurve.DimMasks): disjoint,
+// and with d masks each one closed under a shift right by d, so that
+// SeekWord's leaf check can test them all at once; the keys stored and
+// sought carry no bits outside them. WithMasks panics on masks of any
+// other shape.
 func WithMasks(masks []uint64) Index {
 	if len(masks) == 0 {
 		return Index{}
+	}
+	var all uint64
+	for _, m := range masks {
+		if m&all != 0 || m>>len(masks)&^m != 0 {
+			panic(fmt.Sprintf("sfcarray: masks %#x are not a Z curve's dimension masks", masks))
+		}
+		all |= m
 	}
 	return Index{masks: masks, top: make([]uint64, len(masks))}
 }
@@ -245,12 +262,18 @@ func (x *Index) FirstInRange(lo, hi bits.Key) (id uint64, ok bool) {
 // wider one, so in an array that a wider key has re-strided ok is false
 // where Seek would return such a key.
 //
-// qk prunes by the summaries: the answer is the first entry at or after lo
-// in the first leaf whose summary admits qk (every mask's maximum reaches
-// qk&m), passing a block that does not admit it in one test, and none at
-// all, without a descent, when the array's summary does not. Every entry
-// passed over fails qk under some mask, so none dominates qk; with qk 0,
-// or on an array without masks, SeekWord is Seek.
+// qk prunes by the summaries and then by the keys. The descent lands at
+// the first entry at or after lo; the seek moves on to the first leaf from
+// there whose summary admits qk (every mask's maximum reaches qk&m),
+// passing a block that does not admit it in one test, and answers none
+// at all, without a descent, when the array's summary does not. In that
+// landing leaf it checks the entries from the landing slot on and answers
+// with the first that dominates qk (key&m >= qk&m under every mask); when
+// none does, the answer is the first entry of the next leaf that admits
+// qk, unchecked. So one call checks the entries of at most one leaf, and
+// every entry passed over fails qk under some mask: no entry between lo
+// and the answer dominates qk. With qk 0, or on an array without masks,
+// SeekWord is Seek.
 //
 //sfc:hotpath
 func (x *Index) SeekWord(lo, qk uint64) (key, id uint64, ok bool) {
@@ -277,12 +300,29 @@ func (x *Index) SeekWord(lo, qk uint64) (key, id uint64, ok bool) {
 	return lf.keys[s], lf.ids[s], true
 }
 
-// admit moves slot s of leaf j on to the first leaf from j whose summary
-// admits qk, at its first slot; j is len(x.leaves) when none does. A leaf
-// whose block does not admit qk is passed with the rest of its block.
+// admit moves slot s of leaf j on to the answer SeekWord gives under qk:
+// the first dominator of qk from that slot in the first leaf that admits
+// qk, else slot 0 of the next leaf that admits it; j is len(x.leaves) when
+// there is none. One call checks the entries of at most one leaf.
 //
 //sfc:hotpath
 func (x *Index) admit(j, s int, qk uint64) (int, int) {
+	if j, s = x.admitting(j, s, qk); j == len(x.leaves) {
+		return j, 0
+	}
+	if t := x.dominator(x.leaves[j].keys, s, qk); t < len(x.leaves[j].keys) {
+		return j, t
+	}
+	return x.admitting(j+1, 0, qk)
+}
+
+// admitting moves slot s of leaf j on to the first leaf from j whose
+// summary admits qk, at its first slot; j is len(x.leaves) when none does.
+// A leaf whose block does not admit qk is passed with the rest of its
+// block.
+//
+//sfc:hotpath
+func (x *Index) admitting(j, s int, qk uint64) (int, int) {
 	d := len(x.masks)
 	for ; j < len(x.leaves); j, s = j+1, 0 {
 		if b := j / blockLeaves; !x.admits(x.blocks[b*d:b*d+d], qk) {
@@ -292,6 +332,32 @@ func (x *Index) admit(j, s int, qk uint64) (int, int) {
 		}
 	}
 	return len(x.leaves), 0
+}
+
+// dominator returns the first slot from s of one-word keys ks whose key
+// reaches qk under every mask, len(ks) when none does. It tests every mask
+// at once, which the masks' Z layout allows (see WithMasks): a key reaches
+// qk in a dimension exactly when, at the highest bit of that dimension
+// where the two differ, the key holds the 1. win marks the bits where the
+// key holds a 1 and qk a 0; smeared down by shifts of d, 2d, 4d, … — which
+// keep every bit in its dimension — it covers each dimension's bits at and
+// below its highest win, so a bit where qk holds the 1 that it leaves
+// uncovered is a dimension the key falls short in.
+//
+//sfc:hotpath
+func (x *Index) dominator(ks []uint64, s int, qk uint64) int {
+	d := uint(len(x.masks))
+	for ; s < len(ks); s++ {
+		diff := ks[s] ^ qk
+		win := diff & ks[s]
+		for sh := d; sh < 64; sh <<= 1 {
+			win |= win >> sh
+		}
+		if diff&qk&^win == 0 {
+			return s
+		}
+	}
+	return len(ks)
 }
 
 // admits reports whether a summary reaches qk under every mask.

@@ -147,10 +147,13 @@ func dominatesKey(key, qk uint64) bool {
 }
 
 // checkSeekContract holds SeekWord(lo, qk) to its contract by brute force
-// over the sorted live entries: the answer is a live entry at or after lo,
-// at or before the first entry at or after lo that dominates qk — so no
-// entry in [lo, answer) dominates qk — and there is no answer only when no
-// such dominator exists. With qk 0 the answer is Seek's.
+// over the sorted live entries and the array's leaves. With qk 0 the answer
+// is Seek's. Otherwise no entry from the first at or after lo up to the
+// answer dominates qk, there is no answer only when no such entry
+// dominates, and the answer is placed by the landing leaf — the first leaf,
+// from the one holding the first entry at or after lo, whose summary
+// reaches qk under every mask: an answer inside it dominates qk, and any
+// other answer is slot 0 of the next leaf after it whose summary does.
 func checkSeekContract(t *testing.T, x *Index, live []wordEntry, lo, qk uint64) {
 	t.Helper()
 	key, id, ok := x.SeekWord(lo, qk)
@@ -172,6 +175,42 @@ func checkSeekContract(t *testing.T, x *Index, live []wordEntry, lo, qk uint64) 
 	if got += at; got > dom || qk == 0 && got != at {
 		t.Fatalf("SeekWord(%#x, %#x) = entry %d of %d (%#x, %d); first at or after lo %d, first dominator %d", lo, qk, got, len(live), key, id, at, dom)
 	}
+	if qk == 0 {
+		return
+	}
+	// starts[j] is the position in live of leaf j's slot 0.
+	starts := make([]int, len(x.leaves)+1)
+	for j := range x.leaves {
+		starts[j+1] = starts[j] + len(x.leaves[j].ids)
+	}
+	admitting := func(j int) bool {
+		for i, m := range contractMasks {
+			if x.leaves[j].sum[i] < qk&m {
+				return false
+			}
+		}
+		return true
+	}
+	land := sort.Search(len(x.leaves), func(j int) bool { return starts[j+1] > at })
+	for land < len(x.leaves) && !admitting(land) {
+		land++
+	}
+	next := land + 1
+	for next < len(x.leaves) && !admitting(next) {
+		next++
+	}
+	if land == len(x.leaves) {
+		t.Fatalf("SeekWord(%#x, %#x) = (%#x, %d), but no leaf from lo's admits qk", lo, qk, key, id)
+	}
+	// Entries repeat: any copy of the answer at or after got may be the one.
+	for p := got; p < len(live) && live[p] == (wordEntry{key, id}); p++ {
+		inLanding := p >= max(at, starts[land]) && p < starts[land+1]
+		if inLanding && dominatesKey(key, qk) || next < len(x.leaves) && p == starts[next] {
+			return
+		}
+	}
+	t.Fatalf("SeekWord(%#x, %#x) = entry %d (%#x, %d): neither a dominator in landing leaf %d (entries %d–%d) nor slot 0 of the next admitting leaf %d",
+		lo, qk, got, key, id, land, max(at, starts[land]), starts[land+1]-1, next)
 }
 
 // runSeekContract turns bytes into inserts, runs of one key long enough to
@@ -250,7 +289,9 @@ func TestSeekWordContract(t *testing.T) {
 // FuzzSeekWordContract lets the fuzzer write the stream. The seeds are the
 // cases by name: the empty array, one key spanning leaves beside a
 // neighbor, and a full array probed under qk 0 and under the top key,
-// which nothing stored dominates (every stream probes both).
+// which nothing stored dominates (every stream probes both). Every probe
+// holds the answer to the landing-leaf contract: a dominator inside the
+// first admitting leaf, or slot 0 of the next one.
 func FuzzSeekWordContract(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 40, 2, 200, 0, 40, 3, 1, 7})
@@ -265,4 +306,92 @@ func FuzzSeekWordContract(f *testing.F) {
 		}
 		runSeekContract(t, data)
 	})
+}
+
+// TestDominatorMatchesMasks holds the leaf check's all-masks-at-once test
+// to its definition — key&m >= qk&m under every mask — on every one-word Z
+// universe (every d ≤ 16 and k ≤ 32 with d·k ≤ 64, and d·k = 64 at d 32
+// and 64), over random keys and keys one coordinate step from the query
+// key.
+func TestDominatorMatchesMasks(t *testing.T) {
+	rng := rand.New(rand.NewSource(163))
+	var universes [][2]int
+	for d := 1; d <= 16; d++ {
+		for k := 1; k <= 32 && d*k <= 64; k++ {
+			universes = append(universes, [2]int{d, k})
+		}
+	}
+	universes = append(universes, [2]int{32, 2}, [2]int{64, 1})
+	for _, u := range universes {
+		d, k := u[0], u[1]
+		masks := sfc.MustZ(d, k).DimMasks()
+		x := WithMasks(masks)
+		top := uint64(math.MaxUint64) >> (64 - d*k)
+		for range 200 {
+			qk := rng.Uint64() & top
+			ks := make([]uint64, 64)
+			for i := range ks {
+				if i%2 == 0 {
+					ks[i] = rng.Uint64() & top
+					continue
+				}
+				// One dimension of qk moved by one, up or down.
+				m := masks[rng.Intn(d)]
+				v := qk & m
+				if rng.Intn(2) == 0 {
+					v = (v | ^m) + 1
+				} else {
+					v = (v &^ ^m) - 1
+				}
+				ks[i] = qk&^m | v&m
+			}
+			for s := range ks {
+				want := s
+				for want < len(ks) && !dominatesUnder(masks, ks[want], qk) {
+					want++
+				}
+				if got := x.dominator(ks, s, qk); got != want {
+					t.Fatalf("d %d k %d: dominator(from %d, qk %#x) = %d, want %d (key %#x)", d, k, s, qk, got, want, ks[min(want, len(ks)-1)])
+				}
+			}
+		}
+	}
+}
+
+func dominatesUnder(masks []uint64, key, qk uint64) bool {
+	for _, m := range masks {
+		if key&m < qk&m {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWithMasksTakesZMasksOnly: the leaf check's shifts by d keep a bit in
+// its dimension only on a Z curve's masks, so WithMasks takes those and
+// panics on overlapping masks or masks whose bits do not repeat every d.
+func TestWithMasksTakesZMasksOnly(t *testing.T) {
+	for _, masks := range [][]uint64{
+		sfc.MustZ(3, 4).DimMasks(),
+		sfc.MustZ(64, 1).DimMasks(),
+		sfc.MustZ(2, 32).DimMasks(),
+	} {
+		if x := WithMasks(masks); len(x.masks) != len(masks) {
+			t.Fatalf("WithMasks(%#x) kept %d masks", masks, len(x.masks))
+		}
+	}
+	for _, masks := range [][]uint64{
+		{0b0011, 0b0110},  // overlapping
+		{0b0011, 0b1100},  // a dimension's bits adjacent, not every 2nd
+		{0b0101, 0b10010}, // bit 4 does not shift onto mask 1's bit 2
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("WithMasks(%#b) accepted masks that are not a Z curve's", masks)
+				}
+			}()
+			WithMasks(masks)
+		}()
+	}
 }
