@@ -158,7 +158,7 @@ func BenchmarkEnumLevelVisit(b *testing.B) {
 }
 
 // benchDominanceQuery times point dominance queries on a 50 000-point
-// index: through Query (memo, walk, cubes on overrun) or, with cubesOnly,
+// index: through Query (walk, cubes on overrun) or, with cubesOnly,
 // through QueryCubes — the paper's search alone — so the two stay
 // comparable in-tree.
 func benchDominanceQuery(b *testing.B, eps float64, miss, cubesOnly bool) {
@@ -298,15 +298,15 @@ func BenchmarkCoverQueryDetectorSingleThread(b *testing.B) {
 	}
 }
 
-// steadyStateDetector builds the cache-warm single-threaded detector the
+// steadyStateDetector builds the warm single-threaded detector the
 // zero-allocation guarantee is pinned on: a planted-cover population and
-// a small fixed query set whose decompositions are already resident in
-// the decomposition cache. Each query runs twice off the clock — the
-// first touch only registers the shape with the cache's admission
-// filter, the second builds and publishes the entry.
-func steadyStateDetector(tb testing.TB, cacheSize int) (*core.Detector, []*subscription.Subscription) {
+// a small fixed query set whose covers lie in the top cube of their
+// regions, so each query is one walk step — the top-cube probe. Each
+// query runs twice off the clock, so the scratch buffers have reached
+// their steady size.
+func steadyStateDetector(tb testing.TB) (*core.Detector, []*subscription.Subscription) {
 	tb.Helper()
-	cfg, parents, queries := steadyStateWorkload(tb, cacheSize)
+	cfg, parents, queries := steadyStateWorkload(tb)
 	det := core.MustNew(cfg)
 	for _, p := range parents {
 		if _, err := det.Insert(p); err != nil {
@@ -322,7 +322,7 @@ func steadyStateDetector(tb testing.TB, cacheSize int) (*core.Detector, []*subsc
 // boots; each query has run twice off the clock here too.
 func steadyStateEngine(tb testing.TB) (*engine.Engine, []*subscription.Subscription) {
 	tb.Helper()
-	cfg, parents, queries := steadyStateWorkload(tb, 0)
+	cfg, parents, queries := steadyStateWorkload(tb)
 	eng, err := engine.New(engine.Config{Detector: cfg})
 	if err != nil {
 		tb.Fatal(err)
@@ -337,15 +337,13 @@ func steadyStateEngine(tb testing.TB) (*engine.Engine, []*subscription.Subscript
 
 // steadyStateWorkload is the warm path's configuration, planted-cover
 // population and 64 recurring query shapes.
-func steadyStateWorkload(tb testing.TB, cacheSize int) (cfg core.Config, parents, queries []*subscription.Subscription) {
+func steadyStateWorkload(tb testing.TB) (cfg core.Config, parents, queries []*subscription.Subscription) {
 	tb.Helper()
 	parents, children := engineBenchWorkload(tb)
 	cfg = engineBenchCfg
 	cfg.Schema = parents[0].Schema()
-	cfg.DecompCacheSize = cacheSize
-	// A budget under the per-entry cache bound keeps every decomposition
-	// cacheable, so the steady state is the replay path — not the
-	// negative-entry fallback — and stays cheap on this hit-heavy set.
+	// A small budget keeps a query that overran the walk cheap in the cube
+	// search; on this hit-heavy set the walk answers every one.
 	cfg.MaxCubes = 1000
 	return cfg, parents, children[:64]
 }
@@ -363,12 +361,12 @@ func warmShapes(tb testing.TB, find func(*subscription.Subscription) (uint64, bo
 }
 
 // BenchmarkCoverQuery measures the steady-state covering-query hot path:
-// a single-threaded Detector answering a recurring query set from the
-// warm decomposition cache, so each query is a replay of cached cubes
-// against the index — no decomposition, no run merging, and (asserted by
-// TestSteadyStateQueryZeroAlloc) no allocation.
+// a single-threaded Detector answering a recurring query set whose covers
+// the walk's top-cube probe finds — one descent, no decomposition, no run
+// merging, and (asserted by TestSteadyStateQueryZeroAlloc) no
+// allocation.
 func BenchmarkCoverQuery(b *testing.B) {
-	det, queries := steadyStateDetector(b, 0)
+	det, queries := steadyStateDetector(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -379,7 +377,7 @@ func BenchmarkCoverQuery(b *testing.B) {
 }
 
 // BenchmarkCoverQueryEngine is BenchmarkCoverQuery's population and shapes
-// through a default engine instead of a Detector: the same memo replays,
+// through a default engine instead of a Detector: the same top-cube hits,
 // so the difference between the two lines is the engine's fixed cost per
 // query over the Detector's (trace election, slice routing, counters).
 func BenchmarkCoverQueryEngine(b *testing.B) {
@@ -393,28 +391,13 @@ func BenchmarkCoverQueryEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkCoverQueryColdCache is the same workload with the
-// decomposition cache disabled, so every query pays decomposition and
-// run merging in full. The delta against BenchmarkCoverQuery is what the
-// cache buys on a recurring-shape workload.
-func BenchmarkCoverQueryColdCache(b *testing.B) {
-	det, queries := steadyStateDetector(b, -1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := det.FindCover(queries[i%len(queries)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestSteadyStateQueryZeroAlloc is the allocation regression guard for
-// the covering-query hot path: once the decomposition cache is warm, a
+// the covering-query hot path: once its scratch is warm, a
 // single-threaded FindCover must not allocate at all. Any regression —
 // a method-value binding, a per-query slice, a clock read growing an
 // escape — shows up here as a hard failure in plain `go test`.
 func TestSteadyStateQueryZeroAlloc(t *testing.T) {
-	det, queries := steadyStateDetector(t, 0)
+	det, queries := steadyStateDetector(t)
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		q := queries[i%len(queries)]
@@ -430,7 +413,7 @@ func TestSteadyStateQueryZeroAlloc(t *testing.T) {
 
 // TestEngineWarmQueryZeroAlloc is the guard on the engine's warm path with
 // telemetry on, as the engine is built by default: recurring shapes, every
-// one a memo hit, average 0 allocs/op over 1 280 queries. The trace
+// one a walk hit, average 0 allocs/op over 1 280 queries. The trace
 // sampler elects ten of them (1 in 128), each allocating its record a few
 // times; AllocsPerRun's integer mean keeps those under one, while one
 // allocation on every query reads 1.
@@ -440,8 +423,8 @@ func TestEngineWarmQueryZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1280, func() {
 		q := queries[i%len(queries)]
 		i++
-		if _, found, st, err := eng.FindCover(q); err != nil || !found || st.Path != dominance.PathMemo {
-			t.Fatalf("warm query %d = (found %v, path %v, %v), want a memo hit", i, found, st.Path, err)
+		if _, found, st, err := eng.FindCover(q); err != nil || !found || st.Path != dominance.PathWalk {
+			t.Fatalf("warm query %d = (found %v, path %v, %v), want a walk hit", i, found, st.Path, err)
 		}
 	})
 	if allocs != 0 {
@@ -571,7 +554,7 @@ func TestSteadyStateWireQueryAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i < 3*len(queries) { // fill the decomposition cache and the pools
+	for i < 3*len(queries) { // warm the scratch buffers and the pools
 		query()
 	}
 	if allocs := testing.AllocsPerRun(2000, query); allocs > 1 {
@@ -690,7 +673,7 @@ func TestTelemetryOverheadSmoke(t *testing.T) {
 		return time.Since(t0)
 	}
 	// Rounds alternate between the two engines so drift in the box's
-	// speed hits both; the first pair warms the hit memo and is dropped.
+	// speed hits both; the first pair warms the pools and is dropped.
 	engOn, engOff := build(false), build(true)
 	on, off := time.Duration(1<<63-1), time.Duration(1<<63-1)
 	for r := 0; r < 6; r++ {

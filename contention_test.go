@@ -23,7 +23,7 @@ import (
 // them, on the benchmark's population (16 384 planted parents; approx,
 // ε 0.3, 50 000-step budget) — the default engine against the same engine
 // built with one slice. hot readers cycle 256 children of the parents
-// (memo hits); miss readers walk 65 536 distinct uniform shapes. The
+// (top-cube hits); miss readers walk 65 536 distinct uniform shapes. The
 // reported rates are per second of wall clock across all readers and for
 // the writer; GOMAXPROCS is set by the sub-benchmark, not by -cpu.
 //
@@ -147,7 +147,7 @@ func (in *contentionInputs) run(b *testing.B, e *engine.Engine, shape string, pr
 	queries := in.miss
 	if shape == "hot" {
 		queries = in.hot
-		for pass := 0; pass < 3; pass++ { // note, record, replay
+		for pass := 0; pass < 3; pass++ { // warm the pooled scratch
 			for _, q := range queries {
 				if _, _, _, err := e.FindCover(q); err != nil {
 					b.Fatal(err)

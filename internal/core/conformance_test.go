@@ -28,7 +28,7 @@ func TestDetectorProviderConformance(t *testing.T) {
 }
 
 // TestTotalsMatchQueryStats holds a Detector's lifetime counters to the
-// sums of the per-call Stats over memo, walk and cube answers, scans, and
+// sums of the per-call Stats over walk and cube answers, scans, and
 // exact and off modes; mode off searches nothing and counts nothing.
 func TestTotalsMatchQueryStats(t *testing.T) {
 	coretest.RunTotalsMatchQueryStats(t, func(t *testing.T, cfg core.Config) core.Provider {
@@ -37,7 +37,7 @@ func TestTotalsMatchQueryStats(t *testing.T) {
 }
 
 // TestDetectorConformancePerCurve runs the battery on the one curve the
-// index has, Z, with the hit memo enabled.
+// index has, Z.
 func TestDetectorConformancePerCurve(t *testing.T) {
 	schema := coretest.Schema()
 	t.Run("z", func(t *testing.T) {
@@ -47,13 +47,14 @@ func TestDetectorConformancePerCurve(t *testing.T) {
 	})
 }
 
-// TestDetectorConformanceCacheVariants re-runs the battery with the hit
-// memo disabled, so the knob cannot drift from the Provider contract.
+// TestDetectorConformanceCacheVariants runs the battery on the cache-off
+// configuration. No SFC index carries a cache, so this is the default
+// detector, as TestDetectorConformancePerCurve's is.
 func TestDetectorConformanceCacheVariants(t *testing.T) {
 	schema := coretest.Schema()
 	t.Run("cache-off", func(t *testing.T) {
 		coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
-			return core.MustNew(core.Config{Schema: schema, Mode: core.ModeExact, DecompCacheSize: -1})
+			return core.MustNew(core.Config{Schema: schema, Mode: core.ModeExact})
 		})
 	})
 }

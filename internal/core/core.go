@@ -102,14 +102,6 @@ type Config struct {
 	// searches — covers can be missed, which only costs redundant
 	// forwarding, never correctness.
 	MaxCubes int
-	// DecompCacheSize is the ceiling of the SFC index's hit memo in
-	// entries: 0 selects the dominance package's default, negative
-	// disables it. The memo grows with the index it fronts — about two
-	// slots an indexed subscription — up to twice this many slots. A
-	// shape that found a cover replays the key range that held it with
-	// one probe; misses are never remembered. Ignored by non-SFC
-	// strategies.
-	DecompCacheSize int
 }
 
 const (
@@ -129,13 +121,13 @@ type Totals struct {
 	// Hits is how many of them found a cover.
 	Hits int
 	// RunsProbed sums the ordered-structure descents across all queries —
-	// memo probes, walk seeks and cube range probes in one unit (zero for
+	// walk probes and seeks and cube range probes in one unit (zero for
 	// the linear strategy).
 	RunsProbed int
 	// CubesGenerated sums the standard cubes generated across all queries.
 	CubesGenerated int
 	// PathQueries counts the queries by the cut that ended their search,
-	// indexed by dominance.Path (memo, walk, cubes; index 0 holds the
+	// indexed by dominance.Path (walk, cubes; index 0 holds the
 	// queries no SFC search answered).
 	PathQueries [dominance.NumPaths]int
 }
@@ -186,7 +178,6 @@ func New(cfg Config) (*Detector, error) {
 	case StrategySFC:
 		idx, err := dominance.NewIndex(dominance.Config{
 			Dims: cfg.Schema.Dims(), Bits: cfg.Schema.Bits(), MaxCubes: cfg.MaxCubes,
-			CacheSize: cfg.DecompCacheSize,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -391,16 +382,6 @@ func (d *Detector) Add(s *subscription.Subscription) (id uint64, covered bool, c
 		return 0, false, 0, err
 	}
 	return id, covered, coveredBy, nil
-}
-
-// CacheStats reports the SFC index's hit-memo counters: zeros for the
-// linear strategy and disabled caches. The counters are atomics, so no
-// detector lock is taken.
-func (d *Detector) CacheStats() (hits, misses uint64) {
-	if d.sfc == nil {
-		return 0, 0
-	}
-	return d.sfc.CacheStats()
 }
 
 // Totals returns a snapshot of the aggregate query counters.

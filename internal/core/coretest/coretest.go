@@ -599,8 +599,8 @@ func RunPersistenceConformance(t *testing.T, schema *subscription.Schema, open f
 // calls issued against it. build returns a fresh, empty provider for the
 // given detector configuration; the suite closes it. Per mode — approximate
 // under a small step budget, exact, off — one provider is bulk-loaded with
-// planted covers and asked a mixed sequence: recurring shapes (the memo
-// replays them from their third touch on), one-shot planted children and
+// planted covers and asked a mixed sequence: recurring shapes (each asked
+// four times), one-shot planted children and
 // uniform shapes in a batch (walk hits and misses, and walks that overrun
 // the budget into the cube search) and reverse queries (store scans). A
 // seek checks the leaf it lands in, so a uniform walk rarely takes more
@@ -689,8 +689,8 @@ func RunTotalsMatchQueryStats(t *testing.T, build func(t *testing.T, cfg core.Co
 			// The sequence reaches every cut it claims to.
 			switch mode.cfg.Mode {
 			case core.ModeApprox:
-				if w.paths[dominance.PathMemo] == 0 || w.paths[dominance.PathWalk] == 0 || w.paths[dominance.PathCubes] == 0 {
-					t.Fatalf("paths %v: the approximate sequence must end on the memo, the walk and the cubes", w.paths)
+				if w.paths[dominance.PathWalk] == 0 || w.paths[dominance.PathCubes] == 0 {
+					t.Fatalf("paths %v: the approximate sequence must end on the walk and the cubes", w.paths)
 				}
 			case core.ModeExact:
 				if w.paths[dominance.PathWalk] == 0 {

@@ -152,25 +152,19 @@ type ProviderStats struct {
 	// Subscriptions is the number of currently held subscriptions.
 	Subscriptions int
 	// Queries, Hits, RunsProbed and CubesGenerated are the lifetime query
-	// totals; RunsProbed counts ordered-structure descents (memo probes,
-	// walk seeks, cube range probes), CubesGenerated the paper's cubes.
+	// totals; RunsProbed counts ordered-structure descents (walk probes
+	// and seeks, cube range probes), CubesGenerated the paper's cubes.
 	Queries        int
 	Hits           int
 	RunsProbed     int
 	CubesGenerated int
 	// PathQueries counts those queries by the cut that ended the search,
-	// indexed by dominance.Path: hit memo, successor walk, cube search
-	// (index 0: queries no SFC search answered).
+	// indexed by dominance.Path: successor walk, cube search (index 0:
+	// queries no SFC search answered).
 	PathQueries [dominance.NumPaths]int
 	// ShardSearches counts per-shard searches issued (equals Queries for a
 	// single detector and for the shared-decomposition engine plan).
 	ShardSearches int
-	// DecompCacheHits and DecompCacheMisses are the hit memo's lifetime
-	// counters — queries a replay answered, queries that went on to
-	// search — summed across the provider's SFC indexes (zeros when the
-	// memo is disabled or the strategy has no SFC index).
-	DecompCacheHits   uint64
-	DecompCacheMisses uint64
 	// Shards is the number of partitions (1 for a single detector).
 	Shards int
 	// ShardSizes is the per-shard subscription count.
@@ -258,7 +252,6 @@ func (d *Detector) Stats() ProviderStats {
 		PathQueries:    d.totals.PathQueries,
 		ShardSearches:  d.totals.Queries,
 	}
-	ps.DecompCacheHits, ps.DecompCacheMisses = d.CacheStats()
 	ps.SetShardSizes([]int{len(d.subs)})
 	return ps
 }

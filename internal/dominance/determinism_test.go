@@ -40,6 +40,79 @@ func TestQueryDeterminism(t *testing.T) {
 	}
 }
 
+// TestQueryIsHistoryFree: an answer is a function of the stored set and
+// the query, not of the queries asked before it. Two indexes of each kind
+// take the same inserts and deletes; one of each pair also answers the
+// query set three extra times at ε = 0.3 between the writes. Afterwards
+// every query must return the same id, found flag and Stats on both —
+// path and step counts included — at every ε, with a step budget tight
+// enough that some queries reach the cube search.
+func TestQueryIsHistoryFree(t *testing.T) {
+	type index interface {
+		Insert([]uint32, uint64)
+		Delete([]uint32, uint64) bool
+		Query([]uint32, float64) (uint64, bool, Stats, error)
+	}
+	cfg := Config{Dims: 4, Bits: 8, MaxCubes: 3}
+	sharded := func() index {
+		x, err := NewSharded(cfg, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() index
+	}{
+		{"Index", func() index { return MustIndex(cfg) }},
+		{"ShardedIndex", sharded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(47))
+			pts := randomPoints(rng, 1200, cfg.Dims, cfg.Bits)
+			queries := randomPoints(rng, 300, cfg.Dims, cfg.Bits)
+			quiet, asked := tc.build(), tc.build()
+			for round := 0; round < 4; round++ {
+				for i := round * 300; i < (round+1)*300; i++ {
+					quiet.Insert(pts[i], uint64(i))
+					asked.Insert(pts[i], uint64(i))
+				}
+				for i := round * 300; i < round*300+100; i++ { // a third of the round's points leave again
+					if !quiet.Delete(pts[i], uint64(i)) || !asked.Delete(pts[i], uint64(i)) {
+						t.Fatalf("round %d: delete of %d failed", round, i)
+					}
+				}
+				for pass := 0; pass < 3; pass++ {
+					for _, q := range queries {
+						if _, _, _, err := asked.Query(q, 0.3); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			paths := [NumPaths]int{}
+			for _, eps := range []float64{0, 0.05, 0.3} {
+				for _, q := range queries {
+					idA, okA, stA, errA := quiet.Query(q, eps)
+					idB, okB, stB, errB := asked.Query(q, eps)
+					if errA != nil || errB != nil {
+						t.Fatal(errA, errB)
+					}
+					if idA != idB || okA != okB || stA != stB {
+						t.Fatalf("q=%v eps=%g: without history (%d,%v) %+v, after it (%d,%v) %+v",
+							q, eps, idA, okA, stA, idB, okB, stB)
+					}
+					paths[stA.Path]++
+				}
+			}
+			if paths[PathWalk] == 0 || paths[PathCubes] == 0 {
+				t.Fatalf("paths %v: the queries must end on the walk and on the cubes", paths)
+			}
+		})
+	}
+}
+
 // TestStatsInvariants checks the structural relations the Stats contract
 // promises, for the cube search and for the walk in front of it.
 func TestStatsInvariants(t *testing.T) {
@@ -55,13 +128,13 @@ func TestStatsInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// No budget is configured, so the walk (or, on a repeat, the memo
-		// it filled) decides every query without generating a cube.
+		// No budget is configured, so the walk decides every query without
+		// generating a cube.
 		if wst.Path == PathCubes || wst.Path == PathNone || wst.CubesGenerated != 0 || wst.M != 0 {
 			t.Fatalf("unbudgeted query reached the cubes: %+v", wst)
 		}
-		if wst.RunsProbed < wst.WalkSteps || wst.RunsProbed > wst.WalkSteps+1 {
-			t.Fatalf("descents %d do not add up from %d walk steps and at most one memo probe", wst.RunsProbed, wst.WalkSteps)
+		if wst.RunsProbed != wst.WalkSteps {
+			t.Fatalf("descents %d are not the %d walk steps", wst.RunsProbed, wst.WalkSteps)
 		}
 		if wfound != wst.Found {
 			t.Fatal("Found flag inconsistent")

@@ -8,11 +8,11 @@
 //     point if the searched part contains one.
 //
 // The SFC-based Index keeps its points in an SFC array sorted by curve
-// key, as in Section 5, and answers a query in this order:
+// key, as in Section 5, and answers a query in two steps:
 //
-//  1. the hit memo — a shape that found a dominator before replays the one
-//     key range that held it with a single probe;
-//  2. the successor walk — seek the next stored key at or after the
+//  1. the successor walk — for ε > 0 first one probe of the region's
+//     largest standard cube, at its max corner, the paper's largest-first
+//     order taken once; then seek the next stored key at or after the
 //     region's smallest key, return it if its cell dominates the query,
 //     otherwise jump the cursor to the next key inside the region
 //     (sfc.ZCurve.NextInExtremal) and seek again. It visits stored keys,
@@ -23,15 +23,16 @@
 //     costs about as many steps as the array has leaves that admit the
 //     query, not as many as it has stored points between the region's
 //     runs;
-//  3. the paper's search, only if the walk spends its step budget: greedily
+//  2. the paper's search, only if the walk spends its step budget: greedily
 //     partition (a truncation of) the region into standard cubes, largest
 //     first, and probe each cube's key range until a point is found or
 //     the target volume has been covered.
 //
 // So an answer is either exact or carries the paper's (1−ε) guarantee,
-// and ε only ever yields misses. QueryCubes runs step 3 alone — the
+// and ε only ever yields misses. QueryCubes runs step 2 alone — the
 // algorithm the paper analyzes — for the experiments and the cost-model
-// tests.
+// tests. An answer is a function of the stored set and the query alone,
+// never of the queries asked before it.
 //
 // Linear is the exact baseline used as the correctness oracle and in the
 // scaling experiments.
@@ -66,8 +67,6 @@ type Path uint8
 const (
 	// PathNone: no SFC search ran (baseline strategies, detection off).
 	PathNone Path = iota
-	// PathMemo: the hit memo's single probe answered.
-	PathMemo
 	// PathWalk: the successor walk answered, exactly.
 	PathWalk
 	// PathCubes: the paper's cube search answered (the walk overran its
@@ -78,7 +77,7 @@ const (
 )
 
 func (p Path) String() string {
-	return [NumPaths]string{"none", "memo", "walk", "cubes"}[p]
+	return [NumPaths]string{"none", "walk", "cubes"}[p]
 }
 
 // Stats describes the work one SFC query performed. The cube counters
@@ -90,10 +89,10 @@ type Stats struct {
 	// M is the truncation parameter used (0 unless the ε-search ran).
 	M int
 	// CubesGenerated is how many standard cubes the decomposition emitted
-	// (0 when the memo or the walk answered).
+	// (0 when the walk answered).
 	CubesGenerated int
 	// RunsProbed is the number of ordered-structure descents issued: the
-	// memo's probe, the walk's seeks and the cube search's range probes —
+	// walk's probe and seeks and the cube search's range probes —
 	// the paper's unit of query cost — added in one unit.
 	RunsProbed int
 	// WalkSteps is how many of those descents were seeks of the successor
@@ -102,8 +101,8 @@ type Stats struct {
 	// VolumeFraction is the fraction of the query region's volume that
 	// was searched without finding a point: 1 for an exact (walk) miss,
 	// the volume of the generated cubes for the cube search (>= 1-ε when
-	// it ran to its target). Memo and walk hits do not measure volume and
-	// leave it 0.
+	// it ran to its target). Walk hits do not measure volume and leave
+	// it 0.
 	VolumeFraction float64
 	// AspectRatio is α = b(ℓ_max) − b(ℓ_min) of the query region.
 	AspectRatio int
@@ -135,12 +134,6 @@ type Config struct {
 	// degrades to a coarser approximation; Stats reports the volume
 	// actually covered. Exact queries (ε = 0) walk without a budget.
 	MaxCubes int
-	// CacheSize is the hit memo's ceiling in entries: 0 selects
-	// DefaultCacheSize, negative disables it. Below the ceiling the memo
-	// grows with the array it fronts, at two slots an entry. A memo hit
-	// answers with one probe of the key range that held the shape's
-	// dominator last time.
-	CacheSize int
 }
 
 // Index is the SFC-based dominance index of Section 5.
@@ -154,16 +147,16 @@ type Index struct {
 	arr sfcarray.Index
 	// scratch holds the query path's reusable buffers.
 	scratch queryScratch
+	// searched counts the ε > 0 queries, for CacheStats.
+	searched uint64
 }
 
 // dispatch is everything of a query's path but the array it searches:
-// the configuration, the Z curve and the state queries share. Index and
-// ShardedIndex embed it, so both answer through the one search.
+// the configuration and the Z curve. Index and ShardedIndex embed it, so
+// both answer through the one search.
 type dispatch struct {
 	cfg   Config
 	curve *sfc.ZCurve
-	// memo remembers which key range answered a shape (nil when disabled).
-	memo *hitMemo
 }
 
 func newDispatch(cfg Config) (dispatch, error) {
@@ -171,11 +164,7 @@ func newDispatch(cfg Config) (dispatch, error) {
 	if err != nil {
 		return dispatch{}, fmt.Errorf("dominance: %w", err)
 	}
-	d := dispatch{cfg: cfg, curve: curve}
-	if cfg.CacheSize >= 0 {
-		d.memo = newHitMemo(cfg.CacheSize, cfg)
-	}
-	return d, nil
+	return dispatch{cfg: cfg, curve: curve}, nil
 }
 
 // newArray is the one constructor of the index's SFC arrays: empty, keeping
@@ -185,10 +174,6 @@ func newDispatch(cfg Config) (dispatch, error) {
 func (d *dispatch) newArray() sfcarray.Index {
 	return sfcarray.WithMasks(d.curve.DimMasks())
 }
-
-// CacheStats reports the hit memo's counters (zeros when it is
-// disabled): queries it answered, and queries that went on to search.
-func (d *dispatch) CacheStats() (hits, misses uint64) { return d.memo.stats() }
 
 // NewIndex builds an SFC dominance index.
 func NewIndex(cfg Config) (*Index, error) {
@@ -216,7 +201,6 @@ func (x *Index) Len() int { return x.arr.Len() }
 // Insert implements Searcher.
 func (x *Index) Insert(p []uint32, id uint64) {
 	x.arr.Insert(x.curve.Key(p), id)
-	x.memo.fit(x.arr.Len())
 }
 
 // Delete implements Searcher.
@@ -239,7 +223,6 @@ func (x *Index) InsertBatch(ps [][]uint32, ids []uint64) {
 		order[i] = i
 	}
 	x.arr.InsertSorted(sortedEntries(keys, ids, order))
-	x.memo.fit(x.arr.Len())
 }
 
 // sortedEntries selects the (key, id) pairs named by order and returns
@@ -268,8 +251,8 @@ func (x *Index) QueryDominating(q []uint32) (uint64, bool) {
 	return id, ok
 }
 
-// Query answers a point dominance query at q: memo, then walk, then —
-// on budget overrun only — the cube search. eps == 0 requests an exact
+// Query answers a point dominance query at q: the walk, then — on budget
+// overrun only — the cube search. eps == 0 requests an exact
 // answer (Problem 1): the walk runs without a budget and returns the
 // dominating entry with the smallest key, then the smallest id, exactly
 // what the exhaustive cube search returns. 0 < eps < 1 allows an
@@ -285,14 +268,23 @@ func (x *Index) Query(q []uint32, eps float64) (uint64, bool, Stats, error) {
 	if err := x.checkQuery(q, eps); err != nil {
 		return 0, false, Stats{}, err
 	}
+	if eps > 0 {
+		x.searched++
+	}
 	sc := &x.scratch
 	id, ok, err := x.search(sc, &x.arr, q, eps, nil)
 	return id, ok, sc.stats, err
 }
 
+// CacheStats reports (0, the index's ε > 0 query count): no query is
+// answered from a memo, every one searches. It remains for bench/, whose
+// layer ladder reads a hit ratio from it, until the harness drops that
+// metric.
+func (x *Index) CacheStats() (hits, misses uint64) { return 0, x.searched }
+
 // QueryCubes answers q with the paper's search alone — exhaustive
 // decomposition and run probes for eps == 0, the Section 5 ε-search
-// otherwise — bypassing the memo and the walk. It is the reference the
+// otherwise — bypassing the walk. It is the reference the
 // experiments and the cost-model tests measure, and what Query falls back
 // to when the walk overruns.
 func (x *Index) QueryCubes(q []uint32, eps float64) (uint64, bool, Stats, error) {

@@ -24,8 +24,6 @@ type keyForm[K comparable] interface {
 	// topCube is the key range of the region's top cube (see
 	// queryScratch.topCube).
 	topCube(c *sfc.ZCurve, sc *queryScratch) (lo, hi K)
-	// hit records the key range that answered, for the memo.
-	hit(sc *queryScratch, lo, hi K)
 }
 
 // wordKeys reports whether the curve's keys fit one word, which selects
@@ -65,9 +63,6 @@ func (wordForm) topCube(c *sfc.ZCurve, sc *queryScratch) (lo, hi uint64) {
 	return c.TopCubeRangeWord(sc.topSide())
 }
 
-//sfc:hotpath
-func (wordForm) hit(sc *queryScratch, lo, hi uint64) { sc.hit[0], sc.hit[1] = lo, hi }
-
 type wideForm struct{}
 
 // seek ignores qk: no array keeps summaries of keys wider than a word.
@@ -88,5 +83,3 @@ func (wideForm) topCube(c *sfc.ZCurve, sc *queryScratch) (lo, hi bits.Key) {
 	r := sfc.CubeRange(c, corner, side)
 	return r.Lo, r.Hi
 }
-
-func (wideForm) hit(sc *queryScratch, lo, hi bits.Key) { sc.setHit(lo, hi) }

@@ -75,7 +75,7 @@ func TestWalkMatchesModelWalk(t *testing.T) {
 		{5, 13}, {8, 10}, {8, 16}, {3, 22}, // Keys
 	} {
 		t.Run(fmt.Sprintf("z-%dx%d", tc.dims, tc.bits), func(t *testing.T) {
-			cfg := Config{Dims: tc.dims, Bits: tc.bits, CacheSize: -1}
+			cfg := Config{Dims: tc.dims, Bits: tc.bits}
 			if got, want := cfg.wordKeys(), tc.dims*tc.bits <= 64; got != want {
 				t.Fatalf("wordKeys() = %v at %d bits", got, tc.dims*tc.bits)
 			}

@@ -25,12 +25,6 @@ type queryScratch struct {
 	// one heap allocation per query. begin resets it, the search works
 	// on it in place, and the query returns it by value.
 	stats Stats
-	// hit is the key range that held the point a search found, in the
-	// memo's storage form — the low keyWords words of its first key, then
-	// of its last: the cube the ε-search hit, or [k,k] for the key a walk
-	// stopped at.
-	hit      [2 * bits.KeyWords]uint64
-	keyWords int // 64-bit words of a curve key, set by begin
 	// succ is the walk's NextInExtremal bound to the query corner: the
 	// curve encodes q once per query, not once per step.
 	succ sfc.Successor
@@ -43,15 +37,8 @@ type queryScratch struct {
 // begin resets the scratch for one query and returns its region.
 func (sc *queryScratch) begin(q []uint32, k int) geom.Extremal {
 	region := sc.region(q, k)
-	sc.keyWords = (len(q)*k + 63) / 64
 	sc.stats = Stats{AspectRatio: region.AspectRatio(), SearchedLevel: -1}
 	return region
-}
-
-// setHit records [lo, hi] as the range that answered.
-func (sc *queryScratch) setHit(lo, hi bits.Key) {
-	lo.Low(sc.hit[:sc.keyWords])
-	hi.Low(sc.hit[sc.keyWords : 2*sc.keyWords])
 }
 
 // region builds the extremal query region over the scratch lens buffer.

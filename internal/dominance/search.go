@@ -26,49 +26,24 @@ type ordered interface {
 	FirstInRangeWord(lo, hi uint64) (id uint64, ok bool)
 }
 
-// search answers one query in the index's one dispatch order: hit memo,
-// successor walk, and the cube search only when the walk overran its
-// step budget. Exact queries (eps == 0) skip the memo — the walk's
-// answer is the dominator with the smallest key, a memoized one need not
-// be — and walk without a budget, so they never reach the cubes. The
-// query's Stats are left in sc.stats.
+// search answers one query in the index's one dispatch order: the
+// successor walk, and the cube search only when the walk overran its step
+// budget. Exact queries (eps == 0) walk from the bottom without a budget
+// — the walk's answer is then the dominator with the smallest key — so
+// they never reach the cubes. The query's Stats are left in sc.stats.
 //
 //sfc:hotpath
 func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64, tr *obs.QueryTrace) (uint64, bool, error) {
 	region := sc.begin(q, d.cfg.Bits)
-	stats := &sc.stats
 	if eps == 0 {
 		id, found, _ := d.walk(arr, q, 0, false, sc, tr)
 		return id, found, nil
 	}
-	var h uint64
-	stale := false
-	if d.memo != nil {
-		h = shapeHash(q)
-		var t0 time.Time
-		if tr != nil {
-			t0 = time.Now()
-		}
-		id, found, had := d.memo.replay(arr, h, q, stats)
-		if tr != nil {
-			tr.AddStage("cache_replay", time.Since(t0), stats.RunsProbed)
-		}
-		if found {
-			return id, true, nil
-		}
-		stale = had
-	}
 	id, found, done := d.walk(arr, q, d.cfg.MaxCubes, true, sc, tr)
-	if !done {
-		var err error
-		if id, found, err = searchCubes(d.curve, d.cfg.Bits, d.cfg.MaxCubes, sc, arr, region, eps, tr); err != nil {
-			return 0, false, err
-		}
+	if done {
+		return id, found, nil
 	}
-	if d.memo != nil {
-		d.memo.learn(h, q, sc.hit[:2*sc.keyWords], found, stale)
-	}
-	return id, found, nil
+	return searchCubes(d.curve, d.cfg.Bits, d.cfg.MaxCubes, sc, arr, region, eps, tr)
 }
 
 // walk runs the successor walk in the form the curve's keys take: on
@@ -126,9 +101,7 @@ func walk[K comparable, F keyForm[K]](curve *sfc.ZCurve, arr ordered, q []uint32
 	if topFirst {
 		lo, hi := f.topCube(curve, sc)
 		stats.WalkSteps++
-		if id, found = f.firstInRange(arr, lo, hi); found {
-			f.hit(sc, lo, hi)
-		}
+		id, found = f.firstInRange(arr, lo, hi)
 	}
 	var cursor K
 	var qk uint64
@@ -154,7 +127,6 @@ func walk[K comparable, F keyForm[K]](curve *sfc.ZCurve, arr ordered, q []uint32
 			}
 		}
 		id, found = kid, true
-		f.hit(sc, key, key)
 		break
 	}
 	stats.RunsProbed += stats.WalkSteps
@@ -223,8 +195,7 @@ func searchExhaustive(curve *sfc.ZCurve, k int, sc *queryScratch, arr ordered, r
 // searchApprox is the Section 5 algorithm: truncate the region per
 // Lemma 3.2, then enumerate the greedy partition level by level (largest
 // cubes first) with the Appendix-A algorithm, probing each cube's key
-// range as it is produced. The search ends at the first hit (the key
-// range that held it is left in sc.hit for the memo), at the
+// range as it is produced. The search ends at the first hit, at the
 // level boundary where the searched volume reaches (1−ε) of the query
 // region, or at the maxCubes cap. A non-nil tr collects stage timings:
 // "truncate" covers the Lemma 3.2 truncation, "enumerate_probes" the
@@ -268,7 +239,6 @@ func searchApprox(curve *sfc.ZCurve, k, maxCubes int, sc *queryScratch, arr orde
 			if id, ok := arr.FirstInRange(r.Lo, r.Hi); ok {
 				foundID = id
 				stats.Found = true
-				sc.setHit(r.Lo, r.Hi)
 				return false
 			}
 			if maxCubes > 0 && stats.CubesGenerated >= maxCubes {

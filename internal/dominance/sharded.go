@@ -47,8 +47,8 @@ import (
 // dropping or duplicating one, so the equivalence holds before, during
 // and after a rebalance.
 type ShardedIndex struct {
-	dispatch // the memo is shared by concurrent queries under its stripe locks
-	shards   []shardSlot
+	dispatch
+	shards []shardSlot
 	// probeHist, when set via SetObserver, receives sampled descent
 	// latencies.
 	probeHist *obs.Histogram
@@ -291,15 +291,11 @@ func (x *ShardedIndex) lock(loc Location) *shardSlot {
 func (x *ShardedIndex) Insert(p []uint32, id uint64) { x.InsertAt(x.Locate(p), id) }
 
 // InsertAt indexes id under a key Locate routed, locking only the slice
-// that owns it (which a boundary move since Locate may have changed). The
-// memo is fitted to the slice's length times the slice count, read under
-// the lock already held: an estimate of the population that costs no
-// other slice's lock.
+// that owns it (which a boundary move since Locate may have changed).
 func (x *ShardedIndex) InsertAt(loc Location, id uint64) {
 	slot := x.lock(loc)
 	slot.arr.Insert(loc.Key, id)
 	slot.publish()
-	x.memo.fit(slot.arr.Len() * len(x.shards))
 	slot.mu.Unlock()
 }
 
@@ -310,7 +306,6 @@ func (x *ShardedIndex) InsertAt(loc Location, id uint64) {
 // path — under a single write-lock acquisition. Only one slice lock is
 // held at a time, so concurrent batches cannot deadlock; items whose
 // route a concurrent boundary move invalidates are regrouped and retried.
-// Each loaded slice fits the memo as Insert does.
 func (x *ShardedIndex) InsertBatch(ps [][]uint32, ids []uint64) {
 	keys := make([]bits.Key, len(ps))
 	for i, p := range ps {
@@ -354,7 +349,6 @@ func (x *ShardedIndex) InsertBatch(ps [][]uint32, ids []uint64) {
 			}
 			slot.arr.InsertSorted(gk, gi)
 			slot.publish()
-			x.memo.fit(slot.arr.Len() * len(x.shards))
 			slot.mu.Unlock()
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sfccover/internal/bits"
+	"sfccover/internal/geom"
 )
 
 func TestNewShardedValidation(t *testing.T) {
@@ -438,6 +439,52 @@ func TestShardedConcurrent(t *testing.T) {
 	if x.Len() != 0 {
 		t.Fatalf("Len after concurrent churn = %d", x.Len())
 	}
+}
+
+// TestShardedConcurrentQueriesMatchLinear runs the same queries from
+// concurrent goroutines on a ShardedIndex (meaningful under -race), each
+// checking out its own pooled scratch, and checks every answer against
+// the Linear oracle.
+func TestShardedConcurrentQueriesMatchLinear(t *testing.T) {
+	cfg := Config{Dims: 2, Bits: 6, Seed: 11}
+	x, err := NewSharded(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := NewLinear()
+	rng := rand.New(rand.NewSource(23))
+	pts := randomPoints(rng, 400, 2, 6)
+	x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
+	for i, p := range pts {
+		x.Insert(p, uint64(i))
+		oracle.Insert(p, uint64(i))
+	}
+	queries := randomPoints(rng, 64, 2, 6)
+	want := make([]bool, len(queries))
+	for i, q := range queries {
+		_, want[i] = oracle.QueryDominating(q)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				for i, q := range queries {
+					id, ok, _, qerr := x.Query(q, 0.25)
+					if qerr != nil {
+						t.Errorf("goroutine %d q=%v: %v", g, q, qerr)
+						return
+					}
+					if ok != want[i] || (ok && !geom.Dominates(pts[id], q)) {
+						t.Errorf("goroutine %d q=%v: got (%d,%v) want %v", g, q, id, ok, want[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestChooseBoundariesConcurrent races batches into an empty index, each

@@ -10,9 +10,8 @@ import (
 )
 
 // TestWalkMatchesLinearUnderChurn: with no step budget every answer is
-// the walk's (or a replay of one), so found must equal the brute-force
-// scan's while points come and go — including the memo's stale entries,
-// which deletes keep producing.
+// the walk's, so found must equal the brute-force scan's while points
+// come and go and the same shapes are asked again and again.
 func TestWalkMatchesLinearUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	cfg := Config{Dims: 3, Bits: 5, Seed: 5}
@@ -24,7 +23,7 @@ func TestWalkMatchesLinearUnderChurn(t *testing.T) {
 	}
 	var live []entry
 	byID := map[uint64][]uint32{}
-	queries := randomPoints(rng, 40, cfg.Dims, cfg.Bits) // recurring, so the memo fills
+	queries := randomPoints(rng, 40, cfg.Dims, cfg.Bits) // recurring
 	for op := 0; op < 3000; op++ {
 		switch r := rng.Intn(10); {
 		case r < 3 || len(live) < 20:
@@ -60,8 +59,37 @@ func TestWalkMatchesLinearUnderChurn(t *testing.T) {
 			}
 		}
 	}
-	if h, _ := idx.CacheStats(); h == 0 {
-		t.Error("recurring shapes produced no replay")
+}
+
+// TestCacheAgreesWithOracle cross-checks the search against the Linear
+// oracle on a static population, asking each query three times: a
+// repeated query is walked again, not replayed, and must give the same
+// answer each time. With no step budget every answer is exact, whatever
+// ε allows.
+func TestCacheAgreesWithOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	cfg := Config{Dims: 2, Bits: 6, Seed: 3}
+	idx := MustIndex(cfg)
+	oracle := NewLinear()
+	pts := randomPoints(rng, 300, cfg.Dims, cfg.Bits)
+	for i, p := range pts {
+		idx.Insert(p, uint64(i))
+		oracle.Insert(p, uint64(i))
+	}
+	for _, q := range randomPoints(rng, 200, cfg.Dims, cfg.Bits) {
+		for pass := 0; pass < 3; pass++ {
+			id, ok, _, err := idx.Query(q, 0.3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, want := oracle.QueryDominating(q)
+			if ok != want {
+				t.Fatalf("pass %d q=%v: search=%v oracle=%v", pass, q, ok, want)
+			}
+			if ok && !geom.Dominates(pts[id], q) {
+				t.Fatalf("pass %d q=%v: %v does not dominate", pass, q, pts[id])
+			}
+		}
 	}
 }
 
@@ -121,7 +149,7 @@ func TestExactQueryMatchesExhaustiveCubes(t *testing.T) {
 // runs next to the query point; an exact query walks up from the bottom
 // and returns the dominator with the smallest key instead.
 func TestWalkProbesTopCubeFirst(t *testing.T) {
-	idx := MustIndex(Config{Dims: 2, Bits: 8, CacheSize: -1})
+	idx := MustIndex(Config{Dims: 2, Bits: 8})
 	q := []uint32{101, 77}
 	for v := uint32(0); v < 100; v++ { // one cell outside the region, all along its lower faces
 		idx.Insert([]uint32{q[0] + v, q[1] - 1}, uint64(v))
@@ -149,7 +177,7 @@ func TestWalkProbesTopCubeFirst(t *testing.T) {
 // admit the query without holding its dominator.
 func TestWalkOverrunFallsBackToCubes(t *testing.T) {
 	for _, maxCubes := range []int{1, 7} {
-		cfg := Config{Dims: 3, Bits: 6, MaxCubes: maxCubes, CacheSize: -1}
+		cfg := Config{Dims: 3, Bits: 6, MaxCubes: maxCubes}
 		idx := MustIndex(cfg)
 		pts, queries := nearMissWalkPopulation(t, cfg, 4000)
 		for i, p := range pts {
@@ -193,20 +221,20 @@ func TestWalkOverrunFallsBackToCubes(t *testing.T) {
 // them) migrate throughout. A seek that crosses a swapped table must
 // retry, never skip a migrated entry: the churned points lie on the
 // universe's lower faces and dominate no query, so every answer — the
-// exact walk's, the approximate walk's top cube first, a memo replay of
-// either — has to stay the one computed before the moves began. It runs
-// in both key forms: two word-form universes (the second with the memo
-// on, so replays probe by word too) and one past the word. Meaningful
-// under -race.
+// exact walk's, or the approximate walk's with its top cube first — has
+// to stay the one computed before the moves began. It runs in both key
+// forms: two word-form universes (the second asking approximate queries,
+// so the top-cube probe runs by word too) and one past the word.
+// Meaningful under -race.
 func TestWalkDuringEqualizePair(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		eps  []float64
 	}{
-		{"exact-2x8", Config{Dims: 2, Bits: 8, CacheSize: -1}, []float64{0}},
-		{"words-4x10-memo", Config{Dims: 4, Bits: 10}, []float64{0, 0.3}},
-		{"keys-5x13-memo", Config{Dims: 5, Bits: 13}, []float64{0, 0.3}},
+		{"exact-2x8", Config{Dims: 2, Bits: 8}, []float64{0}},
+		{"words-4x10", Config{Dims: 4, Bits: 10}, []float64{0, 0.3}},
+		{"keys-5x13", Config{Dims: 5, Bits: 13}, []float64{0, 0.3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pts, queries := uniformWalkPopulation(tc.cfg)
@@ -392,7 +420,7 @@ func TestNearMissLeafCheckSteps(t *testing.T) {
 // summaries cut the walk by an order of magnitude, the sharded walk stays
 // within twice the single index's.
 func TestWalkAfterRebuildKeepsSummaries(t *testing.T) {
-	cfg := Config{Dims: 4, Bits: 10, CacheSize: -1}
+	cfg := Config{Dims: 4, Bits: 10}
 	pts, q, err := workload.NearMiss(cfg.Dims, cfg.Bits, 16384, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +476,7 @@ func poolDiscards() bool {
 }
 
 // TestQueryPathsAllocateNothing pins the steady-state query path: a walk
-// hit, a walk miss and a memo replay allocate nothing, on the single
+// hit, a walk miss and a top-cube hit allocate nothing, on the single
 // index and on the sharded one.
 func TestQueryPathsAllocateNothing(t *testing.T) {
 	cfg := Config{Dims: 4, Bits: 10, MaxCubes: 50000}
@@ -464,16 +492,13 @@ func TestQueryPathsAllocateNothing(t *testing.T) {
 		single.Insert(p, uint64(i))
 		sharded.Insert(p, uint64(i))
 	}
-	hit, miss, replay := []uint32{10, 10, 10, 10}, []uint32{1000, 1000, 1000, 1000}, []uint32{20, 20, 20, 20}
+	hit, miss, top := []uint32{10, 10, 10, 10}, []uint32{1000, 1000, 1000, 1000}, []uint32{20, 20, 20, 20}
 	for name, query := range map[string]func([]uint32, float64) (uint64, bool, Stats, error){
 		"Index": single.Query, "ShardedIndex": sharded.Query,
 	} {
 		if name == "ShardedIndex" && poolDiscards() {
 			t.Log("sync.Pool discards Puts here (-race): the pooled scratch is not steady, ShardedIndex skipped")
 			continue
-		}
-		for i := 0; i < 3; i++ {
-			query(replay, 0.3) // note, record, replay
 		}
 		for _, tc := range []struct {
 			name  string
@@ -484,7 +509,7 @@ func TestQueryPathsAllocateNothing(t *testing.T) {
 		}{
 			{"walk hit", hit, 0, true, PathWalk},
 			{"walk miss", miss, 0.3, false, PathWalk},
-			{"memo replay", replay, 0.3, true, PathMemo},
+			{"top-cube hit", top, 0.3, true, PathWalk},
 		} {
 			if _, ok, st, err := query(tc.q, tc.eps); err != nil || ok != tc.found || st.Path != tc.path {
 				t.Fatalf("%s %s: found=%v err=%v %+v", name, tc.name, ok, err, st)

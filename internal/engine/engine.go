@@ -6,8 +6,9 @@
 // split into N contiguous slices (dominance.ShardedIndex), and a
 // subscription store holds one stripe per slice, chosen when the
 // subscription arrives. A covering query runs one search over the whole
-// index, in the index's one order: the hit memo's replay, the successor
-// walk, and only past the walk's step budget the paper's cube search. Its
+// index, in the index's one order: the successor walk, whose first probe
+// is the region's largest cube, and only past the walk's step budget the
+// paper's cube search. Its
 // cursors and key ranges are computed outside any lock, and each seek or
 // probe takes the read lock of the slice it lands in, running on into the
 // next slice when its own holds nothing further. So no search is repeated
@@ -51,7 +52,7 @@ const PartitionPrefix Partition = "prefix"
 // Config parameterizes an Engine.
 type Config struct {
 	// Detector is the detector template (schema, mode, epsilon, strategy,
-	// budget, memo ceiling). StrategyLinear (exact only) answers covering
+	// budget). StrategyLinear (exact only) answers covering
 	// queries by scanning the store instead of the index — the exact
 	// reference.
 	Detector core.Config
@@ -146,11 +147,9 @@ type Engine struct {
 
 	// Query counters. A query is counted once, in counts, by the cut that
 	// ended it and by whether it found a cover. runsProbed holds the
-	// descents of the queries the memo did not answer (a memo answer is
-	// one probe, and Totals adds one a memo query back), and extraSearches
-	// the searches beyond each query's first (Totals adds one a query
-	// back); cubes and extraSearches are added to only when non-zero. So a
-	// memo hit does one add and a warm walk query two.
+	// descents, and extraSearches the searches beyond each query's first
+	// (Totals adds one a query back); cubes and extraSearches are added to
+	// only when non-zero. So a warm walk query does two adds.
 	counts        [dominance.NumPaths][2]atomic.Int64
 	runsProbed    atomic.Int64
 	cubes         atomic.Int64
@@ -296,10 +295,8 @@ func (e *Engine) Mode() core.Mode { return e.cfg.Detector.Mode }
 func (e *Engine) Schema() *subscription.Schema { return e.schema }
 
 // record folds one logical query's outcome into the engine counters: one
-// add to its path-and-found cell, and the probe, cube and search counts
-// only where Totals cannot derive them. A memo answer is exactly one
-// probe (the replay counts it on a zeroed Stats before it can end on
-// PathMemo), so its probes are not added here; Totals adds them back.
+// add to its path-and-found cell, its probes, and the cube and search
+// counts only where Totals cannot derive them.
 //
 //sfc:hotpath
 func (e *Engine) record(res *QueryResult, searches int) {
@@ -307,11 +304,8 @@ func (e *Engine) record(res *QueryResult, searches int) {
 	if res.Covered {
 		found = 1
 	}
-	path := res.Stats.Path
-	e.counts[path][found].Add(1)
-	if path != dominance.PathMemo {
-		e.runsProbed.Add(int64(res.Stats.RunsProbed))
-	}
+	e.counts[res.Stats.Path][found].Add(1)
+	e.runsProbed.Add(int64(res.Stats.RunsProbed))
 	if res.Stats.CubesGenerated != 0 {
 		e.cubes.Add(int64(res.Stats.CubesGenerated))
 	}
@@ -492,7 +486,6 @@ func (e *Engine) Totals() Totals {
 		tot.Queries += miss + hit
 		tot.Hits += hit
 	}
-	tot.RunsProbed += tot.PathQueries[dominance.PathMemo] // one probe each, see record
 	tot.ShardSearches = tot.Queries + int(e.extraSearches.Load())
 	return tot
 }
@@ -513,7 +506,6 @@ func (e *Engine) Stats() core.ProviderStats {
 		BoundaryMoves:   int(e.boundaryMoves.Load()),
 		MigratedEntries: int(e.migratedEntries.Load()),
 	}
-	ps.DecompCacheHits, ps.DecompCacheMisses = e.idx.CacheStats()
 	ps.SetShardSizes(e.ShardSizes())
 	return ps
 }

@@ -675,9 +675,71 @@ func TestEmptyBatches(t *testing.T) {
 	}
 }
 
-// TestTotalsMatchQueryStats holds the engine counters, which fold a memo
-// answer's probe and a query's found bit into one add, to the sums of the
-// per-call Stats, on one slice and on eight; a mode-off call counts under
+// TestQueryIsHistoryFree is the dominance package's test of the same name
+// through engine.New with eight slices: two engines take the same inserts
+// and removals, one of them also answers the query set three extra times
+// between the writes, and afterwards every query returns the same id,
+// found flag and Stats on both.
+func TestQueryIsHistoryFree(t *testing.T) {
+	schema := testSchema(t)
+	pairs, err := workload.Covers(workload.CoverSpec{Schema: schema, N: 600, SlackFrac: 0.1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var subs, queries []*subscription.Subscription
+	for _, pr := range pairs {
+		subs = append(subs, pr.Parent)
+		queries = append(queries, pr.Child)
+	}
+	subs = append(subs, testSubs(t, schema, 600, 6)...)
+	queries = append(queries, testSubs(t, schema, 300, 7)...)
+	cfg := Config{Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 3}, Shards: 8}
+	quiet, asked := MustNew(cfg), MustNew(cfg)
+	defer quiet.Close()
+	defer asked.Close()
+	for round := 0; round < 4; round++ {
+		var ids []uint64
+		for _, s := range subs[round*300 : (round+1)*300] {
+			a, errA := quiet.Insert(s)
+			b, errB := asked.Insert(s)
+			if errA != nil || errB != nil || a != b {
+				t.Fatalf("round %d: inserts assigned (%d, %v) and (%d, %v)", round, a, errA, b, errB)
+			}
+			ids = append(ids, a)
+		}
+		for _, id := range ids[:100] { // a third of the round's subscriptions leave again
+			if errA, errB := quiet.Remove(id), asked.Remove(id); errA != nil || errB != nil {
+				t.Fatalf("round %d: remove %d: %v, %v", round, id, errA, errB)
+			}
+		}
+		for pass := 0; pass < 3; pass++ {
+			for _, q := range queries {
+				if _, _, _, err := asked.FindCover(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	paths := [dominance.NumPaths]int{}
+	for _, q := range queries {
+		idA, okA, stA, errA := quiet.FindCover(q)
+		idB, okB, stB, errB := asked.FindCover(q)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if idA != idB || okA != okB || stA != stB {
+			t.Fatalf("%v: without history (%d,%v) %+v, after it (%d,%v) %+v", q, idA, okA, stA, idB, okB, stB)
+		}
+		paths[stA.Path]++
+	}
+	if paths[dominance.PathWalk] == 0 || paths[dominance.PathCubes] == 0 {
+		t.Fatalf("paths %v: the queries must end on the walk and on the cubes", paths)
+	}
+}
+
+// TestTotalsMatchQueryStats holds the engine counters, which fold a
+// query's path and found bit into one add, to the sums of the per-call
+// Stats, on one slice and on eight; a mode-off call counts under
 // dominance.PathNone.
 func TestTotalsMatchQueryStats(t *testing.T) {
 	for _, shards := range []int{1, 8} {

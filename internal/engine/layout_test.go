@@ -36,8 +36,7 @@ func TestBulkLoadBalancesSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hot shapes come round three times, so the third touch is a memo
-	// replay; miss shapes are distinct.
+	// Hot shapes come round three times; miss shapes are distinct.
 	hot := slices.Concat(children[:256], children[:256], children[:256])
 	for _, tc := range []struct {
 		name       string

@@ -28,7 +28,6 @@ func (e *Engine) initStore(det core.Config) error {
 	var err error
 	e.idx, err = dominance.NewSharded(dominance.Config{
 		Dims: schema.Dims(), Bits: schema.Bits(), MaxCubes: det.MaxCubes,
-		CacheSize: det.DecompCacheSize,
 	}, shards)
 	if err != nil {
 		return fmt.Errorf("engine: %w", err)

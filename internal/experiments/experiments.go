@@ -109,7 +109,7 @@ func All() []Experiment {
 		{
 			ID:    "E14",
 			Title: "The search the system runs vs the paper's: walk steps, cube probes and recall on E7's planted covers",
-			Paper: "the ε-search trades recall for a bounded cube count (Section 5); an exact key-ordered walk in front of it pays per stored key instead",
+			Paper: "the ε-search trades recall for a bounded cube count (Section 5); an exact key-ordered walk in front of it pays per leaf that may hold a cover instead",
 			Run:   runE14,
 		},
 		{

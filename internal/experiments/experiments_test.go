@@ -51,6 +51,25 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	}
 }
 
+// TestE14WalkIsExact holds E14's quick run to what its footer says: the
+// walk answers every query itself, finds every planted cover, and so
+// recalls at least as much as the ε-search on every row.
+func TestE14WalkIsExact(t *testing.T) {
+	_, rows, err := e14Rows(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 {
+		t.Fatal("E14 measured no rows")
+	}
+	for _, r := range rows {
+		if r.walkRecall != 1 || r.byWalk != 1 || r.walkRecall < r.cubesRecall {
+			t.Errorf("slack %s eps %g: walk recall %g, answered by walk %g, cubes recall %g",
+				r.slack, r.eps, r.walkRecall, r.byWalk, r.cubesRecall)
+		}
+	}
+}
+
 // TestE1ExactFigures pins the exact Figure 2 numbers through the
 // experiment path.
 func TestE1ExactFigures(t *testing.T) {

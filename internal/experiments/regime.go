@@ -162,8 +162,8 @@ type e15Result struct {
 
 // e15Measure loads a row into a single Index and an 8-slice ShardedIndex
 // (boundaries from the load, as the engine places them) and measures
-// Query on each beside QueryCubes on the single one. The memo is off, so
-// every repetition walks. On a churned row it then replaces every entry
+// Query on each beside QueryCubes on the single one; every repetition
+// walks. On a churned row it then replaces every entry
 // one at a time, in a seeded order — delete entry i, insert the row's
 // i-th replacement point — and measures Query on both again: the
 // population keeps its size and its shape, while a summary that never
@@ -177,7 +177,7 @@ func e15Measure(r e15Row, reps int) (res e15Result, err error) {
 	for i := range ids {
 		ids[i] = uint64(i)
 	}
-	cfg := dominance.Config{Dims: r.d, Bits: r.k, MaxCubes: e15Budget, CacheSize: -1}
+	cfg := dominance.Config{Dims: r.d, Bits: r.k, MaxCubes: e15Budget}
 	idx, err := dominance.NewIndex(cfg)
 	if err != nil {
 		return
@@ -252,7 +252,7 @@ func runE15(w io.Writer, quick bool) error {
 				single.found, cs.found)
 		}
 	}
-	fmt.Fprintf(w, "budget %d steps then cubes, eps %g, memo off; steps and probes are per query:\n%s\n", e15Budget, e15Eps, tb)
+	fmt.Fprintf(w, "budget %d steps then cubes, eps %g; steps and probes are per query:\n%s\n", e15Budget, e15Eps, tb)
 	fmt.Fprintln(w, "found is the share of queries answered with a dominator: the walk is exact when it")
 	fmt.Fprintln(w, "decides (path walk), so found >= cubes found there; a near-miss query has none")
 	fmt.Fprintf(w, "\nchurn: every entry deleted and replaced by a fresh point of the same population, one\nat a time in a seeded order, then the near-miss query again (summaries never tighten\non delete):\n%s\n", ch)

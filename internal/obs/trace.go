@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// Stage is one timed step inside a query trace: the memo replay, the
-// successor walk, extremal truncation, cube decomposition, the probe
-// loop. Count carries the step's unit count where one exists (walk
-// steps, cubes generated, probes timed).
+// Stage is one timed step inside a query trace: the successor walk,
+// extremal truncation, cube decomposition, the probe loop. Count carries
+// the step's unit count where one exists (walk steps, cubes generated,
+// probes timed).
 type Stage struct {
 	Name  string
 	Dur   time.Duration
@@ -16,7 +16,7 @@ type Stage struct {
 }
 
 // QueryCost mirrors the per-query cost counters the dominance layer
-// reports: which cut ended the search (Path: "memo", "walk" or "cubes"),
+// reports: which cut ended the search (Path: "walk" or "cubes"),
 // the ordered-structure descents it took (RunsProbed, of which WalkSteps
 // were successor-walk seeks) and the paper's cost model for the cube
 // search. obs cannot import dominance — the dependency points the other

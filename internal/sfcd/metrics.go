@@ -18,11 +18,9 @@ type metricDef struct {
 var scalarMetrics = []metricDef{
 	{"sfcd_queries_total", "counter", "Logical covering queries served."},
 	{"sfcd_hits_total", "counter", "Covering queries that found a cover."},
-	{"sfcd_runs_probed_total", "counter", "Ordered-structure descents issued: memo probes, walk seeks and cube range probes (the paper's unit of query cost)."},
+	{"sfcd_runs_probed_total", "counter", "Ordered-structure descents issued: walk probes and seeks and cube range probes (the paper's unit of query cost)."},
 	{"sfcd_cubes_generated_total", "counter", "Standard cubes generated across all cube searches."},
 	{"sfcd_shard_searches_total", "counter", "Per-shard searches issued (one per indexed query; one per stripe walked by an exact scan)."},
-	{"sfcd_decomp_cache_hits_total", "counter", "Queries answered by a hit-memo replay, across the provider's SFC indexes."},
-	{"sfcd_decomp_cache_misses_total", "counter", "Queries that consulted the hit memo and went on to search."},
 	{"sfcd_subscriptions", "gauge", "Subscriptions currently held."},
 	{"sfcd_shards", "gauge", "Configured shard count."},
 	{"sfcd_shard_size_max", "gauge", "Largest shard occupancy."},
@@ -50,8 +48,6 @@ func RenderPrometheus(ps core.ProviderStats) string {
 		strconv.Itoa(ps.RunsProbed),
 		strconv.Itoa(ps.CubesGenerated),
 		strconv.Itoa(ps.ShardSearches),
-		strconv.FormatUint(ps.DecompCacheHits, 10),
-		strconv.FormatUint(ps.DecompCacheMisses, 10),
 		strconv.Itoa(ps.Subscriptions),
 		strconv.Itoa(ps.Shards),
 		strconv.Itoa(ps.MaxShardSize),
@@ -68,8 +64,8 @@ func RenderPrometheus(ps core.ProviderStats) string {
 		fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s %s\n%s %s\n",
 			m.name, m.help, m.name, m.kind, m.name, values[i])
 	}
-	sb.WriteString("# HELP sfcd_queries_by_path_total Queries by the cut that ended the search: hit memo, successor walk, cube search.\n# TYPE sfcd_queries_by_path_total counter\n")
-	for p := dominance.PathMemo; p < dominance.NumPaths; p++ {
+	sb.WriteString("# HELP sfcd_queries_by_path_total Queries by the cut that ended the search: successor walk, cube search.\n# TYPE sfcd_queries_by_path_total counter\n")
+	for p := dominance.PathWalk; p < dominance.NumPaths; p++ {
 		fmt.Fprintf(&sb, "sfcd_queries_by_path_total{path=\"%s\"} %d\n", p, ps.PathQueries[p])
 	}
 	sb.WriteString("# HELP sfcd_shard_size Per-shard subscription count.\n# TYPE sfcd_shard_size gauge\n")

@@ -127,8 +127,8 @@ func TestMetricsOpRendersParsableExposition(t *testing.T) {
 		t.Fatalf("sfcd_queries_total = %v, want >= 3", got)
 	}
 	// One counter per cut, and together they account for every query.
-	if len(byPath) != 3 || byPath[`{path="walk"}`] < 3 ||
-		byPath[`{path="memo"}`]+byPath[`{path="walk"}`]+byPath[`{path="cubes"}`] != samples["sfcd_queries_total"] {
+	if len(byPath) != 2 || byPath[`{path="walk"}`] < 3 ||
+		byPath[`{path="walk"}`]+byPath[`{path="cubes"}`] != samples["sfcd_queries_total"] {
 		t.Fatalf("sfcd_queries_by_path_total = %v against %v queries", byPath, samples["sfcd_queries_total"])
 	}
 	if got := samples["sfcd_shards"]; got != 4 {

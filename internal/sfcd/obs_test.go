@@ -308,10 +308,9 @@ func TestSlowLogOp(t *testing.T) {
 		paths[tr.Cost.Path]++
 	}
 	// Every line says which cut ended its search: the subscribe's own
-	// covering query and the shape's first two touches walk (a miss, then
-	// note and record), the rest replay the memo.
-	if paths["walk"] != 3 || paths["memo"] != 3 || len(paths) != 2 {
-		t.Fatalf("slow-log paths = %v, want 3 walk + 3 memo", paths)
+	// covering query (a miss) and every touch of the shape walk.
+	if paths["walk"] != 6 || len(paths) != 1 {
+		t.Fatalf("slow-log paths = %v, want 6 walk", paths)
 	}
 	// Newest first: start times must not increase.
 	for i := 1; i < len(traces); i++ {

@@ -217,13 +217,8 @@ type Stats struct {
 	CubesGenerated int `json:"cubesGenerated"`
 	ShardSearches  int `json:"shardSearches"`
 	// PathQueries counts the queries by the cut that ended the search,
-	// indexed by dominance.Path: none, memo, walk, cubes.
+	// indexed by dominance.Path: none, walk, cubes.
 	PathQueries [dominance.NumPaths]int `json:"pathQueries"`
-	// DecompCacheHits/DecompCacheMisses are the hit memo's lifetime
-	// counters across the provider's SFC indexes (always zero when the
-	// memo is disabled or the strategy has no SFC index).
-	DecompCacheHits   uint64 `json:"decompCacheHits,omitempty"`
-	DecompCacheMisses uint64 `json:"decompCacheMisses,omitempty"`
 	// Subscriptions is the number of currently held subscriptions.
 	Subscriptions int `json:"subscriptions"`
 	// ShardSizes is the per-shard subscription count.
@@ -338,8 +333,8 @@ type RepFrame struct {
 
 // TraceStage is one timed step of a traced query.
 type TraceStage struct {
-	// Name identifies the step ("cache_replay", "walk", "truncate",
-	// "enumerate_probes").
+	// Name identifies the step ("walk", and on a budget overrun
+	// "truncate" and "enumerate_probes").
 	Name string `json:"name"`
 	// DurNS is the stage's wall time in nanoseconds.
 	DurNS int64 `json:"durNs"`
@@ -349,7 +344,7 @@ type TraceStage struct {
 }
 
 // TraceCost is the wire mirror of the query's cost stats (the engine's
-// QueryStats): which cut ended the search ("memo", "walk" or "cubes"),
+// QueryStats): which cut ended the search ("walk" or "cubes"),
 // the ordered-structure descents it took and the paper's cost model for
 // the cube search.
 type TraceCost struct {

@@ -229,20 +229,18 @@ func (r *RemoteProvider) Stats() core.ProviderStats {
 		return core.ProviderStats{}
 	}
 	ps := core.ProviderStats{
-		Queries:           ws.Queries,
-		Hits:              ws.Hits,
-		RunsProbed:        ws.RunsProbed,
-		CubesGenerated:    ws.CubesGenerated,
-		PathQueries:       ws.PathQueries,
-		ShardSearches:     ws.ShardSearches,
-		DecompCacheHits:   ws.DecompCacheHits,
-		DecompCacheMisses: ws.DecompCacheMisses,
-		Rebalances:        ws.Rebalances,
-		BoundaryMoves:     ws.BoundaryMoves,
-		MigratedEntries:   ws.MigratedEntries,
-		Snapshots:         ws.Snapshots,
-		WALRecords:        ws.WALRecords,
-		WALBytes:          ws.WALBytes,
+		Queries:         ws.Queries,
+		Hits:            ws.Hits,
+		RunsProbed:      ws.RunsProbed,
+		CubesGenerated:  ws.CubesGenerated,
+		PathQueries:     ws.PathQueries,
+		ShardSearches:   ws.ShardSearches,
+		Rebalances:      ws.Rebalances,
+		BoundaryMoves:   ws.BoundaryMoves,
+		MigratedEntries: ws.MigratedEntries,
+		Snapshots:       ws.Snapshots,
+		WALRecords:      ws.WALRecords,
+		WALBytes:        ws.WALBytes,
 	}
 	ps.SetShardSizes(ws.ShardSizes)
 	return ps

@@ -813,25 +813,23 @@ func (s *Server) serve(sc *reqScratch) Response {
 	case OpStats:
 		ps := prov.Stats()
 		return bodyResponse(Stats{
-			Queries:           ps.Queries,
-			Hits:              ps.Hits,
-			RunsProbed:        ps.RunsProbed,
-			CubesGenerated:    ps.CubesGenerated,
-			PathQueries:       ps.PathQueries,
-			ShardSearches:     ps.ShardSearches,
-			DecompCacheHits:   ps.DecompCacheHits,
-			DecompCacheMisses: ps.DecompCacheMisses,
-			Subscriptions:     ps.Subscriptions,
-			ShardSizes:        ps.ShardSizes,
-			MaxShardSize:      ps.MaxShardSize,
-			MinShardSize:      ps.MinShardSize,
-			SkewRatio:         ps.SkewRatio,
-			Rebalances:        ps.Rebalances,
-			BoundaryMoves:     ps.BoundaryMoves,
-			MigratedEntries:   ps.MigratedEntries,
-			Snapshots:         ps.Snapshots,
-			WALRecords:        ps.WALRecords,
-			WALBytes:          ps.WALBytes,
+			Queries:         ps.Queries,
+			Hits:            ps.Hits,
+			RunsProbed:      ps.RunsProbed,
+			CubesGenerated:  ps.CubesGenerated,
+			PathQueries:     ps.PathQueries,
+			ShardSearches:   ps.ShardSearches,
+			Subscriptions:   ps.Subscriptions,
+			ShardSizes:      ps.ShardSizes,
+			MaxShardSize:    ps.MaxShardSize,
+			MinShardSize:    ps.MinShardSize,
+			SkewRatio:       ps.SkewRatio,
+			Rebalances:      ps.Rebalances,
+			BoundaryMoves:   ps.BoundaryMoves,
+			MigratedEntries: ps.MigratedEntries,
+			Snapshots:       ps.Snapshots,
+			WALRecords:      ps.WALRecords,
+			WALBytes:        ps.WALBytes,
 		})
 	case OpSnapshot:
 		if err := prov.Snapshot(); err != nil {
