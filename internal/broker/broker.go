@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"sfccover/internal/core"
+	"sfccover/internal/idtable"
 	"sfccover/internal/obs"
 	"sfccover/internal/sfcd"
 	"sfccover/internal/subscription"
@@ -513,8 +514,8 @@ type suppressedEntry struct {
 // neighbors and at most one head, and allocates nothing.
 type suppressedTable struct {
 	rows   []suppressedEntry
-	at     []int32          // per rectangle handle, position in rows plus one; 0 = none
-	heldBy map[uint64]int32 // forwarded id -> first entry recorded under it
+	at     []int32              // per rectangle handle, position in rows plus one; 0 = none
+	heldBy idtable.Table[int32] // forwarded id -> first entry recorded under it
 }
 
 // find returns the position of h's entry, if it has one.
@@ -533,10 +534,10 @@ func (t *suppressedTable) add(h handle, s *subscription.Subscription, sid, by ui
 func (t *suppressedTable) hold(i int, by uint64) {
 	e := &t.rows[i]
 	e.by, e.prev, e.next = by, -1, -1
-	if head, ok := t.heldBy[by]; ok {
+	if head, ok := t.heldBy.Get(by); ok {
 		e.next, t.rows[head].prev = head, int32(i)
 	}
-	t.heldBy[by] = int32(i)
+	t.heldBy.Put(by, int32(i))
 }
 
 // release takes entry i off its coverer's list.
@@ -546,9 +547,9 @@ func (t *suppressedTable) release(i int) {
 	case e.prev >= 0:
 		t.rows[e.prev].next = e.next
 	case e.next >= 0:
-		t.heldBy[e.by] = e.next
+		t.heldBy.Put(e.by, e.next)
 	default:
-		delete(t.heldBy, e.by)
+		t.heldBy.Delete(e.by)
 	}
 	if e.next >= 0 {
 		t.rows[e.next].prev = e.prev
@@ -567,7 +568,7 @@ func (t *suppressedTable) remove(i int) {
 		if m.prev >= 0 {
 			t.rows[m.prev].next = int32(i)
 		} else {
-			t.heldBy[m.by] = int32(i)
+			t.heldBy.Put(m.by, int32(i))
 		}
 		if m.next >= 0 {
 			t.rows[m.next].prev = int32(i)
@@ -657,7 +658,7 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 				return nil, fmt.Errorf("broker: building suppressed-set provider %d->%d: %w", b.id, j, err)
 			}
 			b.out = append(b.out, &neighborState{
-				fwd: fwd, supp: supp, sups: suppressedTable{heldBy: make(map[uint64]int32)},
+				fwd: fwd, supp: supp,
 			})
 		}
 	}
@@ -681,9 +682,23 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 // nothing covers was caught by a crash between its cover's retraction and
 // its own re-forward and is forwarded now — after the link's rows were
 // derived, so the neighbor meets the subscribe message as a new row and
-// screens it onward — and the messages are drained once every link is
-// back.
+// screens it onward.
+//
+// A restored row is screened onward too, once every link is back: a crash
+// between b's forwarded-set insert and j's handling of the subscribe
+// leaves the row with no state on j's other links, where a re-subscribing
+// client would be absorbed upstream as a duplicate and never reach past j.
+// Each of j's other links holding nothing for the rectangle screens it as
+// handleSubscribe would have; a row j did handle finds state on all of
+// them and costs one lookup each. The messages are drained last.
 func (n *Network) restoreLinks() {
+	type restoredRow struct {
+		at *Broker
+		gi int
+		h  handle
+		s  *subscription.Subscription
+	}
+	var rows []restoredRow
 	// held lists a recovered set, forwarded or suppressed; a set that
 	// cannot enumerate lists nothing.
 	held := func(set suppressedSet) []core.Held {
@@ -703,6 +718,7 @@ func (n *Network) restoreLinks() {
 				st.ids[b.intern(key)] = forwardedID{id: it.ID, ok: true}
 				if h := peer.intern(key); peer.rects.placement(h, gi) < 0 {
 					peer.addRow(gi, h)
+					rows = append(rows, restoredRow{peer, gi, h, it.Sub})
 				}
 			}
 			if st.supp == nil {
@@ -722,6 +738,13 @@ func (n *Network) restoreLinks() {
 				if err := st.supp.Remove(it.ID); err != nil {
 					n.metrics.ProtocolErrors++
 				}
+			}
+		}
+	}
+	for _, r := range rows {
+		for k, st := range r.at.out {
+			if k != r.gi && !st.ids[r.h].ok && st.sups.at[r.h] == 0 {
+				r.at.forwardIfUncovered(k, r.h, r.s)
 			}
 		}
 	}
@@ -1122,7 +1145,7 @@ func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
 // on rectangles, so the re-forward sequence is deterministic across runs
 // and backends.
 func (b *Broker) resubscribeCovered(k int, st *neighborState, retracted uint64) {
-	head, ok := st.sups.heldBy[retracted]
+	head, ok := st.sups.heldBy.Get(retracted)
 	if !ok {
 		return
 	}

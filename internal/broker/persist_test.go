@@ -274,7 +274,7 @@ func TestCrashMidRescreenKeepsSuppressedSet(t *testing.T) {
 		n1.Drain()
 		// The run that stumbles on keeps its own invariant: a member whose
 		// retirement failed is not left recorded under the retracted cover.
-		for by := range link.sups.heldBy {
+		for by := range link.sups.heldBy.All() {
 			held := link.sups.list(by)
 			if _, live := link.fwd.Subscription(by); !live {
 				t.Fatalf("budget %d: %d entries still recorded under %d, which is no longer forwarded", budget, len(held), by)
@@ -460,6 +460,94 @@ func TestRestartReforwardsInterruptedRescreen(t *testing.T) {
 	// Three re-forwards, two writes each, behind the retraction's removal.
 	if crashes != 6 {
 		t.Fatalf("exercised %d crash points, want 6", crashes)
+	}
+}
+
+// TestRestartScreensRestoredRowsOnward is the crash between a forward's
+// durable insert and the neighbor's handling of the subscribe: broker 0
+// has logged its forward toward broker 1, and broker 1 never saw the
+// message. The restart restores broker 1's row from link 0->1's forwarded
+// set; that row must be screened onward to brokers 2 and 3, because the
+// client's re-subscription stops at broker 0 as a duplicate and nothing
+// else would carry it past broker 1. A publish from broker 3 then reaches
+// the client exactly as in a never-crashed run.
+func TestRestartScreensRestoredRowsOnward(t *testing.T) {
+	schema := subscription.MustSchema(8, "stock", "price")
+	topo := Line(4)
+	baseCfg := Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear}
+	s := subscription.MustParse(schema, "stock <= 100 && price >= 3")
+	events := []subscription.Event{{50, 10}, {150, 10}, {20, 1}, {100, 3}}
+	publishAll := func(n *Network, holder *Client) []subscription.Event {
+		pub, _ := n.AttachClient(3)
+		for _, e := range events {
+			if err := n.Publish(pub.ID, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n.Drain()
+		return holder.Received
+	}
+
+	clean := MustNetwork(topo, baseCfg)
+	holder, _ := clean.AttachClient(0)
+	if err := clean.Subscribe(holder.ID, s); err != nil {
+		t.Fatal(err)
+	}
+	clean.Drain()
+	want := publishAll(clean, holder)
+	clean.Close()
+	if len(want) != 2 {
+		t.Fatalf("clean run delivered %d events, want 2", len(want))
+	}
+
+	cfg := baseCfg
+	cfg.DataDir = t.TempDir()
+	n1 := MustNetwork(topo, cfg)
+	c, _ := n1.AttachClient(0)
+	if err := n1.Subscribe(c.ID, s); err != nil {
+		t.Fatal(err)
+	}
+	// Broker 0 handles the client's message and nothing else runs: its
+	// forward lands in link 0->1's durable set and queues the subscribe
+	// for broker 1, which the crash drops.
+	m := n1.queue[0]
+	n1.queue = n1.queue[:0]
+	n1.brokers[0].handleSubscribe(m.from, m.sub)
+	if len(n1.queue) != 1 || n1.queue[0].to != 1 {
+		t.Fatalf("broker 0 queued %d messages, want one subscribe for broker 1", len(n1.queue))
+	}
+	if _, ok := n1.brokers[0].forwardedID(1, s); !ok {
+		t.Fatal("broker 0 holds no forwarded id toward broker 1")
+	}
+	n1.Close()
+
+	n2, err := NewNetwork(topo, cfg)
+	if err != nil {
+		t.Fatalf("recovering: %v", err)
+	}
+	defer n2.Close()
+	if refs, ok := n2.brokers[1].rowRefs(iface{kind: ifNeighbor, id: 0}, s); !ok || refs != 1 {
+		t.Fatalf("broker 1 restored row=%v with %d references, want one", ok, refs)
+	}
+	for j := 1; j <= 2; j++ {
+		if _, ok := n2.brokers[j].forwardedID(j+1, s); !ok {
+			t.Fatalf("the restored row was not screened onward: link %d->%d holds no forwarded id", j, j+1)
+		}
+	}
+	holder, _ = n2.AttachClient(0)
+	if err := n2.Subscribe(holder.ID, s); err != nil {
+		t.Fatal(err)
+	}
+	sent := n2.Metrics().SubscribeMsgs
+	n2.Drain()
+	if got := n2.Metrics().SubscribeMsgs - sent; got != 0 {
+		t.Fatalf("the re-subscription sent %d subscribe messages, want 0 (a duplicate at broker 0)", got)
+	}
+	if got := publishAll(n2, holder); !eventsEqual(got, want) {
+		t.Fatalf("recovered overlay delivered %v, never-crashed one %v", got, want)
+	}
+	if errs := n2.Metrics().ProtocolErrors; errs != 0 {
+		t.Fatalf("recovered overlay hit %d protocol errors", errs)
 	}
 }
 

@@ -199,9 +199,9 @@ func runTableSchedule(t *testing.T, topo Topology, cfg Config, seed int64) table
 	}
 	for _, b := range n.brokers {
 		for k, st := range b.out {
-			if len(st.sups.rows)+st.sups.indexed()+len(st.sups.heldBy) != 0 {
+			if len(st.sups.rows)+st.sups.indexed()+st.sups.heldBy.Len() != 0 {
 				t.Fatalf("after retiring everything: link %d->%d keeps %d entries, %d positions, %d coverer lists",
-					b.id, b.neighbors[k], len(st.sups.rows), st.sups.indexed(), len(st.sups.heldBy))
+					b.id, b.neighbors[k], len(st.sups.rows), st.sups.indexed(), st.sups.heldBy.Len())
 			}
 		}
 		if live := len(b.rects.keys) - len(b.rects.free); live != 0 || len(b.rects.handle) != 0 {
@@ -254,7 +254,7 @@ func checkRecordedCoverers(t *testing.T, n *Network, op int) {
 			// leave no room for a stale or duplicate element. Each list is
 			// linked both ways: an entry's prev is the one before it.
 			listed := 0
-			for by := range st.sups.heldBy {
+			for by := range st.sups.heldBy.All() {
 				list := st.sups.list(by)
 				if len(list) == 0 {
 					t.Fatalf("op %d link %d->%d: empty list kept for coverer %d", op, b.id, j, by)
@@ -670,7 +670,7 @@ func (st *neighborState) forwarded() int {
 // list returns the positions on by's list, head first. A walk that leaves
 // the table, or outlasts it (a cycle), stops there.
 func (t *suppressedTable) list(by uint64) []int {
-	head, ok := t.heldBy[by]
+	head, ok := t.heldBy.Get(by)
 	if !ok {
 		return nil
 	}

@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"sfccover/internal/dominance"
+	"sfccover/internal/idtable"
 	"sfccover/internal/subscription"
 )
 
@@ -140,7 +141,7 @@ type Detector struct {
 	mu     sync.Mutex
 	sfc    *dominance.Index   // non-nil iff Strategy == StrategySFC
 	exact  dominance.Searcher // backend for exact queries
-	subs   map[uint64]*subscription.Subscription
+	subs   idtable.Table[*subscription.Subscription]
 	nextID uint64
 	totals Totals
 }
@@ -171,7 +172,6 @@ func New(cfg Config) (*Detector, error) {
 	}
 	d := &Detector{
 		cfg:    cfg,
-		subs:   make(map[uint64]*subscription.Subscription),
 		nextID: 1,
 	}
 	switch cfg.Strategy {
@@ -216,7 +216,7 @@ func (d *Detector) Config() Config { return d.cfg }
 func (d *Detector) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.subs)
+	return d.subs.Len()
 }
 
 // Insert stores the subscription unconditionally and returns its id.
@@ -228,7 +228,7 @@ func (d *Detector) Insert(s *subscription.Subscription) (uint64, error) {
 	defer d.mu.Unlock()
 	id := d.nextID
 	d.nextID++
-	d.subs[id] = s.Clone()
+	d.subs.Put(id, s.Clone())
 	d.exact.Insert(s.Point(), id)
 	return id, nil
 }
@@ -260,11 +260,11 @@ func (d *Detector) load(subs []*subscription.Subscription, given []uint64) ([]ui
 		for i := range ids {
 			ids[i] = d.nextID + uint64(i)
 		}
-	} else if len(d.subs) != 0 {
-		return nil, fmt.Errorf("core: Restore needs an empty provider, got %d held subscriptions", len(d.subs))
+	} else if n := d.subs.Len(); n != 0 {
+		return nil, fmt.Errorf("core: Restore needs an empty provider, got %d held subscriptions", n)
 	}
 	for i, s := range subs {
-		d.subs[ids[i]] = s.Clone()
+		d.subs.Put(ids[i], s.Clone())
 		if ids[i] >= d.nextID {
 			d.nextID = ids[i] + 1
 		}
@@ -285,11 +285,10 @@ func (d *Detector) load(subs []*subscription.Subscription, given []uint64) ([]ui
 func (d *Detector) Remove(id uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s, ok := d.subs[id]
+	s, ok := d.subs.Delete(id)
 	if !ok {
 		return fmt.Errorf("core: no subscription with id %d", id)
 	}
-	delete(d.subs, id)
 	if !d.exact.Delete(s.Point(), id) {
 		return fmt.Errorf("core: index out of sync for id %d", id)
 	}
@@ -300,7 +299,7 @@ func (d *Detector) Remove(id uint64) error {
 func (d *Detector) Subscription(id uint64) (*subscription.Subscription, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s, ok := d.subs[id]
+	s, ok := d.subs.Get(id)
 	if !ok {
 		return nil, false
 	}
@@ -361,7 +360,7 @@ func (d *Detector) FindCovered(s *subscription.Subscription) (id uint64, found b
 	if d.cfg.Mode == ModeOff {
 		return 0, false, stats, nil
 	}
-	for candID, cand := range d.subs {
+	for candID, cand := range d.subs.All() {
 		if (!found || candID < id) && s.Covers(cand) {
 			id, found = candID, true
 		}

@@ -252,7 +252,7 @@ func (d *Detector) Stats() ProviderStats {
 		PathQueries:    d.totals.PathQueries,
 		ShardSearches:  d.totals.Queries,
 	}
-	ps.SetShardSizes([]int{len(d.subs)})
+	ps.SetShardSizes([]int{d.subs.Len()})
 	return ps
 }
 
@@ -289,8 +289,8 @@ func (d *Detector) RemoveBatch(ids []uint64) []error {
 // Enumerate implements Provider: a copy of the held set, sorted by id.
 func (d *Detector) Enumerate() ([]Held, error) {
 	d.mu.Lock()
-	out := make([]Held, 0, len(d.subs))
-	for id, s := range d.subs {
+	out := make([]Held, 0, d.subs.Len())
+	for id, s := range d.subs.All() {
 		out = append(out, Held{ID: id, Sub: s.Clone()})
 	}
 	d.mu.Unlock()

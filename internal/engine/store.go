@@ -8,6 +8,7 @@ import (
 
 	"sfccover/internal/core"
 	"sfccover/internal/dominance"
+	"sfccover/internal/idtable"
 	"sfccover/internal/obs"
 	"sfccover/internal/subscription"
 )
@@ -16,8 +17,8 @@ import (
 // the stripe of the index slice that owns its key when it arrives.
 type stripe struct {
 	mu   sync.Mutex
-	subs map[uint64]*subscription.Subscription // keyed by engine id
-	next uint64                                // next local id, starting at 1
+	subs idtable.Table[*subscription.Subscription] // keyed by engine id
+	next uint64                                    // next local id, starting at 1
 }
 
 // initStore builds the index and the store stripes from the normalized
@@ -35,7 +36,6 @@ func (e *Engine) initStore(det core.Config) error {
 	e.linear = det.Strategy == core.StrategyLinear
 	e.stores = make([]stripe, shards)
 	for i := range e.stores {
-		e.stores[i].subs = make(map[uint64]*subscription.Subscription)
 		e.stores[i].next = 1
 	}
 	return nil
@@ -47,7 +47,7 @@ func (e *Engine) Len() int {
 	for i := range e.stores {
 		st := &e.stores[i]
 		st.mu.Lock()
-		n += len(st.subs)
+		n += st.subs.Len()
 		st.mu.Unlock()
 	}
 	return n
@@ -60,7 +60,7 @@ func (e *Engine) Enumerate() ([]core.Held, error) {
 	for i := range e.stores {
 		st := &e.stores[i]
 		st.mu.Lock()
-		for id, s := range st.subs {
+		for id, s := range st.subs.All() {
 			out = append(out, core.Held{ID: id, Sub: s.Clone()})
 		}
 		st.mu.Unlock()
@@ -92,7 +92,7 @@ func (e *Engine) insert(s *subscription.Subscription) uint64 {
 	st.mu.Lock()
 	id := encodeID(len(e.stores), loc.Slice, st.next)
 	st.next++
-	st.subs[id] = s.Clone()
+	st.subs.Put(id, s.Clone())
 	e.idx.InsertAt(loc, id)
 	st.mu.Unlock()
 	e.inserted(1)
@@ -151,7 +151,7 @@ func (e *Engine) insertBatch(subs []*subscription.Subscription, given []uint64) 
 			if given == nil {
 				ids[i] = encodeID(len(e.stores), shard, st.next)
 				st.next++
-				st.subs[ids[i]] = subs[i].Clone()
+				st.subs.Put(ids[i], subs[i].Clone())
 			}
 			ps[k] = points[i]
 			groupIDs[k] = ids[i]
@@ -183,14 +183,14 @@ func (e *Engine) Restore(held []core.Held) error {
 		st := &e.stores[i]
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		if len(st.subs) != 0 {
-			return fmt.Errorf("engine: Restore needs an empty provider, stripe %d holds %d subscriptions", i, len(st.subs))
+		if n := st.subs.Len(); n != 0 {
+			return fmt.Errorf("engine: Restore needs an empty provider, stripe %d holds %d subscriptions", i, n)
 		}
 	}
 	for i, id := range ids {
 		stripe, local := decodeID(len(e.stores), id)
 		st := &e.stores[stripe]
-		st.subs[id] = subs[i].Clone()
+		st.subs.Put(id, subs[i].Clone())
 		if local >= st.next {
 			st.next = local + 1 // mint from past the largest id given
 		}
@@ -204,14 +204,14 @@ func (e *Engine) remove(id uint64) error {
 	st := &e.stores[shard]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s, ok := st.subs[id]
+	s, ok := st.subs.Get(id)
 	if !ok {
 		return fmt.Errorf("engine: no subscription with id %d", id)
 	}
 	if !e.idx.Delete(s.Point(), id) {
 		return fmt.Errorf("engine: index out of sync for id %d", id)
 	}
-	delete(st.subs, id)
+	st.subs.Delete(id)
 	return nil
 }
 
@@ -221,7 +221,7 @@ func (e *Engine) Subscription(id uint64) (*subscription.Subscription, bool) {
 	st := &e.stores[shard]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s, ok := st.subs[id]
+	s, ok := st.subs.Get(id)
 	if !ok {
 		return nil, false
 	}
@@ -257,7 +257,7 @@ func (e *Engine) scan(s *subscription.Subscription, covered bool, res *QueryResu
 	for i := range e.stores {
 		st := &e.stores[i]
 		st.mu.Lock()
-		for id, cand := range st.subs {
+		for id, cand := range st.subs.All() {
 			if (!res.Covered || id < res.CoveredBy) && (covered && s.Covers(cand) || !covered && cand.Covers(s)) {
 				res.Covered, res.CoveredBy = true, id
 			}

@@ -115,7 +115,7 @@ func All() []Experiment {
 		{
 			ID:    "E15",
 			Title: "Regime map: walk steps, the cut that answers, cost and recall against d, n and alignment, walk vs the ε-search",
-			Paper: "the ε-search bounds cost by (ε, α) independent of n (Theorem 3.1); the exact walk pays per stored key it cannot rule out",
+			Paper: "the ε-search bounds cost by (ε, α) independent of n (Theorem 3.1); the exact walk pays per leaf whose summary admits the query key",
 			Run:   runE15,
 		},
 	}

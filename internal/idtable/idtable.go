@@ -1,0 +1,190 @@
+// Package idtable holds values by uint64 id in one open-addressed array:
+// linear probing at load ≤ 3/4, a multiplicative hash read from its top
+// bits, and backward-shift deletion (Knuth's Algorithm R), so a delete
+// leaves no tombstone behind. Under FIFO churn — the oldest id retired as
+// a new, larger one arrives — a probe therefore never steps past dead
+// slots, and the slot count depends only on the peak live count, where a
+// Go map's deleted-slot markers pile up until it rehashes.
+//
+// The top bits matter: engine ids are local*N + stripe, so every id one
+// stripe holds has the same residue mod N, and a hash read from the low
+// bits would reach only 1/N of the slots.
+//
+// A Table is not safe for concurrent use; each one lives under the lock
+// that guards the structure it belongs to.
+package idtable
+
+import (
+	"iter"
+	"math/bits"
+)
+
+// minSlots is the slot count of a table's first allocation.
+const minSlots = 8
+
+// slot is one array entry; key 0 marks it empty.
+type slot[V any] struct {
+	key uint64
+	val V
+}
+
+// Table maps uint64 ids to values. The zero value is an empty table ready
+// for use, and reads on a nil *Table see an empty one, like a nil map.
+type Table[V any] struct {
+	slots []slot[V] // len a power of two, or 0 before the first Put
+	shift uint      // 64 - log2(len(slots)): home is the hash's top bits
+	used  int       // occupied slots
+	// Id 0 is the array's empty mark, so its value lives beside the array.
+	// It is still a valid key: snapshot bytes from disk can carry it.
+	zero    V
+	hasZero bool
+}
+
+// home returns key's home slot. Call only with slots allocated.
+func (t *Table[V]) home(key uint64) int {
+	return int((key * 0x9e3779b97f4a7c15) >> t.shift)
+}
+
+// Len returns the number of ids held.
+func (t *Table[V]) Len() int {
+	if t == nil {
+		return 0
+	}
+	if t.hasZero {
+		return t.used + 1
+	}
+	return t.used
+}
+
+// Get returns the value held under key.
+//
+//sfc:hotpath
+func (t *Table[V]) Get(key uint64) (V, bool) {
+	var none V
+	switch {
+	case t == nil:
+		return none, false
+	case key == 0:
+		return t.zero, t.hasZero
+	case len(t.slots) == 0:
+		return none, false
+	}
+	mask := len(t.slots) - 1
+	for i := t.home(key); ; i = (i + 1) & mask {
+		switch t.slots[i].key {
+		case key:
+			return t.slots[i].val, true
+		case 0:
+			return none, false
+		}
+	}
+}
+
+// Put holds v under key, replacing any value held there. The array
+// doubles only when a new id would take it past 3/4 full.
+//
+//sfc:hotpath
+func (t *Table[V]) Put(key uint64, v V) {
+	if key == 0 {
+		t.zero, t.hasZero = v, true
+		return
+	}
+	if len(t.slots) > 0 {
+		mask := len(t.slots) - 1
+		i := t.home(key)
+		for ; t.slots[i].key != 0; i = (i + 1) & mask {
+			if t.slots[i].key == key {
+				t.slots[i].val = v
+				return
+			}
+		}
+		if 4*(t.used+1) <= 3*len(t.slots) {
+			t.slots[i] = slot[V]{key, v}
+			t.used++
+			return
+		}
+	}
+	t.grow()
+	t.place(slot[V]{key, v})
+	t.used++
+}
+
+// grow doubles the array and re-places every entry.
+func (t *Table[V]) grow() {
+	old := t.slots
+	n := max(2*len(old), minSlots)
+	t.slots = make([]slot[V], n)
+	t.shift = 64 - uint(bits.TrailingZeros(uint(n)))
+	for _, s := range old {
+		if s.key != 0 {
+			t.place(s)
+		}
+	}
+}
+
+// place puts s, whose key the array does not hold, in the first empty
+// slot from its home.
+func (t *Table[V]) place(s slot[V]) {
+	mask := len(t.slots) - 1
+	i := t.home(s.key)
+	for t.slots[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = s
+}
+
+// Delete removes key and returns the value it held. The run of entries
+// after the freed slot shifts back over it — each entry that may move to
+// the hole without passing its home does — so every id stays reachable
+// from its home without a tombstone.
+//
+//sfc:hotpath
+func (t *Table[V]) Delete(key uint64) (V, bool) {
+	var none V
+	if key == 0 {
+		v, ok := t.zero, t.hasZero
+		t.zero, t.hasZero = none, false
+		return v, ok
+	}
+	if len(t.slots) == 0 {
+		return none, false
+	}
+	mask := len(t.slots) - 1
+	i := t.home(key)
+	for t.slots[i].key != key {
+		if t.slots[i].key == 0 {
+			return none, false
+		}
+		i = (i + 1) & mask
+	}
+	v := t.slots[i].val
+	for j := (i + 1) & mask; t.slots[j].key != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j]: its probe distance must cover i.
+		if (j-t.home(t.slots[j].key))&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = slot[V]{} // drop the value's reference
+	t.used--
+	return v, true
+}
+
+// All yields every id and its value, in no particular order. The table
+// must not change during the iteration.
+func (t *Table[V]) All() iter.Seq2[uint64, V] {
+	return func(yield func(uint64, V) bool) {
+		if t == nil {
+			return
+		}
+		if t.hasZero && !yield(0, t.zero) {
+			return
+		}
+		for _, s := range t.slots {
+			if s.key != 0 && !yield(s.key, s.val) {
+				return
+			}
+		}
+	}
+}

@@ -21,13 +21,13 @@ import (
 // reconstructs the mirror map first, then bulk-loads). Run with -bench
 // Recover; the numbers are recorded in EXPERIMENTS.md.
 
-func benchSubs(b *testing.B, schema *subscription.Schema, n int) []*subscription.Subscription {
-	b.Helper()
+func benchSubs(tb testing.TB, schema *subscription.Schema, n int) []*subscription.Subscription {
+	tb.Helper()
 	subs, err := workload.Subscriptions(workload.SubSpec{
 		Schema: schema, N: n, Dist: workload.DistUniform, WidthFrac: 0.05, Seed: 42,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return subs
 }
@@ -323,6 +323,53 @@ func BenchmarkDurableChurn(b *testing.B) {
 	d.Close()
 	if err := st.Close(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestDurableChurnAllocs pins the allocations of BenchmarkDurableChurn's
+// op pair — an Add and a Remove of the oldest entry through a
+// DurableProvider over a default engine with group commit, at constant
+// population — at five: the engine's Clone of the subscription, the
+// payload's marshal and the store mirror's copy of it. The id tables the
+// engine and the mirror hold them in add none.
+func TestDurableChurnAllocs(t *testing.T) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	subs := benchSubs(t, schema, 4096)
+	const churnWindow = 1024
+	st, err := persist.Open(t.TempDir(), schema, persist.Options{SyncEvery: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	d, err := st.Durable("", engine.MustNew(engine.Config{Detector: core.Config{Schema: schema}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ids, err := d.InsertBatch(subs[:churnWindow])
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, next := ids, churnWindow
+	pair := func() {
+		id, _, _, err := d.Add(subs[next%len(subs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		next++
+		if err := d.Remove(live[0]); err != nil {
+			t.Fatal(err)
+		}
+		copy(live, live[1:])
+		live[len(live)-1] = id
+	}
+	// One pass over the inputs first: the id tables reach the size the
+	// population's peak dictates, and the engine settles its slices.
+	for range subs {
+		pair()
+	}
+	if allocs := testing.AllocsPerRun(2000, pair); allocs > 5 {
+		t.Fatalf("a durable Add+Remove pair allocates %v times, want ≤ 5", allocs)
 	}
 }
 

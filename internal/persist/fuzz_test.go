@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"sfccover/internal/idtable"
 	"sfccover/internal/subscription"
 )
 
@@ -22,9 +23,16 @@ func fuzzSeedBytes(tb testing.TB) (segment, snapshot []byte) {
 	segment = appendRecord(segment, record{op: opAdd, link: "", sid: 1, payload: pay("x >= 3")})
 	segment = appendRecord(segment, record{op: opAdd, link: "b0-n1", sid: 2, payload: pay("x <= 9 && y in [4,5]")})
 	segment = appendRecord(segment, record{op: opRem, link: "", sid: 1})
-	snapshot = encodeSnapshot(schema, map[string]map[uint64][]byte{
-		"":      {1: pay("x >= 3")},
-		"b0-n1": {2: pay("y == 7"), 9: pay("x in [1,200]")},
+	link := func(es ...Entry) *idtable.Table[[]byte] {
+		state := new(idtable.Table[[]byte])
+		for _, e := range es {
+			state.Put(e.SID, e.Payload)
+		}
+		return state
+	}
+	snapshot = encodeSnapshot(schema, map[string]*idtable.Table[[]byte]{
+		"":      link(Entry{1, pay("x >= 3")}),
+		"b0-n1": link(Entry{2, pay("y == 7")}, Entry{9, pay("x in [1,200]")}),
 	}, 7)
 	return segment, snapshot
 }
@@ -101,11 +109,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		for name, state := range links {
 			bstate, ok := back[name]
-			if !ok || len(bstate) != len(state) {
+			if !ok || bstate.Len() != state.Len() {
 				t.Fatalf("round trip lost link %q", name)
 			}
-			for sid, payload := range state {
-				if !bytes.Equal(bstate[sid], payload) {
+			for sid, payload := range state.All() {
+				if got, _ := bstate.Get(sid); !bytes.Equal(got, payload) {
 					t.Fatalf("round trip changed link %q sid %d payload", name, sid)
 				}
 			}

@@ -30,6 +30,7 @@ import (
 	"syscall"
 	"time"
 
+	"sfccover/internal/idtable"
 	"sfccover/internal/subscription"
 )
 
@@ -93,7 +94,7 @@ type Store struct {
 	opts   Options
 
 	mu      sync.Mutex
-	state   map[string]map[uint64][]byte
+	state   map[string]*idtable.Table[[]byte]
 	w       *walWriter
 	wrapped map[string]bool
 	lock    *os.File // flock'd LOCK file: one live store per data dir
@@ -168,7 +169,7 @@ func Open(dir string, schema *subscription.Schema, opts Options) (*Store, error)
 		dir:     dir,
 		schema:  schema,
 		opts:    opts,
-		state:   make(map[string]map[uint64][]byte),
+		state:   make(map[string]*idtable.Table[[]byte]),
 		wrapped: make(map[string]bool),
 		lock:    lock,
 		tailers: make(map[*Tailer]struct{}),
@@ -271,7 +272,7 @@ func (st *Store) Links() []string {
 	defer st.mu.Unlock()
 	names := make([]string, 0, len(st.state))
 	for name, link := range st.state {
-		if len(link) > 0 {
+		if link.Len() > 0 {
 			names = append(names, name)
 		}
 	}
@@ -284,12 +285,10 @@ func (st *Store) Links() []string {
 func (st *Store) Entries(link string) []Entry {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	state := st.state[link]
-	out := make([]Entry, 0, len(state))
-	for sid, payload := range state {
-		out = append(out, Entry{SID: sid, Payload: append([]byte(nil), payload...)})
+	out := sortedEntries(st.state[link])
+	for i := range out {
+		out[i].Payload = append([]byte(nil), out[i].Payload...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].SID < out[j].SID })
 	return out
 }
 
@@ -303,9 +302,9 @@ func (st *Store) Stats() StoreStats {
 		WALBytes:   st.walBytes,
 	}
 	for _, link := range st.state {
-		if len(link) > 0 {
+		if n := link.Len(); n > 0 {
 			ss.Links++
-			ss.Entries += len(link)
+			ss.Entries += n
 		}
 	}
 	return ss
@@ -325,7 +324,7 @@ func (st *Store) appendAdd(link string, sid uint64, payload []byte) error {
 func (st *Store) appendRemove(link string, sid uint64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, held := st.state[link][sid]; !held {
+	if _, held := st.state[link].Get(sid); !held {
 		return fmt.Errorf("persist: no subscription with id %d", sid)
 	}
 	return st.appendLocked(record{op: opRem, link: link, sid: sid})
@@ -338,16 +337,17 @@ func (st *Store) appendRemove(link string, sid uint64) error {
 func (st *Store) appendRemoves(link string, sids []uint64) []error {
 	errs := make([]error, len(sids))
 	rs := make([]record, 0, len(sids))
-	claimed := make(map[uint64]struct{}, len(sids))
+	var claimed idtable.Table[struct{}]
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	held := st.state[link]
 	for i, sid := range sids {
-		_, held := st.state[link][sid]
-		if _, dup := claimed[sid]; !held || dup {
+		_, ok := held.Get(sid)
+		if _, dup := claimed.Get(sid); !ok || dup {
 			errs[i] = fmt.Errorf("persist: no subscription with id %d", sid)
 			continue
 		}
-		claimed[sid] = struct{}{}
+		claimed.Put(sid, struct{}{})
 		rs = append(rs, record{op: opRem, link: link, sid: sid})
 	}
 	if err := st.appendLocked(rs...); err != nil {
@@ -414,14 +414,14 @@ func (st *Store) mirror(r record) {
 	case opAdd:
 		link := st.state[r.link]
 		if link == nil {
-			link = make(map[uint64][]byte)
+			link = new(idtable.Table[[]byte])
 			st.state[r.link] = link
 		}
-		link[r.sid] = append([]byte(nil), r.payload...)
+		link.Put(r.sid, append([]byte(nil), r.payload...))
 	case opRem:
 		if link := st.state[r.link]; link != nil {
-			delete(link, r.sid)
-			if len(link) == 0 {
+			link.Delete(r.sid)
+			if link.Len() == 0 {
 				delete(st.state, r.link)
 			}
 		}

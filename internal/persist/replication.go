@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"sfccover/internal/idtable"
 )
 
 // Replication rides the WAL: every record a Store commits is also pushed,
@@ -205,14 +207,8 @@ func (st *Store) dumpLocked() TailBatch {
 	sort.Strings(names)
 	batch := TailBatch{Reset: true, Pos: st.pos}
 	for _, name := range names {
-		state := st.state[name]
-		sids := make([]uint64, 0, len(state))
-		for sid := range state {
-			sids = append(sids, sid)
-		}
-		sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
-		for _, sid := range sids {
-			batch.Recs = append(batch.Recs, Record{Link: name, SID: sid, Payload: state[sid]})
+		for _, e := range sortedEntries(st.state[name]) {
+			batch.Recs = append(batch.Recs, Record{Link: name, SID: e.SID, Payload: e.Payload})
 		}
 	}
 	return batch
@@ -342,17 +338,17 @@ func (st *Store) InstallState(recs []Record, pos uint64) error {
 	if len(st.wrapped) > 0 {
 		return ErrHasProviders
 	}
-	state := make(map[string]map[uint64][]byte)
+	state := make(map[string]*idtable.Table[[]byte])
 	for _, r := range recs {
 		if r.Remove {
 			continue // a dump carries adds only; tolerate rather than corrupt
 		}
 		link := state[r.Link]
 		if link == nil {
-			link = make(map[uint64][]byte)
+			link = new(idtable.Table[[]byte])
 			state[r.Link] = link
 		}
-		link[r.SID] = append([]byte(nil), r.Payload...)
+		link.Put(r.SID, append([]byte(nil), r.Payload...))
 	}
 	if err := st.w.rotate(); err != nil {
 		return err

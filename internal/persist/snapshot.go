@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"sfccover/internal/idtable"
 	"sfccover/internal/subscription"
 )
 
@@ -49,10 +50,21 @@ type Entry struct {
 	Payload []byte
 }
 
+// sortedEntries lists one link's mirror by sid ascending, the order the
+// snapshot stores. The payloads are the mirror's own.
+func sortedEntries(state *idtable.Table[[]byte]) []Entry {
+	out := make([]Entry, 0, state.Len())
+	for sid, payload := range state.All() {
+		out = append(out, Entry{SID: sid, Payload: payload})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].SID < out[j].SID })
+	return out
+}
+
 // encodeSnapshot serializes the per-link state. links maps link name to
 // sid -> payload; basePos is the replication stream position the state
 // corresponds to.
-func encodeSnapshot(schema *subscription.Schema, links map[string]map[uint64][]byte, basePos uint64) []byte {
+func encodeSnapshot(schema *subscription.Schema, links map[string]*idtable.Table[[]byte], basePos uint64) []byte {
 	buf := append([]byte(nil), snapMagic...)
 	buf = binary.AppendUvarint(buf, uint64(schema.Bits()))
 	attrs := schema.Attrs()
@@ -69,19 +81,14 @@ func encodeSnapshot(schema *subscription.Schema, links map[string]map[uint64][]b
 	sort.Strings(names)
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
-		state := links[name]
 		buf = binary.AppendUvarint(buf, uint64(len(name)))
 		buf = append(buf, name...)
-		sids := make([]uint64, 0, len(state))
-		for sid := range state {
-			sids = append(sids, sid)
-		}
-		sort.Slice(sids, func(i, j int) bool { return sids[i] < sids[j] })
-		buf = binary.AppendUvarint(buf, uint64(len(sids)))
-		for _, sid := range sids {
-			buf = binary.AppendUvarint(buf, sid)
-			buf = binary.AppendUvarint(buf, uint64(len(state[sid])))
-			buf = append(buf, state[sid]...)
+		entries := sortedEntries(links[name])
+		buf = binary.AppendUvarint(buf, uint64(len(entries)))
+		for _, e := range entries {
+			buf = binary.AppendUvarint(buf, e.SID)
+			buf = binary.AppendUvarint(buf, uint64(len(e.Payload)))
+			buf = append(buf, e.Payload...)
 		}
 	}
 	var crc [4]byte
@@ -116,7 +123,7 @@ func (c *snapCursor) bytes(n uint64, what string) ([]byte, error) {
 // returning the per-link state and the stream basePos it covers. A nil
 // schema skips the schema check (the fuzz target's mode); otherwise bits
 // and attribute names must match exactly.
-func decodeSnapshot(schema *subscription.Schema, data []byte) (map[string]map[uint64][]byte, uint64, error) {
+func decodeSnapshot(schema *subscription.Schema, data []byte) (map[string]*idtable.Table[[]byte], uint64, error) {
 	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
 		return nil, 0, fmt.Errorf("%w: snapshot has bad magic", ErrCorrupt)
 	}
@@ -164,7 +171,7 @@ func decodeSnapshot(schema *subscription.Schema, data []byte) (map[string]map[ui
 	if err != nil {
 		return nil, 0, err
 	}
-	links := make(map[string]map[uint64][]byte)
+	links := make(map[string]*idtable.Table[[]byte])
 	for i := uint64(0); i < numLinks; i++ {
 		n, err := c.uvarint("link name length")
 		if err != nil {
@@ -182,7 +189,7 @@ func decodeSnapshot(schema *subscription.Schema, data []byte) (map[string]map[ui
 		if err != nil {
 			return nil, 0, err
 		}
-		state := make(map[uint64][]byte)
+		state := new(idtable.Table[[]byte])
 		prev, first := uint64(0), true
 		for j := uint64(0); j < count; j++ {
 			sid, err := c.uvarint("entry sid")
@@ -201,7 +208,7 @@ func decodeSnapshot(schema *subscription.Schema, data []byte) (map[string]map[ui
 			if err != nil {
 				return nil, 0, err
 			}
-			state[sid] = append([]byte(nil), payload...)
+			state.Put(sid, append([]byte(nil), payload...))
 		}
 		links[name] = state
 	}
