@@ -9,48 +9,6 @@ import (
 	"sfccover"
 )
 
-func TestMergeSubscriptionsFacade(t *testing.T) {
-	schema := sfccover.MustSchema(8, "x", "y")
-	a := sfccover.MustParseSubscription(schema, "x in [0,10] && y in [5,9]")
-	b := sfccover.MustParseSubscription(schema, "x in [11,30] && y in [5,9]")
-	m, ok := sfccover.MergeSubscriptions(a, b)
-	if !ok {
-		t.Fatal("adjacent rectangles must merge")
-	}
-	if !m.Covers(a) || !m.Covers(b) {
-		t.Fatal("merged subscription must cover both inputs")
-	}
-	c := sfccover.MustParseSubscription(schema, "x in [50,60] && y in [50,60]")
-	if _, ok := sfccover.MergeSubscriptions(a, c); ok {
-		t.Fatal("disjoint rectangles must not merge")
-	}
-}
-
-func TestFindCoveredFacade(t *testing.T) {
-	schema := sfccover.MustSchema(10, "volume", "price")
-	det, err := sfccover.NewDetector(sfccover.DetectorConfig{
-		Schema:  schema,
-		Mode:    sfccover.ModeApprox,
-		Epsilon: 0.3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	narrow := sfccover.MustParseSubscription(schema, "volume in [400,600] && price in [100,200]")
-	narrowID, err := det.Insert(narrow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide := sfccover.MustParseSubscription(schema, "volume in [100,900] && price in [10,500]")
-	id, found, _, err := det.FindCovered(wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found || id != narrowID {
-		t.Fatalf("FindCovered = (%d,%v), want (%d,true)", id, found, narrowID)
-	}
-}
-
 func TestWireFacade(t *testing.T) {
 	schema := sfccover.MustSchema(10, "volume", "price")
 	s := sfccover.MustParseSubscription(schema, "volume in [10,20] && price >= 500")
@@ -119,8 +77,8 @@ func TestProviderFacade(t *testing.T) {
 		if ps.Subscriptions != 2 || ps.Queries < 3 {
 			t.Fatalf("provider stats = %+v", ps)
 		}
-		if _, found, _, err := p.FindCovered(wide); err != nil || !found {
-			t.Fatalf("FindCovered: found=%v err=%v", found, err)
+		if _, found, _, err := p.FindCover(wide.Clone()); err != nil || !found {
+			t.Fatalf("FindCover(stored twin): found=%v err=%v", found, err)
 		}
 		p.Close()
 	}

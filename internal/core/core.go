@@ -330,14 +330,9 @@ func (d *Detector) FindCover(s *subscription.Subscription) (id uint64, found boo
 	if err != nil {
 		return 0, false, stats, err
 	}
-	d.tally(found, stats)
-	return id, found, stats, nil
-}
-
-// tally folds one answered query into the lifetime totals (zero stats —
-// a scan, a baseline strategy — count under dominance.PathNone, so the
-// per-path counts always sum to Queries). The caller holds d.mu.
-func (d *Detector) tally(found bool, stats dominance.Stats) {
+	// Fold the answer into the lifetime totals: zero stats (a baseline
+	// strategy) count under dominance.PathNone, so the per-path counts
+	// always sum to Queries.
 	d.totals.Queries++
 	if found {
 		d.totals.Hits++
@@ -345,27 +340,6 @@ func (d *Detector) tally(found bool, stats dominance.Stats) {
 	d.totals.RunsProbed += stats.RunsProbed
 	d.totals.CubesGenerated += stats.CubesGenerated
 	d.totals.PathQueries[stats.Path]++
-}
-
-// FindCovered searches the held set for a subscription that s covers — the
-// reverse of FindCover — by scanning it: O(n), exact in every mode but
-// ModeOff, which never finds anything. The answer is the smallest such id,
-// so repeating a query on an unchanged detector repeats its answer.
-func (d *Detector) FindCovered(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error) {
-	if s.Schema() != d.cfg.Schema {
-		return 0, false, stats, fmt.Errorf("core: subscription schema differs from detector schema")
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.cfg.Mode == ModeOff {
-		return 0, false, stats, nil
-	}
-	for candID, cand := range d.subs.All() {
-		if (!found || candID < id) && s.Covers(cand) {
-			id, found = candID, true
-		}
-	}
-	d.tally(found, stats)
 	return id, found, stats, nil
 }
 

@@ -32,7 +32,7 @@ func Schema() *subscription.Schema {
 // schema (exact mode makes every outcome deterministic, so the same
 // assertions hold for any backing index). A core.ModeApprox provider is
 // accepted too: the battery's covering queries have regions small enough
-// that an ε-search finds them, and the reverse query scans in every mode.
+// that an ε-search finds them.
 // Providers are closed by the suite.
 func RunProviderConformance(t *testing.T, schema *subscription.Schema, build func(t *testing.T) core.Provider) {
 	t.Helper()
@@ -72,9 +72,6 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 		}
 		if _, _, _, err := p.FindCover(foreign); err == nil {
 			t.Error("FindCover with a foreign schema must fail")
-		}
-		if _, _, _, err := p.FindCovered(foreign); err == nil {
-			t.Error("FindCovered with a foreign schema must fail")
 		}
 	})
 
@@ -135,52 +132,6 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 		}
 	})
 
-	t.Run("find-covered", func(t *testing.T) {
-		p := fresh(t)
-		nid, err := p.Insert(narrow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, found, _, err := p.FindCovered(wide)
-		if err != nil || found && id != nid || !found && p.Mode() == core.ModeExact {
-			t.Fatalf("FindCovered(wide) = (%d,%v,%v), want (%d,true,nil)", id, found, err, nid)
-		}
-		if _, found, _, err := p.FindCovered(uncovered); err != nil || found {
-			t.Fatalf("FindCovered(uncovered) = (%v,%v), want a clean miss", found, err)
-		}
-	})
-
-	// The reverse query is a scan: in every mode but off it names the
-	// smallest held id that s covers, every time it is asked, or misses
-	// cleanly when s covers nothing held; in mode off it misses.
-	t.Run("covered-is-exact", func(t *testing.T) {
-		p := fresh(t)
-		held := map[uint64]*subscription.Subscription{}
-		for _, s := range []*subscription.Subscription{uncovered, narrow, wide, narrow, uncovered, narrow} {
-			id, err := p.Insert(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			held[id] = s
-		}
-		tiny := subscription.MustParse(schema, "volume in [500,501] && price in [500,501]")
-		for _, q := range []*subscription.Subscription{wide, narrow, uncovered, tiny} {
-			var want uint64
-			found := false
-			for id, s := range held {
-				if p.Mode() != core.ModeOff && q.Covers(s) && (!found || id < want) {
-					want, found = id, true
-				}
-			}
-			for i := 0; i < 5; i++ {
-				id, ok, _, err := p.FindCovered(q)
-				if err != nil || ok != found || ok && id != want {
-					t.Fatalf("FindCovered(%v) = (%d,%v,%v), want (%d,%v,nil)", q, id, ok, err, want, found)
-				}
-			}
-		}
-	})
-
 	t.Run("remove", func(t *testing.T) {
 		p := fresh(t)
 		id, err := p.Insert(wide)
@@ -232,16 +183,13 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 		if _, _, _, err := p.FindCover(uncovered); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := p.FindCovered(uncovered); err != nil {
-			t.Fatal(err)
-		}
 		ps := p.Stats()
 		if ps.Subscriptions != 1 {
 			t.Errorf("Stats.Subscriptions = %d, want 1", ps.Subscriptions)
 		}
-		// Three calls issued; only the first finds a cover.
-		if ps.Queries != 3 || ps.Hits != 1 {
-			t.Errorf("Stats totals = %d queries / %d hits, want 3 / 1", ps.Queries, ps.Hits)
+		// Two calls issued; only the first finds a cover.
+		if ps.Queries != 2 || ps.Hits != 1 {
+			t.Errorf("Stats totals = %d queries / %d hits, want 2 / 1", ps.Queries, ps.Hits)
 		}
 		if ps.Shards < 1 || len(ps.ShardSizes) != ps.Shards {
 			t.Errorf("Stats layout = %d shards, %d sizes", ps.Shards, len(ps.ShardSizes))
@@ -521,13 +469,11 @@ func RunPersistenceConformance(t *testing.T, schema *subscription.Schema, open f
 	wide := subscription.MustParse(schema, "volume <= 1020 && price <= 1020")
 	narrow := subscription.MustParse(schema, "volume in [5,1000] && price in [5,1000]")
 	uncovered := subscription.MustParse(schema, "volume in [7,1022] && price in [7,1022]")
-	// The probes are NOT stored, and each has exactly one stored answer
-	// once the set is {wide, narrow}: edgeProbe sits inside wide but
-	// outside narrow (unique cover), and midProbe covers narrow but not
-	// wide (unique covered). Unique answers let the suite demand exact
-	// ids; edge-hugging bounds keep exhaustive SFC search cheap.
+	// The probe is NOT stored, and has exactly one stored answer once the
+	// set is {wide, narrow}: it sits inside wide but outside narrow. A
+	// unique answer lets the suite demand an exact id; edge-hugging bounds
+	// keep exhaustive SFC search cheap.
 	edgeProbe := subscription.MustParse(schema, "volume in [2,1010] && price in [2,1010]")
-	midProbe := subscription.MustParse(schema, "volume in [4,1001] && price in [4,1001]")
 
 	p := open(t)
 	if p.Mode() != core.ModeExact {
@@ -574,10 +520,6 @@ func RunPersistenceConformance(t *testing.T, schema *subscription.Schema, open f
 	if err != nil || !found || id != wid {
 		t.Fatalf("recovered FindCover(edgeProbe) = (%d,%v,%v), want (%d,true,nil)", id, found, err, wid)
 	}
-	id, found, _, err = r.FindCovered(midProbe)
-	if err != nil || !found || id != nid {
-		t.Fatalf("recovered FindCovered(midProbe) = (%d,%v,%v), want (%d,true,nil)", id, found, err, nid)
-	}
 	// The recovered provider stays fully mutable: new ids never collide
 	// with recovered ones, and removals of recovered ids stick.
 	fresh, err := r.Insert(uncovered)
@@ -600,13 +542,12 @@ func RunPersistenceConformance(t *testing.T, schema *subscription.Schema, open f
 // given detector configuration; the suite closes it. Per mode — approximate
 // under a small step budget, exact, off — one provider is bulk-loaded with
 // planted covers and asked a mixed sequence: recurring shapes (each asked
-// four times), one-shot planted children and
-// uniform shapes in a batch (walk hits and misses, and walks that overrun
-// the budget into the cube search) and reverse queries (store scans). A
-// seek checks the leaf it lands in, so a uniform walk rarely takes more
-// than a few steps: it takes 8 192 planted pairs and 4 000 uniform shapes
-// for a handful of walks to overrun the budget of 8, on one array and on
-// eight slices alike.
+// four times), then one-shot planted children and uniform shapes in a
+// batch (walk hits and misses, and walks that overrun the budget into the
+// cube search). A seek checks the leaf it lands in, so a uniform walk
+// rarely takes more than a few steps: it takes 8 192 planted pairs and
+// 4 000 uniform shapes for a handful of walks to overrun the budget of 8,
+// on one array and on eight slices alike.
 // Stats must then read Queries as the calls issued, Hits as those that
 // found a cover, and RunsProbed, CubesGenerated and every PathQueries cell
 // as the sums of the Stats the calls returned. offCounted says whether a
@@ -675,10 +616,6 @@ func RunTotalsMatchQueryStats(t *testing.T, build func(t *testing.T, cfg core.Co
 			}
 			for _, r := range p.CoverQueryBatch(oneShot) {
 				count(r.Covered, r.Stats, r.Err)
-			}
-			for _, s := range parents[:recurring] {
-				_, found, st, err := p.FindCovered(s)
-				count(found, st, err)
 			}
 
 			ps := p.Stats()

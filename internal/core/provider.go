@@ -18,8 +18,7 @@ import (
 // constructor ran, not a code path.
 //
 // Every implementation preserves the paper's asymmetry: a reported cover
-// is always genuine; approximate modes may miss. The reverse query is a
-// scan and never misses outside ModeOff.
+// is always genuine; approximate modes may miss.
 //
 // The interface is the whole surface: an implementation that cannot serve
 // InsertBatch, Restore, Snapshot or Enumerate returns an error wrapping
@@ -35,10 +34,6 @@ type Provider interface {
 	Remove(id uint64) error
 	// FindCover searches the held set for a subscription covering s.
 	FindCover(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error)
-	// FindCovered searches the held set for a subscription that s covers —
-	// the reverse question — and names the smallest such id (a miss in
-	// ModeOff).
-	FindCovered(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error)
 	// Subscription resolves an id to its held subscription.
 	Subscription(id uint64) (*subscription.Subscription, bool)
 	// Len returns the number of held subscriptions.

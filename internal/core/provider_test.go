@@ -27,8 +27,8 @@ func TestDetectorProviderStrategies(t *testing.T) {
 			if err != nil || !found || id != wid {
 				t.Fatalf("FindCover = (%d,%v,%v), want (%d,true,nil)", id, found, err, wid)
 			}
-			if id, found, _, err := p.FindCovered(wide.Clone()); err != nil || !found || id != wid {
-				t.Fatalf("FindCovered = (%d,%v,%v), want stored twin", id, found, err)
+			if id, found, _, err := p.FindCover(wide.Clone()); err != nil || !found || id != wid {
+				t.Fatalf("FindCover(twin) = (%d,%v,%v), want stored twin", id, found, err)
 			}
 			if err := p.Remove(wid); err != nil {
 				t.Fatal(err)

@@ -19,8 +19,7 @@
 //
 // The approximation guarantee survives sharding: the index reports only
 // genuine covers, hence so does the engine, and in exact mode it finds a
-// cover exactly when a single detector does. The reverse query,
-// FindCovered, scans the store.
+// cover exactly when a single detector does.
 package engine
 
 import (
@@ -82,7 +81,7 @@ const DefaultShards = 8
 // an exact scan that walked four store stripes adds one to Queries and
 // four to ShardSearches.
 type Totals struct {
-	// Queries is the number of logical cover (and covered) queries served.
+	// Queries is the number of logical cover queries served.
 	Queries int
 	// Hits is how many found a cover.
 	Hits int
@@ -164,7 +163,6 @@ type Engine struct {
 	// hot paths never touch the registry lock.
 	obs          *obs.Observer
 	hQuery       *obs.Histogram
-	hCovered     *obs.Histogram
 	hInsert      *obs.Histogram
 	hRemove      *obs.Histogram
 	hAddBatch    *obs.Histogram
@@ -218,7 +216,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.obs = cfg.Obs
 		e.hQuery = e.obs.Hist("engine_query")
-		e.hCovered = e.obs.Hist("engine_covered")
 		e.hInsert = e.obs.Hist("engine_insert")
 		e.hRemove = e.obs.Hist("engine_remove")
 		e.hAddBatch = e.obs.Hist("engine_add_batch")
@@ -391,29 +388,6 @@ func (e *Engine) FindCover(s *subscription.Subscription) (id uint64, found bool,
 	var res QueryResult
 	e.findCover(s, &res)
 	return res.CoveredBy, res.Covered, res.Stats, res.Err
-}
-
-// FindCovered searches for a subscription that s covers — the reverse
-// question — by scanning the store: exact in every mode but ModeOff, which
-// never finds anything, and always the smallest such id.
-func (e *Engine) FindCovered(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error) {
-	if err := e.checkSchema(s); err != nil {
-		return 0, false, stats, err
-	}
-	tr := e.obs.SampleTrace("covered")
-	var res QueryResult
-	searches := 0
-	if e.cfg.Detector.Mode != core.ModeOff {
-		searches = e.scan(s, true, &res)
-	}
-	e.record(&res, searches)
-	if tr != nil {
-		d := time.Since(tr.Start)
-		e.hCovered.Observe(d)
-		tr.Cost = dominance.CostOf(res.Stats)
-		e.obs.FinishTrace(tr, d)
-	}
-	return res.CoveredBy, res.Covered, res.Stats, nil
 }
 
 // Observer returns the engine's observer (nil when Config.TelemetryOff):

@@ -422,114 +422,38 @@ func TestRoutedRemove(t *testing.T) {
 	}
 }
 
-// TestFindCovered exercises the reverse query in both modes; it scans the
-// store in each, so each finds every planted child.
-func TestFindCovered(t *testing.T) {
+// TestScansRepeatSmallestID: with several held subscriptions covering the
+// query, 50 repeats of the linear strategy's store scan all name the
+// smallest id, where an answer taken from table order would wander between
+// them.
+func TestScansRepeatSmallestID(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
-	pairs, err := workload.Covers(workload.CoverSpec{
-		Schema: schema, N: 100, SlackFrac: 0.2, Seed: 23,
+	narrow := subscription.MustParse(schema, "volume in [400,410] && price in [400,410]")
+	e := MustNew(Config{
+		Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
+		Shards:   4,
 	})
+	defer e.Close()
+	// Even positions cover narrow, odd ones do not. A bulk load spreads
+	// them over the stripes.
+	var subs []*subscription.Subscription
+	for lo := 300; lo < 360; lo += 5 {
+		for _, side := range []int{200, 20} {
+			subs = append(subs, subscription.MustParse(schema, fmt.Sprintf("volume in [%d,%d] && price in [%d,%d]", lo, lo+side, lo, lo+side)))
+		}
+	}
+	ids, err := e.InsertBatch(subs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Run("exact", func(t *testing.T) {
-		e := MustNew(Config{
-			Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
-			Shards:   4,
-		})
-		defer e.Close()
-		childIDs := make(map[uint64]bool)
-		for _, p := range pairs {
-			id, err := e.Insert(p.Child)
-			if err != nil {
-				t.Fatal(err)
-			}
-			childIDs[id] = true
-		}
-		for i, p := range pairs {
-			id, found, _, err := e.FindCovered(p.Parent)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !found {
-				t.Fatalf("pair %d: exact FindCovered must find the planted child", i)
-			}
-			if !childIDs[id] {
-				t.Fatalf("pair %d: FindCovered returned unknown id %d", i, id)
-			}
-		}
-	})
-	t.Run("approx", func(t *testing.T) {
-		e := MustNew(Config{
-			Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 10000},
-			Shards:   4,
-		})
-		defer e.Close()
-		for _, p := range pairs {
-			if _, err := e.Insert(p.Child); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i, p := range pairs {
-			id, found, _, err := e.FindCovered(p.Parent)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !found {
-				t.Fatalf("pair %d: approximate FindCovered scans, so it must find the planted child", i)
-			}
-			covered, ok := e.Subscription(id)
-			if !ok {
-				t.Fatalf("pair %d: id %d does not resolve", i, id)
-			}
-			if !p.Parent.Covers(covered) {
-				t.Errorf("pair %d: claimed covered subscription is not genuine", i)
-			}
-		}
-	})
-}
-
-// TestScansRepeatSmallestID: with several held subscriptions qualifying,
-// 50 repeats of a store scan — FindCovered in both modes, FindCover on
-// the linear strategy — all name the smallest id, where an answer taken
-// from map order would wander between them.
-func TestScansRepeatSmallestID(t *testing.T) {
-	schema := subscription.MustSchema(10, "volume", "price")
-	wide := subscription.MustParse(schema, "volume in [100,900] && price in [100,900]")
-	narrow := subscription.MustParse(schema, "volume in [400,410] && price in [400,410]")
-	for name, det := range map[string]core.Config{
-		"exact":  {Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
-		"approx": {Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3},
-	} {
-		e := MustNew(Config{Detector: det, Shards: 4})
-		defer e.Close()
-		// Even positions cover narrow, odd ones do not; wide covers all.
-		// A bulk load spreads them over the stripes.
-		var subs []*subscription.Subscription
-		for lo := 300; lo < 360; lo += 5 {
-			for _, side := range []int{200, 20} {
-				subs = append(subs, subscription.MustParse(schema, fmt.Sprintf("volume in [%d,%d] && price in [%d,%d]", lo, lo+side, lo, lo+side)))
-			}
-		}
-		ids, err := e.InsertBatch(subs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var covers []uint64
-		for i := 0; i < len(ids); i += 2 {
-			covers = append(covers, ids[i])
-		}
-		check := func(what string, query func() (uint64, bool, dominance.Stats, error), qualifying []uint64) {
-			want := slices.Min(qualifying)
-			for i := 0; i < 50; i++ {
-				if id, found, _, err := query(); err != nil || !found || id != want {
-					t.Fatalf("%s: %s call %d = (%d,%v,%v), want (%d,true,nil)", name, what, i, id, found, err, want)
-				}
-			}
-		}
-		check("FindCovered", func() (uint64, bool, dominance.Stats, error) { return e.FindCovered(wide) }, ids)
-		if det.Strategy == core.StrategyLinear {
-			check("FindCover", func() (uint64, bool, dominance.Stats, error) { return e.FindCover(narrow) }, covers)
+	var covers []uint64
+	for i := 0; i < len(ids); i += 2 {
+		covers = append(covers, ids[i])
+	}
+	want := slices.Min(covers)
+	for i := 0; i < 50; i++ {
+		if id, found, _, err := e.FindCover(narrow); err != nil || !found || id != want {
+			t.Fatalf("FindCover call %d = (%d,%v,%v), want (%d,true,nil)", i, id, found, err, want)
 		}
 	}
 }
@@ -609,7 +533,7 @@ func TestAddBatchBulkLoad(t *testing.T) {
 }
 
 // TestAddBatchBulkLoadMirror checks that an approximate engine's bulk path
-// keeps the store the reverse query scans in sync with the index.
+// keeps the store in sync with the index: every id resolves to its input.
 func TestAddBatchBulkLoadMirror(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	pairs, err := workload.Covers(workload.CoverSpec{
@@ -637,18 +561,10 @@ func TestAddBatchBulkLoadMirror(t *testing.T) {
 		}
 		ids = append(ids, r.ID)
 	}
-	hits := 0
-	for _, p := range pairs {
-		_, found, _, err := e.FindCovered(p.Parent)
-		if err != nil {
-			t.Fatal(err)
+	for i, id := range ids {
+		if got, ok := e.Subscription(id); !ok || !got.Equal(children[i]) {
+			t.Fatalf("child %d: Subscription(%d) = (%v,%v), want its input", i, id, got, ok)
 		}
-		if found {
-			hits++
-		}
-	}
-	if hits < len(pairs)/2 {
-		t.Fatalf("reverse recall after bulk load too low: %d/%d", hits, len(pairs))
 	}
 	// Removal goes through the store and the index; any desync fails here.
 	for _, err := range e.RemoveBatch(ids) {
@@ -752,11 +668,10 @@ func TestTotalsMatchQueryStats(t *testing.T) {
 }
 
 // TestTotalsCountIssuedCalls holds the engine counters to the calls
-// actually issued: Queries counts every single op, batch item and
-// FindCovered once, Hits the ones that found something, and
-// ShardSearches one a query on the index, every stripe on a store scan
-// (the linear strategy's covers, and FindCovered in every mode), and none
-// when detection is off. A call rejected before it searched counts
+// actually issued: Queries counts every single op and batch item once,
+// Hits the ones that found something, and ShardSearches one a query on the
+// index, every stripe on the linear strategy's store scan, and none when
+// detection is off. A call rejected before it searched counts
 // nowhere.
 func TestTotalsCountIssuedCalls(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
@@ -773,9 +688,9 @@ func TestTotalsCountIssuedCalls(t *testing.T) {
 
 	type want struct{ queries, hits, searches int }
 	// issue runs every kind of counted call against e, with parents[:20]
-	// held, and tallies what it issued; cover and covered are what one
-	// FindCover-kind query and one FindCovered should add to ShardSearches.
-	issue := func(t *testing.T, e *Engine, cover, covered int) want {
+	// held, and tallies what it issued; cover is what one FindCover-kind
+	// query should add to ShardSearches.
+	issue := func(t *testing.T, e *Engine, cover int) want {
 		var w want
 		count := func(found bool, searches int) {
 			w.queries++
@@ -813,13 +728,6 @@ func TestTotalsCountIssuedCalls(t *testing.T) {
 			}
 			count(r.Covered, cover)
 		}
-		for _, p := range parents[:10] {
-			_, found, _, err := e.FindCovered(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			count(found, covered)
-		}
 		// A subscription of another schema is refused before any search.
 		if _, _, _, err := e.FindCover(subscription.New(other)); err == nil {
 			t.Fatal("a foreign schema must be refused")
@@ -845,7 +753,7 @@ func TestTotalsCountIssuedCalls(t *testing.T) {
 			Shards:   shards,
 		})
 		defer e.Close()
-		check(t, e, issue(t, e, 1, shards))
+		check(t, e, issue(t, e, 1))
 	})
 	t.Run("linear-scan", func(t *testing.T) {
 		e := MustNew(Config{
@@ -853,12 +761,12 @@ func TestTotalsCountIssuedCalls(t *testing.T) {
 			Shards:   shards,
 		})
 		defer e.Close()
-		check(t, e, issue(t, e, shards, shards))
+		check(t, e, issue(t, e, shards))
 	})
 	t.Run("off", func(t *testing.T) {
 		e := MustNew(Config{Detector: core.Config{Schema: schema, Mode: core.ModeOff}, Shards: shards})
 		defer e.Close()
-		check(t, e, issue(t, e, 0, 0))
+		check(t, e, issue(t, e, 0))
 	})
 }
 

@@ -95,8 +95,8 @@ func TestSkewDetectionOnPrefixPlan(t *testing.T) {
 }
 
 // TestRebalanceConvergesAndPreservesAnswers: forced passes drive the skew
-// down to the target and every cover answer is bit-identical to the
-// pre-rebalance answers.
+// down to the target, every cover answer is bit-identical to the
+// pre-rebalance answers, and the engine enumerates the same set.
 func TestRebalanceConvergesAndPreservesAnswers(t *testing.T) {
 	schema := testSchema(t)
 	e := prefixEngine(t, schema, Config{
@@ -110,18 +110,16 @@ func TestRebalanceConvergesAndPreservesAnswers(t *testing.T) {
 		found bool
 	}
 	before := make([]answer, len(probes))
-	beforeCovered := make([]answer, len(probes))
 	for i, p := range probes {
 		id, found, _, err := e.FindCover(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before[i] = answer{id, found}
-		id, found, _, err = e.FindCovered(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		beforeCovered[i] = answer{id, found}
+	}
+	heldBefore, err := e.Enumerate()
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	skewBefore := e.Stats().SkewRatio
@@ -163,12 +161,17 @@ func TestRebalanceConvergesAndPreservesAnswers(t *testing.T) {
 		if (answer{id, found}) != before[i] {
 			t.Fatalf("probe %d: FindCover = (%d,%v) after rebalance, want (%d,%v)", i, id, found, before[i].id, before[i].found)
 		}
-		id, found, _, err = e.FindCovered(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (answer{id, found}) != beforeCovered[i] {
-			t.Fatalf("probe %d: FindCovered = (%d,%v) after rebalance, want (%d,%v)", i, id, found, beforeCovered[i].id, beforeCovered[i].found)
+	}
+	heldAfter, err := e.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(heldAfter) != len(heldBefore) {
+		t.Fatalf("engine enumerates %d subscriptions after rebalance, %d before", len(heldAfter), len(heldBefore))
+	}
+	for i, h := range heldBefore {
+		if heldAfter[i].ID != h.ID || !heldAfter[i].Sub.Equal(h.Sub) {
+			t.Fatalf("entry %d is id %d after rebalance, id %d before", i, heldAfter[i].ID, h.ID)
 		}
 	}
 }

@@ -241,7 +241,7 @@ func (e *Engine) searchCover(s *subscription.Subscription, tr *obs.QueryTrace, r
 	case det.Mode == core.ModeOff:
 		return 0
 	case e.linear:
-		return e.scan(s, false, res)
+		return e.scan(s, res)
 	case det.Mode == core.ModeExact:
 		return e.query(s.Point(), 0, tr, res)
 	default: // ModeApprox
@@ -251,14 +251,14 @@ func (e *Engine) searchCover(s *subscription.Subscription, tr *obs.QueryTrace, r
 
 // scan answers an exact query without the index by walking the store
 // stripes one lock at a time: the smallest id of a held subscription that
-// covers s, or with covered set the smallest one s covers. Ids interleave
-// across the stripes, so every stripe is walked and counted.
-func (e *Engine) scan(s *subscription.Subscription, covered bool, res *QueryResult) int {
+// covers s. Ids interleave across the stripes, so every stripe is walked
+// and counted.
+func (e *Engine) scan(s *subscription.Subscription, res *QueryResult) int {
 	for i := range e.stores {
 		st := &e.stores[i]
 		st.mu.Lock()
 		for id, cand := range st.subs.All() {
-			if (!res.Covered || id < res.CoveredBy) && (covered && s.Covers(cand) || !covered && cand.Covers(s)) {
+			if (!res.Covered || id < res.CoveredBy) && cand.Covers(s) {
 				res.Covered, res.CoveredBy = true, id
 			}
 		}

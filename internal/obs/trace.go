@@ -40,7 +40,7 @@ type QueryCost struct {
 // valid everywhere and records nothing, so the un-traced hot path pays
 // one pointer test per stage site.
 type QueryTrace struct {
-	// Op names the logical operation ("query", "covered", "match").
+	// Op names the logical operation ("query").
 	Op string
 	// Start is when the engine began the query.
 	Start time.Time

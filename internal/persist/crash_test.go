@@ -23,7 +23,7 @@ import (
 // while journaling, for every operation, where its WAL record ended. Then
 // for every crash point — every byte offset of the final segment — clone
 // the data dir, truncate it there, recover, and demand bit-identical
-// FindCover/FindCovered answers against a never-crashed twin built by
+// FindCover answers and held sets against a never-crashed twin built by
 // replaying exactly the operations whose records survived the cut.
 //
 // The Detector backend runs the full per-byte sweep; the engine backend
@@ -203,8 +203,8 @@ func twinFor(t *testing.T, schema *subscription.Schema, mk func() core.Provider,
 	}
 }
 
-// probeFingerprint fingerprints both covering directions over the whole
-// rect family (stored or not) for one provider.
+// probeFingerprint fingerprints the covering answers over the whole rect
+// family (stored or not) and the held set for one provider.
 func probeFingerprint(t *testing.T, schema *subscription.Schema, p core.Provider) string {
 	t.Helper()
 	return fmt.Sprintf("len=%d;%s", p.Len(), coverAnswers(t, schema, p, 16))

@@ -128,11 +128,6 @@ func (d *DurableProvider) FindCover(s *subscription.Subscription) (uint64, bool,
 	return d.inner.FindCover(s)
 }
 
-// FindCovered searches the wrapped provider for a subscription s covers.
-func (d *DurableProvider) FindCovered(s *subscription.Subscription) (uint64, bool, dominance.Stats, error) {
-	return d.inner.FindCovered(s)
-}
-
 // CoverQueryBatch runs the batch on the wrapped provider.
 func (d *DurableProvider) CoverQueryBatch(subs []*subscription.Subscription) []core.QueryResult {
 	return d.inner.CoverQueryBatch(subs)

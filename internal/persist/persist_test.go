@@ -15,8 +15,8 @@ func testSchema() *subscription.Schema { return subscription.MustSchema(8, "x", 
 
 // The test family is an anti-chain of one-sided min constraints:
 // rect(i) = (x >= 2i && y >= 2(K−i)). rect(j) covers rect(i) iff j <= i
-// AND j >= i, so no member covers another, and each probe below has
-// exactly one covering (or covered) member — recovery comparisons can
+// AND j >= i, so no member covers another, and the probe below has
+// exactly one covering member — recovery comparisons can
 // demand bit-identical ids even though FindCover returns "any" cover.
 // One-sided constraints also keep exact SFC queries cheap: the dominance
 // region hugs the domain's top corner (per-axis sides lo+1 and max−hi+1,
@@ -37,16 +37,6 @@ func rect(t testing.TB, schema *subscription.Schema, i int) *subscription.Subscr
 func inner(t testing.TB, schema *subscription.Schema, i int) *subscription.Subscription {
 	t.Helper()
 	return subscription.MustParse(schema, fmt.Sprintf("x >= %d && y >= %d", 2*i+1, 2*(familyK-i)+1))
-}
-
-// wider returns a probe that covers rect(i) and no other family member.
-func wider(t testing.TB, schema *subscription.Schema, i int) *subscription.Subscription {
-	t.Helper()
-	lo := 2*i - 1
-	if lo < 0 {
-		lo = 0
-	}
-	return subscription.MustParse(schema, fmt.Sprintf("x >= %d && y >= %d", lo, 2*(familyK-i)-1))
 }
 
 // payload marshals a subscription for direct store appends.
@@ -376,9 +366,10 @@ func TestDurableDetectorRecovery(t *testing.T) {
 	}
 }
 
-// coverAnswers fingerprints FindCover/FindCovered over the disjoint probe
-// family: the exact (id, found) pairs, which must be bit-identical between
-// a recovered provider and its never-crashed twin.
+// coverAnswers fingerprints FindCover over the disjoint probe family —
+// the exact (id, found) pairs — and the held set Enumerate returns, which
+// must be bit-identical between a recovered provider and its
+// never-crashed twin.
 func coverAnswers(t testing.TB, schema *subscription.Schema, p core.Provider, n int) string {
 	t.Helper()
 	out := ""
@@ -388,11 +379,13 @@ func coverAnswers(t testing.TB, schema *subscription.Schema, p core.Provider, n 
 			t.Fatal(err)
 		}
 		out += fmt.Sprintf("c%d:%v/%d;", i, found, id)
-		id, found, _, err = p.FindCovered(wider(t, schema, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out += fmt.Sprintf("r%d:%v/%d;", i, found, id)
+	}
+	held, err := p.Enumerate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range held {
+		out += fmt.Sprintf("h%d:%v;", h.ID, h.Sub)
 	}
 	return out
 }

@@ -885,15 +885,6 @@ func (c *Client) QueryBatch(ctx context.Context, subs []*subscription.Subscripti
 	return c.batchOp(ctx, OpQueryBatch, "", subs)
 }
 
-// QueryCovered asks the reverse covering question: does the store hold a
-// subscription that s covers? The server answers through the provider's
-// FindCovered, a scan: exact whenever detection is on, naming the smallest
-// such sid.
-func (c *Client) QueryCovered(ctx context.Context, s *subscription.Subscription) (covered bool, coveredID uint64, err error) {
-	res, err := c.subOp(ctx, OpCovered, "", s)
-	return res.Covered, res.CoveredBy, err
-}
-
 // Subscription resolves a stored id back to its subscription.
 func (c *Client) Subscription(ctx context.Context, sid uint64) (*subscription.Subscription, error) {
 	return c.subscription(ctx, "", sid)

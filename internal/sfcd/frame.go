@@ -58,7 +58,6 @@ var opLayouts = [numOps]struct {
 	OpUnsubscribeBatch: {reqSIDs, respResults},
 	OpQuery:            {reqPayload, respResult},
 	OpQueryBatch:       {reqPayloads, respResults},
-	OpCovered:          {reqPayload, respResult},
 	OpGet:              {reqSID, respResult},
 	OpMatch:            {reqPayload, respResult},
 	OpStats:            {reqNone, respBody},
@@ -405,7 +404,7 @@ func decodeRequest(body []byte, r *Request) error {
 	if r.ID == 0 {
 		return errReservedID
 	}
-	if r.Op == OpNone || r.Op == opRetired || r.Op >= numOps {
+	if r.Op == OpNone || r.Op >= numOps || r.Op.retired() {
 		return errUnknownOp
 	}
 	if link := c.bytes(); string(link) != r.Link {

@@ -32,7 +32,6 @@ func frameCorpus() (reqs []Request, resps []Response) {
 		{ID: 8, Op: OpQuery, Payload: sub},
 		{ID: 9, Op: OpQueryBatch, Payloads: [][]byte{sub}},
 		{ID: 10, Op: OpQueryBatch},
-		{ID: 11, Op: OpCovered, Link: "x", Payload: sub},
 		{ID: 12, Op: OpGet, SID: 41},
 		{ID: 13, Op: OpMatch, Payload: []byte{0x45, 2, 10, 9, 9}},
 		{ID: 14, Op: OpStats, Link: "x"},
@@ -56,7 +55,6 @@ func frameCorpus() (reqs []Request, resps []Response) {
 		{ID: 8, Op: OpQuery, OK: true},
 		{ID: 9, Op: OpQueryBatch, OK: true, Results: []Result{{}}},
 		{ID: 10, Op: OpQueryBatch, OK: true},
-		{ID: 11, Op: OpCovered, OK: true, Result: Result{Covered: true, CoveredBy: 2}},
 		{ID: 12, Op: OpGet, OK: true, Result: Result{SID: 41, Payload: sub}},
 		{ID: 13, Op: OpMatch, OK: true, Result: Result{Covered: true, CoveredBy: 41}},
 		{ID: 14, Op: OpStats, OK: true, Body: []byte(`{"queries":3,"shardSizes":[1,2]}`)},
@@ -223,8 +221,10 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Add(appendResponse(binary.AppendUvarint(nil, resps[i].ID), &resps[i]))
 	}
 	f.Add([]byte{})
-	f.Add([]byte{7, byte(opRetired), 0})    // a request on the retired number: unknown_op
-	f.Add([]byte{7, byte(opRetired), 0, 0}) // and an OK response to one
+	f.Add([]byte{7, byte(opRetiredRebalance), 0})    // a request on a retired number: unknown_op
+	f.Add([]byte{7, byte(opRetiredRebalance), 0, 0}) // and an OK response to one
+	f.Add([]byte{7, byte(opRetiredCovered), 0, 3, 1, 2, 3})
+	f.Add([]byte{7, byte(opRetiredCovered), 0, 0})
 	f.Add([]byte{7, byte(OpQueryBatch), 0, 0xff, 0xff, 0x03})
 	f.Add([]byte{7, byte(OpQueryBatch), 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	const perByte = int(unsafe.Sizeof(Result{})) + 8

@@ -284,7 +284,8 @@ func TestHostileFramesRefused(t *testing.T) {
 		{"request id 0", body(0, byte(OpPing), 0), CodeBadRequest, true},
 		{"unknown opcode", body(7, 0xee, 0, 1, 2, 3), CodeUnknownOp, false},
 		{"opcode 0", body(7, byte(OpNone), 0), CodeUnknownOp, false},
-		{"retired opcode (rebalance)", body(7, byte(opRetired), 0), CodeUnknownOp, false},
+		{"retired opcode (covered)", body(7, byte(opRetiredCovered), 0, 3, 1, 2, 3), CodeUnknownOp, false},
+		{"retired opcode (rebalance)", body(7, byte(opRetiredRebalance), 0), CodeUnknownOp, false},
 		{"old newline-JSON client", []byte(`{"id":1,"op":"hello"}` + "\n"), CodeBadRequest, true},
 	}
 	for _, tc := range cases {

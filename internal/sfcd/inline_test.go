@@ -51,12 +51,12 @@ func TestInlinePredicate(t *testing.T) {
 		{approx, OpUnsubscribeBatch, "", nil, false},
 		{approx, OpQuery, "", nil, true},
 		{approx, OpQueryBatch, "", nil, false},
-		{approx, OpCovered, "", nil, false},
+		{approx, opRetiredCovered, "", errUnknownOp, false},
 		{approx, OpGet, "", nil, true},
 		{approx, OpMatch, "", nil, true},
 		{approx, OpStats, "", nil, false},
 		{approx, OpMetrics, "", nil, false},
-		{approx, opRetired, "", errUnknownOp, false},
+		{approx, opRetiredRebalance, "", errUnknownOp, false},
 		{approx, OpSnapshot, "", nil, false},
 		{approx, OpUnlink, "", nil, false},
 		{approx, OpTrace, "", nil, false},

@@ -11,37 +11,6 @@ import (
 	"sfccover/internal/subscription"
 )
 
-func TestCoveredOp(t *testing.T) {
-	schema := subscription.MustSchema(10, "volume", "price")
-	_, addr := startServer(t, schema, core.ModeExact)
-	c, err := Dial(addr, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	narrow := subscription.MustParse(schema, "volume in [200,300] && price in [50,60]")
-	broad := subscription.MustParse(schema, "volume in [100,900] && price in [10,400]")
-	sid, _, _, err := c.Subscribe(bg, narrow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	covered, coveredID, err := c.QueryCovered(bg, broad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !covered || coveredID != sid {
-		t.Fatalf("QueryCovered = (%v, %d), want (true, %d)", covered, coveredID, sid)
-	}
-	// A strictly narrower probe covers nothing in the store.
-	tiny := subscription.MustParse(schema, "volume in [250,260] && price in [55,58]")
-	if covered, _, err = c.QueryCovered(bg, tiny); err != nil {
-		t.Fatal(err)
-	} else if covered {
-		t.Fatal("strictly narrower probe must not cover the store")
-	}
-}
-
 // promLine matches one Prometheus text-exposition sample:
 // name, optional {labels}, one float value.
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? (-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?|NaN|[+-]Inf)$`)

@@ -46,7 +46,7 @@ type opHists [numOps]*obs.Histogram
 func newOpHists(hist func(op string) *obs.Histogram) *opHists {
 	var h opHists
 	for op := OpNone + 1; op < numOps; op++ {
-		if op != OpReplicate && op != opRetired {
+		if op != OpReplicate && !op.retired() {
 			h[op] = hist(op.metricName())
 		}
 	}

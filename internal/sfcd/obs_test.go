@@ -138,6 +138,34 @@ func TestMetricsIncludesOpLatencyHistograms(t *testing.T) {
 	}
 }
 
+// TestOpHistsNameEveryMeteredOp: newOpHists registers one histogram per
+// op under a non-empty name of its own, and none for the retired numbers
+// or the streaming replicate op.
+func TestOpHistsNameEveryMeteredOp(t *testing.T) {
+	var names []string
+	h := newOpHists(func(op string) *obs.Histogram {
+		names = append(names, op)
+		return obs.NewHistogram()
+	})
+	seen := map[string]bool{}
+	for _, name := range names {
+		if name == "" || seen[name] {
+			t.Fatalf("op histogram names %q: each must be non-empty and distinct", names)
+		}
+		seen[name] = true
+	}
+	for op := OpNone + 1; op < numOps; op++ {
+		if metered := op != OpReplicate && !op.retired(); (h[op] != nil) != metered {
+			t.Errorf("op %d (%s): histogram registered = %v, want %v", op, op, h[op] != nil, metered)
+		}
+	}
+	for _, op := range []Opcode{opRetiredCovered, opRetiredRebalance} {
+		if !op.retired() {
+			t.Errorf("opcode %d is not retired", op)
+		}
+	}
+}
+
 // TestMetricsLinkGaugesEscapedAndCapped checks the per-link gauge block:
 // labels are escaped and cardinality is capped with an _other aggregate.
 func TestMetricsLinkGaugesEscapedAndCapped(t *testing.T) {

@@ -33,7 +33,7 @@
 //	                                                     str(mode) str(role) uvarint(n) n*str(attr)
 //	promote                       -                      str(role)
 //	subscribe, insert, query,     bytes(payload)         result
-//	  covered, match
+//	  match
 //	unsubscribe, get              uvarint(sid)           result
 //	subscribe_batch, query_batch  uvarint(n) n*bytes     uvarint(n) n*result
 //	unsubscribe_batch             uvarint(n) n*uvarint   uvarint(n) n*result
@@ -57,14 +57,14 @@
 // frame length of 0 or above MaxFrameBytes, an id of 0, a field running
 // past the frame, a batch count larger than the bytes that follow and
 // trailing bytes all earn one connection-level bad_request frame and a
-// close; an opcode the server does not know — opcode 15 among them, once
-// "rebalance", retired and never reassigned — earns a per-request
-// unknown_op (the frame boundary is intact, so the connection lives). A
-// connection whose very first byte is '{' is a newline-JSON client from
-// before this framing: it gets the same bad_request frame instead of a
-// daemon waiting for 123 bytes that never come — which is why a
-// connection's first frame (the client sends hello, 3 bytes) must not be
-// exactly 123 bytes long.
+// close; an opcode the server does not know — opcodes 10 and 15 among
+// them, once "covered" and "rebalance", retired and never reassigned —
+// earns a per-request unknown_op (the frame boundary is intact, so the
+// connection lives). A connection whose very first byte is '{' is a
+// newline-JSON client from before this framing: it gets the same
+// bad_request frame instead of a daemon waiting for 123 bytes that never
+// come — which is why a connection's first frame (the client sends hello,
+// 3 bytes) must not be exactly 123 bytes long.
 //
 // "replicate" opens the replication stream: the caller (a follower
 // daemon) sends its applied stream position and the server answers with
@@ -91,10 +91,7 @@
 //
 // "insert" stores a subscription without the pre-insert covering query
 // (the Provider.Insert path); "get" resolves a sid back to its stored
-// subscription payload. "covered" is the reverse covering query (the
-// provider's FindCovered): does the store hold a subscription that the
-// payload covers? It scans, so it answers exactly whenever detection is
-// on, with the smallest such sid. "metrics" renders the stats counters in the
+// subscription payload. "metrics" renders the stats counters in the
 // Prometheus text exposition format.
 //
 // "match" answers event delivery: an event e is a degenerate subscription
@@ -131,15 +128,16 @@ const (
 	OpUnsubscribeBatch
 	OpQuery
 	OpQueryBatch
-	OpCovered
+	// opRetiredCovered was "covered", the reverse covering query, until
+	// no caller asked it.
+	opRetiredCovered
 	OpGet
 	OpMatch
 	OpStats
 	OpMetrics
-	// opRetired was "rebalance" until the engine took to rebalancing
-	// itself. The number stays unassigned and is refused as unknown_op, so
-	// a peer built before that cannot have its snapshot read as an unlink.
-	opRetired
+	// opRetiredRebalance was "rebalance" until the engine took to
+	// rebalancing itself.
+	opRetiredRebalance
 	OpSnapshot
 	OpUnlink
 	OpTrace
@@ -153,7 +151,7 @@ var opNames = [numOps]string{
 	OpNone: "none", OpPing: "ping", OpHello: "hello",
 	OpSubscribe: "subscribe", OpInsert: "insert", OpSubscribeBatch: "subscribe_batch",
 	OpUnsubscribe: "unsubscribe", OpUnsubscribeBatch: "unsubscribe_batch",
-	OpQuery: "query", OpQueryBatch: "query_batch", OpCovered: "covered",
+	OpQuery: "query", OpQueryBatch: "query_batch",
 	OpGet: "get", OpMatch: "match", OpStats: "stats", OpMetrics: "metrics",
 	OpSnapshot: "snapshot", OpUnlink: "unlink",
 	OpTrace: "trace", OpSlowlog: "slowlog", OpReplicate: "replicate", OpPromote: "promote",
@@ -167,6 +165,13 @@ func (op Opcode) String() string {
 	return "unknown"
 }
 
+// retired reports whether op is a number the protocol no longer assigns —
+// one with no name. A retired number stays unassigned: a request on it is
+// refused as unknown_op and no op histogram is registered for it, so a
+// peer built before the retirement cannot have its request read as some
+// other op.
+func (op Opcode) retired() bool { return op < numOps && opNames[op] == "" }
+
 // Request is one decoded request frame.
 type Request struct {
 	// ID is echoed in the response; clients pipeline many requests and
@@ -179,7 +184,7 @@ type Request struct {
 	// Link selects the subscription namespace; empty is the shared engine.
 	Link string
 	// Payload carries one binary subscription (subscribe, insert, query,
-	// covered, trace) or event (match).
+	// trace) or event (match).
 	Payload []byte
 	// Payloads carries a batch of binary subscriptions.
 	Payloads [][]byte
@@ -297,7 +302,7 @@ type Response struct {
 	Role string
 
 	// Result is the single-operation outcome (subscribe, insert, query,
-	// covered, get, match, unsubscribe, trace).
+	// get, match, unsubscribe, trace).
 	Result Result
 	// Results are the batch outcomes, aligned with the request's
 	// payloads/sids.
@@ -361,7 +366,7 @@ type TraceCost struct {
 // Trace is one query's full trace record, returned by the trace op and
 // (in batches) by slowlog.
 type Trace struct {
-	// Op is the logical operation traced ("query", "covered").
+	// Op is the logical operation traced ("query").
 	Op string `json:"op"`
 	// StartUnixNS is when the engine began the query (Unix nanoseconds).
 	StartUnixNS int64 `json:"startUnixNs"`

@@ -12,8 +12,8 @@ import (
 )
 
 // RemoteProvider adapts one link namespace of a dialed sfcd daemon to
-// core.Provider: the full Add/Insert/Remove/FindCover/FindCovered/Stats
-// surface travels over the client's pipelined connection, so brokers and
+// core.Provider: the full Add/Insert/Remove/FindCover/Stats surface
+// travels over the client's pipelined connection, so brokers and
 // routers can point any provider seam at a shared daemon exactly as they
 // would at an in-process Detector or Engine. Any number of providers —
 // one per broker link, say — share a single Client and therefore a
@@ -22,8 +22,8 @@ import (
 // first — for at most that read's walk budget.
 //
 // Divergences forced by the interface: the per-query dominance.Stats are
-// server-side aggregates (visible through Stats), so FindCover/FindCovered
-// return zero-valued per-call stats; Len and Subscription have no error
+// server-side aggregates (visible through Stats), so FindCover returns
+// zero-valued per-call stats; Len and Subscription have no error
 // channel, so connection failures surface as 0 / not-found there and as
 // real errors on the next erroring operation.
 //
@@ -94,12 +94,6 @@ func (r *RemoteProvider) Remove(id uint64) error {
 // per-call dominance stats are zero (they live server-side; see Stats).
 func (r *RemoteProvider) FindCover(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error) {
 	res, err := r.subOp(OpQuery, s)
-	return res.CoveredBy, res.Covered, stats, err
-}
-
-// FindCovered searches the namespace for a subscription that s covers.
-func (r *RemoteProvider) FindCovered(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error) {
-	res, err := r.subOp(OpCovered, s)
 	return res.CoveredBy, res.Covered, stats, err
 }
 

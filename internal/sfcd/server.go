@@ -268,11 +268,6 @@ func (s *Server) stopFollow() {
 	<-s.followDone
 }
 
-// SharedProvider returns the provider behind the empty-link namespace:
-// the engine itself, or its durable wrapper on a persistent server.
-// Metrics endpoints render from it so durability counters are visible.
-func (s *Server) SharedProvider() core.Provider { return s.shared }
-
 // Listen binds addr (e.g. "127.0.0.1:7421", ":0" for an ephemeral port)
 // and starts accepting connections in the background. It returns the bound
 // address.
@@ -544,8 +539,8 @@ func (s *Server) handleConn(conn net.Conn) {
 // itself: a read-only single-item op whose cost the walk budget bounds —
 // ping, query, match, get — addressed to a namespace that already exists.
 // Everything else can take longer than a frame queued behind it should
-// wait: a write may wait on a WAL write or fsync, covered and the batch
-// ops scan, building a link reads the store, and a search is unbounded
+// wait: a write may wait on a WAL write or fsync, a batch op runs many
+// items, building a link reads the store, and a search is unbounded
 // on an exact-mode engine or with the budget lifted.
 func (s *Server) inline(sc *reqScratch) bool {
 	if sc.decErr != nil {
@@ -679,8 +674,8 @@ func (s *Server) unlink(link string) Response {
 // caller stamps the opcode and sends it under the request's id; sc.resp
 // still holds the previous response, whose Results capacity the batch ops
 // reuse). The ops a router issues per
-// subscription — subscribe, insert, unsubscribe, query, covered, match,
-// get and their batch forms — run against sc's pooled buffers; the
+// subscription — subscribe, insert, unsubscribe, query, match, get and
+// their batch forms — run against sc's pooled buffers; the
 // introspection ops allocate freely.
 //
 //sfc:hotpath
@@ -774,7 +769,7 @@ func (s *Server) serve(sc *reqScratch) Response {
 			}
 		}
 		return Response{OK: true, Results: results}
-	case OpQuery, OpCovered, OpMatch:
+	case OpQuery, OpMatch:
 		// Searches do not retain the subscription: decode into the scratch.
 		if req.Op == OpMatch {
 			err = subscription.UnmarshalPointInto(sc.sub, req.Payload)
@@ -785,11 +780,7 @@ func (s *Server) serve(sc *reqScratch) Response {
 			return badRequest(err)
 		}
 		var res Result
-		if req.Op == OpCovered {
-			res.CoveredBy, res.Covered, _, err = prov.FindCovered(sc.sub)
-		} else {
-			res.CoveredBy, res.Covered, _, err = prov.FindCover(sc.sub)
-		}
+		res.CoveredBy, res.Covered, _, err = prov.FindCover(sc.sub)
 		if err != nil {
 			return errResponse(err)
 		}

@@ -96,62 +96,3 @@ func FuzzUnmarshalSubscription(f *testing.F) {
 		}
 	})
 }
-
-// FuzzMerge checks Merge's core invariant on arbitrary range pairs: when a
-// merge is produced, it covers both inputs and has exactly the union's
-// volume (so it matches nothing extra).
-func FuzzMerge(f *testing.F) {
-	f.Add(uint8(0), uint8(10), uint8(5), uint8(9), uint8(11), uint8(30), uint8(5), uint8(9))
-	schema := MustSchema(8, "x", "y")
-	f.Fuzz(func(t *testing.T, aLoX, aHiX, aLoY, aHiY, bLoX, bHiX, bLoY, bHiY uint8) {
-		norm := func(lo, hi uint8) (uint32, uint32) {
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			return uint32(lo), uint32(hi)
-		}
-		mk := func(loX, hiX, loY, hiY uint8) *Subscription {
-			s := New(schema)
-			lx, hx := norm(loX, hiX)
-			ly, hy := norm(loY, hiY)
-			if err := s.SetRange("x", lx, hx); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.SetRange("y", ly, hy); err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}
-		a := mk(aLoX, aHiX, aLoY, aHiY)
-		b := mk(bLoX, bHiX, bLoY, bHiY)
-		m, ok := Merge(a, b)
-		if !ok {
-			return
-		}
-		if !m.Covers(a) || !m.Covers(b) {
-			t.Fatalf("merge %v does not cover both inputs %v, %v", m, a, b)
-		}
-		// Volume check: |union| = |A| + |B| - |A∩B| must equal |M|.
-		volume := func(s *Subscription) uint64 {
-			v := uint64(1)
-			for i := 0; i < schema.NumAttrs(); i++ {
-				v *= s.Range(i).Width()
-			}
-			return v
-		}
-		inter := uint64(1)
-		for i := 0; i < schema.NumAttrs(); i++ {
-			ra, rb := a.Range(i), b.Range(i)
-			lo := max32(ra.Lo, rb.Lo)
-			hi := min32(ra.Hi, rb.Hi)
-			if lo > hi {
-				inter = 0
-				break
-			}
-			inter *= uint64(hi) - uint64(lo) + 1
-		}
-		if volume(m) != volume(a)+volume(b)-inter {
-			t.Fatalf("merge %v is not the exact union of %v and %v", m, a, b)
-		}
-	})
-}

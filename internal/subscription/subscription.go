@@ -103,9 +103,6 @@ func (r Range) Contains(v uint32) bool { return r.Lo <= v && v <= r.Hi }
 // ContainsRange reports whether o is a subinterval of r.
 func (r Range) ContainsRange(o Range) bool { return r.Lo <= o.Lo && o.Hi <= r.Hi }
 
-// Width returns the number of values in the range.
-func (r Range) Width() uint64 { return uint64(r.Hi) - uint64(r.Lo) + 1 }
-
 // Subscription is a conjunction of range constraints over a schema's
 // attributes; attributes not explicitly constrained span the full domain.
 type Subscription struct {

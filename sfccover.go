@@ -85,11 +85,11 @@ type Quantizer = subscription.Quantizer
 
 // Provider is the covering-detection abstraction implemented by
 // Detector, Engine, DurableProvider and DaemonProvider: Add/Insert/Remove
-// and their batch forms, the forward (FindCover) and reverse (FindCovered)
-// covering queries, Snapshot, Enumerate, Restore and a uniform Stats snapshot. An
-// implementation that cannot serve an operation refuses it with
-// ErrUnsupported. Brokers and services program against it so the backing
-// index is a configuration knob.
+// and their batch forms, the covering query (FindCover), Snapshot,
+// Enumerate, Restore and a uniform Stats snapshot. An implementation that
+// cannot serve an operation refuses it with ErrUnsupported. Brokers and
+// services program against it so the backing index is a configuration
+// knob.
 type Provider = core.Provider
 
 // ProviderStats is the uniform counter-and-occupancy snapshot every
@@ -377,15 +377,6 @@ func ParseEvent(schema *Schema, expr string) (Event, error) {
 // NewQuantizer maps the continuous domain [min, max] onto a bits-wide grid.
 func NewQuantizer(min, max float64, bits int) (*Quantizer, error) {
 	return subscription.NewQuantizer(min, max, bits)
-}
-
-// MergeSubscriptions returns a subscription matching exactly N(a) ∪ N(b)
-// when that union is a rectangle ("perfect merging"); ok is false
-// otherwise. Merging complements covering: two mergeable subscriptions can
-// be replaced by their exact union in a routing table with no
-// approximation error.
-func MergeSubscriptions(a, b *Subscription) (merged *Subscription, ok bool) {
-	return subscription.Merge(a, b)
 }
 
 // UnmarshalSubscription decodes the wire format produced by
