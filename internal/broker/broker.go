@@ -244,8 +244,8 @@ type handle int32
 // the free list and is reused first, so handle values depend only on the
 // op sequence.
 type rectTable struct {
-	handle map[rectKey]handle
-	keys   []rectKey // per handle, its rectangle
+	handle map[subscription.Rect]handle
+	keys   []subscription.Rect // per handle, its rectangle
 	// rows lists, per handle, where each group holding a row for the
 	// rectangle keeps it: its length is the rectangle's source count, and
 	// the lists together take memory in rows, not in handles × groups.
@@ -258,7 +258,7 @@ type rowRef struct{ group, row int32 }
 
 // intern returns key's handle, minting one — the most recently freed
 // first — when the broker holds nothing for the rectangle.
-func (b *Broker) intern(key rectKey) handle {
+func (b *Broker) intern(key subscription.Rect) handle {
 	t := &b.rects
 	if h, ok := t.handle[key]; ok {
 		return h
@@ -303,21 +303,6 @@ func (t *rectTable) placement(h handle, gi int) int {
 		}
 	}
 	return -1
-}
-
-// rectKey is a subscription's constraint rectangle as a comparable value:
-// attribute i's bounds packed lo<<MaxBits | hi (a schema admits at most
-// MaxAttrs attributes of at most MaxBits bits, so nothing is lost); slots
-// past the schema's attributes stay zero.
-type rectKey [subscription.MaxAttrs]uint32
-
-func keyOf(s *subscription.Subscription) rectKey {
-	var k rectKey
-	for i := 0; i < s.Schema().NumAttrs(); i++ {
-		r := s.Range(i)
-		k[i] = r.Lo<<subscription.MaxBits | r.Hi
-	}
-	return k
 }
 
 // A group's rows keep their bounds packed three attributes to a uint64,
@@ -410,7 +395,7 @@ rows:
 }
 
 // push appends the row for rectangle key, handle h.
-func (g *ifaceRows) push(key rectKey, h handle) {
+func (g *ifaceRows) push(key subscription.Rect, h handle) {
 	n := len(g.lo)
 	for range g.words {
 		g.lo, g.span = append(g.lo, 0), append(g.span, 0)
@@ -636,7 +621,7 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 	}
 	n.brokers = make([]*Broker, topo.N)
 	for i := range n.brokers {
-		n.brokers[i] = &Broker{id: i, net: n, rects: rectTable{handle: make(map[rectKey]handle)}}
+		n.brokers[i] = &Broker{id: i, net: n, rects: rectTable{handle: make(map[subscription.Rect]handle)}}
 	}
 	for _, e := range topo.Edges {
 		n.brokers[e[0]].neighbors = append(n.brokers[e[0]].neighbors, e[1])
@@ -714,7 +699,7 @@ func (n *Network) restoreLinks() {
 			peer := n.brokers[j]
 			gi := peer.group(iface{kind: ifNeighbor, id: b.id})
 			for _, it := range held(st.fwd) {
-				key := keyOf(it.Sub)
+				key := it.Sub.Rect()
 				st.ids[b.intern(key)] = forwardedID{id: it.ID, ok: true}
 				if h := peer.intern(key); peer.rects.placement(h, gi) < 0 {
 					peer.addRow(gi, h)
@@ -725,7 +710,7 @@ func (n *Network) restoreLinks() {
 				continue
 			}
 			for _, it := range held(st.supp) {
-				h := b.intern(keyOf(it.Sub))
+				h := b.intern(it.Sub.Rect())
 				// A crash between forward's two writes left the rectangle in
 				// both sets; forwarding wins here as it does there.
 				if !st.ids[h].ok {
@@ -962,7 +947,7 @@ func (n *Network) Drain() int {
 // neighbor's group index is its link's index, so "every link but the one
 // it came from" is every k but gi.
 func (b *Broker) handleSubscribe(from iface, s *subscription.Subscription) {
-	h, gi := b.intern(keyOf(s)), b.group(from)
+	h, gi := b.intern(s.Rect()), b.group(from)
 	if !b.addRow(gi, h) {
 		return // forwarding state already reflects this subscription
 	}
@@ -1081,7 +1066,7 @@ func (b *Broker) dropSuppressed(st *neighborState, h handle) {
 }
 
 func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
-	h, held := b.rects.handle[keyOf(s)]
+	h, held := b.rects.handle[s.Rect()]
 	if !held {
 		b.net.metrics.ProtocolErrors++
 		return
@@ -1140,10 +1125,10 @@ func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
 // CoverQueryBatch in BatchSize chunks, so engine backends answer them on
 // their batch path.
 //
-// The lists are unordered; the re-screen runs in rectangle order — numeric
-// on (lo, hi) attribute by attribute, rectKey's word order — a total order
-// on rectangles, so the re-forward sequence is deterministic across runs
-// and backends.
+// The lists are unordered; the re-screen runs in rectangle order —
+// numeric on (lo, hi) attribute by attribute, subscription.Rect's word
+// order — a total order on rectangles, so the re-forward sequence is
+// deterministic across runs and backends.
 func (b *Broker) resubscribeCovered(k int, st *neighborState, retracted uint64) {
 	head, ok := st.sups.heldBy.Get(retracted)
 	if !ok {

@@ -337,12 +337,13 @@ func checkPackedRows(b *Broker, gi int) error {
 	return nil
 }
 
-// checkRectTable checks a broker's rectangle table: the rectKey → handle
-// map and the handle table are inverses; every free handle is listed once
-// and holds no source count, row or link state; every live handle's source
-// count equals the groups holding a row for it, each row placed where its
-// group keeps it, and something — a row or some link's state — still
-// refers to it; and every link's per-handle slices span the table.
+// checkRectTable checks a broker's rectangle table: the subscription.Rect →
+// handle map and the handle table are inverses; every free handle is
+// listed once and holds no source count, row or link state; every live
+// handle's source count equals the groups holding a row for it, each row
+// placed where its group keeps it, and something — a row or some link's
+// state — still refers to it; and every link's per-handle slices span the
+// table.
 func checkRectTable(b *Broker) error {
 	t := &b.rects
 	free := make(map[handle]bool, len(t.free))
@@ -420,7 +421,7 @@ func checkPackedGroup(t *testing.T, schema *subscription.Schema, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	maxV := schema.MaxValue()
-	b := &Broker{net: &Network{cfg: Config{Schema: schema}}, rects: rectTable{handle: make(map[rectKey]handle)}}
+	b := &Broker{net: &Network{cfg: Config{Schema: schema}}, rects: rectTable{handle: make(map[subscription.Rect]handle)}}
 	b.addIface(iface{kind: ifClient, id: 0}, nil)
 	g := &b.table[0]
 	if want := (schema.NumAttrs() + 2) / 3; g.words != want {
@@ -464,8 +465,8 @@ func checkPackedGroup(t *testing.T, schema *subscription.Schema, seed int64) {
 		return e
 	}
 
-	live := map[rectKey]*subscription.Subscription{}
-	var keys []rectKey // live rectangles, for picking one
+	live := map[subscription.Rect]*subscription.Subscription{}
+	var keys []subscription.Rect // live rectangles, for picking one
 	check := func(op int, e subscription.Event) {
 		t.Helper()
 		want := false
@@ -500,11 +501,11 @@ func checkPackedGroup(t *testing.T, schema *subscription.Schema, seed int64) {
 	for op := 0; op < 300; op++ {
 		if len(keys) == 0 || rng.Intn(3) > 0 {
 			s := randSub()
-			if k := keyOf(s); live[k] == nil {
+			if k := s.Rect(); live[k] == nil {
 				live[k] = s
 				keys = append(keys, k)
 			}
-			b.addRow(0, b.intern(keyOf(s)))
+			b.addRow(0, b.intern(s.Rect()))
 			probe(op, s)
 		} else {
 			i := rng.Intn(len(keys))
@@ -618,7 +619,7 @@ func (b *Broker) link(j int) *neighborState { return b.out[slices.Index(b.neighb
 // forwardedID returns the forwarded-set id the link toward j holds for
 // s's rectangle.
 func (b *Broker) forwardedID(j int, s *subscription.Subscription) (uint64, bool) {
-	h, ok := b.rects.handle[keyOf(s)]
+	h, ok := b.rects.handle[s.Rect()]
 	if !ok {
 		return 0, false
 	}
@@ -629,7 +630,7 @@ func (b *Broker) forwardedID(j int, s *subscription.Subscription) (uint64, bool)
 // suppressedBy returns the coverer recorded for s's rectangle in the
 // suppressed table of the link toward j.
 func (b *Broker) suppressedBy(j int, s *subscription.Subscription) (uint64, bool) {
-	h, ok := b.rects.handle[keyOf(s)]
+	h, ok := b.rects.handle[s.Rect()]
 	if !ok {
 		return 0, false
 	}
@@ -644,7 +645,7 @@ func (b *Broker) suppressedBy(j int, s *subscription.Subscription) (uint64, bool
 // rowRefs returns the references on the row for s's rectangle in the
 // group of interface from.
 func (b *Broker) rowRefs(from iface, s *subscription.Subscription) (int, bool) {
-	h, ok := b.rects.handle[keyOf(s)]
+	h, ok := b.rects.handle[s.Rect()]
 	if !ok {
 		return 0, false
 	}
@@ -693,8 +694,8 @@ func (t *suppressedTable) indexed() int {
 }
 
 // keyAt decodes row i's rectangle from its packed bounds.
-func (g *ifaceRows) keyAt(i int) rectKey {
-	var k rectKey
+func (g *ifaceRows) keyAt(i int) subscription.Rect {
+	var k subscription.Rect
 	for a := range min(g.words*lanesPerWord, len(k)) {
 		w, sh := lane(a)
 		lo := uint32(g.lo[i*g.words+w]>>sh) & laneValue

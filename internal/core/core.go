@@ -138,10 +138,15 @@ type Totals struct {
 type Detector struct {
 	cfg Config
 
-	mu     sync.Mutex
-	sfc    *dominance.Index   // non-nil iff Strategy == StrategySFC
-	exact  dominance.Searcher // backend for exact queries
-	subs   idtable.Table[*subscription.Subscription]
+	mu    sync.Mutex
+	sfc   *dominance.Index   // non-nil iff Strategy == StrategySFC
+	exact dominance.Searcher // backend for exact queries
+	// subs holds each rectangle by value, so nothing a caller does to its
+	// subscription afterwards reaches the detector.
+	subs idtable.Table[subscription.Rect]
+	// point is Remove's buffer for the point it deletes: a stack buffer
+	// would escape through exact, an interface.
+	point  [2 * subscription.MaxAttrs]uint32
 	nextID uint64
 	totals Totals
 }
@@ -228,7 +233,7 @@ func (d *Detector) Insert(s *subscription.Subscription) (uint64, error) {
 	defer d.mu.Unlock()
 	id := d.nextID
 	d.nextID++
-	d.subs.Put(id, s.Clone())
+	d.subs.Put(id, s.Rect())
 	d.exact.Insert(s.Point(), id)
 	return id, nil
 }
@@ -264,7 +269,7 @@ func (d *Detector) load(subs []*subscription.Subscription, given []uint64) ([]ui
 		return nil, fmt.Errorf("core: Restore needs an empty provider, got %d held subscriptions", n)
 	}
 	for i, s := range subs {
-		d.subs.Put(ids[i], s.Clone())
+		d.subs.Put(ids[i], s.Rect())
 		if ids[i] >= d.nextID {
 			d.nextID = ids[i] + 1
 		}
@@ -285,11 +290,11 @@ func (d *Detector) load(subs []*subscription.Subscription, given []uint64) ([]ui
 func (d *Detector) Remove(id uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s, ok := d.subs.Delete(id)
+	r, ok := d.subs.Delete(id)
 	if !ok {
 		return fmt.Errorf("core: no subscription with id %d", id)
 	}
-	if !d.exact.Delete(s.Point(), id) {
+	if !d.exact.Delete(r.PointInto(d.cfg.Schema, d.point[:]), id) {
 		return fmt.Errorf("core: index out of sync for id %d", id)
 	}
 	return nil
@@ -299,11 +304,11 @@ func (d *Detector) Remove(id uint64) error {
 func (d *Detector) Subscription(id uint64) (*subscription.Subscription, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	s, ok := d.subs.Get(id)
+	r, ok := d.subs.Get(id)
 	if !ok {
 		return nil, false
 	}
-	return s.Clone(), true
+	return r.Subscription(d.cfg.Schema), true
 }
 
 // FindCover searches the held set for a subscription covering s, per the

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sfccover/internal/dominance"
 	"sfccover/internal/subscription"
@@ -281,15 +282,16 @@ func (d *Detector) RemoveBatch(ids []uint64) []error {
 	return out
 }
 
-// Enumerate implements Provider: a copy of the held set, sorted by id.
+// Enumerate implements Provider: the held set built into fresh
+// subscriptions, sorted by id.
 func (d *Detector) Enumerate() ([]Held, error) {
 	d.mu.Lock()
 	out := make([]Held, 0, d.subs.Len())
-	for id, s := range d.subs.All() {
-		out = append(out, Held{ID: id, Sub: s.Clone()})
+	for id, r := range d.subs.All() {
+		out = append(out, Held{ID: id, Sub: r.Subscription(d.cfg.Schema)})
 	}
 	d.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b Held) int { return cmp.Compare(a.ID, b.ID) })
 	return out, nil
 }
 

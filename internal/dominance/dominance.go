@@ -39,8 +39,9 @@
 package dominance
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sfccover/internal/bits"
 	"sfccover/internal/sfc"
@@ -167,6 +168,16 @@ func newDispatch(cfg Config) (dispatch, error) {
 	return dispatch{cfg: cfg, curve: curve}, nil
 }
 
+// key encodes p's curve key for a write: on one word where the keys fit
+// one (KeyWord, no eight-word interleave), carried as a Key because that
+// is what the array's write path takes.
+func (d *dispatch) key(p []uint32) bits.Key {
+	if d.cfg.wordKeys() {
+		return bits.KeyFromUint64(d.curve.KeyWord(p))
+	}
+	return d.curve.Key(p)
+}
+
 // newArray is the one constructor of the index's SFC arrays: empty, keeping
 // summaries under the curve's dimension masks where its keys fit a word
 // (DimMasks is nil otherwise). A zero sfcarray.Index would answer the same
@@ -200,12 +211,12 @@ func (x *Index) Len() int { return x.arr.Len() }
 
 // Insert implements Searcher.
 func (x *Index) Insert(p []uint32, id uint64) {
-	x.arr.Insert(x.curve.Key(p), id)
+	x.arr.Insert(x.key(p), id)
 }
 
 // Delete implements Searcher.
 func (x *Index) Delete(p []uint32, id uint64) bool {
-	return x.arr.Delete(x.curve.Key(p), id)
+	return x.arr.Delete(x.key(p), id)
 }
 
 // InsertBatch indexes a group of points, aligned with ids: keys are
@@ -216,7 +227,7 @@ func (x *Index) Delete(p []uint32, id uint64) bool {
 func (x *Index) InsertBatch(ps [][]uint32, ids []uint64) {
 	keys := make([]bits.Key, len(ps))
 	for i, p := range ps {
-		keys[i] = x.curve.Key(p)
+		keys[i] = x.key(p)
 	}
 	order := make([]int, len(ps))
 	for i := range order {
@@ -226,12 +237,15 @@ func (x *Index) InsertBatch(ps [][]uint32, ids []uint64) {
 }
 
 // sortedEntries selects the (key, id) pairs named by order and returns
-// them sorted by the SFC arrays' own comparator — the exact order their
-// sorted bulk-load path requires. order is sorted in place as a side
-// effect.
+// them sorted by key, then id — sfcarray.EntryLess's order, the exact one
+// the arrays' sorted bulk-load path requires. order is sorted in place as
+// a side effect.
 func sortedEntries(keys []bits.Key, ids []uint64, order []int) ([]bits.Key, []uint64) {
-	sort.Slice(order, func(a, b int) bool {
-		return sfcarray.EntryLess(keys[order[a]], ids[order[a]], keys[order[b]], ids[order[b]])
+	slices.SortFunc(order, func(a, b int) int {
+		if c := keys[a].Cmp(keys[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(ids[a], ids[b])
 	})
 	sk := make([]bits.Key, len(order))
 	si := make([]uint64, len(order))

@@ -218,9 +218,7 @@ func routeKey(tab []bits.Key, k bits.Key) int {
 // with the index's; after a boundary move the index re-routes by key on
 // every operation, so a stale caller-side assignment only affects load
 // placement, never correctness.
-func (x *ShardedIndex) ShardFor(p []uint32) int {
-	return routeKey(*x.table.Load(), x.curve.Key(p))
-}
+func (x *ShardedIndex) ShardFor(p []uint32) int { return x.Locate(p).Slice }
 
 // Len returns the number of indexed points.
 func (x *ShardedIndex) Len() int {
@@ -256,10 +254,16 @@ type Location struct {
 	tab   *[]bits.Key // the table Slice was routed by
 }
 
-// Locate encodes p's curve key and routes it under the current table.
+// Locate encodes p's curve key and routes it under the current table, on
+// one word where the keys fit one (wordForm's route reads the table's low
+// words; no eight-word key is built or compared).
 func (x *ShardedIndex) Locate(p []uint32) Location {
-	k := x.curve.Key(p)
 	tab := x.table.Load()
+	if x.cfg.wordKeys() {
+		w := x.curve.KeyWord(p)
+		return Location{Key: bits.KeyFromUint64(w), Slice: wordForm{}.route(*tab, w), tab: tab}
+	}
+	k := x.curve.Key(p)
 	return Location{Key: k, Slice: routeKey(*tab, k), tab: tab}
 }
 
@@ -309,7 +313,7 @@ func (x *ShardedIndex) InsertAt(loc Location, id uint64) {
 func (x *ShardedIndex) InsertBatch(ps [][]uint32, ids []uint64) {
 	keys := make([]bits.Key, len(ps))
 	for i, p := range ps {
-		keys[i] = x.curve.Key(p)
+		keys[i] = x.key(p)
 	}
 	pending := make([]int, len(keys))
 	for i := range pending {

@@ -802,3 +802,45 @@ func TestWriteLatencySampleOneIn16(t *testing.T) {
 		t.Fatalf("Len = %d after removing every insert", e.Len())
 	}
 }
+
+// TestEngineChurnZeroAlloc pins the write path's allocations: an Add and a
+// Remove on a default engine at constant population allocate nothing. A
+// stripe holds the rectangle by value and a remove rebuilds the point it
+// deletes on the stack, so neither side builds a subscription.
+func TestEngineChurnZeroAlloc(t *testing.T) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	subs, err := workload.Subscriptions(workload.SubSpec{
+		Schema: schema, N: 4096, Dist: workload.DistUniform, WidthFrac: 0.05, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const churnWindow = 1024
+	e := MustNew(Config{Detector: core.Config{Schema: schema}})
+	defer e.Close()
+	ids, err := e.InsertBatch(subs[:churnWindow])
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, next := ids, churnWindow
+	pair := func() {
+		id, _, _, err := e.Add(subs[next%len(subs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		next++
+		if err := e.Remove(live[0]); err != nil {
+			t.Fatal(err)
+		}
+		copy(live, live[1:])
+		live[len(live)-1] = id
+	}
+	// One pass over the inputs first: the id tables reach the size the
+	// population's peak dictates, and the engine settles its slices.
+	for range subs {
+		pair()
+	}
+	if allocs := testing.AllocsPerRun(2000, pair); allocs != 0 {
+		t.Fatalf("an engine Add+Remove pair allocates %v times, want 0", allocs)
+	}
+}

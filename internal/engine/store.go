@@ -1,8 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,11 +15,13 @@ import (
 )
 
 // stripe is one slice of the subscription store: a subscription goes to
-// the stripe of the index slice that owns its key when it arrives.
+// the stripe of the index slice that owns its key when it arrives. It
+// holds the rectangle by value, so nothing the caller does to its
+// subscription afterwards reaches the store.
 type stripe struct {
 	mu   sync.Mutex
-	subs idtable.Table[*subscription.Subscription] // keyed by engine id
-	next uint64                                    // next local id, starting at 1
+	subs idtable.Table[subscription.Rect] // keyed by engine id
+	next uint64                           // next local id, starting at 1
 }
 
 // initStore builds the index and the store stripes from the normalized
@@ -53,19 +56,19 @@ func (e *Engine) Len() int {
 	return n
 }
 
-// Enumerate implements core.Provider: a copy of every stripe's held set,
-// one stripe lock at a time, sorted by engine id.
+// Enumerate implements core.Provider: every stripe's held set built into
+// fresh subscriptions, one stripe lock at a time, sorted by engine id.
 func (e *Engine) Enumerate() ([]core.Held, error) {
 	var out []core.Held
 	for i := range e.stores {
 		st := &e.stores[i]
 		st.mu.Lock()
-		for id, s := range st.subs.All() {
-			out = append(out, core.Held{ID: id, Sub: s.Clone()})
+		for id, r := range st.subs.All() {
+			out = append(out, core.Held{ID: id, Sub: r.Subscription(e.schema)})
 		}
 		st.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b core.Held) int { return cmp.Compare(a.ID, b.ID) })
 	return out, nil
 }
 
@@ -92,7 +95,7 @@ func (e *Engine) insert(s *subscription.Subscription) uint64 {
 	st.mu.Lock()
 	id := encodeID(len(e.stores), loc.Slice, st.next)
 	st.next++
-	st.subs.Put(id, s.Clone())
+	st.subs.Put(id, s.Rect())
 	e.idx.InsertAt(loc, id)
 	st.mu.Unlock()
 	e.inserted(1)
@@ -151,7 +154,7 @@ func (e *Engine) insertBatch(subs []*subscription.Subscription, given []uint64) 
 			if given == nil {
 				ids[i] = encodeID(len(e.stores), shard, st.next)
 				st.next++
-				st.subs.Put(ids[i], subs[i].Clone())
+				st.subs.Put(ids[i], subs[i].Rect())
 			}
 			ps[k] = points[i]
 			groupIDs[k] = ids[i]
@@ -190,7 +193,7 @@ func (e *Engine) Restore(held []core.Held) error {
 	for i, id := range ids {
 		stripe, local := decodeID(len(e.stores), id)
 		st := &e.stores[stripe]
-		st.subs.Put(id, subs[i].Clone())
+		st.subs.Put(id, subs[i].Rect())
 		if local >= st.next {
 			st.next = local + 1 // mint from past the largest id given
 		}
@@ -199,19 +202,21 @@ func (e *Engine) Restore(held []core.Held) error {
 	return nil
 }
 
+// remove drops id from its stripe and the index, rebuilding the point
+// the index keys it by from the held rectangle.
 func (e *Engine) remove(id uint64) error {
 	shard, _ := decodeID(len(e.stores), id)
 	st := &e.stores[shard]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s, ok := st.subs.Get(id)
+	r, ok := st.subs.Delete(id)
 	if !ok {
 		return fmt.Errorf("engine: no subscription with id %d", id)
 	}
-	if !e.idx.Delete(s.Point(), id) {
+	var buf [2 * subscription.MaxAttrs]uint32
+	if !e.idx.Delete(r.PointInto(e.schema, buf[:]), id) {
 		return fmt.Errorf("engine: index out of sync for id %d", id)
 	}
-	st.subs.Delete(id)
 	return nil
 }
 
@@ -221,11 +226,11 @@ func (e *Engine) Subscription(id uint64) (*subscription.Subscription, bool) {
 	st := &e.stores[shard]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s, ok := st.subs.Get(id)
+	r, ok := st.subs.Get(id)
 	if !ok {
 		return nil, false
 	}
-	return s.Clone(), true
+	return r.Subscription(e.schema), true
 }
 
 // searchCover runs one covering search into res, which the caller hands
@@ -254,11 +259,12 @@ func (e *Engine) searchCover(s *subscription.Subscription, tr *obs.QueryTrace, r
 // covers s. Ids interleave across the stripes, so every stripe is walked
 // and counted.
 func (e *Engine) scan(s *subscription.Subscription, res *QueryResult) int {
+	q := s.Rect()
 	for i := range e.stores {
 		st := &e.stores[i]
 		st.mu.Lock()
 		for id, cand := range st.subs.All() {
-			if (!res.Covered || id < res.CoveredBy) && cand.Covers(s) {
+			if (!res.Covered || id < res.CoveredBy) && cand.Covers(q) {
 				res.Covered, res.CoveredBy = true, id
 			}
 		}

@@ -409,6 +409,13 @@ func (st *Store) committed(rs []record, n int) {
 // appendRemove's claim reads; it is that table's one writer. Called with
 // st.mu held (or by recover, before the store is shared), after the
 // record is on disk.
+//
+// An add's payload is kept as it came, not copied: every record's payload
+// is a slice nobody writes again — marshalled for the record, or copied
+// out of a segment or a replication frame by decodeRecord — and the
+// replication ring keeps the same slice. A batch's payloads share one
+// MarshalBatch arena (DurableProvider.AddBatch and InsertBatch), so that
+// arena stays alive until the last of its entries is removed.
 func (st *Store) mirror(r record) {
 	switch r.op {
 	case opAdd:
@@ -417,7 +424,7 @@ func (st *Store) mirror(r record) {
 			link = new(idtable.Table[[]byte])
 			st.state[r.link] = link
 		}
-		link.Put(r.sid, append([]byte(nil), r.payload...))
+		link.Put(r.sid, r.payload)
 	case opRem:
 		if link := st.state[r.link]; link != nil {
 			link.Delete(r.sid)

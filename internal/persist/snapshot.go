@@ -1,11 +1,13 @@
 package persist
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"sfccover/internal/idtable"
@@ -57,7 +59,7 @@ func sortedEntries(state *idtable.Table[[]byte]) []Entry {
 	for sid, payload := range state.All() {
 		out = append(out, Entry{SID: sid, Payload: payload})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].SID < out[j].SID })
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.SID, b.SID) })
 	return out
 }
 

@@ -180,6 +180,62 @@ func (s *Subscription) Clone() *Subscription {
 	}
 }
 
+// Rect is a subscription's constraint rectangle as a comparable value:
+// attribute i's bounds packed lo<<MaxBits | hi (a schema admits at most
+// MaxAttrs attributes of at most MaxBits bits, so nothing is lost); slots
+// past the schema's attributes stay zero. It is what a holder keeps of a
+// subscription: the schema is the holder's, and the rectangle is a copy
+// no later SetRange on the caller's subscription reaches.
+type Rect [MaxAttrs]uint32
+
+// Rect packs the subscription's rectangle.
+func (s *Subscription) Rect() Rect {
+	var r Rect
+	for i, rg := range s.ranges {
+		r[i] = rg.Lo<<MaxBits | rg.Hi
+	}
+	return r
+}
+
+// bounds unpacks attribute i.
+func (r Rect) bounds(i int) Range {
+	return Range{Lo: r[i] >> MaxBits, Hi: r[i] & (1<<MaxBits - 1)}
+}
+
+// Subscription builds a fresh subscription of schema holding r, which
+// must have been packed from a subscription of that schema.
+func (r Rect) Subscription(schema *Schema) *Subscription {
+	s := New(schema)
+	for i := range s.ranges {
+		s.setRangeAt(i, r.bounds(i))
+	}
+	return s
+}
+
+// PointInto writes r's Edelsbrunner–Overmars point under schema into dst,
+// which must hold schema.Dims() coordinates, and returns that prefix of
+// dst: what Point returns for the subscription r was packed from.
+func (r Rect) PointInto(schema *Schema, dst []uint32) []uint32 {
+	max := schema.MaxValue()
+	p := dst[:schema.Dims()]
+	for i := 0; i < len(p)/2; i++ {
+		b := r.bounds(i)
+		p[2*i], p[2*i+1] = max-b.Lo, b.Hi
+	}
+	return p
+}
+
+// Covers is Subscription.Covers on packed rectangles of one schema: every
+// attribute of o lies within r's.
+func (r Rect) Covers(o Rect) bool {
+	for i := range r {
+		if !r.bounds(i).ContainsRange(o.bounds(i)) {
+			return false
+		}
+	}
+	return true
+}
+
 // Matches reports whether the event satisfies every constraint.
 func (s *Subscription) Matches(e Event) bool {
 	if len(e) != len(s.ranges) {
