@@ -12,9 +12,12 @@ import (
 // mutates a wrapped core provider must also append to the WAL, and
 // destructive mutations (Remove / RemoveBatch) must not
 // precede the first WAL append on the straight-line path — memory must
-// never run ahead of disk. (The claim is the store's: its remove
-// primitives refuse an id the durable set does not hold in the critical
-// section that logs it, so the caller's half is "log, then apply".)
+// never run ahead of disk. (The claim precedes the log and is not a
+// mutation: a durable wrapper asks its provider whether it holds the id,
+// inside the write section that then logs and applies the removal, and
+// for a link nobody wraps the store's remove primitive checks its mirror
+// in the critical section that logs. So the rule checks "log, then
+// apply".)
 // A mutation inside an `err != nil` guard is
 // exempt: that is the rollback arm of a failed append. Suppress with //sfc:walok <reason> on the call line or
 // the function's doc comment (e.g. recovery, which Restores a provider

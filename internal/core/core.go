@@ -311,6 +311,14 @@ func (d *Detector) Subscription(id uint64) (*subscription.Subscription, bool) {
 	return r.Subscription(d.cfg.Schema), true
 }
 
+// Holds reports whether id names a held subscription.
+func (d *Detector) Holds(id uint64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	_, ok := d.subs.Get(id)
+	return ok
+}
+
 // FindCover searches the held set for a subscription covering s, per the
 // configured mode. The returned stats are zero-valued for non-SFC
 // strategies and for ModeOff.

@@ -152,6 +152,28 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 		}
 	})
 
+	t.Run("holds", func(t *testing.T) {
+		p := fresh(t)
+		id, err := p.Insert(wide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Holds(id) {
+			t.Fatalf("Holds(%d) = false for a held id", id)
+		}
+		for _, never := range []uint64{0, id + 1000} {
+			if p.Holds(never) {
+				t.Errorf("Holds(%d) = true for an id never minted", never)
+			}
+		}
+		if err := p.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+		if p.Holds(id) {
+			t.Errorf("Holds(%d) = true after its removal", id)
+		}
+	})
+
 	t.Run("batch-queries", func(t *testing.T) {
 		p := fresh(t)
 		wid, err := p.Insert(wide)

@@ -37,6 +37,9 @@ type Provider interface {
 	FindCover(s *subscription.Subscription) (id uint64, found bool, stats dominance.Stats, err error)
 	// Subscription resolves an id to its held subscription.
 	Subscription(id uint64) (*subscription.Subscription, bool)
+	// Holds reports whether id names a held subscription, without
+	// building it: the claim a durable remove makes before it logs.
+	Holds(id uint64) bool
 	// Len returns the number of held subscriptions.
 	Len() int
 	// Mode returns the configured detection mode.

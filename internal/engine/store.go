@@ -233,6 +233,17 @@ func (e *Engine) Subscription(id uint64) (*subscription.Subscription, bool) {
 	return r.Subscription(e.schema), true
 }
 
+// Holds reports whether id names a held subscription: one probe of its
+// stripe's slot, which a Remove of the same id finds warm.
+func (e *Engine) Holds(id uint64) bool {
+	shard, _ := decodeID(len(e.stores), id)
+	st := &e.stores[shard]
+	st.mu.Lock()
+	_, ok := st.subs.Get(id)
+	st.mu.Unlock()
+	return ok
+}
+
 // searchCover runs one covering search into res, which the caller hands
 // over zeroed, and returns the number of per-shard searches issued; the
 // ids it writes are engine ids because that is what the index stores. A

@@ -3,8 +3,10 @@ package persist_test
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -326,13 +328,58 @@ func BenchmarkDurableChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkDurableChurnParallel is BenchmarkDurableChurn's op pair under
+// RunParallel: every goroutine adds and removes the oldest of its own
+// adds on one DurableProvider, so the pairs contend for the provider's
+// write section and the store's log lock. Compare -cpu 1,2.
+func BenchmarkDurableChurnParallel(b *testing.B) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	subs := benchSubs(b, schema, 4096)
+	const churnWindow = 1024
+	st, err := persist.Open(b.TempDir(), schema, persist.Options{SyncEvery: 100 * time.Millisecond})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	d, err := st.Durable("", engine.MustNew(engine.Config{Detector: core.Config{Schema: schema}}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.InsertBatch(subs[:churnWindow]); err != nil {
+		b.Fatal(err)
+	}
+	var worker atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		next := int(worker.Add(1)) * 997 // each goroutine walks the inputs from its own offset
+		var live []uint64
+		for pb.Next() {
+			id, _, _, err := d.Add(subs[next%len(subs)])
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			next++
+			if live = append(live, id); len(live) > 64 {
+				if err := d.Remove(live[0]); err != nil {
+					b.Error(err)
+					return
+				}
+				live = live[1:]
+			}
+		}
+	})
+}
+
 // TestDurableChurnAllocs pins the allocations of BenchmarkDurableChurn's
 // op pair — an Add and a Remove of the oldest entry through a
 // DurableProvider over a default engine with group commit, at constant
-// population — at one: the payload's marshal. The engine holds the
-// rectangle by value and the store mirror keeps the logged payload, so
-// neither copies anything, and the id tables they hold them in add
-// nothing.
+// population — at one: the payload's marshal, which the replication ring
+// keeps. The engine holds the rectangle by value, the store keeps no copy
+// of a wrapped link, the remove's claim is a probe of the engine's own
+// slot, and the id tables add nothing.
 func TestDurableChurnAllocs(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	subs := benchSubs(t, schema, 4096)
@@ -372,6 +419,67 @@ func TestDurableChurnAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(2000, pair); allocs > 1 {
 		t.Fatalf("a durable Add+Remove pair allocates %v times, want ≤ 1", allocs)
 	}
+}
+
+// TestDurableHoldsEachSubscriptionOnce: a bulk-loaded subscription behind
+// a DurableProvider costs the live heap at most 16 B more than in a bare
+// engine. The store keeps no copy of a wrapped link's state, and the
+// replication ring keeps a bulk load's last records without pinning the
+// load's whole payload arena.
+func TestDurableHoldsEachSubscriptionOnce(t *testing.T) {
+	const n = 131072
+	schema := subscription.MustSchema(10, "volume", "price")
+	subs := benchSubs(t, schema, n)
+	newEngine := func() *engine.Engine {
+		return engine.MustNew(engine.Config{Detector: core.Config{Schema: schema}})
+	}
+	bareEngine := func() func() {
+		eng := newEngine()
+		if _, err := eng.InsertBatch(subs); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Close
+	}
+	liveHeapOf(t, bareEngine) // the first engine also builds what later ones share
+	bare := liveHeapOf(t, bareEngine)
+	durable := liveHeapOf(t, func() func() {
+		st, err := persist.Open(t.TempDir(), schema, persist.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := st.Durable("", newEngine())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.InsertBatch(subs); err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			d.Close()
+			st.Close()
+		}
+	})
+	runtime.KeepAlive(subs) // held across every measurement, so none sees it freed
+	perSub := func(bytes int64) float64 { return float64(bytes) / n }
+	t.Logf("live heap per subscription: bare engine %.1f B, durable %.1f B", perSub(bare), perSub(durable))
+	if perSub(durable) > perSub(bare)+16 {
+		t.Fatalf("a durable subscription holds %.1f B, a bare one %.1f B: more than 16 B apart", perSub(durable), perSub(bare))
+	}
+}
+
+// liveHeapOf returns how much the live heap grows by what build makes,
+// measured after a collection on each side while it is still held; build
+// returns the release of what it made.
+func liveHeapOf(t *testing.T, build func() (release func())) int64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	release := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	release()
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
 }
 
 // procWrites reads the process's write syscall count (syscw in

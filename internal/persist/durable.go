@@ -2,9 +2,11 @@ package persist
 
 import (
 	"fmt"
+	"sync"
 
 	"sfccover/internal/core"
 	"sfccover/internal/dominance"
+	"sfccover/internal/idtable"
 	"sfccover/internal/subscription"
 )
 
@@ -16,55 +18,82 @@ import (
 // under, in this incarnation and in every recovered, snapshot-installed
 // or promoted one, so queries and Subscription pass straight through.
 //
-// Snapshot and Enumerate (the durable dump) are answered from the store.
-// Close closes the wrapped provider and releases the link for
-// re-wrapping; the Store is closed separately by its owner.
+// The wrapped provider holds the link's state; the store keeps no copy
+// while the link is wrapped. Each write runs its provider op and its log
+// append inside the wrapper's write section, so Enumerate, and the
+// store's snapshots and reset dumps, which read the provider holding the
+// section, see exactly the logged state. Close closes the wrapped
+// provider and releases the link, handing its state back to the store;
+// the Store is closed separately by its owner.
 type DurableProvider struct {
 	inner core.Provider
 	store *Store
 	link  string
+
+	// mu is the write section; see Store for the lock order. released
+	// is set under it by Release, after which every write is refused.
+	mu       sync.Mutex
+	released bool
 }
 
 var _ core.Provider = (*DurableProvider)(nil)
 
 // Durable wraps inner with durability for one link namespace, restoring
-// the link's recovered subscriptions into it first. inner must be empty
-// (recovery owns its content), share the store's schema, and not already
-// be wrapped for the same link.
+// the link's recovered subscriptions into it first and dropping them from
+// the store's mirror. inner must be empty (recovery owns its content),
+// share the store's schema, and not already be wrapped for the same link.
 func (st *Store) Durable(link string, inner core.Provider) (*DurableProvider, error) {
 	if inner.Schema() != st.schema {
 		return nil, fmt.Errorf("persist: provider schema differs from store schema")
 	}
+	st.reg.Lock()
+	defer st.reg.Unlock()
+	d := &DurableProvider{inner: inner, store: st, link: link}
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if st.wrapped[link] {
+	if st.wrapped[link] != nil {
 		st.mu.Unlock()
 		return nil, fmt.Errorf("persist: link %q is already wrapped", link)
 	}
-	st.wrapped[link] = true
+	// Registered before the load, so no replicated record can land in the
+	// mirror table the load reads; reg keeps every cut reader out until
+	// the table has moved into inner.
+	st.wrapped[link] = d
+	recovered := st.state[link]
 	st.mu.Unlock()
 
-	d := &DurableProvider{inner: inner, store: st, link: link}
-	if err := d.load(); err != nil {
-		d.Release()
+	err := d.load(recovered)
+	st.mu.Lock()
+	if err != nil {
+		delete(st.wrapped, link)
+	} else {
+		delete(st.state, link)
+	}
+	st.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// load rebuilds inner from the link's durable dump through its Restore,
-// which holds every subscription under its durable id — and, run even
-// with nothing to recover, is what refuses a non-empty inner, whose
+// load rebuilds inner from the link's recovered mirror table through its
+// Restore, which holds every subscription under its durable id — and, run
+// even with nothing to recover, is what refuses a non-empty inner, whose
 // pre-existing subscriptions would never be persisted.
 //
 //sfc:walok recovery replays records already on disk; appending them again would double the log every boot
-func (d *DurableProvider) load() error {
-	held, err := d.Enumerate()
-	if err != nil {
-		return err
+func (d *DurableProvider) load(recovered *idtable.Table[[]byte]) error {
+	entries := sortedEntries(recovered)
+	held := make([]core.Held, len(entries))
+	for i, e := range entries {
+		s, err := subscription.UnmarshalSubscription(d.inner.Schema(), e.Payload)
+		if err != nil {
+			return fmt.Errorf("%w: link %q sid %d payload does not decode: %v", ErrCorrupt, d.link, e.SID, err)
+		}
+		held[i] = core.Held{ID: e.SID, Sub: s}
 	}
 	if err := d.inner.Restore(held); err != nil {
 		return fmt.Errorf("persist: restoring link %q: %w", d.link, err)
@@ -72,8 +101,40 @@ func (d *DurableProvider) load() error {
 	return nil
 }
 
+// heldEntries encodes the wrapped provider's held set, by id, into
+// entries whose payloads share one arena. Called with d.mu held.
+func (d *DurableProvider) heldEntries() ([]Entry, error) {
+	held, err := d.inner.Enumerate()
+	if err != nil {
+		return nil, fmt.Errorf("persist: enumerating link %q: %w", d.link, err)
+	}
+	subs := make([]*subscription.Subscription, len(held))
+	for i, h := range held {
+		subs[i] = h.Sub
+	}
+	payloads, err := subscription.MarshalBatch(subs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Entry, len(held))
+	for i, h := range held {
+		out[i] = Entry{SID: h.ID, Payload: payloads[i]}
+	}
+	return out, nil
+}
+
+// usable refuses a write once the link is released. Called with d.mu
+// held.
+func (d *DurableProvider) usable() error {
+	if d.released {
+		return fmt.Errorf("%w: durable link %q was released", core.ErrProviderClosed, d.link)
+	}
+	return nil
+}
+
 // logAdd persists one arrival, rolling the insert back out of the inner
 // provider when the log rejects it so memory never runs ahead of disk.
+// Called with d.mu held.
 func (d *DurableProvider) logAdd(id uint64, s *subscription.Subscription) error {
 	payload, err := s.MarshalBinary()
 	if err == nil {
@@ -87,6 +148,11 @@ func (d *DurableProvider) logAdd(id uint64, s *subscription.Subscription) error 
 
 // Add runs the arrival path on the wrapped provider and logs the insert.
 func (d *DurableProvider) Add(s *subscription.Subscription) (id uint64, covered bool, coveredBy uint64, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.usable(); err != nil {
+		return 0, false, 0, err
+	}
 	id, covered, coveredBy, err = d.inner.Add(s)
 	if err == nil {
 		err = d.logAdd(id, s)
@@ -99,6 +165,11 @@ func (d *DurableProvider) Add(s *subscription.Subscription) (id uint64, covered 
 
 // Insert stores s unconditionally and logs it.
 func (d *DurableProvider) Insert(s *subscription.Subscription) (uint64, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.usable(); err != nil {
+		return 0, err
+	}
 	id, err := d.inner.Insert(s)
 	if err == nil {
 		err = d.logAdd(id, s)
@@ -109,14 +180,22 @@ func (d *DurableProvider) Insert(s *subscription.Subscription) (uint64, error) {
 	return id, nil
 }
 
-// Remove deletes a subscription by id, claim → log → apply: the store
-// refuses an id the link's durable set does not hold and logs the removal
-// in one critical section, so racing removes have one winner and a failed
-// log write (disk full, closed store) leaves memory and durable state
-// agreeing that the subscription is held; only then does the wrapped
-// provider drop it. (A crash between log and apply loses only an
-// unacknowledged removal, which recovery completes.)
+// Remove deletes a subscription by id, claim → log → apply, all inside the
+// write section: the wrapped provider must hold the id, the removal is
+// logged, and only then does the provider drop it. So racing removes have
+// one winner, and a failed log write (disk full, closed store) leaves
+// memory and durable state agreeing that the subscription is held. (A
+// crash between log and apply loses only an unacknowledged removal, which
+// recovery completes.)
 func (d *DurableProvider) Remove(id uint64) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.usable(); err != nil {
+		return err
+	}
+	if !d.inner.Holds(id) {
+		return fmt.Errorf("persist: no subscription with id %d", id)
+	}
 	if err := d.store.appendRemove(d.link, id); err != nil {
 		return err
 	}
@@ -144,6 +223,11 @@ func (d *DurableProvider) AddBatch(subs []*subscription.Subscription) []core.Add
 	// touched so a failure has nothing to roll back; the few slots the
 	// provider then refuses were encoded for nothing and are never logged.
 	payloads, err := subscription.MarshalBatch(subs)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err == nil {
+		err = d.usable()
+	}
 	if err != nil {
 		out := make([]core.AddResult, len(subs))
 		for i := range out {
@@ -181,6 +265,11 @@ func (d *DurableProvider) InsertBatch(subs []*subscription.Subscription) ([]uint
 	if err != nil {
 		return nil, err
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.usable(); err != nil {
+		return nil, err
+	}
 	ids, err := d.inner.InsertBatch(subs)
 	if err != nil {
 		return nil, err
@@ -205,19 +294,42 @@ func (d *DurableProvider) Restore([]core.Held) error {
 	return fmt.Errorf("%w: a durable provider is restored from its own log by Store.Durable", core.ErrUnsupported)
 }
 
-// RemoveBatch is Remove for a batch: the store claims every id the link
-// holds and lands their records through one log write before the wrapped
-// provider drops anything; an unheld id, or a failed write, occupies its
-// slots and applies nothing.
+// RemoveBatch is Remove for a batch, errors aligned with ids: inside the
+// write section every id the wrapped provider holds is claimed — once,
+// however often the batch names it — and the claimed removals land
+// through one log write before the provider drops anything; an unheld
+// id, or a failed write, occupies its slots and applies nothing.
 func (d *DurableProvider) RemoveBatch(ids []uint64) []error {
-	out := d.store.appendRemoves(d.link, ids)
-	logged := make([]uint64, 0, len(ids))
-	slots := make([]int, 0, len(ids))
-	for i, err := range out {
-		if err == nil {
-			logged = append(logged, ids[i])
-			slots = append(slots, i)
+	out := make([]error, len(ids))
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.usable(); err != nil {
+		for i := range out {
+			out[i] = err
 		}
+		return out
+	}
+	batch := make([]record, 0, len(ids))
+	slots := make([]int, 0, len(ids))
+	var claimed idtable.Table[struct{}]
+	for i, id := range ids {
+		if _, dup := claimed.Get(id); dup || !d.inner.Holds(id) {
+			out[i] = fmt.Errorf("persist: no subscription with id %d", id)
+			continue
+		}
+		claimed.Put(id, struct{}{})
+		batch = append(batch, record{op: opRem, link: d.link, sid: id})
+		slots = append(slots, i)
+	}
+	if err := d.store.appendBatch(batch); err != nil {
+		for _, i := range slots {
+			out[i] = err
+		}
+		return out
+	}
+	logged := make([]uint64, len(batch))
+	for k, r := range batch {
+		logged[k] = r.sid
 	}
 	for k, err := range d.inner.RemoveBatch(logged) {
 		out[slots[k]] = err
@@ -229,23 +341,16 @@ func (d *DurableProvider) RemoveBatch(ids []uint64) []error {
 // compaction is all-or-nothing).
 func (d *DurableProvider) Snapshot() error { return d.store.Snapshot() }
 
-// Enumerate implements core.Provider: the link's durable set from the
-// store's mirror, sorted by id.
+// Enumerate implements core.Provider: the wrapped provider's held set,
+// read inside the write section so it is exactly the logged set.
 func (d *DurableProvider) Enumerate() ([]core.Held, error) {
-	entries := d.store.Entries(d.link) // already sid-sorted
-	out := make([]core.Held, len(entries))
-	for i, e := range entries {
-		s, err := subscription.UnmarshalSubscription(d.inner.Schema(), e.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: link %q sid %d payload does not decode: %v", ErrCorrupt, d.link, e.SID, err)
-		}
-		out[i] = core.Held{ID: e.SID, Sub: s}
-	}
-	return out, nil
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.inner.Enumerate()
 }
 
-// Subscriptions is Enumerate without the error: every payload decoded
-// when the link was loaded.
+// Subscriptions is Enumerate without the error, for wrapped providers
+// whose Enumerate cannot fail (the Detector and the Engine).
 func (d *DurableProvider) Subscriptions() []core.Held {
 	out, _ := d.Enumerate()
 	return out
@@ -255,6 +360,9 @@ func (d *DurableProvider) Subscriptions() []core.Held {
 func (d *DurableProvider) Subscription(id uint64) (*subscription.Subscription, bool) {
 	return d.inner.Subscription(id)
 }
+
+// Holds reports whether the wrapped provider holds id.
+func (d *DurableProvider) Holds(id uint64) bool { return d.inner.Holds(id) }
 
 // Len returns the number of held subscriptions.
 func (d *DurableProvider) Len() int { return d.inner.Len() }
@@ -270,25 +378,50 @@ func (d *DurableProvider) Schema() *subscription.Schema { return d.inner.Schema(
 // and its snapshots are shared by every link in the data dir.
 func (d *DurableProvider) Stats() core.ProviderStats {
 	ps := d.inner.Stats()
-	ss := d.store.Stats()
+	ss := d.store.logStats()
 	ps.Snapshots = ss.Snapshots
 	ps.WALRecords = ss.WALRecords
 	ps.WALBytes = ss.WALBytes
 	return ps
 }
 
-// Close closes the wrapped provider and releases the link name for
-// re-wrapping. The store stays open; close it separately.
+// Close releases the link, then closes the wrapped provider. The store
+// stays open; close it separately.
 func (d *DurableProvider) Close() {
-	d.inner.Close()
 	d.Release()
+	d.inner.Close()
 }
 
 // Release detaches the wrapper from its store link without closing the
 // wrapped provider — for owners whose provider outlives the wrapper (the
-// daemon server does not own its engine).
+// daemon server does not own its engine). The provider's held set goes
+// back into the store's mirror, so later snapshots still carry the link
+// and a later Durable restores it; writes through the wrapper are refused
+// from then on. Idempotent. A wrapped provider whose Enumerate fails (one
+// across a wire) keeps the link wrapped: its state is nowhere else, and
+// the store's snapshots report the failure rather than drop the link.
 func (d *DurableProvider) Release() {
-	d.store.mu.Lock()
-	delete(d.store.wrapped, d.link)
-	d.store.mu.Unlock()
+	st := d.store
+	st.reg.Lock()
+	defer st.reg.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.released {
+		return
+	}
+	d.released = true
+	entries, err := d.heldEntries()
+	if err != nil {
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	delete(st.wrapped, d.link)
+	if len(entries) > 0 {
+		link := new(idtable.Table[[]byte])
+		for _, e := range entries {
+			link.Put(e.SID, e.Payload)
+		}
+		st.state[d.link] = link
+	}
 }

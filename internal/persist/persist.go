@@ -8,9 +8,11 @@
 //
 // A Store owns one data dir and every link namespace inside it; a
 // DurableProvider wraps any core.Provider with logging and recovery for
-// one link. An append copies its records into the open segment's shared
-// mapping (reserved ahead with fallocate), so it makes no syscall; rotation
-// and Close cut the unwritten reserve off again. Crash tolerance is the
+// one link, and from then on that provider holds the link's state: the
+// store keeps an in-memory copy only of the links nobody wraps. An append
+// copies its records into the open segment's shared mapping (reserved
+// ahead with fallocate), so it makes no syscall; rotation and Close cut
+// the unwritten reserve off again. Crash tolerance is the
 // package's contract: appends are sequential, so a crash leaves at most a
 // torn tail record in the newest segment, followed by the zeros of the
 // reserve, which replay drops silently; any damage a crash cannot explain
@@ -25,7 +27,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -83,20 +87,35 @@ type StoreStats struct {
 	Entries int
 }
 
-// Store is the durable home of every link namespace under one data dir.
-// It keeps an authoritative in-memory mirror of the persisted state (link
-// -> sid -> wire payload) so snapshots serialize without consulting the
-// wrapped providers, and serializes WAL appends from any number of
-// DurableProviders. All methods are safe for concurrent use.
+// Store is the durable home of every link namespace under one data dir,
+// and serializes WAL appends from any number of DurableProviders. A
+// wrapped link's state is held once, by its provider; the store mirrors
+// (link -> sid -> wire payload) only the links no provider wraps — links
+// recovered but not yet wrapped, every link of a follower, released
+// links. Snapshots, reset dumps and the views read both, a wrapped link
+// through its provider at a cut. All methods are safe for concurrent use.
+//
+// The locks are taken in one order: reg, then each wrapped link's write
+// section (DurableProvider.mu) in link-name order, then mu. A write holds
+// only its own section, and mu inside the append; nothing takes a section
+// while it holds mu.
 type Store struct {
 	dir    string
 	schema *subscription.Schema
 	opts   Options
 
-	mu      sync.Mutex
-	state   map[string]*idtable.Table[[]byte]
-	w       *walWriter
-	wrapped map[string]bool
+	// reg is the registry lock: held by Durable and Release while they
+	// move a link between the mirror and a provider, and by every reader
+	// that needs a cut across links (Snapshot, Tail, the views).
+	reg sync.Mutex
+
+	mu sync.Mutex
+	// state is the mirror: the links no provider wraps.
+	state map[string]*idtable.Table[[]byte]
+	w     *walWriter
+	// wrapped maps each wrapped link to its provider. Written with reg
+	// and mu both held, so either one makes a read safe.
+	wrapped map[string]*DurableProvider
 	lock    *os.File // flock'd LOCK file: one live store per data dir
 	closed  bool
 
@@ -170,7 +189,7 @@ func Open(dir string, schema *subscription.Schema, opts Options) (*Store, error)
 		schema:  schema,
 		opts:    opts,
 		state:   make(map[string]*idtable.Table[[]byte]),
-		wrapped: make(map[string]bool),
+		wrapped: make(map[string]*DurableProvider),
 		lock:    lock,
 		tailers: make(map[*Tailer]struct{}),
 	}
@@ -268,11 +287,9 @@ func (st *Store) Schema() *subscription.Schema { return st.schema }
 // Links returns the names of every link namespace holding at least one
 // subscription, sorted.
 func (st *Store) Links() []string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	names := make([]string, 0, len(st.state))
-	for name, link := range st.state {
-		if link.Len() > 0 {
+	var names []string
+	for name, n := range st.lens() {
+		if n > 0 {
 			names = append(names, name)
 		}
 	}
@@ -282,7 +299,17 @@ func (st *Store) Links() []string {
 
 // Entries returns the persisted subscriptions of one link, sorted by sid
 // ascending — the order the snapshot stores and the bulk-load path wants.
+// A wrapped link's are read from its provider under its write section;
+// nil if the provider cannot enumerate.
 func (st *Store) Entries(link string) []Entry {
+	st.reg.Lock()
+	defer st.reg.Unlock()
+	if d := st.wrapped[link]; d != nil {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		out, _ := d.heldEntries()
+		return out
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := sortedEntries(st.state[link])
@@ -294,15 +321,10 @@ func (st *Store) Entries(link string) []Entry {
 
 // Stats returns the durability counters.
 func (st *Store) Stats() StoreStats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ss := StoreStats{
-		Snapshots:  st.snapshots,
-		WALRecords: st.walRecords,
-		WALBytes:   st.walBytes,
-	}
-	for _, link := range st.state {
-		if n := link.Len(); n > 0 {
+	lens := st.lens()
+	ss := st.logStats()
+	for _, n := range lens {
+		if n > 0 {
 			ss.Links++
 			ss.Entries += n
 		}
@@ -310,54 +332,60 @@ func (st *Store) Stats() StoreStats {
 	return ss
 }
 
-// appendAdd logs one subscription arrival and mirrors it. The mirror is
-// updated only when the record landed, so the snapshot state never runs
-// ahead of the log.
+// logStats is Stats without the per-link counts, which a wrapped link
+// answers only under its write section.
+func (st *Store) logStats() StoreStats {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return StoreStats{
+		Snapshots:  st.snapshots,
+		WALRecords: st.walRecords,
+		WALBytes:   st.walBytes,
+	}
+}
+
+// lens returns every link's subscription count: a wrapped link's from
+// its provider, under its write section so a write whose log append is
+// still open is not counted, every other link's from the mirror.
+func (st *Store) lens() map[string]int {
+	st.reg.Lock()
+	defer st.reg.Unlock()
+	out := make(map[string]int, len(st.wrapped))
+	for name, d := range st.wrapped {
+		d.mu.Lock()
+		out[name] = d.inner.Len()
+		d.mu.Unlock()
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for name, link := range st.state {
+		out[name] = link.Len()
+	}
+	return out
+}
+
+// appendAdd logs one subscription arrival and, on an un-wrapped link,
+// mirrors it. The mirror is updated only when the record landed, so the
+// snapshot state never runs ahead of the log.
 func (st *Store) appendAdd(link string, sid uint64, payload []byte) error {
 	return st.appendBatch([]record{{op: opAdd, link: link, sid: sid, payload: payload}})
 }
 
-// appendRemove is the claim and the log of claim → log → apply in one
-// critical section: an sid the link does not hold is refused with nothing
-// written, so of two racing removals exactly one logs a record (and goes on
-// to apply it); a failed write claims nothing.
+// appendRemove logs one removal. On an un-wrapped link it is also the
+// claim of claim → log → apply, in the same critical section: an sid the
+// mirror does not hold is refused with nothing written, so of two racing
+// removals exactly one logs a record; a failed write claims nothing. A
+// wrapped link's claim is its provider's, made under the write section
+// this call runs in.
 func (st *Store) appendRemove(link string, sid uint64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, held := st.state[link].Get(sid); !held {
-		return fmt.Errorf("persist: no subscription with id %d", sid)
+	if st.wrapped[link] == nil {
+		if _, held := st.state[link].Get(sid); !held {
+			return fmt.Errorf("persist: no subscription with id %d", sid)
+		}
 	}
 	return st.appendLocked(record{op: opRem, link: link, sid: sid})
-}
-
-// appendRemoves is appendRemove for a batch, errors aligned with sids:
-// every sid the link holds is claimed — once, however often the batch
-// names it — and the claimed removals land through one log write,
-// all-or-nothing.
-func (st *Store) appendRemoves(link string, sids []uint64) []error {
-	errs := make([]error, len(sids))
-	rs := make([]record, 0, len(sids))
-	var claimed idtable.Table[struct{}]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	held := st.state[link]
-	for i, sid := range sids {
-		_, ok := held.Get(sid)
-		if _, dup := claimed.Get(sid); !ok || dup {
-			errs[i] = fmt.Errorf("persist: no subscription with id %d", sid)
-			continue
-		}
-		claimed.Put(sid, struct{}{})
-		rs = append(rs, record{op: opRem, link: link, sid: sid})
-	}
-	if err := st.appendLocked(rs...); err != nil {
-		for i := range errs {
-			if errs[i] == nil {
-				errs[i] = err
-			}
-		}
-	}
-	return errs
 }
 
 // appendBatch logs a whole batch of records under one lock acquisition
@@ -388,7 +416,7 @@ func (st *Store) appendLocked(rs ...record) error {
 }
 
 // committed folds a batch of landed records into every in-memory view:
-// counters, the state mirror, the stream position, the replication ring
+// counters, the mirror, the stream position, the replication ring
 // and any live tailers. Called with st.mu held, after the records are in
 // the log — the stream never runs ahead of the WAL, so a follower can
 // only ever apply records the primary could itself recover.
@@ -405,18 +433,22 @@ func (st *Store) committed(rs []record, n int) {
 	st.notifyTailers(rs, base)
 }
 
-// mirror folds one landed record into the in-memory state, the table
-// appendRemove's claim reads; it is that table's one writer. Called with
-// st.mu held (or by recover, before the store is shared), after the
-// record is on disk.
+// mirror folds one landed record into the mirror, the table an
+// un-wrapped link's appendRemove claims against; it is that table's one
+// writer. A wrapped link's record is its provider's, already applied or
+// about to be, and is not mirrored. Called with st.mu held (or by
+// recover, before the store is shared), after the record is on disk.
 //
 // An add's payload is kept as it came, not copied: every record's payload
-// is a slice nobody writes again — marshalled for the record, or copied
-// out of a segment or a replication frame by decodeRecord — and the
-// replication ring keeps the same slice. A batch's payloads share one
-// MarshalBatch arena (DurableProvider.AddBatch and InsertBatch), so that
-// arena stays alive until the last of its entries is removed.
+// is a slice nobody writes again — copied out of a segment or a
+// replication frame by decodeRecord, or marshalled by the appender — and
+// the replication ring keeps the same slice. Only un-wrapped links are
+// mirrored, so a DurableProvider batch's MarshalBatch arena is never
+// kept here; the replication ring is its one holder.
 func (st *Store) mirror(r record) {
+	if st.wrapped[r.link] != nil {
+		return
+	}
 	switch r.op {
 	case opAdd:
 		link := st.state[r.link]
@@ -439,11 +471,12 @@ func (st *Store) mirror(r record) {
 // compacts the log behind it: the WAL rotates to a fresh segment, the
 // snapshot (covering everything before the rotation) lands durably, and
 // only then are the superseded segments and older snapshots deleted — so
-// a crash at any point leaves a recoverable dir. Appends block for the
-// duration; answers served by wrapped providers do not.
+// a crash at any point leaves a recoverable dir. It reads at a cut
+// (lockCut), so a wrapped link contributes exactly its logged state;
+// writes block for the duration, answers served by wrapped providers do
+// not.
 func (st *Store) Snapshot() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	defer st.lockCut()()
 	if st.closed {
 		return ErrClosed
 	}
@@ -453,11 +486,15 @@ func (st *Store) Snapshot() error {
 		// per periodic tick on an idle daemon for nothing.
 		return nil
 	}
+	links, err := st.linksLocked()
+	if err != nil {
+		return err
+	}
 	if err := st.w.rotate(); err != nil {
 		return err
 	}
 	cutoff := st.w.seq
-	if err := writeSnapshot(st.dir, cutoff, encodeSnapshot(st.schema, st.state, st.pos)); err != nil {
+	if err := writeSnapshot(st.dir, cutoff, encodeLinks(st.schema, links, st.pos)); err != nil {
 		return err
 	}
 	st.snapshots++
@@ -465,6 +502,61 @@ func (st *Store) Snapshot() error {
 	st.hasSnapshot = true
 	st.compact(cutoff)
 	return nil
+}
+
+// lockCut takes every lock a cut across links needs, in the store's lock
+// order — reg, each wrapped link's write section by link name, mu — and
+// returns their release. Holding them, no write is between its provider
+// op and its log append, so each wrapped provider holds exactly its
+// link's logged state.
+func (st *Store) lockCut() (unlock func()) {
+	st.reg.Lock()
+	ds := make([]*DurableProvider, 0, len(st.wrapped))
+	for _, d := range st.wrapped {
+		ds = append(ds, d)
+	}
+	slices.SortFunc(ds, func(a, b *DurableProvider) int { return strings.Compare(a.link, b.link) })
+	for _, d := range ds {
+		d.mu.Lock()
+	}
+	st.mu.Lock()
+	return func() {
+		st.mu.Unlock()
+		for _, d := range ds {
+			d.mu.Unlock()
+		}
+		st.reg.Unlock()
+	}
+}
+
+// linksLocked lists every link holding a subscription, by name, with its
+// entries by sid: a wrapped link's encoded from its provider's held set,
+// every other link's straight from the mirror. Called with the cut held.
+func (st *Store) linksLocked() ([]linkEntries, error) {
+	names := make([]string, 0, len(st.state)+len(st.wrapped))
+	for name := range st.state {
+		names = append(names, name)
+	}
+	for name := range st.wrapped {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	links := make([]linkEntries, 0, len(names))
+	for _, name := range names {
+		var entries []Entry
+		if d := st.wrapped[name]; d != nil {
+			var err error
+			if entries, err = d.heldEntries(); err != nil {
+				return nil, err
+			}
+		} else {
+			entries = sortedEntries(st.state[name])
+		}
+		if len(entries) > 0 {
+			links = append(links, linkEntries{name: name, entries: entries})
+		}
+	}
+	return links, nil
 }
 
 // compact deletes WAL segments and snapshots superseded by the snapshot

@@ -3,7 +3,6 @@ package persist
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"sfccover/internal/idtable"
 )
@@ -112,7 +111,17 @@ func (g *replRing) reset(pos uint64) {
 	g.base, g.head, g.recs = pos, 0, nil
 }
 
+// push appends rs, overwriting the oldest records once the ring is full.
+// A push longer than the ring keeps only its last replRingMax records,
+// with their payloads copied into an arena of their own: a bulk load's
+// payloads share one MarshalBatch arena, which the kept tail would
+// otherwise hold alive whole.
 func (g *replRing) push(rs []record) {
+	over := len(rs) - replRingMax
+	if over > 0 {
+		rs = rs[over:]
+		g.base += uint64(over)
+	}
 	if room := replRingMax - len(g.recs); room > 0 {
 		n := min(room, len(rs))
 		g.recs = append(g.recs, rs[:n]...)
@@ -125,6 +134,25 @@ func (g *replRing) push(rs []record) {
 			g.head = 0
 		}
 		g.base++
+	}
+	if over > 0 {
+		g.ownPayloads() // every slot now holds one of rs's records
+	}
+}
+
+// ownPayloads copies every held payload into one fresh arena.
+func (g *replRing) ownPayloads() {
+	size := 0
+	for _, r := range g.recs {
+		size += len(r.payload)
+	}
+	arena := make([]byte, 0, size)
+	for i, r := range g.recs {
+		if len(r.payload) > 0 {
+			start := len(arena)
+			arena = append(arena, r.payload...)
+			g.recs[i].payload = arena[start:len(arena):len(arena)]
+		}
 	}
 }
 
@@ -175,10 +203,10 @@ const tailerBuf = 64
 // (0 = from the beginning). The first batches replay history — out of
 // the ring when from is inside the window, as a Reset dump otherwise —
 // and every commit after the call follows live, with no gap between the
-// two (both are cut under the same lock).
+// two (both are cut under the same lock). It holds the cut, which a dump
+// needs to read the wrapped links.
 func (st *Store) Tail(from uint64) (*Tailer, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	defer st.lockCut()()
 	if st.closed {
 		return nil, ErrClosed
 	}
@@ -191,27 +219,30 @@ func (st *Store) Tail(from uint64) (*Tailer, error) {
 		// Too far behind the ring window — or ahead of us entirely, which
 		// means a divergent history (an old primary rejoining with records
 		// we never saw). Either way the catch-up is a full-state reset.
-		t.initial = []TailBatch{st.dumpLocked()}
+		dump, err := st.dumpLocked()
+		if err != nil {
+			return nil, err
+		}
+		t.initial = []TailBatch{dump}
 	}
 	st.tailers[t] = struct{}{}
 	return t, nil
 }
 
-// dumpLocked serializes the full mirror as a Reset batch at the current
-// position. Called with st.mu held.
-func (st *Store) dumpLocked() TailBatch {
-	names := make([]string, 0, len(st.state))
-	for name := range st.state {
-		names = append(names, name)
+// dumpLocked serializes every link's state as a Reset batch at the
+// current position. Called with the cut held.
+func (st *Store) dumpLocked() (TailBatch, error) {
+	links, err := st.linksLocked()
+	if err != nil {
+		return TailBatch{}, err
 	}
-	sort.Strings(names)
 	batch := TailBatch{Reset: true, Pos: st.pos}
-	for _, name := range names {
-		for _, e := range sortedEntries(st.state[name]) {
-			batch.Recs = append(batch.Recs, Record{Link: name, SID: e.SID, Payload: e.Payload})
+	for _, l := range links {
+		for _, e := range l.entries {
+			batch.Recs = append(batch.Recs, Record{Link: l.name, SID: e.SID, Payload: e.Payload})
 		}
 	}
-	return batch
+	return batch, nil
 }
 
 // notifyTailers pushes a freshly committed batch to every live tailer.

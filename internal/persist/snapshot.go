@@ -8,7 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
+	"strings"
 
 	"sfccover/internal/idtable"
 	"sfccover/internal/subscription"
@@ -63,10 +63,28 @@ func sortedEntries(state *idtable.Table[[]byte]) []Entry {
 	return out
 }
 
+// linkEntries is one link's section of a snapshot or a reset dump: its
+// name and its entries by sid ascending.
+type linkEntries struct {
+	name    string
+	entries []Entry
+}
+
 // encodeSnapshot serializes the per-link state. links maps link name to
 // sid -> payload; basePos is the replication stream position the state
 // corresponds to.
 func encodeSnapshot(schema *subscription.Schema, links map[string]*idtable.Table[[]byte], basePos uint64) []byte {
+	sections := make([]linkEntries, 0, len(links))
+	for name, state := range links {
+		sections = append(sections, linkEntries{name: name, entries: sortedEntries(state)})
+	}
+	slices.SortFunc(sections, func(a, b linkEntries) int { return strings.Compare(a.name, b.name) })
+	return encodeLinks(schema, sections, basePos)
+}
+
+// encodeLinks serializes links, which are sorted by name, as a snapshot
+// at stream position basePos.
+func encodeLinks(schema *subscription.Schema, links []linkEntries, basePos uint64) []byte {
 	buf := append([]byte(nil), snapMagic...)
 	buf = binary.AppendUvarint(buf, uint64(schema.Bits()))
 	attrs := schema.Attrs()
@@ -76,18 +94,12 @@ func encodeSnapshot(schema *subscription.Schema, links map[string]*idtable.Table
 		buf = append(buf, a...)
 	}
 	buf = binary.AppendUvarint(buf, basePos)
-	names := make([]string, 0, len(links))
-	for name := range links {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
-	for _, name := range names {
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-		entries := sortedEntries(links[name])
-		buf = binary.AppendUvarint(buf, uint64(len(entries)))
-		for _, e := range entries {
+	buf = binary.AppendUvarint(buf, uint64(len(links)))
+	for _, l := range links {
+		buf = binary.AppendUvarint(buf, uint64(len(l.name)))
+		buf = append(buf, l.name...)
+		buf = binary.AppendUvarint(buf, uint64(len(l.entries)))
+		for _, e := range l.entries {
 			buf = binary.AppendUvarint(buf, e.SID)
 			buf = binary.AppendUvarint(buf, uint64(len(e.Payload)))
 			buf = append(buf, e.Payload...)

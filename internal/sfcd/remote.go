@@ -205,6 +205,13 @@ func (r *RemoteProvider) Subscription(id uint64) (*subscription.Subscription, bo
 	return sub, err == nil
 }
 
+// Holds reports whether the namespace holds id, through the get op; as
+// with Subscription, connection trouble reads as not held.
+func (r *RemoteProvider) Holds(id uint64) bool {
+	_, err := r.c.result(r.ctx, &Request{Op: OpGet, Link: r.link, SID: id})
+	return err == nil
+}
+
 // Len returns the number of held subscriptions in the namespace (0 when
 // the daemon cannot be reached; see the type comment).
 func (r *RemoteProvider) Len() int { return r.Stats().Subscriptions }
