@@ -59,7 +59,7 @@ func TestQueryIsHistoryFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return x
+		return locatingDeletes{x}
 	}
 	for _, tc := range []struct {
 		name  string
@@ -227,3 +227,9 @@ func TestArraysAgree(t *testing.T) {
 		}
 	}
 }
+
+// locatingDeletes gives a ShardedIndex Index's Delete: a delete at the
+// point's Location.
+type locatingDeletes struct{ *ShardedIndex }
+
+func (x locatingDeletes) Delete(p []uint32, id uint64) bool { return x.DeleteAt(x.Locate(p), id) }

@@ -172,11 +172,14 @@ func newDispatch(cfg Config) (dispatch, error) {
 // one (KeyWord, no eight-word interleave), carried as a Key because that
 // is what the array's write path takes.
 func (d *dispatch) key(p []uint32) bits.Key {
-	if d.cfg.wordKeys() {
+	if d.cfg.WordKeys() {
 		return bits.KeyFromUint64(d.curve.KeyWord(p))
 	}
 	return d.curve.Key(p)
 }
+
+// Curve returns the index's Z curve, for callers that hold keys of it.
+func (d *dispatch) Curve() *sfc.ZCurve { return d.curve }
 
 // newArray is the one constructor of the index's SFC arrays: empty, keeping
 // summaries under the curve's dimension masks where its keys fit a word

@@ -26,9 +26,10 @@ type keyForm[K comparable] interface {
 	topCube(c *sfc.ZCurve, sc *queryScratch) (lo, hi K)
 }
 
-// wordKeys reports whether the curve's keys fit one word, which selects
-// the form a query runs in.
-func (c Config) wordKeys() bool { return c.Dims*c.Bits <= 64 }
+// WordKeys reports whether the curve's keys fit one word, which selects
+// the form a query runs in — and, above the index, what an engine's store
+// holds a subscription as (its one-word key, or its rectangle).
+func (c Config) WordKeys() bool { return c.Dims*c.Bits <= 64 }
 
 type wordForm struct{}
 

@@ -76,8 +76,8 @@ func TestWalkMatchesModelWalk(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("z-%dx%d", tc.dims, tc.bits), func(t *testing.T) {
 			cfg := Config{Dims: tc.dims, Bits: tc.bits}
-			if got, want := cfg.wordKeys(), tc.dims*tc.bits <= 64; got != want {
-				t.Fatalf("wordKeys() = %v at %d bits", got, tc.dims*tc.bits)
+			if got, want := cfg.WordKeys(), tc.dims*tc.bits <= 64; got != want {
+				t.Fatalf("WordKeys() = %v at %d bits", got, tc.dims*tc.bits)
 			}
 			rng := rand.New(rand.NewSource(int64(251 + tc.dims*tc.bits)))
 			// Half the points crowd the low corner, so the slices start
@@ -121,7 +121,7 @@ func TestWalkMatchesModelWalk(t *testing.T) {
 					}
 				}
 			}
-			pruned := cfg.wordKeys()
+			pruned := cfg.WordKeys()
 			hits, misses, longest := 0, 0, 0
 			check := func(name string, query func([]uint32, float64) (uint64, bool, Stats, error)) {
 				t.Helper()

@@ -51,7 +51,7 @@ func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64
 //
 //sfc:hotpath
 func (d *dispatch) walk(arr ordered, q []uint32, budget int, topFirst bool, sc *queryScratch, tr *obs.QueryTrace) (id uint64, found, done bool) {
-	if d.cfg.wordKeys() {
+	if d.cfg.WordKeys() {
 		return walk[uint64, wordForm](d.curve, arr, q, budget, topFirst, sc, tr)
 	}
 	return walk[bits.Key, wideForm](d.curve, arr, q, budget, topFirst, sc, tr)

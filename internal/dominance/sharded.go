@@ -212,14 +212,6 @@ func routeKey(tab []bits.Key, k bits.Key) int {
 	return i
 }
 
-// ShardFor maps a point to its home shard under the current boundaries.
-// Callers that co-partition their own per-point state (e.g. a
-// subscription store) use this to keep their partition roughly aligned
-// with the index's; after a boundary move the index re-routes by key on
-// every operation, so a stale caller-side assignment only affects load
-// placement, never correctness.
-func (x *ShardedIndex) ShardFor(p []uint32) int { return x.Locate(p).Slice }
-
 // Len returns the number of indexed points.
 func (x *ShardedIndex) Len() int {
 	n := 0
@@ -245,9 +237,9 @@ func (x *ShardedIndex) ShardSizes() []int {
 }
 
 // Location is a point's curve key routed to the slice that owns it under
-// one boundary table: what Locate computes once and InsertAt consumes, so
-// a caller that co-partitions its own state by slice (the engine's store
-// stripes) encodes and routes the key once for both.
+// one boundary table: what Locate computes once and InsertAt and DeleteAt
+// consume, so a caller that co-partitions its own state by slice (the
+// engine's store stripes) encodes and routes the key once for both.
 type Location struct {
 	Key   bits.Key
 	Slice int
@@ -258,13 +250,20 @@ type Location struct {
 // one word where the keys fit one (wordForm's route reads the table's low
 // words; no eight-word key is built or compared).
 func (x *ShardedIndex) Locate(p []uint32) Location {
-	tab := x.table.Load()
-	if x.cfg.wordKeys() {
-		w := x.curve.KeyWord(p)
-		return Location{Key: bits.KeyFromUint64(w), Slice: wordForm{}.route(*tab, w), tab: tab}
+	if x.cfg.WordKeys() {
+		return x.LocateWord(x.curve.KeyWord(p))
 	}
+	tab := x.table.Load()
 	k := x.curve.Key(p)
 	return Location{Key: k, Slice: routeKey(*tab, k), tab: tab}
+}
+
+// LocateWord routes a one-word key the caller already holds (what
+// Locate's Key carries where the keys fit one word) under the current
+// table, encoding nothing.
+func (x *ShardedIndex) LocateWord(w uint64) Location {
+	tab := x.table.Load()
+	return Location{Key: bits.KeyFromUint64(w), Slice: wordForm{}.route(*tab, w), tab: tab}
 }
 
 // lock write-locks the slice owning loc's key and returns it. The route is
@@ -358,10 +357,10 @@ func (x *ShardedIndex) InsertBatch(ps [][]uint32, ids []uint64) {
 	}
 }
 
-// Delete removes one (p, id) entry, reporting whether it existed. Routing
-// is validated under the slice lock exactly like InsertAt's.
-func (x *ShardedIndex) Delete(p []uint32, id uint64) bool {
-	loc := x.Locate(p)
+// DeleteAt removes the (key, id) entry under a key Locate or LocateWord
+// routed, reporting whether it existed: InsertAt's mirror, locking only
+// the slice that owns the key.
+func (x *ShardedIndex) DeleteAt(loc Location, id uint64) bool {
 	slot := x.lock(loc)
 	ok := slot.arr.Delete(loc.Key, id)
 	slot.publish()

@@ -100,10 +100,10 @@ func TestShardedInsertDelete(t *testing.T) {
 		t.Fatalf("ShardSizes sum = %d, want %d", total, len(pts))
 	}
 	for i, p := range pts {
-		if !x.Delete(p, uint64(i)) {
+		if !x.DeleteAt(x.Locate(p), uint64(i)) {
 			t.Fatalf("Delete(%d) found nothing", i)
 		}
-		if x.Delete(p, uint64(i)) {
+		if x.DeleteAt(x.Locate(p), uint64(i)) {
 			t.Fatalf("double Delete(%d) succeeded", i)
 		}
 	}
@@ -158,7 +158,7 @@ func TestShardedInitialBoundaries(t *testing.T) {
 				t.Fatalf("n=%d: boundary %d of an empty index = %v, want the zero key", n, i, k)
 			}
 		}
-		if got := x.ShardFor(pts[0]); got != n-1 {
+		if got := x.Locate(pts[0]).Slice; got != n-1 {
 			t.Fatalf("n=%d: an unplaced index routes to slice %d, want the last", n, got)
 		}
 
@@ -269,7 +269,7 @@ func TestEqualizePairMigration(t *testing.T) {
 	}
 	// Every entry must remain deletable wherever it migrated to.
 	for i, p := range pts {
-		if !x.Delete(p, uint64(i)) {
+		if !x.DeleteAt(x.Locate(p), uint64(i)) {
 			t.Fatalf("entry %d lost after migration", i)
 		}
 	}
@@ -387,7 +387,7 @@ func TestShardedConcurrentMigration(t *testing.T) {
 					t.Errorf("goroutine %d op %d: origin query = (%v, %v), want a hit", g, i, ok, err)
 					return
 				}
-				if !x.Delete(p, base+uint64(i)) {
+				if !x.DeleteAt(x.Locate(p), base+uint64(i)) {
 					t.Errorf("goroutine %d op %d: delete of fresh insert failed", g, i)
 					return
 				}
@@ -428,7 +428,7 @@ func TestShardedConcurrent(t *testing.T) {
 				}
 			}
 			for i, p := range pts {
-				if !x.Delete(p, uint64(g*1000+i)) {
+				if !x.DeleteAt(x.Locate(p), uint64(g*1000+i)) {
 					t.Errorf("goroutine %d: delete %d failed", g, i)
 					return
 				}
@@ -528,7 +528,7 @@ func TestChooseBoundariesConcurrent(t *testing.T) {
 						t.Errorf("goroutine %d: a stored point is not found at its own position (%v, %v)", g, ok, err)
 						return
 					}
-					if !x.Delete(p, ids[i]) {
+					if !x.DeleteAt(x.Locate(p), ids[i]) {
 						t.Errorf("goroutine %d: entry %d lost", g, i)
 						return
 					}
@@ -561,7 +561,8 @@ func checkOwnership(t *testing.T, x *ShardedIndex) int {
 }
 
 // TestStaleLocationLandsInOwningSlice: a Location routed before a boundary
-// move must not insert into the slice it names once the key moved out.
+// move must not insert into, or delete from, the slice it names once the
+// key moved out.
 func TestStaleLocationLandsInOwningSlice(t *testing.T) {
 	x, err := NewSharded(Config{Dims: 2, Bits: 8}, 2)
 	if err != nil {
@@ -576,6 +577,10 @@ func TestStaleLocationLandsInOwningSlice(t *testing.T) {
 	if loc.Slice != 1 {
 		t.Fatalf("before any move the key routes to slice %d, want the last", loc.Slice)
 	}
+	del := x.LocateWord(loc.Key.LowWord())
+	if del != loc {
+		t.Fatalf("LocateWord of the key = %+v, Locate = %+v", del, loc)
+	}
 	if x.EqualizePair(0) == 0 {
 		t.Fatal("the pair did not move")
 	}
@@ -586,13 +591,17 @@ func TestStaleLocationLandsInOwningSlice(t *testing.T) {
 	if got := checkOwnership(t, x); got != 65 {
 		t.Fatalf("%d entries, want 65", got)
 	}
-	if !x.Delete(p, 1000) {
-		t.Fatal("the stale-routed entry is not deletable by its key")
+	if !x.DeleteAt(del, 1000) {
+		t.Fatal("the stale-routed entry is not deletable under a stale route of its key")
+	}
+	if got := checkOwnership(t, x); got != 64 {
+		t.Fatalf("%d entries, want 64", got)
 	}
 }
 
-// TestRoutedWritesRaceEqualizePair races Insert, InsertAt and Delete
-// against a boundary mover; meaningful under -race. Every write must land
+// TestRoutedWritesRaceEqualizePair races Insert, InsertAt and DeleteAt
+// (routed by LocateWord, as the engine's remove routes) against a
+// boundary mover; meaningful under -race. Every write must land
 // in — and every delete find its entry in — the slice owning its key.
 func TestRoutedWritesRaceEqualizePair(t *testing.T) {
 	x, err := NewSharded(Config{Dims: 2, Bits: 8}, 8)
@@ -630,7 +639,7 @@ func TestRoutedWritesRaceEqualizePair(t *testing.T) {
 				}
 				// Every third entry leaves again; the rest stay for the
 				// ownership check.
-				if i%3 == 0 && !x.Delete(p, id) {
+				if i%3 == 0 && !x.DeleteAt(x.LocateWord(x.Locate(p).Key.LowWord()), id) {
 					t.Errorf("writer %d: delete of entry %d failed", g, id)
 					return
 				}
@@ -699,7 +708,7 @@ func TestSliceSummaryMirrorsArray(t *testing.T) {
 					check("Insert")
 				case r < 16 && len(live) > 0:
 					i := rng.Intn(len(live))
-					if !x.Delete(live[i].p, live[i].id) {
+					if !x.DeleteAt(x.Locate(live[i].p), live[i].id) {
 						t.Fatalf("Delete of live entry %d failed", live[i].id)
 					}
 					live[i] = live[len(live)-1]

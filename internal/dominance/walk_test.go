@@ -347,7 +347,7 @@ func walkDuringEqualizePair(t *testing.T, cfg Config, epsilons []float64, pts, q
 				x.Insert(face[i], 1<<32+uint64(i))
 			}
 			for i, p := range face {
-				if !x.Delete(p, 1<<32+uint64(i)) {
+				if !x.DeleteAt(x.Locate(p), 1<<32+uint64(i)) {
 					t.Errorf("burst %d: churned entry %d lost", burst, i)
 					return
 				}

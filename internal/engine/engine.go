@@ -32,6 +32,7 @@ import (
 	"sfccover/internal/core"
 	"sfccover/internal/dominance"
 	"sfccover/internal/obs"
+	"sfccover/internal/sfc"
 	"sfccover/internal/subscription"
 )
 
@@ -121,6 +122,10 @@ type Engine struct {
 	linear bool // StrategyLinear: exact covers come from a store scan
 	idx    *dominance.ShardedIndex
 	stores []stripe
+	// wordCurve is the index's curve where its keys fit one word, and the
+	// stripes hold each subscription as its key; nil on wider universes,
+	// whose stripes hold rectangles.
+	wordCurve *sfc.ZCurve
 
 	tasks     chan func()
 	closeOnce sync.Once
@@ -135,7 +140,8 @@ type Engine struct {
 	closed  bool
 
 	// rebalanceMu serializes whole passes (a forced Rebalance racing the
-	// write path's), so per-pass counters and results stay coherent.
+	// write path's) and the write path's skew checks, so per-pass counters
+	// and results stay coherent and no check reads a pass half done.
 	rebalanceMu sync.Mutex
 	// sinceCheck counts inserts since the write path last read the skew.
 	sinceCheck atomic.Int64

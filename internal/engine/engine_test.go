@@ -274,12 +274,12 @@ func TestPrefixPartitionIsStable(t *testing.T) {
 	defer e.Close()
 	for _, s := range testSubs(t, schema, 256, 7) {
 		p := s.Point()
-		first := e.idx.ShardFor(p)
+		first := e.idx.Locate(p).Slice
 		if first < 0 || first >= e.NumShards() {
 			t.Fatalf("shard %d out of range", first)
 		}
-		if again := e.idx.ShardFor(p); again != first {
-			t.Fatalf("ShardFor not deterministic: %d then %d", first, again)
+		if again := e.idx.Locate(p).Slice; again != first {
+			t.Fatalf("Locate not deterministic: %d then %d", first, again)
 		}
 	}
 }

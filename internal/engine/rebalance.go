@@ -44,21 +44,25 @@ type RebalanceResult struct {
 }
 
 // inserted is the write path's rebalance trigger: every
-// rebalanceCheckEvery inserts it reads the occupancy skew and, past the
-// population floor and the threshold, runs one pass on the inserting
-// goroutine — unless a pass is already running, which is then doing this
-// one's work. Callers hold no stripe or slice lock.
+// rebalanceCheckEvery inserts, past the population floor, it reads the
+// occupancy skew and, at the threshold, runs one pass on the inserting
+// goroutine. The skew is read under rebalanceMu, so a pass already
+// running (a forced one, or another writer's) is waited out and judged by
+// what it left: a check never passes over a skew because a pass is
+// moving boundaries it has not yet counted. Callers hold no lock of the
+// index, the only locks a pass takes (Restore holds its stripe locks).
 func (e *Engine) inserted(n int) {
 	if e.sinceCheck.Add(int64(n)) < rebalanceCheckEvery {
 		return
 	}
 	e.sinceCheck.Store(0)
-	if e.idx.Len() < rebalanceMinPerSlice*len(e.stores) || e.skew() < rebalanceThreshold {
+	if e.idx.Len() < rebalanceMinPerSlice*len(e.stores) {
 		return
 	}
-	if e.rebalanceMu.TryLock() {
+	e.rebalanceMu.Lock()
+	defer e.rebalanceMu.Unlock()
+	if e.skew() >= rebalanceThreshold {
 		e.pass()
-		e.rebalanceMu.Unlock()
 	}
 }
 

@@ -64,7 +64,7 @@ func loadSkewed(t testing.TB, e *Engine, subs []*subscription.Subscription) ([]*
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
-		if e.idx.ShardFor(subs[i].Point()) < e.NumShards()/2 {
+		if e.idx.Locate(subs[i].Point()).Slice < e.NumShards()/2 {
 			if err := e.Remove(r.ID); err != nil {
 				t.Fatal(err)
 			}

@@ -11,30 +11,41 @@ import (
 	"sfccover/internal/dominance"
 	"sfccover/internal/idtable"
 	"sfccover/internal/obs"
+	"sfccover/internal/sfc"
 	"sfccover/internal/subscription"
 )
 
 // stripe is one slice of the subscription store: a subscription goes to
 // the stripe of the index slice that owns its key when it arrives. It
-// holds the rectangle by value, so nothing the caller does to its
-// subscription afterwards reaches the store.
+// holds a value, never the caller's subscription, so nothing the caller
+// does to it afterwards reaches the store. Where the curve's keys fit one
+// word that value is the subscription's Z key, the word the index files
+// it under: Point is a bijection onto the universe's cells and KeyWord
+// one onto the words, so the key is the subscription, 8 bytes where its
+// rectangle takes 32. Wider universes hold the packed rectangle. An
+// engine fills one of the two tables, chosen once by its universe.
 type stripe struct {
-	mu   sync.Mutex
-	subs idtable.Table[subscription.Rect] // keyed by engine id
-	next uint64                           // next local id, starting at 1
+	mu    sync.Mutex
+	keys  idtable.Table[uint64]            // keyed by engine id, on one-word universes
+	rects idtable.Table[subscription.Rect] // keyed by engine id, on wider ones
+	next  uint64                           // next local id, starting at 1
 }
+
+// len returns the number of subscriptions the stripe holds.
+func (st *stripe) len() int { return st.keys.Len() + st.rects.Len() }
 
 // initStore builds the index and the store stripes from the normalized
 // detector template (whose MaxCubes already uses the dominance convention:
 // 0 = unlimited).
 func (e *Engine) initStore(det core.Config) error {
 	schema, shards := det.Schema, e.cfg.Shards
+	cfg := dominance.Config{Dims: schema.Dims(), Bits: schema.Bits(), MaxCubes: det.MaxCubes}
 	var err error
-	e.idx, err = dominance.NewSharded(dominance.Config{
-		Dims: schema.Dims(), Bits: schema.Bits(), MaxCubes: det.MaxCubes,
-	}, shards)
-	if err != nil {
+	if e.idx, err = dominance.NewSharded(cfg, shards); err != nil {
 		return fmt.Errorf("engine: %w", err)
+	}
+	if cfg.WordKeys() {
+		e.wordCurve = e.idx.Curve()
 	}
 	e.linear = det.Strategy == core.StrategyLinear
 	e.stores = make([]stripe, shards)
@@ -50,7 +61,7 @@ func (e *Engine) Len() int {
 	for i := range e.stores {
 		st := &e.stores[i]
 		st.mu.Lock()
-		n += st.subs.Len()
+		n += st.len()
 		st.mu.Unlock()
 	}
 	return n
@@ -63,7 +74,10 @@ func (e *Engine) Enumerate() ([]core.Held, error) {
 	for i := range e.stores {
 		st := &e.stores[i]
 		st.mu.Lock()
-		for id, r := range st.subs.All() {
+		for id, k := range st.keys.All() {
+			out = append(out, core.Held{ID: id, Sub: keySubscription(e.schema, e.wordCurve, k)})
+		}
+		for id, r := range st.rects.All() {
 			out = append(out, core.Held{ID: id, Sub: r.Subscription(e.schema)})
 		}
 		st.mu.Unlock()
@@ -87,6 +101,37 @@ func (e *Engine) Snapshot() error {
 // by design.)
 func (e *Engine) ShardSizes() []int { return e.idx.ShardSizes() }
 
+// hold puts what a stripe keeps of s under id: key, s's one-word Z key,
+// on one-word universes, and s's rectangle on wider ones (key unused).
+// The stripe's lock is held.
+func (e *Engine) hold(st *stripe, id uint64, s *subscription.Subscription, key uint64) {
+	if e.wordCurve != nil {
+		st.keys.Put(id, key)
+		return
+	}
+	st.rects.Put(id, s.Rect())
+}
+
+// keyOf returns s's one-word key, 0 on wider universes.
+func (e *Engine) keyOf(s *subscription.Subscription) uint64 {
+	if e.wordCurve == nil {
+		return 0
+	}
+	return e.wordCurve.KeyWord(s.Point())
+}
+
+// keySubscription builds a fresh subscription from a held one-word key:
+// it inverts KeyWord and Point, the subscription of schema whose key on
+// curve is k.
+func keySubscription(schema *subscription.Schema, curve *sfc.ZCurve, k uint64) *subscription.Subscription {
+	var buf [2 * subscription.MaxAttrs]uint32
+	s, err := subscription.FromPoint(schema, curve.CellWordInto(buf[:], k))
+	if err != nil {
+		panic(fmt.Sprintf("engine: held key %#x is no subscription's: %v", k, err))
+	}
+	return s
+}
+
 // insert stores s in the stripe of the slice its key routes to and indexes
 // it under the same key, encoded and routed once for both.
 func (e *Engine) insert(s *subscription.Subscription) uint64 {
@@ -95,7 +140,7 @@ func (e *Engine) insert(s *subscription.Subscription) uint64 {
 	st.mu.Lock()
 	id := encodeID(len(e.stores), loc.Slice, st.next)
 	st.next++
-	st.subs.Put(id, s.Rect())
+	e.hold(st, id, s, loc.Key.LowWord())
 	e.idx.InsertAt(loc, id)
 	st.mu.Unlock()
 	e.inserted(1)
@@ -130,9 +175,11 @@ func (e *Engine) insertBatch(subs []*subscription.Subscription, given []uint64) 
 	}
 	e.idx.ChooseBoundaries(len(points), func(i int) []uint32 { return points[i] })
 	groups := make([][]int, len(e.stores))
+	keys := make([]uint64, len(subs)) // what hold takes on one-word universes
 	for i := range subs {
-		shard := e.idx.ShardFor(points[i])
-		groups[shard] = append(groups[shard], i)
+		loc := e.idx.Locate(points[i])
+		keys[i] = loc.Key.LowWord()
+		groups[loc.Slice] = append(groups[loc.Slice], i)
 	}
 	active := make([]int, 0, len(groups))
 	for shard, g := range groups {
@@ -154,7 +201,7 @@ func (e *Engine) insertBatch(subs []*subscription.Subscription, given []uint64) 
 			if given == nil {
 				ids[i] = encodeID(len(e.stores), shard, st.next)
 				st.next++
-				st.subs.Put(ids[i], subs[i].Rect())
+				e.hold(st, ids[i], subs[i], keys[i])
 			}
 			ps[k] = points[i]
 			groupIDs[k] = ids[i]
@@ -186,14 +233,14 @@ func (e *Engine) Restore(held []core.Held) error {
 		st := &e.stores[i]
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		if n := st.subs.Len(); n != 0 {
+		if n := st.len(); n != 0 {
 			return fmt.Errorf("engine: Restore needs an empty provider, stripe %d holds %d subscriptions", i, n)
 		}
 	}
 	for i, id := range ids {
 		stripe, local := decodeID(len(e.stores), id)
 		st := &e.stores[stripe]
-		st.subs.Put(id, subs[i].Rect())
+		e.hold(st, id, subs[i], e.keyOf(subs[i]))
 		if local >= st.next {
 			st.next = local + 1 // mint from past the largest id given
 		}
@@ -202,22 +249,40 @@ func (e *Engine) Restore(held []core.Held) error {
 	return nil
 }
 
-// remove drops id from its stripe and the index, rebuilding the point
-// the index keys it by from the held rectangle.
+// remove drops id from its stripe and deletes it from the index at the
+// key the stripe held it under.
 func (e *Engine) remove(id uint64) error {
 	shard, _ := decodeID(len(e.stores), id)
 	st := &e.stores[shard]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	r, ok := st.subs.Delete(id)
+	loc, ok := e.release(st, id)
 	if !ok {
 		return fmt.Errorf("engine: no subscription with id %d", id)
 	}
-	var buf [2 * subscription.MaxAttrs]uint32
-	if !e.idx.Delete(r.PointInto(e.schema, buf[:]), id) {
+	if !e.idx.DeleteAt(loc, id) {
 		return fmt.Errorf("engine: index out of sync for id %d", id)
 	}
 	return nil
+}
+
+// release drops id from its stripe, whose lock is held, and routes the
+// key the index holds it under: the held word itself on one-word
+// universes, the held rectangle's point encoded on wider ones.
+func (e *Engine) release(st *stripe, id uint64) (dominance.Location, bool) {
+	if e.wordCurve != nil {
+		k, ok := st.keys.Delete(id)
+		if !ok {
+			return dominance.Location{}, false
+		}
+		return e.idx.LocateWord(k), true
+	}
+	r, ok := st.rects.Delete(id)
+	if !ok {
+		return dominance.Location{}, false
+	}
+	var buf [2 * subscription.MaxAttrs]uint32
+	return e.idx.Locate(r.PointInto(e.schema, buf[:])), true
 }
 
 // Subscription returns the held subscription with the given engine id.
@@ -226,11 +291,13 @@ func (e *Engine) Subscription(id uint64) (*subscription.Subscription, bool) {
 	st := &e.stores[shard]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	r, ok := st.subs.Get(id)
-	if !ok {
-		return nil, false
+	if k, ok := st.keys.Get(id); ok {
+		return keySubscription(e.schema, e.wordCurve, k), true
 	}
-	return r.Subscription(e.schema), true
+	if r, ok := st.rects.Get(id); ok {
+		return r.Subscription(e.schema), true
+	}
+	return nil, false
 }
 
 // Holds reports whether id names a held subscription: one probe of its
@@ -239,7 +306,10 @@ func (e *Engine) Holds(id uint64) bool {
 	shard, _ := decodeID(len(e.stores), id)
 	st := &e.stores[shard]
 	st.mu.Lock()
-	_, ok := st.subs.Get(id)
+	_, ok := st.keys.Get(id)
+	if !ok {
+		_, ok = st.rects.Get(id)
+	}
 	st.mu.Unlock()
 	return ok
 }
@@ -268,13 +338,19 @@ func (e *Engine) searchCover(s *subscription.Subscription, tr *obs.QueryTrace, r
 // scan answers an exact query without the index by walking the store
 // stripes one lock at a time: the smallest id of a held subscription that
 // covers s. Ids interleave across the stripes, so every stripe is walked
-// and counted.
+// and counted. A held key covers s exactly when it dominates s's key
+// under every dimension mask, the test the SFC array's leaf check makes.
 func (e *Engine) scan(s *subscription.Subscription, res *QueryResult) int {
-	q := s.Rect()
+	q, qk, d := s.Rect(), e.keyOf(s), e.schema.Dims()
 	for i := range e.stores {
 		st := &e.stores[i]
 		st.mu.Lock()
-		for id, cand := range st.subs.All() {
+		for id, k := range st.keys.All() {
+			if (!res.Covered || id < res.CoveredBy) && sfc.DominatesWord(d, k, qk) {
+				res.Covered, res.CoveredBy = true, id
+			}
+		}
+		for id, cand := range st.rects.All() {
 			if (!res.Covered || id < res.CoveredBy) && cand.Covers(q) {
 				res.Covered, res.CoveredBy = true, id
 			}

@@ -199,7 +199,7 @@ func e15Measure(r e15Row, reps int) (res e15Result, err error) {
 		return
 	}
 	for _, i := range rand.New(rand.NewSource(157)).Perm(len(pts)) {
-		if !idx.Delete(pts[i], ids[i]) || !sh.Delete(pts[i], ids[i]) {
+		if !idx.Delete(pts[i], ids[i]) || !sh.DeleteAt(sh.Locate(pts[i]), ids[i]) {
 			return res, fmt.Errorf("E15 churn: entry %d not found", i)
 		}
 		idx.Insert(churn[i], uint64(len(pts)+i))

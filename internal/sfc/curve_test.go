@@ -2,6 +2,7 @@ package sfc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sfccover/internal/bits"
@@ -257,7 +258,8 @@ func TestCurveNames(t *testing.T) {
 // form, brute force over every universe whose keys fit a word (d <= 16,
 // d·k <= 64): the query key KeyWord encodes equals Interleave's low word
 // — on random cells, on the corners and on coordinates with bits above k,
-// which both ignore — and the top cube's closed-form range equals
+// which both ignore — CellWordInto decodes that word to the cell Cell
+// decodes from the Key, and the top cube's closed-form range equals
 // CubeRange of the cube at the max corner, for every side.
 func TestWordSetupMatchesKeyForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
@@ -278,9 +280,14 @@ func TestWordSetupMatchesKeyForm(t *testing.T) {
 				}
 				cells = append(cells, c)
 			}
+			var buf [16]uint32
 			for _, c := range cells {
-				if got, want := z.KeyWord(c), bits.Interleave(c, k).LowWord(); got != want {
-					t.Fatalf("d=%d k=%d cell %v: KeyWord %#x, Interleave %#x", d, k, c, got, want)
+				w, key := z.KeyWord(c), bits.Interleave(c, k)
+				if w != key.LowWord() {
+					t.Fatalf("d=%d k=%d cell %v: KeyWord %#x, Interleave %#x", d, k, c, w, key.LowWord())
+				}
+				if got, want := z.CellWordInto(buf[:], w), z.Cell(key); !slices.Equal(got, want) {
+					t.Fatalf("d=%d k=%d key %#x: CellWordInto %v, Cell %v", d, k, w, got, want)
 				}
 			}
 			corner := make([]uint32, d)

@@ -100,6 +100,43 @@ func (z *ZCurve) Cell(key bits.Key) []uint32 {
 	return bits.Deinterleave(key, z.cfg.Dims, z.cfg.Bits)
 }
 
+// CellWordInto is Cell on a curve whose keys fit one word (d·k <= 64),
+// for the key's numeric value: it writes the d coordinates into dst,
+// which must hold d, and returns that prefix of dst. It inverts KeyWord.
+func (z *ZCurve) CellWordInto(dst []uint32, key uint64) []uint32 {
+	d := z.cfg.Dims
+	x := dst[:d]
+	clear(x)
+	// Bit j of coordinate i sits at key position j·d + (d−1−i).
+	for j := z.cfg.Bits - 1; j >= 0; j-- {
+		g := key >> uint(j*d)
+		for i := range x {
+			x[i] = x[i]<<1 | uint32(g>>uint(d-1-i))&1
+		}
+	}
+	return x
+}
+
+// DominatesWord reports whether the one-word Z key key dominates qk on a
+// d-dimensional curve: whether key&m >= qk&m under every dimension mask m,
+// all masks tested at once. A key reaches qk in a dimension exactly when,
+// at the highest bit of that dimension where the two differ, the key
+// holds the 1. win marks the bits where the key holds a 1 and qk a 0;
+// smeared down by shifts of d, 2d, 4d, … — which keep every bit in its
+// dimension — it covers each dimension's bits at and below its highest
+// win, so a bit where qk holds the 1 that it leaves uncovered is a
+// dimension the key falls short in.
+//
+//sfc:hotpath
+func DominatesWord(d int, key, qk uint64) bool {
+	diff := key ^ qk
+	win := diff & key
+	for sh := uint(d); sh < 64; sh <<= 1 {
+		win |= win >> sh
+	}
+	return diff&qk&^win == 0
+}
+
 // NextInExtremal returns the smallest key >= from whose cell lies in the
 // extremal region of q, [q_1, 2^k−1] × ... × [q_d, 2^k−1]; ok is false
 // when the region holds no key at or after from. It is the jump of the

@@ -43,6 +43,7 @@ import (
 	"sort"
 
 	"sfccover/internal/bits"
+	"sfccover/internal/sfc"
 )
 
 const (
@@ -336,24 +337,14 @@ func (x *Index) admitting(j, s int, qk uint64) (int, int) {
 
 // dominator returns the first slot from s of one-word keys ks whose key
 // reaches qk under every mask, len(ks) when none does. It tests every mask
-// at once, which the masks' Z layout allows (see WithMasks): a key reaches
-// qk in a dimension exactly when, at the highest bit of that dimension
-// where the two differ, the key holds the 1. win marks the bits where the
-// key holds a 1 and qk a 0; smeared down by shifts of d, 2d, 4d, … — which
-// keep every bit in its dimension — it covers each dimension's bits at and
-// below its highest win, so a bit where qk holds the 1 that it leaves
-// uncovered is a dimension the key falls short in.
+// at once (sfc.DominatesWord), which the masks' Z layout allows (see
+// WithMasks).
 //
 //sfc:hotpath
 func (x *Index) dominator(ks []uint64, s int, qk uint64) int {
-	d := uint(len(x.masks))
+	d := len(x.masks)
 	for ; s < len(ks); s++ {
-		diff := ks[s] ^ qk
-		win := diff & ks[s]
-		for sh := d; sh < 64; sh <<= 1 {
-			win |= win >> sh
-		}
-		if diff&qk&^win == 0 {
+		if sfc.DominatesWord(d, ks[s], qk) {
 			return s
 		}
 	}
