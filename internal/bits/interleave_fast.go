@@ -94,3 +94,58 @@ func InterleaveWord(coords []uint32, k int) uint64 {
 	}
 	return key
 }
+
+// Gather tables for DeinterleaveWordInto, the inverse of the spread: for
+// keys of d coordinates, gatherTables[d][m][b] places the bits of byte b
+// at byte m of a key in lanes of 64/d bits, coordinate j's in lane j at
+// their bit level, so ORing one entry per key byte decodes every
+// coordinate at once. Built on first use per d, 16 KB each.
+var (
+	gatherOnce   [65]sync.Once
+	gatherTables [65]*[8][256]uint64
+)
+
+func gatherTable(d int) *[8][256]uint64 {
+	gatherOnce[d].Do(func() {
+		t := new([8][256]uint64)
+		lane := 64 / d
+		for m := range t {
+			for b := range t[m] {
+				for s := 0; s < 8; s++ {
+					// Key bit p holds bit p/d of coordinate d−1−p%d.
+					p := 8*m + s
+					if i, j := p/d, d-1-p%d; b>>s&1 == 1 && i < lane {
+						t[m][b] |= 1 << uint(j*lane+i)
+					}
+				}
+			}
+		}
+		gatherTables[d] = t
+	})
+	return gatherTables[d]
+}
+
+// DeinterleaveWordInto inverts InterleaveWord for len(dst) coordinates of
+// k bits each, len(dst)·k <= 64: it writes the coordinates of key into dst
+// and returns dst, ignoring key bits above len(dst)·k. One table lookup a
+// key byte gathers every coordinate's bits, where a bit loop takes one
+// step a coordinate bit.
+//
+//sfc:hotpath
+func DeinterleaveWordInto(dst []uint32, key uint64, k int) []uint32 {
+	d := len(dst)
+	t := gatherTable(d)
+	if d*k < 64 {
+		key &= 1<<uint(d*k) - 1
+	}
+	var lanes uint64
+	for m := 0; key != 0; m++ {
+		lanes |= t[m&7][byte(key)]
+		key >>= 8
+	}
+	lane, low := uint(64/d), uint64(1)<<uint(k)-1
+	for j := range dst {
+		dst[j] = uint32(lanes >> (uint(j) * lane) & low)
+	}
+	return dst
+}

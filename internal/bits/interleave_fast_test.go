@@ -2,6 +2,7 @@ package bits
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -59,6 +60,31 @@ func TestOrShiftedAcrossWordBoundary(t *testing.T) {
 	}
 	if k.Bit(59) != 0 || k.Bit(68) != 0 {
 		t.Fatal("neighbouring bits disturbed")
+	}
+}
+
+// TestDeinterleaveWordInvertsInterleaveWord: on every stride and width a
+// word admits (d <= 16, d·k <= 64), the gather steps return the
+// coordinates InterleaveWord spread, and ignore bits above d·k.
+func TestDeinterleaveWordInvertsInterleaveWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for d := 1; d <= 16; d++ {
+		for k := 1; d*k <= 64 && k <= 32; k++ {
+			top := uint32(uint64(1)<<uint(k) - 1)
+			for n := 0; n < 32; n++ {
+				c := make([]uint32, d)
+				for i := range c {
+					c[i] = rng.Uint32() & top
+				}
+				key := InterleaveWord(c, k)
+				if d*k < 64 {
+					key |= rng.Uint64() << uint(d*k)
+				}
+				if got := DeinterleaveWordInto(make([]uint32, d), key, k); !slices.Equal(got, c) {
+					t.Fatalf("d=%d k=%d key %#x: DeinterleaveWordInto %v, want %v", d, k, key, got, c)
+				}
+			}
+		}
 	}
 }
 

@@ -699,26 +699,26 @@ func (n *Network) restoreLinks() {
 			peer := n.brokers[j]
 			gi := peer.group(iface{kind: ifNeighbor, id: b.id})
 			for _, it := range held(st.fwd) {
-				key := it.Sub.Rect()
-				st.ids[b.intern(key)] = forwardedID{id: it.ID, ok: true}
-				if h := peer.intern(key); peer.rects.placement(h, gi) < 0 {
+				st.ids[b.intern(it.Rect)] = forwardedID{id: it.ID, ok: true}
+				if h := peer.intern(it.Rect); peer.rects.placement(h, gi) < 0 {
 					peer.addRow(gi, h)
-					rows = append(rows, restoredRow{peer, gi, h, it.Sub})
+					rows = append(rows, restoredRow{peer, gi, h, it.Rect.Subscription(n.cfg.Schema)})
 				}
 			}
 			if st.supp == nil {
 				continue
 			}
 			for _, it := range held(st.supp) {
-				h := b.intern(it.Sub.Rect())
+				h := b.intern(it.Rect)
 				// A crash between forward's two writes left the rectangle in
 				// both sets; forwarding wins here as it does there.
 				if !st.ids[h].ok {
-					if by, covered, _, err := st.fwd.FindCover(it.Sub); err == nil && covered {
-						st.sups.add(h, it.Sub, it.ID, by)
+					sub := it.Rect.Subscription(n.cfg.Schema)
+					if by, covered, _, err := st.fwd.FindCover(sub); err == nil && covered {
+						st.sups.add(h, sub, it.ID, by)
 						continue
 					}
-					b.forward(k, st, h, it.Sub)
+					b.forward(k, st, h, sub)
 				}
 				if err := st.supp.Remove(it.ID); err != nil {
 					n.metrics.ProtocolErrors++
@@ -1168,7 +1168,7 @@ func (b *Broker) resubscribeCovered(k int, st *neighborState, retracted uint64) 
 	reforward := func(h handle, sub *subscription.Subscription) {
 		b.forward(k, st, h, sub)
 		if fwd := st.ids[h]; fwd.ok {
-			reforwarded = append(reforwarded, core.Held{ID: fwd.id, Sub: sub})
+			reforwarded = append(reforwarded, core.Held{ID: fwd.id, Rect: b.rects.keys[h]})
 		}
 	}
 	for lo := 0; lo < len(members); lo += batch {
@@ -1186,7 +1186,7 @@ func (b *Broker) resubscribeCovered(k int, st *neighborState, retracted uint64) 
 			}
 			by, covered := res.CoveredBy, res.Covered
 			for r := 0; !covered && r < len(reforwarded); r++ {
-				by, covered = reforwarded[r].ID, reforwarded[r].Sub.Covers(sub)
+				by, covered = reforwarded[r].ID, reforwarded[r].Rect.Covers(b.rects.keys[h])
 			}
 			if !covered {
 				reforward(h, sub)

@@ -362,7 +362,7 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 			{"Restore", func() error {
 				// p holds wide, so a provider that can restore refuses for
 				// that reason instead; either way nothing may change.
-				err := p.Restore([]core.Held{{ID: wid + 1000, Sub: uncovered}})
+				err := p.Restore([]core.Held{{ID: wid + 1000, Rect: uncovered.Rect()}})
 				if err == nil {
 					t.Error("Restore into a non-empty provider must fail")
 				}
@@ -394,7 +394,7 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 			if i > 0 && all[i-1].ID >= h.ID {
 				t.Fatalf("Enumerate is not id-sorted: %d before %d", all[i-1].ID, h.ID)
 			}
-			if got, ok := p.Subscription(h.ID); !ok || !got.Equal(h.Sub) {
+			if got, ok := p.Subscription(h.ID); !ok || got.Rect() != h.Rect {
 				t.Fatalf("Enumerate entry %d disagrees with Subscription(%d)", i, h.ID)
 			}
 		}
@@ -405,23 +405,24 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 	// and mints around them afterwards.
 	t.Run("restore", func(t *testing.T) {
 		p, q := fresh(t), fresh(t)
-		h := []core.Held{{ID: 3, Sub: wide}, {ID: 40, Sub: uncovered}, {ID: 1000003, Sub: uncovered}}
+		h := []core.Held{{ID: 3, Rect: wide.Rect()}, {ID: 40, Rect: uncovered.Rect()}, {ID: 1000003, Rect: uncovered.Rect()}}
 		if err := p.Restore(h); errors.Is(err, core.ErrUnsupported) && p.Len() == 0 {
 			return // refused, and left alone
 		} else if err != nil {
 			t.Fatalf("Restore = %v with Len %d, want success or an untouched core.ErrUnsupported", err, p.Len())
 		}
-		// A provider that holds anything, an id named twice and a foreign
-		// schema each refuse the whole call.
-		foreign := subscription.New(subscription.MustSchema(8, "volume", "price"))
+		// A provider that holds anything, an id named twice and a
+		// rectangle outside the schema's domain each refuse the whole call.
+		outside := wide.Rect()
+		outside[1] = outside[1]&^(1<<subscription.MaxBits-1) | (wide.Schema().MaxValue() + 1)
 		for _, bad := range []struct {
 			why  string
 			p    core.Provider
 			held []core.Held
 		}{
-			{"a non-empty provider", p, []core.Held{{ID: 9, Sub: narrow}}},
-			{"an id named twice", q, []core.Held{{ID: 5, Sub: wide}, {ID: 6, Sub: uncovered}, {ID: 5, Sub: narrow}}},
-			{"a foreign schema", q, []core.Held{{ID: 5, Sub: wide}, {ID: 6, Sub: foreign}}},
+			{"a non-empty provider", p, []core.Held{{ID: 9, Rect: narrow.Rect()}}},
+			{"an id named twice", q, []core.Held{{ID: 5, Rect: wide.Rect()}, {ID: 6, Rect: uncovered.Rect()}, {ID: 5, Rect: narrow.Rect()}}},
+			{"a rectangle outside the schema's domain", q, []core.Held{{ID: 5, Rect: wide.Rect()}, {ID: 6, Rect: outside}}},
 		} {
 			if err := bad.p.Restore(bad.held); err == nil || q.Len() != 0 {
 				t.Fatalf("Restore with %s = %v, leaving %d held in a provider that was empty", bad.why, err, q.Len())
@@ -434,7 +435,7 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 		taken := map[uint64]bool{}
 		for i, e := range h {
 			s, ok := p.Subscription(e.ID)
-			if got[i].ID != e.ID || !got[i].Sub.Equal(e.Sub) || !ok || !s.Equal(e.Sub) {
+			if got[i].ID != e.ID || got[i].Rect != e.Rect || !ok || s.Rect() != e.Rect {
 				t.Fatalf("restored id %d: Enumerate[%d] is id %d, Subscription resolves %v", e.ID, i, got[i].ID, ok)
 			}
 			taken[e.ID] = true

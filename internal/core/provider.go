@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -105,29 +104,44 @@ var ErrUnsupported = errors.New("core: operation not supported by this provider"
 // torn-down worker pool instead of panicking on a closed channel.
 var ErrProviderClosed = errors.New("core: provider is closed")
 
-// Held is one subscription a provider holds, with the id it is held under.
+// Held is one subscription a provider holds, with the id it is held
+// under: its packed rectangle, a value of the provider's schema, so a
+// dump of a large set builds no subscription.
 type Held struct {
-	ID  uint64
-	Sub *subscription.Subscription
+	ID   uint64
+	Rect subscription.Rect
 }
 
-// SplitHeld checks a Restore argument — every subscription on schema, no
-// id twice — and splits it into the aligned slices the bulk-load seams
-// take.
+// SplitHeld checks a Restore argument — every rectangle inside schema's
+// domain, no id twice — and splits it into the aligned slices the
+// bulk-load seams take.
 func SplitHeld(schema *subscription.Schema, held []Held) ([]*subscription.Subscription, []uint64, error) {
 	subs, ids := make([]*subscription.Subscription, len(held)), make([]uint64, len(held))
 	seen := make(map[uint64]struct{}, len(held))
 	for i, h := range held {
-		if h.Sub.Schema() != schema {
-			return nil, nil, fmt.Errorf("core: restored subscription %d's schema differs from the provider's", h.ID)
+		if err := h.Rect.Check(schema); err != nil {
+			return nil, nil, fmt.Errorf("core: restored subscription %d is no rectangle of the provider's schema: %w", h.ID, err)
 		}
 		if _, dup := seen[h.ID]; dup {
 			return nil, nil, fmt.Errorf("core: restore names id %d twice", h.ID)
 		}
 		seen[h.ID] = struct{}{}
-		subs[i], ids[i] = h.Sub, h.ID
+		subs[i], ids[i] = h.Rect.Subscription(schema), h.ID
 	}
 	return subs, ids, nil
+}
+
+// SortedHeld lists held subscriptions by id ascending: ids are every held
+// id, in any order, and rect resolves one. The ids are sorted in place as
+// plain words and resolved after, several times cheaper than sorting the
+// records.
+func SortedHeld(ids []uint64, rect func(id uint64) subscription.Rect) []Held {
+	slices.Sort(ids)
+	out := make([]Held, len(ids))
+	for i, id := range ids {
+		out[i] = Held{ID: id, Rect: rect(id)}
+	}
+	return out
 }
 
 // QueryResult is one covering-query outcome, the per-item currency of the
@@ -289,13 +303,15 @@ func (d *Detector) RemoveBatch(ids []uint64) []error {
 // subscriptions, sorted by id.
 func (d *Detector) Enumerate() ([]Held, error) {
 	d.mu.Lock()
-	out := make([]Held, 0, d.subs.Len())
-	for id, r := range d.subs.All() {
-		out = append(out, Held{ID: id, Sub: r.Subscription(d.cfg.Schema)})
+	defer d.mu.Unlock()
+	ids := make([]uint64, 0, d.subs.Len())
+	for id := range d.subs.All() {
+		ids = append(ids, id)
 	}
-	d.mu.Unlock()
-	slices.SortFunc(out, func(a, b Held) int { return cmp.Compare(a.ID, b.ID) })
-	return out, nil
+	return SortedHeld(ids, func(id uint64) subscription.Rect {
+		r, _ := d.subs.Get(id)
+		return r
+	}), nil
 }
 
 // Restore implements Provider through InsertBatch's load, under the given

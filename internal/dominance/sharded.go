@@ -226,7 +226,13 @@ func (x *ShardedIndex) Len() int {
 
 // ShardSizes returns the per-shard point counts.
 func (x *ShardedIndex) ShardSizes() []int {
-	sizes := make([]int, len(x.shards))
+	return x.ShardSizesInto(make([]int, len(x.shards)))
+}
+
+// ShardSizesInto is ShardSizes into sizes, which must hold NumShards
+// counts, for callers that read the layout often and keep a buffer.
+func (x *ShardedIndex) ShardSizesInto(sizes []int) []int {
+	sizes = sizes[:len(x.shards)]
 	for i := range x.shards {
 		s := &x.shards[i]
 		s.mu.RLock()

@@ -143,6 +143,9 @@ type Engine struct {
 	// write path's) and the write path's skew checks, so per-pass counters
 	// and results stay coherent and no check reads a pass half done.
 	rebalanceMu sync.Mutex
+	// sizes is skew's buffer for the slice occupancies, used under
+	// rebalanceMu, so a write path's check allocates nothing.
+	sizes []int
 	// sinceCheck counts inserts since the write path last read the skew.
 	sinceCheck atomic.Int64
 	// insertTicks and removeTicks count single-item Insert and Remove

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"sfccover/internal/core"
 	"sfccover/internal/core/coretest"
@@ -806,7 +808,11 @@ func TestWriteLatencySampleOneIn16(t *testing.T) {
 // TestEngineChurnZeroAlloc pins the write path's allocations: an Add and a
 // Remove on a default engine at constant population allocate nothing. A
 // stripe holds the rectangle by value and a remove rebuilds the point it
-// deletes on the stack, so neither side builds a subscription.
+// deletes on the stack, so neither side builds a subscription, and the
+// skew check every 64 inserts reads the slice sizes into a kept buffer.
+// The count is the runtime's malloc counter over 64 000 pairs:
+// testing.AllocsPerRun truncates its mean, so an allocation every 64
+// inserts would read 0 there.
 func TestEngineChurnZeroAlloc(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	subs, err := workload.Subscriptions(workload.SubSpec{
@@ -835,12 +841,31 @@ func TestEngineChurnZeroAlloc(t *testing.T) {
 		copy(live, live[1:])
 		live[len(live)-1] = id
 	}
-	// One pass over the inputs first: the id tables reach the size the
-	// population's peak dictates, and the engine settles its slices.
-	for range subs {
+	// 64 000 pairs first: the id tables reach the size the population's
+	// peak dictates, the engine settles its slices, and their arrays the
+	// leaf count the churn splits and merges through.
+	for range 64000 {
 		pair()
 	}
-	if allocs := testing.AllocsPerRun(2000, pair); allocs != 0 {
-		t.Fatalf("an engine Add+Remove pair allocates %v times, want 0", allocs)
+	if n := mallocs(64000, pair); n != 0 {
+		t.Fatalf("64 000 engine Add+Remove pairs allocate %d times, want 0", n)
 	}
+}
+
+// mallocs counts the heap allocations n calls of f make, by the runtime's
+// malloc counter, on one P as testing.AllocsPerRun runs. The counter is
+// the process's: a collection first, and a pause that lets the
+// finalizers it queues run, keep what earlier tests left behind out of
+// the count.
+func mallocs(n int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	time.Sleep(10 * time.Millisecond)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

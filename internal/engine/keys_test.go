@@ -117,8 +117,8 @@ func TestEngineHeldValueForms(t *testing.T) {
 					t.Fatalf("%s: Enumerate %d, Len %d, want %d", when, len(dump), e.Len(), len(held))
 				}
 				for _, h := range dump {
-					if want, ok := held[h.ID]; !ok || !h.Sub.Equal(want) {
-						t.Fatalf("%s: Enumerate holds %d = %v, want %v", when, h.ID, h.Sub, want)
+					if want, ok := held[h.ID]; !ok || h.Rect != want.Rect() {
+						t.Fatalf("%s: Enumerate holds %d = %v, want %v", when, h.ID, h.Rect, want)
 					}
 				}
 				for id, want := range held {

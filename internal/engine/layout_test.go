@@ -179,7 +179,7 @@ func TestRestoreSharesTheBulkLoadSeam(t *testing.T) {
 	det := core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 50000}
 	held := make([]core.Held, len(subs))
 	for i, s := range subs {
-		held[i] = core.Held{ID: uint64(i + 1), Sub: s}
+		held[i] = core.Held{ID: uint64(i + 1), Rect: s.Rect()}
 	}
 	e, twin := MustNew(Config{Detector: det}), MustNew(Config{Detector: det})
 	defer e.Close()
@@ -204,7 +204,7 @@ func TestRestoreSharesTheBulkLoadSeam(t *testing.T) {
 		}
 	}
 	for _, h := range held[:64] {
-		if got, ok := e.Subscription(h.ID); !ok || !got.Equal(h.Sub) {
+		if got, ok := e.Subscription(h.ID); !ok || got.Rect() != h.Rect {
 			t.Fatalf("restored id %d does not resolve to its subscription", h.ID)
 		}
 		if err := e.Remove(h.ID); err != nil {
@@ -238,7 +238,7 @@ func TestRestoreRacesWrites(t *testing.T) {
 	subs := hotspotSubs(t, schema, 600, 7)
 	held := make([]core.Held, 400)
 	for i := range held {
-		held[i] = core.Held{ID: uint64(i + 1), Sub: subs[i]}
+		held[i] = core.Held{ID: uint64(i + 1), Rect: subs[i].Rect()}
 	}
 	loaded := 0
 	defer func() { t.Logf("Restore found the engine empty in %d of 20 rounds", loaded) }()
@@ -305,7 +305,7 @@ func TestRestoreRacesWrites(t *testing.T) {
 		}
 		if restoreErr == nil {
 			for _, h := range held {
-				if got, ok := e.Subscription(h.ID); !ok || !got.Equal(h.Sub) {
+				if got, ok := e.Subscription(h.ID); !ok || got.Rect() != h.Rect {
 					t.Fatalf("round %d: restored id %d lost its subscription to a racing write", round, h.ID)
 				}
 			}

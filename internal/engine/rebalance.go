@@ -91,8 +91,9 @@ func (e *Engine) pass() RebalanceResult {
 	return res
 }
 
-// skew reports the index's occupancy skew, the trigger's signal.
-func (e *Engine) skew() float64 { return core.SkewOf(e.idx.ShardSizes()) }
+// skew reports the index's occupancy skew, the trigger's signal. The
+// caller holds rebalanceMu.
+func (e *Engine) skew() float64 { return core.SkewOf(e.idx.ShardSizesInto(e.sizes)) }
 
 // equalize drives the index toward rebalanceTarget: while the skew exceeds
 // it, the most imbalanced adjacent slice pair is equalized, up to two

@@ -170,7 +170,7 @@ func TestRebalanceConvergesAndPreservesAnswers(t *testing.T) {
 		t.Fatalf("engine enumerates %d subscriptions after rebalance, %d before", len(heldAfter), len(heldBefore))
 	}
 	for i, h := range heldBefore {
-		if heldAfter[i].ID != h.ID || !heldAfter[i].Sub.Equal(h.Sub) {
+		if heldAfter[i].ID != h.ID || heldAfter[i].Rect != h.Rect {
 			t.Fatalf("entry %d is id %d after rebalance, id %d before", i, heldAfter[i].ID, h.ID)
 		}
 	}

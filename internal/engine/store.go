@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -49,6 +47,7 @@ func (e *Engine) initStore(det core.Config) error {
 	}
 	e.linear = det.Strategy == core.StrategyLinear
 	e.stores = make([]stripe, shards)
+	e.sizes = make([]int, shards)
 	for i := range e.stores {
 		e.stores[i].next = 1
 	}
@@ -67,23 +66,35 @@ func (e *Engine) Len() int {
 	return n
 }
 
-// Enumerate implements core.Provider: every stripe's held set built into
-// fresh subscriptions, one stripe lock at a time, sorted by engine id.
+// Enumerate implements core.Provider: every stripe's held set as packed
+// rectangles, sorted by engine id, read with every stripe lock held (in
+// stripe order, as Restore takes them) so the ids listed are the ids
+// resolved.
 func (e *Engine) Enumerate() ([]core.Held, error) {
-	var out []core.Held
+	n := 0
+	for i := range e.stores {
+		e.stores[i].mu.Lock()
+		n += e.stores[i].len()
+	}
+	defer func() {
+		for i := range e.stores {
+			e.stores[i].mu.Unlock()
+		}
+	}()
+	ids := make([]uint64, 0, n)
 	for i := range e.stores {
 		st := &e.stores[i]
-		st.mu.Lock()
-		for id, k := range st.keys.All() {
-			out = append(out, core.Held{ID: id, Sub: keySubscription(e.schema, e.wordCurve, k)})
+		for id := range st.keys.All() {
+			ids = append(ids, id)
 		}
-		for id, r := range st.rects.All() {
-			out = append(out, core.Held{ID: id, Sub: r.Subscription(e.schema)})
+		for id := range st.rects.All() {
+			ids = append(ids, id)
 		}
-		st.mu.Unlock()
 	}
-	slices.SortFunc(out, func(a, b core.Held) int { return cmp.Compare(a.ID, b.ID) })
-	return out, nil
+	return core.SortedHeld(ids, func(id uint64) subscription.Rect {
+		r, _ := e.heldRect(id)
+		return r
+	}), nil
 }
 
 // Snapshot implements core.Provider: an engine has no durable store (wrap
@@ -120,16 +131,31 @@ func (e *Engine) keyOf(s *subscription.Subscription) uint64 {
 	return e.wordCurve.KeyWord(s.Point())
 }
 
-// keySubscription builds a fresh subscription from a held one-word key:
-// it inverts KeyWord and Point, the subscription of schema whose key on
-// curve is k.
-func keySubscription(schema *subscription.Schema, curve *sfc.ZCurve, k uint64) *subscription.Subscription {
+// keyRect decodes a held one-word key: it inverts KeyWord and Point, the
+// rectangle of schema whose key on curve is k.
+func keyRect(schema *subscription.Schema, curve *sfc.ZCurve, k uint64) subscription.Rect {
 	var buf [2 * subscription.MaxAttrs]uint32
-	s, err := subscription.FromPoint(schema, curve.CellWordInto(buf[:], k))
+	r, err := subscription.PointRect(schema, curve.CellWordInto(buf[:], k))
 	if err != nil {
 		panic(fmt.Sprintf("engine: held key %#x is no subscription's: %v", k, err))
 	}
-	return s
+	return r
+}
+
+// keySubscription builds a fresh subscription from a held one-word key.
+func keySubscription(schema *subscription.Schema, curve *sfc.ZCurve, k uint64) *subscription.Subscription {
+	return keyRect(schema, curve, k).Subscription(schema)
+}
+
+// heldRect resolves id to the rectangle its stripe holds, whose lock the
+// caller holds.
+func (e *Engine) heldRect(id uint64) (subscription.Rect, bool) {
+	shard, _ := decodeID(len(e.stores), id)
+	st := &e.stores[shard]
+	if k, ok := st.keys.Get(id); ok {
+		return keyRect(e.schema, e.wordCurve, k), true
+	}
+	return st.rects.Get(id)
 }
 
 // insert stores s in the stripe of the slice its key routes to and indexes
@@ -290,14 +316,12 @@ func (e *Engine) Subscription(id uint64) (*subscription.Subscription, bool) {
 	shard, _ := decodeID(len(e.stores), id)
 	st := &e.stores[shard]
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if k, ok := st.keys.Get(id); ok {
-		return keySubscription(e.schema, e.wordCurve, k), true
+	r, ok := e.heldRect(id)
+	st.mu.Unlock()
+	if !ok {
+		return nil, false
 	}
-	if r, ok := st.rects.Get(id); ok {
-		return r.Subscription(e.schema), true
-	}
-	return nil, false
+	return r.Subscription(e.schema), true
 }
 
 // Holds reports whether id names a held subscription: one probe of its

@@ -48,6 +48,10 @@ type Observer struct {
 	reg  *Registry
 	slow *SlowLog
 	tick atomic.Uint64
+	// spare is a sampled trace FinishTrace sealed and the slow log did not
+	// keep, which the next sample reuses: a sampled query allocates only
+	// when a concurrent one holds the spare.
+	spare atomic.Pointer[QueryTrace]
 }
 
 // New builds an Observer from cfg (zero value = defaults).
@@ -104,7 +108,13 @@ func (o *Observer) SampleTrace(op string) *QueryTrace {
 	if o.tick.Add(1)&o.mask != 0 {
 		return nil
 	}
-	return o.StartTrace(op)
+	if t := o.spare.Swap(nil); t != nil {
+		*t = QueryTrace{Op: op, Start: time.Now(), Stages: t.Stages[:0], Slices: t.Slices[:0], sampled: true}
+		return t
+	}
+	t := o.StartTrace(op)
+	t.sampled = true
+	return t
 }
 
 // StartTrace unconditionally starts a trace record (used by the
@@ -117,13 +127,19 @@ func (o *Observer) StartTrace(op string) *QueryTrace {
 }
 
 // FinishTrace seals tr with the total latency and pushes it to the slow
-// log when it crossed the threshold. Nil-safe in both arguments.
+// log when it crossed the threshold. Nil-safe in both arguments. A trace
+// SampleTrace returned is the observer's again afterwards, unless the
+// slow log kept it; one StartTrace returned stays the caller's.
 func (o *Observer) FinishTrace(tr *QueryTrace, total time.Duration) {
 	if o == nil || tr == nil {
 		return
 	}
 	tr.Total = total
 	if o.cfg.SlowThreshold < 0 || total >= o.cfg.SlowThreshold {
-		o.slow.Push(tr)
+		o.slow.Push(tr) // the log's copy shares tr's stage and slice tables
+		return
+	}
+	if tr.sampled {
+		o.spare.Store(tr)
 	}
 }

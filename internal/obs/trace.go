@@ -53,6 +53,8 @@ type QueryTrace struct {
 	Slices []int
 	// Cost is the dominance cost snapshot for the query.
 	Cost QueryCost
+
+	sampled bool // handed out by SampleTrace, so recycled by FinishTrace
 }
 
 // AddStage appends a timed stage. Nil-safe.

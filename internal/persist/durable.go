@@ -34,6 +34,9 @@ type DurableProvider struct {
 	// is set under it by Release, after which every write is refused.
 	mu       sync.Mutex
 	released bool
+	// payload is logAdd's marshal buffer, reused under mu: the log copies
+	// the record's bytes and keeps no payload of a wrapped link.
+	payload []byte
 }
 
 var _ core.Provider = (*DurableProvider)(nil)
@@ -89,11 +92,11 @@ func (d *DurableProvider) load(recovered *idtable.Table[[]byte]) error {
 	entries := sortedEntries(recovered)
 	held := make([]core.Held, len(entries))
 	for i, e := range entries {
-		s, err := subscription.UnmarshalSubscription(d.inner.Schema(), e.Payload)
+		r, err := subscription.UnmarshalRect(d.inner.Schema(), e.Payload)
 		if err != nil {
 			return fmt.Errorf("%w: link %q sid %d payload does not decode: %v", ErrCorrupt, d.link, e.SID, err)
 		}
-		held[i] = core.Held{ID: e.SID, Sub: s}
+		held[i] = core.Held{ID: e.SID, Rect: r}
 	}
 	if err := d.inner.Restore(held); err != nil {
 		return fmt.Errorf("persist: restoring link %q: %w", d.link, err)
@@ -101,26 +104,14 @@ func (d *DurableProvider) load(recovered *idtable.Table[[]byte]) error {
 	return nil
 }
 
-// heldEntries encodes the wrapped provider's held set, by id, into
-// entries whose payloads share one arena. Called with d.mu held.
-func (d *DurableProvider) heldEntries() ([]Entry, error) {
+// held lists the wrapped provider's held set by id. Called with d.mu
+// held.
+func (d *DurableProvider) held() ([]core.Held, error) {
 	held, err := d.inner.Enumerate()
 	if err != nil {
 		return nil, fmt.Errorf("persist: enumerating link %q: %w", d.link, err)
 	}
-	subs := make([]*subscription.Subscription, len(held))
-	for i, h := range held {
-		subs[i] = h.Sub
-	}
-	payloads, err := subscription.MarshalBatch(subs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Entry, len(held))
-	for i, h := range held {
-		out[i] = Entry{SID: h.ID, Payload: payloads[i]}
-	}
-	return out, nil
+	return held, nil
 }
 
 // usable refuses a write once the link is released. Called with d.mu
@@ -136,9 +127,10 @@ func (d *DurableProvider) usable() error {
 // provider when the log rejects it so memory never runs ahead of disk.
 // Called with d.mu held.
 func (d *DurableProvider) logAdd(id uint64, s *subscription.Subscription) error {
-	payload, err := s.MarshalBinary()
+	var err error
+	d.payload, err = s.AppendBinary(d.payload[:0])
 	if err == nil {
-		err = d.store.appendAdd(d.link, id, payload)
+		err = d.store.appendAdd(d.link, id, d.payload)
 	}
 	if err != nil {
 		d.inner.Remove(id) //nolint:errcheck // best-effort rollback of our own insert
@@ -349,10 +341,21 @@ func (d *DurableProvider) Enumerate() ([]core.Held, error) {
 	return d.inner.Enumerate()
 }
 
-// Subscriptions is Enumerate without the error, for wrapped providers
-// whose Enumerate cannot fail (the Detector and the Engine).
-func (d *DurableProvider) Subscriptions() []core.Held {
-	out, _ := d.Enumerate()
+// Subscribed is one held subscription, built out, with its id.
+type Subscribed struct {
+	ID  uint64
+	Sub *subscription.Subscription
+}
+
+// Subscriptions is Enumerate without the error, each rectangle built into
+// a subscription, for wrapped providers whose Enumerate cannot fail (the
+// Detector and the Engine).
+func (d *DurableProvider) Subscriptions() []Subscribed {
+	held, _ := d.Enumerate()
+	out := make([]Subscribed, len(held))
+	for i, h := range held {
+		out[i] = Subscribed{ID: h.ID, Sub: h.Rect.Subscription(d.Schema())}
+	}
 	return out
 }
 
@@ -410,18 +413,16 @@ func (d *DurableProvider) Release() {
 		return
 	}
 	d.released = true
-	entries, err := d.heldEntries()
+	held, err := d.held()
 	if err != nil {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	delete(st.wrapped, d.link)
-	if len(entries) > 0 {
+	if len(held) > 0 {
 		link := new(idtable.Table[[]byte])
-		for _, e := range entries {
-			link.Put(e.SID, e.Payload)
-		}
+		heldPayloads(st.schema, held, link.Put)
 		st.state[d.link] = link
 	}
 }

@@ -40,7 +40,7 @@ func requireSameHeld(t *testing.T, when string, got, want []core.Held) {
 		t.Fatalf("%s: %d subscriptions held, want %d", when, len(got), len(want))
 	}
 	for i := range want {
-		if got[i].ID != want[i].ID || !got[i].Sub.Equal(want[i].Sub) {
+		if got[i].ID != want[i].ID || got[i].Rect != want[i].Rect {
 			t.Fatalf("%s: entry %d is id %d, want id %d with the same subscription", when, i, got[i].ID, want[i].ID)
 		}
 	}
@@ -135,7 +135,7 @@ func TestDurableMintsItsEnginesIDs(t *testing.T) {
 		}
 	}
 	requireSameHeld(t, "wrapped engine vs bare", mustEnumerate(t, wrapped), mustEnumerate(t, bare))
-	requireSameHeld(t, "durable dump vs its engine", d.Subscriptions(), mustEnumerate(t, wrapped))
+	requireSameHeld(t, "durable dump vs its engine", mustEnumerate(t, d), mustEnumerate(t, wrapped))
 }
 
 // TestRecoveredEngineHoldsPreCrashIDs: after close + reopen, and again
@@ -217,7 +217,7 @@ func TestRestoreAcrossProviderKinds(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, answers := churn(t, schema, w)
-			held := w.Subscriptions()
+			held := mustEnumerate(t, w)
 			w.Close()
 			if err := st.Close(); err != nil {
 				t.Fatal(err)

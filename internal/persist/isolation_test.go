@@ -111,7 +111,7 @@ func TestHeldSubscriptionIsIsolated(t *testing.T) {
 				}
 				enumerated := map[uint64]*subscription.Subscription{}
 				for _, h := range held {
-					enumerated[h.ID] = h.Sub
+					enumerated[h.ID] = h.Rect.Subscription(p.Schema())
 				}
 				for i, id := range ids {
 					if got, ok := p.Subscription(id); !ok || !got.Equal(originals[i]) {

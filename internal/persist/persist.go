@@ -307,7 +307,14 @@ func (st *Store) Entries(link string) []Entry {
 	if d := st.wrapped[link]; d != nil {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		out, _ := d.heldEntries()
+		held, err := d.held()
+		if err != nil {
+			return nil
+		}
+		out := make([]Entry, 0, len(held))
+		heldPayloads(st.schema, held, func(sid uint64, payload []byte) {
+			out = append(out, Entry{SID: sid, Payload: payload})
+		})
 		return out
 	}
 	st.mu.Lock()
@@ -407,29 +414,30 @@ func (st *Store) appendLocked(rs ...record) error {
 	if st.closed {
 		return ErrClosed
 	}
-	n, err := st.w.appendBatch(rs)
+	wire, err := st.w.appendBatch(rs)
 	if err != nil {
 		return err
 	}
-	st.committed(rs, n)
+	st.committed(rs, wire)
 	return nil
 }
 
-// committed folds a batch of landed records into every in-memory view:
-// counters, the mirror, the stream position, the replication ring
-// and any live tailers. Called with st.mu held, after the records are in
-// the log — the stream never runs ahead of the WAL, so a follower can
-// only ever apply records the primary could itself recover.
-func (st *Store) committed(rs []record, n int) {
+// committed folds a batch of landed records, whose WAL bytes are wire,
+// into every in-memory view: counters, the mirror, the stream position,
+// the replication ring and any live tailers. Called with st.mu held,
+// after the records are in the log — the stream never runs ahead of the
+// WAL, so a follower can only ever apply records the primary could itself
+// recover.
+func (st *Store) committed(rs []record, wire []byte) {
 	st.walRecords += len(rs)
-	st.walBytes += int64(n)
+	st.walBytes += int64(len(wire))
 	st.dirtyRecords += len(rs)
 	base := st.pos
 	st.pos += uint64(len(rs))
 	for _, r := range rs {
 		st.mirror(r)
 	}
-	st.ring.push(rs)
+	st.ring.push(wire, len(rs))
 	st.notifyTailers(rs, base)
 }
 
@@ -439,12 +447,12 @@ func (st *Store) committed(rs []record, n int) {
 // about to be, and is not mirrored. Called with st.mu held (or by
 // recover, before the store is shared), after the record is on disk.
 //
-// An add's payload is kept as it came, not copied: every record's payload
-// is a slice nobody writes again — copied out of a segment or a
-// replication frame by decodeRecord, or marshalled by the appender — and
-// the replication ring keeps the same slice. Only un-wrapped links are
-// mirrored, so a DurableProvider batch's MarshalBatch arena is never
-// kept here; the replication ring is its one holder.
+// An add's payload is kept as it came, not copied: an un-wrapped link's
+// record payload is a slice nobody writes again — copied out of a segment
+// or a replication frame by decodeRecord, or marshalled by the appender.
+// A wrapped link's payloads are not: a DurableProvider marshals into a
+// buffer it reuses, which nothing here keeps (the replication ring keeps
+// the record's WAL bytes, a tailer's batch its own copy).
 func (st *Store) mirror(r record) {
 	if st.wrapped[r.link] != nil {
 		return
@@ -530,8 +538,8 @@ func (st *Store) lockCut() (unlock func()) {
 }
 
 // linksLocked lists every link holding a subscription, by name, with its
-// entries by sid: a wrapped link's encoded from its provider's held set,
-// every other link's straight from the mirror. Called with the cut held.
+// subscriptions by sid: a wrapped link's its provider's held rectangles,
+// every other link's the mirror's payloads. Called with the cut held.
 func (st *Store) linksLocked() ([]linkEntries, error) {
 	names := make([]string, 0, len(st.state)+len(st.wrapped))
 	for name := range st.state {
@@ -543,17 +551,17 @@ func (st *Store) linksLocked() ([]linkEntries, error) {
 	sort.Strings(names)
 	links := make([]linkEntries, 0, len(names))
 	for _, name := range names {
-		var entries []Entry
+		l := linkEntries{name: name}
 		if d := st.wrapped[name]; d != nil {
 			var err error
-			if entries, err = d.heldEntries(); err != nil {
+			if l.held, err = d.held(); err != nil {
 				return nil, err
 			}
 		} else {
-			entries = sortedEntries(st.state[name])
+			l.entries = sortedEntries(st.state[name])
 		}
-		if len(entries) > 0 {
-			links = append(links, linkEntries{name: name, entries: entries})
+		if l.len() > 0 {
+			links = append(links, l)
 		}
 	}
 	return links, nil

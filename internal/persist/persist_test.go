@@ -385,7 +385,7 @@ func coverAnswers(t testing.TB, schema *subscription.Schema, p core.Provider, n 
 		t.Fatal(err)
 	}
 	for _, h := range held {
-		out += fmt.Sprintf("h%d:%v;", h.ID, h.Sub)
+		out += fmt.Sprintf("h%d:%v;", h.ID, h.Rect)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -92,83 +93,120 @@ func DecodeRecords(data []byte) ([]Record, error) {
 }
 
 // replRingMax bounds the in-memory catch-up buffer. At typical record
-// sizes (tens of bytes plus the payload) this is a few MB — enough to
-// absorb a follower's reconnect backoff without forcing a reset.
+// sizes (tens of bytes plus the payload) this is well under a MB — enough
+// to absorb a follower's reconnect backoff without forcing a reset.
 const replRingMax = 16384
 
 // replRing is the recent-records buffer: the last replRingMax records
-// (fewer until that many were ever pushed) in a circular slice that grows
-// to replRingMax once and is then overwritten in place, so a push copies
-// each record once and never the window. The record at stream position
-// base+1+i sits at recs[(head+i) % len(recs)].
+// (fewer until that many were ever pushed) in their WAL wire form — the
+// bytes appendBatch just encoded for the segment — back to back in a
+// circular byte buffer. A push copies each record's bytes once and evicts
+// the oldest records by their length prefixes; nothing is decoded until a
+// starting tailer asks (from). The record after stream position base
+// starts at buf[head], and the held records take size bytes from there,
+// wrapping past the buffer's end to its start.
 type replRing struct {
 	base uint64
+	n    int    // records held
+	buf  []byte // len(buf) is the capacity
 	head int
-	recs []record
+	size int
 }
 
 func (g *replRing) reset(pos uint64) {
-	g.base, g.head, g.recs = pos, 0, nil
+	*g = replRing{base: pos}
 }
 
-// push appends rs, overwriting the oldest records once the ring is full.
-// A push longer than the ring keeps only its last replRingMax records,
-// with their payloads copied into an arena of their own: a bulk load's
-// payloads share one MarshalBatch arena, which the kept tail would
-// otherwise hold alive whole.
-func (g *replRing) push(rs []record) {
-	over := len(rs) - replRingMax
-	if over > 0 {
-		rs = rs[over:]
-		g.base += uint64(over)
-	}
-	if room := replRingMax - len(g.recs); room > 0 {
-		n := min(room, len(rs))
-		g.recs = append(g.recs, rs[:n]...)
-		rs = rs[n:]
-	}
-	for _, r := range rs {
-		g.recs[g.head] = r
-		g.head++
-		if g.head == len(g.recs) {
-			g.head = 0
+// push appends count records, wire their WAL bytes, evicting the oldest
+// records past replRingMax. A push longer than the ring keeps only its
+// last replRingMax records. The buffer is resized to hold an eighth more
+// than it must whenever the held bytes outgrow it or shrink below three
+// quarters of it — a bulk load's wider records are not kept room for
+// once churn has replaced them.
+func (g *replRing) push(wire []byte, count int) {
+	if over := count - replRingMax; over > 0 {
+		for range over {
+			wire = wire[wireLen(wire):]
 		}
+		g.base += uint64(g.n + over)
+		g.n, g.head, g.size = 0, 0, 0
+		count = replRingMax
+	}
+	for g.n+count > replRingMax {
+		k := g.recordLen(g.head)
+		if g.head += k; g.head >= len(g.buf) {
+			g.head -= len(g.buf)
+		}
+		g.size -= k
+		g.n--
 		g.base++
 	}
-	if over > 0 {
-		g.ownPayloads() // every slot now holds one of rs's records
+	if need := g.size + len(wire); need > len(g.buf) || need < len(g.buf)/4*3 {
+		buf := make([]byte, need+need/8)
+		g.copyOut(buf, g.head, g.size)
+		g.buf, g.head = buf, 0
 	}
+	if len(wire) == 0 {
+		return
+	}
+	tail := g.head + g.size
+	if tail >= len(g.buf) {
+		tail -= len(g.buf)
+	}
+	k := copy(g.buf[tail:], wire)
+	copy(g.buf, wire[k:])
+	g.size += len(wire)
+	g.n += count
 }
 
-// ownPayloads copies every held payload into one fresh arena.
-func (g *replRing) ownPayloads() {
-	size := 0
-	for _, r := range g.recs {
-		size += len(r.payload)
+// wireLen is the length of the WAL record wire starts with.
+func wireLen(wire []byte) int {
+	bodyLen, n := binary.Uvarint(wire)
+	return n + int(bodyLen) + 4
+}
+
+// recordLen is the length of the held record starting at buf[off],
+// whose length prefix may wrap.
+func (g *replRing) recordLen(off int) int {
+	if b := g.buf[off]; b < 0x80 {
+		return 1 + int(b) + 4 // a body under 128 bytes: a one-byte prefix
 	}
-	arena := make([]byte, 0, size)
-	for i, r := range g.recs {
-		if len(r.payload) > 0 {
-			start := len(arena)
-			arena = append(arena, r.payload...)
-			g.recs[i].payload = arena[start:len(arena):len(arena)]
+	var hdr [binary.MaxVarintLen64]byte
+	g.copyOut(hdr[:], off, min(len(hdr), len(g.buf)))
+	return wireLen(hdr[:])
+}
+
+// copyOut copies the n held bytes from buf[off] on, wrapping, into dst.
+func (g *replRing) copyOut(dst []byte, off, n int) {
+	k := copy(dst[:n], g.buf[off:])
+	copy(dst[k:n], g.buf)
+}
+
+// from decodes the records after stream position pos, or reports ok=false
+// when pos is outside the window (evicted below, or beyond the head — a
+// divergent history). Only a starting tailer asks.
+func (g *replRing) from(pos uint64) ([]Record, bool, error) {
+	if pos < g.base || pos > g.base+uint64(g.n) {
+		return nil, false, nil
+	}
+	off, size := g.head, g.size
+	for range pos - g.base {
+		k := g.recordLen(off)
+		off = (off + k) % len(g.buf)
+		size -= k
+	}
+	wire := make([]byte, size)
+	g.copyOut(wire, off, size)
+	out := make([]Record, 0, g.base+uint64(g.n)-pos)
+	for len(wire) > 0 {
+		r, rest, err := decodeRecord(wire)
+		if err != nil {
+			return nil, false, fmt.Errorf("persist: the replication ring holds a record that does not decode: %w", err)
 		}
+		out = append(out, exportRecord(r))
+		wire = rest
 	}
-}
-
-// from copies out the records after stream position pos, or reports
-// ok=false when pos is outside the window (overwritten below, or beyond
-// the head — a divergent history). Only a starting tailer asks.
-func (g *replRing) from(pos uint64) ([]Record, bool) {
-	if pos < g.base || pos > g.base+uint64(len(g.recs)) {
-		return nil, false
-	}
-	skip := int(pos - g.base)
-	out := make([]Record, len(g.recs)-skip)
-	for i := range out {
-		out[i] = exportRecord(g.recs[(g.head+skip+i)%len(g.recs)])
-	}
-	return out, true
+	return out, true, nil
 }
 
 // TailBatch is one hop of a replication stream. When Reset is false,
@@ -211,7 +249,11 @@ func (st *Store) Tail(from uint64) (*Tailer, error) {
 		return nil, ErrClosed
 	}
 	t := &Tailer{st: st, ch: make(chan TailBatch, tailerBuf)}
-	if recs, ok := st.ring.from(from); ok {
+	recs, ok, err := st.ring.from(from)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
 		if len(recs) > 0 {
 			t.initial = []TailBatch{{Base: from, Recs: recs, Pos: st.pos}}
 		}
@@ -236,11 +278,18 @@ func (st *Store) dumpLocked() (TailBatch, error) {
 	if err != nil {
 		return TailBatch{}, err
 	}
-	batch := TailBatch{Reset: true, Pos: st.pos}
+	n := 0
+	for _, l := range links {
+		n += l.len()
+	}
+	batch := TailBatch{Reset: true, Recs: make([]Record, 0, n), Pos: st.pos}
 	for _, l := range links {
 		for _, e := range l.entries {
 			batch.Recs = append(batch.Recs, Record{Link: l.name, SID: e.SID, Payload: e.Payload})
 		}
+		heldPayloads(st.schema, l.held, func(sid uint64, payload []byte) {
+			batch.Recs = append(batch.Recs, Record{Link: l.name, SID: sid, Payload: payload})
+		})
 	}
 	return batch, nil
 }
@@ -254,8 +303,20 @@ func (st *Store) notifyTailers(rs []record, base uint64) {
 	if len(st.tailers) == 0 {
 		return
 	}
+	// The batch owns its payloads: an appender's may be a buffer it
+	// reuses as soon as the append returns.
+	size := 0
+	for _, r := range rs {
+		size += len(r.payload)
+	}
+	arena := make([]byte, 0, size)
 	batch := TailBatch{Base: base, Recs: make([]Record, len(rs)), Pos: base + uint64(len(rs))}
 	for i, r := range rs {
+		if len(r.payload) > 0 {
+			start := len(arena)
+			arena = append(arena, r.payload...)
+			r.payload = arena[start:len(arena):len(arena)]
+		}
 		batch.Recs[i] = exportRecord(r)
 	}
 	for t := range st.tailers {
@@ -345,11 +406,11 @@ func (st *Store) ApplyReplicated(base uint64, recs []Record) error {
 	for _, r := range recs[skip:] {
 		rs = append(rs, importRecord(r))
 	}
-	n, err := st.w.appendBatch(rs)
+	wire, err := st.w.appendBatch(rs)
 	if err != nil {
 		return err
 	}
-	st.committed(rs, n)
+	st.committed(rs, wire)
 	return nil
 }
 

@@ -431,6 +431,20 @@ func (g *sliceRing) push(rs []record) {
 	}
 }
 
+// ringWrap reports the stream position of the last record that starts
+// before the ring buffer's end, when the held records run past it (ok is
+// false when they do not): the ring's physical wrap.
+func ringWrap(g *replRing) (pos uint64, ok bool) {
+	if g.head+g.size <= len(g.buf) {
+		return 0, false
+	}
+	pos = g.base + 1
+	for off := g.head + g.recordLen(g.head); off < len(g.buf); off += g.recordLen(off) {
+		pos++
+	}
+	return pos, true
+}
+
 // TestReplicationRingWraps: a tailer's catch-up out of the circular ring
 // is the batch the slice ring gives — from positions before the window,
 // at both of its edges, across the physical wrap, at and past the head,
@@ -520,9 +534,9 @@ func TestReplicationRingWraps(t *testing.T) {
 		if pos > replRingMax {
 			froms = append(froms, pos-replRingMax-1, pos-replRingMax, pos-replRingMax+1)
 		}
-		if h := st.ring.head; h > 0 {
-			// The window's last physical slot, then the wrap to slot 0.
-			froms = append(froms, st.ring.base+uint64(len(st.ring.recs)-h)-1)
+		if w, ok := ringWrap(&st.ring); ok {
+			// The last record before the buffer's end, then the wrap.
+			froms = append(froms, w-1, w)
 		}
 		for _, from := range froms {
 			if from <= pos+1 {
@@ -534,7 +548,7 @@ func TestReplicationRingWraps(t *testing.T) {
 		push(n)
 		probe(fmt.Sprintf("after %d records", pushed))
 	}
-	if st.ring.head == 0 && len(st.ring.recs) == replRingMax && pushed%replRingMax == 0 {
+	if _, wrapped := ringWrap(&st.ring); !wrapped {
 		t.Fatal("the pushes never left the ring wrapped mid-slice")
 	}
 
@@ -552,4 +566,127 @@ func TestReplicationRingWraps(t *testing.T) {
 		probe(fmt.Sprintf("after InstallState and %d more records", st.Pos()-resetPos))
 		check("after InstallState", resetPos)
 	}
+}
+
+// TestReplicationRingRecordsStraddleTheEnd lays one window of records —
+// narrow ones and ones whose body needs a two-byte length prefix — into
+// the ring's buffer at every start offset, so each record, and each byte
+// of each length prefix, in turn straddles the buffer's end; from every
+// position in the window must replay the records after it.
+func TestReplicationRingRecordsStraddleTheEnd(t *testing.T) {
+	long := string(bytes.Repeat([]byte("l"), 200))
+	rs := []record{
+		{op: opAdd, link: long, sid: 1, payload: []byte{1, 2, 3}},
+		{op: opRem, link: "", sid: 9},
+		{op: opAdd, link: "x", sid: 300, payload: bytes.Repeat([]byte{7}, 150)},
+		{op: opRem, link: long, sid: 1},
+		{op: opAdd, link: "", sid: 1 << 40, payload: nil},
+	}
+	var wire []byte
+	for _, r := range rs {
+		wire = appendRecord(wire, r)
+	}
+	const base = 100
+	for start := range len(wire) + 3 {
+		g := replRing{base: base, n: len(rs), buf: make([]byte, len(wire)+3), head: start, size: len(wire)}
+		k := copy(g.buf[start:], wire)
+		copy(g.buf, wire[k:])
+		for skip := range len(rs) + 1 {
+			got, ok, err := g.from(base + uint64(skip))
+			if err != nil || !ok || len(got) != len(rs)-skip {
+				t.Fatalf("start %d: from(%d) = %d records, %v, %v; want %d", start, base+skip, len(got), ok, err, len(rs)-skip)
+			}
+			for i, r := range rs[skip:] {
+				if rec := got[i]; rec.Remove != (r.op == opRem) || rec.Link != r.link || rec.SID != r.sid || !bytes.Equal(rec.Payload, r.payload) {
+					t.Fatalf("start %d: from(%d) record %d = %+v, want %+v", start, base+skip, i, rec, r)
+				}
+			}
+		}
+	}
+}
+
+// FuzzReplicationRing holds the byte ring to the slice ring on an op
+// stream the fuzzer draws, three bytes an op: push sizes from one record
+// to past replRingMax, adds and removes, link names of 0, 1 and 200 bytes
+// and payloads of 0 to 299 bytes — so records straddle the buffer's end
+// at every byte of their length prefix and body, and resizes re-lay the
+// window out. After every push the ring must hold exactly the last
+// replRingMax records (fewer until that many were pushed), and from must
+// replay, for positions inside the window, the slice ring's records, and
+// refuse positions below or past it: at both edges of the window, at the
+// wrap and at an offset the fuzzer draws.
+func FuzzReplicationRing(f *testing.F) {
+	f.Add([]byte{0, 10, 3, 1, 200, 9, 2, 40, 7, 3, 5, 250, 0, 63, 1})
+	f.Add([]byte{7, 255, 255, 3, 1, 1, 4, 9, 99, 6, 128, 17, 7, 3, 200})
+	f.Add([]byte{2, 255, 0, 2, 255, 1, 2, 255, 2, 1, 0, 0})
+	links := []string{"", "x", string(bytes.Repeat([]byte("l"), 200))}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var g replRing
+		ref := sliceRing{}
+		pos, sid := uint64(0), uint64(0)
+		for n := 0; len(ops) >= 3 && n < 6; n++ {
+			c, a, b := ops[0], ops[1], ops[2]
+			ops = ops[3:]
+			count := 1 + int(a)%64
+			switch c % 4 {
+			case 2:
+				count = 1 + (int(a)<<8|int(b))%(replRingMax/4)
+			case 3:
+				count = replRingMax + 1 + int(a)*int(b)%1024
+			}
+			rs := make([]record, count)
+			for i := range rs {
+				sid++
+				rs[i] = record{op: opAdd, link: links[(int(c>>2)+i)%len(links)], sid: sid}
+				width := (int(b) + 7*i) % 24
+				if c&0x80 != 0 {
+					width = (int(b) + 13*i) % 300
+				}
+				if (int(c>>4)+i)%3 == 0 {
+					rs[i] = record{op: opRem, link: rs[i].link, sid: sid / 2}
+				} else {
+					rs[i].payload = bytes.Repeat([]byte{byte(i)}, width)
+				}
+			}
+			var wire []byte
+			for _, r := range rs {
+				wire = appendRecord(wire, r)
+			}
+			g.push(wire, count)
+			ref.push(rs)
+			pos += uint64(count)
+
+			if want := pos - min(pos, replRingMax); g.base != want || g.base+uint64(g.n) != pos {
+				t.Fatalf("after %d records the ring holds positions %d..%d, want %d..%d", pos, g.base+1, g.base+uint64(g.n), want+1, pos)
+			}
+			froms := []uint64{g.base, pos - 1, pos, pos + 1, g.base + (pos-g.base)*uint64(a)/256}
+			if g.base > 0 {
+				froms = append(froms, g.base-1)
+			}
+			if w, ok := ringWrap(&g); ok {
+				froms = append(froms, w-1, w)
+			}
+			for _, from := range froms {
+				got, ok, err := g.from(from)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if inside := from >= g.base && from <= pos; ok != inside {
+					t.Fatalf("from(%d) with the window at %d..%d: ok %v", from, g.base+1, pos, ok)
+				}
+				if !ok {
+					continue
+				}
+				want := ref.recs[from-ref.base:]
+				if len(got) != len(want) {
+					t.Fatalf("from(%d) replays %d records, the slice ring %d", from, len(got), len(want))
+				}
+				for i, r := range want {
+					if rec := got[i]; rec.Remove != (r.op == opRem) || rec.Link != r.link || rec.SID != r.sid || !bytes.Equal(rec.Payload, r.payload) {
+						t.Fatalf("from(%d) record %d = %+v, the slice ring's is %+v", from, i, rec, r)
+					}
+				}
+			}
+		}
+	})
 }

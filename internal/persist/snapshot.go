@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 
+	"sfccover/internal/core"
 	"sfccover/internal/idtable"
 	"sfccover/internal/subscription"
 )
@@ -64,10 +65,31 @@ func sortedEntries(state *idtable.Table[[]byte]) []Entry {
 }
 
 // linkEntries is one link's section of a snapshot or a reset dump: its
-// name and its entries by sid ascending.
+// name and its subscriptions by sid ascending — an un-wrapped link's
+// mirror entries, or a wrapped link's held rectangles, which are encoded
+// straight into the section's bytes.
 type linkEntries struct {
 	name    string
 	entries []Entry
+	held    []core.Held
+}
+
+func (l linkEntries) len() int { return len(l.entries) + len(l.held) }
+
+// heldPayloads hands fn each held rectangle's wire payload under its sid,
+// all cut from one arena sized to them.
+func heldPayloads(schema *subscription.Schema, held []core.Held, fn func(sid uint64, payload []byte)) {
+	var scratch [subscription.MaxWireLen]byte
+	size := 0
+	for _, h := range held {
+		size += len(h.Rect.AppendBinary(scratch[:0], schema))
+	}
+	arena := make([]byte, 0, size)
+	for _, h := range held {
+		start := len(arena)
+		arena = h.Rect.AppendBinary(arena, schema)
+		fn(h.ID, arena[start:len(arena):len(arena)])
+	}
 }
 
 // encodeSnapshot serializes the per-link state. links maps link name to
@@ -83,11 +105,25 @@ func encodeSnapshot(schema *subscription.Schema, links map[string]*idtable.Table
 }
 
 // encodeLinks serializes links, which are sorted by name, as a snapshot
-// at stream position basePos.
+// at stream position basePos, into one buffer sized up front: a held
+// rectangle's payload is written in place, its length byte patched after
+// (a payload is shorter than 128 bytes, so its length is one byte).
 func encodeLinks(schema *subscription.Schema, links []linkEntries, basePos uint64) []byte {
-	buf := append([]byte(nil), snapMagic...)
-	buf = binary.AppendUvarint(buf, uint64(schema.Bits()))
 	attrs := schema.Attrs()
+	size := len(snapMagic) + 4 + 3*binary.MaxVarintLen64
+	for _, a := range attrs {
+		size += binary.MaxVarintLen64 + len(a)
+	}
+	maxRect := 3 + 2*len(attrs)*uvarintLen(uint64(schema.MaxValue()))
+	for _, l := range links {
+		size += 2*binary.MaxVarintLen64 + len(l.name) + len(l.held)*(binary.MaxVarintLen64+1+maxRect)
+		for _, e := range l.entries {
+			size += binary.MaxVarintLen64 + uvarintLen(uint64(len(e.Payload))) + len(e.Payload)
+		}
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, snapMagic...)
+	buf = binary.AppendUvarint(buf, uint64(schema.Bits()))
 	buf = binary.AppendUvarint(buf, uint64(len(attrs)))
 	for _, a := range attrs {
 		buf = binary.AppendUvarint(buf, uint64(len(a)))
@@ -98,16 +134,20 @@ func encodeLinks(schema *subscription.Schema, links []linkEntries, basePos uint6
 	for _, l := range links {
 		buf = binary.AppendUvarint(buf, uint64(len(l.name)))
 		buf = append(buf, l.name...)
-		buf = binary.AppendUvarint(buf, uint64(len(l.entries)))
+		buf = binary.AppendUvarint(buf, uint64(l.len()))
 		for _, e := range l.entries {
 			buf = binary.AppendUvarint(buf, e.SID)
 			buf = binary.AppendUvarint(buf, uint64(len(e.Payload)))
 			buf = append(buf, e.Payload...)
 		}
+		for _, h := range l.held {
+			buf = binary.AppendUvarint(buf, h.ID)
+			at := len(buf)
+			buf = h.Rect.AppendBinary(append(buf, 0), schema)
+			buf[at] = byte(len(buf) - at - 1)
+		}
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf))
-	return append(buf, crc[:]...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
 // snapCursor tracks a decode position with uniform truncation errors.

@@ -368,8 +368,10 @@ const keepBufBytes = 4 << 10
 
 // appendBatch encodes a whole batch into one buffer and lands it with a
 // single copy (and, with Sync, a single fsync), rotating first when the
-// segment is full. The new segment's seq is current+1.
-func (w *walWriter) appendBatch(rs []record) (int, error) {
+// segment is full. The new segment's seq is current+1. It returns the
+// bytes it landed, the batch's records in their wire form, valid until
+// the next append.
+func (w *walWriter) appendBatch(rs []record) ([]byte, error) {
 	buf := w.buf[:0]
 	for _, r := range rs {
 		buf = appendRecord(buf, r)
@@ -377,20 +379,23 @@ func (w *walWriter) appendBatch(rs []record) (int, error) {
 	if cap(buf) <= keepBufBytes {
 		w.buf = buf
 	}
-	return w.appendBytes(buf)
+	if err := w.appendBytes(buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
-func (w *walWriter) appendBytes(buf []byte) (int, error) {
+func (w *walWriter) appendBytes(buf []byte) error {
 	if w.err != nil {
-		return 0, w.err
+		return w.err
 	}
 	if w.written >= w.opts.SegmentBytes && w.opts.SegmentBytes > 0 {
 		if err := w.rotate(); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if err := w.put(buf); err != nil {
-		return 0, err
+		return err
 	}
 	w.dirty = true
 	if w.opts.Sync {
@@ -399,12 +404,12 @@ func (w *walWriter) appendBytes(buf []byte) (int, error) {
 			// back), so it must not survive on disk to resurrect at
 			// recovery: turn it back into padding.
 			clear(w.m[w.written : w.written+int64(len(buf))])
-			return 0, fmt.Errorf("persist: syncing segment: %w", err)
+			return fmt.Errorf("persist: syncing segment: %w", err)
 		}
 		w.dirty = false
 	}
 	w.written += int64(len(buf))
-	return len(buf), nil
+	return nil
 }
 
 // put lands p after the last record: the crash-injection hook, then a copy

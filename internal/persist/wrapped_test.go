@@ -80,7 +80,7 @@ func heldAsEntries(t *testing.T, p core.Provider) []Entry {
 	t.Helper()
 	var out []Entry
 	for _, h := range mustEnumerate(t, p) {
-		out = append(out, Entry{SID: h.ID, Payload: payload(t, h.Sub)})
+		out = append(out, Entry{SID: h.ID, Payload: payload(t, h.Rect.Subscription(p.Schema()))})
 	}
 	return out
 }

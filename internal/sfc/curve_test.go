@@ -305,3 +305,20 @@ func TestWordSetupMatchesKeyForm(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCellWordInto decodes one-word keys of the workloads' universe
+// (d 4 × k 10): the engine's Enumerate and Subscription decode every held
+// key this way.
+func BenchmarkCellWordInto(b *testing.B) {
+	z := MustZ(4, 10)
+	rng := rand.New(rand.NewSource(44))
+	keys := make([]uint64, 1024)
+	for i := range keys {
+		keys[i] = rng.Uint64() & (1<<40 - 1)
+	}
+	var buf [4]uint32
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		z.CellWordInto(buf[:], keys[i%len(keys)])
+	}
+}

@@ -104,17 +104,7 @@ func (z *ZCurve) Cell(key bits.Key) []uint32 {
 // for the key's numeric value: it writes the d coordinates into dst,
 // which must hold d, and returns that prefix of dst. It inverts KeyWord.
 func (z *ZCurve) CellWordInto(dst []uint32, key uint64) []uint32 {
-	d := z.cfg.Dims
-	x := dst[:d]
-	clear(x)
-	// Bit j of coordinate i sits at key position j·d + (d−1−i).
-	for j := z.cfg.Bits - 1; j >= 0; j-- {
-		g := key >> uint(j*d)
-		for i := range x {
-			x[i] = x[i]<<1 | uint32(g>>uint(d-1-i))&1
-		}
-	}
-	return x
+	return bits.DeinterleaveWordInto(dst[:z.cfg.Dims], key, z.cfg.Bits)
 }
 
 // DominatesWord reports whether the one-word Z key key dominates qk on a

@@ -70,6 +70,10 @@ type Index struct {
 	masks  []uint64
 	blocks []uint64
 	top    []uint64
+	// spare is the last leaf a merge or a delete emptied out, which the
+	// next split takes instead of allocating: churn at a steady
+	// population splits and merges by turns and allocates no leaf.
+	spare leaf
 }
 
 // leaf is one sorted block: keys holds w words per entry, ids aligns with
@@ -585,9 +589,13 @@ func (x *Index) mergeLeaf(out []leaf, lf leaf, keys []bits.Key, ids []uint64) []
 	return out
 }
 
-// newLeaf allocates an empty leaf: keys, ids and the summary share one
-// buffer.
+// newLeaf returns an empty leaf: the spare, when there is one, or a fresh
+// one whose keys, ids and summary share one buffer.
 func (x *Index) newLeaf() leaf {
+	if lf := x.spare; lf.ids != nil {
+		x.spare = leaf{}
+		return leaf{keys: lf.keys[:0], ids: lf.ids[:0], sum: lf.sum}
+	}
 	n := leafCap * (x.w + 1)
 	buf := make([]uint64, n+len(x.masks))
 	return leaf{keys: buf[: 0 : leafCap*x.w], ids: buf[leafCap*x.w : leafCap*x.w : n], sum: buf[n:]}
@@ -657,6 +665,7 @@ func (x *Index) merge(j int) {
 // removeLeaf drops leaf j and rebuilds the blocks from leaf j-1's, which a
 // merge may just have refilled.
 func (x *Index) removeLeaf(j int) {
+	x.spare = x.leaves[j]
 	x.leaves = slices.Delete(x.leaves, j, j+1)
 	x.seps = slices.Delete(x.seps, j*x.w, j*x.w+x.w)
 	x.rebuildBlocks(j - 1)
@@ -671,7 +680,7 @@ func (x *Index) widen(w int) {
 	if w <= old {
 		return
 	}
-	x.w = w
+	x.w, x.spare = w, leaf{}
 	if w > 1 {
 		x.masks, x.blocks, x.top = nil, nil, nil
 	}

@@ -180,7 +180,7 @@ func TestFollowerStreamsAndServesAfterPromotion(t *testing.T) {
 		t.Fatalf("promoted engine enumerates %d subscriptions (%v), the primary's held %d", len(gotHeld), err, len(wantHeld))
 	}
 	for i, h := range wantHeld {
-		if gotHeld[i].ID != h.ID || !gotHeld[i].Sub.Equal(h.Sub) {
+		if gotHeld[i].ID != h.ID || gotHeld[i].Rect != h.Rect {
 			t.Fatalf("promoted engine entry %d is id %d, the primary's engine held id %d there", i, gotHeld[i].ID, h.ID)
 		}
 	}

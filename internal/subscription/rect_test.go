@@ -22,6 +22,19 @@ func checkRect(t *testing.T, a, b *Subscription) {
 	if p := ra.PointInto(schema, buf[:]); !slices.Equal(p, a.Point()) {
 		t.Fatalf("%v: PointInto = %v, Point = %v", a, p, a.Point())
 	}
+	if err := ra.Check(schema); err != nil {
+		t.Fatalf("%v: Check refuses its own rectangle: %v", a, err)
+	}
+	if r, err := PointRect(schema, a.Point()); err != nil || r != ra {
+		t.Fatalf("%v: PointRect = %x (%v), want %x", a, r, err, ra)
+	}
+	wire, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := UnmarshalRect(schema, wire); err != nil || r != ra {
+		t.Fatalf("%v: UnmarshalRect of its wire bytes = %x (%v), want %x", a, r, err, ra)
+	}
 	if got, want := ra.Covers(rb), a.Covers(b); got != want {
 		t.Fatalf("Rect(%v).Covers(Rect(%v)) = %v, Covers says %v", a, b, got, want)
 	}
@@ -73,6 +86,26 @@ func TestRectRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRectCheckRefusesOutsideDomain: a rectangle with an inverted range,
+// a bound past the domain or a slot past the schema's attributes is no
+// rectangle of the schema.
+func TestRectCheckRefusesOutsideDomain(t *testing.T) {
+	schema := MustSchema(4, "a", "b")
+	ok := MustParse(schema, "a in [1,3] && b == 15").Rect()
+	for _, tc := range []struct {
+		name string
+		r    Rect
+	}{
+		{"an inverted range", Rect{3<<MaxBits | 1, ok[1]}},
+		{"a bound past the domain", Rect{ok[0], 16}},
+		{"a slot past the attributes", Rect{ok[0], ok[1], 5}},
+	} {
+		if err := tc.r.Check(schema); err == nil {
+			t.Errorf("%s: Check accepts %x", tc.name, tc.r)
+		}
 	}
 }
 

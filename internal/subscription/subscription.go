@@ -225,6 +225,24 @@ func (r Rect) PointInto(schema *Schema, dst []uint32) []uint32 {
 	return p
 }
 
+// Check reports whether r is a rectangle of schema: every attribute's
+// bounds ordered and inside the domain, every slot past the schema's
+// attributes zero.
+func (r Rect) Check(schema *Schema) error {
+	for i := range r {
+		if i >= schema.NumAttrs() {
+			if r[i] != 0 {
+				return fmt.Errorf("subscription: rectangle sets slot %d past the schema's %d attributes", i, schema.NumAttrs())
+			}
+			continue
+		}
+		if b := r.bounds(i); b.Lo > b.Hi || b.Hi > schema.MaxValue() {
+			return fmt.Errorf("subscription: range [%d,%d] invalid for attribute %d", b.Lo, b.Hi, i)
+		}
+	}
+	return nil
+}
+
 // Covers is Subscription.Covers on packed rectangles of one schema: every
 // attribute of o lies within r's.
 func (r Rect) Covers(o Rect) bool {
@@ -288,19 +306,29 @@ func (s *Subscription) Point() []uint32 { return s.point }
 
 // FromPoint inverts Point, reconstructing the subscription rectangle.
 func FromPoint(schema *Schema, p []uint32) (*Subscription, error) {
+	r, err := PointRect(schema, p)
+	if err != nil {
+		return nil, err
+	}
+	return r.Subscription(schema), nil
+}
+
+// PointRect is FromPoint into a packed rectangle, building no
+// subscription.
+func PointRect(schema *Schema, p []uint32) (Rect, error) {
+	var r Rect
 	if len(p) != schema.Dims() {
-		return nil, fmt.Errorf("subscription: point has %d dims, schema needs %d", len(p), schema.Dims())
+		return r, fmt.Errorf("subscription: point has %d dims, schema needs %d", len(p), schema.Dims())
 	}
-	s := New(schema)
 	max := schema.MaxValue()
-	for i := 0; i < schema.NumAttrs(); i++ {
+	for i := range schema.NumAttrs() {
 		lo, hi := max-p[2*i], p[2*i+1]
-		if lo > hi {
-			return nil, fmt.Errorf("subscription: point decodes to inverted range on attribute %d", i)
+		if lo > hi || hi > max {
+			return r, fmt.Errorf("subscription: point decodes to inverted range on attribute %d", i)
 		}
-		s.setRangeAt(i, Range{Lo: lo, Hi: hi})
+		r[i] = lo<<MaxBits | hi
 	}
-	return s, nil
+	return r, nil
 }
 
 // String renders the subscription in the parseable constraint syntax.

@@ -29,12 +29,20 @@ const MaxWireLen = 3 + 2*8*3
 // the extended slice, so callers that own a buffer (a frame under
 // construction, a batch arena) pay no per-payload allocation.
 func (s *Subscription) AppendBinary(dst []byte) ([]byte, error) {
-	dst = append(dst, wireVersionSub, byte(len(s.ranges)), byte(s.schema.bits))
-	for _, r := range s.ranges {
-		dst = binary.AppendUvarint(dst, uint64(r.Lo))
-		dst = binary.AppendUvarint(dst, uint64(r.Hi))
+	return s.Rect().AppendBinary(dst, s.schema), nil
+}
+
+// AppendBinary appends the wire encoding of the subscription of schema r
+// was packed from — the bytes Subscription.AppendBinary writes — to dst,
+// building no subscription.
+func (r Rect) AppendBinary(dst []byte, schema *Schema) []byte {
+	dst = append(dst, wireVersionSub, byte(schema.NumAttrs()), byte(schema.bits))
+	for i := range schema.NumAttrs() {
+		b := r.bounds(i)
+		dst = binary.AppendUvarint(dst, uint64(b.Lo))
+		dst = binary.AppendUvarint(dst, uint64(b.Hi))
 	}
-	return dst, nil
+	return dst
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler for subscriptions.
@@ -82,33 +90,47 @@ func UnmarshalSubscription(schema *Schema, data []byte) (*Subscription, error) {
 // UnmarshalSubscriptionInto decodes a subscription payload into dst,
 // against dst's schema, overwriting every constraint — the form for
 // callers that keep one scratch subscription per worker and must not
-// allocate per request. On error dst is left partially overwritten.
+// allocate per request. On error dst is left as it was.
 func UnmarshalSubscriptionInto(dst *Subscription, data []byte) error {
-	schema := dst.schema
-	rest, err := checkHeader(schema, data, wireVersionSub)
+	r, err := UnmarshalRect(dst.schema, data)
 	if err != nil {
-		return fmt.Errorf("subscription: decoding subscription: %w", err)
+		return err
 	}
 	for i := range dst.ranges {
+		dst.setRangeAt(i, r.bounds(i))
+	}
+	return nil
+}
+
+// UnmarshalRect decodes a subscription payload against schema into its
+// packed rectangle, validating shape and domain as UnmarshalSubscription
+// does, building no subscription.
+func UnmarshalRect(schema *Schema, data []byte) (Rect, error) {
+	var r Rect
+	rest, err := checkHeader(schema, data, wireVersionSub)
+	if err != nil {
+		return r, fmt.Errorf("subscription: decoding subscription: %w", err)
+	}
+	for i := range schema.NumAttrs() {
 		lo, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return fmt.Errorf("subscription: truncated range lo on attribute %d", i)
+			return r, fmt.Errorf("subscription: truncated range lo on attribute %d", i)
 		}
 		rest = rest[n:]
 		hi, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return fmt.Errorf("subscription: truncated range hi on attribute %d", i)
+			return r, fmt.Errorf("subscription: truncated range hi on attribute %d", i)
 		}
 		rest = rest[n:]
 		if lo > hi || hi > uint64(schema.MaxValue()) {
-			return fmt.Errorf("subscription: range [%d,%d] invalid for attribute %d", lo, hi, i)
+			return r, fmt.Errorf("subscription: range [%d,%d] invalid for attribute %d", lo, hi, i)
 		}
-		dst.setRangeAt(i, Range{Lo: uint32(lo), Hi: uint32(hi)})
+		r[i] = uint32(lo)<<MaxBits | uint32(hi)
 	}
 	if len(rest) != 0 {
-		return fmt.Errorf("subscription: %d trailing bytes", len(rest))
+		return r, fmt.Errorf("subscription: %d trailing bytes", len(rest))
 	}
-	return nil
+	return r, nil
 }
 
 // AppendBinary appends the event's wire encoding to dst. The event does
