@@ -268,6 +268,7 @@ func (d *Detector) load(subs []*subscription.Subscription, given []uint64) ([]ui
 	} else if n := d.subs.Len(); n != 0 {
 		return nil, fmt.Errorf("core: Restore needs an empty provider, got %d held subscriptions", n)
 	}
+	d.subs.Grow(len(subs))
 	for i, s := range subs {
 		d.subs.Put(ids[i], s.Rect())
 		if ids[i] >= d.nextID {

@@ -112,23 +112,34 @@ type Held struct {
 	Rect subscription.Rect
 }
 
-// SplitHeld checks a Restore argument — every rectangle inside schema's
-// domain, no id twice — and splits it into the aligned slices the
-// bulk-load seams take.
-func SplitHeld(schema *subscription.Schema, held []Held) ([]*subscription.Subscription, []uint64, error) {
-	subs, ids := make([]*subscription.Subscription, len(held)), make([]uint64, len(held))
-	seen := make(map[uint64]struct{}, len(held))
+// CheckHeld checks a Restore argument: every rectangle inside schema's
+// domain, no id twice. Ids listed ascending — the order a snapshot and
+// SortedHeld give — are checked by their order in one pass; a list in any
+// other order is checked on a sorted copy of its ids.
+func CheckHeld(schema *subscription.Schema, held []Held) error {
+	ascending := true
 	for i, h := range held {
 		if err := h.Rect.Check(schema); err != nil {
-			return nil, nil, fmt.Errorf("core: restored subscription %d is no rectangle of the provider's schema: %w", h.ID, err)
+			return fmt.Errorf("core: restored subscription %d is no rectangle of the provider's schema: %w", h.ID, err)
 		}
-		if _, dup := seen[h.ID]; dup {
-			return nil, nil, fmt.Errorf("core: restore names id %d twice", h.ID)
+		if i > 0 && h.ID <= held[i-1].ID {
+			ascending = false
 		}
-		seen[h.ID] = struct{}{}
-		subs[i], ids[i] = h.Rect.Subscription(schema), h.ID
 	}
-	return subs, ids, nil
+	if ascending {
+		return nil
+	}
+	ids := make([]uint64, len(held))
+	for i, h := range held {
+		ids[i] = h.ID
+	}
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return fmt.Errorf("core: restore names id %d twice", ids[i])
+		}
+	}
+	return nil
 }
 
 // SortedHeld lists held subscriptions by id ascending: ids are every held
@@ -317,11 +328,14 @@ func (d *Detector) Enumerate() ([]Held, error) {
 // Restore implements Provider through InsertBatch's load, under the given
 // ids.
 func (d *Detector) Restore(held []Held) error {
-	subs, ids, err := SplitHeld(d.cfg.Schema, held)
-	if err != nil {
+	if err := CheckHeld(d.cfg.Schema, held); err != nil {
 		return err
 	}
-	_, err = d.load(subs, ids)
+	subs, ids := make([]*subscription.Subscription, len(held)), make([]uint64, len(held))
+	for i, h := range held {
+		subs[i], ids[i] = h.Rect.Subscription(d.cfg.Schema), h.ID
+	}
+	_, err := d.load(subs, ids)
 	return err
 }
 

@@ -39,9 +39,7 @@
 package dominance
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"sfccover/internal/bits"
 	"sfccover/internal/sfc"
@@ -223,40 +221,19 @@ func (x *Index) Delete(p []uint32, id uint64) bool {
 }
 
 // InsertBatch indexes a group of points, aligned with ids: keys are
-// computed and sorted once, then the whole batch enters the SFC array
-// through its sorted bulk-load path — a bottom-up build on a cold array, a
-// single merge pass on a warm one — instead of one O(log n) descent per
-// point.
+// computed once as words and sorted once (SortBatch), then the whole batch
+// enters the SFC array through its sorted bulk-load path — a bottom-up
+// build on a cold array, a single merge pass on a warm one — instead of
+// one O(log n) descent per point.
 func (x *Index) InsertBatch(ps [][]uint32, ids []uint64) {
-	keys := make([]bits.Key, len(ps))
-	for i, p := range ps {
-		keys[i] = x.key(p)
-	}
-	order := make([]int, len(ps))
-	for i := range order {
-		order[i] = i
-	}
-	x.arr.InsertSorted(sortedEntries(keys, ids, order))
+	w := x.KeyStride()
+	keys, sorted := SortBatch(x.appendKeys(nil, ps), w, ids)
+	x.arr.InsertSortedWords(keys, w, sorted)
 }
 
-// sortedEntries selects the (key, id) pairs named by order and returns
-// them sorted by key, then id — sfcarray.EntryLess's order, the exact one
-// the arrays' sorted bulk-load path requires. order is sorted in place as
-// a side effect.
-func sortedEntries(keys []bits.Key, ids []uint64, order []int) ([]bits.Key, []uint64) {
-	slices.SortFunc(order, func(a, b int) int {
-		if c := keys[a].Cmp(keys[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(ids[a], ids[b])
-	})
-	sk := make([]bits.Key, len(order))
-	si := make([]uint64, len(order))
-	for j, i := range order {
-		sk[j], si[j] = keys[i], ids[i]
-	}
-	return sk, si
-}
+// AppendLayout appends a canonical encoding of the SFC array's layout to
+// dst (sfcarray.Index.AppendLayout).
+func (x *Index) AppendLayout(dst []byte) []byte { return x.arr.AppendLayout(dst) }
 
 // QueryDominating implements Searcher with exhaustive semantics (ε = 0).
 func (x *Index) QueryDominating(q []uint32) (uint64, bool) {

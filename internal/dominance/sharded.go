@@ -1,8 +1,10 @@
 package dominance
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -145,34 +147,39 @@ func NewSharded(cfg Config, n int) (*ShardedIndex, error) {
 const sampleKeysPerSlice = 128
 
 // ChooseBoundaries places the slice boundaries of an EMPTY index at the
-// quantiles of the n points about to be loaded into it (point(i) is the
-// i-th), so the load lands evenly; on an index that holds anything it
-// does nothing. The quantiles are read off a stride sample of at most
-// sampleKeysPerSlice keys a slice — sorting the sample, not the batch —
-// and the picks are a function of n alone, so two loads of the same
-// sequence choose the same table. Equal quantiles (a hot key, a batch
-// smaller than the slice count) leave slices that own no key, which
-// routing permits. The swap follows EqualizePair's protocol with every
-// slice's write lock held, so it is safe beside any other operation.
-func (x *ShardedIndex) ChooseBoundaries(n int, point func(i int) []uint32) {
+// quantiles of the batch about to be loaded into it — keys, KeyStride
+// words each, as AppendKey lays them out — so the load lands evenly; on an
+// index that holds anything it does nothing. The quantiles are read off a
+// stride sample of at most sampleKeysPerSlice keys a slice — sorting the
+// sample, not the batch — and the picks are a function of the batch size
+// alone, so two loads of the same sequence choose the same table. Equal
+// quantiles (a hot key, a batch smaller than the slice count) leave slices
+// that own no key, which routing permits. The swap follows EqualizePair's
+// protocol with every slice's write lock held, so it is safe beside any
+// other operation.
+func (x *ShardedIndex) ChooseBoundaries(keys []uint64) {
+	w := x.KeyStride()
+	n := len(keys) / w
 	if len(x.shards) < 2 || n == 0 || x.Len() > 0 {
 		return
 	}
 	most := sampleKeysPerSlice * len(x.shards)
 	stride := (n + most - 1) / most
-	sample := make([]bits.Key, 0, (n+stride-1)/stride)
+	picks := (n + stride - 1) / stride
+	sample := make([]uint64, 0, picks*w)
 	for i := 0; i < n; i += stride {
 		// One pick a stride window, at an offset hashed from the window's
 		// start: picking the start itself aliases with any periodic order
 		// (an engine's id-sorted dump cycles through its stripes, which
 		// were key slices once) and samples a few phases of it only.
-		j := i + int(uint32(i)*2654435761>>8)%stride
-		sample = append(sample, x.curve.Key(point(min(j, n-1))))
+		j := min(i+int(uint32(i)*2654435761>>8)%stride, n-1)
+		sample = append(sample, keys[j*w:j*w+w]...)
 	}
-	slices.SortFunc(sample, bits.Key.Cmp)
+	sample, _ = SortBatch(sample, w, make([]uint64, picks))
 	starts := make([]bits.Key, len(x.shards))
 	for i := 1; i < len(starts); i++ {
-		starts[i] = sample[i*len(sample)/len(starts)]
+		p := i * picks / len(starts)
+		starts[i] = bits.KeyFromLow(sample[p*w : p*w+w])
 	}
 
 	x.moveMu.Lock()
@@ -198,6 +205,26 @@ func (x *ShardedIndex) NumShards() int { return len(x.shards) }
 func (x *ShardedIndex) Boundaries() []bits.Key {
 	tab := *x.table.Load()
 	return append([]bits.Key(nil), tab...)
+}
+
+// AppendLayout appends a canonical encoding of the index's layout to dst:
+// the boundary table, then every slice's array layout
+// (sfcarray.Index.AppendLayout), each read under the slice's read lock.
+func (x *ShardedIndex) AppendLayout(dst []byte) []byte {
+	for _, k := range *x.table.Load() {
+		var w [bits.KeyWords]uint64
+		k.Low(w[:])
+		for _, v := range w {
+			dst = binary.LittleEndian.AppendUint64(dst, v)
+		}
+	}
+	for i := range x.shards {
+		s := &x.shards[i]
+		s.mu.RLock()
+		dst = s.arr.AppendLayout(dst)
+		s.mu.RUnlock()
+	}
+	return dst
 }
 
 // routeKey maps a curve key to the slice owning it under the given table:
@@ -308,59 +335,93 @@ func (x *ShardedIndex) InsertAt(loc Location, id uint64) {
 	slot.mu.Unlock()
 }
 
-// InsertBatch indexes a group of points, aligned with ids, taking each
-// slice lock once per batch instead of once per point: keys are computed
-// and grouped by owning slice outside any lock, then each touched slice
-// is bulk-loaded — in sorted order, through the array's sorted-batch
-// path — under a single write-lock acquisition. Only one slice lock is
-// held at a time, so concurrent batches cannot deadlock; items whose
-// route a concurrent boundary move invalidates are regrouped and retried.
+// InsertBatch indexes a group of points, aligned with ids: InsertKeys on
+// their keys.
 func (x *ShardedIndex) InsertBatch(ps [][]uint32, ids []uint64) {
-	keys := make([]bits.Key, len(ps))
-	for i, p := range ps {
-		keys[i] = x.key(p)
+	x.InsertKeys(x.appendKeys(nil, ps), ids)
+}
+
+// InsertKeys indexes a batch of keys, KeyStride words each as AppendKey
+// lays them out, under ids, aligned; the caller's slices are left as they
+// are. The batch is sorted once, outside any lock (SortBatch), and
+// loaded as InsertSorted loads it.
+func (x *ShardedIndex) InsertKeys(keys, ids []uint64) {
+	keys, ids = SortBatch(keys, x.KeyStride(), ids)
+	x.InsertSorted(keys, ids)
+}
+
+// InsertSorted indexes a batch already in (key, id) order, keys
+// KeyStride words each, as SortBatch returns it; the caller's slices are
+// only read. The sorted run is cut at the slice boundaries — each slice's
+// share is contiguous, because the partition follows key order — and
+// bulk-loaded into its slice through the array's sorted-batch path under
+// one write lock. Only one slice lock is held at a time, so concurrent
+// batches cannot deadlock. A share whose slice a concurrent boundary move
+// has changed keeps what the slice still owns and defers the rest, in
+// order, to another round under the fresh table.
+func (x *ShardedIndex) InsertSorted(keys, ids []uint64) {
+	w := x.KeyStride()
+	for len(ids) > 0 {
+		keys, ids = x.loadShares(x.table.Load(), keys, w, ids)
 	}
-	pending := make([]int, len(keys))
-	for i := range pending {
-		pending[i] = i
+}
+
+// Cut returns where the current table cuts a batch in (key, id) order,
+// keys KeyStride words each: slice i owns entries [cut[i], cut[i+1]).
+func (x *ShardedIndex) Cut(keys []uint64) []int {
+	tab, w := *x.table.Load(), x.KeyStride()
+	cut := make([]int, len(x.shards)+1)
+	for i := 1; i < len(cut); i++ {
+		cut[i] = owned(tab, i, keys, w)
 	}
-	for len(pending) > 0 {
-		tabPtr := x.table.Load()
-		groups := make(map[int][]int, 1)
-		for _, i := range pending {
-			shard := routeKey(*tabPtr, keys[i])
-			groups[shard] = append(groups[shard], i)
+	return cut
+}
+
+// loadShares cuts a sorted batch at tab's slice boundaries and loads each
+// slice's share under its write lock. A share whose slice a boundary move
+// since tab has changed keeps what the slice owns under the published
+// table — routes read while the slice's write lock is held are stable for
+// it — and the rest is returned, still in order, for another round.
+func (x *ShardedIndex) loadShares(tabPtr *[]bits.Key, keys []uint64, w int, ids []uint64) (deferKeys, deferIDs []uint64) {
+	lo := 0
+	for i := range x.shards {
+		hi := owned(*tabPtr, i+1, keys, w)
+		if hi == lo {
+			continue
 		}
-		pending = pending[:0]
-		for shard, group := range groups {
-			// Sort and scatter outside the lock; only the (order-
-			// preserving) stale-route prune and the bulk load itself need
-			// the write lock.
-			gk, gi := sortedEntries(keys, ids, group)
-			slot := &x.shards[shard]
-			slot.mu.Lock()
-			if cur := x.table.Load(); cur != tabPtr {
-				// A boundary moved since grouping. Routes computed while
-				// holding this slice's write lock are stable for this
-				// slice, so keep the items it still owns and defer the
-				// rest to the next round. group was sorted in tandem with
-				// gk/gi, so deferred entries carry their original indices.
-				w := 0
-				for j, i := range group {
-					if routeKey(*cur, gk[j]) == shard {
-						gk[w], gi[w] = gk[j], gi[j]
-						w++
-					} else {
-						pending = append(pending, i)
-					}
-				}
-				gk, gi = gk[:w], gi[:w]
-			}
-			slot.arr.InsertSorted(gk, gi)
-			slot.publish()
-			slot.mu.Unlock()
+		a, b := lo, hi
+		slot := &x.shards[i]
+		slot.mu.Lock()
+		if cur := x.table.Load(); cur != tabPtr {
+			a = min(max(owned(*cur, i, keys, w), lo), hi)
+			b = min(max(owned(*cur, i+1, keys, w), a), hi)
+			deferKeys = append(append(deferKeys, keys[lo*w:a*w]...), keys[b*w:hi*w]...)
+			deferIDs = append(append(deferIDs, ids[lo:a]...), ids[b:hi]...)
 		}
+		slot.arr.InsertSortedWords(keys[a*w:b*w], w, ids[a:b])
+		slot.publish()
+		slot.mu.Unlock()
+		lo = hi
 	}
+	return deferKeys, deferIDs
+}
+
+// owned returns how many entries of a sorted batch (keys w words each)
+// sort below slice i's start under tab: the first entry slice i owns, the
+// batch's length past the last slice. Of slices with equal starts the
+// last owns the keys, as routeKey has it.
+func owned(tab []bits.Key, i int, keys []uint64, w int) int {
+	n := len(keys) / w
+	if i == 0 {
+		return 0
+	}
+	if i == len(tab) {
+		return n
+	}
+	var buf [bits.KeyWords]uint64
+	start := buf[:w]
+	tab[i].Low(start)
+	return sort.Search(n, func(j int) bool { return slices.Compare(keys[j*w:j*w+w], start) >= 0 })
 }
 
 // DeleteAt removes the (key, id) entry under a key Locate or LocateWord
@@ -487,23 +548,15 @@ func (x *ShardedIndex) EqualizePair(i int) (migrated int) {
 	if abs(na-nb) <= 1 {
 		return 0
 	}
-	// Gather both populations. Each VisitRange ascends and every key in
-	// slice i precedes every key in slice i+1, so the concatenation is
-	// sorted — exactly what the bulk-load path needs.
-	keys := make([]bits.Key, 0, total)
-	ids := make([]uint64, 0, total)
-	full := bits.LowMask(bits.KeyBits)
-	gather := func(arr *sfcarray.Index) {
-		arr.VisitRange(bits.Key{}, full, func(k bits.Key, id uint64) bool {
-			keys = append(keys, k)
-			ids = append(ids, id)
-			return true
-		})
-	}
-	gather(&a.arr)
-	gather(&b.arr)
+	// Gather both populations as words, whole leaves at a time. Each
+	// array lists its entries in order and every key in slice i precedes
+	// every key in slice i+1, so the concatenation is sorted — exactly
+	// what the bulk-load path needs.
+	w := x.KeyStride()
+	keys, ids := a.arr.AppendEntries(make([]uint64, 0, total*w), w, make([]uint64, 0, total))
+	keys, ids = b.arr.AppendEntries(keys, w, ids)
 
-	split := splitPoint(keys, na)
+	split := splitPoint(keys, w, na)
 	if split < 0 || split == na {
 		return 0
 	}
@@ -511,47 +564,47 @@ func (x *ShardedIndex) EqualizePair(i int) (migrated int) {
 	if split < na {
 		// Slice i sheds its top subrange [keys[split], ...) rightward.
 		migrated = na - split
-		x.shrinkSlice(a, keys, ids, 0, split, split, na)
-		b.arr.InsertSorted(keys[split:na], ids[split:na])
+		x.shrinkSlice(a, keys, w, ids, 0, split, split, na)
+		b.arr.InsertSortedWords(keys[split*w:na*w], w, ids[split:na])
 	} else {
 		// Slice i+1 sheds its bottom subrange leftward.
 		migrated = split - na
 		shed, gain = b, a
-		x.shrinkSlice(b, keys, ids, split, total, na, split)
-		a.arr.InsertSorted(keys[na:split], ids[na:split])
+		x.shrinkSlice(b, keys, w, ids, split, total, na, split)
+		a.arr.InsertSortedWords(keys[na*w:split*w], w, ids[na:split])
 	}
 	gain.publish()
 	old := *x.table.Load()
 	starts := append([]bits.Key(nil), old...)
-	starts[i+1] = keys[split]
+	starts[i+1] = bits.KeyFromLow(keys[split*w : split*w+w])
 	x.table.Store(&starts)
 	shed.publish()
 	return migrated
 }
 
 // shrinkSlice removes a migrated subrange from a slice: kept entries are
-// keys[keptLo:keptHi], moved ones keys[movedLo:movedHi] (both windows
-// index the gathered pair population). A small nudge drains the moved
+// entries [keptLo, keptHi), moved ones [movedLo, movedHi) of the gathered
+// pair population (keys w words each). A small nudge drains the moved
 // entries one delete at a time — O(m log n) — while a large move
 // rebuilds the structure cold from the kept entries with the sorted bulk
 // build, so the write barrier pays min(drain, rebuild). Both slice locks
 // are held by the caller.
-func (x *ShardedIndex) shrinkSlice(slot *shardSlot, keys []bits.Key, ids []uint64, keptLo, keptHi, movedLo, movedHi int) {
+func (x *ShardedIndex) shrinkSlice(slot *shardSlot, keys []uint64, w int, ids []uint64, keptLo, keptHi, movedLo, movedHi int) {
 	kept := keptHi - keptLo
 	moved := movedHi - movedLo
 	if moved*4 <= kept {
 		for j := movedLo; j < movedHi; j++ {
-			if !slot.arr.Delete(keys[j], ids[j]) {
+			if !slot.arr.Delete(bits.KeyFromLow(keys[j*w:j*w+w]), ids[j]) {
 				panic("dominance: migration lost an entry")
 			}
 		}
 		return
 	}
 	slot.arr = x.newArray()
-	slot.arr.InsertSorted(keys[keptLo:keptHi], ids[keptLo:keptHi])
+	slot.arr.InsertSortedWords(keys[keptLo*w:keptHi*w], w, ids[keptLo:keptHi])
 }
 
-// splitPoint picks the split index nearest total/2 that does not divide a
+// splitPoint picks the split index nearest total/2 (keys w words each) that does not divide a
 // run of equal keys (entries at the boundary key must all land in the
 // right slice, where deletes will route them). Within each direction the
 // imbalance |2s−total| grows monotonically with distance from the middle,
@@ -559,10 +612,10 @@ func (x *ShardedIndex) shrinkSlice(slot *shardSlot, keys []bits.Key, ids []uint6
 // admissible candidate below the middle and the first at or above it.
 // It returns -1 when no admissible split exists or the best one does not
 // strictly improve on the current division at na.
-func splitPoint(keys []bits.Key, na int) int {
-	total := len(keys)
+func splitPoint(keys []uint64, w, na int) int {
+	total := len(keys) / w
 	admissible := func(s int) bool {
-		return s > 0 && s < total && keys[s-1].Less(keys[s])
+		return s > 0 && s < total && slices.Compare(keys[(s-1)*w:s*w], keys[s*w:s*w+w]) < 0
 	}
 	best := -1
 	for s := total / 2; s > 0; s-- {

@@ -1,6 +1,8 @@
 package dominance
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -42,7 +44,7 @@ func TestShardedParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
+		x.ChooseBoundaries(keysOf(x, pts))
 		sharded = append(sharded, x)
 	}
 	for i, p := range pts {
@@ -85,7 +87,7 @@ func TestShardedInsertDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := randomPoints(rng, 500, 4, 8)
-	x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
+	x.ChooseBoundaries(keysOf(x, pts))
 	for i, p := range pts {
 		x.Insert(p, uint64(i))
 	}
@@ -139,7 +141,6 @@ func TestShardedInitialBoundaries(t *testing.T) {
 	for i := range pts {
 		pts[i] = []uint32{uint32(rng.Intn(8)), uint32(rng.Intn(8)), uint32(rng.Intn(8))}
 	}
-	at := func(i int) []uint32 { return pts[i] }
 	ids := make([]uint64, len(pts))
 	for i := range ids {
 		ids[i] = uint64(i)
@@ -162,7 +163,7 @@ func TestShardedInitialBoundaries(t *testing.T) {
 			t.Fatalf("n=%d: an unplaced index routes to slice %d, want the last", n, got)
 		}
 
-		x.ChooseBoundaries(len(pts), at)
+		x.ChooseBoundaries(keysOf(x, pts))
 		tab = x.Boundaries()
 		for i := 1; i < n; i++ {
 			if tab[i].Less(tab[i-1]) {
@@ -182,12 +183,12 @@ func TestShardedInitialBoundaries(t *testing.T) {
 		}
 
 		twin, _ := NewSharded(cfg, n)
-		twin.ChooseBoundaries(len(pts), at)
+		twin.ChooseBoundaries(keysOf(twin, pts))
 		if got := twin.Boundaries(); !slices.Equal(got, tab) {
 			t.Fatalf("n=%d: two loads of one batch chose %v and %v", n, tab, got)
 		}
 
-		x.ChooseBoundaries(len(pts), func(i int) []uint32 { return []uint32{63, 63, 63} })
+		x.ChooseBoundaries(keysOf(x, slices.Repeat([][]uint32{{63, 63, 63}}, len(pts))))
 		if got := x.Boundaries(); !slices.Equal(got, tab) {
 			t.Fatalf("n=%d: a batch moved the boundaries of a loaded index: %v -> %v", n, tab, got)
 		}
@@ -303,22 +304,19 @@ func TestEqualizePairDegenerate(t *testing.T) {
 	}
 }
 
+// keysOf lays out pts' keys as a bulk load carries them.
+func keysOf(x *ShardedIndex, pts [][]uint32) []uint64 { return x.appendKeys(nil, pts) }
+
 // TestSplitPoint pins the split chooser directly: candidates on BOTH
 // sides of the middle must be weighed (an inadmissible or non-improving
 // candidate below the middle must not mask a strictly improving one
 // above it), equal-key runs never split, and no-improvement pairs
 // report -1.
 func TestSplitPoint(t *testing.T) {
-	k := func(vs ...uint64) []bits.Key {
-		out := make([]bits.Key, len(vs))
-		for i, v := range vs {
-			out[i] = bits.KeyFromUint64(v)
-		}
-		return out
-	}
+	k := func(vs ...uint64) []uint64 { return vs }
 	cases := []struct {
 		name string
-		keys []bits.Key
+		keys []uint64
 		na   int
 		want int
 	}{
@@ -332,7 +330,7 @@ func TestSplitPoint(t *testing.T) {
 		{"off-by-one-cannot-improve", k(1, 2, 3, 4, 5), 3, -1},
 	}
 	for _, tc := range cases {
-		if got := splitPoint(tc.keys, tc.na); got != tc.want {
+		if got := splitPoint(tc.keys, 1, tc.na); got != tc.want {
 			t.Errorf("%s: splitPoint = %d, want %d", tc.name, got, tc.want)
 		}
 	}
@@ -454,7 +452,7 @@ func TestShardedConcurrentQueriesMatchLinear(t *testing.T) {
 	oracle := NewLinear()
 	rng := rand.New(rand.NewSource(23))
 	pts := randomPoints(rng, 400, 2, 6)
-	x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
+	x.ChooseBoundaries(keysOf(x, pts))
 	for i, p := range pts {
 		x.Insert(p, uint64(i))
 		oracle.Insert(p, uint64(i))
@@ -520,7 +518,7 @@ func TestChooseBoundariesConcurrent(t *testing.T) {
 						x.Insert(p, ids[i])
 					}
 				} else {
-					x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
+					x.ChooseBoundaries(keysOf(x, pts))
 					x.InsertBatch(pts, ids)
 				}
 				for i, p := range pts {
@@ -597,6 +595,67 @@ func TestStaleLocationLandsInOwningSlice(t *testing.T) {
 	if got := checkOwnership(t, x); got != 64 {
 		t.Fatalf("%d entries, want 64", got)
 	}
+}
+
+// TestStaleBatchSharesLandInOwningSlices: a bulk load whose batch was cut
+// by a table that a boundary move has since replaced loads into each
+// slice only what the published table routes there, and hands the rest
+// back still sorted; the rounds that follow leave the layout a load under
+// the published table alone builds.
+func TestStaleBatchSharesLandInOwningSlices(t *testing.T) {
+	cfg := Config{Dims: 4, Bits: 10}
+	pts := randomPoints(rand.New(rand.NewSource(17)), 3000, cfg.Dims, cfg.Bits)
+	ids := make([]uint64, len(pts))
+	for i := range ids {
+		ids[i] = uint64(i + 1)
+	}
+	build := func() *ShardedIndex {
+		x, err := NewSharded(cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.ChooseBoundaries(keysOf(x, pts))
+		return x
+	}
+	want := build()
+	want.InsertBatch(pts, ids)
+	cur := want.Boundaries()
+	for name, stale := range map[string][]bits.Key{
+		"unplaced":             make([]bits.Key, 4),
+		"slice 2 starts early": {cur[0], cur[1], cur[1], cur[3]},
+		"slice 1 starts late":  {cur[0], cur[2], cur[2], cur[3]},
+	} {
+		x := build()
+		w := x.KeyStride()
+		keys, rest := SortBatch(keysOf(x, pts), w, ids)
+		keys, rest = x.loadShares(&stale, keys, w, rest)
+		if len(rest) == 0 {
+			t.Fatalf("%s: a stale cut deferred nothing", name)
+		}
+		for j := 1; j < len(rest); j++ {
+			if entryOrder(keys, w, rest, j-1, j) >= 0 {
+				t.Fatalf("%s: deferred entries %d and %d out of (key, id) order", name, j-1, j)
+			}
+		}
+		for len(rest) > 0 {
+			keys, rest = x.loadShares(x.table.Load(), keys, w, rest)
+		}
+		if got := checkOwnership(t, x); got != len(pts) {
+			t.Fatalf("%s: %d entries after the rounds, want %d", name, got, len(pts))
+		}
+		if !bytes.Equal(x.AppendLayout(nil), want.AppendLayout(nil)) {
+			t.Fatalf("%s: the rounds built another layout than one load under the published table", name)
+		}
+	}
+}
+
+// entryOrder compares entries a and b of a batch (keys w words each) by
+// key, then id.
+func entryOrder(keys []uint64, w int, ids []uint64, a, b int) int {
+	if c := slices.Compare(keys[a*w:a*w+w], keys[b*w:b*w+w]); c != 0 {
+		return c
+	}
+	return cmp.Compare(ids[a], ids[b])
 }
 
 // TestRoutedWritesRaceEqualizePair races Insert, InsertAt and DeleteAt

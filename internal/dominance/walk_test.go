@@ -112,7 +112,7 @@ func TestExactQueryMatchesExhaustiveCubes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
+		x.ChooseBoundaries(keysOf(x, pts))
 		indexes = append(indexes, x)
 	}
 	ids := rng.Perm(3 * len(pts)) // ids in no relation to insertion or key order
@@ -445,7 +445,7 @@ func TestWalkAfterRebuildKeepsSummaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bulk.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
+	bulk.ChooseBoundaries(keysOf(bulk, pts))
 	bulk.InsertBatch(pts, ids)
 	within("bulk load", bulk)
 	// An unplaced table routes every point to the last slice; equalizing
@@ -487,7 +487,7 @@ func TestQueryPathsAllocateNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
+	sharded.ChooseBoundaries(keysOf(sharded, pts))
 	for i, p := range pts {
 		single.Insert(p, uint64(i))
 		sharded.Insert(p, uint64(i))

@@ -526,9 +526,9 @@ func (e *Engine) run(n int, fn func(i int)) {
 }
 
 // AddBatch runs the arrival path for every subscription: all covering
-// queries run concurrently first, then the inserts are grouped by
-// destination shard and bulk-loaded one shard at a time — one lock
-// acquisition per shard instead of one per item. Results align with the
+// queries run concurrently first, then the inserts are bulk-loaded
+// together — each key computed once, one sort, one lock acquisition per
+// stripe and per slice instead of one per item. Results align with the
 // input slice; failures are reported per item. Batch items are mutually
 // unordered and no item's query observes another batch item's insert
 // (covering misses are safe, so that is a correct outcome).
@@ -545,7 +545,7 @@ func (e *Engine) AddBatch(subs []*subscription.Subscription) []AddResult {
 				batch = append(batch, subs[i])
 			}
 		}
-		ids := e.insertBatch(batch, nil)
+		ids := e.load(batch)
 		for k, i := range valid {
 			out[i].ID = ids[k]
 		}
@@ -559,8 +559,8 @@ func (e *Engine) AddBatch(subs []*subscription.Subscription) []AddResult {
 }
 
 // InsertBatch stores every subscription unconditionally — no pre-insert
-// covering queries — grouped by destination shard and bulk-loaded one
-// shard at a time, and returns the assigned ids aligned with the input:
+// covering queries — bulk-loaded as AddBatch loads its inserts, and
+// returns the assigned ids aligned with the input:
 // a bulk load pays the sorted bulk-load cost, not one covering query per
 // entry. (Recovery loads through the same seam under the ids it recovered;
 // see Restore.)
@@ -572,7 +572,7 @@ func (e *Engine) InsertBatch(subs []*subscription.Subscription) ([]uint64, error
 		}
 	}
 	var ids []uint64
-	if err := e.guarded(func() { ids = e.insertBatch(subs, nil) }); err != nil {
+	if err := e.guarded(func() { ids = e.load(subs) }); err != nil {
 		return nil, err
 	}
 	return ids, nil

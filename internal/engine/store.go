@@ -71,16 +71,12 @@ func (e *Engine) Len() int {
 // stripe order, as Restore takes them) so the ids listed are the ids
 // resolved.
 func (e *Engine) Enumerate() ([]core.Held, error) {
+	e.lockStripes()
+	defer e.unlockStripes()
 	n := 0
 	for i := range e.stores {
-		e.stores[i].mu.Lock()
 		n += e.stores[i].len()
 	}
-	defer func() {
-		for i := range e.stores {
-			e.stores[i].mu.Unlock()
-		}
-	}()
 	ids := make([]uint64, 0, n)
 	for i := range e.stores {
 		st := &e.stores[i]
@@ -173,105 +169,158 @@ func (e *Engine) insert(s *subscription.Subscription) uint64 {
 	return id
 }
 
-// insertBatch groups the batch by destination key slice and bulk-loads
-// each slice: the stripe mutex and the index slice lock are each taken
-// once per shard group instead of once per item. Groups load in parallel
-// on the worker pool; the lock order within a group (stripe, then slice)
-// matches insert's, so the paths cannot deadlock. The returned ids align
-// with subs.
-//
-// given nil mints the ids and stores subs under them. Restore passes the
-// ids it has already stored subs under, with every stripe lock held, and
-// only the index load is left: a given id's stripe is the one it decodes
-// to, whatever slice owns its key (the index routes by key).
+// load mints ids for subs and bulk-loads them under those ids: the seam
+// InsertBatch and AddBatch share. Each key is computed once, and the
+// batch is sorted by (key, position) and cut at the slice boundaries
+// before any lock is taken. Each slice's share is then minted, held and
+// indexed under its own stripe's lock alone, the shares in parallel on the
+// worker pool; the lock order (stripe, then slice) is insert's, so the
+// paths cannot deadlock. A stripe mints its share's ids in input order, as
+// single inserts would have, so the ids of equal keys ascend along the
+// sorted run and the share is in the (key, id) order the index loads. The
+// returned ids align with subs.
 //
 // A batch entering an empty engine is what decides the slice layout: the
-// index places its boundaries at the quantiles of the batch's points before
-// anything is grouped, so the groups — and every later insert — find an
-// even table. This is the one seam boot recovery, snapshot install,
-// promotion, InsertBatch and AddBatch all pass through.
-func (e *Engine) insertBatch(subs []*subscription.Subscription, given []uint64) []uint64 {
-	ids := given
-	if given == nil {
-		ids = make([]uint64, len(subs))
+// index places its boundaries at the quantiles of the batch's keys before
+// the batch is cut, so the batch — and every later insert — finds an even
+// table. Restore loads the same way under the ids it is given.
+func (e *Engine) load(subs []*subscription.Subscription) []uint64 {
+	w, shards := e.idx.KeyStride(), len(e.stores)
+	keys := make([]uint64, 0, len(subs)*w)
+	for _, s := range subs {
+		keys = e.idx.AppendKey(keys, s.Point())
 	}
-	points := make([][]uint32, len(subs))
-	for i, s := range subs {
-		points[i] = s.Point()
+	e.idx.ChooseBoundaries(keys)
+	order := make([]uint64, len(subs))
+	for i := range order {
+		order[i] = uint64(i)
 	}
-	e.idx.ChooseBoundaries(len(points), func(i int) []uint32 { return points[i] })
-	groups := make([][]int, len(e.stores))
-	keys := make([]uint64, len(subs)) // what hold takes on one-word universes
-	for i := range subs {
-		loc := e.idx.Locate(points[i])
-		keys[i] = loc.Key.LowWord()
-		groups[loc.Slice] = append(groups[loc.Slice], i)
-	}
-	active := make([]int, 0, len(groups))
-	for shard, g := range groups {
-		if len(g) > 0 {
-			active = append(active, shard)
+	sorted, order := dominance.SortBatch(keys, w, order)
+	cut := e.idx.Cut(sorted)
+	// rank[i] is first the stripe of subs[i], then its place in input
+	// order among the stripe's share.
+	rank := make([]uint64, len(subs))
+	for s := range shards {
+		for _, i := range order[cut[s]:cut[s+1]] {
+			rank[i] = uint64(s)
 		}
 	}
-	e.run(len(active), func(gi int) {
-		shard := active[gi]
-		group := groups[shard]
-		ps := make([][]uint32, len(group))
-		groupIDs := make([]uint64, len(group))
-		st := &e.stores[shard]
-		if given == nil {
-			st.mu.Lock()
-			defer st.mu.Unlock()
+	seen := make([]uint64, shards)
+	for i, s := range rank {
+		rank[i] = seen[s]
+		seen[s]++
+	}
+	ids := make([]uint64, len(subs))
+	e.run(shards, func(s int) {
+		lo, hi := cut[s], cut[s+1]
+		if lo == hi {
+			return
 		}
-		for k, i := range group {
-			if given == nil {
-				ids[i] = encodeID(len(e.stores), shard, st.next)
-				st.next++
-				e.hold(st, ids[i], subs[i], keys[i])
-			}
-			ps[k] = points[i]
-			groupIDs[k] = ids[i]
+		st := &e.stores[s]
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		e.reserve(st, hi-lo)
+		base := st.next
+		st.next += uint64(hi - lo)
+		for j := lo; j < hi; j++ {
+			i := order[j]
+			id := encodeID(shards, s, base+rank[i])
+			ids[i], order[j] = id, id
+			e.hold(st, id, subs[i], sorted[j*w])
 		}
-		e.idx.InsertBatch(ps, groupIDs)
+		e.idx.InsertSorted(sorted[lo*w:hi*w], order[lo:hi])
 	})
 	e.inserted(len(subs))
 	return ids
 }
 
-// Restore implements core.Provider through insertBatch. Nothing else
-// writes while it runs, so no id minted beside it collides with a given
-// one: the write side of closeMu keeps the batch operations out (their
-// pool tasks would wait on the stripe locks held here and starve the load
-// of workers), and every stripe lock, held from the emptiness check to the
-// last insert, keeps the single-item writes out.
+// reserve sizes a stripe's table for n more subscriptions, so a batch is
+// held without rehashing. The stripe's lock is held.
+func (e *Engine) reserve(st *stripe, n int) {
+	if e.wordCurve != nil {
+		st.keys.Grow(n)
+	} else {
+		st.rects.Grow(n)
+	}
+}
+
+// lockStripes locks every stripe in stripe order, the order every holder
+// of the whole store takes them in; unlockStripes releases them.
+func (e *Engine) lockStripes() {
+	for i := range e.stores {
+		e.stores[i].mu.Lock()
+	}
+}
+
+func (e *Engine) unlockStripes() {
+	for i := range e.stores {
+		e.stores[i].mu.Unlock()
+	}
+}
+
+// Restore implements core.Provider, loading as load does under the ids
+// it is given: each held subscription's key is computed once from its
+// rectangle, no subscription is built, and the batch is sorted before any
+// lock is taken. A given id is held in the stripe it decodes to, whatever
+// slice owns its key (the index routes by key), and the slices' shares
+// load in parallel on the worker pool. Nothing else writes while it runs,
+// so no id minted beside it collides with a given one: the write side of
+// closeMu keeps the batch operations out (their pool tasks would wait on
+// the stripe locks held here and starve the load of workers), and every
+// stripe lock, held from the emptiness check to the last insert, keeps the
+// single-item writes out.
 func (e *Engine) Restore(held []core.Held) error {
 	defer observeSince(e.hInsertBatch, time.Now())
-	subs, ids, err := core.SplitHeld(e.schema, held)
-	if err != nil {
+	if err := core.CheckHeld(e.schema, held); err != nil {
 		return err
 	}
+	w, shards := e.idx.KeyStride(), len(e.stores)
+	keys := make([]uint64, 0, len(held)*w)
+	ids := make([]uint64, len(held))
+	var buf [2 * subscription.MaxAttrs]uint32
+	for i, h := range held {
+		keys = e.idx.AppendKey(keys, h.Rect.PointInto(e.schema, buf[:]))
+		ids[i] = h.ID
+	}
+	sorted, sortedIDs := dominance.SortBatch(keys, w, ids)
 	e.closeMu.Lock()
 	defer e.closeMu.Unlock()
 	if e.closed {
 		return core.ErrProviderClosed
 	}
+	e.lockStripes()
+	defer e.unlockStripes()
 	for i := range e.stores {
-		st := &e.stores[i]
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if n := st.len(); n != 0 {
+		if n := e.stores[i].len(); n != 0 {
 			return fmt.Errorf("engine: Restore needs an empty provider, stripe %d holds %d subscriptions", i, n)
 		}
 	}
+	e.idx.ChooseBoundaries(keys)
+	share := make([]int, shards)
+	for _, id := range ids {
+		s, _ := decodeID(shards, id)
+		share[s]++
+	}
+	for s, n := range share {
+		e.reserve(&e.stores[s], n)
+	}
 	for i, id := range ids {
-		stripe, local := decodeID(len(e.stores), id)
-		st := &e.stores[stripe]
-		e.hold(st, id, subs[i], e.keyOf(subs[i]))
+		s, local := decodeID(shards, id)
+		st := &e.stores[s]
+		if e.wordCurve != nil {
+			st.keys.Put(id, keys[i])
+		} else {
+			st.rects.Put(id, held[i].Rect)
+		}
 		if local >= st.next {
 			st.next = local + 1 // mint from past the largest id given
 		}
 	}
-	e.insertBatch(subs, ids)
+	cut := e.idx.Cut(sorted)
+	e.run(shards, func(s int) {
+		e.idx.InsertSorted(sorted[cut[s]*w:cut[s+1]*w], sortedIDs[cut[s]:cut[s+1]])
+	})
+	e.inserted(len(ids))
 	return nil
 }
 

@@ -187,8 +187,12 @@ func e15Measure(r e15Row, reps int) (res e15Result, err error) {
 	if err != nil {
 		return
 	}
-	sh.ChooseBoundaries(len(pts), func(i int) []uint32 { return pts[i] })
-	sh.InsertBatch(pts, ids)
+	keys := make([]uint64, 0, len(pts)*sh.KeyStride())
+	for _, p := range pts {
+		keys = sh.AppendKey(keys, p)
+	}
+	sh.ChooseBoundaries(keys)
+	sh.InsertKeys(keys, ids)
 	if res.single, err = measure(queries, reps, idx.Query); err != nil {
 		return
 	}

@@ -109,10 +109,30 @@ func (t *Table[V]) Put(key uint64, v V) {
 	t.used++
 }
 
+// Grow makes room for n more ids: the array is sized once for the table's
+// ids and n more, so that putting n new ids then re-places nothing. A bulk
+// load calls it with the batch's count; a table already that large is left
+// as it is.
+func (t *Table[V]) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	need := t.used + n
+	size := max(len(t.slots), minSlots)
+	for 4*need > 3*size {
+		size *= 2
+	}
+	if size != len(t.slots) {
+		t.resize(size)
+	}
+}
+
 // grow doubles the array and re-places every entry.
-func (t *Table[V]) grow() {
+func (t *Table[V]) grow() { t.resize(max(2*len(t.slots), minSlots)) }
+
+// resize moves every entry into a fresh array of n slots, a power of two.
+func (t *Table[V]) resize(n int) {
 	old := t.slots
-	n := max(2*len(old), minSlots)
 	t.slots = make([]slot[V], n)
 	t.shift = 64 - uint(bits.TrailingZeros(uint(n)))
 	for _, s := range old {

@@ -195,3 +195,56 @@ func BenchmarkTableChurn(b *testing.B) {
 		}
 	})
 }
+
+// TestGrowReservesOnce: a table grown for n more ids takes n new ids
+// without re-placing any, and reads the same as one that grew by doubling —
+// Len, Get and Delete, on a table that held ids before the reserve too.
+func TestGrowReservesOnce(t *testing.T) {
+	for _, before := range []int{0, 5, 100} {
+		for _, n := range []int{1, 6, 7, 2048, 3000} {
+			var grown, doubled Table[int]
+			for i := 0; i < before; i++ {
+				grown.Put(uint64(i)*8+3, i)
+				doubled.Put(uint64(i)*8+3, i)
+			}
+			grown.Grow(n)
+			slots := len(grown.slots)
+			if want := slotsFor(before + n); slots != want {
+				t.Fatalf("before %d, Grow(%d): %d slots, want %d", before, n, slots, want)
+			}
+			for i := before; i < before+n; i++ {
+				grown.Put(uint64(i)*8+3, i)
+				doubled.Put(uint64(i)*8+3, i)
+			}
+			if len(grown.slots) != slots {
+				t.Fatalf("before %d, Grow(%d): %d puts grew the table from %d to %d slots", before, n, n, slots, len(grown.slots))
+			}
+			if grown.Len() != doubled.Len() {
+				t.Fatalf("before %d, Grow(%d): Len %d, want %d", before, n, grown.Len(), doubled.Len())
+			}
+			for i := 0; i < before+n+8; i++ {
+				id := uint64(i)*8 + 3
+				v, ok := grown.Get(id)
+				w, wok := doubled.Get(id)
+				if v != w || ok != wok {
+					t.Fatalf("before %d, Grow(%d): Get(%d) = %d, %v, want %d, %v", before, n, id, v, ok, w, wok)
+				}
+			}
+			for i := 0; i < before+n+8; i += 3 {
+				id := uint64(i)*8 + 3
+				v, ok := grown.Delete(id)
+				w, wok := doubled.Delete(id)
+				if v != w || ok != wok {
+					t.Fatalf("before %d, Grow(%d): Delete(%d) = %d, %v, want %d, %v", before, n, id, v, ok, w, wok)
+				}
+			}
+			if grown.Len() != doubled.Len() {
+				t.Fatalf("before %d, Grow(%d): Len %d after deletes, want %d", before, n, grown.Len(), doubled.Len())
+			}
+			grown.Grow(0)
+			if len(grown.slots) != slots {
+				t.Fatalf("Grow(0) resized a table holding fewer ids than it reserved")
+			}
+		}
+	}
+}

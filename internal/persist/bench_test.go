@@ -451,9 +451,12 @@ func mallocs(n int, f func()) uint64 {
 // same small bound (building a subscription and a payload for each made
 // 62 080 allocations at 20 480); what it spends is the rotation's and the
 // snapshot file's system calls, which a finalizer run by a collection in
-// the window can shift by a few.
+// the window can shift by a few, and one unsorted read of the data dir
+// for the compaction: 66–77 measured, with and without -race (~85 when
+// the compaction listed the dir twice, once for segments and once for
+// snapshots, each read sorted by name).
 func TestSnapshotAllocs(t *testing.T) {
-	const snapshotMallocs = 128
+	const snapshotMallocs = 96
 	schema := subscription.MustSchema(10, "volume", "price")
 	subs := benchSubs(t, schema, 20480+1)
 	counts := map[int]uint64{}

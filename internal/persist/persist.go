@@ -568,20 +568,21 @@ func (st *Store) linksLocked() ([]linkEntries, error) {
 }
 
 // compact deletes WAL segments and snapshots superseded by the snapshot
-// at cutoff. Best effort: leftovers are skipped by sequence on recovery.
+// at cutoff, reading the data dir once for both. Best effort: leftovers
+// are skipped by sequence on recovery.
 func (st *Store) compact(cutoff uint64) {
-	if segs, err := listSeqs(st.dir, "wal-", ".log"); err == nil {
-		for _, seq := range segs {
-			if seq < cutoff {
-				os.Remove(filepath.Join(st.dir, segmentName(seq)))
-			}
+	entries, err := readDir(st.dir)
+	if err != nil {
+		return
+	}
+	for _, seq := range seqsIn(entries, "wal-", ".log") {
+		if seq < cutoff {
+			os.Remove(filepath.Join(st.dir, segmentName(seq)))
 		}
 	}
-	if snaps, err := listSeqs(st.dir, "snap-", ".snap"); err == nil {
-		for _, seq := range snaps {
-			if seq < cutoff {
-				os.Remove(filepath.Join(st.dir, snapshotName(seq)))
-			}
+	for _, seq := range seqsIn(entries, "snap-", ".snap") {
+		if seq < cutoff {
+			os.Remove(filepath.Join(st.dir, snapshotName(seq)))
 		}
 	}
 }

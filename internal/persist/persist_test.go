@@ -93,6 +93,36 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompactionSkipsDirectories: a directory in the data dir is no
+// segment or snapshot, whatever its name, so neither recovery nor a
+// snapshot's compaction touches it.
+func TestCompactionSkipsDirectories(t *testing.T) {
+	schema := testSchema()
+	dir := t.TempDir()
+	odd := []string{filepath.Join(dir, segmentName(0)), filepath.Join(dir, snapshotName(0))}
+	for _, d := range odd {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := Open(dir, schema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.appendAdd("", 1, payload(t, rect(t, schema, 1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range odd {
+		if fi, err := os.Stat(d); err != nil || !fi.IsDir() {
+			t.Fatalf("compaction removed the directory %s: %v", filepath.Base(d), err)
+		}
+	}
+}
+
 func TestStoreSnapshotCompaction(t *testing.T) {
 	schema := testSchema()
 	dir := t.TempDir()

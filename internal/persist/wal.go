@@ -8,7 +8,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -499,10 +499,32 @@ func closeSegment(f *os.File, m []byte, end int64) error {
 // listSeqs returns the sorted sequence numbers of the files in dir
 // matching prefix/suffix.
 func listSeqs(dir, prefix, suffix string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
+	entries, err := readDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	return seqsIn(entries, prefix, suffix), nil
+}
+
+// readDir returns dir's entries in directory order: one read of the
+// directory, where os.ReadDir also sorts them by name.
+func readDir(dir string) ([]os.DirEntry, error) {
+	d, err := os.Open(dir)
 	if err != nil {
 		return nil, fmt.Errorf("persist: reading data dir: %w", err)
 	}
+	defer d.Close()
+	entries, err := d.ReadDir(-1)
+	if err != nil {
+		return nil, fmt.Errorf("persist: reading data dir: %w", err)
+	}
+	return entries, nil
+}
+
+// seqsIn returns the sorted sequence numbers of the files among entries
+// matching prefix/suffix; a directory is no segment or snapshot, whatever
+// its name.
+func seqsIn(entries []os.DirEntry, prefix, suffix string) []uint64 {
 	var seqs []uint64
 	for _, e := range entries {
 		if e.IsDir() {
@@ -512,8 +534,8 @@ func listSeqs(dir, prefix, suffix string) ([]uint64, error) {
 			seqs = append(seqs, seq)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
+	slices.Sort(seqs)
+	return seqs
 }
 
 // syncDir flushes directory metadata so renames and creates survive a

@@ -38,6 +38,7 @@
 package sfcarray
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -49,7 +50,7 @@ import (
 const (
 	// leafCap is how many entries a leaf holds before it splits.
 	leafCap = 64
-	// leafFill is how full InsertSorted builds leaves: room is left so
+	// leafFill is how full InsertSortedWords builds leaves: room is left so
 	// the inserts that follow a bulk load do not split every leaf.
 	leafFill = leafCap * 3 / 4
 	// blockLeaves is how many consecutive leaves share a block summary.
@@ -427,10 +428,15 @@ func (x *Index) locate(p []uint64, id uint64) (j, s int) {
 // separately.
 func (x *Index) Insert(k bits.Key, id uint64) {
 	x.widen(keyWords(k))
-	w := x.w
 	var buf [bits.KeyWords]uint64
-	p := buf[:w]
+	p := buf[:x.w]
 	k.Low(p)
+	x.insert(p, id)
+}
+
+// insert adds the entry (p, id), p at the array's stride.
+func (x *Index) insert(p []uint64, id uint64) {
+	w := x.w
 	if x.n == 0 {
 		x.leaves = append(x.leaves[:0], x.newLeaf())
 		x.seps = append(x.seps[:0], p...)
@@ -499,51 +505,77 @@ func (x *Index) Delete(k bits.Key, id uint64) bool {
 	return true
 }
 
-// InsertSorted adds a batch of entries that the caller has already sorted
-// in ascending (key, id) order; ids aligns with keys. Passing an unsorted
-// batch corrupts the structure. One pass over the leaves merges each run
-// of the batch into the leaf it belongs to and rebuilds only those leaves,
-// filled to leafFill: a cold array is built bottom-up, a batch that lies
-// before or after the stored keys touches one leaf. A batch with fewer
-// entries than there are leaves costs less as one descent per entry.
+// InsertSorted is InsertSortedWords on keys in their Key form: the batch
+// is laid out at the stride its widest key needs and merged from there.
 func (x *Index) InsertSorted(keys []bits.Key, ids []uint64) {
-	if len(keys) < len(x.leaves) {
-		for i, k := range keys {
-			x.Insert(k, ids[i])
+	w := 1
+	for _, k := range keys {
+		w = max(w, keyWords(k))
+	}
+	flat := make([]uint64, len(keys)*w)
+	for i, k := range keys {
+		k.Low(flat[i*w : i*w+w])
+	}
+	x.InsertSortedWords(flat, w, ids)
+}
+
+// InsertSortedWords adds a batch of entries that the caller has already
+// sorted in ascending (key, id) order: keys holds w words an entry, most
+// significant first, and ids aligns with it. Passing an unsorted batch
+// corrupts the structure. The array widens to what the batch's widest key
+// needs, as Insert would, and a batch at another stride is re-strided to
+// the array's. One pass over the leaves merges each run of the batch into
+// the leaf it belongs to and rebuilds only those leaves, filled to
+// leafFill: a cold array is built bottom-up, a batch that lies before or
+// after the stored keys touches one leaf. A batch with fewer entries than
+// there are leaves costs less as one descent per entry.
+func (x *Index) InsertSortedWords(keys []uint64, w int, ids []uint64) {
+	if len(ids) == 0 {
+		return
+	}
+	need := max(x.w, 1)
+	for i := 0; i < len(ids) && need < w; i++ {
+		k := keys[i*w : i*w+w]
+		for len(k) > need && k[0] == 0 {
+			k = k[1:]
+		}
+		need = len(k)
+	}
+	x.widen(need)
+	if w != x.w {
+		keys, w = restride(make([]uint64, 0, len(ids)*x.w), keys, w, x.w), x.w
+	}
+	if len(ids) < len(x.leaves) {
+		for i, id := range ids {
+			x.insert(keys[i*w:i*w+w], id)
 		}
 		return
 	}
-	if len(keys) == 0 {
-		return
-	}
-	need := x.w
-	for _, k := range keys {
-		need = max(need, keyWords(k))
-	}
-	x.widen(need)
-	w, old := x.w, x.leaves
+	old := x.leaves
 	if x.n == 0 {
 		old = []leaf{{}}
 	}
-	out := make([]leaf, 0, len(old)+len(keys)/leafFill+1)
+	out := make([]leaf, 0, len(old)+len(ids)/leafFill+1)
 	b := 0
 	for j, lf := range old {
 		// The batch entries sorting before the next leaf's first entry
 		// belong to this leaf; the last leaf takes the rest.
-		e := len(keys)
+		e := len(ids)
 		if j+1 < len(old) {
-			nk, nid := bits.KeyFromLow(old[j+1].key(0, w)), old[j+1].ids[0]
-			e = b + sort.Search(len(keys)-b, func(i int) bool { return !EntryLess(keys[b+i], ids[b+i], nk, nid) })
+			nk, nid := old[j+1].key(0, w), old[j+1].ids[0]
+			e = b + sort.Search(len(ids)-b, func(i int) bool {
+				return !entryBelow(keys[(b+i)*w:(b+i+1)*w], ids[b+i], nk, nid)
+			})
 		}
 		if e == b {
 			out = append(out, lf)
 			continue
 		}
-		out = x.mergeLeaf(out, lf, keys[b:e], ids[b:e])
+		out = x.mergeLeaf(out, lf, keys[b*w:e*w], ids[b:e])
 		b = e
 	}
 	x.leaves = out
-	x.n += len(keys)
+	x.n += len(ids)
 	x.seps = x.seps[:0]
 	for i := range out {
 		x.seps = append(x.seps, out[i].key(0, w)...)
@@ -551,42 +583,98 @@ func (x *Index) InsertSorted(keys []bits.Key, ids []uint64) {
 	x.rebuildBlocks(0)
 }
 
-// mergeLeaf merges one leaf with a sorted run of batch entries into fresh
-// leaves of even fill, at most leafFill each, appended to out.
-func (x *Index) mergeLeaf(out []leaf, lf leaf, keys []bits.Key, ids []uint64) []leaf {
+// entryBelow reports whether entry (k1, id1) sorts before (k2, id2): by
+// key, then id, EntryLess's order on keys at one stride.
+func entryBelow(k1 []uint64, id1 uint64, k2 []uint64, id2 uint64) bool {
+	if c := cmpWords(k1, k2); c != 0 {
+		return c < 0
+	}
+	return id1 < id2
+}
+
+// mergeLeaf merges one leaf with a sorted run of batch entries (keys at
+// the array's stride) into fresh leaves of even fill, at most leafFill
+// each, appended to out. Once either side is spent the other is copied a
+// leaf's room at a time, so a cold build is a copy.
+func (x *Index) mergeLeaf(out []leaf, lf leaf, keys, ids []uint64) []leaf {
 	w := x.w
 	first := len(out)
-	total := len(lf.ids) + len(keys)
+	total := len(lf.ids) + len(ids)
 	nl := (total + leafFill - 1) / leafFill
 	per := (total + nl - 1) / nl
-	var buf [bits.KeyWords]uint64
-	p := buf[:w]
 	i, b := 0, 0
-	for n := 0; n < total; n++ {
-		if n%per == 0 {
-			out = append(out, x.newLeaf())
-		}
-		cur := &out[len(out)-1]
-		fromBatch := i == len(lf.ids)
-		if b < len(keys) {
-			keys[b].Low(p)
-			if !fromBatch {
-				c := cmpWords(p, lf.key(i, w))
-				fromBatch = c < 0 || c == 0 && ids[b] < lf.ids[i]
+	take := func(cur *leaf, ks, is []uint64) {
+		cur.keys, cur.ids = append(cur.keys, ks...), append(cur.ids, is...)
+	}
+	for n := 0; n < total; n += per {
+		cur := x.newLeaf()
+		for room := min(per, total-n); room > 0; {
+			switch {
+			case i == len(lf.ids):
+				c := min(room, len(ids)-b)
+				take(&cur, keys[b*w:(b+c)*w], ids[b:b+c])
+				b, room = b+c, room-c
+			case b == len(ids):
+				c := min(room, len(lf.ids)-i)
+				take(&cur, lf.keys[i*w:(i+c)*w], lf.ids[i:i+c])
+				i, room = i+c, room-c
+			case entryBelow(keys[b*w:b*w+w], ids[b], lf.key(i, w), lf.ids[i]):
+				take(&cur, keys[b*w:b*w+w], ids[b:b+1])
+				b, room = b+1, room-1
+			default:
+				take(&cur, lf.key(i, w), lf.ids[i:i+1])
+				i, room = i+1, room-1
 			}
 		}
-		if fromBatch {
-			cur.keys, cur.ids = append(cur.keys, p...), append(cur.ids, ids[b])
-			b++
-		} else {
-			cur.keys, cur.ids = append(cur.keys, lf.key(i, w)...), append(cur.ids, lf.ids[i])
-			i++
-		}
+		out = append(out, cur)
 	}
 	for i := first; i < len(out); i++ {
 		x.summarize(&out[i])
 	}
 	return out
+}
+
+// AppendEntries appends every entry to keys and ids in ascending (key, id)
+// order and returns the extended slices. Each key takes w words, at least
+// the array's stride: a key narrower than w gains zero high words. It is
+// the gather a slice migration bulk-loads from, whole leaves at a time.
+func (x *Index) AppendEntries(keys []uint64, w int, ids []uint64) ([]uint64, []uint64) {
+	for j := range x.leaves {
+		lf := &x.leaves[j]
+		if w == x.w {
+			keys = append(keys, lf.keys...)
+		} else {
+			keys = restride(keys, lf.keys, x.w, w)
+		}
+		ids = append(ids, lf.ids...)
+	}
+	return keys, ids
+}
+
+// AppendLayout appends a canonical encoding of the array's layout to dst:
+// its stride and entry count, then leaf by leaf the entry count, keys, ids
+// and summary, then the separators, the block summaries and the array's
+// summary. Two arrays with equal layouts hold the same entries in the same
+// leaves and prune alike, so every call answers alike at the same cost;
+// tests compare bulk-load paths by it.
+func (x *Index) AppendLayout(dst []byte) []byte {
+	put := func(vs ...uint64) {
+		for _, v := range vs {
+			dst = binary.LittleEndian.AppendUint64(dst, v)
+		}
+	}
+	put(uint64(x.w), uint64(x.n), uint64(len(x.leaves)))
+	for j := range x.leaves {
+		lf := &x.leaves[j]
+		put(uint64(len(lf.ids)))
+		put(lf.keys...)
+		put(lf.ids...)
+		put(lf.sum...)
+	}
+	put(x.seps...)
+	put(x.blocks...)
+	put(x.top...)
+	return dst
 }
 
 // newLeaf returns an empty leaf: the spare, when there is one, or a fresh
@@ -684,22 +772,26 @@ func (x *Index) widen(w int) {
 	if w > 1 {
 		x.masks, x.blocks, x.top = nil, nil, nil
 	}
-	restride := func(dst, src []uint64) []uint64 {
-		for ; len(src) > 0; src = src[old:] {
-			for i := old; i < w; i++ {
-				dst = append(dst, 0)
-			}
-			dst = append(dst, src[:old]...)
-		}
-		return dst
-	}
 	if x.n == 0 {
 		return
 	}
 	for i := range x.leaves {
 		nl := x.newLeaf()
-		nl.keys, nl.ids = restride(nl.keys, x.leaves[i].keys), append(nl.ids, x.leaves[i].ids...)
+		nl.keys, nl.ids = restride(nl.keys, x.leaves[i].keys, old, w), append(nl.ids, x.leaves[i].ids...)
 		x.leaves[i] = nl
 	}
-	x.seps = restride(nil, x.seps)
+	x.seps = restride(nil, x.seps, old, w)
+}
+
+// restride appends the keys of src, old words each, to dst at w words
+// each: past old the new high words are zero, below it the dropped high
+// words must be.
+func restride(dst, src []uint64, old, w int) []uint64 {
+	for ; len(src) > 0; src = src[old:] {
+		for i := old; i < w; i++ {
+			dst = append(dst, 0)
+		}
+		dst = append(dst, src[max(old-w, 0):old]...)
+	}
+	return dst
 }

@@ -507,3 +507,39 @@ func TestSeekConformance(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendEntriesMatchesVisit: the word gather lists what VisitRange
+// does, in the same order, at the array's stride and padded past it, and
+// a batch gathered from one array rebuilds the same entries in another, at
+// the stride its keys need whatever stride the batch was laid out at.
+func TestAppendEntriesMatchesVisit(t *testing.T) {
+	for name, idx := range implementations(t) {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			for i := 0; i < 700; i++ {
+				idx.Insert(bits.KeyFromUint64(uint64(rng.Intn(300))), uint64(rng.Intn(50)))
+			}
+			want := dump(idx)
+			for _, w := range []int{idx.w, min(idx.w+1, bits.KeyWords)} {
+				keys, ids := idx.AppendEntries([]uint64{7}, w, []uint64{9})
+				keys, ids = keys[1:], ids[1:]
+				if len(ids) != len(want) || len(keys) != len(want)*w {
+					t.Fatalf("stride %d: gathered %d ids, %d words, want %d entries", w, len(ids), len(keys), len(want))
+				}
+				for i, e := range want {
+					if k := bits.KeyFromLow(keys[i*w : i*w+w]); !k.Equal(e.key) || ids[i] != e.id {
+						t.Fatalf("stride %d, entry %d: got (%v, %d), want (%v, %d)", w, i, k, ids[i], e.key, e.id)
+					}
+				}
+				rebuilt := newArray(t, name)
+				rebuilt.InsertSortedWords(keys, w, ids)
+				if rebuilt.w != idx.w {
+					t.Fatalf("a batch at stride %d rebuilt the array at stride %d, want the %d its keys need", w, rebuilt.w, idx.w)
+				}
+				if got := dump(rebuilt); !slices.EqualFunc(got, want, func(a, b refEntry) bool { return a.key.Equal(b.key) && a.id == b.id }) {
+					t.Fatalf("stride %d: rebuilt array holds %d entries unlike the gathered %d", w, len(got), len(want))
+				}
+			}
+		})
+	}
+}
