@@ -10,6 +10,7 @@ import (
 
 	"sfccover/internal/bits"
 	"sfccover/internal/obs"
+	"sfccover/internal/sfc"
 	"sfccover/internal/sfcarray"
 )
 
@@ -72,42 +73,42 @@ type ShardedIndex struct {
 type shardSlot struct {
 	mu  sync.RWMutex
 	arr sfcarray.Index
-	// sum mirrors arr.Summary(), one word per curve mask (none when the
-	// keys are wider than a word; on one-word keys an array is never
-	// re-strided, so it keeps its summary), for seeks that read it without
-	// mu. It is stored under the write lock after every change to arr, and
-	// never falls below arr's summary while the slice holds the entries it
-	// bounds: see publish. An empty array's summary is zero, as is a new
-	// mirror.
-	sum []atomic.Uint64
+	// sum mirrors arr.Summary(), one word holding every curve mask's
+	// maximum (0 when the keys are wider than a word, where no seek prunes;
+	// on one-word keys an array is never re-strided, so it keeps its
+	// summary), for seeks that read it without mu. It is stored under the
+	// write lock after every change to arr, and never falls below arr's
+	// summary while the slice holds the entries it bounds: see publish. An
+	// empty array's summary is zero, as is a new mirror.
+	sum *summaryMirror
 }
 
-// publish mirrors the slice's array summary into sum, storing only the
-// words that changed. The slot's write lock is held. A slice that sheds
-// entries to a neighbor publishes only after the new boundary table is:
-// until then a seek routed by the old table may still look for the moved
-// entries here, and a lowered mirror would let it pass them while the
-// table it checks still vouches for its answer.
+// summaryMirror is a slice's summary mirror alone on a cache line (an
+// allocation of 64 bytes is aligned to 64): seeks of every slice read it,
+// and no slot's lock, which that slot's readers write, shares its line.
+type summaryMirror struct {
+	atomic.Uint64
+	_ [56]byte
+}
+
+// publish mirrors the slice's array summary into sum, storing it only when
+// it changed. The slot's write lock is held. A slice that sheds entries to
+// a neighbor publishes only after the new boundary table is: until then a
+// seek routed by the old table may still look for the moved entries here,
+// and a lowered mirror would let it pass them while the table it checks
+// still vouches for its answer.
 func (s *shardSlot) publish() {
-	top := s.arr.Summary()
-	for i := range s.sum {
-		if v := top[i]; s.sum[i].Load() != v {
-			s.sum[i].Store(v)
-		}
+	if v := s.arr.Summary(); s.sum.Load() != v {
+		s.sum.Store(v)
 	}
 }
 
 // admits reports whether the slice's mirrored summary reaches qk under
-// every mask: whether it may hold a dominator of qk.
+// every one of the curve's d masks: whether it may hold a dominator of qk.
 //
 //sfc:hotpath
-func (s *shardSlot) admits(masks []uint64, qk uint64) bool {
-	for i := range s.sum {
-		if s.sum[i].Load() < qk&masks[i] {
-			return false
-		}
-	}
-	return true
+func (s *shardSlot) admits(d int, qk uint64) bool {
+	return sfc.DominatesWord(d, s.sum.Load(), qk)
 }
 
 // NewSharded builds a key-range sharded dominance index with n shards.
@@ -128,12 +129,9 @@ func NewSharded(cfg Config, n int) (*ShardedIndex, error) {
 		dispatch: d,
 		shards:   make([]shardSlot, n),
 	}
-	masks := d.curve.DimMasks()
 	for i := range x.shards {
 		x.shards[i].arr = d.newArray()
-		// Whole cache lines of words, so that no two slots' mirrors share
-		// one.
-		x.shards[i].sum = make([]atomic.Uint64, len(masks), (len(masks)+7)&^7)
+		x.shards[i].sum = new(summaryMirror)
 	}
 	x.scratchPool.New = func() any { return new(queryScratch) }
 	starts := make([]bits.Key, n)
@@ -493,7 +491,7 @@ func seek[K comparable, F keyForm[K]](x *ShardedIndex, lo K, qk uint64, tr *obs.
 		)
 		for i := f.route(*tabPtr, lo); i < len(x.shards) && !ok; i++ {
 			s := &x.shards[i]
-			if qk != 0 && !s.admits(x.curve.DimMasks(), qk) {
+			if qk != 0 && !s.admits(x.curve.Dims(), qk) {
 				continue
 			}
 			tr.TouchSlice(i)

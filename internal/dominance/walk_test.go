@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sfccover/internal/geom"
+	"sfccover/internal/subscription"
 	"sfccover/internal/workload"
 )
 
@@ -519,4 +520,54 @@ func TestQueryPathsAllocateNothing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkWalkMissTail times the slow tail of the repository benchmark's
+// query_miss workload on the index alone: 16 384 planted parents
+// (workload.Covers, slack 0.2, schema volume,price × 10 bits, so d 4 ×
+// k 10) bulk-loaded into an 8-slice ShardedIndex as a default engine loads
+// them, queried at ε 0.3 with the uniform 10 %-width shapes whose walk
+// takes 3 or more steps — picked out at set-up from 16 384 shapes, about
+// one in twenty. Those queries set query_miss's p99: their walks land in
+// leaves whose summaries admit the query although no entry dominates it,
+// so each step pays for the leaf check.
+func BenchmarkWalkMissTail(b *testing.B) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	pairs, err := workload.Covers(workload.CoverSpec{Schema: schema, N: 16384, SlackFrac: 0.2, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	shapes, err := workload.Subscriptions(workload.SubSpec{Schema: schema, N: 16384, WidthFrac: 0.1, Seed: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, err := NewSharded(Config{Dims: schema.Dims(), Bits: schema.Bits(), MaxCubes: 50000}, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts, ids := make([][]uint32, len(pairs)), make([]uint64, len(pairs))
+	for i, p := range pairs {
+		pts[i], ids[i] = p.Parent.Point(), uint64(i)
+	}
+	keys := keysOf(x, pts)
+	x.ChooseBoundaries(keys)
+	x.InsertKeys(keys, ids)
+	var tail [][]uint32
+	for _, s := range shapes {
+		if _, _, st, err := x.Query(s.Point(), 0.3); err != nil {
+			b.Fatal(err)
+		} else if st.WalkSteps >= 3 {
+			tail = append(tail, s.Point())
+		}
+	}
+	if len(tail) == 0 {
+		b.Fatal("no shape walks 3 or more steps")
+	}
+	steps, n := 0, 0
+	for b.Loop() {
+		_, _, st, _ := x.Query(tail[n%len(tail)], 0.3)
+		steps += st.WalkSteps
+		n++
+	}
+	b.ReportMetric(float64(steps)/float64(n), "steps/op")
 }

@@ -495,6 +495,66 @@ func TestSnapshotAllocs(t *testing.T) {
 	}
 }
 
+// TestRecoveryAllocs: recovering a one-link snapshot — persist.Open
+// decoding it, Durable restoring the link into a fresh default engine —
+// allocates about as often at 20 480 subscriptions as at 2 048. The
+// snapshot's payloads are cut from one arena a link and its table is sized
+// once, so nothing on the path allocates per subscription; what grows with
+// the count is the engine's SFC array leaves, one allocation each, about
+// one per 48 subscriptions a bulk load places. The test bounds the growth
+// at one allocation per 32 subscriptions: 0.022 measured, 1.03 when every
+// payload was copied on its own.
+func TestRecoveryAllocs(t *testing.T) {
+	const maxPerSub = 1.0 / 32
+	schema := subscription.MustSchema(10, "volume", "price")
+	subs := benchSubs(t, schema, 20480)
+	counts := map[int]uint64{}
+	for _, n := range []int{2048, 20480} {
+		dir := t.TempDir()
+		st, err := persist.Open(dir, schema, persist.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := st.Durable("", engine.MustNew(engine.Config{Detector: core.Config{Schema: schema}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.InsertBatch(subs[:n]); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var closers []func()
+		counts[n] = mallocs(1, func() {
+			st, err := persist.Open(dir, schema, persist.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := st.Durable("", engine.MustNew(engine.Config{Detector: core.Config{Schema: schema}}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Len() != n {
+				t.Fatalf("recovered %d of %d subscriptions", d.Len(), n)
+			}
+			closers = append(closers, d.Close, func() { st.Close() })
+		})
+		for _, c := range closers {
+			c()
+		}
+	}
+	perSub := (float64(counts[20480]) - float64(counts[2048])) / (20480 - 2048)
+	t.Logf("recovery allocates %d times at 2 048 subscriptions, %d at 20 480: %.3f a subscription between", counts[2048], counts[20480], perSub)
+	if perSub > maxPerSub {
+		t.Fatalf("recovery allocates %d times at 20 480 subscriptions, %d at 2 048: %.3f a subscription, want at most %.3f", counts[20480], counts[2048], perSub, maxPerSub)
+	}
+}
+
 // TestDurableHoldsEachSubscriptionOnce: a bulk-loaded subscription behind
 // a DurableProvider costs the live heap at most 16 B more than in a bare
 // engine. The store keeps no copy of a wrapped link's state, and the

@@ -173,6 +173,37 @@ func (c *snapCursor) bytes(n uint64, what string) ([]byte, error) {
 	return out, nil
 }
 
+// entries reads a link section's count entries — sid, payload length,
+// payload — checking that the sids ascend, and hands each to put when put
+// is not nil. It returns the payloads' total length. The payloads passed
+// to put alias the cursor's bytes.
+func (c *snapCursor) entries(name string, count uint64, put func(sid uint64, payload []byte)) (int, error) {
+	size := 0
+	for j, prev := uint64(0), uint64(0); j < count; j++ {
+		sid, err := c.uvarint("entry sid")
+		if err != nil {
+			return 0, err
+		}
+		if j > 0 && sid <= prev {
+			return 0, fmt.Errorf("%w: snapshot entries out of order in link %q", ErrCorrupt, name)
+		}
+		prev = sid
+		plen, err := c.uvarint("payload length")
+		if err != nil {
+			return 0, err
+		}
+		payload, err := c.bytes(plen, "payload")
+		if err != nil {
+			return 0, err
+		}
+		size += len(payload)
+		if put != nil {
+			put(sid, payload)
+		}
+	}
+	return size, nil
+}
+
 // decodeSnapshot parses and checksum-verifies a snapshot file's bytes,
 // returning the per-link state and the stream basePos it covers. A nil
 // schema skips the schema check (the fuzz target's mode); otherwise bits
@@ -243,27 +274,22 @@ func decodeSnapshot(schema *subscription.Schema, data []byte) (map[string]*idtab
 		if err != nil {
 			return nil, 0, err
 		}
-		state := new(idtable.Table[[]byte])
-		prev, first := uint64(0), true
-		for j := uint64(0); j < count; j++ {
-			sid, err := c.uvarint("entry sid")
-			if err != nil {
-				return nil, 0, err
-			}
-			if !first && sid <= prev {
-				return nil, 0, fmt.Errorf("%w: snapshot entries out of order in link %q", ErrCorrupt, name)
-			}
-			prev, first = sid, false
-			plen, err := c.uvarint("payload length")
-			if err != nil {
-				return nil, 0, err
-			}
-			payload, err := c.bytes(plen, "payload")
-			if err != nil {
-				return nil, 0, err
-			}
-			state.Put(sid, append([]byte(nil), payload...))
+		// One pass checks the section and sizes its payloads, a second
+		// cuts them from one arena: recovery copies each link's payloads
+		// once, not one allocation each.
+		section := *c
+		size, err := c.entries(name, count, nil)
+		if err != nil {
+			return nil, 0, err
 		}
+		arena := make([]byte, 0, size)
+		state := new(idtable.Table[[]byte])
+		state.Grow(int(count))
+		section.entries(name, count, func(sid uint64, payload []byte) { //nolint:errcheck // the first pass read the same bytes
+			start := len(arena)
+			arena = append(arena, payload...)
+			state.Put(sid, arena[start:len(arena):len(arena)])
+		})
 		links[name] = state
 	}
 	if len(c.rest) != 0 {

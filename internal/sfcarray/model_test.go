@@ -2,6 +2,7 @@ package sfcarray
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -50,56 +51,91 @@ func checkInvariants(t *testing.T, x *Index) {
 // checkSummaries verifies the dominance summaries of an array built with
 // masks: kept at stride one only (an array without masks, or widened past
 // one word, has no array-wide summary either), one block per blockLeaves
-// leaves, no leaf's, block's or the array's summary below the true maximum
-// of key&m over its entries for any mask m, and the array's summary equal
-// to the maximum of the block summaries — which every rebuild recomputes
-// it from and every insert raises alongside them.
+// leaves, no bits outside the masks, no leaf's, block's or the array's
+// summary below the true maximum of key&m over its entries for any mask m,
+// and the array's summary equal to the maximum of the block summaries —
+// which every rebuild recomputes it from and every insert raises alongside
+// them. Each leaf's slot groups must tile it — starts beginning at 0,
+// never decreasing, never past the leaf's length — and no group's summary
+// may fall below the maximum of key&m over the keys in the group's slots.
+// A group's summary is never above its leaf's, nor a leaf's above its
+// block's: an insert stops raising at the first summary that already
+// reaches the key.
 func checkSummaries(t *testing.T, x *Index) {
 	t.Helper()
 	d := len(x.masks)
 	if d == 0 {
-		if x.top != nil || x.blocks != nil {
-			t.Fatalf("array without masks (stride %d) keeps summaries: top %v, %d block words", x.w, x.top, len(x.blocks))
+		if x.top != 0 || x.blocks != nil {
+			t.Fatalf("array without masks (stride %d) keeps summaries: top %#x, %d block words", x.w, x.top, len(x.blocks))
 		}
 		return
 	}
 	if x.w > 1 {
 		t.Fatalf("summaries kept at stride %d", x.w)
 	}
-	if len(x.top) != d {
-		t.Fatalf("array summary of %d words for %d masks", len(x.top), d)
+	var all uint64
+	for _, m := range x.masks {
+		all |= m
 	}
-	for i, m := range x.masks {
-		var blocks uint64
-		for b := i; b < len(x.blocks); b += d {
-			blocks = max(blocks, x.blocks[b])
-		}
-		if x.top[i] != blocks {
-			t.Fatalf("mask %#x: array summary %#x, block summaries' maximum %#x", m, x.top[i], blocks)
-		}
-		for j := range x.leaves {
-			for _, k := range x.leaves[j].keys {
-				if x.top[i] < k&m {
-					t.Fatalf("mask %#x: array summary %#x below leaf %d's key %#x", m, x.top[i], j, k)
+	// below reports the first mask under which sum falls short of the
+	// maxima of keys (0 when none does, or keys is empty).
+	below := func(sum uint64, keys ...uint64) uint64 {
+		for _, m := range x.masks {
+			for _, k := range keys {
+				if sum&m < k&m {
+					return m
 				}
 			}
 		}
+		return 0
 	}
-	if want := (len(x.leaves) + blockLeaves - 1) / blockLeaves * d; len(x.blocks) != want {
+	if x.top&^all != 0 {
+		t.Fatalf("array summary %#x has bits outside the masks %#x", x.top, all)
+	}
+	for _, m := range x.masks {
+		var blocks uint64
+		for _, b := range x.blocks {
+			blocks = max(blocks, b&m)
+		}
+		if x.top&m != blocks {
+			t.Fatalf("mask %#x: array summary %#x, block summaries' maximum %#x", m, x.top&m, blocks)
+		}
+	}
+	if want := (len(x.leaves) + blockLeaves - 1) / blockLeaves; len(x.blocks) != want {
 		t.Fatalf("%d block summary words for %d leaves, want %d", len(x.blocks), len(x.leaves), want)
 	}
 	for j := range x.leaves {
 		lf := &x.leaves[j]
-		for i, m := range x.masks {
-			var top uint64
-			for _, k := range lf.keys {
-				top = max(top, k&m)
+		if m := below(x.top, lf.keys...); m != 0 {
+			t.Fatalf("mask %#x: array summary %#x below a key of leaf %d", m, x.top, j)
+		}
+		if m := below(lf.sum, lf.keys...); m != 0 {
+			t.Fatalf("leaf %d mask %#x: summary %#x below the true maximum", j, m, lf.sum)
+		}
+		if blk := x.blocks[j/blockLeaves]; below(blk, lf.sum) != 0 || blk&^all != 0 || lf.sum&^all != 0 {
+			t.Fatalf("block %d summary %#x, leaf %d summary %#x: block below the leaf, or bits outside the masks %#x", j/blockLeaves, blk, j, lf.sum, all)
+		}
+		if lf.groups == nil {
+			t.Fatalf("leaf %d of an array with masks has no slot groups", j)
+		}
+		if m := below(lf.sum, lf.groups[:]...); m != 0 {
+			t.Fatalf("leaf %d mask %#x: summary %#x below a group's %#x", j, m, lf.sum, lf.groups)
+		}
+		var bounds [leafGroups + 1]int // group g holds slots bounds[g] to bounds[g+1]-1
+		bounds[leafGroups] = len(lf.ids)
+		for g := range leafGroups {
+			bounds[g] = int(lf.starts >> (8 * g) & 0xff)
+			if g == 0 && bounds[g] != 0 || g > 0 && bounds[g] < bounds[g-1] || bounds[g] > len(lf.ids) {
+				t.Fatalf("leaf %d of %d entries: group %d starts at slot %d (starts %#x)", j, len(lf.ids), g, bounds[g], lf.starts)
 			}
-			if lf.sum[i] < top {
-				t.Fatalf("leaf %d mask %#x: summary %#x below the true maximum %#x", j, m, lf.sum[i], top)
+		}
+		for g := range leafGroups {
+			start, end := bounds[g], bounds[g+1]
+			if m := below(lf.groups[g], lf.keys[start:end]...); m != 0 {
+				t.Fatalf("leaf %d group %d (slots %d–%d) mask %#x: summary %#x below the true maximum", j, g, start, end-1, m, lf.groups[g])
 			}
-			if blk := x.blocks[j/blockLeaves*d+i]; blk < top {
-				t.Fatalf("block %d mask %#x: summary %#x below leaf %d's maximum %#x", j/blockLeaves, m, blk, j, top)
+			if lf.groups[g]&^all != 0 {
+				t.Fatalf("leaf %d group %d: summary %#x has bits outside the masks %#x", j, g, lf.groups[g], all)
 			}
 		}
 	}
@@ -241,6 +277,8 @@ func runOps(t *testing.T, data []byte) {
 		}
 		if step%16 == 0 {
 			checkAgainst(t, x, ref, probes)
+		} else {
+			checkSummaries(t, x)
 		}
 	}
 	past, _ := bits.LowMask(bits.KeyBits - 1).Inc()
@@ -282,10 +320,64 @@ func TestBlockedArrayModel(t *testing.T) {
 	}
 }
 
+// groupBoundarySeeds are opStream streams on one summarized leaf: a sorted
+// batch of the even one-word keys 0–46 (id 0) builds a single leaf of 24
+// entries, its leafGroups groups 3 slots each, group g holding keys 6g,
+// 6g+2 and 6g+4. At each group boundary a stream then inserts an odd key
+// at either side of it — 6g−3 ends group g−1, 6g−1 sorts at the boundary
+// slot — and deletes both, then deletes the keys on either side of the
+// boundary, 6g−2 and 6g, and puts them back; past the last group it
+// appends key 47 and deletes it. An odd key is a new maximum under some
+// mask of the group it joins, so a summary raised in the wrong group
+// shows. One stream takes each boundary alone, the last all of them in
+// turn.
+func groupBoundarySeeds() [][]byte {
+	const n = 24
+	batch := []byte{12, n}
+	var keys []int // the live keys, ascending: the model of the stream
+	for k := 0; k < 2*n; k += 2 {
+		batch = append(batch, 0, byte(k), 0) // a one-word key k under id 0
+		keys = append(keys, k)
+	}
+	ins := func(ops []byte, k int) []byte {
+		i, _ := slices.BinarySearch(keys, k)
+		keys = slices.Insert(keys, i, k)
+		return append(ops, 0, 0, byte(k), 0)
+	}
+	// del deletes key k at slot i of l live keys: runOps deletes entry
+	// byte*l/256.
+	del := func(ops []byte, k int) []byte {
+		i, _ := slices.BinarySearch(keys, k)
+		l := len(keys)
+		keys = slices.Delete(keys, i, i+1)
+		return append(ops, 6, byte((i*256+l-1)/l))
+	}
+	var seeds [][]byte
+	all := slices.Clone(batch)
+	for g := 0; g <= leafGroups; g++ {
+		var ops []byte
+		switch k := 6 * g; {
+		case g == 0:
+			ops = ins(del(nil, 0), 0)
+		case g == leafGroups:
+			ops = del(ins(nil, 2*n-1), 2*n-1)
+		default:
+			ops = del(del(ins(ins(nil, k-3), k-1), k-3), k-1)
+			ops = ins(ins(del(del(ops, k-2), k), k-2), k)
+		}
+		seeds = append(seeds, slices.Concat(batch, ops))
+		all = append(all, ops...)
+	}
+	return append(seeds, all)
+}
+
 // FuzzBlockedArray lets the fuzzer write the operation stream.
 func FuzzBlockedArray(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{12, 200, 1, 2, 3, 1, 5, 1, 250, 9, 1, 0, 240, 3, 2, 6, 0, 0, 13, 0, 0, 255, 0, 3})
+	for _, seed := range groupBoundarySeeds() {
+		f.Add(seed)
+	}
 	rng := rand.New(rand.NewSource(99))
 	seed := make([]byte, 2048)
 	rng.Read(seed)

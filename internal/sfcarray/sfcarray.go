@@ -23,23 +23,36 @@
 //
 // An array built WithMasks keeps dominance summaries: for each mask m, the
 // maximum of key&m over the entries of every leaf, of every block of
-// blockLeaves leaves and of the whole array. A summary is never below the
-// true maximum — an insert raises it, every leaf and block rebuild
-// recomputes it, a delete leaves it — so a leaf, block or array whose
-// summary falls short of a query key under some mask holds no entry
-// reaching the key under every mask, and SeekWord passes it. The first
-// leaf that does admit the key is where SeekWord lands, and it checks that
-// leaf's entries against the key (key&m >= qk&m for every mask) from the
-// landing slot on: it answers with the first entry that dominates, or else
-// with the first entry of the next admitting leaf, unchecked. One seek
-// therefore checks the entries of at most one leaf, and a search pays per
-// admitting leaf, not per stored key. The masks only mean something on
+// blockLeaves leaves and of the whole array. The masks are disjoint, so
+// one summary is one word — each mask's maximum laid into that mask's
+// bits — and a summary admits a query key qk (reaches qk&m under every
+// mask) exactly when it dominates qk as a key, one sfc.DominatesWord call.
+// A summary may be too high, never too low: an insert raises it, every
+// leaf and block rebuild recomputes it, a delete leaves it. So a leaf,
+// block or array whose summary does not admit qk holds no entry reaching
+// the key under every mask, and SeekWord passes it. The first leaf that
+// does admit the key is where SeekWord lands, and it checks that leaf's
+// entries against the key from the landing slot on: it answers with the
+// first entry that dominates, or else with the first entry of the next
+// admitting leaf, unchecked. One seek therefore checks the entries of at
+// most one leaf, and a search pays per admitting leaf, not per stored key.
+//
+// Inside a leaf the check skips what cannot answer: the slots of a
+// summarized leaf fall into leafGroups consecutive slot groups, each with
+// a summary of its own kept by the same too-high-never-too-low rule (an
+// insert raises the group it lands in, a delete leaves it, a rebuild
+// recomputes every group exactly and the leaf's summary from them), and
+// only the entries of groups whose summary admits the key are tested. A
+// leaf whose summary admits a key no single entry dominates — every
+// coordinate's maximum reached by a different entry — costs a few group
+// tests instead of a test per entry. The masks only mean something on
 // one-word keys; an array re-strided past one word drops them.
 package sfcarray
 
 import (
 	"encoding/binary"
 	"fmt"
+	mbits "math/bits"
 	"slices"
 	"sort"
 
@@ -55,6 +68,10 @@ const (
 	leafFill = leafCap * 3 / 4
 	// blockLeaves is how many consecutive leaves share a block summary.
 	blockLeaves = 8
+	// leafGroups is how many slot groups a summarized leaf's entries fall
+	// into, each with a summary of its own; each group's first slot takes
+	// one byte of the leaf's starts word.
+	leafGroups = 8
 )
 
 // Index is the SFC array: a dynamic ordered multiset of (key, id) entries.
@@ -67,10 +84,10 @@ type Index struct {
 	seps   []uint64 // first key of every leaf, w words each
 	leaves []leaf   // in key order, none empty
 	// masks are the summaries' key masks (nil: no summaries); blocks holds
-	// len(masks) maxima per block of blockLeaves leaves, top the array's.
+	// the summary of each block of blockLeaves leaves, top the array's.
 	masks  []uint64
 	blocks []uint64
-	top    []uint64
+	top    uint64
 	// spare is the last leaf a merge or a delete emptied out, which the
 	// next split takes instead of allocating: churn at a steady
 	// population splits and merges by turns and allocates no leaf.
@@ -78,12 +95,17 @@ type Index struct {
 }
 
 // leaf is one sorted block: keys holds w words per entry, ids aligns with
-// it, sum holds the leaf's maximum of key&m for each mask. All three share
+// it. On an array with masks, sum is the leaf's summary and groups holds
+// one summary per slot group, group g starting at slot byte g of starts
+// and running up to the next group's start (the last one to the leaf's
+// end); starts never decrease and byte 0 is 0. keys, ids and groups share
 // one allocation of leafCap entries.
 type leaf struct {
-	keys []uint64
-	ids  []uint64
-	sum  []uint64
+	keys   []uint64
+	ids    []uint64
+	groups *[leafGroups]uint64 // nil without masks
+	sum    uint64
+	starts uint64
 }
 
 // WithMasks returns an empty array that keeps a dominance summary for each
@@ -104,7 +126,7 @@ func WithMasks(masks []uint64) Index {
 		}
 		all |= m
 	}
-	return Index{masks: masks, top: make([]uint64, len(masks))}
+	return Index{masks: masks}
 }
 
 // New returns an empty array. There is one layout; "", "treap" and
@@ -135,11 +157,11 @@ func EntryLess(k1 bits.Key, id1 uint64, k2 bits.Key, id2 uint64) bool {
 // Len returns the number of entries stored.
 func (x *Index) Len() int { return x.n }
 
-// Summary returns the array-wide dominance summary: for each mask, a bound
-// never below the maximum of key&m over the entries (zeros when empty).
-// It is nil on an array without masks or re-strided past one word. The
-// slice is the array's own, valid until its next write.
-func (x *Index) Summary() []uint64 { return x.top }
+// Summary returns the array-wide dominance summary: one word holding, in
+// each mask's bits, a bound never below the maximum of key&m over the
+// entries. It is 0 when the array is empty, has no masks or has been
+// re-strided past one word.
+func (x *Index) Summary() uint64 { return x.top }
 
 // keyWords is the stride k needs: its significant words, at least one.
 func keyWords(k bits.Key) int { return max(1, (k.Len()+63)/64) }
@@ -291,7 +313,7 @@ func (x *Index) SeekWord(lo, qk uint64) (key, id uint64, ok bool) {
 		return 0, 0, false
 	}
 	prune := qk != 0 && x.masks != nil
-	if prune && !x.admits(x.top, qk) {
+	if prune && !sfc.DominatesWord(len(x.masks), x.top, qk) {
 		return 0, 0, false
 	}
 	p := [1]uint64{lo}
@@ -316,7 +338,7 @@ func (x *Index) admit(j, s int, qk uint64) (int, int) {
 	if j, s = x.admitting(j, s, qk); j == len(x.leaves) {
 		return j, 0
 	}
-	if t := x.dominator(x.leaves[j].keys, s, qk); t < len(x.leaves[j].keys) {
+	if t := x.dominator(&x.leaves[j], s, qk); t < len(x.leaves[j].ids) {
 		return j, t
 	}
 	return x.admitting(j+1, 0, qk)
@@ -324,49 +346,75 @@ func (x *Index) admit(j, s int, qk uint64) (int, int) {
 
 // admitting moves slot s of leaf j on to the first leaf from j whose
 // summary admits qk, at its first slot; j is len(x.leaves) when none does.
-// A leaf whose block does not admit qk is passed with the rest of its
-// block.
+// A block is tested once: when it does not admit qk its leaves are passed
+// with it, else they are tested one by one.
 //
 //sfc:hotpath
 func (x *Index) admitting(j, s int, qk uint64) (int, int) {
 	d := len(x.masks)
-	for ; j < len(x.leaves); j, s = j+1, 0 {
-		if b := j / blockLeaves; !x.admits(x.blocks[b*d:b*d+d], qk) {
-			j = (b+1)*blockLeaves - 1
-		} else if x.admits(x.leaves[j].sum, qk) {
-			return j, s
+	for j < len(x.leaves) {
+		b := j / blockLeaves
+		end := min((b+1)*blockLeaves, len(x.leaves))
+		if sfc.DominatesWord(d, x.blocks[b], qk) {
+			for ; j < end; j, s = j+1, 0 {
+				if sfc.DominatesWord(d, x.leaves[j].sum, qk) {
+					return j, s
+				}
+			}
 		}
+		j, s = end, 0
 	}
 	return len(x.leaves), 0
 }
 
-// dominator returns the first slot from s of one-word keys ks whose key
-// reaches qk under every mask, len(ks) when none does. It tests every mask
-// at once (sfc.DominatesWord), which the masks' Z layout allows (see
-// WithMasks).
+// dominator returns the first slot from s of leaf lf (one-word keys) whose
+// key reaches qk under every mask, the leaf's length when none does. It
+// tests the entries of a slot group only when the group's summary admits
+// qk, and every mask at once (sfc.DominatesWord), which the masks' Z
+// layout allows (see WithMasks).
 //
 //sfc:hotpath
-func (x *Index) dominator(ks []uint64, s int, qk uint64) int {
-	d := len(x.masks)
-	for ; s < len(ks); s++ {
-		if sfc.DominatesWord(d, ks[s], qk) {
-			return s
+func (x *Index) dominator(lf *leaf, s int, qk uint64) int {
+	d, ks := len(x.masks), lf.keys
+	for g := groupOf(lf.starts, s); g < leafGroups; g++ {
+		end := len(ks)
+		if g+1 < leafGroups {
+			end = int(lf.starts >> (8 * (g + 1)) & 0xff)
 		}
+		if s < end && sfc.DominatesWord(d, lf.groups[g], qk) {
+			for ; s < end; s++ {
+				if sfc.DominatesWord(d, ks[s], qk) {
+					return s
+				}
+			}
+		}
+		s = max(s, end)
 	}
 	return len(ks)
 }
 
-// admits reports whether a summary reaches qk under every mask.
+// groupOf returns the slot group that holds slot s under a leaf's starts
+// word: the last group whose first slot is at most s. Every start and s
+// are at most leafCap, below 0x80, so each byte of s|0x80 less its start
+// keeps its high bit exactly when the start is at most s, and no byte
+// borrows from the next; group 0, starting at 0, always counts.
 //
 //sfc:hotpath
-func (x *Index) admits(sum []uint64, qk uint64) bool {
-	for i, m := range x.masks {
-		if sum[i] < qk&m {
-			return false
-		}
-	}
-	return true
+func groupOf(starts uint64, s int) int {
+	return mbits.OnesCount64((uint64(s)*lowBytes|highBits-starts)&highBits) - 1
 }
+
+// after has a 1 in every byte of a leaf's starts word whose group starts
+// past slot s: the groups an entry inserted at s, or deleted from it,
+// moves by one slot.
+func after(starts uint64, s int) uint64 {
+	return ^(uint64(s)*lowBytes | highBits - starts) & highBits >> 7
+}
+
+const (
+	lowBytes = 0x0101010101010101
+	highBits = 0x8080808080808080
+)
 
 // FirstInRangeWord is FirstInRange in SeekWord's key form.
 //
@@ -458,13 +506,31 @@ func (x *Index) insert(p []uint64, id uint64) {
 		copy(x.seps[j*w:], p)
 	}
 	x.n++
-	// Raise leaf j's summary, its block's and the array's to the new key.
-	blk := x.blocks[j/blockLeaves*len(x.masks):]
-	for i, m := range x.masks {
-		lf.sum[i] = max(lf.sum[i], p[0]&m)
-		blk[i] = max(blk[i], p[0]&m)
-		x.top[i] = max(x.top[i], p[0]&m)
+	if x.masks == nil {
+		return
 	}
+	// The entry joins the group holding slot s; the later groups start a
+	// slot later. A summary is never below those it bounds — the group's,
+	// the leaf's, the block's and the array's, in that order — so when the
+	// group's reaches the key all of them do.
+	g := groupOf(lf.starts, s)
+	lf.starts += after(lf.starts, s)
+	if k := p[0]; !sfc.DominatesWord(len(x.masks), lf.groups[g], k) {
+		lf.groups[g] = x.raise(lf.groups[g], k)
+		lf.sum = x.raise(lf.sum, k)
+		blk := &x.blocks[j/blockLeaves]
+		*blk = x.raise(*blk, k)
+		x.top = x.raise(x.top, k)
+	}
+}
+
+// raise returns summary sum raised to key k: under every mask m, the
+// larger of sum&m and k&m.
+func (x *Index) raise(sum, k uint64) uint64 {
+	for _, m := range x.masks {
+		sum = sum&^m | max(sum&m, k&m)
+	}
+	return sum
 }
 
 // Delete removes one entry matching (key, id) exactly, reporting whether
@@ -489,6 +555,9 @@ func (x *Index) Delete(k bits.Key, id uint64) bool {
 	}
 	lf.keys = slices.Delete(lf.keys, s*w, s*w+w)
 	lf.ids = slices.Delete(lf.ids, s, s+1)
+	if x.masks != nil {
+		lf.starts -= after(lf.starts, s)
+	}
 	x.n--
 	spare := func(a, b int) bool { return len(x.leaves[a].ids)+len(x.leaves[b].ids) <= leafCap/2 }
 	switch {
@@ -654,13 +723,20 @@ func (x *Index) AppendEntries(keys []uint64, w int, ids []uint64) ([]uint64, []u
 // AppendLayout appends a canonical encoding of the array's layout to dst:
 // its stride and entry count, then leaf by leaf the entry count, keys, ids
 // and summary, then the separators, the block summaries and the array's
-// summary. Two arrays with equal layouts hold the same entries in the same
-// leaves and prune alike, so every call answers alike at the same cost;
-// tests compare bulk-load paths by it.
+// summary, each summary as one word per mask (sum&m). Two arrays with
+// equal layouts hold the same entries in the same leaves and prune alike,
+// so every call answers alike; tests compare bulk-load paths by it. The
+// slot groups are left out: they change what a leaf check costs, never
+// what it answers.
 func (x *Index) AppendLayout(dst []byte) []byte {
 	put := func(vs ...uint64) {
 		for _, v := range vs {
 			dst = binary.LittleEndian.AppendUint64(dst, v)
+		}
+	}
+	putSum := func(sum uint64) {
+		for _, m := range x.masks {
+			put(sum & m)
 		}
 	}
 	put(uint64(x.w), uint64(x.n), uint64(len(x.leaves)))
@@ -669,34 +745,63 @@ func (x *Index) AppendLayout(dst []byte) []byte {
 		put(uint64(len(lf.ids)))
 		put(lf.keys...)
 		put(lf.ids...)
-		put(lf.sum...)
+		putSum(lf.sum)
 	}
 	put(x.seps...)
-	put(x.blocks...)
-	put(x.top...)
+	for _, b := range x.blocks {
+		putSum(b)
+	}
+	putSum(x.top)
 	return dst
 }
 
 // newLeaf returns an empty leaf: the spare, when there is one, or a fresh
-// one whose keys, ids and summary share one buffer.
+// one whose keys, ids and group summaries share one buffer. Its groups
+// are empty, all starting at slot 0, with zero summaries; the spare keeps
+// its leaf summary, which bounds nothing it holds and so is merely high.
 func (x *Index) newLeaf() leaf {
 	if lf := x.spare; lf.ids != nil {
 		x.spare = leaf{}
-		return leaf{keys: lf.keys[:0], ids: lf.ids[:0], sum: lf.sum}
+		if lf.groups != nil {
+			clear(lf.groups[:])
+		}
+		return leaf{keys: lf.keys[:0], ids: lf.ids[:0], groups: lf.groups, sum: lf.sum}
 	}
-	n := leafCap * (x.w + 1)
-	buf := make([]uint64, n+len(x.masks))
-	return leaf{keys: buf[: 0 : leafCap*x.w], ids: buf[leafCap*x.w : leafCap*x.w : n], sum: buf[n:]}
+	n, g := leafCap*(x.w+1), 0
+	if x.masks != nil {
+		g = leafGroups
+	}
+	buf := make([]uint64, n+g)
+	lf := leaf{keys: buf[: 0 : leafCap*x.w], ids: buf[leafCap*x.w : leafCap*x.w : n]}
+	if g > 0 {
+		lf.groups = (*[leafGroups]uint64)(buf[n:])
+	}
+	return lf
 }
 
-// summarize sets a leaf's summary to the exact maxima of its keys (one
-// word each: an array with masks has a stride of one).
+// summarize recomputes a leaf's summaries (one word keys: an array with
+// masks has a stride of one): it deals the entries into leafGroups groups
+// of even size, sets each group's summary to the exact maxima of its keys
+// and the leaf's to the maxima of the groups'.
 func (x *Index) summarize(lf *leaf) {
-	for i, m := range x.masks {
-		lf.sum[i] = 0
-		for _, k := range lf.keys {
-			lf.sum[i] = max(lf.sum[i], k&m)
+	if x.masks == nil {
+		return
+	}
+	n := len(lf.keys)
+	lf.sum, lf.starts = 0, 0
+	for g := range leafGroups {
+		a, b := g*n/leafGroups, (g+1)*n/leafGroups
+		lf.starts |= uint64(a) << (8 * g)
+		var sum uint64
+		for _, m := range x.masks {
+			var top uint64
+			for _, k := range lf.keys[a:b] {
+				top = max(top, k&m)
+			}
+			sum |= top
 		}
+		lf.groups[g] = sum
+		lf.sum = x.raise(lf.sum, sum)
 	}
 }
 
@@ -704,27 +809,22 @@ func (x *Index) summarize(lf *leaf) {
 // from onward, after the leaves there have moved or been rebuilt, and the
 // array's summary from all of them.
 func (x *Index) rebuildBlocks(from int) {
-	d := len(x.masks)
-	if d == 0 {
+	if x.masks == nil {
 		return
 	}
-	n := (len(x.leaves) + blockLeaves - 1) / blockLeaves * d
+	n := (len(x.leaves) + blockLeaves - 1) / blockLeaves
 	x.blocks = slices.Grow(x.blocks, max(n-len(x.blocks), 0))[:n]
 	for j := max(from, 0) / blockLeaves * blockLeaves; j < len(x.leaves); j++ {
-		blk := x.blocks[j/blockLeaves*d:][:d]
+		blk := &x.blocks[j/blockLeaves]
 		if j%blockLeaves == 0 {
-			copy(blk, x.leaves[j].sum)
+			*blk = x.leaves[j].sum
 			continue
 		}
-		for i, v := range x.leaves[j].sum {
-			blk[i] = max(blk[i], v)
-		}
+		*blk = x.raise(*blk, x.leaves[j].sum)
 	}
-	clear(x.top)
-	for b := 0; b < n; b += d {
-		for i, v := range x.blocks[b : b+d] {
-			x.top[i] = max(x.top[i], v)
-		}
+	x.top = 0
+	for _, b := range x.blocks {
+		x.top = x.raise(x.top, b)
 	}
 }
 
@@ -770,7 +870,7 @@ func (x *Index) widen(w int) {
 	}
 	x.w, x.spare = w, leaf{}
 	if w > 1 {
-		x.masks, x.blocks, x.top = nil, nil, nil
+		x.masks, x.blocks, x.top = nil, nil, 0
 	}
 	if x.n == 0 {
 		return

@@ -184,8 +184,8 @@ func checkSeekContract(t *testing.T, x *Index, live []wordEntry, lo, qk uint64) 
 		starts[j+1] = starts[j] + len(x.leaves[j].ids)
 	}
 	admitting := func(j int) bool {
-		for i, m := range contractMasks {
-			if x.leaves[j].sum[i] < qk&m {
+		for _, m := range contractMasks {
+			if x.leaves[j].sum&m < qk&m {
 				return false
 			}
 		}
@@ -312,7 +312,8 @@ func FuzzSeekWordContract(f *testing.F) {
 // to its definition — key&m >= qk&m under every mask — on every one-word Z
 // universe (every d ≤ 16 and k ≤ 32 with d·k ≤ 64, and d·k = 64 at d 32
 // and 64), over random keys and keys one coordinate step from the query
-// key.
+// key. The keys fill one summarized leaf, so the check runs through its
+// slot groups' summaries as a seek's does.
 func TestDominatorMatchesMasks(t *testing.T) {
 	rng := rand.New(rand.NewSource(163))
 	var universes [][2]int
@@ -345,12 +346,14 @@ func TestDominatorMatchesMasks(t *testing.T) {
 				}
 				ks[i] = qk&^m | v&m
 			}
+			lf := leaf{keys: ks, ids: make([]uint64, len(ks)), groups: new([leafGroups]uint64)}
+			x.summarize(&lf)
 			for s := range ks {
 				want := s
 				for want < len(ks) && !dominatesUnder(masks, ks[want], qk) {
 					want++
 				}
-				if got := x.dominator(ks, s, qk); got != want {
+				if got := x.dominator(&lf, s, qk); got != want {
 					t.Fatalf("d %d k %d: dominator(from %d, qk %#x) = %d, want %d (key %#x)", d, k, s, qk, got, want, ks[min(want, len(ks)-1)])
 				}
 			}
