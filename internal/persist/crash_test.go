@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -445,7 +444,7 @@ func TestCrashImagePaddedTail(t *testing.T) {
 		t.Fatalf("recovery over a padded tail: %v", err)
 	}
 	defer rst.Close()
-	if got := len(rst.Entries("")); got != n-1 {
+	if got := len(rst.Held("")); got != n-1 {
 		t.Fatalf("recovered %d entries, want the %d acked", got, n-1)
 	}
 	if rst.Pos() != n+1 {
@@ -487,7 +486,7 @@ func TestCrashMidRotationPaddedSegment(t *testing.T) {
 			t.Fatalf("recovery over a padded non-final segment: %v", err)
 		}
 		defer rst.Close()
-		if got := len(rst.Entries("")); got != n {
+		if got := len(rst.Held("")); got != n {
 			t.Fatalf("recovered %d entries, want %d", got, n)
 		}
 	})
@@ -563,13 +562,12 @@ func TestKilledProcessKeepsAckedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	held := map[uint64][]byte{}
-	for _, e := range st.Entries("") {
-		held[e.SID] = e.Payload
+	held := map[uint64]subscription.Rect{}
+	for _, h := range st.Held("") {
+		held[h.ID] = h.Rect
 	}
 	for _, sid := range acked {
-		want := payload(t, rect(t, schema, int(sid)%familyK))
-		if !bytes.Equal(held[sid], want) {
+		if r, ok := held[sid]; !ok || r != rect(t, schema, int(sid)%familyK).Rect() {
 			t.Fatalf("acked sid %d is missing or changed after the kill", sid)
 		}
 	}

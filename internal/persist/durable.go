@@ -68,7 +68,11 @@ func (st *Store) Durable(link string, inner core.Provider) (*DurableProvider, er
 	recovered := st.state[link]
 	st.mu.Unlock()
 
-	err := d.load(recovered)
+	// Restore holds every recovered subscription under its durable id —
+	// and, run even with nothing to recover, is what refuses a non-empty
+	// inner, whose pre-existing subscriptions would never be persisted.
+	//sfc:walok recovery replays records already on disk; appending them again would double the log every boot
+	err := inner.Restore(sortedHeld(recovered))
 	st.mu.Lock()
 	if err != nil {
 		delete(st.wrapped, link)
@@ -77,31 +81,9 @@ func (st *Store) Durable(link string, inner core.Provider) (*DurableProvider, er
 	}
 	st.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("persist: restoring link %q: %w", link, err)
 	}
 	return d, nil
-}
-
-// load rebuilds inner from the link's recovered mirror table through its
-// Restore, which holds every subscription under its durable id — and, run
-// even with nothing to recover, is what refuses a non-empty inner, whose
-// pre-existing subscriptions would never be persisted.
-//
-//sfc:walok recovery replays records already on disk; appending them again would double the log every boot
-func (d *DurableProvider) load(recovered *idtable.Table[[]byte]) error {
-	entries := sortedEntries(recovered)
-	held := make([]core.Held, len(entries))
-	for i, e := range entries {
-		r, err := subscription.UnmarshalRect(d.inner.Schema(), e.Payload)
-		if err != nil {
-			return fmt.Errorf("%w: link %q sid %d payload does not decode: %v", ErrCorrupt, d.link, e.SID, err)
-		}
-		held[i] = core.Held{ID: e.SID, Rect: r}
-	}
-	if err := d.inner.Restore(held); err != nil {
-		return fmt.Errorf("persist: restoring link %q: %w", d.link, err)
-	}
-	return nil
 }
 
 // held lists the wrapped provider's held set by id. Called with d.mu
@@ -420,9 +402,7 @@ func (d *DurableProvider) Release() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	delete(st.wrapped, d.link)
-	if len(held) > 0 {
-		link := new(idtable.Table[[]byte])
-		heldPayloads(st.schema, held, link.Put)
-		st.state[d.link] = link
+	for _, h := range held {
+		st.state.put(d.link, h.ID, h.Rect)
 	}
 }

@@ -2,9 +2,13 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"slices"
 	"testing"
 
-	"sfccover/internal/idtable"
 	"sfccover/internal/subscription"
 )
 
@@ -23,17 +27,12 @@ func fuzzSeedBytes(tb testing.TB) (segment, snapshot []byte) {
 	segment = appendRecord(segment, record{op: opAdd, link: "", sid: 1, payload: pay("x >= 3")})
 	segment = appendRecord(segment, record{op: opAdd, link: "b0-n1", sid: 2, payload: pay("x <= 9 && y in [4,5]")})
 	segment = appendRecord(segment, record{op: opRem, link: "", sid: 1})
-	link := func(es ...Entry) *idtable.Table[[]byte] {
-		state := new(idtable.Table[[]byte])
-		for _, e := range es {
-			state.Put(e.SID, e.Payload)
-		}
-		return state
-	}
-	snapshot = encodeSnapshot(schema, map[string]*idtable.Table[[]byte]{
-		"":      link(Entry{1, pay("x >= 3")}),
-		"b0-n1": link(Entry{2, pay("y == 7")}, Entry{9, pay("x in [1,200]")}),
-	}, 7)
+	rect := func(expr string) subscription.Rect { return subscription.MustParse(schema, expr).Rect() }
+	state := linkTables{}
+	state.put("", 1, rect("x >= 3"))
+	state.put("b0-n1", 2, rect("y == 7"))
+	state.put("b0-n1", 9, rect("x in [1,200]"))
+	snapshot = encodeSnapshot(schema, state, 7)
 	return segment, snapshot
 }
 
@@ -59,9 +58,9 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(stray)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var strict []record
-		strictErr := replayBytes(data, "fuzz", false, func(r record) { strict = append(strict, r) })
+		strictErr := replayBytes(data, "fuzz", false, func(r record) error { strict = append(strict, r); return nil })
 		var tolerant []record
-		if err := replayBytes(data, "fuzz", true, func(r record) { tolerant = append(tolerant, r) }); err != nil && strictErr == nil {
+		if err := replayBytes(data, "fuzz", true, func(r record) error { tolerant = append(tolerant, r); return nil }); err != nil && strictErr == nil {
 			t.Fatalf("final replay failed where strict replay succeeded: %v", err)
 		}
 		if strictErr == nil && len(strict) != len(tolerant) {
@@ -80,43 +79,149 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
+// nonMinimalSnapshot re-spells snap's first payload, which must be that
+// of "x >= 3" under the seed schema, with its lower bound as a two-byte
+// varint: the payload still decodes, to the same rectangle.
+func nonMinimalSnapshot(tb testing.TB, snap []byte) []byte {
+	schema := subscription.MustSchema(8, "x", "y")
+	pay := subscription.MustParse(schema, "x >= 3").Rect().AppendBinary(nil, schema)
+	at := bytes.Index(snap, pay)
+	if at < 1 || pay[3] != 3 {
+		tb.Fatalf("seed snapshot does not hold payload % x", pay)
+	}
+	out := append([]byte(nil), snap[:at-1]...)
+	out = append(out, byte(len(pay)+1))
+	out = append(out, pay[:3]...)
+	out = append(out, 0x83, 0x00) // 3, spelled in two bytes
+	out = append(out, pay[4:]...)
+	out = append(out, snap[at+len(pay):len(snap)-4]...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// tablesDiffer says how two decoded states differ, or "" when they hold
+// the same links, each with the same sids and rectangles.
+func tablesDiffer(got, want linkTables) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d links, want %d", len(got), len(want))
+	}
+	for name, table := range want {
+		if _, ok := got[name]; !ok {
+			return fmt.Sprintf("link %q lost", name)
+		}
+		if g, w := sortedHeld(got[name]), sortedHeld(table); !slices.Equal(g, w) {
+			return fmt.Sprintf("link %q holds %v, want %v", name, g, w)
+		}
+	}
+	return ""
+}
+
 // FuzzSnapshotDecode hardens snapshot decoding against arbitrary bytes:
-// decode must never panic, and whatever decodes must re-encode (under the
-// seed schema) into bytes that decode back to the identical state.
+// decode, under the schema the header names, must never panic, and
+// whatever decodes must re-encode under that schema into bytes that decode
+// back to the same rectangles — bytes the encoder writes again exactly,
+// since it spells every payload canonically.
 func FuzzSnapshotDecode(f *testing.F) {
 	_, snap := fuzzSeedBytes(f)
 	f.Add(snap)
 	f.Add([]byte(snapMagic))
 	f.Add([]byte{})
+	nonMin := nonMinimalSnapshot(f, snap)
+	_, a, _, errA := decodeSnapshot(nil, snap)
+	_, b, _, errB := decodeSnapshot(nil, nonMin)
+	if errA != nil || errB != nil {
+		f.Fatalf("seed snapshots do not decode: %v, %v", errA, errB)
+	}
+	if d := tablesDiffer(b, a); d != "" {
+		f.Fatalf("a payload that spells a varint in two bytes decodes differently: %s", d)
+	}
+	f.Add(nonMin)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		links, basePos, err := decodeSnapshot(nil, data)
+		schema, links, basePos, err := decodeSnapshot(nil, data)
 		if err != nil {
 			return
 		}
-		// Whatever decoded is structurally sound: re-encoding it under any
-		// schema and decoding again must reproduce it exactly.
-		schema := subscription.MustSchema(8, "x", "y")
 		re := encodeSnapshot(schema, links, basePos)
-		back, backPos, err := decodeSnapshot(schema, re)
+		_, back, backPos, err := decodeSnapshot(schema, re)
 		if err != nil {
 			t.Fatalf("re-encoded snapshot does not decode: %v", err)
 		}
 		if backPos != basePos {
 			t.Fatalf("round trip changed basePos %d -> %d", basePos, backPos)
 		}
-		if len(back) != len(links) {
-			t.Fatalf("round trip changed link count %d -> %d", len(links), len(back))
+		if d := tablesDiffer(back, links); d != "" {
+			t.Fatalf("round trip changed the state: %s", d)
 		}
-		for name, state := range links {
-			bstate, ok := back[name]
-			if !ok || bstate.Len() != state.Len() {
-				t.Fatalf("round trip lost link %q", name)
+		if again := encodeSnapshot(schema, back, backPos); !bytes.Equal(again, re) {
+			t.Fatalf("re-encoding a re-encoded snapshot changed its bytes")
+		}
+	})
+}
+
+// FuzzApplyReplicated hardens the follower's decoder: arbitrary bytes go
+// through DecodeRecords and, when they decode, through ApplyReplicated on
+// a fresh store. Either the store refuses the batch with ErrCorrupt and is
+// unchanged — position 0, no link, nothing logged — or a reopen recovers
+// it, and every link wraps a fresh engine whose Enumerate is the applied
+// adds less the applied removes.
+func FuzzApplyReplicated(f *testing.F) {
+	seg, _ := fuzzSeedBytes(f)
+	f.Add(seg[len(walMagic):])
+	f.Add(EncodeRecords([]Record{{Link: "a", SID: 1, Payload: []byte{0x51, 2, 8, 1}}}))
+	f.Add(EncodeRecords([]Record{{Remove: true, Link: "a", SID: 4}}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := DecodeRecords(data)
+		if err != nil {
+			return
+		}
+		schema, dir := testSchema(), t.TempDir()
+		st, err := Open(dir, schema, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.ApplyReplicated(0, recs); err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("ApplyReplicated on a fresh store = %v, want ErrCorrupt or nil", err)
 			}
-			for sid, payload := range state.All() {
-				if got, _ := bstate.Get(sid); !bytes.Equal(got, payload) {
-					t.Fatalf("round trip changed link %q sid %d payload", name, sid)
-				}
+			if st.Pos() != 0 || len(st.Links()) != 0 || st.Stats().WALRecords != 0 {
+				t.Fatalf("refused batch changed the store: Pos %d, Links %v, %d records logged", st.Pos(), st.Links(), st.Stats().WALRecords)
 			}
+			st.Close()
+			return
+		}
+		model := linkTables{}
+		for _, r := range recs {
+			if r.Remove {
+				model.drop(r.Link, r.SID)
+				continue
+			}
+			rect, err := subscription.UnmarshalRect(schema, r.Payload)
+			if err != nil {
+				t.Fatalf("store applied link %q sid %d, whose payload does not decode: %v", r.Link, r.SID, err)
+			}
+			model.put(r.Link, r.SID, rect)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, err = Open(dir, schema, Options{})
+		if err != nil {
+			t.Fatalf("reopening an applied batch: %v", err)
+		}
+		defer st.Close()
+		if st.Pos() != uint64(len(recs)) {
+			t.Fatalf("Pos = %d after reopen, want %d", st.Pos(), len(recs))
+		}
+		if got := st.Links(); len(got) != len(model) {
+			t.Fatalf("Links = %v after reopen, want %d links", got, len(model))
+		}
+		for link, table := range model {
+			d, err := st.Durable(link, newTestEngine(schema, 1))
+			if err != nil {
+				t.Fatalf("Durable(%q) after reopen: %v", link, err)
+			}
+			requireSameHeld(t, fmt.Sprintf("link %q", link), mustEnumerate(t, d), sortedHeld(table))
+			d.Close()
 		}
 	})
 }

@@ -34,7 +34,7 @@ import (
 	"syscall"
 	"time"
 
-	"sfccover/internal/idtable"
+	"sfccover/internal/core"
 	"sfccover/internal/subscription"
 )
 
@@ -90,10 +90,15 @@ type StoreStats struct {
 // Store is the durable home of every link namespace under one data dir,
 // and serializes WAL appends from any number of DurableProviders. A
 // wrapped link's state is held once, by its provider; the store mirrors
-// (link -> sid -> wire payload) only the links no provider wraps — links
+// (link -> sid -> rectangle) only the links no provider wraps — links
 // recovered but not yet wrapped, every link of a follower, released
-// links. Snapshots, reset dumps and the views read both, a wrapped link
-// through its provider at a cut. All methods are safe for concurrent use.
+// links. Either way a subscription is held as its rectangle: an add's
+// wire payload is decoded once, where it enters the store (snapshot, WAL
+// replay, replicated batch, reset dump, an add on an unwrapped link), and
+// one that does not decode is ErrCorrupt before anything is logged or
+// installed. Snapshots, reset dumps and the views read both kinds of
+// link, a wrapped one through its provider at a cut, and encode the
+// rectangles back into payloads. All methods are safe for concurrent use.
 //
 // The locks are taken in one order: reg, then each wrapped link's write
 // section (DurableProvider.mu) in link-name order, then mu. A write holds
@@ -111,7 +116,7 @@ type Store struct {
 
 	mu sync.Mutex
 	// state is the mirror: the links no provider wraps.
-	state map[string]*idtable.Table[[]byte]
+	state linkTables
 	w     *walWriter
 	// wrapped maps each wrapped link to its provider. Written with reg
 	// and mu both held, so either one makes a read safe.
@@ -188,7 +193,7 @@ func Open(dir string, schema *subscription.Schema, opts Options) (*Store, error)
 		dir:     dir,
 		schema:  schema,
 		opts:    opts,
-		state:   make(map[string]*idtable.Table[[]byte]),
+		state:   make(linkTables),
 		wrapped: make(map[string]*DurableProvider),
 		lock:    lock,
 		tailers: make(map[*Tailer]struct{}),
@@ -248,7 +253,7 @@ func (st *Store) recover() (uint64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("persist: reading snapshot: %w", err)
 		}
-		st.state, st.pos, err = decodeSnapshot(st.schema, data)
+		_, st.state, st.pos, err = decodeSnapshot(st.schema, data)
 		if err != nil {
 			return 0, err
 		}
@@ -266,10 +271,18 @@ func (st *Store) recover() (uint64, error) {
 			continue // compacted into the snapshot; a crash mid-compaction leaves these behind harmlessly
 		}
 		final := i == len(segs)-1
-		err := replaySegment(filepath.Join(st.dir, segmentName(seq)), final, func(r record) {
+		err := replaySegment(filepath.Join(st.dir, segmentName(seq)), final, func(r record) error {
+			var rect subscription.Rect
+			if r.op == opAdd {
+				var err error
+				if rect, err = decodePayload(st.schema, r.link, r.sid, r.payload); err != nil {
+					return err
+				}
+			}
 			st.dirtyRecords++
 			st.pos++
-			st.mirror(r)
+			st.mirror(r, rect)
+			return nil
 		})
 		if err != nil {
 			return 0, err
@@ -297,11 +310,11 @@ func (st *Store) Links() []string {
 	return names
 }
 
-// Entries returns the persisted subscriptions of one link, sorted by sid
-// ascending — the order the snapshot stores and the bulk-load path wants.
-// A wrapped link's are read from its provider under its write section;
-// nil if the provider cannot enumerate.
-func (st *Store) Entries(link string) []Entry {
+// Held returns the persisted subscriptions of one link, sorted by sid
+// ascending — the order the snapshot stores and Restore checks in one
+// pass. A wrapped link's are read from its provider under its write
+// section; nil if the provider cannot enumerate.
+func (st *Store) Held(link string) []core.Held {
 	st.reg.Lock()
 	defer st.reg.Unlock()
 	if d := st.wrapped[link]; d != nil {
@@ -311,19 +324,11 @@ func (st *Store) Entries(link string) []Entry {
 		if err != nil {
 			return nil
 		}
-		out := make([]Entry, 0, len(held))
-		heldPayloads(st.schema, held, func(sid uint64, payload []byte) {
-			out = append(out, Entry{SID: sid, Payload: payload})
-		})
-		return out
+		return held
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := sortedEntries(st.state[link])
-	for i := range out {
-		out[i].Payload = append([]byte(nil), out[i].Payload...)
-	}
-	return out
+	return sortedHeld(st.state[link])
 }
 
 // Stats returns the durability counters.
@@ -372,8 +377,9 @@ func (st *Store) lens() map[string]int {
 }
 
 // appendAdd logs one subscription arrival and, on an un-wrapped link,
-// mirrors it. The mirror is updated only when the record landed, so the
-// snapshot state never runs ahead of the log.
+// mirrors it: its payload is decoded first, and one that does not decode
+// is refused with nothing written. The mirror is updated only when the
+// record landed, so the snapshot state never runs ahead of the log.
 func (st *Store) appendAdd(link string, sid uint64, payload []byte) error {
 	return st.appendBatch([]record{{op: opAdd, link: link, sid: sid, payload: payload}})
 }
@@ -414,28 +420,58 @@ func (st *Store) appendLocked(rs ...record) error {
 	if st.closed {
 		return ErrClosed
 	}
+	rects, err := st.unwrapped(rs)
+	if err != nil {
+		return err
+	}
 	wire, err := st.w.appendBatch(rs)
 	if err != nil {
 		return err
 	}
-	st.committed(rs, wire)
+	st.committed(rs, rects, wire)
 	return nil
 }
 
+// unwrapped decodes the payloads of the adds rs makes on links no
+// provider wraps, which the mirror will hold, into rects aligned with rs.
+// It returns nil when every record is a wrapped link's: that state is its
+// provider's, so the wrapped write path decodes nothing. Called with
+// st.mu held, before rs is logged.
+func (st *Store) unwrapped(rs []record) ([]subscription.Rect, error) {
+	var rects []subscription.Rect
+	for i, r := range rs {
+		if st.wrapped[r.link] != nil {
+			continue
+		}
+		if rects == nil {
+			rects = make([]subscription.Rect, len(rs))
+		}
+		if r.op == opAdd {
+			var err error
+			if rects[i], err = decodePayload(st.schema, r.link, r.sid, r.payload); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return rects, nil
+}
+
 // committed folds a batch of landed records, whose WAL bytes are wire,
-// into every in-memory view: counters, the mirror, the stream position,
-// the replication ring and any live tailers. Called with st.mu held,
-// after the records are in the log — the stream never runs ahead of the
-// WAL, so a follower can only ever apply records the primary could itself
-// recover.
-func (st *Store) committed(rs []record, wire []byte) {
+// into every in-memory view: counters, the mirror (the records rects,
+// from unwrapped, holds), the stream position, the replication ring and
+// any live tailers. Called with st.mu held, after the records are in the
+// log — the stream never runs ahead of the WAL, so a follower can only
+// ever apply records the primary could itself recover.
+func (st *Store) committed(rs []record, rects []subscription.Rect, wire []byte) {
 	st.walRecords += len(rs)
 	st.walBytes += int64(len(wire))
 	st.dirtyRecords += len(rs)
 	base := st.pos
 	st.pos += uint64(len(rs))
-	for _, r := range rs {
-		st.mirror(r)
+	if rects != nil {
+		for i, r := range rs {
+			st.mirror(r, rects[i])
+		}
 	}
 	st.ring.push(wire, len(rs))
 	st.notifyTailers(rs, base)
@@ -443,35 +479,18 @@ func (st *Store) committed(rs []record, wire []byte) {
 
 // mirror folds one landed record into the mirror, the table an
 // un-wrapped link's appendRemove claims against; it is that table's one
-// writer. A wrapped link's record is its provider's, already applied or
-// about to be, and is not mirrored. Called with st.mu held (or by
-// recover, before the store is shared), after the record is on disk.
-//
-// An add's payload is kept as it came, not copied: an un-wrapped link's
-// record payload is a slice nobody writes again — copied out of a segment
-// or a replication frame by decodeRecord, or marshalled by the appender.
-// A wrapped link's payloads are not: a DurableProvider marshals into a
-// buffer it reuses, which nothing here keeps (the replication ring keeps
-// the record's WAL bytes, a tailer's batch its own copy).
-func (st *Store) mirror(r record) {
+// writer. rect is an add's payload, decoded. A wrapped link's record is
+// its provider's, already applied or about to be, and is not mirrored.
+// Called with st.mu held (or by recover, before the store is shared),
+// after the record is on disk.
+func (st *Store) mirror(r record, rect subscription.Rect) {
 	if st.wrapped[r.link] != nil {
 		return
 	}
-	switch r.op {
-	case opAdd:
-		link := st.state[r.link]
-		if link == nil {
-			link = new(idtable.Table[[]byte])
-			st.state[r.link] = link
-		}
-		link.Put(r.sid, r.payload)
-	case opRem:
-		if link := st.state[r.link]; link != nil {
-			link.Delete(r.sid)
-			if link.Len() == 0 {
-				delete(st.state, r.link)
-			}
-		}
+	if r.op == opAdd {
+		st.state.put(r.link, r.sid, rect)
+	} else {
+		st.state.drop(r.link, r.sid)
 	}
 }
 
@@ -538,8 +557,8 @@ func (st *Store) lockCut() (unlock func()) {
 }
 
 // linksLocked lists every link holding a subscription, by name, with its
-// subscriptions by sid: a wrapped link's its provider's held rectangles,
-// every other link's the mirror's payloads. Called with the cut held.
+// subscriptions by sid: a wrapped link's its provider's, every other
+// link's the mirror's. Called with the cut held.
 func (st *Store) linksLocked() ([]linkEntries, error) {
 	names := make([]string, 0, len(st.state)+len(st.wrapped))
 	for name := range st.state {
@@ -558,9 +577,9 @@ func (st *Store) linksLocked() ([]linkEntries, error) {
 				return nil, err
 			}
 		} else {
-			l.entries = sortedEntries(st.state[name])
+			l.held = sortedHeld(st.state[name])
 		}
-		if l.len() > 0 {
+		if len(l.held) > 0 {
 			links = append(links, l)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sfccover/internal/core"
@@ -80,16 +81,15 @@ func TestStoreRoundTrip(t *testing.T) {
 	if links := st2.Links(); len(links) != 2 || links[0] != "a" || links[1] != "b" {
 		t.Fatalf("Links = %v, want [a b]", links)
 	}
-	a := st2.Entries("a")
-	if len(a) != 1 || a[0].SID != 1 {
-		t.Fatalf("Entries(a) = %+v, want the single surviving sid 1", a)
+	a := st2.Held("a")
+	if len(a) != 1 || a[0].ID != 1 {
+		t.Fatalf("Held(a) = %+v, want the single surviving sid 1", a)
 	}
-	got, err := subscription.UnmarshalSubscription(schema, a[0].Payload)
-	if err != nil || !got.Equal(rect(t, schema, 0)) {
-		t.Fatalf("recovered payload does not round-trip: %v %v", got, err)
+	if got := a[0].Rect.Subscription(schema); !got.Equal(rect(t, schema, 0)) {
+		t.Fatalf("recovered subscription does not round-trip: %v", got)
 	}
-	if b := st2.Entries("b"); len(b) != 1 || b[0].SID != 7 {
-		t.Fatalf("Entries(b) = %+v", b)
+	if b := st2.Held("b"); len(b) != 1 || b[0].ID != 7 {
+		t.Fatalf("Held(b) = %+v", b)
 	}
 }
 
@@ -169,11 +169,11 @@ func TestStoreSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if got := len(st2.Entries("")); got != 7 {
+	if got := len(st2.Held("")); got != 7 {
 		t.Fatalf("recovered %d entries, want 7", got)
 	}
-	for _, e := range st2.Entries("") {
-		if e.SID == 3 {
+	for _, h := range st2.Held("") {
+		if h.ID == 3 {
 			t.Fatal("sid 3 was removed after the snapshot but resurrected on recovery")
 		}
 	}
@@ -281,6 +281,46 @@ func TestCorruptMidStreamSegmentRefused(t *testing.T) {
 	}
 }
 
+// undecodable is an add payload that frames and checksums cleanly in a
+// record but does not decode: its header names the test schema, and it
+// ends before x's upper bound.
+var undecodable = []byte{0x51, 2, 8, 1}
+
+// TestReplayRefusesUndecodablePayload: the store never logs an add whose
+// payload does not decode, and a segment that holds one anyway fails
+// Open with ErrCorrupt naming its link and sid — not a later Durable.
+func TestReplayRefusesUndecodablePayload(t *testing.T) {
+	schema := testSchema()
+	dir := t.TempDir()
+	st, err := Open(dir, schema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.appendAdd("a", 2, undecodable); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("appendAdd of an undecodable payload on an unwrapped link = %v, want ErrCorrupt", err)
+	}
+	if n := st.Stats().WALRecords; n != 0 {
+		t.Fatalf("a refused add logged %d records", n)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := []byte(walMagic)
+	seg = appendRecord(seg, record{op: opAdd, link: "a", sid: 1, payload: payload(t, rect(t, schema, 0))})
+	seg = appendRecord(seg, record{op: opAdd, link: "a", sid: 2, payload: undecodable})
+	segs, err := listSeqs(dir, "wal-", ".log")
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments = %v (%v)", segs, err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segmentName(segs[len(segs)-1]+1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, schema, Options{})
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), `link "a" sid 2`) {
+		t.Fatalf("Open over an undecodable add = %v, want ErrCorrupt naming link \"a\" sid 2", err)
+	}
+}
+
 func TestWriteHookFailureBehavesLikeCrash(t *testing.T) {
 	schema := testSchema()
 	dir := t.TempDir()
@@ -320,7 +360,7 @@ func TestWriteHookFailureBehavesLikeCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if got := len(st2.Entries("")); got != logged {
+	if got := len(st2.Held("")); got != logged {
 		t.Fatalf("recovered %d entries, want the %d logged before the crash", got, logged)
 	}
 }
@@ -604,9 +644,9 @@ func TestFailedAppendLeavesNoTornBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	entries := st2.Entries("")
-	if len(entries) != 2 || entries[0].SID != 1 || entries[1].SID != 3 {
-		t.Fatalf("recovered %+v, want exactly sids 1 and 3 (the failed 2 snipped, the later 3 preserved)", entries)
+	held := st2.Held("")
+	if len(held) != 2 || held[0].ID != 1 || held[1].ID != 3 {
+		t.Fatalf("recovered %+v, want exactly sids 1 and 3 (the failed 2 snipped, the later 3 preserved)", held)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"sfccover/internal/idtable"
 )
 
 // Replication rides the WAL: every record a Store commits is also pushed,
@@ -280,13 +278,10 @@ func (st *Store) dumpLocked() (TailBatch, error) {
 	}
 	n := 0
 	for _, l := range links {
-		n += l.len()
+		n += len(l.held)
 	}
 	batch := TailBatch{Reset: true, Recs: make([]Record, 0, n), Pos: st.pos}
 	for _, l := range links {
-		for _, e := range l.entries {
-			batch.Recs = append(batch.Recs, Record{Link: l.name, SID: e.SID, Payload: e.Payload})
-		}
 		heldPayloads(st.schema, l.held, func(sid uint64, payload []byte) {
 			batch.Recs = append(batch.Recs, Record{Link: l.name, SID: sid, Payload: payload})
 		})
@@ -385,7 +380,9 @@ func (st *Store) Pos() uint64 {
 // is applied once, which with idempotent records keeps the follower
 // bit-identical to the primary. A batch that starts beyond Pos is refused
 // with ErrReplicationGap; a store with live DurableProviders is refused
-// with ErrHasProviders (followers serve reads only).
+// with ErrHasProviders (followers serve reads only). A batch holding an
+// add whose payload does not decode is refused whole with ErrCorrupt:
+// nothing of it is logged or applied.
 func (st *Store) ApplyReplicated(base uint64, recs []Record) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -406,12 +403,7 @@ func (st *Store) ApplyReplicated(base uint64, recs []Record) error {
 	for _, r := range recs[skip:] {
 		rs = append(rs, importRecord(r))
 	}
-	wire, err := st.w.appendBatch(rs)
-	if err != nil {
-		return err
-	}
-	st.committed(rs, wire)
-	return nil
+	return st.appendLocked(rs...)
 }
 
 // InstallState replaces the store's entire durable state with a Reset
@@ -420,7 +412,8 @@ func (st *Store) ApplyReplicated(base uint64, recs []Record) error {
 // the superseded log is compacted away. This is the follower's answer to
 // a Reset batch — equivalent to a cold copy of the primary's dir, without
 // a WAL full of removes for state it never had. Refused on stores with
-// live providers.
+// live providers, and with ErrCorrupt, before anything is written, when an
+// add's payload does not decode.
 func (st *Store) InstallState(recs []Record, pos uint64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -430,17 +423,16 @@ func (st *Store) InstallState(recs []Record, pos uint64) error {
 	if len(st.wrapped) > 0 {
 		return ErrHasProviders
 	}
-	state := make(map[string]*idtable.Table[[]byte])
+	state := make(linkTables)
 	for _, r := range recs {
 		if r.Remove {
 			continue // a dump carries adds only; tolerate rather than corrupt
 		}
-		link := state[r.Link]
-		if link == nil {
-			link = new(idtable.Table[[]byte])
-			state[r.Link] = link
+		rect, err := decodePayload(st.schema, r.Link, r.SID, r.Payload)
+		if err != nil {
+			return err
 		}
-		link.Put(r.SID, append([]byte(nil), r.Payload...))
+		state.put(r.Link, r.SID, rect)
 	}
 	if err := st.w.rotate(); err != nil {
 		return err

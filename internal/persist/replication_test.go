@@ -34,7 +34,7 @@ func applyBatch(t *testing.T, st *Store, b TailBatch) {
 }
 
 // demandSameState compares two stores' durable state bit-for-bit: same
-// links, same sids, same payload bytes.
+// links, same sids, same rectangles.
 func demandSameState(t *testing.T, got, want *Store) {
 	t.Helper()
 	gl, wl := got.Links(), want.Links()
@@ -42,13 +42,13 @@ func demandSameState(t *testing.T, got, want *Store) {
 		t.Fatalf("links diverge: got %v, want %v", gl, wl)
 	}
 	for _, link := range wl {
-		ge, we := got.Entries(link), want.Entries(link)
-		if len(ge) != len(we) {
-			t.Fatalf("link %q: %d entries, want %d", link, len(ge), len(we))
+		gh, wh := got.Held(link), want.Held(link)
+		if len(gh) != len(wh) {
+			t.Fatalf("link %q: %d entries, want %d", link, len(gh), len(wh))
 		}
-		for i := range we {
-			if ge[i].SID != we[i].SID || !bytes.Equal(ge[i].Payload, we[i].Payload) {
-				t.Fatalf("link %q entry %d diverges: sid %d vs %d", link, i, ge[i].SID, we[i].SID)
+		for i := range wh {
+			if gh[i] != wh[i] {
+				t.Fatalf("link %q entry %d diverges: sid %d vs %d", link, i, gh[i].ID, wh[i].ID)
 			}
 		}
 	}
@@ -288,6 +288,73 @@ func TestResetDumpInstallsAndSurvivesRestart(t *testing.T) {
 	demandSameState(t, recovered, primary)
 }
 
+// dirImage reads every file of dir into memory, by name.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+// TestFollowerRefusesUndecodablePayload: a follower refuses a replicated
+// batch or a reset dump holding an add whose payload does not decode,
+// with ErrCorrupt and nothing logged or installed, so its dir stays one
+// that a promotion recovers.
+func TestFollowerRefusesUndecodablePayload(t *testing.T) {
+	schema := testSchema()
+	dir := t.TempDir()
+	st, err := Open(dir, schema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ApplyReplicated(0, []Record{addRec(t, "a", 1, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	pos, image := st.Pos(), dirImage(t, dir)
+	bad := []Record{addRec(t, "a", 3, 1), {Link: "a", SID: 2, Payload: undecodable}}
+	for _, c := range []struct {
+		name  string
+		apply func() error
+	}{
+		{"ApplyReplicated", func() error { return st.ApplyReplicated(pos, bad) }},
+		{"InstallState", func() error { return st.InstallState(bad, pos+5) }},
+	} {
+		if err := c.apply(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s with an undecodable add = %v, want ErrCorrupt", c.name, err)
+		}
+		if st.Pos() != pos {
+			t.Fatalf("%s refused, yet Pos moved %d -> %d", c.name, pos, st.Pos())
+		}
+		if got := dirImage(t, dir); fmt.Sprint(got) != fmt.Sprint(image) {
+			t.Fatalf("%s refused, yet the data dir changed", c.name)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(dir, schema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	d, err := st.Durable("a", newTestEngine(schema, 1))
+	if err != nil {
+		t.Fatalf("promoting the follower's dir: %v", err)
+	}
+	defer d.Close()
+	requireSameHeld(t, "promoted link", mustEnumerate(t, d), []core.Held{{ID: 1, Rect: rect(t, schema, 0).Rect()}})
+}
+
 // TestGroupCommitTornTailBattery: with SyncEvery (group commit) the
 // window since the last fsync is exposed to power failure. Simulate every
 // interesting tear of that window — each record boundary and a mid-record
@@ -388,13 +455,13 @@ func TestGroupCommitTornTailBattery(t *testing.T) {
 				if len(sids) == 0 {
 					continue
 				}
-				entries := rst.Entries(link)
-				if len(entries) != len(sids) {
-					t.Fatalf("link %q: %d entries, want %d", link, len(entries), len(sids))
+				held := rst.Held(link)
+				if len(held) != len(sids) {
+					t.Fatalf("link %q: %d entries, want %d", link, len(held), len(sids))
 				}
-				for _, e := range entries {
-					if !bytes.Equal(sids[e.SID], e.Payload) {
-						t.Fatalf("link %q sid %d: payload diverges from the clean prefix", link, e.SID)
+				for _, h := range held {
+					if !bytes.Equal(sids[h.ID], h.Rect.AppendBinary(nil, schema)) {
+						t.Fatalf("link %q sid %d: payload diverges from the clean prefix", link, h.ID)
 					}
 				}
 			}

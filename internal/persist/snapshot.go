@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -37,6 +36,13 @@ import (
 // sorted bulk-load path directly, and the decoder enforces the order (a
 // violation is ErrCorrupt, not a silent reorder).
 //
+// A payload is the subscription's binary wire encoding, as in a WAL
+// record. The store holds rectangles, not payloads: the encoder writes
+// each rectangle's payload in place, and the decoder decodes each payload
+// into its rectangle as it reads the section, refusing one that does not
+// decode as ErrCorrupt. The file format is the same as when the store
+// held payloads, byte for byte.
+//
 // basePos is the replication stream position the snapshot covers: the
 // count of WAL records ever applied in this dir's history up to the
 // snapshot point. Recovery seeds Store.Pos from it (plus whatever the WAL
@@ -46,35 +52,65 @@ import (
 // corrupt rather than carrying a second decode path forever.
 const snapMagic = "SFCS2\n"
 
-// Entry is one persisted subscription: its durable sid and its binary
-// wire payload.
-type Entry struct {
-	SID     uint64
-	Payload []byte
+// linkTables holds subscriptions by link and sid as their rectangles:
+// the store's mirror, a decoded snapshot, an installed reset dump. Each
+// rectangle was decoded once, from the payload its bytes carried into the
+// store.
+type linkTables map[string]*idtable.Table[subscription.Rect]
+
+// put holds r under link and sid.
+func (m linkTables) put(link string, sid uint64, r subscription.Rect) {
+	t := m[link]
+	if t == nil {
+		t = new(idtable.Table[subscription.Rect])
+		m[link] = t
+	}
+	t.Put(sid, r)
 }
 
-// sortedEntries lists one link's mirror by sid ascending, the order the
-// snapshot stores. The payloads are the mirror's own.
-func sortedEntries(state *idtable.Table[[]byte]) []Entry {
-	out := make([]Entry, 0, state.Len())
-	for sid, payload := range state.All() {
-		out = append(out, Entry{SID: sid, Payload: payload})
+// drop removes sid from link, and link once it holds nothing.
+func (m linkTables) drop(link string, sid uint64) {
+	if t := m[link]; t != nil {
+		t.Delete(sid)
+		if t.Len() == 0 {
+			delete(m, link)
+		}
 	}
-	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.SID, b.SID) })
-	return out
+}
+
+// sortedHeld lists one link's table by sid ascending, the order a
+// snapshot stores and Restore checks in one pass.
+func sortedHeld(t *idtable.Table[subscription.Rect]) []core.Held {
+	ids := make([]uint64, 0, t.Len())
+	for sid := range t.All() {
+		ids = append(ids, sid)
+	}
+	return core.SortedHeld(ids, func(sid uint64) subscription.Rect {
+		r, _ := t.Get(sid)
+		return r
+	})
+}
+
+// decodePayload decodes the payload of an add on link under schema. It
+// runs where the bytes enter the store from outside — a snapshot, WAL
+// replay, a replicated batch or reset dump, an add on a link no provider
+// wraps — so a payload that does not decode is refused there, as
+// ErrCorrupt, before anything holds it.
+func decodePayload(schema *subscription.Schema, link string, sid uint64, payload []byte) (subscription.Rect, error) {
+	r, err := subscription.UnmarshalRect(schema, payload)
+	if err != nil {
+		return r, fmt.Errorf("%w: link %q sid %d payload does not decode: %v", ErrCorrupt, link, sid, err)
+	}
+	return r, nil
 }
 
 // linkEntries is one link's section of a snapshot or a reset dump: its
-// name and its subscriptions by sid ascending — an un-wrapped link's
-// mirror entries, or a wrapped link's held rectangles, which are encoded
-// straight into the section's bytes.
+// name and its subscriptions by sid ascending, encoded straight into the
+// section's bytes.
 type linkEntries struct {
-	name    string
-	entries []Entry
-	held    []core.Held
+	name string
+	held []core.Held
 }
-
-func (l linkEntries) len() int { return len(l.entries) + len(l.held) }
 
 // heldPayloads hands fn each held rectangle's wire payload under its sid,
 // all cut from one arena sized to them.
@@ -92,20 +128,19 @@ func heldPayloads(schema *subscription.Schema, held []core.Held, fn func(sid uin
 	}
 }
 
-// encodeSnapshot serializes the per-link state. links maps link name to
-// sid -> payload; basePos is the replication stream position the state
-// corresponds to.
-func encodeSnapshot(schema *subscription.Schema, links map[string]*idtable.Table[[]byte], basePos uint64) []byte {
+// encodeSnapshot serializes the per-link state, every link of links by
+// name, as a snapshot at replication stream position basePos.
+func encodeSnapshot(schema *subscription.Schema, links linkTables, basePos uint64) []byte {
 	sections := make([]linkEntries, 0, len(links))
-	for name, state := range links {
-		sections = append(sections, linkEntries{name: name, entries: sortedEntries(state)})
+	for name, t := range links {
+		sections = append(sections, linkEntries{name: name, held: sortedHeld(t)})
 	}
 	slices.SortFunc(sections, func(a, b linkEntries) int { return strings.Compare(a.name, b.name) })
 	return encodeLinks(schema, sections, basePos)
 }
 
 // encodeLinks serializes links, which are sorted by name, as a snapshot
-// at stream position basePos, into one buffer sized up front: a held
+// at stream position basePos, into one buffer sized up front: each
 // rectangle's payload is written in place, its length byte patched after
 // (a payload is shorter than 128 bytes, so its length is one byte).
 func encodeLinks(schema *subscription.Schema, links []linkEntries, basePos uint64) []byte {
@@ -117,9 +152,6 @@ func encodeLinks(schema *subscription.Schema, links []linkEntries, basePos uint6
 	maxRect := 3 + 2*len(attrs)*uvarintLen(uint64(schema.MaxValue()))
 	for _, l := range links {
 		size += 2*binary.MaxVarintLen64 + len(l.name) + len(l.held)*(binary.MaxVarintLen64+1+maxRect)
-		for _, e := range l.entries {
-			size += binary.MaxVarintLen64 + uvarintLen(uint64(len(e.Payload))) + len(e.Payload)
-		}
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, snapMagic...)
@@ -134,12 +166,7 @@ func encodeLinks(schema *subscription.Schema, links []linkEntries, basePos uint6
 	for _, l := range links {
 		buf = binary.AppendUvarint(buf, uint64(len(l.name)))
 		buf = append(buf, l.name...)
-		buf = binary.AppendUvarint(buf, uint64(l.len()))
-		for _, e := range l.entries {
-			buf = binary.AppendUvarint(buf, e.SID)
-			buf = binary.AppendUvarint(buf, uint64(len(e.Payload)))
-			buf = append(buf, e.Payload...)
-		}
+		buf = binary.AppendUvarint(buf, uint64(len(l.held)))
 		for _, h := range l.held {
 			buf = binary.AppendUvarint(buf, h.ID)
 			at := len(buf)
@@ -150,152 +177,113 @@ func encodeLinks(schema *subscription.Schema, links []linkEntries, basePos uint6
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// snapCursor tracks a decode position with uniform truncation errors.
+// snapCursor tracks a decode position. The first truncation sticks in
+// err, as ErrCorrupt naming what it cut; every read after it yields zero.
 type snapCursor struct {
 	rest []byte
+	err  error
 }
 
-func (c *snapCursor) uvarint(what string) (uint64, error) {
+func (c *snapCursor) uvarint(what string) uint64 {
+	if c.err != nil {
+		return 0
+	}
 	v, n := binary.Uvarint(c.rest)
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: snapshot truncated at %s", ErrCorrupt, what)
+		c.err = fmt.Errorf("%w: snapshot truncated at %s", ErrCorrupt, what)
+		return 0
 	}
 	c.rest = c.rest[n:]
-	return v, nil
+	return v
 }
 
-func (c *snapCursor) bytes(n uint64, what string) ([]byte, error) {
-	if n > uint64(len(c.rest)) {
-		return nil, fmt.Errorf("%w: snapshot truncated at %s", ErrCorrupt, what)
+// bytes reads a length-prefixed field.
+func (c *snapCursor) bytes(what string) []byte {
+	if c.err != nil {
+		return nil
 	}
-	out := c.rest[:n]
-	c.rest = c.rest[n:]
-	return out, nil
-}
-
-// entries reads a link section's count entries — sid, payload length,
-// payload — checking that the sids ascend, and hands each to put when put
-// is not nil. It returns the payloads' total length. The payloads passed
-// to put alias the cursor's bytes.
-func (c *snapCursor) entries(name string, count uint64, put func(sid uint64, payload []byte)) (int, error) {
-	size := 0
-	for j, prev := uint64(0), uint64(0); j < count; j++ {
-		sid, err := c.uvarint("entry sid")
-		if err != nil {
-			return 0, err
-		}
-		if j > 0 && sid <= prev {
-			return 0, fmt.Errorf("%w: snapshot entries out of order in link %q", ErrCorrupt, name)
-		}
-		prev = sid
-		plen, err := c.uvarint("payload length")
-		if err != nil {
-			return 0, err
-		}
-		payload, err := c.bytes(plen, "payload")
-		if err != nil {
-			return 0, err
-		}
-		size += len(payload)
-		if put != nil {
-			put(sid, payload)
-		}
+	n, k := binary.Uvarint(c.rest)
+	if k <= 0 || n > uint64(len(c.rest)-k) {
+		c.err = fmt.Errorf("%w: snapshot truncated at %s", ErrCorrupt, what)
+		return nil
 	}
-	return size, nil
+	out := c.rest[k : k+int(n)]
+	c.rest = c.rest[k+int(n):]
+	return out
 }
 
 // decodeSnapshot parses and checksum-verifies a snapshot file's bytes,
-// returning the per-link state and the stream basePos it covers. A nil
-// schema skips the schema check (the fuzz target's mode); otherwise bits
-// and attribute names must match exactly.
-func decodeSnapshot(schema *subscription.Schema, data []byte) (map[string]*idtable.Table[[]byte], uint64, error) {
+// decoding every payload into its rectangle, and returns the schema it
+// decoded under, the per-link state and the stream basePos it covers. A
+// nil schema decodes under the one the header names (the fuzz target's
+// mode), and a header that names no valid schema is ErrCorrupt; otherwise
+// bits and attribute names must match schema exactly.
+func decodeSnapshot(schema *subscription.Schema, data []byte) (*subscription.Schema, linkTables, uint64, error) {
 	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
-		return nil, 0, fmt.Errorf("%w: snapshot has bad magic", ErrCorrupt)
+		return nil, nil, 0, fmt.Errorf("%w: snapshot has bad magic", ErrCorrupt)
 	}
 	body, crc := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crc) {
-		return nil, 0, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
+		return nil, nil, 0, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
 	}
 	c := &snapCursor{rest: body[len(snapMagic):]}
-	bits, err := c.uvarint("schema bits")
-	if err != nil {
-		return nil, 0, err
+	bits := c.uvarint("schema bits")
+	numAttrs := c.uvarint("attr count")
+	attrs := make([]string, 0, min(numAttrs, subscription.MaxAttrs))
+	for i := uint64(0); i < numAttrs && c.err == nil; i++ {
+		attrs = append(attrs, string(c.bytes("attr name")))
 	}
-	numAttrs, err := c.uvarint("attr count")
-	if err != nil {
-		return nil, 0, err
+	if c.err != nil {
+		return nil, nil, 0, c.err
 	}
-	attrs := make([]string, 0, numAttrs)
-	for i := uint64(0); i < numAttrs; i++ {
-		n, err := c.uvarint("attr name length")
-		if err != nil {
-			return nil, 0, err
+	if schema == nil {
+		var err error
+		if schema, err = subscription.NewSchema(int(bits), attrs...); err != nil {
+			return nil, nil, 0, fmt.Errorf("%w: snapshot header names no valid schema: %v", ErrCorrupt, err)
 		}
-		name, err := c.bytes(n, "attr name")
-		if err != nil {
-			return nil, 0, err
-		}
-		attrs = append(attrs, string(name))
 	}
-	if schema != nil {
-		if int(bits) != schema.Bits() || len(attrs) != schema.NumAttrs() {
-			return nil, 0, fmt.Errorf("%w: snapshot has %d bits and %d attrs, schema has %d and %d",
-				ErrSchemaMismatch, bits, len(attrs), schema.Bits(), schema.NumAttrs())
+	if int(bits) != schema.Bits() || !slices.Equal(attrs, schema.Attrs()) {
+		return nil, nil, 0, fmt.Errorf("%w: snapshot has %d bits and attributes %q, schema has %d and %q",
+			ErrSchemaMismatch, bits, attrs, schema.Bits(), schema.Attrs())
+	}
+	basePos := c.uvarint("stream base position")
+	numLinks := c.uvarint("link count")
+	links := make(linkTables)
+	for i := uint64(0); i < numLinks && c.err == nil; i++ {
+		name := string(c.bytes("link name"))
+		count := c.uvarint("entry count")
+		if _, dup := links[name]; dup && c.err == nil {
+			return nil, nil, 0, fmt.Errorf("%w: duplicate link %q in snapshot", ErrCorrupt, name)
 		}
-		for i, a := range schema.Attrs() {
-			if attrs[i] != a {
-				return nil, 0, fmt.Errorf("%w: snapshot attribute %d is %q, schema says %q", ErrSchemaMismatch, i, attrs[i], a)
+		// Sized once for the section, but never past what its bytes can
+		// hold: an entry takes at least two.
+		t := new(idtable.Table[subscription.Rect])
+		t.Grow(int(min(count, uint64(len(c.rest)/2))))
+		links[name] = t
+		for j, prev := uint64(0), uint64(0); j < count && c.err == nil; j++ {
+			sid := c.uvarint("entry sid")
+			payload := c.bytes("payload")
+			if c.err != nil {
+				break
 			}
+			if j > 0 && sid <= prev {
+				return nil, nil, 0, fmt.Errorf("%w: snapshot entries out of order in link %q", ErrCorrupt, name)
+			}
+			prev = sid
+			r, err := decodePayload(schema, name, sid, payload)
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			t.Put(sid, r)
 		}
 	}
-	basePos, err := c.uvarint("stream base position")
-	if err != nil {
-		return nil, 0, err
-	}
-	numLinks, err := c.uvarint("link count")
-	if err != nil {
-		return nil, 0, err
-	}
-	links := make(map[string]*idtable.Table[[]byte])
-	for i := uint64(0); i < numLinks; i++ {
-		n, err := c.uvarint("link name length")
-		if err != nil {
-			return nil, 0, err
-		}
-		nameB, err := c.bytes(n, "link name")
-		if err != nil {
-			return nil, 0, err
-		}
-		name := string(nameB)
-		if _, dup := links[name]; dup {
-			return nil, 0, fmt.Errorf("%w: duplicate link %q in snapshot", ErrCorrupt, name)
-		}
-		count, err := c.uvarint("entry count")
-		if err != nil {
-			return nil, 0, err
-		}
-		// One pass checks the section and sizes its payloads, a second
-		// cuts them from one arena: recovery copies each link's payloads
-		// once, not one allocation each.
-		section := *c
-		size, err := c.entries(name, count, nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		arena := make([]byte, 0, size)
-		state := new(idtable.Table[[]byte])
-		state.Grow(int(count))
-		section.entries(name, count, func(sid uint64, payload []byte) { //nolint:errcheck // the first pass read the same bytes
-			start := len(arena)
-			arena = append(arena, payload...)
-			state.Put(sid, arena[start:len(arena):len(arena)])
-		})
-		links[name] = state
+	if c.err != nil {
+		return nil, nil, 0, c.err
 	}
 	if len(c.rest) != 0 {
-		return nil, 0, fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, len(c.rest))
+		return nil, nil, 0, fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, len(c.rest))
 	}
-	return links, basePos, nil
+	return schema, links, basePos, nil
 }
 
 // writeSnapshot durably lands encoded snapshot bytes under seq: temp

@@ -162,10 +162,11 @@ func decodeBody(body []byte) (record, error) {
 	return r, nil
 }
 
-// replaySegment decodes every record of one segment file into apply.
-// final marks the newest segment, whose torn tail is a tolerated crash
-// artifact; anywhere else damage is ErrCorrupt.
-func replaySegment(path string, final bool, apply func(record)) error {
+// replaySegment decodes every record of one segment file into apply,
+// stopping at the first error apply returns. final marks the newest
+// segment, whose torn tail is a tolerated crash artifact; anywhere else
+// damage is ErrCorrupt.
+func replaySegment(path string, final bool, apply func(record) error) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("persist: reading segment: %w", err)
@@ -175,7 +176,7 @@ func replaySegment(path string, final bool, apply func(record)) error {
 
 // replayBytes decodes a segment's raw bytes (the fuzz targets drive it
 // directly).
-func replayBytes(data []byte, name string, final bool, apply func(record)) error {
+func replayBytes(data []byte, name string, final bool, apply func(record) error) error {
 	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
 		if final && len(data) < len(walMagic) && strings.HasPrefix(walMagic, string(data)) {
 			return nil // crash between create and header write
@@ -200,10 +201,12 @@ func replayBytes(data []byte, name string, final bool, apply func(record)) error
 			}
 			return fmt.Errorf("%w: torn record before the final segment (%s)", ErrCorrupt, name)
 		}
+		if err == nil {
+			err = apply(r)
+		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		apply(r)
 	}
 	return nil
 }

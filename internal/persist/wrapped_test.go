@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -34,15 +33,15 @@ func wrapPair(t *testing.T, st *Store) (eng, det *DurableProvider) {
 
 // storeView is everything the store's views answer.
 type storeView struct {
-	links   []string
-	entries map[string][]Entry
-	stats   StoreStats
+	links []string
+	held  map[string][]core.Held
+	stats StoreStats
 }
 
 func viewOf(st *Store) storeView {
-	v := storeView{links: st.Links(), entries: make(map[string][]Entry), stats: st.Stats()}
+	v := storeView{links: st.Links(), held: make(map[string][]core.Held), stats: st.Stats()}
 	for _, link := range v.links {
-		v.entries[link] = st.Entries(link)
+		v.held[link] = st.Held(link)
 	}
 	return v
 }
@@ -59,30 +58,8 @@ func requireSameView(t *testing.T, when string, got, want storeView) {
 			got.stats.Links, got.stats.Entries, want.stats.Links, want.stats.Entries)
 	}
 	for _, link := range want.links {
-		requireSameEntries(t, fmt.Sprintf("%s: link %q", when, link), got.entries[link], want.entries[link])
+		requireSameHeld(t, fmt.Sprintf("%s: link %q", when, link), got.held[link], want.held[link])
 	}
-}
-
-func requireSameEntries(t *testing.T, when string, got, want []Entry) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d entries, want %d", when, len(got), len(want))
-	}
-	for i := range want {
-		if got[i].SID != want[i].SID || !bytes.Equal(got[i].Payload, want[i].Payload) {
-			t.Fatalf("%s: entry %d is sid %d, want sid %d with the same payload", when, i, got[i].SID, want[i].SID)
-		}
-	}
-}
-
-// heldAsEntries encodes a provider's held set the way the store lists it.
-func heldAsEntries(t *testing.T, p core.Provider) []Entry {
-	t.Helper()
-	var out []Entry
-	for _, h := range mustEnumerate(t, p) {
-		out = append(out, Entry{SID: h.ID, Payload: payload(t, h.Rect.Subscription(p.Schema()))})
-	}
-	return out
 }
 
 // TestResetDumpCarriesWrappedLinks: a primary whose state sits in a
@@ -183,9 +160,9 @@ func TestStoreViewsIncludeWrappedLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := viewOf(st)
-	requireSameEntries(t, "engine link", after.entries[""], heldAsEntries(t, eng))
-	requireSameEntries(t, "detector link", after.entries["x"], heldAsEntries(t, det))
-	if n := len(after.entries[""]) + len(after.entries["x"]) + 5; after.stats.Links != 3 || after.stats.Entries != n {
+	requireSameHeld(t, "engine link", after.held[""], mustEnumerate(t, eng))
+	requireSameHeld(t, "detector link", after.held["x"], mustEnumerate(t, det))
+	if n := len(after.held[""]) + len(after.held["x"]) + 5; after.stats.Links != 3 || after.stats.Entries != n {
 		t.Fatalf("Stats Links/Entries = %d/%d after writes, want 3/%d", after.stats.Links, after.stats.Entries, n)
 	}
 
@@ -256,7 +233,7 @@ func TestSnapshotCutUnderConcurrentWrites(t *testing.T) {
 		}
 		close(snapsDone)
 		writers.Wait()
-		want := map[string][]Entry{"": heldAsEntries(t, eng), "x": heldAsEntries(t, det)}
+		want := map[string][]core.Held{"": mustEnumerate(t, eng), "x": mustEnumerate(t, det)}
 		eng.Close()
 		det.Close()
 		if err := st.Close(); err != nil {
@@ -266,8 +243,8 @@ func TestSnapshotCutUnderConcurrentWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for link, entries := range want {
-			requireSameEntries(t, fmt.Sprintf("round %d, link %q after reopen", round, link), st.Entries(link), entries)
+		for link, held := range want {
+			requireSameHeld(t, fmt.Sprintf("round %d, link %q after reopen", round, link), st.Held(link), held)
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
