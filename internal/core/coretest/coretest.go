@@ -40,9 +40,6 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 		t.Helper()
 		p := build(t)
 		t.Cleanup(p.Close)
-		if p.Mode() == core.ModeOff {
-			t.Fatalf("conformance providers must run ModeExact or ModeApprox, got %v", p.Mode())
-		}
 		if p.Len() != 0 {
 			t.Fatalf("conformance providers must start empty, got Len %d", p.Len())
 		}
@@ -499,9 +496,6 @@ func RunPersistenceConformance(t *testing.T, schema *subscription.Schema, open f
 	edgeProbe := subscription.MustParse(schema, "volume in [2,1010] && price in [2,1010]")
 
 	p := open(t)
-	if p.Mode() != core.ModeExact {
-		t.Fatalf("persistence conformance providers must run ModeExact, got %v", p.Mode())
-	}
 	wid, err := p.Insert(wide)
 	if err != nil {
 		t.Fatal(err)

@@ -41,8 +41,6 @@ type Provider interface {
 	Holds(id uint64) bool
 	// Len returns the number of held subscriptions.
 	Len() int
-	// Mode returns the configured detection mode.
-	Mode() Mode
 	// Schema returns the provider's attribute schema.
 	Schema() *subscription.Schema
 	// Stats returns a uniform snapshot of counters and occupancy.

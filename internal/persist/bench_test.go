@@ -497,9 +497,10 @@ func TestSnapshotAllocs(t *testing.T) {
 
 // TestRecoveryAllocs: recovering a one-link snapshot — persist.Open
 // decoding it, Durable restoring the link into a fresh default engine —
-// allocates about as often at 20 480 subscriptions as at 2 048. The
-// snapshot's payloads are cut from one arena a link and its table is sized
-// once, so nothing on the path allocates per subscription; what grows with
+// allocates about as often at 20 480 subscriptions as at 2 048. Each of
+// the snapshot's payloads is decoded in place into its rectangle and each
+// link's table is sized once, so nothing on the path allocates per
+// subscription; what grows with
 // the count is the engine's SFC array leaves, one allocation each, about
 // one per 48 subscriptions a bulk load places. The test bounds the growth
 // at one allocation per 32 subscriptions: 0.022 measured, 1.03 when every
@@ -552,6 +553,115 @@ func TestRecoveryAllocs(t *testing.T) {
 	t.Logf("recovery allocates %d times at 2 048 subscriptions, %d at 20 480: %.3f a subscription between", counts[2048], counts[20480], perSub)
 	if perSub > maxPerSub {
 		t.Fatalf("recovery allocates %d times at 20 480 subscriptions, %d at 2 048: %.3f a subscription, want at most %.3f", counts[20480], counts[2048], perSub, maxPerSub)
+	}
+}
+
+// TestReplayAllocs: opening a data dir whose state is all WAL records —
+// replay decoding each add's payload into the mirror's rectangle — on a
+// named link allocates about as often at 20 480 records as at 2 048. A
+// decoded record's payload aliases the segment's bytes and its link
+// shares the previous record's name, so what grows with the count is
+// the mirror's id table, by doubling. The test bounds the growth at one
+// allocation per 32 records: 2.0 a record when every payload and every
+// link name was copied on its own.
+func TestReplayAllocs(t *testing.T) {
+	const maxPerRecord = 1.0 / 32
+	schema := subscription.MustSchema(10, "volume", "price")
+	subs := benchSubs(t, schema, 20480)
+	counts := map[int]uint64{}
+	for _, n := range []int{2048, 20480} {
+		dir := t.TempDir()
+		st, err := persist.Open(dir, schema, persist.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := st.Durable("b0-n1", engine.MustNew(engine.Config{Detector: core.Config{Schema: schema}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.InsertBatch(subs[:n]); err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var closers []func()
+		counts[n] = mallocs(1, func() {
+			st, err := persist.Open(dir, schema, persist.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Pos() != uint64(n) {
+				t.Fatalf("replayed %d of %d records", st.Pos(), n)
+			}
+			closers = append(closers, func() { st.Close() })
+		})
+		for _, c := range closers {
+			c()
+		}
+	}
+	perRecord := (float64(counts[20480]) - float64(counts[2048])) / (20480 - 2048)
+	t.Logf("replay allocates %d times at 2 048 records, %d at 20 480: %.3f a record between", counts[2048], counts[20480], perRecord)
+	if perRecord > maxPerRecord {
+		t.Fatalf("replay allocates %d times at 20 480 records, %d at 2 048: %.3f a record, want at most %.3f", counts[20480], counts[2048], perRecord, maxPerRecord)
+	}
+}
+
+// TestApplyReplicatedAllocs: a follower applying one streamed frame — a
+// primary's committed batch on a named link, as its tailer hands it out —
+// allocates about as often at 1 024 records as at 128. The run is decoded
+// in place and logged verbatim; what grows with the count is the
+// record list and the mirror's id table, by doubling. The test bounds
+// the growth at one allocation per 32 records: 2.0 a record when each
+// record was decoded into an exported form with its own link name and
+// payload copy, and encoded again for the follower's log.
+func TestApplyReplicatedAllocs(t *testing.T) {
+	const maxPerRecord = 1.0 / 32
+	schema := subscription.MustSchema(10, "volume", "price")
+	subs := benchSubs(t, schema, 1024)
+	counts := map[int]uint64{}
+	for _, n := range []int{128, 1024} {
+		primary, err := persist.Open(t.TempDir(), schema, persist.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := primary.Durable("b0-n1", engine.MustNew(engine.Config{Detector: core.Config{Schema: schema}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail, err := primary.Tail(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.InsertBatch(subs[:n]); err != nil {
+			t.Fatal(err)
+		}
+		b, err := tail.Next(nil)
+		if err != nil || b.Reset || b.Pos != uint64(n) {
+			t.Fatalf("tailer handed out reset %v at %d (%v), want the batch of %d", b.Reset, b.Pos, err, n)
+		}
+		follower, err := persist.Open(t.TempDir(), schema, persist.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[n] = mallocs(1, func() {
+			if err := follower.ApplyReplicated(b.Base, b.Recs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if follower.Pos() != uint64(n) || len(follower.Held("b0-n1")) != n {
+			t.Fatalf("follower at %d holding %d, want %d", follower.Pos(), len(follower.Held("b0-n1")), n)
+		}
+		tail.Close()
+		d.Close()
+		follower.Close()
+		primary.Close()
+	}
+	perRecord := (float64(counts[1024]) - float64(counts[128])) / (1024 - 128)
+	t.Logf("a frame allocates %d times at 128 records, %d at 1 024: %.3f a record between", counts[128], counts[1024], perRecord)
+	if perRecord > maxPerRecord {
+		t.Fatalf("a frame allocates %d times at 1 024 records, %d at 128: %.3f a record, want at most %.3f", counts[1024], counts[128], perRecord, maxPerRecord)
 	}
 }
 

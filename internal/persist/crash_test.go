@@ -155,7 +155,7 @@ func recordsEnd(t testing.TB, path string) int64 {
 	}
 	rest := data[len(walMagic):]
 	for len(rest) > 0 && rest[0] != 0 {
-		_, next, err := decodeRecord(rest)
+		_, next, err := decodeRecord(rest, "")
 		if err != nil {
 			break
 		}

@@ -352,9 +352,6 @@ func (d *DurableProvider) Holds(id uint64) bool { return d.inner.Holds(id) }
 // Len returns the number of held subscriptions.
 func (d *DurableProvider) Len() int { return d.inner.Len() }
 
-// Mode returns the wrapped provider's detection mode.
-func (d *DurableProvider) Mode() core.Mode { return d.inner.Mode() }
-
 // Schema returns the wrapped provider's schema.
 func (d *DurableProvider) Schema() *subscription.Schema { return d.inner.Schema() }
 

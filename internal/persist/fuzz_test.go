@@ -68,7 +68,7 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		for _, r := range tolerant {
 			re := appendRecord(nil, r)
-			back, rest, err := decodeRecord(re)
+			back, rest, err := decodeRecord(re, "")
 			if err != nil || len(rest) != 0 {
 				t.Fatalf("re-encoded record does not decode: %v (%d leftover)", err, len(rest))
 			}
@@ -157,71 +157,118 @@ func FuzzSnapshotDecode(f *testing.F) {
 	})
 }
 
-// FuzzApplyReplicated hardens the follower's decoder: arbitrary bytes go
-// through DecodeRecords and, when they decode, through ApplyReplicated on
-// a fresh store. Either the store refuses the batch with ErrCorrupt and is
-// unchanged — position 0, no link, nothing logged — or a reopen recovers
-// it, and every link wraps a fresh engine whose Enumerate is the applied
-// adds less the applied removes.
-func FuzzApplyReplicated(f *testing.F) {
+// followerSeeds adds the follower fuzzers' seeds: the seed segment's
+// records, one add and one remove, a torn tail, a flipped checksum byte,
+// and a run of 1 025 records — one past the daemon's frame cap, so a
+// frame cut splits it — with the second frame's share alone.
+func followerSeeds(f *testing.F) {
 	seg, _ := fuzzSeedBytes(f)
-	f.Add(seg[len(walMagic):])
-	f.Add(EncodeRecords([]Record{{Link: "a", SID: 1, Payload: []byte{0x51, 2, 8, 1}}}))
-	f.Add(EncodeRecords([]Record{{Remove: true, Link: "a", SID: 4}}))
+	run := seg[len(walMagic):]
+	f.Add(run)
+	f.Add(appendRecord(nil, record{op: opAdd, link: "a", sid: 1, payload: []byte{0x51, 2, 8, 1}}))
+	f.Add(appendRecord(nil, record{op: opRem, link: "a", sid: 4}))
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := DecodeRecords(data)
+	f.Add(run[:len(run)-3])
+	flipped := append([]byte(nil), run...)
+	flipped[len(flipped)-1] ^= 0x40
+	f.Add(flipped)
+	var long []byte
+	cut := 0
+	for i := range 1025 {
+		if i == 1024 {
+			cut = len(long)
+		}
+		r := record{op: opAdd, link: "b0-n1", sid: uint64(i%300 + 1), payload: payload(f, rect(f, testSchema(), i%familyK))}
+		if i%7 == 6 {
+			r = record{op: opRem, link: "b0-n1", sid: uint64((i-6)%300 + 1)}
+		}
+		long = appendRecord(long, r)
+	}
+	f.Add(long)
+	f.Add(long[cut:])
+}
+
+// fuzzFollower holds one follower entry point to its contract on
+// arbitrary bytes: apply hands run to a fresh store, which either refuses
+// it with ErrCorrupt and is unchanged — position 0, no link, nothing
+// logged — or is reopened at position pos, and every link wraps a fresh
+// engine whose Enumerate is the run's adds less its removes.
+func fuzzFollower(t *testing.T, run []byte, pos uint64, apply func(st *Store, run []byte) error) {
+	schema, dir := testSchema(), t.TempDir()
+	st, err := Open(dir, schema, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := apply(st, run); err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("a fresh store refused the run with %v, want ErrCorrupt", err)
+		}
+		if st.Pos() != 0 || len(st.Links()) != 0 || st.Stats().WALRecords != 0 || st.Stats().Snapshots != 0 {
+			t.Fatalf("refused run changed the store: Pos %d, Links %v, %d records logged, %d snapshots", st.Pos(), st.Links(), st.Stats().WALRecords, st.Stats().Snapshots)
+		}
+		st.Close()
+		return
+	}
+	model := linkTables{}
+	err = eachRecord(run, func(r record, _ []byte) error {
+		if r.op == opRem {
+			model.drop(r.link, r.sid)
+			return nil
+		}
+		rect, err := subscription.UnmarshalRect(schema, r.payload)
 		if err != nil {
-			return
+			t.Fatalf("store took link %q sid %d, whose payload does not decode: %v", r.link, r.sid, err)
 		}
-		schema, dir := testSchema(), t.TempDir()
-		st, err := Open(dir, schema, Options{})
+		model.put(r.link, r.sid, rect)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("store took a run that does not decode: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(dir, schema, Options{})
+	if err != nil {
+		t.Fatalf("reopening the store: %v", err)
+	}
+	defer st.Close()
+	if st.Pos() != pos {
+		t.Fatalf("Pos = %d after reopen, want %d", st.Pos(), pos)
+	}
+	if got := st.Links(); len(got) != len(model) {
+		t.Fatalf("Links = %v after reopen, want %d links", got, len(model))
+	}
+	for link, table := range model {
+		d, err := st.Durable(link, newTestEngine(schema, 1))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Durable(%q) after reopen: %v", link, err)
 		}
-		if err := st.ApplyReplicated(0, recs); err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("ApplyReplicated on a fresh store = %v, want ErrCorrupt or nil", err)
-			}
-			if st.Pos() != 0 || len(st.Links()) != 0 || st.Stats().WALRecords != 0 {
-				t.Fatalf("refused batch changed the store: Pos %d, Links %v, %d records logged", st.Pos(), st.Links(), st.Stats().WALRecords)
-			}
-			st.Close()
-			return
-		}
-		model := linkTables{}
-		for _, r := range recs {
-			if r.Remove {
-				model.drop(r.Link, r.SID)
-				continue
-			}
-			rect, err := subscription.UnmarshalRect(schema, r.Payload)
-			if err != nil {
-				t.Fatalf("store applied link %q sid %d, whose payload does not decode: %v", r.Link, r.SID, err)
-			}
-			model.put(r.Link, r.SID, rect)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		st, err = Open(dir, schema, Options{})
-		if err != nil {
-			t.Fatalf("reopening an applied batch: %v", err)
-		}
-		defer st.Close()
-		if st.Pos() != uint64(len(recs)) {
-			t.Fatalf("Pos = %d after reopen, want %d", st.Pos(), len(recs))
-		}
-		if got := st.Links(); len(got) != len(model) {
-			t.Fatalf("Links = %v after reopen, want %d links", got, len(model))
-		}
-		for link, table := range model {
-			d, err := st.Durable(link, newTestEngine(schema, 1))
-			if err != nil {
-				t.Fatalf("Durable(%q) after reopen: %v", link, err)
-			}
-			requireSameHeld(t, fmt.Sprintf("link %q", link), mustEnumerate(t, d), sortedHeld(table))
-			d.Close()
-		}
+		requireSameHeld(t, fmt.Sprintf("link %q", link), mustEnumerate(t, d), sortedHeld(table))
+		d.Close()
+	}
+}
+
+// FuzzApplyReplicated hardens the follower's decoder of live frames:
+// arbitrary bytes go straight into ApplyReplicated on a fresh store,
+// which must refuse them or log them as a run reopening at one position
+// a record (fuzzFollower).
+func FuzzApplyReplicated(f *testing.F) {
+	followerSeeds(f)
+	f.Fuzz(func(t *testing.T, run []byte) {
+		var n uint64 // the records a run holds: the position it reopens at once applied
+		_ = eachRecord(run, func(record, []byte) error { n++; return nil })
+		fuzzFollower(t, run, n, func(st *Store, run []byte) error { return st.ApplyReplicated(0, run) })
+	})
+}
+
+// FuzzInstallState hardens the follower's decoder of reset dumps:
+// arbitrary bytes go straight into InstallState on a fresh store, which
+// must refuse them or install them as a snapshot reopening at the dump's
+// position (fuzzFollower).
+func FuzzInstallState(f *testing.F) {
+	followerSeeds(f)
+	f.Fuzz(func(t *testing.T, run []byte) {
+		fuzzFollower(t, run, 7, func(st *Store, run []byte) error { return st.InstallState(run, 7) })
 	})
 }

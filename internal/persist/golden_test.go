@@ -72,7 +72,7 @@ func TestSnapshotBytesGolden(t *testing.T) {
 	if !b.Reset {
 		t.Fatal("divergent position got a plain batch, want a Reset dump")
 	}
-	checkGolden(t, "dump.golden", append(binary.AppendUvarint(nil, b.Pos), EncodeRecords(b.Recs)...))
+	checkGolden(t, "dump.golden", append(binary.AppendUvarint(nil, b.Pos), b.Recs...))
 }
 
 // goldenOps drives every write path of p through a fixed sequence: single

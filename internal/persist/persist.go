@@ -474,7 +474,7 @@ func (st *Store) committed(rs []record, rects []subscription.Rect, wire []byte) 
 		}
 	}
 	st.ring.push(wire, len(rs))
-	st.notifyTailers(rs, base)
+	st.notifyTailers(wire, base, len(rs))
 }
 
 // mirror folds one landed record into the mirror, the table an

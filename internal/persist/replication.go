@@ -4,18 +4,23 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+
+	"sfccover/internal/subscription"
 )
 
 // Replication rides the WAL: every record a Store commits is also pushed,
-// in commit order, to any number of Tailers, each identified only by a
-// stream position — the count of records ever applied in the dir's
-// history. A follower stores that position durably (snapshots carry it as
-// basePos), hands it back after a restart, and the primary resumes the
-// stream from there: out of the in-memory ring when the follower is close
-// behind, or as a full-state reset when it is not. Records are idempotent
-// under re-application (an add overwrites, a remove of an absent sid is a
-// no-op), so a re-streamed overlap can never diverge a follower — the
-// divergence test pins that bit-identically.
+// in commit order and in the very bytes its segment holds, to any number
+// of Tailers, each identified only by a stream position — the count of
+// records ever applied in the dir's history. A follower stores that
+// position durably (snapshots carry it as basePos), hands it back after a
+// restart, and the primary resumes the stream from there: out of the
+// in-memory ring when the follower is close behind, or as a full-state
+// reset when it is not. The follower logs the records it applies
+// verbatim, so its WAL holds the primary's record bytes. Records are
+// idempotent under re-application (an add overwrites, a remove of an
+// absent sid is a no-op), so a re-streamed overlap can never diverge a
+// follower — the divergence test pins that bit-identically.
 
 // Typed failures of the replication path.
 var (
@@ -37,57 +42,35 @@ var (
 	ErrHasProviders = errors.New("persist: store has live providers; cannot apply a replication stream")
 )
 
-// Record is one replicated WAL entry in exported form. The zero value of
-// Remove makes the common case (an add) the zero case.
-type Record struct {
-	Remove  bool
-	Link    string
-	SID     uint64
-	Payload []byte // adds only
+// RecordLen is the length of the WAL record a run of records starts
+// with: the boundary a stream cuts a TailBatch's bytes at. The run is
+// the store's own, so its records are whole.
+func RecordLen(run []byte) int {
+	bodyLen, n := binary.Uvarint(run)
+	return n + int(bodyLen) + 4
 }
 
-func exportRecord(r record) Record {
-	return Record{Remove: r.op == opRem, Link: r.link, SID: r.sid, Payload: r.payload}
-}
-
-func importRecord(r Record) record {
-	op := opAdd
-	if r.Remove {
-		op = opRem
-	}
-	return record{op: op, link: r.Link, sid: r.SID, payload: r.Payload}
-}
-
-// EncodeRecords serializes records in the WAL segment wire form
-// (self-delimiting, CRC-protected) — the same bytes a segment holds, so
-// the stream and the log can never drift apart in format.
-func EncodeRecords(recs []Record) []byte {
-	var buf []byte
-	for _, r := range recs {
-		buf = appendRecord(buf, importRecord(r))
-	}
-	return buf
-}
-
-// DecodeRecords parses a blob produced by EncodeRecords. Strict: a torn
-// or checksum-broken record anywhere is an error — unlike segment replay
-// there is no crash that could explain a torn stream frame.
-func DecodeRecords(data []byte) ([]Record, error) {
-	var out []Record
-	rest := data
-	for len(rest) > 0 {
-		var r record
+// eachRecord decodes a run of WAL records from a replication stream — a
+// frame or a reset dump — strictly, handing fn each record with the
+// bytes after it, and stopping at the first error fn returns: a torn or
+// checksum-broken record anywhere is ErrCorrupt, because unlike a
+// segment's tail no crash explains a torn stream.
+func eachRecord(run []byte, fn func(r record, rest []byte) error) error {
+	var r record
+	for len(run) > 0 {
 		var err error
-		r, rest, err = decodeRecord(rest)
+		r, run, err = decodeRecord(run, r.link)
 		if errors.Is(err, errTorn) {
-			return nil, fmt.Errorf("%w: torn record in replication frame", ErrCorrupt)
+			return fmt.Errorf("%w: torn record in a replication stream", ErrCorrupt)
+		}
+		if err == nil {
+			err = fn(r, run)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, exportRecord(r))
 	}
-	return out, nil
+	return nil
 }
 
 // replRingMax bounds the in-memory catch-up buffer. At typical record
@@ -124,7 +107,7 @@ func (g *replRing) reset(pos uint64) {
 func (g *replRing) push(wire []byte, count int) {
 	if over := count - replRingMax; over > 0 {
 		for range over {
-			wire = wire[wireLen(wire):]
+			wire = wire[RecordLen(wire):]
 		}
 		g.base += uint64(g.n + over)
 		g.n, g.head, g.size = 0, 0, 0
@@ -157,12 +140,6 @@ func (g *replRing) push(wire []byte, count int) {
 	g.n += count
 }
 
-// wireLen is the length of the WAL record wire starts with.
-func wireLen(wire []byte) int {
-	bodyLen, n := binary.Uvarint(wire)
-	return n + int(bodyLen) + 4
-}
-
 // recordLen is the length of the held record starting at buf[off],
 // whose length prefix may wrap.
 func (g *replRing) recordLen(off int) int {
@@ -171,7 +148,7 @@ func (g *replRing) recordLen(off int) int {
 	}
 	var hdr [binary.MaxVarintLen64]byte
 	g.copyOut(hdr[:], off, min(len(hdr), len(g.buf)))
-	return wireLen(hdr[:])
+	return RecordLen(hdr[:])
 }
 
 // copyOut copies the n held bytes from buf[off] on, wrapping, into dst.
@@ -180,12 +157,12 @@ func (g *replRing) copyOut(dst []byte, off, n int) {
 	copy(dst[k:n], g.buf)
 }
 
-// from decodes the records after stream position pos, or reports ok=false
-// when pos is outside the window (evicted below, or beyond the head — a
-// divergent history). Only a starting tailer asks.
-func (g *replRing) from(pos uint64) ([]Record, bool, error) {
+// from copies out the WAL bytes of the records after stream position
+// pos, or reports ok=false when pos is outside the window (evicted below,
+// or beyond the head — a divergent history). Only a starting tailer asks.
+func (g *replRing) from(pos uint64) ([]byte, bool) {
 	if pos < g.base || pos > g.base+uint64(g.n) {
-		return nil, false, nil
+		return nil, false
 	}
 	off, size := g.head, g.size
 	for range pos - g.base {
@@ -193,31 +170,23 @@ func (g *replRing) from(pos uint64) ([]Record, bool, error) {
 		off = (off + k) % len(g.buf)
 		size -= k
 	}
-	wire := make([]byte, size)
-	g.copyOut(wire, off, size)
-	out := make([]Record, 0, g.base+uint64(g.n)-pos)
-	for len(wire) > 0 {
-		r, rest, err := decodeRecord(wire)
-		if err != nil {
-			return nil, false, fmt.Errorf("persist: the replication ring holds a record that does not decode: %w", err)
-		}
-		out = append(out, exportRecord(r))
-		wire = rest
-	}
-	return out, true, nil
+	run := make([]byte, size)
+	g.copyOut(run, off, size)
+	return run, true
 }
 
-// TailBatch is one hop of a replication stream. When Reset is false,
-// Recs are the records at stream positions Base+1..Pos, to be applied via
-// ApplyReplicated. When Reset is true, Recs are a full-state dump (adds
-// only) at position Pos, to be installed via InstallState — the follower
-// was too far behind (or ahead, after a divergent history) to catch up
-// record-by-record.
+// TailBatch is one hop of a replication stream: Recs is a run of records
+// in their WAL segment form (self-delimiting, CRC-protected), the bytes
+// the primary's log holds. When Reset is false, they are the records at
+// stream positions Base+1..Pos, to be applied via ApplyReplicated. When
+// Reset is true, they are a full-state dump (adds only) at position Pos,
+// to be installed via InstallState — the follower was too far behind (or
+// ahead, after a divergent history) to catch up record-by-record.
 type TailBatch struct {
 	Reset bool
 	Base  uint64
-	Recs  []Record
 	Pos   uint64
+	Recs  []byte
 }
 
 // Tailer is one follower's live view of the store's commit stream.
@@ -247,13 +216,9 @@ func (st *Store) Tail(from uint64) (*Tailer, error) {
 		return nil, ErrClosed
 	}
 	t := &Tailer{st: st, ch: make(chan TailBatch, tailerBuf)}
-	recs, ok, err := st.ring.from(from)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		if len(recs) > 0 {
-			t.initial = []TailBatch{{Base: from, Recs: recs, Pos: st.pos}}
+	if run, ok := st.ring.from(from); ok {
+		if len(run) > 0 {
+			t.initial = []TailBatch{{Base: from, Pos: st.pos, Recs: run}}
 		}
 	} else {
 		// Too far behind the ring window — or ahead of us entirely, which
@@ -269,51 +234,38 @@ func (st *Store) Tail(from uint64) (*Tailer, error) {
 	return t, nil
 }
 
-// dumpLocked serializes every link's state as a Reset batch at the
-// current position. Called with the cut held.
+// dumpLocked encodes every link's state as a Reset batch at the current
+// position: an add record for each held rectangle, its payload written
+// straight into the run. Called with the cut held.
 func (st *Store) dumpLocked() (TailBatch, error) {
 	links, err := st.linksLocked()
 	if err != nil {
 		return TailBatch{}, err
 	}
-	n := 0
+	batch := TailBatch{Reset: true, Pos: st.pos}
+	var scratch [subscription.MaxWireLen]byte
 	for _, l := range links {
-		n += len(l.held)
-	}
-	batch := TailBatch{Reset: true, Recs: make([]Record, 0, n), Pos: st.pos}
-	for _, l := range links {
-		heldPayloads(st.schema, l.held, func(sid uint64, payload []byte) {
-			batch.Recs = append(batch.Recs, Record{Link: l.name, SID: sid, Payload: payload})
-		})
+		for _, h := range l.held {
+			pay := h.Rect.AppendBinary(scratch[:0], st.schema)
+			batch.Recs = appendRecord(batch.Recs, record{op: opAdd, link: l.name, sid: h.ID, payload: pay})
+		}
 	}
 	return batch, nil
 }
 
-// notifyTailers pushes a freshly committed batch to every live tailer.
-// Called with st.mu held. A tailer whose backlog is full is lagged:
-// its stream ends with ErrTailerLagged and it re-syncs from its applied
-// position, so one stuck follower cannot block commits or pin unbounded
-// memory.
-func (st *Store) notifyTailers(rs []record, base uint64) {
+// notifyTailers pushes a freshly committed batch, the count records at
+// stream positions base+1.. whose WAL bytes are wire, to every live
+// tailer. Called with st.mu held. A tailer whose backlog is full is
+// lagged: its stream ends with ErrTailerLagged and it re-syncs from its
+// applied position, so one stuck follower cannot block commits or pin
+// unbounded memory.
+func (st *Store) notifyTailers(wire []byte, base uint64, count int) {
 	if len(st.tailers) == 0 {
 		return
 	}
-	// The batch owns its payloads: an appender's may be a buffer it
-	// reuses as soon as the append returns.
-	size := 0
-	for _, r := range rs {
-		size += len(r.payload)
-	}
-	arena := make([]byte, 0, size)
-	batch := TailBatch{Base: base, Recs: make([]Record, len(rs)), Pos: base + uint64(len(rs))}
-	for i, r := range rs {
-		if len(r.payload) > 0 {
-			start := len(arena)
-			arena = append(arena, r.payload...)
-			r.payload = arena[start:len(arena):len(arena)]
-		}
-		batch.Recs[i] = exportRecord(r)
-	}
+	// The batch owns its bytes: wire is the log's encode buffer, reused
+	// by the next append.
+	batch := TailBatch{Base: base, Pos: base + uint64(count), Recs: slices.Clone(wire)}
 	for t := range st.tailers {
 		select {
 		case t.ch <- batch:
@@ -374,16 +326,17 @@ func (st *Store) Pos() uint64 {
 	return st.pos
 }
 
-// ApplyReplicated commits a streamed batch whose first record sits at
-// stream position base+1. Overlap with already-applied records (base <
-// Pos) is deduplicated by position — a re-streamed or duplicated window
-// is applied once, which with idempotent records keeps the follower
-// bit-identical to the primary. A batch that starts beyond Pos is refused
+// ApplyReplicated commits a streamed run of WAL records whose first
+// record sits at stream position base+1. Overlap with already-applied
+// records (base < Pos) is deduplicated by position — a re-streamed or
+// duplicated window is applied once, which with idempotent records keeps
+// the follower bit-identical to the primary. The records past the overlap
+// land in the log verbatim. A batch that starts beyond Pos is refused
 // with ErrReplicationGap; a store with live DurableProviders is refused
-// with ErrHasProviders (followers serve reads only). A batch holding an
-// add whose payload does not decode is refused whole with ErrCorrupt:
-// nothing of it is logged or applied.
-func (st *Store) ApplyReplicated(base uint64, recs []Record) error {
+// with ErrHasProviders (followers serve reads only). A run holding a torn
+// record, or an add whose payload does not decode, is refused whole with
+// ErrCorrupt: nothing of it is logged or applied.
+func (st *Store) ApplyReplicated(base uint64, run []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -396,25 +349,43 @@ func (st *Store) ApplyReplicated(base uint64, recs []Record) error {
 		return fmt.Errorf("%w: batch starts at %d, store is at %d", ErrReplicationGap, base, st.pos)
 	}
 	skip := st.pos - base
-	if skip >= uint64(len(recs)) {
+	var rs []record
+	err := eachRecord(run, func(r record, rest []byte) error {
+		if skip > 0 {
+			skip--
+			run = rest
+		} else {
+			rs = append(rs, r)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if len(rs) == 0 {
 		return nil // the whole batch is a duplicate of applied history
 	}
-	rs := make([]record, 0, uint64(len(recs))-skip)
-	for _, r := range recs[skip:] {
-		rs = append(rs, importRecord(r))
+	rects, err := st.unwrapped(rs)
+	if err != nil {
+		return err
 	}
-	return st.appendLocked(rs...)
+	if err := st.w.appendBytes(run); err != nil {
+		return err
+	}
+	st.committed(rs, rects, run)
+	return nil
 }
 
 // InstallState replaces the store's entire durable state with a Reset
-// dump at stream position pos: the WAL rotates, a snapshot of the dump
-// lands (carrying pos as its base), the mirror and ring are swapped, and
-// the superseded log is compacted away. This is the follower's answer to
-// a Reset batch — equivalent to a cold copy of the primary's dir, without
-// a WAL full of removes for state it never had. Refused on stores with
-// live providers, and with ErrCorrupt, before anything is written, when an
-// add's payload does not decode.
-func (st *Store) InstallState(recs []Record, pos uint64) error {
+// dump, a run of WAL records, at stream position pos: the WAL rotates, a
+// snapshot of the dump lands (carrying pos as its base), the mirror and
+// ring are swapped, and the superseded log is compacted away. This is the
+// follower's answer to a Reset batch — equivalent to a cold copy of the
+// primary's dir, without a WAL full of removes for state it never had.
+// Refused on stores with live providers, and with ErrCorrupt, before
+// anything is written, when a record is torn or an add's payload does not
+// decode.
+func (st *Store) InstallState(run []byte, pos uint64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -424,15 +395,19 @@ func (st *Store) InstallState(recs []Record, pos uint64) error {
 		return ErrHasProviders
 	}
 	state := make(linkTables)
-	for _, r := range recs {
-		if r.Remove {
-			continue // a dump carries adds only; tolerate rather than corrupt
+	err := eachRecord(run, func(r record, _ []byte) error {
+		if r.op == opRem {
+			state.drop(r.link, r.sid) // a dump carries adds only; a remove drops what the run added
+			return nil
 		}
-		rect, err := decodePayload(st.schema, r.Link, r.SID, r.Payload)
-		if err != nil {
-			return err
+		rect, err := decodePayload(st.schema, r.link, r.sid, r.payload)
+		if err == nil {
+			state.put(r.link, r.sid, rect)
 		}
-		state.put(r.Link, r.SID, rect)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	if err := st.w.rotate(); err != nil {
 		return err

@@ -12,10 +12,29 @@ import (
 	"sfccover/internal/core"
 )
 
-// rec builds an add record for the i-th anti-chain member.
-func addRec(t *testing.T, link string, sid uint64, i int) Record {
+// addRec builds an add record for the i-th anti-chain member.
+func addRec(t *testing.T, link string, sid uint64, i int) record {
 	t.Helper()
-	return Record{Link: link, SID: sid, Payload: payload(t, rect(t, testSchema(), i))}
+	return record{op: opAdd, link: link, sid: sid, payload: payload(t, rect(t, testSchema(), i))}
+}
+
+// encodeRun encodes records as a run of WAL bytes, the form a
+// replication stream carries them in.
+func encodeRun(rs ...record) []byte {
+	var run []byte
+	for _, r := range rs {
+		run = appendRecord(run, r)
+	}
+	return run
+}
+
+// countRecords counts the records of a run of WAL bytes.
+func countRecords(run []byte) int {
+	n := 0
+	for ; len(run) > 0; n++ {
+		run = run[RecordLen(run):]
+	}
+	return n
 }
 
 // applyBatch lands one tail batch on a follower store through whichever
@@ -114,33 +133,33 @@ func TestReplicationDedupAndGap(t *testing.T) {
 	}
 	defer st.Close()
 
-	recs := []Record{
+	recs := []record{
 		addRec(t, "a", 1, 0),
 		addRec(t, "a", 2, 1),
-		{Remove: true, Link: "a", SID: 1},
+		{op: opRem, link: "a", sid: 1},
 	}
-	if err := st.ApplyReplicated(0, recs); err != nil {
+	if err := st.ApplyReplicated(0, encodeRun(recs...)); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Pos(); got != 3 {
 		t.Fatalf("Pos = %d, want 3", got)
 	}
 	// The whole batch again: a duplicate window, applied zero times more.
-	if err := st.ApplyReplicated(0, recs); err != nil {
+	if err := st.ApplyReplicated(0, encodeRun(recs...)); err != nil {
 		t.Fatalf("duplicate window refused: %v", err)
 	}
 	if got := st.Pos(); got != 3 {
 		t.Fatalf("Pos moved to %d on a duplicate window", got)
 	}
 	// Overlapping window carrying one new record: only the tail applies.
-	if err := st.ApplyReplicated(1, []Record{recs[1], recs[2], addRec(t, "b", 9, 3)}); err != nil {
+	if err := st.ApplyReplicated(1, encodeRun(recs[1], recs[2], addRec(t, "b", 9, 3))); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Pos(); got != 4 {
 		t.Fatalf("Pos = %d after overlap, want 4", got)
 	}
 	// A batch starting beyond the position would skip records: refused.
-	if err := st.ApplyReplicated(10, recs); !errors.Is(err, ErrReplicationGap) {
+	if err := st.ApplyReplicated(10, encodeRun(recs...)); !errors.Is(err, ErrReplicationGap) {
 		t.Fatalf("gap batch: %v, want ErrReplicationGap", err)
 	}
 	// Wrapping a provider flips the store to primary duty: streams refused.
@@ -149,7 +168,7 @@ func TestReplicationDedupAndGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if err := st.ApplyReplicated(4, []Record{addRec(t, "c", 1, 4)}); !errors.Is(err, ErrHasProviders) {
+	if err := st.ApplyReplicated(4, encodeRun(addRec(t, "c", 1, 4))); !errors.Is(err, ErrHasProviders) {
 		t.Fatalf("stream onto a providing store: %v, want ErrHasProviders", err)
 	}
 }
@@ -167,22 +186,22 @@ func TestReStreamedWindowsConvergeBitIdentical(t *testing.T) {
 	}
 	defer primary.Close()
 
-	history := []Record{
+	history := []record{
 		addRec(t, "", 1, 0),
 		addRec(t, "", 2, 1),
 		addRec(t, "L", 1, 2),
-		{Remove: true, Link: "", SID: 2},
+		{op: opRem, link: "", sid: 2},
 		addRec(t, "L", 2, 3),
 		addRec(t, "", 3, 4),
-		{Remove: true, Link: "L", SID: 1},
+		{op: opRem, link: "L", sid: 1},
 		addRec(t, "M", 5, 5),
 	}
 	for _, r := range history {
 		var err error
-		if r.Remove {
-			err = primary.appendRemove(r.Link, r.SID)
+		if r.op == opRem {
+			err = primary.appendRemove(r.link, r.sid)
 		} else {
-			err = primary.appendAdd(r.Link, r.SID, r.Payload)
+			err = primary.appendAdd(r.link, r.sid, r.payload)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -201,7 +220,7 @@ func TestReStreamedWindowsConvergeBitIdentical(t *testing.T) {
 		{0, 3}, {1, 5}, {0, 4}, {3, 8}, {0, 8}, {6, 8},
 	}
 	for _, w := range windows {
-		if err := follower.ApplyReplicated(w.base, history[w.base:w.end]); err != nil {
+		if err := follower.ApplyReplicated(w.base, encodeRun(history[w.base:w.end]...)); err != nil {
 			t.Fatalf("window [%d,%d): %v", w.base, w.end, err)
 		}
 	}
@@ -317,11 +336,11 @@ func TestFollowerRefusesUndecodablePayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ApplyReplicated(0, []Record{addRec(t, "a", 1, 0)}); err != nil {
+	if err := st.ApplyReplicated(0, encodeRun(addRec(t, "a", 1, 0))); err != nil {
 		t.Fatal(err)
 	}
 	pos, image := st.Pos(), dirImage(t, dir)
-	bad := []Record{addRec(t, "a", 3, 1), {Link: "a", SID: 2, Payload: undecodable}}
+	bad := encodeRun(addRec(t, "a", 3, 1), record{op: opAdd, link: "a", sid: 2, payload: undecodable})
 	for _, c := range []struct {
 		name  string
 		apply func() error
@@ -573,18 +592,16 @@ func TestReplicationRingWraps(t *testing.T) {
 				t.Fatalf("%s: Tail(%d) = reset %v base %d pos %d, want a replay of %d..%d", stage, from, b.Reset, b.Base, b.Pos, from+1, pos)
 			}
 			want := ref.recs[from-ref.base:]
-			if len(b.Recs) != len(want) {
-				t.Fatalf("%s: Tail(%d) replays %d records, the slice ring %d", stage, from, len(b.Recs), len(want))
+			if n := countRecords(b.Recs); n != len(want) {
+				t.Fatalf("%s: Tail(%d) replays %d records, the slice ring %d", stage, from, n, len(want))
 			}
-			for i, r := range want {
-				if got := b.Recs[i]; got.Remove != (r.op == opRem) || got.Link != r.link || got.SID != r.sid || !bytes.Equal(got.Payload, r.payload) {
-					t.Fatalf("%s: Tail(%d) record %d = %+v, the slice ring's is %+v", stage, from, i, got, r)
-				}
+			if !bytes.Equal(b.Recs, encodeRun(want...)) {
+				t.Fatalf("%s: Tail(%d) replays other bytes than the slice ring's records", stage, from)
 			}
 		default:
 			b := tl.initial[0]
-			if !b.Reset || b.Pos != pos || len(b.Recs) != st.Stats().Entries {
-				t.Fatalf("%s: Tail(%d) = reset %v pos %d with %d records, want a reset dump of %d entries at %d", stage, from, b.Reset, b.Pos, len(b.Recs), st.Stats().Entries, pos)
+			if n := countRecords(b.Recs); !b.Reset || b.Pos != pos || n != st.Stats().Entries {
+				t.Fatalf("%s: Tail(%d) = reset %v pos %d with %d records, want a reset dump of %d entries at %d", stage, from, b.Reset, b.Pos, n, st.Stats().Entries, pos)
 			}
 			if held < uint64(min(replRingMax, pushed)) && from >= ref.base && from <= pos {
 				t.Fatalf("%s: Tail(%d) resets while the ring holds only %d records", stage, from, held)
@@ -622,7 +639,7 @@ func TestReplicationRingWraps(t *testing.T) {
 	// A follower's reset: the ring restarts empty at the installed
 	// position, and the history before it is gone from both rings.
 	resetPos := st.Pos() + 50
-	if err := st.InstallState([]Record{addRec(t, "", 1, 0), addRec(t, "x", 2, 1)}, resetPos); err != nil {
+	if err := st.InstallState(encodeRun(addRec(t, "", 1, 0), addRec(t, "x", 2, 1)), resetPos); err != nil {
 		t.Fatal(err)
 	}
 	ref = sliceRing{base: resetPos}
@@ -659,14 +676,9 @@ func TestReplicationRingRecordsStraddleTheEnd(t *testing.T) {
 		k := copy(g.buf[start:], wire)
 		copy(g.buf, wire[k:])
 		for skip := range len(rs) + 1 {
-			got, ok, err := g.from(base + uint64(skip))
-			if err != nil || !ok || len(got) != len(rs)-skip {
-				t.Fatalf("start %d: from(%d) = %d records, %v, %v; want %d", start, base+skip, len(got), ok, err, len(rs)-skip)
-			}
-			for i, r := range rs[skip:] {
-				if rec := got[i]; rec.Remove != (r.op == opRem) || rec.Link != r.link || rec.SID != r.sid || !bytes.Equal(rec.Payload, r.payload) {
-					t.Fatalf("start %d: from(%d) record %d = %+v, want %+v", start, base+skip, i, rec, r)
-				}
+			got, ok := g.from(base + uint64(skip))
+			if want := encodeRun(rs[skip:]...); !ok || !bytes.Equal(got, want) {
+				t.Fatalf("start %d: from(%d) = %d records (%v), want the last %d", start, base+skip, countRecords(got), ok, len(rs)-skip)
 			}
 		}
 	}
@@ -734,10 +746,7 @@ func FuzzReplicationRing(f *testing.F) {
 				froms = append(froms, w-1, w)
 			}
 			for _, from := range froms {
-				got, ok, err := g.from(from)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got, ok := g.from(from)
 				if inside := from >= g.base && from <= pos; ok != inside {
 					t.Fatalf("from(%d) with the window at %d..%d: ok %v", from, g.base+1, pos, ok)
 				}
@@ -745,13 +754,11 @@ func FuzzReplicationRing(f *testing.F) {
 					continue
 				}
 				want := ref.recs[from-ref.base:]
-				if len(got) != len(want) {
-					t.Fatalf("from(%d) replays %d records, the slice ring %d", from, len(got), len(want))
+				if n := countRecords(got); n != len(want) {
+					t.Fatalf("from(%d) replays %d records, the slice ring %d", from, n, len(want))
 				}
-				for i, r := range want {
-					if rec := got[i]; rec.Remove != (r.op == opRem) || rec.Link != r.link || rec.SID != r.sid || !bytes.Equal(rec.Payload, r.payload) {
-						t.Fatalf("from(%d) record %d = %+v, the slice ring's is %+v", from, i, rec, r)
-					}
+				if !bytes.Equal(got, encodeRun(want...)) {
+					t.Fatalf("from(%d) replays other bytes than the slice ring's records", from)
 				}
 			}
 		}

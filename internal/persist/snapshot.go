@@ -112,22 +112,6 @@ type linkEntries struct {
 	held []core.Held
 }
 
-// heldPayloads hands fn each held rectangle's wire payload under its sid,
-// all cut from one arena sized to them.
-func heldPayloads(schema *subscription.Schema, held []core.Held, fn func(sid uint64, payload []byte)) {
-	var scratch [subscription.MaxWireLen]byte
-	size := 0
-	for _, h := range held {
-		size += len(h.Rect.AppendBinary(scratch[:0], schema))
-	}
-	arena := make([]byte, 0, size)
-	for _, h := range held {
-		start := len(arena)
-		arena = h.Rect.AppendBinary(arena, schema)
-		fn(h.ID, arena[start:len(arena):len(arena)])
-	}
-}
-
 // encodeSnapshot serializes the per-link state, every link of links by
 // name, as a snapshot at replication stream position basePos.
 func encodeSnapshot(schema *subscription.Schema, links linkTables, basePos uint64) []byte {

@@ -105,7 +105,10 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 var errTorn = errors.New("persist: torn record")
 
 // decodeRecord decodes one record from data, returning the remainder.
-func decodeRecord(data []byte) (record, []byte, error) {
+// link is the name of the record before it: a record on the same link
+// shares that string, so a run of records on one link allocates no name.
+// An add's payload aliases data.
+func decodeRecord(data []byte, link string) (record, []byte, error) {
 	bodyLen, n := binary.Uvarint(data)
 	if n <= 0 {
 		return record{}, nil, errTorn
@@ -119,7 +122,7 @@ func decodeRecord(data []byte) (record, []byte, error) {
 		return record{}, nil, errTorn
 	}
 	rest = rest[bodyLen+4:]
-	r, err := decodeBody(body)
+	r, err := decodeBody(body, link)
 	if err != nil {
 		// The checksum verified, so this is a writer bug or hand-edited
 		// state, not a crash: surface it as corruption.
@@ -128,8 +131,9 @@ func decodeRecord(data []byte) (record, []byte, error) {
 	return r, rest, nil
 }
 
-// decodeBody decodes a checksum-verified record body.
-func decodeBody(body []byte) (record, error) {
+// decodeBody decodes a checksum-verified record body; link is as for
+// decodeRecord.
+func decodeBody(body []byte, link string) (record, error) {
 	if len(body) < 1 {
 		return record{}, errors.New("empty record body")
 	}
@@ -143,7 +147,9 @@ func decodeBody(body []byte) (record, error) {
 		return record{}, errors.New("truncated link")
 	}
 	rest = rest[n:]
-	r.link = string(rest[:linkLen])
+	if r.link = link; string(rest[:linkLen]) != link {
+		r.link = string(rest[:linkLen])
+	}
 	rest = rest[linkLen:]
 	r.sid, n = binary.Uvarint(rest)
 	if n <= 0 {
@@ -155,7 +161,7 @@ func decodeBody(body []byte) (record, error) {
 		if n <= 0 || payLen != uint64(len(rest)-n) {
 			return record{}, errors.New("payload length does not match record body")
 		}
-		r.payload = append([]byte(nil), rest[n:]...)
+		r.payload = rest[n:]
 	} else if len(rest) != 0 {
 		return record{}, fmt.Errorf("%d trailing bytes in remove record", len(rest))
 	}
@@ -184,8 +190,8 @@ func replayBytes(data []byte, name string, final bool, apply func(record) error)
 		return fmt.Errorf("%w: segment %s has bad magic", ErrCorrupt, name)
 	}
 	rest := data[len(walMagic):]
+	var r record
 	for len(rest) > 0 {
-		var r record
 		var err error
 		if rest[0] == 0 {
 			if allZero(rest) {
@@ -193,7 +199,7 @@ func replayBytes(data []byte, name string, final bool, apply func(record) error)
 			}
 			err = errTorn
 		} else {
-			r, rest, err = decodeRecord(rest)
+			r, rest, err = decodeRecord(rest, r.link)
 		}
 		if errors.Is(err, errTorn) {
 			if final {

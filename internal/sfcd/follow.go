@@ -15,14 +15,21 @@ import (
 // the stream position its store has durably applied, and the primary's
 // serveReplicate streams every WAL record from there on — out of the
 // store's in-memory ring when the follower is close behind, as a
-// full-state reset otherwise. The follower applies each frame through
-// the store's replay path before reading the next, so its durable state
-// is always a prefix of the primary's history and a re-streamed overlap
-// (after a reconnect) deduplicates by position instead of diverging.
+// full-state reset otherwise. A frame carries the primary's WAL record
+// bytes as they are; the follower applies each frame before reading the
+// next, logging its records verbatim, so its durable state is always a
+// prefix of the primary's history and a re-streamed overlap (after a
+// reconnect) deduplicates by position instead of diverging.
 
-// maxRepFrameRecords bounds one stream frame so a large catch-up batch
-// or reset dump splits across frames instead of hitting MaxFrameBytes.
-const maxRepFrameRecords = 1024
+// maxRepFrameRecords and maxRepFrameBytes bound one stream frame, so a
+// large catch-up batch or reset dump splits across frames instead of
+// hitting MaxFrameBytes: every record repeats its link name, so a batch
+// on a long-named link reaches the byte cap well before the record cap.
+// A lone record past the byte cap goes in a frame of its own.
+const (
+	maxRepFrameRecords = 1024
+	maxRepFrameBytes   = MaxFrameBytes / 2
+)
 
 // followDialTimeout bounds one connection attempt to the primary.
 const followDialTimeout = 5 * time.Second
@@ -63,40 +70,50 @@ func (s *Server) serveReplicate(id, pos uint64, cs *connState) {
 			send(errResponse(err))
 			return
 		}
-		for _, f := range repFrames(b) {
+		frames, n := repFrames(b)
+		for _, f := range frames {
 			send(Response{OK: true, Rep: f})
 		}
-		s.repStreamed.Add(uint64(len(b.Recs)))
+		s.repStreamed.Add(uint64(n))
 	}
 }
 
-// repFrames splits one tail batch into wire frames of at most
-// maxRepFrameRecords records each.
-func repFrames(b persist.TailBatch) []RepFrame {
+// repFrames cuts one tail batch's run of WAL records, at record
+// boundaries, into wire frames of at most maxRepFrameRecords records and
+// maxRepFrameBytes bytes each, and counts the records. The frames share
+// the batch's bytes.
+func repFrames(b persist.TailBatch) (frames []RepFrame, n int) {
 	if len(b.Recs) == 0 {
 		if b.Reset {
 			// An empty store's dump still needs one frame: it carries the
 			// position and tells the follower to clear its own state.
-			return []RepFrame{{Reset: true, Pos: b.Pos}}
+			return []RepFrame{{Reset: true, Pos: b.Pos}}, 0
 		}
-		return nil
+		return nil, 0
 	}
-	var frames []RepFrame
-	for off := 0; off < len(b.Recs); off += maxRepFrameRecords {
-		end := min(off+maxRepFrameRecords, len(b.Recs))
-		chunk := b.Recs[off:end]
-		f := RepFrame{Recs: persist.EncodeRecords(chunk)}
+	pos := b.Base
+	for run := b.Recs; len(run) > 0; {
+		end, count := 0, 0
+		for end < len(run) && count < maxRepFrameRecords {
+			k := persist.RecordLen(run[end:])
+			if count > 0 && end+k > maxRepFrameBytes {
+				break
+			}
+			end += k
+			count++
+		}
+		f := RepFrame{Recs: run[:end]}
+		run = run[end:]
+		n += count
 		if b.Reset {
-			f.Reset = true
-			f.More = end < len(b.Recs)
-			f.Pos = b.Pos
+			f.Reset, f.More, f.Pos = true, len(run) > 0, b.Pos
 		} else {
-			f.Base = b.Base + uint64(off)
-			f.Pos = f.Base + uint64(len(chunk))
+			f.Base, f.Pos = pos, pos+uint64(count)
+			pos = f.Pos
 		}
 		frames = append(frames, f)
 	}
-	return frames
+	return frames, n
 }
 
 // followLoop keeps the store tailing the primary until stopped,
@@ -210,7 +227,7 @@ func (s *Server) followOnce() error {
 	if err := send(Request{ID: 2, Op: OpReplicate, Pos: s.store.Pos()}); err != nil {
 		return err
 	}
-	var resetRecs []persist.Record
+	var reset []byte
 	for {
 		if err := recv(); err != nil {
 			if stopped() {
@@ -224,7 +241,7 @@ func (s *Server) followOnce() error {
 		if resp.Op != OpReplicate {
 			return fmt.Errorf("stream frame answers %s, not replicate (id %d)", resp.Op, resp.ID)
 		}
-		if err := s.applyFrame(&resp.Rep, &resetRecs); err != nil {
+		if err := s.applyFrame(&resp.Rep, &reset); err != nil {
 			return err
 		}
 		if stopped() {
@@ -234,29 +251,27 @@ func (s *Server) followOnce() error {
 }
 
 // applyFrame lands one stream frame in the store. Reset frames
-// accumulate in resetRecs until the dump's final frame installs them
+// accumulate in reset until the dump's final frame installs them
 // atomically; plain frames apply in place, deduplicated by position.
-func (s *Server) applyFrame(f *RepFrame, resetRecs *[]persist.Record) error {
-	recs, err := persist.DecodeRecords(f.Recs)
-	if err != nil {
-		return err
-	}
+func (s *Server) applyFrame(f *RepFrame, reset *[]byte) error {
 	if f.Reset {
-		*resetRecs = append(*resetRecs, recs...)
+		*reset = append(*reset, f.Recs...)
 		if f.More {
 			return nil
 		}
-		if err := s.store.InstallState(*resetRecs, f.Pos); err != nil {
+		if err := s.store.InstallState(*reset, f.Pos); err != nil {
 			return err
 		}
-		*resetRecs = nil
+		*reset = nil
 		s.repResets.Inc()
-	} else if err := s.store.ApplyReplicated(f.Base, recs); err != nil {
+	} else if f.Pos < f.Base {
+		return fmt.Errorf("stream frame ends at %d, before its base %d", f.Pos, f.Base)
+	} else if err := s.store.ApplyReplicated(f.Base, f.Recs); err != nil {
 		// A gap means this session missed frames (it cannot self-heal);
 		// the reconnect re-requests from the store's applied position.
 		return err
 	} else {
-		s.repApplied.Add(uint64(len(recs)))
+		s.repApplied.Add(f.Pos - f.Base)
 	}
 	s.repPrimaryPos.Set(int64(f.Pos))
 	return nil

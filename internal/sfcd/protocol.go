@@ -318,7 +318,9 @@ type Response struct {
 }
 
 // RepFrame is one hop of a replication stream. Recs carries WAL records
-// in the segment wire encoding (self-delimiting, CRC-protected), raw.
+// in the segment wire encoding (self-delimiting, CRC-protected), raw: a
+// run of the primary's log bytes, cut at record boundaries, which the
+// follower checks and appends to its own log as they are.
 //
 // When Reset is false the records sit at stream positions Base+1..Pos
 // and the follower applies them in place (idempotent; an overlap with

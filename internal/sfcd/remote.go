@@ -33,7 +33,6 @@ import (
 type RemoteProvider struct {
 	c    *Client
 	link string
-	mode core.Mode
 	ctx  context.Context
 }
 
@@ -44,11 +43,10 @@ var _ core.Provider = (*RemoteProvider)(nil)
 // names an isolated subscription set, lazily materialized server-side
 // from the engine's detector template (so its mode matches the daemon's).
 func (c *Client) Provider(link string) (*RemoteProvider, error) {
-	mode, err := core.ParseMode(c.mode)
-	if err != nil {
+	if _, err := core.ParseMode(c.mode); err != nil {
 		return nil, fmt.Errorf("sfcd: hello negotiated %w", err)
 	}
-	return &RemoteProvider{c: c, link: link, mode: mode, ctx: context.Background()}, nil
+	return &RemoteProvider{c: c, link: link, ctx: context.Background()}, nil
 }
 
 // Link returns the provider's namespace on the daemon.
@@ -215,9 +213,6 @@ func (r *RemoteProvider) Holds(id uint64) bool {
 // Len returns the number of held subscriptions in the namespace (0 when
 // the daemon cannot be reached; see the type comment).
 func (r *RemoteProvider) Len() int { return r.Stats().Subscriptions }
-
-// Mode returns the daemon's detection mode, as negotiated at dial time.
-func (r *RemoteProvider) Mode() core.Mode { return r.mode }
 
 // Schema returns the client's attribute schema.
 func (r *RemoteProvider) Schema() *subscription.Schema { return r.c.schema }

@@ -1,9 +1,14 @@
 package sfcd_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -395,7 +400,7 @@ func TestReplicateWireStream(t *testing.T) {
 	}
 	conn.Send(sfcd.RequestFrame(sfcd.Request{ID: 2, Op: sfcd.OpReplicate, Pos: 0}))
 
-	var recs []persist.Record
+	var run []byte
 	next := uint64(0)
 	for next < target {
 		resp, err := conn.Recv()
@@ -412,27 +417,168 @@ func TestReplicateWireStream(t *testing.T) {
 		if f.Base != next {
 			t.Fatalf("frame base = %d, want contiguous %d", f.Base, next)
 		}
-		batch, err := persist.DecodeRecords(f.Recs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		batch := walRecords(t, f.Recs)
 		if f.Pos != f.Base+uint64(len(batch)) {
 			t.Fatalf("frame pos = %d, want base %d + %d records", f.Pos, f.Base, len(batch))
 		}
-		recs = append(recs, batch...)
+		run = append(run, f.Recs...)
 		next = f.Pos
 	}
 
+	recs := walRecords(t, run)
 	if uint64(len(recs)) != target {
 		t.Fatalf("streamed %d records, store committed %d", len(recs), target)
 	}
 	// 4 inserts then 1 remove, in commit order.
 	for i := 0; i < 4; i++ {
-		if recs[i].Remove || recs[i].SID != sids[i] {
+		if recs[i].op != 'A' || recs[i].sid != sids[i] {
 			t.Fatalf("record %d = %+v, want add of sid %d", i, recs[i], sids[i])
 		}
 	}
-	if !recs[4].Remove || recs[4].SID != sids[1] {
+	if recs[4].op != 'R' || recs[4].sid != sids[1] {
 		t.Fatalf("record 4 = %+v, want remove of sid %d", recs[4], sids[1])
+	}
+}
+
+// walRecord is what TestReplicateWireStream reads of a streamed record:
+// its op byte ('A' add, 'R' remove) and its sid.
+type walRecord struct {
+	op  byte
+	sid uint64
+}
+
+// walRecords reads the op and sid of every record of a run of WAL
+// bytes (uvarint bodyLen | op | uvarint len(link) | link | uvarint sid
+// | … | crc32), cut at the boundaries persist.RecordLen gives.
+func walRecords(t *testing.T, run []byte) []walRecord {
+	t.Helper()
+	var out []walRecord
+	for len(run) > 0 {
+		k := persist.RecordLen(run)
+		_, n := binary.Uvarint(run)
+		body := run[n:]
+		linkLen, m := binary.Uvarint(body[1:])
+		sid, _ := binary.Uvarint(body[1+m+int(linkLen):])
+		out = append(out, walRecord{op: body[0], sid: sid})
+		run = run[k:]
+	}
+	return out
+}
+
+// TestLargeBatchOnLongLinkReplicates: every streamed record repeats its
+// link name, so 600 subscriptions on a 16 KiB-named link take ~9.8 MB of
+// WAL records — one frame past MaxFrameBytes when frames are cut by
+// record count alone, which the follower refuses, reconnects and is sent
+// again, forever. Frames are cut by bytes too: a follower tailing live
+// converges through the batch, and so does one whose divergent position
+// gets the same state as a reset dump.
+func TestLargeBatchOnLongLinkReplicates(t *testing.T) {
+	schema := subscription.MustSchema(8, "x", "y")
+	primary := startDaemon(t, schema, t.TempDir())
+	defer primary.stop(t)
+	live := startFollower(t, schema, t.TempDir(), primary.client.Addr())
+	defer live.stop(t)
+
+	link := strings.Repeat("l", 16<<10)
+	p, err := primary.client.Provider(link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := make([]*subscription.Subscription, 600)
+	for i := range subs {
+		subs[i] = subscription.MustParse(schema, fmt.Sprintf("x in [%d,%d] && y >= %d", i%200, i%200+30, i/200))
+	}
+	for _, r := range p.AddBatch(subs) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	target := primary.store.Pos()
+	live.awaitPos(t, target)
+	if n := len(live.store.Held(link)); n != len(subs) {
+		t.Fatalf("live follower holds %d subscriptions on the link, want %d", n, len(subs))
+	}
+
+	// A follower ahead of the primary has a divergent history: it is
+	// answered with a reset dump of the primary's whole state.
+	dir := t.TempDir()
+	st, err := persist.Open(dir, schema, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.InstallState(nil, target+100); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reset := startFollower(t, schema, dir, primary.client.Addr())
+	defer reset.stop(t)
+	deadline := time.Now().Add(15 * time.Second)
+	for reset.store.Pos() != target || len(reset.store.Held(link)) != len(subs) {
+		if time.Now().After(deadline) {
+			t.Fatalf("reset follower at position %d holding %d on the link, want %d and %d", reset.store.Pos(), len(reset.store.Held(link)), target, len(subs))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFollowerLogIsPrimaryLog: a follower logs the records it streams
+// verbatim, so after one history — both record kinds, a batch, a named
+// link — its WAL holds the primary's record bytes, byte for byte.
+func TestFollowerLogIsPrimaryLog(t *testing.T) {
+	schema := subscription.MustSchema(8, "x", "y")
+	pdir, fdir := t.TempDir(), t.TempDir()
+	primary := startDaemon(t, schema, pdir)
+	defer primary.stop(t)
+	fol := startFollower(t, schema, fdir, primary.client.Addr())
+	defer fol.stop(t)
+
+	shared, err := primary.client.Provider("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	linked, err := primary.client.Provider("L")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sids []uint64
+	for i := 0; i < 8; i++ {
+		id, err := shared.Insert(antiRect(t, schema, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sids = append(sids, id)
+	}
+	var batch []*subscription.Subscription
+	for i := 8; i < 16; i++ {
+		batch = append(batch, antiRect(t, schema, i))
+	}
+	for _, r := range linked.AddBatch(batch) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	for _, err := range shared.RemoveBatch(sids[2:5]) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fol.awaitPos(t, primary.store.Pos())
+
+	records := func(dir string) []byte {
+		seg, end := finalWALSegment(t, dir)
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data[len("SFCW1\n"):end]
+	}
+	want, got := records(pdir), records(fdir)
+	if n := len(walRecords(t, want)); uint64(n) != primary.store.Pos() {
+		t.Fatalf("the primary's segment holds %d records, its position is %d", n, primary.store.Pos())
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the follower's log (%d bytes) is not the primary's (%d bytes)", len(got), len(want))
 	}
 }
