@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"sfccover/internal/core"
@@ -23,6 +24,18 @@ func TestDetectorProviderConformance(t *testing.T) {
 			coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
 				return core.MustNew(cfg)
 			})
+		})
+	}
+}
+
+// TestDetectorHistories holds a Detector's concurrent histories to the
+// provider contract.
+func TestDetectorHistories(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			coretest.Histories(t, func(t *testing.T) (core.Provider, func()) {
+				return core.MustNew(core.Config{Schema: coretest.Schema(), Mode: core.ModeExact}), nil
+			}, seed)
 		})
 	}
 }

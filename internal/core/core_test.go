@@ -293,48 +293,3 @@ func TestSubscriptionLookup(t *testing.T) {
 		t.Error("lookup returned wrong subscription")
 	}
 }
-
-func TestConcurrentDetectorAccess(t *testing.T) {
-	// The detector promises goroutine safety; exercise it under -race.
-	schema := testSchema(t)
-	d := MustNew(Config{Schema: schema, Mode: ModeApprox, Epsilon: 0.3, MaxCubes: 2000})
-	done := make(chan error, 4)
-	worker := func(seed int64) {
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < 100; i++ {
-			s := subscription.New(schema)
-			lo := uint32(rng.Intn(200))
-			if err := s.SetRange("x", lo, lo+20); err != nil {
-				done <- err
-				return
-			}
-			id, _, _, err := d.Add(s)
-			if err != nil {
-				done <- err
-				return
-			}
-			if _, _, _, err := d.FindCover(s); err != nil {
-				done <- err
-				return
-			}
-			if i%3 == 0 {
-				if err := d.Remove(id); err != nil {
-					done <- err
-					return
-				}
-			}
-		}
-		done <- nil
-	}
-	for g := 0; g < 4; g++ {
-		go worker(int64(g))
-	}
-	for g := 0; g < 4; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d.Len() == 0 {
-		t.Fatal("expected surviving subscriptions")
-	}
-}

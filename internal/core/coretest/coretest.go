@@ -5,12 +5,20 @@
 // can swap backends without re-auditing semantics. Implementation packages
 // call RunProviderConformance from their own tests with a factory for a
 // fresh, empty, exact-mode provider, and RunTotalsMatchQueryStats with one
-// that takes the detector configuration.
+// that takes the detector configuration. Histories holds the same
+// providers to the contract under concurrent calls: seeded histories of
+// four goroutines, checked offline by DESIGN.md's interval rules.
 package coretest
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sfccover/internal/core"
@@ -656,4 +664,377 @@ func RunTotalsMatchQueryStats(t *testing.T, build func(t *testing.T, cfg core.Co
 			}
 		})
 	}
+}
+
+// Histories runs four goroutines of seeded operations — every write and
+// read, Restore, Snapshot, and build's background op (an engine's
+// Rebalance, say) if it returns one — against a fresh, empty, exact-mode
+// provider, stamps each call at invoke and return from one counter, and
+// checks the history offline by the interval rules of DESIGN.md's
+// Provider contract, then the quiescent provider against the history's
+// model. A violation fails with the seed, the rule, the ops whose
+// intervals overlap the offending one and the ops that minted and removed
+// the id it names. Histories closes the provider and returns the model,
+// sorted by id.
+func Histories(t *testing.T, build func(t *testing.T) (core.Provider, func()), seed int64) []core.Held {
+	t.Helper()
+	p, background := build(t)
+	defer p.Close()
+	// Each sixteenth of the run draws from its own hotspot, so the held
+	// set drifts over the key space and slice boundaries keep moving.
+	pools := make([][]*subscription.Subscription, 16)
+	for i := range pools {
+		var err error
+		if pools[i], err = workload.Subscriptions(workload.SubSpec{Schema: p.Schema(), N: 32, Dist: workload.DistHotspot, WidthFrac: 0.2, Seed: seed*16 + int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, logBase := &history{p: p, background: background}, p.Stats().WALRecords
+	var wg sync.WaitGroup
+	for g := range h.workers {
+		w := &h.workers[g]
+		w.h, w.g, w.rng = h, g, rand.New(rand.NewSource(seed*4+int64(g)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range historyOps {
+				w.step(pools[i*len(pools)/historyOps])
+			}
+		}()
+	}
+	wg.Wait()
+	return h.check(t, seed, logBase, slices.Concat(pools...))
+}
+
+// historyOps is how many ops each of Histories' goroutines draws, and
+// opKinds their weights: each entry is one draw in twenty.
+const historyOps = 600
+
+var opKinds = [20]string{"Add", "Add", "Insert", "AddBatch", "InsertBatch", "Remove", "Remove", "Remove",
+	"RemoveBatch", "RemoveBatch", "RemoveBatch", "RemoveBatch", "FindCover", "CoverQueryBatch", "Holds",
+	"Subscription", "Enumerate", "Restore", "background", "background"}
+
+type history struct {
+	p          core.Provider
+	background func()
+	clock      atomic.Int64
+	minted     [64]atomic.Uint64 // a ring of the ids minted last, at cursor
+	cursor     atomic.Uint64
+	workers    [4]worker
+}
+
+type worker struct {
+	h    *history
+	g    int
+	rng  *rand.Rand
+	mine []uint64 // ids this goroutine minted and has not yet removed
+	ops  []*op
+}
+
+// op is one call: its stamps and its answers. A fact is one answer: an
+// id minted ('m'), whether a remove of id succeeded ('r'), whether Holds
+// ('h') or Subscription ('s') found id, or whether a query was covered
+// ('q'), by id; rect is the minted, found or query rectangle.
+type op struct {
+	g        int
+	kind     string
+	inv, ret int64
+	facts    []fact
+	listed   []core.Held // an Enumerate's answer
+	err      error
+}
+
+type fact struct {
+	kind byte
+	id   uint64
+	ok   bool
+	rect subscription.Rect
+}
+
+func (o *op) String() string {
+	s := fmt.Sprintf("g%d %s [%d,%d]", o.g, o.kind, o.inv, o.ret)
+	for _, f := range o.facts {
+		s += fmt.Sprintf(" %c%d:%v", f.kind, f.id, f.ok)
+	}
+	return s + fmt.Sprintf(" listed %d err %v", len(o.listed), o.err)
+}
+
+// answer records a fact of o, and err as o's failure unless the fact is
+// a remove's; a minted id joins the goroutine's own and the ring.
+func (w *worker) answer(o *op, kind byte, id uint64, ok bool, s *subscription.Subscription, err error) {
+	f := fact{kind: kind, id: id, ok: ok}
+	if s != nil {
+		f.rect = s.Rect()
+	}
+	if o.facts = append(o.facts, f); kind != 'r' {
+		o.err = cmp.Or(o.err, err)
+	}
+	if kind == 'm' && ok {
+		w.mine = append(w.mine, id)
+		w.h.minted[w.h.cursor.Add(1)%64].Store(id)
+	}
+}
+
+// target draws an id to remove or look up: one of the goroutine's own
+// (taken, oldest first, if pop), one some goroutine minted, or a guess
+// just past one minted last, which may be being minted right then.
+func (w *worker) target(pop bool) uint64 {
+	switch k := w.rng.Intn(4); {
+	case (k < 2 || len(w.mine) > 16) && len(w.mine) > 0:
+		id := w.mine[0]
+		if pop {
+			w.mine = w.mine[1:]
+		}
+		return id
+	case k < 3:
+		return w.h.minted[w.rng.Intn(64)].Load()
+	}
+	return w.h.minted[(w.h.cursor.Load()-uint64(w.rng.Intn(4)))%64].Load() + 1 + uint64(w.rng.Intn(16))
+}
+
+// step draws one op on subscriptions from pool and runs it between its
+// stamps. They also bracket drawing its ids and recording its answers,
+// which only widens its interval.
+func (w *worker) step(pool []*subscription.Subscription) {
+	p, rng, o := w.h.p, w.rng, &op{g: w.g, kind: opKinds[w.rng.Intn(len(opKinds))]}
+	w.ops = append(w.ops, o)
+	batch := make([]*subscription.Subscription, 1+rng.Intn(12))
+	for i := range batch {
+		batch[i] = pool[rng.Intn(len(pool))]
+	}
+	s := batch[0]
+	switch {
+	case w.g == 0 && len(w.ops) == 1: // a Restore races the first writes
+		o.kind = "Restore"
+	case o.kind == "background" && w.h.background == nil:
+		o.kind = "Snapshot"
+	}
+	o.inv = w.h.clock.Add(1)
+	defer func() { o.ret = w.h.clock.Add(1) }()
+	switch o.kind {
+	case "Add":
+		id, covered, by, err := p.Add(s)
+		w.answer(o, 'q', by, covered, s, err)
+		w.answer(o, 'm', id, err == nil, s, err)
+	case "Insert":
+		id, err := p.Insert(s)
+		w.answer(o, 'm', id, err == nil, s, err)
+	case "AddBatch":
+		for i, r := range p.AddBatch(batch) {
+			w.answer(o, 'q', r.CoveredBy, r.Covered, batch[i], r.Err)
+			w.answer(o, 'm', r.ID, r.Err == nil, batch[i], r.Err)
+		}
+	case "InsertBatch":
+		ids, err := p.InsertBatch(batch)
+		for i, id := range ids {
+			w.answer(o, 'm', id, true, batch[i], nil)
+		}
+		o.err = err
+	case "Remove":
+		id := w.target(true)
+		err := p.Remove(id)
+		w.answer(o, 'r', id, err == nil, nil, err)
+	case "RemoveBatch":
+		// A third of the batches name a run of ids past the one minted
+		// last, a third name their first id twice.
+		form, last := rng.Intn(3), w.h.minted[w.h.cursor.Load()%64].Load()
+		ids := make([]uint64, len(batch))
+		for i := range ids {
+			ids[i] = last + 1 + uint64(i)
+			if form > 0 {
+				ids[i] = w.target(true)
+			}
+		}
+		if form == 1 {
+			ids = append(ids, ids[0])
+		}
+		for i, err := range p.RemoveBatch(ids) {
+			if err == nil || !slices.Contains(ids[:i], ids[i]) { // a repeat's failure says nothing
+				w.answer(o, 'r', ids[i], err == nil, nil, err)
+			}
+		}
+	case "FindCover":
+		by, found, _, err := p.FindCover(s)
+		w.answer(o, 'q', by, found, s, err)
+	case "CoverQueryBatch":
+		for i, r := range p.CoverQueryBatch(batch) {
+			w.answer(o, 'q', r.CoveredBy, r.Covered, batch[i], r.Err)
+		}
+	case "Holds":
+		id := w.target(false)
+		w.answer(o, 'h', id, p.Holds(id), nil, nil)
+	case "Subscription":
+		id := w.target(false)
+		got, ok := p.Subscription(id)
+		w.answer(o, 's', id, ok, got, nil)
+	case "Enumerate":
+		o.listed, o.err = p.Enumerate()
+	case "background":
+		w.h.background()
+	case "Snapshot":
+		o.err = p.Snapshot()
+	case "Restore": // under ids no other op names
+		held := make([]core.Held, len(batch))
+		for i, s := range batch {
+			held[i] = core.Held{ID: uint64(o.inv)<<20 + uint64(i), Rect: s.Rect()}
+		}
+		if o.err = p.Restore(held); o.err == nil {
+			for i, h := range held {
+				w.answer(o, 'm', h.ID, true, batch[i], nil)
+			}
+		}
+	}
+}
+
+// life is one minted subscription: the op that minted it and the one
+// whose remove of it succeeded — held, after every op, while none has.
+// liveSome and liveThroughout are the interval rules.
+type life struct {
+	id       uint64
+	rect     subscription.Rect
+	ins, rem *op
+}
+
+var held = &op{inv: math.MaxInt64, ret: math.MaxInt64}
+
+func (l *life) liveSome(o *op) bool { return l != nil && l.ins.inv < o.ret && l.rem.ret > o.inv }
+
+func (l *life) liveThroughout(o *op) bool { return l != nil && l.ins.ret < o.inv && l.rem.inv > o.ret }
+
+// check holds the history to the rules, then the quiescent provider to
+// the model the history leaves, and returns the model.
+func (h *history) check(t *testing.T, seed int64, logBase int, probes []*subscription.Subscription) []core.Held {
+	t.Helper()
+	var ops []*op
+	for _, w := range h.workers {
+		ops = append(ops, w.ops...)
+	}
+	lives := map[uint64]*life{}
+	fail := func(o *op, id uint64, format string, args ...any) {
+		t.Helper()
+		msg := fmt.Sprintf("seed %d: %s\n  op: %v", seed, fmt.Sprintf(format, args...), o)
+		for _, x := range ops {
+			if x != o && x.inv < o.ret && o.inv < x.ret {
+				msg += fmt.Sprintf("\n  overlapping: %v", x)
+			}
+		}
+		if l := lives[id]; l != nil {
+			msg += fmt.Sprintf("\n  minted id %d: %v\n  removed id %d: %v", id, l.ins, id, l.rem)
+		}
+		t.Fatal(msg)
+	}
+	var all []*life
+	writes, snapshots := 0, 0
+	for pass, kind := range []byte{'m', 'r'} {
+		for _, o := range ops {
+			for _, f := range o.facts {
+				if l := lives[f.id]; f.kind != kind || !f.ok {
+					continue
+				} else if pass == 0 && l != nil {
+					fail(o, f.id, "id %d minted twice", f.id)
+				} else if pass == 0 {
+					lives[f.id] = &life{id: f.id, rect: f.rect, ins: o, rem: held}
+					all = append(all, lives[f.id])
+				} else if l == nil || l.rem != held {
+					fail(o, f.id, "a remove of id %d succeeded, but it was never minted or another remove of it succeeded too", f.id)
+				} else {
+					l.rem = o
+				}
+				writes++
+			}
+		}
+	}
+	slices.SortFunc(all, func(a, b *life) int { return cmp.Compare(a.id, b.id) })
+	for _, o := range ops {
+		switch {
+		case o.kind == "Restore" && o.err == nil:
+			for _, l := range all {
+				if l.liveThroughout(o) {
+					fail(o, l.id, "Restore loaded a provider that held id %d throughout the call", l.id)
+				}
+			}
+		case o.err != nil && o.kind != "Restore" && !errors.Is(o.err, core.ErrUnsupported):
+			fail(o, 0, "the call failed: %v", o.err)
+		case o.kind == "Snapshot" && o.err == nil:
+			snapshots++
+		}
+		for _, f := range o.facts {
+			l := lives[f.id]
+			switch {
+			case f.kind == 'q' && f.ok && (!l.liveSome(o) || !l.rect.Covers(f.rect)):
+				fail(o, f.id, "claimed coverer %d does not cover the query or was live at no instant of the call", f.id)
+			case f.kind == 'q' && !f.ok:
+				for _, c := range all {
+					if c.liveThroughout(o) && c.rect.Covers(f.rect) {
+						fail(o, c.id, "no cover found, but id %d covers the query and was live throughout the call", c.id)
+					}
+				}
+			case f.kind == 'm' || f.kind == 'q':
+			case f.ok && (!l.liveSome(o) || f.kind == 's' && f.rect != l.rect):
+				fail(o, f.id, "%s found id %d, live at no instant of the call or under another rectangle", o.kind, f.id)
+			case !f.ok && l.liveThroughout(o):
+				fail(o, f.id, "%s missed id %d, live throughout the call", o.kind, f.id)
+			}
+		}
+		if o.kind == "Enumerate" && o.err == nil && !isCut(o, lives, all) {
+			fail(o, 0, "Enumerate is no cut: no instant of the call had exactly the %d listed live", len(o.listed))
+		}
+	}
+
+	q := &op{g: -1, kind: "quiescent", inv: h.clock.Add(1), ret: math.MaxInt64}
+	var model []core.Held
+	for _, l := range all {
+		if l.rem == held {
+			model = append(model, core.Held{ID: l.id, Rect: l.rect})
+			if s, ok := h.p.Subscription(l.id); !ok || !h.p.Holds(l.id) || s.Rect() != l.rect {
+				fail(q, l.id, "after quiescence id %d is not held as minted", l.id)
+			}
+		}
+	}
+	if got, err := h.p.Enumerate(); err == nil && !slices.Equal(got, model) {
+		fail(q, 0, "after quiescence Enumerate lists %d subscriptions, the model holds %d", len(got), len(model))
+	}
+	if n, ps := h.p.Len(), h.p.Stats(); n != len(model) || ps.Subscriptions != len(model) {
+		fail(q, 0, "after quiescence Len reads %d and Stats %d, the model holds %d", n, ps.Subscriptions, len(model))
+	}
+	for _, s := range probes {
+		by, found, _, err := h.p.FindCover(s)
+		want := slices.ContainsFunc(model, func(m core.Held) bool { return m.Rect.Covers(s.Rect()) })
+		if l := lives[by]; err != nil || found != want || found && (!l.liveSome(q) || !l.rect.Covers(s.Rect())) {
+			fail(q, by, "after quiescence FindCover(%v) = (%d, %v, %v), and a linear scan of the model finds a cover: %v", s, by, found, err, want)
+		}
+	}
+	if logged := h.p.Stats().WALRecords - logBase; (logged != 0 || snapshots > 0) && logged != writes {
+		fail(q, 0, "the log gained %d records for %d successful writes", logged, writes)
+	}
+	return model
+}
+
+// isCut reports whether some instant of o, an Enumerate, had exactly the
+// listed subscriptions live. Stamps are integers, so an instant is a
+// half-integer t+½, o.inv <= t < o.ret. A listed subscription bounds t by
+// its insert's invoke and its removal's return; an unlisted one rules out
+// every t from its insert's return up to its removal's invoke.
+func isCut(o *op, lives map[uint64]*life, all []*life) bool {
+	lo, hi, listed := o.inv, o.ret, map[uint64]bool{}
+	for i, e := range o.listed {
+		l := lives[e.ID]
+		if l == nil || l.rect != e.Rect || i > 0 && e.ID <= o.listed[i-1].ID {
+			return false
+		}
+		listed[e.ID], lo, hi = true, max(lo, l.ins.inv), min(hi, l.rem.ret)
+	}
+	var ruled [][2]int64
+	for _, l := range all {
+		if !listed[l.id] {
+			ruled = append(ruled, [2]int64{l.ins.ret, l.rem.inv})
+		}
+	}
+	slices.SortFunc(ruled, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+	for _, r := range ruled {
+		if r[0] <= lo {
+			lo = max(lo, r[1])
+		}
+	}
+	return lo < hi
 }

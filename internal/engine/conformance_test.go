@@ -66,3 +66,20 @@ func TestEngineConformanceMidRebalance(t *testing.T) {
 		return e
 	})
 }
+
+// TestEngineHistories holds an engine's concurrent histories to the
+// provider contract at one slice and at four, a forced Rebalance drawn
+// beside the other operations. Four slices get more seeds: a race with a
+// boundary move is the rarer one to land.
+func TestEngineHistories(t *testing.T) {
+	for shards, seeds := range map[int][]int64{1: {1, 2, 3, 4}, 4: {1, 2, 3, 4, 5, 6, 7, 8}} {
+		for _, seed := range seeds {
+			t.Run(fmt.Sprintf("slices=%d/seed=%d", shards, seed), func(t *testing.T) {
+				coretest.Histories(t, func(t *testing.T) (core.Provider, func()) {
+					e := engine.MustNew(engine.Config{Detector: core.Config{Schema: coretest.Schema(), Mode: core.ModeExact}, Shards: shards, Workers: 2})
+					return e, func() { e.Rebalance() }
+				}, seed)
+			})
+		}
+	}
+}

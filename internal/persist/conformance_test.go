@@ -1,6 +1,8 @@
 package persist_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"sfccover/internal/core"
@@ -84,6 +86,39 @@ func TestDurablePersistenceConformance(t *testing.T) {
 			})
 			if st != nil {
 				st.Close()
+			}
+		})
+	}
+}
+
+// TestDurableHistories holds durable histories, snapshots drawn among
+// the writes, to the provider contract — the log counted one record per
+// successful write — and the reopened store to the history's model.
+func TestDurableHistories(t *testing.T) {
+	schema := coretest.Schema()
+	for _, seed := range []int64{1, 2} {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := persist.Open(dir, schema, persist.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := coretest.Histories(t, func(t *testing.T) (core.Provider, func()) {
+				d, err := st.Durable("", engine.MustNew(engine.Config{Detector: core.Config{Schema: schema, Mode: core.ModeExact}, Shards: 4, Workers: 2}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d, nil
+			}, seed)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st, err = persist.Open(dir, schema, persist.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if got := st.Held(""); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: the reopened store holds %d subscriptions, not the history's %d", seed, len(got), len(want))
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"sync"
 	"testing"
 
 	"sfccover/internal/core"
@@ -256,74 +255,5 @@ func TestRestoreAcrossProviderKinds(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRacingRemovesHaveOneWinner pins the claim in claim → log → apply now
-// that it lives in the store: of the removals racing for one id — single
-// calls, overlapping batches, one batch naming it twice — exactly one
-// succeeds, and the log gains exactly one record per id.
-func TestRacingRemovesHaveOneWinner(t *testing.T) {
-	schema := testSchema()
-	st, err := Open(t.TempDir(), schema, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	d, err := st.Durable("", newTestEngine(schema, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	ids, err := d.InsertBatch(family(t, schema, 0, familyK+1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := func() int { return d.Stats().WALRecords }
-	race := func(calls ...func() []error) (wins int) {
-		t.Helper()
-		out := make([][]error, len(calls))
-		var wg sync.WaitGroup
-		for i, call := range calls {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				out[i] = call()
-			}()
-		}
-		wg.Wait()
-		for _, errs := range out {
-			for _, err := range errs {
-				if err == nil {
-					wins++
-				}
-			}
-		}
-		return wins
-	}
-	single := func(id uint64) func() []error { return func() []error { return []error{d.Remove(id)} } }
-	batch := func(ids []uint64) func() []error { return func() []error { return d.RemoveBatch(ids) } }
-
-	base := records()
-	if wins := race(single(ids[0]), single(ids[0]), batch(ids[:1])); wins != 1 || records() != base+1 {
-		t.Fatalf("three removals racing for one id: %d won, %d records logged, want 1 and 1", wins, records()-base)
-	}
-	base = records()
-	if wins := race(batch(ids[1:10]), batch(ids[5:14])); wins != 13 || records() != base+13 {
-		t.Fatalf("overlapping batches over 13 ids: %d slots won, %d records logged, want 13 and 13", wins, records()-base)
-	}
-	base = records()
-	if wins := race(batch([]uint64{ids[14], ids[15], ids[14]})); wins != 2 || records() != base+2 {
-		t.Fatalf("a batch naming one id twice: %d slots won, %d records logged, want 2 and 2", wins, records()-base)
-	}
-	base = records()
-	if err := d.Remove(ids[0]); err == nil || records() != base {
-		t.Fatalf("removing an unheld id = %v with %d records logged, want an error and none", err, records()-base)
-	}
-	if wins := race(batch(ids[:16])); wins != 0 || records() != base {
-		t.Fatalf("batch-removing unheld ids: %d slots won, %d records logged, want none of either", wins, records()-base)
-	}
-	if d.Len() != 1 || len(d.Subscriptions()) != 1 {
-		t.Fatalf("memory holds %d, the durable set %d, want the 1 never removed in both", d.Len(), len(d.Subscriptions()))
 	}
 }

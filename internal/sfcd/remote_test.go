@@ -13,6 +13,7 @@ import (
 	"sfccover/internal/core/coretest"
 	"sfccover/internal/engine"
 	"sfccover/internal/subscription"
+	"sfccover/internal/workload"
 )
 
 // startExactServer boots an exact-mode daemon on schema and returns a
@@ -73,6 +74,49 @@ func TestRemoteSharedProviderConformance(t *testing.T) {
 		}
 		return p
 	})
+}
+
+// TestRemoteHistories holds the histories of one pipelined loopback
+// connection to the provider contract, on the shared engine and on a link
+// namespace. Its background op dials a second client, asks a batch of
+// queries and hangs up, so connections come and go on the daemon while
+// the history runs.
+func TestRemoteHistories(t *testing.T) {
+	schema := coretest.Schema()
+	subs, err := workload.Subscriptions(workload.SubSpec{Schema: schema, N: 40, WidthFrac: 0.2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range []int64{1, 2, 3, 4} {
+		link := []string{"", "x"}[i%2] // the shared engine, then a link namespace
+		t.Run(fmt.Sprintf("link=%s/seed=%d", link, seed), func(t *testing.T) {
+			coretest.Histories(t, func(t *testing.T) (core.Provider, func()) {
+				_, addr := startServer(t, schema, core.ModeExact)
+				dial := func() (*Client, error) {
+					return DialContext(bg, DialConfig{Addr: addr, Schema: schema, RequestTimeout: 5 * time.Second})
+				}
+				c, err := dial()
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				p, err := c.Provider(link)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p, func() {
+					c, err := dial()
+					if err == nil {
+						_, err = c.QueryBatch(bg, subs)
+						c.Close()
+					}
+					if err != nil {
+						t.Error(err)
+					}
+				}
+			}, seed)
+		})
+	}
 }
 
 // TestLinkNamespaceIsolation pins the multiplexing semantics: namespaces
