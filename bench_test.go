@@ -571,7 +571,6 @@ func benchEngineCoverQueryBatch(b *testing.B, telemetryOff bool) {
 	e := engine.MustNew(engine.Config{
 		Detector:     cfg,
 		Partition:    engine.PartitionPrefix,
-		Workers:      max(8, runtime.GOMAXPROCS(0)),
 		TelemetryOff: telemetryOff,
 	})
 	defer e.Close()
@@ -982,7 +981,6 @@ func startBenchDaemon(b testing.TB) (addr string, queries []*subscription.Subscr
 		Detector:  cfg,
 		Shards:    4,
 		Partition: engine.PartitionPrefix,
-		Workers:   max(8, runtime.GOMAXPROCS(0)),
 	})
 	srv := sfcd.NewServer(eng)
 	bound, err := srv.Listen("127.0.0.1:0")

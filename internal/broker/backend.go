@@ -34,11 +34,6 @@ const (
 	BackendRemote Backend = "remote"
 )
 
-// brokerEngineWorkers sizes the per-link engine worker pools. Broker links
-// issue small batches (the covered-set re-forward probes), so a deep pool
-// per link would only multiply idle goroutines across the overlay.
-const brokerEngineWorkers = 2
-
 // providerSource builds the per-link providers of one network. For the
 // in-process backends it is stateless unless Config.DataDir makes the
 // links durable, in which case it owns the persist.Store every link logs
@@ -132,7 +127,7 @@ func (ps *providerSource) forwarded(brokerID, neighborID int) (core.Provider, er
 	case "", BackendDetector:
 		p, err = core.New(dc)
 	default: // BackendEnginePrefix (validated in newProviderSource)
-		p, err = engine.New(engine.Config{Detector: dc, Workers: brokerEngineWorkers})
+		p, err = engine.New(engine.Config{Detector: dc})
 	}
 	if err != nil || ps.store == nil {
 		return p, err

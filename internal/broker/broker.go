@@ -47,9 +47,8 @@ type Config struct {
 	Seed int64
 	// Backend selects the per-link covering provider: a single Detector
 	// (default), a curve-prefix engine, or link namespaces on a shared
-	// sfcd daemon. Networks with engine backends own worker pools and
-	// remote-backed networks own a daemon connection; call Close when
-	// done.
+	// sfcd daemon. Remote-backed networks own a daemon connection, and
+	// durable ones (DataDir) their log; call Close when done.
 	Backend Backend
 	// DaemonAddr is the shared sfcd daemon's TCP address (required for
 	// BackendRemote unless DaemonAddrs is set, ignored otherwise). All
@@ -761,10 +760,9 @@ func (n *Network) DaemonFailoverStats() (sfcd.FailoverStats, bool) {
 
 // Close releases every per-link provider and, for BackendRemote, the
 // shared daemon connection (per-link namespaces are unlinked first, so a
-// long-lived shared daemon does not accumulate dead namespaces). Engine
-// backends own worker pools, so networks built with them must be closed;
-// with the default detector backend Close is a cheap no-op. The network
-// must not be used afterwards.
+// long-lived shared daemon does not accumulate dead namespaces). With an
+// in-process backend and no DataDir, Close holds nothing to release. The
+// network must not be used afterwards.
 func (n *Network) Close() {
 	for _, b := range n.brokers {
 		for _, st := range b.out {
@@ -1123,7 +1121,7 @@ func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
 // suppressed entry), so a crash anywhere in the pass leaves every
 // not-yet-re-forwarded member on record. The probes go through
 // CoverQueryBatch in BatchSize chunks, so engine backends answer them on
-// their batch path.
+// their parallel batch path.
 //
 // The lists are unordered; the re-screen runs in rectangle order —
 // numeric on (lo, hi) attribute by attribute, subscription.Rect's word

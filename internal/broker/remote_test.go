@@ -23,8 +23,7 @@ func startTestDaemon(t *testing.T, cfg Config) string {
 			MaxCubes: cfg.MaxCubes,
 			Seed:     cfg.Seed,
 		},
-		Shards:  2,
-		Workers: 2,
+		Shards: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +124,6 @@ func TestRemoteBackendDaemonLossFloods(t *testing.T) {
 	eng, err := engine.New(engine.Config{
 		Detector: core.Config{Schema: schema, Mode: base.Mode, Strategy: base.Strategy},
 		Shards:   2,
-		Workers:  2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ type Provider interface {
 	Stats() ProviderStats
 	// CoverQueryBatch runs FindCover for every subscription, returning
 	// results aligned with the input slice. Backends that can amortize
-	// per-query dispatch (the engine's worker pool, one wire frame) do.
+	// per-query dispatch (the engine's parallel fan-out, one wire frame) do.
 	CoverQueryBatch(subs []*subscription.Subscription) []QueryResult
 	// AddBatch runs the arrival path (covering query + insert) for every
 	// subscription. Results align with the input slice; per-item failures
@@ -77,7 +77,7 @@ type Provider interface {
 	// ascending. Routers use it after a restart to rebuild derived link
 	// state from recovered providers.
 	Enumerate() ([]Held, error)
-	// Close releases resources (worker pools, goroutines). A closed
+	// Close releases resources (connections, open files). A closed
 	// provider must not be used; Close is idempotent.
 	Close()
 }
@@ -99,7 +99,7 @@ var ErrUnsupported = errors.New("core: operation not supported by this provider"
 
 // ErrProviderClosed reports an operation issued after Close. Close itself
 // stays idempotent; the typed error is how the batch paths reject use of a
-// torn-down worker pool instead of panicking on a closed channel.
+// closed provider.
 var ErrProviderClosed = errors.New("core: provider is closed")
 
 // Held is one subscription a provider holds, with the id it is held

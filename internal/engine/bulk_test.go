@@ -182,7 +182,7 @@ func TestBulkLoadAllocs(t *testing.T) {
 // load had not reached the index yet would be left there.
 func TestAddBatchRacesSingleWrites(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
-	e := MustNew(Config{Detector: core.Config{Schema: schema}, Shards: 4, Workers: 2})
+	e := MustNew(Config{Detector: core.Config{Schema: schema}, Shards: 4})
 	defer e.Close()
 	if _, err := e.InsertBatch(testSubs(t, schema, 2000, 3)); err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func TestEngineProviderConformance(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/%d", name, shards), func(t *testing.T) {
 				coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
-					return engine.MustNew(engine.Config{Detector: det, Shards: shards, Workers: 4})
+					return engine.MustNew(engine.Config{Detector: det, Shards: shards})
 				})
 			})
 		}
@@ -44,7 +44,6 @@ func TestEngineConformanceMidRebalance(t *testing.T) {
 		e := engine.MustNew(engine.Config{
 			Detector: core.Config{Schema: schema, Mode: core.ModeExact},
 			Shards:   4,
-			Workers:  4,
 		})
 		stop := make(chan struct{})
 		done := make(chan struct{})
@@ -76,7 +75,7 @@ func TestEngineHistories(t *testing.T) {
 		for _, seed := range seeds {
 			t.Run(fmt.Sprintf("slices=%d/seed=%d", shards, seed), func(t *testing.T) {
 				coretest.Histories(t, func(t *testing.T) (core.Provider, func()) {
-					e := engine.MustNew(engine.Config{Detector: core.Config{Schema: coretest.Schema(), Mode: core.ModeExact}, Shards: shards, Workers: 2})
+					e := engine.MustNew(engine.Config{Detector: core.Config{Schema: coretest.Schema(), Mode: core.ModeExact}, Shards: shards})
 					return e, func() { e.Rebalance() }
 				}, seed)
 			})

@@ -1,6 +1,7 @@
 // Package engine scales covering detection past a single Detector by
-// partitioning the subscription set across N shards and serving batched
-// operations from a fixed worker pool.
+// partitioning the subscription set across N shards and fanning batched
+// operations out over goroutines each call starts and waits for, so an
+// engine holds no goroutine between calls.
 //
 // There is one execution plan. The space filling curve's key space is
 // split into N contiguous slices (dominance.ShardedIndex), and a
@@ -61,8 +62,6 @@ type Config struct {
 	// Partition is PartitionPrefix; empty means the same, anything else
 	// is an error.
 	Partition Partition
-	// Workers sizes the batch worker pool (default GOMAXPROCS).
-	Workers int
 	// Obs is the engine's observer: latency histograms at every tier,
 	// sampled query traces and the slow-query log. Leave nil to have the
 	// engine build one with default settings; telemetry is on by default
@@ -127,17 +126,9 @@ type Engine struct {
 	// whose stripes hold rectangles.
 	wordCurve *sfc.ZCurve
 
-	tasks     chan func()
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-	// closeMu guards the worker pool's lifetime: batch operations hold the
-	// read side for their whole run, Close takes the write side before
-	// tearing the pool down, and closed flips under it — so a batch op
-	// either completes on a live pool or observes closed and reports
-	// core.ErrProviderClosed, never a send on a closed channel. Restore
-	// takes the write side too, to have the pool to itself.
-	closeMu sync.RWMutex
-	closed  bool
+	// closed is set by Close; batch operations and Restore issued after
+	// it report core.ErrProviderClosed.
+	closed atomic.Bool
 
 	// rebalanceMu serializes whole passes (a forced Rebalance racing the
 	// write path's) and the write path's skew checks, so per-pass counters
@@ -197,12 +188,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Partition != PartitionPrefix {
 		return nil, fmt.Errorf("engine: unknown partition strategy %q (only %q exists)", cfg.Partition, PartitionPrefix)
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("engine: invalid worker count %d", cfg.Workers)
-	}
 	// One template detector validates the config and resolves its defaults
 	// (strategy; MaxCubes in the dominance convention, 0 = unlimited).
 	template, err := core.New(cfg.Detector)
@@ -213,7 +198,6 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:    cfg,
 		schema: cfg.Detector.Schema,
-		tasks:  make(chan func(), cfg.Workers),
 	}
 	if err := e.initStore(template.Config()); err != nil {
 		return nil, err
@@ -234,15 +218,6 @@ func New(cfg Config) (*Engine, error) {
 		// Traced queries sample their run probes into "run_probe".
 		e.idx.SetObserver(e.obs)
 	}
-	e.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go func() {
-			defer e.wg.Done()
-			for task := range e.tasks {
-				task()
-			}
-		}()
-	}
 	return e, nil
 }
 
@@ -255,38 +230,17 @@ func MustNew(cfg Config) *Engine {
 	return e
 }
 
-// Close stops the worker pool, waiting for in-flight batches to drain
-// first. Close is idempotent — a second call is
-// a specified no-op — and batch operations issued after it fail with
-// core.ErrProviderClosed instead of panicking on the torn-down pool.
-func (e *Engine) Close() {
-	e.closeOnce.Do(func() {
-		e.closeMu.Lock()
-		e.closed = true
-		e.closeMu.Unlock()
-		close(e.tasks)
-		e.wg.Wait()
-	})
-}
-
-// guarded runs fn under the close guard: fn executes with the worker pool
-// pinned live, or not at all (returning core.ErrProviderClosed after
-// Close).
-func (e *Engine) guarded(fn func()) error {
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed {
-		return core.ErrProviderClosed
-	}
-	fn()
-	return nil
-}
+// Close marks the engine closed. An engine holds no goroutine between
+// calls, so there is nothing to stop or wait for. Close is idempotent — a
+// second call is a specified no-op — and batch operations and Restore
+// issued after it fail with core.ErrProviderClosed.
+func (e *Engine) Close() { e.closed.Store(true) }
 
 // NumShards returns the configured shard count.
 func (e *Engine) NumShards() int { return e.cfg.Shards }
 
 // Config returns the engine's configuration with defaults resolved
-// (Shards, Partition, Workers; the detector template as given). Service
+// (Shards, Partition; the detector template as given). Service
 // layers use it to derive compatible side indexes — the sfcd server
 // builds its per-link namespace detectors from Config().Detector.
 func (e *Engine) Config() Config { return e.cfg }
@@ -495,33 +449,38 @@ func (e *Engine) Stats() core.ProviderStats {
 
 var _ core.Provider = (*Engine)(nil)
 
-// run executes fn(0..n-1) on the worker pool, in contiguous chunks to
-// amortize dispatch, and waits for completion.
-func (e *Engine) run(n int, fn func(i int)) {
-	if n == 0 {
-		return
-	}
-	chunks := 2 * e.cfg.Workers
-	if chunks > n {
-		chunks = n
-	}
+// run executes fn(0..n-1) in contiguous chunks, at most 2·GOMAXPROCS of
+// them, and returns once every chunk is done. The chunks go to at most
+// GOMAXPROCS goroutines, the caller's and ones started here, each taking
+// the next chunk off a shared counter until none is left: a batch of one
+// chunk starts none, and a goroutine the scheduler runs late finds the
+// batch already done by the others instead of holding it up.
+func run(n int, fn func(i int)) {
+	procs := runtime.GOMAXPROCS(0)
+	chunks := min(2*procs, n)
 	if chunks <= 1 {
-		for i := 0; i < n; i++ {
+		for i := range n {
 			fn(i)
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(chunks)
-	for c := 0; c < chunks; c++ {
-		lo, hi := c*n/chunks, (c+1)*n/chunks
-		e.tasks <- func() {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
+	var next atomic.Int64
+	work := func() {
+		for c := int(next.Add(1) - 1); c < chunks; c = int(next.Add(1) - 1) {
+			for i := c * n / chunks; i < (c+1)*n/chunks; i++ {
 				fn(i)
 			}
 		}
 	}
+	var wg sync.WaitGroup
+	for range min(procs, chunks) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 }
 
@@ -535,25 +494,24 @@ func (e *Engine) run(n int, fn func(i int)) {
 func (e *Engine) AddBatch(subs []*subscription.Subscription) []AddResult {
 	defer observeSince(e.hAddBatch, time.Now())
 	out := make([]AddResult, len(subs))
-	err := e.guarded(func() {
-		e.run(len(subs), func(i int) { e.findCover(subs[i], &out[i].QueryResult) })
-		valid := make([]int, 0, len(subs))
-		batch := make([]*subscription.Subscription, 0, len(subs))
+	if e.closed.Load() {
 		for i := range out {
-			if out[i].Err == nil {
-				valid = append(valid, i)
-				batch = append(batch, subs[i])
-			}
+			out[i].Err = core.ErrProviderClosed
 		}
-		ids := e.load(batch)
-		for k, i := range valid {
-			out[i].ID = ids[k]
+		return out
+	}
+	run(len(subs), func(i int) { e.findCover(subs[i], &out[i].QueryResult) })
+	valid := make([]int, 0, len(subs))
+	batch := make([]*subscription.Subscription, 0, len(subs))
+	for i := range out {
+		if out[i].Err == nil {
+			valid = append(valid, i)
+			batch = append(batch, subs[i])
 		}
-	})
-	if err != nil {
-		for i := range out {
-			out[i] = AddResult{QueryResult: QueryResult{Err: err}}
-		}
+	}
+	ids := e.load(batch)
+	for k, i := range valid {
+		out[i].ID = ids[k]
 	}
 	return out
 }
@@ -571,11 +529,10 @@ func (e *Engine) InsertBatch(subs []*subscription.Subscription) ([]uint64, error
 			return nil, err
 		}
 	}
-	var ids []uint64
-	if err := e.guarded(func() { ids = e.load(subs) }); err != nil {
-		return nil, err
+	if e.closed.Load() {
+		return nil, core.ErrProviderClosed
 	}
-	return ids, nil
+	return e.load(subs), nil
 }
 
 // CoverQueryBatch runs FindCover for every subscription concurrently,
@@ -583,14 +540,13 @@ func (e *Engine) InsertBatch(subs []*subscription.Subscription) ([]uint64, error
 func (e *Engine) CoverQueryBatch(subs []*subscription.Subscription) []QueryResult {
 	defer observeSince(e.hQueryBatch, time.Now())
 	out := make([]QueryResult, len(subs))
-	err := e.guarded(func() {
-		e.run(len(subs), func(i int) { e.findCover(subs[i], &out[i]) })
-	})
-	if err != nil {
+	if e.closed.Load() {
 		for i := range out {
-			out[i] = QueryResult{Err: err}
+			out[i].Err = core.ErrProviderClosed
 		}
+		return out
 	}
+	run(len(subs), func(i int) { e.findCover(subs[i], &out[i]) })
 	return out
 }
 
@@ -599,14 +555,13 @@ func (e *Engine) CoverQueryBatch(subs []*subscription.Subscription) []QueryResul
 func (e *Engine) RemoveBatch(ids []uint64) []error {
 	defer observeSince(e.hRemoveBatch, time.Now())
 	out := make([]error, len(ids))
-	err := e.guarded(func() {
-		e.run(len(ids), func(i int) { out[i] = e.Remove(ids[i]) })
-	})
-	if err != nil {
+	if e.closed.Load() {
 		for i := range out {
-			out[i] = err
+			out[i] = core.ErrProviderClosed
 		}
+		return out
 	}
+	run(len(ids), func(i int) { out[i] = e.Remove(ids[i]) })
 	return out
 }
 

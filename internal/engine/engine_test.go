@@ -39,7 +39,6 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"no schema", Config{}},
 		{"negative shards", Config{Detector: core.Config{Schema: schema}, Shards: -1}},
-		{"negative workers", Config{Detector: core.Config{Schema: schema}, Workers: -2}},
 		{"bad partition", Config{Detector: core.Config{Schema: schema}, Partition: "modulo"}},
 		{"retired hash partition", Config{Detector: core.Config{Schema: schema}, Partition: "hash"}},
 		{"kdtree strategy", Config{Detector: core.Config{Schema: schema, Strategy: "kdtree"}}},
@@ -292,7 +291,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	e := MustNew(Config{
 		Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.4, MaxCubes: 2000},
-		Shards:   4, Workers: 8,
+		Shards:   4,
 	})
 	defer e.Close()
 

@@ -24,7 +24,7 @@ func TestEngineProviderConformanceWideKeys(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
-				e := MustNew(Config{Detector: det, Shards: 4, Workers: 4})
+				e := MustNew(Config{Detector: det, Shards: 4})
 				if e.wordCurve != nil {
 					t.Fatal("a d·k = 80 engine holds one-word keys")
 				}
@@ -82,7 +82,7 @@ func TestEngineHeldValueForms(t *testing.T) {
 			subs := edgeRects(schema)
 			e := MustNew(Config{
 				Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
-				Shards:   4, Workers: 2,
+				Shards:   4,
 			})
 			defer e.Close()
 			if got := e.wordCurve != nil; got != tc.words {

@@ -232,7 +232,9 @@ func TestRestoreSharesTheBulkLoadSeam(t *testing.T) {
 // TestRestoreRacesWrites: a Restore racing every write path either finds
 // the engine empty and loads whole, with the racing writes minting around
 // it, or finds it occupied and loads nothing. No id is ever held twice,
-// and nobody waits forever (batch writes share the pool Restore loads on).
+// and nobody waits forever (a batch write waits on the stripe locks
+// Restore holds, as a single write does, while Restore's own shares load
+// on goroutines it starts).
 func TestRestoreRacesWrites(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	subs := hotspotSubs(t, schema, 600, 7)
@@ -243,7 +245,7 @@ func TestRestoreRacesWrites(t *testing.T) {
 	loaded := 0
 	defer func() { t.Logf("Restore found the engine empty in %d of 20 rounds", loaded) }()
 	for round := 0; round < 20; round++ {
-		e := MustNew(Config{Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear}, Shards: 4, Workers: 2})
+		e := MustNew(Config{Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear}, Shards: 4})
 		var wg sync.WaitGroup
 		var restoreErr error
 		minted := make([][]uint64, 3)

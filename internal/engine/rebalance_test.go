@@ -83,7 +83,7 @@ func TestSkewDetectionOnPrefixPlan(t *testing.T) {
 	schema := testSchema(t)
 	// ModeOff: only placement matters for skew detection, so skip the
 	// covering queries entirely.
-	e := prefixEngine(t, schema, Config{Detector: core.Config{Schema: schema, Mode: core.ModeOff}, Workers: 4})
+	e := prefixEngine(t, schema, Config{Detector: core.Config{Schema: schema, Mode: core.ModeOff}})
 	loadSkewed(t, e, hotspotSubs(t, schema, 2000, 11))
 	ps := e.Stats()
 	if ps.SkewRatio < 4 {
@@ -101,7 +101,6 @@ func TestRebalanceConvergesAndPreservesAnswers(t *testing.T) {
 	schema := testSchema(t)
 	e := prefixEngine(t, schema, Config{
 		Detector: approxDetector(schema),
-		Workers:  4,
 	})
 	subs, _ := loadSkewed(t, e, hotspotSubs(t, schema, 4000, 12))
 	probes := hotspotSubs(t, schema, 300, 13)
@@ -180,7 +179,7 @@ func TestRebalanceConvergesAndPreservesAnswers(t *testing.T) {
 // must keep resolving and removing after entries migrated between slices.
 func TestRebalanceRemovalAfterMigration(t *testing.T) {
 	schema := testSchema(t)
-	e := prefixEngine(t, schema, Config{Detector: approxDetector(schema), Workers: 4})
+	e := prefixEngine(t, schema, Config{Detector: approxDetector(schema)})
 	subs, ids := loadSkewed(t, e, hotspotSubs(t, schema, 2400, 14))
 	migrated := 0
 	for pass := 0; pass < 20; pass++ {
@@ -236,7 +235,7 @@ func TestZeroConfigIsRoutedPlan(t *testing.T) {
 // alone.
 func TestWritePathRebalanceTrigger(t *testing.T) {
 	schema := testSchema(t)
-	e := prefixEngine(t, schema, Config{Detector: approxDetector(schema), Workers: 4})
+	e := prefixEngine(t, schema, Config{Detector: approxDetector(schema)})
 	subs := hotspotSubs(t, schema, 3000, 15)
 	for _, s := range subs {
 		if _, err := e.Insert(s); err != nil {
@@ -248,7 +247,7 @@ func TestWritePathRebalanceTrigger(t *testing.T) {
 		t.Fatalf("write path left skew %.2f after %d passes (sizes %v)", ps.SkewRatio, ps.Rebalances, ps.ShardSizes)
 	}
 
-	small := prefixEngine(t, schema, Config{Detector: approxDetector(schema), Workers: 4})
+	small := prefixEngine(t, schema, Config{Detector: approxDetector(schema)})
 	for _, s := range subs[:20] {
 		if _, err := small.Insert(s); err != nil {
 			t.Fatal(err)
@@ -270,7 +269,7 @@ func TestConcurrentQueriesDuringRebalance(t *testing.T) {
 		// target is the probe/migration retry protocol, not search depth.
 		det := approxDetector(schema)
 		det.MaxCubes = 500
-		return prefixEngine(t, schema, Config{Detector: det, Workers: 4})
+		return prefixEngine(t, schema, Config{Detector: det})
 	}
 	subject, control := mk(), mk()
 	subs := hotspotSubs(t, schema, 1600, 16)

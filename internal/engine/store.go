@@ -173,9 +173,9 @@ func (e *Engine) insert(s *subscription.Subscription) uint64 {
 // InsertBatch and AddBatch share. Each key is computed once, and the
 // batch is sorted by (key, position) and cut at the slice boundaries
 // before any lock is taken. Each slice's share is then minted, held and
-// indexed under its own stripe's lock alone, the shares in parallel on the
-// worker pool; the lock order (stripe, then slice) is insert's, so the
-// paths cannot deadlock. A stripe mints its share's ids in input order, as
+// indexed under its own stripe's lock alone, the shares in parallel (run);
+// the lock order (stripe, then slice) is insert's, so the paths cannot
+// deadlock. A stripe mints its share's ids in input order, as
 // single inserts would have, so the ids of equal keys ascend along the
 // sorted run and the share is in the (key, id) order the index loads. The
 // returned ids align with subs.
@@ -211,7 +211,7 @@ func (e *Engine) load(subs []*subscription.Subscription) []uint64 {
 		seen[s]++
 	}
 	ids := make([]uint64, len(subs))
-	e.run(shards, func(s int) {
+	run(shards, func(s int) {
 		lo, hi := cut[s], cut[s+1]
 		if lo == hi {
 			return
@@ -263,12 +263,10 @@ func (e *Engine) unlockStripes() {
 // rectangle, no subscription is built, and the batch is sorted before any
 // lock is taken. A given id is held in the stripe it decodes to, whatever
 // slice owns its key (the index routes by key), and the slices' shares
-// load in parallel on the worker pool. Nothing else writes while it runs,
-// so no id minted beside it collides with a given one: the write side of
-// closeMu keeps the batch operations out (their pool tasks would wait on
-// the stripe locks held here and starve the load of workers), and every
-// stripe lock, held from the emptiness check to the last insert, keeps the
-// single-item writes out.
+// load in parallel (run). No write lands while it runs, so no id minted
+// beside it collides with a given one: every stripe lock, held from the
+// emptiness check to the last insert, keeps single and batch writes alike
+// waiting, and a write that took its stripe first makes the check fail.
 func (e *Engine) Restore(held []core.Held) error {
 	defer observeSince(e.hInsertBatch, time.Now())
 	if err := core.CheckHeld(e.schema, held); err != nil {
@@ -283,9 +281,7 @@ func (e *Engine) Restore(held []core.Held) error {
 		ids[i] = h.ID
 	}
 	sorted, sortedIDs := dominance.SortBatch(keys, w, ids)
-	e.closeMu.Lock()
-	defer e.closeMu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		return core.ErrProviderClosed
 	}
 	e.lockStripes()
@@ -317,7 +313,7 @@ func (e *Engine) Restore(held []core.Held) error {
 		}
 	}
 	cut := e.idx.Cut(sorted)
-	e.run(shards, func(s int) {
+	run(shards, func(s int) {
 		e.idx.InsertSorted(sorted[cut[s]*w:cut[s+1]*w], sortedIDs[cut[s]:cut[s+1]])
 	})
 	e.inserted(len(ids))

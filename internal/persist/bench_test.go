@@ -3,7 +3,9 @@ package persist_test
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -382,12 +384,15 @@ func BenchmarkDurableChurnParallel(b *testing.B) {
 // wrapped link, the remove's claim is a probe of the engine's own slot,
 // and the id tables add nothing. The count is the runtime's malloc
 // counter over 64 000 pairs, which testing.AllocsPerRun's truncated mean
-// is not.
+// is not. A WAL rotation allocates (about a dozen times, at each 4 MiB
+// segment switch), so the counted window starts on a fresh segment, cut
+// by a snapshot, and the test checks that it ended in the same one.
 func TestDurableChurnAllocs(t *testing.T) {
 	schema := subscription.MustSchema(10, "volume", "price")
 	subs := benchSubs(t, schema, 4096)
 	const churnWindow = 1024
-	st, err := persist.Open(t.TempDir(), schema, persist.Options{SyncEvery: 100 * time.Millisecond})
+	dir := t.TempDir()
+	st, err := persist.Open(dir, schema, persist.Options{SyncEvery: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +425,22 @@ func TestDurableChurnAllocs(t *testing.T) {
 	for range 64000 {
 		pair()
 	}
-	if n := mallocs(64000, pair); n != 0 {
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	segments := func() []string {
+		names, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	before := segments()
+	n := mallocs(64000, pair)
+	if after := segments(); !slices.Equal(before, after) {
+		t.Fatalf("the counted window rotated the WAL (segments %v, then %v): it must stay in one segment", before, after)
+	}
+	if n != 0 {
 		t.Fatalf("64 000 durable Add+Remove pairs allocate %d times, want 0", n)
 	}
 }

@@ -25,7 +25,6 @@ func TestDurableProviderConformance(t *testing.T) {
 			return engine.MustNew(engine.Config{
 				Detector: core.Config{Schema: schema, Mode: core.ModeExact},
 				Shards:   4,
-				Workers:  2,
 			})
 		},
 	}
@@ -59,7 +58,7 @@ func TestDurablePersistenceConformance(t *testing.T) {
 		"engine-prefix": func(t *testing.T) core.Provider {
 			return engine.MustNew(engine.Config{
 				Detector: core.Config{Schema: schema, Mode: core.ModeExact},
-				Shards:   4, Workers: 2,
+				Shards:   4,
 			})
 		},
 	}
@@ -104,7 +103,7 @@ func TestDurableHistories(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := coretest.Histories(t, func(t *testing.T) (core.Provider, func()) {
-				d, err := st.Durable("", engine.MustNew(engine.Config{Detector: core.Config{Schema: schema, Mode: core.ModeExact}, Shards: 4, Workers: 2}))
+				d, err := st.Durable("", engine.MustNew(engine.Config{Detector: core.Config{Schema: schema, Mode: core.ModeExact}, Shards: 4}))
 				if err != nil {
 					t.Fatal(err)
 				}

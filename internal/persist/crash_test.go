@@ -302,8 +302,7 @@ func engineBackend(t *testing.T, schema *subscription.Schema) func() core.Provid
 			Detector: core.Config{
 				Schema: schema, Mode: core.ModeExact, Seed: 7,
 			},
-			Shards:  4,
-			Workers: 2,
+			Shards: 4,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -16,7 +16,6 @@ func newTestEngine(schema *subscription.Schema, shards int) *engine.Engine {
 	return engine.MustNew(engine.Config{
 		Detector: core.Config{Schema: schema, Mode: core.ModeExact},
 		Shards:   shards,
-		Workers:  2,
 	})
 }
 

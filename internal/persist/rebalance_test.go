@@ -32,7 +32,6 @@ func TestSnapshotMidRebalanceRecovery(t *testing.T) {
 			},
 			Shards:    8,
 			Partition: engine.PartitionPrefix,
-			Workers:   4,
 		})
 	}
 	subs, err := workload.Subscriptions(workload.SubSpec{

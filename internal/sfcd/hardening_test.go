@@ -23,7 +23,6 @@ func startHardenedServer(t *testing.T, schema *subscription.Schema, scfg ServerC
 	eng := engine.MustNew(engine.Config{
 		Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
 		Shards:   2,
-		Workers:  2,
 	})
 	srv := NewServerWith(eng, scfg)
 	addr, err := srv.Listen("127.0.0.1:0")

@@ -20,7 +20,7 @@ func TestInlinePredicate(t *testing.T) {
 	schema := subscription.MustSchema(8, "x", "y")
 	newServer := func(det core.Config) *Server {
 		det.Schema = schema
-		eng := engine.MustNew(engine.Config{Detector: det, Shards: 2, Workers: 2})
+		eng := engine.MustNew(engine.Config{Detector: det, Shards: 2})
 		srv := NewServer(eng)
 		t.Cleanup(func() {
 			srv.Close()
@@ -114,7 +114,6 @@ func TestStalledWriteDoesNotBlockReads(t *testing.T) {
 	eng := engine.MustNew(engine.Config{
 		Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3},
 		Shards:   2,
-		Workers:  2,
 	})
 	defer eng.Close()
 	srv, err := NewPersistentServer(eng, store, ServerConfig{})

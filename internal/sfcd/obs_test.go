@@ -293,7 +293,6 @@ func TestSlowLogOp(t *testing.T) {
 	eng := engine.MustNew(engine.Config{
 		Detector: core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 10000},
 		Shards:   4,
-		Workers:  4,
 		Obs:      obs.New(obs.Config{SlowThreshold: -1, TraceSample: 1}),
 	})
 	srv := NewServer(eng)

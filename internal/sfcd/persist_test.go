@@ -35,7 +35,6 @@ func startDaemon(t *testing.T, schema *subscription.Schema, dir string) *daemon 
 		Detector:  core.Config{Schema: schema, Mode: core.ModeExact, Seed: 5},
 		Shards:    4,
 		Partition: engine.PartitionPrefix,
-		Workers:   2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +283,7 @@ func TestSnapshotUnsupportedWithoutDataDir(t *testing.T) {
 	schema := subscription.MustSchema(8, "x", "y")
 	eng, err := engine.New(engine.Config{
 		Detector: core.Config{Schema: schema, Mode: core.ModeExact},
-		Shards:   2, Workers: 2,
+		Shards:   2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -121,8 +121,8 @@ func (r *RemoteProvider) batchOp(op Opcode, subs []*subscription.Subscription, s
 	}
 }
 
-// CoverQueryBatch rides one request frame and fans out across the
-// daemon's worker pool.
+// CoverQueryBatch rides one request frame and fans out on the daemon's
+// engine batch path.
 func (r *RemoteProvider) CoverQueryBatch(subs []*subscription.Subscription) []core.QueryResult {
 	out := make([]core.QueryResult, len(subs))
 	r.batchOp(OpQueryBatch, subs, func(i int, res Result, err error) {

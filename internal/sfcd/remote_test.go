@@ -23,7 +23,6 @@ func startExactServer(t *testing.T, schema *subscription.Schema) (*Server, *Clie
 	eng := engine.MustNew(engine.Config{
 		Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
 		Shards:   4,
-		Workers:  4,
 	})
 	srv := NewServer(eng)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -239,7 +238,6 @@ func TestClientSurvivesServerRestartError(t *testing.T) {
 	eng := engine.MustNew(engine.Config{
 		Detector: core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear},
 		Shards:   2,
-		Workers:  2,
 	})
 	defer eng.Close()
 	srv := NewServer(eng)

@@ -39,7 +39,6 @@ func startFollower(t *testing.T, schema *subscription.Schema, dir, primaryAddr s
 		Detector:  core.Config{Schema: schema, Mode: core.ModeExact, Seed: 5},
 		Shards:    4,
 		Partition: engine.PartitionPrefix,
-		Workers:   2,
 	})
 	if err != nil {
 		t.Fatal(err)

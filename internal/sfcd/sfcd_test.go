@@ -25,7 +25,7 @@ func startServer(t *testing.T, schema *subscription.Schema, mode core.Mode) (*Se
 		cfg.Epsilon = 0.3
 		cfg.MaxCubes = 10000
 	}
-	eng := engine.MustNew(engine.Config{Detector: cfg, Shards: 4, Workers: 4})
+	eng := engine.MustNew(engine.Config{Detector: cfg, Shards: 4})
 	srv := NewServer(eng)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

@@ -23,7 +23,7 @@
 //   - Engine: a sharded, concurrent detection engine that partitions the
 //     space-filling curve's key space into N slices — one decomposition
 //     per query, each cube probing only the slices it intersects — and
-//     serves batched operations from a worker pool.
+//     fans batched operations out in parallel.
 //   - DaemonServer / DaemonClient / DaemonProvider: the sfcd network
 //     protocol (length-prefixed binary frames over TCP, wire payloads)
 //     that turns an Engine into a standalone service. The client is
@@ -137,12 +137,12 @@ type DetectorTotals = core.Totals
 // Engine is a sharded, concurrent covering-detection engine: one SFC
 // index split into N independently locked key slices, with a
 // co-partitioned subscription store, behind batched Add/Remove/Query
-// operations served by a worker pool. A reported cover is always genuine,
-// exactly as for a single Detector.
+// operations that fan out over goroutines each call starts. A reported
+// cover is always genuine, exactly as for a single Detector.
 type Engine = engine.Engine
 
 // EngineConfig parameterizes an Engine: the detector template plus shard
-// count and worker pool size.
+// count.
 type EngineConfig = engine.Config
 
 // EnginePartition names how subscriptions are assigned to shards; there
@@ -394,8 +394,8 @@ func UnmarshalEvent(schema *Schema, data []byte) (Event, error) {
 // NewDetector builds a covering detector.
 func NewDetector(cfg DetectorConfig) (*Detector, error) { return core.New(cfg) }
 
-// NewEngine builds a sharded concurrent detection engine. Call Close when
-// done to stop its worker pool.
+// NewEngine builds a sharded concurrent detection engine. It holds no
+// goroutine between calls; Close makes later batch operations fail.
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 
 // NewDaemonServer wraps an engine in an sfcd protocol server; start it
