@@ -478,7 +478,7 @@ func (b *Broker) dropRow(gi int, h handle) (removed, found bool) {
 type suppressedSet interface {
 	Insert(s *subscription.Subscription) (uint64, error)
 	Remove(id uint64) error
-	Enumerate() ([]core.Held, error)
+	Enumerate() (*core.Listing, error)
 	Close()
 }
 
@@ -687,10 +687,13 @@ func (n *Network) restoreLinks() {
 	// cannot enumerate lists nothing.
 	held := func(set suppressedSet) []core.Held {
 		out, err := set.Enumerate()
-		if err != nil && !errors.Is(err, core.ErrUnsupported) {
-			n.metrics.ProtocolErrors++
+		if err != nil {
+			if !errors.Is(err, core.ErrUnsupported) {
+				n.metrics.ProtocolErrors++
+			}
+			return nil
 		}
-		return out
+		return out.Held()
 	}
 	for _, b := range n.brokers {
 		for k, j := range b.neighbors {

@@ -34,6 +34,15 @@ func Schema() *subscription.Schema {
 	return subscription.MustSchema(10, "volume", "price")
 }
 
+// HeldOf reads p's Enumerate listing out, by id.
+func HeldOf(p core.Provider) ([]core.Held, error) {
+	l, err := p.Enumerate()
+	if err != nil {
+		return nil, err
+	}
+	return l.Held(), nil
+}
+
 // RunProviderConformance runs the shared behavioral battery against
 // providers produced by build. Each subtest gets its own fresh provider;
 // build must return an empty provider in core.ModeExact on the given
@@ -388,7 +397,7 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 				t.Fatalf("FindCover after %s = (%d,%v,%v), want (%d,true,nil)", op.name, id, found, err, wid)
 			}
 		}
-		all, err := p.Enumerate()
+		all, err := HeldOf(p)
 		if err != nil {
 			return // refused above, with the right error
 		}
@@ -433,7 +442,7 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 				t.Fatalf("Restore with %s = %v, leaving %d held in a provider that was empty", bad.why, err, q.Len())
 			}
 		}
-		got, err := p.Enumerate()
+		got, err := HeldOf(p)
 		if err != nil || len(got) != len(h) {
 			t.Fatalf("Enumerate = %d entries, %v; want the %d restored", len(got), err, len(h))
 		}
@@ -868,7 +877,7 @@ func (w *worker) step(pool []*subscription.Subscription) {
 		got, ok := p.Subscription(id)
 		w.answer(o, 's', id, ok, got, nil)
 	case "Enumerate":
-		o.listed, o.err = p.Enumerate()
+		o.listed, o.err = HeldOf(p)
 	case "background":
 		w.h.background()
 	case "Snapshot":
@@ -991,7 +1000,7 @@ func (h *history) check(t *testing.T, seed int64, logBase int, probes []*subscri
 			}
 		}
 	}
-	if got, err := h.p.Enumerate(); err == nil && !slices.Equal(got, model) {
+	if got, err := HeldOf(h.p); err == nil && !slices.Equal(got, model) {
 		fail(q, 0, "after quiescence Enumerate lists %d subscriptions, the model holds %d", len(got), len(model))
 	}
 	if n, ps := h.p.Len(), h.p.Stats(); n != len(model) || ps.Subscriptions != len(model) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"sfccover/internal/dominance"
 	"sfccover/internal/subscription"
@@ -73,10 +74,12 @@ type Provider interface {
 	// is the subscription set, not the derived index; answers are
 	// unaffected and concurrent writes keep logging into fresh segments.
 	Snapshot() error
-	// Enumerate returns every held subscription with its id, sorted by id
-	// ascending. Routers use it after a restart to rebuild derived link
-	// state from recovered providers.
-	Enumerate() ([]Held, error)
+	// Enumerate captures every held subscription with its id, at one
+	// instant: the Listing's reads sort them by id ascending after the
+	// provider's locks are released, so a capture holds its writers only
+	// for a copy. Routers use it after a restart to rebuild derived link
+	// state from recovered providers; snapshots use it to write one.
+	Enumerate() (*Listing, error)
 	// Close releases resources (connections, open files). A closed
 	// provider must not be used; Close is idempotent.
 	Close()
@@ -112,7 +115,7 @@ type Held struct {
 
 // CheckHeld checks a Restore argument: every rectangle inside schema's
 // domain, no id twice. Ids listed ascending — the order a snapshot and
-// SortedHeld give — are checked by their order in one pass; a list in any
+// a Listing gives — are checked by their order in one pass; a list in any
 // other order is checked on a sorted copy of its ids.
 func CheckHeld(schema *subscription.Schema, held []Held) error {
 	ascending := true
@@ -138,19 +141,6 @@ func CheckHeld(schema *subscription.Schema, held []Held) error {
 		}
 	}
 	return nil
-}
-
-// SortedHeld lists held subscriptions by id ascending: ids are every held
-// id, in any order, and rect resolves one. The ids are sorted in place as
-// plain words and resolved after, several times cheaper than sorting the
-// records.
-func SortedHeld(ids []uint64, rect func(id uint64) subscription.Rect) []Held {
-	slices.Sort(ids)
-	out := make([]Held, len(ids))
-	for i, id := range ids {
-		out[i] = Held{ID: id, Rect: rect(id)}
-	}
-	return out
 }
 
 // QueryResult is one covering-query outcome, the per-item currency of the
@@ -212,6 +202,10 @@ type ProviderStats struct {
 	Snapshots  int
 	WALRecords int
 	WALBytes   int64
+	// SnapshotHold is how long the last snapshot held writers (its
+	// capture), SnapshotTime its whole length; zero until one is taken.
+	SnapshotHold time.Duration
+	SnapshotTime time.Duration
 }
 
 // SetShardSizes records the occupancy layout and derives Subscriptions,
@@ -308,19 +302,14 @@ func (d *Detector) RemoveBatch(ids []uint64) []error {
 	return out
 }
 
-// Enumerate implements Provider: the held set built into fresh
-// subscriptions, sorted by id.
-func (d *Detector) Enumerate() ([]Held, error) {
+// Enumerate implements Provider: a copy of the held table, taken under
+// the detector's lock.
+func (d *Detector) Enumerate() (*Listing, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	ids := make([]uint64, 0, d.subs.Len())
-	for id := range d.subs.All() {
-		ids = append(ids, id)
-	}
-	return SortedHeld(ids, func(id uint64) subscription.Rect {
-		r, _ := d.subs.Get(id)
-		return r
-	}), nil
+	l := NewListing(d.cfg.Schema, nil, d.subs.Len())
+	l.CopyRects(&d.subs)
+	return l, nil
 }
 
 // Restore implements Provider through InsertBatch's load, under the given

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sfccover/internal/core"
+	"sfccover/internal/core/coretest"
 	"sfccover/internal/dominance"
 	"sfccover/internal/subscription"
 	"sfccover/internal/workload"
@@ -109,7 +110,7 @@ func bulkLayouts(t *testing.T, schema *subscription.Schema) (steps, digests []st
 	ids = load(hot)
 	record("engine hotspot batch", e.idx.AppendLayout(nil), ids)
 
-	held, err := e.Enumerate()
+	held, err := coretest.HeldOf(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func bulkLayouts(t *testing.T, schema *subscription.Schema) (steps, digests []st
 	record(fmt.Sprintf("engine forced rebalance (%d moves, %d migrated)", res.Moves, res.Migrated),
 		e.idx.AppendLayout(nil), []uint64{uint64(res.Moves), uint64(res.Migrated)})
 
-	if held, err = e.Enumerate(); err != nil {
+	if held, err = coretest.HeldOf(e); err != nil {
 		t.Fatal(err)
 	}
 	slices.Reverse(held)
@@ -187,7 +188,7 @@ func TestAddBatchRacesSingleWrites(t *testing.T) {
 	if _, err := e.InsertBatch(testSubs(t, schema, 2000, 3)); err != nil {
 		t.Fatal(err)
 	}
-	held, err := e.Enumerate()
+	held, err := coretest.HeldOf(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sfccover/internal/core"
+	"sfccover/internal/core/coretest"
 	"sfccover/internal/subscription"
 )
 
@@ -115,7 +116,7 @@ func TestEngineHoldsNoGoroutines(t *testing.T) {
 		}
 	}
 	settled("CoverQueryBatch")
-	held, err := e.Enumerate()
+	held, err := coretest.HeldOf(e)
 	if err != nil {
 		t.Fatal(err)
 	}

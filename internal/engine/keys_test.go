@@ -109,7 +109,7 @@ func TestEngineHeldValueForms(t *testing.T) {
 			}
 			check := func(when string) {
 				t.Helper()
-				dump, err := e.Enumerate()
+				dump, err := coretest.HeldOf(e)
 				if err != nil {
 					t.Fatal(err)
 				}

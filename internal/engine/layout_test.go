@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sfccover/internal/core"
+	"sfccover/internal/core/coretest"
 	"sfccover/internal/dominance"
 	"sfccover/internal/subscription"
 	"sfccover/internal/workload"
@@ -215,7 +216,7 @@ func TestRestoreSharesTheBulkLoadSeam(t *testing.T) {
 	// through the stripes, which were the key slices when the ids were
 	// minted. A boundary sample that strode it by position (8 000 entries:
 	// every 8th) would see one slice's keys only.
-	dump, err := twin.Enumerate()
+	dump, err := coretest.HeldOf(twin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestRestoreRacesWrites(t *testing.T) {
 			want += len(held)
 			loaded++
 		}
-		all, _ := e.Enumerate()
+		all, _ := coretest.HeldOf(e)
 		if len(all) != want || e.Len() != want || e.idx.Len() != want {
 			t.Fatalf("round %d (Restore = %v): %d enumerated, Len %d, %d indexed, want %d", round, restoreErr, len(all), e.Len(), e.idx.Len(), want)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sfccover/internal/core"
+	"sfccover/internal/core/coretest"
 	"sfccover/internal/subscription"
 	"sfccover/internal/workload"
 )
@@ -116,7 +117,7 @@ func TestRebalanceConvergesAndPreservesAnswers(t *testing.T) {
 		}
 		before[i] = answer{id, found}
 	}
-	heldBefore, err := e.Enumerate()
+	heldBefore, err := coretest.HeldOf(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestRebalanceConvergesAndPreservesAnswers(t *testing.T) {
 			t.Fatalf("probe %d: FindCover = (%d,%v) after rebalance, want (%d,%v)", i, id, found, before[i].id, before[i].found)
 		}
 	}
-	heldAfter, err := e.Enumerate()
+	heldAfter, err := coretest.HeldOf(e)
 	if err != nil {
 		t.Fatal(err)
 	}

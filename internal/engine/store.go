@@ -66,31 +66,24 @@ func (e *Engine) Len() int {
 	return n
 }
 
-// Enumerate implements core.Provider: every stripe's held set as packed
-// rectangles, sorted by engine id, read with every stripe lock held (in
-// stripe order, as Restore takes them) so the ids listed are the ids
-// resolved.
-func (e *Engine) Enumerate() ([]core.Held, error) {
+// Enumerate implements core.Provider: a copy of every stripe's held keys
+// (or rectangles) with their ids, taken with every stripe lock held (in
+// stripe order, as Restore takes them) so the listing is one instant's
+// held set. Sorting and decoding wait for the listing's reads, outside
+// the locks.
+func (e *Engine) Enumerate() (*core.Listing, error) {
 	e.lockStripes()
 	defer e.unlockStripes()
 	n := 0
 	for i := range e.stores {
 		n += e.stores[i].len()
 	}
-	ids := make([]uint64, 0, n)
+	l := core.NewListing(e.schema, e.wordCurve, n)
 	for i := range e.stores {
-		st := &e.stores[i]
-		for id := range st.keys.All() {
-			ids = append(ids, id)
-		}
-		for id := range st.rects.All() {
-			ids = append(ids, id)
-		}
+		l.CopyWords(&e.stores[i].keys)
+		l.CopyRects(&e.stores[i].rects)
 	}
-	return core.SortedHeld(ids, func(id uint64) subscription.Rect {
-		r, _ := e.heldRect(id)
-		return r
-	}), nil
+	return l, nil
 }
 
 // Snapshot implements core.Provider: an engine has no durable store (wrap
@@ -127,20 +120,9 @@ func (e *Engine) keyOf(s *subscription.Subscription) uint64 {
 	return e.wordCurve.KeyWord(s.Point())
 }
 
-// keyRect decodes a held one-word key: it inverts KeyWord and Point, the
-// rectangle of schema whose key on curve is k.
-func keyRect(schema *subscription.Schema, curve *sfc.ZCurve, k uint64) subscription.Rect {
-	var buf [2 * subscription.MaxAttrs]uint32
-	r, err := subscription.PointRect(schema, curve.CellWordInto(buf[:], k))
-	if err != nil {
-		panic(fmt.Sprintf("engine: held key %#x is no subscription's: %v", k, err))
-	}
-	return r
-}
-
 // keySubscription builds a fresh subscription from a held one-word key.
 func keySubscription(schema *subscription.Schema, curve *sfc.ZCurve, k uint64) *subscription.Subscription {
-	return keyRect(schema, curve, k).Subscription(schema)
+	return core.WordRect(schema, curve, k).Subscription(schema)
 }
 
 // heldRect resolves id to the rectangle its stripe holds, whose lock the
@@ -149,7 +131,7 @@ func (e *Engine) heldRect(id uint64) (subscription.Rect, bool) {
 	shard, _ := decodeID(len(e.stores), id)
 	st := &e.stores[shard]
 	if k, ok := st.keys.Get(id); ok {
-		return keyRect(e.schema, e.wordCurve, k), true
+		return core.WordRect(e.schema, e.wordCurve, k), true
 	}
 	return st.rects.Get(id)
 }

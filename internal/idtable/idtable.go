@@ -22,16 +22,16 @@ import (
 // minSlots is the slot count of a table's first allocation.
 const minSlots = 8
 
-// slot is one array entry; key 0 marks it empty.
-type slot[V any] struct {
-	key uint64
-	val V
+// Slot is one array entry: an id and its value. Id 0 marks it empty.
+type Slot[V any] struct {
+	ID  uint64
+	Val V
 }
 
 // Table maps uint64 ids to values. The zero value is an empty table ready
 // for use, and reads on a nil *Table see an empty one, like a nil map.
 type Table[V any] struct {
-	slots []slot[V] // len a power of two, or 0 before the first Put
+	slots []Slot[V] // len a power of two, or 0 before the first Put
 	shift uint      // 64 - log2(len(slots)): home is the hash's top bits
 	used  int       // occupied slots
 	// Id 0 is the array's empty mark, so its value lives beside the array.
@@ -71,9 +71,9 @@ func (t *Table[V]) Get(key uint64) (V, bool) {
 	}
 	mask := len(t.slots) - 1
 	for i := t.home(key); ; i = (i + 1) & mask {
-		switch t.slots[i].key {
+		switch t.slots[i].ID {
 		case key:
-			return t.slots[i].val, true
+			return t.slots[i].Val, true
 		case 0:
 			return none, false
 		}
@@ -92,20 +92,20 @@ func (t *Table[V]) Put(key uint64, v V) {
 	if len(t.slots) > 0 {
 		mask := len(t.slots) - 1
 		i := t.home(key)
-		for ; t.slots[i].key != 0; i = (i + 1) & mask {
-			if t.slots[i].key == key {
-				t.slots[i].val = v
+		for ; t.slots[i].ID != 0; i = (i + 1) & mask {
+			if t.slots[i].ID == key {
+				t.slots[i].Val = v
 				return
 			}
 		}
 		if 4*(t.used+1) <= 3*len(t.slots) {
-			t.slots[i] = slot[V]{key, v}
+			t.slots[i] = Slot[V]{key, v}
 			t.used++
 			return
 		}
 	}
 	t.grow()
-	t.place(slot[V]{key, v})
+	t.place(Slot[V]{key, v})
 	t.used++
 }
 
@@ -133,10 +133,10 @@ func (t *Table[V]) grow() { t.resize(max(2*len(t.slots), minSlots)) }
 // resize moves every entry into a fresh array of n slots, a power of two.
 func (t *Table[V]) resize(n int) {
 	old := t.slots
-	t.slots = make([]slot[V], n)
+	t.slots = make([]Slot[V], n)
 	t.shift = 64 - uint(bits.TrailingZeros(uint(n)))
 	for _, s := range old {
-		if s.key != 0 {
+		if s.ID != 0 {
 			t.place(s)
 		}
 	}
@@ -144,10 +144,10 @@ func (t *Table[V]) resize(n int) {
 
 // place puts s, whose key the array does not hold, in the first empty
 // slot from its home.
-func (t *Table[V]) place(s slot[V]) {
+func (t *Table[V]) place(s Slot[V]) {
 	mask := len(t.slots) - 1
-	i := t.home(s.key)
-	for t.slots[i].key != 0 {
+	i := t.home(s.ID)
+	for t.slots[i].ID != 0 {
 		i = (i + 1) & mask
 	}
 	t.slots[i] = s
@@ -171,24 +171,42 @@ func (t *Table[V]) Delete(key uint64) (V, bool) {
 	}
 	mask := len(t.slots) - 1
 	i := t.home(key)
-	for t.slots[i].key != key {
-		if t.slots[i].key == 0 {
+	for t.slots[i].ID != key {
+		if t.slots[i].ID == 0 {
 			return none, false
 		}
 		i = (i + 1) & mask
 	}
-	v := t.slots[i].val
-	for j := (i + 1) & mask; t.slots[j].key != 0; j = (j + 1) & mask {
+	v := t.slots[i].Val
+	for j := (i + 1) & mask; t.slots[j].ID != 0; j = (j + 1) & mask {
 		// The entry at j may fill the hole at i unless its home lies
 		// cyclically in (i, j]: its probe distance must cover i.
-		if (j-t.home(t.slots[j].key))&mask >= (j-i)&mask {
+		if (j-t.home(t.slots[j].ID))&mask >= (j-i)&mask {
 			t.slots[i] = t.slots[j]
 			i = j
 		}
 	}
-	t.slots[i] = slot[V]{} // drop the value's reference
+	t.slots[i] = Slot[V]{} // drop the value's reference
 	t.used--
 	return v, true
+}
+
+// AppendTo appends every id the table holds, with its value, to dst, in
+// no particular order: the capture a holder makes under its lock when it
+// lists the table later, outside it.
+func (t *Table[V]) AppendTo(dst []Slot[V]) []Slot[V] {
+	if t == nil {
+		return dst
+	}
+	if t.hasZero {
+		dst = append(dst, Slot[V]{0, t.zero})
+	}
+	for _, s := range t.slots {
+		if s.ID != 0 {
+			dst = append(dst, s)
+		}
+	}
+	return dst
 }
 
 // All yields every id and its value, in no particular order. The table
@@ -202,7 +220,7 @@ func (t *Table[V]) All() iter.Seq2[uint64, V] {
 			return
 		}
 		for _, s := range t.slots {
-			if s.key != 0 && !yield(s.key, s.val) {
+			if s.ID != 0 && !yield(s.ID, s.Val) {
 				return
 			}
 		}

@@ -149,8 +149,8 @@ func TestFIFOChurnKeepsCapacity(t *testing.T) {
 	}
 	mask, probes := len(tb.slots)-1, 0
 	for i, s := range tb.slots {
-		if s.key != 0 {
-			probes += (i-tb.home(s.key))&mask + 1
+		if s.ID != 0 {
+			probes += (i-tb.home(s.ID))&mask + 1
 		}
 	}
 	if mean := float64(probes) / live; mean > 2.5 {

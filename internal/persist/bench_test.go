@@ -14,6 +14,7 @@ import (
 
 	"sfccover/internal/core"
 	"sfccover/internal/engine"
+	"sfccover/internal/obs"
 	"sfccover/internal/persist"
 	"sfccover/internal/subscription"
 	"sfccover/internal/workload"
@@ -464,17 +465,19 @@ func mallocs(n int, f func()) uint64 {
 }
 
 // TestSnapshotAllocs: a snapshot of a wrapped engine link allocates a
-// fixed number of times, whatever the link holds — the engine lists its
-// held rectangles by id into two slices and the snapshot encodes them
-// straight into one buffer sized up front, building no subscription and
-// no payload. At 2 048 and at 20 480 subscriptions it stays under the
-// same small bound (building a subscription and a payload for each made
-// 62 080 allocations at 20 480); what it spends is the rotation's and the
-// snapshot file's system calls, which a finalizer run by a collection in
-// the window can shift by a few, and one unsorted read of the data dir
-// for the compaction: 66–77 measured, with and without -race (~85 when
-// the compaction listed the dir twice, once for segments and once for
-// snapshots, each read sorted by name).
+// fixed number of times, whatever the link holds — the engine copies its
+// stripes' held slots into one array, the listing sorts it by id with one
+// scratch array, and the snapshot decodes and encodes each key straight
+// into one buffer sized up front, building no subscription and no
+// payload. At 2 048 and at 20 480 subscriptions it
+// stays under the same small bound (building a subscription and a payload
+// for each made 62 080 allocations at 20 480); what it spends is the
+// rotation's and the snapshot file's system calls, which a finalizer run
+// by a collection in the window can shift by a few, and one unsorted read
+// of the data dir for the compaction: 71–78 measured (66–77 when the
+// listing was sorted under the cut; ~85 when the compaction listed the
+// dir twice, once for segments and once for snapshots, each read sorted
+// by name).
 func TestSnapshotAllocs(t *testing.T) {
 	const snapshotMallocs = 96
 	schema := subscription.MustSchema(10, "volume", "price")
@@ -760,4 +763,121 @@ func procWrites() (uint64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// BenchmarkWriteDuringSnapshot times Snapshot on a DurableProvider over a
+// default engine holding n subscriptions while one goroutine runs
+// Insert+Remove pairs on it: what a snapshot costs the writers beside it.
+// An op is one Snapshot; each metric is the median over the b.N
+// snapshots. snapshot_ms is a snapshot's length, hold_ms its cut hold
+// (StoreStats.SnapshotHold), writer_worst_pair_ms the longest pair the
+// writer saw during it and worst/snapshot that pair over that snapshot's
+// length. writer_p99_us is the 99th percentile of every pair, and
+// max_pair_ms the longest pair of the run. Compare -cpu 1,2.
+func BenchmarkWriteDuringSnapshot(b *testing.B) {
+	for _, n := range []int{131072, 1048576} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchWriteDuringSnapshot(b, n) })
+	}
+}
+
+// stallSubs caches BenchmarkWriteDuringSnapshot's subscriptions by
+// population: the benchmark function runs once per b.N it tries.
+var stallSubs = map[int][]*subscription.Subscription{}
+
+func benchWriteDuringSnapshot(b *testing.B, n int) {
+	subs := stallSubs[n]
+	if subs == nil {
+		subs = benchSubs(b, subscription.MustSchema(10, "volume", "price"), n+1024)
+		stallSubs[n] = subs
+	}
+	schema, base, single := subs[0].Schema(), subs[:n], subs[n:]
+	st, err := persist.Open(b.TempDir(), schema, persist.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	d, err := st.Durable("", engine.MustNew(engine.Config{Detector: core.Config{Schema: schema}}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.InsertBatch(base); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.Snapshot(); err != nil { // the load's own snapshot, off the clock
+		b.Fatal(err)
+	}
+	// The writer counts its pairs and keeps the longest since the
+	// benchmark last took it.
+	lat := obs.NewHistogram()
+	var pairs, longest atomic.Int64
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			t0 := time.Now()
+			id, err := d.Insert(single[i%len(single)])
+			if err == nil {
+				err = d.Remove(id)
+			}
+			if err != nil {
+				panic(err)
+			}
+			l := time.Since(t0)
+			lat.Observe(l)
+			if int64(l) > longest.Load() {
+				longest.Store(int64(l))
+			}
+			pairs.Add(1)
+		}
+	}()
+	// nextPair waits for the writer to finish a pair begun after the call.
+	nextPair := func() {
+		for seen := pairs.Load(); pairs.Load() < seen+2; {
+			runtime.Gosched()
+		}
+	}
+	snaps, holds, worst := make([]float64, b.N), make([]float64, b.N), make([]float64, b.N)
+	ratios := make([]float64, b.N)
+	var maxPair int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A snapshot with nothing logged since the last one returns at
+		// once, so a pair lands first; the longest pair is taken from one
+		// that began before the snapshot to one that ended after it.
+		nextPair()
+		maxPair = max(maxPair, longest.Swap(0))
+		t0 := time.Now()
+		if err := d.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+		snap := time.Since(t0)
+		nextPair()
+		w := longest.Swap(0)
+		maxPair = max(maxPair, w)
+		snaps[i], holds[i], worst[i] = ms(snap), ms(st.Stats().SnapshotHold), ms(time.Duration(w))
+		ratios[i] = float64(w) / float64(snap)
+	}
+	b.StopTimer()
+	close(stop)
+	<-done
+	b.ReportMetric(median(snaps), "snapshot_ms")
+	b.ReportMetric(median(holds), "hold_ms")
+	b.ReportMetric(median(worst), "writer_worst_pair_ms")
+	b.ReportMetric(median(ratios), "worst/snapshot")
+	b.ReportMetric(float64(lat.Snapshot().Quantile(0.99).Nanoseconds())/1e3, "writer_p99_us")
+	b.ReportMetric(ms(time.Duration(maxPair)), "max_pair_ms")
+}
+
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+
+// median returns the median of xs, which it sorts.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }

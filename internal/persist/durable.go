@@ -86,14 +86,13 @@ func (st *Store) Durable(link string, inner core.Provider) (*DurableProvider, er
 	return d, nil
 }
 
-// held lists the wrapped provider's held set by id. Called with d.mu
-// held.
-func (d *DurableProvider) held() ([]core.Held, error) {
-	held, err := d.inner.Enumerate()
+// list captures the wrapped provider's held set. Called with d.mu held.
+func (d *DurableProvider) list() (*core.Listing, error) {
+	l, err := d.inner.Enumerate()
 	if err != nil {
 		return nil, fmt.Errorf("persist: enumerating link %q: %w", d.link, err)
 	}
-	return held, nil
+	return l, nil
 }
 
 // usable refuses a write once the link is released. Called with d.mu
@@ -316,8 +315,8 @@ func (d *DurableProvider) RemoveBatch(ids []uint64) []error {
 func (d *DurableProvider) Snapshot() error { return d.store.Snapshot() }
 
 // Enumerate implements core.Provider: the wrapped provider's held set,
-// read inside the write section so it is exactly the logged set.
-func (d *DurableProvider) Enumerate() ([]core.Held, error) {
+// captured inside the write section so it is exactly the logged set.
+func (d *DurableProvider) Enumerate() (*core.Listing, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.inner.Enumerate()
@@ -333,10 +332,13 @@ type Subscribed struct {
 // a subscription, for wrapped providers whose Enumerate cannot fail (the
 // Detector and the Engine).
 func (d *DurableProvider) Subscriptions() []Subscribed {
-	held, _ := d.Enumerate()
-	out := make([]Subscribed, len(held))
-	for i, h := range held {
-		out[i] = Subscribed{ID: h.ID, Sub: h.Rect.Subscription(d.Schema())}
+	l, err := d.Enumerate()
+	if err != nil {
+		return nil
+	}
+	out := make([]Subscribed, 0, l.Len())
+	for id, r := range l.All() {
+		out = append(out, Subscribed{ID: id, Sub: r.Subscription(d.Schema())})
 	}
 	return out
 }
@@ -364,6 +366,8 @@ func (d *DurableProvider) Stats() core.ProviderStats {
 	ps.Snapshots = ss.Snapshots
 	ps.WALRecords = ss.WALRecords
 	ps.WALBytes = ss.WALBytes
+	ps.SnapshotHold = ss.SnapshotHold
+	ps.SnapshotTime = ss.SnapshotTime
 	return ps
 }
 
@@ -392,14 +396,14 @@ func (d *DurableProvider) Release() {
 		return
 	}
 	d.released = true
-	held, err := d.held()
+	l, err := d.list()
 	if err != nil {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	delete(st.wrapped, d.link)
-	for _, h := range held {
-		st.state.put(d.link, h.ID, h.Rect)
+	for sid, r := range l.All() {
+		st.state.put(d.link, sid, r)
 	}
 }

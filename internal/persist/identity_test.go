@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sfccover/internal/core"
+	"sfccover/internal/core/coretest"
 	"sfccover/internal/engine"
 	"sfccover/internal/subscription"
 )
@@ -25,7 +26,7 @@ func newTestDetector(schema *subscription.Schema) core.Provider {
 
 func mustEnumerate(t *testing.T, p core.Provider) []core.Held {
 	t.Helper()
-	h, err := p.Enumerate()
+	h, err := coretest.HeldOf(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sfccover/internal/core"
+	"sfccover/internal/core/coretest"
 	"sfccover/internal/engine"
 	"sfccover/internal/persist"
 	"sfccover/internal/subscription"
@@ -102,7 +103,7 @@ func TestHeldSubscriptionIsIsolated(t *testing.T) {
 					}
 				}
 
-				held, err := p.Enumerate()
+				held, err := coretest.HeldOf(p)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -85,6 +85,11 @@ type StoreStats struct {
 	// subscription; Entries the total subscription count across them.
 	Links   int
 	Entries int
+	// SnapshotHold is how long the last snapshot held writers, its
+	// capture under the cut; SnapshotTime its whole length, capture and
+	// write. Both stay zero until a snapshot is taken.
+	SnapshotHold time.Duration
+	SnapshotTime time.Duration
 }
 
 // Store is the durable home of every link namespace under one data dir,
@@ -100,14 +105,19 @@ type StoreStats struct {
 // link, a wrapped one through its provider at a cut, and encode the
 // rectangles back into payloads. All methods are safe for concurrent use.
 //
-// The locks are taken in one order: reg, then each wrapped link's write
-// section (DurableProvider.mu) in link-name order, then mu. A write holds
-// only its own section, and mu inside the append; nothing takes a section
-// while it holds mu.
+// The locks are taken in one order: snap, then reg, then each wrapped
+// link's write section (DurableProvider.mu) in link-name order, then mu. A
+// write holds only its own section, and mu inside the append; nothing
+// takes a section while it holds mu.
 type Store struct {
 	dir    string
 	schema *subscription.Schema
 	opts   Options
+
+	// snap serializes what writes snapshots and compacts — a Snapshot's
+	// write phase, InstallState — with each other and with Close, so no
+	// file is written once the data dir's lock is given up.
+	snap sync.Mutex
 
 	// reg is the registry lock: held by Durable and Release while they
 	// move a link between the mirror and a provider, and by every reader
@@ -133,6 +143,9 @@ type Store struct {
 	// snapshots cost nothing instead of rewriting full state forever.
 	dirtyRecords int
 	hasSnapshot  bool
+	// snapHold and snapTime are the last snapshot's cut hold and whole
+	// length (StoreStats).
+	snapHold, snapTime time.Duration
 
 	// pos is the replication stream position: the count of WAL records
 	// ever applied in this dir's history. It survives restarts (snapshots
@@ -312,23 +325,29 @@ func (st *Store) Links() []string {
 
 // Held returns the persisted subscriptions of one link, sorted by sid
 // ascending — the order the snapshot stores and Restore checks in one
-// pass. A wrapped link's are read from its provider under its write
+// pass. A wrapped link's are captured from its provider under its write
 // section; nil if the provider cannot enumerate.
 func (st *Store) Held(link string) []core.Held {
+	l, err := st.list(link)
+	if err != nil {
+		return nil
+	}
+	return l.Held()
+}
+
+// list captures one link's subscriptions: a wrapped link's through its
+// provider, under its write section, any other link's from the mirror.
+func (st *Store) list(link string) (*core.Listing, error) {
 	st.reg.Lock()
 	defer st.reg.Unlock()
 	if d := st.wrapped[link]; d != nil {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		held, err := d.held()
-		if err != nil {
-			return nil
-		}
-		return held
+		return d.list()
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return sortedHeld(st.state[link])
+	return listRects(st.state[link]), nil
 }
 
 // Stats returns the durability counters.
@@ -350,9 +369,11 @@ func (st *Store) logStats() StoreStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return StoreStats{
-		Snapshots:  st.snapshots,
-		WALRecords: st.walRecords,
-		WALBytes:   st.walBytes,
+		Snapshots:    st.snapshots,
+		WALRecords:   st.walRecords,
+		WALBytes:     st.walBytes,
+		SnapshotHold: st.snapHold,
+		SnapshotTime: st.snapTime,
 	}
 }
 
@@ -498,37 +519,74 @@ func (st *Store) mirror(r record, rect subscription.Rect) {
 // compacts the log behind it: the WAL rotates to a fresh segment, the
 // snapshot (covering everything before the rotation) lands durably, and
 // only then are the superseded segments and older snapshots deleted — so
-// a crash at any point leaves a recoverable dir. It reads at a cut
-// (lockCut), so a wrapped link contributes exactly its logged state;
-// writes block for the duration, answers served by wrapped providers do
-// not.
+// a crash at any point leaves a recoverable dir.
+//
+// It runs in two phases. The capture holds the cut (lockCut), so a
+// wrapped link contributes exactly its logged state: it rotates the WAL
+// and copies each link's held set raw (core.Listing), and writes on every
+// link wait only for it. The write runs outside the cut, under snap
+// alone: it sorts and encodes the copies, writes and fsyncs the file,
+// renames it into place and compacts. Writes landing meanwhile go to the
+// fresh segment, which the snapshot does not cover. Snapshot returns once
+// the snapshot is durable and the superseded files are gone.
 func (st *Store) Snapshot() error {
+	st.snap.Lock()
+	defer st.snap.Unlock()
+	start := time.Now()
+	c, err := st.capture()
+	if err != nil || c == nil {
+		return err
+	}
+	hold := time.Since(c.held)
+	if err := writeSnapshot(st.dir, c.cutoff, encodeLinks(st.schema, c.links, c.pos)); err != nil {
+		return err
+	}
+	st.compact(c.cutoff)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.snapshots++
+	st.dirtyRecords -= c.records
+	st.hasSnapshot = true
+	st.snapHold, st.snapTime = hold, time.Since(start)
+	return nil
+}
+
+// snapCut is what a snapshot's capture takes under the cut: every link's
+// held set, the first WAL segment it does not cover, the stream position
+// it covers and the count of records it covers that no earlier snapshot
+// did; held is when the cut was taken.
+type snapCut struct {
+	links   []linkEntries
+	cutoff  uint64
+	pos     uint64
+	records int
+	held    time.Time
+}
+
+// capture is a snapshot's first phase, under the cut: it lists every
+// link raw, then rotates the WAL. The retired segment is fsynced here,
+// before any append reaches the fresh one, so the log on disk is always
+// a prefix of the log written. It returns nil with nothing to snapshot:
+// when nothing was logged since the last snapshot, which already covers
+// everything, rewriting identical full state would cost disk I/O per
+// periodic tick on an idle daemon for nothing.
+func (st *Store) capture() (*snapCut, error) {
 	defer st.lockCut()()
+	held := time.Now()
 	if st.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if st.dirtyRecords == 0 && st.hasSnapshot {
-		// Nothing logged since the last snapshot already covered
-		// everything: rewriting identical full state would cost disk I/O
-		// per periodic tick on an idle daemon for nothing.
-		return nil
+		return nil, nil
 	}
 	links, err := st.linksLocked()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := st.w.rotate(); err != nil {
-		return err
+		return nil, err
 	}
-	cutoff := st.w.seq
-	if err := writeSnapshot(st.dir, cutoff, encodeLinks(st.schema, links, st.pos)); err != nil {
-		return err
-	}
-	st.snapshots++
-	st.dirtyRecords = 0
-	st.hasSnapshot = true
-	st.compact(cutoff)
-	return nil
+	return &snapCut{links: links, cutoff: st.w.seq, pos: st.pos, records: st.dirtyRecords, held: held}, nil
 }
 
 // lockCut takes every lock a cut across links needs, in the store's lock
@@ -556,9 +614,10 @@ func (st *Store) lockCut() (unlock func()) {
 	}
 }
 
-// linksLocked lists every link holding a subscription, by name, with its
-// subscriptions by sid: a wrapped link's its provider's, every other
-// link's the mirror's. Called with the cut held.
+// linksLocked captures every link holding a subscription, by name: a
+// wrapped link's held set from its provider, every other link's from the
+// mirror, each copied raw and listed by sid when it is read. Called with
+// the cut held.
 func (st *Store) linksLocked() ([]linkEntries, error) {
 	names := make([]string, 0, len(st.state)+len(st.wrapped))
 	for name := range st.state {
@@ -573,13 +632,13 @@ func (st *Store) linksLocked() ([]linkEntries, error) {
 		l := linkEntries{name: name}
 		if d := st.wrapped[name]; d != nil {
 			var err error
-			if l.held, err = d.held(); err != nil {
+			if l.list, err = d.list(); err != nil {
 				return nil, err
 			}
 		} else {
-			l.held = sortedHeld(st.state[name])
+			l.list = listRects(st.state[name])
 		}
-		if len(l.held) > 0 {
+		if l.list.Len() > 0 {
 			links = append(links, l)
 		}
 	}
@@ -606,10 +665,12 @@ func (st *Store) compact(cutoff uint64) {
 	}
 }
 
-// Close flushes and closes the log and releases the data-dir lock.
-// Wrapped providers must not log afterwards; a second Close (and any
-// later append) reports ErrClosed.
+// Close flushes and closes the log and releases the data-dir lock, after
+// any snapshot being written has landed. Wrapped providers must not log
+// afterwards; a second Close (and any later append) reports ErrClosed.
 func (st *Store) Close() error {
+	st.snap.Lock()
+	defer st.snap.Unlock()
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"sfccover/internal/core"
+	"sfccover/internal/core/coretest"
 	"sfccover/internal/subscription"
 )
 
@@ -450,7 +451,7 @@ func coverAnswers(t testing.TB, schema *subscription.Schema, p core.Provider, n 
 		}
 		out += fmt.Sprintf("c%d:%v/%d;", i, found, id)
 	}
-	held, err := p.Enumerate()
+	held, err := coretest.HeldOf(p)
 	if err != nil {
 		t.Fatal(err)
 	}

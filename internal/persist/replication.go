@@ -208,14 +208,29 @@ const tailerBuf = 64
 // (0 = from the beginning). The first batches replay history — out of
 // the ring when from is inside the window, as a Reset dump otherwise —
 // and every commit after the call follows live, with no gap between the
-// two (both are cut under the same lock). It holds the cut, which a dump
-// needs to read the wrapped links.
+// two: the history is cut, and the tailer registered, under one hold of
+// the cut, which a dump needs to capture the wrapped links. A dump's
+// records are encoded after the cut is released.
 func (st *Store) Tail(from uint64) (*Tailer, error) {
+	t := &Tailer{st: st, ch: make(chan TailBatch, tailerBuf)}
+	links, pos, reset, err := st.tailCut(t, from)
+	if err != nil {
+		return nil, err
+	}
+	if reset {
+		t.initial = []TailBatch{st.dump(links, pos)}
+	}
+	return t, nil
+}
+
+// tailCut is Tail under the cut: it registers t and gives it the ring's
+// records after from, or, when from is outside the ring's window, captures
+// every link for a reset dump at position pos.
+func (st *Store) tailCut(t *Tailer, from uint64) (links []linkEntries, pos uint64, reset bool, err error) {
 	defer st.lockCut()()
 	if st.closed {
-		return nil, ErrClosed
+		return nil, 0, false, ErrClosed
 	}
-	t := &Tailer{st: st, ch: make(chan TailBatch, tailerBuf)}
 	if run, ok := st.ring.from(from); ok {
 		if len(run) > 0 {
 			t.initial = []TailBatch{{Base: from, Pos: st.pos, Recs: run}}
@@ -224,33 +239,28 @@ func (st *Store) Tail(from uint64) (*Tailer, error) {
 		// Too far behind the ring window — or ahead of us entirely, which
 		// means a divergent history (an old primary rejoining with records
 		// we never saw). Either way the catch-up is a full-state reset.
-		dump, err := st.dumpLocked()
-		if err != nil {
-			return nil, err
+		if links, err = st.linksLocked(); err != nil {
+			return nil, 0, false, err
 		}
-		t.initial = []TailBatch{dump}
+		reset = true
 	}
 	st.tailers[t] = struct{}{}
-	return t, nil
+	return links, st.pos, reset, nil
 }
 
-// dumpLocked encodes every link's state as a Reset batch at the current
-// position: an add record for each held rectangle, its payload written
-// straight into the run. Called with the cut held.
-func (st *Store) dumpLocked() (TailBatch, error) {
-	links, err := st.linksLocked()
-	if err != nil {
-		return TailBatch{}, err
-	}
-	batch := TailBatch{Reset: true, Pos: st.pos}
+// dump encodes captured links as a Reset batch at position pos: an add
+// record for each held rectangle, its payload written straight into the
+// run.
+func (st *Store) dump(links []linkEntries, pos uint64) TailBatch {
+	batch := TailBatch{Reset: true, Pos: pos}
 	var scratch [subscription.MaxWireLen]byte
 	for _, l := range links {
-		for _, h := range l.held {
-			pay := h.Rect.AppendBinary(scratch[:0], st.schema)
-			batch.Recs = appendRecord(batch.Recs, record{op: opAdd, link: l.name, sid: h.ID, payload: pay})
+		for sid, r := range l.list.All() {
+			pay := r.AppendBinary(scratch[:0], st.schema)
+			batch.Recs = appendRecord(batch.Recs, record{op: opAdd, link: l.name, sid: sid, payload: pay})
 		}
 	}
-	return batch, nil
+	return batch
 }
 
 // notifyTailers pushes a freshly committed batch, the count records at
@@ -386,6 +396,8 @@ func (st *Store) ApplyReplicated(base uint64, run []byte) error {
 // anything is written, when a record is torn or an add's payload does not
 // decode.
 func (st *Store) InstallState(run []byte, pos uint64) error {
+	st.snap.Lock()
+	defer st.snap.Unlock()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {

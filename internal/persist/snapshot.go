@@ -78,17 +78,19 @@ func (m linkTables) drop(link string, sid uint64) {
 	}
 }
 
+// listRects captures one link's table: a copy of its entries, listed by
+// sid ascending when it is read. Called under the lock the table lives
+// under.
+func listRects(t *idtable.Table[subscription.Rect]) *core.Listing {
+	l := core.NewListing(nil, nil, t.Len())
+	l.CopyRects(t)
+	return l
+}
+
 // sortedHeld lists one link's table by sid ascending, the order a
 // snapshot stores and Restore checks in one pass.
 func sortedHeld(t *idtable.Table[subscription.Rect]) []core.Held {
-	ids := make([]uint64, 0, t.Len())
-	for sid := range t.All() {
-		ids = append(ids, sid)
-	}
-	return core.SortedHeld(ids, func(sid uint64) subscription.Rect {
-		r, _ := t.Get(sid)
-		return r
-	})
+	return listRects(t).Held()
 }
 
 // decodePayload decodes the payload of an add on link under schema. It
@@ -105,11 +107,11 @@ func decodePayload(schema *subscription.Schema, link string, sid uint64, payload
 }
 
 // linkEntries is one link's section of a snapshot or a reset dump: its
-// name and its subscriptions by sid ascending, encoded straight into the
-// section's bytes.
+// name and its subscriptions as captured, listed by sid ascending and
+// encoded straight into the section's bytes.
 type linkEntries struct {
 	name string
-	held []core.Held
+	list *core.Listing
 }
 
 // encodeSnapshot serializes the per-link state, every link of links by
@@ -117,7 +119,7 @@ type linkEntries struct {
 func encodeSnapshot(schema *subscription.Schema, links linkTables, basePos uint64) []byte {
 	sections := make([]linkEntries, 0, len(links))
 	for name, t := range links {
-		sections = append(sections, linkEntries{name: name, held: sortedHeld(t)})
+		sections = append(sections, linkEntries{name: name, list: listRects(t)})
 	}
 	slices.SortFunc(sections, func(a, b linkEntries) int { return strings.Compare(a.name, b.name) })
 	return encodeLinks(schema, sections, basePos)
@@ -135,7 +137,7 @@ func encodeLinks(schema *subscription.Schema, links []linkEntries, basePos uint6
 	}
 	maxRect := 3 + 2*len(attrs)*uvarintLen(uint64(schema.MaxValue()))
 	for _, l := range links {
-		size += 2*binary.MaxVarintLen64 + len(l.name) + len(l.held)*(binary.MaxVarintLen64+1+maxRect)
+		size += 2*binary.MaxVarintLen64 + len(l.name) + l.list.Len()*(binary.MaxVarintLen64+1+maxRect)
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, snapMagic...)
@@ -150,11 +152,11 @@ func encodeLinks(schema *subscription.Schema, links []linkEntries, basePos uint6
 	for _, l := range links {
 		buf = binary.AppendUvarint(buf, uint64(len(l.name)))
 		buf = append(buf, l.name...)
-		buf = binary.AppendUvarint(buf, uint64(len(l.held)))
-		for _, h := range l.held {
-			buf = binary.AppendUvarint(buf, h.ID)
+		buf = binary.AppendUvarint(buf, uint64(l.list.Len()))
+		for sid, r := range l.list.All() {
+			buf = binary.AppendUvarint(buf, sid)
 			at := len(buf)
-			buf = h.Rect.AppendBinary(append(buf, 0), schema)
+			buf = r.AppendBinary(append(buf, 0), schema)
 			buf[at] = byte(len(buf) - at - 1)
 		}
 	}

@@ -30,6 +30,8 @@ var scalarMetrics = []metricDef{
 	{"sfcd_boundary_moves_total", "counter", "Slice boundary moves performed by the rebalancer."},
 	{"sfcd_migrated_entries_total", "counter", "Index entries migrated across slice boundaries."},
 	{"sfcd_snapshots_total", "counter", "Durable-state snapshots taken (store-wide)."},
+	{"sfcd_snapshot_hold_seconds", "gauge", "How long the last snapshot held writers: its capture under the cut."},
+	{"sfcd_snapshot_seconds", "gauge", "The last snapshot's whole length, capture and write."},
 	{"sfcd_wal_records_total", "counter", "Write-ahead-log records appended over the store's lifetime."},
 	{"sfcd_wal_bytes_total", "counter", "Write-ahead-log bytes appended over the store's lifetime."},
 }
@@ -57,6 +59,8 @@ func RenderPrometheus(ps core.ProviderStats) string {
 		strconv.Itoa(ps.BoundaryMoves),
 		strconv.Itoa(ps.MigratedEntries),
 		strconv.Itoa(ps.Snapshots),
+		formatSample(ps.SnapshotHold.Seconds()),
+		formatSample(ps.SnapshotTime.Seconds()),
 		strconv.Itoa(ps.WALRecords),
 		strconv.FormatInt(ps.WALBytes, 10),
 	}
@@ -75,7 +79,8 @@ func RenderPrometheus(ps core.ProviderStats) string {
 	return sb.String()
 }
 
-// formatSample prints a genuinely floating-point value (the skew ratio)
+// formatSample prints a genuinely floating-point value (the skew ratio,
+// the snapshot gauges' seconds)
 // the way Prometheus parsers expect: integral values without an
 // exponent, ratios with a short decimal form. Integral counters do NOT
 // go through here — see RenderPrometheus.

@@ -312,3 +312,37 @@ func TestSnapshotUnsupportedWithoutDataDir(t *testing.T) {
 		t.Fatalf("RemoteProvider.Snapshot = %v, want core.ErrUnsupported", err)
 	}
 }
+
+// TestSnapshotGauges takes a snapshot on a -data-dir daemon and reads the
+// last snapshot's cut hold and length back: on the stats op (0 < hold ≤
+// length) and as the two /metrics gauges beside sfcd_snapshots_total.
+func TestSnapshotGauges(t *testing.T) {
+	schema := subscription.MustSchema(8, "x", "y")
+	d := startDaemon(t, schema, t.TempDir())
+	defer d.stop(t)
+	bg := context.Background()
+	for i := 0; i < 16; i++ {
+		if _, err := d.client.Insert(bg, antiRect(t, schema, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.client.Snapshot(bg); err != nil {
+		t.Fatal(err)
+	}
+	st, err := d.client.Stats(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Snapshots != 1 || st.SnapshotHoldNs <= 0 || st.SnapshotHoldNs > st.SnapshotNs {
+		t.Fatalf("stats after a snapshot: %d snapshots, hold %d ns, length %d ns; want 1 and 0 < hold <= length", st.Snapshots, st.SnapshotHoldNs, st.SnapshotNs)
+	}
+	text, err := d.client.Metrics(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"sfcd_snapshot_hold_seconds", "sfcd_snapshot_seconds"} {
+		if !strings.Contains(text, "# TYPE "+name+" gauge\n") || !strings.Contains(text, "\n"+name+" ") || strings.Contains(text, "\n"+name+" 0\n") {
+			t.Errorf("metrics exposition lacks a non-zero %s gauge", name)
+		}
+	}
+}

@@ -245,6 +245,10 @@ type Stats struct {
 	Snapshots  int   `json:"snapshots,omitempty"`
 	WALRecords int   `json:"walRecords,omitempty"`
 	WALBytes   int64 `json:"walBytes,omitempty"`
+	// SnapshotHoldNs and SnapshotNs are the last snapshot's cut hold and
+	// whole length, in nanoseconds.
+	SnapshotHoldNs int64 `json:"snapshotHoldNs,omitempty"`
+	SnapshotNs     int64 `json:"snapshotNs,omitempty"`
 }
 
 // Error codes carried by error frames (Response.Code). The code

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"sfccover/internal/core"
 	"sfccover/internal/dominance"
@@ -178,7 +179,7 @@ func (r *RemoteProvider) Snapshot() error {
 
 // Enumerate is unsupported: a full subscription dump has no wire op and
 // would be an unbounded response frame; enumerate server-side.
-func (r *RemoteProvider) Enumerate() ([]core.Held, error) {
+func (r *RemoteProvider) Enumerate() (*core.Listing, error) {
 	return nil, fmt.Errorf("%w: no wire op dumps a namespace", core.ErrUnsupported)
 }
 
@@ -237,6 +238,8 @@ func (r *RemoteProvider) Stats() core.ProviderStats {
 		Snapshots:       ws.Snapshots,
 		WALRecords:      ws.WALRecords,
 		WALBytes:        ws.WALBytes,
+		SnapshotHold:    time.Duration(ws.SnapshotHoldNs),
+		SnapshotTime:    time.Duration(ws.SnapshotNs),
 	}
 	ps.SetShardSizes(ws.ShardSizes)
 	return ps

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"sfccover/internal/core"
+	"sfccover/internal/core/coretest"
 	"sfccover/internal/engine"
 	"sfccover/internal/persist"
 	"sfccover/internal/sfcd"
@@ -127,7 +128,7 @@ func TestFollowerStreamsAndServesAfterPromotion(t *testing.T) {
 		"":  remoteFingerprint(t, schema, shared),
 		"L": remoteFingerprint(t, schema, linked),
 	}
-	wantHeld, err := primary.eng.Enumerate()
+	wantHeld, err := coretest.HeldOf(primary.eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestFollowerStreamsAndServesAfterPromotion(t *testing.T) {
 	}
 	// One id space, below the wire too: the promoted engine itself holds
 	// what the primary's engine held, id for id.
-	gotHeld, err := fol.eng.Enumerate()
+	gotHeld, err := coretest.HeldOf(fol.eng)
 	if err != nil || len(gotHeld) != len(wantHeld) {
 		t.Fatalf("promoted engine enumerates %d subscriptions (%v), the primary's held %d", len(gotHeld), err, len(wantHeld))
 	}

@@ -821,6 +821,8 @@ func (s *Server) serve(sc *reqScratch) Response {
 			Snapshots:       ps.Snapshots,
 			WALRecords:      ps.WALRecords,
 			WALBytes:        ps.WALBytes,
+			SnapshotHoldNs:  ps.SnapshotHold.Nanoseconds(),
+			SnapshotNs:      ps.SnapshotTime.Nanoseconds(),
 		})
 	case OpSnapshot:
 		if err := prov.Snapshot(); err != nil {
