@@ -95,19 +95,25 @@ func InterleaveWord(coords []uint32, k int) uint64 {
 	return key
 }
 
-// Gather tables for DeinterleaveWordInto, the inverse of the spread: for
-// keys of d coordinates, gatherTables[d][m][b] places the bits of byte b
-// at byte m of a key in lanes of 64/d bits, coordinate j's in lane j at
-// their bit level, so ORing one entry per key byte decodes every
-// coordinate at once. Built on first use per d, 16 KB each.
+// GatherTable decodes one-word keys of d coordinates, the inverse of the
+// spread: entry [m][b] places the bits of byte b at byte m of a key in
+// lanes of 64/d bits, coordinate j's in lane j at their bit level, so
+// ORing one entry per key byte decodes every coordinate at once. 16 KB.
+type GatherTable [8][256]uint64
+
+// Built on first use per d, and shared.
 var (
 	gatherOnce   [65]sync.Once
-	gatherTables [65]*[8][256]uint64
+	gatherTables [65]*GatherTable
 )
 
-func gatherTable(d int) *[8][256]uint64 {
+// Gather returns the gather table of keys of d coordinates, 1 <= d <= 64,
+// building it on first use. A caller that decodes many keys of one
+// universe resolves it once (sfc.ZCurve does, at construction) and
+// decodes with its DeinterleaveWordInto.
+func Gather(d int) *GatherTable {
 	gatherOnce[d].Do(func() {
-		t := new([8][256]uint64)
+		t := new(GatherTable)
 		lane := 64 / d
 		for m := range t {
 			for b := range t[m] {
@@ -126,15 +132,14 @@ func gatherTable(d int) *[8][256]uint64 {
 }
 
 // DeinterleaveWordInto inverts InterleaveWord for len(dst) coordinates of
-// k bits each, len(dst)·k <= 64: it writes the coordinates of key into dst
-// and returns dst, ignoring key bits above len(dst)·k. One table lookup a
-// key byte gathers every coordinate's bits, where a bit loop takes one
-// step a coordinate bit.
+// k bits each, len(dst)·k <= 64, on t, which must be Gather(len(dst)): it
+// writes the coordinates of key into dst and returns dst, ignoring key
+// bits above len(dst)·k. One table lookup a key byte gathers every
+// coordinate's bits, where a bit loop takes one step a coordinate bit.
 //
 //sfc:hotpath
-func DeinterleaveWordInto(dst []uint32, key uint64, k int) []uint32 {
+func (t *GatherTable) DeinterleaveWordInto(dst []uint32, key uint64, k int) []uint32 {
 	d := len(dst)
-	t := gatherTable(d)
 	if d*k < 64 {
 		key &= 1<<uint(d*k) - 1
 	}

@@ -80,7 +80,7 @@ func TestDeinterleaveWordInvertsInterleaveWord(t *testing.T) {
 				if d*k < 64 {
 					key |= rng.Uint64() << uint(d*k)
 				}
-				if got := DeinterleaveWordInto(make([]uint32, d), key, k); !slices.Equal(got, c) {
+				if got := Gather(d).DeinterleaveWordInto(make([]uint32, d), key, k); !slices.Equal(got, c) {
 					t.Fatalf("d=%d k=%d key %#x: DeinterleaveWordInto %v, want %v", d, k, key, got, c)
 				}
 			}

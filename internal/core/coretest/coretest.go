@@ -584,7 +584,10 @@ func RunPersistenceConformance(t *testing.T, schema *subscription.Schema, open f
 // on one array and on eight slices alike.
 // Stats must then read Queries as the calls issued, Hits as those that
 // found a cover, and RunsProbed, CubesGenerated and every PathQueries cell
-// as the sums of the Stats the calls returned. offCounted says whether a
+// as the sums of the Stats the calls returned. Where the mode searches,
+// the sequence must ask queries that end on their first probe and
+// queries of more: an engine counts a query's first probe apart from the
+// rest. offCounted says whether a
 // mode-off call counts as a query: an engine counts it under
 // dominance.PathNone, a Detector counts searches, and mode off issues
 // none.
@@ -626,6 +629,7 @@ func RunTotalsMatchQueryStats(t *testing.T, build func(t *testing.T, cfg core.Co
 				t.Fatal(err)
 			}
 			var w tally
+			var oneProbe, multiProbe int
 			count := func(found bool, st dominance.Stats, err error) {
 				t.Helper()
 				if err != nil {
@@ -641,6 +645,12 @@ func RunTotalsMatchQueryStats(t *testing.T, build func(t *testing.T, cfg core.Co
 				w.runs += st.RunsProbed
 				w.cubes += st.CubesGenerated
 				w.paths[st.Path]++
+				switch {
+				case st.RunsProbed == 1:
+					oneProbe++
+				case st.RunsProbed > 1:
+					multiProbe++
+				}
 			}
 			for pass := 0; pass < 4; pass++ {
 				for _, c := range children[:recurring] {
@@ -670,6 +680,9 @@ func RunTotalsMatchQueryStats(t *testing.T, build func(t *testing.T, cfg core.Co
 			}
 			if mode.cfg.Mode != core.ModeOff && (w.hits == 0 || w.hits == w.queries) {
 				t.Fatalf("%d hits of %d queries: the sequence must both find and miss", w.hits, w.queries)
+			}
+			if mode.cfg.Mode != core.ModeOff && (oneProbe == 0 || multiProbe == 0) {
+				t.Fatalf("%d one-probe and %d multi-probe queries: the sequence must ask both", oneProbe, multiProbe)
 			}
 		})
 	}

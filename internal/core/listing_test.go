@@ -105,3 +105,34 @@ func TestListingSortsEveryForm(t *testing.T) {
 		t.Fatalf("a listing changed with the tables it was copied from")
 	}
 }
+
+// BenchmarkWordRect times the decode of one held one-word key into its
+// rectangle at d 4 × k 10, the default engine's universe: what a
+// snapshot and a listing's read pay per subscription. One op is one key.
+func BenchmarkWordRect(b *testing.B) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	curve, err := sfc.NewZ(sfc.Config{Dims: schema.Dims(), Bits: schema.Bits()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]uint64, 1024)
+	for i := range keys {
+		s := subscription.New(schema)
+		for _, attr := range schema.Attrs() {
+			lo, hi := uint32(rng.Intn(1024)), uint32(rng.Intn(1024))
+			if err := s.SetRange(attr, min(lo, hi), max(lo, hi)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		keys[i] = curve.KeyWord(s.Point())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wordRectSink = WordRect(schema, curve, keys[i%len(keys)])
+	}
+}
+
+// wordRectSink keeps BenchmarkWordRect's decode from being optimized away.
+var wordRectSink subscription.Rect

@@ -255,7 +255,7 @@ func (x *Index) QueryDominating(q []uint32) (uint64, bool) {
 // truncates the region per Lemma 3.2 and probes cubes largest-first
 // until a point is found or the searched volume reaches (1−ε) of the
 // region. A single Index is never traced; tracing lives on
-// ShardedIndex.QueryTraced.
+// ShardedIndex.QueryInto.
 //
 //sfc:hotpath
 func (x *Index) Query(q []uint32, eps float64) (uint64, bool, Stats, error) {
@@ -266,7 +266,7 @@ func (x *Index) Query(q []uint32, eps float64) (uint64, bool, Stats, error) {
 		x.searched++
 	}
 	sc := &x.scratch
-	id, ok, err := x.search(sc, &x.arr, q, eps, nil)
+	id, ok, err := x.search(sc, &x.arr, q, eps, nil, &sc.stats)
 	return id, ok, sc.stats, err
 }
 
@@ -286,7 +286,7 @@ func (x *Index) QueryCubes(q []uint32, eps float64) (uint64, bool, Stats, error)
 		return 0, false, Stats{}, err
 	}
 	sc := &x.scratch
-	region := sc.begin(q, x.cfg.Bits)
+	region := sc.begin(q, x.cfg.Bits, &sc.stats)
 	id, ok, err := searchCubes(x.curve, x.cfg.Bits, x.cfg.MaxCubes, sc, &x.arr, region, eps, nil)
 	return id, ok, sc.stats, err
 }

@@ -3,6 +3,7 @@ package dominance
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -170,5 +171,56 @@ func TestWalkMatchesModelWalk(t *testing.T) {
 				t.Fatalf("queries too uniform to tell the forms apart: %d hits, %d misses, longest walk %d steps", hits, misses, longest)
 			}
 		})
+	}
+}
+
+// TestWordRouteMatchesRouteKey holds the one-word routes — route, which
+// reads the table's words, and reach, which scans up from a slice whose
+// start the key has passed — and the wide form's reach to routeKey over
+// the table's keys: on tables with runs of equal starts (slices that own
+// nothing) at the bottom, inside and at the top of the word, on one slice,
+// and on random tables drawn from few values, for keys at, just below and
+// just above every boundary.
+func TestWordRouteMatchesRouteKey(t *testing.T) {
+	tables := [][]uint64{
+		{0},
+		{0, 0, 0, 0},
+		{0, 0, 5, 5, 5, 9, 9, 9},
+		{0, 100, 100, 100, 200, 300, 300, 400},
+		{0, 1, 2, 3, 4, 5, 6, 7},
+		{0, 1 << 40, 1 << 40, ^uint64(0), ^uint64(0)},
+	}
+	rng := rand.New(rand.NewSource(52))
+	for i := 0; i < 64; i++ {
+		words := make([]uint64, 1+rng.Intn(12))
+		for j := 1; j < len(words); j++ {
+			words[j] = uint64(rng.Intn(6)) << uint(rng.Intn(60))
+		}
+		slices.Sort(words)
+		tables = append(tables, words)
+	}
+	for _, words := range tables {
+		starts := make([]bits.Key, len(words))
+		for i, w := range words {
+			starts[i] = bits.KeyFromUint64(w)
+		}
+		tab := newBoundaries(starts)
+		for _, w := range words {
+			for _, k := range []uint64{w - 1, w, w + 1} {
+				key := bits.KeyFromUint64(k)
+				want := routeKey(starts, key)
+				if got := (wordForm{}).route(tab, k); got != want {
+					t.Fatalf("table %v, key %#x: word route %d, routeKey %d", words, k, got, want)
+				}
+				for i := 0; i <= want; i++ {
+					if got := (wordForm{}).reach(tab, i, k); got != want {
+						t.Fatalf("table %v, key %#x: word reach from %d is %d, routeKey %d", words, k, i, got, want)
+					}
+					if got := (wideForm{}).reach(tab, i, key); got != want {
+						t.Fatalf("table %v, key %#x: wide reach from %d is %d, routeKey %d", words, k, i, got, want)
+					}
+				}
+			}
+		}
 	}
 }

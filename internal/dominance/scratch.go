@@ -20,10 +20,10 @@ type queryScratch struct {
 	rectHi []uint32
 	dec    cubes.Decomposer
 	enum   cubes.LevelEnum
-	// stats is the query's working Stats: the search closures take its
-	// address, which would force a stack-local Stats to escape and cost
-	// one heap allocation per query. begin resets it, the search works
-	// on it in place, and the query returns it by value.
+	// stats is the cube search's working Stats: its closures take their
+	// address, which would force the caller's Stats to escape and cost one
+	// heap allocation per query. The walk works on the caller's in place;
+	// an Index's queries, single-goroutine, work on these throughout.
 	stats Stats
 	// succ is the walk's NextInExtremal bound to the query corner: the
 	// curve encodes q once per query, not once per step.
@@ -34,10 +34,10 @@ type queryScratch struct {
 	routed routed
 }
 
-// begin resets the scratch for one query and returns its region.
-func (sc *queryScratch) begin(q []uint32, k int) geom.Extremal {
+// begin resets the scratch and st for one query and returns its region.
+func (sc *queryScratch) begin(q []uint32, k int, st *Stats) geom.Extremal {
 	region := sc.region(q, k)
-	sc.stats = Stats{AspectRatio: region.AspectRatio(), SearchedLevel: -1}
+	*st = Stats{AspectRatio: region.AspectRatio(), SearchedLevel: -1}
 	return region
 }
 

@@ -30,31 +30,36 @@ type ordered interface {
 // successor walk, and the cube search only when the walk overran its step
 // budget. Exact queries (eps == 0) walk from the bottom without a budget
 // — the walk's answer is then the dominator with the smallest key — so
-// they never reach the cubes. The query's Stats are left in sc.stats.
+// they never reach the cubes. The query's Stats are written into *st:
+// by the walk in place, and by the cube search on the scratch's copy (its
+// closures take the address), copied back once it is done.
 //
 //sfc:hotpath
-func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64, tr *obs.QueryTrace) (uint64, bool, error) {
-	region := sc.begin(q, d.cfg.Bits)
+func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64, tr *obs.QueryTrace, st *Stats) (uint64, bool, error) {
+	region := sc.begin(q, d.cfg.Bits, st)
 	if eps == 0 {
-		id, found, _ := d.walk(arr, q, 0, false, sc, tr)
+		id, found, _ := d.walk(arr, q, 0, false, sc, tr, st)
 		return id, found, nil
 	}
-	id, found, done := d.walk(arr, q, d.cfg.MaxCubes, true, sc, tr)
+	id, found, done := d.walk(arr, q, d.cfg.MaxCubes, true, sc, tr, st)
 	if done {
 		return id, found, nil
 	}
-	return searchCubes(d.curve, d.cfg.Bits, d.cfg.MaxCubes, sc, arr, region, eps, tr)
+	sc.stats = *st
+	id, found, err := searchCubes(d.curve, d.cfg.Bits, d.cfg.MaxCubes, sc, arr, region, eps, tr)
+	*st = sc.stats
+	return id, found, err
 }
 
 // walk runs the successor walk in the form the curve's keys take: on
 // words when they fit one, on bits.Key otherwise.
 //
 //sfc:hotpath
-func (d *dispatch) walk(arr ordered, q []uint32, budget int, topFirst bool, sc *queryScratch, tr *obs.QueryTrace) (id uint64, found, done bool) {
+func (d *dispatch) walk(arr ordered, q []uint32, budget int, topFirst bool, sc *queryScratch, tr *obs.QueryTrace, st *Stats) (id uint64, found, done bool) {
 	if d.cfg.WordKeys() {
-		return walk[uint64, wordForm](d.curve, arr, q, budget, topFirst, sc, tr)
+		return walk[uint64, wordForm](d.curve, arr, q, budget, topFirst, sc, tr, st)
 	}
-	return walk[bits.Key, wideForm](d.curve, arr, q, budget, topFirst, sc, tr)
+	return walk[bits.Key, wideForm](d.curve, arr, q, budget, topFirst, sc, tr, st)
 }
 
 // walk is the exact search in front of the paper's: a cursor runs over
@@ -86,13 +91,13 @@ func (d *dispatch) walk(arr ordered, q []uint32, budget int, topFirst bool, sc *
 // population with generous covers — any router's — pays several steps
 // there for a dominator that one probe at the top finds. Exact queries
 // promise the dominator with the smallest key and walk from the bottom
-// only. A non-nil tr collects the "walk" stage. The body is written once
-// over the cursor's type K; F names where the two forms differ.
+// only. A non-nil tr collects the "walk" stage; the walk's counts go into
+// stats. The body is written once over the cursor's type K; F names where
+// the two forms differ.
 //
 //sfc:hotpath
-func walk[K comparable, F keyForm[K]](curve *sfc.ZCurve, arr ordered, q []uint32, budget int, topFirst bool, sc *queryScratch, tr *obs.QueryTrace) (id uint64, found, done bool) {
+func walk[K comparable, F keyForm[K]](curve *sfc.ZCurve, arr ordered, q []uint32, budget int, topFirst bool, sc *queryScratch, tr *obs.QueryTrace, stats *Stats) (id uint64, found, done bool) {
 	var f F
-	stats := &sc.stats
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()

@@ -628,7 +628,7 @@ func TestStaleBatchSharesLandInOwningSlices(t *testing.T) {
 		x := build()
 		w := x.KeyStride()
 		keys, rest := SortBatch(keysOf(x, pts), w, ids)
-		keys, rest = x.loadShares(&stale, keys, w, rest)
+		keys, rest = x.loadShares(newBoundaries(stale), keys, w, rest)
 		if len(rest) == 0 {
 			t.Fatalf("%s: a stale cut deferred nothing", name)
 		}

@@ -22,20 +22,23 @@ const probeSampleMask = 7
 // probe path.
 func (x *ShardedIndex) SetObserver(o *obs.Observer) { x.probeHist = o.Hist("run_probe") }
 
-// QueryTraced is Query with an optional trace record: stage timings
-// plus per-slice descent counts (tr.Slices) showing how the traffic
-// spread over the key slices. tr may be nil.
+// QueryInto is Query with an optional trace record — stage timings plus
+// per-slice descent counts (tr.Slices) showing how the traffic spread
+// over the key slices; tr may be nil — that writes the query's Stats into
+// *st, the caller's own (an engine's QueryResult): a walk counts there in
+// place, and nothing copies them on the way out. A query Query would
+// refuse writes nothing.
 //
 //sfc:hotpath
-func (x *ShardedIndex) QueryTraced(q []uint32, eps float64, tr *obs.QueryTrace) (uint64, bool, Stats, error) {
+func (x *ShardedIndex) QueryInto(q []uint32, eps float64, tr *obs.QueryTrace, st *Stats) (uint64, bool, error) {
 	if err := x.checkQuery(q, eps); err != nil {
-		return 0, false, Stats{}, err
+		return 0, false, err
 	}
 	sc := x.scratchPool.Get().(*queryScratch)
-	defer x.scratchPool.Put(sc)
 	sc.routed = routed{x: x, tr: tr}
-	id, ok, err := x.search(sc, &sc.routed, q, eps, tr)
-	return id, ok, sc.stats, err
+	id, ok, err := x.search(sc, &sc.routed, q, eps, tr, st)
+	x.scratchPool.Put(sc)
+	return id, ok, err
 }
 
 // routed presents the slices of a ShardedIndex to one query's search as

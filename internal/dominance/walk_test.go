@@ -1,10 +1,14 @@
 package dominance
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
+	"sfccover/internal/bits"
 	"sfccover/internal/geom"
 	"sfccover/internal/subscription"
 	"sfccover/internal/workload"
@@ -385,6 +389,160 @@ func walkDuringEqualizePair(t *testing.T, cfg Config, epsilons []float64, pts, q
 		t.Fatal("no entry migrated while the walkers ran")
 	}
 	t.Logf("%d entries migrated under the walkers", migrated)
+}
+
+// TestProbeDuringEqualizePair is TestWalkDuringEqualizePair for range
+// probes — the top cube's and the cube search's — through the routed view
+// of an 8-slice index, while a mover equalizes adjacent slices and a
+// churner fills and drains them along the axes: every answer must be the
+// one a single array over the same stable entries gives. No range holds a
+// key the churner writes; a range holds stable entries or none, and many
+// lie in a stretch a migration moves. A probe whose route a migration
+// re-bounded behind it finds the table changed and goes round again; one
+// that took its answer anyway would miss the moved entries, or answer a
+// later entry than the range's first. It runs in both key forms.
+// Meaningful under -race.
+func TestProbeDuringEqualizePair(t *testing.T) {
+	for _, cfg := range []Config{{Dims: 4, Bits: 10}, {Dims: 5, Bits: 13}} {
+		t.Run(fmt.Sprintf("%dx%d", cfg.Dims, cfg.Bits), func(t *testing.T) {
+			probeDuringEqualizePair(t, cfg)
+		})
+	}
+}
+
+func probeDuringEqualizePair(t *testing.T, cfg Config) {
+	rng := rand.New(rand.NewSource(241))
+	x, err := NewSharded(cfg, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := MustIndex(cfg)
+	pts := randomPoints(rng, 2000, cfg.Dims, cfg.Bits)
+	stable := make([]bits.Key, len(pts))
+	for i, p := range pts {
+		x.Insert(p, uint64(i))
+		ref.Insert(p, uint64(i))
+		stable[i] = x.key(p)
+	}
+	slices.SortFunc(stable, bits.Key.Cmp)
+	// The churner's bursts, one along each axis.
+	bursts := make([][][]uint32, cfg.Dims)
+	var churned []bits.Key
+	for b := range bursts {
+		bursts[b] = randomPoints(rng, 300, cfg.Dims, cfg.Bits)
+		for _, p := range bursts[b] {
+			for j := range p {
+				if j != b {
+					p[j] = 0
+				}
+			}
+			churned = append(churned, x.key(p))
+		}
+	}
+	slices.SortFunc(churned, bits.Key.Cmp)
+	// From each stable key to the one 0, 1, 4 or 16 entries on, and the
+	// same less both ends: hits, and misses between adjacent entries.
+	type probeRange struct {
+		lo, hi bits.Key
+		id     uint64
+		ok     bool
+	}
+	var ranges []probeRange
+	add := func(lo, hi bits.Key) {
+		if i := sort.Search(len(churned), func(i int) bool { return !churned[i].Less(lo) }); i < len(churned) && !hi.Less(churned[i]) {
+			return
+		}
+		id, ok := ref.arr.FirstInRange(lo, hi)
+		ranges = append(ranges, probeRange{lo, hi, id, ok})
+	}
+	hits := 0
+	for j := range stable {
+		for _, m := range []int{0, 1, 4, 16} {
+			if j+m >= len(stable) {
+				break
+			}
+			lo, hi := stable[j], stable[j+m]
+			add(lo, hi)
+			next, okLo := lo.Inc()
+			prev, okHi := hi.Dec()
+			if okLo && okHi && !prev.Less(next) {
+				add(next, prev)
+			}
+		}
+	}
+	for _, r := range ranges {
+		if r.ok {
+			hits++
+		}
+	}
+	if hits == 0 || hits == len(ranges) {
+		t.Fatalf("%d of %d ranges hold an entry: the probers need both outcomes", hits, len(ranges))
+	}
+	stop := make(chan struct{})
+	var background sync.WaitGroup
+	migrated := 0
+	background.Add(2)
+	go func() { // boundary mover
+		defer background.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				migrated += x.EqualizePair(i % (x.NumShards() - 1))
+			}
+		}
+	}()
+	go func() { // churner
+		defer background.Done()
+		for b := 0; ; b++ {
+			burst := bursts[b%len(bursts)]
+			for i, p := range burst {
+				x.Insert(p, 1<<32+uint64(i))
+			}
+			for i, p := range burst {
+				if !x.DeleteAt(x.Locate(p), 1<<32+uint64(i)) {
+					t.Errorf("burst %d: churned entry %d lost", b, i)
+					return
+				}
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	var probers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		probers.Add(1)
+		go func() {
+			defer probers.Done()
+			r := &routed{x: x}
+			for round := 0; round < 10; round++ {
+				for _, pr := range ranges {
+					var id uint64
+					var ok bool
+					if cfg.WordKeys() {
+						id, ok = r.FirstInRangeWord(pr.lo.LowWord(), pr.hi.LowWord())
+					} else {
+						id, ok = r.FirstInRange(pr.lo, pr.hi)
+					}
+					if ok != pr.ok || id != pr.id {
+						t.Errorf("probe [%v, %v] during migration: (%d, %v), want (%d, %v)", pr.lo, pr.hi, id, ok, pr.id, pr.ok)
+						return
+					}
+				}
+			}
+		}()
+	}
+	probers.Wait()
+	close(stop)
+	background.Wait()
+	if migrated == 0 {
+		t.Fatal("no entry migrated while the probers ran")
+	}
+	t.Logf("%d ranges (%d hits), %d entries migrated under the probers", len(ranges), hits, migrated)
 }
 
 // TestNearMissLeafCheckSteps pins the walk on the widest one-word

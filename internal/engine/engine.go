@@ -139,16 +139,15 @@ type Engine struct {
 	sizes []int
 	// sinceCheck counts inserts since the write path last read the skew.
 	sinceCheck atomic.Int64
-	// insertTicks and removeTicks count single-item Insert and Remove
-	// calls; a count that is 1 modulo writeSample elects the call to be
-	// timed (see writeSample).
-	insertTicks, removeTicks atomic.Uint64
 
 	// Query counters. A query is counted once, in counts, by the cut that
 	// ended it and by whether it found a cover. runsProbed holds the
-	// descents, and extraSearches the searches beyond each query's first
-	// (Totals adds one a query back); cubes and extraSearches are added to
-	// only when non-zero. So a warm walk query does two adds.
+	// descents beyond each query's first, and extraSearches the searches
+	// beyond each query's first (Totals adds one a query back to each, so
+	// a query that probed or searched nothing holds -1 there); the three
+	// are added to only when non-zero. So a query that ends on its first
+	// probe — a warm walk's top cube — does one add, and a walk of more
+	// steps two.
 	counts        [dominance.NumPaths][2]atomic.Int64
 	runsProbed    atomic.Int64
 	cubes         atomic.Int64
@@ -161,14 +160,12 @@ type Engine struct {
 	// obs is the engine's observer; nil when Config.TelemetryOff. The
 	// histogram pointers below are resolved once at construction so the
 	// hot paths never touch the registry lock.
-	obs          *obs.Observer
-	hQuery       *obs.Histogram
-	hInsert      *obs.Histogram
-	hRemove      *obs.Histogram
-	hAddBatch    *obs.Histogram
-	hInsertBatch *obs.Histogram
-	hQueryBatch  *obs.Histogram
-	hRemoveBatch *obs.Histogram
+	obs    *obs.Observer
+	hQuery *obs.Histogram
+	// The single-item writes' and the batch calls' latencies, each timed
+	// for 1 call in writeSample.
+	insertLat, removeLat                                       timed
+	addBatchLat, insertBatchLat, queryBatchLat, removeBatchLat timed
 }
 
 // New builds an Engine.
@@ -209,12 +206,12 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.obs = cfg.Obs
 		e.hQuery = e.obs.Hist("engine_query")
-		e.hInsert = e.obs.Hist("engine_insert")
-		e.hRemove = e.obs.Hist("engine_remove")
-		e.hAddBatch = e.obs.Hist("engine_add_batch")
-		e.hInsertBatch = e.obs.Hist("engine_insert_batch")
-		e.hQueryBatch = e.obs.Hist("engine_query_batch")
-		e.hRemoveBatch = e.obs.Hist("engine_remove_batch")
+		e.insertLat.h = e.obs.Hist("engine_insert")
+		e.removeLat.h = e.obs.Hist("engine_remove")
+		e.addBatchLat.h = e.obs.Hist("engine_add_batch")
+		e.insertBatchLat.h = e.obs.Hist("engine_insert_batch")
+		e.queryBatchLat.h = e.obs.Hist("engine_query_batch")
+		e.removeBatchLat.h = e.obs.Hist("engine_remove_batch")
 		// Traced queries sample their run probes into "run_probe".
 		e.idx.SetObserver(e.obs)
 	}
@@ -255,8 +252,8 @@ func (e *Engine) Mode() core.Mode { return e.cfg.Detector.Mode }
 func (e *Engine) Schema() *subscription.Schema { return e.schema }
 
 // record folds one logical query's outcome into the engine counters: one
-// add to its path-and-found cell, its probes, and the cube and search
-// counts only where Totals cannot derive them.
+// add to its path-and-found cell, and the probe, cube and search counts
+// only where Totals cannot derive them.
 //
 //sfc:hotpath
 func (e *Engine) record(res *QueryResult, searches int) {
@@ -265,7 +262,11 @@ func (e *Engine) record(res *QueryResult, searches int) {
 		found = 1
 	}
 	e.counts[res.Stats.Path][found].Add(1)
-	e.runsProbed.Add(int64(res.Stats.RunsProbed))
+	// A walk that ends on its first probe is one; a mode-off query or a
+	// store scan probed nothing (-1).
+	if extra := res.Stats.RunsProbed - 1; extra != 0 {
+		e.runsProbed.Add(int64(extra))
+	}
 	if res.Stats.CubesGenerated != 0 {
 		e.cubes.Add(int64(res.Stats.CubesGenerated))
 	}
@@ -290,8 +291,8 @@ func (e *Engine) checkSchema(s *subscription.Subscription) error {
 // query, so only elected queries read the clock: the engine_query
 // histogram holds a uniform 1-in-TraceSample sample of all traffic —
 // its distribution is unbiased, its count is the query count divided by
-// TraceSample — while the exact count is Totals.Queries and the
-// batch-level histogram still times every batch call.
+// TraceSample — while the exact count is Totals.Queries. The batch calls'
+// histograms time 1 call in writeSample, as the single writes' do.
 //
 // The outcome is written into res, which the caller owns and hands over
 // zeroed: a single op's local or a batch's slot, so no result is copied
@@ -371,58 +372,67 @@ func (e *Engine) Add(s *subscription.Subscription) (id uint64, covered bool, cov
 	return e.insert(s), res.Covered, res.CoveredBy, nil
 }
 
-// writeSample is the single-item writes' latency sampling rate: Insert
-// and Remove each time their 1st, 17th, 33rd … call into engine_insert
-// and engine_remove, so the first write of a fresh engine already shows,
+// writeSample is the latency sampling rate of the writes and the batch
+// calls: Insert, Remove and each batch call time their 1st, 17th, 33rd …
+// call into their own histogram (engine_insert, engine_remove,
+// engine_add_batch …), so the first call of a fresh engine already shows,
 // and the others read no clock — a time.Now pair is a measurable slice of
-// an insert. Latency does not steer the write, so the histograms are
-// unbiased samples; counts are Len and the WAL counters, never theirs. A
-// power of two, so election is a mask.
+// an insert, and of a small batch. Latency does not steer the call, so
+// the histograms are unbiased samples; counts are Len, Totals and the WAL
+// counters, never theirs. A power of two, so election is a mask.
 const writeSample = 16
 
-// elect advances a write-op tick count and reports whether this call is
-// timed: never with telemetry off (h nil).
-func elect(h *obs.Histogram, ticks *atomic.Uint64) bool {
-	return h != nil && ticks.Add(1)&(writeSample-1) == 1
+// timed is one op's latency histogram (nil with telemetry off) and the
+// count of its calls, which elects the ones to time.
+type timed struct {
+	h     *obs.Histogram
+	ticks atomic.Uint64
 }
+
+// elect advances the op's count and reports whether this call is timed:
+// never with telemetry off.
+func (t *timed) elect() bool {
+	return t.h != nil && t.ticks.Add(1)&(writeSample-1) == 1
+}
+
+// since records the time elapsed since t0, for an elected call.
+func (t *timed) since(t0 time.Time) { t.h.Observe(time.Since(t0)) }
 
 // Insert stores s unconditionally (no covering query) and returns its id.
 func (e *Engine) Insert(s *subscription.Subscription) (uint64, error) {
 	if err := e.checkSchema(s); err != nil {
 		return 0, err
 	}
-	if !elect(e.hInsert, &e.insertTicks) {
+	if !e.insertLat.elect() {
 		return e.insert(s), nil
 	}
 	t0 := time.Now()
 	id := e.insert(s)
-	e.hInsert.Observe(time.Since(t0))
+	e.insertLat.since(t0)
 	return id, nil
 }
 
 // Remove deletes a previously inserted subscription by engine id.
 func (e *Engine) Remove(id uint64) error {
-	if !elect(e.hRemove, &e.removeTicks) {
+	if !e.removeLat.elect() {
 		return e.remove(id)
 	}
 	t0 := time.Now()
 	err := e.remove(id)
-	e.hRemove.Observe(time.Since(t0))
+	e.removeLat.since(t0)
 	return err
 }
 
 // Totals returns a snapshot of the engine-level counters.
 func (e *Engine) Totals() Totals {
-	tot := Totals{
-		RunsProbed:     int(e.runsProbed.Load()),
-		CubesGenerated: int(e.cubes.Load()),
-	}
+	tot := Totals{CubesGenerated: int(e.cubes.Load())}
 	for p := range e.counts {
 		miss, hit := int(e.counts[p][0].Load()), int(e.counts[p][1].Load())
 		tot.PathQueries[p] = miss + hit
 		tot.Queries += miss + hit
 		tot.Hits += hit
 	}
+	tot.RunsProbed = tot.Queries + int(e.runsProbed.Load())
 	tot.ShardSearches = tot.Queries + int(e.extraSearches.Load())
 	return tot
 }
@@ -492,7 +502,9 @@ func run(n int, fn func(i int)) {
 // unordered and no item's query observes another batch item's insert
 // (covering misses are safe, so that is a correct outcome).
 func (e *Engine) AddBatch(subs []*subscription.Subscription) []AddResult {
-	defer observeSince(e.hAddBatch, time.Now())
+	if e.addBatchLat.elect() {
+		defer e.addBatchLat.since(time.Now())
+	}
 	out := make([]AddResult, len(subs))
 	if e.closed.Load() {
 		for i := range out {
@@ -523,7 +535,9 @@ func (e *Engine) AddBatch(subs []*subscription.Subscription) []AddResult {
 // entry. (Recovery loads through the same seam under the ids it recovered;
 // see Restore.)
 func (e *Engine) InsertBatch(subs []*subscription.Subscription) ([]uint64, error) {
-	defer observeSince(e.hInsertBatch, time.Now())
+	if e.insertBatchLat.elect() {
+		defer e.insertBatchLat.since(time.Now())
+	}
 	for _, s := range subs {
 		if err := e.checkSchema(s); err != nil {
 			return nil, err
@@ -538,7 +552,9 @@ func (e *Engine) InsertBatch(subs []*subscription.Subscription) ([]uint64, error
 // CoverQueryBatch runs FindCover for every subscription concurrently,
 // without inserting anything. Results align with the input slice.
 func (e *Engine) CoverQueryBatch(subs []*subscription.Subscription) []QueryResult {
-	defer observeSince(e.hQueryBatch, time.Now())
+	if e.queryBatchLat.elect() {
+		defer e.queryBatchLat.since(time.Now())
+	}
 	out := make([]QueryResult, len(subs))
 	if e.closed.Load() {
 		for i := range out {
@@ -553,7 +569,9 @@ func (e *Engine) CoverQueryBatch(subs []*subscription.Subscription) []QueryResul
 // RemoveBatch deletes the given ids concurrently. The returned slice
 // aligns with the input; entries are nil on success.
 func (e *Engine) RemoveBatch(ids []uint64) []error {
-	defer observeSince(e.hRemoveBatch, time.Now())
+	if e.removeBatchLat.elect() {
+		defer e.removeBatchLat.since(time.Now())
+	}
 	out := make([]error, len(ids))
 	if e.closed.Load() {
 		for i := range out {
@@ -566,14 +584,6 @@ func (e *Engine) RemoveBatch(ids []uint64) []error {
 }
 
 // --- shared helpers -----------------------------------------------------
-
-// observeSince records the time elapsed since t0 into h; h may be nil
-// (telemetry off), which makes the deferred call a cheap no-op.
-func observeSince(h *obs.Histogram, t0 time.Time) {
-	if h != nil {
-		h.Observe(time.Since(t0))
-	}
-}
 
 // encodeID folds a shard index into a shard-local id; decodeID inverts
 // it. Local ids start at 1, so the ids an engine mints are always >= the

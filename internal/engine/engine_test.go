@@ -804,6 +804,53 @@ func TestWriteLatencySampleOneIn16(t *testing.T) {
 	}
 }
 
+// TestBatchLatencySampleOneIn16 pins the batch calls' latency sample:
+// each batch histogram times its call's first call and every
+// writeSample-th after it, on its own count, as the single writes do, and
+// Restore shares engine_insert_batch with InsertBatch.
+func TestBatchLatencySampleOneIn16(t *testing.T) {
+	schema := testSchema(t)
+	e := MustNew(Config{Detector: core.Config{Schema: schema}})
+	defer e.Close()
+	count := func(op string) uint64 { return e.Observer().Hist(op).Snapshot().Count }
+	const n = 2*writeSample + 1
+	subs := testSubs(t, schema, n, 13)
+	for i, s := range subs {
+		one := subs[i : i+1]
+		added := e.AddBatch(one)
+		if added[0].Err != nil {
+			t.Fatal(added[0].Err)
+		}
+		ids, err := e.InsertBatch(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := e.CoverQueryBatch([]*subscription.Subscription{s}); r[0].Err != nil {
+			t.Fatal(r[0].Err)
+		}
+		for _, err := range e.RemoveBatch([]uint64{added[0].ID, ids[0]}) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, op := range []string{"engine_add_batch", "engine_insert_batch", "engine_query_batch", "engine_remove_batch"} {
+		if got, want := count(op), uint64(3); got != want {
+			t.Errorf("%s count = %d after %d calls, want %d", op, got, n, want)
+		}
+	}
+	r := MustNew(Config{Detector: core.Config{Schema: schema}})
+	defer r.Close()
+	for range n {
+		if err := r.Restore(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := r.Observer().Hist("engine_insert_batch").Snapshot().Count, uint64(3); got != want {
+		t.Errorf("engine_insert_batch count = %d after %d restores, want %d", got, n, want)
+	}
+}
+
 // TestEngineChurnZeroAlloc pins the write path's allocations: an Add and a
 // Remove on a default engine at constant population allocate nothing. A
 // stripe holds the rectangle by value and a remove rebuilds the point it

@@ -250,7 +250,9 @@ func (e *Engine) unlockStripes() {
 // emptiness check to the last insert, keeps single and batch writes alike
 // waiting, and a write that took its stripe first makes the check fail.
 func (e *Engine) Restore(held []core.Held) error {
-	defer observeSince(e.hInsertBatch, time.Now())
+	if e.insertBatchLat.elect() {
+		defer e.insertBatchLat.since(time.Now())
+	}
 	if err := core.CheckHeld(e.schema, held); err != nil {
 		return err
 	}
@@ -411,11 +413,12 @@ func (e *Engine) scan(s *subscription.Subscription, res *QueryResult) int {
 	return len(e.stores)
 }
 
-// query runs the index search, copying its Stats once, into res.
+// query runs the index search into res, whose Stats the search writes in
+// place.
 //
 //sfc:hotpath
 func (e *Engine) query(p []uint32, eps float64, tr *obs.QueryTrace, res *QueryResult) int {
-	res.CoveredBy, res.Covered, res.Stats, res.Err = e.idx.QueryTraced(p, eps, tr)
+	res.CoveredBy, res.Covered, res.Err = e.idx.QueryInto(p, eps, tr, &res.Stats)
 	if res.Err != nil {
 		return 0
 	}

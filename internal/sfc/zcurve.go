@@ -19,6 +19,9 @@ type ZCurve struct {
 	// dimension, so the successor step compares and combines coordinates
 	// in place in the key, never decoding them.
 	dimMask []uint64
+	// gather decodes one-word keys (CellWordInto), resolved here once;
+	// nil where keys are wider than a word.
+	gather *bits.GatherTable
 }
 
 // NewZ builds a Z curve for the given universe.
@@ -34,6 +37,7 @@ func NewZ(cfg Config) (*ZCurve, error) {
 				z.dimMask[i] |= 1 << uint(j*d+d-1-i)
 			}
 		}
+		z.gather = bits.Gather(d)
 	}
 	return z, nil
 }
@@ -104,7 +108,7 @@ func (z *ZCurve) Cell(key bits.Key) []uint32 {
 // for the key's numeric value: it writes the d coordinates into dst,
 // which must hold d, and returns that prefix of dst. It inverts KeyWord.
 func (z *ZCurve) CellWordInto(dst []uint32, key uint64) []uint32 {
-	return bits.DeinterleaveWordInto(dst[:z.cfg.Dims], key, z.cfg.Bits)
+	return z.gather.DeinterleaveWordInto(dst[:z.cfg.Dims], key, z.cfg.Bits)
 }
 
 // DominatesWord reports whether the one-word Z key key dominates qk on a
