@@ -586,11 +586,10 @@ func RunPersistenceConformance(t *testing.T, schema *subscription.Schema, open f
 // found a cover, and RunsProbed, CubesGenerated and every PathQueries cell
 // as the sums of the Stats the calls returned. Where the mode searches,
 // the sequence must ask queries that end on their first probe and
-// queries of more: an engine counts a query's first probe apart from the
-// rest. offCounted says whether a
-// mode-off call counts as a query: an engine counts it under
-// dominance.PathNone, a Detector counts searches, and mode off issues
-// none.
+// queries of more, so a probe count that took one probe a query for
+// granted would not read right. offCounted says whether a mode-off call
+// counts as a query: an engine counts it under dominance.PathNone, a
+// Detector counts searches, and mode off issues none.
 func RunTotalsMatchQueryStats(t *testing.T, build func(t *testing.T, cfg core.Config) core.Provider, offCounted bool) {
 	t.Helper()
 	schema := Schema()

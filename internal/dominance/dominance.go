@@ -266,7 +266,7 @@ func (x *Index) Query(q []uint32, eps float64) (uint64, bool, Stats, error) {
 		x.searched++
 	}
 	sc := &x.scratch
-	id, ok, err := x.search(sc, &x.arr, q, eps, nil, &sc.stats)
+	id, ok, err := x.search(sc, &x.arr, q, eps, nil, &sc.stats, false)
 	return id, ok, sc.stats, err
 }
 

@@ -2,6 +2,7 @@ package dominance
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sfccover/internal/bits"
@@ -364,4 +365,40 @@ func searchedLen(s Stats, q []uint32, k int) []uint64 {
 		lens[i] = bits.S(lens[i], s.SearchedLevel)
 	}
 	return lens
+}
+
+// TestBeginMatchesExtremal holds a query's one-pass set-up to the region's
+// own definitions: the side lengths, Extremal.AspectRatio, and the top
+// cube's side 2^⌊log2 min ℓ⌋, on random queries, on the corners of the
+// universe and on queries with one thin side among wide ones.
+func TestBeginMatchesExtremal(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, u := range []struct{ d, k int }{{1, 16}, {2, 8}, {4, 10}, {6, 10}, {8, 8}, {3, 21}} {
+		top := uint32(1) << uint(u.k)
+		queries := randomPoints(rng, 200, u.d, u.k)
+		zero, last, thin := make([]uint32, u.d), make([]uint32, u.d), make([]uint32, u.d)
+		for i := range last {
+			last[i] = top - 1
+		}
+		thin[u.d-1] = top - 2
+		queries = append(queries, zero, last, thin)
+		var sc queryScratch
+		for _, q := range queries {
+			var st Stats
+			region := sc.begin(q, u.k, &st)
+			want := geom.Extremal{Len: make([]uint64, u.d), K: u.k}
+			for i, x := range q {
+				want.Len[i] = uint64(top) - uint64(x)
+			}
+			if !slices.Equal(region.Len, want.Len) || region.K != u.k {
+				t.Fatalf("d %d k %d q %v: region %v, want %v", u.d, u.k, q, region.Len, want.Len)
+			}
+			if st != (Stats{AspectRatio: want.AspectRatio(), SearchedLevel: -1}) {
+				t.Fatalf("d %d k %d q %v: Stats %+v, want aspect ratio %d", u.d, u.k, q, st, want.AspectRatio())
+			}
+			if got, side := sc.topSide(), uint64(1)<<uint(bits.B(slices.Min(want.Len))-1); got != side {
+				t.Fatalf("d %d k %d q %v: top side %d, want %d", u.d, u.k, q, got, side)
+			}
+		}
+	}
 }

@@ -20,10 +20,7 @@ type keyForm[K comparable] interface {
 	// next is the successor step.
 	next(s *sfc.Successor, from K) (K, bool)
 	// route is routeKey: the last slice of tab whose start is <= k.
-	route(tab *boundaries, k K) int
-	// reach is route for a k at or past the start of slice i, scanning
-	// up from i: one comparison when k lies in slice i.
-	reach(tab *boundaries, i int, k K) int
+	route(tab []bits.Key, k K) int
 	// topCube is the key range of the region's top cube (see
 	// queryScratch.topCube).
 	topCube(c *sfc.ZCurve, sc *queryScratch) (lo, hi K)
@@ -47,24 +44,14 @@ func (wordForm) firstInRange(arr ordered, lo, hi uint64) (uint64, bool) {
 //sfc:hotpath
 func (wordForm) next(s *sfc.Successor, from uint64) (uint64, bool) { return s.NextWord(from) }
 
-// route reads the table's words: a boundary is a key of the curve, so it
-// fits one whenever wordForm runs.
+// route reads the table's keys by their low word: a boundary is a key of
+// the curve, so it fits one whenever wordForm runs.
 //
 //sfc:hotpath
-func (wordForm) route(tab *boundaries, k uint64) int {
-	w := tab.words
-	i := len(w) - 1
-	for i > 0 && k < w[i] {
+func (wordForm) route(tab []bits.Key, k uint64) int {
+	i := len(tab) - 1
+	for i > 0 && k < tab[i].LowWord() {
 		i--
-	}
-	return i
-}
-
-//sfc:hotpath
-func (wordForm) reach(tab *boundaries, i int, k uint64) int {
-	w := tab.words
-	for i+1 < len(w) && w[i+1] <= k {
-		i++
 	}
 	return i
 }
@@ -90,14 +77,7 @@ func (wideForm) firstInRange(arr ordered, lo, hi bits.Key) (uint64, bool) {
 
 func (wideForm) next(s *sfc.Successor, from bits.Key) (bits.Key, bool) { return s.Next(from) }
 
-func (wideForm) route(tab *boundaries, k bits.Key) int { return routeKey(tab.starts, k) }
-
-func (wideForm) reach(tab *boundaries, i int, k bits.Key) int {
-	for i+1 < len(tab.starts) && !k.Less(tab.starts[i+1]) {
-		i++
-	}
-	return i
-}
+func (wideForm) route(tab []bits.Key, k bits.Key) int { return routeKey(tab, k) }
 
 func (wideForm) topCube(c *sfc.ZCurve, sc *queryScratch) (lo, hi bits.Key) {
 	corner, side := sc.topCube(c.Bits())

@@ -174,13 +174,11 @@ func TestWalkMatchesModelWalk(t *testing.T) {
 	}
 }
 
-// TestWordRouteMatchesRouteKey holds the one-word routes — route, which
-// reads the table's words, and reach, which scans up from a slice whose
-// start the key has passed — and the wide form's reach to routeKey over
-// the table's keys: on tables with runs of equal starts (slices that own
-// nothing) at the bottom, inside and at the top of the word, on one slice,
-// and on random tables drawn from few values, for keys at, just below and
-// just above every boundary.
+// TestWordRouteMatchesRouteKey holds the one-word route, which reads each
+// boundary's low word, to routeKey over the table's keys: on tables with
+// runs of equal starts (slices that own nothing) at the bottom, inside and
+// at the top of the word, on one slice, and on random tables drawn from
+// few values, for keys at, just below and just above every boundary.
 func TestWordRouteMatchesRouteKey(t *testing.T) {
 	tables := [][]uint64{
 		{0},
@@ -204,21 +202,11 @@ func TestWordRouteMatchesRouteKey(t *testing.T) {
 		for i, w := range words {
 			starts[i] = bits.KeyFromUint64(w)
 		}
-		tab := newBoundaries(starts)
 		for _, w := range words {
 			for _, k := range []uint64{w - 1, w, w + 1} {
-				key := bits.KeyFromUint64(k)
-				want := routeKey(starts, key)
-				if got := (wordForm{}).route(tab, k); got != want {
+				want := routeKey(starts, bits.KeyFromUint64(k))
+				if got := (wordForm{}).route(starts, k); got != want {
 					t.Fatalf("table %v, key %#x: word route %d, routeKey %d", words, k, got, want)
-				}
-				for i := 0; i <= want; i++ {
-					if got := (wordForm{}).reach(tab, i, k); got != want {
-						t.Fatalf("table %v, key %#x: word reach from %d is %d, routeKey %d", words, k, i, got, want)
-					}
-					if got := (wideForm{}).reach(tab, i, key); got != want {
-						t.Fatalf("table %v, key %#x: wide reach from %d is %d, routeKey %d", words, k, i, got, want)
-					}
 				}
 			}
 		}

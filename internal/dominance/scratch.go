@@ -32,30 +32,55 @@ type queryScratch struct {
 	// array; it lives here so handing it to the search as an interface
 	// does not allocate.
 	routed routed
+	// minLen is the region's shortest side, which sets topSide.
+	minLen uint64
 }
 
-// begin resets the scratch and st for one query and returns its region.
+// begin resets the scratch and st for one query and returns its region,
+// built over the scratch lens buffer: the returned region aliases the
+// scratch, so anything retained beyond the query must copy.
+//
+//sfc:hotpath
 func (sc *queryScratch) begin(q []uint32, k int, st *Stats) geom.Extremal {
-	region := sc.region(q, k)
-	*st = Stats{AspectRatio: region.AspectRatio(), SearchedLevel: -1}
-	return region
-}
-
-// region builds the extremal query region over the scratch lens buffer.
-// The returned region aliases the scratch: anything retained beyond the
-// query must copy.
-func (sc *queryScratch) region(q []uint32, k int) geom.Extremal {
 	d := len(q)
 	if cap(sc.lens) < d {
 		sc.lens = make([]uint64, d)
 	}
 	sc.lens = sc.lens[:d]
-	max := uint64(1) << uint(k)
+	top := uint64(1) << uint(k)
 	for i, x := range q {
-		sc.lens[i] = max - uint64(x)
+		sc.lens[i] = top - uint64(x)
 	}
+	shortest, longest := sides(q, k)
+	sc.minLen = shortest
+	*st = opening(shortest, longest)
 	return geom.Extremal{Len: sc.lens, K: k}
 }
+
+// sides returns the shortest and the longest side of the region at q in a
+// universe of side 2^k, whose sides are 2^k − q[i], without building it.
+//
+//sfc:hotpath
+func sides(q []uint32, k int) (shortest, longest uint64) {
+	top := uint64(1) << uint(k)
+	return top - uint64(slices.Max(q)), top - uint64(slices.Min(q))
+}
+
+// opening is the Stats a query starts from: its region's aspect ratio (b
+// is monotone, so b(shortest) and b(longest) are the extremes
+// Extremal.AspectRatio takes) and no level searched yet.
+//
+//sfc:hotpath
+func opening(shortest, longest uint64) Stats {
+	return Stats{AspectRatio: bits.B(longest) - bits.B(shortest), SearchedLevel: -1}
+}
+
+// topSideOf is the side of the largest standard cube at the max corner of
+// a region whose shortest side is l: 2^⌊log2 l⌋, so it lies inside the
+// region whatever its aspect ratio.
+//
+//sfc:hotpath
+func topSideOf(l uint64) uint64 { return uint64(1) << uint(bits.B(l)-1) }
 
 // corners returns the two d-coordinate scratch buffers.
 func (sc *queryScratch) corners(d int) (lo, hi []uint32) {
@@ -81,9 +106,7 @@ func (sc *queryScratch) topCube(k int) (corner []uint32, side uint64) {
 // topSide is the side of topCube's cube.
 //
 //sfc:hotpath
-func (sc *queryScratch) topSide() uint64 {
-	return uint64(1) << uint(bits.B(slices.Min(sc.lens))-1)
-}
+func (sc *queryScratch) topSide() uint64 { return topSideOf(sc.minLen) }
 
 // rect materializes the region as a rectangle over the scratch corner
 // buffers (the allocation-free form of Extremal.Rect).

@@ -32,16 +32,23 @@ type ordered interface {
 // — the walk's answer is then the dominator with the smallest key — so
 // they never reach the cubes. The query's Stats are written into *st:
 // by the walk in place, and by the cube search on the scratch's copy (its
-// closures take the address), copied back once it is done.
+// closures take the address), copied back once it is done. topMissed
+// says the caller has already probed an approximate query's top cube and
+// found nothing there (ShardedIndex.probeTop): the walk counts that step
+// and does not take it again.
 //
 //sfc:hotpath
-func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64, tr *obs.QueryTrace, st *Stats) (uint64, bool, error) {
+func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64, tr *obs.QueryTrace, st *Stats, topMissed bool) (uint64, bool, error) {
 	region := sc.begin(q, d.cfg.Bits, st)
 	if eps == 0 {
-		id, found, _ := d.walk(arr, q, 0, false, sc, tr, st)
+		id, found, _ := d.walk(arr, q, 0, topNone, sc, tr, st)
 		return id, found, nil
 	}
-	id, found, done := d.walk(arr, q, d.cfg.MaxCubes, true, sc, tr, st)
+	top := topProbe
+	if topMissed {
+		top = topDone
+	}
+	id, found, done := d.walk(arr, q, d.cfg.MaxCubes, top, sc, tr, st)
 	if done {
 		return id, found, nil
 	}
@@ -55,12 +62,21 @@ func (d *dispatch) search(sc *queryScratch, arr ordered, q []uint32, eps float64
 // words when they fit one, on bits.Key otherwise.
 //
 //sfc:hotpath
-func (d *dispatch) walk(arr ordered, q []uint32, budget int, topFirst bool, sc *queryScratch, tr *obs.QueryTrace, st *Stats) (id uint64, found, done bool) {
+func (d *dispatch) walk(arr ordered, q []uint32, budget int, top topStep, sc *queryScratch, tr *obs.QueryTrace, st *Stats) (id uint64, found, done bool) {
 	if d.cfg.WordKeys() {
-		return walk[uint64, wordForm](d.curve, arr, q, budget, topFirst, sc, tr, st)
+		return walk[uint64, wordForm](d.curve, arr, q, budget, top, sc, tr, st)
 	}
-	return walk[bits.Key, wideForm](d.curve, arr, q, budget, topFirst, sc, tr, st)
+	return walk[bits.Key, wideForm](d.curve, arr, q, budget, top, sc, tr, st)
 }
+
+// topStep is what a walk's first step does with the region's top cube.
+type topStep uint8
+
+const (
+	topNone  topStep = iota // no top step: walk from the bottom only
+	topProbe                // probe the top cube first
+	topDone                 // the caller probed it and missed: count the step only
+)
 
 // walk is the exact search in front of the paper's: a cursor runs over
 // the keys of the region in curve order, but only ever stops at stored
@@ -84,28 +100,31 @@ func (d *dispatch) walk(arr ordered, q []uint32, budget int, topFirst bool, sc *
 // lying between the runs — whichever is smaller, never by the cubes of
 // its partition.
 //
-// With topFirst the walk spends its first step on the region's thickest
+// With topProbe the walk spends its first step on the region's thickest
 // run, the largest standard cube at its max corner: the paper's point
 // that the largest cube holds the most volume per probe, taken once. Up
 // from the query's own corner the region's runs start thin, and a
 // population with generous covers — any router's — pays several steps
 // there for a dominator that one probe at the top finds. Exact queries
 // promise the dominator with the smallest key and walk from the bottom
-// only. A non-nil tr collects the "walk" stage; the walk's counts go into
-// stats. The body is written once over the cursor's type K; F names where
-// the two forms differ.
+// only. With topDone that step was the caller's and missed; the walk
+// counts it and goes on. A non-nil tr collects the "walk" stage; the
+// walk's counts go into stats. The body is written once over the cursor's
+// type K; F names where the two forms differ.
 //
 //sfc:hotpath
-func walk[K comparable, F keyForm[K]](curve *sfc.ZCurve, arr ordered, q []uint32, budget int, topFirst bool, sc *queryScratch, tr *obs.QueryTrace, stats *Stats) (id uint64, found, done bool) {
+func walk[K comparable, F keyForm[K]](curve *sfc.ZCurve, arr ordered, q []uint32, budget int, top topStep, sc *queryScratch, tr *obs.QueryTrace, stats *Stats) (id uint64, found, done bool) {
 	var f F
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
 	done = true
-	if topFirst {
-		lo, hi := f.topCube(curve, sc)
+	if top != topNone {
 		stats.WalkSteps++
+	}
+	if top == topProbe {
+		lo, hi := f.topCube(curve, sc)
 		id, found = f.firstInRange(arr, lo, hi)
 	}
 	var cursor K

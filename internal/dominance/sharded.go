@@ -58,36 +58,16 @@ type ShardedIndex struct {
 	// scratchPool hands each concurrent query its own reusable buffers.
 	scratchPool sync.Pool
 
-	// table points at the current boundary table (see boundaries). Swapped
-	// atomically — never mutated in place — so lock-free readers always
-	// observe a complete table, and a table's identity names it: a reader
-	// that finds the pointer it routed by still published knows no move
-	// intervened.
-	table atomic.Pointer[boundaries]
+	// table points at the current boundary table: table[i] is the first
+	// key slice i owns, table[0] is the zero key, and slice i ends where
+	// slice i+1 begins (the last slice is unbounded above); of a run of
+	// slices with equal starts the last owns the keys and the others own
+	// none. Swapped atomically — never mutated in place — so lock-free
+	// readers always observe a complete table.
+	table atomic.Pointer[[]bits.Key]
 	// moveMu serializes boundary movers: concurrent EqualizePair calls on
 	// disjoint pairs would otherwise lose each other's table swap.
 	moveMu sync.Mutex
-}
-
-// boundaries is one published boundary table: starts[i] is the first key
-// slice i owns, starts[0] is the zero key, and slice i ends where slice
-// i+1 begins (the last slice is unbounded above); of a run of slices with
-// equal starts the last owns the keys and the others own none. words[i] is
-// starts[i]'s low word, the whole boundary wherever wordForm runs: a
-// one-word route reads that array, eight slices' words on one cache line,
-// and never the 64-byte keys.
-type boundaries struct {
-	words  []uint64
-	starts []bits.Key
-}
-
-// newBoundaries builds a table over starts, which it keeps.
-func newBoundaries(starts []bits.Key) *boundaries {
-	b := &boundaries{words: make([]uint64, len(starts)), starts: starts}
-	for i, k := range starts {
-		b.words[i] = k.LowWord()
-	}
-	return b
 }
 
 type shardSlot struct {
@@ -154,7 +134,8 @@ func NewSharded(cfg Config, n int) (*ShardedIndex, error) {
 		x.shards[i].sum = new(summaryMirror)
 	}
 	x.scratchPool.New = func() any { return new(queryScratch) }
-	x.table.Store(newBoundaries(make([]bits.Key, n)))
+	starts := make([]bits.Key, n)
+	x.table.Store(&starts)
 	return x, nil
 }
 
@@ -211,7 +192,7 @@ func (x *ShardedIndex) ChooseBoundaries(keys []uint64) {
 			return // an insert won the race; its slice keeps its keys
 		}
 	}
-	x.table.Store(newBoundaries(starts))
+	x.table.Store(&starts)
 }
 
 // NumShards returns the shard count.
@@ -220,14 +201,15 @@ func (x *ShardedIndex) NumShards() int { return len(x.shards) }
 // Boundaries returns a copy of the current boundary table: element i is
 // the first key slice i owns (element 0 is always the zero key).
 func (x *ShardedIndex) Boundaries() []bits.Key {
-	return append([]bits.Key(nil), x.table.Load().starts...)
+	tab := *x.table.Load()
+	return append([]bits.Key(nil), tab...)
 }
 
 // AppendLayout appends a canonical encoding of the index's layout to dst:
 // the boundary table, then every slice's array layout
 // (sfcarray.Index.AppendLayout), each read under the slice's read lock.
 func (x *ShardedIndex) AppendLayout(dst []byte) []byte {
-	for _, k := range x.table.Load().starts {
+	for _, k := range *x.table.Load() {
 		var w [bits.KeyWords]uint64
 		k.Low(w[:])
 		for _, v := range w {
@@ -292,11 +274,11 @@ func (x *ShardedIndex) ShardSizesInto(sizes []int) []int {
 type Location struct {
 	Key   bits.Key
 	Slice int
-	tab   *boundaries // the table Slice was routed by
+	tab   *[]bits.Key // the table Slice was routed by
 }
 
 // Locate encodes p's curve key and routes it under the current table, on
-// one word where the keys fit one (wordForm's route reads the table's
+// one word where the keys fit one (wordForm's route reads the table's low
 // words; no eight-word key is built or compared).
 func (x *ShardedIndex) Locate(p []uint32) Location {
 	if x.cfg.WordKeys() {
@@ -304,7 +286,7 @@ func (x *ShardedIndex) Locate(p []uint32) Location {
 	}
 	tab := x.table.Load()
 	k := x.curve.Key(p)
-	return Location{Key: k, Slice: routeKey(tab.starts, k), tab: tab}
+	return Location{Key: k, Slice: routeKey(*tab, k), tab: tab}
 }
 
 // LocateWord routes a one-word key the caller already holds (what
@@ -312,7 +294,7 @@ func (x *ShardedIndex) Locate(p []uint32) Location {
 // table, encoding nothing.
 func (x *ShardedIndex) LocateWord(w uint64) Location {
 	tab := x.table.Load()
-	return Location{Key: bits.KeyFromUint64(w), Slice: wordForm{}.route(tab, w), tab: tab}
+	return Location{Key: bits.KeyFromUint64(w), Slice: wordForm{}.route(*tab, w), tab: tab}
 }
 
 // lock write-locks the slice owning loc's key and returns it. The route is
@@ -330,7 +312,7 @@ func (x *ShardedIndex) lock(loc Location) *shardSlot {
 		if cur == loc.tab {
 			return slot
 		}
-		s := routeKey(cur.starts, loc.Key)
+		s := routeKey(*cur, loc.Key)
 		if s == loc.Slice {
 			return slot
 		}
@@ -385,7 +367,7 @@ func (x *ShardedIndex) InsertSorted(keys, ids []uint64) {
 // Cut returns where the current table cuts a batch in (key, id) order,
 // keys KeyStride words each: slice i owns entries [cut[i], cut[i+1]).
 func (x *ShardedIndex) Cut(keys []uint64) []int {
-	tab, w := x.table.Load().starts, x.KeyStride()
+	tab, w := *x.table.Load(), x.KeyStride()
 	cut := make([]int, len(x.shards)+1)
 	for i := 1; i < len(cut); i++ {
 		cut[i] = owned(tab, i, keys, w)
@@ -398,10 +380,10 @@ func (x *ShardedIndex) Cut(keys []uint64) []int {
 // since tab has changed keeps what the slice owns under the published
 // table — routes read while the slice's write lock is held are stable for
 // it — and the rest is returned, still in order, for another round.
-func (x *ShardedIndex) loadShares(tabPtr *boundaries, keys []uint64, w int, ids []uint64) (deferKeys, deferIDs []uint64) {
+func (x *ShardedIndex) loadShares(tabPtr *[]bits.Key, keys []uint64, w int, ids []uint64) (deferKeys, deferIDs []uint64) {
 	lo := 0
 	for i := range x.shards {
-		hi := owned(tabPtr.starts, i+1, keys, w)
+		hi := owned(*tabPtr, i+1, keys, w)
 		if hi == lo {
 			continue
 		}
@@ -409,8 +391,8 @@ func (x *ShardedIndex) loadShares(tabPtr *boundaries, keys []uint64, w int, ids 
 		slot := &x.shards[i]
 		slot.mu.Lock()
 		if cur := x.table.Load(); cur != tabPtr {
-			a = min(max(owned(cur.starts, i, keys, w), lo), hi)
-			b = min(max(owned(cur.starts, i+1, keys, w), a), hi)
+			a = min(max(owned(*cur, i, keys, w), lo), hi)
+			b = min(max(owned(*cur, i+1, keys, w), a), hi)
 			deferKeys = append(append(deferKeys, keys[lo*w:a*w]...), keys[b*w:hi*w]...)
 			deferIDs = append(append(deferIDs, ids[lo:a]...), ids[b:hi]...)
 		}
@@ -453,12 +435,10 @@ func (x *ShardedIndex) DeleteAt(loc Location, id uint64) bool {
 
 // probe answers one run probe by visiting only the shards whose key
 // slices intersect [lo, hi] — contiguous in shard order because the
-// partition follows key order: from the slice that owns lo up to the one
-// that owns hi, routed only when it lies past lo's slice. Any outcome is
-// accepted only if the boundary table did not change across the probe:
-// a migration publishes its new table before releasing the write barrier,
-// so an unchanged table proves the probed slices covered [lo, hi] in full
-// and in order.
+// partition follows key order. Any outcome is accepted only if the
+// boundary table did not change across the probe: a migration publishes
+// its new table before releasing the write barrier, so an unchanged
+// table proves the probed slices covered [lo, hi] in full and in order.
 // A changed table sends the probe back around: a miss could have skipped
 // migrated entries, and even a genuine hit could be non-minimal (a
 // migration can move the range's smallest entry into a slice this probe
@@ -472,8 +452,7 @@ func probe[K comparable, F keyForm[K]](x *ShardedIndex, lo, hi K, tr *obs.QueryT
 	var f F
 	for {
 		tabPtr := x.table.Load()
-		first := f.route(tabPtr, lo)
-		last := f.reach(tabPtr, first, hi)
+		first, last := f.route(*tabPtr, lo), f.route(*tabPtr, hi)
 		var id uint64
 		ok := false
 		for i := first; i <= last && !ok; i++ {
@@ -510,7 +489,7 @@ func seek[K comparable, F keyForm[K]](x *ShardedIndex, lo K, qk uint64, tr *obs.
 			id  uint64
 			ok  bool
 		)
-		for i := f.route(tabPtr, lo); i < len(x.shards) && !ok; i++ {
+		for i := f.route(*tabPtr, lo); i < len(x.shards) && !ok; i++ {
 			s := &x.shards[i]
 			if qk != 0 && !s.admits(x.curve.Dims(), qk) {
 				continue
@@ -593,9 +572,10 @@ func (x *ShardedIndex) EqualizePair(i int) (migrated int) {
 		a.arr.InsertSortedWords(keys[na*w:split*w], w, ids[na:split])
 	}
 	gain.publish()
-	starts := append([]bits.Key(nil), x.table.Load().starts...)
+	old := *x.table.Load()
+	starts := append([]bits.Key(nil), old...)
 	starts[i+1] = bits.KeyFromLow(keys[split*w : split*w+w])
-	x.table.Store(newBoundaries(starts))
+	x.table.Store(&starts)
 	shed.publish()
 	return migrated
 }

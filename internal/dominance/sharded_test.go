@@ -11,6 +11,7 @@ import (
 
 	"sfccover/internal/bits"
 	"sfccover/internal/geom"
+	"sfccover/internal/obs"
 )
 
 func TestNewShardedValidation(t *testing.T) {
@@ -628,7 +629,7 @@ func TestStaleBatchSharesLandInOwningSlices(t *testing.T) {
 		x := build()
 		w := x.KeyStride()
 		keys, rest := SortBatch(keysOf(x, pts), w, ids)
-		keys, rest = x.loadShares(newBoundaries(stale), keys, w, rest)
+		keys, rest = x.loadShares(&stale, keys, w, rest)
 		if len(rest) == 0 {
 			t.Fatalf("%s: a stale cut deferred nothing", name)
 		}
@@ -787,5 +788,68 @@ func TestSliceSummaryMirrorsArray(t *testing.T) {
 				t.Fatalf("%d entries migrated; index holds %d of %d live", migrated, x.Len(), len(live))
 			}
 		})
+	}
+}
+
+// TestProbeTopMatchesWalk holds an untraced approximate query, which
+// probes its top cube before it takes a scratch (probeTop), to the same
+// query traced, which walks from the scratch as every query did before:
+// the same answer and the same Stats, bit for bit, on one slice and on
+// eight, under a step budget tight enough that some queries reach the cube
+// search. A top-cube hit's Stats also equal a single array's, whose walk
+// takes no such shortcut. The queries must hit and miss the top cube.
+func TestProbeTopMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	cfg := Config{Dims: 4, Bits: 8, MaxCubes: 3}
+	pts := randomPoints(rng, 3000, cfg.Dims, cfg.Bits)
+	queries := randomPoints(rng, 600, cfg.Dims, cfg.Bits)
+	single := MustIndex(cfg)
+	for i, p := range pts {
+		single.Insert(p, uint64(i))
+	}
+	for _, n := range []int{1, 8} {
+		x, err := NewSharded(cfg, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.ChooseBoundaries(keysOf(x, pts))
+		for i, p := range pts {
+			x.Insert(p, uint64(i))
+		}
+		var topHits, topMisses, cubes int
+		for _, eps := range []float64{0.05, 0.3} {
+			for _, q := range queries {
+				var st, want Stats
+				id, ok, err := x.QueryInto(q, eps, nil, &st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantID, wantOK, err := x.QueryInto(q, eps, &obs.QueryTrace{Op: "query"}, &want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if id != wantID || ok != wantOK || st != want {
+					t.Fatalf("%d slices, eps %g, q %v: untraced (%d,%v) %+v, walked (%d,%v) %+v", n, eps, q, id, ok, st, wantID, wantOK, want)
+				}
+				if st.Path == PathCubes {
+					cubes++
+				}
+				if st.Path != PathWalk || st.WalkSteps != 1 || !ok {
+					topMisses++
+					continue
+				}
+				topHits++
+				singleID, singleOK, singleSt, err := single.Query(q, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if singleID != id || !singleOK || singleSt != st {
+					t.Fatalf("%d slices, eps %g, q %v: top-cube hit (%d) %+v, single array (%d,%v) %+v", n, eps, q, id, st, singleID, singleOK, singleSt)
+				}
+			}
+		}
+		if topHits == 0 || topMisses == 0 || cubes == 0 {
+			t.Fatalf("%d slices: %d top-cube hits, %d misses, %d cube searches: the queries must have all three", n, topHits, topMisses, cubes)
+		}
 	}
 }

@@ -27,18 +27,45 @@ func (x *ShardedIndex) SetObserver(o *obs.Observer) { x.probeHist = o.Hist("run_
 // over the key slices; tr may be nil — that writes the query's Stats into
 // *st, the caller's own (an engine's QueryResult): a walk counts there in
 // place, and nothing copies them on the way out. A query Query would
-// refuse writes nothing.
+// refuse writes nothing. An untraced approximate query on one-word keys
+// takes its walk's first step, the top cube's probe, before it takes a
+// scratch (probeTop): a hit — a warm query's usual answer — needs none.
 //
 //sfc:hotpath
 func (x *ShardedIndex) QueryInto(q []uint32, eps float64, tr *obs.QueryTrace, st *Stats) (uint64, bool, error) {
 	if err := x.checkQuery(q, eps); err != nil {
 		return 0, false, err
 	}
+	topMissed := false
+	if eps > 0 && tr == nil && x.cfg.WordKeys() {
+		if id, ok := x.probeTop(q, st); ok {
+			return id, true, nil
+		}
+		topMissed = true
+	}
 	sc := x.scratchPool.Get().(*queryScratch)
 	sc.routed = routed{x: x, tr: tr}
-	id, ok, err := x.search(sc, &sc.routed, q, eps, tr, st)
+	id, ok, err := x.search(sc, &sc.routed, q, eps, tr, st, topMissed)
 	x.scratchPool.Put(sc)
 	return id, ok, err
+}
+
+// probeTop is an approximate walk's first step on one-word keys, taken on
+// the query alone: the probe of the largest standard cube at the
+// region's max corner. On a hit it writes the Stats the walk writes for a
+// hit on its first step (TestProbeTopMatchesWalk) and reports it; on a
+// miss it writes nothing, and the walk goes on from its second step.
+//
+//sfc:hotpath
+func (x *ShardedIndex) probeTop(q []uint32, st *Stats) (uint64, bool) {
+	shortest, longest := sides(q, x.cfg.Bits)
+	lo, hi := x.curve.TopCubeRangeWord(topSideOf(shortest))
+	id, ok := probe[uint64, wordForm](x, lo, hi, nil)
+	if ok {
+		*st = opening(shortest, longest)
+		st.Path, st.WalkSteps, st.RunsProbed, st.Found = PathWalk, 1, 1, true
+	}
+	return id, ok
 }
 
 // routed presents the slices of a ShardedIndex to one query's search as

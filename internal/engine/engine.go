@@ -142,12 +142,10 @@ type Engine struct {
 
 	// Query counters. A query is counted once, in counts, by the cut that
 	// ended it and by whether it found a cover. runsProbed holds the
-	// descents beyond each query's first, and extraSearches the searches
-	// beyond each query's first (Totals adds one a query back to each, so
-	// a query that probed or searched nothing holds -1 there); the three
-	// are added to only when non-zero. So a query that ends on its first
-	// probe — a warm walk's top cube — does one add, and a walk of more
-	// steps two.
+	// descents, and extraSearches the searches beyond each query's first
+	// (Totals adds one a query back, except in mode off, where no query
+	// searches); cubes and extraSearches are added to only when positive,
+	// so every counter only grows. A warm walk query does two adds.
 	counts        [dominance.NumPaths][2]atomic.Int64
 	runsProbed    atomic.Int64
 	cubes         atomic.Int64
@@ -162,8 +160,7 @@ type Engine struct {
 	// hot paths never touch the registry lock.
 	obs    *obs.Observer
 	hQuery *obs.Histogram
-	// The single-item writes' and the batch calls' latencies, each timed
-	// for 1 call in writeSample.
+	// The single writes' and the batch calls' latencies (see writeSample).
 	insertLat, removeLat                                       timed
 	addBatchLat, insertBatchLat, queryBatchLat, removeBatchLat timed
 }
@@ -252,8 +249,8 @@ func (e *Engine) Mode() core.Mode { return e.cfg.Detector.Mode }
 func (e *Engine) Schema() *subscription.Schema { return e.schema }
 
 // record folds one logical query's outcome into the engine counters: one
-// add to its path-and-found cell, and the probe, cube and search counts
-// only where Totals cannot derive them.
+// add to its path-and-found cell, its probes, and the cube and search
+// counts only where Totals cannot derive them.
 //
 //sfc:hotpath
 func (e *Engine) record(res *QueryResult, searches int) {
@@ -262,16 +259,13 @@ func (e *Engine) record(res *QueryResult, searches int) {
 		found = 1
 	}
 	e.counts[res.Stats.Path][found].Add(1)
-	// A walk that ends on its first probe is one; a mode-off query or a
-	// store scan probed nothing (-1).
-	if extra := res.Stats.RunsProbed - 1; extra != 0 {
-		e.runsProbed.Add(int64(extra))
-	}
+	e.runsProbed.Add(int64(res.Stats.RunsProbed))
 	if res.Stats.CubesGenerated != 0 {
 		e.cubes.Add(int64(res.Stats.CubesGenerated))
 	}
-	// An indexed search is one; a mode-off query searched nothing (-1).
-	if searches != 1 {
+	// An indexed search is one, a store scan one a stripe, and a mode-off
+	// query none.
+	if searches > 1 {
 		e.extraSearches.Add(int64(searches - 1))
 	}
 }
@@ -291,8 +285,8 @@ func (e *Engine) checkSchema(s *subscription.Subscription) error {
 // query, so only elected queries read the clock: the engine_query
 // histogram holds a uniform 1-in-TraceSample sample of all traffic —
 // its distribution is unbiased, its count is the query count divided by
-// TraceSample — while the exact count is Totals.Queries. The batch calls'
-// histograms time 1 call in writeSample, as the single writes' do.
+// TraceSample — while the exact count is Totals.Queries. A batch call's
+// histogram times it whole (see writeSample).
 //
 // The outcome is written into res, which the caller owns and hands over
 // zeroed: a single op's local or a batch's slot, so no result is copied
@@ -372,27 +366,34 @@ func (e *Engine) Add(s *subscription.Subscription) (id uint64, covered bool, cov
 	return e.insert(s), res.Covered, res.CoveredBy, nil
 }
 
-// writeSample is the latency sampling rate of the writes and the batch
-// calls: Insert, Remove and each batch call time their 1st, 17th, 33rd …
-// call into their own histogram (engine_insert, engine_remove,
-// engine_add_batch …), so the first call of a fresh engine already shows,
-// and the others read no clock — a time.Now pair is a measurable slice of
-// an insert, and of a small batch. Latency does not steer the call, so
-// the histograms are unbiased samples; counts are Len, Totals and the WAL
-// counters, never theirs. A power of two, so election is a mask.
+// writeSample is the latency sampling rate of the small calls: Insert,
+// Remove, and a batch call (or Restore) of fewer than writeSample items
+// time their 1st, 17th, 33rd … such call into their own histogram
+// (engine_insert, engine_remove, engine_add_batch …), so the first call
+// of a fresh engine already shows, and the others read no clock — a
+// time.Now pair is a measurable slice of an insert, and of a broker
+// link's few-item batch. A batch call of writeSample items or more is
+// always timed: its clock pair costs each item no more than a sampled
+// call's does on average, and a bulk load or a snapshot install is rare
+// and long. Latency does not steer the call, so the single writes'
+// histograms are unbiased samples, and a batch histogram holds every
+// large call and 1 in writeSample of the small ones; counts are Len,
+// Totals and the WAL counters, never theirs. A power of two, so election
+// is a mask.
 const writeSample = 16
 
 // timed is one op's latency histogram (nil with telemetry off) and the
-// count of its calls, which elects the ones to time.
+// count of its small calls, which elects the ones to time.
 type timed struct {
 	h     *obs.Histogram
 	ticks atomic.Uint64
 }
 
-// elect advances the op's count and reports whether this call is timed:
-// never with telemetry off.
-func (t *timed) elect() bool {
-	return t.h != nil && t.ticks.Add(1)&(writeSample-1) == 1
+// elect reports whether a call of n items is timed: never with telemetry
+// off, always when n >= writeSample, and otherwise when the op's count,
+// which it advances, elects it.
+func (t *timed) elect(n int) bool {
+	return t.h != nil && (n >= writeSample || t.ticks.Add(1)&(writeSample-1) == 1)
 }
 
 // since records the time elapsed since t0, for an elected call.
@@ -403,7 +404,7 @@ func (e *Engine) Insert(s *subscription.Subscription) (uint64, error) {
 	if err := e.checkSchema(s); err != nil {
 		return 0, err
 	}
-	if !e.insertLat.elect() {
+	if !e.insertLat.elect(1) {
 		return e.insert(s), nil
 	}
 	t0 := time.Now()
@@ -414,7 +415,7 @@ func (e *Engine) Insert(s *subscription.Subscription) (uint64, error) {
 
 // Remove deletes a previously inserted subscription by engine id.
 func (e *Engine) Remove(id uint64) error {
-	if !e.removeLat.elect() {
+	if !e.removeLat.elect(1) {
 		return e.remove(id)
 	}
 	t0 := time.Now()
@@ -425,15 +426,19 @@ func (e *Engine) Remove(id uint64) error {
 
 // Totals returns a snapshot of the engine-level counters.
 func (e *Engine) Totals() Totals {
-	tot := Totals{CubesGenerated: int(e.cubes.Load())}
+	tot := Totals{
+		RunsProbed:     int(e.runsProbed.Load()),
+		CubesGenerated: int(e.cubes.Load()),
+	}
 	for p := range e.counts {
 		miss, hit := int(e.counts[p][0].Load()), int(e.counts[p][1].Load())
 		tot.PathQueries[p] = miss + hit
 		tot.Queries += miss + hit
 		tot.Hits += hit
 	}
-	tot.RunsProbed = tot.Queries + int(e.runsProbed.Load())
-	tot.ShardSearches = tot.Queries + int(e.extraSearches.Load())
+	if e.cfg.Detector.Mode != core.ModeOff {
+		tot.ShardSearches = tot.Queries + int(e.extraSearches.Load())
+	}
 	return tot
 }
 
@@ -502,7 +507,7 @@ func run(n int, fn func(i int)) {
 // unordered and no item's query observes another batch item's insert
 // (covering misses are safe, so that is a correct outcome).
 func (e *Engine) AddBatch(subs []*subscription.Subscription) []AddResult {
-	if e.addBatchLat.elect() {
+	if e.addBatchLat.elect(len(subs)) {
 		defer e.addBatchLat.since(time.Now())
 	}
 	out := make([]AddResult, len(subs))
@@ -535,7 +540,7 @@ func (e *Engine) AddBatch(subs []*subscription.Subscription) []AddResult {
 // entry. (Recovery loads through the same seam under the ids it recovered;
 // see Restore.)
 func (e *Engine) InsertBatch(subs []*subscription.Subscription) ([]uint64, error) {
-	if e.insertBatchLat.elect() {
+	if e.insertBatchLat.elect(len(subs)) {
 		defer e.insertBatchLat.since(time.Now())
 	}
 	for _, s := range subs {
@@ -552,7 +557,7 @@ func (e *Engine) InsertBatch(subs []*subscription.Subscription) ([]uint64, error
 // CoverQueryBatch runs FindCover for every subscription concurrently,
 // without inserting anything. Results align with the input slice.
 func (e *Engine) CoverQueryBatch(subs []*subscription.Subscription) []QueryResult {
-	if e.queryBatchLat.elect() {
+	if e.queryBatchLat.elect(len(subs)) {
 		defer e.queryBatchLat.since(time.Now())
 	}
 	out := make([]QueryResult, len(subs))
@@ -569,7 +574,7 @@ func (e *Engine) CoverQueryBatch(subs []*subscription.Subscription) []QueryResul
 // RemoveBatch deletes the given ids concurrently. The returned slice
 // aligns with the input; entries are nil on success.
 func (e *Engine) RemoveBatch(ids []uint64) []error {
-	if e.removeBatchLat.elect() {
+	if e.removeBatchLat.elect(len(ids)) {
 		defer e.removeBatchLat.since(time.Now())
 	}
 	out := make([]error, len(ids))

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -668,6 +669,63 @@ func TestTotalsMatchQueryStats(t *testing.T) {
 	}
 }
 
+// TestTotalsOnlyGrow reads Totals while queries run and holds every
+// counter to never falling between two reads — Prometheus reads a counter
+// that falls as a reset — on an indexed engine, on the linear strategy's
+// store scan (which probes nothing and searches every stripe) and with
+// detection off (which searches nothing).
+func TestTotalsOnlyGrow(t *testing.T) {
+	schema := testSchema(t)
+	subs := testSubs(t, schema, 64, 17)
+	for _, c := range []struct {
+		name string
+		det  core.Config
+	}{
+		{"indexed", core.Config{Schema: schema}},
+		{"linear", core.Config{Schema: schema, Mode: core.ModeExact, Strategy: core.StrategyLinear}},
+		{"off", core.Config{Schema: schema, Mode: core.ModeOff}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := MustNew(Config{Detector: c.det, Shards: 4})
+			defer e.Close()
+			if _, err := e.InsertBatch(subs[:16]); err != nil {
+				t.Fatal(err)
+			}
+			var done atomic.Bool
+			var wg sync.WaitGroup
+			for g := range 2 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range 4000 {
+						if _, _, _, err := e.FindCover(subs[(i+g)%len(subs)]); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			go func() { wg.Wait(); done.Store(true) }()
+			fields := func(tot Totals) []int {
+				return append([]int{tot.Queries, tot.Hits, tot.RunsProbed, tot.CubesGenerated, tot.ShardSearches}, tot.PathQueries[:]...)
+			}
+			prev := fields(e.Totals())
+			for reads := 0; !done.Load(); reads++ {
+				cur := fields(e.Totals())
+				for i := range cur {
+					if cur[i] < prev[i] {
+						t.Fatalf("read %d: counter %d fell from %d to %d (Totals %v -> %v)", reads, i, prev[i], cur[i], prev, cur)
+					}
+				}
+				prev = cur
+			}
+			if tot := e.Totals(); tot.Queries != 8000 {
+				t.Fatalf("Queries = %d after 8000 queries", tot.Queries)
+			}
+		})
+	}
+}
+
 // TestTotalsCountIssuedCalls holds the engine counters to the calls
 // actually issued: Queries counts every single op and batch item once,
 // Hits the ones that found something, and ShardSearches one a query on the
@@ -804,18 +862,20 @@ func TestWriteLatencySampleOneIn16(t *testing.T) {
 	}
 }
 
-// TestBatchLatencySampleOneIn16 pins the batch calls' latency sample:
-// each batch histogram times its call's first call and every
-// writeSample-th after it, on its own count, as the single writes do, and
+// TestBatchLatencySample pins the batch calls' latency sample: a call of
+// fewer than writeSample items is timed for its op's first such call and
+// every writeSample-th after it, on the op's own count, as the single
+// writes are; a call of writeSample items or more is always timed.
 // Restore shares engine_insert_batch with InsertBatch.
-func TestBatchLatencySampleOneIn16(t *testing.T) {
+func TestBatchLatencySample(t *testing.T) {
 	schema := testSchema(t)
 	e := MustNew(Config{Detector: core.Config{Schema: schema}})
 	defer e.Close()
-	count := func(op string) uint64 { return e.Observer().Hist(op).Snapshot().Count }
+	count := func(e *Engine, op string) uint64 { return e.Observer().Hist(op).Snapshot().Count }
+	ops := []string{"engine_add_batch", "engine_insert_batch", "engine_query_batch", "engine_remove_batch"}
 	const n = 2*writeSample + 1
 	subs := testSubs(t, schema, n, 13)
-	for i, s := range subs {
+	for i := range subs {
 		one := subs[i : i+1]
 		added := e.AddBatch(one)
 		if added[0].Err != nil {
@@ -825,18 +885,53 @@ func TestBatchLatencySampleOneIn16(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := e.CoverQueryBatch([]*subscription.Subscription{s}); r[0].Err != nil {
+		if r := e.CoverQueryBatch(one); r[0].Err != nil {
 			t.Fatal(r[0].Err)
 		}
-		for _, err := range e.RemoveBatch([]uint64{added[0].ID, ids[0]}) {
+		if err := e.RemoveBatch([]uint64{added[0].ID})[0]; err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Remove(ids[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, op := range ops {
+		if got, want := count(e, op), uint64(3); got != want {
+			t.Errorf("%s count = %d after %d one-item calls, want %d", op, got, n, want)
+		}
+	}
+	// Fifteen calls of two items (four ids for RemoveBatch), each op's
+	// small calls 34 to 48, elect none; four calls of writeSample items
+	// (twice as many ids) are timed every one.
+	const big = 4
+	for _, c := range []struct {
+		batch []*subscription.Subscription
+		calls int
+	}{{subs[:2], writeSample - 1}, {subs[:writeSample], big}} {
+		batch := c.batch
+		for range c.calls {
+			var ids []uint64
+			for _, r := range e.AddBatch(batch) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				ids = append(ids, r.ID)
+			}
+			more, err := e.InsertBatch(batch)
 			if err != nil {
 				t.Fatal(err)
 			}
+			e.CoverQueryBatch(batch)
+			for _, err := range e.RemoveBatch(append(ids, more...)) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
-	for _, op := range []string{"engine_add_batch", "engine_insert_batch", "engine_query_batch", "engine_remove_batch"} {
-		if got, want := count(op), uint64(3); got != want {
-			t.Errorf("%s count = %d after %d calls, want %d", op, got, n, want)
+	for _, op := range ops {
+		if got, want := count(e, op), uint64(3+big); got != want {
+			t.Errorf("%s count = %d after %d more small calls and %d of %d items, want %d", op, got, writeSample-1, big, writeSample, want)
 		}
 	}
 	r := MustNew(Config{Detector: core.Config{Schema: schema}})
@@ -846,8 +941,18 @@ func TestBatchLatencySampleOneIn16(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := r.Observer().Hist("engine_insert_batch").Snapshot().Count, uint64(3); got != want {
-		t.Errorf("engine_insert_batch count = %d after %d restores, want %d", got, n, want)
+	if got, want := count(r, "engine_insert_batch"), uint64(3); got != want {
+		t.Errorf("engine_insert_batch count = %d after %d empty restores, want %d", got, n, want)
+	}
+	held := make([]core.Held, writeSample)
+	for i := range held {
+		held[i] = core.Held{ID: uint64(i + 1), Rect: subs[i].Rect()}
+	}
+	if err := r.Restore(held); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := count(r, "engine_insert_batch"), uint64(4); got != want {
+		t.Errorf("engine_insert_batch count = %d after a %d-item restore, want %d", got, writeSample, want)
 	}
 }
 

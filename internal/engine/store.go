@@ -250,7 +250,7 @@ func (e *Engine) unlockStripes() {
 // emptiness check to the last insert, keeps single and batch writes alike
 // waiting, and a write that took its stripe first makes the check fail.
 func (e *Engine) Restore(held []core.Held) error {
-	if e.insertBatchLat.elect() {
+	if e.insertBatchLat.elect(len(held)) {
 		defer e.insertBatchLat.since(time.Now())
 	}
 	if err := core.CheckHeld(e.schema, held); err != nil {

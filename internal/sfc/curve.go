@@ -11,6 +11,7 @@ package sfc
 
 import (
 	"fmt"
+	mbits "math/bits"
 	"slices"
 
 	"sfccover/internal/bits"
@@ -87,12 +88,10 @@ func CubeRange(c Curve, corner []uint32, side uint64) KeyRange {
 	return KeyRange{Lo: k.ClearLow(low), Hi: k.SetLow(low)}
 }
 
+// trailingBits is the number of low key bits a cube of the given side
+// spans: d·⌊log2 side⌋ (0 for side 0).
 func trailingBits(d int, side uint64) int {
-	lvl := 0
-	for s := side; s > 1; s >>= 1 {
-		lvl++
-	}
-	return d * lvl
+	return d * (mbits.Len64(side|1) - 1)
 }
 
 // MergeRanges sorts ranges by Lo and coalesces ranges that touch
