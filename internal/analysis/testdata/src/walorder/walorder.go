@@ -1,5 +1,5 @@
 // Package walorderfix seeds walorder violations and the legitimate
-// shapes it must accept: log-then-apply, err-guarded rollback, and
+// shapes it must accept: log-then-apply, a claim through the store, and
 // annotated replay.
 package walorderfix
 
@@ -23,7 +23,7 @@ type durable struct {
 // badRemove applies the removal before logging it: a crash between the
 // two loses the subscription from disk but not from the log.
 func (d *durable) badRemove(sid uint64) error {
-	if err := d.inner.Remove(sid); err != nil { // want `destructive Remove precedes the first WAL append`
+	if err := d.inner.Remove(sid); err != nil { // want `Remove precedes the first WAL append`
 		return err
 	}
 	return d.st.appendRemove(sid)
@@ -42,18 +42,27 @@ func (d *durable) goodRemove(sid uint64) error {
 	return d.inner.Remove(sid)
 }
 
-// goodRollback inserts, logs, and compensates inside the err guard — the
-// one place a destructive call may precede nothing.
-func (d *durable) goodRollback(sub *subscription.Subscription) error {
-	id, err := d.inner.Insert(sub)
+// badRollback inserts, logs, and undoes the insert when the log refuses
+// it: a reader between the insert and the undo saw a subscription the log
+// never held.
+func (d *durable) badRollback(sub *subscription.Subscription) error {
+	id, err := d.inner.Insert(sub) // want `Insert precedes the first WAL append in badRollback`
 	if err != nil {
 		return err
 	}
 	if err := d.st.appendAdd(id); err != nil {
-		d.inner.Remove(id) // err-guarded rollback: legitimate
+		d.inner.Remove(id)
 		return err
 	}
 	return nil
+}
+
+// goodLoad logs an add under the id it mints, then loads it.
+func (d *durable) goodLoad(held []core.Held) error {
+	if err := d.st.appendAdd(held[0].ID); err != nil {
+		return err
+	}
+	return d.inner.Restore(held)
 }
 
 // goodTransitive logs through a helper that reaches a primitive.

@@ -7,21 +7,20 @@ import (
 )
 
 // WALOrder enforces the claim→log→apply rule that makes crash recovery
-// sound (PR 5): in any package that owns WAL append primitives
-// (appendAdd / appendRemove / appendBatch methods), a function that
-// mutates a wrapped core provider must also append to the WAL, and
-// destructive mutations (Remove / RemoveBatch) must not
-// precede the first WAL append on the straight-line path — memory must
-// never run ahead of disk. (The claim precedes the log and is not a
-// mutation: a durable wrapper asks its provider whether it holds the id,
-// inside the write section that then logs and applies the removal, and
-// for a link nobody wraps the store's remove primitive checks its mirror
-// in the critical section that logs. So the rule checks "log, then
-// apply".)
-// A mutation inside an `err != nil` guard is
-// exempt: that is the rollback arm of a failed append. Suppress with //sfc:walok <reason> on the call line or
-// the function's doc comment (e.g. recovery, which Restores a provider
-// from records already on disk).
+// sound: in any package that owns WAL append primitives (appendAdd /
+// appendRemove / appendBatch methods), a function that mutates a wrapped
+// core provider must also append to the WAL, and no mutation may precede
+// the first WAL append on the straight-line path — memory must never run
+// ahead of disk, or a concurrent reader could see a write the log then
+// refuses. (The claim precedes the log and is not a mutation: a durable
+// wrapper asks its provider whether it holds the id, inside the write
+// section that then logs and applies the write, and for a link nobody
+// wraps the store's remove primitive checks its mirror in the critical
+// section that logs. So the rule checks "log, then apply".) There is no
+// rollback arm: an insert undone after a failed append was visible in
+// between. Suppress with //sfc:walok <reason> on the call line or the
+// function's doc comment (e.g. recovery, which Restores a provider from
+// records already on disk).
 var WALOrder = &Analyzer{
 	Name: "walorder",
 	Doc:  "provider state mutation must not precede the corresponding WAL append (claim→log→apply)",
@@ -34,13 +33,6 @@ var walPrimitives = map[string]bool{
 	"appendAdd":    true,
 	"appendRemove": true,
 	"appendBatch":  true,
-}
-
-// destructiveMutations lose state that a crash before the append could
-// never recover, so they are order-checked, not just presence-checked.
-var destructiveMutations = map[string]bool{
-	"Remove":      true,
-	"RemoveBatch": true,
 }
 
 func runWALOrder(pass *Pass) error {
@@ -119,8 +111,7 @@ func collectLogFuncs(pass *Pass) map[*types.Func]bool {
 }
 
 // checkWALOrder verifies one function: every provider mutation needs a
-// WAL append somewhere in the function, and destructive mutations must
-// come after the first append unless err-guarded (rollback).
+// WAL append somewhere in the function, and must come after the first.
 func checkWALOrder(pass *Pass, fd *ast.FuncDecl, logFuncs map[*types.Func]bool) {
 	fn, _ := pass.Info.Defs[fd.Name].(*types.Func)
 	if fn != nil && walPrimitives[fn.Name()] {
@@ -143,70 +134,22 @@ func checkWALOrder(pass *Pass, fd *ast.FuncDecl, logFuncs map[*types.Func]bool) 
 		return true
 	})
 
-	walkErrGuarded(fd.Body, false, func(n ast.Node, errGuarded bool) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			return
+			return true
 		}
 		callee := calleeFunc(pass.Info, call)
-		if callee == nil || !isProviderMutation(pass, call, callee) {
-			return
-		}
-		if pass.Suppressed(call.Pos(), "walok") {
-			return
+		if callee == nil || !isProviderMutation(pass, call, callee) || pass.Suppressed(call.Pos(), "walok") {
+			return true
 		}
 		if !firstLog.IsValid() {
 			pass.Reportf(call.Pos(), "%s mutates provider state but %s never appends to the WAL; log before applying or annotate //sfc:walok <reason>", callee.Name(), fd.Name.Name)
-			return
+		} else if call.Pos() < firstLog {
+			pass.Reportf(call.Pos(), "%s precedes the first WAL append in %s; claim, log, then apply (or annotate //sfc:walok <reason>)", callee.Name(), fd.Name.Name)
 		}
-		if destructiveMutations[callee.Name()] && call.Pos() < firstLog && !errGuarded {
-			pass.Reportf(call.Pos(), "destructive %s precedes the first WAL append in %s; claim, log, then apply (or annotate //sfc:walok <reason>)", callee.Name(), fd.Name.Name)
-		}
+		return true
 	})
-}
-
-// walkErrGuarded walks the AST tracking whether the current node sits
-// inside the then branch of an `err != nil` check — the rollback arm of
-// a failed append, where compensating mutations are legitimate.
-func walkErrGuarded(n ast.Node, guarded bool, visit func(ast.Node, bool)) {
-	if n == nil {
-		return
-	}
-	visit(n, guarded)
-	if ifs, ok := n.(*ast.IfStmt); ok {
-		walkErrGuarded(ifs.Init, guarded, visit)
-		walkErrGuarded(ifs.Cond, guarded, visit)
-		walkErrGuarded(ifs.Body, guarded || isErrNilCheck(ifs.Cond), visit)
-		if ifs.Else != nil {
-			walkErrGuarded(ifs.Else, guarded, visit)
-		}
-		return
-	}
-	for _, child := range children(n) {
-		walkErrGuarded(child, guarded, visit)
-	}
-}
-
-// isErrNilCheck recognizes `<ident> != nil` where the identifier is
-// named err or ends in Err (the conventional failed-append guard).
-func isErrNilCheck(cond ast.Expr) bool {
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || be.Op != token.NEQ {
-		return false
-	}
-	isNil := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && id.Name == "nil"
-	}
-	isErr := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return false
-		}
-		return id.Name == "err" || len(id.Name) > 3 && id.Name[len(id.Name)-3:] == "Err" ||
-			len(id.Name) > 3 && id.Name[:3] == "err"
-	}
-	return isNil(be.X) && isErr(be.Y) || isNil(be.Y) && isErr(be.X)
 }
 
 // isProviderMutation reports whether the call mutates provider state:

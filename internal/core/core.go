@@ -246,8 +246,8 @@ func (d *Detector) InsertBatch(subs []*subscription.Subscription) ([]uint64, err
 }
 
 // load is the bulk load behind InsertBatch and Restore: given nil mints
-// the ids; otherwise the detector must be empty and holds subs under
-// given, minting from past the largest of them afterwards.
+// the ids; otherwise the detector must hold none of given, holds subs
+// under them, and mints from past the largest of them afterwards.
 func (d *Detector) load(subs []*subscription.Subscription, given []uint64) ([]uint64, error) {
 	// Validate and transform outside the lock; Point() is pure.
 	points := make([][]uint32, len(subs))
@@ -265,8 +265,12 @@ func (d *Detector) load(subs []*subscription.Subscription, given []uint64) ([]ui
 		for i := range ids {
 			ids[i] = d.nextID + uint64(i)
 		}
-	} else if n := d.subs.Len(); n != 0 {
-		return nil, fmt.Errorf("core: Restore needs an empty provider, got %d held subscriptions", n)
+	} else {
+		for _, id := range given {
+			if _, held := d.subs.Get(id); held {
+				return nil, fmt.Errorf("core: Restore names id %d, which the provider holds", id)
+			}
+		}
 	}
 	d.subs.Grow(len(subs))
 	for i, s := range subs {

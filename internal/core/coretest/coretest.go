@@ -374,14 +374,14 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 				return err
 			}},
 			{"Restore", func() error {
-				// p holds wide, so a provider that can restore refuses for
-				// that reason instead; either way nothing may change.
+				// An id p does not hold loads beside wide; one p holds
+				// refuses the call and changes nothing.
 				err := p.Restore([]core.Held{{ID: wid + 1000, Rect: uncovered.Rect()}})
 				if err == nil {
-					t.Error("Restore into a non-empty provider must fail")
-				}
-				if !errors.Is(err, core.ErrUnsupported) {
-					err = nil
+					held++
+					if err := p.Restore([]core.Held{{ID: wid, Rect: uncovered.Rect()}}); err == nil {
+						t.Errorf("Restore naming the held id %d succeeded", wid)
+					}
 				}
 				return err
 			}},
@@ -416,7 +416,7 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 
 	// Restore is Enumerate's inverse: the provider holds what it is given
 	// under the ids it is given — ids no provider mints in this pattern —
-	// and mints around them afterwards.
+	// beside what it already holds, and mints around them afterwards.
 	t.Run("restore", func(t *testing.T) {
 		p, q := fresh(t), fresh(t)
 		h := []core.Held{{ID: 3, Rect: wide.Rect()}, {ID: 40, Rect: uncovered.Rect()}, {ID: 1000003, Rect: uncovered.Rect()}}
@@ -425,8 +425,22 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 		} else if err != nil {
 			t.Fatalf("Restore = %v with Len %d, want success or an untouched core.ErrUnsupported", err, p.Len())
 		}
-		// A provider that holds anything, an id named twice and a
-		// rectangle outside the schema's domain each refuse the whole call.
+		if id, found, _, err := p.FindCover(narrow); err != nil || !found || id != h[0].ID {
+			t.Fatalf("FindCover(narrow) = (%d,%v,%v), want the restored id %d", id, found, err, h[0].ID)
+		}
+		// Fresh ids load into the non-empty provider, alone or several.
+		for _, more := range [][]core.Held{
+			{{ID: 7, Rect: narrow.Rect()}},
+			{{ID: 11, Rect: uncovered.Rect()}, {ID: 2000003, Rect: narrow.Rect()}},
+		} {
+			if err := p.Restore(more); err != nil {
+				t.Fatalf("Restore of %d fresh ids into a provider holding %d = %v", len(more), p.Len(), err)
+			}
+			h = append(h, more...)
+		}
+		slices.SortFunc(h, func(a, b core.Held) int { return cmp.Compare(a.ID, b.ID) })
+		// A held id, an id named twice and a rectangle outside the
+		// schema's domain each refuse the whole call and change nothing.
 		outside := wide.Rect()
 		outside[1] = outside[1]&^(1<<subscription.MaxBits-1) | (wide.Schema().MaxValue() + 1)
 		for _, bad := range []struct {
@@ -434,12 +448,19 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 			p    core.Provider
 			held []core.Held
 		}{
-			{"a non-empty provider", p, []core.Held{{ID: 9, Rect: narrow.Rect()}}},
+			{"a held id alone", p, []core.Held{{ID: 40, Rect: narrow.Rect()}}},
+			{"a held id among fresh ones", p, []core.Held{{ID: 9, Rect: narrow.Rect()}, {ID: 40, Rect: narrow.Rect()}, {ID: 13, Rect: wide.Rect()}}},
 			{"an id named twice", q, []core.Held{{ID: 5, Rect: wide.Rect()}, {ID: 6, Rect: uncovered.Rect()}, {ID: 5, Rect: narrow.Rect()}}},
 			{"a rectangle outside the schema's domain", q, []core.Held{{ID: 5, Rect: wide.Rect()}, {ID: 6, Rect: outside}}},
 		} {
-			if err := bad.p.Restore(bad.held); err == nil || q.Len() != 0 {
-				t.Fatalf("Restore with %s = %v, leaving %d held in a provider that was empty", bad.why, err, q.Len())
+			n := bad.p.Len()
+			if err := bad.p.Restore(bad.held); err == nil || bad.p.Len() != n {
+				t.Fatalf("Restore with %s = %v, Len %d before and %d after", bad.why, err, n, bad.p.Len())
+			}
+		}
+		for _, id := range []uint64{5, 6, 9, 13} {
+			if p.Holds(id) || q.Holds(id) {
+				t.Fatalf("a refused Restore left id %d held", id)
 			}
 		}
 		got, err := HeldOf(p)
@@ -453,9 +474,6 @@ func RunProviderConformance(t *testing.T, schema *subscription.Schema, build fun
 				t.Fatalf("restored id %d: Enumerate[%d] is id %d, Subscription resolves %v", e.ID, i, got[i].ID, ok)
 			}
 			taken[e.ID] = true
-		}
-		if id, found, _, err := p.FindCover(narrow); err != nil || !found || id != h[0].ID {
-			t.Fatalf("FindCover(narrow) = (%d,%v,%v), want the restored id %d", id, found, err, h[0].ID)
 		}
 		// No id minted afterwards, by any write path, is one already held.
 		mint := func(path string, id uint64, err error) {
@@ -687,6 +705,14 @@ func RunTotalsMatchQueryStats(t *testing.T, build func(t *testing.T, cfg core.Co
 	}
 }
 
+// ErrInjected is the error a test's fault injector refuses a write with
+// (a persist.Options.WriteHook, say). Histories holds a call that fails
+// with it (errors.Is) to have applied nothing: a refused remove leaves
+// its id held, a refused add mints nothing, and what the refused call
+// answered is dropped — so every interval rule holds the refused write
+// invisible throughout.
+var ErrInjected = errors.New("coretest: injected write refusal")
+
 // Histories runs four goroutines of seeded operations — every write and
 // read, Restore, Snapshot, and build's background op (an engine's
 // Rebalance, say) if it returns one — against a fresh, empty, exact-mode
@@ -781,8 +807,14 @@ func (o *op) String() string {
 }
 
 // answer records a fact of o, and err as o's failure unless the fact is
-// a remove's; a minted id joins the goroutine's own and the ring.
+// a remove's; a minted id joins the goroutine's own and the ring. A write
+// refused by an injected fault (ErrInjected) applied nothing, so it
+// answers nothing: its fact is dropped, and its failure kept.
 func (w *worker) answer(o *op, kind byte, id uint64, ok bool, s *subscription.Subscription, err error) {
+	if errors.Is(err, ErrInjected) {
+		o.err = cmp.Or(o.err, err)
+		return
+	}
 	f := fact{kind: kind, id: id, ok: ok}
 	if s != nil {
 		f.rect = s.Rect()
@@ -968,13 +1000,7 @@ func (h *history) check(t *testing.T, seed int64, logBase int, probes []*subscri
 	slices.SortFunc(all, func(a, b *life) int { return cmp.Compare(a.id, b.id) })
 	for _, o := range ops {
 		switch {
-		case o.kind == "Restore" && o.err == nil:
-			for _, l := range all {
-				if l.liveThroughout(o) {
-					fail(o, l.id, "Restore loaded a provider that held id %d throughout the call", l.id)
-				}
-			}
-		case o.err != nil && o.kind != "Restore" && !errors.Is(o.err, core.ErrUnsupported):
+		case o.err != nil && !errors.Is(o.err, core.ErrUnsupported) && !errors.Is(o.err, ErrInjected):
 			fail(o, 0, "the call failed: %v", o.err)
 		case o.kind == "Snapshot" && o.err == nil:
 			snapshots++

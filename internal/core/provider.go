@@ -62,12 +62,14 @@ type Provider interface {
 	// queries, one lock acquisition per destination shard — and returns
 	// the ids it minted, aligned with the input.
 	InsertBatch(subs []*subscription.Subscription) ([]uint64, error)
-	// Restore is the inverse of Enumerate: it bulk-loads an EMPTY provider
-	// with every subscription under the id it is given — ids this provider
-	// would never mint included — and no id minted later collides with one
-	// of them. All-or-nothing: a provider that holds anything, a foreign
-	// schema or an id named twice refuses the call and changes nothing.
-	// Recovery paths use it to rebuild an index from a persisted dump.
+	// Restore is the inverse of Enumerate: it loads every subscription
+	// under the id it is given — ids this provider would never mint
+	// included — beside what the provider already holds, and no id minted
+	// later collides with one of them. All-or-nothing: an id the provider
+	// holds, an id named twice or a rectangle outside the schema refuses
+	// the call and changes nothing. Recovery paths use it to rebuild an
+	// index from a persisted dump, a write-ahead log to apply a write
+	// under the id it logged.
 	Restore(held []Held) error
 	// Snapshot forces a point-in-time snapshot of the durable subscription
 	// state and compacts the write-ahead log behind it. The persisted form
@@ -95,9 +97,9 @@ type AddResult struct {
 }
 
 // ErrUnsupported reports an operation this provider (or provider
-// configuration) cannot serve: Snapshot with no durable store, Enumerate
-// or InsertBatch across a wire with no such op, Restore under a write-ahead
-// log. Implementers wrap it with the reason; a refusal changes nothing.
+// configuration) cannot serve: Snapshot with no durable store, Enumerate,
+// InsertBatch or Restore across a wire with no such op. Implementers wrap
+// it with the reason; a refusal changes nothing.
 var ErrUnsupported = errors.New("core: operation not supported by this provider")
 
 // ErrProviderClosed reports an operation issued after Close. Close itself

@@ -1,8 +1,6 @@
 package dominance
 
 import (
-	"slices"
-
 	"sfccover/internal/bits"
 	"sfccover/internal/cubes"
 	"sfccover/internal/geom"
@@ -48,22 +46,28 @@ func (sc *queryScratch) begin(q []uint32, k int, st *Stats) geom.Extremal {
 	}
 	sc.lens = sc.lens[:d]
 	top := uint64(1) << uint(k)
+	shortest, longest := top, uint64(0)
 	for i, x := range q {
-		sc.lens[i] = top - uint64(x)
+		l := top - uint64(x)
+		sc.lens[i], shortest, longest = l, min(shortest, l), max(longest, l)
 	}
-	shortest, longest := sides(q, k)
 	sc.minLen = shortest
 	*st = opening(shortest, longest)
 	return geom.Extremal{Len: sc.lens, K: k}
 }
 
 // sides returns the shortest and the longest side of the region at q in a
-// universe of side 2^k, whose sides are 2^k − q[i], without building it.
+// universe of side 2^k, whose sides are 2^k − q[i], without building it:
+// one pass over q for both extremes.
 //
 //sfc:hotpath
 func sides(q []uint32, k int) (shortest, longest uint64) {
+	lo, hi := q[0], q[0]
+	for _, x := range q[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
 	top := uint64(1) << uint(k)
-	return top - uint64(slices.Max(q)), top - uint64(slices.Min(q))
+	return top - uint64(hi), top - uint64(lo)
 }
 
 // opening is the Stats a query starts from: its region's aspect ratio (b

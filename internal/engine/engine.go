@@ -378,8 +378,9 @@ func (e *Engine) Add(s *subscription.Subscription) (id uint64, covered bool, cov
 // and long. Latency does not steer the call, so the single writes'
 // histograms are unbiased samples, and a batch histogram holds every
 // large call and 1 in writeSample of the small ones; counts are Len,
-// Totals and the WAL counters, never theirs. A power of two, so election
-// is a mask.
+// Totals and the WAL counters, never theirs. A one-item Restore, a
+// durable add's insert, is untimed like an Add's. A power of two, so
+// election is a mask.
 const writeSample = 16
 
 // timed is one op's latency histogram (nil with telemetry off) and the

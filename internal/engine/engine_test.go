@@ -1003,6 +1003,49 @@ func TestEngineChurnZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEngineRestoreOneZeroAlloc pins the one-item Restore, a durable
+// write's apply: a Restore of one fresh id and a Remove at constant
+// population allocate nothing, on a one-word universe and on a wider one.
+func TestEngineRestoreOneZeroAlloc(t *testing.T) {
+	for _, schema := range []*subscription.Schema{
+		subscription.MustSchema(10, "volume", "price"),
+		subscription.MustSchema(10, "a", "b", "c", "d"),
+	} {
+		subs, err := workload.Subscriptions(workload.SubSpec{
+			Schema: schema, N: 4096, Dist: workload.DistUniform, WidthFrac: 0.05, Seed: 42,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const churnWindow = 1024
+		e := MustNew(Config{Detector: core.Config{Schema: schema}})
+		defer e.Close()
+		live := make([]uint64, 0, churnWindow)
+		one := make([]core.Held, 1)
+		next := uint64(1)
+		pair := func() {
+			one[0] = core.Held{ID: next, Rect: subs[next%uint64(len(subs))].Rect()}
+			if err := e.Restore(one); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, next)
+			next++
+			if len(live) > churnWindow {
+				if err := e.Remove(live[0]); err != nil {
+					t.Fatal(err)
+				}
+				live = append(live[:0], live[1:]...)
+			}
+		}
+		for range 64000 {
+			pair()
+		}
+		if n := mallocs(64000, pair); n != 0 {
+			t.Fatalf("%d attributes: 64 000 one-item Restore+Remove pairs allocate %d times, want 0", schema.NumAttrs(), n)
+		}
+	}
+}
+
 // mallocs counts the heap allocations n calls of f make, by the runtime's
 // malloc counter, on one P as testing.AllocsPerRun runs. The counter is
 // the process's: a collection first, and a pause that lets the

@@ -72,8 +72,8 @@ func (e *Engine) Len() int {
 // held set. Sorting and decoding wait for the listing's reads, outside
 // the locks.
 func (e *Engine) Enumerate() (*core.Listing, error) {
-	e.lockStripes()
-	defer e.unlockStripes()
+	e.lockStripes(nil)
+	defer e.unlockStripes(nil)
 	n := 0
 	for i := range e.stores {
 		n += e.stores[i].len()
@@ -101,15 +101,34 @@ func (e *Engine) Snapshot() error {
 // by design.)
 func (e *Engine) ShardSizes() []int { return e.idx.ShardSizes() }
 
-// hold puts what a stripe keeps of s under id: key, s's one-word Z key,
-// on one-word universes, and s's rectangle on wider ones (key unused).
-// The stripe's lock is held.
-func (e *Engine) hold(st *stripe, id uint64, s *subscription.Subscription, key uint64) {
+// hold puts what a stripe keeps under id: key, the subscription's
+// one-word Z key, on one-word universes, and its rectangle r on wider
+// ones (key unused). The stripe's lock is held.
+func (e *Engine) hold(st *stripe, id, key uint64, r subscription.Rect) {
 	if e.wordCurve != nil {
 		st.keys.Put(id, key)
 		return
 	}
-	st.rects.Put(id, s.Rect())
+	st.rects.Put(id, r)
+}
+
+// has reports whether the stripe, whose lock is held, holds id.
+func (st *stripe) has(id uint64) bool {
+	if _, ok := st.keys.Get(id); ok {
+		return true
+	}
+	_, ok := st.rects.Get(id)
+	return ok
+}
+
+// rectOf returns s's rectangle where a stripe holds rectangles and the
+// zero one where it holds keys, so a one-word universe never reads s's
+// ranges.
+func (e *Engine) rectOf(s *subscription.Subscription) subscription.Rect {
+	if e.wordCurve != nil {
+		return subscription.Rect{}
+	}
+	return s.Rect()
 }
 
 // keyOf returns s's one-word key, 0 on wider universes.
@@ -136,19 +155,26 @@ func (e *Engine) heldRect(id uint64) (subscription.Rect, bool) {
 	return st.rects.Get(id)
 }
 
-// insert stores s in the stripe of the slice its key routes to and indexes
-// it under the same key, encoded and routed once for both.
+// insert mints an id in the stripe of the slice s's key routes to, then
+// places s under it: the key is encoded and routed once for both.
 func (e *Engine) insert(s *subscription.Subscription) uint64 {
 	loc := e.idx.Locate(s.Point())
 	st := &e.stores[loc.Slice]
 	st.mu.Lock()
 	id := encodeID(len(e.stores), loc.Slice, st.next)
-	st.next++
-	e.hold(st, id, s, loc.Key.LowWord())
-	e.idx.InsertAt(loc, id)
+	e.place(st, id, st.next, loc, e.rectOf(s))
 	st.mu.Unlock()
 	e.inserted(1)
 	return id
+}
+
+// place is the one-item write insert and a one-item Restore share: r is
+// held in st, whose lock is held, under id, whose local part is local, id
+// is indexed at loc, its key routed, and st mints past local from then on.
+func (e *Engine) place(st *stripe, id, local uint64, loc dominance.Location, r subscription.Rect) {
+	e.hold(st, id, loc.Key.LowWord(), r)
+	st.next = max(st.next, local+1)
+	e.idx.InsertAt(loc, id)
 }
 
 // load mints ids for subs and bulk-loads them under those ids: the seam
@@ -208,7 +234,7 @@ func (e *Engine) load(subs []*subscription.Subscription) []uint64 {
 			i := order[j]
 			id := encodeID(shards, s, base+rank[i])
 			ids[i], order[j] = id, id
-			e.hold(st, id, subs[i], sorted[j*w])
+			e.hold(st, id, sorted[j*w], e.rectOf(subs[i]))
 		}
 		e.idx.InsertSorted(sorted[lo*w:hi*w], order[lo:hi])
 	})
@@ -226,81 +252,106 @@ func (e *Engine) reserve(st *stripe, n int) {
 	}
 }
 
-// lockStripes locks every stripe in stripe order, the order every holder
-// of the whole store takes them in; unlockStripes releases them.
-func (e *Engine) lockStripes() {
+// lockStripes locks every stripe, or with share non-nil those with a
+// share, in stripe order: the order every holder of several stripes takes
+// them in. unlockStripes releases the same.
+func (e *Engine) lockStripes(share []int) {
 	for i := range e.stores {
-		e.stores[i].mu.Lock()
+		if share == nil || share[i] > 0 {
+			e.stores[i].mu.Lock()
+		}
 	}
 }
 
-func (e *Engine) unlockStripes() {
+func (e *Engine) unlockStripes(share []int) {
 	for i := range e.stores {
-		e.stores[i].mu.Unlock()
+		if share == nil || share[i] > 0 {
+			e.stores[i].mu.Unlock()
+		}
 	}
 }
 
 // Restore implements core.Provider, loading as load does under the ids
-// it is given: each held subscription's key is computed once from its
-// rectangle, no subscription is built, and the batch is sorted before any
-// lock is taken. A given id is held in the stripe it decodes to, whatever
-// slice owns its key (the index routes by key), and the slices' shares
-// load in parallel (run). No write lands while it runs, so no id minted
-// beside it collides with a given one: every stripe lock, held from the
-// emptiness check to the last insert, keeps single and batch writes alike
-// waiting, and a write that took its stripe first makes the check fail.
+// it is given: each key is computed once from its rectangle and the batch
+// sorted before any lock is taken. A given id is held in the stripe it
+// decodes to, whatever slice owns its key. Only those stripes are locked,
+// from the check that they hold none of the ids to the last insert: a
+// write minting in one of them waits and then mints past the given ids,
+// and one in any other stripe mints ids no given one decodes to. A
+// one-item load is insert's place under the given id (restoreOne).
 func (e *Engine) Restore(held []core.Held) error {
-	if e.insertBatchLat.elect(len(held)) {
+	if len(held) != 1 && e.insertBatchLat.elect(len(held)) {
 		defer e.insertBatchLat.since(time.Now())
 	}
 	if err := core.CheckHeld(e.schema, held); err != nil {
 		return err
 	}
+	if e.closed.Load() {
+		return core.ErrProviderClosed
+	}
+	if len(held) == 1 {
+		return e.restoreOne(&held[0])
+	}
 	w, shards := e.idx.KeyStride(), len(e.stores)
 	keys := make([]uint64, 0, len(held)*w)
 	ids := make([]uint64, len(held))
+	share := make([]int, shards)
 	var buf [2 * subscription.MaxAttrs]uint32
 	for i, h := range held {
 		keys = e.idx.AppendKey(keys, h.Rect.PointInto(e.schema, buf[:]))
 		ids[i] = h.ID
+		s, _ := decodeID(shards, h.ID)
+		share[s]++
 	}
 	sorted, sortedIDs := dominance.SortBatch(keys, w, ids)
-	if e.closed.Load() {
-		return core.ErrProviderClosed
+	e.lockStripes(share)
+	defer e.unlockStripes(share)
+	occupied := false // a bulk load into empty stripes checks no id
+	for s, n := range share {
+		occupied = occupied || n > 0 && e.stores[s].len() > 0
 	}
-	e.lockStripes()
-	defer e.unlockStripes()
-	for i := range e.stores {
-		if n := e.stores[i].len(); n != 0 {
-			return fmt.Errorf("engine: Restore needs an empty provider, stripe %d holds %d subscriptions", i, n)
+	for i := 0; occupied && i < len(ids); i++ {
+		if s, _ := decodeID(shards, ids[i]); e.stores[s].has(ids[i]) {
+			return fmt.Errorf("engine: Restore names id %d, which the engine holds", ids[i])
 		}
 	}
 	e.idx.ChooseBoundaries(keys)
-	share := make([]int, shards)
-	for _, id := range ids {
-		s, _ := decodeID(shards, id)
-		share[s]++
-	}
 	for s, n := range share {
-		e.reserve(&e.stores[s], n)
+		if n > 0 { // a stripe with no share is not locked
+			e.reserve(&e.stores[s], n)
+		}
 	}
 	for i, id := range ids {
 		s, local := decodeID(shards, id)
 		st := &e.stores[s]
-		if e.wordCurve != nil {
-			st.keys.Put(id, keys[i])
-		} else {
-			st.rects.Put(id, held[i].Rect)
-		}
-		if local >= st.next {
-			st.next = local + 1 // mint from past the largest id given
-		}
+		e.hold(st, id, keys[i*w], held[i].Rect)
+		st.next = max(st.next, local+1)
 	}
 	cut := e.idx.Cut(sorted)
 	run(shards, func(s int) {
 		e.idx.InsertSorted(sorted[cut[s]*w:cut[s+1]*w], sortedIDs[cut[s]:cut[s+1]])
 	})
 	e.inserted(len(ids))
+	return nil
+}
+
+// restoreOne is a one-item Restore: insert's place under the given id, in
+// the stripe it decodes to. It takes that stripe's lock alone, allocates
+// nothing, starts no goroutine and, like the insert of an Add, is not
+// timed and leaves the slice layout to the rebalancer.
+func (e *Engine) restoreOne(h *core.Held) error {
+	var buf [2 * subscription.MaxAttrs]uint32
+	loc := e.idx.Locate(h.Rect.PointInto(e.schema, buf[:]))
+	s, local := decodeID(len(e.stores), h.ID)
+	st := &e.stores[s]
+	st.mu.Lock()
+	if local < st.next && st.has(h.ID) { // the stripe holds no local past next
+		st.mu.Unlock()
+		return fmt.Errorf("engine: Restore names id %d, which the engine holds", h.ID)
+	}
+	e.place(st, h.ID, local, loc, h.Rect)
+	st.mu.Unlock()
+	e.inserted(1)
 	return nil
 }
 
@@ -359,10 +410,7 @@ func (e *Engine) Holds(id uint64) bool {
 	shard, _ := decodeID(len(e.stores), id)
 	st := &e.stores[shard]
 	st.mu.Lock()
-	_, ok := st.keys.Get(id)
-	if !ok {
-		_, ok = st.rects.Get(id)
-	}
+	ok := st.has(id)
 	st.mu.Unlock()
 	return ok
 }

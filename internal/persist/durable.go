@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -10,21 +11,20 @@ import (
 	"sfccover/internal/subscription"
 )
 
-// DurableProvider makes any core.Provider durable: every add and remove
-// is logged to the store's WAL before the call returns, and construction
-// (Store.Durable) rebuilds the wrapped provider from the recovered
-// subscription dump through its Restore. There is one id space: a
-// subscription is logged under the id the wrapped provider holds it
-// under, in this incarnation and in every recovered, snapshot-installed
-// or promoted one, so queries and Subscription pass straight through.
+// DurableProvider makes any core.Provider durable: every write is logged
+// to the store's WAL before the wrapped provider applies it, and
+// Store.Durable rebuilds the wrapped provider from the recovered dump
+// through its Restore. The wrapper mints every id, past every id held so
+// far, and applies an add as a Restore under the id it logged: one id
+// space in every incarnation, recovered, snapshot-installed or promoted.
 //
-// The wrapped provider holds the link's state; the store keeps no copy
-// while the link is wrapped. Each write runs its provider op and its log
-// append inside the wrapper's write section, so Enumerate, and the
-// store's snapshots and reset dumps, which read the provider holding the
-// section, see exactly the logged state. Close closes the wrapped
-// provider and releases the link, handing its state back to the store;
-// the Store is closed separately by its owner.
+// The wrapped provider alone holds the link's state, and nothing else
+// writes to it. Each write is claim → log → apply inside the wrapper's
+// write section, the claim ruling out whatever Restore could refuse: a
+// write the log refuses was never visible, one it takes applies, and
+// Enumerate, snapshots and reset dumps, which read the provider holding
+// the section, see exactly the logged state. Close closes the wrapped
+// provider and releases the link, handing its state back to the store.
 type DurableProvider struct {
 	inner core.Provider
 	store *Store
@@ -34,9 +34,13 @@ type DurableProvider struct {
 	// is set under it by Release, after which every write is refused.
 	mu       sync.Mutex
 	released bool
-	// payload is logAdd's marshal buffer, reused under mu: the log copies
-	// the record's bytes and keeps no payload of a wrapped link.
+	// next is the id the next write mints, past every id held so far.
+	next uint64
+	// payload and one are a single add's marshal buffer and Restore
+	// argument, reused under mu: neither the log nor the provider keeps
+	// them.
 	payload []byte
+	one     [1]core.Held
 }
 
 var _ core.Provider = (*DurableProvider)(nil)
@@ -49,9 +53,12 @@ func (st *Store) Durable(link string, inner core.Provider) (*DurableProvider, er
 	if inner.Schema() != st.schema {
 		return nil, fmt.Errorf("persist: provider schema differs from store schema")
 	}
+	if n := inner.Len(); n != 0 {
+		return nil, fmt.Errorf("persist: provider holds %d subscriptions the log never recorded", n)
+	}
 	st.reg.Lock()
 	defer st.reg.Unlock()
-	d := &DurableProvider{inner: inner, store: st, link: link}
+	d := &DurableProvider{inner: inner, store: st, link: link, next: 1}
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
@@ -65,14 +72,14 @@ func (st *Store) Durable(link string, inner core.Provider) (*DurableProvider, er
 	// mirror table the load reads; reg keeps every cut reader out until
 	// the table has moved into inner.
 	st.wrapped[link] = d
-	recovered := st.state[link]
+	recovered := sortedHeld(st.state[link])
 	st.mu.Unlock()
+	if n := len(recovered); n > 0 {
+		d.next = recovered[n-1].ID + 1
+	}
 
-	// Restore holds every recovered subscription under its durable id —
-	// and, run even with nothing to recover, is what refuses a non-empty
-	// inner, whose pre-existing subscriptions would never be persisted.
 	//sfc:walok recovery replays records already on disk; appending them again would double the log every boot
-	err := inner.Restore(sortedHeld(recovered))
+	err := inner.Restore(recovered)
 	st.mu.Lock()
 	if err != nil {
 		delete(st.wrapped, link)
@@ -95,8 +102,7 @@ func (d *DurableProvider) list() (*core.Listing, error) {
 	return l, nil
 }
 
-// usable refuses a write once the link is released. Called with d.mu
-// held.
+// usable refuses a write once the link is released. Called with d.mu held.
 func (d *DurableProvider) usable() error {
 	if d.released {
 		return fmt.Errorf("%w: durable link %q was released", core.ErrProviderClosed, d.link)
@@ -104,62 +110,70 @@ func (d *DurableProvider) usable() error {
 	return nil
 }
 
-// logAdd persists one arrival, rolling the insert back out of the inner
-// provider when the log rejects it so memory never runs ahead of disk.
-// Called with d.mu held.
-func (d *DurableProvider) logAdd(id uint64, s *subscription.Subscription) error {
-	var err error
-	d.payload, err = s.AppendBinary(d.payload[:0])
-	if err == nil {
-		err = d.store.appendAdd(d.link, id, d.payload)
+// apply is every write's logged load, its claim made: held's ids are
+// minted (next moves past them, logged or not), its add records land
+// through one append, and the wrapped provider Restores it. Called with
+// d.mu held.
+func (d *DurableProvider) apply(held []core.Held) error {
+	if len(held) == 0 {
+		return nil
 	}
-	if err != nil {
-		d.inner.Remove(id) //nolint:errcheck // best-effort rollback of our own insert
+	var rec [1]record
+	var end [1]int
+	rs, arena, ends := rec[:], d.payload[:0], end[:]
+	if len(held) > 1 {
+		rs, arena, ends = make([]record, len(held)), make([]byte, 0, 16*len(held)), make([]int, len(held))
 	}
-	return err
+	for i := range held {
+		arena = held[i].Rect.AppendBinary(arena, d.Schema())
+		ends[i] = len(arena)
+		d.next = max(d.next, held[i].ID+1)
+	}
+	if len(held) == 1 {
+		d.payload = arena
+	}
+	start := 0
+	for i := range held { // sliced only now: the arena moves as it grows
+		rs[i] = record{op: opAdd, link: d.link, sid: held[i].ID, payload: arena[start:ends[i]:ends[i]]}
+		start = ends[i]
+	}
+	if err := d.store.appendBatch(rs); err != nil {
+		return err
+	}
+	return d.inner.Restore(held)
 }
 
-// Add runs the arrival path on the wrapped provider and logs the insert.
+// Add is the arrival path: the covering query on the wrapped provider
+// (which refuses a foreign schema), then a minted id, logged and applied.
 func (d *DurableProvider) Add(s *subscription.Subscription) (id uint64, covered bool, coveredBy uint64, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.usable(); err != nil {
 		return 0, false, 0, err
 	}
-	id, covered, coveredBy, err = d.inner.Add(s)
-	if err == nil {
-		err = d.logAdd(id, s)
-	}
-	if err != nil {
+	if coveredBy, covered, _, err = d.inner.FindCover(s); err != nil {
 		return 0, false, 0, err
 	}
-	return id, covered, coveredBy, nil
+	d.one[0] = core.Held{ID: d.next, Rect: s.Rect()}
+	if err := d.apply(d.one[:]); err != nil {
+		return 0, false, 0, err
+	}
+	return d.one[0].ID, covered, coveredBy, nil
 }
 
-// Insert stores s unconditionally and logs it.
+// Insert stores s unconditionally: InsertBatch of one.
 func (d *DurableProvider) Insert(s *subscription.Subscription) (uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.usable(); err != nil {
-		return 0, err
-	}
-	id, err := d.inner.Insert(s)
-	if err == nil {
-		err = d.logAdd(id, s)
-	}
+	ids, err := d.InsertBatch([]*subscription.Subscription{s})
 	if err != nil {
 		return 0, err
 	}
-	return id, nil
+	return ids[0], nil
 }
 
-// Remove deletes a subscription by id, claim → log → apply, all inside the
-// write section: the wrapped provider must hold the id, the removal is
-// logged, and only then does the provider drop it. So racing removes have
-// one winner, and a failed log write (disk full, closed store) leaves
-// memory and durable state agreeing that the subscription is held. (A
-// crash between log and apply loses only an unacknowledged removal, which
-// recovery completes.)
+// Remove deletes a subscription by id, claim → log → apply: the wrapped
+// provider must hold the id, so racing removes have one winner, and a
+// failed log write leaves the subscription held. (A crash between log and
+// apply loses only an unacknowledged removal, which recovery completes.)
 func (d *DurableProvider) Remove(id uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -185,40 +199,30 @@ func (d *DurableProvider) CoverQueryBatch(subs []*subscription.Subscription) []c
 	return d.inner.CoverQueryBatch(subs)
 }
 
-// AddBatch runs the arrival path as one batch on the wrapped provider,
-// then the whole batch's add records
-// land through one log write (one lock acquisition, one copy — the
-// same amortization the engine's shard-grouped insert buys in memory).
-// The log write is all-or-nothing: a failure rolls every batch insert
-// back out of the wrapped provider and occupies every slot.
+// AddBatch is Add for a batch: the covering queries run as one batch on
+// the wrapped provider, then the answered items' minted ids land through
+// one log write and one Restore. The log write is all-or-nothing: a
+// failure applies nothing and occupies every answered slot.
 func (d *DurableProvider) AddBatch(subs []*subscription.Subscription) []core.AddResult {
-	// One arena for the batch's payloads, encoded before the provider is
-	// touched so a failure has nothing to roll back; the few slots the
-	// provider then refuses were encoded for nothing and are never logged.
-	payloads, err := subscription.MarshalBatch(subs)
+	out := make([]core.AddResult, len(subs))
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err == nil {
-		err = d.usable()
-	}
-	if err != nil {
-		out := make([]core.AddResult, len(subs))
+	if err := d.usable(); err != nil {
 		for i := range out {
 			out[i].Err = err
 		}
 		return out
 	}
-	out := d.inner.AddBatch(subs)
-	batch := make([]record, 0, len(out))
-	for i := range out {
-		if out[i].Err == nil {
-			batch = append(batch, record{op: opAdd, link: d.link, sid: out[i].ID, payload: payloads[i]})
+	held := make([]core.Held, 0, len(subs))
+	for i, r := range d.inner.CoverQueryBatch(subs) {
+		if out[i].QueryResult = r; r.Err == nil {
+			out[i].ID = d.next + uint64(len(held))
+			held = append(held, core.Held{ID: out[i].ID, Rect: subs[i].Rect()})
 		}
 	}
-	if err := d.store.appendBatch(batch); err != nil {
+	if err := d.apply(held); err != nil {
 		for i := range out {
 			if out[i].Err == nil {
-				d.inner.Remove(out[i].ID) //nolint:errcheck // best-effort rollback of our own insert
 				out[i] = core.AddResult{QueryResult: core.QueryResult{Err: err}}
 			}
 		}
@@ -226,45 +230,47 @@ func (d *DurableProvider) AddBatch(subs []*subscription.Subscription) []core.Add
 	return out
 }
 
-// InsertBatch is the durable bulk load: the whole batch lands in the
-// wrapped provider through its own InsertBatch and then through one log
-// write, the same amortization AddBatch buys. All-or-nothing: a marshal,
-// insert, or log failure leaves the wrapped provider as it was.
+// InsertBatch is the durable bulk load: the whole batch, under minted
+// ids, lands through one log write and then one Restore of the wrapped
+// provider. All-or-nothing: a foreign schema or a failed log write leaves
+// the wrapped provider as it was.
 func (d *DurableProvider) InsertBatch(subs []*subscription.Subscription) ([]uint64, error) {
-	if len(subs) == 0 {
-		return nil, nil
-	}
-	payloads, err := subscription.MarshalBatch(subs)
-	if err != nil {
-		return nil, err
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.usable(); err != nil {
 		return nil, err
 	}
-	ids, err := d.inner.InsertBatch(subs)
-	if err != nil {
-		return nil, err
-	}
-	batch := make([]record, len(subs))
-	for i, id := range ids {
-		batch[i] = record{op: opAdd, link: d.link, sid: id, payload: payloads[i]}
-	}
-	if err := d.store.appendBatch(batch); err != nil {
-		for _, id := range ids {
-			d.inner.Remove(id) //nolint:errcheck // best-effort rollback of our own insert
+	held, ids := make([]core.Held, len(subs)), make([]uint64, len(subs))
+	for i, s := range subs {
+		if s.Schema() != d.Schema() {
+			return nil, fmt.Errorf("persist: subscription schema differs from the provider's")
 		}
+		ids[i] = d.next + uint64(i)
+		held[i] = core.Held{ID: ids[i], Rect: s.Rect()}
+	}
+	if err := d.apply(held); err != nil {
 		return nil, err
 	}
 	return ids, nil
 }
 
-// Restore is refused: a durable provider's content is its log's, loaded
-// when Store.Durable wraps it; an unlogged way in would put memory ahead
-// of disk.
-func (d *DurableProvider) Restore([]core.Held) error {
-	return fmt.Errorf("%w: a durable provider is restored from its own log by Store.Durable", core.ErrUnsupported)
+// Restore loads held under the ids it names beside what the link holds,
+// logged first like every write; later writes mint past its ids. The
+// claim refuses a released link, an id named twice or a rectangle outside
+// the schema (core.CheckHeld), and an id the wrapped provider holds, which
+// only an id below next can be.
+func (d *DurableProvider) Restore(held []core.Held) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := cmp.Or(d.usable(), core.CheckHeld(d.Schema(), held)); err != nil {
+		return err
+	}
+	for _, h := range held {
+		if h.ID < d.next && d.inner.Holds(h.ID) {
+			return fmt.Errorf("persist: Restore names id %d, which link %q holds", h.ID, d.link)
+		}
+	}
+	return d.apply(held)
 }
 
 // RemoveBatch is Remove for a batch, errors aligned with ids: inside the
@@ -282,7 +288,7 @@ func (d *DurableProvider) RemoveBatch(ids []uint64) []error {
 		}
 		return out
 	}
-	batch := make([]record, 0, len(ids))
+	batch, logged := make([]record, 0, len(ids)), make([]uint64, 0, len(ids))
 	slots := make([]int, 0, len(ids))
 	var claimed idtable.Table[struct{}]
 	for i, id := range ids {
@@ -292,17 +298,13 @@ func (d *DurableProvider) RemoveBatch(ids []uint64) []error {
 		}
 		claimed.Put(id, struct{}{})
 		batch = append(batch, record{op: opRem, link: d.link, sid: id})
-		slots = append(slots, i)
+		logged, slots = append(logged, id), append(slots, i)
 	}
 	if err := d.store.appendBatch(batch); err != nil {
 		for _, i := range slots {
 			out[i] = err
 		}
 		return out
-	}
-	logged := make([]uint64, len(batch))
-	for k, r := range batch {
-		logged[k] = r.sid
 	}
 	for k, err := range d.inner.RemoveBatch(logged) {
 		out[slots[k]] = err
@@ -363,11 +365,8 @@ func (d *DurableProvider) Schema() *subscription.Schema { return d.inner.Schema(
 func (d *DurableProvider) Stats() core.ProviderStats {
 	ps := d.inner.Stats()
 	ss := d.store.logStats()
-	ps.Snapshots = ss.Snapshots
-	ps.WALRecords = ss.WALRecords
-	ps.WALBytes = ss.WALBytes
-	ps.SnapshotHold = ss.SnapshotHold
-	ps.SnapshotTime = ss.SnapshotTime
+	ps.Snapshots, ps.WALRecords, ps.WALBytes = ss.Snapshots, ss.WALRecords, ss.WALBytes
+	ps.SnapshotHold, ps.SnapshotTime = ss.SnapshotHold, ss.SnapshotTime
 	return ps
 }
 

@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"sfccover/internal/core"
@@ -102,9 +104,11 @@ func churn(t *testing.T, schema *subscription.Schema, p core.Provider) (ids, ans
 	return ids, answers
 }
 
-// TestDurableMintsItsEnginesIDs: the same op sequence on a bare engine
-// and on a durable provider over an equal engine returns the same ids
-// from every call — the wrapper mints nothing.
+// TestDurableMintsItsEnginesIDs: the durable provider mints its engine's
+// ids. The same op sequence on a bare engine and on a durable provider
+// over an equal engine gets the same answers under the map between the
+// ids the two minted, call by call, and the wrapped engine holds every
+// subscription under the id the wrapper returned and logged.
 func TestDurableMintsItsEnginesIDs(t *testing.T) {
 	schema := testSchema()
 	bare := newTestEngine(schema, 4)
@@ -121,20 +125,27 @@ func TestDurableMintsItsEnginesIDs(t *testing.T) {
 	}
 	defer d.Close()
 
-	wantIDs, wantAnswers := churn(t, schema, bare)
+	bareIDs, bareAnswers := churn(t, schema, bare)
 	gotIDs, gotAnswers := churn(t, schema, d)
-	for i := range wantIDs {
-		if gotIDs[i] != wantIDs[i] {
-			t.Fatalf("write %d: the durable provider minted id %d, the bare engine %d", i, gotIDs[i], wantIDs[i])
+	toDurable := map[uint64]uint64{0: 0}
+	for i, id := range bareIDs {
+		toDurable[id] = gotIDs[i]
+	}
+	if len(toDurable) != len(bareIDs)+1 {
+		t.Fatalf("%d writes minted %d distinct ids", len(bareIDs), len(toDurable)-1)
+	}
+	for i, want := range bareAnswers {
+		if gotAnswers[i] != toDurable[want] {
+			t.Fatalf("query %d: the durable provider answered id %d, the bare engine %d (the durable provider's %d)", i, gotAnswers[i], want, toDurable[want])
 		}
 	}
-	for i := range wantAnswers {
-		if gotAnswers[i] != wantAnswers[i] {
-			t.Fatalf("query %d: the durable provider answered id %d, the bare engine %d", i, gotAnswers[i], wantAnswers[i])
-		}
+	requireSameHeld(t, "wrapped engine vs durable dump", mustEnumerate(t, wrapped), mustEnumerate(t, d))
+	mapped := mustEnumerate(t, bare)
+	for i := range mapped {
+		mapped[i].ID = toDurable[mapped[i].ID]
 	}
-	requireSameHeld(t, "wrapped engine vs bare", mustEnumerate(t, wrapped), mustEnumerate(t, bare))
-	requireSameHeld(t, "durable dump vs its engine", mustEnumerate(t, d), mustEnumerate(t, wrapped))
+	slices.SortFunc(mapped, func(a, b core.Held) int { return cmp.Compare(a.ID, b.ID) })
+	requireSameHeld(t, "wrapped engine vs bare under the id map", mustEnumerate(t, wrapped), mapped)
 }
 
 // TestRecoveredEngineHoldsPreCrashIDs: after close + reopen, and again

@@ -397,14 +397,6 @@ func (st *Store) lens() map[string]int {
 	return out
 }
 
-// appendAdd logs one subscription arrival and, on an un-wrapped link,
-// mirrors it: its payload is decoded first, and one that does not decode
-// is refused with nothing written. The mirror is updated only when the
-// record landed, so the snapshot state never runs ahead of the log.
-func (st *Store) appendAdd(link string, sid uint64, payload []byte) error {
-	return st.appendBatch([]record{{op: opAdd, link: link, sid: sid, payload: payload}})
-}
-
 // appendRemove logs one removal. On an un-wrapped link it is also the
 // claim of claim → log → apply, in the same critical section: an sid the
 // mirror does not hold is refused with nothing written, so of two racing

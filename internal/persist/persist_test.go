@@ -41,6 +41,13 @@ func inner(t testing.TB, schema *subscription.Schema, i int) *subscription.Subsc
 	return subscription.MustParse(schema, fmt.Sprintf("x >= %d && y >= %d", 2*i+1, 2*(familyK-i)+1))
 }
 
+// appendAdd logs one subscription arrival, as a durable write's append
+// does, and on an un-wrapped link mirrors it: its payload is decoded
+// first, and one that does not decode is refused with nothing written.
+func (st *Store) appendAdd(link string, sid uint64, payload []byte) error {
+	return st.appendBatch([]record{{op: opAdd, link: link, sid: sid, payload: payload}})
+}
+
 // payload marshals a subscription for direct store appends.
 func payload(t testing.TB, s *subscription.Subscription) []byte {
 	t.Helper()
@@ -652,8 +659,8 @@ func TestFailedAppendLeavesNoTornBytes(t *testing.T) {
 }
 
 // TestDurableInsertBatch pins the durable wrapper's bulk insert: one batch, durable sids out, a single log write that
-// replays under the same sids after a restart — and all-or-nothing
-// rollback out of the wrapped provider when that log write fails.
+// replays under the same sids after a restart — and nothing applied to
+// the wrapped provider when that log write fails.
 func TestDurableInsertBatch(t *testing.T) {
 	schema := testSchema()
 	dir := t.TempDir()
@@ -726,7 +733,7 @@ func TestDurableInsertBatch(t *testing.T) {
 		t.Fatalf("Len after removing one batch member = %d, want 3", d2.Len())
 	}
 
-	// Rollback: a failed log write must leave the wrapped provider empty —
+	// A failed log write must leave the wrapped provider empty —
 	// no subscription may be queryable that the log never recorded.
 	dir2 := t.TempDir()
 	st3, err := Open(dir2, schema, Options{})

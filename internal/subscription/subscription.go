@@ -229,14 +229,15 @@ func (r Rect) PointInto(schema *Schema, dst []uint32) []uint32 {
 // bounds ordered and inside the domain, every slot past the schema's
 // attributes zero.
 func (r Rect) Check(schema *Schema) error {
+	n, max := schema.NumAttrs(), schema.MaxValue()
 	for i := range r {
-		if i >= schema.NumAttrs() {
+		if i >= n {
 			if r[i] != 0 {
-				return fmt.Errorf("subscription: rectangle sets slot %d past the schema's %d attributes", i, schema.NumAttrs())
+				return fmt.Errorf("subscription: rectangle sets slot %d past the schema's %d attributes", i, n)
 			}
 			continue
 		}
-		if b := r.bounds(i); b.Lo > b.Hi || b.Hi > schema.MaxValue() {
+		if b := r.bounds(i); b.Lo > b.Hi || b.Hi > max {
 			return fmt.Errorf("subscription: range [%d,%d] invalid for attribute %d", b.Lo, b.Hi, i)
 		}
 	}

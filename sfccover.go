@@ -278,9 +278,10 @@ type PersistStore = persist.Store
 type PersistOptions = persist.Options
 
 // DurableProvider wraps any Provider with write-ahead logging and
-// recovery for one link namespace of a PersistStore. Its ids are the
-// wrapped provider's and they are durable: a recovered provider holds, and
-// answers with, the ids the pre-crash one minted.
+// recovery for one link namespace of a PersistStore. It mints the ids,
+// logs each write before the wrapped provider sees it, and the ids are
+// durable: a recovered provider holds, and answers with, the ids the
+// pre-crash one minted.
 type DurableProvider = persist.DurableProvider
 
 // Typed errors of the provider and persistence layers, for errors.Is
@@ -293,8 +294,8 @@ var (
 	// different schema.
 	ErrPersistSchemaMismatch = persist.ErrSchemaMismatch
 	// ErrUnsupported: an operation this Provider cannot serve — Snapshot
-	// with no durable store behind it, Enumerate or InsertBatch on a
-	// DaemonProvider.
+	// with no durable store behind it, Enumerate, InsertBatch or Restore
+	// on a DaemonProvider.
 	ErrUnsupported = core.ErrUnsupported
 	// ErrProviderClosed: a batch operation issued after Close.
 	ErrProviderClosed = core.ErrProviderClosed
