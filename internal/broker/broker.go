@@ -241,10 +241,11 @@ type handle int32
 // slices indexed by handle). A handle lives while some group holds a row
 // for its rectangle or some link holds state for it; a freed handle goes on
 // the free list and is reused first, so handle values depend only on the
-// op sequence.
+// op sequence. The rectangle is stored once, in keys: index holds only
+// handles.
 type rectTable struct {
-	handle map[subscription.Rect]handle
-	keys   []subscription.Rect // per handle, its rectangle
+	index rectIndex
+	keys  []subscription.Rect // per handle, its rectangle
 	// rows lists, per handle, where each group holding a row for the
 	// rectangle keeps it: its length is the rectangle's source count, and
 	// the lists together take memory in rows, not in handles × groups.
@@ -255,11 +256,16 @@ type rectTable struct {
 // rowRef places a rectangle's row: table[group], row position row.
 type rowRef struct{ group, row int32 }
 
+// lookup returns key's handle, if the broker holds one.
+func (t *rectTable) lookup(key subscription.Rect) (handle, bool) {
+	return t.index.find(t.keys, key)
+}
+
 // intern returns key's handle, minting one — the most recently freed
 // first — when the broker holds nothing for the rectangle.
 func (b *Broker) intern(key subscription.Rect) handle {
 	t := &b.rects
-	if h, ok := t.handle[key]; ok {
+	if h, ok := t.lookup(key); ok {
 		return h
 	}
 	var h handle
@@ -270,10 +276,10 @@ func (b *Broker) intern(key subscription.Rect) handle {
 		h = handle(len(t.keys))
 		t.keys, t.rows = append(t.keys, key), append(t.rows, nil)
 		for _, st := range b.out {
-			st.ids, st.sups.at = append(st.ids, forwardedID{}), append(st.sups.at, 0)
+			st.ids, st.sups.at = append(st.ids, 0), append(st.sups.at, 0)
 		}
 	}
-	t.handle[key] = h
+	t.index.insert(t.keys, h)
 	return h
 }
 
@@ -285,11 +291,11 @@ func (b *Broker) release(h handle) {
 		return
 	}
 	for _, st := range b.out {
-		if st.ids[h].ok || st.sups.at[h] != 0 {
+		if st.ids[h] != 0 || st.sups.at[h] != 0 {
 			return
 		}
 	}
-	delete(t.handle, t.keys[h])
+	t.index.remove(t.keys, h)
 	t.free = append(t.free, h)
 }
 
@@ -577,8 +583,13 @@ func (t *suppressedTable) remove(i int) {
 // suppressed subscription when its cover is later retracted. The coverer
 // is not persisted: restoreLinks derives it.
 type neighborState struct {
-	fwd  core.Provider
-	ids  []forwardedID // per rectangle handle, its fwd provider id
+	fwd core.Provider
+	// ids holds, per rectangle handle, its fwd provider id plus one, and 0
+	// while the rectangle is not forwarded on the link: a Restore can hand
+	// a provider id 0, so 0 alone cannot mark "none". Providers mint ids
+	// from 1 upward; only an id of 2^64−1, which none reaches, would read
+	// as not forwarded, and cost a duplicate forward, never a lost event.
+	ids  []uint64
 	supp suppressedSet
 	sups suppressedTable
 	// order and members are resubscribeCovered's scratch: the retracted
@@ -595,11 +606,10 @@ type neighborState struct {
 	degraded bool
 }
 
-// forwardedID is a link's forwarded-set id for one rectangle; ok is false
-// while the rectangle is not forwarded on the link.
-type forwardedID struct {
-	id uint64
-	ok bool
+// fwdID returns the forwarded-set id the link holds for h; ok is false
+// while h's rectangle is not forwarded on the link.
+func (st *neighborState) fwdID(h handle) (id uint64, ok bool) {
+	return st.ids[h] - 1, st.ids[h] != 0
 }
 
 // NewNetwork builds the overlay and its per-link covering detectors.
@@ -620,7 +630,7 @@ func NewNetwork(topo Topology, cfg Config) (*Network, error) {
 	}
 	n.brokers = make([]*Broker, topo.N)
 	for i := range n.brokers {
-		n.brokers[i] = &Broker{id: i, net: n, rects: rectTable{handle: make(map[subscription.Rect]handle)}}
+		n.brokers[i] = &Broker{id: i, net: n, rects: rectTable{index: rectIndex{hash: hashRect}}}
 	}
 	for _, e := range topo.Edges {
 		n.brokers[e[0]].neighbors = append(n.brokers[e[0]].neighbors, e[1])
@@ -701,7 +711,7 @@ func (n *Network) restoreLinks() {
 			peer := n.brokers[j]
 			gi := peer.group(iface{kind: ifNeighbor, id: b.id})
 			for _, it := range held(st.fwd) {
-				st.ids[b.intern(it.Rect)] = forwardedID{id: it.ID, ok: true}
+				st.ids[b.intern(it.Rect)] = it.ID + 1
 				if h := peer.intern(it.Rect); peer.rects.placement(h, gi) < 0 {
 					peer.addRow(gi, h)
 					rows = append(rows, restoredRow{peer, gi, h, it.Rect.Subscription(n.cfg.Schema)})
@@ -714,7 +724,7 @@ func (n *Network) restoreLinks() {
 				h := b.intern(it.Rect)
 				// A crash between forward's two writes left the rectangle in
 				// both sets; forwarding wins here as it does there.
-				if !st.ids[h].ok {
+				if st.ids[h] == 0 {
 					sub := it.Rect.Subscription(n.cfg.Schema)
 					if by, covered, _, err := st.fwd.FindCover(sub); err == nil && covered {
 						st.sups.add(h, sub, it.ID, by)
@@ -730,7 +740,7 @@ func (n *Network) restoreLinks() {
 	}
 	for _, r := range rows {
 		for k, st := range r.at.out {
-			if k != r.gi && !st.ids[r.h].ok && st.sups.at[r.h] == 0 {
+			if k != r.gi && st.ids[r.h] == 0 && st.sups.at[r.h] == 0 {
 				r.at.forwardIfUncovered(k, r.h, r.s)
 			}
 		}
@@ -966,7 +976,7 @@ func (b *Broker) handleSubscribe(from iface, s *subscription.Subscription) {
 // cover's unsubscription finds it again.
 func (b *Broker) forwardIfUncovered(k int, h handle, s *subscription.Subscription) {
 	st := b.out[k]
-	if st.ids[h].ok {
+	if st.ids[h] != 0 {
 		b.net.metrics.DuplicateForwards++
 		return
 	}
@@ -1021,7 +1031,7 @@ func (b *Broker) forward(k int, st *neighborState, h handle, s *subscription.Sub
 	if err != nil {
 		b.net.metrics.ProtocolErrors++
 	} else {
-		st.ids[h] = forwardedID{id: id, ok: true}
+		st.ids[h] = id + 1
 	}
 	b.dropSuppressed(st, h)
 	if err != nil {
@@ -1067,7 +1077,7 @@ func (b *Broker) dropSuppressed(st *neighborState, h handle) {
 }
 
 func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
-	h, held := b.rects.handle[s.Rect()]
+	h, held := b.rects.lookup(s.Rect())
 	if !held {
 		b.net.metrics.ProtocolErrors++
 		return
@@ -1086,15 +1096,15 @@ func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
 		if k == gi || b.hasOtherSource(h, k) {
 			continue
 		}
-		fwd := st.ids[h]
-		if !fwd.ok {
+		id, forwarded := st.fwdID(h)
+		if !forwarded {
 			// The subscription was suppressed on this link: nothing to
 			// retract on the wire, but its suppressed-set entry dies with
 			// the last table row.
 			b.dropSuppressed(st, h)
 			continue
 		}
-		if err := st.fwd.Remove(fwd.id); err != nil {
+		if err := st.fwd.Remove(id); err != nil {
 			// The forwarded-set entry may be unreachable (a remote
 			// provider's daemon down) or the removal may have been lost
 			// in flight; the retraction and the covered-set resubscription
@@ -1106,12 +1116,12 @@ func (b *Broker) handleUnsubscribe(from iface, s *subscription.Subscription) {
 			b.net.metrics.ProtocolErrors++
 			st.degraded = true
 		}
-		st.ids[h] = forwardedID{}
+		st.ids[h] = 0
 		b.net.metrics.UnsubscribeMsgs++
 		b.net.enqueue(message{
 			to: b.neighbors[k], from: iface{kind: ifNeighbor, id: b.id}, sub: s, kind: msgUnsubscribe,
 		})
-		b.resubscribeCovered(k, st, fwd.id)
+		b.resubscribeCovered(k, st, id)
 	}
 	b.release(h)
 }
@@ -1168,8 +1178,8 @@ func (b *Broker) resubscribeCovered(k int, st *neighborState, retracted uint64) 
 	var reforwarded []core.Held
 	reforward := func(h handle, sub *subscription.Subscription) {
 		b.forward(k, st, h, sub)
-		if fwd := st.ids[h]; fwd.ok {
-			reforwarded = append(reforwarded, core.Held{ID: fwd.id, Rect: b.rects.keys[h]})
+		if id, ok := st.fwdID(h); ok {
+			reforwarded = append(reforwarded, core.Held{ID: id, Rect: b.rects.keys[h]})
 		}
 	}
 	for lo := 0; lo < len(members); lo += batch {

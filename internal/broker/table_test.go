@@ -204,8 +204,8 @@ func runTableSchedule(t *testing.T, topo Topology, cfg Config, seed int64) table
 					b.id, b.neighbors[k], len(st.sups.rows), st.sups.indexed(), st.sups.heldBy.Len())
 			}
 		}
-		if live := len(b.rects.keys) - len(b.rects.free); live != 0 || len(b.rects.handle) != 0 {
-			t.Fatalf("after retiring everything: broker %d keeps %d live handles, %d mapped rectangles", b.id, live, len(b.rects.handle))
+		if live := len(b.rects.keys) - len(b.rects.free); live != 0 || b.rects.index.used != 0 {
+			t.Fatalf("after retiring everything: broker %d keeps %d live handles, %d indexed rectangles", b.id, live, b.rects.index.used)
 		}
 	}
 	return got
@@ -231,9 +231,9 @@ func checkRecordedCoverers(t *testing.T, n *Network, op int) {
 		for k, j := range b.neighbors {
 			st := b.out[k]
 			forwarded := make(map[uint64]bool, st.forwarded())
-			for _, fwd := range st.ids {
-				if fwd.ok {
-					forwarded[fwd.id] = true
+			for h := range st.ids {
+				if id, ok := st.fwdID(handle(h)); ok {
+					forwarded[id] = true
 				}
 			}
 			for i, e := range st.sups.rows {
@@ -337,8 +337,10 @@ func checkPackedRows(b *Broker, gi int) error {
 	return nil
 }
 
-// checkRectTable checks a broker's rectangle table: the subscription.Rect →
-// handle map and the handle table are inverses; every free handle is
+// checkRectTable checks a broker's rectangle table: the handle index is
+// the inverse of keys — it holds each live handle once, finds each live
+// handle's rectangle at that handle, and holds no free one; every free
+// handle is
 // listed once and holds no source count, row or link state; every live
 // handle's source count equals the groups holding a row for it, each row
 // placed where its group keeps it, and something — a row or some link's
@@ -353,12 +355,23 @@ func checkRectTable(b *Broker) error {
 		}
 		free[h] = true
 	}
-	if len(t.handle)+len(free) != len(t.keys) {
-		return fmt.Errorf("%d rectangles mapped and %d handles free, of %d", len(t.handle), len(free), len(t.keys))
+	indexed := make(map[handle]bool, t.index.used)
+	for _, s := range t.index.slots {
+		if s == 0 {
+			continue
+		}
+		if h := handle(s - 1); h < 0 || int(h) >= len(t.keys) || free[h] || indexed[h] {
+			return fmt.Errorf("index slot holds handle %d (free %v, twice %v) of %d", h, free[h], indexed[h], len(t.keys))
+		} else {
+			indexed[h] = true
+		}
 	}
-	for key, h := range t.handle {
-		if h < 0 || int(h) >= len(t.keys) || free[h] || t.keys[h] != key {
-			return fmt.Errorf("rectangle %v maps to handle %d (free %v) of %d", key, h, free[h], len(t.keys))
+	if len(indexed) != t.index.used || len(indexed)+len(free) != len(t.keys) {
+		return fmt.Errorf("%d rectangles indexed (%d counted) and %d handles free, of %d", len(indexed), t.index.used, len(free), len(t.keys))
+	}
+	for h := range indexed {
+		if got, ok := t.lookup(t.keys[h]); !ok || got != h {
+			return fmt.Errorf("rectangle %v of handle %d looks up as (%d, %v)", t.keys[h], h, got, ok)
 		}
 	}
 	if len(t.rows) != len(t.keys) {
@@ -381,7 +394,7 @@ func checkRectTable(b *Broker) error {
 	for h := range t.keys {
 		linked := false
 		for _, st := range b.out {
-			linked = linked || st.ids[h].ok || st.sups.at[h] != 0
+			linked = linked || st.ids[h] != 0 || st.sups.at[h] != 0
 		}
 		switch sources := len(t.rows[h]); {
 		case free[handle(h)] && (sources != 0 || linked):
@@ -421,7 +434,7 @@ func checkPackedGroup(t *testing.T, schema *subscription.Schema, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	maxV := schema.MaxValue()
-	b := &Broker{net: &Network{cfg: Config{Schema: schema}}, rects: rectTable{handle: make(map[subscription.Rect]handle)}}
+	b := &Broker{net: &Network{cfg: Config{Schema: schema}}, rects: rectTable{index: rectIndex{hash: hashRect}}}
 	b.addIface(iface{kind: ifClient, id: 0}, nil)
 	g := &b.table[0]
 	if want := (schema.NumAttrs() + 2) / 3; g.words != want {
@@ -511,7 +524,7 @@ func checkPackedGroup(t *testing.T, schema *subscription.Schema, seed int64) {
 			i := rng.Intn(len(keys))
 			k := keys[i]
 			s := live[k]
-			h, mapped := b.rects.handle[k]
+			h, mapped := b.rects.lookup(k)
 			if removed, found := b.dropRow(0, h); !mapped || !found {
 				t.Fatalf("op %d: live row %v not found", op, s)
 			} else if removed {
@@ -619,18 +632,17 @@ func (b *Broker) link(j int) *neighborState { return b.out[slices.Index(b.neighb
 // forwardedID returns the forwarded-set id the link toward j holds for
 // s's rectangle.
 func (b *Broker) forwardedID(j int, s *subscription.Subscription) (uint64, bool) {
-	h, ok := b.rects.handle[s.Rect()]
+	h, ok := b.rects.lookup(s.Rect())
 	if !ok {
 		return 0, false
 	}
-	fwd := b.link(j).ids[h]
-	return fwd.id, fwd.ok
+	return b.link(j).fwdID(h)
 }
 
 // suppressedBy returns the coverer recorded for s's rectangle in the
 // suppressed table of the link toward j.
 func (b *Broker) suppressedBy(j int, s *subscription.Subscription) (uint64, bool) {
-	h, ok := b.rects.handle[s.Rect()]
+	h, ok := b.rects.lookup(s.Rect())
 	if !ok {
 		return 0, false
 	}
@@ -645,7 +657,7 @@ func (b *Broker) suppressedBy(j int, s *subscription.Subscription) (uint64, bool
 // rowRefs returns the references on the row for s's rectangle in the
 // group of interface from.
 func (b *Broker) rowRefs(from iface, s *subscription.Subscription) (int, bool) {
-	h, ok := b.rects.handle[s.Rect()]
+	h, ok := b.rects.lookup(s.Rect())
 	if !ok {
 		return 0, false
 	}
@@ -661,7 +673,7 @@ func (b *Broker) rowRefs(from iface, s *subscription.Subscription) (int, bool) {
 func (st *neighborState) forwarded() int {
 	n := 0
 	for _, fwd := range st.ids {
-		if fwd.ok {
+		if fwd != 0 {
 			n++
 		}
 	}

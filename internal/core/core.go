@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"sfccover/internal/dominance"
-	"sfccover/internal/idtable"
 	"sfccover/internal/subscription"
 )
 
@@ -141,9 +140,10 @@ type Detector struct {
 	mu    sync.Mutex
 	sfc   *dominance.Index   // non-nil iff Strategy == StrategySFC
 	exact dominance.Searcher // backend for exact queries
-	// subs holds each rectangle by value, so nothing a caller does to its
-	// subscription afterwards reaches the detector.
-	subs idtable.Table[subscription.Rect]
+	// held holds each subscription by value: on the SFC strategy over a
+	// universe whose keys fit one word, the key sfc files it under, which
+	// it inserts and deletes by; otherwise its rectangle.
+	held HeldSet
 	// point is Remove's buffer for the point it deletes: a stack buffer
 	// would escape through exact, an interface.
 	point  [2 * subscription.MaxAttrs]uint32
@@ -189,8 +189,10 @@ func New(cfg Config) (*Detector, error) {
 		}
 		d.sfc = idx
 		d.exact = idx
+		d.held = NewHeldSet(cfg.Schema, idx.Curve())
 	case StrategyLinear:
 		d.exact = dominance.NewLinear()
+		d.held = NewHeldSet(cfg.Schema, nil)
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %q", cfg.Strategy)
 	}
@@ -221,7 +223,7 @@ func (d *Detector) Config() Config { return d.cfg }
 func (d *Detector) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.subs.Len()
+	return d.held.Len()
 }
 
 // Insert stores the subscription unconditionally and returns its id.
@@ -233,8 +235,14 @@ func (d *Detector) Insert(s *subscription.Subscription) (uint64, error) {
 	defer d.mu.Unlock()
 	id := d.nextID
 	d.nextID++
-	d.subs.Put(id, s.Rect())
-	d.exact.Insert(s.Point(), id)
+	p := s.Point()
+	k := d.held.Key(p)
+	d.held.Hold(id, k, d.held.RectOf(s))
+	if d.held.Words() {
+		d.sfc.InsertWord(k, id)
+	} else {
+		d.exact.Insert(p, id)
+	}
 	return id, nil
 }
 
@@ -247,15 +255,21 @@ func (d *Detector) InsertBatch(subs []*subscription.Subscription) ([]uint64, err
 
 // load is the bulk load behind InsertBatch and Restore: given nil mints
 // the ids; otherwise the detector must hold none of given, holds subs
-// under them, and mints from past the largest of them afterwards.
+// under them, and mints from past the largest of them afterwards. On the
+// SFC strategy each key is computed once, outside the lock, and both the
+// index and a held set of words take it.
 func (d *Detector) load(subs []*subscription.Subscription, given []uint64) ([]uint64, error) {
-	// Validate and transform outside the lock; Point() is pure.
-	points := make([][]uint32, len(subs))
-	for i, s := range subs {
+	var keys []uint64
+	if d.sfc != nil {
+		keys = make([]uint64, 0, len(subs)*d.sfc.KeyStride())
+	}
+	for _, s := range subs {
 		if s.Schema() != d.cfg.Schema {
 			return nil, fmt.Errorf("core: subscription schema differs from detector schema")
 		}
-		points[i] = s.Point()
+		if d.sfc != nil {
+			keys = d.sfc.AppendKey(keys, s.Point())
+		}
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -267,14 +281,18 @@ func (d *Detector) load(subs []*subscription.Subscription, given []uint64) ([]ui
 		}
 	} else {
 		for _, id := range given {
-			if _, held := d.subs.Get(id); held {
+			if d.held.Holds(id) {
 				return nil, fmt.Errorf("core: Restore names id %d, which the provider holds", id)
 			}
 		}
 	}
-	d.subs.Grow(len(subs))
+	d.held.Grow(len(subs))
 	for i, s := range subs {
-		d.subs.Put(ids[i], s.Rect())
+		var k uint64
+		if d.held.Words() {
+			k = keys[i]
+		}
+		d.held.Hold(ids[i], k, d.held.RectOf(s))
 		if ids[i] >= d.nextID {
 			d.nextID = ids[i] + 1
 		}
@@ -282,24 +300,32 @@ func (d *Detector) load(subs []*subscription.Subscription, given []uint64) ([]ui
 	// The SFC index has a sorted bulk-build path; the linear scan takes the
 	// points one by one.
 	if d.sfc != nil {
-		d.sfc.InsertBatch(points, ids)
+		d.sfc.InsertKeys(keys, ids)
 	} else {
-		for i, p := range points {
-			d.exact.Insert(p, ids[i])
+		for i, s := range subs {
+			d.exact.Insert(s.Point(), ids[i])
 		}
 	}
 	return ids, nil
 }
 
-// Remove deletes a previously inserted subscription by id.
+// Remove deletes a previously inserted subscription by id, from the index
+// at the key the held set gives back: a held word as it is, a held
+// rectangle by its point.
 func (d *Detector) Remove(id uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	r, ok := d.subs.Delete(id)
+	k, p, ok := d.held.Release(id, d.point[:])
 	if !ok {
 		return fmt.Errorf("core: no subscription with id %d", id)
 	}
-	if !d.exact.Delete(r.PointInto(d.cfg.Schema, d.point[:]), id) {
+	var found bool
+	if p == nil {
+		found = d.sfc.DeleteWord(k, id)
+	} else {
+		found = d.exact.Delete(p, id)
+	}
+	if !found {
 		return fmt.Errorf("core: index out of sync for id %d", id)
 	}
 	return nil
@@ -309,7 +335,7 @@ func (d *Detector) Remove(id uint64) error {
 func (d *Detector) Subscription(id uint64) (*subscription.Subscription, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	r, ok := d.subs.Get(id)
+	r, ok := d.held.Rect(id)
 	if !ok {
 		return nil, false
 	}
@@ -320,8 +346,7 @@ func (d *Detector) Subscription(id uint64) (*subscription.Subscription, bool) {
 func (d *Detector) Holds(id uint64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, ok := d.subs.Get(id)
-	return ok
+	return d.held.Holds(id)
 }
 
 // FindCover searches the held set for a subscription covering s, per the

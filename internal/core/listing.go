@@ -11,49 +11,32 @@ import (
 )
 
 // Listing is a held set as its provider captured it under its locks: the
-// (id, value) slots of its id tables, copied in table order. A slot holds
-// a rectangle, or, on an engine over a universe whose curve keys fit one
-// word, the one-word Z key the engine holds instead. Sorting by id and
-// decoding the keys wait for the first read (All, Held), which runs after
-// the provider's locks are released: its writers wait only for the copy.
+// (id, value) slots of its held sets, copied in table order. A slot holds
+// a rectangle, or, where the provider's curve keys fit one word, the
+// one-word Z key a HeldSet holds instead. Sorting by id and decoding the
+// keys wait for the first read (All, Held), which runs after the
+// provider's locks are released: its writers wait only for the copy.
 //
 // Reads are safe from any goroutine; the first sorts the copy in place.
 type Listing struct {
-	schema *subscription.Schema
-	curve  *sfc.ZCurve // decodes words; nil on a listing of rectangles
+	schema *subscription.Schema // with curve, decodes words
+	curve  *sfc.ZCurve          // nil on a listing of rectangles alone
 	words  []idtable.Slot[uint64]
 	rects  []idtable.Slot[subscription.Rect]
+	room   int // the capacity the first copy of either form takes
 	n      int // len(words) + len(rects), read without the sort's ordering
 	sorted sync.Once
 }
 
-// NewListing starts an empty listing with room for n subscriptions. With
-// a curve over schema, whose keys must fit one word, it takes tables of
-// keys on that curve (CopyWords); without one, tables of rectangles
-// (CopyRects), which need no schema to be listed, so schema may be nil
-// too.
-func NewListing(schema *subscription.Schema, curve *sfc.ZCurve, n int) *Listing {
-	l := &Listing{schema: schema, curve: curve}
-	if curve != nil {
-		l.words = make([]idtable.Slot[uint64], 0, n)
-	} else {
-		l.rects = make([]idtable.Slot[subscription.Rect], 0, n)
-	}
-	return l
-}
+// NewListing starts an empty listing with room for n subscriptions, which
+// a provider fills from its held sets (HeldSet.CopyTo).
+func NewListing(n int) *Listing { return &Listing{room: n} }
 
-// CopyWords adds t, a table of one-word keys on the listing's curve, to
-// the listing. The caller holds the lock t lives under.
-func (l *Listing) CopyWords(t *idtable.Table[uint64]) {
-	l.words = t.AppendTo(l.words)
-	l.n += t.Len()
-}
-
-// CopyRects adds t, a table of rectangles, to the listing. The caller
-// holds the lock t lives under.
-func (l *Listing) CopyRects(t *idtable.Table[subscription.Rect]) {
-	l.rects = t.AppendTo(l.rects)
-	l.n += t.Len()
+// ListRects lists slots, rectangles by id that a holder copied from its
+// table under its lock (idtable.Table.AppendTo). The listing takes the
+// slice.
+func ListRects(slots []idtable.Slot[subscription.Rect]) *Listing {
+	return &Listing{rects: slots, n: len(slots)}
 }
 
 // Len returns the number of subscriptions listed.
@@ -93,7 +76,8 @@ func (l *Listing) Held() []Held {
 // subscription of schema has is a broken invariant of its holder.
 func WordRect(schema *subscription.Schema, curve *sfc.ZCurve, k uint64) subscription.Rect {
 	var buf [2 * subscription.MaxAttrs]uint32
-	r, err := subscription.PointRect(schema, curve.CellWordInto(buf[:], k))
+	cell := curve.Gather().DeinterleaveWordInto(buf[:curve.Dims()], k, curve.Bits())
+	r, err := subscription.PointRect(schema, cell)
 	if err != nil {
 		panic(fmt.Sprintf("core: held key %#x is no subscription's: %v", k, err))
 	}

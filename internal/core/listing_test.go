@@ -7,13 +7,12 @@ import (
 	"sync"
 	"testing"
 
-	"sfccover/internal/idtable"
 	"sfccover/internal/sfc"
 	"sfccover/internal/subscription"
 )
 
-// TestListingSortsEveryForm captures tables of rectangles and tables of
-// one-word keys, the second on an engine's curve, and holds every read —
+// TestListingSortsEveryForm captures held sets of rectangles and held sets
+// of one-word keys, the second on an engine's curve, and holds every read —
 // two at once, then one more after an iteration cut short — to the same
 // ids in ascending order with the same rectangles: across several tables,
 // with id 0 (held beside a table's array) and ids that differ in every
@@ -26,16 +25,15 @@ func TestListingSortsEveryForm(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	want := map[uint64]subscription.Rect{}
-	rects := make([]*idtable.Table[subscription.Rect], 3)
-	words := make([]*idtable.Table[uint64], 3)
+	rects, words := make([]HeldSet, 3), make([]HeldSet, 3)
 	for i := range rects {
-		rects[i], words[i] = new(idtable.Table[subscription.Rect]), new(idtable.Table[uint64])
+		rects[i], words[i] = NewHeldSet(schema, nil), NewHeldSet(schema, curve)
 	}
 	put := func(id uint64, s *subscription.Subscription) {
 		want[id] = s.Rect()
 		k := int(id % 3)
-		rects[k].Put(id, s.Rect())
-		words[k].Put(id, curve.KeyWord(s.Point()))
+		rects[k].Hold(id, 0, s.Rect())
+		words[k].Hold(id, curve.KeyWord(s.Point()), subscription.Rect{})
 	}
 	for i := 0; i < 5000; i++ {
 		v, p := rng.Intn(1000), rng.Intn(1000)
@@ -55,12 +53,13 @@ func TestListingSortsEveryForm(t *testing.T) {
 		t.Fatalf("the fixture holds no id 0")
 	}
 
-	byRect, byWord := NewListing(nil, nil, 0), NewListing(schema, curve, len(ids))
+	byRect, byWord := NewListing(0), NewListing(len(ids))
 	for i := range rects {
-		byRect.CopyRects(rects[i])
-		byWord.CopyWords(words[i])
+		rects[i].CopyTo(byRect)
+		words[i].CopyTo(byWord)
 	}
-	byWord.CopyRects(new(idtable.Table[subscription.Rect])) // an empty table adds nothing
+	empty := NewHeldSet(schema, nil)
+	empty.CopyTo(byWord) // an empty set adds nothing
 	for name, l := range map[string]*Listing{"rectangles": byRect, "words": byWord} {
 		if l.Len() != len(ids) {
 			t.Fatalf("%s: Len = %d, want %d", name, l.Len(), len(ids))
@@ -94,15 +93,16 @@ func TestListingSortsEveryForm(t *testing.T) {
 			}
 		}
 	}
-	// The tables changing after the capture change no listing.
+	// The sets changing after the capture change no listing.
+	var buf [2 * subscription.MaxAttrs]uint32
 	for i := range rects {
 		for id := range want {
-			rects[i].Delete(id)
-			words[i].Delete(id)
+			rects[i].Release(id, buf[:])
+			words[i].Release(id, buf[:])
 		}
 	}
 	if byRect.Len() != len(ids) || len(byWord.Held()) != len(ids) {
-		t.Fatalf("a listing changed with the tables it was copied from")
+		t.Fatalf("a listing changed with the sets it was copied from")
 	}
 }
 

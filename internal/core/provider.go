@@ -270,7 +270,7 @@ func (d *Detector) Stats() ProviderStats {
 		PathQueries:    d.totals.PathQueries,
 		ShardSearches:  d.totals.Queries,
 	}
-	ps.SetShardSizes([]int{d.subs.Len()})
+	ps.SetShardSizes([]int{d.held.Len()})
 	return ps
 }
 
@@ -309,8 +309,8 @@ func (d *Detector) RemoveBatch(ids []uint64) []error {
 func (d *Detector) Enumerate() (*Listing, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	l := NewListing(d.cfg.Schema, nil, d.subs.Len())
-	l.CopyRects(&d.subs)
+	l := NewListing(d.held.Len())
+	d.held.CopyTo(l)
 	return l, nil
 }
 

@@ -220,14 +220,34 @@ func (x *Index) Delete(p []uint32, id uint64) bool {
 	return x.arr.Delete(x.key(p), id)
 }
 
-// InsertBatch indexes a group of points, aligned with ids: keys are
-// computed once as words and sorted once (SortBatch), then the whole batch
-// enters the SFC array through its sorted bulk-load path — a bottom-up
-// build on a cold array, a single merge pass on a warm one — instead of
-// one O(log n) descent per point.
+// InsertWord indexes id under a one-word key the caller already holds
+// (Config.WordKeys), encoding nothing: Insert for a holder that keeps the
+// key instead of the point.
+func (x *Index) InsertWord(k, id uint64) {
+	x.arr.Insert(bits.KeyFromUint64(k), id)
+}
+
+// DeleteWord is Delete under a one-word key the caller holds, InsertWord's
+// mirror: nothing is encoded or decoded.
+func (x *Index) DeleteWord(k, id uint64) bool {
+	return x.arr.Delete(bits.KeyFromUint64(k), id)
+}
+
+// InsertBatch indexes a group of points, aligned with ids: InsertKeys on
+// their keys.
 func (x *Index) InsertBatch(ps [][]uint32, ids []uint64) {
+	x.InsertKeys(x.appendKeys(nil, ps), ids)
+}
+
+// InsertKeys indexes a batch of keys, KeyStride words each as AppendKey
+// lays them out, under ids, aligned; the caller's slices are left as they
+// are. The batch is sorted once (SortBatch), then enters the SFC array
+// through its sorted bulk-load path — a bottom-up build on a cold array, a
+// single merge pass on a warm one — instead of one O(log n) descent per
+// key.
+func (x *Index) InsertKeys(keys, ids []uint64) {
 	w := x.KeyStride()
-	keys, sorted := SortBatch(x.appendKeys(nil, ps), w, ids)
+	keys, sorted := SortBatch(keys, w, ids)
 	x.arr.InsertSortedWords(keys, w, sorted)
 }
 

@@ -33,7 +33,6 @@ import (
 	"sfccover/internal/core"
 	"sfccover/internal/dominance"
 	"sfccover/internal/obs"
-	"sfccover/internal/sfc"
 	"sfccover/internal/subscription"
 )
 
@@ -121,10 +120,6 @@ type Engine struct {
 	linear bool // StrategyLinear: exact covers come from a store scan
 	idx    *dominance.ShardedIndex
 	stores []stripe
-	// wordCurve is the index's curve where its keys fit one word, and the
-	// stripes hold each subscription as its key; nil on wider universes,
-	// whose stripes hold rectangles.
-	wordCurve *sfc.ZCurve
 
 	// closed is set by Close; batch operations and Restore issued after
 	// it report core.ErrProviderClosed.

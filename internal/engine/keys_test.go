@@ -25,7 +25,7 @@ func TestEngineProviderConformanceWideKeys(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			coretest.RunProviderConformance(t, schema, func(t *testing.T) core.Provider {
 				e := MustNew(Config{Detector: det, Shards: 4})
-				if e.wordCurve != nil {
+				if e.stores[0].held.Words() {
 					t.Fatal("a d·k = 80 engine holds one-word keys")
 				}
 				return e
@@ -85,7 +85,7 @@ func TestEngineHeldValueForms(t *testing.T) {
 				Shards:   4,
 			})
 			defer e.Close()
-			if got := e.wordCurve != nil; got != tc.words {
+			if got := e.stores[0].held.Words(); got != tc.words {
 				t.Fatalf("stripes hold keys: %v, want %v", got, tc.words)
 			}
 			// Half arrive one at a time, half in a batch.
@@ -211,7 +211,7 @@ func FuzzHeldKeyWord(f *testing.F) {
 		r, o := rect(0), rect(4*beta)
 		for _, s := range []*subscription.Subscription{r, o} {
 			k := curve.KeyWord(s.Point())
-			if got := keySubscription(schema, curve, k); !got.Equal(s) {
+			if got := core.WordRect(schema, curve, k).Subscription(schema); !got.Equal(s) {
 				t.Fatalf("key %#x of %v decodes to %v", k, s, got)
 			}
 		}
@@ -260,7 +260,7 @@ func TestEngineBytesPerSubscription(t *testing.T) {
 		t.Fatalf("a bulk-loaded engine holds %.1f B a subscription, want <= 64", perSub)
 	}
 	for i := range e.stores {
-		if e.stores[i].rects.Len() != 0 {
+		if !e.stores[i].held.Words() {
 			t.Fatalf("stripe %d of a one-word engine holds rectangles", i)
 		}
 	}

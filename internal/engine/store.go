@@ -7,30 +7,20 @@ import (
 
 	"sfccover/internal/core"
 	"sfccover/internal/dominance"
-	"sfccover/internal/idtable"
 	"sfccover/internal/obs"
-	"sfccover/internal/sfc"
 	"sfccover/internal/subscription"
 )
 
 // stripe is one slice of the subscription store: a subscription goes to
-// the stripe of the index slice that owns its key when it arrives. It
-// holds a value, never the caller's subscription, so nothing the caller
-// does to it afterwards reaches the store. Where the curve's keys fit one
-// word that value is the subscription's Z key, the word the index files
-// it under: Point is a bijection onto the universe's cells and KeyWord
-// one onto the words, so the key is the subscription, 8 bytes where its
-// rectangle takes 32. Wider universes hold the packed rectangle. An
-// engine fills one of the two tables, chosen once by its universe.
+// the stripe of the index slice that owns its key when it arrives. Its
+// held set keeps each subscription by value under its engine id: where
+// the curve's keys fit one word, the Z key the index files it under, and
+// the packed rectangle on wider universes (core.HeldSet).
 type stripe struct {
-	mu    sync.Mutex
-	keys  idtable.Table[uint64]            // keyed by engine id, on one-word universes
-	rects idtable.Table[subscription.Rect] // keyed by engine id, on wider ones
-	next  uint64                           // next local id, starting at 1
+	mu   sync.Mutex
+	held core.HeldSet
+	next uint64 // next local id, starting at 1
 }
-
-// len returns the number of subscriptions the stripe holds.
-func (st *stripe) len() int { return st.keys.Len() + st.rects.Len() }
 
 // initStore builds the index and the store stripes from the normalized
 // detector template (whose MaxCubes already uses the dominance convention:
@@ -42,13 +32,11 @@ func (e *Engine) initStore(det core.Config) error {
 	if e.idx, err = dominance.NewSharded(cfg, shards); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	if cfg.WordKeys() {
-		e.wordCurve = e.idx.Curve()
-	}
 	e.linear = det.Strategy == core.StrategyLinear
 	e.stores = make([]stripe, shards)
 	e.sizes = make([]int, shards)
 	for i := range e.stores {
+		e.stores[i].held = core.NewHeldSet(schema, e.idx.Curve())
 		e.stores[i].next = 1
 	}
 	return nil
@@ -60,7 +48,7 @@ func (e *Engine) Len() int {
 	for i := range e.stores {
 		st := &e.stores[i]
 		st.mu.Lock()
-		n += st.len()
+		n += st.held.Len()
 		st.mu.Unlock()
 	}
 	return n
@@ -76,12 +64,11 @@ func (e *Engine) Enumerate() (*core.Listing, error) {
 	defer e.unlockStripes(nil)
 	n := 0
 	for i := range e.stores {
-		n += e.stores[i].len()
+		n += e.stores[i].held.Len()
 	}
-	l := core.NewListing(e.schema, e.wordCurve, n)
+	l := core.NewListing(n)
 	for i := range e.stores {
-		l.CopyWords(&e.stores[i].keys)
-		l.CopyRects(&e.stores[i].rects)
+		e.stores[i].held.CopyTo(l)
 	}
 	return l, nil
 }
@@ -101,60 +88,6 @@ func (e *Engine) Snapshot() error {
 // by design.)
 func (e *Engine) ShardSizes() []int { return e.idx.ShardSizes() }
 
-// hold puts what a stripe keeps under id: key, the subscription's
-// one-word Z key, on one-word universes, and its rectangle r on wider
-// ones (key unused). The stripe's lock is held.
-func (e *Engine) hold(st *stripe, id, key uint64, r subscription.Rect) {
-	if e.wordCurve != nil {
-		st.keys.Put(id, key)
-		return
-	}
-	st.rects.Put(id, r)
-}
-
-// has reports whether the stripe, whose lock is held, holds id.
-func (st *stripe) has(id uint64) bool {
-	if _, ok := st.keys.Get(id); ok {
-		return true
-	}
-	_, ok := st.rects.Get(id)
-	return ok
-}
-
-// rectOf returns s's rectangle where a stripe holds rectangles and the
-// zero one where it holds keys, so a one-word universe never reads s's
-// ranges.
-func (e *Engine) rectOf(s *subscription.Subscription) subscription.Rect {
-	if e.wordCurve != nil {
-		return subscription.Rect{}
-	}
-	return s.Rect()
-}
-
-// keyOf returns s's one-word key, 0 on wider universes.
-func (e *Engine) keyOf(s *subscription.Subscription) uint64 {
-	if e.wordCurve == nil {
-		return 0
-	}
-	return e.wordCurve.KeyWord(s.Point())
-}
-
-// keySubscription builds a fresh subscription from a held one-word key.
-func keySubscription(schema *subscription.Schema, curve *sfc.ZCurve, k uint64) *subscription.Subscription {
-	return core.WordRect(schema, curve, k).Subscription(schema)
-}
-
-// heldRect resolves id to the rectangle its stripe holds, whose lock the
-// caller holds.
-func (e *Engine) heldRect(id uint64) (subscription.Rect, bool) {
-	shard, _ := decodeID(len(e.stores), id)
-	st := &e.stores[shard]
-	if k, ok := st.keys.Get(id); ok {
-		return core.WordRect(e.schema, e.wordCurve, k), true
-	}
-	return st.rects.Get(id)
-}
-
 // insert mints an id in the stripe of the slice s's key routes to, then
 // places s under it: the key is encoded and routed once for both.
 func (e *Engine) insert(s *subscription.Subscription) uint64 {
@@ -162,7 +95,7 @@ func (e *Engine) insert(s *subscription.Subscription) uint64 {
 	st := &e.stores[loc.Slice]
 	st.mu.Lock()
 	id := encodeID(len(e.stores), loc.Slice, st.next)
-	e.place(st, id, st.next, loc, e.rectOf(s))
+	e.place(st, id, st.next, loc, st.held.RectOf(s))
 	st.mu.Unlock()
 	e.inserted(1)
 	return id
@@ -172,7 +105,7 @@ func (e *Engine) insert(s *subscription.Subscription) uint64 {
 // held in st, whose lock is held, under id, whose local part is local, id
 // is indexed at loc, its key routed, and st mints past local from then on.
 func (e *Engine) place(st *stripe, id, local uint64, loc dominance.Location, r subscription.Rect) {
-	e.hold(st, id, loc.Key.LowWord(), r)
+	st.held.Hold(id, loc.Key.LowWord(), r)
 	st.next = max(st.next, local+1)
 	e.idx.InsertAt(loc, id)
 }
@@ -227,29 +160,19 @@ func (e *Engine) load(subs []*subscription.Subscription) []uint64 {
 		st := &e.stores[s]
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		e.reserve(st, hi-lo)
+		st.held.Grow(hi - lo)
 		base := st.next
 		st.next += uint64(hi - lo)
 		for j := lo; j < hi; j++ {
 			i := order[j]
 			id := encodeID(shards, s, base+rank[i])
 			ids[i], order[j] = id, id
-			e.hold(st, id, sorted[j*w], e.rectOf(subs[i]))
+			st.held.Hold(id, sorted[j*w], st.held.RectOf(subs[i]))
 		}
 		e.idx.InsertSorted(sorted[lo*w:hi*w], order[lo:hi])
 	})
 	e.inserted(len(subs))
 	return ids
-}
-
-// reserve sizes a stripe's table for n more subscriptions, so a batch is
-// held without rehashing. The stripe's lock is held.
-func (e *Engine) reserve(st *stripe, n int) {
-	if e.wordCurve != nil {
-		st.keys.Grow(n)
-	} else {
-		st.rects.Grow(n)
-	}
 }
 
 // lockStripes locks every stripe, or with share non-nil those with a
@@ -308,23 +231,23 @@ func (e *Engine) Restore(held []core.Held) error {
 	defer e.unlockStripes(share)
 	occupied := false // a bulk load into empty stripes checks no id
 	for s, n := range share {
-		occupied = occupied || n > 0 && e.stores[s].len() > 0
+		occupied = occupied || n > 0 && e.stores[s].held.Len() > 0
 	}
 	for i := 0; occupied && i < len(ids); i++ {
-		if s, _ := decodeID(shards, ids[i]); e.stores[s].has(ids[i]) {
+		if s, _ := decodeID(shards, ids[i]); e.stores[s].held.Holds(ids[i]) {
 			return fmt.Errorf("engine: Restore names id %d, which the engine holds", ids[i])
 		}
 	}
 	e.idx.ChooseBoundaries(keys)
 	for s, n := range share {
 		if n > 0 { // a stripe with no share is not locked
-			e.reserve(&e.stores[s], n)
+			e.stores[s].held.Grow(n)
 		}
 	}
 	for i, id := range ids {
 		s, local := decodeID(shards, id)
 		st := &e.stores[s]
-		e.hold(st, id, keys[i*w], held[i].Rect)
+		st.held.Hold(id, keys[i*w], held[i].Rect)
 		st.next = max(st.next, local+1)
 	}
 	cut := e.idx.Cut(sorted)
@@ -345,7 +268,7 @@ func (e *Engine) restoreOne(h *core.Held) error {
 	s, local := decodeID(len(e.stores), h.ID)
 	st := &e.stores[s]
 	st.mu.Lock()
-	if local < st.next && st.has(h.ID) { // the stripe holds no local past next
+	if local < st.next && st.held.Holds(h.ID) { // the stripe holds no local past next
 		st.mu.Unlock()
 		return fmt.Errorf("engine: Restore names id %d, which the engine holds", h.ID)
 	}
@@ -356,15 +279,23 @@ func (e *Engine) restoreOne(h *core.Held) error {
 }
 
 // remove drops id from its stripe and deletes it from the index at the
-// key the stripe held it under.
+// key the stripe held it under: the held word itself routed on one-word
+// universes, the held rectangle's point encoded on wider ones.
 func (e *Engine) remove(id uint64) error {
 	shard, _ := decodeID(len(e.stores), id)
 	st := &e.stores[shard]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	loc, ok := e.release(st, id)
+	var buf [2 * subscription.MaxAttrs]uint32
+	k, p, ok := st.held.Release(id, buf[:])
 	if !ok {
 		return fmt.Errorf("engine: no subscription with id %d", id)
+	}
+	var loc dominance.Location
+	if p == nil {
+		loc = e.idx.LocateWord(k)
+	} else {
+		loc = e.idx.Locate(p)
 	}
 	if !e.idx.DeleteAt(loc, id) {
 		return fmt.Errorf("engine: index out of sync for id %d", id)
@@ -372,31 +303,12 @@ func (e *Engine) remove(id uint64) error {
 	return nil
 }
 
-// release drops id from its stripe, whose lock is held, and routes the
-// key the index holds it under: the held word itself on one-word
-// universes, the held rectangle's point encoded on wider ones.
-func (e *Engine) release(st *stripe, id uint64) (dominance.Location, bool) {
-	if e.wordCurve != nil {
-		k, ok := st.keys.Delete(id)
-		if !ok {
-			return dominance.Location{}, false
-		}
-		return e.idx.LocateWord(k), true
-	}
-	r, ok := st.rects.Delete(id)
-	if !ok {
-		return dominance.Location{}, false
-	}
-	var buf [2 * subscription.MaxAttrs]uint32
-	return e.idx.Locate(r.PointInto(e.schema, buf[:])), true
-}
-
 // Subscription returns the held subscription with the given engine id.
 func (e *Engine) Subscription(id uint64) (*subscription.Subscription, bool) {
 	shard, _ := decodeID(len(e.stores), id)
 	st := &e.stores[shard]
 	st.mu.Lock()
-	r, ok := e.heldRect(id)
+	r, ok := st.held.Rect(id)
 	st.mu.Unlock()
 	if !ok {
 		return nil, false
@@ -410,7 +322,7 @@ func (e *Engine) Holds(id uint64) bool {
 	shard, _ := decodeID(len(e.stores), id)
 	st := &e.stores[shard]
 	st.mu.Lock()
-	ok := st.has(id)
+	ok := st.held.Holds(id)
 	st.mu.Unlock()
 	return ok
 }
@@ -439,22 +351,15 @@ func (e *Engine) searchCover(s *subscription.Subscription, tr *obs.QueryTrace, r
 // scan answers an exact query without the index by walking the store
 // stripes one lock at a time: the smallest id of a held subscription that
 // covers s. Ids interleave across the stripes, so every stripe is walked
-// and counted. A held key covers s exactly when it dominates s's key
-// under every dimension mask, the test the SFC array's leaf check makes.
+// and counted. Every stripe's held set has the one form, so the first
+// encodes s's key for all of them.
 func (e *Engine) scan(s *subscription.Subscription, res *QueryResult) int {
-	q, qk, d := s.Rect(), e.keyOf(s), e.schema.Dims()
+	q, qk := s.Rect(), e.stores[0].held.Key(s.Point())
 	for i := range e.stores {
 		st := &e.stores[i]
 		st.mu.Lock()
-		for id, k := range st.keys.All() {
-			if (!res.Covered || id < res.CoveredBy) && sfc.DominatesWord(d, k, qk) {
-				res.Covered, res.CoveredBy = true, id
-			}
-		}
-		for id, cand := range st.rects.All() {
-			if (!res.Covered || id < res.CoveredBy) && cand.Covers(q) {
-				res.Covered, res.CoveredBy = true, id
-			}
+		if id, ok := st.held.MinCover(q, qk); ok && (!res.Covered || id < res.CoveredBy) {
+			res.Covered, res.CoveredBy = true, id
 		}
 		st.mu.Unlock()
 	}

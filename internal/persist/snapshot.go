@@ -82,9 +82,7 @@ func (m linkTables) drop(link string, sid uint64) {
 // sid ascending when it is read. Called under the lock the table lives
 // under.
 func listRects(t *idtable.Table[subscription.Rect]) *core.Listing {
-	l := core.NewListing(nil, nil, t.Len())
-	l.CopyRects(t)
-	return l
+	return core.ListRects(t.AppendTo(make([]idtable.Slot[subscription.Rect], 0, t.Len())))
 }
 
 // sortedHeld lists one link's table by sid ascending, the order a

@@ -2,6 +2,7 @@ package sfc
 
 import (
 	mbits "math/bits"
+	"sync/atomic"
 
 	"sfccover/internal/bits"
 )
@@ -19,9 +20,10 @@ type ZCurve struct {
 	// dimension, so the successor step compares and combines coordinates
 	// in place in the key, never decoding them.
 	dimMask []uint64
-	// gather decodes one-word keys (CellWordInto), resolved here once;
-	// nil where keys are wider than a word.
-	gather *bits.GatherTable
+	// gather decodes one-word keys (Gather): resolved at the curve's
+	// first decode, not at construction, so a holder that never decodes a
+	// key never builds the 16 KB table; one atomic load a key after that.
+	gather atomic.Pointer[bits.GatherTable]
 }
 
 // NewZ builds a Z curve for the given universe.
@@ -37,7 +39,6 @@ func NewZ(cfg Config) (*ZCurve, error) {
 				z.dimMask[i] |= 1 << uint(j*d+d-1-i)
 			}
 		}
-		z.gather = bits.Gather(d)
 	}
 	return z, nil
 }
@@ -108,7 +109,25 @@ func (z *ZCurve) Cell(key bits.Key) []uint32 {
 // for the key's numeric value: it writes the d coordinates into dst,
 // which must hold d, and returns that prefix of dst. It inverts KeyWord.
 func (z *ZCurve) CellWordInto(dst []uint32, key uint64) []uint32 {
-	return z.gather.DeinterleaveWordInto(dst[:z.cfg.Dims], key, z.cfg.Bits)
+	return z.Gather().DeinterleaveWordInto(dst[:z.cfg.Dims], key, z.cfg.Bits)
+}
+
+// Gather returns the gather table that decodes the curve's one-word keys
+// (d·k <= 64), resolving it at the first call: a caller decoding a key
+// calls its DeinterleaveWordInto with d coordinates of k bits. After the
+// first call it is one atomic load, small enough to inline.
+func (z *ZCurve) Gather() *bits.GatherTable {
+	if g := z.gather.Load(); g != nil {
+		return g
+	}
+	return z.resolveGather()
+}
+
+// resolveGather is Gather's first call.
+func (z *ZCurve) resolveGather() *bits.GatherTable {
+	g := bits.Gather(z.cfg.Dims)
+	z.gather.Store(g)
+	return g
 }
 
 // DominatesWord reports whether the one-word Z key key dominates qk on a
