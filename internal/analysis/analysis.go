@@ -1,9 +1,8 @@
-// Package analysis is the project's static-analysis suite: four
+// Package analysis is the project's static-analysis suite: three
 // analyzers that mechanically enforce the invariants the system's
 // correctness and performance claims rest on — the claim→log→apply
 // ordering of the persist path, the zero-measured-cost telemetry budget
-// of the hot query path, the atomic/alignment discipline of the
-// lock-free structures, and typed wire refusals in the daemon.
+// of the hot query path, and typed wire refusals in the daemon.
 //
 // The framework mirrors golang.org/x/tools/go/analysis in miniature —
 // an Analyzer runs over one type-checked package and reports position
@@ -19,7 +18,6 @@
 //	//sfc:hotpath                      (on a func: opt into hotpathclock)
 //	//sfc:allowclock <reason>          (suppress a hotpathclock finding)
 //	//sfc:walok <reason>               (suppress a walorder finding)
-//	//sfc:noatomicguard <reason>       (suppress an atomicalign finding)
 //	//sfc:rawerr <reason>              (suppress a wireerrs finding)
 //
 // DESIGN.md's "Invariant catalog" section lists each enforced invariant

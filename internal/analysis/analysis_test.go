@@ -15,10 +15,6 @@ func TestWALOrder(t *testing.T) {
 	analysistest.Run(t, analysis.WALOrder, "walorder")
 }
 
-func TestAtomicAlign(t *testing.T) {
-	analysistest.Run(t, analysis.AtomicAlign, "atomicalign")
-}
-
 func TestWireErrs(t *testing.T) {
 	analysistest.Run(t, analysis.WireErrs, "wireerrs")
 }

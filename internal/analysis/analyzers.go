@@ -3,7 +3,6 @@ package analysis
 // All returns the full analyzer suite in the order sfclint runs it.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicAlign,
 		HotPathClock,
 		WALOrder,
 		WireErrs,

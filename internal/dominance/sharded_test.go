@@ -8,11 +8,26 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"sfccover/internal/bits"
 	"sfccover/internal/geom"
 	"sfccover/internal/obs"
 )
+
+// TestSummaryMirrorLayout pins the one cache-line-padded struct: a
+// summary mirror is 64 bytes, an allocation aligned to its line, with its
+// atomic word first, ahead of the pad — 8-byte aligned on 32-bit targets
+// too, and sharing its line with nothing.
+func TestSummaryMirrorLayout(t *testing.T) {
+	var m summaryMirror
+	if size := unsafe.Sizeof(m); size != 64 {
+		t.Fatalf("summaryMirror is %d bytes, want one 64-byte cache line", size)
+	}
+	if off := unsafe.Offsetof(m.Uint64); off != 0 {
+		t.Fatalf("summaryMirror's atomic word sits at offset %d, want 0, ahead of the pad", off)
+	}
+}
 
 func TestNewShardedValidation(t *testing.T) {
 	if _, err := NewSharded(Config{Dims: 2, Bits: 6}, 0); err == nil {

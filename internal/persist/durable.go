@@ -14,15 +14,16 @@ import (
 // DurableProvider makes any core.Provider durable: every write is logged
 // to the store's WAL before the wrapped provider applies it, and
 // Store.Durable rebuilds the wrapped provider from the recovered dump
-// through its Restore. The wrapper mints every id, past every id held so
-// far, and applies an add as a Restore under the id it logged: one id
-// space in every incarnation, recovered, snapshot-installed or promoted.
+// through its Restore. The wrapper mints every id, past every id the
+// dir's history ever held (the store's id mark), and applies an add as a
+// Restore under the id it logged: one id space in every incarnation,
+// recovered, snapshot-installed or promoted.
 //
 // The wrapped provider alone holds the link's state, and nothing else
 // writes to it. Each write is claim → log → apply inside the wrapper's
 // write section, the claim ruling out whatever Restore could refuse: a
 // write the log refuses was never visible, one it takes applies, and
-// Enumerate, snapshots and reset dumps, which read the provider holding
+// Enumerate, snapshots and resets, which read the provider holding
 // the section, see exactly the logged state. Close closes the wrapped
 // provider and releases the link, handing its state back to the store.
 type DurableProvider struct {
@@ -47,8 +48,9 @@ var _ core.Provider = (*DurableProvider)(nil)
 
 // Durable wraps inner with durability for one link namespace, restoring
 // the link's recovered subscriptions into it first and dropping them from
-// the store's mirror. inner must be empty (recovery owns its content),
-// share the store's schema, and not already be wrapped for the same link.
+// the store's mirror; it mints past the store's id mark. inner must be
+// empty (recovery owns its content), share the store's schema, and not
+// already be wrapped for the same link.
 func (st *Store) Durable(link string, inner core.Provider) (*DurableProvider, error) {
 	if inner.Schema() != st.schema {
 		return nil, fmt.Errorf("persist: provider schema differs from store schema")
@@ -73,9 +75,10 @@ func (st *Store) Durable(link string, inner core.Provider) (*DurableProvider, er
 	// the table has moved into inner.
 	st.wrapped[link] = d
 	recovered := sortedHeld(st.state[link])
+	d.next = st.mark + 1
 	st.mu.Unlock()
 	if n := len(recovered); n > 0 {
-		d.next = recovered[n-1].ID + 1
+		d.next = max(d.next, recovered[n-1].ID+1)
 	}
 
 	//sfc:walok recovery replays records already on disk; appending them again would double the log every boot

@@ -13,8 +13,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/ from this run")
 
-// TestSnapshotBytesGolden pins the bytes a snapshot file and a Reset dump
-// carry for a fixed op sequence: a Detector wrapped on "det", a one-slice
+// TestSnapshotBytesGolden pins the bytes a snapshot file and a Reset
+// image (dump.golden: its position, then the image) carry for a fixed op
+// sequence: a Detector wrapped on "det", a one-slice
 // engine wrapped on the shared link and one link written straight to the
 // store and never wrapped. The goldens are compared byte for byte; run
 // with -update to regenerate them, and review the diff.
@@ -60,7 +61,7 @@ func TestSnapshotBytesGolden(t *testing.T) {
 	}
 	checkGolden(t, "snapshot.golden", snap)
 
-	tail, err := st.Tail(st.Pos() + 100) // divergent: always a Reset dump
+	tail, err := st.Tail(st.Pos() + 100) // divergent: always a Reset image
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestSnapshotBytesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !b.Reset {
-		t.Fatal("divergent position got a plain batch, want a Reset dump")
+		t.Fatal("divergent position got a plain batch, want a Reset image")
 	}
 	checkGolden(t, "dump.golden", append(binary.AppendUvarint(nil, b.Pos), b.Recs...))
 }

@@ -98,12 +98,12 @@ type StoreStats struct {
 // (link -> sid -> rectangle) only the links no provider wraps — links
 // recovered but not yet wrapped, every link of a follower, released
 // links. Either way a subscription is held as its rectangle: an add's
-// wire payload is decoded once, where it enters the store (snapshot, WAL
-// replay, replicated batch, reset dump, an add on an unwrapped link), and
+// wire payload is decoded once, where it enters the store (snapshot or
+// reset, WAL replay, replicated batch, an add on an unwrapped link), and
 // one that does not decode is ErrCorrupt before anything is logged or
-// installed. Snapshots, reset dumps and the views read both kinds of
-// link, a wrapped one through its provider at a cut, and encode the
-// rectangles back into payloads. All methods are safe for concurrent use.
+// installed. Snapshots, resets and the views read both kinds of link, a
+// wrapped one through its provider at a cut, and encode the rectangles
+// back into payloads. All methods are safe for concurrent use.
 //
 // The locks are taken in one order: snap, then reg, then each wrapped
 // link's write section (DurableProvider.mu) in link-name order, then mu. A
@@ -152,6 +152,10 @@ type Store struct {
 	// carry it as basePos, replay advances it) and is what a follower
 	// hands back to resume the primary's stream. Never decremented.
 	pos uint64
+	// mark is the id high-water mark: the largest sid any add record in
+	// this dir's history carried, removed since or not. Snapshots carry
+	// it, land advances it, and Durable mints past it.
+	mark uint64
 	// ring buffers the most recent records so followers resuming from a
 	// slightly stale position replay from memory instead of forcing a
 	// full-state reset.
@@ -266,10 +270,11 @@ func (st *Store) recover() (uint64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("persist: reading snapshot: %w", err)
 		}
-		_, st.state, st.pos, err = decodeSnapshot(st.schema, data)
+		img, err := decodeSnapshot(st.schema, data)
 		if err != nil {
 			return 0, err
 		}
+		st.state, st.pos, st.mark = img.links, img.pos, img.mark
 		st.hasSnapshot = true
 	}
 	segs, err := listSeqs(st.dir, "wal-", ".log")
@@ -285,16 +290,16 @@ func (st *Store) recover() (uint64, error) {
 		}
 		final := i == len(segs)-1
 		err := replaySegment(filepath.Join(st.dir, segmentName(seq)), final, func(r record) error {
-			var rect subscription.Rect
+			var rect [1]subscription.Rect
 			if r.op == opAdd {
 				var err error
-				if rect, err = decodePayload(st.schema, r.link, r.sid, r.payload); err != nil {
+				if rect[0], err = decodePayload(st.schema, r.link, r.sid, r.payload); err != nil {
 					return err
 				}
 			}
 			st.dirtyRecords++
 			st.pos++
-			st.mirror(r, rect)
+			st.land([]record{r}, rect[:])
 			return nil
 		})
 		if err != nil {
@@ -470,40 +475,42 @@ func (st *Store) unwrapped(rs []record) ([]subscription.Rect, error) {
 }
 
 // committed folds a batch of landed records, whose WAL bytes are wire,
-// into every in-memory view: counters, the mirror (the records rects,
-// from unwrapped, holds), the stream position, the replication ring and
-// any live tailers. Called with st.mu held, after the records are in the
-// log — the stream never runs ahead of the WAL, so a follower can only
-// ever apply records the primary could itself recover.
+// into every in-memory view: counters, the id mark and the mirror
+// (land), the stream position, the replication ring and any live
+// tailers. Called with st.mu held, after the records are in the log —
+// the stream never runs ahead of the WAL, so a follower can only ever
+// apply records the primary could itself recover.
 func (st *Store) committed(rs []record, rects []subscription.Rect, wire []byte) {
 	st.walRecords += len(rs)
 	st.walBytes += int64(len(wire))
 	st.dirtyRecords += len(rs)
 	base := st.pos
 	st.pos += uint64(len(rs))
-	if rects != nil {
-		for i, r := range rs {
-			st.mirror(r, rects[i])
-		}
-	}
+	st.land(rs, rects)
 	st.ring.push(wire, len(rs))
 	st.notifyTailers(wire, base, len(rs))
 }
 
-// mirror folds one landed record into the mirror, the table an
-// un-wrapped link's appendRemove claims against; it is that table's one
-// writer. rect is an add's payload, decoded. A wrapped link's record is
-// its provider's, already applied or about to be, and is not mirrored.
-// Called with st.mu held (or by recover, before the store is shared),
-// after the record is on disk.
-func (st *Store) mirror(r record, rect subscription.Rect) {
-	if st.wrapped[r.link] != nil {
-		return
-	}
-	if r.op == opAdd {
-		st.state.put(r.link, r.sid, rect)
-	} else {
-		st.state.drop(r.link, r.sid)
+// land is what every record on disk passes through — a local append, a
+// replicated run, WAL replay: an add advances the id mark, and a record
+// on a link no provider wraps is folded into the mirror, of which land
+// is the one writer. rects holds each add's payload, decoded, or is nil
+// when every record is a wrapped link's, whose state is its provider's.
+// Called with st.mu held (or by recover, before the store is shared).
+func (st *Store) land(rs []record, rects []subscription.Rect) {
+	for i := range rs {
+		r := &rs[i]
+		if r.op == opAdd {
+			st.mark = max(st.mark, r.sid)
+		}
+		if rects == nil || st.wrapped[r.link] != nil {
+			continue
+		}
+		if r.op == opAdd {
+			st.state.put(r.link, r.sid, rects[i])
+		} else {
+			st.state.drop(r.link, r.sid)
+		}
 	}
 }
 
@@ -530,7 +537,7 @@ func (st *Store) Snapshot() error {
 		return err
 	}
 	hold := time.Since(c.held)
-	if err := writeSnapshot(st.dir, c.cutoff, encodeLinks(st.schema, c.links, c.pos)); err != nil {
+	if err := writeSnapshot(st.dir, c.cutoff, encodeLinks(st.schema, c.links, c.pos, c.mark)); err != nil {
 		return err
 	}
 	st.compact(c.cutoff)
@@ -545,14 +552,14 @@ func (st *Store) Snapshot() error {
 
 // snapCut is what a snapshot's capture takes under the cut: every link's
 // held set, the first WAL segment it does not cover, the stream position
-// it covers and the count of records it covers that no earlier snapshot
-// did; held is when the cut was taken.
+// and id mark it covers and the count of records it covers that no
+// earlier snapshot did; held is when the cut was taken.
 type snapCut struct {
-	links   []linkEntries
-	cutoff  uint64
-	pos     uint64
-	records int
-	held    time.Time
+	links     []linkEntries
+	cutoff    uint64
+	pos, mark uint64
+	records   int
+	held      time.Time
 }
 
 // capture is a snapshot's first phase, under the cut: it lists every
@@ -578,7 +585,7 @@ func (st *Store) capture() (*snapCut, error) {
 	if err := st.w.rotate(); err != nil {
 		return nil, err
 	}
-	return &snapCut{links: links, cutoff: st.w.seq, pos: st.pos, records: st.dirtyRecords, held: held}, nil
+	return &snapCut{links: links, cutoff: st.w.seq, pos: st.pos, mark: st.mark, records: st.dirtyRecords, held: held}, nil
 }
 
 // lockCut takes every lock a cut across links needs, in the store's lock

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-
-	"sfccover/internal/subscription"
 )
 
 // Replication rides the WAL: every record a Store commits is also pushed,
@@ -16,8 +14,9 @@ import (
 // position durably (snapshots carry it as basePos), hands it back after a
 // restart, and the primary resumes the stream from there: out of the
 // in-memory ring when the follower is close behind, or as a full-state
-// reset when it is not. The follower logs the records it applies
-// verbatim, so its WAL holds the primary's record bytes. Records are
+// reset when it is not: a snapshot image, which the follower writes as
+// its own snapshot. The follower logs the records it applies verbatim, so
+// its WAL holds the primary's record bytes. Records are
 // idempotent under re-application (an add overwrites, a remove of an
 // absent sid is a no-op), so a re-streamed overlap can never diverge a
 // follower — the divergence test pins that bit-identically.
@@ -50,9 +49,9 @@ func RecordLen(run []byte) int {
 	return n + int(bodyLen) + 4
 }
 
-// eachRecord decodes a run of WAL records from a replication stream — a
-// frame or a reset dump — strictly, handing fn each record with the
-// bytes after it, and stopping at the first error fn returns: a torn or
+// eachRecord decodes a run of WAL records from a replication stream
+// strictly, handing fn each record with the bytes after it, and stopping
+// at the first error fn returns: a torn or
 // checksum-broken record anywhere is ErrCorrupt, because unlike a
 // segment's tail no crash explains a torn stream.
 func eachRecord(run []byte, fn func(r record, rest []byte) error) error {
@@ -175,13 +174,14 @@ func (g *replRing) from(pos uint64) ([]byte, bool) {
 	return run, true
 }
 
-// TailBatch is one hop of a replication stream: Recs is a run of records
-// in their WAL segment form (self-delimiting, CRC-protected), the bytes
-// the primary's log holds. When Reset is false, they are the records at
+// TailBatch is one hop of a replication stream. When Reset is false,
+// Recs is a run of records in their WAL segment form (self-delimiting,
+// CRC-protected), the bytes the primary's log holds: the records at
 // stream positions Base+1..Pos, to be applied via ApplyReplicated. When
-// Reset is true, they are a full-state dump (adds only) at position Pos,
-// to be installed via InstallState — the follower was too far behind (or
-// ahead, after a divergent history) to catch up record-by-record.
+// Reset is true, Recs is a snapshot image of the full state at position
+// Pos, to be installed via InstallState — the follower was too far
+// behind (or ahead, after a divergent history) to catch up
+// record-by-record.
 type TailBatch struct {
 	Reset bool
 	Base  uint64
@@ -206,31 +206,32 @@ const tailerBuf = 64
 
 // Tail opens a replication stream resuming after stream position from
 // (0 = from the beginning). The first batches replay history — out of
-// the ring when from is inside the window, as a Reset dump otherwise —
+// the ring when from is inside the window, as a Reset image otherwise —
 // and every commit after the call follows live, with no gap between the
 // two: the history is cut, and the tailer registered, under one hold of
-// the cut, which a dump needs to capture the wrapped links. A dump's
-// records are encoded after the cut is released.
+// the cut, which a reset needs to capture the wrapped links. A reset is
+// encoded after the cut is released, as a snapshot's write phase does.
 func (st *Store) Tail(from uint64) (*Tailer, error) {
 	t := &Tailer{st: st, ch: make(chan TailBatch, tailerBuf)}
-	links, pos, reset, err := st.tailCut(t, from)
+	c, err := st.tailCut(t, from)
 	if err != nil {
 		return nil, err
 	}
-	if reset {
-		t.initial = []TailBatch{st.dump(links, pos)}
+	if c != nil {
+		t.initial = []TailBatch{{Reset: true, Pos: c.pos, Recs: encodeLinks(st.schema, c.links, c.pos, c.mark)}}
 	}
 	return t, nil
 }
 
 // tailCut is Tail under the cut: it registers t and gives it the ring's
-// records after from, or, when from is outside the ring's window, captures
-// every link for a reset dump at position pos.
-func (st *Store) tailCut(t *Tailer, from uint64) (links []linkEntries, pos uint64, reset bool, err error) {
+// records after from, or, when from is outside the ring's window, returns
+// the capture of every link a reset image is encoded from.
+func (st *Store) tailCut(t *Tailer, from uint64) (*snapCut, error) {
 	defer st.lockCut()()
 	if st.closed {
-		return nil, 0, false, ErrClosed
+		return nil, ErrClosed
 	}
+	var reset *snapCut
 	if run, ok := st.ring.from(from); ok {
 		if len(run) > 0 {
 			t.initial = []TailBatch{{Base: from, Pos: st.pos, Recs: run}}
@@ -239,28 +240,14 @@ func (st *Store) tailCut(t *Tailer, from uint64) (links []linkEntries, pos uint6
 		// Too far behind the ring window — or ahead of us entirely, which
 		// means a divergent history (an old primary rejoining with records
 		// we never saw). Either way the catch-up is a full-state reset.
-		if links, err = st.linksLocked(); err != nil {
-			return nil, 0, false, err
+		links, err := st.linksLocked()
+		if err != nil {
+			return nil, err
 		}
-		reset = true
+		reset = &snapCut{links: links, pos: st.pos, mark: st.mark}
 	}
 	st.tailers[t] = struct{}{}
-	return links, st.pos, reset, nil
-}
-
-// dump encodes captured links as a Reset batch at position pos: an add
-// record for each held rectangle, its payload written straight into the
-// run.
-func (st *Store) dump(links []linkEntries, pos uint64) TailBatch {
-	batch := TailBatch{Reset: true, Pos: pos}
-	var scratch [subscription.MaxWireLen]byte
-	for _, l := range links {
-		for sid, r := range l.list.All() {
-			pay := r.AppendBinary(scratch[:0], st.schema)
-			batch.Recs = appendRecord(batch.Recs, record{op: opAdd, link: l.name, sid: sid, payload: pay})
-		}
-	}
-	return batch
+	return reset, nil
 }
 
 // notifyTailers pushes a freshly committed batch, the count records at
@@ -386,16 +373,17 @@ func (st *Store) ApplyReplicated(base uint64, run []byte) error {
 	return nil
 }
 
-// InstallState replaces the store's entire durable state with a Reset
-// dump, a run of WAL records, at stream position pos: the WAL rotates, a
-// snapshot of the dump lands (carrying pos as its base), the mirror and
-// ring are swapped, and the superseded log is compacted away. This is the
-// follower's answer to a Reset batch — equivalent to a cold copy of the
-// primary's dir, without a WAL full of removes for state it never had.
-// Refused on stores with live providers, and with ErrCorrupt, before
-// anything is written, when a record is torn or an add's payload does not
-// decode.
-func (st *Store) InstallState(run []byte, pos uint64) error {
+// InstallState replaces the store's entire durable state with a reset
+// image, a snapshot at the primary's stream position: the image is
+// decoded whole (checksum, schema, sid order, payloads), the WAL rotates,
+// the image's bytes land as this store's snapshot, the mirror, position,
+// id mark and ring are swapped, and the superseded log is compacted away.
+// This is the follower's answer to a Reset batch — a cold copy of the
+// primary's snapshot, without a WAL full of removes for state it never
+// had. Refused on stores with live providers, and with ErrCorrupt (or
+// ErrSchemaMismatch), before anything is written, when the image does
+// not decode.
+func (st *Store) InstallState(img []byte) error {
 	st.snap.Lock()
 	defer st.snap.Unlock()
 	st.mu.Lock()
@@ -406,18 +394,7 @@ func (st *Store) InstallState(run []byte, pos uint64) error {
 	if len(st.wrapped) > 0 {
 		return ErrHasProviders
 	}
-	state := make(linkTables)
-	err := eachRecord(run, func(r record, _ []byte) error {
-		if r.op == opRem {
-			state.drop(r.link, r.sid) // a dump carries adds only; a remove drops what the run added
-			return nil
-		}
-		rect, err := decodePayload(st.schema, r.link, r.sid, r.payload)
-		if err == nil {
-			state.put(r.link, r.sid, rect)
-		}
-		return err
-	})
+	state, err := decodeSnapshot(st.schema, img)
 	if err != nil {
 		return err
 	}
@@ -425,12 +402,11 @@ func (st *Store) InstallState(run []byte, pos uint64) error {
 		return err
 	}
 	cutoff := st.w.seq
-	if err := writeSnapshot(st.dir, cutoff, encodeSnapshot(st.schema, state, pos)); err != nil {
+	if err := writeSnapshot(st.dir, cutoff, img); err != nil {
 		return err
 	}
-	st.state = state
-	st.pos = pos
-	st.ring.reset(pos)
+	st.state, st.pos, st.mark = state.links, state.pos, state.mark
+	st.ring.reset(st.pos)
 	st.snapshots++
 	st.dirtyRecords = 0
 	st.hasSnapshot = true

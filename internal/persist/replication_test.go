@@ -13,7 +13,7 @@ import (
 )
 
 // addRec builds an add record for the i-th anti-chain member.
-func addRec(t *testing.T, link string, sid uint64, i int) record {
+func addRec(t testing.TB, link string, sid uint64, i int) record {
 	t.Helper()
 	return record{op: opAdd, link: link, sid: sid, payload: payload(t, rect(t, testSchema(), i))}
 }
@@ -37,12 +37,26 @@ func countRecords(run []byte) int {
 	return n
 }
 
+// imageEntries counts the entries of a reset image, across its links.
+func imageEntries(t *testing.T, img []byte) int {
+	t.Helper()
+	got, err := decodeSnapshot(nil, img)
+	if err != nil {
+		t.Fatalf("reset image does not decode: %v", err)
+	}
+	n := 0
+	for _, table := range got.links {
+		n += table.Len()
+	}
+	return n
+}
+
 // applyBatch lands one tail batch on a follower store through whichever
 // path its shape demands, exactly as the daemon's stream consumer does.
 func applyBatch(t *testing.T, st *Store, b TailBatch) {
 	t.Helper()
 	if b.Reset {
-		if err := st.InstallState(b.Recs, b.Pos); err != nil {
+		if err := st.InstallState(b.Recs); err != nil {
 			t.Fatalf("InstallState: %v", err)
 		}
 		return
@@ -346,7 +360,9 @@ func TestFollowerRefusesUndecodablePayload(t *testing.T) {
 		apply func() error
 	}{
 		{"ApplyReplicated", func() error { return st.ApplyReplicated(pos, bad) }},
-		{"InstallState", func() error { return st.InstallState(bad, pos+5) }},
+		{"InstallState", func() error {
+			return st.InstallState(imageOf(snapMagic, schema, pos+5, 3, addRec(t, "a", 3, 1), record{link: "a", sid: 2, payload: undecodable}))
+		}},
 	} {
 		if err := c.apply(); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s with an undecodable add = %v, want ErrCorrupt", c.name, err)
@@ -600,7 +616,7 @@ func TestReplicationRingWraps(t *testing.T) {
 			}
 		default:
 			b := tl.initial[0]
-			if n := countRecords(b.Recs); !b.Reset || b.Pos != pos || n != st.Stats().Entries {
+			if n := imageEntries(t, b.Recs); !b.Reset || b.Pos != pos || n != st.Stats().Entries {
 				t.Fatalf("%s: Tail(%d) = reset %v pos %d with %d records, want a reset dump of %d entries at %d", stage, from, b.Reset, b.Pos, n, st.Stats().Entries, pos)
 			}
 			if held < uint64(min(replRingMax, pushed)) && from >= ref.base && from <= pos {
@@ -639,7 +655,7 @@ func TestReplicationRingWraps(t *testing.T) {
 	// A follower's reset: the ring restarts empty at the installed
 	// position, and the history before it is gone from both rings.
 	resetPos := st.Pos() + 50
-	if err := st.InstallState(encodeRun(addRec(t, "", 1, 0), addRec(t, "x", 2, 1)), resetPos); err != nil {
+	if err := st.InstallState(imageOf(snapMagic, schema, resetPos, 2, addRec(t, "", 1, 0), addRec(t, "x", 2, 1))); err != nil {
 		t.Fatal(err)
 	}
 	ref = sliceRing{base: resetPos}

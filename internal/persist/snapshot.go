@@ -7,22 +7,23 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 
 	"sfccover/internal/core"
 	"sfccover/internal/idtable"
 	"sfccover/internal/subscription"
 )
 
-// A snapshot is one self-validating file, snap-<seq>.snap, holding the
-// full subscription state of every link namespace at a point in time. The
-// seq names the first WAL segment whose records post-date the snapshot:
+// A snapshot is one self-validating image of the full subscription state
+// of every link namespace at a point in time, and the store's only
+// full-state form: snap-<seq>.snap holds one, and so does a follower's
+// reset, which InstallState lands as its snapshot byte for byte. The seq
+// names the first WAL segment whose records post-date the snapshot:
 // recovery loads the newest valid snapshot and replays only segments with
 // seq >= it.
 //
-//	snapshot: "SFCS2\n"
+//	snapshot: "SFCS3\n"
 //	          | uvarint bits | uvarint numAttrs | (uvarint len | name)*
-//	          | uvarint basePos
+//	          | uvarint basePos | uvarint mark
 //	          | uvarint numLinks
 //	          | link*                      (sorted by name)
 //	          | crc32(everything above) (4 bytes LE)
@@ -40,20 +41,23 @@ import (
 // record. The store holds rectangles, not payloads: the encoder writes
 // each rectangle's payload in place, and the decoder decodes each payload
 // into its rectangle as it reads the section, refusing one that does not
-// decode as ErrCorrupt. The file format is the same as when the store
-// held payloads, byte for byte.
+// decode as ErrCorrupt.
 //
 // basePos is the replication stream position the snapshot covers: the
 // count of WAL records ever applied in this dir's history up to the
 // snapshot point. Recovery seeds Store.Pos from it (plus whatever the WAL
 // replays on top), which is how a follower knows where to resume the
-// primary's stream after its own restart. SFCS2 bumped the magic when the
-// field was added; SFCS1 dirs predate any release and are refused as
-// corrupt rather than carrying a second decode path forever.
-const snapMagic = "SFCS2\n"
+// primary's stream after its own restart. mark is the id high-water mark
+// there (Store.mark). SFCS3 added mark; an SFCS2 image still decodes,
+// with mark 0, and SFCS1 dirs predate any release and are refused as
+// corrupt.
+const (
+	snapMagic   = "SFCS3\n"
+	snapMagicV2 = "SFCS2\n"
+)
 
 // linkTables holds subscriptions by link and sid as their rectangles:
-// the store's mirror, a decoded snapshot, an installed reset dump. Each
+// the store's mirror, a decoded snapshot or reset. Each
 // rectangle was decoded once, from the payload its bytes carried into the
 // store.
 type linkTables map[string]*idtable.Table[subscription.Rect]
@@ -92,8 +96,8 @@ func sortedHeld(t *idtable.Table[subscription.Rect]) []core.Held {
 }
 
 // decodePayload decodes the payload of an add on link under schema. It
-// runs where the bytes enter the store from outside — a snapshot, WAL
-// replay, a replicated batch or reset dump, an add on a link no provider
+// runs where the bytes enter the store from outside — a snapshot or
+// reset, WAL replay, a replicated batch, an add on a link no provider
 // wraps — so a payload that does not decode is refused there, as
 // ErrCorrupt, before anything holds it.
 func decodePayload(schema *subscription.Schema, link string, sid uint64, payload []byte) (subscription.Rect, error) {
@@ -104,7 +108,7 @@ func decodePayload(schema *subscription.Schema, link string, sid uint64, payload
 	return r, nil
 }
 
-// linkEntries is one link's section of a snapshot or a reset dump: its
+// linkEntries is one link's section of a snapshot: its
 // name and its subscriptions as captured, listed by sid ascending and
 // encoded straight into the section's bytes.
 type linkEntries struct {
@@ -112,24 +116,14 @@ type linkEntries struct {
 	list *core.Listing
 }
 
-// encodeSnapshot serializes the per-link state, every link of links by
-// name, as a snapshot at replication stream position basePos.
-func encodeSnapshot(schema *subscription.Schema, links linkTables, basePos uint64) []byte {
-	sections := make([]linkEntries, 0, len(links))
-	for name, t := range links {
-		sections = append(sections, linkEntries{name: name, list: listRects(t)})
-	}
-	slices.SortFunc(sections, func(a, b linkEntries) int { return strings.Compare(a.name, b.name) })
-	return encodeLinks(schema, sections, basePos)
-}
-
 // encodeLinks serializes links, which are sorted by name, as a snapshot
-// at stream position basePos, into one buffer sized up front: each
-// rectangle's payload is written in place, its length byte patched after
-// (a payload is shorter than 128 bytes, so its length is one byte).
-func encodeLinks(schema *subscription.Schema, links []linkEntries, basePos uint64) []byte {
+// at stream position basePos with id mark mark, into one buffer sized up
+// front: each rectangle's payload is written in place, its length byte
+// patched after (a payload is shorter than 128 bytes, so its length is
+// one byte).
+func encodeLinks(schema *subscription.Schema, links []linkEntries, basePos, mark uint64) []byte {
 	attrs := schema.Attrs()
-	size := len(snapMagic) + 4 + 3*binary.MaxVarintLen64
+	size := len(snapMagic) + 4 + 4*binary.MaxVarintLen64
 	for _, a := range attrs {
 		size += binary.MaxVarintLen64 + len(a)
 	}
@@ -146,6 +140,7 @@ func encodeLinks(schema *subscription.Schema, links []linkEntries, basePos uint6
 		buf = append(buf, a...)
 	}
 	buf = binary.AppendUvarint(buf, basePos)
+	buf = binary.AppendUvarint(buf, mark)
 	buf = binary.AppendUvarint(buf, uint64(len(links)))
 	for _, l := range links {
 		buf = binary.AppendUvarint(buf, uint64(len(l.name)))
@@ -196,19 +191,30 @@ func (c *snapCursor) bytes(what string) []byte {
 	return out
 }
 
-// decodeSnapshot parses and checksum-verifies a snapshot file's bytes,
-// decoding every payload into its rectangle, and returns the schema it
-// decoded under, the per-link state and the stream basePos it covers. A
-// nil schema decodes under the one the header names (the fuzz target's
-// mode), and a header that names no valid schema is ErrCorrupt; otherwise
-// bits and attribute names must match schema exactly.
-func decodeSnapshot(schema *subscription.Schema, data []byte) (*subscription.Schema, linkTables, uint64, error) {
-	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
-		return nil, nil, 0, fmt.Errorf("%w: snapshot has bad magic", ErrCorrupt)
+// image is a decoded snapshot: its schema, state, basePos and mark.
+type image struct {
+	schema *subscription.Schema
+	links  linkTables
+	pos    uint64
+	mark   uint64
+}
+
+// decodeSnapshot parses and checksum-verifies a snapshot image, decoding
+// every payload into its rectangle. A nil schema decodes under the one
+// the header names (the fuzz targets' mode), and a header that names no
+// valid schema is ErrCorrupt; otherwise bits and attribute names must
+// match schema exactly.
+func decodeSnapshot(schema *subscription.Schema, data []byte) (image, error) {
+	if len(data) < len(snapMagic)+4 {
+		return image{}, fmt.Errorf("%w: snapshot has bad magic", ErrCorrupt)
+	}
+	magic := string(data[:len(snapMagic)])
+	if magic != snapMagic && magic != snapMagicV2 {
+		return image{}, fmt.Errorf("%w: snapshot has bad magic", ErrCorrupt)
 	}
 	body, crc := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crc) {
-		return nil, nil, 0, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
+		return image{}, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
 	}
 	c := &snapCursor{rest: body[len(snapMagic):]}
 	bits := c.uvarint("schema bits")
@@ -218,32 +224,35 @@ func decodeSnapshot(schema *subscription.Schema, data []byte) (*subscription.Sch
 		attrs = append(attrs, string(c.bytes("attr name")))
 	}
 	if c.err != nil {
-		return nil, nil, 0, c.err
+		return image{}, c.err
 	}
 	if schema == nil {
 		var err error
 		if schema, err = subscription.NewSchema(int(bits), attrs...); err != nil {
-			return nil, nil, 0, fmt.Errorf("%w: snapshot header names no valid schema: %v", ErrCorrupt, err)
+			return image{}, fmt.Errorf("%w: snapshot header names no valid schema: %v", ErrCorrupt, err)
 		}
 	}
 	if int(bits) != schema.Bits() || !slices.Equal(attrs, schema.Attrs()) {
-		return nil, nil, 0, fmt.Errorf("%w: snapshot has %d bits and attributes %q, schema has %d and %q",
+		return image{}, fmt.Errorf("%w: snapshot has %d bits and attributes %q, schema has %d and %q",
 			ErrSchemaMismatch, bits, attrs, schema.Bits(), schema.Attrs())
 	}
-	basePos := c.uvarint("stream base position")
+	img := image{schema: schema, links: make(linkTables)}
+	img.pos = c.uvarint("stream base position")
+	if magic == snapMagic {
+		img.mark = c.uvarint("id mark")
+	}
 	numLinks := c.uvarint("link count")
-	links := make(linkTables)
 	for i := uint64(0); i < numLinks && c.err == nil; i++ {
 		name := string(c.bytes("link name"))
 		count := c.uvarint("entry count")
-		if _, dup := links[name]; dup && c.err == nil {
-			return nil, nil, 0, fmt.Errorf("%w: duplicate link %q in snapshot", ErrCorrupt, name)
+		if _, dup := img.links[name]; dup && c.err == nil {
+			return image{}, fmt.Errorf("%w: duplicate link %q in snapshot", ErrCorrupt, name)
 		}
 		// Sized once for the section, but never past what its bytes can
 		// hold: an entry takes at least two.
 		t := new(idtable.Table[subscription.Rect])
 		t.Grow(int(min(count, uint64(len(c.rest)/2))))
-		links[name] = t
+		img.links[name] = t
 		for j, prev := uint64(0), uint64(0); j < count && c.err == nil; j++ {
 			sid := c.uvarint("entry sid")
 			payload := c.bytes("payload")
@@ -251,23 +260,23 @@ func decodeSnapshot(schema *subscription.Schema, data []byte) (*subscription.Sch
 				break
 			}
 			if j > 0 && sid <= prev {
-				return nil, nil, 0, fmt.Errorf("%w: snapshot entries out of order in link %q", ErrCorrupt, name)
+				return image{}, fmt.Errorf("%w: snapshot entries out of order in link %q", ErrCorrupt, name)
 			}
 			prev = sid
 			r, err := decodePayload(schema, name, sid, payload)
 			if err != nil {
-				return nil, nil, 0, err
+				return image{}, err
 			}
 			t.Put(sid, r)
 		}
 	}
 	if c.err != nil {
-		return nil, nil, 0, c.err
+		return image{}, c.err
 	}
 	if len(c.rest) != 0 {
-		return nil, nil, 0, fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, len(c.rest))
+		return image{}, fmt.Errorf("%w: %d trailing snapshot bytes", ErrCorrupt, len(c.rest))
 	}
-	return schema, links, basePos, nil
+	return img, nil
 }
 
 // writeSnapshot durably lands encoded snapshot bytes under seq: temp

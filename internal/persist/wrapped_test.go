@@ -114,8 +114,8 @@ func TestResetDumpCarriesWrappedLinks(t *testing.T) {
 	if !b.Reset {
 		t.Fatalf("divergent position got a plain batch (base %d), want a Reset dump", b.Base)
 	}
-	if n := countRecords(b.Recs); n != want {
-		t.Fatalf("Reset dump carries %d records, want %d", n, want)
+	if n := imageEntries(t, b.Recs); n != want {
+		t.Fatalf("Reset image carries %d entries, want %d", n, want)
 	}
 	follower, err := Open(t.TempDir(), schema, Options{})
 	if err != nil {

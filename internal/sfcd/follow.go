@@ -19,10 +19,12 @@ import (
 // bytes as they are; the follower applies each frame before reading the
 // next, logging its records verbatim, so its durable state is always a
 // prefix of the primary's history and a re-streamed overlap (after a
-// reconnect) deduplicates by position instead of diverging.
+// reconnect) deduplicates by position instead of diverging. A reset is
+// the primary's snapshot image, cut into byte chunks, which the follower
+// reassembles and installs as its own snapshot.
 
 // maxRepFrameRecords and maxRepFrameBytes bound one stream frame, so a
-// large catch-up batch or reset dump splits across frames instead of
+// large catch-up batch or reset image splits across frames instead of
 // hitting MaxFrameBytes: every record repeats its link name, so a batch
 // on a long-named link reaches the byte cap well before the record cap.
 // A lone record past the byte cap goes in a frame of its own.
@@ -78,18 +80,19 @@ func (s *Server) serveReplicate(id, pos uint64, cs *connState) {
 	}
 }
 
-// repFrames cuts one tail batch's run of WAL records, at record
-// boundaries, into wire frames of at most maxRepFrameRecords records and
-// maxRepFrameBytes bytes each, and counts the records. The frames share
-// the batch's bytes.
+// repFrames cuts one tail batch into wire frames and counts the records
+// it streams: a reset image into chunks of at most maxRepFrameBytes
+// bytes, More set on all but the last, and a run of WAL records, at
+// record boundaries, into frames of at most maxRepFrameRecords records
+// and maxRepFrameBytes bytes each. The frames share the batch's bytes.
 func repFrames(b persist.TailBatch) (frames []RepFrame, n int) {
-	if len(b.Recs) == 0 {
-		if b.Reset {
-			// An empty store's dump still needs one frame: it carries the
-			// position and tells the follower to clear its own state.
-			return []RepFrame{{Reset: true, Pos: b.Pos}}, 0
+	if b.Reset {
+		for img := b.Recs; len(img) > 0; {
+			k := min(len(img), maxRepFrameBytes)
+			frames = append(frames, RepFrame{Reset: true, More: k < len(img), Pos: b.Pos, Recs: img[:k]})
+			img = img[k:]
 		}
-		return nil, 0
+		return frames, 0
 	}
 	pos := b.Base
 	for run := b.Recs; len(run) > 0; {
@@ -102,16 +105,10 @@ func repFrames(b persist.TailBatch) (frames []RepFrame, n int) {
 			end += k
 			count++
 		}
-		f := RepFrame{Recs: run[:end]}
+		frames = append(frames, RepFrame{Base: pos, Pos: pos + uint64(count), Recs: run[:end]})
 		run = run[end:]
 		n += count
-		if b.Reset {
-			f.Reset, f.More, f.Pos = true, len(run) > 0, b.Pos
-		} else {
-			f.Base, f.Pos = pos, pos+uint64(count)
-			pos = f.Pos
-		}
-		frames = append(frames, f)
+		pos += uint64(count)
 	}
 	return frames, n
 }
@@ -251,7 +248,7 @@ func (s *Server) followOnce() error {
 }
 
 // applyFrame lands one stream frame in the store. Reset frames
-// accumulate in reset until the dump's final frame installs them
+// accumulate in reset until the image's final frame installs it
 // atomically; plain frames apply in place, deduplicated by position.
 func (s *Server) applyFrame(f *RepFrame, reset *[]byte) error {
 	if f.Reset {
@@ -259,7 +256,7 @@ func (s *Server) applyFrame(f *RepFrame, reset *[]byte) error {
 		if f.More {
 			return nil
 		}
-		if err := s.store.InstallState(*reset, f.Pos); err != nil {
+		if err := s.store.InstallState(*reset); err != nil {
 			return err
 		}
 		*reset = nil

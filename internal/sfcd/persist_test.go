@@ -346,3 +346,67 @@ func TestSnapshotGauges(t *testing.T) {
 		}
 	}
 }
+
+// TestDaemonNeverRemintsAnID: on a -data-dir daemon, subscribe three
+// times (ids 1, 2, 3) and unsubscribe 3, the largest; the next subscribe
+// answers 4, never 3 again — after a restart on the shared engine, and
+// on a link namespace after an unlink with no restart, which rebuilds the
+// link from its durable state on its next use.
+func TestDaemonNeverRemintsAnID(t *testing.T) {
+	schema := subscription.MustSchema(8, "x", "y")
+	subscribeThreeDropThree := func(t *testing.T, p core.Provider) {
+		t.Helper()
+		for i := range 3 {
+			id, _, _, err := p.Add(antiRect(t, schema, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id != uint64(i+1) {
+				t.Fatalf("subscribe %d answered id %d, want %d", i+1, id, i+1)
+			}
+		}
+		if err := p.Remove(3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireNext := func(t *testing.T, p core.Provider) {
+		t.Helper()
+		id, _, _, err := p.Add(antiRect(t, schema, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != 4 {
+			t.Fatalf("subscribe answered id %d, want 4: a removed id was minted again", id)
+		}
+	}
+	t.Run("restart", func(t *testing.T) {
+		dir := t.TempDir()
+		d := startDaemon(t, schema, dir)
+		p, err := d.client.Provider("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		subscribeThreeDropThree(t, p)
+		d.stop(t)
+		d = startDaemon(t, schema, dir)
+		defer d.stop(t)
+		if p, err = d.client.Provider(""); err != nil {
+			t.Fatal(err)
+		}
+		requireNext(t, p)
+	})
+	t.Run("unlink", func(t *testing.T) {
+		d := startDaemon(t, schema, t.TempDir())
+		defer d.stop(t)
+		p, err := d.client.Provider("L")
+		if err != nil {
+			t.Fatal(err)
+		}
+		subscribeThreeDropThree(t, p)
+		p.Close() // unlink: the daemon drops the link's index and rebuilds it on next use
+		if p, err = d.client.Provider("L"); err != nil {
+			t.Fatal(err)
+		}
+		requireNext(t, p)
+	})
+}

@@ -321,19 +321,19 @@ type Response struct {
 	Rep RepFrame
 }
 
-// RepFrame is one hop of a replication stream. Recs carries WAL records
-// in the segment wire encoding (self-delimiting, CRC-protected), raw: a
-// run of the primary's log bytes, cut at record boundaries, which the
-// follower checks and appends to its own log as they are.
+// RepFrame is one hop of a replication stream.
 //
-// When Reset is false the records sit at stream positions Base+1..Pos
-// and the follower applies them in place (idempotent; an overlap with
-// already-applied history deduplicates by position). When Reset is true
-// the frames carry a full-state dump at position Pos — the follower was
-// too far behind the primary's in-memory ring (or ahead of it entirely,
-// after a divergent history) — split across frames with More set on all
-// but the last; the follower accumulates and installs the dump atomically
-// once More is clear.
+// When Reset is false, Recs carries WAL records in the segment wire
+// encoding (self-delimiting, CRC-protected), raw: a run of the primary's
+// log bytes, cut at record boundaries, at stream positions Base+1..Pos,
+// which the follower checks and appends to its own log as they are
+// (idempotent; an overlap with already-applied history deduplicates by
+// position). When Reset is true, Recs is a byte chunk of the primary's
+// snapshot image at position Pos — the follower was too far behind the
+// primary's in-memory ring (or ahead of it entirely, after a divergent
+// history) — More set on all but the last chunk; the follower
+// accumulates the chunks and installs the image as its snapshot once
+// More is clear.
 type RepFrame struct {
 	Reset bool
 	More  bool

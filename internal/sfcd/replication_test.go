@@ -500,14 +500,31 @@ func TestLargeBatchOnLongLinkReplicates(t *testing.T) {
 	}
 
 	// A follower ahead of the primary has a divergent history: it is
-	// answered with a reset dump of the primary's whole state.
+	// answered with a reset image of the primary's whole state. Its dir
+	// is put at position target+100 by logging that many inserts.
 	dir := t.TempDir()
 	st, err := persist.Open(dir, schema, persist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.InstallState(nil, target+100); err != nil {
+	eng, err := engine.New(engine.Config{Detector: core.Config{Schema: schema}})
+	if err != nil {
 		t.Fatal(err)
+	}
+	ahead, err := st.Durable("", eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	more := make([]*subscription.Subscription, target+100)
+	for i := range more {
+		more[i] = subs[i%len(subs)]
+	}
+	if _, err := ahead.InsertBatch(more); err != nil {
+		t.Fatal(err)
+	}
+	ahead.Close()
+	if st.Pos() != target+100 {
+		t.Fatalf("the divergent dir is at position %d, want %d", st.Pos(), target+100)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
