@@ -432,6 +432,35 @@ func TestEngineWarmQueryZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEngineTopCubeHitZeroAlloc is the guard on the shortest warm path: a
+// query its top cube answers, read off the slices' published corner words
+// with no lock, through a default engine with telemetry on. It cycles
+// through the warm shapes whose answer took that one probe, 1 280 queries,
+// and reads 0 allocs/op as TestEngineWarmQueryZeroAlloc does.
+func TestEngineTopCubeHitZeroAlloc(t *testing.T) {
+	eng, queries := steadyStateEngine(t)
+	var hits []*subscription.Subscription
+	for _, q := range queries {
+		if _, found, st, err := eng.FindCover(q); err == nil && found && st.Path == dominance.PathWalk && st.RunsProbed == 1 {
+			hits = append(hits, q)
+		}
+	}
+	if len(hits) < len(queries)/2 {
+		t.Fatalf("%d of %d warm shapes are top-cube hits, want most", len(hits), len(queries))
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1280, func() {
+		q := hits[i%len(hits)]
+		i++
+		if _, found, st, err := eng.FindCover(q); err != nil || !found || st.RunsProbed != 1 {
+			t.Fatalf("top-cube hit %d = (found %v, %d probes, %v), want one probe's hit", i, found, st.RunsProbed, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a top-cube hit allocates %.1f allocs/op with telemetry on, want 0", allocs)
+	}
+}
+
 // TestMissPathWalkZeroAlloc is the guard's miss-path case: a query with
 // no cover that the walk decides in ten steps or more — seeks routed
 // through the engine's slices, successor jumps between them — allocates

@@ -81,6 +81,11 @@ type shardSlot struct {
 	// summary while the slice holds the entries it bounds: see publish. An
 	// empty array's summary is zero, as is a new mirror.
 	sum *summaryMirror
+	// corner publishes the slice's top-cube answers for readers that take
+	// no lock, and shadow holds them for the writers, under the write lock
+	// (both nil when the keys are wider than a word): see cornerLine.
+	corner []cornerLine
+	shadow []cornerEntry
 }
 
 // summaryMirror is a slice's summary mirror alone on a cache line (an
@@ -130,8 +135,13 @@ func NewSharded(cfg Config, n int) (*ShardedIndex, error) {
 		shards:   make([]shardSlot, n),
 	}
 	for i := range x.shards {
-		x.shards[i].arr = d.newArray()
-		x.shards[i].sum = new(summaryMirror)
+		s := &x.shards[i]
+		s.arr = d.newArray()
+		s.sum = new(summaryMirror)
+		if cfg.WordKeys() {
+			s.corner = make([]cornerLine, cfg.Bits/8+1)
+			s.shadow = make([]cornerEntry, cfg.Bits+1)
+		}
 	}
 	x.scratchPool.New = func() any { return new(queryScratch) }
 	starts := make([]bits.Key, n)
@@ -330,6 +340,7 @@ func (x *ShardedIndex) InsertAt(loc Location, id uint64) {
 	slot := x.lock(loc)
 	slot.arr.Insert(loc.Key, id)
 	slot.publish()
+	x.cornerInsert(slot, loc.Key.LowWord(), id)
 	slot.mu.Unlock()
 }
 
@@ -398,6 +409,11 @@ func (x *ShardedIndex) loadShares(tabPtr *[]bits.Key, keys []uint64, w int, ids 
 		}
 		slot.arr.InsertSortedWords(keys[a*w:b*w], w, ids[a:b])
 		slot.publish()
+		if slot.corner != nil {
+			for j := a; j < b; j++ {
+				x.cornerInsert(slot, keys[j], ids[j])
+			}
+		}
 		slot.mu.Unlock()
 		lo = hi
 	}
@@ -429,6 +445,9 @@ func (x *ShardedIndex) DeleteAt(loc Location, id uint64) bool {
 	slot := x.lock(loc)
 	ok := slot.arr.Delete(loc.Key, id)
 	slot.publish()
+	if ok {
+		x.cornerDelete(slot, loc.Key.LowWord(), id)
+	}
 	slot.mu.Unlock()
 	return ok
 }
@@ -572,11 +591,13 @@ func (x *ShardedIndex) EqualizePair(i int) (migrated int) {
 		a.arr.InsertSortedWords(keys[na*w:split*w], w, ids[na:split])
 	}
 	gain.publish()
+	x.cornerRefresh(gain)
 	old := *x.table.Load()
 	starts := append([]bits.Key(nil), old...)
 	starts[i+1] = bits.KeyFromLow(keys[split*w : split*w+w])
 	x.table.Store(&starts)
 	shed.publish()
+	x.cornerRefresh(shed)
 	return migrated
 }
 

@@ -52,15 +52,15 @@ func (x *ShardedIndex) QueryInto(q []uint32, eps float64, tr *obs.QueryTrace, st
 
 // probeTop is an approximate walk's first step on one-word keys, taken on
 // the query alone: the probe of the largest standard cube at the
-// region's max corner. On a hit it writes the Stats the walk writes for a
-// hit on its first step (TestProbeTopMatchesWalk) and reports it; on a
-// miss it writes nothing, and the walk goes on from its second step.
+// region's max corner, answered from the slices' published corner words
+// (topCorner). On a hit it writes the Stats the walk writes for a hit on
+// its first step (TestProbeTopMatchesWalk) and reports it; on a miss it
+// writes nothing, and the walk goes on from its second step.
 //
 //sfc:hotpath
 func (x *ShardedIndex) probeTop(q []uint32, st *Stats) (uint64, bool) {
 	shortest, longest := sides(q, x.cfg.Bits)
-	lo, hi := x.curve.TopCubeRangeWord(topSideOf(shortest))
-	id, ok := probe[uint64, wordForm](x, lo, hi, nil)
+	id, ok := x.topCorner(bits.B(shortest) - 1)
 	if ok {
 		*st = opening(shortest, longest)
 		st.Path, st.WalkSteps, st.RunsProbed, st.Found = PathWalk, 1, 1, true

@@ -136,12 +136,15 @@ type Engine struct {
 	sinceCheck atomic.Int64
 
 	// Query counters. A query is counted once, in counts, by the cut that
-	// ended it and by whether it found a cover. runsProbed holds the
-	// descents, and extraSearches the searches beyond each query's first
-	// (Totals adds one a query back, except in mode off, where no query
-	// searches); cubes and extraSearches are added to only when positive,
-	// so every counter only grows. A warm walk query does two adds.
-	counts        [dominance.NumPaths][2]atomic.Int64
+	// ended it, by whether it found a cover and by whether it took exactly
+	// one descent. runsProbed holds the descents of the other queries
+	// (Totals adds one a one-descent query back), and extraSearches the
+	// searches beyond each query's first (Totals adds one a query back,
+	// except in mode off, where no query searches); runsProbed, cubes and
+	// extraSearches are added to only when positive, so every counter only
+	// grows and Totals, a sum of them with no negative term, never falls
+	// between two reads. A warm top-cube hit does one add.
+	counts        [dominance.NumPaths][2][2]atomic.Int64
 	runsProbed    atomic.Int64
 	cubes         atomic.Int64
 	extraSearches atomic.Int64
@@ -244,17 +247,21 @@ func (e *Engine) Mode() core.Mode { return e.cfg.Detector.Mode }
 func (e *Engine) Schema() *subscription.Schema { return e.schema }
 
 // record folds one logical query's outcome into the engine counters: one
-// add to its path-and-found cell, its probes, and the cube and search
-// counts only where Totals cannot derive them.
+// add to its path, found and one-descent cell, and its probes, cubes and
+// searches only where Totals cannot derive them.
 //
 //sfc:hotpath
 func (e *Engine) record(res *QueryResult, searches int) {
-	found := 0
+	found, one := 0, 0
 	if res.Covered {
 		found = 1
 	}
-	e.counts[res.Stats.Path][found].Add(1)
-	e.runsProbed.Add(int64(res.Stats.RunsProbed))
+	if runs := res.Stats.RunsProbed; runs == 1 {
+		one = 1
+	} else if runs > 0 {
+		e.runsProbed.Add(int64(runs))
+	}
+	e.counts[res.Stats.Path][found][one].Add(1)
 	if res.Stats.CubesGenerated != 0 {
 		e.cubes.Add(int64(res.Stats.CubesGenerated))
 	}
@@ -427,10 +434,14 @@ func (e *Engine) Totals() Totals {
 		CubesGenerated: int(e.cubes.Load()),
 	}
 	for p := range e.counts {
-		miss, hit := int(e.counts[p][0].Load()), int(e.counts[p][1].Load())
-		tot.PathQueries[p] = miss + hit
-		tot.Queries += miss + hit
-		tot.Hits += hit
+		for found := range e.counts[p] {
+			cells := &e.counts[p][found]
+			many, one := int(cells[0].Load()), int(cells[1].Load())
+			tot.PathQueries[p] += many + one
+			tot.Queries += many + one
+			tot.Hits += found * (many + one)
+			tot.RunsProbed += one
+		}
 	}
 	if e.cfg.Detector.Mode != core.ModeOff {
 		tot.ShardSearches = tot.Queries + int(e.extraSearches.Load())
