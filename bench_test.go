@@ -379,7 +379,8 @@ func BenchmarkCoverQuery(b *testing.B) {
 // BenchmarkCoverQueryEngine is BenchmarkCoverQuery's population and shapes
 // through a default engine instead of a Detector: the same top-cube hits,
 // so the difference between the two lines is the engine's fixed cost per
-// query over the Detector's (trace election, slice routing, counters).
+// query over the Detector's (slice routing, the counter cell's add, and
+// the trace election, which loads the counter cells and writes nothing).
 func BenchmarkCoverQueryEngine(b *testing.B) {
 	eng, queries := steadyStateEngine(b)
 	b.ReportAllocs()

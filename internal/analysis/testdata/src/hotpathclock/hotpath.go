@@ -11,6 +11,7 @@ import (
 type engine struct {
 	o *obs.Observer
 	h *obs.Histogram
+	n uint64 // the queries counted so far, which elect a trace
 }
 
 // badClock reads the clock with no election at all.
@@ -33,7 +34,7 @@ func (e *engine) badFetch(d time.Duration) {
 //
 //sfc:hotpath
 func (e *engine) badFetchElected(d time.Duration) {
-	if tr := e.o.SampleTrace("query"); tr != nil {
+	if tr := e.o.SampleTrace("query", e.n+1); tr != nil {
 		e.o.Hist("query").Observe(d) // want `fetches from the histogram registry`
 	}
 }
@@ -42,7 +43,7 @@ func (e *engine) badFetchElected(d time.Duration) {
 //
 //sfc:hotpath
 func (e *engine) goodElected() {
-	tr := e.o.SampleTrace("query")
+	tr := e.o.SampleTrace("query", e.n+1)
 	if tr != nil {
 		t0 := time.Now()
 		e.h.Observe(time.Since(t0))

@@ -143,7 +143,7 @@ type Engine struct {
 	// except in mode off, where no query searches); runsProbed, cubes and
 	// extraSearches are added to only when positive, so every counter only
 	// grows and Totals, a sum of them with no negative term, never falls
-	// between two reads. A warm top-cube hit does one add.
+	// between two reads. A warm top-cube hit makes one add, its one shared write.
 	counts        [dominance.NumPaths][2][2]atomic.Int64
 	runsProbed    atomic.Int64
 	cubes         atomic.Int64
@@ -281,14 +281,20 @@ func (e *Engine) checkSchema(s *subscription.Subscription) error {
 
 // findCover runs one logical covering query — a single op or a batch
 // item alike — and records it: counters always, and for the
-// 1-in-TraceSample queries the observer elects, latency and a full trace
-// record (slow ones land in the slow-query log). On machines without a
-// fast clock path a time.Now pair is a measurable slice of a hot covering
+// 1-in-TraceSample queries it elects, latency and a full trace record
+// (slow ones land in the slow-query log). On machines without a fast
+// clock path a time.Now pair is a measurable slice of a hot covering
 // query, so only elected queries read the clock: the engine_query
 // histogram holds a uniform 1-in-TraceSample sample of all traffic —
 // its distribution is unbiased, its count is the query count divided by
 // TraceSample — while the exact count is Totals.Queries. A batch call's
 // histogram times it whole (see writeSample).
+//
+// The election is that count: a query is Totals.Queries plus one, read
+// after the schema check, so a refused query, which counts nowhere, elects
+// nothing. One goroutine elects exactly its k·rate-th counted query;
+// concurrent ones may read one count twice, but no election looks at the
+// query, so the sample stays unbiased.
 //
 // The outcome is written into res, which the caller owns and hands over
 // zeroed: a single op's local or a batch's slot, so no result is copied
@@ -296,10 +302,24 @@ func (e *Engine) checkSchema(s *subscription.Subscription) error {
 //
 //sfc:hotpath
 func (e *Engine) findCover(s *subscription.Subscription, res *QueryResult) {
-	e.findCoverTraced(s, e.obs.SampleTrace("query"), res)
+	if err := e.checkSchema(s); err != nil {
+		res.Err = err
+		return
+	}
+	var tr *obs.QueryTrace
+	if e.obs != nil {
+		// Straight-line loads: a summing helper's call cost ~5 % a warm hit.
+		c := &e.counts
+		n := c[0][0][0].Load() + c[0][0][1].Load() + c[0][1][0].Load() + c[0][1][1].Load() +
+			c[1][0][0].Load() + c[1][0][1].Load() + c[1][1][0].Load() + c[1][1][1].Load() +
+			c[2][0][0].Load() + c[2][0][1].Load() + c[2][1][0].Load() + c[2][1][1].Load()
+		tr = e.obs.SampleTrace("query", uint64(n)+1)
+	}
+	e.findCoverTraced(s, tr, res)
 }
 
-// findCoverTraced is findCover with an explicit (possibly nil) trace.
+// findCoverTraced is findCover with an explicit (possibly nil) trace; it
+// checks the schema itself for TraceCover.
 //
 //sfc:hotpath
 func (e *Engine) findCoverTraced(s *subscription.Subscription, tr *obs.QueryTrace, res *QueryResult) {

@@ -12,6 +12,7 @@ import (
 	"sfccover/internal/core"
 	"sfccover/internal/core/coretest"
 	"sfccover/internal/dominance"
+	"sfccover/internal/obs"
 	"sfccover/internal/subscription"
 	"sfccover/internal/workload"
 )
@@ -953,6 +954,158 @@ func TestBatchLatencySample(t *testing.T) {
 	}
 	if got, want := count(r, "engine_insert_batch"), uint64(4); got != want {
 		t.Errorf("engine_insert_batch count = %d after a %d-item restore, want %d", got, writeSample, want)
+	}
+}
+
+// TestQueryTraceElection holds the trace election to the counted-query
+// sequence: sequential FindCovers and Adds, hits and misses, on every
+// search cut elect exactly the k·4th counted query at TraceSample 4; the
+// count the election reads is Totals.Queries over every counter cell; and
+// two goroutines' queries, which may read one count twice, elect at most
+// one query a count each.
+func TestQueryTraceElection(t *testing.T) {
+	schema := subscription.MustSchema(10, "volume", "price")
+	pairs, err := workload.Covers(workload.CoverSpec{Schema: schema, N: 40, SlackFrac: 0.2, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := testSubs(t, schema, 40, 43)
+	newEngine := func(t *testing.T, det core.Config, sample int) *Engine {
+		e := MustNew(Config{Detector: det, Shards: 4, Obs: obs.New(obs.Config{TraceSample: sample, SlowThreshold: -1, SlowLogSize: 1 << 10})})
+		t.Cleanup(e.Close)
+		return e
+	}
+	for _, c := range []struct {
+		name string
+		det  core.Config
+		path dominance.Path
+	}{
+		{"walk", core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3}, dominance.PathWalk},
+		{"cubes", core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3, MaxCubes: 1}, dominance.PathCubes},
+		{"off", core.Config{Schema: schema, Mode: core.ModeOff}, dominance.PathNone},
+	} {
+		t.Run("sequential/"+c.name, func(t *testing.T) {
+			e := newEngine(t, c.det, 4)
+			check := func(i int) {
+				t.Helper()
+				if got, want := e.Observer().SlowLog().Len(), e.Totals().Queries/4; got != want {
+					t.Fatalf("call %d: %d elected after %d counted queries, want %d", i, got, e.Totals().Queries, want)
+				}
+			}
+			for i, p := range pairs {
+				if _, _, _, err := e.Add(p.Parent); err != nil {
+					t.Fatal(err)
+				}
+				check(i)
+				if _, _, _, err := e.FindCover(p.Child); err != nil {
+					t.Fatal(err)
+				}
+				check(i)
+				if _, _, _, err := e.FindCover(misses[i]); err != nil {
+					t.Fatal(err)
+				}
+				check(i)
+			}
+			tot := e.Totals()
+			if tot.Queries != 3*len(pairs) || tot.PathQueries[c.path] == 0 {
+				t.Fatalf("Totals %+v: the sequence must count every call, some on the %s cut", tot, c.path)
+			}
+			if c.path == dominance.PathWalk && (tot.Hits == 0 || tot.Hits == tot.Queries) {
+				t.Fatalf("Totals %+v: the walk's sequence must mix hits and misses", tot)
+			}
+		})
+	}
+	t.Run("sum-is-totals", func(t *testing.T) {
+		// Give cell i the count 2^i, so Totals.Queries is 2^cells - 1 and
+		// the next query is elected at rate 2^cells only when the
+		// election sums every cell: a cell it left out, or one a new
+		// search cut added, leaves its count short.
+		e := newEngine(t, core.Config{Schema: schema}, 1<<(4*dominance.NumPaths))
+		var bit int64 = 1
+		for p := range e.counts {
+			for f := range e.counts[p] {
+				for o := range e.counts[p][f] {
+					e.counts[p][f][o].Add(bit)
+					bit <<= 1
+				}
+			}
+		}
+		if got, want := e.Totals().Queries, int(bit-1); got != want {
+			t.Fatalf("Totals.Queries = %d, want %d", got, want)
+		}
+		if _, _, _, err := e.FindCover(misses[0]); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Observer().SlowLog().Len(); got != 1 {
+			t.Fatalf("the query after %d counted ones elected %d traces, want 1", bit-1, got)
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		e := newEngine(t, core.Config{Schema: schema, Mode: core.ModeApprox, Epsilon: 0.3}, 4)
+		if _, err := e.InsertBatch(misses[:20]); err != nil {
+			t.Fatal(err)
+		}
+		const n = 2000
+		var wg sync.WaitGroup
+		for g := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range n {
+					if _, _, _, err := e.FindCover(misses[(i+g)%len(misses)]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		// Each goroutine reads a larger count on every query, so a count
+		// is read at most twice, and 2n/4 counts below 2n elect.
+		elected := e.Observer().Hist("engine_query").Snapshot().Count
+		if limit := uint64(2 * (2*n/4 + 1)); elected > limit {
+			t.Fatalf("%d of %d concurrent queries elected, want at most %d", elected, 2*n, limit)
+		}
+		if tot := e.Totals(); tot.Queries != 2*n {
+			t.Fatalf("Queries = %d after %d", tot.Queries, 2*n)
+		}
+	})
+}
+
+// TestRefusedQueryTakesNoElection puts a refused query — another
+// schema's, through FindCover, Add or a batch — before each valid one: a
+// refused query counts nowhere and elects nothing, so the valid queries
+// alone fill the 1-in-4 sample, every elected trace finishing in the slow
+// log. Were the refused ones counted in the election, every elected call
+// would be a valid one, and twice as many would be.
+func TestRefusedQueryTakesNoElection(t *testing.T) {
+	schema := testSchema(t)
+	other := subscription.New(subscription.MustSchema(10, "stock", "volume", "price"))
+	e := MustNew(Config{Detector: core.Config{Schema: schema}, Obs: obs.New(obs.Config{TraceSample: 4, SlowThreshold: -1})})
+	defer e.Close()
+	const n = 64
+	for i, s := range testSubs(t, schema, n, 47) {
+		var err error
+		switch i % 3 {
+		case 0:
+			_, _, _, err = e.FindCover(other)
+		case 1:
+			_, _, _, err = e.Add(other)
+		default:
+			err = e.CoverQueryBatch([]*subscription.Subscription{other})[0].Err
+		}
+		if err == nil {
+			t.Fatal("a foreign schema must be refused")
+		}
+		if _, _, _, err := e.FindCover(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.Observer().SlowLog().Len(); got != n/4 {
+		t.Fatalf("slow log holds %d traces after %d valid queries at 1-in-4, want %d", got, n, n/4)
+	}
+	if tot := e.Totals(); tot.Queries != n {
+		t.Fatalf("Queries = %d after %d valid queries", tot.Queries, n)
 	}
 }
 

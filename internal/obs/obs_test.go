@@ -201,8 +201,8 @@ func TestQueryTraceSlices(t *testing.T) {
 func TestObserverSampling(t *testing.T) {
 	o := New(Config{TraceSample: 4, SlowThreshold: -1})
 	traced := 0
-	for i := 0; i < 40; i++ {
-		if tr := o.SampleTrace("query"); tr != nil {
+	for n := uint64(1); n <= 40; n++ {
+		if tr := o.SampleTrace("query", n); tr != nil {
 			traced++
 			o.FinishTrace(tr, time.Microsecond)
 		}
@@ -222,7 +222,7 @@ func TestObserverSamplingRoundsUp(t *testing.T) {
 	o := New(Config{TraceSample: 100})
 	var elected []int
 	for i := 1; i <= 3*128; i++ {
-		if o.SampleTrace("query") != nil {
+		if o.SampleTrace("query", uint64(i)) != nil {
 			elected = append(elected, i)
 		}
 	}
@@ -248,7 +248,7 @@ func TestObserverNilSafe(t *testing.T) {
 	if o.Hist("x") != nil || o.Registry() != nil || o.SlowLog() != nil {
 		t.Fatal("nil observer must return nil components")
 	}
-	if o.SampleTrace("q") != nil || o.StartTrace("q") != nil {
+	if o.SampleTrace("q", 128) != nil || o.StartTrace("q") != nil {
 		t.Fatal("nil observer must not trace")
 	}
 	o.FinishTrace(nil, time.Second) // must not panic

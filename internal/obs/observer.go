@@ -14,9 +14,9 @@ const DefaultSlowThreshold = 10 * time.Millisecond
 // record and times stages — ~0.6 µs where a clock read is 70 ns, two
 // cache-warm covering queries' worth — so the hot path amortizes that
 // cost while the slow log still sees a steady stream of candidates. At
-// 128 telemetry costs a cache-warm query ~3 % (EXPERIMENTS.md "Walk
-// step", telemetry rows: 16 read 1.16, 64 read 1.065). It is a power of
-// two, as New makes every rate.
+// 128 telemetry cost a ~0.3 µs query ~3 % (EXPERIMENTS.md "Walk step");
+// a ~35 ns top-cube hit reads ~1.14x, an elected query's ~0.5 µs spread
+// over 128. It is a power of two, as New makes every rate.
 const DefaultTraceSample = 128
 
 // Config tunes an Observer. The zero value selects the defaults, which
@@ -47,7 +47,6 @@ type Observer struct {
 	mask uint64 // the trace rate rounded up to a power of two, minus one
 	reg  *Registry
 	slow *SlowLog
-	tick atomic.Uint64
 	// spare is a sampled trace FinishTrace sealed and the slow log did not
 	// keep, which the next sample reuses: a sampled query allocates only
 	// when a concurrent one holds the spare.
@@ -94,22 +93,22 @@ func (o *Observer) SlowLog() *SlowLog {
 	return o.slow
 }
 
-// SampleTrace returns a fresh trace record for one in cfg.TraceSample
-// calls, rounded up to a power of two (nil otherwise, and always nil on a
-// nil Observer). The counter is a single shared atomic: one add and a
-// mask per query. That add is not noise on a warm query, which costs
-// tens of nanoseconds: it was 12.6 % of query_hot's CPU samples while
-// the query still took its slice's read lock (EXPERIMENTS.md "A top-cube
-// hit takes no lock"), and every querying core writes its cache line.
+// SampleTrace returns a fresh trace record when n, the caller's 1-based
+// call number, is a multiple of cfg.TraceSample rounded up to a power of
+// two (nil otherwise, and always nil on a nil Observer). The observer
+// keeps no count of its own, so an unelected call writes nothing; the
+// check inlines at the call site, and an elected call reuses the spare.
 //
 //sfc:hotpath
-func (o *Observer) SampleTrace(op string) *QueryTrace {
-	if o == nil {
+func (o *Observer) SampleTrace(op string, n uint64) *QueryTrace {
+	if o == nil || n&o.mask != 0 {
 		return nil
 	}
-	if o.tick.Add(1)&o.mask != 0 {
-		return nil
-	}
+	return o.sample(op)
+}
+
+// sample starts an elected trace.
+func (o *Observer) sample(op string) *QueryTrace {
 	if t := o.spare.Swap(nil); t != nil {
 		*t = QueryTrace{Op: op, Start: time.Now(), Stages: t.Stages[:0], Slices: t.Slices[:0], sampled: true}
 		return t
